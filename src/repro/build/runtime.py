@@ -7,7 +7,7 @@ catalog directory (``use_mapped=True`` swaps full in-memory loads for
 read-only ``np.memmap`` views of the shared partition files).
 
 Every code path here is a *pure producer*: it loads a relation, runs the
-BUC recursion into capture sinks, and returns the raw event streams.  The
+builder over it, and returns the raw event streams.  The
 one stateful branch — an over-budget partition — does mutate the catalog
 (adaptive re-partitioning writes ``.sub<i>``/``.coarseN*`` scaffolding),
 but deterministically: the split decision depends only on the partition's
@@ -18,7 +18,6 @@ executors, so any executor expands a given task into the same children.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import cast
 
 from repro.build.plan import expansion_children
 from repro.build.tasks import (
@@ -26,18 +25,13 @@ from repro.build.tasks import (
     KIND_COARSE_RUN,
     KIND_PAIR,
     KIND_PARTITION,
-    SignatureCapture,
     TaskOutcome,
     TaskSpec,
-    TTCapture,
-    capture_arrays,
     empty_outcome,
 )
 from repro.core.cure import BuildStats, CureBuilder, HierarchicalShape
 from repro.core.model import CubeSchema
 from repro.core.partition import load_coarse_working_set, repartition_partition
-from repro.core.signature import SignaturePool
-from repro.core.storage import CubeStorage
 from repro.core.workingset import WorkingSet
 from repro.relational.engine import Engine
 from repro.relational.memory import MemoryBudgetExceeded
@@ -115,30 +109,20 @@ def execute_task(
     else:
         raise ValueError(f"unknown task kind {task.kind!r}")
 
-    tts = TTCapture()
-    sigs = SignatureCapture()
     shape = HierarchicalShape(schema, task.base_floor)
-    builder = CureBuilder(
-        schema,
-        cast(CubeStorage, tts),
-        cast(SignaturePool, sigs),
-        shape,
-        min_count,
-        stats,
-    )
+    builder = CureBuilder(schema, shape, min_count, stats)
     try:
-        if task.kind == KIND_PARTITION:
-            builder.run_partition(working, task.level)
-        elif task.kind == KIND_PAIR:
-            builder.run_partition_pair(working, task.level, task.level1)
+        if task.kind == KIND_PAIR:
+            tts, sigs = builder.run_partition_pair(
+                working, task.level, task.level1
+            )
         elif task.kind == KIND_COARSE_RUN:
-            builder.run(working)
+            tts, sigs = builder.run(working)
         else:
-            builder.run_partition(working, task.level)
+            tts, sigs = builder.run_partition(working, task.level)
     finally:
         release()
-    tt_array, sig_array = capture_arrays(tts, sigs, schema.n_aggregates)
-    return TaskOutcome(task, tt_array, sig_array, stats)
+    return TaskOutcome(task, tts, sigs, stats)
 
 
 __all__ = ["execute_task"]

@@ -8,10 +8,11 @@ order — into the real :class:`~repro.core.storage.CubeStorage` and
 :class:`~repro.core.signature.SignaturePool`.
 
 The replay discipline is what makes every executor byte-identical to the
-historical inline loop: a task never classifies anything.  It captures the
-**raw event stream** the BUC recursion would have emitted — trivial-tuple
-writes ``(node_id, rowid)`` and signature adds ``(node_id, rowid,
-aggregates…)`` — as two int64 arrays.  The coordinator owns the one true
+historical inline loop: a task never classifies anything.  It returns the
+**raw event stream** of Figure 13's recursion — trivial-tuple writes
+``(node_id, rowid)`` and signature adds ``(node_id, rowid,
+aggregates…)`` — as the two int64 arrays the builder produces, in
+emission order.  The coordinator owns the one true
 signature pool and feeds it the streams in deterministic task order, so
 flush windows, NT/CAT classification, and the first-flush format decision
 are exactly those of a sequential build, no matter how many workers
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.core.cure import BuildStats
 from repro.core.model import CubeSchema
-from repro.core.signature import Signature, SignaturePool
+from repro.core.signature import SignaturePool
 from repro.core.storage import CubeStorage
 
 #: Task kinds understood by :func:`repro.build.runtime.execute_task`.
@@ -119,51 +120,6 @@ class UnitCompletion:
     outcomes: tuple[TaskOutcome, ...]
 
 
-# -- capture sinks -------------------------------------------------------------
-
-
-class TTCapture:
-    """Storage stand-in recording ``write_tt`` events instead of applying
-    them.  The only storage surface the BUC recursion touches."""
-
-    def __init__(self) -> None:
-        self.events: list[tuple[int, int]] = []
-
-    def write_tt(self, node_id: int, rowid: int) -> None:
-        self.events.append((node_id, rowid))
-
-
-class SignatureCapture:
-    """Pool stand-in recording ``add`` events unclassified.
-
-    ``flush`` is a no-op on purpose: classification belongs to the one
-    coordinator-side pool, replayed in task order.
-    """
-
-    def __init__(self) -> None:
-        self.events: list[tuple[int, ...]] = []
-
-    def add(self, signature: Signature) -> None:
-        self.events.append(
-            (signature.node_id, signature.rowid) + tuple(signature.aggregates)
-        )
-
-    def flush(self) -> None:  # pragma: no cover - never has anything to do
-        return None
-
-
-def capture_arrays(
-    tts: TTCapture, sigs: SignatureCapture, n_aggregates: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack capture sinks into the dense arrays a :class:`TaskOutcome`
-    ships (cheap to pickle across the process boundary)."""
-    tt_array = np.asarray(tts.events, dtype=np.int64).reshape(-1, 2)
-    sig_array = np.asarray(sigs.events, dtype=np.int64).reshape(
-        -1, 2 + n_aggregates
-    )
-    return tt_array, sig_array
-
-
 def empty_outcome(task: TaskSpec, stats: BuildStats, n_aggregates: int) -> TaskOutcome:
     """An outcome with no events (expansions, empty working sets)."""
     return TaskOutcome(
@@ -208,6 +164,8 @@ def apply_outcome(
 ) -> None:
     """Replay one task's event streams through the real storage and pool.
 
+    The one way events reach a cube: the in-memory build is a single
+    task, a partitioned build one per partition file and coarse node.
     TT events and signature adds feed disjoint sinks (per-node TT lists
     vs. the pool), so replaying the two streams back to back preserves
     the bytes of the historically interleaved emission.  Worker-side
@@ -218,12 +176,8 @@ def apply_outcome(
     trace = getattr(faults, "trace", None)
     if trace is not None and outcome.trace:
         trace.extend(outcome.trace)
-    write_tt = storage.write_tt
-    for node_id, rowid in outcome.tts.tolist():
-        write_tt(node_id, rowid)
-    add = pool.add
-    for row in outcome.sigs.tolist():
-        add(Signature(tuple(row[2:]), row[1], row[0]))
+    storage.write_tts(outcome.tts)
+    pool.add_batch(outcome.sigs)
     merge_build_stats(stats, outcome.stats)
     stats.peak_worker_bytes = max(stats.peak_worker_bytes, outcome.peak_bytes)
 
@@ -235,13 +189,10 @@ __all__ = [
     "KIND_PARTITION",
     "BuildPlan",
     "BuildUnit",
-    "SignatureCapture",
-    "TTCapture",
     "TaskOutcome",
     "TaskSpec",
     "UnitCompletion",
     "apply_outcome",
-    "capture_arrays",
     "empty_outcome",
     "merge_build_stats",
 ]

@@ -25,8 +25,9 @@ otherwise runs the external-partitioning pipeline of Section 4.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -39,8 +40,8 @@ from repro.core.partition import (
     select_partition_level,
     select_partition_pair,
 )
-from repro.core.segments import aggregate_ufuncs, reduce_segments
-from repro.core.signature import PoolStats, Signature, SignaturePool
+from repro.core.segments import aggregate_ufuncs
+from repro.core.signature import PoolStats, SignaturePool
 from repro.core.storage import CubeStorage
 from repro.core.workingset import WorkingSet
 from repro.relational.engine import Engine
@@ -157,21 +158,65 @@ class LevelsAsDimensionsShape:
 # -- the executor ----------------------------------------------------------------
 
 
+class _Frontier(NamedTuple):
+    """The surviving segments one plan edge hands to its child edges."""
+
+    positions: np.ndarray  # working-set rows, grouped by segment
+    segment: np.ndarray  # int64 segment index per row, non-decreasing
+    count: int
+
+
+@dataclass
+class _EdgeEvents:
+    """Everything one plan edge emitted, before depth-first positions exist.
+
+    ``parent[j]`` is the frontier segment that segment ``j`` of this edge
+    was cut from; ``size[j]`` counts the events of ``j``'s plan sub-tree
+    (its own, if any, plus all descendants'); ``totals[p]`` sums ``size``
+    per parent.  ``alive`` indexes the segments that recurse — the frontier
+    of ``children`` — each of which emitted one of ``sig_rows`` (none on a
+    pair edge); ``trivial`` indexes those that emitted one of ``tt_rows``.
+    """
+
+    parent: np.ndarray
+    size: np.ndarray
+    totals: np.ndarray
+    alive: np.ndarray
+    trivial: np.ndarray
+    tt_rows: np.ndarray  # (len(trivial), 2)
+    sig_rows: np.ndarray  # (len(alive) or 0, 2 + Y)
+    children: list["_EdgeEvents"]
+
+
 class CureBuilder:
-    """Runs the BUC-style recursion over a working set, emitting to storage."""
+    """``ExecutePlan``/``FollowEdge`` of Figure 13, one plan edge at a time.
+
+    The recursion walks the execution plan (``shape.entry_levels`` /
+    ``dashed_children``, never materialized); each ``FollowEdge`` handles
+    *all* surviving parent segments at once: one stable sort on
+    ``(parent segment, level key)``, one ``reduceat`` per weight / row-id /
+    aggregate column, trivial-tuple / iceberg / signature classification
+    as masks, survivors compacted for the child edges.
+
+    Figure 13 emits depth-first per segment, and the order in which
+    signatures reach the bounded pool decides the bytes.  So every event
+    gets its depth-first position from sub-tree sizes — summed bottom-up
+    per parent segment, turned into offsets top-down — and the entry
+    points return the two event streams a
+    :class:`~repro.build.tasks.TaskOutcome` ships, in exactly the
+    per-segment recursion's emission order: ``tts (n, 2)`` rows
+    ``(node_id, rowid)`` and ``sigs (m, 2 + Y)`` rows ``(node_id, rowid,
+    aggregates…)``.
+    """
 
     def __init__(
         self,
         schema: CubeSchema,
-        storage: CubeStorage,
-        pool: SignaturePool,
         shape: ExecutionShape,
         min_count: int = 1,
         stats: BuildStats | None = None,
     ) -> None:
         self.schema = schema
-        self.storage = storage
-        self.pool = pool
         self.shape = shape
         self.min_count = min_count
         self.stats = stats or BuildStats()
@@ -180,151 +225,261 @@ class CureBuilder:
             dimension.all_level for dimension in schema.dimensions
         ]
         self._node_id = schema.enumerator.node_id(schema.lattice.all_node)
-        self._working: WorkingSet | None = None
+        self._ufuncs = aggregate_ufuncs(schema)
 
     # -- public entry points --------------------------------------------------
 
-    def run(self, working: WorkingSet) -> None:
+    def run(self, working: WorkingSet) -> tuple[np.ndarray, np.ndarray]:
         """``ExecutePlan`` from the root: the all-in-memory case."""
-        if not len(working):
-            return
-        self._attach(working)
-        positions = np.arange(len(working), dtype=np.intp)
-        self._execute(
-            positions,
-            working.total_weight,
-            working.aggregate(positions),
-            working.min_rowid(positions),
-            0,
-            None,
+        one = np.zeros(1, dtype=np.intp)
+        return self._build(
+            working,
+            lambda whole: self._execute(whole.positions, one, one, 1, None, 0),
         )
 
-    def run_partition(self, working: WorkingSet, level: int) -> None:
+    def run_partition(
+        self, working: WorkingSet, level: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``FollowEdge(partition, 0, L)``: one partition's sub-cubes.
 
         Constructs every node whose grouping attributes include the first
         dimension at level ≤ ``level`` (observation 1 of Section 4); the
         ∅-rooted rest is the coarse-node phase's job.
         """
-        if not len(working):
-            return
-        self._attach(working)
-        positions = np.arange(len(working), dtype=np.intp)
-        self._follow_edge(positions, 0, level, 1)
+        return self._build(
+            working, lambda whole: self._follow_edge(whole, 0, level, 1)
+        )
 
     def run_partition_pair(
         self, working: WorkingSet, level0: int, level1: int
-    ) -> None:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Pair-partitioning phase: nodes with dims 0 and 1 both present
         at levels ≤ (L, M).
 
-        The recursion descends dimension 0's chain in an outer loop and,
-        per segment, enters dimension 1 at level M (whence the standard
-        recursion covers its descent and the remaining dimensions).  The
-        segment itself — dimension 0 alone — is *not* a sound node for
-        pair partitions, so nothing is emitted at that granularity; its
-        nodes belong to the N2 phase.
+        The plan descends dimension 0's chain and, per segment, enters
+        dimension 1 at level M (whence the standard edges cover its
+        descent and the remaining dimensions).  The segment itself —
+        dimension 0 alone — is *not* a sound node for pair partitions, so
+        nothing is emitted at that granularity; its nodes belong to the N2
+        phase.
         """
-        if not len(working):
-            return
-        self._attach(working)
-        positions = np.arange(len(working), dtype=np.intp)
-        self._pair_descend(positions, level0, level1)
+        return self._build(
+            working,
+            lambda whole: self._follow_edge(whole, 0, level0, 1, level1),
+        )
 
-    def _pair_descend(
-        self, positions: np.ndarray, level0: int, level1: int
-    ) -> None:
-        working = self._working
-        keys = working.level_keys(0, level0, positions)
-        self.stats.sort.keys_sorted += len(keys)
-        self.stats.sort.comparison_sorts += 1
-        batch = reduce_segments(working, positions, keys, self._ufuncs)
-        old_level = self._node_levels[0]
-        self._node_levels[0] = level0
-        self._node_id += self._factors[0] * (level0 - old_level)
-        for i in range(len(batch)):
-            seg_positions = batch.positions_of(i)
-            self._follow_edge(seg_positions, 1, level1, 2)
-            for child in self.shape.dashed_children(0, level0):
-                self._pair_descend(seg_positions, child, level1)
-        self._node_levels[0] = old_level
-        self._node_id += self._factors[0] * (old_level - level0)
+    def _build(
+        self,
+        working: WorkingSet,
+        first: Callable[[_Frontier], _EdgeEvents],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run the plan below ``first`` over the whole working set, then
+        order both event streams as the per-segment recursion emits."""
+        tts: list[tuple[np.ndarray, np.ndarray]] = []
+        sigs: list[tuple[np.ndarray, np.ndarray]] = []
+        n = len(working)
+        if n:
+            self._working = working
+            self._agg_columns = [
+                np.ascontiguousarray(working.aggs[:, y])
+                for y in range(self.schema.n_aggregates)
+            ]
+            self._key_columns: dict[tuple[int, int], np.ndarray] = {}
+            whole = _Frontier(
+                np.arange(n, dtype=np.intp), np.zeros(n, dtype=np.int64), 1
+            )
+            self._place(first(whole), np.zeros(1, dtype=np.int64), tts, sigs)
+        return _in_order(tts, 2), _in_order(sigs, 2 + self.schema.n_aggregates)
 
-    def finish(self) -> None:
-        """Final pool flush (line 22 of Algorithm CURE)."""
-        self.pool.flush()
+    def _keys(self, dim: int, level: int) -> np.ndarray:
+        """Every row's member code at ``(dim, level)``, rolled up once per
+        working set (a plan visits the same level on many edges)."""
+        column = self._key_columns.get((dim, level))
+        if column is None:
+            column = self._working.dims[dim]
+            if level:
+                column = self.schema.dimensions[dim].level_maps[level][column]
+            self._key_columns[dim, level] = column
+        return column
 
-    def _attach(self, working: WorkingSet) -> None:
-        self._working = working
-        self._ufuncs = aggregate_ufuncs(self.schema)
+    # -- bottom-up: sort, reduce, classify, recurse -------------------------------
 
-    # -- recursion ---------------------------------------------------------------
-    #
-    # Aggregates flow *down*: the parent's FollowEdge computes each child
-    # segment's aggregate vector with one reduceat per aggregate column,
-    # so ExecutePlan never re-reduces its own input.
+    def _follow_edge(
+        self,
+        frontier: _Frontier,
+        dim: int,
+        level: int,
+        next_dim: int,
+        pair_level: int | None = None,
+    ) -> _EdgeEvents:
+        """One plan edge over every segment of ``frontier`` at once."""
+        # Figure 13 sorts each parent segment separately; the counters keep
+        # that logical cost (one sort per segment entering the edge).
+        self.stats.sort.keys_sorted += len(frontier.positions)
+        self.stats.sort.comparison_sorts += frontier.count
+        cardinality = self.schema.dimensions[dim].cardinality(level)
+        # int64 throughout: segment × cardinality outgrows int32 long
+        # before either factor does.
+        composite = frontier.segment * cardinality
+        composite += self._keys(dim, level)[frontier.positions]
+        order = np.argsort(composite, kind="stable")
+        composite = composite[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], composite[1:] != composite[:-1]))
+        )
+        old_level = self._node_levels[dim]
+        self._node_levels[dim] = level
+        self._node_id += self._factors[dim] * (level - old_level)
+        edge = self._execute(
+            frontier.positions[order],
+            starts,
+            composite[starts] // cardinality,
+            frontier.count,
+            dim,
+            next_dim,
+            pair_level,
+        )
+        self._node_levels[dim] = old_level
+        self._node_id += self._factors[dim] * (old_level - level)
+        return edge
 
     def _execute(
         self,
         positions: np.ndarray,
-        weight: int,
-        aggregates: tuple[int, ...],
-        min_rowid: int,
-        next_dim: int,
+        starts: np.ndarray,
+        parent: np.ndarray,
+        n_parents: int,
         entered: int | None,
-    ) -> None:
-        if weight == 1:
-            # A trivial tuple (weights are >= 1, so weight 1 means one
-            # original fact tuple): store the row-id at this least detailed
-            # node and prune — the whole plan sub-tree shares it.
-            if self.min_count <= 1:
-                self.storage.write_tt(self._node_id, min_rowid)
-                self.stats.tt_written += 1
-            return
-        if weight < self.min_count:
-            # Iceberg pruning: descendants only see subsets, so nothing
-            # below can reach the support threshold either.
-            return
-        self.pool.add(Signature(aggregates, min_rowid, self._node_id))
-        self.stats.nodes_aggregated += 1
-        self.stats.signatures_emitted += 1
-        for d in range(next_dim, self.schema.n_dimensions):
-            for entry in self.shape.entry_levels(d):
-                self._follow_edge(positions, d, entry, d + 1)
-        if entered is not None:
-            current_level = self._node_levels[entered]
-            for child in self.shape.dashed_children(entered, current_level):
-                self._follow_edge(positions, entered, child, next_dim)
-
-    def _follow_edge(
-        self,
-        positions: np.ndarray,
-        dim: int,
-        level: int,
-        next_dim_after: int,
-    ) -> None:
+        next_dim: int,
+        pair_level: int | None = None,
+    ) -> _EdgeEvents:
+        """``ExecutePlan`` for all segments ``starts`` cuts ``positions``
+        into: emit, prune, and follow the child edges with the survivors."""
         working = self._working
-        keys = working.level_keys(dim, level, positions)
-        self.stats.sort.keys_sorted += len(keys)
-        self.stats.sort.comparison_sorts += 1
-        batch = reduce_segments(working, positions, keys, self._ufuncs)
+        lengths = np.diff(starts, append=len(positions))
+        if pair_level is None:
+            # Weights are >= 1, so weight 1 means one original fact tuple:
+            # a trivial tuple, stored at this least detailed node (unless
+            # an iceberg threshold drops it); the whole plan sub-tree
+            # shares it.  Below ``min_count`` nothing deeper can reach the
+            # support threshold either, so only the rest recurse.
+            weights = np.add.reduceat(working.weights[positions], starts)
+            is_trivial = (weights == 1) & (self.min_count <= 1)
+            is_alive = weights >= max(self.min_count, 2)
+        else:
+            # A pair edge emits nothing and prunes nothing.
+            is_trivial = np.zeros(len(starts), dtype=np.bool_)
+            is_alive = ~is_trivial
+        trivial = np.flatnonzero(is_trivial)
+        alive = np.flatnonzero(is_alive)
+        signed = alive if pair_level is None else alive[:0]
+        rowids = np.minimum.reduceat(working.rowids[positions], starts)
+        tt_rows = np.empty((len(trivial), 2), dtype=np.int64)
+        tt_rows[:, 1] = rowids[trivial]
+        sig_rows = np.empty(
+            (len(signed), 2 + len(self._ufuncs)), dtype=np.int64
+        )
+        sig_rows[:, 1] = rowids[signed]
+        for y, ufunc in enumerate(self._ufuncs):
+            column = self._agg_columns[y][positions]
+            sig_rows[:, 2 + y] = ufunc.reduceat(column, starts)[signed]
+        tt_rows[:, 0] = sig_rows[:, 0] = self._node_id
+        self.stats.tt_written += len(trivial)
+        self.stats.nodes_aggregated += len(signed)
+        self.stats.signatures_emitted += len(signed)
 
-        old_level = self._node_levels[dim]
-        self._node_levels[dim] = level
-        self._node_id += self._factors[dim] * (level - old_level)
-        bounds = batch.bounds
-        sorted_positions = batch.sorted_positions
-        for i, aggregates in enumerate(batch.aggregates):
-            self._execute(
-                sorted_positions[bounds[i] : bounds[i + 1]],
-                batch.weights[i],
-                aggregates,
-                batch.rowids[i],
-                next_dim_after,
-                dim,
+        size = np.zeros(len(starts), dtype=np.int64)
+        size[trivial] = size[signed] = 1
+        children: list[_EdgeEvents] = []
+        if len(alive):
+            if len(alive) < len(starts):
+                positions = positions[np.repeat(is_alive, lengths)]
+                lengths = lengths[alive]
+            survivors = _Frontier(
+                positions,
+                np.repeat(np.arange(len(alive), dtype=np.int64), lengths),
+                len(alive),
             )
-        self._node_levels[dim] = old_level
-        self._node_id += self._factors[dim] * (old_level - level)
+            children = [
+                self._follow_edge(survivors, *edge)
+                for edge in self._child_edges(entered, next_dim, pair_level)
+            ]
+            for child in children:
+                size[alive] += child.totals
+        totals = np.bincount(parent, weights=size, minlength=n_parents)
+        return _EdgeEvents(
+            parent,
+            size,
+            totals.astype(np.int64),
+            alive,
+            trivial,
+            tt_rows,
+            sig_rows,
+            children,
+        )
+
+    def _child_edges(
+        self, entered: int | None, next_dim: int, pair_level: int | None
+    ) -> list[tuple[int, int, int, int | None]]:
+        """Lines 8–15 of ``ExecutePlan``: the ``(dim, level, next_dim,
+        pair_level)`` of the edges leaving the current node, in plan order."""
+        if pair_level is not None:
+            descents = self.shape.dashed_children(0, self._node_levels[0])
+            return [(1, pair_level, 2, None)] + [
+                (0, child, next_dim, pair_level) for child in descents
+            ]
+        edges: list[tuple[int, int, int, int | None]] = [
+            (d, entry, d + 1, None)
+            for d in range(next_dim, self.schema.n_dimensions)
+            for entry in self.shape.entry_levels(d)
+        ]
+        if entered is not None:  # the dashed edges
+            descents = self.shape.dashed_children(
+                entered, self._node_levels[entered]
+            )
+            edges += [(entered, child, next_dim, None) for child in descents]
+        return edges
+
+    # -- top-down: depth-first positions --------------------------------------------
+
+    def _place(
+        self,
+        edge: _EdgeEvents,
+        base: np.ndarray,
+        tts: list[tuple[np.ndarray, np.ndarray]],
+        sigs: list[tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        """Assign depth-first positions below ``base`` (per parent segment,
+        where this edge's block of events begins).
+
+        Segments are ordered by (parent, key), so a segment starts at its
+        parent's base plus the sizes of its earlier siblings: a running sum
+        of ``size``, rebased at each parent's first segment.
+        """
+        running = np.cumsum(edge.size) - edge.size
+        first = np.cumsum(edge.totals) - edge.totals
+        start = (base - first)[edge.parent] + running
+        tts.append((start[edge.trivial], edge.tt_rows))
+        # An alive segment's own signature (a pair edge has none) comes
+        # first, then the blocks of its child edges in plan order.
+        child_base = start[edge.alive]
+        if len(edge.sig_rows):
+            sigs.append((child_base, edge.sig_rows))
+            child_base = child_base + 1
+        for child in edge.children:
+            self._place(child, child_base, tts, sigs)
+            child_base = child_base + child.totals
+
+
+def _in_order(
+    chunks: list[tuple[np.ndarray, np.ndarray]], width: int
+) -> np.ndarray:
+    """Concatenate ``(positions, rows)`` chunks and sort rows by position."""
+    if not chunks:
+        return np.empty((0, width), dtype=np.int64)
+    positions = np.concatenate([chunk[0] for chunk in chunks])
+    rows = np.concatenate([chunk[1] for chunk in chunks])
+    return rows[np.argsort(positions)]
 
 
 # -- Algorithm CURE (top level) ----------------------------------------------------
@@ -383,8 +538,7 @@ def build_cube(
     stats = BuildStats()
     pool = SignaturePool(
         pool_capacity,
-        on_nt=storage.write_nt,
-        on_cats=storage.write_cat_run,
+        on_flush=storage.write_flush,
         on_statistics=storage.decide_format,
     )
     if shape is None:
@@ -441,12 +595,23 @@ def _build_in_memory(
     stats: BuildStats,
     table: Table,
 ) -> None:
+    from repro.build.tasks import (
+        KIND_COARSE_RUN,
+        TaskOutcome,
+        TaskSpec,
+        apply_outcome,
+    )
+
     working = WorkingSet.from_fact_table(schema, table)
     storage.fact_row_count = len(table)
     storage.row_resolver = lambda rowid: schema.dim_values(table[rowid])
-    builder = CureBuilder(schema, storage, pool, shape, min_count, stats)
-    builder.run(working)
-    builder.finish()
+    builder = CureBuilder(schema, shape, min_count)
+    tts, sigs = builder.run(working)
+    # The whole input is one task: its events reach the storage and the
+    # pool the way every executor's do.
+    task = TaskSpec("memory", KIND_COARSE_RUN, "")
+    apply_outcome(TaskOutcome(task, tts, sigs, builder.stats), storage, pool, stats)
+    pool.flush()  # line 22 of Algorithm CURE
 
 
 def _fold_executor_stats(stats: BuildStats, executor_stats) -> None:

@@ -387,8 +387,7 @@ class DurableCubeBuild:
 
             pool = SignaturePool(
                 self.pool_capacity,
-                on_nt=storage.write_nt,
-                on_cats=storage.write_cat_run,
+                on_flush=storage.write_flush,
                 on_statistics=storage.decide_format,
             )
             if completed == 0:

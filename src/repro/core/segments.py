@@ -1,12 +1,19 @@
-"""Shared segmented-reduction kernel for all BUC-style builders.
+"""Segmented-reduction kernel of the per-segment (BUC-style) builders.
 
-CURE, BUC and BU-BST all sort the current position set on one key column
-and then need, per segment: its positions, total weight, minimum source
-row-id, aggregate vector, and key value.  Doing those reductions with one
+BUC and BU-BST sort the current position set on one key column and then
+need, per segment: its positions, total weight, minimum source row-id,
+aggregate vector, and key value.  Doing those reductions with one
 ``ufunc.reduceat`` per column over the sorted layout (instead of per
-segment fancy indexing) is what keeps the pure-Python reproduction's
-construction times meaningful; all three methods share this kernel so
-their relative timings stay comparable.
+segment fancy indexing) is what keeps the pure-Python baselines'
+construction times meaningful.
+
+CURE no longer runs on this kernel: :class:`repro.core.cure.CureBuilder`
+sorts once per *plan edge* over all parent segments, where this kernel is
+called once per segment.  Until the baselines are ported the same way,
+CURE-vs-baseline construction *times* do not share a kernel and are not
+apples-to-apples; sizes and the logical counters (``BuildStats``,
+``SortStats``) still are.  The per-segment CURE recursion that used this
+kernel lives on as the test oracle ``tests/support/recursive_cure.py``.
 """
 
 from __future__ import annotations

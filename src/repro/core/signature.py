@@ -25,28 +25,19 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 
 class Signature(NamedTuple):
-    """Metadata of one aggregated, non-trivial cube tuple (Figure 12)."""
+    """Metadata of one aggregated, non-trivial cube tuple (Figure 12).
+
+    The pool holds signatures as rows ``(node_id, rowid, aggregates…)`` of
+    one int64 array; this is the one-row form.
+    """
 
     aggregates: tuple[int, ...]
     rowid: int
     node_id: int
-
-
-class SignatureRun(NamedTuple):
-    """A maximal run of signatures sharing one aggregate vector."""
-
-    aggregates: tuple[int, ...]
-    members: list[Signature]
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.members) == 1
-
-    def distinct_sources(self) -> int:
-        """Distinct source sets, proxied by distinct minimum R-rowids."""
-        return len({signature.rowid for signature in self.members})
 
 
 @dataclass
@@ -72,18 +63,14 @@ class FormatStatistics:
     """The Section 5.1 quantities measured over one flush.
 
     ``m`` aggregate-value combinations appear among CAT runs; on average
-    each is shared by ``k`` CATs produced by ``n`` distinct source sets.
-    Format (a) wins when ``k/n > Y + 1``.
+    each is shared by ``k`` CATs produced by ``n`` distinct source sets
+    (proxied by distinct minimum R-rowids within the run).  Format (a)
+    wins when ``k/n > Y + 1``.
     """
 
     m: int = 0
     total_cats: int = 0
     total_sources: int = 0
-
-    def observe(self, run: SignatureRun) -> None:
-        self.m += 1
-        self.total_cats += len(run.members)
-        self.total_sources += run.distinct_sources()
 
     @property
     def mean_k(self) -> float:
@@ -100,6 +87,11 @@ class FormatStatistics:
         return self.mean_k / self.mean_n > n_aggregates + 1
 
 
+def cat_members(run_lengths: np.ndarray) -> np.ndarray:
+    """Row mask of a classified flush: True for members of runs of ≥ 2."""
+    return np.repeat(run_lengths > 1, run_lengths)
+
+
 @dataclass
 class SignaturePool:
     """A bounded pool of signatures with sort-classify-flush semantics.
@@ -109,85 +101,102 @@ class SignaturePool:
     capacity:
         Maximum resident signatures; ``None`` means unbounded (the
         idealized algorithm that identifies every CAT).
-    on_nt:
-        Called with each signature classified as a normal tuple.
-    on_cats:
-        Called with each run of ≥ 2 signatures sharing aggregates.
+    on_flush:
+        Called once per flush with ``(rows, run_lengths)``: the resident
+        signatures as an ``(n, 2 + Y)`` array of ``(node_id, rowid,
+        aggregates…)`` rows sorted by ``(aggregates, rowid)`` — ties in
+        arrival order — and the lengths of its maximal runs of equal
+        aggregates.  A run of one is a normal tuple, a longer run a run
+        of CATs.
+    on_statistics:
+        Called before the first flush is handed over, with its
+        :class:`FormatStatistics`.
     """
 
     capacity: int | None
-    on_nt: Callable[[Signature], None]
-    on_cats: Callable[[SignatureRun], None]
+    on_flush: Callable[[np.ndarray, np.ndarray], None]
     on_statistics: Callable[[FormatStatistics], None] | None = None
     stats: PoolStats = field(default_factory=PoolStats)
     first_flush_statistics: FormatStatistics | None = None
-    _pool: list[Signature] = field(default_factory=list, repr=False)
+    _window: list[np.ndarray] = field(default_factory=list, repr=False)
+    _resident: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity < 1:
             raise ValueError("pool capacity must be >= 1 (or None)")
 
     def __len__(self) -> int:
-        return len(self._pool)
+        return self._resident
 
     @property
     def full(self) -> bool:
-        return self.capacity is not None and len(self._pool) >= self.capacity
+        return self.capacity is not None and self._resident >= self.capacity
 
     def add(self, signature: Signature) -> None:
-        """Add one signature, flushing first if the pool is full.
+        """Add one signature: the one-row form of :meth:`add_batch`."""
+        row = (signature.node_id, signature.rowid, *signature.aggregates)
+        self.add_batch(np.asarray([row], dtype=np.int64))
 
-        Mirrors lines 6–7 of ``ExecutePlan`` in Figure 13: the fullness
-        check precedes the insert, so the pool never exceeds capacity.
+    def add_batch(self, rows: np.ndarray) -> None:
+        """Add ``(node_id, rowid, aggregates…)`` rows in emission order.
+
+        Exactly the windows of adding them one at a time under lines 6–7
+        of ``ExecutePlan`` in Figure 13: the fullness check precedes each
+        insert, so the pool never exceeds capacity and a pool that ends a
+        batch exactly full is flushed only when the next signature
+        arrives.
         """
-        if self.full:
-            self.flush()
-        self._pool.append(signature)
-        self.stats.signatures_added += 1
+        taken = 0
+        while taken < len(rows):
+            if self.full:
+                self.flush()
+            room = len(rows) - taken
+            if self.capacity is not None:
+                room = min(room, self.capacity - self._resident)
+            self._window.append(rows[taken : taken + room])
+            self._resident += room
+            taken += room
+        self.stats.signatures_added += len(rows)
 
     def flush(self) -> None:
         """Sort, classify into NTs and CAT runs, and empty the pool.
 
         On the first flush the Section 5.1 statistics are computed over the
-        resident CAT runs and reported (via ``on_statistics``) *before* any
-        run is emitted, so the storage layer can fix the CAT format first —
-        "the decision on the format can be made once and used globally".
+        resident CAT runs and reported (via ``on_statistics``) *before* the
+        flush is handed over, so the storage layer can fix the CAT format
+        first — "the decision on the format can be made once and used
+        globally".
         """
-        if not self._pool:
+        if not self._resident:
             return
         self.stats.flushes += 1
-        self._pool.sort(key=lambda s: (s.aggregates, s.rowid))
-        runs = list(self._runs())
+        rows = np.concatenate(self._window)
+        self._window.clear()
+        self._resident = 0
+        # One stable sort on (aggregates…, rowid); lexsort takes the least
+        # significant key first.
+        rows = rows[np.lexsort((rows[:, 1], *rows[:, :1:-1].T))]
+        new_run = np.ones(len(rows), dtype=np.bool_)
+        new_run[1:] = (rows[1:, 2:] != rows[:-1, 2:]).any(axis=1)
+        starts = np.flatnonzero(new_run)
+        run_lengths = np.diff(starts, append=len(rows))
+        is_cat_run = run_lengths > 1
+        n_cat_runs = int(is_cat_run.sum())
+        n_cats = int(run_lengths[is_cat_run].sum())
         if self.first_flush_statistics is None:
-            statistics = FormatStatistics()
-            for run in runs:
-                if not run.is_singleton:
-                    statistics.observe(run)
+            # Within a run rows ascend by rowid, so a source set starts
+            # wherever the run or the rowid changes.
+            new_source = new_run.copy()
+            new_source[1:] |= rows[1:, 1] != rows[:-1, 1]
+            n_sources = int((new_source & cat_members(run_lengths)).sum())
+            statistics = FormatStatistics(n_cat_runs, n_cats, n_sources)
             self.first_flush_statistics = statistics
             if self.on_statistics is not None:
                 self.on_statistics(statistics)
-        for run in runs:
-            if run.is_singleton:
-                self.stats.nt_runs += 1
-                self.on_nt(run.members[0])
-            else:
-                self.stats.cat_runs += 1
-                self.stats.cat_signatures += len(run.members)
-                self.on_cats(run)
-        self._pool.clear()
-
-    def _runs(self):
-        current_aggs: tuple[int, ...] | None = None
-        members: list[Signature] = []
-        for signature in self._pool:
-            if signature.aggregates != current_aggs:
-                if members:
-                    yield SignatureRun(current_aggs, members)
-                current_aggs = signature.aggregates
-                members = []
-            members.append(signature)
-        if members:
-            yield SignatureRun(current_aggs, members)
+        self.stats.nt_runs += len(run_lengths) - n_cat_runs
+        self.stats.cat_runs += n_cat_runs
+        self.stats.cat_signatures += n_cats
+        self.on_flush(rows, run_lengths)
 
     @staticmethod
     def size_bytes(capacity: int, n_aggregates: int) -> int:

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.model import CubeSchema
-from repro.core.signature import FormatStatistics, Signature, SignatureRun
+from repro.lattice.node import CubeNode
+from repro.core.signature import FormatStatistics, cat_members
 from repro.relational.batch import ColumnBatch
 from repro.relational.bitmap import Bitmap
 from repro.relational.catalog import Catalog
@@ -221,19 +222,14 @@ class CubeStorage:
     def get_node_store(self, node_id: int) -> NodeStore | None:
         return self.nodes.get(node_id)
 
-    # -- write API (driven by the builder and the signature pool) ---------------
+    # -- write API (driven by apply_outcome and the signature pool) --------------
 
     def write_tt(self, node_id: int, rowid: int) -> None:
         self.node_store(node_id).tt_rowids.append(rowid)
 
-    def write_nt(self, signature: Signature) -> None:
-        node_id = signature.node_id
-        if self.dr_mode:
-            dims = self._resolve_node_dims(node_id, signature.rowid)
-            row = dims + signature.aggregates
-        else:
-            row = (signature.rowid,) + signature.aggregates
-        self.node_store(node_id).nt_rows.append(row)
+    def write_tts(self, events: np.ndarray) -> None:
+        """Append ``(node_id, rowid)`` trivial-tuple events, in order."""
+        self._extend("tt_rowids", events[:, 0], events[:, 1])
 
     def decide_format(self, statistics: FormatStatistics) -> None:
         """Fix the CAT format from first-flush statistics (once, globally)."""
@@ -242,39 +238,87 @@ class CubeStorage:
                 statistics, self.schema.n_aggregates
             )
 
-    def write_cat_run(self, run: SignatureRun) -> None:
-        """Store one run of CATs under the globally decided format."""
+    def write_flush(self, rows: np.ndarray, run_lengths: np.ndarray) -> None:
+        """Store one classified pool flush.
+
+        ``rows`` are ``(node_id, rowid, aggregates…)`` signatures sorted
+        by ``(aggregates, rowid)`` and ``run_lengths`` the lengths of
+        their maximal equal-aggregate runs (see
+        :class:`~repro.core.signature.SignaturePool`): singleton runs
+        become NTs, longer runs CATs under the globally decided format.
+        """
+        in_cat = cat_members(run_lengths)
+        if not in_cat.any() or self.cat_format is CatFormat.AS_NT:
+            self._write_nts(rows)
+            return
         if self.cat_format is None:
             raise RuntimeError(
                 "CAT format not decided; the signature pool must report "
                 "statistics before emitting CAT runs"
             )
-        if self.cat_format is CatFormat.AS_NT:
-            for signature in run.members:
-                self.write_nt(signature)
+        self._write_nts(rows[~in_cat])
+        cats = rows[in_cat]
+        lengths = run_lengths[run_lengths > 1]
+        new_row = np.zeros(len(cats), dtype=np.bool_)
+        new_row[np.cumsum(lengths) - lengths] = True
+        # Format (b): one AGGREGATES row ⟨Aggr…⟩ for the whole run (runs
+        # have distinct aggregate vectors by construction); nodes keep the
+        # pair ⟨R-rowid, A-rowid⟩.  Format (a): one ⟨R-rowid, Aggr…⟩ row
+        # per distinct source within a run — CATs with the same source
+        # share it (that is the format's point), and a run ascends by
+        # rowid, so equal sources are adjacent; nodes keep ⟨A-rowid⟩.
+        common_source = self.cat_format is CatFormat.COMMON_SOURCE
+        if common_source:
+            new_row[1:] |= cats[1:, 1] != cats[:-1, 1]
+        arowids = len(self.aggregates_rows) - 1 + np.cumsum(new_row)
+        aggregates = cats[new_row, (1 if common_source else 2) :]
+        self.aggregates_rows.extend(map(tuple, aggregates.tolist()))
+        if common_source:
+            cat_rows = arowids[:, np.newaxis]
+        else:
+            cat_rows = np.column_stack((cats[:, 1], arowids))
+        self._extend("cat_rows", cats[:, 0], cat_rows)
+
+    def _write_nts(self, rows: np.ndarray) -> None:
+        if not self.dr_mode:
+            self._extend("nt_rows", rows[:, 0], rows[:, 1:])
             return
-        if self.cat_format is CatFormat.COMMON_SOURCE:
-            # One AGGREGATES row per distinct source within the run; CATs
-            # with the same source share it (that is the format's point).
-            arowid_by_source: dict[int, int] = {}
-            for signature in run.members:
-                arowid = arowid_by_source.get(signature.rowid)
-                if arowid is None:
-                    arowid = len(self.aggregates_rows)
-                    self.aggregates_rows.append(
-                        (signature.rowid,) + run.aggregates
-                    )
-                    arowid_by_source[signature.rowid] = arowid
-                self.node_store(signature.node_id).cat_rows.append((arowid,))
+        nodes = {
+            node_id: self.schema.decode_node(node_id)
+            for node_id in np.unique(rows[:, 0]).tolist()
+        }
+        self._extend(
+            "nt_rows",
+            rows[:, 0],
+            [
+                self._resolve_node_dims(nodes[node_id], rowid) + tuple(aggregates)
+                for node_id, rowid, *aggregates in rows.tolist()
+            ],
+        )
+
+    def _extend(
+        self, relation: str, node_ids: np.ndarray, values: np.ndarray | list
+    ) -> None:
+        """Append ``values[i]`` to the ``relation`` list of ``node_ids[i]``
+        with one ``extend`` per node, keeping each node's arrival order.
+
+        A vector contributes scalars, a matrix one tuple per row, a list
+        its items as they are.
+        """
+        if not len(node_ids):
             return
-        # Format (b): one AGGREGATES row for the whole run (runs have
-        # distinct aggregate vectors by construction); nodes keep the pair.
-        arowid = len(self.aggregates_rows)
-        self.aggregates_rows.append(run.aggregates)
-        for signature in run.members:
-            self.node_store(signature.node_id).cat_rows.append(
-                (signature.rowid, arowid)
-            )
+        order = np.argsort(node_ids, kind="stable")
+        if isinstance(values, list):
+            items = [values[i] for i in order.tolist()]
+        else:
+            items = values[order].tolist()
+            if values.ndim == 2:
+                items = list(map(tuple, items))
+        sorted_ids = node_ids[order]
+        starts = [0, *(np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1).tolist()]
+        for start, stop in zip(starts, [*starts[1:], len(items)]):
+            node_id = int(sorted_ids[start])
+            getattr(self.node_store(node_id), relation).extend(items[start:stop])
 
     def aggregates_matrix(self) -> np.ndarray:
         """The AGGREGATES relation as a cached int64 matrix.
@@ -294,12 +338,10 @@ class CubeStorage:
         self._aggregates_matrix = cached
         return cached
 
-    def _resolve_node_dims(self, node_id: int, rowid: int) -> tuple[int, ...]:
+    def _resolve_node_dims(self, node: CubeNode, rowid: int) -> tuple[int, ...]:
         if self.row_resolver is None:
             raise RuntimeError("dr_mode requires a row_resolver")
-        base_codes = self.row_resolver(rowid)
-        node = self.schema.decode_node(node_id)
-        return self.schema.project_to_node(base_codes, node)
+        return self.schema.project_to_node(self.row_resolver(rowid), node)
 
     # -- size accounting ---------------------------------------------------------
 

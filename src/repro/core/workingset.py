@@ -20,7 +20,6 @@ is 1, i.e. it really is a single fact tuple.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,12 +223,10 @@ load_coarse_working_set` reads row by row.
 
     def level_keys(self, dim: int, level: int, positions: np.ndarray) -> np.ndarray:
         """Member codes of ``positions`` in dimension ``dim`` at ``level``."""
-        dimension = self.schema.dimensions[dim]
         base_codes = self.dims[dim][positions]
         if level == 0:
             return base_codes
-        level_map = _level_map_array(dimension, level)
-        return level_map[base_codes]
+        return self.schema.dimensions[dim].level_maps[level][base_codes]
 
     def aggregate(self, positions: np.ndarray) -> tuple[int, ...]:
         """The merged aggregate vector over ``positions``."""
@@ -251,26 +248,3 @@ load_coarse_working_set` reads row by row.
             self.schema.n_aggregates + 2
         )
         return len(self) * per_row
-
-
-# Cached per-(dimension, level) numpy roll-up arrays.  Dimension objects are
-# frozen, so identity-keyed caching is safe; the cache also keeps a strong
-# reference to the dimension so its id cannot be recycled underneath us.
-# The lock makes the memoization safe to reach from parallel partition
-# workers (a duplicate build would be harmless, but a dict mutated from
-# two threads is not a pattern the parallel-safety audit lets through).
-_LEVEL_MAP_CACHE: dict[tuple[int, int], tuple[object, np.ndarray]] = {}
-_LEVEL_MAP_LOCK = threading.Lock()
-
-
-def _level_map_array(dimension, level: int) -> np.ndarray:
-    key = (id(dimension), level)
-    with _LEVEL_MAP_LOCK:
-        cached = _LEVEL_MAP_CACHE.get(key)
-        if cached is None or cached[0] is not dimension:
-            cached = (
-                dimension,
-                np.asarray(dimension.base_maps[level], dtype=np.int32),
-            )
-            _LEVEL_MAP_CACHE[key] = cached
-    return cached[1]

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Level:
@@ -70,6 +72,13 @@ class Dimension:
     member_names: tuple[tuple[str, ...] | None, ...] | None = field(
         default=None, compare=False
     )
+    #: ``base_maps`` as read-only int64 lookup arrays, one per level: the
+    #: one array form cube construction and the vectorized query kernels
+    #: share.  Built with the dimension (no lock, no first-touch race) and
+    #: freed with it.
+    level_maps: tuple[np.ndarray, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -107,6 +116,12 @@ class Dimension:
                         f"{parent} (must be in ({index}, {self.all_level}])"
                     )
         self._check_reaches_all()
+        arrays = tuple(
+            np.asarray(base_map, dtype=np.int64) for base_map in self.base_maps
+        )
+        for array in arrays:
+            array.setflags(write=False)
+        object.__setattr__(self, "level_maps", arrays)
 
     def _check_reaches_all(self) -> None:
         """Every level must transitively roll up to ALL (no orphans)."""

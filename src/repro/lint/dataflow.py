@@ -79,7 +79,10 @@ SINK_FUNCTIONS = frozenset(
 )
 #: Sinks by method attribute (checked regardless of receiver type).
 SINK_METHODS = frozenset(
-    {"append_many", "append_batch", "write_nt", "write_cat_run", "store_table"}
+    {
+        "append_many", "append_batch", "store_table",
+        "write_tts", "write_flush", "add_batch",
+    }
 )
 
 _ORDER_SANITIZERS = frozenset({"sorted", "min", "max", "sum", "any", "all"})

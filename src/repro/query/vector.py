@@ -10,13 +10,12 @@ resulting matrices feed straight into
 exists on the batch path.
 
 Hierarchy roll-up maps (``Dimension.base_maps``) are plain tuples on the
-dimension objects; :func:`level_map` caches their array form so the hot
-path pays the conversion once per (dimension, level).
+dimension objects; their array form is memoized on the dimension itself
+(``Dimension.level_maps``), so the hot path pays the conversion once.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
@@ -29,20 +28,10 @@ if TYPE_CHECKING:
     from repro.hierarchy.dimension import Dimension
     from repro.lattice.node import CubeNode
 
-_LEVEL_MAPS: dict[tuple[int, int], tuple[object, np.ndarray]] = {}
-_LEVEL_MAPS_LOCK = threading.Lock()
-
 
 def level_map(dimension: "Dimension", level: int) -> np.ndarray:
-    """``dimension.base_maps[level]`` as a cached int64 lookup array."""
-    key = (id(dimension), level)
-    with _LEVEL_MAPS_LOCK:
-        entry = _LEVEL_MAPS.get(key)
-        if entry is not None and entry[0] is dimension:
-            return entry[1]
-        array = np.asarray(dimension.base_maps[level], dtype=np.int64)
-        _LEVEL_MAPS[key] = (dimension, array)
-    return array
+    """``dimension.base_maps[level]`` as a shared int64 lookup array."""
+    return dimension.level_maps[level]
 
 
 def project_fact_dims(

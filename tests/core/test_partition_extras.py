@@ -59,27 +59,30 @@ def test_uniform_strategy_partition_roundtrip(tmp_path):
     storage.partition_level = decision.level
     pool = SignaturePool(
         None,
-        on_nt=storage.write_nt,
-        on_cats=storage.write_cat_run,
+        on_flush=storage.write_flush,
         on_statistics=storage.decide_format,
     )
-    builder = CureBuilder(schema, storage, pool, HierarchicalShape(schema))
+    builder = CureBuilder(schema, HierarchicalShape(schema))
     for name in names:
         with engine.load(name) as loaded:
-            builder.run_partition(
+            tts, sigs = builder.run_partition(
                 WorkingSet.from_partition_table(schema, loaded),
                 decision.level,
             )
+        storage.write_tts(tts)
+        pool.add_batch(sigs)
     from repro.core.partition import load_coarse_working_set
 
     base_levels = [0] * schema.n_dimensions
     base_levels[0] = decision.level + 1
     coarse, release = load_coarse_working_set(engine, coarse_name, schema)
     coarse_builder = CureBuilder(
-        schema, storage, pool, HierarchicalShape(schema, tuple(base_levels))
+        schema, HierarchicalShape(schema, tuple(base_levels))
     )
-    coarse_builder.run(coarse)
+    tts, sigs = coarse_builder.run(coarse)
     release()
+    storage.write_tts(tts)
+    pool.add_batch(sigs)
     pool.flush()
 
     cache = FactCache(schema, heap=heap, fraction=1.0)

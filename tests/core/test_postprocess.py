@@ -4,7 +4,6 @@ import pytest
 
 from repro import CatFormat, build_cube
 from repro.core.postprocess import postprocess_plus
-from repro.core.signature import Signature, SignatureRun
 from repro.core.storage import CubeStorage
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer

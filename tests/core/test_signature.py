@@ -1,32 +1,75 @@
-"""Unit tests for signatures and the bounded pool (Section 5.2)."""
+"""Unit tests for signatures and the bounded pool (Section 5.2).
 
+The pool keeps its window as an int64 array and classifies a flush with
+one stable lexsort; :class:`tests.support.list_pool.ListSignaturePool` —
+the tuple-at-a-time implementation it replaced — is the reference.
+"""
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import Table, build_cube
+from repro.core.cure import CureBuilder, HierarchicalShape
 from repro.core.signature import (
     FormatStatistics,
     Signature,
     SignaturePool,
-    SignatureRun,
 )
+from repro.core.storage import choose_cat_format
+from repro.core.workingset import WorkingSet
+from tests.support.list_pool import ListSignaturePool
 
 
 class Collector:
+    """Records flushes, and unrolls them the way the list pool emits."""
+
     def __init__(self):
-        self.nts: list[Signature] = []
-        self.runs: list[SignatureRun] = []
+        self.flushes: list[tuple[np.ndarray, np.ndarray]] = []
         self.statistics: list[FormatStatistics] = []
 
     def pool(self, capacity):
         return SignaturePool(
             capacity,
-            on_nt=self.nts.append,
-            on_cats=self.runs.append,
+            on_flush=lambda rows, lengths: self.flushes.append((rows, lengths)),
             on_statistics=self.statistics.append,
         )
+
+    @property
+    def emitted(self) -> list[tuple]:
+        out = []
+        for rows, lengths in self.flushes:
+            signatures = [
+                Signature(tuple(row[2:]), row[1], row[0])
+                for row in rows.tolist()
+            ]
+            start = 0
+            for length in lengths.tolist():
+                run = signatures[start : start + length]
+                out.append(("nt", run[0]) if length == 1 else ("cats", run))
+                start += length
+        return out
+
+    @property
+    def nts(self) -> list[Signature]:
+        return [item for kind, item in self.emitted if kind == "nt"]
+
+    @property
+    def runs(self) -> list[list[Signature]]:
+        return [item for kind, item in self.emitted if kind == "cats"]
 
 
 def sig(aggs, rowid=0, node=0) -> Signature:
     return Signature(tuple(aggs), rowid, node)
+
+
+def as_rows(signatures) -> np.ndarray:
+    width = 2 + len(signatures[0].aggregates)
+    return np.asarray(
+        [(s.node_id, s.rowid, *s.aggregates) for s in signatures],
+        dtype=np.int64,
+    ).reshape(-1, width)
 
 
 def test_flush_classifies_singleton_runs_as_nts():
@@ -48,26 +91,61 @@ def test_flush_groups_equal_aggregates_into_cat_runs():
     pool.add(sig([5, 5], rowid=9, node=3))
     pool.add(sig([7, 7], rowid=4, node=4))
     pool.flush()
-    assert len(collector.nts) == 1  # the (7,7) singleton
-    assert len(collector.runs) == 1
-    run = collector.runs[0]
-    assert run.aggregates == (5, 5)
-    assert len(run.members) == 3
-    assert run.distinct_sources() == 2  # rowids {0, 9}
+    assert collector.nts == [sig([7, 7], rowid=4, node=4)]
+    (run,) = collector.runs
+    assert [s.node_id for s in run] == [1, 2, 3]
+    assert pool.stats.cat_runs == 1
+    assert pool.stats.cat_signatures == 3
+    statistics = pool.first_flush_statistics
+    assert (statistics.m, statistics.total_cats) == (1, 3)
+    assert statistics.total_sources == 2  # rowids {0, 9}
 
 
-def test_statistics_reported_before_first_cat_emission():
+def test_sort_is_by_aggregates_then_rowid_not_arrival():
+    collector = Collector()
+    pool = collector.pool(None)
+    pool.add_batch(
+        as_rows(
+            [
+                sig([2, 1], rowid=0, node=0),
+                sig([1, 9], rowid=5, node=1),
+                sig([1, 9], rowid=2, node=2),
+                sig([1, 3], rowid=8, node=3),
+                sig([-4, 0], rowid=1, node=4),
+            ]
+        )
+    )
+    pool.flush()
+    (rows, lengths) = collector.flushes[0]
+    assert rows[:, 0].tolist() == [4, 3, 2, 1, 0]
+    assert lengths.tolist() == [1, 1, 2, 1]
+
+
+def test_ties_on_aggregates_and_rowid_keep_arrival_order():
+    collector = Collector()
+    pool = collector.pool(None)
+    # Same aggregates, same source, from nodes 7, 3, 5, 1 in that order:
+    # the sort must not reorder them (format (a) shares one AGGREGATES row
+    # and appends the CATs node by node in arrival order).
+    pool.add_batch(as_rows([sig([4], 6, node) for node in (7, 3)]))
+    pool.add(sig([4], 6, 5))
+    pool.add_batch(as_rows([sig([4], 6, 1), sig([4], 2, 9)]))
+    pool.flush()
+    (run,) = collector.runs
+    assert [s.node_id for s in run] == [9, 7, 3, 5, 1]
+
+
+def test_statistics_reported_before_first_flush_is_handed_over():
     order: list[str] = []
     pool = SignaturePool(
         None,
-        on_nt=lambda s: order.append("nt"),
-        on_cats=lambda r: order.append("cat"),
+        on_flush=lambda rows, lengths: order.append("flush"),
         on_statistics=lambda st: order.append("stats"),
     )
     pool.add(sig([1], rowid=0, node=0))
     pool.add(sig([1], rowid=0, node=1))
     pool.flush()
-    assert order[0] == "stats"
+    assert order == ["stats", "flush"]
 
 
 def test_statistics_computed_once():
@@ -77,7 +155,7 @@ def test_statistics_computed_once():
         pool.add(sig([i], rowid=i, node=0))
     pool.flush()
     assert len(collector.statistics) == 1
-    assert pool.stats.flushes >= 3
+    assert pool.stats.flushes == 3
 
 
 def test_bounded_pool_flushes_before_overflow():
@@ -88,27 +166,62 @@ def test_bounded_pool_flushes_before_overflow():
         assert len(pool) <= 3
     pool.flush()
     assert len(collector.nts) == 10
+    assert [len(rows) for rows, _ in collector.flushes] == [3, 3, 3, 1]
 
 
-def test_bounded_pool_misses_cross_flush_cats():
+def test_full_pool_waits_for_the_next_signature():
+    """Lines 6–7 of ExecutePlan: the fullness check precedes the insert,
+    so ending a batch exactly at capacity does not flush."""
+    collector = Collector()
+    pool = collector.pool(4)
+    pool.add_batch(as_rows([sig([i], i) for i in range(4)]))
+    assert pool.full and collector.flushes == []
+    pool.add_batch(np.empty((0, 3), dtype=np.int64))
+    assert collector.flushes == []
+    pool.add(sig([9], 9))
+    assert [len(rows) for rows, _ in collector.flushes] == [4]
+    assert len(pool) == 1
+
+
+def test_window_boundary_inside_a_would_be_cat_run_yields_two_nts():
     """The Figure 18 effect: a tiny pool stores repeated aggregates as NTs."""
     collector = Collector()
     pool = collector.pool(2)
     # Two pairs with equal aggregates, interleaved so no flush sees a pair.
-    pool.add(sig([1], rowid=0, node=0))
-    pool.add(sig([2], rowid=1, node=0))
-    pool.add(sig([1], rowid=0, node=1))
-    pool.add(sig([2], rowid=1, node=1))
+    stream = [sig([1], 0, 0), sig([2], 1, 0), sig([1], 0, 1), sig([2], 1, 1)]
+    pool.add_batch(as_rows(stream))
     pool.flush()
     assert len(collector.nts) == 4
     assert collector.runs == []
 
     unbounded = Collector()
     pool = unbounded.pool(None)
-    for s in (sig([1], 0, 0), sig([2], 1, 0), sig([1], 0, 1), sig([2], 1, 1)):
-        pool.add(s)
+    pool.add_batch(as_rows(stream))
     pool.flush()
     assert len(unbounded.runs) == 2
+
+
+def test_single_and_batch_adds_interleave_around_a_capacity_boundary():
+    stream = [sig([i % 3, i % 2], rowid=i % 4, node=i) for i in range(23)]
+    reference = ListSignaturePool(5)
+    for signature in stream:
+        reference.add(signature)
+    reference.flush()
+
+    collector = Collector()
+    pool = collector.pool(5)
+    pool.add(stream[0])
+    pool.add_batch(as_rows(stream[1:4]))  # 4 resident
+    pool.add_batch(as_rows(stream[4:12]))  # crosses the boundary twice
+    pool.add(stream[12])
+    pool.add(stream[13])
+    pool.add_batch(as_rows(stream[14:15]))  # lands exactly on capacity
+    pool.add_batch(as_rows(stream[15:]))
+    pool.flush()
+    assert collector.emitted == reference.emitted
+    assert [len(rows) for rows, _ in collector.flushes] == reference.windows
+    assert pool.stats.signatures_added == len(stream)
+    assert pool.stats.flushes == len(reference.windows)
 
 
 def test_flush_empty_pool_is_noop():
@@ -116,20 +229,97 @@ def test_flush_empty_pool_is_noop():
     pool = collector.pool(None)
     pool.flush()
     assert pool.stats.flushes == 0
+    assert collector.flushes == []
 
 
 def test_capacity_validation():
     with pytest.raises(ValueError):
-        SignaturePool(0, on_nt=lambda s: None, on_cats=lambda r: None)
+        SignaturePool(0, on_flush=lambda rows, lengths: None)
+
+
+# -- against the list implementation ---------------------------------------------
+
+
+def assert_same_as_list_pool(rows: np.ndarray, capacity, n_aggregates: int):
+    reference = ListSignaturePool(capacity)
+    for row in rows.tolist():
+        reference.add(Signature(tuple(row[2:]), row[1], row[0]))
+    reference.flush()
+
+    collector = Collector()
+    pool = collector.pool(capacity)
+    pool.add_batch(rows)
+    pool.flush()
+    assert collector.emitted == reference.emitted
+    assert [len(window) for window, _ in collector.flushes] == reference.windows
+    assert pool.first_flush_statistics == reference.first_flush_statistics
+    if reference.first_flush_statistics is not None:
+        assert choose_cat_format(
+            pool.first_flush_statistics, n_aggregates
+        ) is choose_cat_format(reference.first_flush_statistics, n_aggregates)
+    emitted_nts = sum(1 for kind, _ in reference.emitted if kind == "nt")
+    assert pool.stats.nt_runs == emitted_nts
+    assert pool.stats.cat_runs == len(reference.emitted) - emitted_nts
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 2, 7, 64])
+def test_first_flush_statistics_and_format_on_fixture_builds(
+    capacity, flat_schema, figure9_table, paper_schema
+):
+    """The event streams of the suite's fixture cubes, through both pools."""
+    import random
+
+    rng = random.Random(5)
+    paper_table = Table(
+        paper_schema.fact_schema,
+        [
+            (rng.randrange(12), rng.randrange(8), rng.randrange(5), rng.randrange(4))
+            for _ in range(300)
+        ],
+    )
+    for schema, table in (
+        (flat_schema, figure9_table),
+        (paper_schema, paper_table),
+    ):
+        working = WorkingSet.from_fact_table(schema, table)
+        _tts, sigs = CureBuilder(schema, HierarchicalShape(schema)).run(working)
+        assert_same_as_list_pool(sigs, capacity, schema.n_aggregates)
+        built = build_cube(schema, table=table, pool_capacity=capacity)
+        reference = ListSignaturePool(capacity)
+        for row in sigs.tolist():
+            reference.add(Signature(tuple(row[2:]), row[1], row[0]))
+        reference.flush()
+        assert built.storage.cat_format is choose_cat_format(
+            reference.first_flush_statistics, schema.n_aggregates
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.integers(0, 5),  # node
+            st.integers(0, 3),  # rowid
+            st.integers(-2, 2),  # aggregate 0
+            st.integers(0, 1),  # aggregate 1
+        ),
+        max_size=60,
+    ),
+    capacity=st.one_of(st.none(), st.integers(1, 12)),
+)
+def test_array_pool_matches_list_pool(data, capacity):
+    rows = np.asarray(data, dtype=np.int64).reshape(-1, 4)
+    assert_same_as_list_pool(rows, capacity, 2)
 
 
 def test_format_statistics_criterion():
     """The k/n > Y+1 rule from Section 5.1."""
-    stats = FormatStatistics()
     # One combination shared by 6 CATs from 2 sources: k=6, n=2, k/n=3.
-    stats.observe(
-        SignatureRun((1,), [sig([1], rowid=r % 2, node=r) for r in range(6)])
-    )
+    collector = Collector()
+    pool = collector.pool(None)
+    pool.add_batch(as_rows([sig([1], rowid=r % 2, node=r) for r in range(6)]))
+    pool.flush()
+    stats = pool.first_flush_statistics
     assert stats.mean_k == 6
     assert stats.mean_n == 2
     assert stats.common_source_prevails(n_aggregates=1)  # 3 > 2

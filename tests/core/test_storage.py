@@ -4,10 +4,11 @@ Includes the paper's Figure 9 worked example end-to-end: the exact NT, TT
 and CAT placement the paper describes for the 5-tuple fact table.
 """
 
+import numpy as np
 import pytest
 
 from repro import CatFormat, Table, build_cube
-from repro.core.signature import FormatStatistics, Signature, SignatureRun
+from repro.core.signature import FormatStatistics
 from repro.core.storage import (
     VALUE_BYTES,
     CubeStorage,
@@ -17,11 +18,15 @@ from repro.lattice.node import CubeNode
 
 
 def stats_with(k: int, n: int) -> FormatStatistics:
-    stats = FormatStatistics()
-    stats.m = 1
-    stats.total_cats = k
-    stats.total_sources = n
-    return stats
+    return FormatStatistics(m=1, total_cats=k, total_sources=n)
+
+
+def write_runs(storage: CubeStorage, *runs: list[tuple]) -> None:
+    """One classified flush: each run lists ``(node_id, rowid, aggr…)``
+    signatures sharing an aggregate vector, as the pool hands them over."""
+    rows = np.asarray([row for run in runs for row in run], dtype=np.int64)
+    lengths = np.asarray([len(run) for run in runs], dtype=np.int64)
+    storage.write_flush(rows, lengths)
 
 
 # -- decision rule (Section 5.1) -------------------------------------------------------
@@ -102,46 +107,69 @@ def test_figure9_all_node_aggregate(figure9):
 # -- write paths ------------------------------------------------------------------------
 
 
-def test_write_cat_run_requires_decided_format(flat_schema):
+def test_cat_run_requires_decided_format(flat_schema):
     storage = CubeStorage(flat_schema)
-    run = SignatureRun((1,), [Signature((1,), 0, 0), Signature((1,), 0, 1)])
     with pytest.raises(RuntimeError, match="format not decided"):
-        storage.write_cat_run(run)
+        write_runs(storage, [(0, 0, 1), (1, 0, 1)])
 
 
-def test_write_cat_run_as_nt(flat_schema):
+def test_singleton_runs_need_no_format(flat_schema):
+    storage = CubeStorage(flat_schema)
+    write_runs(storage, [(0, 3, 1)], [(1, 4, 2)])
+    assert storage.node_store(0).nt_rows == [(3, 1)]
+    assert storage.node_store(1).nt_rows == [(4, 2)]
+
+
+def test_cat_run_as_nt_interleaves_in_sorted_order(flat_schema):
     storage = CubeStorage(flat_schema)
     storage.cat_format = CatFormat.AS_NT
-    run = SignatureRun((9,), [Signature((9,), 0, 0), Signature((9,), 1, 1)])
-    storage.write_cat_run(run)
-    assert storage.node_store(0).nt_rows == [(0, 9)]
+    write_runs(storage, [(0, 7, 8)], [(0, 0, 9), (1, 1, 9)], [(0, 2, 10)])
+    assert storage.node_store(0).nt_rows == [(7, 8), (0, 9), (2, 10)]
     assert storage.node_store(1).nt_rows == [(1, 9)]
     assert storage.aggregates_rows == []
 
 
-def test_write_cat_run_format_a_groups_by_source(flat_schema):
+def test_cat_run_format_a_groups_by_source(flat_schema):
     storage = CubeStorage(flat_schema)
     storage.cat_format = CatFormat.COMMON_SOURCE
-    members = [
-        Signature((9,), 0, 0),
-        Signature((9,), 0, 1),  # same source as above → shared row
-        Signature((9,), 5, 2),  # different source → second row
-    ]
-    storage.write_cat_run(SignatureRun((9,), members))
-    assert storage.aggregates_rows == [(0, 9), (5, 9)]
-    assert storage.node_store(0).cat_rows == [(0,)]
+    write_runs(
+        storage,
+        [
+            (0, 0, 9),
+            (1, 0, 9),  # same source as above → shared row
+            (2, 5, 9),  # different source → second row
+        ],
+        # The next run restarts source detection even on an equal rowid.
+        [(0, 5, 11), (2, 5, 11)],
+    )
+    assert storage.aggregates_rows == [(0, 9), (5, 9), (5, 11)]
+    assert storage.node_store(0).cat_rows == [(0,), (2,)]
     assert storage.node_store(1).cat_rows == [(0,)]
-    assert storage.node_store(2).cat_rows == [(1,)]
+    assert storage.node_store(2).cat_rows == [(1,), (2,)]
 
 
-def test_write_cat_run_format_b_one_row_per_run(flat_schema):
+def test_cat_run_format_b_one_row_per_run(flat_schema):
     storage = CubeStorage(flat_schema)
     storage.cat_format = CatFormat.COINCIDENTAL
-    members = [Signature((9,), 0, 0), Signature((9,), 5, 1)]
-    storage.write_cat_run(SignatureRun((9,), members))
-    assert storage.aggregates_rows == [(9,)]
-    assert storage.node_store(0).cat_rows == [(0, 0)]
-    assert storage.node_store(1).cat_rows == [(5, 0)]
+    storage.aggregates_rows.append((1,))  # a-rowids continue, not restart
+    write_runs(
+        storage, [(0, 0, 9), (1, 5, 9)], [(3, 2, 10)], [(1, 1, 12), (0, 4, 12)]
+    )
+    assert storage.aggregates_rows == [(1,), (9,), (12,)]
+    assert storage.node_store(0).cat_rows == [(0, 1), (4, 2)]
+    assert storage.node_store(1).cat_rows == [(5, 1), (1, 2)]
+    assert storage.node_store(3).nt_rows == [(2, 10)]
+
+
+def test_write_tts_keeps_per_node_order(flat_schema):
+    storage = CubeStorage(flat_schema)
+    storage.write_tts(
+        np.asarray([(4, 9), (2, 7), (4, 1), (2, 8)], dtype=np.int64)
+    )
+    assert storage.node_store(4).tt_rowids == [9, 1]
+    assert storage.node_store(2).tt_rowids == [7, 8]
+    storage.write_tts(np.empty((0, 2), dtype=np.int64))
+    assert set(storage.nodes) == {2, 4}
 
 
 def test_dr_mode_stores_dimension_values(flat_schema, figure9_table):
@@ -155,7 +183,7 @@ def test_dr_mode_stores_dimension_values(flat_schema, figure9_table):
 def test_dr_mode_without_resolver_raises(flat_schema):
     storage = CubeStorage(flat_schema, dr_mode=True)
     with pytest.raises(RuntimeError, match="row_resolver"):
-        storage.write_nt(Signature((1,), 0, 0))
+        write_runs(storage, [(0, 0, 1)])
 
 
 # -- size accounting -----------------------------------------------------------------------
@@ -165,10 +193,7 @@ def test_size_report_widths(flat_schema):
     storage = CubeStorage(flat_schema)
     storage.cat_format = CatFormat.COINCIDENTAL
     storage.write_tt(0, 1)
-    storage.write_nt(Signature((7,), 2, 0))
-    storage.write_cat_run(
-        SignatureRun((9,), [Signature((9,), 0, 0), Signature((9,), 5, 1)])
-    )
+    write_runs(storage, [(0, 2, 7)], [(0, 0, 9), (1, 5, 9)])
     report = storage.size_report()
     assert report.tt_bytes == VALUE_BYTES
     assert report.nt_bytes == 2 * VALUE_BYTES  # rowid + 1 aggregate
@@ -181,10 +206,7 @@ def test_size_report_relation_count(flat_schema):
     storage = CubeStorage(flat_schema)
     storage.cat_format = CatFormat.COINCIDENTAL
     storage.write_tt(0, 1)
-    storage.write_nt(Signature((7,), 2, 0))
-    storage.write_cat_run(
-        SignatureRun((9,), [Signature((9,), 0, 0), Signature((9,), 5, 1)])
-    )
+    write_runs(storage, [(0, 2, 7)], [(0, 0, 9), (1, 5, 9)])
     report = storage.size_report()
     # Node 0 has TT + NT + CAT relations, node 1 has CAT only.
     assert report.n_relations == 4

@@ -181,3 +181,58 @@ def test_uniform_rollup_map_surjective():
 def test_uniform_rollup_rejects_growth():
     with pytest.raises(ValueError):
         uniform_rollup_map(3, 10)
+
+
+# -- the array form of the roll-up maps -------------------------------------------
+
+
+def test_level_maps_are_the_base_maps_as_shared_read_only_arrays(region):
+    import numpy as np
+
+    assert len(region.level_maps) == region.n_levels
+    for level, base_map in enumerate(region.base_maps):
+        array = region.level_maps[level]
+        assert array.dtype == np.int64
+        assert array.tolist() == list(base_map)
+        with pytest.raises(ValueError):
+            array[0] = 1  # every caller shares it
+    # Not part of the dimension's value: equality and hashing ignore it.
+    twin = linear_dimension(
+        "Region",
+        [("City", 6), ("Country", 3), ("Continent", 2)],
+        parent_maps=[[0, 0, 1, 1, 2, 2], [0, 0, 1]],
+    )
+    assert twin == region and hash(twin) == hash(region)
+    assert twin.level_maps is not region.level_maps
+
+
+def test_level_maps_die_with_the_dimension():
+    """Both layers that roll codes up (cube construction, the query
+    kernels) use the memo on the dimension; nothing module-level keeps a
+    dimension — every ``load_csv`` / ``open_bundle`` makes new ones —
+    alive once its schema is dropped."""
+    import gc
+    import weakref
+
+    import numpy as np
+
+    from repro import CubeSchema, make_aggregates
+    from repro.core.workingset import WorkingSet
+    from repro.query.vector import level_map
+
+    dimension = linear_dimension("D", [("d0", 8), ("d1", 2)])
+    schema = CubeSchema((dimension,), make_aggregates(("sum", 0)), 1)
+    working = WorkingSet(
+        schema,
+        [np.arange(8, dtype=np.int32)],
+        np.ones((8, 1), dtype=np.int64),
+        np.ones(8, dtype=np.int64),
+        np.arange(8, dtype=np.int64),
+    )
+    keys = working.level_keys(0, 1, np.arange(8))
+    assert keys.tolist() == level_map(dimension, 1).tolist()
+    assert level_map(dimension, 1) is dimension.level_maps[1]
+    gone = weakref.ref(dimension)
+    del dimension, schema, working, keys
+    gc.collect()
+    assert gone() is None

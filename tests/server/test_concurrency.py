@@ -140,9 +140,10 @@ def test_batch_execution_contextvar_is_thread_isolated(served_bundles):
 
 
 def test_level_map_memo_is_safe_under_barrier_start(served_bundles):
-    # The locked level-map memo warms on first touch; racing first
-    # touches from a thread-per-request pool must all see the same
-    # correct array for a never-before-seen dimension object.
+    # The level-map arrays are built with the dimension (no lock, no
+    # first-touch race); racing first touches from a thread-per-request
+    # pool must all see the same correct array for a never-before-seen
+    # dimension object.
     schema = serving_schema()
     witnessed = [None] * N_THREADS
 
