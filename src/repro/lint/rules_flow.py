@@ -22,8 +22,9 @@ directory and soundly degraded (single-module graph) under
   reachable from the parallel entry points: the build-task interpreters
   (``execute_task`` — shared by both executors — ``run_partition_pair``,
   the worker-process loop ``_worker_main``) and the serving layer's
-  per-request entry ``dispatch_request``, which every HTTP request
-  thread runs concurrently over shared caches.  Mutation under a
+  per-connection and per-request entries ``serve_connection`` and
+  ``dispatch_request``, which the HTTP front's pool threads run
+  concurrently over shared caches.  Mutation under a
   module-level ``threading.Lock`` is the sanctioned idiom.
 * **R13** — fault-site coverage: every durable-primitive call reachable
   from the build entry points must execute under at least one registered
@@ -69,13 +70,16 @@ _FIRE_CALLS = {"maybe_fire": 1, "fire": 0, "_fire_retrying": 0}
 #: compatibility and for downstream code keeping the historical name;
 #: ``dispatch_request`` is the slicer server's per-request entry — many
 #: HTTP threads run it concurrently over one shared planner, so every
-#: module-state mutation it can reach needs a lock.
+#: module-state mutation it can reach needs a lock; ``serve_connection``
+#: is the per-connection entry of the HTTP front's worker pool, which
+#: reads, parses and answers around that call on the same threads.
 R12_ENTRY_SUFFIXES = (
     "process_partition",
     "run_partition_pair",
     "execute_task",
     "_worker_main",
     "dispatch_request",
+    "serve_connection",
 )
 R13_ENTRY_SUFFIXES = R12_ENTRY_SUFFIXES + (
     "DurableCubeBuild.build",

@@ -13,14 +13,16 @@ table that is a single fancy-index gather.
 
 :class:`ResultCache` sits one level up: whole materialized node answers,
 stored as :class:`~repro.query.column_answer.ColumnAnswer` values keyed
-by ``(node, predicate)``, so repeated group-by requests skip answering
-entirely — no tuple re-encoding on either the put or the get side.  It
-is sized for real serving traffic: entries account their matrix bytes
-against an optional ``max_bytes`` budget, recency is tracked LRU (a hit
-refreshes the entry), answers larger than the whole budget are rejected
-at admission instead of flushing everything else, and every operation
-holds an internal lock so the cache can be shared across the serving
-layer's request threads.
+by ``(node, predicate, tag)``, so repeated group-by requests skip
+answering entirely — no tuple re-encoding on either the put or the get
+side — and, once a server has rendered an entry, its canonical JSON
+body beside the answer, so a repeated *HTTP* request skips encoding as
+well.  It is sized for real serving traffic: entries account their
+matrix and body bytes against an optional ``max_bytes`` budget, recency
+is tracked LRU (a hit refreshes the entry), answers larger than the
+whole budget are rejected at admission instead of flushing everything
+else, and every operation holds an internal lock so the cache can be
+shared across the serving layer's request threads.
 
 The disk-backed source is typed as the structural
 :class:`~repro.relational.batch.RowSource` protocol — the query layer
@@ -158,34 +160,64 @@ class FactCache:
         return ColumnBatch.from_rows(self.schema.fact_schema, rows)
 
 
-#: A result-cache key: the node id plus the request's member predicates.
-ResultKey = tuple[int, "tuple[DimensionSlice, ...]"]
+#: What distinguishes entries over the same ``(node, slices)``: ``()`` for
+#: a plain node/slice answer, ``("rollup",)`` or ``("iceberg", min_count)``
+#: for the derived answers the serving layer caches beside them.
+ResultTag = tuple[object, ...]
+
+#: A result-cache key: node id, member predicates, kind/parameter tag.
+ResultKey = tuple[int, "tuple[DimensionSlice, ...]", ResultTag]
+
+
+@dataclass(frozen=True)
+class CachedResult:
+    """One resident entry: the answer and, once rendered, its body.
+
+    ``body`` is the canonical JSON a server shipped for ``answer``
+    (:func:`repro.server.encoding.encode_answer`).  It lives *in* the
+    entry, so whatever drops or replaces the answer — LRU eviction,
+    :meth:`ResultCache.invalidate`, :meth:`ResultCache.clear` — drops
+    the bytes with it: a stale body cannot outlive its answer.
+    """
+
+    answer: ColumnAnswer
+    body: bytes | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """The entry's charge against ``max_bytes``."""
+        return ResultCache.entry_bytes(self.answer, self.body)
 
 
 @dataclass
 class ResultCache:
-    """Materialized node answers, cached as :class:`ColumnAnswer` values.
+    """Materialized answers, cached as :class:`ColumnAnswer` values.
 
-    Keys are ``(node_id, slices)`` — the node plus the request's member
-    predicates.  Each entry holds the answer's aligned dims/aggregates
+    Keys are ``(node_id, slices, tag)`` — the node, the request's member
+    predicates and a kind/parameter tag (empty for node and slice
+    answers).  Each entry holds the answer's aligned dims/aggregates
     matrices directly; a columnar producer pays zero encode cost and a
     columnar consumer zero decode cost, while the legacy pair shape
-    bridges through :meth:`ColumnAnswer.from_pairs` on put.
+    bridges through :meth:`ColumnAnswer.from_pairs` on put.  A server
+    that has rendered an entry's answer attaches the encoded body with
+    :meth:`attach_body`, after which a hit costs one dictionary lookup.
 
     Eviction is LRU over both limits: beyond ``max_entries`` entries, or
-    — when ``max_bytes`` is set — beyond that many matrix bytes
-    (:meth:`entry_bytes` per entry), least-recently-used entries drop
-    first and a :meth:`get` hit refreshes recency.  An answer larger
-    than the whole byte budget is *rejected at admission* (counted in
+    — when ``max_bytes`` is set — beyond that many bytes of matrices and
+    bodies (:meth:`entry_bytes` per entry), least-recently-used entries
+    drop first and a hit refreshes recency.  An answer larger than the
+    whole byte budget is *rejected at admission* (counted in
     ``stats.rejected``) rather than evicting every resident entry for a
-    single oversized tenant.  All operations hold an internal lock, so
-    one instance can be shared by many serving threads.
+    single oversized tenant; a body that does not fit the budget beside
+    its own answer is likewise not attached.  All operations hold an
+    internal lock, so one instance can be shared by many serving
+    threads.
     """
 
     max_entries: int = 128
     max_bytes: int | None = None
     stats: CacheStats = field(default_factory=CacheStats)
-    _entries: dict[ResultKey, ColumnAnswer] = field(
+    _entries: dict[ResultKey, CachedResult] = field(
         default_factory=dict, repr=False
     )
     _bytes: int = field(default=0, repr=False)
@@ -194,57 +226,110 @@ class ResultCache:
     )
 
     @staticmethod
-    def entry_bytes(answer: ColumnAnswer) -> int:
-        """The bytes an answer's matrices occupy (its budget charge)."""
-        return int(answer.dims.nbytes) + int(answer.aggregates.nbytes)
+    def entry_bytes(answer: ColumnAnswer, body: bytes | None = None) -> int:
+        """The bytes an entry occupies: both matrices plus its body."""
+        return (
+            int(answer.dims.nbytes)
+            + int(answer.aggregates.nbytes)
+            + (len(body) if body is not None else 0)
+        )
 
-    def get(
-        self, node_id: int, slices: tuple[DimensionSlice, ...] = ()
-    ) -> ColumnAnswer | None:
-        key = (node_id, slices)
+    def lookup(
+        self,
+        node_id: int,
+        slices: tuple[DimensionSlice, ...] = (),
+        tag: ResultTag = (),
+        record: bool = True,
+    ) -> CachedResult | None:
+        """The resident entry, refreshed as most recently used.
+
+        Counts one hit or miss in ``stats`` unless ``record`` is false —
+        for a read that is part of a request which already registered
+        its own (a roll-up fetching its base answer).
+        """
+        key = (node_id, slices, tag)
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is None:
-                self.stats.misses += 1
+                if record:
+                    self.stats.misses += 1
                 return None
             # Re-insert at the tail: dict order is the LRU order.
             self._entries[key] = entry
-            self.stats.hits += 1
+            if record:
+                self.stats.hits += 1
             return entry
+
+    def get(
+        self,
+        node_id: int,
+        slices: tuple[DimensionSlice, ...] = (),
+        tag: ResultTag = (),
+    ) -> ColumnAnswer | None:
+        entry = self.lookup(node_id, slices, tag)
+        return None if entry is None else entry.answer
 
     def put(
         self,
         node_id: int,
         slices: tuple[DimensionSlice, ...],
         answer: ColumnAnswer | Pairs,
+        tag: ResultTag = (),
     ) -> bool:
         """Admit one answer; returns whether it is now resident."""
         if not isinstance(answer, ColumnAnswer):
             answer = ColumnAnswer.from_pairs(answer)
-        size = self.entry_bytes(answer)
-        key = (node_id, slices)
         with self._lock:
-            if self.max_bytes is not None and size > self.max_bytes:
+            resident = self._admit((node_id, slices, tag), CachedResult(answer))
+            if not resident:
                 self.stats.rejected += 1
-                return False
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= self.entry_bytes(old)
-            self._entries[key] = answer
-            self._bytes += size
-            self._evict_over_limits(newest=key)
-            return key in self._entries
+            return resident
 
-    def _evict_over_limits(self, newest: ResultKey) -> None:
-        """Drop LRU entries until both limits hold (lock held)."""
+    def attach_body(
+        self,
+        node_id: int,
+        slices: tuple[DimensionSlice, ...],
+        tag: ResultTag,
+        answer: ColumnAnswer,
+        body: bytes,
+    ) -> bool:
+        """Keep ``body`` beside the resident ``answer`` it was rendered from.
+
+        Nothing happens unless the entry still holds that very answer
+        object: one evicted, invalidated or replaced since the caller
+        read it must not get bytes rendered from its predecessor.  The
+        body is charged to ``max_bytes`` and makes room like any
+        admission — least-recently-used entries drop — except that an
+        entry which would exceed the budget on its own stays bodiless.
+        Returns whether the body is now resident.
+        """
+        key = (node_id, slices, tag)
+        with self._lock:
+            resident = self._entries.get(key)
+            if resident is None or resident.answer is not answer:
+                return False
+            return self._admit(key, CachedResult(answer, body))
+
+    def _admit(self, key: ResultKey, entry: CachedResult) -> bool:
+        """Make ``entry`` the newest one unless it alone exceeds the byte
+        budget, then enforce both limits by dropping least-recently-used
+        entries (lock held).  Returns whether ``entry`` is resident."""
+        size = entry.nbytes
+        if self.max_bytes is not None and size > self.max_bytes:
+            return False
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._bytes -= old.nbytes
+        self._entries[key] = entry
+        self._bytes += size
         while len(self._entries) > self.max_entries or (
             self.max_bytes is not None and self._bytes > self.max_bytes
         ):
             victim = next(iter(self._entries))
-            if victim == newest and len(self._entries) == 1:
+            if victim == key and len(self._entries) == 1:
                 break  # the admission check bounds the newest entry
-            dropped = self._entries.pop(victim)
-            self._bytes -= self.entry_bytes(dropped)
+            self._bytes -= self._entries.pop(victim).nbytes
+        return True
 
     def clear(self) -> None:
         with self._lock:
@@ -257,19 +342,21 @@ class ResultCache:
         The fine-grained path after incremental maintenance: the planner
         supplies a predicate derived from the delta's dimension codes, and
         entries the delta provably cannot have changed stay resident.
-        Returns the number of entries dropped.
+        Tagged entries (roll-ups, icebergs) carry no slices, so under
+        the planner's predicate they drop exactly as unsliced node
+        answers do.  Returns the number of entries dropped.
         """
         with self._lock:
             doomed = [
                 key for key in self._entries if stale(key[0], key[1])
             ]
             for key in doomed:
-                self._bytes -= self.entry_bytes(self._entries.pop(key))
+                self._bytes -= self._entries.pop(key).nbytes
             return len(doomed)
 
     @property
     def total_bytes(self) -> int:
-        """Current byte footprint of every resident answer."""
+        """Current byte footprint of every resident answer and body."""
         with self._lock:
             return self._bytes
 

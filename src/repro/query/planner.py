@@ -18,8 +18,9 @@ tuples that will be touched), which the planner also uses as its cost
 signal.
 
 Answers are memoized in a :class:`~repro.query.cache.ResultCache` keyed
-by ``(node, slices)`` — repeated requests reuse the cached
-:class:`~repro.query.column_answer.ColumnAnswer` instead of
+by ``(node, slices, tag)`` (the tag is empty here; the serving layer
+caches roll-ups and icebergs under their own) — repeated requests reuse
+the cached :class:`~repro.query.column_answer.ColumnAnswer` instead of
 re-answering (bridged back to pairs only on the row-execution path).
 The cache is bypassed whenever the caller passes a ``stats`` object,
 since instrumented runs exist to measure the underlying work; after
@@ -149,7 +150,7 @@ class CubePlanner:
                 if batch_execution_enabled():
                     return cached
                 return cached.to_pairs()
-        answer = self._execute(request, stats)
+        answer = self.execute(request, stats)
         if results is not None:
             results.put(node_id, request.slices, answer)
         return answer
@@ -190,9 +191,15 @@ class CubePlanner:
 
         return self.results.invalidate(stale)
 
-    def _execute(
-        self, request: QueryRequest, stats: QueryStats | None
+    def execute(
+        self, request: QueryRequest, stats: QueryStats | None = None
     ) -> AnyAnswer:
+        """Plan and answer ``request`` past the result cache.
+
+        :meth:`answer` wraps this in a cache get/put; the serving layer
+        calls it directly, because it keeps the entry it looked up (and
+        the body rendered from it) rather than only the answer.
+        """
         plan = self.plan(request)
         if plan.strategy == "direct":
             return answer_cure_query(

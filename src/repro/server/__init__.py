@@ -20,14 +20,13 @@ from repro.server.encoding import (
     decode_answer,
     encode_answer,
 )
-from repro.server.http import SlicerServer, ThreadingWSGIServer
+from repro.server.http import SlicerServer
 from repro.server.replay import encode_op, execute_op, op_path, replay_op
 
 __all__ = [
     "DEFAULT_RESULT_CACHE_BYTES",
     "SlicerApp",
     "SlicerServer",
-    "ThreadingWSGIServer",
     "as_column_answer",
     "canonical_json",
     "canonical_slices",

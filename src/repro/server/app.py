@@ -1,7 +1,9 @@
-"""The slicer WSGI application: one immutable cube, many readers.
+"""The slicer application: one immutable cube, many readers.
 
-:class:`SlicerApp` is a plain WSGI callable (usable under any WSGI
-container, threaded or not) serving one published cube bundle.  The
+:class:`SlicerApp` serves one published cube bundle.
+:class:`~repro.server.http.SlicerServer` calls
+:meth:`SlicerApp.dispatch_request` directly; ``__call__`` is the thin
+WSGI adapter over the same method for third-party containers.  The
 bundle loads **once**: every request thread shares the same
 :class:`~repro.core.storage.CubeStorage` (whose per-node ``NodeStore``
 matrix caches warm lazily and are then reused by all threads), the same
@@ -9,6 +11,11 @@ fully-resident :class:`~repro.query.cache.FactCache`, the same inverted
 indices, and one bytes-budgeted
 :class:`~repro.query.cache.ResultCache` — the cube is read-mostly, so
 the serving path scales with cores instead of re-loading per caller.
+
+All four answer endpoints go through that one cache, and an entry keeps
+the canonical body rendered from its answer: a repeated request costs
+the parse, one dictionary lookup and the socket write.  Every answer
+request registers exactly one hit or miss on ``planner.results.stats``.
 
 Endpoints (all ``GET``, all canonical JSON — see
 :mod:`repro.server.encoding`):
@@ -22,7 +29,8 @@ Endpoints (all ``GET``, all canonical JSON — see
                         ``where=<dim>.<level>:<m1>|<m2>…``, repeatable
 ``/rollup/<id>``        explicit on-the-fly roll-up from the base node
 ``/iceberg/<id>?min=k`` count-iceberg answer at ``min_count = k``
-``/stats``              request counters and cache occupancy/hit rates
+``/stats``              request/connection counters, cache occupancy and
+                        hit rates
 ======================  ====================================================
 
 Request handling funnels through :meth:`SlicerApp.dispatch_request`,
@@ -40,10 +48,16 @@ from urllib.parse import parse_qs
 from repro.bundle import CubeBundle
 from repro.lattice.node import CubeNode
 from repro.query.iceberg import iceberg_over_cure
+from repro.query.answer import AnyAnswer
+from repro.query.cache import CachedResult, ResultCache, ResultTag
 from repro.query.planner import CubePlanner, QueryRequest
 from repro.query.rollup import base_node_of, rollup_base_answer
 from repro.query.slice import DimensionSlice
-from repro.server.encoding import canonical_json, encode_answer
+from repro.server.encoding import (
+    as_column_answer,
+    canonical_json,
+    encode_answer,
+)
 
 #: Default result-cache budget: enough for thousands of small-node
 #: answers while bounding a worst-case burst of huge ones.
@@ -83,7 +97,7 @@ class BadRequest(Exception):
 
 
 class SlicerApp:
-    """WSGI application serving one immutable published cube."""
+    """The application serving one immutable published cube."""
 
     def __init__(
         self,
@@ -101,9 +115,13 @@ class SlicerApp:
             result_cache_entries=result_cache_entries,
             with_indices=with_indices,
         )
+        if self.planner.results is None:
+            raise ValueError("the serving planner needs a result cache")
+        self.results: ResultCache = self.planner.results
         self._counter_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
+        self._connections = 0
 
     # -- WSGI ---------------------------------------------------------------
 
@@ -157,9 +175,9 @@ class SlicerApp:
                     raise BadRequest(
                         "predicates belong on /slice/<id>?where=…"
                     )
-                answer = self.planner.answer(QueryRequest.of(node))
-                return "200 OK", encode_answer(
-                    self.schema, node, answer, kind="node"
+                request = QueryRequest.of(node)
+                return "200 OK", self._answer_body(
+                    node, "node", lambda: self.planner.execute(request)
                 )
             if head == "slice":
                 node = self._parse_node(tail)
@@ -169,36 +187,37 @@ class SlicerApp:
                         "at least one where=<dim>.<level>:<m1>|<m2> "
                         "predicate is required"
                     )
-                answer = self.planner.answer(QueryRequest(node, slices))
-                return "200 OK", encode_answer(
-                    self.schema,
+                request = QueryRequest(node, slices)
+                return "200 OK", self._answer_body(
                     node,
-                    answer,
-                    kind="slice",
+                    "slice",
+                    lambda: self.planner.execute(request),
+                    slices=slices,
                     params={"where": slice_params(slices)},
                 )
             if head == "rollup":
                 node = self._parse_node(tail)
-                answer = self._rollup(node)
-                return "200 OK", encode_answer(
-                    self.schema, node, answer, kind="rollup"
+                return "200 OK", self._answer_body(
+                    node,
+                    "rollup",
+                    lambda: self._rollup(node),
+                    tag=("rollup",),
                 )
             if head == "iceberg":
                 node = self._parse_node(tail)
                 min_count = self._parse_int(
                     params.get("min", ["2"])[0], "min"
                 )
-                answer = iceberg_over_cure(
-                    self.planner.storage,
-                    self.planner.cache,
+                return "200 OK", self._answer_body(
                     node,
-                    min_count,
-                )
-                return "200 OK", encode_answer(
-                    self.schema,
-                    node,
-                    answer,
-                    kind="iceberg",
+                    "iceberg",
+                    lambda: iceberg_over_cure(
+                        self.planner.storage,
+                        self.planner.cache,
+                        node,
+                        min_count,
+                    ),
+                    tag=("iceberg", min_count),
                     params={"min_count": min_count},
                 )
             return self._error(
@@ -212,10 +231,64 @@ class SlicerApp:
 
     # -- endpoint bodies ----------------------------------------------------
 
-    def _rollup(self, node: CubeNode):
+    def _entry(
+        self,
+        node: CubeNode,
+        compute: Callable[[], AnyAnswer],
+        slices: tuple[DimensionSlice, ...] = (),
+        tag: ResultTag = (),
+        record: bool = True,
+    ) -> CachedResult:
+        """The cache entry of one answer, computed and admitted on a miss."""
+        node_id = self.schema.node_id(node)
+        entry = self.results.lookup(node_id, slices, tag, record=record)
+        if entry is None:
+            entry = CachedResult(
+                as_column_answer(self.schema, node, compute())
+            )
+            self.results.put(node_id, slices, entry.answer, tag)
+        return entry
+
+    def _answer_body(
+        self,
+        node: CubeNode,
+        kind: str,
+        compute: Callable[[], AnyAnswer],
+        slices: tuple[DimensionSlice, ...] = (),
+        tag: ResultTag = (),
+        params: dict[str, Any] | None = None,
+    ) -> bytes:
+        """One answer's canonical body, rendered at most once per entry."""
+        entry = self._entry(node, compute, slices, tag)
+        if entry.body is not None:
+            return entry.body
+        body = encode_answer(
+            self.schema,
+            node,
+            entry.answer,
+            kind=kind,
+            params=params,
+        )
+        self.results.attach_body(
+            self.schema.node_id(node), slices, tag, entry.answer, body
+        )
+        return body
+
+    def _rollup(self, node: CubeNode) -> AnyAnswer:
+        # The base answer is shared by every roll-up over the same
+        # grouping dimensions, so it is a cache entry of its own; the
+        # request has already registered its one hit or miss.
         base = base_node_of(self.schema, node)
-        base_answer = self.planner.answer(QueryRequest.of(base))
-        return rollup_base_answer(self.schema, base_answer, node)
+        request = QueryRequest.of(base)
+        base_entry = self._entry(
+            base, lambda: self.planner.execute(request), record=False
+        )
+        return rollup_base_answer(self.schema, base_entry.answer, node)
+
+    def connection_opened(self) -> None:
+        """Count one accepted socket (called by the HTTP front)."""
+        with self._counter_lock:
+            self._connections += 1
 
     def _cube_meta(self) -> bytes:
         schema = self.schema
@@ -260,29 +333,30 @@ class SlicerApp:
         )
 
     def _stats(self) -> bytes:
-        planner = self.planner
-        results = planner.results
+        planner, results = self.planner, self.results
         with self._counter_lock:
             requests, errors = self._requests, self._errors
-        payload: dict[str, Any] = {
-            "requests": requests,
-            "errors": errors,
-            "fact_cache": {
-                "hits": planner.cache.stats.hits,
-                "misses": planner.cache.stats.misses,
-            },
-        }
-        if results is not None:
-            payload["result_cache"] = {
-                "entries": len(results),
-                "bytes": results.total_bytes,
-                "max_entries": results.max_entries,
-                "max_bytes": results.max_bytes,
-                "hits": results.stats.hits,
-                "misses": results.stats.misses,
-                "rejected": results.stats.rejected,
+            connections = self._connections
+        return canonical_json(
+            {
+                "requests": requests,
+                "errors": errors,
+                "connections": connections,
+                "fact_cache": {
+                    "hits": planner.cache.stats.hits,
+                    "misses": planner.cache.stats.misses,
+                },
+                "result_cache": {
+                    "entries": len(results),
+                    "bytes": results.total_bytes,
+                    "max_entries": results.max_entries,
+                    "max_bytes": results.max_bytes,
+                    "hits": results.stats.hits,
+                    "misses": results.stats.misses,
+                    "rejected": results.stats.rejected,
+                },
             }
-        return canonical_json(payload)
+        )
 
     # -- parsing ------------------------------------------------------------
 

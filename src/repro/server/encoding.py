@@ -3,7 +3,7 @@
 The serving layer's correctness contract is *byte identity*: the body an
 HTTP endpoint returns must equal, byte for byte, what the in-process
 library call produces for the same request.  That only works if both
-sides share one canonical encoder, so this module is it — the WSGI app
+sides share one canonical encoder, so this module is it — the slicer app
 calls :func:`encode_answer` to render a response and the differential
 harness calls the same function on the direct
 :class:`~repro.query.column_answer.ColumnAnswer` (or legacy pair-list)
@@ -15,7 +15,11 @@ Canonical means deterministic everywhere a choice exists:
   batch and row execution paths — which produce rows in different
   orders — encode identically;
 * keys are sorted and separators compact, so two ``dict`` layouts cannot
-  differ;
+  differ — ``rows``, the last key in that order and nearly all of the
+  bytes, is formatted column-wise from the answer's int64 matrices
+  and spliced in behind the ``json.dumps``-rendered metadata
+  (``tests/support/reference_encoding.py`` keeps the row-at-a-time
+  ``json.dumps`` of the whole payload as the oracle for these bytes);
 * a legacy pair-list answer bridges through
   :meth:`ColumnAnswer.from_pairs` with the schema's explicit widths, so
   an empty answer has the same shape either way.
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 import json
 from typing import Any
+
+import numpy as np
 
 from repro.core.model import CubeSchema
 from repro.lattice.node import CubeNode
@@ -76,16 +82,38 @@ def encode_answer(
         ],
         "aggregates": [spec.name for spec in schema.aggregates],
         "count": len(columnar),
-        "rows": [
-            dims + aggregates
-            for dims, aggregates in zip(
-                columnar.dims.tolist(), columnar.aggregates.tolist()
-            )
-        ],
     }
     if params:
         payload["params"] = params
-    return canonical_json(payload)
+    # "rows" sorts after every other key, so it goes in front of the
+    # closing brace of the key-sorted metadata.
+    return b'%s,"rows":%s}' % (
+        canonical_json(payload)[:-1],
+        _rows_json(np.hstack((columnar.dims, columnar.aggregates))),
+    )
+
+
+#: Rows formatted per ``%`` call: bounds the transient tuple of Python
+#: ints to about a megabyte however large the answer is.
+_ROWS_PER_FORMAT = 4096
+
+
+def _rows_json(matrix: np.ndarray) -> bytes:
+    """An int64 matrix as compact JSON, ``[[1,2],[3,4]]``.
+
+    One ``tolist()`` and one ``%`` of a repeated ``[%d,%d]`` template
+    per block: the same bytes ``json.dumps`` gives for the nested list,
+    without building a Python list per row.
+    """
+    n_rows, width = matrix.shape
+    row = b"[" + b",".join([b"%d"] * width) + b"]"
+    blocks = []
+    for start in range(0, n_rows, _ROWS_PER_FORMAT):
+        block = matrix[start : start + _ROWS_PER_FORMAT]
+        blocks.append(
+            b",".join([row] * len(block)) % tuple(block.ravel().tolist())
+        )
+    return b"[" + b",".join(blocks) + b"]"
 
 
 def canonical_json(payload: dict[str, Any]) -> bytes:

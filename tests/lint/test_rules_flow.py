@@ -56,6 +56,17 @@ def test_r12_audits_the_serving_entry_point() -> None:
     assert any("_remember" in step for step in mutate.trace)
 
 
+def test_r12_audits_the_connection_entry_point() -> None:
+    # The HTTP front's pool threads enter through serve_connection; what
+    # they touch around dispatch_request (parsing, logging, counters) is
+    # audited from there.
+    report = analyze_file(FIXTURES / "server" / "r12_connection_entry.py")
+    (mutate,) = [v for v in report.violations if "mutates" in v.message]
+    assert mutate.rule_id == "R12"
+    assert mutate.trace[0].startswith("entry serve_connection")
+    assert any("_tally" in step for step in mutate.trace)
+
+
 def test_r13_unregistered_family_and_uncovered_primitive() -> None:
     report = analyze_file(FIXTURES / "relational" / "r13_fault_sites.py")
     messages = [v.message for v in report.violations]
