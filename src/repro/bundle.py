@@ -34,8 +34,8 @@ BUNDLE_META = "bundle.json"
 FACT_RELATION = "fact"
 CUBE_PREFIX = "cube"
 #: Prefix the ``python -m repro ingest`` command maintains generations
-#: under; when its manifest exists, queries read the committed generation
-#: instead of the originally built ``cube``/``fact`` pair.
+#: under; when its manifest exists, queries map the committed generation's
+#: container instead of the originally built ``cube``/``fact`` pair.
 STREAM_PREFIX = "stream"
 STREAM_LOG_DIR = "ingest.log"
 
@@ -216,21 +216,43 @@ class CubeBundle:
         self.close()
 
 
+def streamed_container(directory: str | Path) -> Path | None:
+    """The committed ingest generation of a streamed-into bundle.
+
+    ``python -m repro ingest`` checkpoints every generation as one v2
+    container and names it in the ingest manifest; this is that file, or
+    ``None`` for a bundle that was never streamed into.
+    """
+    manifest = Path(directory) / f"{STREAM_PREFIX}.ingest.json"
+    if not manifest.exists():
+        return None
+    payload = json.loads(manifest.read_text())
+    if "container" not in payload:
+        raise RuntimeError(
+            f"{manifest} predates one-file ingest generations; rebuild the "
+            "bundle and ingest again"
+        )
+    return manifest.parent / str(payload["container"])
+
+
 def open_bundle(directory: str | Path, use_v2: bool = True) -> CubeBundle:
     """Open a bundle previously written by :func:`save_bundle`.
 
     If the bundle has been streamed into (``python -m repro ingest``),
-    the committed ingest generation supersedes the originally built cube:
-    its manifest names the cube prefix and fact relation to read.
+    the committed ingest generation supersedes the originally built cube.
+    A generation *is* a v2 container, named by the ingest manifest, so it
+    is mapped directly: nothing can be stale (the manifest flip is the
+    commit and names exactly this file), nothing is unpacked, and there
+    is no v1 layout to fall back to — ``use_v2`` does not apply.
 
-    When a ``cube.v2`` container is present (``publish-v2``), it is
-    preferred: opening maps the file and unpacks **nothing** — no heap
-    rows, no index builds.  Two guards apply, with different outcomes:
+    Otherwise, when a ``cube.v2`` container is present (``publish-v2``),
+    it is preferred: opening maps the file and unpacks **nothing** — no
+    heap rows, no index builds.  Two guards apply, with different
+    outcomes:
 
     * **staleness** — a v2 file whose recorded cube prefix, fact relation
-      or v1 meta checksum no longer matches the bundle's current state
-      (e.g. an ingest generation committed after the last ``publish-v2``)
-      is silently ignored in favour of the v1 relations, which are always
+      or v1 meta checksum no longer matches the bundle's v1 relations is
+      silently ignored in favour of those relations, which are always
       current;
     * **corruption** — a v2 file that *does* describe the current cube
       but fails structural validation raises
@@ -245,14 +267,22 @@ def open_bundle(directory: str | Path, use_v2: bool = True) -> CubeBundle:
         raise FileNotFoundError(f"{root} does not contain a cube bundle")
     meta = json.loads(meta_path.read_text())
     schema = schema_from_json(meta["schema"])
-    cube_prefix = CUBE_PREFIX
-    fact_relation = FACT_RELATION
-    ingest_manifest = root / f"{STREAM_PREFIX}.ingest.json"
-    if ingest_manifest.exists():
-        ingest_meta = json.loads(ingest_manifest.read_text())
-        cube_prefix = str(ingest_meta["cube_prefix"])
-        fact_relation = str(ingest_meta["fact_relation"])
     catalog = Catalog(root)
+    generation = streamed_container(root)
+    if generation is not None:
+        from repro.storage2.mapped import open_v2
+
+        mapped = open_v2(generation, schema)
+        return CubeBundle(
+            root,
+            schema,
+            mapped.storage,
+            catalog,
+            meta.get("extra", {}),
+            str(mapped.file.meta["fact_relation"]),
+            str(mapped.file.meta["cube_prefix"]),
+            v2=mapped,
+        )
     if use_v2:
         from repro.storage2.publish import V2_FILE
 
@@ -262,10 +292,10 @@ def open_bundle(directory: str | Path, use_v2: bool = True) -> CubeBundle:
 
             mapped = open_v2(v2_path, schema)
             current = (
-                mapped.file.meta.get("cube_prefix") == cube_prefix
-                and mapped.file.meta.get("fact_relation") == fact_relation
+                mapped.file.meta.get("cube_prefix") == CUBE_PREFIX
+                and mapped.file.meta.get("fact_relation") == FACT_RELATION
                 and mapped.file.meta.get("cube_meta_checksum")
-                == file_checksum(root / f"{cube_prefix}.meta.json")
+                == file_checksum(root / f"{CUBE_PREFIX}.meta.json")
             )
             if current:
                 return CubeBundle(
@@ -274,20 +304,10 @@ def open_bundle(directory: str | Path, use_v2: bool = True) -> CubeBundle:
                     mapped.storage,
                     catalog,
                     meta.get("extra", {}),
-                    fact_relation,
-                    cube_prefix,
                     v2=mapped,
                 )
-    storage = CubeStorage.load(catalog, schema, prefix=cube_prefix)
+    storage = CubeStorage.load(catalog, schema, prefix=CUBE_PREFIX)
     storage.row_resolver = lambda rowid: schema.dim_values(
-        catalog.open(fact_relation).read_row(rowid)
+        catalog.open(FACT_RELATION).read_row(rowid)
     )
-    return CubeBundle(
-        root,
-        schema,
-        storage,
-        catalog,
-        meta.get("extra", {}),
-        fact_relation,
-        cube_prefix,
-    )
+    return CubeBundle(root, schema, storage, catalog, meta.get("extra", {}))

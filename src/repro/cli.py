@@ -32,8 +32,11 @@ crash-safe append log (docs/robustness.md): each CSV row lists one
 base-level member per dimension (by name or code) followed by the raw
 measure values, in schema order.  Rows are appended in ``--batch``-sized
 durable records, applied exactly once, and committed as a new cube
-generation that later ``query``/``describe`` calls read automatically.
-Re-running after a crash resumes from the last committed watermark.
+generation — one mapped ``cube.v2``-format file — that later
+``query``/``describe``/``serve`` calls read automatically.  The command
+prints the commit watermark and the ingest lag (appended records not yet
+in the cube).  Re-running after a crash resumes from the last committed
+watermark.
 
 ``serve`` starts the slicer HTTP server (docs/serving.md) over one
 published bundle: the cube loads once, every request thread shares the
@@ -301,12 +304,17 @@ def cmd_ingest(args) -> int:
     overhead = args.compact_overhead if args.compact_overhead > 0 else None
     engine = Engine(Catalog(root), MemoryManager())
     try:
-        try:
-            ingestor = StreamingIngestor.recover(
-                schema, engine, root / STREAM_LOG_DIR, prefix=STREAM_PREFIX
-            )
+        if (root / f"{STREAM_PREFIX}.ingest.json").exists():
+            # A damaged generation must stop the command, not send it back
+            # to the bundle's original facts with every earlier ingest lost.
+            try:
+                ingestor = StreamingIngestor.recover(
+                    schema, engine, root / STREAM_LOG_DIR, prefix=STREAM_PREFIX
+                )
+            except IngestError as error:
+                raise SystemExit(f"{root}: {error}") from None
             ingestor.compact_overhead = overhead
-        except IngestError:
+        else:
             # First ingest into this bundle: the committed baseline is the
             # bundle's own fact table.
             fact = engine.catalog.open(FACT_RELATION).load()
@@ -332,7 +340,8 @@ def cmd_ingest(args) -> int:
         )
         print(
             f"  applied {stats.records_applied} records "
-            f"(watermark lsn {ingestor.applied_lsn}), "
+            f"(watermark lsn {ingestor.applied_lsn}, "
+            f"lag {ingestor.lag_records} records), "
             f"{stats.compactions} compaction(s)"
         )
         print(
@@ -395,14 +404,17 @@ def cmd_verify_cube(args) -> int:
     """Replay a durable build's checksums and row counts; exit 0 iff sound.
 
     With ``--cube`` the target is a bundle's ``cube.v2`` container
-    instead: every section checksum and codec is re-verified and the
+    instead (for a streamed-into bundle, its committed ingest
+    generation): every section checksum and codec is re-verified and the
     per-section bytes plus the compression ratio against the bundle's v1
     relations are reported.
     """
     if args.cube is not None:
+        from repro.bundle import streamed_container
         from repro.storage2 import V2_FILE, verify_v2
 
-        report = verify_v2(Path(args.cube) / V2_FILE, bundle_root=args.cube)
+        target = streamed_container(args.cube) or Path(args.cube) / V2_FILE
+        report = verify_v2(target, bundle_root=args.cube)
         print(report.describe())
         return 0 if report.ok else 1
     if args.catalog is None:

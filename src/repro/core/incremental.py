@@ -26,24 +26,45 @@ tuples — the common data-warehouse refresh):
   the parent's TT already covers it — preserving sub-tree sharing for
   fresh data), and an NT otherwise.
 
-The delta is flattened per node (O(lattice × delta) work) instead of
-re-running the shared-sort machinery; deltas are small by assumption, and
-what this module demonstrates is the *storage update semantics*.  After
-many updates the cube drifts from the fully condensed form (demoted CATs,
-localized TTs); tests assert exact query equivalence with a from-scratch
-rebuild, and :func:`drift_report` measures the space gap.
+**Cost.**  One sweep over the execution plan, parents before children.
+Per node the fact table's dimension columns are rolled up through
+``Dimension.level_maps`` and packed into one int64 grouping key per fact
+row (numpy gathers, no per-row Python); the delta's groups come from one
+stable sort + ``reduceat`` over the ≤ |delta| new keys; and every stored
+relation — TT row-ids, NT and CAT source row-ids — is tested against
+those groups with one ``searchsorted``.  Devaluation is a mask, NT merges
+and CAT demotions are batched per node, and the row lists and their int64
+views (``NodeStore.nt_matrix`` and friends) are edited in step, so the
+query caches stay warm across an update.  Work is *delta × lattice plus
+one vectorised membership test per node*; nothing loops over stored rows.
+
+After many updates the cube drifts from the fully condensed form (demoted
+CATs, localized TTs); tests assert exact query equivalence with a
+from-scratch rebuild and storage equivalence with the record-at-a-time
+reference merger (``tests/support/record_merger.py``), and
+:func:`drift_report` measures the space gap.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.core.model import CubeSchema
-from repro.core.storage import VALUE_BYTES, CatFormat, CubeStorage
+from repro.core.segments import aggregate_ufuncs
+from repro.core.storage import VALUE_BYTES, CatFormat, CubeStorage, NodeStore
 from repro.lattice.node import CubeNode
-from repro.lattice.plan import plan_parent
-from repro.relational.aggregates import aggregate_singleton, merge_vectors
+from repro.relational.batch import ColumnBatch, column_dtype
 from repro.relational.table import Table
+
+#: Largest span a packed grouping key may cover before the merger
+#: re-ranks it densely (keeps ``key * cardinality + code`` inside int64).
+_KEY_SPAN_LIMIT = 1 << 62
+
+_NO_ROWIDS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -80,17 +101,57 @@ class DriftReport:
         return self.updated_bytes / self.rebuilt_bytes
 
 
+def validate_delta(
+    schema: CubeSchema, rows: Sequence[Sequence[int]] | np.ndarray
+) -> np.ndarray:
+    """``rows`` as one int64 matrix, checked against the fact layout.
+
+    The single validation every public ingest boundary runs: arity
+    (the same ``ValueError`` :meth:`TableSchema.validate_row` raises, for
+    the first offending row), integral values, and base dimension codes
+    inside their dimension's cardinality — a code the roll-up maps cannot
+    index must be refused here, while refusing is still a no-op.
+    """
+    arity = schema.fact_schema.arity
+    if len(rows) == 0:
+        return np.empty((0, arity), dtype=np.int64)
+    try:
+        matrix = np.asarray(rows)
+    except ValueError:  # ragged rows have no array shape
+        matrix = None
+    if matrix is None or matrix.ndim != 2 or matrix.shape[1] != arity:
+        for row in rows:
+            schema.fact_schema.validate_row(row)
+        raise ValueError("fact rows must be flat tuples of integers")
+    if matrix.dtype.kind not in "iu":
+        raise ValueError(
+            f"fact rows must hold integers, got {matrix.dtype.name} values"
+        )
+    matrix = matrix.astype(np.int64, copy=False)
+    for d, dimension in enumerate(schema.dimensions):
+        codes = matrix[:, d]
+        low, high = int(codes.min()), int(codes.max())
+        if low < 0 or high >= dimension.base_cardinality:
+            bad = low if low < 0 else high
+            raise ValueError(
+                f"dimension {dimension.name!r} code {bad} is outside "
+                f"[0, {dimension.base_cardinality})"
+            )
+    return matrix
+
+
 def apply_delta(
     storage: CubeStorage,
     schema: CubeSchema,
     fact_table: Table,
-    delta_rows: list[tuple],
+    delta_rows: Sequence[Sequence[int]] | np.ndarray,
 ) -> UpdateReport:
     """Merge ``delta_rows`` into ``storage``, appending them to
     ``fact_table`` (both updated in place).
 
-    Requirements: a non-DR, non-iceberg cube built over ``fact_table``
-    with distributive aggregates.
+    ``delta_rows`` is a sequence of fact tuples or an int64 matrix of
+    them.  Requirements: a non-DR, non-iceberg cube built over
+    ``fact_table`` with distributive aggregates.
     """
     if storage.dr_mode:
         raise ValueError(
@@ -107,51 +168,55 @@ def apply_delta(
             "incremental maintenance needs distributive aggregates"
         )
     report = UpdateReport(delta_rows=len(delta_rows))
-    if not delta_rows:
+    if not report.delta_rows:
         return report
 
     # Validate the whole delta before mutating anything.  A bad row must
     # leave the fact table and the cube exactly as they were: a rejected
     # delta is a no-op, never a partial append with bitmaps already torn
     # down and ``plus_processed`` cleared.
-    for row in delta_rows:
-        schema.fact_schema.validate_row(row)
-    report.delta_codes = [schema.dim_values(row) for row in delta_rows]
+    delta = validate_delta(schema, delta_rows)
+    report.delta_codes = list(
+        map(tuple, delta[:, : schema.n_dimensions].tolist())
+    )
 
     # A CURE+ cube keeps some relations as bitmaps and relies on sorted
     # row-id lists; updates append out of order, so materialize bitmaps
     # back to lists and drop the plus property (re-run
     # :func:`repro.core.postprocess.postprocess_plus` afterwards to
-    # restore it).  Cached matrix views are dropped only where a bitmap
-    # actually converted: the caches are length-keyed, so plain appends
-    # re-key naturally and the in-place NT rewrites are invalidated
-    # per node below — untouched nodes keep their views warm.
+    # restore it).
     for store in storage.nodes.values():
         if store.tt_bitmap is not None:
-            store.tt_rowids = list(store.tt_bitmap.iter_set())
+            rowids = store.tt_bitmap.to_array()
+            store.tt_rowids = rowids.tolist()
             store.tt_bitmap = None
-            store.invalidate_matrices()
+            store.adopt_views(tt=rowids)
         if store.cat_bitmap is not None:
-            store.cat_rows = [
-                (arowid,) for arowid in store.cat_bitmap.iter_set()
-            ]
+            arowids = store.cat_bitmap.to_array()
+            store.cat_rows = list(zip(arowids.tolist()))
             store.cat_bitmap = None
-            store.invalidate_matrices()
+            store.adopt_views(cat=arowids.reshape(-1, 1))
     storage.plus_processed = False
 
     base_rowid = len(fact_table)
-    for row in delta_rows:
-        fact_table.append(row)
+    fact_schema = schema.fact_schema
+    # Touch the columnar view first so ``append_batch`` extends it: the
+    # merger reads the fact columns from it, and so do the queries after.
+    fact_table.as_batch()
+    fact_table.append_batch(
+        ColumnBatch.from_arrays(
+            fact_schema,
+            [
+                delta[:, position].astype(column_dtype(column.type))
+                for position, column in enumerate(fact_schema.columns)
+            ],
+        )
+    )
     storage.fact_row_count = len(fact_table)
 
-    merger = _Merger(storage, schema, fact_table, report)
-    merger.flatten_delta(delta_rows, base_rowid)
-    merger.devalue_touched_tts()
-    merger.merge_delta()
-    for node_id in sorted(merger.rewritten_nodes):
-        rewritten = storage.get_node_store(node_id)
-        if rewritten is not None:
-            rewritten.invalidate_matrices()
+    _DeltaMerger(
+        storage, schema, fact_table.as_batch(), base_rowid, report
+    ).run()
     return report
 
 
@@ -189,239 +254,293 @@ def drift_report(
     )
 
 
-class _Merger:
-    def __init__(self, storage, schema, fact_table, report) -> None:
+class _DeltaGroups(NamedTuple):
+    """The delta's groups at one node, under that node's packed key."""
+
+    #: Every fact row's group key at the node (base rows, then delta rows).
+    row_keys: np.ndarray
+    #: Ascending distinct keys among the delta rows; the rest is per group.
+    keys: np.ndarray
+    counts: np.ndarray
+    first_rowid: np.ndarray
+    aggregates: np.ndarray
+
+    def of(self, rowids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per stored row-id: its delta group, and whether it has one."""
+        wanted = self.row_keys[rowids]
+        group = np.minimum(
+            np.searchsorted(self.keys, wanted), len(self.keys) - 1
+        )
+        return group, self.keys[group] == wanted
+
+
+class _DeltaMerger:
+    """One delta folded into a cube, a plan node at a time, on arrays.
+
+    ``batch`` is the fact table *after* the append: rows from
+    ``base_rowid`` on are the delta.  The sweep follows
+    :meth:`CubeSchema.plan_order`, so when a node is merged its plan
+    parent already has been, and has left behind the two things a child
+    needs: the devalued TTs that reach it, and which delta rows are
+    brand-new trivial tuples the parent's TT relation covers.
+    """
+
+    def __init__(
+        self,
+        storage: CubeStorage,
+        schema: CubeSchema,
+        batch: ColumnBatch,
+        base_rowid: int,
+        report: UpdateReport,
+    ) -> None:
         self.storage = storage
         self.schema = schema
-        self.fact_table = fact_table
         self.report = report
-        self._nodes = list(
-            schema.lattice.flat_nodes() if storage.flat
-            else schema.lattice.nodes()
+        self.base_rowid = base_rowid
+        self.n_rows = batch.length
+        self._dim_columns = batch.arrays[: schema.n_dimensions]
+        self._measures = [
+            batch.arrays[schema.n_dimensions + spec.measure_index]
+            for spec in schema.aggregates
+        ]
+        self._ufuncs = aggregate_ufuncs(schema)
+        self._level_codes: dict[tuple[int, int], np.ndarray] = {}
+        self._delta_aggregates = self._singletons(
+            np.arange(base_rowid, batch.length, dtype=np.int64)
         )
-        self._children = self._plan_children()
-        # node_id -> {dims: [aggregates(list), min_rowid, row_count]}
-        self.delta: dict[int, dict[tuple, list]] = {}
-        # node_id -> {dims: ("nt"|"cat", position)} over existing storage
-        self._groups: dict[int, dict[tuple, tuple[str, int]]] = {}
-        # rowid -> base dimension codes (TT rows project at many nodes)
-        self._base_codes: dict[int, tuple[int, ...]] = {}
-        # Nodes whose NT relation was rewritten *in place* (same length),
-        # which the length-keyed matrix caches cannot detect on their own.
-        self.rewritten_nodes: set[int] = set()
 
-    # -- structure ---------------------------------------------------------------
-
-    def _plan_children(self) -> dict[int, list[CubeNode]]:
-        children: dict[int, list[CubeNode]] = {}
-        lattice = self.schema.lattice
-        for node in self._nodes:
-            parent = plan_parent(lattice, node, flat=self.storage.flat)
-            if parent is not None:
-                children.setdefault(
-                    self.schema.node_id(parent), []
-                ).append(node)
-        return children
-
-    def _project(self, rowid: int, node: CubeNode) -> tuple[int, ...]:
-        base_codes = self._base_codes.get(rowid)
-        if base_codes is None:
-            base_codes = self.schema.dim_values(self.fact_table[rowid])
-            self._base_codes[rowid] = base_codes
-        return self.schema.project_to_node(base_codes, node)
-
-    # -- delta flattening -----------------------------------------------------------
-
-    def flatten_delta(self, delta_rows: list[tuple], base_rowid: int) -> None:
-        schema = self.schema
-        for offset, row in enumerate(delta_rows):
-            rowid = base_rowid + offset
-            base_codes = schema.dim_values(row)
-            partial = list(
-                aggregate_singleton(schema.aggregates, schema.measures(row))
+    def run(self) -> None:
+        devalued: list[np.ndarray] = []
+        fresh: list[np.ndarray] = []
+        for node, node_id, parent in self.schema.plan_order(self.storage.flat):
+            became, singles = self._merge_node(
+                self.storage.node_store(node_id),
+                self._groups_at(node),
+                devalued[parent] if parent >= 0 else _NO_ROWIDS,
+                fresh[parent] if parent >= 0 else None,
             )
-            for node in self._nodes:
-                node_id = schema.node_id(node)
-                dims = schema.project_to_node(base_codes, node)
-                per_node = self.delta.setdefault(node_id, {})
-                entry = per_node.get(dims)
-                if entry is None:
-                    per_node[dims] = [list(partial), rowid, 1]
-                else:
-                    entry[0] = list(
-                        merge_vectors(
-                            schema.aggregates,
-                            tuple(entry[0]),
-                            tuple(partial),
-                        )
-                    )
-                    entry[1] = min(entry[1], rowid)
-                    entry[2] += 1
+            devalued.append(became)
+            fresh.append(singles)
+            self.report.nodes_touched.add(node_id)
 
-    # -- existing-group index ----------------------------------------------------------
+    # -- fact-side arrays --------------------------------------------------------
 
-    def _node_groups(self, node_id: int) -> dict[tuple, tuple[str, int]]:
-        cached = self._groups.get(node_id)
-        if cached is not None:
-            return cached
-        node = self.schema.decode_node(node_id)
-        lookup: dict[tuple, tuple[str, int]] = {}
-        store = self.storage.get_node_store(node_id)
-        if store is not None:
-            for position, row in enumerate(store.nt_rows):
-                lookup[self._project(row[0], node)] = ("nt", position)
-            for position, row in enumerate(store.cat_rows):
-                lookup[self._project(self._cat_rowid(row), node)] = (
-                    "cat", position,
+    def _singletons(self, rowids: np.ndarray) -> np.ndarray:
+        """Aggregate vectors of single fact tuples, one row per row-id."""
+        matrix = np.empty((len(rowids), len(self._ufuncs)), dtype=np.int64)
+        for y, spec in enumerate(self.schema.aggregates):
+            matrix[:, y] = spec.function.from_column(self._measures[y][rowids])
+        return matrix
+
+    def _merged(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Component-wise merge of two aligned aggregate matrices."""
+        merged = np.empty_like(left)
+        for y, ufunc in enumerate(self._ufuncs):
+            ufunc(left[:, y], right[:, y], out=merged[:, y])
+        return merged
+
+    def _node_keys(self, node: CubeNode) -> np.ndarray:
+        """Every fact row's group at ``node`` as one int64 key.
+
+        Mixed radix over the grouping dimensions' level cardinalities;
+        equal keys ⇔ equal grouping codes.  A lattice too wide for 62
+        bits re-ranks the partial key densely (ranks are over base and
+        delta rows together, so membership tests stay valid).
+        """
+        key: np.ndarray | None = None
+        span = 1
+        for d, level in enumerate(node.levels):
+            dimension = self.schema.dimensions[d]
+            if level == dimension.all_level:
+                continue
+            codes = self._level_codes.get((d, level))
+            if codes is None:
+                codes = self._dim_columns[d].astype(np.int64)
+                if level:
+                    codes = dimension.level_maps[level][codes]
+                self._level_codes[d, level] = codes
+            cardinality = dimension.cardinality(level)
+            if key is None:
+                key, span = codes, cardinality
+                continue
+            if span * cardinality > _KEY_SPAN_LIMIT:
+                key = np.unique(key, return_inverse=True)[1]
+                span = len(key)
+            key = key * cardinality + codes
+            span *= cardinality
+        if key is None:
+            return np.zeros(self.n_rows, dtype=np.int64)
+        return key
+
+    def _groups_at(self, node: CubeNode) -> _DeltaGroups:
+        """Group the delta rows at ``node``: one stable sort + ``reduceat``."""
+        row_keys = self._node_keys(node)
+        delta_keys = row_keys[self.base_rowid :]
+        order = np.argsort(delta_keys, kind="stable")
+        sorted_keys = delta_keys[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+        )
+        sorted_aggregates = self._delta_aggregates[order]
+        aggregates = np.empty((len(starts), len(self._ufuncs)), dtype=np.int64)
+        for y, ufunc in enumerate(self._ufuncs):
+            aggregates[:, y] = ufunc.reduceat(sorted_aggregates[:, y], starts)
+        return _DeltaGroups(
+            row_keys,
+            sorted_keys[starts],
+            np.append(starts[1:], len(order)) - starts,
+            # Stable sort: a group's first row is its lowest row-id.
+            self.base_rowid + order[starts],
+            aggregates,
+        )
+
+    # -- one node ------------------------------------------------------------------
+
+    def _merge_node(
+        self,
+        store: NodeStore,
+        groups: _DeltaGroups,
+        inherited: np.ndarray,
+        covered: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold the delta's ``groups`` into one node's relations.
+
+        ``inherited`` are TTs devalued at plan ancestors whose group the
+        delta touches all the way down to the parent; ``covered`` marks
+        the delta rows (by offset) that are brand-new trivial tuples at
+        the parent.  Returns the same two things for this node's
+        children.
+        """
+        report = self.report
+        matched = np.zeros(len(groups.keys), dtype=np.bool_)
+
+        # Pass 1 — TT devaluation as a mask.  Touchedness is upward-closed
+        # along the plan (tuples that agree on a node's grouping
+        # attributes agree on every coarser node's), so a touched TT
+        # becomes an explicit NT here, merged with its delta group, and is
+        # handed on to the children, while an untouched one safely covers
+        # this node's whole sub-tree.
+        trivial = store.tt_array() if store.tt_rowids else _NO_ROWIDS
+        trivial_group, trivial_hit = groups.of(trivial)
+        inherited_group, inherited_hit = groups.of(inherited)
+        became = np.concatenate((trivial[trivial_hit], inherited[inherited_hit]))
+        group = np.concatenate(
+            (trivial_group[trivial_hit], inherited_group[inherited_hit])
+        )
+        matched[group] = True
+        appended = [
+            np.column_stack(
+                (
+                    became,
+                    self._merged(
+                        self._singletons(became), groups.aggregates[group]
+                    ),
                 )
-        self._groups[node_id] = lookup
-        return lookup
-
-    def _cat_rowid(self, cat_row: tuple) -> int:
-        if self.storage.cat_format is CatFormat.COMMON_SOURCE:
-            return self.storage.aggregates_rows[cat_row[0]][0]
-        return cat_row[0]
-
-    def _register_nt(self, node_id: int, dims, row: tuple) -> None:
-        store = self.storage.node_store(node_id)
-        store.nt_rows.append(row)
-        self._node_groups(node_id)[dims] = ("nt", len(store.nt_rows) - 1)
-
-    # -- pass 1: TT devaluation ------------------------------------------------------------
-
-    def devalue_touched_tts(self) -> None:
-        """Remove TTs whose group the delta touches; re-place them locally."""
-        for node in self._nodes:
-            node_id = self.schema.node_id(node)
-            store = self.storage.get_node_store(node_id)
-            if store is None or not store.tt_rowids:
-                continue
-            delta_here = self.delta.get(node_id, {})
-            if not delta_here:
-                continue
-            kept: list[int] = []
-            for rowid in store.tt_rowids:
-                if self._project(rowid, node) in delta_here:
-                    self._replace_tt(node, node_id, rowid)
-                    self.report.tts_devalued += 1
-                else:
-                    kept.append(rowid)
-            store.tt_rowids = kept
-            store.invalidate_matrices()
-
-    def _replace_tt(self, node: CubeNode, node_id: int, rowid: int) -> None:
-        """Re-place a devalued TT over its plan sub-tree.
-
-        Touchedness is upward-closed: if any node of a sub-tree is
-        touched by a delta row matching this tuple, so is the sub-tree's
-        root (agreement on fine grouping attributes implies agreement on
-        coarse ones).  Hence the recursion: touched node → explicit NT,
-        then recurse; untouched node → the TT safely covers its sub-tree.
-        """
-        dims = self._project(rowid, node)
-        delta_here = self.delta.get(node_id, {})
-        if dims in delta_here:
-            fact_row = self.fact_table[rowid]
-            aggregates = aggregate_singleton(
-                self.schema.aggregates, self.schema.measures(fact_row)
             )
-            self._register_nt(node_id, dims, (rowid,) + aggregates)
-            self.report.nodes_touched.add(node_id)
-            for child in self._children.get(node_id, ()):
-                self._replace_tt(child, self.schema.node_id(child), rowid)
-        else:
-            self.storage.write_tt(node_id, rowid)
+        ]
+        report.tts_devalued += np.count_nonzero(trivial_hit)
+        report.nts_merged += len(became)
 
-    # -- pass 2: merging delta groups ----------------------------------------------------------
-
-    def merge_delta(self) -> None:
-        schema = self.schema
-        for node in self._nodes:
-            node_id = schema.node_id(node)
-            delta_here = self.delta.get(node_id)
-            if not delta_here:
-                continue
-            self.report.nodes_touched.add(node_id)
-            lookup = self._node_groups(node_id)
-            store = self.storage.node_store(node_id)
-            for dims, (aggregates, rowid, count) in delta_here.items():
-                existing = lookup.get(dims)
-                if existing is not None:
-                    self._merge_existing(
-                        node, store, lookup, dims, existing, aggregates, rowid
-                    )
-                elif count == 1 and self._covered_by_parent_tt(node, rowid):
-                    continue  # the plan parent's new TT already covers it
-                elif count == 1:
-                    store.tt_rowids.append(rowid)
-                    self.report.new_tts += 1
-                else:
-                    self._register_nt(
-                        node_id, dims, (rowid,) + tuple(aggregates)
-                    )
-                    self.report.new_nts += 1
-
-    def _covered_by_parent_tt(self, node: CubeNode, rowid: int) -> bool:
-        """Did (or will) the plan parent store this row as a new TT?
-
-        True when the parent's delta group containing the row is also a
-        brand-new single tuple — then the TT written there is shared with
-        this node, exactly like construction-time pruning.
-        """
-        parent = plan_parent(
-            self.schema.lattice, node, flat=self.storage.flat
+        # Pass 2 — existing NT groups merge in place (distributive
+        # aggregates, minimum source row-id kept) ...
+        normal = (
+            store.nt_matrix()
+            if store.nt_rows
+            else np.empty((0, 1 + len(self._ufuncs)), dtype=np.int64)
         )
-        if parent is None:
-            return False
-        parent_id = self.schema.node_id(parent)
-        parent_dims = self._project(rowid, parent)
-        entry = self.delta.get(parent_id, {}).get(parent_dims)
-        if entry is None or entry[2] != 1:
-            return False
-        if parent_dims in self._node_groups(parent_id):
-            return False
-        # The parent group must itself be uncovered or covered — recurse.
-        return True
-
-    def _merge_existing(
-        self, node, store, lookup, dims, existing, aggregates, rowid
-    ) -> None:
-        kind, position = existing
-        y = self.schema.n_aggregates
-        if kind == "nt":
-            row = store.nt_rows[position]
-            merged = merge_vectors(
-                self.schema.aggregates, row[1 : 1 + y], tuple(aggregates)
+        normal_group, normal_hit = groups.of(normal[:, 0])
+        rewritten = np.flatnonzero(normal_hit)
+        group = normal_group[rewritten]
+        matched[group] = True
+        merged = np.column_stack(
+            (
+                np.minimum(normal[rewritten, 0], groups.first_rowid[group]),
+                self._merged(normal[rewritten, 1:], groups.aggregates[group]),
             )
-            store.nt_rows[position] = (min(row[0], rowid),) + merged
-            self.report.nts_merged += 1
-            self.rewritten_nodes.add(self.schema.node_id(node))
-            return
-        # CAT demotion: detach from the shared AGGREGATES row, merge, and
-        # store as a plain NT (the open part of the paper's plan).  The
-        # NT row is wider than the CAT row it replaces (and the shared
-        # AGGREGATES row it referenced may end up orphaned); account that
-        # growth so the cheap drift estimate can trigger compaction.
-        cat_values = (
-            1 if self.storage.cat_format is CatFormat.COMMON_SOURCE else 2
         )
-        self.storage.update_drift_bytes += (1 + y - cat_values) * VALUE_BYTES
-        cat_row = store.cat_rows.pop(position)
+        report.nts_merged += len(rewritten)
+
+        # ... touched CATs are demoted to NTs ...
+        if store.cat_rows:
+            appended.append(self._demote_cats(store, groups, matched))
+
+        # ... and what is left is brand new: several delta rows make an
+        # NT; a single one is a TT — unless its group at the plan parent
+        # is a brand-new single tuple too, in which case the TT written
+        # there already covers this node (construction-time sub-tree
+        # sharing).
+        several = ~matched & (groups.counts > 1)
+        appended.append(
+            np.column_stack(
+                (groups.first_rowid[several], groups.aggregates[several])
+            )
+        )
+        report.new_nts += np.count_nonzero(several)
+        single_rowids = groups.first_rowid[~matched & (groups.counts == 1)]
+        singles = np.zeros(self.n_rows - self.base_rowid, dtype=np.bool_)
+        singles[single_rowids - self.base_rowid] = True
+        if covered is not None:
+            single_rowids = single_rowids[
+                ~covered[single_rowids - self.base_rowid]
+            ]
+        report.new_tts += len(single_rowids)
+
+        # Write back: row lists and their int64 views, edited in step.
+        # The views are fresh arrays (never the ones a query was handed).
+        new_rows = np.concatenate(appended)
+        if len(rewritten) or len(new_rows):
+            view = np.concatenate((normal, new_rows))
+            view[rewritten] = merged
+            for position, row in zip(
+                rewritten.tolist(), map(tuple, merged.tolist())
+            ):
+                store.nt_rows[position] = row
+            store.nt_rows.extend(map(tuple, new_rows.tolist()))
+            store.adopt_views(nt=view)
+        stay = inherited[~inherited_hit]
+        if trivial_hit.any() or len(stay) or len(single_rowids):
+            view = np.concatenate((trivial[~trivial_hit], stay, single_rowids))
+            store.tt_rowids = view.tolist()
+            store.adopt_views(tt=view)
+        return became, singles
+
+    def _demote_cats(
+        self, store: NodeStore, groups: _DeltaGroups, matched: np.ndarray
+    ) -> np.ndarray:
+        """Turn the CATs the delta touches into merged NT rows (returned).
+
+        Demotion detaches a tuple from its shared AGGREGATES row, merges
+        the delta group in and stores it as a plain NT (the open part of
+        the paper's plan).  The NT row is wider than the CAT row it
+        replaces (and the shared AGGREGATES row may end up orphaned);
+        that growth is accounted so the cheap drift estimate can trigger
+        compaction.
+        """
+        common = store.cat_matrix()
+        shared = self.storage.aggregates_matrix()
         if self.storage.cat_format is CatFormat.COMMON_SOURCE:
-            entry = self.storage.aggregates_rows[cat_row[0]]
-            old_rowid, old_aggregates = entry[0], entry[1 : 1 + y]
+            sources = shared[common[:, 0]]
+            source_rowids, source_aggregates = sources[:, 0], sources[:, 1:]
         else:
-            old_rowid = cat_row[0]
-            old_aggregates = tuple(self.storage.aggregates_rows[cat_row[1]])
-        merged = merge_vectors(
-            self.schema.aggregates, old_aggregates, tuple(aggregates)
+            source_rowids = common[:, 0]
+            source_aggregates = shared[common[:, 1]]
+        common_group, common_hit = groups.of(source_rowids)
+        demoted = np.flatnonzero(common_hit)
+        group = common_group[demoted]
+        matched[group] = True
+        if len(demoted):
+            for position in reversed(demoted.tolist()):
+                del store.cat_rows[position]
+            store.adopt_views(cat=np.delete(common, demoted, axis=0))
+            self.report.cats_demoted += len(demoted)
+            self.storage.update_drift_bytes += (
+                len(demoted)
+                * (1 + len(self._ufuncs) - common.shape[1])
+                * VALUE_BYTES
+            )
+        return np.column_stack(
+            (
+                np.minimum(source_rowids[demoted], groups.first_rowid[group]),
+                self._merged(source_aggregates[demoted], groups.aggregates[group]),
+            )
         )
-        store.nt_rows.append((min(old_rowid, rowid),) + merged)
-        lookup[dims] = ("nt", len(store.nt_rows) - 1)
-        self.report.cats_demoted += 1
-        # Popping shifted the remaining CAT positions: refresh them.
-        for key in [k for k, v in lookup.items() if v[0] == "cat"]:
-            del lookup[key]
-        for cat_position, remaining in enumerate(store.cat_rows):
-            cat_dims = self._project(self._cat_rowid(remaining), node)
-            lookup[cat_dims] = ("cat", cat_position)

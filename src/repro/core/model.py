@@ -14,6 +14,7 @@ from functools import cached_property
 from repro.hierarchy.dimension import Dimension
 from repro.lattice.lattice import CubeLattice
 from repro.lattice.node import CubeNode, NodeEnumerator
+from repro.lattice.plan import plan_parent
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.schema import Column, ColumnType, TableSchema
 
@@ -104,6 +105,44 @@ class CubeSchema:
 
     def decode_node(self, node_id: int) -> CubeNode:
         return self.enumerator.decode(node_id)
+
+    def plan_order(
+        self, flat: bool = False
+    ) -> tuple[tuple[CubeNode, int, int], ...]:
+        """The execution plan in pre-order: ``(node, node_id, parent)``.
+
+        ``parent`` is the position *in this tuple* of the node's plan
+        parent (-1 for the root), so a consumer sweeping the tuple front
+        to back has always visited a node's parent before the node — the
+        order in which trivial tuples and their coverage propagate.
+        Covers the P3 plan over every lattice node, or with ``flat`` the
+        P1 plan over the ``2^D`` base-level nodes (FCURE).  Computed once
+        per schema and shape.
+        """
+        cached = self._plan_orders.get(flat)
+        if cached is None:
+            lattice = self.lattice
+            children: dict[CubeNode | None, list[CubeNode]] = {}
+            for node in lattice.flat_nodes() if flat else lattice.nodes():
+                children.setdefault(
+                    plan_parent(lattice, node, flat=flat), []
+                ).append(node)
+            order: list[tuple[CubeNode, int, int]] = []
+            pending = [(root, -1) for root in reversed(children[None])]
+            while pending:
+                node, parent = pending.pop()
+                position = len(order)
+                order.append((node, self.node_id(node), parent))
+                pending.extend(
+                    (child, position)
+                    for child in reversed(children.get(node, ()))
+                )
+            cached = self._plan_orders[flat] = tuple(order)
+        return cached
+
+    @cached_property
+    def _plan_orders(self) -> dict[bool, tuple[tuple[CubeNode, int, int], ...]]:
+        return {}
 
     def project_to_node(
         self, base_codes: tuple[int, ...], node: CubeNode

@@ -20,6 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.storage import CatFormat, CubeStorage
 from repro.relational.bitmap import Bitmap
 
@@ -44,36 +46,41 @@ def postprocess_plus(
     aggregates_universe = len(storage.aggregates_rows)
     cat_format_a = storage.cat_format is CatFormat.COMMON_SOURCE
     for store in storage.nodes.values():
-        # Sorting and bitmap conversion rewrite relations in place,
-        # sometimes without changing their length.
-        store.invalidate_matrices()
+        # Both passes run on the relations' int64 views and hand the
+        # sorted view back (``adopt_views``), so a cube that is re-plussed
+        # after every maintenance cycle keeps its query caches warm; NT
+        # relations are not touched at all.
         if store.tt_rowids:
-            store.tt_rowids.sort()
+            rowids = np.sort(store.tt_array())
             report.tt_lists_sorted += 1
             if convert_bitmaps and Bitmap.beneficial(
-                len(store.tt_rowids), fact_universe
+                len(rowids), fact_universe
             ):
-                store.tt_bitmap = Bitmap.from_rowids(
-                    store.tt_rowids, fact_universe
-                )
+                store.tt_bitmap = Bitmap.from_rowids(rowids, fact_universe)
                 store.tt_rowids = []
                 report.tt_bitmaps += 1
+            else:
+                store.tt_rowids = rowids.tolist()
+                store.adopt_views(tt=rowids)
         if cat_format_a and store.cat_rows:
-            store.cat_rows.sort()
-            if convert_bitmaps and Bitmap.beneficial(
-                len(store.cat_rows), aggregates_universe
+            arowids = np.sort(store.cat_matrix()[:, 0])
+            # Format (a) CAT rows are bare ⟨A-rowid⟩ singletons, but a
+            # bitmap can only represent a *set*; duplicates (several
+            # cube tuples of one node sharing an AGGREGATES row) would
+            # be lost, so only duplicate-free lists convert.
+            if (
+                convert_bitmaps
+                and Bitmap.beneficial(len(arowids), aggregates_universe)
+                and bool((arowids[1:] != arowids[:-1]).all())
             ):
-                # Format (a) CAT rows are bare ⟨A-rowid⟩ singletons, but a
-                # bitmap can only represent a *set*; duplicates (several
-                # cube tuples of one node sharing an AGGREGATES row) would
-                # be lost, so only duplicate-free lists convert.
-                arowids = [row[0] for row in store.cat_rows]
-                if len(set(arowids)) == len(arowids):
-                    store.cat_bitmap = Bitmap.from_rowids(
-                        arowids, aggregates_universe
-                    )
-                    store.cat_rows = []
-                    report.cat_bitmaps += 1
+                store.cat_bitmap = Bitmap.from_rowids(
+                    arowids, aggregates_universe
+                )
+                store.cat_rows = []
+                report.cat_bitmaps += 1
+            else:
+                store.cat_rows = list(zip(arowids.tolist()))
+                store.adopt_views(cat=arowids.reshape(-1, 1))
     storage.plus_processed = True
     report.elapsed_seconds = time.perf_counter() - started
     return report

@@ -82,8 +82,10 @@ class NodeStore:
     lists for the vectorized query paths.  Caches are keyed on list
     length (the relations are append-only during construction); code
     that replaces or reorders a relation in place without changing its
-    length — post-processing, incremental maintenance — must call
-    :meth:`invalidate_matrices`.
+    length must either call :meth:`invalidate_matrices` or — when it
+    already holds the relation as an array, as CURE+ post-processing and
+    incremental maintenance do — hand the new view over with
+    :meth:`adopt_views`, so the next query does not re-box the list.
     """
 
     nt_rows: list[tuple] = field(default_factory=list)
@@ -130,6 +132,26 @@ class NodeStore:
         self._nt_matrix = None
         self._tt_array = None
         self._cat_matrix = None
+
+    def adopt_views(
+        self,
+        nt: np.ndarray | None = None,
+        tt: np.ndarray | None = None,
+        cat: np.ndarray | None = None,
+    ) -> None:
+        """Install int64 views of relations the caller has just rewritten.
+
+        Each array must equal its row list element for element (the
+        caller edited both in step); the caches never alias an array a
+        previous accessor handed out, so answers built over the old view
+        stay what they were.
+        """
+        if nt is not None:
+            self._nt_matrix = nt
+        if tt is not None:
+            self._tt_array = tt
+        if cat is not None:
+            self._cat_matrix = cat
 
     @property
     def relation_count(self) -> int:
@@ -480,11 +502,9 @@ class CubeStorage:
         return created
 
     @classmethod
-    def load(
-        cls, catalog: Catalog, schema: CubeSchema, prefix: str = "cube"
-    ) -> "CubeStorage":
-        """Reload a persisted cube into memory."""
-        meta = json.loads((catalog.root / f"{prefix}.meta.json").read_text())
+    def from_meta(cls, schema: CubeSchema, meta: dict) -> "CubeStorage":
+        """An empty storage carrying persisted cube metadata (the dict
+        :meth:`persist` writes and a v2 container's directory embeds)."""
         storage = cls(
             schema,
             dr_mode=meta["dr_mode"],
@@ -497,6 +517,15 @@ class CubeStorage:
         storage.update_drift_bytes = meta.get("update_drift_bytes", 0)
         if meta["cat_format"] is not None:
             storage.cat_format = CatFormat(meta["cat_format"])
+        return storage
+
+    @classmethod
+    def load(
+        cls, catalog: Catalog, schema: CubeSchema, prefix: str = "cube"
+    ) -> "CubeStorage":
+        """Reload a persisted cube into memory."""
+        meta = json.loads((catalog.root / f"{prefix}.meta.json").read_text())
+        storage = cls.from_meta(schema, meta)
         # Columnar reload: each relation is read through the zero-copy
         # batch scan and transposed back to the row lists NodeStore keeps.
         for node_id in meta["node_ids"]:

@@ -4,8 +4,9 @@ The subsystem closes the ingest → maintain → serve loop the paper leaves
 as Section 8 future work: producers append fact batches to a durable
 :class:`~repro.ingest.log.AppendLog`, a :class:`StreamingIngestor` drains
 sealed segments through :func:`repro.core.incremental.apply_delta` under
-a commit watermark, and generation-numbered checkpoints make crash-
-anywhere recovery byte-identical to an uninterrupted run.
+a commit watermark, and generation-numbered checkpoints — one v2
+container per generation — make crash-anywhere recovery byte-identical
+to an uninterrupted run.
 """
 
 from __future__ import annotations

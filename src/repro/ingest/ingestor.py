@@ -3,35 +3,43 @@
 The :class:`StreamingIngestor` is the consumer side of the ingest loop:
 it drains *sealed* records from the :class:`~repro.ingest.log.AppendLog`
 through :func:`repro.core.incremental.apply_delta`, and periodically
-checkpoints the maintained cube (plus its fact table) to the catalog
-under a *generation-numbered* prefix — ``<prefix>.g<k>.*`` — using the
-same staged-publish discipline as
-:func:`repro.core.recovery.publish_storage`.
+checkpoints the maintained cube *and* its fact table as **one file per
+generation** — the v2 container ``<prefix>.g<k>.cube.v2``
+(:func:`repro.storage2.publish.write_v2`), written straight from the
+in-memory structures and atomically renamed into the catalog directory.
 
 **The watermark protocol.**  The ingest manifest
 (``<prefix>.ingest.json``) is the single commit point.  It records the
-current generation, the checksums of every relation in it, and
+current generation, the name and SHA-256 of its container, and
 ``applied_lsn`` — the LSN of the last log record folded into that
 generation.  All maintenance between checkpoints happens in memory;
 nothing the applier does before the manifest flips is observable after a
 crash.  Recovery therefore has one shape regardless of where the crash
-landed: verify and load the generation the manifest names, re-open the
-log (which repairs its own torn tail), and re-apply every sealed record
-past ``applied_lsn``.  A record is applied exactly once per surviving
-generation — never zero times (it is sealed and durable before it is
-eligible) and never twice (the watermark moves with the generation that
-absorbed it) — and because :func:`apply_delta`, CURE+ post-processing,
-and the drift-driven compaction decision are all deterministic, the
-recovered cube is byte-identical to an uninterrupted run.
+landed: verify and load the generation the manifest names (the file
+checksum from the manifest, then the container's own directory and
+per-section checksums — fail closed), re-open the log (which repairs its
+own torn tail), and re-apply every sealed record past ``applied_lsn``.  A
+record is applied exactly once per surviving generation — never zero
+times (it is sealed and durable before it is eligible) and never twice
+(the watermark moves with the generation that absorbed it) — and because
+:func:`apply_delta`, CURE+ post-processing, and the drift-driven
+compaction decision are all deterministic, the recovered cube is
+byte-identical to an uninterrupted run.
+
+A checkpoint costs four ``fsync``s (container + directory, manifest +
+directory) whatever the lattice size.  Writing only the nodes a delta
+touched was measured and rejected: every fact row projects into every
+lattice node, so a 50-row delta changes ~90 % of the relations.
 
 **Compaction.**  Incremental maintenance drifts the cube away from the
 fully condensed form (demoted CATs, localized TTs).  When the cheap
 drift estimate (``drift_report(exact=False)``) crosses
-``compact_overhead``, the ingestor republishes the fact table, rebuilds
-through :class:`~repro.core.recovery.DurableCubeBuild`, atomically swaps
-generations, and truncates the log behind the watermark.  The estimate
-is computed from persisted accounting, so replay after a crash makes the
-identical per-record compaction decisions.
+``compact_overhead``, the ingestor rebuilds the cube in memory from its
+fact table — exactly what :meth:`StreamingIngestor.bootstrap` does — and
+checkpoints the result, which retires the drifted generation and
+truncates the log behind the watermark.  The estimate is computed from
+persisted accounting, so replay after a crash makes the identical
+per-record compaction decisions.
 
 A crash *before the first manifest commit* leaves nothing to recover;
 :meth:`StreamingIngestor.recover` raises :class:`IngestError` and the
@@ -48,25 +56,32 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.cure import build_cube
-from repro.core.incremental import apply_delta, drift_report
+from repro.core.incremental import apply_delta, drift_report, validate_delta
 from repro.core.model import CubeSchema
 from repro.core.postprocess import postprocess_plus
-from repro.core.recovery import BuildManifest, DurableCubeBuild, publish_storage
 from repro.core.storage import CubeStorage
 from repro.ingest.log import AppendLog
 from repro.relational.durable import (
     atomic_write_text,
+    file_checksum,
     maybe_fire,
     remove_file,
-    text_checksum,
 )
 from repro.relational.engine import Engine
 from repro.relational.table import Table
+from repro.storage2.format import V2FormatError
+from repro.storage2.load import load_v2
+from repro.storage2.publish import write_v2
 
 if TYPE_CHECKING:
     from repro.query.planner import CubePlanner
 
-INGEST_MANIFEST_VERSION = 1
+INGEST_MANIFEST_VERSION = 2
+
+
+def generation_container(prefix: str, generation: int) -> str:
+    """File name of one generation's v2 container in the catalog root."""
+    return f"{prefix}.g{generation}.cube.v2"
 
 
 class IngestError(RuntimeError):
@@ -137,13 +152,6 @@ class StreamingIngestor:
         (from a producer that outran a crashed bootstrap) are applied
         once the commit lands.
         """
-        result = build_cube(schema, table=fact_table)
-        if result.storage.partition_level is not None:
-            raise IngestError(
-                "streaming maintenance needs a non-partitioned cube"
-            )
-        if plus:
-            postprocess_plus(result.storage)
         log = AppendLog.open(
             log_root,
             faults=engine.catalog.faults,
@@ -154,13 +162,12 @@ class StreamingIngestor:
             schema=schema,
             engine=engine,
             log=log,
-            storage=result.storage,
+            storage=_build(schema, fact_table, plus),
             fact_table=fact_table,
             prefix=prefix,
             plus=plus,
             compact_overhead=compact_overhead,
         )
-        ingestor.storage.row_resolver = ingestor._resolver()
         ingestor.checkpoint()
         ingestor.apply_ready()
         return ingestor
@@ -177,11 +184,14 @@ class StreamingIngestor:
     ) -> "StreamingIngestor":
         """Reload the last committed generation and replay past it.
 
-        Every artifact the manifest names is *verified* (checksums, row
-        counts) before it is trusted; the log repairs its own torn tail
-        on open; stale generations from crashed checkpoints are swept.
-        Raises :class:`IngestError` when no generation ever committed —
-        the caller bootstraps from its source data instead.
+        The container the manifest names is *verified* before it is
+        trusted — its whole-file checksum against the manifest, then its
+        own directory and per-section checksums as it loads, then the row
+        count; the log repairs its own torn tail on open; stale
+        generations from crashed checkpoints are swept.  Raises
+        :class:`IngestError` when no generation ever committed — the
+        caller bootstraps from its source data instead — and when the
+        committed one is damaged (fail closed: never a partial load).
         """
         catalog = engine.catalog
         manifest_path = catalog.root / f"{prefix}.ingest.json"
@@ -196,33 +206,24 @@ class StreamingIngestor:
                 f"ingest manifest at {manifest_path} has an unsupported "
                 f"version"
             )
-        cube_prefix = str(payload["cube_prefix"])
-        fact_relation = str(payload["fact_relation"])
-        problems: list[str] = []
-        for name, checksum in dict(payload["files"]).items():
-            if not catalog.exists(name):
-                problems.append(f"missing relation {name!r}")
-            elif catalog.checksum(name) != checksum:
-                problems.append(f"checksum mismatch for {name!r}")
-        meta_path = catalog.root / f"{cube_prefix}.meta.json"
-        if not meta_path.exists():
-            problems.append(f"missing cube metadata {meta_path.name!r}")
-        elif text_checksum(meta_path.read_text()) != payload["meta_checksum"]:
-            problems.append(f"checksum mismatch for {meta_path.name!r}")
-        if catalog.checksum(fact_relation) != payload["fact_checksum"]:
-            problems.append(f"checksum mismatch for fact {fact_relation!r}")
-        if problems:
+        container = catalog.root / str(payload["container"])
+        try:
+            if not container.exists():
+                raise V2FormatError(f"missing container {container.name!r}")
+            if file_checksum(container) != payload["container_checksum"]:
+                raise V2FormatError(
+                    f"checksum mismatch for {container.name!r}"
+                )
+            storage, fact_table = load_v2(container, schema)
+        except V2FormatError as error:
             raise IngestError(
-                "committed ingest generation fails verification: "
-                + "; ".join(problems)
-            )
-        fact_table = catalog.open(fact_relation).load()
+                f"committed ingest generation fails verification: {error}"
+            ) from error
         if len(fact_table) != int(payload["fact_rows"]):
             raise IngestError(
-                f"fact relation {fact_relation!r} has {len(fact_table)} "
+                f"container {container.name!r} holds {len(fact_table)} fact "
                 f"rows; the manifest recorded {payload['fact_rows']}"
             )
-        storage = CubeStorage.load(catalog, schema, cube_prefix)
         log = AppendLog.open(
             log_root,
             faults=catalog.faults,
@@ -241,12 +242,11 @@ class StreamingIngestor:
             generation=int(payload["generation"]),
             applied_lsn=int(payload["applied_lsn"]),
         )
-        storage.row_resolver = ingestor._resolver()
         if ingestor.plus:
-            # Restore the in-memory CURE+ representation (persisted cubes
-            # materialize bitmaps back to sorted lists): the conversion
-            # rule is deterministic, so this recreates exactly the state
-            # an uninterrupted run holds — including the size accounting
+            # Restore the in-memory CURE+ representation (a container
+            # holds bitmaps as sorted lists): the conversion rule is
+            # deterministic, so this recreates exactly the state an
+            # uninterrupted run holds — including the size accounting
             # the compaction trigger reads.
             postprocess_plus(storage)
         ingestor._sweep_stale_generations()
@@ -261,13 +261,22 @@ class StreamingIngestor:
         Validation happens *before* the append so the log never carries a
         record :func:`apply_delta` would reject; returns the record's LSN.
         """
-        checked = [tuple(row) for row in rows]
-        for row in checked:
-            self.schema.fact_schema.validate_row(row)
-        lsn = self.log.append(checked)
+        checked = validate_delta(self.schema, rows)
+        lsn = self.log.append(checked.tolist())
         self.stats.records_appended += 1
         self.stats.rows_appended += len(checked)
         return lsn
+
+    @property
+    def lag_records(self) -> int:
+        """Durably appended records the cube has not absorbed yet.
+
+        Last appended LSN − ``applied_lsn``: it counts sealed records
+        awaiting :meth:`apply_ready` and records still in the active
+        segment alike, and it is what a crash-recovered ingestor
+        reports too (both cursors are durable).
+        """
+        return self.log.next_lsn - 1 - self.applied_lsn
 
     # -- applying -----------------------------------------------------------
 
@@ -289,10 +298,7 @@ class StreamingIngestor:
         for record in records:
             maybe_fire(catalog.faults, f"ingest.apply:{record.lsn}")
             report = apply_delta(
-                self.storage,
-                self.schema,
-                self.fact_table,
-                [tuple(row) for row in record.rows],
+                self.storage, self.schema, self.fact_table, record.rows
             )
             if self.plus:
                 postprocess_plus(self.storage)
@@ -320,99 +326,41 @@ class StreamingIngestor:
     def checkpoint(self) -> None:
         """Publish the maintained cube and fact table as a new generation.
 
-        Staged publishes (``publish_storage`` for the cube, a ``.wip``
-        relation for the fact) mean a crash mid-checkpoint leaves only
-        sweepable garbage; the ingest-manifest write at the end is the
-        commit, after which the log is truncated behind the watermark and
-        the previous generation is dropped.
+        One v2 container, written from memory and atomically renamed (a
+        crash mid-write leaves a sweepable ``.wip`` or an unreferenced
+        container); the ingest-manifest write after it is the commit,
+        behind which the log is truncated to the watermark and the
+        previous generation's file is removed.
         """
         catalog = self.engine.catalog
         new_gen = self.generation + 1
         cube_prefix = self._cube_prefix(new_gen)
-        maybe_fire(catalog.faults, f"checkpoint.write:{cube_prefix}")
         self._drop_generation(new_gen)
-        fact_relation = f"{cube_prefix}.fact"
-        self._publish_fact(fact_relation)
-        files, _row_counts, meta_text = publish_storage(
-            catalog, self.storage, cube_prefix
+        container = write_v2(  # fires ``storage2.publish`` before writing
+            catalog.root / generation_container(self.prefix, new_gen),
+            self.schema,
+            self.storage,
+            self.fact_table.as_batch(),
+            cube_prefix=cube_prefix,
+            fact_relation=f"{cube_prefix}.fact",
+            faults=catalog.faults,
         )
+        # The written-but-uncommitted window: the container is durable
+        # and nothing references it yet.
+        maybe_fire(catalog.faults, f"checkpoint.write:{container.name}")
         self.stats.checkpoints += 1
-        self._flip_generation(
-            new_gen, cube_prefix, fact_relation, files, text_checksum(meta_text)
-        )
-
-    def compact(self) -> None:
-        """Rebuild the cube from the current facts and swap generations.
-
-        The fact table is republished first, the rebuild runs under
-        :class:`DurableCubeBuild` (inheriting its staged-commit crash
-        windows), and the manifest flip retires the drifted generation.
-        The rebuilt cube has zero drift, so the trigger re-arms cleanly.
-        """
-        catalog = self.engine.catalog
-        new_gen = self.generation + 1
-        cube_prefix = self._cube_prefix(new_gen)
-        maybe_fire(catalog.faults, f"ingest.compact:{cube_prefix}")
-        self._drop_generation(new_gen)
-        fact_relation = f"{cube_prefix}.fact"
-        self._publish_fact(fact_relation)
-        build = DurableCubeBuild(
-            self.schema, self.engine, fact_relation, prefix=cube_prefix
-        )
-        result = build.build()
-        storage = result.storage
-        if storage.partition_level is not None:
-            raise IngestError(
-                "compaction produced a partitioned cube (the fact table "
-                "outgrew the memory budget); streaming maintenance needs "
-                "the TT chain intact — raise the budget or rebuild offline"
-            )
-        storage.row_resolver = self._resolver()
-        if self.plus:
-            postprocess_plus(storage)
-        self.storage = storage
-        if self.planner is not None:
-            self.planner.storage = storage
-            self.stats.results_dropped += self.planner.invalidate_results()
-        manifest = BuildManifest.load(build.manifest_path)
-        final = manifest.final or {}
-        files = {
-            str(name): str(checksum)
-            for name, checksum in dict(final.get("files", {})).items()
-        }
-        self.stats.compactions += 1
-        self._flip_generation(
-            new_gen,
-            cube_prefix,
-            fact_relation,
-            files,
-            str(final.get("meta_checksum", "")),
-        )
-
-    def _flip_generation(
-        self,
-        new_gen: int,
-        cube_prefix: str,
-        fact_relation: str,
-        files: dict[str, str],
-        meta_checksum: str,
-    ) -> None:
-        """Write the ingest manifest (THE commit point), then collect garbage."""
-        catalog = self.engine.catalog
         payload = {
             "version": INGEST_MANIFEST_VERSION,
             "prefix": self.prefix,
             "generation": new_gen,
-            "cube_prefix": cube_prefix,
-            "fact_relation": fact_relation,
+            "container": container.name,
+            "container_checksum": file_checksum(container),
             "applied_lsn": self.applied_lsn,
             "plus": self.plus,
             "compact_overhead": self.compact_overhead,
-            "files": files,
-            "meta_checksum": meta_checksum,
-            "fact_checksum": catalog.checksum(fact_relation),
             "fact_rows": len(self.fact_table),
         }
+        # THE commit point.
         atomic_write_text(self.manifest_path, json.dumps(payload, sort_keys=True))
         maybe_fire(catalog.faults, f"manifest.save:{self.prefix}.ingest")
         old_gen = self.generation
@@ -423,6 +371,28 @@ class StreamingIngestor:
         if old_gen >= 0:
             self._drop_generation(old_gen)
 
+    def compact(self) -> None:
+        """Rebuild the cube from the current facts and swap generations.
+
+        The rebuild is the in-memory build :meth:`bootstrap` runs (the
+        ingestor owns the whole fact table anyway); the checkpoint that
+        follows commits it.  Nothing is observable before that commit, so
+        a crash anywhere in here recovers the drifted generation and
+        replays into the same decision.  The rebuilt cube has zero drift,
+        so the trigger re-arms cleanly.
+        """
+        catalog = self.engine.catalog
+        maybe_fire(
+            catalog.faults,
+            f"ingest.compact:{self._cube_prefix(self.generation + 1)}",
+        )
+        self.storage = _build(self.schema, self.fact_table, self.plus)
+        if self.planner is not None:
+            self.planner.storage = self.storage
+            self.stats.results_dropped += self.planner.invalidate_results()
+        self.stats.compactions += 1
+        self.checkpoint()
+
     # -- geometry and GC ----------------------------------------------------
 
     @property
@@ -432,38 +402,36 @@ class StreamingIngestor:
     def _cube_prefix(self, generation: int) -> str:
         return f"{self.prefix}.g{generation}"
 
-    def _resolver(self):
-        fact_table = self.fact_table
-        schema = self.schema
-        return lambda rowid: schema.dim_values(fact_table[rowid])
-
-    def _publish_fact(self, fact_relation: str) -> None:
-        catalog = self.engine.catalog
-        staged = f"{fact_relation}.wip"
-        if catalog.exists(staged):
-            catalog.drop(staged)
-        self.engine.store_table(staged, self.fact_table)
-        catalog.publish(staged, fact_relation)
-
     def _drop_generation(self, generation: int) -> None:
-        """Remove every artifact of one generation (idempotent sweep)."""
-        catalog = self.engine.catalog
-        cube_prefix = self._cube_prefix(generation)
-        for name in catalog.names():
-            if name.startswith(cube_prefix + "."):
-                catalog.drop(name)
-        remove_file(catalog.root / f"{cube_prefix}.meta.json")
-        remove_file(catalog.root / f"{cube_prefix}.wip.meta.json")
-        remove_file(catalog.root / f"{cube_prefix}.manifest.json")
+        """Remove every file of one generation (idempotent sweep)."""
+        self._sweep(lambda found: found == generation)
 
     def _sweep_stale_generations(self) -> None:
         """Drop generations other than the committed one (crash leftovers)."""
-        catalog = self.engine.catalog
+        self._sweep(lambda found: found != self.generation)
+
+    def _sweep(self, doomed) -> None:
+        """Unlink ``<prefix>.g<k>.*`` files whose ``k`` satisfies ``doomed``.
+
+        Walks the directory, not the catalog's relation names: a
+        generation is a plain file, and what a crash strands beside it —
+        the ``.wip`` sibling of an interrupted atomic write — is not a
+        relation either.
+        """
         pattern = re.compile(rf"^{re.escape(self.prefix)}\.g(\d+)\.")
-        stale: set[int] = set()
-        for name in catalog.names():
-            match = pattern.match(name)
-            if match and int(match.group(1)) != self.generation:
-                stale.add(int(match.group(1)))
-        for generation in sorted(stale):
-            self._drop_generation(generation)
+        for path in sorted(self.engine.catalog.root.iterdir()):
+            match = pattern.match(path.name)
+            if match and doomed(int(match.group(1))):
+                remove_file(path)
+
+
+def _build(schema: CubeSchema, fact_table: Table, plus: bool) -> CubeStorage:
+    """The from-scratch in-memory cube bootstrap and compaction share."""
+    storage = build_cube(schema, table=fact_table).storage
+    if storage.partition_level is not None:
+        raise IngestError(
+            "streaming maintenance needs a non-partitioned cube"
+        )
+    if plus:
+        postprocess_plus(storage)
+    return storage

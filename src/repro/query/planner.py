@@ -176,17 +176,32 @@ class CubePlanner:
             dropped = len(self.results)
             self.results.clear()
             return dropped
-        schema = self.storage.schema
+        dimensions = self.storage.schema.dimensions
         delta_codes = report.delta_codes
+        rolled: dict[tuple[int, int], list[int]] = {}
 
-        def stale(node_id: int, slices: tuple[DimensionSlice, ...]) -> bool:
-            if not slices:
-                return True
-            node = schema.decode_node(node_id)
-            accepts = slice_predicate(schema, node, slices)
+        def at_level(dim: int, level: int) -> list[int]:
+            """The delta rows' members of ``dim`` at ``level``, rolled once."""
+            codes = rolled.get((dim, level))
+            if codes is None:
+                codes = rolled[dim, level] = [
+                    dimensions[dim].code_at(row[dim], level)
+                    for row in delta_codes
+                ]
+            return codes
+
+        def stale(_node_id: int, slices: tuple[DimensionSlice, ...]) -> bool:
+            # A slice level is a roll-up of its node's level (validated
+            # when the entry was answered), so a delta row's projection
+            # onto the node passes the slice exactly when the row's own
+            # member at the slice level is one of the slice's members.
+            columns = [
+                (at_level(item.dim, item.level), item.members)
+                for item in slices
+            ]
             return any(
-                accepts(schema.project_to_node(codes, node))
-                for codes in delta_codes
+                all(codes[i] in members for codes, members in columns)
+                for i in range(len(delta_codes))
             )
 
         return self.results.invalidate(stale)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 _ROWID_BYTES = 4  # size of one stored row-id, matching ColumnType.INT32
 
 
@@ -30,10 +32,23 @@ class Bitmap:
             self._bits = bytearray((self.universe + 7) // 8)
 
     @classmethod
-    def from_rowids(cls, rowids: Iterable[int], universe: int) -> "Bitmap":
+    def from_rowids(
+        cls, rowids: Iterable[int] | np.ndarray, universe: int
+    ) -> "Bitmap":
+        """The bitmap with exactly ``rowids`` set (one ``packbits``)."""
+        if not isinstance(rowids, np.ndarray):
+            rowids = np.fromiter(rowids, dtype=np.int64)
         bitmap = cls(universe)
-        for rowid in rowids:
-            bitmap.set(rowid)
+        if len(rowids):
+            low, high = int(rowids.min()), int(rowids.max())
+            if low < 0 or high >= universe:
+                bad = low if low < 0 else high
+                raise IndexError(
+                    f"row-id {bad} outside universe {universe}"
+                )
+            flags = np.zeros(8 * len(bitmap._bits), dtype=np.uint8)
+            flags[rowids] = 1
+            bitmap._bits[:] = np.packbits(flags, bitorder="little").tobytes()
         return bitmap
 
     def set(self, rowid: int) -> None:
@@ -49,18 +64,19 @@ class Bitmap:
     def __contains__(self, rowid: int) -> bool:
         return self.test(rowid)
 
+    def to_array(self) -> np.ndarray:
+        """The set row-ids as an ascending int64 array (one ``unpackbits``)."""
+        flags = np.unpackbits(
+            np.frombuffer(self._bits, dtype=np.uint8), bitorder="little"
+        )
+        return np.flatnonzero(flags).astype(np.int64, copy=False)
+
     def iter_set(self) -> Iterator[int]:
         """Yield set row-ids in ascending order (sequential by design)."""
-        for byte_index, byte in enumerate(self._bits):
-            if not byte:
-                continue
-            base = byte_index << 3
-            for bit in range(8):
-                if byte & (1 << bit):
-                    yield base + bit
+        return iter(self.to_array().tolist())
 
     def count(self) -> int:
-        return sum(bin(byte).count("1") for byte in self._bits)
+        return int.from_bytes(self._bits, "little").bit_count()
 
     @property
     def size_bytes(self) -> int:

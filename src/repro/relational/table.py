@@ -70,13 +70,22 @@ class Table:
             self.append(row)
 
     def append_batch(self, batch: ColumnBatch) -> None:
-        """Append a columnar batch (bridged through tuples)."""
+        """Append a columnar batch (bridged through tuples).
+
+        A current columnar view (:meth:`as_batch`) is extended alongside
+        the rows instead of going stale, so a fact table that grows by
+        small deltas never re-transposes what it already holds.
+        """
         if batch.schema.names != self.schema.names:
             raise ValueError(
                 f"batch schema {batch.schema.names} does not match "
                 f"table schema {self.schema.names}"
             )
+        cached = self._batch if self.rows else ColumnBatch.empty(self.schema)
+        current = cached is not None and cached.length == len(self.rows)
         self.rows.extend(batch.to_rows())
+        if current:
+            self._batch = ColumnBatch.concat(self.schema, [cached, batch])
 
     def as_batch(self) -> ColumnBatch:
         """The whole table as one columnar batch (cached).

@@ -128,6 +128,7 @@ class V2Writer:
     def __init__(self, meta: dict[str, Any]) -> None:
         self.meta = dict(meta)
         self._entries: list[SectionEntry] = []
+        self._names: set[str] = set()
         self._payloads: list[bytes] = []
         self._cursor = HEADER_BYTES
 
@@ -153,8 +154,9 @@ class V2Writer:
         count: int,
         extra: dict[str, Any] | None = None,
     ) -> None:
-        if any(entry.name == name for entry in self._entries):
+        if name in self._names:
             raise ValueError(f"duplicate section name {name!r}")
+        self._names.add(name)
         offset = _aligned(self._cursor)
         self._entries.append(
             SectionEntry(

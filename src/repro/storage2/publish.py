@@ -22,9 +22,16 @@ batch, and lays every relation out as v2 sections:
 
 The directory's ``meta`` carries everything ``CubeStorage.load`` reads
 from ``<prefix>.meta.json`` plus the publishing bundle's cube prefix,
-fact relation and v1 meta checksum, so ``open_bundle`` can detect a v2
-file that no longer describes the bundle's current cube (e.g. after a
-streaming-ingest generation flip) and fall back to v1 silently.
+fact relation and v1 meta checksum, so ``open_bundle`` can detect a
+``cube.v2`` that no longer describes the bundle's v1 relations and fall
+back to them silently.
+
+The same writer is streaming ingest's checkpoint: a generation is one
+container, ``<prefix>.g<k>.cube.v2``, written by :func:`write_v2` from
+the ingestor's in-memory cube and fact columns (no v1 relations exist
+for it, so its ``cube_meta_checksum`` is empty), read back mutable by
+:func:`repro.storage2.load.load_v2` on recovery and mapped as is by
+``open_bundle``.
 
 The file itself is published through
 :func:`~repro.relational.durable.atomic_write_chunks` behind the
@@ -95,9 +102,9 @@ def build_writer(
         if store.nt_rows:
             writer.add_array(f"node/{node_id}/nt", store.nt_matrix())
         tt_rowids = (
-            np.fromiter(store.tt_bitmap.iter_set(), dtype=np.int64)
+            store.tt_bitmap.to_array()
             if store.tt_bitmap is not None
-            else np.asarray(store.tt_rowids, dtype=np.int64)
+            else store.tt_array()
         )
         if len(tt_rowids):
             codec, payload = encode_rowid_list(tt_rowids)
@@ -110,9 +117,7 @@ def build_writer(
                 count=len(tt_rowids),
             )
         if store.cat_bitmap is not None:
-            cat_matrix = np.fromiter(
-                store.cat_bitmap.iter_set(), dtype=np.int64
-            ).reshape(-1, 1)
+            cat_matrix = store.cat_bitmap.to_array().reshape(-1, 1)
         elif store.cat_rows:
             cat_matrix = store.cat_matrix()
         else:
@@ -191,10 +196,18 @@ def publish_v2_bundle(directory: str | Path) -> Path:
     Reads through the v1 path (explicitly — a stale v2 file must not
     feed its own replacement), stamps the v1 meta checksum for the
     staleness guard, and atomically publishes the container.
+
+    A bundle that has been streamed into has nothing to compact: its
+    committed ingest generation already is a v2 container, and
+    ``open_bundle`` maps it.  That file's path is returned and nothing
+    is written.
     """
-    from repro.bundle import open_bundle
+    from repro.bundle import open_bundle, streamed_container
 
     root = Path(directory)
+    generation = streamed_container(root)
+    if generation is not None:
+        return generation
     with open_bundle(root, use_v2=False) as bundle:
         fact_batch = bundle.catalog.open(bundle.fact_relation).load_batch()
         checksum = file_checksum(

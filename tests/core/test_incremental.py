@@ -308,3 +308,59 @@ def test_drift_estimate_tracks_exact_report(paper_schema):
     # The estimate only accounts CAT demotions, so it can under- but
     # never over-shoot the exact ratio.
     assert estimate.overhead_ratio <= exact.overhead_ratio + 1e-9
+
+
+def test_delta_validated_once_as_a_matrix(paper_schema):
+    """Arity, integrality and code range are checked on one int64 matrix
+    before anything mutates; what passes may arrive as tuples or as the
+    matrix itself."""
+    import numpy as np
+
+    from repro.core.incremental import validate_delta
+
+    good = [(0, 0, 0, 5), (11, 7, 4, -3)]
+    matrix = validate_delta(paper_schema, good)
+    assert matrix.dtype == np.int64 and matrix.tolist() == [list(r) for r in good]
+    assert validate_delta(paper_schema, matrix) is matrix
+    assert validate_delta(paper_schema, []).shape == (0, 4)
+    with pytest.raises(ValueError, match="row arity 3 does not match schema arity 4"):
+        validate_delta(paper_schema, good + [(0, 0, 0)])
+    with pytest.raises(ValueError, match="integers"):
+        validate_delta(paper_schema, [(0, 0, 0, 1.5)])
+    with pytest.raises(ValueError, match=r"dimension 'A' code 12 is outside \[0, 12\)"):
+        validate_delta(paper_schema, [(12, 0, 0, 1)])
+    with pytest.raises(ValueError, match="code -1"):
+        validate_delta(paper_schema, [(0, -1, 0, 1)])
+
+
+def test_out_of_range_code_is_rejected_as_a_noop(paper_schema):
+    """A member code the roll-up maps cannot index is refused up front —
+    it must never reach the merge, where failing is no longer a no-op."""
+    base, delta = make_instance(paper_schema, 60, 4, seed=15)
+    result = build_cube(paper_schema, table=base)
+    snapshot = _cube_snapshot(result.storage)
+    with pytest.raises(ValueError, match="outside"):
+        apply_delta(result.storage, paper_schema, base, delta + [(0, 8, 0, 1)])
+    assert len(base) == 60
+    assert _cube_snapshot(result.storage) == snapshot
+
+
+def test_matrix_delta_and_warm_views(paper_schema):
+    """An int64 matrix is a delta too, and the update leaves the node
+    stores' array views equal to their row lists (nothing to re-box)."""
+    import numpy as np
+
+    base, delta = make_instance(paper_schema, 120, 20, seed=16)
+    result = build_cube(paper_schema, table=base)
+    report = apply_delta(
+        result.storage, paper_schema, base, np.asarray(delta, dtype=np.int64)
+    )
+    assert report.delta_rows == 20 and report.delta_codes[0] == delta[0][:3]
+    assert base.rows[-1] == delta[-1]
+    assert base.as_batch().length == 140
+    for store in result.storage.nodes.values():
+        if store.nt_rows:
+            assert store._nt_matrix is not None
+            assert store.nt_matrix().tolist() == [list(r) for r in store.nt_rows]
+        assert store.tt_array().tolist() == store.tt_rowids
+    assert_equals_reference(paper_schema, base, result.storage)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import CubeSchema, Table, linear_dimension, make_aggregates
+from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.ingest import IngestError, StreamingIngestor
+from repro.ingest.ingestor import generation_container
 from repro.lattice.node import CubeNode
 from repro.query import (
     CubePlanner,
@@ -15,6 +19,9 @@ from repro.query import (
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
+from repro.relational.durable import InjectedCrash, file_checksum
+from repro.storage2 import V2File
+from tests.storage2.test_corruption import flip_byte
 
 
 def small_schema() -> CubeSchema:
@@ -41,6 +48,14 @@ def bootstrap(engine, tmp_path, **kwargs):
     )
 
 
+def fresh_engine(tmp_path):
+    from repro.relational.catalog import Catalog
+    from repro.relational.engine import Engine
+    from repro.relational.memory import MemoryManager
+
+    return Engine(Catalog(tmp_path / "cat"), MemoryManager())
+
+
 def assert_queries_match(ingestor):
     cache = FactCache(SCHEMA, table=ingestor.fact_table)
     for node in SCHEMA.lattice.nodes():
@@ -61,13 +76,8 @@ def test_bootstrap_apply_recover_round_trip(engine, tmp_path):
     ingestor.checkpoint()
     assert_queries_match(ingestor)
 
-    from repro.relational.catalog import Catalog
-    from repro.relational.engine import Engine
-    from repro.relational.memory import MemoryManager
-
-    fresh = Engine(Catalog(tmp_path / "cat"), MemoryManager())
     recovered = StreamingIngestor.recover(
-        SCHEMA, fresh, tmp_path / "log", seal_records=2
+        SCHEMA, fresh_engine(tmp_path), tmp_path / "log", seal_records=2
     )
     assert recovered.applied_lsn == ingestor.applied_lsn
     assert recovered.generation == ingestor.generation
@@ -81,25 +91,70 @@ def test_recover_without_manifest_raises(engine, tmp_path):
         StreamingIngestor.recover(SCHEMA, engine, tmp_path / "log")
 
 
-def test_recover_rejects_tampered_fact(engine, tmp_path):
+def committed_generation(engine, tmp_path):
+    """One applied record, checkpointed; returns the container's path."""
     ingestor = bootstrap(engine, tmp_path)
     ingestor.append([(1, 1, 5)])
     ingestor.log.seal()
     ingestor.apply_ready()
     ingestor.checkpoint()
-    fact_relation = f"{ingestor._cube_prefix(ingestor.generation)}.fact"
-    heap_path = engine.catalog.root / f"{fact_relation}.dat"
-    data = bytearray(heap_path.read_bytes())
-    data[-1] ^= 0xFF
-    heap_path.write_bytes(bytes(data))
+    return ingestor, engine.catalog.root / generation_container(
+        ingestor.prefix, ingestor.generation
+    )
 
-    from repro.relational.catalog import Catalog
-    from repro.relational.engine import Engine
-    from repro.relational.memory import MemoryManager
 
-    fresh = Engine(Catalog(tmp_path / "cat"), MemoryManager())
+def test_recover_rejects_tampered_fact(engine, tmp_path):
+    _ingestor, container = committed_generation(engine, tmp_path)
+    entry = V2File.open(container).entry("fact/measure/0")
+    flip_byte(container, entry.offset + entry.nbytes - 1)
     with pytest.raises(IngestError, match="fails verification"):
-        StreamingIngestor.recover(SCHEMA, fresh, tmp_path / "log")
+        StreamingIngestor.recover(
+            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+        )
+
+
+def test_recover_rejects_truncated_generation(engine, tmp_path):
+    _ingestor, container = committed_generation(engine, tmp_path)
+    container.write_bytes(container.read_bytes()[:200])
+    with pytest.raises(IngestError, match="fails verification"):
+        StreamingIngestor.recover(
+            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+        )
+    container.unlink()
+    with pytest.raises(IngestError, match="missing container"):
+        StreamingIngestor.recover(
+            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+        )
+
+
+def test_recover_verifies_sections_behind_the_file_checksum(engine, tmp_path):
+    """The container's own checksums are a second line: a manifest that
+    vouches for damaged bytes still does not get them loaded."""
+    ingestor, container = committed_generation(engine, tmp_path)
+    entry = V2File.open(container).entry("node/0/nt")
+    flip_byte(container, entry.offset)
+    payload = json.loads(ingestor.manifest_path.read_text())
+    payload["container_checksum"] = file_checksum(container)
+    ingestor.manifest_path.write_text(json.dumps(payload))
+    with pytest.raises(IngestError, match="node/0/nt"):
+        StreamingIngestor.recover(
+            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+        )
+
+
+def test_checkpoint_is_one_file_per_generation(engine, tmp_path):
+    ingestor, container = committed_generation(engine, tmp_path)
+    generations = sorted(
+        path.name
+        for path in engine.catalog.root.iterdir()
+        if path.name.startswith(f"{ingestor.prefix}.g")
+    )
+    assert generations == [container.name]  # the previous one is gone
+    assert engine.catalog.names() == []  # and nothing is a heap relation
+    payload = json.loads(ingestor.manifest_path.read_text())
+    assert payload["container"] == container.name
+    assert payload["container_checksum"] == file_checksum(container)
+    assert V2File.open(container).verify_all() == []
 
 
 def test_append_validates_before_logging(engine, tmp_path):
@@ -135,33 +190,97 @@ def test_no_compaction_without_budget(engine, tmp_path):
 
 
 def test_stale_generation_swept_on_recover(engine, tmp_path):
-    ingestor = bootstrap(engine, tmp_path)
-    ingestor.append([(1, 1, 5)])
-    ingestor.log.seal()
-    ingestor.apply_ready()
-    ingestor.checkpoint()
+    ingestor, container = committed_generation(engine, tmp_path)
     committed = ingestor.generation
-    # Fake a crashed checkpoint: relations of a never-committed generation.
+    # Fake crashed checkpoints: an orphaned container that never got its
+    # manifest, the ``.wip`` of an interrupted atomic write, and heap
+    # relations an older layout would have left under the same prefix.
+    root = engine.catalog.root
+    orphan = root / generation_container(ingestor.prefix, committed + 1)
+    orphan.write_bytes(container.read_bytes())
+    torn = root / (generation_container(ingestor.prefix, committed + 2) + ".wip")
+    torn.write_bytes(b"half a container")
     stale_prefix = ingestor._cube_prefix(committed + 1)
     engine.store_table(
         f"{stale_prefix}.fact", Table(SCHEMA.fact_schema, [(0, 0, 1)])
     )
-    assert any(
-        name.startswith(stale_prefix) for name in engine.catalog.names()
-    )
 
-    from repro.relational.catalog import Catalog
-    from repro.relational.engine import Engine
-    from repro.relational.memory import MemoryManager
-
-    fresh = Engine(Catalog(tmp_path / "cat"), MemoryManager())
+    fresh = fresh_engine(tmp_path)
     recovered = StreamingIngestor.recover(
         SCHEMA, fresh, tmp_path / "log", seal_records=2
     )
     assert recovered.generation == committed
+    assert container.exists()
+    assert not orphan.exists() and not torn.exists()
     assert not any(
         name.startswith(stale_prefix) for name in fresh.catalog.names()
     )
+    assert_queries_match(recovered)
+
+
+@pytest.mark.parametrize(
+    "site, committed",
+    [
+        ("storage2.publish:*", 0),  # before the container is written
+        ("checkpoint.write:*", 0),  # container durable, manifest not yet
+        ("manifest.save:stream.ingest", 1),  # the commit landed
+    ],
+)
+def test_crashed_checkpoint_leaves_only_sweepable_garbage(
+    tmp_path, site, committed
+):
+    """Whichever side of the manifest flip a checkpoint dies on, recovery
+    ends with exactly one generation file: the committed one."""
+    engine = fresh_engine(tmp_path)
+    engine.install_faults(
+        FaultInjector(plan=(FaultSpec(site=site, kind=FaultKind.CRASH, hit=2),))
+    )
+    ingestor = bootstrap(engine, tmp_path)  # hit 1: generation 0
+    ingestor.append([(1, 1, 5)])
+    ingestor.log.seal()
+    ingestor.apply_ready()
+    with pytest.raises(InjectedCrash):
+        ingestor.checkpoint()
+    engine.close()
+    recovered = StreamingIngestor.recover(
+        SCHEMA, fresh_engine(tmp_path), tmp_path / "log", seal_records=2
+    )
+    assert recovered.generation == committed
+    assert len(recovered.fact_table) == len(BASE) + 1  # replayed or loaded
+    names = sorted(
+        path.name
+        for path in (tmp_path / "cat").iterdir()
+        if path.name.startswith("stream.g")
+    )
+    assert names == [generation_container("stream", committed)]
+    assert_queries_match(recovered)
+
+
+def test_lag_records_across_append_seal_apply_recover(engine, tmp_path):
+    ingestor = bootstrap(engine, tmp_path)  # seal_records=2
+    assert ingestor.lag_records == 0
+    ingestor.append([(1, 1, 5)])
+    assert ingestor.lag_records == 1  # durable, still in the active segment
+    assert ingestor.apply_ready() == 0
+    assert ingestor.lag_records == 1
+    ingestor.append([(2, 2, 6)])  # second record seals the segment
+    ingestor.append([(3, 3, 7)])
+    assert ingestor.lag_records == 3
+    assert ingestor.apply_ready() == 2
+    assert ingestor.lag_records == 1  # the unsealed third record
+    ingestor.checkpoint()
+    assert ingestor.lag_records == 1  # committing does not absorb it
+
+    # A crash now loses nothing durable: the recovered ingestor reports
+    # the same lag, and sealing + applying drains it.
+    recovered = StreamingIngestor.recover(
+        SCHEMA, fresh_engine(tmp_path), tmp_path / "log", seal_records=2
+    )
+    assert recovered.lag_records == 1
+    recovered.log.seal()
+    assert recovered.apply_ready() == 1
+    assert recovered.lag_records == 0
+    assert_queries_match(recovered)
 
 
 def test_planner_fine_grained_invalidation(engine, tmp_path):

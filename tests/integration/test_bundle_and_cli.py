@@ -7,7 +7,13 @@ import random
 import pytest
 
 from repro import build_cube
-from repro.bundle import open_bundle, save_bundle, schema_from_json, schema_to_json
+from repro.bundle import (
+    open_bundle,
+    save_bundle,
+    schema_from_json,
+    schema_to_json,
+    streamed_container,
+)
 from repro.cli import main as cli_main
 from repro.datasets.loader import DimensionSpec, load_records
 from repro.query import answer_cure_query, reference_group_by
@@ -322,14 +328,16 @@ def test_cli_ingest_updates_bundle_queries(cli_workspace, capsys):
     assert "ingested 3 rows" in out
     assert "committed generation" in out
 
-    # The bundle now answers from the committed ingest generation.
+    assert "lag 0 records" in out
+
+    # The bundle now answers from the committed ingest generation: one
+    # mapped v2 container, no v1 relations behind it.
     with open_bundle(cube_dir) as bundle:
+        assert bundle.v2 is not None
+        assert bundle.v2.file.path == streamed_container(cube_dir)
         assert bundle.fact_row_count == 203
         cache = bundle.fact_cache()
-        fact_rows = [
-            bundle.catalog.open(bundle.fact_relation).read_row(i)
-            for i in range(bundle.fact_row_count)
-        ]
+        fact_rows = cache.fetch_many(range(bundle.fact_row_count))
         for node in bundle.schema.lattice.nodes():
             expected = reference_group_by(bundle.schema, fact_rows, node)
             got = normalize_answer(
@@ -354,6 +362,52 @@ def test_cli_ingest_updates_bundle_queries(cli_workspace, capsys):
     assert "ingested 1 rows" in out
     with open_bundle(cube_dir) as bundle:
         assert bundle.fact_row_count == 204
+
+
+def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
+    """After an ingest the committed generation *is* the served v2 file:
+    an earlier ``cube.v2`` is ignored (not consulted for staleness),
+    ``publish-v2`` has nothing to compact, ``verify-cube`` checks the
+    generation, and a damaged generation stops the next ingest instead of
+    silently restarting from the bundle's original facts."""
+    tmp_path, csv_path, spec_path = cli_workspace
+    cube_dir = tmp_path / "cube"
+    cli_main([
+        "build", "--csv", str(csv_path), "--spec", str(spec_path),
+        "--out", str(cube_dir),
+    ])
+    assert cli_main(["publish-v2", "--cube", str(cube_dir)]) == 0
+    published = (cube_dir / "cube.v2").read_bytes()
+    assert streamed_container(cube_dir) is None
+    delta_csv = tmp_path / "delta.csv"
+    _write_delta_csv(delta_csv, [["s0", "Athens", 7]])
+    assert cli_main(["ingest", "--cube", str(cube_dir), "--csv", str(delta_csv)]) == 0
+    capsys.readouterr()
+
+    generation = streamed_container(cube_dir)
+    assert generation is not None and generation.name == "stream.g1.cube.v2"
+    with open_bundle(cube_dir) as bundle:
+        assert bundle.v2.file.path == generation
+        assert bundle.fact_row_count == 201
+    # use_v2=False cannot mean "v1 relations": a generation has none.
+    with open_bundle(cube_dir, use_v2=False) as bundle:
+        assert bundle.v2.file.path == generation
+
+    assert cli_main(["publish-v2", "--cube", str(cube_dir)]) == 0
+    assert str(generation) in capsys.readouterr().out
+    assert (cube_dir / "cube.v2").read_bytes() == published  # untouched
+    assert cli_main(["verify-cube", "--cube", str(cube_dir)]) == 0
+    assert generation.name in capsys.readouterr().out
+
+    from repro.storage2 import V2File
+
+    data = bytearray(generation.read_bytes())
+    data[V2File.open(generation).entry("fact/measure/0").offset] ^= 0xFF
+    generation.write_bytes(bytes(data))
+    assert cli_main(["verify-cube", "--cube", str(cube_dir)]) != 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit, match="fails verification"):
+        cli_main(["ingest", "--cube", str(cube_dir), "--csv", str(delta_csv)])
 
 
 def test_cli_ingest_rejects_malformed_rows(cli_workspace, capsys):

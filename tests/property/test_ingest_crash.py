@@ -2,10 +2,13 @@
 
 A recording run drives a deterministic ingest script — bootstrap, eight
 appended batches applied as their segments seal, an explicit compaction,
-a final checkpoint — and enumerates every injection point, including the
-four ``ingest.*`` families.  For each sampled point (``FAULT_SEED``
-selects the sample; CI unions seeds toward full coverage) the script is
-crashed exactly there and recovery runs as a new process would: recover
+a final checkpoint — and enumerates every injection point: the four
+``ingest.*`` families plus the three a one-file generation checkpoint
+fires (``storage2.publish`` before the container is written,
+``checkpoint.write`` once it is durable but unreferenced,
+``manifest.save`` after the commit).  For each sampled point
+(``FAULT_SEED`` selects the sample; CI unions seeds toward full coverage;
+``MAX_CRASH_POINTS=100000`` enumerates all of them) the script is crashed exactly there and recovery runs as a new process would: recover
 the last committed generation from disk (or bootstrap afresh when the
 crash predates the first commit), then re-drive the script from the
 log's own ``next_lsn`` — the producer re-appends whatever the crash
@@ -149,8 +152,11 @@ def baseline(instance, tmp_path_factory):
     ingestor, recorder = _run(
         tmp_path_factory.mktemp("baseline"), instance, ()
     )
-    for family in ("ingest.append", "ingest.seal", "ingest.apply", "ingest.compact"):
-        assert recorder.sites(f"{family}:*"), f"no {family} sites in trace"
+    families = {site.split(":")[0] for site in recorder.trace}
+    assert families == {
+        "ingest.append", "ingest.seal", "ingest.apply", "ingest.compact",
+        "storage2.publish", "checkpoint.write", "manifest.save",
+    }
     reference = (_cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
     return reference, list(recorder.trace)
 
