@@ -224,9 +224,9 @@ def cmd_query(args) -> int:
         node = _parse_group_by(schema, args.group_by)
         slices = _parse_where(schema, bundle, args.where, node)
         cache = bundle.fact_cache(fraction=args.cache)
-        answer = sorted(
-            answer_cure_sliced(bundle.storage, cache, node, slices, indices=None)
-        )
+        answer = answer_cure_sliced(
+            bundle.storage, cache, node, slices, indices=None
+        ).normalized()
         grouping = node.grouping_dims(schema.dimensions)
         header = [
             f"{schema.dimensions[d].name}."
@@ -234,19 +234,18 @@ def cmd_query(args) -> int:
             for d in grouping
         ] + [spec.name for spec in schema.aggregates]
         print("\t".join(header))
-        shown = 0
-        for dims, aggregates in answer:
+        # Only the rows that print become Python tuples.
+        shown = min(args.limit, len(answer)) if args.limit > 0 else len(answer)
+        for dims, aggregates in zip(
+            answer.dims[:shown].tolist(), answer.aggregates[:shown].tolist()
+        ):
             rendered = [
                 schema.dimensions[d].member_name(node.levels[d], code)
                 for d, code in zip(grouping, dims)
             ]
             print("\t".join(rendered + [str(v) for v in aggregates]))
-            shown += 1
-            if args.limit and shown >= args.limit:
-                remaining = len(answer) - shown
-                if remaining:
-                    print(f"… {remaining} more rows (raise --limit)")
-                break
+        if shown < len(answer):
+            print(f"… {len(answer) - shown} more rows (raise --limit)")
     return 0
 
 

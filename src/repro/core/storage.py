@@ -166,14 +166,22 @@ class NodeStore:
         return count
 
     @property
+    def tt_count(self) -> int:
+        """How many trivial tuples the node stores, list or bitmap."""
+        if self.tt_bitmap is not None:
+            return self.tt_bitmap.count()
+        return len(self.tt_rowids)
+
+    @property
+    def cat_count(self) -> int:
+        """How many CATs the node stores, rows or bitmap."""
+        if self.cat_bitmap is not None:
+            return self.cat_bitmap.count()
+        return len(self.cat_rows)
+
+    @property
     def stored_tuples(self) -> int:
-        tt_count = (
-            self.tt_bitmap.count() if self.tt_bitmap else len(self.tt_rowids)
-        )
-        cat_count = (
-            self.cat_bitmap.count() if self.cat_bitmap else len(self.cat_rows)
-        )
-        return len(self.nt_rows) + tt_count + cat_count
+        return len(self.nt_rows) + self.tt_count + self.cat_count
 
 
 @dataclass

@@ -5,16 +5,12 @@ from __future__ import annotations
 from repro.query.cache import FactCache, ResultCache
 from repro.query.column_answer import ColumnAnswer, answer_schema
 from repro.query.answer import (
-    AnyAnswer,
     QueryStats,
     answer_bubst_query,
     answer_buc_query,
     answer_cure_query,
-    answer_pairs,
-    batch_execution_enabled,
     normalize_answer,
     reference_group_by,
-    set_batch_execution,
 )
 from repro.query.workload import (
     WorkloadOp,
@@ -28,10 +24,8 @@ from repro.query.planner import CubePlanner, QueryPlan, QueryRequest, build_indi
 from repro.query.slice import (
     DimensionSlice,
     allowed_rowid_array,
-    allowed_rowids,
     answer_cure_sliced,
     slice_mask,
-    slice_predicate,
 )
 from repro.query.rollup import (
     answer_rollup_from_bubst,
@@ -47,7 +41,6 @@ from repro.query.iceberg import (
 )
 
 __all__ = [
-    "AnyAnswer",
     "ColumnAnswer",
     "CubePlanner",
     "DimensionSlice",
@@ -59,16 +52,11 @@ __all__ = [
     "WorkloadOp",
     "all_node_queries",
     "mixed_workload",
-    "answer_pairs",
     "answer_schema",
-    "batch_execution_enabled",
     "normalize_answer",
-    "set_batch_execution",
     "allowed_rowid_array",
-    "allowed_rowids",
     "answer_cure_sliced",
     "slice_mask",
-    "slice_predicate",
     "answer_bubst_query",
     "answer_buc_query",
     "answer_cure_query",

@@ -1,10 +1,10 @@
 """Node-query answering over CURE, BUC and BU-BST cubes.
 
 A **node query** asks for every tuple of one cube node (a group-by with no
-selection) — the workload of Figures 16, 25 and 28.  Answer shape is a
-list of ``(dimension_values, aggregate_values)`` pairs, identical across
-formats so correctness tests can compare them directly against
-:func:`reference_group_by`, a naive re-aggregation of the fact data.
+selection) — the workload of Figures 16, 25 and 28.  Every format answers
+with a :class:`~repro.query.column_answer.ColumnAnswer`, so correctness
+tests can compare them directly against :func:`reference_group_by`, a
+naive re-aggregation of the fact data.
 
 Per format:
 
@@ -17,22 +17,23 @@ Per format:
   and the BSTs whose storing node lies on this node's plan path; this full
   scan is why Figure 16 shows it orders of magnitude slower.
 
-Execution is vectorized by default: stored rows become int64 matrices,
-R-rowids dereference through :meth:`FactCache.fetch_batch` as one
-columnar gather, hierarchy roll-up and singleton aggregates run as whole
-batch kernels (:mod:`repro.query.vector`), and the A-rowid join against
-AGGREGATES is a single fancy-index into the cached matrix view.  Batch
-execution returns a :class:`~repro.query.column_answer.ColumnAnswer` —
-no answer tuple ever becomes a Python object.  The original
-tuple-at-a-time implementations remain behind :func:`set_batch_execution`
-as the reference path and still produce the legacy tuple-pair ``Answer``
-shape; ``ColumnAnswer.to_pairs()`` bridges the two, and the differential
-tests assert identical answers *and* identical work counters either way.
+:func:`read_node_relations` is the one place that knows how a CURE node
+is stored (Section 5.3): stored rows are int64 matrices, R-rowids
+dereference through :meth:`FactCache.fetch_batch` as one columnar gather,
+hierarchy roll-up and singleton aggregates run as whole batch kernels
+(:mod:`repro.query.vector`), and the A-rowid join against AGGREGATES is
+a single fancy-index into the cached matrix view — no answer tuple ever
+becomes a Python object.  Node queries, index-assisted slices
+(:mod:`repro.query.slice`) and count-icebergs (:mod:`repro.query.iceberg`)
+all go through it and differ only in the pre-fetch filter they hand over.
+The tuple-at-a-time engine this replaced lives on as the test oracle
+``tests/support/row_engine.py``: the differential suite holds answers,
+node-query row order and every work counter to it.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,38 +45,20 @@ from repro.core.storage import CatFormat, CubeStorage
 from repro.lattice.node import CubeNode
 from repro.lattice.plan import plan_ancestors
 from repro.query.cache import FactCache
-from repro.query.column_answer import ColumnAnswer
+from repro.query.column_answer import ColumnAnswer, Pairs
 from repro.query.vector import (
     project_fact_dims,
     singleton_aggregates,
 )
 from repro.relational.aggregates import aggregate_singleton
 
-Answer = list[tuple[tuple[int, ...], tuple[int, ...]]]
-
-#: What the query entry points return: columnar under batch execution,
-#: legacy tuple pairs on the row-execution reference path.
-AnyAnswer = ColumnAnswer | Answer
-
-_BATCH_EXECUTION: ContextVar[bool] = ContextVar("batch_execution", default=True)
-
-
-def set_batch_execution(enabled: bool) -> bool:
-    """Switch the answering layer between batch and row execution.
-
-    Returns the previous setting.  Row execution exists as a reference
-    and benchmark baseline; both paths produce identical answers and
-    identical work counters.  The flag lives in a :class:`ContextVar`,
-    so flipping it in one thread (or task) never races another.
-    """
-    previous = _BATCH_EXECUTION.get()
-    _BATCH_EXECUTION.set(enabled)
-    return previous
-
-
-def batch_execution_enabled() -> bool:
-    """Whether answering currently runs on the vectorized path."""
-    return _BATCH_EXECUTION.get()
+#: A pre-fetch filter over one stored relation: given its fact row-ids
+#: (``None`` for DR NTs, which carry their dimension values inline) and
+#: its stored aggregate vectors (``None`` for TTs, whose aggregates come
+#: out of the fact row), the boolean mask of rows worth dereferencing.
+PrefetchFilter = Callable[
+    [np.ndarray | None, np.ndarray | None], np.ndarray
+]
 
 
 @dataclass
@@ -100,155 +83,120 @@ def answer_cure_query(
     cache: FactCache,
     node: CubeNode,
     stats: QueryStats | None = None,
-) -> AnyAnswer:
+) -> ColumnAnswer:
     """Answer one node query over a CURE(-family) cube."""
+    return read_node_relations(storage, cache, node, stats)
+
+
+def read_node_relations(
+    storage: CubeStorage,
+    cache: FactCache,
+    node: CubeNode,
+    stats: QueryStats | None = None,
+    keep: PrefetchFilter | None = None,
+    with_tts: bool = True,
+) -> ColumnAnswer:
+    """Read ``node``'s NT, CAT and shared TT relations into one answer.
+
+    ``keep`` drops stored rows *before* their fact fetch — the index
+    pre-filter of a slice, the stored-count test of an iceberg — and
+    ``with_tts=False`` leaves the TT relations unread (a TT's count is
+    always 1).  ``rows_scanned`` counts every stored row looked at,
+    ``fact_fetches`` those that survived ``keep`` and were dereferenced,
+    ``tuples_returned`` the answer's rows.  Rows come out relation by
+    relation (NT, CAT, then TTs down the plan path), each in stored order.
+    """
     schema = storage.schema
-    node_id = schema.node_id(node)
-    if _BATCH_EXECUTION.get():
-        answer: AnyAnswer = ColumnAnswer.from_parts(
-            len(node.grouping_dims(schema.dimensions)),
-            schema.n_aggregates,
-            node_matrix_parts(storage, cache, node, stats),
-        )
-    else:
-        answer = []
-        store = storage.get_node_store(node_id)
-        if store is not None:
-            _append_nts(schema, storage, cache, node, store, answer, stats)
-            _append_cats(schema, storage, cache, node, store, answer, stats)
-        _append_tts(schema, storage, cache, node, answer, stats)
+    parts = []
+    for rowids, dims, aggregates, sorted_hint in _stored_relations(
+        storage, node, with_tts
+    ):
+        if stats is not None:
+            stats.rows_scanned += len(dims if rowids is None else rowids)
+        if keep is not None:
+            mask = keep(rowids, aggregates)
+            if rowids is None:
+                dims = dims[mask]
+            else:
+                rowids = rowids[mask]
+            if aggregates is not None:
+                aggregates = aggregates[mask]
+        if rowids is not None:
+            if not len(rowids):
+                continue
+            if stats is not None:
+                stats.fact_fetches += len(rowids)
+            fact = cache.fetch_batch(rowids, sorted_hint=sorted_hint)
+            dims = project_fact_dims(schema, fact, node)
+            if aggregates is None:
+                aggregates = singleton_aggregates(schema, fact)
+        parts.append((dims, aggregates))
+    answer = ColumnAnswer.from_parts(
+        len(node.grouping_dims(schema.dimensions)), schema.n_aggregates, parts
+    )
     if stats is not None:
         stats.tuples_returned += len(answer)
     return answer
 
 
-def node_matrix_parts(storage, cache, node, stats=None):
-    """Yield each stored relation's answer contribution as matrices.
+def _stored_relations(
+    storage: CubeStorage, node: CubeNode, with_tts: bool
+) -> Iterator[
+    tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, bool]
+]:
+    """How ``node`` is stored (Section 5.1), one relation at a time.
 
-    The vectorized execution core: one aligned ``(dims, aggregates)``
-    int64 matrix pair per contributing relation (NT, CAT, then shared
-    TTs).  :func:`answer_cure_query` stitches the parts into one
-    :class:`ColumnAnswer`; the sliced path masks them in matrix space
-    first, so filtered-out rows never exist anywhere.  ``rows_scanned``
-    and ``fact_fetches`` update exactly as the row path does;
-    ``tuples_returned`` is left to the caller.
+    Yields ``(rowids, dims, aggregates, sorted_hint)`` per non-empty
+    relation: the fact row-ids its tuples dereference (``sorted_hint``
+    says whether they ascend), or — DR NTs only — ``rowids=None`` and
+    the ``dims`` stored inline; and the stored aggregate vectors, or
+    ``None`` for TTs, whose aggregates are the fact row's own.
     """
     schema = storage.schema
+    y = schema.n_aggregates
     store = storage.get_node_store(schema.node_id(node))
     if store is not None:
-        part = _nt_part(schema, storage, cache, node, store, stats)
-        if part is not None:
-            yield part
-        part = _cat_part(schema, storage, cache, node, store, stats)
-        if part is not None:
-            yield part
-    yield from _tt_parts(schema, storage, cache, node, stats)
-
-
-def _append_nts(schema, storage, cache, node, store, answer, stats) -> None:
-    if not store.nt_rows:
-        return
-    y = schema.n_aggregates
-    if stats is not None:
-        stats.rows_scanned += len(store.nt_rows)
-    if storage.dr_mode:
-        arity = len(node.grouping_dims(schema.dimensions))
-        for row in store.nt_rows:
-            answer.append((row[:arity], row[arity : arity + y]))
-        return
-    rowids = [row[0] for row in store.nt_rows]
-    fact_rows = cache.fetch_many(rowids, sorted_hint=storage.plus_processed)
-    if stats is not None:
-        stats.fact_fetches += len(rowids)
-    for row, fact_row in zip(store.nt_rows, fact_rows):
-        dims = schema.project_to_node(schema.dim_values(fact_row), node)
-        answer.append((dims, row[1 : 1 + y]))
-
-
-def _nt_part(schema, storage, cache, node, store, stats):
-    if not store.nt_rows:
-        return None
-    y = schema.n_aggregates
-    nt = store.nt_matrix()
-    if stats is not None:
-        stats.rows_scanned += len(nt)
-    if storage.dr_mode:
-        arity = len(node.grouping_dims(schema.dimensions))
-        return nt[:, :arity], nt[:, arity : arity + y]
-    rowids = nt[:, 0]
-    fact = cache.fetch_batch(rowids, sorted_hint=storage.plus_processed)
-    if stats is not None:
-        stats.fact_fetches += len(rowids)
-    return project_fact_dims(schema, fact, node), nt[:, 1 : 1 + y]
-
-
-def _append_cats(schema, storage, cache, node, store, answer, stats) -> None:
-    y = schema.n_aggregates
-    if storage.cat_format is CatFormat.COMMON_SOURCE:
-        if store.cat_bitmap is not None:
-            arowids = list(store.cat_bitmap.iter_set())
-        else:
-            arowids = [row[0] for row in store.cat_rows]
-        if not arowids:
-            return
-        if stats is not None:
-            stats.rows_scanned += len(arowids)
-        entries = [storage.aggregates_rows[arowid] for arowid in arowids]
-        rowids = [entry[0] for entry in entries]
-        fact_rows = cache.fetch_many(rowids, sorted_hint=storage.plus_processed)
-        if stats is not None:
-            stats.fact_fetches += len(rowids)
-        for entry, fact_row in zip(entries, fact_rows):
-            dims = schema.project_to_node(schema.dim_values(fact_row), node)
-            answer.append((dims, entry[1 : 1 + y]))
-        return
-    if not store.cat_rows:
-        return
-    # Format (b): node rows are ⟨R-rowid, A-rowid⟩, AGGREGATES is bare.
-    if stats is not None:
-        stats.rows_scanned += len(store.cat_rows)
-    rowids = [row[0] for row in store.cat_rows]
-    fact_rows = cache.fetch_many(rowids, sorted_hint=False)
-    if stats is not None:
-        stats.fact_fetches += len(rowids)
-    for row, fact_row in zip(store.cat_rows, fact_rows):
-        dims = schema.project_to_node(schema.dim_values(fact_row), node)
-        answer.append((dims, tuple(storage.aggregates_rows[row[1]])))
-
-
-def _cat_part(schema, storage, cache, node, store, stats):
-    y = schema.n_aggregates
-    if storage.cat_format is CatFormat.COMMON_SOURCE:
-        if store.cat_bitmap is not None:
-            arowid_array = np.fromiter(
-                store.cat_bitmap.iter_set(), dtype=np.int64
-            )
+        if store.nt_rows:
+            nt = store.nt_matrix()
+            if storage.dr_mode:
+                arity = len(node.grouping_dims(schema.dimensions))
+                yield None, nt[:, :arity], nt[:, arity : arity + y], False
+            else:
+                yield nt[:, 0], None, nt[:, 1 : 1 + y], storage.plus_processed
+        if storage.cat_format is CatFormat.COMMON_SOURCE:
+            # Format (a): node rows are A-rowids (a list, or a CURE+
+            # bitmap); AGGREGATES rows are ⟨R-rowid, aggregates⟩.
+            if store.cat_bitmap is not None:
+                arowids = store.cat_bitmap.to_array()
+            elif store.cat_rows:
+                arowids = store.cat_matrix()[:, 0]
+            else:
+                arowids = np.empty(0, dtype=np.int64)
+            if len(arowids):
+                entries = storage.aggregates_matrix()[arowids]
+                yield (
+                    entries[:, 0],
+                    None,
+                    entries[:, 1 : 1 + y],
+                    storage.plus_processed,
+                )
         elif store.cat_rows:
-            arowid_array = store.cat_matrix()[:, 0]
+            # Format (b): node rows are ⟨R-rowid, A-rowid⟩, AGGREGATES
+            # is bare; one fancy-index joins the A-rowids against it.
+            cat = store.cat_matrix()
+            yield cat[:, 0], None, storage.aggregates_matrix()[cat[:, 1]], False
+    if not with_tts:
+        return
+    for source in tt_source_nodes(storage, node):
+        tt_store = storage.get_node_store(schema.node_id(source))
+        if tt_store is None:
+            continue
+        if tt_store.tt_bitmap is not None:
+            rowids, sorted_hint = tt_store.tt_bitmap.to_array(), True
         else:
-            return None
-        if not len(arowid_array):
-            return None
-        if stats is not None:
-            stats.rows_scanned += len(arowid_array)
-        entries = storage.aggregates_matrix()[arowid_array]
-        rowids = entries[:, 0]
-        fact = cache.fetch_batch(rowids, sorted_hint=storage.plus_processed)
-        if stats is not None:
-            stats.fact_fetches += len(rowids)
-        dims = project_fact_dims(schema, fact, node)
-        return dims, entries[:, 1 : 1 + y]
-    if not store.cat_rows:
-        return None
-    # Format (b): one fancy-index joins A-rowids against AGGREGATES.
-    cat = store.cat_matrix()
-    if stats is not None:
-        stats.rows_scanned += len(cat)
-    fact = cache.fetch_batch(cat[:, 0], sorted_hint=False)
-    if stats is not None:
-        stats.fact_fetches += len(cat)
-    dims = project_fact_dims(schema, fact, node)
-    return dims, storage.aggregates_matrix()[cat[:, 1]]
+            rowids, sorted_hint = tt_store.tt_array(), storage.plus_processed
+        if len(rowids):
+            yield rowids, None, None, sorted_hint
 
 
 def _construction_phase(storage: CubeStorage, node: CubeNode) -> str:
@@ -297,58 +245,12 @@ def tt_source_nodes(storage: CubeStorage, node: CubeNode) -> list[CubeNode]:
     ]
 
 
-def _append_tts(schema, storage, cache, node, answer, stats) -> None:
-    for source in tt_source_nodes(storage, node):
-        store = storage.get_node_store(schema.node_id(source))
-        if store is None:
-            continue
-        if store.tt_bitmap is not None:
-            rowids = list(store.tt_bitmap.iter_set())
-            sorted_hint = True
-        else:
-            rowids = store.tt_rowids
-            sorted_hint = storage.plus_processed
-        if not rowids:
-            continue
-        if stats is not None:
-            stats.rows_scanned += len(rowids)
-            stats.fact_fetches += len(rowids)
-        fact_rows = cache.fetch_many(rowids, sorted_hint=sorted_hint)
-        for fact_row in fact_rows:
-            dims = schema.project_to_node(schema.dim_values(fact_row), node)
-            aggregates = aggregate_singleton(
-                schema.aggregates, schema.measures(fact_row)
-            )
-            answer.append((dims, aggregates))
-
-
-def _tt_parts(schema, storage, cache, node, stats):
-    for source in tt_source_nodes(storage, node):
-        store = storage.get_node_store(schema.node_id(source))
-        if store is None:
-            continue
-        if store.tt_bitmap is not None:
-            rowids = np.fromiter(store.tt_bitmap.iter_set(), dtype=np.int64)
-            sorted_hint = True
-        else:
-            rowids = store.tt_array()
-            sorted_hint = storage.plus_processed
-        if not len(rowids):
-            continue
-        if stats is not None:
-            stats.rows_scanned += len(rowids)
-            stats.fact_fetches += len(rowids)
-        fact = cache.fetch_batch(rowids, sorted_hint=sorted_hint)
-        dims = project_fact_dims(schema, fact, node)
-        yield dims, singleton_aggregates(schema, fact)
-
-
 # -- BUC ---------------------------------------------------------------------------
 
 
 def answer_buc_query(
     cube: BucCube, node: CubeNode, stats: QueryStats | None = None
-) -> AnyAnswer:
+) -> ColumnAnswer:
     """Answer one node query over a BUC cube (direct per-node read)."""
     if not cube.materialized:
         raise ValueError("cannot query an analytically-sized BUC cube")
@@ -356,16 +258,13 @@ def answer_buc_query(
     y = schema.n_aggregates
     rows = cube.node_rows(schema.node_id(node))
     arity = len(node.grouping_dims(schema.dimensions))
-    if _BATCH_EXECUTION.get():
-        if rows:
-            matrix = np.asarray(rows, dtype=np.int64)
-            answer: AnyAnswer = ColumnAnswer(
-                arity, y, matrix[:, :arity], matrix[:, arity : arity + y]
-            )
-        else:
-            answer = ColumnAnswer.empty(arity, y)
+    if rows:
+        matrix = np.asarray(rows, dtype=np.int64)
+        answer = ColumnAnswer(
+            arity, y, matrix[:, :arity], matrix[:, arity : arity + y]
+        )
     else:
-        answer = [(row[:arity], row[arity : arity + y]) for row in rows]
+        answer = ColumnAnswer.empty(arity, y)
     if stats is not None:
         stats.rows_scanned += len(rows)
         stats.tuples_returned += len(answer)
@@ -377,12 +276,11 @@ def answer_buc_query(
 
 def answer_bubst_query(
     cube: BuBstCube, node: CubeNode, stats: QueryStats | None = None
-) -> AnyAnswer:
+) -> ColumnAnswer:
     """Answer one node query over a BU-BST cube (full monolithic scan).
 
     The scan itself is inherently row-at-a-time (heterogeneous BST/exact
-    rows); under batch execution only the kept rows are bridged into a
-    :class:`ColumnAnswer` at the end.
+    rows); only the kept rows become a :class:`ColumnAnswer` at the end.
     """
     schema = cube.schema
     node_id = schema.node_id(node)
@@ -392,22 +290,18 @@ def answer_bubst_query(
         for source in [node]
         + plan_ancestors(schema.lattice, node, flat=True)
     }
-    pairs: Answer = []
+    kept: Pairs = []
     for row in cube.rows:
         if stats is not None:
             stats.rows_scanned += 1
         if row.is_bst:
             if row.node_id in sharing_ids:
                 dims = tuple(row.dims[d] for d in grouping)
-                pairs.append((dims, row.aggregates))
+                kept.append((dims, row.aggregates))
         elif row.node_id == node_id:
             dims = tuple(row.dims[d] for d in grouping)
-            pairs.append((dims, row.aggregates))
-    answer: AnyAnswer = pairs
-    if _BATCH_EXECUTION.get():
-        answer = ColumnAnswer.from_pairs(
-            pairs, len(grouping), schema.n_aggregates
-        )
+            kept.append((dims, row.aggregates))
+    answer = ColumnAnswer.from_pairs(kept, len(grouping), schema.n_aggregates)
     if stats is not None:
         stats.tuples_returned += len(answer)
     return answer
@@ -418,7 +312,7 @@ def answer_bubst_query(
 
 def reference_group_by(
     schema: CubeSchema, fact_rows: list[tuple], node: CubeNode
-) -> Answer:
+) -> Pairs:
     """Naive re-aggregation of the fact data: ground truth for tests."""
     groups: dict[tuple[int, ...], tuple[int, ...]] = {}
     for row in fact_rows:
@@ -435,19 +329,8 @@ def reference_group_by(
     return sorted(groups.items())
 
 
-def answer_pairs(answer: AnyAnswer) -> Answer:
-    """Any answer flavor as legacy tuple pairs, preserving row order."""
-    if isinstance(answer, ColumnAnswer):
-        return answer.to_pairs()
-    return answer
-
-
-def normalize_answer(answer: AnyAnswer) -> Answer:
-    """An answer as sorted tuple pairs (formats return arbitrary orders).
-
-    Accepts both flavors, so tests can compare any entry point's output —
-    columnar or legacy — against :func:`reference_group_by` directly.
-    """
-    if isinstance(answer, ColumnAnswer):
-        return answer.normalized().to_pairs()
-    return sorted(answer)
+def normalize_answer(answer: ColumnAnswer) -> Pairs:
+    """``answer.normalized().to_pairs()``: sorted tuple pairs, the shape
+    :func:`reference_group_by` returns (formats answer in arbitrary
+    orders)."""
+    return answer.normalized().to_pairs()

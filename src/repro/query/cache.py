@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.model import CubeSchema
-from repro.query.column_answer import ColumnAnswer, Pairs
+from repro.query.column_answer import ColumnAnswer
 from repro.relational.batch import ColumnBatch, RowSource
 from repro.relational.table import Table
 
@@ -149,8 +149,8 @@ class FactCache:
 
         Over an in-memory table this is a single fancy-index gather of
         the table's cached columnar view; over a disk-backed source it
-        bridges through :meth:`fetch_many` (hit/miss accounting and the
-        sequential-pass coalescing are identical to the row path).
+        bridges through :meth:`fetch_many` (same hit/miss accounting,
+        same sequential-pass coalescing).
         """
         if self.table is not None:
             self.stats.hits += len(rowids)
@@ -196,9 +196,9 @@ class ResultCache:
     Keys are ``(node_id, slices, tag)`` — the node, the request's member
     predicates and a kind/parameter tag (empty for node and slice
     answers).  Each entry holds the answer's aligned dims/aggregates
-    matrices directly; a columnar producer pays zero encode cost and a
-    columnar consumer zero decode cost, while the legacy pair shape
-    bridges through :meth:`ColumnAnswer.from_pairs` on put.  A server
+    matrices directly, so neither producer nor consumer pays an encode
+    or decode cost (a pair list must come in through
+    :meth:`ColumnAnswer.from_pairs`, with the schema's widths).  A server
     that has rendered an entry's answer attaches the encoded body with
     :meth:`attach_body`, after which a hit costs one dictionary lookup.
 
@@ -273,12 +273,15 @@ class ResultCache:
         self,
         node_id: int,
         slices: tuple[DimensionSlice, ...],
-        answer: ColumnAnswer | Pairs,
+        answer: ColumnAnswer,
         tag: ResultTag = (),
     ) -> bool:
         """Admit one answer; returns whether it is now resident."""
         if not isinstance(answer, ColumnAnswer):
-            answer = ColumnAnswer.from_pairs(answer)
+            raise TypeError(
+                "ResultCache.put takes a ColumnAnswer, not "
+                f"{type(answer).__name__}"
+            )
         with self._lock:
             resident = self._admit((node_id, slices, tag), CachedResult(answer))
             if not resident:

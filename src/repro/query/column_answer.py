@@ -4,11 +4,12 @@ Vassiliadis-style cube algebra wants query results to be first-class
 values with well-defined equality, not bags of Python tuples.  A
 :class:`ColumnAnswer` holds one node query's result as two aligned int64
 matrices — ``dims`` (one row per answer tuple, one column per grouping
-dimension) and ``aggregates`` (one column per aggregate spec) — so the
-batch execution paths of :mod:`repro.query` never materialize per-tuple
-Python objects.  The legacy ``list[(dims, aggregates)]`` pair shape
-survives only at the edges: :meth:`to_pairs` / :meth:`from_pairs` bridge
-to the row-execution reference path and to tests, and :meth:`as_batch` /
+dimension) and ``aggregates`` (one column per aggregate spec) — so
+:mod:`repro.query` never materializes per-tuple Python objects; it is
+what every query and serving entry point returns.  The legacy
+``list[(dims, aggregates)]`` pair shape survives only at the edges:
+:meth:`to_pairs` / :meth:`from_pairs` are the only bridges (to tests and
+to the row-engine oracle in ``tests/support``), and :meth:`as_batch` /
 :meth:`from_batch` bridge to the :class:`~repro.relational.batch.ColumnBatch`
 world the :class:`~repro.query.cache.ResultCache` and the relational
 operators live in.

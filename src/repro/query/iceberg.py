@@ -13,23 +13,19 @@ All three functions require the schema to carry a COUNT aggregate.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.baselines.bubst import BuBstCube
 from repro.baselines.buc import BucCube
-from repro.core.storage import CatFormat, CubeStorage
+from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
 from repro.query.answer import (
-    Answer,
-    AnyAnswer,
     QueryStats,
     answer_bubst_query,
     answer_buc_query,
-    batch_execution_enabled,
+    answer_cure_query,
+    read_node_relations,
 )
 from repro.query.cache import FactCache
 from repro.query.column_answer import ColumnAnswer
-from repro.query.vector import project_fact_dims
 
 
 def _require_count_index(schema) -> int:
@@ -47,149 +43,26 @@ def iceberg_over_cure(
     node: CubeNode,
     min_count: int,
     stats: QueryStats | None = None,
-) -> AnyAnswer:
-    """Iceberg query over CURE: TT relations are skipped entirely."""
-    schema = storage.schema
-    count_index = _require_count_index(schema)
-    if min_count <= 1:
-        from repro.query.answer import answer_cure_query
-
-        return answer_cure_query(storage, cache, node, stats)
-    if batch_execution_enabled():
-        return _iceberg_cure_batch(
-            storage, cache, node, min_count, count_index, stats
-        )
-    answer: Answer = []
-    store = storage.get_node_store(schema.node_id(node))
-    if store is None:
-        return answer
-    y = schema.n_aggregates
-    # NTs: filter on the stored count before paying any fact fetch.
-    if storage.dr_mode:
-        arity = len(node.grouping_dims(schema.dimensions))
-        for row in store.nt_rows:
-            if stats is not None:
-                stats.rows_scanned += 1
-            aggregates = row[arity : arity + y]
-            if aggregates[count_index] >= min_count:
-                answer.append((row[:arity], aggregates))
-    else:
-        passing = [
-            row for row in store.nt_rows if row[1 + count_index] >= min_count
-        ]
-        if stats is not None:
-            stats.rows_scanned += len(store.nt_rows)
-            stats.fact_fetches += len(passing)
-        fact_rows = cache.fetch_many(
-            [row[0] for row in passing], sorted_hint=storage.plus_processed
-        )
-        for row, fact_row in zip(passing, fact_rows):
-            dims = schema.project_to_node(schema.dim_values(fact_row), node)
-            answer.append((dims, row[1 : 1 + y]))
-    # CATs: the aggregate vector lives in AGGREGATES; filter there.
-    if storage.cat_format is CatFormat.COMMON_SOURCE:
-        if store.cat_bitmap is not None:
-            arowids = list(store.cat_bitmap.iter_set())
-        else:
-            arowids = [row[0] for row in store.cat_rows]
-        for arowid in arowids:
-            if stats is not None:
-                stats.rows_scanned += 1
-            entry = storage.aggregates_rows[arowid]
-            aggregates = entry[1 : 1 + y]
-            if aggregates[count_index] < min_count:
-                continue
-            fact_row = cache.fetch(entry[0])
-            if stats is not None:
-                stats.fact_fetches += 1
-            dims = schema.project_to_node(schema.dim_values(fact_row), node)
-            answer.append((dims, aggregates))
-    else:
-        for row in store.cat_rows:
-            if stats is not None:
-                stats.rows_scanned += 1
-            aggregates = tuple(storage.aggregates_rows[row[1]])
-            if aggregates[count_index] < min_count:
-                continue
-            fact_row = cache.fetch(row[0])
-            if stats is not None:
-                stats.fact_fetches += 1
-            dims = schema.project_to_node(schema.dim_values(fact_row), node)
-            answer.append((dims, aggregates))
-    if stats is not None:
-        stats.tuples_returned += len(answer)
-    return answer
-
-
-def _iceberg_cure_batch(
-    storage: CubeStorage,
-    cache: FactCache,
-    node: CubeNode,
-    min_count: int,
-    count_index: int,
-    stats: QueryStats | None,
 ) -> ColumnAnswer:
-    """Vectorized iceberg: count masks over NT/CAT matrices, TTs skipped."""
-    schema = storage.schema
-    y = schema.n_aggregates
-    arity = len(node.grouping_dims(schema.dimensions))
-    store = storage.get_node_store(schema.node_id(node))
-    if store is None:
-        return ColumnAnswer.empty(arity, y)
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    # NTs: filter on the stored count before paying any fact fetch.
-    if storage.dr_mode:
-        if store.nt_rows:
-            nt = store.nt_matrix()
-            aggregates = nt[:, arity : arity + y]
-            passing = aggregates[:, count_index] >= min_count
-            if stats is not None:
-                stats.rows_scanned += len(nt)
-            parts.append((nt[passing, :arity], aggregates[passing]))
-    elif store.nt_rows:
-        nt = store.nt_matrix()
-        passing = nt[nt[:, 1 + count_index] >= min_count]
-        if stats is not None:
-            stats.rows_scanned += len(nt)
-            stats.fact_fetches += len(passing)
-        fact = cache.fetch_batch(
-            passing[:, 0], sorted_hint=storage.plus_processed
-        )
-        dims = project_fact_dims(schema, fact, node)
-        parts.append((dims, passing[:, 1 : 1 + y]))
-    # CATs: the aggregate vector lives in AGGREGATES; filter there.
-    if storage.cat_format is CatFormat.COMMON_SOURCE:
-        if store.cat_bitmap is not None:
-            arowid_array = np.fromiter(
-                store.cat_bitmap.iter_set(), dtype=np.int64
-            )
-        elif store.cat_rows:
-            arowid_array = store.cat_matrix()[:, 0]
-        else:
-            arowid_array = np.empty(0, dtype=np.int64)
-        if len(arowid_array):
-            entries = storage.aggregates_matrix()[arowid_array]
-            entries = entries[entries[:, 1 + count_index] >= min_count]
-            if stats is not None:
-                stats.rows_scanned += len(arowid_array)
-                stats.fact_fetches += len(entries)
-            fact = cache.fetch_batch(entries[:, 0])
-            dims = project_fact_dims(schema, fact, node)
-            parts.append((dims, entries[:, 1 : 1 + y]))
-    elif store.cat_rows:
-        cat = store.cat_matrix()
-        aggregates = storage.aggregates_matrix()[cat[:, 1]]
-        passing = aggregates[:, count_index] >= min_count
-        if stats is not None:
-            stats.rows_scanned += len(cat)
-            stats.fact_fetches += int(passing.sum())
-        fact = cache.fetch_batch(cat[passing, 0])
-        dims = project_fact_dims(schema, fact, node)
-        parts.append((dims, aggregates[passing]))
-    answer = ColumnAnswer.from_parts(arity, y, parts)
-    if stats is not None:
-        stats.tuples_returned += len(answer)
-    return answer
+    """Iceberg query over CURE: TT relations are skipped entirely.
+
+    NTs carry their count and a CAT's aggregate vector lives in
+    AGGREGATES, so both filter on the stored count before paying any
+    fact fetch.
+    """
+    count_index = _require_count_index(storage.schema)
+    if min_count <= 1:
+        return answer_cure_query(storage, cache, node, stats)
+    return read_node_relations(
+        storage,
+        cache,
+        node,
+        stats,
+        keep=lambda _rowids, aggregates: (
+            aggregates[:, count_index] >= min_count
+        ),
+        with_tts=False,
+    )
 
 
 def iceberg_over_buc(
@@ -197,17 +70,11 @@ def iceberg_over_buc(
     node: CubeNode,
     min_count: int,
     stats: QueryStats | None = None,
-) -> AnyAnswer:
+) -> ColumnAnswer:
     """Iceberg query over BUC: read the node, then filter every tuple."""
     count_index = _require_count_index(cube.schema)
     full = answer_buc_query(cube, node, stats)
-    if isinstance(full, ColumnAnswer):
-        return full.filter(full.aggregates[:, count_index] >= min_count)
-    return [
-        (dims, aggregates)
-        for dims, aggregates in full
-        if aggregates[count_index] >= min_count
-    ]
+    return full.filter(full.aggregates[:, count_index] >= min_count)
 
 
 def iceberg_over_bubst(
@@ -215,14 +82,8 @@ def iceberg_over_bubst(
     node: CubeNode,
     min_count: int,
     stats: QueryStats | None = None,
-) -> AnyAnswer:
+) -> ColumnAnswer:
     """Iceberg query over BU-BST: full monolithic scan, then filter."""
     count_index = _require_count_index(cube.schema)
     full = answer_bubst_query(cube, node, stats)
-    if isinstance(full, ColumnAnswer):
-        return full.filter(full.aggregates[:, count_index] >= min_count)
-    return [
-        (dims, aggregates)
-        for dims, aggregates in full
-        if aggregates[count_index] >= min_count
-    ]
+    return full.filter(full.aggregates[:, count_index] >= min_count)

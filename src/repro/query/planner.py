@@ -21,7 +21,7 @@ Answers are memoized in a :class:`~repro.query.cache.ResultCache` keyed
 by ``(node, slices, tag)`` (the tag is empty here; the serving layer
 caches roll-ups and icebergs under their own) — repeated requests reuse
 the cached :class:`~repro.query.column_answer.ColumnAnswer` instead of
-re-answering (bridged back to pairs only on the row-execution path).
+re-answering.
 The cache is bypassed whenever the caller passes a ``stats`` object,
 since instrumented runs exist to measure the underlying work; after
 incremental maintenance, call :meth:`CubePlanner.invalidate_results`.
@@ -37,10 +37,8 @@ from repro.core.incremental import UpdateReport
 from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
 from repro.query.answer import (
-    AnyAnswer,
     QueryStats,
     answer_cure_query,
-    batch_execution_enabled,
     tt_source_nodes,
 )
 from repro.query.cache import FactCache, ResultCache
@@ -50,7 +48,6 @@ from repro.query.slice import (
     DimensionSlice,
     answer_cure_sliced,
     slice_mask,
-    slice_predicate,
 )
 from repro.relational.index import InvertedIndex
 
@@ -98,19 +95,11 @@ class CubePlanner:
         total = 0
         store = self.storage.get_node_store(schema.node_id(node))
         if store is not None:
-            total += len(store.nt_rows)
-            if store.cat_bitmap is not None:
-                total += store.cat_bitmap.count()
-            else:
-                total += len(store.cat_rows)
+            total += len(store.nt_rows) + store.cat_count
         for source in tt_source_nodes(self.storage, node):
             tt_store = self.storage.get_node_store(schema.node_id(source))
-            if tt_store is None:
-                continue
-            if tt_store.tt_bitmap is not None:
-                total += tt_store.tt_bitmap.count()
-            else:
-                total += len(tt_store.tt_rowids)
+            if tt_store is not None:
+                total += tt_store.tt_count
         return total
 
     def _is_materialized(self, node: CubeNode) -> bool:
@@ -141,15 +130,13 @@ class CubePlanner:
 
     def answer(
         self, request: QueryRequest, stats: QueryStats | None = None
-    ) -> AnyAnswer:
+    ) -> ColumnAnswer:
         results = self.results if stats is None else None
         node_id = self.storage.schema.node_id(request.node)
         if results is not None:
             cached = results.get(node_id, request.slices)
             if cached is not None:
-                if batch_execution_enabled():
-                    return cached
-                return cached.to_pairs()
+                return cached
         answer = self.execute(request, stats)
         if results is not None:
             results.put(node_id, request.slices, answer)
@@ -208,7 +195,7 @@ class CubePlanner:
 
     def execute(
         self, request: QueryRequest, stats: QueryStats | None = None
-    ) -> AnyAnswer:
+    ) -> ColumnAnswer:
         """Plan and answer ``request`` past the result cache.
 
         :meth:`answer` wraps this in a cache get/put; the serving layer
@@ -229,23 +216,14 @@ class CubePlanner:
             )
             if not request.slices:
                 return rolled
-            if isinstance(rolled, ColumnAnswer):
-                return rolled.filter(
-                    slice_mask(
-                        self.storage.schema,
-                        request.node,
-                        request.slices,
-                        rolled.dims,
-                    )
+            return rolled.filter(
+                slice_mask(
+                    self.storage.schema,
+                    request.node,
+                    request.slices,
+                    rolled.dims,
                 )
-            accepts = slice_predicate(
-                self.storage.schema, request.node, request.slices
             )
-            return [
-                (dims, aggregates)
-                for dims, aggregates in rolled
-                if accepts(dims)
-            ]
         return answer_cure_sliced(
             self.storage,
             self.cache,

@@ -23,7 +23,6 @@ from repro.core.model import CubeSchema
 from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
 from repro.query.answer import (
-    AnyAnswer,
     QueryStats,
     answer_bubst_query,
     answer_buc_query,
@@ -46,16 +45,15 @@ def base_node_of(schema: CubeSchema, node: CubeNode) -> CubeNode:
 
 
 def rollup_base_answer(
-    schema: CubeSchema, base_answer: AnyAnswer, node: CubeNode
-) -> AnyAnswer:
+    schema: CubeSchema, base_answer: ColumnAnswer, node: CubeNode
+) -> ColumnAnswer:
     """Re-aggregate a base-level node answer up to ``node``'s levels.
 
-    A columnar base answer is rolled entirely in array space: grouping
-    codes map up through the cached :func:`~repro.query.vector.level_map`
+    The base answer is rolled entirely in array space: grouping codes
+    map up through the cached :func:`~repro.query.vector.level_map`
     arrays, groups sort via ``np.lexsort``, and each aggregate column
     merges with its function's segmented ``ufunc.reduceat`` — the batch
-    dual of pairwise ``merge``.  A legacy pair list keeps the dict-merge
-    reference implementation.
+    dual of pairwise ``merge``.
     """
     if not schema.all_distributive:
         raise ValueError(
@@ -63,32 +61,6 @@ def rollup_base_answer(
             "aggregate cannot be recomputed from base-level partials"
         )
     grouping = node.grouping_dims(schema.dimensions)
-    if isinstance(base_answer, ColumnAnswer):
-        return _rollup_column_answer(schema, base_answer, node, grouping)
-    groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for dims, aggregates in base_answer:
-        rolled = tuple(
-            schema.dimensions[dim].code_at(code, node.levels[dim])
-            for code, dim in zip(dims, grouping)
-        )
-        existing = groups.get(rolled)
-        if existing is None:
-            groups[rolled] = aggregates
-        else:
-            groups[rolled] = tuple(
-                spec.function.merge(a, b)
-                for spec, a, b in zip(schema.aggregates, existing, aggregates)
-            )
-    return list(groups.items())
-
-
-def _rollup_column_answer(
-    schema: CubeSchema,
-    base_answer: ColumnAnswer,
-    node: CubeNode,
-    grouping: tuple[int, ...],
-) -> ColumnAnswer:
-    """Lexsort + reduceat re-aggregation, columnar end to end."""
     y = schema.n_aggregates
     if not len(base_answer):
         return ColumnAnswer.empty(len(grouping), y)
@@ -130,7 +102,7 @@ def answer_rollup_from_flat(
     cache: FactCache,
     node: CubeNode,
     stats: QueryStats | None = None,
-) -> AnyAnswer:
+) -> ColumnAnswer:
     """Answer a hierarchical node query from a flat CURE (FCURE) cube."""
     schema = storage.schema
     base = base_node_of(schema, node)
@@ -142,7 +114,7 @@ def answer_rollup_from_flat(
 
 def answer_rollup_from_buc(
     cube: BucCube, node: CubeNode, stats: QueryStats | None = None
-) -> AnyAnswer:
+) -> ColumnAnswer:
     """Answer a hierarchical node query from a (flat) BUC cube."""
     base = base_node_of(cube.schema, node)
     base_answer = answer_buc_query(cube, base, stats)
@@ -153,7 +125,7 @@ def answer_rollup_from_buc(
 
 def answer_rollup_from_bubst(
     cube: BuBstCube, node: CubeNode, stats: QueryStats | None = None
-) -> AnyAnswer:
+) -> ColumnAnswer:
     """Answer a hierarchical node query from a (flat) BU-BST cube."""
     base = base_node_of(cube.schema, node)
     base_answer = answer_bubst_query(cube, base, stats)

@@ -16,45 +16,33 @@ both halves:
   all share the grouping dimensions' values, so one membership test
   decides the whole tuple.
 
-The pre-filtered path runs vectorized by default: the allowed row-id set
+Pre-filtering is one argument to the shared relation reader
+(:func:`~repro.query.answer.read_node_relations`): the allowed row-id set
 comes out of the CSR-backed index as one sorted array
-(:func:`allowed_rowid_array`), each relation's row-ids test membership
+(:func:`allowed_rowid_array`), and each relation's row-ids test membership
 through one ``searchsorted`` kernel
-(:func:`~repro.relational.index.membership_mask`), and the surviving rows
-dereference/project through the same batch kernels as
-:mod:`repro.query.answer` (whose :func:`set_batch_execution` switch also
-governs this module), producing a
-:class:`~repro.query.column_answer.ColumnAnswer` with no per-tuple Python
-work.  Post-filtering compiles each slice to its set of accepted
-node-level codes once (:func:`slice_predicate`), replacing the per-tuple
-base-representative search.
+(:func:`~repro.relational.index.membership_mask`) before the reader
+dereferences the survivors.  Post-filtering compiles each slice to its
+set of accepted node-level codes once and masks the full node answer
+(:func:`slice_mask`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.storage import CatFormat, CubeStorage
+from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
 from repro.query.answer import (
-    Answer,
-    AnyAnswer,
     QueryStats,
-    batch_execution_enabled,
-    tt_source_nodes,
+    answer_cure_query,
+    read_node_relations,
 )
 from repro.query.cache import FactCache
 from repro.query.column_answer import ColumnAnswer
-from repro.query.vector import (
-    level_map,
-    project_fact_dims,
-    singleton_aggregates,
-    sorted_id_array,
-)
-from repro.relational.aggregates import aggregate_singleton
+from repro.query.vector import level_map, sorted_id_array
 from repro.relational.index import (
     InvertedIndex,
     intersect_sorted,
@@ -93,22 +81,9 @@ def _validate(schema, node: CubeNode, slices) -> None:
             )
 
 
-def _accepted_base_codes(schema, item: DimensionSlice) -> set[int]:
-    dimension = schema.dimensions[item.dim]
-    return {
-        code
-        for code in range(dimension.base_cardinality)
-        if dimension.code_at(code, item.level) in item.members
-    }
-
-
 def _accepted_base_code_array(schema, item: DimensionSlice) -> np.ndarray:
-    """Ascending base-level codes whose ``item.level`` image is accepted.
-
-    The vectorized dual of :func:`_accepted_base_codes`: one lookup into
-    the cached :func:`~repro.query.vector.level_map` array instead of a
-    per-code ``code_at`` loop.
-    """
+    """Ascending base-level codes whose ``item.level`` image is accepted:
+    one lookup into the cached :func:`~repro.query.vector.level_map`."""
     dimension = schema.dimensions[item.dim]
     members = np.fromiter(item.members, dtype=np.int64)
     members = members[(members >= 0) & (members < dimension.cardinality(item.level))]
@@ -140,13 +115,6 @@ def allowed_rowid_array(
     return allowed if allowed is not None else np.empty(0, dtype=np.int64)
 
 
-def allowed_rowids(
-    schema, slices, indices: dict[int, InvertedIndex]
-) -> set[int]:
-    """:func:`allowed_rowid_array` as a Python set (the row-path bridge)."""
-    return set(allowed_rowid_array(schema, slices, indices).tolist())
-
-
 def answer_cure_sliced(
     storage: CubeStorage,
     cache: FactCache,
@@ -154,41 +122,56 @@ def answer_cure_sliced(
     slices: list[DimensionSlice],
     indices: dict[int, InvertedIndex] | None = None,
     stats: QueryStats | None = None,
-) -> AnyAnswer:
+) -> ColumnAnswer:
     """Answer a node query under dimension slices.
 
     ``indices`` maps dimension index → fact-table inverted index (base
     level).  When provided, row-ids are filtered before fact fetches;
-    otherwise results are post-filtered after projection.
+    otherwise the full node answer is computed (and counted in
+    ``stats.tuples_returned``) and then masked.
     """
     schema = storage.schema
     _validate(schema, node, slices)
     if not slices:
-        from repro.query.answer import answer_cure_query
-
         return answer_cure_query(storage, cache, node, stats)
+    if indices is None:
+        full = answer_cure_query(storage, cache, node, stats)
+        return full.filter(slice_mask(schema, node, slices, full.dims))
 
-    if indices is not None:
-        missing = [s.dim for s in slices if s.dim not in indices]
-        if missing:
-            raise KeyError(f"no inverted index for dimensions {missing}")
-        allowed = allowed_rowid_array(schema, slices, indices)
-        return _answer_prefiltered(storage, cache, node, allowed, stats)
-    return _answer_postfiltered(storage, cache, node, slices, stats)
+    missing = [s.dim for s in slices if s.dim not in indices]
+    if missing:
+        raise KeyError(f"no inverted index for dimensions {missing}")
+    if storage.dr_mode and storage.get_node_store(
+        schema.node_id(node)
+    ) is not None:
+        raise ValueError(
+            "index-assisted slicing needs row-id based NTs; query the "
+            "DR cube with post-filtering instead (indices=None)"
+        )
+    # Every stored row-id belongs to the tuple's source group; since all
+    # group members share the grouping dimensions' values, the stored
+    # representative's membership in ``allowed`` decides the whole tuple.
+    allowed = allowed_rowid_array(schema, slices, indices)
+    return read_node_relations(
+        storage,
+        cache,
+        node,
+        stats,
+        keep=lambda rowids, _aggregates: membership_mask(rowids, allowed),
+    )
 
 
-def _compiled_slice_tests(
-    schema, node: CubeNode, slices
-) -> list[tuple[int, set[int]]]:
-    """Per slice: (grouping position, accepted node-level codes).
+def slice_mask(schema, node: CubeNode, slices, dims: np.ndarray) -> np.ndarray:
+    """Boolean mask over an answer's ``dims`` matrix: rows passing every slice.
 
-    Each slice's accepted codes are enumerated once through the base
-    maps, replacing the per-tuple base-representative search of
-    :func:`_matches`.
+    Each slice's accepted node-level codes are enumerated once through
+    the base maps; a row passes when its code at the slice's grouping
+    position is among them.
     """
-    grouping = node.grouping_dims(schema.dimensions)
-    position_of = {dim: i for i, dim in enumerate(grouping)}
-    tests: list[tuple[int, set[int]]] = []
+    position_of = {
+        dim: i for i, dim in enumerate(node.grouping_dims(schema.dimensions))
+    }
+    mask = np.ones(len(dims), dtype=np.bool_)
     for item in slices:
         dimension = schema.dimensions[item.dim]
         node_level = node.levels[item.dim]
@@ -197,301 +180,7 @@ def _compiled_slice_tests(
             for base in range(dimension.base_cardinality)
             if dimension.code_at(base, item.level) in item.members
         }
-        tests.append((position_of[item.dim], accepted))
-    return tests
-
-
-def slice_predicate(
-    schema, node: CubeNode, slices
-) -> Callable[[tuple[int, ...]], bool]:
-    """Compile slices into a membership test over answer dim tuples."""
-    tests = _compiled_slice_tests(schema, node, slices)
-
-    def accepts(dims: tuple[int, ...]) -> bool:
-        return all(dims[p] in accepted for p, accepted in tests)
-
-    return accepts
-
-
-def slice_mask(schema, node: CubeNode, slices, dims: np.ndarray) -> np.ndarray:
-    """Boolean mask over an answer's ``dims`` matrix: rows passing every slice.
-
-    The vectorized dual of :func:`slice_predicate` for columnar answers.
-    """
-    mask = np.ones(len(dims), dtype=np.bool_)
-    for position, accepted in _compiled_slice_tests(schema, node, slices):
-        mask &= membership_mask(dims[:, position], sorted_id_array(accepted))
+        mask &= membership_mask(
+            dims[:, position_of[item.dim]], sorted_id_array(accepted)
+        )
     return mask
-
-
-def _matches(schema, node, slices, dims: tuple[int, ...]) -> bool:
-    grouping = node.grouping_dims(schema.dimensions)
-    position_of = {dim: i for i, dim in enumerate(grouping)}
-    for item in slices:
-        dimension = schema.dimensions[item.dim]
-        node_level = node.levels[item.dim]
-        code = dims[position_of[item.dim]]
-        # Roll the node-level code up to the slice level by picking any
-        # base representative; node-level equality implies slice-level
-        # equality only along the base maps, so map through a base code.
-        rolled = _roll_between(dimension, code, node_level, item.level)
-        if rolled not in item.members:
-            return False
-    return True
-
-
-def _roll_between(dimension, code: int, from_level: int, to_level: int) -> int:
-    """Map a ``from_level`` member code to its ``to_level`` ancestor."""
-    if from_level == to_level:
-        return code
-    # Find a base code whose from_level image is `code`, then roll it up.
-    if from_level == 0:
-        return dimension.code_at(code, to_level)
-    base_map = dimension.base_maps[from_level]
-    for base_code, image in enumerate(base_map):
-        if image == code:
-            return dimension.code_at(base_code, to_level)
-    raise ValueError(
-        f"member {code} has no base representative at level {from_level}"
-    )
-
-
-def _answer_postfiltered(storage, cache, node, slices, stats) -> AnyAnswer:
-    from repro.query.answer import answer_cure_query, node_matrix_parts
-
-    schema = storage.schema
-    if batch_execution_enabled():
-        # Mask each relation's matrices as they stream out of the
-        # answering core, so filtered-out rows never exist anywhere.
-        # The row path counts every computed tuple in ``tuples_returned``
-        # before filtering; mirror that with the unmasked totals.
-        tests = [
-            (position, sorted_id_array(accepted))
-            for position, accepted in _compiled_slice_tests(
-                schema, node, slices
-            )
-        ]
-        parts = []
-        computed = 0
-        for dims, aggregates in node_matrix_parts(
-            storage, cache, node, stats
-        ):
-            computed += len(dims)
-            mask = np.ones(len(dims), dtype=np.bool_)
-            for position, accepted in tests:
-                mask &= membership_mask(dims[:, position], accepted)
-            parts.append((dims[mask], aggregates[mask]))
-        if stats is not None:
-            stats.tuples_returned += computed
-        return ColumnAnswer.from_parts(
-            len(node.grouping_dims(schema.dimensions)),
-            schema.n_aggregates,
-            parts,
-        )
-    full = answer_cure_query(storage, cache, node, stats)
-    accepts = slice_predicate(schema, node, slices)
-    return [
-        (dims, aggregates) for dims, aggregates in full if accepts(dims)
-    ]
-
-
-def _answer_prefiltered(
-    storage: CubeStorage,
-    cache: FactCache,
-    node: CubeNode,
-    allowed: np.ndarray,
-    stats: QueryStats | None,
-) -> AnyAnswer:
-    """Index-assisted path: drop row-ids before dereferencing them.
-
-    Every stored row-id belongs to the tuple's source group; since all
-    group members share the grouping dimensions' values, the stored
-    representative's membership in ``allowed`` (an ascending row-id
-    array) decides the whole tuple.
-    """
-    if storage.dr_mode and storage.get_node_store(
-        storage.schema.node_id(node)
-    ) is not None:
-        raise ValueError(
-            "index-assisted slicing needs row-id based NTs; query the "
-            "DR cube with post-filtering instead (indices=None)"
-        )
-    if batch_execution_enabled():
-        return _answer_prefiltered_batch(storage, cache, node, allowed, stats)
-    return _answer_prefiltered_rows(
-        storage, cache, node, set(allowed.tolist()), stats
-    )
-
-
-def _answer_prefiltered_rows(
-    storage: CubeStorage,
-    cache: FactCache,
-    node: CubeNode,
-    allowed: set[int],
-    stats: QueryStats | None,
-) -> Answer:
-    schema = storage.schema
-    y = schema.n_aggregates
-    answer: Answer = []
-    store = storage.get_node_store(schema.node_id(node))
-    if store is not None:
-        passing = [row for row in store.nt_rows if row[0] in allowed]
-        if stats is not None:
-            stats.rows_scanned += len(store.nt_rows)
-            stats.fact_fetches += len(passing)
-        fact_rows = cache.fetch_many(
-            [row[0] for row in passing], sorted_hint=storage.plus_processed
-        )
-        for row, fact_row in zip(passing, fact_rows):
-            dims = schema.project_to_node(schema.dim_values(fact_row), node)
-            answer.append((dims, row[1 : 1 + y]))
-
-        if storage.cat_format is CatFormat.COMMON_SOURCE:
-            if store.cat_bitmap is not None:
-                arowids = list(store.cat_bitmap.iter_set())
-            else:
-                arowids = [row[0] for row in store.cat_rows]
-            entries = [
-                storage.aggregates_rows[arowid]
-                for arowid in arowids
-                if storage.aggregates_rows[arowid][0] in allowed
-            ]
-            if stats is not None:
-                stats.rows_scanned += len(arowids)
-                stats.fact_fetches += len(entries)
-            fact_rows = cache.fetch_many(
-                [entry[0] for entry in entries],
-                sorted_hint=storage.plus_processed,
-            )
-            for entry, fact_row in zip(entries, fact_rows):
-                dims = schema.project_to_node(
-                    schema.dim_values(fact_row), node
-                )
-                answer.append((dims, entry[1 : 1 + y]))
-        else:
-            passing_cats = [
-                row for row in store.cat_rows if row[0] in allowed
-            ]
-            if stats is not None:
-                stats.rows_scanned += len(store.cat_rows)
-                stats.fact_fetches += len(passing_cats)
-            fact_rows = cache.fetch_many([row[0] for row in passing_cats])
-            for row, fact_row in zip(passing_cats, fact_rows):
-                dims = schema.project_to_node(
-                    schema.dim_values(fact_row), node
-                )
-                answer.append((dims, tuple(storage.aggregates_rows[row[1]])))
-
-    for source in tt_source_nodes(storage, node):
-        tt_store = storage.get_node_store(schema.node_id(source))
-        if tt_store is None:
-            continue
-        if tt_store.tt_bitmap is not None:
-            rowids = [r for r in tt_store.tt_bitmap.iter_set() if r in allowed]
-            total = tt_store.tt_bitmap.count()
-        else:
-            rowids = [r for r in tt_store.tt_rowids if r in allowed]
-            total = len(tt_store.tt_rowids)
-        if stats is not None:
-            stats.rows_scanned += total
-            stats.fact_fetches += len(rowids)
-        if not rowids:
-            continue
-        fact_rows = cache.fetch_many(
-            sorted(rowids), sorted_hint=True
-        )
-        for fact_row in fact_rows:
-            dims = schema.project_to_node(schema.dim_values(fact_row), node)
-            aggregates = aggregate_singleton(
-                schema.aggregates, schema.measures(fact_row)
-            )
-            answer.append((dims, aggregates))
-    if stats is not None:
-        stats.tuples_returned += len(answer)
-    return answer
-
-
-def _answer_prefiltered_batch(
-    storage: CubeStorage,
-    cache: FactCache,
-    node: CubeNode,
-    allowed: np.ndarray,
-    stats: QueryStats | None,
-) -> ColumnAnswer:
-    """Vectorized pre-filtering: one ``searchsorted`` mask per relation."""
-    schema = storage.schema
-    y = schema.n_aggregates
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    store = storage.get_node_store(schema.node_id(node))
-    if store is not None:
-        if store.nt_rows:
-            nt = store.nt_matrix()
-            passing = nt[membership_mask(nt[:, 0], allowed)]
-            if stats is not None:
-                stats.rows_scanned += len(nt)
-                stats.fact_fetches += len(passing)
-            fact = cache.fetch_batch(
-                passing[:, 0], sorted_hint=storage.plus_processed
-            )
-            dims = project_fact_dims(schema, fact, node)
-            parts.append((dims, passing[:, 1 : 1 + y]))
-        elif stats is not None:
-            stats.rows_scanned += len(store.nt_rows)
-
-        if storage.cat_format is CatFormat.COMMON_SOURCE:
-            if store.cat_bitmap is not None:
-                arowid_array = np.fromiter(
-                    store.cat_bitmap.iter_set(), dtype=np.int64
-                )
-            elif store.cat_rows:
-                arowid_array = store.cat_matrix()[:, 0]
-            else:
-                arowid_array = np.empty(0, dtype=np.int64)
-            if len(arowid_array):
-                entries = storage.aggregates_matrix()[arowid_array]
-                entries = entries[membership_mask(entries[:, 0], allowed)]
-                if stats is not None:
-                    stats.rows_scanned += len(arowid_array)
-                    stats.fact_fetches += len(entries)
-                fact = cache.fetch_batch(
-                    entries[:, 0], sorted_hint=storage.plus_processed
-                )
-                dims = project_fact_dims(schema, fact, node)
-                parts.append((dims, entries[:, 1 : 1 + y]))
-        elif store.cat_rows:
-            cat = store.cat_matrix()
-            passing_cats = cat[membership_mask(cat[:, 0], allowed)]
-            if stats is not None:
-                stats.rows_scanned += len(cat)
-                stats.fact_fetches += len(passing_cats)
-            fact = cache.fetch_batch(passing_cats[:, 0])
-            dims = project_fact_dims(schema, fact, node)
-            parts.append(
-                (dims, storage.aggregates_matrix()[passing_cats[:, 1]])
-            )
-
-    for source in tt_source_nodes(storage, node):
-        tt_store = storage.get_node_store(schema.node_id(source))
-        if tt_store is None:
-            continue
-        if tt_store.tt_bitmap is not None:
-            candidates = sorted_id_array(tt_store.tt_bitmap.iter_set())
-            total = tt_store.tt_bitmap.count()
-        else:
-            candidates = tt_store.tt_array()
-            total = len(tt_store.tt_rowids)
-        rowids = candidates[membership_mask(candidates, allowed)]
-        if stats is not None:
-            stats.rows_scanned += total
-            stats.fact_fetches += len(rowids)
-        if not len(rowids):
-            continue
-        fact = cache.fetch_batch(np.sort(rowids), sorted_hint=True)
-        dims = project_fact_dims(schema, fact, node)
-        parts.append((dims, singleton_aggregates(schema, fact)))
-    answer = ColumnAnswer.from_parts(
-        len(node.grouping_dims(schema.dimensions)), y, parts
-    )
-    if stats is not None:
-        stats.tuples_returned += len(answer)
-    return answer

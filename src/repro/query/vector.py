@@ -7,7 +7,7 @@ run each of them as one numpy kernel over a whole
 :class:`~repro.relational.batch.ColumnBatch` (or row matrix); the
 resulting matrices feed straight into
 :class:`~repro.query.column_answer.ColumnAnswer` — no tuple-pair bridge
-exists on the batch path.
+exists on the answering path.
 
 Hierarchy roll-up maps (``Dimension.base_maps``) are plain tuples on the
 dimension objects; their array form is memoized on the dimension itself

@@ -7,8 +7,7 @@ aggregation, sort-merge joins — via :meth:`Operator.batches`, which is
 the default execution path.  The tuple ``__iter__`` of the old Volcano
 design survives as a thin compatibility shim over ``batches()``, and
 :meth:`Operator.rows` keeps the original tuple-at-a-time implementations
-as a reference path (the row/batch equivalence property tests and the
-``benchmarks/bench_query.py`` baseline both use it).
+as a reference path (the row/batch equivalence property tests use it).
 
 CURE itself uses specialized bulk paths for cube construction
 (:mod:`repro.core.segments`), but the operator layer is what makes the

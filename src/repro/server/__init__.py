@@ -15,7 +15,6 @@ from repro.server.app import (
     slice_params,
 )
 from repro.server.encoding import (
-    as_column_answer,
     canonical_json,
     decode_answer,
     encode_answer,
@@ -27,7 +26,6 @@ __all__ = [
     "DEFAULT_RESULT_CACHE_BYTES",
     "SlicerApp",
     "SlicerServer",
-    "as_column_answer",
     "canonical_json",
     "canonical_slices",
     "decode_answer",

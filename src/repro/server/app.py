@@ -48,16 +48,12 @@ from urllib.parse import parse_qs
 from repro.bundle import CubeBundle
 from repro.lattice.node import CubeNode
 from repro.query.iceberg import iceberg_over_cure
-from repro.query.answer import AnyAnswer
 from repro.query.cache import CachedResult, ResultCache, ResultTag
+from repro.query.column_answer import ColumnAnswer
 from repro.query.planner import CubePlanner, QueryRequest
 from repro.query.rollup import base_node_of, rollup_base_answer
 from repro.query.slice import DimensionSlice
-from repro.server.encoding import (
-    as_column_answer,
-    canonical_json,
-    encode_answer,
-)
+from repro.server.encoding import canonical_json, encode_answer
 
 #: Default result-cache budget: enough for thousands of small-node
 #: answers while bounding a worst-case burst of huge ones.
@@ -234,7 +230,7 @@ class SlicerApp:
     def _entry(
         self,
         node: CubeNode,
-        compute: Callable[[], AnyAnswer],
+        compute: Callable[[], ColumnAnswer],
         slices: tuple[DimensionSlice, ...] = (),
         tag: ResultTag = (),
         record: bool = True,
@@ -243,9 +239,7 @@ class SlicerApp:
         node_id = self.schema.node_id(node)
         entry = self.results.lookup(node_id, slices, tag, record=record)
         if entry is None:
-            entry = CachedResult(
-                as_column_answer(self.schema, node, compute())
-            )
+            entry = CachedResult(compute())
             self.results.put(node_id, slices, entry.answer, tag)
         return entry
 
@@ -253,7 +247,7 @@ class SlicerApp:
         self,
         node: CubeNode,
         kind: str,
-        compute: Callable[[], AnyAnswer],
+        compute: Callable[[], ColumnAnswer],
         slices: tuple[DimensionSlice, ...] = (),
         tag: ResultTag = (),
         params: dict[str, Any] | None = None,
@@ -274,7 +268,7 @@ class SlicerApp:
         )
         return body
 
-    def _rollup(self, node: CubeNode) -> AnyAnswer:
+    def _rollup(self, node: CubeNode) -> ColumnAnswer:
         # The base answer is shared by every roll-up over the same
         # grouping dimensions, so it is a cache entry of its own; the
         # request has already registered its one hit or miss.

@@ -6,23 +6,19 @@ library call produces for the same request.  That only works if both
 sides share one canonical encoder, so this module is it — the slicer app
 calls :func:`encode_answer` to render a response and the differential
 harness calls the same function on the direct
-:class:`~repro.query.column_answer.ColumnAnswer` (or legacy pair-list)
-result.
+:class:`~repro.query.column_answer.ColumnAnswer` result.
 
 Canonical means deterministic everywhere a choice exists:
 
-* rows are emitted in :meth:`ColumnAnswer.normalized` order, so the
-  batch and row execution paths — which produce rows in different
-  orders — encode identically;
+* rows are emitted in :meth:`ColumnAnswer.normalized` order, so two
+  answers holding the same rows in different production orders (another
+  planner strategy, another storage backend) encode identically;
 * keys are sorted and separators compact, so two ``dict`` layouts cannot
   differ — ``rows``, the last key in that order and nearly all of the
   bytes, is formatted column-wise from the answer's int64 matrices
   and spliced in behind the ``json.dumps``-rendered metadata
   (``tests/support/reference_encoding.py`` keeps the row-at-a-time
-  ``json.dumps`` of the whole payload as the oracle for these bytes);
-* a legacy pair-list answer bridges through
-  :meth:`ColumnAnswer.from_pairs` with the schema's explicit widths, so
-  an empty answer has the same shape either way.
+  ``json.dumps`` of the whole payload as the oracle for these bytes).
 
 :func:`decode_answer` inverts the encoding back into a
 :class:`ColumnAnswer` plus its metadata — what an HTTP client (and the
@@ -38,27 +34,13 @@ import numpy as np
 
 from repro.core.model import CubeSchema
 from repro.lattice.node import CubeNode
-from repro.query.answer import AnyAnswer
 from repro.query.column_answer import ColumnAnswer
-
-
-def as_column_answer(
-    schema: CubeSchema, node: CubeNode, answer: AnyAnswer
-) -> ColumnAnswer:
-    """Bridge any answer shape to columnar with the schema's widths."""
-    if isinstance(answer, ColumnAnswer):
-        return answer
-    return ColumnAnswer.from_pairs(
-        answer,
-        arity=len(node.grouping_dims(schema.dimensions)),
-        n_aggregates=schema.n_aggregates,
-    )
 
 
 def encode_answer(
     schema: CubeSchema,
     node: CubeNode,
-    answer: AnyAnswer,
+    answer: ColumnAnswer,
     kind: str = "node",
     params: dict[str, Any] | None = None,
 ) -> bytes:
@@ -69,7 +51,7 @@ def encode_answer(
     the caller must pass JSON-serializable values with deterministic
     ordering (lists, not sets).
     """
-    columnar = as_column_answer(schema, node, answer).normalized()
+    columnar = answer.normalized()
     grouping = node.grouping_dims(schema.dimensions)
     payload: dict[str, Any] = {
         "kind": kind,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from urllib.parse import urlencode
 
-from repro.query.answer import AnyAnswer
+from repro.query.column_answer import ColumnAnswer
 from repro.query.iceberg import iceberg_over_cure
 from repro.query.planner import CubePlanner, QueryRequest
 from repro.query.rollup import base_node_of, rollup_base_answer
@@ -51,7 +51,7 @@ def op_path(schema, op: WorkloadOp) -> str:
     raise ValueError(f"unknown workload op kind {op.kind!r}")
 
 
-def execute_op(planner: CubePlanner, op: WorkloadOp) -> AnyAnswer:
+def execute_op(planner: CubePlanner, op: WorkloadOp) -> ColumnAnswer:
     """Answer ``op`` in process, mirroring the server's semantics."""
     schema = planner.storage.schema
     if op.kind == "node":
@@ -72,7 +72,7 @@ def execute_op(planner: CubePlanner, op: WorkloadOp) -> AnyAnswer:
     raise ValueError(f"unknown workload op kind {op.kind!r}")
 
 
-def encode_op(schema, op: WorkloadOp, answer: AnyAnswer) -> bytes:
+def encode_op(schema, op: WorkloadOp, answer: ColumnAnswer) -> bytes:
     """Render an in-process answer exactly as the server would."""
     if op.kind == "slice":
         return encode_answer(

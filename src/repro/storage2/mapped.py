@@ -10,17 +10,18 @@ accessors *and* row lists), the ``Table`` duck type
 :class:`~repro.storage2.format.V2File` sections:
 
 * ``raw`` sections (NT/CAT/AGGREGATES matrices, CSR offsets, fact
-  measures) come back as zero-copy memmap views the moment a batch-mode
+  measures) come back as zero-copy memmap views the moment a matrix
   accessor asks;
 * compressed sections (TT lists, CSR row-ids, bit-packed fact dimension
   columns) decode vectorized, once, on first touch;
-* the row-tuple surfaces (``nt_rows`` and friends, used by the
-  row-at-a-time execution mode) are lazy sequences that report their
-  length for free and only transpose to Python tuples if something
-  actually iterates them.
+* the row-tuple surfaces (``nt_rows`` and friends — the query layer
+  only asks their length; the row-engine test oracle and maintenance
+  iterate them) are lazy sequences that report their length for free
+  and only transpose to Python tuples if something actually iterates
+  them.
 
 Opening a cube is therefore O(directory): nothing is unpacked until a
-query touches it, and what batch queries touch is mostly views.
+query touches it, and what queries touch is mostly views.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class _LazyRows(Sequence[tuple]):
 
     ``len`` / truthiness never touch the payload (the length comes from
     the directory), so the planner's cost estimates and the ``if not
-    store.nt_rows`` guards stay free; only the row-execution mode, which
-    genuinely iterates tuples, pays for the transpose.
+    store.nt_rows`` guards stay free; only a caller that genuinely
+    iterates tuples (the row-engine test oracle) pays for the transpose.
     """
 
     def __init__(self, file: V2File, name: str, length: int) -> None:
@@ -179,8 +180,8 @@ class MappedFactTable:
 
     ``as_batch`` assembles the columnar view straight from the v2
     sections: measures are zero-copy views, dimension columns bit-unpack
-    once.  Row tuples (the row-execution bridge) transpose lazily from
-    that same batch.
+    once.  Row tuples (``fetch``/``fetch_many`` callers) transpose lazily
+    from that same batch.
     """
 
     def __init__(self, schema: CubeSchema, file: V2File) -> None:

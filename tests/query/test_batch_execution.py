@@ -1,26 +1,33 @@
-"""Row/batch equivalence of the query layer, plus the new caches.
+"""The query engine against the row-engine oracle, plus the caches.
 
-The query entry points (plain node answering, sliced answering, iceberg,
-rollup) all dispatch on :func:`set_batch_execution`.  These tests run
-every entry point both ways over the same cube and require identical
-answers *and* identical cost accounting — the vectorized paths must not
-change what the benchmarks measure, only how fast it runs.
+``repro.query`` has one engine — the columnar relation reader
+(:func:`repro.query.answer.read_node_relations`) that node, slice and
+iceberg answering all go through.  The tuple-at-a-time engine it
+replaced lives on as ``tests/support/row_engine.py``; these tests run
+every entry point through both and require identical answers (node
+answers in identical *row order*) and identical cost accounting —
+``QueryStats`` and the fact cache's hits/misses — over CURE, CURE+
+(sorted lists and bitmaps), CURE_DR and FCURE, both CAT formats, on
+in-memory storage, on a heap-loaded bundle behind a half-warm fact
+cache, and on a mapped ``cube.v2``.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import Table, build_cube
+from repro.bundle import open_bundle, save_bundle
 from repro.core.postprocess import postprocess_plus
+from repro.core.storage import CatFormat
 from repro.core.variants import VARIANTS
 from repro.lattice.node import CubeNode
 from repro.query import (
+    ColumnAnswer,
     DimensionSlice,
     FactCache,
     QueryStats,
@@ -28,39 +35,14 @@ from repro.query import (
     answer_cure_query,
     answer_cure_sliced,
     answer_rollup_from_flat,
-    batch_execution_enabled,
     iceberg_over_cure,
-    set_batch_execution,
 )
-from repro.query.answer import normalize_answer
 from repro.query.planner import CubePlanner, QueryRequest, build_indices
+from repro.storage2 import publish_v2_bundle
+from tests.server.conftest import serving_fact, serving_schema
+from tests.support import row_engine
 
-
-@contextmanager
-def batch_mode(enabled: bool):
-    previous = set_batch_execution(enabled)
-    try:
-        yield
-    finally:
-        set_batch_execution(previous)
-
-
-def test_set_batch_execution_is_thread_isolated():
-    """The flag lives in a ContextVar: a flip in a worker thread must not
-    leak into (or race) the calling thread."""
-    observed = {}
-
-    def worker():
-        observed["before"] = batch_execution_enabled()
-        set_batch_execution(False)
-        observed["inside"] = batch_execution_enabled()
-
-    with batch_mode(True):
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert observed == {"before": True, "inside": False}
-        assert batch_execution_enabled() is True
+check = row_engine.assert_engine_matches
 
 
 @pytest.fixture
@@ -77,49 +59,15 @@ def built(paper_schema):
     return paper_schema, table, result.storage, cache
 
 
-def run_both(cache, fn):
-    """Run ``fn(stats)`` under row and under batch execution.
-
-    Returns ``(row_answer, row_stats, batch_answer, batch_stats)`` with
-    the fact-cache counters captured alongside the query counters.
-    """
-    outputs = []
-    for enabled in (False, True):
-        with batch_mode(enabled):
-            cache.stats.reset()
-            stats = QueryStats()
-            answer = fn(stats)
-            outputs.append(
-                (answer, stats, (cache.stats.hits, cache.stats.misses))
-            )
-    (row_answer, row_stats, row_cache) = outputs[0]
-    (batch_answer, batch_stats, batch_cache) = outputs[1]
-    assert row_cache == batch_cache, "fact-cache accounting diverged"
-    return row_answer, row_stats, batch_answer, batch_stats
-
-
-def assert_stats_equal(row_stats, batch_stats):
-    assert row_stats.rows_scanned == batch_stats.rows_scanned
-    assert row_stats.fact_fetches == batch_stats.fact_fetches
-    assert row_stats.tuples_returned == batch_stats.tuples_returned
-
-
-def test_set_batch_execution_returns_previous():
-    assert batch_execution_enabled() is True  # the default
-    assert set_batch_execution(False) is True
-    assert batch_execution_enabled() is False
-    assert set_batch_execution(True) is False
-    assert batch_execution_enabled() is True
-
-
 def test_node_queries_equivalent(built):
     schema, _table, storage, cache = built
     for node in schema.lattice.nodes():
-        row_answer, row_stats, batch_answer, batch_stats = run_both(
-            cache, lambda stats: answer_cure_query(storage, cache, node, stats)
+        check(
+            cache,
+            lambda s: answer_cure_query(storage, cache, node, s),
+            lambda s: row_engine.answer_cure_query(storage, cache, node, s),
+            ordered=True,  # order-identical, not just the same set
         )
-        assert row_answer == batch_answer  # order-identical, not just set
-        assert_stats_equal(row_stats, batch_stats)
 
 
 SLICE_CASES = [
@@ -136,28 +84,28 @@ def test_sliced_queries_equivalent(built, levels, slices):
     node = CubeNode(levels)
     indices = build_indices(schema, table.rows)
     for index_arg in (None, indices):
-        row_answer, row_stats, batch_answer, batch_stats = run_both(
+        check(
             cache,
-            lambda stats: answer_cure_sliced(
-                storage, cache, node, slices, index_arg, stats
+            lambda s: answer_cure_sliced(
+                storage, cache, node, slices, index_arg, s
+            ),
+            lambda s: row_engine.answer_cure_sliced(
+                storage, cache, node, slices, index_arg, s
             ),
         )
-        assert normalize_answer(row_answer) == normalize_answer(batch_answer)
-        assert_stats_equal(row_stats, batch_stats)
 
 
 @pytest.mark.parametrize("min_count", [2, 3, 6])
 def test_iceberg_equivalent(built, min_count):
     schema, _table, storage, cache = built
     for node in [CubeNode((0, 0, 0)), CubeNode((1, 1, 0)), CubeNode((0, 2, 1))]:
-        row_answer, row_stats, batch_answer, batch_stats = run_both(
+        check(
             cache,
-            lambda stats: iceberg_over_cure(
-                storage, cache, node, min_count, stats
+            lambda s: iceberg_over_cure(storage, cache, node, min_count, s),
+            lambda s: row_engine.iceberg_over_cure(
+                storage, cache, node, min_count, s
             ),
         )
-        assert normalize_answer(row_answer) == normalize_answer(batch_answer)
-        assert_stats_equal(row_stats, batch_stats)
 
 
 def test_rollup_equivalent(paper_schema):
@@ -172,16 +120,15 @@ def test_rollup_equivalent(paper_schema):
     cache = FactCache(paper_schema, table=table)
     for levels in [(1, 0, 0), (2, 1, 0), (2, 2, 1), (1, 2, 1)]:
         node = CubeNode(levels)
-        row_answer, row_stats, batch_answer, batch_stats = run_both(
+        # The engine's rollup merges groups in key order, the oracle in
+        # first-seen order; contents must agree exactly.
+        check(
             cache,
-            lambda stats: answer_rollup_from_flat(
-                result.storage, cache, node, stats
+            lambda s: answer_rollup_from_flat(result.storage, cache, node, s),
+            lambda s: row_engine.answer_rollup_from_flat(
+                result.storage, cache, node, s
             ),
         )
-        # The batch rollup merges groups in key order, the row path in
-        # first-seen order; contents must agree exactly.
-        assert normalize_answer(row_answer) == normalize_answer(batch_answer)
-        assert_stats_equal(row_stats, batch_stats)
 
 
 def test_dr_mode_queries_equivalent(built):
@@ -189,33 +136,172 @@ def test_dr_mode_queries_equivalent(built):
     dr = build_cube(schema, table=table, dr_mode=True)
     node = CubeNode((0, 0, 0))
     slices = [DimensionSlice.of(0, 1, {0})]
-    row_answer, row_stats, batch_answer, batch_stats = run_both(
+    check(
         cache,
-        lambda stats: answer_cure_sliced(
-            dr.storage, cache, node, slices, None, stats
+        lambda s: answer_cure_sliced(dr.storage, cache, node, slices, None, s),
+        lambda s: row_engine.answer_cure_sliced(
+            dr.storage, cache, node, slices, None, s
         ),
     )
-    assert normalize_answer(row_answer) == normalize_answer(batch_answer)
-    assert_stats_equal(row_stats, batch_stats)
-    row_answer, _rs, batch_answer, _bs = run_both(
+    check(
         cache,
-        lambda stats: iceberg_over_cure(dr.storage, cache, node, 3, stats),
+        lambda s: iceberg_over_cure(dr.storage, cache, node, 3, s),
+        lambda s: row_engine.iceberg_over_cure(dr.storage, cache, node, 3, s),
     )
-    assert normalize_answer(row_answer) == normalize_answer(batch_answer)
 
 
 def test_plus_processed_queries_equivalent(built):
     schema, _table, storage, cache = built
     postprocess_plus(storage)
     for node in [CubeNode((0, 0, 0)), CubeNode((0, 1, 1)), CubeNode((2, 2, 1))]:
-        row_answer, row_stats, batch_answer, batch_stats = run_both(
-            cache, lambda stats: answer_cure_query(storage, cache, node, stats)
+        check(
+            cache,
+            lambda s: answer_cure_query(storage, cache, node, s),
+            lambda s: row_engine.answer_cure_query(storage, cache, node, s),
+            ordered=True,
         )
-        assert row_answer == batch_answer
-        assert_stats_equal(row_stats, batch_stats)
+
+
+# -- every lattice node, every variant, every backend ------------------------
+
+#: id → (variant, forced CAT format or None for the paper's rule,
+#: CURE+ pass: None, "lists" or "bitmaps").
+CONFIGS = {
+    "CURE-a": ("CURE", CatFormat.COMMON_SOURCE, None),
+    "CURE-b": ("CURE", CatFormat.COINCIDENTAL, None),
+    "CURE+lists-a": ("CURE", CatFormat.COMMON_SOURCE, "lists"),
+    "CURE+lists-b": ("CURE", CatFormat.COINCIDENTAL, "lists"),
+    "CURE+bitmaps-a": ("CURE", CatFormat.COMMON_SOURCE, "bitmaps"),
+    "CURE_DR": ("CURE_DR", None, None),
+    "FCURE": ("FCURE", None, None),
+}
+
+
+def _build_config(variant, cat_format, plus):
+    schema = serving_schema()
+    fact = serving_fact(schema)
+    if cat_format is None:
+        result, _ = VARIANTS[variant].build(schema, table=fact)
+    else:
+        with mock.patch(
+            "repro.core.storage.choose_cat_format",
+            lambda _stats, _y: cat_format,
+        ):
+            result, _ = VARIANTS[variant].build(schema, table=fact)
+        assert result.storage.cat_format is cat_format
+    if plus is not None:
+        postprocess_plus(result.storage, convert_bitmaps=plus == "bitmaps")
+    return schema, fact, result.storage
+
+
+@pytest.fixture(scope="module", params=list(CONFIGS))
+def backends(request, tmp_path_factory):
+    """One built cube as ``{backend: planner}``: the in-memory storage
+    over the fact ``Table``; the bundle loaded from v1 heap files behind
+    a half-warm heap-backed fact cache (so hits *and* misses are real);
+    and the mapped ``cube.v2``."""
+    variant, cat_format, plus = CONFIGS[request.param]
+    schema, fact, storage = _build_config(variant, cat_format, plus)
+    if plus == "bitmaps":
+        stores = storage.nodes.values()
+        assert any(store.tt_bitmap is not None for store in stores)
+        assert any(store.cat_bitmap is not None for store in stores)
+    indices = None if storage.dr_mode else build_indices(schema, fact.rows)
+    path = save_bundle(
+        tmp_path_factory.mktemp("row-engine") / "bundle", schema, fact, storage
+    )
+    publish_v2_bundle(path)
+    heap_bundle = open_bundle(path, use_v2=False)
+    mapped_bundle = open_bundle(path)
+    assert mapped_bundle.v2 is not None
+    yield {
+        "memory": CubePlanner(
+            storage, FactCache(schema, table=fact), indices, results=None
+        ),
+        "heap": heap_bundle.planner(fraction=0.5),
+        "mapped": mapped_bundle.planner(),
+    }
+    heap_bundle.close()
+    mapped_bundle.close()
+
+
+def _slices_for(schema, node):
+    """Up to two predicates valid at ``node``: the first grouping
+    dimension at its coarsest real level, the last at the node's own."""
+    grouping = node.grouping_dims(schema.dimensions)
+    if not grouping:
+        return []
+    first, last = grouping[0], grouping[-1]
+    slices = [
+        DimensionSlice.of(first, schema.dimensions[first].n_levels - 1, {0, 1})
+    ]
+    if last != first:
+        slices.append(DimensionSlice.of(last, node.levels[last], {0, 2, 3}))
+    return slices
+
+
+@pytest.mark.parametrize("backend", ["memory", "heap", "mapped"])
+def test_every_node_matches_the_row_engine(backends, backend):
+    planner = backends[backend]
+    storage, cache = planner.storage, planner.cache
+    schema = storage.schema
+    fetched = 0
+    for node in schema.lattice.nodes():
+        materialized = planner.plan(QueryRequest.of(node)).strategy == "direct"
+        if materialized:
+            check(
+                cache,
+                lambda s: answer_cure_query(storage, cache, node, s),
+                lambda s: row_engine.answer_cure_query(storage, cache, node, s),
+                ordered=True,
+            )
+            for min_count in (2, 3):
+                check(
+                    cache,
+                    lambda s: iceberg_over_cure(
+                        storage, cache, node, min_count, s
+                    ),
+                    lambda s: row_engine.iceberg_over_cure(
+                        storage, cache, node, min_count, s
+                    ),
+                )
+        check(
+            cache,
+            lambda s: answer_rollup_from_flat(storage, cache, node, s),
+            lambda s: row_engine.answer_rollup_from_flat(
+                storage, cache, node, s
+            ),
+        )
+        slices = _slices_for(schema, node)
+        if materialized and slices:
+            for index_arg in (None, planner.indices):
+                check(
+                    cache,
+                    lambda s: answer_cure_sliced(
+                        storage, cache, node, slices, index_arg, s
+                    ),
+                    lambda s: row_engine.answer_cure_sliced(
+                        storage, cache, node, slices, index_arg, s
+                    ),
+                )
+        request = QueryRequest(node, tuple(slices))
+        check(
+            cache,
+            lambda s: planner.execute(request, s),
+            lambda s: row_engine.answer_request(planner, request, s),
+        )
+        fetched += cache.stats.hits + cache.stats.misses
+    if not storage.dr_mode:
+        assert fetched > 0
+    if backend == "heap":
+        assert cache.heap is not None and 0 < len(cache._cached) < cache.row_count
 
 
 # -- the result cache ---------------------------------------------------------
+
+
+def _answer(pairs, arity=1, n_aggregates=1):
+    return ColumnAnswer.from_pairs(pairs, arity, n_aggregates)
 
 
 def test_result_cache_roundtrip():
@@ -223,7 +309,7 @@ def test_result_cache_roundtrip():
     answer = [((1, 2), (30, 4)), ((5, 6), (70, 8))]
     assert cache.get(9) is None
     assert cache.stats.misses == 1
-    cache.put(9, (), answer)
+    cache.put(9, (), _answer(answer, 2, 2))
     assert cache.get(9) == answer
     assert cache.stats.hits == 1
     assert len(cache) == 1
@@ -231,16 +317,18 @@ def test_result_cache_roundtrip():
 
 def test_result_cache_caches_empty_answers():
     cache = ResultCache()
-    cache.put(3, (), [])
-    assert cache.get(3) == []  # a cached empty answer is a hit, not None
+    cache.put(3, (), _answer([], 2, 2))
+    hit = cache.get(3)
+    assert hit == []  # a cached empty answer is a hit, not None
+    assert (hit.arity, hit.n_aggregates) == (2, 2)  # and keeps its shape
     assert cache.stats.hits == 1
 
 
 def test_result_cache_slices_key_separation():
     cache = ResultCache()
     sliced = (DimensionSlice.of(0, 1, frozenset({0})),)
-    cache.put(1, (), [((0,), (1,))])
-    cache.put(1, sliced, [((2,), (3,))])
+    cache.put(1, (), _answer([((0,), (1,))]))
+    cache.put(1, sliced, _answer([((2,), (3,))]))
     assert cache.get(1, ()) == [((0,), (1,))]
     assert cache.get(1, sliced) == [((2,), (3,))]
     assert len(cache) == 2
@@ -249,7 +337,7 @@ def test_result_cache_slices_key_separation():
 def test_result_cache_fifo_eviction():
     cache = ResultCache(max_entries=2)
     for node_id in (1, 2, 3):
-        cache.put(node_id, (), [((node_id,), (node_id,))])
+        cache.put(node_id, (), _answer([((node_id,), (node_id,))]))
     assert len(cache) == 2
     assert cache.get(1) is None  # the oldest entry was evicted
     assert cache.get(2) is not None
@@ -258,7 +346,7 @@ def test_result_cache_fifo_eviction():
 
 def test_result_cache_clear():
     cache = ResultCache()
-    cache.put(1, (), [((0,), (1,))])
+    cache.put(1, (), _answer([((0,), (1,))]))
     cache.clear()
     assert len(cache) == 0
     assert cache.get(1) is None

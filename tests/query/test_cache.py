@@ -188,3 +188,20 @@ def test_result_cache_unbounded_bytes_by_default():
     assert cache.max_bytes is None
     assert cache.put(1, (), _answer_of(100_000))
     assert cache.stats.rejected == 0
+
+
+def test_result_cache_put_takes_column_answers_only():
+    # A pair list has no widths of its own: bridging it here would admit
+    # an empty answer as a shapeless 0×0 entry.  The caller bridges with
+    # ``ColumnAnswer.from_pairs(pairs, arity, n_aggregates)``.
+    from repro.query.column_answer import ColumnAnswer
+
+    cache = result_cache()
+    with pytest.raises(TypeError, match="ColumnAnswer"):
+        cache.put(1, (), [((0,), (1,))])
+    with pytest.raises(TypeError, match="ColumnAnswer"):
+        cache.put(1, (), [])
+    assert len(cache) == 0 and cache.stats.rejected == 0
+    cache.put(1, (), ColumnAnswer.from_pairs([], 2, 3))
+    hit = cache.get(1)
+    assert (hit.arity, hit.n_aggregates, len(hit)) == (2, 3, 0)

@@ -8,10 +8,10 @@ Two layers of locking-in:
 * **Differential equivalence** — every query entry point (node, slice,
   iceberg, rollup) over every format (CURE, CURE+, BUC, BU-BST) must
   produce the same answer through ``ColumnAnswer.to_pairs()`` as the
-  row-execution reference path produces directly, with *identical*
-  :class:`QueryStats` and fact-:class:`CacheStats` counters — the
-  columnar rewrite changes how fast the work runs, never how much work
-  the benchmarks see.
+  tuple-at-a-time oracle (``tests/support/row_engine.py``) produces
+  directly, with *identical* :class:`QueryStats` and
+  fact-:class:`CacheStats` counters — the columnar engine changes how
+  fast the work runs, never how much work the benchmarks see.
 
 The :class:`ResultCache` storing ``ColumnAnswer`` directly is covered at
 the bottom: hit/miss keying on ``(node, slices)``, invalidation after
@@ -21,7 +21,6 @@ incremental maintenance, and empty-answer caching.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -35,13 +34,11 @@ from repro.query import (
     ColumnAnswer,
     DimensionSlice,
     FactCache,
-    QueryStats,
     ResultCache,
     answer_bubst_query,
     answer_buc_query,
     answer_cure_query,
     answer_cure_sliced,
-    answer_pairs,
     answer_rollup_from_bubst,
     answer_rollup_from_buc,
     answer_rollup_from_flat,
@@ -50,19 +47,10 @@ from repro.query import (
     iceberg_over_buc,
     iceberg_over_cure,
     normalize_answer,
-    set_batch_execution,
 )
 from repro.core.variants import VARIANTS
 from repro.query.planner import CubePlanner, QueryRequest, build_indices
-
-
-@contextmanager
-def batch_mode(enabled: bool):
-    previous = set_batch_execution(enabled)
-    try:
-        yield
-    finally:
-        set_batch_execution(previous)
+from tests.support import row_engine
 
 
 # -- value-type laws ----------------------------------------------------------
@@ -99,7 +87,6 @@ def test_normalized_matches_sorted_pairs():
     answer = ColumnAnswer.from_pairs(PAIRS)
     assert answer.normalized().to_pairs() == sorted(PAIRS)
     assert normalize_answer(answer) == sorted(PAIRS)
-    assert normalize_answer(PAIRS) == sorted(PAIRS)
 
 
 def test_equality_is_order_insensitive():
@@ -150,12 +137,6 @@ def test_filter_and_take():
         answer.filter(np.array([True]))
 
 
-def test_answer_pairs_bridges_both_flavors():
-    answer = ColumnAnswer.from_pairs(PAIRS)
-    assert answer_pairs(answer) == PAIRS
-    assert answer_pairs(PAIRS) is PAIRS
-
-
 # -- differential equivalence across formats and workloads --------------------
 
 
@@ -190,29 +171,7 @@ def world():
     }
 
 
-def run_differential(cache, fn):
-    """Run ``fn(stats)`` on both execution modes; assert the contract.
-
-    Batch execution must yield a :class:`ColumnAnswer`, row execution the
-    legacy pairs; ``to_pairs()`` must agree with the pairs and all work
-    counters must be identical.  Returns the batch answer.
-    """
-    with batch_mode(False):
-        cache.stats.reset()
-        row_stats = QueryStats()
-        row_answer = fn(row_stats)
-        row_cache = (cache.stats.hits, cache.stats.misses)
-    with batch_mode(True):
-        cache.stats.reset()
-        batch_stats = QueryStats()
-        batch_answer = fn(batch_stats)
-        batch_cache = (cache.stats.hits, cache.stats.misses)
-    assert isinstance(row_answer, list)
-    assert isinstance(batch_answer, ColumnAnswer)
-    assert sorted(batch_answer.to_pairs()) == sorted(row_answer)
-    assert row_stats == batch_stats, "query work counters diverged"
-    assert row_cache == batch_cache, "fact-cache counters diverged"
-    return batch_answer
+run_differential = row_engine.assert_engine_matches
 
 
 NODES = [CubeNode((0, 0, 0)), CubeNode((1, 1, 0)), CubeNode((2, 2, 1)),
@@ -226,6 +185,9 @@ def test_node_queries_differential_cure(world, fmt):
         answer = run_differential(
             cache,
             lambda stats: answer_cure_query(cubes[fmt], cache, node, stats),
+            lambda stats: row_engine.answer_cure_query(
+                cubes[fmt], cache, node, stats
+            ),
         )
         assert ColumnAnswer.from_pairs(answer.to_pairs()) == answer
 
@@ -234,11 +196,18 @@ def test_node_queries_differential_baselines(world):
     schema, _table, cache, cubes = world
     for node in NODES:
         run_differential(
-            cache, lambda stats: answer_buc_query(cubes["buc"], node, stats)
+            cache,
+            lambda stats: answer_buc_query(cubes["buc"], node, stats),
+            lambda stats: row_engine.answer_buc_query(
+                cubes["buc"], node, stats
+            ),
         )
         run_differential(
             cache,
             lambda stats: answer_bubst_query(cubes["bubst"], node, stats),
+            lambda stats: row_engine.answer_bubst_query(
+                cubes["bubst"], node, stats
+            ),
         )
 
 
@@ -257,6 +226,9 @@ def test_sliced_queries_differential(world, fmt):
             lambda stats: answer_cure_sliced(
                 cubes[fmt], cache, node, SLICES, index_arg, stats
             ),
+            lambda stats: row_engine.answer_cure_sliced(
+                cubes[fmt], cache, node, SLICES, index_arg, stats
+            ),
         )
 
 
@@ -270,14 +242,23 @@ def test_iceberg_differential(world, min_count):
             lambda stats: iceberg_over_cure(
                 cubes[fmt], cache, node, min_count, stats
             ),
+            lambda stats: row_engine.iceberg_over_cure(
+                cubes[fmt], cache, node, min_count, stats
+            ),
         )
     run_differential(
         cache,
         lambda stats: iceberg_over_buc(cubes["buc"], node, min_count, stats),
+        lambda stats: row_engine.iceberg_over_buc(
+            cubes["buc"], node, min_count, stats
+        ),
     )
     run_differential(
         cache,
         lambda stats: iceberg_over_bubst(
+            cubes["bubst"], node, min_count, stats
+        ),
+        lambda stats: row_engine.iceberg_over_bubst(
             cubes["bubst"], node, min_count, stats
         ),
     )
@@ -292,14 +273,23 @@ def test_rollup_differential(world):
             lambda stats: answer_rollup_from_flat(
                 cubes["fcure"], cache, node, stats
             ),
+            lambda stats: row_engine.answer_rollup_from_flat(
+                cubes["fcure"], cache, node, stats
+            ),
         )
         run_differential(
             cache,
             lambda stats: answer_rollup_from_buc(cubes["buc"], node, stats),
+            lambda stats: row_engine.answer_rollup_from_buc(
+                cubes["buc"], node, stats
+            ),
         )
         run_differential(
             cache,
             lambda stats: answer_rollup_from_bubst(
+                cubes["bubst"], node, stats
+            ),
+            lambda stats: row_engine.answer_rollup_from_bubst(
                 cubes["bubst"], node, stats
             ),
         )
@@ -315,20 +305,23 @@ def test_planner_differential(world):
         QueryRequest.of(CubeNode((0, 1, 0))),
         QueryRequest.of(CubeNode((0, 1, 0)), *SLICES),
     ]:
-        run_differential(cache, lambda stats: planner.answer(request, stats))
+        run_differential(
+            cache,
+            lambda stats: planner.answer(request, stats),
+            lambda stats: row_engine.answer_request(planner, request, stats),
+        )
 
 
 def test_batch_answers_never_materialize_python_tuples(world, monkeypatch):
-    """The tentpole invariant, enforced: under batch execution the CURE
-    node path must not call ``ColumnAnswer.to_pairs`` anywhere."""
+    """The columnar invariant, enforced: the CURE node path must not
+    call ``ColumnAnswer.to_pairs`` anywhere."""
     schema, _table, cache, cubes = world
 
     def boom(self):  # pragma: no cover - only fires on regression
         raise AssertionError("batch path materialized Python tuples")
 
     monkeypatch.setattr(ColumnAnswer, "to_pairs", boom)
-    with batch_mode(True):
-        answer = answer_cure_query(cubes["cure"], cache, CubeNode((0, 1, 0)))
+    answer = answer_cure_query(cubes["cure"], cache, CubeNode((0, 1, 0)))
     assert isinstance(answer, ColumnAnswer)
     assert len(answer) > 0
 
@@ -346,11 +339,14 @@ def test_result_cache_stores_column_answers_directly():
 
 
 def test_result_cache_bridges_legacy_pairs():
+    # Pairs come in through ``from_pairs``; ``put`` takes nothing else.
     cache = ResultCache()
-    cache.put(4, (), PAIRS)
+    cache.put(4, (), ColumnAnswer.from_pairs(PAIRS))
     hit = cache.get(4, ())
     assert isinstance(hit, ColumnAnswer)
     assert hit == PAIRS
+    with pytest.raises(TypeError):
+        cache.put(4, (), PAIRS)
 
 
 def test_result_cache_keying_on_node_and_slices():
@@ -373,20 +369,6 @@ def test_result_cache_caches_empty_column_answers():
     assert hit is not None  # a cached empty answer is a hit, not a miss
     assert len(hit) == 0
     assert cache.stats.hits == 1 and cache.stats.misses == 0
-
-
-def test_planner_row_mode_bridges_cached_answers(world):
-    schema, _table, cache, cubes = world
-    planner = CubePlanner(cubes["cure"], cache)
-    request = QueryRequest.of(CubeNode((1, 1, 0)))
-    with batch_mode(True):
-        first = planner.answer(request)
-    assert isinstance(first, ColumnAnswer)
-    with batch_mode(False):
-        second = planner.answer(request)  # served from the result cache
-    assert isinstance(second, list)
-    assert planner.results.stats.hits == 1
-    assert first == second
 
 
 def test_planner_invalidate_results_after_incremental_maintenance(

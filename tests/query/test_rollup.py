@@ -9,6 +9,7 @@ from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.core.variants import VARIANTS
 from repro.lattice.node import CubeNode
 from repro.query import (
+    ColumnAnswer,
     FactCache,
     answer_rollup_from_bubst,
     answer_rollup_from_buc,
@@ -81,7 +82,9 @@ def test_rollup_rejects_holistic(paper_schema):
         paper_schema.dimensions, (AggregateSpec(MedianAgg(), 0),), 1
     )
     with pytest.raises(ValueError, match="distributive"):
-        rollup_base_answer(schema, [], CubeNode((1, 2, 1)))
+        rollup_base_answer(
+            schema, ColumnAnswer.empty(1, 1), CubeNode((1, 2, 1))
+        )
 
 
 def test_rollup_merges_groups(paper_schema):
@@ -91,7 +94,9 @@ def test_rollup_merges_groups(paper_schema):
     # Two base answers with A codes that share a level-1 parent.
     code_x, code_y = 0, 1
     assert a.code_at(code_x, 1) == a.code_at(code_y, 1)
-    base_answer = [((code_x,), (10, 1)), ((code_y,), (5, 2))]
+    base_answer = ColumnAnswer.from_pairs(
+        [((code_x,), (10, 1)), ((code_y,), (5, 2))]
+    )
     rolled = rollup_base_answer(
         paper_schema, base_answer, CubeNode((1, 2, 1))
     )

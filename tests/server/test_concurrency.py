@@ -17,7 +17,6 @@ import threading
 import numpy as np
 
 from repro.core.incremental import UpdateReport
-from repro.query.answer import batch_execution_enabled, set_batch_execution
 from repro.query.vector import level_map
 from repro.query.workload import mixed_workload
 from repro.server.app import SlicerApp
@@ -113,30 +112,6 @@ def test_readers_race_checkpoint_invalidation(served_bundles):
     finally:
         stop.set()
         flip_thread.join()
-
-
-def test_batch_execution_contextvar_is_thread_isolated(served_bundles):
-    # Half the request threads flip to row-at-a-time execution; the
-    # ContextVar must stay per-thread (no bleed through the shared app)
-    # and every body must match the batch-mode reference bytes.
-    bundle = served_bundles["CURE"]
-    schema = bundle.schema
-    ops = mixed_workload(schema, 25, seed=47)
-    paths = [op_path(schema, op) for op in ops]
-    expected = _reference_bodies(bundle, paths)
-
-    app = SlicerApp(bundle)
-
-    def worker(index):
-        use_batch = index % 2 == 0
-        set_batch_execution(use_batch)
-        for i, path in enumerate(paths):
-            assert wsgi_get(app, path)[1] == expected[i]
-            assert batch_execution_enabled() is use_batch
-
-    _race(N_THREADS, worker)
-    # the main thread's mode is untouched by the workers
-    assert batch_execution_enabled() is True
 
 
 def test_level_map_memo_is_safe_under_barrier_start(served_bundles):

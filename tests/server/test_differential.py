@@ -5,7 +5,9 @@ is compared against an in-process computation over a *fresh* planner
 (:func:`repro.server.replay.replay_op`), rendered through the same
 canonical encoder.  Routing, parameter parsing, planner strategy choice,
 shared-cache reuse and JSON rendering all have to agree, across CURE,
-CURE+ and FCURE, in batch and row execution modes, for these to pass.
+CURE+ and FCURE, for these to pass — and the served bytes must also be
+what the tuple-at-a-time oracle (``tests/support/row_engine.py``) gives
+when its pairs go through the row-at-a-time reference encoder.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import json
 
 import pytest
 
-from repro.query.answer import set_batch_execution
 from repro.query.planner import QueryRequest
 from repro.query.workload import mixed_workload
 from repro.server.app import SlicerApp
-from repro.server.encoding import as_column_answer, decode_answer, encode_answer
+from repro.server.encoding import decode_answer, encode_answer
 from repro.server.replay import execute_op, op_path, replay_op
 from tests.server.conftest import SERVED_VARIANTS, wsgi_get
+from tests.support import row_engine
+from tests.support.reference_encoding import reference_encode_op
 
 
 @pytest.fixture(scope="module")
@@ -62,18 +65,17 @@ def test_mixed_workload_differential(variant, apps):
 
 
 def test_row_mode_library_agrees_with_server(apps):
-    # The server executes in (default) batch mode; a row-at-a-time
-    # library replay must still produce the same bytes.
+    # The server answers through the columnar reader and encoder; the
+    # row-engine oracle, rendered by the reference encoder, shares
+    # neither and must still produce the same bytes.
     app = apps["CURE"]
     schema = app.schema
-    reference = app.bundle.planner(with_indices=False)
-    previous = set_batch_execution(False)
-    try:
+    for with_indices in (False, True):
+        reference = app.bundle.planner(with_indices=with_indices)
         for op in mixed_workload(schema, 30, seed=29):
             _, body = wsgi_get(app, op_path(schema, op))
-            assert body == replay_op(reference, op), op
-    finally:
-        set_batch_execution(previous)
+            pairs = row_engine.execute_op(reference, op)
+            assert body == reference_encode_op(schema, op, pairs), op
 
 
 def test_served_bodies_decode_to_the_answers(apps):
@@ -83,9 +85,7 @@ def test_served_bodies_decode_to_the_answers(apps):
     for op in mixed_workload(schema, 20, seed=31):
         _, body = wsgi_get(app, op_path(schema, op))
         payload, answer = decode_answer(body)
-        expected = as_column_answer(
-            schema, op.node, execute_op(reference, op)
-        )
+        expected = execute_op(reference, op)
         assert payload["kind"] == op.kind
         assert answer == expected
 

@@ -3,23 +3,25 @@
 Every comparison runs the same built cube opened two ways — through the
 v1 heap-file load path and through the mapped ``cube.v2`` container —
 and renders both answers through the canonical encoder.  Node scans,
-slices, rollups and iceberg queries, across CURE, CURE+ and FCURE, in
-batch and row execution modes, over the library *and* over HTTP, all
-have to produce identical bytes for the v2 format to be considered a
-pure storage change.
+slices, rollups and iceberg queries, across CURE, CURE+ and FCURE, over
+the library *and* over HTTP — and through the tuple-at-a-time oracle
+(``tests/support/row_engine.py``), which reads the mapped container's
+lazy row surfaces — all have to produce identical bytes for the v2
+format to be considered a pure storage change.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.query.answer import set_batch_execution
 from repro.query.planner import QueryRequest
 from repro.query.workload import mixed_workload
 from repro.server.app import SlicerApp
 from repro.server.encoding import encode_answer
 from repro.server.replay import op_path, replay_op
 from tests.server.conftest import SERVED_VARIANTS, wsgi_get
+from tests.support import row_engine
+from tests.support.reference_encoding import reference_encode_op
 
 
 @pytest.mark.parametrize("variant", SERVED_VARIANTS)
@@ -48,15 +50,17 @@ def test_mixed_workload_is_byte_identical(variant, dual_bundles):
 
 
 def test_row_mode_is_byte_identical(dual_bundles):
+    # The row-engine oracle over each backend, through the reference
+    # encoder: v1 and v2 must agree with each other and with the
+    # columnar engine over the mapped container.
     v1, v2 = dual_bundles["CURE+"]
+    schema = v1.schema
     p1 = v1.planner(with_indices=False)
     p2 = v2.planner(with_indices=False)
-    previous = set_batch_execution(False)
-    try:
-        for op in mixed_workload(v1.schema, 30, seed=29):
-            assert replay_op(p1, op) == replay_op(p2, op), op
-    finally:
-        set_batch_execution(previous)
+    for op in mixed_workload(schema, 30, seed=29):
+        body1 = reference_encode_op(schema, op, row_engine.execute_op(p1, op))
+        body2 = reference_encode_op(schema, op, row_engine.execute_op(p2, op))
+        assert body1 == body2 == replay_op(p2, op), op
 
 
 @pytest.mark.parametrize("variant", SERVED_VARIANTS)

@@ -8,6 +8,11 @@ is hand-assembled here, which is what makes it the reference: the
 production encoder splices a ``%``-formatted ``rows`` array behind the
 metadata and must produce these exact bytes
 (``tests/server/test_encoding.py``).
+
+It takes a :class:`ColumnAnswer` or the pair lists the row-engine oracle
+(``tests/support/row_engine.py``) produces; :func:`reference_encode_op`
+renders one workload op's answer the way ``repro.server.replay.encode_op``
+does, so oracle pairs can be held against served bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.server.encoding import as_column_answer
+from repro.query.column_answer import ColumnAnswer
+from repro.server.app import canonical_slices, slice_params
 
 
 def reference_encode_answer(
@@ -25,8 +31,12 @@ def reference_encode_answer(
     kind: str = "node",
     params: dict[str, Any] | None = None,
 ) -> bytes:
-    columnar = as_column_answer(schema, node, answer).normalized()
     grouping = node.grouping_dims(schema.dimensions)
+    if not isinstance(answer, ColumnAnswer):
+        answer = ColumnAnswer.from_pairs(
+            answer, arity=len(grouping), n_aggregates=schema.n_aggregates
+        )
+    columnar = answer.normalized()
     payload: dict[str, Any] = {
         "kind": kind,
         "node": schema.node_id(node),
@@ -50,3 +60,14 @@ def reference_encode_answer(
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
+
+
+def reference_encode_op(schema, op, answer) -> bytes:
+    params = None
+    if op.kind == "slice":
+        params = {"where": slice_params(canonical_slices(op.slices))}
+    elif op.kind == "iceberg":
+        params = {"min_count": op.min_count}
+    return reference_encode_answer(
+        schema, op.node, answer, kind=op.kind, params=params
+    )
