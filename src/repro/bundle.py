@@ -235,15 +235,40 @@ def streamed_container(directory: str | Path) -> Path | None:
     return manifest.parent / str(payload["container"])
 
 
-def open_bundle(directory: str | Path, use_v2: bool = True) -> CubeBundle:
+def _bundle_header(root: Path) -> tuple[CubeSchema, dict]:
+    meta_path = root / BUNDLE_META
+    if not meta_path.exists():
+        raise FileNotFoundError(f"{root} does not contain a cube bundle")
+    meta = json.loads(meta_path.read_text())
+    return schema_from_json(meta["schema"]), meta.get("extra", {})
+
+
+def load_v1_bundle(directory: str | Path) -> CubeBundle:
+    """Open a bundle through the v1 heap relations :func:`save_bundle`
+    wrote, whatever containers sit beside them.
+
+    This is what :func:`open_bundle` falls back to, what ``publish-v2``
+    compacts (a ``cube.v2`` must not feed its own replacement), and the
+    reference the differential tests hold the mapped path to.
+    """
+    root = Path(directory)
+    schema, extra = _bundle_header(root)
+    catalog = Catalog(root)
+    storage = CubeStorage.load(catalog, schema, prefix=CUBE_PREFIX)
+    storage.row_resolver = lambda rowid: schema.dim_values(
+        catalog.open(FACT_RELATION).read_row(rowid)
+    )
+    return CubeBundle(root, schema, storage, catalog, extra)
+
+
+def open_bundle(directory: str | Path) -> CubeBundle:
     """Open a bundle previously written by :func:`save_bundle`.
 
     If the bundle has been streamed into (``python -m repro ingest``),
     the committed ingest generation supersedes the originally built cube.
     A generation *is* a v2 container, named by the ingest manifest, so it
     is mapped directly: nothing can be stale (the manifest flip is the
-    commit and names exactly this file), nothing is unpacked, and there
-    is no v1 layout to fall back to — ``use_v2`` does not apply.
+    commit and names exactly this file) and nothing is unpacked.
 
     Otherwise, when a ``cube.v2`` container is present (``publish-v2``),
     it is preferred: opening maps the file and unpacks **nothing** — no
@@ -252,62 +277,44 @@ def open_bundle(directory: str | Path, use_v2: bool = True) -> CubeBundle:
 
     * **staleness** — a v2 file whose recorded cube prefix, fact relation
       or v1 meta checksum no longer matches the bundle's v1 relations is
-      silently ignored in favour of those relations, which are always
-      current;
+      silently ignored in favour of those relations
+      (:func:`load_v1_bundle`), which are always current;
     * **corruption** — a v2 file that *does* describe the current cube
       but fails structural validation raises
       :class:`~repro.storage2.format.V2FormatError` (fail closed; a
       damaged container must be noticed, not silently routed around).
       Section-level bit flips surface the same way, lazily, on first
-      access.  Pass ``use_v2=False`` to force the v1 path.
+      access.
     """
+    from repro.storage2.mapped import open_v2
+    from repro.storage2.publish import V2_FILE
+
     root = Path(directory)
-    meta_path = root / BUNDLE_META
-    if not meta_path.exists():
-        raise FileNotFoundError(f"{root} does not contain a cube bundle")
-    meta = json.loads(meta_path.read_text())
-    schema = schema_from_json(meta["schema"])
-    catalog = Catalog(root)
+    schema, extra = _bundle_header(root)
     generation = streamed_container(root)
     if generation is not None:
-        from repro.storage2.mapped import open_v2
-
         mapped = open_v2(generation, schema)
         return CubeBundle(
             root,
             schema,
             mapped.storage,
-            catalog,
-            meta.get("extra", {}),
+            Catalog(root),
+            extra,
             str(mapped.file.meta["fact_relation"]),
             str(mapped.file.meta["cube_prefix"]),
             v2=mapped,
         )
-    if use_v2:
-        from repro.storage2.publish import V2_FILE
-
-        v2_path = root / V2_FILE
-        if v2_path.exists():
-            from repro.storage2.mapped import open_v2
-
-            mapped = open_v2(v2_path, schema)
-            current = (
-                mapped.file.meta.get("cube_prefix") == CUBE_PREFIX
-                and mapped.file.meta.get("fact_relation") == FACT_RELATION
-                and mapped.file.meta.get("cube_meta_checksum")
-                == file_checksum(root / f"{CUBE_PREFIX}.meta.json")
+    v2_path = root / V2_FILE
+    if v2_path.exists():
+        mapped = open_v2(v2_path, schema)
+        current = (
+            mapped.file.meta.get("cube_prefix") == CUBE_PREFIX
+            and mapped.file.meta.get("fact_relation") == FACT_RELATION
+            and mapped.file.meta.get("cube_meta_checksum")
+            == file_checksum(root / f"{CUBE_PREFIX}.meta.json")
+        )
+        if current:
+            return CubeBundle(
+                root, schema, mapped.storage, Catalog(root), extra, v2=mapped
             )
-            if current:
-                return CubeBundle(
-                    root,
-                    schema,
-                    mapped.storage,
-                    catalog,
-                    meta.get("extra", {}),
-                    v2=mapped,
-                )
-    storage = CubeStorage.load(catalog, schema, prefix=CUBE_PREFIX)
-    storage.row_resolver = lambda rowid: schema.dim_values(
-        catalog.open(FACT_RELATION).read_row(rowid)
-    )
-    return CubeBundle(root, schema, storage, catalog, meta.get("extra", {}))
+    return load_v1_bundle(root)

@@ -33,10 +33,10 @@ row (numpy gathers, no per-row Python); the delta's groups come from one
 stable sort + ``reduceat`` over the ≤ |delta| new keys; and every stored
 relation — TT row-ids, NT and CAT source row-ids — is tested against
 those groups with one ``searchsorted``.  Devaluation is a mask, NT merges
-and CAT demotions are batched per node, and the row lists and their int64
-views (``NodeStore.nt_matrix`` and friends) are edited in step, so the
-query caches stay warm across an update.  Work is *delta × lattice plus
-one vectorised membership test per node*; nothing loops over stored rows.
+and CAT demotions are batched per node, and each rewritten relation
+replaces the stored array wholesale (``ArrayRelation.replace``).  Work is
+*delta × lattice plus one vectorised membership test per node*; nothing
+loops over stored rows.
 
 After many updates the cube drifts from the fully condensed form (demoted
 CATs, localized TTs); tests assert exact query equivalence with a
@@ -182,20 +182,16 @@ def apply_delta(
 
     # A CURE+ cube keeps some relations as bitmaps and relies on sorted
     # row-id lists; updates append out of order, so materialize bitmaps
-    # back to lists and drop the plus property (re-run
+    # back to row-id arrays and drop the plus property (re-run
     # :func:`repro.core.postprocess.postprocess_plus` afterwards to
     # restore it).
     for store in storage.nodes.values():
         if store.tt_bitmap is not None:
-            rowids = store.tt_bitmap.to_array()
-            store.tt_rowids = rowids.tolist()
+            store.tt.replace(store.tt_bitmap.to_array())
             store.tt_bitmap = None
-            store.adopt_views(tt=rowids)
         if store.cat_bitmap is not None:
-            arowids = store.cat_bitmap.to_array()
-            store.cat_rows = list(zip(arowids.tolist()))
+            store.cat.replace(store.cat_bitmap.to_array().reshape(-1, 1))
             store.cat_bitmap = None
-            store.adopt_views(cat=arowids.reshape(-1, 1))
     storage.plus_processed = False
 
     base_rowid = len(fact_table)
@@ -420,7 +416,7 @@ class _DeltaMerger:
         # becomes an explicit NT here, merged with its delta group, and is
         # handed on to the children, while an untouched one safely covers
         # this node's whole sub-tree.
-        trivial = store.tt_array() if store.tt_rowids else _NO_ROWIDS
+        trivial = store.tt_array()
         trivial_group, trivial_hit = groups.of(trivial)
         inherited_group, inherited_hit = groups.of(inherited)
         became = np.concatenate((trivial[trivial_hit], inherited[inherited_hit]))
@@ -445,7 +441,7 @@ class _DeltaMerger:
         # aggregates, minimum source row-id kept) ...
         normal = (
             store.nt_matrix()
-            if store.nt_rows
+            if store.nt_count
             else np.empty((0, 1 + len(self._ufuncs)), dtype=np.int64)
         )
         normal_group, normal_hit = groups.of(normal[:, 0])
@@ -461,7 +457,7 @@ class _DeltaMerger:
         report.nts_merged += len(rewritten)
 
         # ... touched CATs are demoted to NTs ...
-        if store.cat_rows:
+        if store.cat_count:
             appended.append(self._demote_cats(store, groups, matched))
 
         # ... and what is left is brand new: several delta rows make an
@@ -485,23 +481,17 @@ class _DeltaMerger:
             ]
         report.new_tts += len(single_rowids)
 
-        # Write back: row lists and their int64 views, edited in step.
-        # The views are fresh arrays (never the ones a query was handed).
+        # Write back: fresh arrays (never the ones a query was handed).
         new_rows = np.concatenate(appended)
         if len(rewritten) or len(new_rows):
-            view = np.concatenate((normal, new_rows))
-            view[rewritten] = merged
-            for position, row in zip(
-                rewritten.tolist(), map(tuple, merged.tolist())
-            ):
-                store.nt_rows[position] = row
-            store.nt_rows.extend(map(tuple, new_rows.tolist()))
-            store.adopt_views(nt=view)
+            rows = np.concatenate((normal, new_rows))
+            rows[rewritten] = merged
+            store.nt.replace(rows)
         stay = inherited[~inherited_hit]
         if trivial_hit.any() or len(stay) or len(single_rowids):
-            view = np.concatenate((trivial[~trivial_hit], stay, single_rowids))
-            store.tt_rowids = view.tolist()
-            store.adopt_views(tt=view)
+            store.tt.replace(
+                np.concatenate((trivial[~trivial_hit], stay, single_rowids))
+            )
         return became, singles
 
     def _demote_cats(
@@ -529,9 +519,7 @@ class _DeltaMerger:
         group = common_group[demoted]
         matched[group] = True
         if len(demoted):
-            for position in reversed(demoted.tolist()):
-                del store.cat_rows[position]
-            store.adopt_views(cat=np.delete(common, demoted, axis=0))
+            store.cat.replace(np.delete(common, demoted, axis=0))
             self.report.cats_demoted += len(demoted)
             self.storage.update_drift_bytes += (
                 len(demoted)

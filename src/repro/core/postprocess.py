@@ -43,26 +43,22 @@ def postprocess_plus(
     report = PlusReport()
     started = time.perf_counter()
     fact_universe = storage.fact_row_count
-    aggregates_universe = len(storage.aggregates_rows)
+    aggregates_universe = storage.aggregates_count
     cat_format_a = storage.cat_format is CatFormat.COMMON_SOURCE
     for store in storage.nodes.values():
-        # Both passes run on the relations' int64 views and hand the
-        # sorted view back (``adopt_views``), so a cube that is re-plussed
-        # after every maintenance cycle keeps its query caches warm; NT
-        # relations are not touched at all.
-        if store.tt_rowids:
+        # A sorted relation replaces the stored one (or a bitmap does, and
+        # the relation empties); NT relations are not touched at all.
+        if store.tt_bitmap is None and store.tt_count:
             rowids = np.sort(store.tt_array())
             report.tt_lists_sorted += 1
             if convert_bitmaps and Bitmap.beneficial(
                 len(rowids), fact_universe
             ):
                 store.tt_bitmap = Bitmap.from_rowids(rowids, fact_universe)
-                store.tt_rowids = []
+                rowids = np.empty(0, dtype=np.int64)
                 report.tt_bitmaps += 1
-            else:
-                store.tt_rowids = rowids.tolist()
-                store.adopt_views(tt=rowids)
-        if cat_format_a and store.cat_rows:
+            store.tt.replace(rowids)
+        if cat_format_a and store.cat_bitmap is None and store.cat_count:
             arowids = np.sort(store.cat_matrix()[:, 0])
             # Format (a) CAT rows are bare ⟨A-rowid⟩ singletons, but a
             # bitmap can only represent a *set*; duplicates (several
@@ -76,11 +72,9 @@ def postprocess_plus(
                 store.cat_bitmap = Bitmap.from_rowids(
                     arowids, aggregates_universe
                 )
-                store.cat_rows = []
+                arowids = np.empty(0, dtype=np.int64)
                 report.cat_bitmaps += 1
-            else:
-                store.cat_rows = list(zip(arowids.tolist()))
-                store.adopt_views(cat=arowids.reshape(-1, 1))
+            store.cat.replace(arowids.reshape(-1, 1))
     storage.plus_processed = True
     report.elapsed_seconds = time.perf_counter() - started
     return report

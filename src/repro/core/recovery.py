@@ -587,7 +587,7 @@ class DurableCubeBuild:
             "files": files,
             "row_counts": row_counts,
             "meta_checksum": text_checksum(meta_text),
-            "aggregate_rows": len(storage.aggregates_rows),
+            "aggregate_rows": storage.aggregates_count,
         }
         manifest.stage = STAGE_COMPLETE
         manifest.checkpoint = None

@@ -22,6 +22,10 @@ Per cube node, up to three relations exist:
   ``k/n > Y+1`` rule derived in Section 5.1 (with the degenerate cases:
   ``Y = 1`` → store CATs as plain NTs).
 
+In memory every relation is one int64 array and nothing else
+(:class:`ArrayRelation`): construction appends array chunks, readers get
+read-only arrays, rewriters replace a relation wholesale.
+
 Sizes are accounted in the paper's logical model — 4 bytes per stored
 value (row-id, dimension code, or aggregate) — so the reproduction's size
 figures are directly comparable in shape to the paper's, independent of
@@ -32,15 +36,14 @@ from __future__ import annotations
 
 import enum
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.model import CubeSchema
-from repro.lattice.node import CubeNode
 from repro.core.signature import FormatStatistics, cat_members
-from repro.relational.batch import ColumnBatch
+from repro.relational.batch import ColumnBatch, column_dtype
 from repro.relational.bitmap import Bitmap
 from repro.relational.catalog import Catalog
 from repro.relational.durable import atomic_write_text, maybe_fire
@@ -74,114 +77,148 @@ def choose_cat_format(
     return CatFormat.COINCIDENTAL
 
 
-@dataclass
-class NodeStore:
-    """The up-to-three relations of one cube node.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    The ``*_matrix``/``*_array`` accessors cache int64 views of the row
-    lists for the vectorized query paths.  Caches are keyed on list
-    length (the relations are append-only during construction); code
-    that replaces or reorders a relation in place without changing its
-    length must either call :meth:`invalidate_matrices` or — when it
-    already holds the relation as an array, as CURE+ post-processing and
-    incremental maintenance do — hand the new view over with
-    :meth:`adopt_views`, so the next query does not re-box the list.
+
+_NO_ROWS = _read_only(np.empty(0, dtype=np.int64))
+
+
+class ArrayRelation:
+    """One cube relation: int64 rows, appended as chunks, read as one array.
+
+    Construction appends array chunks; the first read consolidates them
+    with one ``np.concatenate``, computed aside and installed by a single
+    assignment, so serving threads may race a first read.  Every array
+    handed out is read-only: a rewrite is a :meth:`replace` by a new
+    array, which leaves answers built over the old one what they were.
+
+    A relation that already exists elsewhere (a section of a mapped
+    ``cube.v2``) is given as its row ``count`` and a ``fetch`` that the
+    first read calls; such a relation is served, never appended to.
     """
 
-    nt_rows: list[tuple] = field(default_factory=list)
-    tt_rowids: list[int] = field(default_factory=list)
-    cat_rows: list[tuple] = field(default_factory=list)
-    tt_bitmap: Bitmap | None = None
-    cat_bitmap: Bitmap | None = None
-    _nt_matrix: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
-    _tt_array: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
-    _cat_matrix: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(
+        self, count: int = 0, fetch: Callable[[], np.ndarray] | None = None
+    ) -> None:
+        self.count = count
+        self._parts: list[np.ndarray] = []
+        self._fetch = fetch
+
+    def append(self, chunk: np.ndarray) -> None:
+        self._parts.append(_read_only(chunk))
+        self.count += len(chunk)
+
+    def replace(self, array: np.ndarray) -> None:
+        self._parts = [_read_only(array)]
+        self.count = len(array)
+
+    def array(self) -> np.ndarray:
+        parts = self._parts
+        if len(parts) == 1:
+            return parts[0]
+        if parts:
+            merged = np.concatenate(parts)
+        elif self._fetch is not None:
+            merged = self._fetch()
+        else:
+            return _NO_ROWS
+        self._parts = [_read_only(merged)]
+        return merged
+
+
+class NodeStore:
+    """The up-to-three relations of one cube node, each one int64 array.
+
+    ``nt`` / ``tt`` / ``cat`` are the relations themselves — what
+    construction appends chunks to and CURE+ post-processing and
+    incremental maintenance replace wholesale.  Readers go through
+    ``nt_matrix`` / ``tt_array`` / ``cat_matrix`` (an empty relation is
+    the empty vector, so an NT or CAT matrix has columns only when its
+    count is non-zero) and the counts, which read no array.
+    """
+
+    def __init__(
+        self,
+        nt: ArrayRelation | None = None,
+        tt: ArrayRelation | None = None,
+        cat: ArrayRelation | None = None,
+    ) -> None:
+        self.nt = nt or ArrayRelation()
+        self.tt = tt or ArrayRelation()
+        self.cat = cat or ArrayRelation()
+        self.tt_bitmap: Bitmap | None = None
+        self.cat_bitmap: Bitmap | None = None
 
     def nt_matrix(self) -> np.ndarray:
-        """``nt_rows`` as a cached int64 matrix (non-empty lists only)."""
-        cached = self._nt_matrix
-        if cached is None or len(cached) != len(self.nt_rows):
-            cached = np.asarray(self.nt_rows, dtype=np.int64)
-            self._nt_matrix = cached
-        return cached
+        return self.nt.array()
 
     def tt_array(self) -> np.ndarray:
-        """``tt_rowids`` as a cached int64 array."""
-        cached = self._tt_array
-        if cached is None or len(cached) != len(self.tt_rowids):
-            cached = np.asarray(self.tt_rowids, dtype=np.int64)
-            self._tt_array = cached
-        return cached
+        return self.tt.array()
 
     def cat_matrix(self) -> np.ndarray:
-        """``cat_rows`` as a cached int64 matrix (non-empty lists only)."""
-        cached = self._cat_matrix
-        if cached is None or len(cached) != len(self.cat_rows):
-            cached = np.asarray(self.cat_rows, dtype=np.int64)
-            self._cat_matrix = cached
-        return cached
-
-    def invalidate_matrices(self) -> None:
-        """Drop cached views after an in-place relation rewrite."""
-        self._nt_matrix = None
-        self._tt_array = None
-        self._cat_matrix = None
-
-    def adopt_views(
-        self,
-        nt: np.ndarray | None = None,
-        tt: np.ndarray | None = None,
-        cat: np.ndarray | None = None,
-    ) -> None:
-        """Install int64 views of relations the caller has just rewritten.
-
-        Each array must equal its row list element for element (the
-        caller edited both in step); the caches never alias an array a
-        previous accessor handed out, so answers built over the old view
-        stay what they were.
-        """
-        if nt is not None:
-            self._nt_matrix = nt
-        if tt is not None:
-            self._tt_array = tt
-        if cat is not None:
-            self._cat_matrix = cat
+        return self.cat.array()
 
     @property
     def relation_count(self) -> int:
         """How many physical relations this node materializes."""
-        count = 0
-        if self.nt_rows:
-            count += 1
-        if self.tt_rowids or self.tt_bitmap is not None:
-            count += 1
-        if self.cat_rows or self.cat_bitmap is not None:
-            count += 1
-        return count
+        return (
+            bool(self.nt.count)
+            + (bool(self.tt.count) or self.tt_bitmap is not None)
+            + (bool(self.cat.count) or self.cat_bitmap is not None)
+        )
+
+    @property
+    def nt_count(self) -> int:
+        return self.nt.count
 
     @property
     def tt_count(self) -> int:
         """How many trivial tuples the node stores, list or bitmap."""
         if self.tt_bitmap is not None:
             return self.tt_bitmap.count()
-        return len(self.tt_rowids)
+        return self.tt.count
 
     @property
     def cat_count(self) -> int:
         """How many CATs the node stores, rows or bitmap."""
         if self.cat_bitmap is not None:
             return self.cat_bitmap.count()
-        return len(self.cat_rows)
+        return self.cat.count
 
-    @property
-    def stored_tuples(self) -> int:
-        return len(self.nt_rows) + self.tt_count + self.cat_count
+
+def _node_chunks(
+    node_ids: np.ndarray, values: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Split ``values`` by ``node_ids``: one ``(node_id, chunk)`` per node,
+    each chunk in its node's arrival order (slices of one sorted copy)."""
+    if not len(node_ids):
+        return
+    order = np.argsort(node_ids, kind="stable")
+    sorted_ids = node_ids[order]
+    values = values[order]
+    starts = [0, *(np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1).tolist()]
+    for start, stop in zip(starts, [*starts[1:], len(order)]):
+        yield int(sorted_ids[start]), values[start:stop]
+
+
+def _matrix_batch(schema: TableSchema, matrix: np.ndarray) -> ColumnBatch:
+    """A relation matrix as a batch of ``schema``-typed columns."""
+    return ColumnBatch.from_arrays(
+        schema,
+        [
+            matrix[:, position].astype(column_dtype(column.type), copy=False)
+            for position, column in enumerate(schema.columns)
+        ],
+    )
+
+
+def _load_matrix(catalog: Catalog, name: str) -> np.ndarray:
+    """A persisted relation as one int64 matrix, a row per record."""
+    return np.column_stack(catalog.open(name).load_batch().arrays).astype(
+        np.int64, copy=False
+    )
 
 
 @dataclass
@@ -222,7 +259,6 @@ class CubeStorage:
     dr_mode: bool = False
     flat: bool = False
     nodes: dict[int, NodeStore] = field(default_factory=dict)
-    aggregates_rows: list[tuple] = field(default_factory=list)
     cat_format: CatFormat | None = None
     partition_level: int | None = None
     # Level of the second dimension when partitioning fell back to a
@@ -236,8 +272,10 @@ class CubeStorage:
     # ``drift_report(exact=False)`` estimate a rebuild's size without
     # running one.  Reset to zero by construction (fresh storage).
     update_drift_bytes: int = 0
-    _aggregates_matrix: np.ndarray | None = field(
-        default=None, repr=False, compare=False
+    #: The shared AGGREGATES relation; read it through
+    #: :meth:`aggregates_matrix`, which types the empty case.
+    aggregates: ArrayRelation = field(
+        default_factory=ArrayRelation, repr=False, compare=False
     )
 
     # -- node access ------------------------------------------------------------
@@ -254,12 +292,10 @@ class CubeStorage:
 
     # -- write API (driven by apply_outcome and the signature pool) --------------
 
-    def write_tt(self, node_id: int, rowid: int) -> None:
-        self.node_store(node_id).tt_rowids.append(rowid)
-
     def write_tts(self, events: np.ndarray) -> None:
         """Append ``(node_id, rowid)`` trivial-tuple events, in order."""
-        self._extend("tt_rowids", events[:, 0], events[:, 1])
+        for node_id, rowids in _node_chunks(events[:, 0], events[:, 1]):
+            self.node_store(node_id).tt.append(rowids)
 
     def decide_format(self, statistics: FormatStatistics) -> None:
         """Fix the CAT format from first-flush statistics (once, globally)."""
@@ -300,78 +336,47 @@ class CubeStorage:
         common_source = self.cat_format is CatFormat.COMMON_SOURCE
         if common_source:
             new_row[1:] |= cats[1:, 1] != cats[:-1, 1]
-        arowids = len(self.aggregates_rows) - 1 + np.cumsum(new_row)
-        aggregates = cats[new_row, (1 if common_source else 2) :]
-        self.aggregates_rows.extend(map(tuple, aggregates.tolist()))
+        arowids = self.aggregates.count - 1 + np.cumsum(new_row)
+        self.aggregates.append(cats[new_row, (1 if common_source else 2) :])
         if common_source:
-            cat_rows = arowids[:, np.newaxis]
+            node_rows = arowids[:, np.newaxis]
         else:
-            cat_rows = np.column_stack((cats[:, 1], arowids))
-        self._extend("cat_rows", cats[:, 0], cat_rows)
+            node_rows = np.column_stack((cats[:, 1], arowids))
+        for node_id, chunk in _node_chunks(cats[:, 0], node_rows):
+            self.node_store(node_id).cat.append(chunk)
 
     def _write_nts(self, rows: np.ndarray) -> None:
-        if not self.dr_mode:
-            self._extend("nt_rows", rows[:, 0], rows[:, 1:])
-            return
-        nodes = {
-            node_id: self.schema.decode_node(node_id)
-            for node_id in np.unique(rows[:, 0]).tolist()
-        }
-        self._extend(
-            "nt_rows",
-            rows[:, 0],
-            [
-                self._resolve_node_dims(nodes[node_id], rowid) + tuple(aggregates)
-                for node_id, rowid, *aggregates in rows.tolist()
-            ],
-        )
+        for node_id, chunk in _node_chunks(rows[:, 0], rows[:, 1:]):
+            if self.dr_mode:
+                chunk = self._with_node_dims(node_id, chunk)
+            self.node_store(node_id).nt.append(chunk)
 
-    def _extend(
-        self, relation: str, node_ids: np.ndarray, values: np.ndarray | list
-    ) -> None:
-        """Append ``values[i]`` to the ``relation`` list of ``node_ids[i]``
-        with one ``extend`` per node, keeping each node's arrival order.
-
-        A vector contributes scalars, a matrix one tuple per row, a list
-        its items as they are.
-        """
-        if not len(node_ids):
-            return
-        order = np.argsort(node_ids, kind="stable")
-        if isinstance(values, list):
-            items = [values[i] for i in order.tolist()]
-        else:
-            items = values[order].tolist()
-            if values.ndim == 2:
-                items = list(map(tuple, items))
-        sorted_ids = node_ids[order]
-        starts = [0, *(np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1).tolist()]
-        for start, stop in zip(starts, [*starts[1:], len(items)]):
-            node_id = int(sorted_ids[start])
-            getattr(self.node_store(node_id), relation).extend(items[start:stop])
-
-    def aggregates_matrix(self) -> np.ndarray:
-        """The AGGREGATES relation as a cached int64 matrix.
-
-        The vectorized query layer joins A-rowids against this with one
-        fancy-index.  The cache is keyed on the row count: construction
-        appends invalidate it, and post-build queries reuse one array.
-        """
-        cached = self._aggregates_matrix
-        if cached is not None and len(cached) == len(self.aggregates_rows):
-            return cached
-        if not self.aggregates_rows:
-            y = self.schema.n_aggregates
-            width = 1 + y if self.cat_format is CatFormat.COMMON_SOURCE else y
-            return np.empty((0, width), dtype=np.int64)
-        cached = np.asarray(self.aggregates_rows, dtype=np.int64)
-        self._aggregates_matrix = cached
-        return cached
-
-    def _resolve_node_dims(self, node: CubeNode, rowid: int) -> tuple[int, ...]:
+    def _with_node_dims(self, node_id: int, rows: np.ndarray) -> np.ndarray:
+        """``(rowid, aggregates…)`` rows with the row-id swapped for the
+        fact tuple's dimension values at the node (``CURE_DR``)."""
         if self.row_resolver is None:
             raise RuntimeError("dr_mode requires a row_resolver")
-        return self.schema.project_to_node(self.row_resolver(rowid), node)
+        node = self.schema.decode_node(node_id)
+        dims = [
+            self.schema.project_to_node(self.row_resolver(rowid), node)
+            for rowid in rows[:, 0].tolist()
+        ]
+        return np.column_stack((np.array(dims, dtype=np.int64), rows[:, 1:]))
+
+    def aggregates_matrix(self) -> np.ndarray:
+        """The AGGREGATES relation as one read-only int64 matrix.
+
+        The query layer joins A-rowids against this with one fancy-index.
+        """
+        if not self.aggregates.count:
+            y = self.schema.n_aggregates
+            width = 1 + y if self.cat_format is CatFormat.COMMON_SOURCE else y
+            return _read_only(np.empty((0, width), dtype=np.int64))
+        return self.aggregates.array()
+
+    @property
+    def aggregates_count(self) -> int:
+        return self.aggregates.count
 
     # -- size accounting ---------------------------------------------------------
 
@@ -385,31 +390,30 @@ class CubeStorage:
         cat_row_values = 1 if self.cat_format is CatFormat.COMMON_SOURCE else 2
         for node_id, store in self.nodes.items():
             report.n_relations += store.relation_count
-            report.n_nt += len(store.nt_rows)
-            report.n_cat += len(store.cat_rows)
+            report.n_nt += store.nt_count
+            report.n_tt += store.tt_count
+            report.n_cat += store.cat_count
             if self.dr_mode:
                 nt_width = (self._grouping_arity(node_id) + y) * VALUE_BYTES
             else:
                 nt_width = (1 + y) * VALUE_BYTES
-            report.nt_bytes += len(store.nt_rows) * nt_width
+            report.nt_bytes += store.nt_count * nt_width
             if store.tt_bitmap is not None:
-                report.n_tt += store.tt_bitmap.count()
                 report.tt_bytes += store.tt_bitmap.size_bytes
             else:
-                report.n_tt += len(store.tt_rowids)
-                report.tt_bytes += len(store.tt_rowids) * VALUE_BYTES
+                report.tt_bytes += store.tt_count * VALUE_BYTES
             if store.cat_bitmap is not None:
                 report.cat_bytes += store.cat_bitmap.size_bytes
             else:
                 report.cat_bytes += (
-                    len(store.cat_rows) * cat_row_values * VALUE_BYTES
+                    store.cat_count * cat_row_values * VALUE_BYTES
                 )
         if self.cat_format is CatFormat.COMMON_SOURCE:
             aggregate_width = (1 + y) * VALUE_BYTES
         else:
             aggregate_width = y * VALUE_BYTES
-        report.n_aggregate_rows = len(self.aggregates_rows)
-        report.aggregates_bytes = len(self.aggregates_rows) * aggregate_width
+        report.n_aggregate_rows = self.aggregates_count
+        report.aggregates_bytes = self.aggregates_count * aggregate_width
         return report
 
     # -- persistence ---------------------------------------------------------------
@@ -429,8 +433,15 @@ class CubeStorage:
         )
         rowid_column = Column("r_rowid", ColumnType.INT64)
         arowid_column = Column("a_rowid", ColumnType.INT64)
+
+        def write(name: str, schema: TableSchema, matrix: np.ndarray) -> None:
+            heap = catalog.create(name, schema)
+            heap.append_batch(_matrix_batch(schema, matrix))
+            heap.flush()
+            created.append(name)
+
         for node_id, store in self.nodes.items():
-            if store.nt_rows:
+            if store.nt_count:
                 if self.dr_mode:
                     arity = self._grouping_arity(node_id)
                     dim_columns = tuple(
@@ -440,58 +451,39 @@ class CubeStorage:
                     schema = TableSchema(dim_columns + agg_columns)
                 else:
                     schema = TableSchema((rowid_column,) + agg_columns)
-                name = f"{prefix}.n{node_id}.nt"
-                heap = catalog.create(name, schema)
-                heap.append_batch(ColumnBatch.from_rows(schema, store.nt_rows))
-                heap.flush()
-                created.append(name)
+                write(f"{prefix}.n{node_id}.nt", schema, store.nt_matrix())
             # Bitmaps (a CURE+ in-memory representation) are materialized
             # back to their ascending row-id lists on disk; the
             # ``plus_processed`` flag in the metadata preserves the sorted
             # sequential-access property across a reload.
-            tt_rowids = (
-                list(store.tt_bitmap.iter_set())
+            trivial = (
+                store.tt_bitmap.to_array()
                 if store.tt_bitmap is not None
-                else store.tt_rowids
+                else store.tt_array()
             )
-            if tt_rowids:
-                name = f"{prefix}.n{node_id}.tt"
-                tt_schema = TableSchema((rowid_column,))
-                heap = catalog.create(name, tt_schema)
-                heap.append_batch(
-                    ColumnBatch.from_arrays(
-                        tt_schema, (np.asarray(tt_rowids, dtype=np.int64),)
-                    )
+            if len(trivial):
+                write(
+                    f"{prefix}.n{node_id}.tt",
+                    TableSchema((rowid_column,)),
+                    trivial.reshape(-1, 1),
                 )
-                heap.flush()
-                created.append(name)
-            cat_rows = (
-                [(arowid,) for arowid in store.cat_bitmap.iter_set()]
+            common = (
+                store.cat_bitmap.to_array().reshape(-1, 1)
                 if store.cat_bitmap is not None
-                else store.cat_rows
+                else store.cat_matrix()
             )
-            if cat_rows:
+            if len(common):
                 if self.cat_format is CatFormat.COMMON_SOURCE:
                     schema = TableSchema((arowid_column,))
                 else:
                     schema = TableSchema((rowid_column, arowid_column))
-                name = f"{prefix}.n{node_id}.cat"
-                heap = catalog.create(name, schema)
-                heap.append_batch(ColumnBatch.from_rows(schema, cat_rows))
-                heap.flush()
-                created.append(name)
-        if self.aggregates_rows:
+                write(f"{prefix}.n{node_id}.cat", schema, common)
+        if self.aggregates_count:
             if self.cat_format is CatFormat.COMMON_SOURCE:
                 schema = TableSchema((rowid_column,) + agg_columns)
             else:
                 schema = TableSchema(agg_columns)
-            name = f"{prefix}.aggregates"
-            heap = catalog.create(name, schema)
-            heap.append_batch(
-                ColumnBatch.from_rows(schema, self.aggregates_rows)
-            )
-            heap.flush()
-            created.append(name)
+            write(f"{prefix}.aggregates", schema, self.aggregates_matrix())
         meta = {
             "cat_format": self.cat_format.value if self.cat_format else None,
             "dr_mode": self.dr_mode,
@@ -534,23 +526,20 @@ class CubeStorage:
         """Reload a persisted cube into memory."""
         meta = json.loads((catalog.root / f"{prefix}.meta.json").read_text())
         storage = cls.from_meta(schema, meta)
-        # Columnar reload: each relation is read through the zero-copy
-        # batch scan and transposed back to the row lists NodeStore keeps.
         for node_id in meta["node_ids"]:
             store = storage.node_store(node_id)
             nt_name = f"{prefix}.n{node_id}.nt"
             if catalog.exists(nt_name):
-                store.nt_rows = catalog.open(nt_name).load_batch().to_rows()
+                store.nt.replace(_load_matrix(catalog, nt_name))
             tt_name = f"{prefix}.n{node_id}.tt"
             if catalog.exists(tt_name):
-                tt_batch = catalog.open(tt_name).load_batch()
-                store.tt_rowids = tt_batch.arrays[0].tolist()
+                store.tt.replace(_load_matrix(catalog, tt_name)[:, 0])
             cat_name = f"{prefix}.n{node_id}.cat"
             if catalog.exists(cat_name):
-                store.cat_rows = catalog.open(cat_name).load_batch().to_rows()
+                store.cat.replace(_load_matrix(catalog, cat_name))
         agg_name = f"{prefix}.aggregates"
         if catalog.exists(agg_name):
-            storage.aggregates_rows = catalog.open(agg_name).load_batch().to_rows()
+            storage.aggregates.replace(_load_matrix(catalog, agg_name))
         return storage
 
     # -- inspection ---------------------------------------------------------------

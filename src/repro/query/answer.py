@@ -156,7 +156,7 @@ def _stored_relations(
     y = schema.n_aggregates
     store = storage.get_node_store(schema.node_id(node))
     if store is not None:
-        if store.nt_rows:
+        if store.nt_count:
             nt = store.nt_matrix()
             if storage.dr_mode:
                 arity = len(node.grouping_dims(schema.dimensions))
@@ -168,7 +168,7 @@ def _stored_relations(
             # bitmap); AGGREGATES rows are ⟨R-rowid, aggregates⟩.
             if store.cat_bitmap is not None:
                 arowids = store.cat_bitmap.to_array()
-            elif store.cat_rows:
+            elif store.cat_count:
                 arowids = store.cat_matrix()[:, 0]
             else:
                 arowids = np.empty(0, dtype=np.int64)
@@ -180,7 +180,7 @@ def _stored_relations(
                     entries[:, 1 : 1 + y],
                     storage.plus_processed,
                 )
-        elif store.cat_rows:
+        elif store.cat_count:
             # Format (b): node rows are ⟨R-rowid, A-rowid⟩, AGGREGATES
             # is bare; one fancy-index joins the A-rowids against it.
             cat = store.cat_matrix()

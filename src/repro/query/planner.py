@@ -95,7 +95,7 @@ class CubePlanner:
         total = 0
         store = self.storage.get_node_store(schema.node_id(node))
         if store is not None:
-            total += len(store.nt_rows) + store.cat_count
+            total += store.nt_count + store.cat_count
         for source in tt_source_nodes(self.storage, node):
             tt_store = self.storage.get_node_store(schema.node_id(source))
             if tt_store is not None:

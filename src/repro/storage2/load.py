@@ -3,15 +3,13 @@
 :func:`~repro.storage2.mapped.open_v2` serves a container read-only,
 through mapped views, and unpacks nothing.  Streaming ingest needs the
 opposite after a restart: the committed generation as a plain
-:class:`~repro.core.storage.CubeStorage` (row lists it can append to and
-rewrite) and the fact relation as a :class:`~repro.relational.table.Table`
-it can grow — everything copied off the map, so the file can be replaced
-by the next generation while the cube lives on.
+:class:`~repro.core.storage.CubeStorage` (relations it can replace) and
+the fact relation as a :class:`~repro.relational.table.Table` it can
+grow — every array copied off the map, so the file can be replaced by
+the next generation while the cube lives on.
 
 Every section read here passes its checksum first
-(:meth:`V2File.array` verifies before it decodes), and the loaded int64
-arrays are kept as the row lists' views, so the first delta applied after
-a recovery does not re-box what was just unpacked.
+(:meth:`V2File.array` verifies before it decodes).
 """
 
 from __future__ import annotations
@@ -42,25 +40,12 @@ def load_v2(path: str | Path, schema: CubeSchema) -> tuple[CubeStorage, Table]:
 
     for node_id in file.meta["node_ids"]:
         store = storage.node_store(int(node_id))
-        name = f"node/{node_id}/nt"
-        if file.has(name):
-            matrix = detached(name)
-            store.nt_rows = list(map(tuple, matrix.tolist()))
-            store.adopt_views(nt=matrix)
-        name = f"node/{node_id}/tt"
-        if file.has(name):
-            rowids = detached(name)
-            store.tt_rowids = rowids.tolist()
-            store.adopt_views(tt=rowids)
-        name = f"node/{node_id}/cat"
-        if file.has(name):
-            matrix = detached(name)
-            store.cat_rows = list(map(tuple, matrix.tolist()))
-            store.adopt_views(cat=matrix)
+        for relation in ("nt", "tt", "cat"):
+            name = f"node/{node_id}/{relation}"
+            if file.has(name):
+                getattr(store, relation).replace(detached(name))
     if file.has("aggregates"):
-        storage.aggregates_rows = list(
-            map(tuple, detached("aggregates").tolist())
-        )
+        storage.aggregates.replace(detached("aggregates"))
     fact_schema = schema.fact_schema
     names = [f"fact/dim/{d}" for d in range(schema.n_dimensions)]
     names += [f"fact/measure/{m}" for m in range(schema.n_measures)]

@@ -1,10 +1,9 @@
 """Query-layer views over a mapped v2 cube file.
 
-The v1 load path materializes every relation through
-``load_batch().to_rows()`` before the first query can run.  The classes
-here present the same surfaces the query layer already consumes —
-:class:`~repro.core.storage.CubeStorage` / ``NodeStore`` (matrix
-accessors *and* row lists), the ``Table`` duck type
+The v1 load path reads every relation's heap file before the first query
+can run.  The classes here present the same surfaces the query layer
+already consumes — :class:`~repro.core.storage.CubeStorage` /
+``NodeStore``, the ``Table`` duck type
 :class:`~repro.query.cache.FactCache` drives, and the
 ``dict[int, InvertedIndex]`` mapping the planner probes — but backed by
 :class:`~repro.storage2.format.V2File` sections:
@@ -14,11 +13,8 @@ accessors *and* row lists), the ``Table`` duck type
   accessor asks;
 * compressed sections (TT lists, CSR row-ids, bit-packed fact dimension
   columns) decode vectorized, once, on first touch;
-* the row-tuple surfaces (``nt_rows`` and friends — the query layer
-  only asks their length; the row-engine test oracle and maintenance
-  iterate them) are lazy sequences that report their length for free
-  and only transpose to Python tuples if something actually iterates
-  them.
+* row counts (the planner's cost estimates, the ``nt_count`` guards)
+  come from the directory and touch no payload.
 
 Opening a cube is therefore O(directory): nothing is unpacked until a
 query touches it, and what queries touch is mostly views.
@@ -26,153 +22,37 @@ query touches it, and what queries touch is mostly views.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.model import CubeSchema
-from repro.core.storage import CatFormat, CubeStorage, NodeStore
+from repro.core.storage import ArrayRelation, CubeStorage, NodeStore
 from repro.relational.batch import ColumnBatch
 from repro.relational.index import InvertedIndex
 from repro.storage2.format import V2File
 
 
-class _LazyRows(Sequence[tuple]):
-    """A section's matrix as a row-tuple sequence, transposed on demand.
-
-    ``len`` / truthiness never touch the payload (the length comes from
-    the directory), so the planner's cost estimates and the ``if not
-    store.nt_rows`` guards stay free; only a caller that genuinely
-    iterates tuples (the row-engine test oracle) pays for the transpose.
-    """
-
-    def __init__(self, file: V2File, name: str, length: int) -> None:
-        self._file = file
-        self._name = name
-        self._length = length
-        self._rows: list[tuple] | None = None
-
-    def _materialized(self) -> list[tuple]:
-        rows = self._rows
-        if rows is None:
-            rows = [tuple(row) for row in self._file.array(self._name).tolist()]
-            self._rows = rows
-        return rows
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):  # type: ignore[override]
-        return self._materialized()[index]
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._materialized())
+def _section(file: V2File, name: str) -> ArrayRelation:
+    """A cube relation held in a v2 section: the row count is the
+    directory's; the array is fetched — verified, decoded and cached by
+    the file — on first touch."""
+    return ArrayRelation(file.entry(name).shape[0], lambda: file.array(name))
 
 
-class _LazyIds(Sequence[int]):
-    """A one-column section as a lazy list of Python ints (TT lists)."""
-
-    def __init__(self, file: V2File, name: str, length: int) -> None:
-        self._file = file
-        self._name = name
-        self._length = length
-        self._ids: list[int] | None = None
-
-    def _materialized(self) -> list[int]:
-        ids = self._ids
-        if ids is None:
-            ids = self._file.array(self._name).tolist()
-            self._ids = ids
-        return ids
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):  # type: ignore[override]
-        return self._materialized()[index]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._materialized())
-
-
-class MappedNodeStore(NodeStore):
-    """A ``NodeStore`` whose relations live in v2 sections."""
-
-    def __init__(self, file: V2File, node_id: int) -> None:
-        super().__init__()
-        self._file = file
-        self._node_id = node_id
-        nt = f"node/{node_id}/nt"
-        if file.has(nt):
-            self.nt_rows = _LazyRows(file, nt, file.entry(nt).shape[0])
-        tt = f"node/{node_id}/tt"
-        if file.has(tt):
-            self.tt_rowids = _LazyIds(file, tt, file.entry(tt).count)
-        cat = f"node/{node_id}/cat"
-        if file.has(cat):
-            self.cat_rows = _LazyRows(file, cat, file.entry(cat).shape[0])
-
-    def nt_matrix(self) -> np.ndarray:
-        if self._nt_matrix is None:
-            name = f"node/{self._node_id}/nt"
-            if self._file.has(name):
-                self._nt_matrix = self._file.array(name)
-        if self._nt_matrix is not None:
-            return self._nt_matrix
-        return super().nt_matrix()
-
-    def tt_array(self) -> np.ndarray:
-        if self._tt_array is None:
-            name = f"node/{self._node_id}/tt"
-            if self._file.has(name):
-                self._tt_array = self._file.array(name)
-        if self._tt_array is not None:
-            return self._tt_array
-        return super().tt_array()
-
-    def cat_matrix(self) -> np.ndarray:
-        if self._cat_matrix is None:
-            name = f"node/{self._node_id}/cat"
-            if self._file.has(name):
-                self._cat_matrix = self._file.array(name)
-        if self._cat_matrix is not None:
-            return self._cat_matrix
-        return super().cat_matrix()
-
-
-class MappedCubeStorage(CubeStorage):
-    """A read-only ``CubeStorage`` reconstructed from a v2 file."""
-
-    def __init__(self, schema: CubeSchema, file: V2File) -> None:
-        meta = file.meta
-        super().__init__(
-            schema,
-            dr_mode=bool(meta["dr_mode"]),
-            flat=bool(meta.get("flat", False)),
-            partition_level=meta["partition_level"],
-            partition_level2=meta.get("partition_level2"),
-            fact_row_count=int(meta["fact_row_count"]),
-        )
-        self.plus_processed = bool(meta.get("plus_processed", False))
-        self.update_drift_bytes = int(meta.get("update_drift_bytes", 0))
-        if meta.get("cat_format") is not None:
-            self.cat_format = CatFormat(meta["cat_format"])
-        self._file = file
-        for node_id in meta["node_ids"]:
-            self.nodes[int(node_id)] = MappedNodeStore(file, int(node_id))
-        if file.has("aggregates"):
-            self.aggregates_rows = _LazyRows(
-                file, "aggregates", file.entry("aggregates").shape[0]
-            )
-
-    def aggregates_matrix(self) -> np.ndarray:
-        if self._aggregates_matrix is None and self._file.has("aggregates"):
-            self._aggregates_matrix = self._file.array("aggregates")
-        if self._aggregates_matrix is not None:
-            return self._aggregates_matrix
-        return super().aggregates_matrix()
+def map_storage(schema: CubeSchema, file: V2File) -> CubeStorage:
+    """A ``CubeStorage`` whose relations are ``file``'s sections."""
+    storage = CubeStorage.from_meta(schema, file.meta)
+    for node_id in file.meta["node_ids"]:
+        sections = {}
+        for relation in ("nt", "tt", "cat"):
+            name = f"node/{node_id}/{relation}"
+            if file.has(name):
+                sections[relation] = _section(file, name)
+        storage.nodes[int(node_id)] = NodeStore(**sections)
+    if file.has("aggregates"):
+        storage.aggregates = _section(file, "aggregates")
+    return storage
 
 
 class MappedFactTable:
@@ -269,7 +149,7 @@ class MappedCube:
     """Everything :func:`repro.bundle.open_bundle` needs from a v2 file."""
 
     file: V2File
-    storage: MappedCubeStorage
+    storage: CubeStorage
     fact: MappedFactTable
     indices: MappedIndexSet | None
 
@@ -277,7 +157,7 @@ class MappedCube:
 def open_v2(path: str | Path, schema: CubeSchema) -> MappedCube:
     """Map a v2 cube file and wire the query-layer views over it."""
     file = V2File.open(path)
-    storage = MappedCubeStorage(schema, file)
+    storage = map_storage(schema, file)
     fact = MappedFactTable(schema, file)
     storage.row_resolver = lambda rowid: schema.dim_values(fact[rowid])
     indices: MappedIndexSet | None = None

@@ -99,32 +99,31 @@ def build_writer(
     writer = V2Writer(meta)
     for node_id in sorted(storage.nodes):
         store = storage.nodes[node_id]
-        if store.nt_rows:
+        if store.nt_count:
             writer.add_array(f"node/{node_id}/nt", store.nt_matrix())
-        tt_rowids = (
+        trivial = (
             store.tt_bitmap.to_array()
             if store.tt_bitmap is not None
             else store.tt_array()
         )
-        if len(tt_rowids):
-            codec, payload = encode_rowid_list(tt_rowids)
+        if len(trivial):
+            codec, payload = encode_rowid_list(trivial)
             writer.add_section(
                 f"node/{node_id}/tt",
                 payload,
                 codec=codec,
                 dtype="<i8",
-                shape=(len(tt_rowids),),
-                count=len(tt_rowids),
+                shape=(len(trivial),),
+                count=len(trivial),
             )
-        if store.cat_bitmap is not None:
-            cat_matrix = store.cat_bitmap.to_array().reshape(-1, 1)
-        elif store.cat_rows:
-            cat_matrix = store.cat_matrix()
-        else:
-            cat_matrix = None
-        if cat_matrix is not None and len(cat_matrix):
+        cat_matrix = (
+            store.cat_bitmap.to_array().reshape(-1, 1)
+            if store.cat_bitmap is not None
+            else store.cat_matrix()
+        )
+        if len(cat_matrix):
             writer.add_array(f"node/{node_id}/cat", cat_matrix)
-    if storage.aggregates_rows:
+    if storage.aggregates_count:
         writer.add_array("aggregates", storage.aggregates_matrix())
     for d in range(schema.n_dimensions):
         codes = fact_batch.arrays[d]
@@ -193,8 +192,8 @@ def write_v2(
 def publish_v2_bundle(directory: str | Path) -> Path:
     """Compact an existing bundle's cube into ``<bundle>/cube.v2``.
 
-    Reads through the v1 path (explicitly — a stale v2 file must not
-    feed its own replacement), stamps the v1 meta checksum for the
+    Reads through the v1 path (``load_v1_bundle`` — a stale v2 file must
+    not feed its own replacement), stamps the v1 meta checksum for the
     staleness guard, and atomically publishes the container.
 
     A bundle that has been streamed into has nothing to compact: its
@@ -202,13 +201,13 @@ def publish_v2_bundle(directory: str | Path) -> Path:
     ``open_bundle`` maps it.  That file's path is returned and nothing
     is written.
     """
-    from repro.bundle import open_bundle, streamed_container
+    from repro.bundle import load_v1_bundle, streamed_container
 
     root = Path(directory)
     generation = streamed_container(root)
     if generation is not None:
         return generation
-    with open_bundle(root, use_v2=False) as bundle:
+    with load_v1_bundle(root) as bundle:
         fact_batch = bundle.catalog.open(bundle.fact_relation).load_batch()
         checksum = file_checksum(
             root / f"{bundle.cube_prefix}.meta.json"

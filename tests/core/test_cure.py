@@ -13,6 +13,7 @@ from repro.datasets import generate_flat_dataset
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.aggregates import AggregateSpec, MedianAgg
+from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
 
 
 def cube_answers_match_reference(schema, table, storage):
@@ -53,7 +54,7 @@ def test_single_tuple_fact_table(paper_schema):
     root_store = result.storage.get_node_store(
         paper_schema.node_id(paper_schema.lattice.all_node)
     )
-    assert root_store.tt_rowids == [0]
+    assert tt_rowids(root_store) == [0]
     assert result.stats.tt_written == 1
     cube_answers_match_reference(paper_schema, table, result.storage)
 
@@ -72,10 +73,10 @@ def test_iceberg_min_count(flat_schema):
     result = build_cube(flat_schema, table=table, min_count=2)
     storage = result.storage
     # No TTs at all in an iceberg cube with min_count >= 2.
-    assert all(not s.tt_rowids for s in storage.nodes.values())
+    assert all(not tt_rowids(s) for s in storage.nodes.values())
     # The triple-group survives everywhere; the singleton nowhere.
     total_rows = sum(
-        len(s.nt_rows) + len(s.cat_rows) for s in storage.nodes.values()
+        len(nt_rows(s)) + len(cat_rows(s)) for s in storage.nodes.values()
     )
     assert total_rows == 8  # every node contains exactly the (0,0,0) group
 
@@ -152,12 +153,12 @@ def test_p2_shape_builds_identical_aggregated_content(paper_schema):
         per_node = {}
         for nid, store in storage.nodes.items():
             cats = []
-            for row in store.cat_rows:
+            for row in cat_rows(store):
                 if storage.cat_format.value == "a":
-                    cats.append(tuple(storage.aggregates_rows[row[0]]))
+                    cats.append(tuple(aggregates_rows(storage)[row[0]]))
                 else:
-                    cats.append((row[0],) + tuple(storage.aggregates_rows[row[1]]))
-            per_node[nid] = (sorted(store.nt_rows), sorted(cats))
+                    cats.append((row[0],) + tuple(aggregates_rows(storage)[row[1]]))
+            per_node[nid] = (sorted(nt_rows(store)), sorted(cats))
         return {nid: v for nid, v in per_node.items() if v != ([], [])}
 
     assert content(p3.storage) == content(p2.storage)
@@ -165,7 +166,7 @@ def test_p2_shape_builds_identical_aggregated_content(paper_schema):
     def tt_union(storage):
         rowids = set()
         for store in storage.nodes.values():
-            rowids.update(store.tt_rowids)
+            rowids.update(tt_rowids(store))
         return rowids
 
     assert tt_union(p3.storage) == tt_union(p2.storage)

@@ -9,6 +9,7 @@ from repro.core.incremental import apply_delta, drift_report
 from repro.core.variants import VARIANTS
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
+from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
 
 
 def make_instance(paper_schema, n_base, n_delta, seed):
@@ -103,10 +104,10 @@ def test_new_region_gets_shared_tts(flat_schema):
     )
     rebuilt = build_cube(flat_schema, table=base)
     rebuilt_tts = sum(
-        len(s.tt_rowids) for s in rebuilt.storage.nodes.values()
+        len(tt_rowids(s)) for s in rebuilt.storage.nodes.values()
     )
     updated_tts = sum(
-        len(s.tt_rowids) for s in result.storage.nodes.values()
+        len(tt_rowids(s)) for s in result.storage.nodes.values()
     )
     assert report.new_tts == 3  # one per sub-tree, never 2^D copies
     assert report.new_nts == 0
@@ -186,7 +187,7 @@ def test_min_rowid_maintained(flat_schema):
         flat_schema.lattice.base_node.with_level(2, 1)
     )
     store = result.storage.get_node_store(node_id)
-    assert any(row[0] == 0 for row in store.nt_rows)
+    assert any(row[0] == 0 for row in nt_rows(store))
 
 
 def test_update_of_plus_cube_devalues_bitmap_tts(paper_schema):
@@ -240,19 +241,19 @@ def _cube_snapshot(storage):
     nodes = {}
     for node_id, store in sorted(storage.nodes.items()):
         nodes[node_id] = (
-            tuple(store.nt_rows),
-            tuple(store.tt_rowids),
+            tuple(nt_rows(store)),
+            tuple(tt_rowids(store)),
             tuple(store.tt_bitmap.iter_set())
             if store.tt_bitmap is not None
             else None,
-            tuple(store.cat_rows),
+            tuple(cat_rows(store)),
             tuple(store.cat_bitmap.iter_set())
             if store.cat_bitmap is not None
             else None,
         )
     return (
         nodes,
-        tuple(storage.aggregates_rows),
+        tuple(aggregates_rows(storage)),
         storage.plus_processed,
         storage.update_drift_bytes,
     )
@@ -346,8 +347,8 @@ def test_out_of_range_code_is_rejected_as_a_noop(paper_schema):
 
 
 def test_matrix_delta_and_warm_views(paper_schema):
-    """An int64 matrix is a delta too, and the update leaves the node
-    stores' array views equal to their row lists (nothing to re-box)."""
+    """An int64 matrix is a delta too, and the update leaves every node's
+    counts equal to the lengths of the arrays it now holds."""
     import numpy as np
 
     base, delta = make_instance(paper_schema, 120, 20, seed=16)
@@ -359,8 +360,40 @@ def test_matrix_delta_and_warm_views(paper_schema):
     assert base.rows[-1] == delta[-1]
     assert base.as_batch().length == 140
     for store in result.storage.nodes.values():
-        if store.nt_rows:
-            assert store._nt_matrix is not None
-            assert store.nt_matrix().tolist() == [list(r) for r in store.nt_rows]
-        assert store.tt_array().tolist() == store.tt_rowids
+        assert store.nt_count == len(store.nt_matrix())
+        assert store.tt_count == len(store.tt_array())
     assert_equals_reference(paper_schema, base, result.storage)
+
+
+def test_relation_arrays_are_read_only_and_old_answers_keep_their_values(
+    paper_schema,
+):
+    """What a reader was handed is never edited under it: the relation
+    arrays reject in-place writes, and an answer computed before a
+    maintenance cycle (``apply_delta`` + ``postprocess_plus``) — whose
+    aggregate columns may be views of the stored NT matrix — still reads
+    what it read then."""
+    from repro.core.postprocess import postprocess_plus
+
+    base, delta = make_instance(paper_schema, 150, 40, seed=21)
+    storage = build_cube(paper_schema, table=base).storage
+    arrays = [storage.aggregates_matrix()]
+    for store in storage.nodes.values():
+        arrays += [store.nt_matrix(), store.tt_array(), store.cat_matrix()]
+    assert sum(len(array) for array in arrays) > 0
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+    cache = FactCache(paper_schema, table=base)
+    nodes = list(paper_schema.lattice.nodes())
+    before = [answer_cure_query(storage, cache, node) for node in nodes]
+    expected = [
+        reference_group_by(paper_schema, base.rows, node) for node in nodes
+    ]
+    report = apply_delta(storage, paper_schema, base, delta)
+    postprocess_plus(storage)
+    assert report.nts_merged > 0
+    for answer, old in zip(before, expected):
+        assert normalize_answer(answer) == old
+    assert_equals_reference(paper_schema, base, storage)

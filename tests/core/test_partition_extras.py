@@ -18,6 +18,7 @@ from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
+from tests.support.rows import aggregates_rows, cat_rows
 
 
 def schema_and_table(n=1500, seed=3):
@@ -129,9 +130,9 @@ def test_as_nt_format_end_to_end():
     result = build_cube(schema, table=table)
     if result.storage.cat_format is CatFormat.AS_NT:
         assert all(
-            not s.cat_rows for s in result.storage.nodes.values()
+            not cat_rows(s) for s in result.storage.nodes.values()
         )
-        assert result.storage.aggregates_rows == []
+        assert aggregates_rows(result.storage) == []
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
         expected = reference_group_by(schema, table.rows, node)

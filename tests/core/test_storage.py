@@ -4,17 +4,27 @@ Includes the paper's Figure 9 worked example end-to-end: the exact NT, TT
 and CAT placement the paper describes for the 5-tuple fact table.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 from repro import CatFormat, Table, build_cube
-from repro.core.signature import FormatStatistics
+from repro.core.signature import FormatStatistics, Signature, SignaturePool
 from repro.core.storage import (
     VALUE_BYTES,
     CubeStorage,
     choose_cat_format,
 )
 from repro.lattice.node import CubeNode
+from tests.support.list_pool import ListSignaturePool
+from tests.support.rows import (
+    aggregates_rows,
+    cat_rows,
+    nt_rows,
+    set_aggregates_rows,
+    tt_rowids,
+)
 
 
 def stats_with(k: int, n: int) -> FormatStatistics:
@@ -73,35 +83,35 @@ def test_figure9_tt_for_a2_stored_once_at_node_a(figure9):
     schema, storage = figure9
     all_level = 1
     a_node = storage.get_node_store(node_id(schema, (0, all_level, all_level)))
-    assert 2 in a_node.tt_rowids  # rowid 2 = the tuple <2,2,3,40>
+    assert 2 in tt_rowids(a_node)  # rowid 2 = the tuple <2,2,3,40>
     # ...and in no more detailed node containing A.
     for levels in ((0, 0, all_level), (0, all_level, 0), (0, 0, 0)):
         store = storage.get_node_store(node_id(schema, levels))
         if store is not None:
-            assert 2 not in store.tt_rowids
+            assert 2 not in tt_rowids(store)
 
 
 def test_figure9_nt_for_a3(figure9):
     """Tuple <3, 90> in node A is an NT (unique aggregate 90)."""
     schema, storage = figure9
     a_node = storage.get_node_store(node_id(schema, (0, 1, 1)))
-    assert (3, 90) in a_node.nt_rows  # R-rowid 3 (first A=3 tuple), sum 90
+    assert (3, 90) in nt_rows(a_node)  # R-rowid 3 (first A=3 tuple), sum 90
 
 
 def test_figure9_common_source_cat_shared(figure9):
     """<1,1,30> in AB, <1,30> in A and B share one AGGREGATES entry."""
     schema, storage = figure9
-    assert (0, 30) in storage.aggregates_rows
-    arowid = storage.aggregates_rows.index((0, 30))
+    assert (0, 30) in aggregates_rows(storage)
+    arowid = aggregates_rows(storage).index((0, 30))
     for levels in ((0, 0, 1), (0, 1, 1), (1, 0, 1)):  # AB, A, B
         store = storage.get_node_store(node_id(schema, levels))
-        assert (arowid,) in store.cat_rows
+        assert (arowid,) in cat_rows(store)
 
 
 def test_figure9_all_node_aggregate(figure9):
     schema, storage = figure9
     store = storage.get_node_store(node_id(schema, (1, 1, 1)))
-    assert store.nt_rows == [(0, 160)]
+    assert nt_rows(store) == [(0, 160)]
 
 
 # -- write paths ------------------------------------------------------------------------
@@ -116,17 +126,17 @@ def test_cat_run_requires_decided_format(flat_schema):
 def test_singleton_runs_need_no_format(flat_schema):
     storage = CubeStorage(flat_schema)
     write_runs(storage, [(0, 3, 1)], [(1, 4, 2)])
-    assert storage.node_store(0).nt_rows == [(3, 1)]
-    assert storage.node_store(1).nt_rows == [(4, 2)]
+    assert nt_rows(storage.node_store(0)) == [(3, 1)]
+    assert nt_rows(storage.node_store(1)) == [(4, 2)]
 
 
 def test_cat_run_as_nt_interleaves_in_sorted_order(flat_schema):
     storage = CubeStorage(flat_schema)
     storage.cat_format = CatFormat.AS_NT
     write_runs(storage, [(0, 7, 8)], [(0, 0, 9), (1, 1, 9)], [(0, 2, 10)])
-    assert storage.node_store(0).nt_rows == [(7, 8), (0, 9), (2, 10)]
-    assert storage.node_store(1).nt_rows == [(1, 9)]
-    assert storage.aggregates_rows == []
+    assert nt_rows(storage.node_store(0)) == [(7, 8), (0, 9), (2, 10)]
+    assert nt_rows(storage.node_store(1)) == [(1, 9)]
+    assert aggregates_rows(storage) == []
 
 
 def test_cat_run_format_a_groups_by_source(flat_schema):
@@ -142,23 +152,23 @@ def test_cat_run_format_a_groups_by_source(flat_schema):
         # The next run restarts source detection even on an equal rowid.
         [(0, 5, 11), (2, 5, 11)],
     )
-    assert storage.aggregates_rows == [(0, 9), (5, 9), (5, 11)]
-    assert storage.node_store(0).cat_rows == [(0,), (2,)]
-    assert storage.node_store(1).cat_rows == [(0,)]
-    assert storage.node_store(2).cat_rows == [(1,), (2,)]
+    assert aggregates_rows(storage) == [(0, 9), (5, 9), (5, 11)]
+    assert cat_rows(storage.node_store(0)) == [(0,), (2,)]
+    assert cat_rows(storage.node_store(1)) == [(0,)]
+    assert cat_rows(storage.node_store(2)) == [(1,), (2,)]
 
 
 def test_cat_run_format_b_one_row_per_run(flat_schema):
     storage = CubeStorage(flat_schema)
     storage.cat_format = CatFormat.COINCIDENTAL
-    storage.aggregates_rows.append((1,))  # a-rowids continue, not restart
+    set_aggregates_rows(storage, [(1,)])  # a-rowids continue, not restart
     write_runs(
         storage, [(0, 0, 9), (1, 5, 9)], [(3, 2, 10)], [(1, 1, 12), (0, 4, 12)]
     )
-    assert storage.aggregates_rows == [(1,), (9,), (12,)]
-    assert storage.node_store(0).cat_rows == [(0, 1), (4, 2)]
-    assert storage.node_store(1).cat_rows == [(5, 1), (1, 2)]
-    assert storage.node_store(3).nt_rows == [(2, 10)]
+    assert aggregates_rows(storage) == [(1,), (9,), (12,)]
+    assert cat_rows(storage.node_store(0)) == [(0, 1), (4, 2)]
+    assert cat_rows(storage.node_store(1)) == [(5, 1), (1, 2)]
+    assert nt_rows(storage.node_store(3)) == [(2, 10)]
 
 
 def test_write_tts_keeps_per_node_order(flat_schema):
@@ -166,10 +176,87 @@ def test_write_tts_keeps_per_node_order(flat_schema):
     storage.write_tts(
         np.asarray([(4, 9), (2, 7), (4, 1), (2, 8)], dtype=np.int64)
     )
-    assert storage.node_store(4).tt_rowids == [9, 1]
-    assert storage.node_store(2).tt_rowids == [7, 8]
+    assert tt_rowids(storage.node_store(4)) == [9, 1]
+    assert tt_rowids(storage.node_store(2)) == [7, 8]
     storage.write_tts(np.empty((0, 2), dtype=np.int64))
     assert set(storage.nodes) == {2, 4}
+
+
+def test_interleaved_chunks_read_mid_build_keep_arrival_order(flat_schema):
+    """Chunks of TT events and pool flushes for several nodes, interleaved;
+    the relations are read mid-build and again after more appends.  Both
+    reads equal the list pool's emissions replayed into per-node Python
+    lists, and the array handed out mid-build is not disturbed by what
+    is appended after it."""
+    rng = random.Random(5)
+    storage = CubeStorage(flat_schema)
+    storage.cat_format = CatFormat.COINCIDENTAL
+    pool = SignaturePool(7, on_flush=storage.write_flush)
+    oracle_pool = ListSignaturePool(7)
+    expected_tts: dict[int, list[int]] = {}
+
+    def feed(n_signatures: int, n_tts: int) -> None:
+        for _ in range(n_signatures):
+            signature = Signature(
+                (rng.randrange(4),), rng.randrange(50), rng.randrange(5)
+            )
+            pool.add(signature)
+            oracle_pool.add(signature)
+        events = [(rng.randrange(5), rng.randrange(50)) for _ in range(n_tts)]
+        storage.write_tts(np.asarray(events, dtype=np.int64).reshape(-1, 2))
+        for node, rowid in events:
+            expected_tts.setdefault(node, []).append(rowid)
+
+    def expected_relations():
+        """Replay everything the list pool emitted so far, format (b)."""
+        nts: dict[int, list[tuple]] = {}
+        cats: dict[int, list[tuple]] = {}
+        aggregates: list[tuple] = []
+        for kind, item in oracle_pool.emitted:
+            if kind == "nt":
+                nts.setdefault(item.node_id, []).append(
+                    (item.rowid, *item.aggregates)
+                )
+                continue
+            aggregates.append(item[0].aggregates)
+            for signature in item:
+                cats.setdefault(signature.node_id, []).append(
+                    (signature.rowid, len(aggregates) - 1)
+                )
+        return nts, cats, aggregates
+
+    def check() -> None:
+        nts, cats, aggregates = expected_relations()
+        assert aggregates_rows(storage) == aggregates
+        assert set(storage.nodes) == set(nts) | set(cats) | set(expected_tts)
+        for node, store in storage.nodes.items():
+            assert nt_rows(store) == nts.get(node, [])
+            assert cat_rows(store) == cats.get(node, [])
+            assert tt_rowids(store) == expected_tts.get(node, [])
+            assert store.nt_count == len(nts.get(node, []))
+            assert store.cat_count == len(cats.get(node, []))
+
+    for _ in range(4):
+        feed(rng.randrange(3, 12), rng.randrange(0, 6))
+    pool.flush()
+    oracle_pool.flush()
+    check()
+    mid_build = {
+        node: (store.nt_matrix(), store.tt_array(), store.cat_matrix())
+        for node, store in storage.nodes.items()
+    }
+    snapshot = {
+        node: [array.copy() for array in arrays]
+        for node, arrays in mid_build.items()
+    }
+    for _ in range(4):
+        feed(rng.randrange(3, 12), rng.randrange(1, 6))
+    pool.flush()
+    oracle_pool.flush()
+    check()
+    for node, arrays in mid_build.items():
+        for array, before in zip(arrays, snapshot[node]):
+            assert np.array_equal(array, before)
 
 
 def test_dr_mode_stores_dimension_values(flat_schema, figure9_table):
@@ -177,7 +264,7 @@ def test_dr_mode_stores_dimension_values(flat_schema, figure9_table):
     storage = result.storage
     a_store = storage.get_node_store(flat_schema.node_id(CubeNode((0, 1, 1))))
     # NT <3, 90> now stores the A value (code 2) instead of the row-id.
-    assert (2, 90) in a_store.nt_rows
+    assert (2, 90) in nt_rows(a_store)
 
 
 def test_dr_mode_without_resolver_raises(flat_schema):
@@ -192,7 +279,7 @@ def test_dr_mode_without_resolver_raises(flat_schema):
 def test_size_report_widths(flat_schema):
     storage = CubeStorage(flat_schema)
     storage.cat_format = CatFormat.COINCIDENTAL
-    storage.write_tt(0, 1)
+    storage.write_tts(np.asarray([(0, 1)], dtype=np.int64))
     write_runs(storage, [(0, 2, 7)], [(0, 0, 9), (1, 5, 9)])
     report = storage.size_report()
     assert report.tt_bytes == VALUE_BYTES
@@ -205,7 +292,7 @@ def test_size_report_widths(flat_schema):
 def test_size_report_relation_count(flat_schema):
     storage = CubeStorage(flat_schema)
     storage.cat_format = CatFormat.COINCIDENTAL
-    storage.write_tt(0, 1)
+    storage.write_tts(np.asarray([(0, 1)], dtype=np.int64))
     write_runs(storage, [(0, 2, 7)], [(0, 0, 9), (1, 5, 9)])
     report = storage.size_report()
     # Node 0 has TT + NT + CAT relations, node 1 has CAT only.

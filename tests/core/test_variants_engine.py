@@ -11,6 +11,7 @@ from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
+from tests.support.rows import cat_rows
 
 
 @pytest.fixture
@@ -79,7 +80,7 @@ def test_query_through_cat_bitmap(flat_schema):
         # duplicate-free CAT list of >= 1 entries converts.
         assert any(
             s.cat_bitmap is not None for s in storage.nodes.values()
-        ) or all(len(s.cat_rows) <= 1 for s in storage.nodes.values())
+        ) or all(len(cat_rows(s)) <= 1 for s in storage.nodes.values())
     cache = FactCache(flat_schema, table=table)
     for node, expected in before.items():
         got = normalize_answer(answer_cure_query(storage, cache, node))

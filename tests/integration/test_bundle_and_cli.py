@@ -389,9 +389,6 @@ def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
     with open_bundle(cube_dir) as bundle:
         assert bundle.v2.file.path == generation
         assert bundle.fact_row_count == 201
-    # use_v2=False cannot mean "v1 relations": a generation has none.
-    with open_bundle(cube_dir, use_v2=False) as bundle:
-        assert bundle.v2.file.path == generation
 
     assert cli_main(["publish-v2", "--cube", str(cube_dir)]) == 0
     assert str(generation) in capsys.readouterr().out

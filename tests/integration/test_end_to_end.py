@@ -17,6 +17,7 @@ from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
+from tests.support.rows import aggregates_rows
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ def test_persisted_relation_count_matches_report(tmp_path, apb_small):
     report = result.storage.size_report()
     names = catalog.names()
     data_relations = [n for n in names if not n.endswith("meta")]
-    has_aggregates = 1 if result.storage.aggregates_rows else 0
+    has_aggregates = 1 if aggregates_rows(result.storage) else 0
     assert len(data_relations) == report.n_relations + has_aggregates
     catalog.close()
 

@@ -33,6 +33,7 @@ from repro.query.answer import normalize_answer
 from repro.query.workload import all_node_queries
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
+from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
 
 POOL_CAPACITY = 200
 PARTITION_ALLOWANCE_ROWS = 300
@@ -57,14 +58,14 @@ def _canonical_cube(storage: CubeStorage):
     nodes = {}
     for node_id, store in storage.nodes.items():
         cats = []
-        for row in store.cat_rows:
+        for row in cat_rows(store):
             if storage.cat_format is CatFormat.COMMON_SOURCE:
-                cats.append(tuple(storage.aggregates_rows[row[0]]))
+                cats.append(tuple(aggregates_rows(storage)[row[0]]))
             else:
-                cats.append((row[0],) + tuple(storage.aggregates_rows[row[1]]))
+                cats.append((row[0],) + tuple(aggregates_rows(storage)[row[1]]))
         nodes[node_id] = (
-            tuple(sorted(store.nt_rows)),
-            tuple(sorted(store.tt_rowids)),
+            tuple(sorted(nt_rows(store))),
+            tuple(sorted(tt_rowids(store))),
             tuple(sorted(cats)),
         )
     return storage.cat_format, nodes
@@ -74,13 +75,13 @@ def _raw_cube(storage: CubeStorage):
     """Stored cube content in emission order — for determinism checks."""
     nodes = {
         node_id: (
-            tuple(store.nt_rows),
-            tuple(store.tt_rowids),
-            tuple(store.cat_rows),
+            tuple(nt_rows(store)),
+            tuple(tt_rowids(store)),
+            tuple(cat_rows(store)),
         )
         for node_id, store in sorted(storage.nodes.items())
     }
-    return nodes, tuple(storage.aggregates_rows), storage.cat_format
+    return nodes, tuple(aggregates_rows(storage)), storage.cat_format
 
 
 def _build_budgeted(

@@ -27,6 +27,7 @@ from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indic
 from repro.relational.catalog import Catalog
 from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
+from tests.support.rows import cube_bytes
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 MAX_CRASH_POINTS = int(os.environ.get("MAX_CRASH_POINTS", "12"))
@@ -58,19 +59,6 @@ def _fresh_engine(root, schema, table, budget) -> Engine:
     return engine
 
 
-def _cube_bytes(storage):
-    """Everything on-disk state determines: per-node relations + AGGREGATES."""
-    nodes = {
-        node_id: (
-            tuple(store.nt_rows),
-            tuple(store.tt_rowids),
-            tuple(store.cat_rows),
-        )
-        for node_id, store in sorted(storage.nodes.items())
-    }
-    return nodes, tuple(storage.aggregates_rows), storage.cat_format
-
-
 @pytest.fixture(scope="module")
 def instance():
     return _instance()
@@ -91,7 +79,7 @@ def baseline(instance, tmp_path_factory):
     assert result.stats.partitioned, "dataset must exercise the partitioned path"
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
-    reference = _cube_bytes(result.storage)
+    reference = cube_bytes(result.storage)
     engine.close()
     return reference, list(recorder.trace)
 
@@ -113,7 +101,7 @@ def _crash_then_resume(tmp_path, instance, plan) -> tuple:
     result = durable.resume()
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
-    cube = _cube_bytes(result.storage)
+    cube = cube_bytes(result.storage)
     engine.close()
     return cube
 
@@ -178,7 +166,7 @@ def test_transient_errors_absorbed_without_resume(
     durable = DurableCubeBuild(schema, engine, "fact", pool_capacity=POOL_CAPACITY)
     result = durable.build()
     assert injector.fired, "expected at least one transient fault to fire"
-    assert _cube_bytes(result.storage) == reference
+    assert cube_bytes(result.storage) == reference
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
     engine.close()
@@ -200,5 +188,5 @@ def test_resume_after_completion_reloads_identically(
     result = DurableCubeBuild(
         schema, engine, "fact", pool_capacity=POOL_CAPACITY
     ).resume()
-    assert _cube_bytes(result.storage) == reference
+    assert cube_bytes(result.storage) == reference
     engine.close()

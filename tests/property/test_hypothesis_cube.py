@@ -22,6 +22,7 @@ from repro.query import (
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
+from tests.support.rows import tt_rowids
 
 
 @st.composite
@@ -138,6 +139,6 @@ def test_tt_written_at_most_once_per_node(instance):
     schema, table = instance
     result = build_cube(schema, table=table)
     for store in result.storage.nodes.values():
-        assert len(store.tt_rowids) == len(set(store.tt_rowids))
-        for rowid in store.tt_rowids:
+        assert len(tt_rowids(store)) == len(set(tt_rowids(store)))
+        for rowid in tt_rowids(store):
             assert 0 <= rowid < len(table)

@@ -5,7 +5,7 @@
 replaced: one stored row and one node at a time) are run over the same
 base cube and the same sequence of deltas.  After every delta they must
 agree on what is stored — per node the same multiset of NT rows, TT
-row-ids and CAT rows; the same ``aggregates_rows``, drift accounting,
+row-ids and CAT rows; the same AGGREGATES rows, drift accounting,
 ``size_report()`` and ``UpdateReport`` counters — and the maintained cube
 must answer node, slice, roll-up and iceberg queries exactly like a
 from-scratch ``build_cube`` over base + delta rows.
@@ -49,6 +49,7 @@ from repro.query import (
 from repro.query.answer import normalize_answer
 from repro.query.rollup import base_node_of
 from tests.support.record_merger import apply_delta_by_record
+from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
 
 AGGREGATES = make_aggregates(("sum", 0), ("count", 0), ("min", 0), ("max", 0))
 
@@ -118,25 +119,28 @@ def stored(storage):
         trivial = (
             list(store.tt_bitmap.iter_set())
             if store.tt_bitmap is not None
-            else sorted(store.tt_rowids)
+            else sorted(tt_rowids(store))
         )
         common = (
             [(arowid,) for arowid in store.cat_bitmap.iter_set()]
             if store.cat_bitmap is not None
-            else sorted(store.cat_rows)
+            else sorted(cat_rows(store))
         )
-        nodes[node_id] = (sorted(store.nt_rows), trivial, common)
+        nodes[node_id] = (sorted(nt_rows(store)), trivial, common)
     return nodes
 
 
-def assert_views_match_lists(storage):
-    """The int64 views the merger left behind are the row lists."""
+def assert_counts_match_arrays(storage):
+    """The decode-free counts are the lengths of the arrays the merger
+    left behind, and those arrays are read-only."""
     for store in storage.nodes.values():
-        if store.nt_rows:
-            assert store.nt_matrix().tolist() == [list(r) for r in store.nt_rows]
-        assert store.tt_array().tolist() == list(store.tt_rowids)
-        if store.cat_rows:
-            assert store.cat_matrix().tolist() == [list(r) for r in store.cat_rows]
+        for count, array in (
+            (store.nt_count, store.nt_matrix()),
+            (store.tt_count, store.tt_array()),
+            (store.cat_count, store.cat_matrix()),
+        ):
+            assert count == len(array)
+            assert not array.flags.writeable
 
 
 def assert_same_answers(schema, flat, maintained, rebuilt, probe_row):
@@ -193,12 +197,12 @@ def run_differential(schema, flat, base_rows, deltas, cat_format, plus):
         assert dataclasses.asdict(report) == dataclasses.asdict(expected)
         assert table.rows == oracle_table.rows
         assert stored(storage) == stored(oracle)
-        assert list(storage.aggregates_rows) == list(oracle.aggregates_rows)
+        assert list(aggregates_rows(storage)) == list(aggregates_rows(oracle))
         assert storage.update_drift_bytes == oracle.update_drift_bytes
         assert storage.size_report() == oracle.size_report()
         assert storage.fact_row_count == oracle.fact_row_count
         assert not storage.plus_processed
-        assert_views_match_lists(storage)
+        assert_counts_match_arrays(storage)
         if plus:
             postprocess_plus(oracle)
             postprocess_plus(storage)

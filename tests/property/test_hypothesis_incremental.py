@@ -11,6 +11,7 @@ from repro.core.incremental import apply_delta
 from repro.core.postprocess import postprocess_plus
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
+from tests.support.rows import tt_rowids
 
 
 def small_schema() -> CubeSchema:
@@ -84,6 +85,6 @@ def test_no_tt_rowid_duplicated_after_update(base_rows, delta_rows):
     result = build_cube(SCHEMA, table=table)
     apply_delta(result.storage, SCHEMA, table, list(delta_rows))
     for store in result.storage.nodes.values():
-        assert len(store.tt_rowids) == len(set(store.tt_rowids))
-        for rowid in store.tt_rowids:
+        assert len(tt_rowids(store)) == len(set(tt_rowids(store)))
+        for rowid in tt_rowids(store):
             assert 0 <= rowid < len(table)

@@ -11,6 +11,7 @@ from repro.core.storage import CubeStorage
 from repro.query import FactCache, answer_cure_query
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
+from tests.support.rows import nt_rows, tt_rowids
 
 
 def small_schema() -> CubeSchema:
@@ -63,16 +64,16 @@ def test_size_report_consistency(fact_rows):
         + report.aggregates_bytes
     )
     assert report.n_nt == sum(
-        len(s.nt_rows) for s in result.storage.nodes.values()
+        len(nt_rows(s)) for s in result.storage.nodes.values()
     )
     assert report.n_tt == sum(
-        len(s.tt_rowids) for s in result.storage.nodes.values()
+        len(tt_rowids(s)) for s in result.storage.nodes.values()
     )
     # Every node's TT relation is duplicate-free with in-range row-ids,
     # and a tuple is stored at most once per node.
     for store in result.storage.nodes.values():
-        assert len(store.tt_rowids) == len(set(store.tt_rowids))
-        assert all(0 <= r < len(fact_rows) for r in store.tt_rowids)
+        assert len(tt_rowids(store)) == len(set(tt_rowids(store)))
+        assert all(0 <= r < len(fact_rows) for r in tt_rowids(store))
     assert report.n_tt <= len(fact_rows) * SCHEMA.enumerator.n_nodes
 
 

@@ -35,6 +35,7 @@ from repro.ingest import IngestError, StreamingIngestor
 from repro.relational.catalog import Catalog
 from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
+from tests.support.rows import cube_bytes
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 MAX_CRASH_POINTS = int(os.environ.get("MAX_CRASH_POINTS", "12"))
@@ -62,34 +63,6 @@ def _instance() -> tuple[CubeSchema, list[tuple], list[list[tuple]]]:
         for _ in range(8)
     ]
     return schema, base, batches
-
-
-def _cube_bytes(storage):
-    """Canonical cube state: bitmaps expanded, list orders normalized.
-
-    NT row order is deterministic across replay, but TT/CAT lists may be
-    held sorted (post-``postprocess_plus``) or as bitmaps; canonicalizing
-    makes 'byte-identical' mean identical logical relations.
-    """
-    nodes = {}
-    for node_id, store in sorted(storage.nodes.items()):
-        tts = (
-            tuple(store.tt_bitmap.iter_set())
-            if store.tt_bitmap is not None
-            else tuple(sorted(store.tt_rowids))
-        )
-        cats = (
-            tuple((arowid,) for arowid in store.cat_bitmap.iter_set())
-            if store.cat_bitmap is not None
-            else tuple(sorted(store.cat_rows))
-        )
-        nodes[node_id] = (tuple(store.nt_rows), tts, cats)
-    return (
-        nodes,
-        tuple(storage.aggregates_rows),
-        storage.cat_format,
-        storage.update_drift_bytes,
-    )
 
 
 def _bootstrap(schema, base, engine, root) -> StreamingIngestor:
@@ -157,7 +130,7 @@ def baseline(instance, tmp_path_factory):
         "ingest.append", "ingest.seal", "ingest.apply", "ingest.compact",
         "storage2.publish", "checkpoint.write", "manifest.save",
     }
-    reference = (_cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
+    reference = (cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
     return reference, list(recorder.trace)
 
 
@@ -172,7 +145,7 @@ def test_crash_anywhere_recover_identical(tmp_path_factory, instance, baseline):
             instance,
             (FaultSpec(site="*", kind=FaultKind.CRASH, hit=point + 1),),
         )
-        state = (_cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
+        state = (cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
         assert state == reference, (
             f"state differs after crash at point {point} ({trace[point]})"
         )
@@ -192,7 +165,7 @@ def test_crash_at_every_ingest_site(tmp_path_factory, instance, baseline):
             instance,
             (FaultSpec(site="*", kind=FaultKind.CRASH, hit=point + 1),),
         )
-        state = (_cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
+        state = (cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
         assert state == reference, (
             f"state differs after crash at ingest point {point} "
             f"({trace[point]})"
@@ -221,7 +194,7 @@ def test_torn_append_recover_identical(tmp_path_factory, instance, baseline):
                 ),
             ),
         )
-        state = (_cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
+        state = (cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
         assert state == reference, f"state differs after torn append #{hit}"
 
 
@@ -244,5 +217,5 @@ def test_transient_ingest_faults_absorbed(tmp_path_factory, instance, baseline):
         ),
     )
     assert injector.fired, "expected at least one transient fault to fire"
-    state = (_cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
+    state = (cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
     assert state == reference

@@ -27,6 +27,7 @@ from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indic
 from repro.relational.catalog import Catalog
 from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
+from tests.support.rows import cube_bytes
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 MAX_CRASH_POINTS = int(os.environ.get("MAX_CRASH_POINTS", "8"))
@@ -71,18 +72,6 @@ def _durable(schema, engine, workers: int = 1) -> DurableCubeBuild:
     )
 
 
-def _cube_bytes(storage):
-    nodes = {
-        node_id: (
-            tuple(store.nt_rows),
-            tuple(store.tt_rowids),
-            tuple(store.cat_rows),
-        )
-        for node_id, store in sorted(storage.nodes.items())
-    }
-    return nodes, tuple(storage.aggregates_rows), storage.cat_format
-
-
 @pytest.fixture(scope="module")
 def instance():
     return _instance()
@@ -107,7 +96,7 @@ def baseline(instance, tmp_path_factory):
     )
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
-    reference = _cube_bytes(result.storage)
+    reference = cube_bytes(result.storage)
     engine.close()
     return reference, list(recorder.trace)
 
@@ -126,7 +115,7 @@ def _crash_then_resume(tmp_path, instance, plan) -> tuple:
     result = durable.resume()
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
-    cube = _cube_bytes(result.storage)
+    cube = cube_bytes(result.storage)
     engine.close()
     return cube
 
@@ -188,7 +177,7 @@ def test_resume_after_completion_reloads_identically(
 
     engine = Engine(Catalog(root), MemoryManager(_budget(schema)))
     result = _durable(schema, engine).resume()
-    assert _cube_bytes(result.storage) == reference
+    assert cube_bytes(result.storage) == reference
     engine.close()
 
 
@@ -208,7 +197,7 @@ def test_parallel_durable_build_matches_reference(
     assert result.stats.workers == 2
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
-    assert _cube_bytes(result.storage) == reference
+    assert cube_bytes(result.storage) == reference
     engine.close()
 
 
@@ -239,7 +228,7 @@ def test_crash_then_parallel_resume_identical(
         result = durable.resume()
         report = verify_cube(engine.catalog, durable.manifest_path)
         assert report.ok, report.describe()
-        assert _cube_bytes(result.storage) == reference, (
+        assert cube_bytes(result.storage) == reference, (
             f"parallel resume differs after crash at point {point} "
             f"({trace[point]})"
         )

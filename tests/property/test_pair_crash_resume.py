@@ -32,6 +32,7 @@ from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indic
 from repro.relational.catalog import Catalog
 from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
+from tests.support.rows import cube_bytes
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 MAX_CRASH_POINTS = int(os.environ.get("MAX_CRASH_POINTS", "8"))
@@ -63,18 +64,6 @@ def _fresh_engine(root, schema, table) -> Engine:
     return engine
 
 
-def _cube_bytes(storage):
-    nodes = {
-        node_id: (
-            tuple(store.nt_rows),
-            tuple(store.tt_rowids),
-            tuple(store.cat_rows),
-        )
-        for node_id, store in sorted(storage.nodes.items())
-    }
-    return nodes, tuple(storage.aggregates_rows), storage.cat_format
-
-
 @pytest.fixture(scope="module")
 def instance():
     return _instance()
@@ -98,7 +87,7 @@ def baseline(instance, tmp_path_factory):
     assert manifest.partition_mode == "pair"
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
-    reference = _cube_bytes(result.storage)
+    reference = cube_bytes(result.storage)
     engine.close()
     return reference, list(recorder.trace)
 
@@ -121,7 +110,7 @@ def _crash_then_resume(tmp_path, instance, plan) -> tuple:
     result = durable.resume()
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
-    cube = _cube_bytes(result.storage)
+    cube = cube_bytes(result.storage)
     engine.close()
     return cube
 
@@ -185,5 +174,5 @@ def test_pair_resume_after_completion_reloads_identically(
     result = DurableCubeBuild(
         schema, engine, "fact", pool_capacity=POOL_CAPACITY
     ).resume()
-    assert _cube_bytes(result.storage) == reference
+    assert cube_bytes(result.storage) == reference
     engine.close()

@@ -33,6 +33,7 @@ from repro.datasets.synthetic import generate_flat_dataset
 from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indices
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
+from tests.support.rows import cube_bytes
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 MAX_CRASH_POINTS = int(os.environ.get("MAX_CRASH_POINTS", "6"))
@@ -79,18 +80,6 @@ def _durable(schema, engine, workers: int = 1) -> DurableCubeBuild:
     )
 
 
-def _cube_bytes(storage):
-    nodes = {
-        node_id: (
-            tuple(store.nt_rows),
-            tuple(store.tt_rowids),
-            tuple(store.cat_rows),
-        )
-        for node_id, store in sorted(storage.nodes.items())
-    }
-    return nodes, tuple(storage.aggregates_rows), storage.cat_format
-
-
 @pytest.fixture(scope="module")
 def instance():
     return _instance()
@@ -110,7 +99,7 @@ def baseline(instance, tmp_path_factory):
     assert worker_sites, "the build must fire per-task worker sites"
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
-    reference = _cube_bytes(result.storage)
+    reference = cube_bytes(result.storage)
     engine.close()
     return reference, worker_sites
 
@@ -142,7 +131,7 @@ def test_worker_death_at_every_task_site_resumes_identical(
         result = durable.resume()
         report = verify_cube(engine.catalog, durable.manifest_path)
         assert report.ok, report.describe()
-        assert _cube_bytes(result.storage) == reference, (
+        assert cube_bytes(result.storage) == reference, (
             f"cube differs after worker death at {site}"
         )
         engine.close()
@@ -169,7 +158,7 @@ def test_worker_death_mid_unit_never_loses_checkpoints(
     engine = Engine(Catalog(tmp), MemoryManager(_budget(schema)))
     durable = _durable(schema, engine, workers=WORKERS)
     result = durable.resume()
-    assert _cube_bytes(result.storage) == reference
+    assert cube_bytes(result.storage) == reference
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
     engine.close()

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import Table, build_cube
-from repro.bundle import open_bundle, save_bundle
+from repro.bundle import load_v1_bundle, open_bundle, save_bundle
 from repro.core.postprocess import postprocess_plus
 from repro.core.storage import CatFormat
 from repro.core.variants import VARIANTS
@@ -211,7 +211,7 @@ def backends(request, tmp_path_factory):
         tmp_path_factory.mktemp("row-engine") / "bundle", schema, fact, storage
     )
     publish_v2_bundle(path)
-    heap_bundle = open_bundle(path, use_v2=False)
+    heap_bundle = load_v1_bundle(path)
     mapped_bundle = open_bundle(path)
     assert mapped_bundle.v2 is not None
     yield {

@@ -16,6 +16,7 @@ from repro.query import (
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
+from tests.support.rows import tt_rowids
 
 
 @pytest.fixture
@@ -81,7 +82,7 @@ def test_buc_and_bubst_iceberg_match_reference(counted, min_count):
 def test_cure_iceberg_skips_tt_relations(counted):
     """The Section 7 claim: TTs are never touched when min_count >= 2."""
     schema, table, storage, cache = counted
-    total_tts = sum(len(s.tt_rowids) for s in storage.nodes.values())
+    total_tts = sum(len(tt_rowids(s)) for s in storage.nodes.values())
     assert total_tts > 0
     full_stats = QueryStats()
     iceberg_stats = QueryStats()

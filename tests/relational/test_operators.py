@@ -14,6 +14,7 @@ from repro.relational.operators import (
 )
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
+from tests.support.rows import aggregates_rows
 
 
 @pytest.fixture
@@ -125,7 +126,7 @@ def test_pipeline_composition_over_cube_relation(tmp_path):
         aggregates=[("count", agg_heap.schema.names[0])],
     )
     [(count,)] = list(plan)
-    assert count == len(result.storage.aggregates_rows)
+    assert count == len(aggregates_rows(result.storage))
     catalog.close()
 
 

@@ -2,7 +2,7 @@
 
 Everything the differential suite compares — library answers, HTTP
 bodies, cold-start behaviour — runs over the *same* built cube opened
-two ways: through the v1 heap-file load path (``use_v2=False``) and
+two ways: through the v1 heap-file load path (``load_v1_bundle``) and
 through the mapped ``cube.v2`` container.  Building and publishing once
 per session keeps the whole suite fast.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bundle import open_bundle, save_bundle
+from repro.bundle import load_v1_bundle, open_bundle, save_bundle
 from repro.core.variants import VARIANTS
 from repro.storage2 import publish_v2_bundle
 from tests.server.conftest import SERVED_VARIANTS, serving_fact, serving_schema
@@ -26,7 +26,7 @@ def make_dual_bundle(directory, variant: str, n_rows: int = 400):
         directory, schema, fact, result.storage, extra={"variant": variant}
     )
     publish_v2_bundle(path)
-    v1 = open_bundle(path, use_v2=False)
+    v1 = load_v1_bundle(path)
     v2 = open_bundle(path)
     assert v2.v2 is not None, "published cube.v2 was not detected"
     return v1, v2

@@ -12,11 +12,12 @@ from __future__ import annotations
 import pytest
 
 import repro.relational.heap as heap_module
-from repro.bundle import open_bundle
+from repro.bundle import load_v1_bundle, open_bundle
 from repro.query.planner import QueryRequest
 from repro.query.workload import mixed_workload
 from repro.server.encoding import encode_answer
 from repro.server.replay import replay_op
+from repro.storage2 import V2File
 
 SPIED = ("load_batch", "load", "load_mapped", "read_row", "read_rows", "scan")
 
@@ -75,7 +76,7 @@ def test_v2_cold_start_reads_no_heap_rows(dual_bundles, heap_reads):
 def test_v1_open_does_hit_the_heap(dual_bundles, heap_reads):
     # The spy itself must be load-bearing: the v1 path trips it.
     v1, _ = dual_bundles["CURE"]
-    bundle = open_bundle(v1.root, use_v2=False)
+    bundle = load_v1_bundle(v1.root)
     try:
         assert bundle.v2 is None
         planner = bundle.planner()
@@ -84,3 +85,42 @@ def test_v1_open_does_hit_the_heap(dual_bundles, heap_reads):
     finally:
         bundle.close()
     assert sum(heap_reads.values()) > 0
+
+
+def test_counts_over_a_mapped_cube_decode_no_section(dual_bundles, monkeypatch):
+    """The planner's cost estimate and ``relation_count`` read row counts
+    from the v2 directory: over every node, ``V2File.array`` is never
+    called — and what it returns once a query does ask is read-only."""
+    v1, _ = dual_bundles["CURE+"]
+    decoded: list[str] = []
+    original = V2File.array
+
+    def spy(self, name):
+        decoded.append(name)
+        return original(self, name)
+
+    monkeypatch.setattr(V2File, "array", spy)
+    bundle = open_bundle(v1.root)
+    try:
+        assert bundle.v2 is not None
+        planner = bundle.planner(with_indices=False)
+        storage = bundle.storage
+        estimated = {
+            node: planner._estimated_tuples(node)
+            for node in v1.schema.lattice.nodes()
+        }
+        relations = sum(s.relation_count for s in storage.nodes.values())
+        assert storage.aggregates_count == v1.storage.aggregates_count
+        assert decoded == []
+
+        assert relations == v1.storage.size_report().n_relations
+        reference = v1.planner(with_indices=False)
+        for node, estimate in estimated.items():
+            assert estimate == reference._estimated_tuples(node)
+        for store in storage.nodes.values():
+            for array in (store.nt_matrix(), store.tt_array(), store.cat_matrix()):
+                assert not array.flags.writeable
+        assert not storage.aggregates_matrix().flags.writeable
+        assert decoded
+    finally:
+        bundle.close()

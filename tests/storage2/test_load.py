@@ -21,6 +21,7 @@ from repro.storage2 import V2File, V2FormatError, load_v2, write_v2
 from repro.storage2.format import SectionCorruption
 from tests.server.conftest import serving_fact, serving_schema
 from tests.storage2.test_corruption import flip_byte
+from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
 
 
 @pytest.fixture
@@ -43,23 +44,23 @@ def test_load_round_trips_the_cube_and_fact_table(written):
     assert sorted(storage.nodes) == sorted(original.nodes)
     for node_id, store in original.nodes.items():
         loaded = storage.nodes[node_id]
-        assert loaded.nt_rows == store.nt_rows
+        assert nt_rows(loaded) == nt_rows(store)
         # A container holds CURE+ bitmaps as their sorted row-id lists.
         expected_tts = (
             list(store.tt_bitmap.iter_set())
             if store.tt_bitmap is not None
-            else store.tt_rowids
+            else tt_rowids(store)
         )
-        assert loaded.tt_rowids == expected_tts and loaded.tt_bitmap is None
+        assert tt_rowids(loaded) == expected_tts and loaded.tt_bitmap is None
         expected_cats = (
             [(arowid,) for arowid in store.cat_bitmap.iter_set()]
             if store.cat_bitmap is not None
-            else store.cat_rows
+            else cat_rows(store)
         )
-        assert loaded.cat_rows == expected_cats
-        if loaded.nt_rows:
-            assert loaded._nt_matrix is not None and loaded._nt_matrix.flags.writeable
-    assert storage.aggregates_rows == original.aggregates_rows
+        assert cat_rows(loaded) == expected_cats
+        if loaded.nt_count:
+            assert loaded.nt_matrix().flags.owndata  # copied off the map
+    assert aggregates_rows(storage) == aggregates_rows(original)
     assert storage.cat_format is original.cat_format
     assert storage.plus_processed and storage.update_drift_bytes == 24
     assert storage.fact_row_count == len(fact)

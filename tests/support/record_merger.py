@@ -6,9 +6,13 @@ and one lattice node at a time (``_project``, ``_node_groups``,
 ``_replace_tt``, ``_merge_existing``).  It is test-only:
 :mod:`tests.property.test_hypothesis_delta_merge` requires the production
 merger to leave, per node, the same multiset of NT rows, TT row-ids and
-CAT rows, the same ``aggregates_rows``, drift accounting and
+CAT rows, the same AGGREGATES rows, drift accounting and
 ``UpdateReport`` counters.  It is slow by design (it is the loop version
 the vectorized one is checked against) and must not grow optimizations.
+
+It walks and edits the relations as Python row lists, read from and
+written back to the storage's arrays through
+:class:`tests.support.rows.CubeRows`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from repro.lattice.node import CubeNode
 from repro.lattice.plan import plan_parent
 from repro.relational.aggregates import aggregate_singleton, merge_vectors
 from repro.relational.table import Table
+from tests.support.rows import CubeRows
 
 
 def apply_delta_by_record(
@@ -64,21 +69,17 @@ def apply_delta_by_record(
     # row-id lists; updates append out of order, so materialize bitmaps
     # back to lists and drop the plus property (re-run
     # :func:`repro.core.postprocess.postprocess_plus` afterwards to
-    # restore it).  Cached matrix views are dropped only where a bitmap
-    # actually converted: the caches are length-keyed, so plain appends
-    # re-key naturally and the in-place NT rewrites are invalidated
-    # per node below — untouched nodes keep their views warm.
-    for store in storage.nodes.values():
+    # restore it).
+    rows = CubeRows(storage)
+    for node_id, store in storage.nodes.items():
         if store.tt_bitmap is not None:
-            store.tt_rowids = list(store.tt_bitmap.iter_set())
+            rows.node_store(node_id).tt_rowids = list(store.tt_bitmap.iter_set())
             store.tt_bitmap = None
-            store.invalidate_matrices()
         if store.cat_bitmap is not None:
-            store.cat_rows = [
+            rows.node_store(node_id).cat_rows = [
                 (arowid,) for arowid in store.cat_bitmap.iter_set()
             ]
             store.cat_bitmap = None
-            store.invalidate_matrices()
     storage.plus_processed = False
 
     base_rowid = len(fact_table)
@@ -86,20 +87,20 @@ def apply_delta_by_record(
         fact_table.append(row)
     storage.fact_row_count = len(fact_table)
 
-    merger = _Merger(storage, schema, fact_table, report)
+    merger = _Merger(storage, rows, schema, fact_table, report)
     merger.flatten_delta(delta_rows, base_rowid)
     merger.devalue_touched_tts()
     merger.merge_delta()
-    for node_id in sorted(merger.rewritten_nodes):
-        rewritten = storage.get_node_store(node_id)
-        if rewritten is not None:
-            rewritten.invalidate_matrices()
+    rows.write_back()
     return report
 
 
 class _Merger:
-    def __init__(self, storage, schema, fact_table, report) -> None:
+    def __init__(self, storage, rows, schema, fact_table, report) -> None:
         self.storage = storage
+        #: The same cube as row lists; every relation read or edit below
+        #: goes through it.
+        self.rows = rows
         self.schema = schema
         self.fact_table = fact_table
         self.report = report
@@ -114,9 +115,6 @@ class _Merger:
         self._groups: dict[int, dict[tuple, tuple[str, int]]] = {}
         # rowid -> base dimension codes (TT rows project at many nodes)
         self._base_codes: dict[int, tuple[int, ...]] = {}
-        # Nodes whose NT relation was rewritten *in place* (same length),
-        # which the length-keyed matrix caches cannot detect on their own.
-        self.rewritten_nodes: set[int] = set()
 
     # -- structure ---------------------------------------------------------------
 
@@ -174,7 +172,7 @@ class _Merger:
             return cached
         node = self.schema.decode_node(node_id)
         lookup: dict[tuple, tuple[str, int]] = {}
-        store = self.storage.get_node_store(node_id)
+        store = self.rows.get_node_store(node_id)
         if store is not None:
             for position, row in enumerate(store.nt_rows):
                 lookup[self._project(row[0], node)] = ("nt", position)
@@ -187,11 +185,11 @@ class _Merger:
 
     def _cat_rowid(self, cat_row: tuple) -> int:
         if self.storage.cat_format is CatFormat.COMMON_SOURCE:
-            return self.storage.aggregates_rows[cat_row[0]][0]
+            return self.rows.aggregates_rows[cat_row[0]][0]
         return cat_row[0]
 
     def _register_nt(self, node_id: int, dims, row: tuple) -> None:
-        store = self.storage.node_store(node_id)
+        store = self.rows.node_store(node_id)
         store.nt_rows.append(row)
         self._node_groups(node_id)[dims] = ("nt", len(store.nt_rows) - 1)
 
@@ -201,7 +199,7 @@ class _Merger:
         """Remove TTs whose group the delta touches; re-place them locally."""
         for node in self._nodes:
             node_id = self.schema.node_id(node)
-            store = self.storage.get_node_store(node_id)
+            store = self.rows.get_node_store(node_id)
             if store is None or not store.tt_rowids:
                 continue
             delta_here = self.delta.get(node_id, {})
@@ -215,7 +213,6 @@ class _Merger:
                 else:
                     kept.append(rowid)
             store.tt_rowids = kept
-            store.invalidate_matrices()
 
     def _replace_tt(self, node: CubeNode, node_id: int, rowid: int) -> None:
         """Re-place a devalued TT over its plan sub-tree.
@@ -238,7 +235,7 @@ class _Merger:
             for child in self._children.get(node_id, ()):
                 self._replace_tt(child, self.schema.node_id(child), rowid)
         else:
-            self.storage.write_tt(node_id, rowid)
+            self.rows.node_store(node_id).tt_rowids.append(rowid)
 
     # -- pass 2: merging delta groups ----------------------------------------------------------
 
@@ -251,7 +248,7 @@ class _Merger:
                 continue
             self.report.nodes_touched.add(node_id)
             lookup = self._node_groups(node_id)
-            store = self.storage.node_store(node_id)
+            store = self.rows.node_store(node_id)
             for dims, (aggregates, rowid, count) in delta_here.items():
                 existing = lookup.get(dims)
                 if existing is not None:
@@ -303,7 +300,6 @@ class _Merger:
             )
             store.nt_rows[position] = (min(row[0], rowid),) + merged
             self.report.nts_merged += 1
-            self.rewritten_nodes.add(self.schema.node_id(node))
             return
         # CAT demotion: detach from the shared AGGREGATES row, merge, and
         # store as a plain NT (the open part of the paper's plan).  The
@@ -316,11 +312,11 @@ class _Merger:
         self.storage.update_drift_bytes += (1 + y - cat_values) * VALUE_BYTES
         cat_row = store.cat_rows.pop(position)
         if self.storage.cat_format is CatFormat.COMMON_SOURCE:
-            entry = self.storage.aggregates_rows[cat_row[0]]
+            entry = self.rows.aggregates_rows[cat_row[0]]
             old_rowid, old_aggregates = entry[0], entry[1 : 1 + y]
         else:
             old_rowid = cat_row[0]
-            old_aggregates = tuple(self.storage.aggregates_rows[cat_row[1]])
+            old_aggregates = tuple(self.rows.aggregates_rows[cat_row[1]])
         merged = merge_vectors(
             self.schema.aggregates, old_aggregates, tuple(aggregates)
         )

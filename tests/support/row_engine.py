@@ -32,6 +32,7 @@ from repro.query.planner import QueryRequest
 from repro.query.rollup import base_node_of
 from repro.query.slice import allowed_rowid_array
 from repro.relational.aggregates import aggregate_singleton
+from tests.support.rows import CubeRows
 
 Pairs = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
@@ -41,6 +42,7 @@ Pairs = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 def answer_cure_query(storage, cache, node, stats=None) -> Pairs:
     """Answer one node query over a CURE(-family) cube."""
+    storage = CubeRows(storage)
     schema = storage.schema
     answer: Pairs = []
     store = storage.get_node_store(schema.node_id(node))
@@ -220,6 +222,7 @@ def answer_cure_sliced(
 
 
 def _answer_prefiltered(storage, cache, node, allowed: set[int], stats) -> Pairs:
+    storage = CubeRows(storage)
     schema = storage.schema
     y = schema.n_aggregates
     answer: Pairs = []
@@ -308,6 +311,7 @@ def iceberg_over_cure(storage, cache, node, min_count, stats=None) -> Pairs:
     count_index = schema.count_aggregate_index()
     if min_count <= 1:
         return answer_cure_query(storage, cache, node, stats)
+    storage = CubeRows(storage)
     answer: Pairs = []
     store = storage.get_node_store(schema.node_id(node))
     if store is None:
