@@ -25,7 +25,7 @@ MB = 1024 * 1024
 
 def main() -> None:
     schema, full = generate_apb_dataset(density=0.2, scale=1 / 1000, seed=41)
-    rows = list(full.rows)
+    rows = full.to_rows()
     nights = 5
     batch = len(rows) // 10
     base_rows, remaining = rows[: len(rows) - nights * batch], rows[

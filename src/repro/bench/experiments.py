@@ -845,7 +845,7 @@ def run_incremental(
         "cube size / from-scratch rebuild size",
     )
     schema, full = generate_apb_dataset(density=density, scale=scale, seed=47)
-    rows = list(full.rows)
+    rows = full.to_rows()
     batch = max(1, int(len(rows) * batch_fraction))
     base_rows = rows[: len(rows) - n_rounds * batch]
     fact = Table(schema.fact_schema, list(base_rows))
@@ -900,7 +900,7 @@ def run_sliced_queries(
     cache = FactCache(schema, table=fact)
     indices = {
         d: InvertedIndex.build(
-            [row[d] for row in fact.rows],
+            fact.as_batch().arrays[d],
             schema.dimensions[d].base_cardinality,
         )
         for d in range(schema.n_dimensions)

@@ -117,7 +117,7 @@ def save_bundle(
     catalog = Catalog(root)
     try:
         heap = catalog.create(FACT_RELATION, schema.fact_schema)
-        heap.append_many(fact.rows)
+        heap.append_batch(fact.as_batch())
         heap.flush()
         storage.persist(catalog, prefix=CUBE_PREFIX)
     finally:
@@ -188,8 +188,8 @@ class CubeBundle:
             if self.v2 is not None:
                 indices = self.v2.indices
             else:
-                fact = self.catalog.open(self.fact_relation).load()
-                indices = build_indices(self.schema, fact.rows)
+                fact = self.catalog.open(self.fact_relation).load_batch()
+                indices = build_indices(self.schema, fact)
         return CubePlanner(
             self.storage,
             self.fact_cache(fraction=fraction, seed=seed),

@@ -196,9 +196,6 @@ def apply_delta(
 
     base_rowid = len(fact_table)
     fact_schema = schema.fact_schema
-    # Touch the columnar view first so ``append_batch`` extends it: the
-    # merger reads the fact columns from it, and so do the queries after.
-    fact_table.as_batch()
     fact_table.append_batch(
         ColumnBatch.from_arrays(
             fact_schema,

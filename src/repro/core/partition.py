@@ -380,15 +380,8 @@ def load_coarse_working_set(
     """Load a persisted coarse node into a working set, under a memory
     reservation.  Returns ``(working_set, release_callable)``."""
     loaded = engine.load(name)
-    table = loaded.table
-    n_dims = schema.n_dimensions
-    y = schema.n_aggregates
-    dim_rows = [row[:n_dims] for row in table.rows]
-    agg_rows = [row[n_dims : n_dims + y] for row in table.rows]
-    weights = [row[n_dims + y] for row in table.rows]
-    rowids = [row[n_dims + y + 1] for row in table.rows]
-    working = WorkingSet.from_aggregated(
-        schema, dim_rows, agg_rows, weights, rowids
+    working = WorkingSet.from_coarse_columns(
+        schema, loaded.table.as_batch().arrays
     )
     return working, loaded.release
 

@@ -20,6 +20,7 @@ is 1, i.e. it really is a single fact tuple.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,45 +79,47 @@ class WorkingSet:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_fact_table(cls, schema: CubeSchema, table: Table) -> "WorkingSet":
-        """Wrap raw fact tuples (weights 1, singleton aggregates)."""
-        n = len(table)
+    def _from_fact_columns(
+        cls,
+        schema: CubeSchema,
+        columns: Sequence[np.ndarray],
+        rowids: np.ndarray,
+    ) -> "WorkingSet":
+        """Raw fact tuples given as columns in fact-schema order (weights
+        1, singleton aggregates through ``spec.function.from_column``)."""
+        n = len(rowids)
         d = schema.n_dimensions
         dims = [
-            np.fromiter(
-                (row[dim] for row in table.rows), dtype=np.int32, count=n
-            )
+            np.ascontiguousarray(columns[dim], dtype=np.int32)
             for dim in range(d)
         ]
         aggs = np.empty((n, schema.n_aggregates), dtype=np.int64)
         for y, spec in enumerate(schema.aggregates):
-            measure_position = d + spec.measure_index
-            aggs[:, y] = np.fromiter(
-                (
-                    spec.function.from_value(row[measure_position])
-                    for row in table.rows
-                ),
-                dtype=np.int64,
-                count=n,
+            column = np.asarray(
+                columns[d + spec.measure_index], dtype=np.int64
             )
+            aggs[:, y] = spec.function.from_column(column)
         weights = np.ones(n, dtype=np.int64)
-        if table.base_rowids is not None:
-            rowids = np.asarray(table.base_rowids, dtype=np.int64)
-        else:
-            rowids = np.arange(n, dtype=np.int64)
         return cls(schema, dims, aggs, weights, rowids)
+
+    @classmethod
+    def from_fact_table(cls, schema: CubeSchema, table: Table) -> "WorkingSet":
+        """Wrap a fact table's columns (row-ids from ``base_rowids`` when
+        the table is a slice, else positions)."""
+        if table.base_rowids is not None:
+            rowids = table.base_rowids
+        else:
+            rowids = np.arange(len(table), dtype=np.int64)
+        return cls._from_fact_columns(schema, table.as_batch().arrays, rowids)
 
     @classmethod
     def from_partition_table(
         cls, schema: CubeSchema, table: Table
     ) -> "WorkingSet":
         """Wrap a loaded partition whose last column is the original rowid."""
-        rowid_position = table.schema.position("r_rowid")
-        rowids = [int(row[rowid_position]) for row in table.rows]
-        working = cls.from_fact_table(
-            schema, Table(table.schema, table.rows, base_rowids=rowids)
-        )
-        return working
+        batch = table.as_batch()
+        rowids = np.ascontiguousarray(batch.column("r_rowid"), dtype=np.int64)
+        return cls._from_fact_columns(schema, batch.arrays, rowids)
 
     @classmethod
     def from_partition_array(
@@ -127,57 +130,48 @@ class WorkingSet:
 
         Produces arrays elementwise identical to
         :meth:`from_partition_table` over the same file: dimension
-        columns are the leading INT32 fields, measures go through
-        ``spec.function.from_column`` (the vectorized contract of
-        ``from_value``), and the trailing ``r_rowid`` field supplies the
+        columns are the leading INT32 fields, measures the INT64 fields
+        after them, and the trailing ``r_rowid`` field supplies the
         original fact row-ids.  Columns are copied out of the map, so
         releasing the mapping afterwards is safe.
         """
-        names = records.dtype.names
-        n = len(records)
+        rowids = np.ascontiguousarray(records["r_rowid"], dtype=np.int64)
+        return cls._from_fact_columns(
+            schema, [records[name] for name in records.dtype.names], rowids
+        )
+
+    @classmethod
+    def from_coarse_columns(
+        cls, schema: CubeSchema, columns: Sequence[np.ndarray]
+    ) -> "WorkingSet":
+        """Wrap the columns of a persisted coarse node.
+
+        Coarse relations are positionally uniform regardless of flavor
+        (``coarseN`` / ``coarseN1`` / ``coarseN2``): ``n_dimensions``
+        INT32 codes, ``n_aggregates`` INT64 partials, weight, min rowid.
+        Columns are copied, so a memory map they view may be released.
+        """
         d = schema.n_dimensions
+        y = schema.n_aggregates
         dims = [
-            np.ascontiguousarray(records[names[dim]], dtype=np.int32)
+            np.ascontiguousarray(columns[dim], dtype=np.int32)
             for dim in range(d)
         ]
-        aggs = np.empty((n, schema.n_aggregates), dtype=np.int64)
-        for y, spec in enumerate(schema.aggregates):
-            column = np.asarray(
-                records[names[d + spec.measure_index]], dtype=np.int64
-            )
-            aggs[:, y] = spec.function.from_column(column)
-        weights = np.ones(n, dtype=np.int64)
-        rowids = np.ascontiguousarray(records["r_rowid"], dtype=np.int64)
+        aggs = np.empty((len(columns[0]), y), dtype=np.int64)
+        for i in range(y):
+            aggs[:, i] = columns[d + i]
+        weights = np.ascontiguousarray(columns[d + y], dtype=np.int64)
+        rowids = np.ascontiguousarray(columns[d + y + 1], dtype=np.int64)
         return cls(schema, dims, aggs, weights, rowids)
 
     @classmethod
     def from_coarse_array(
         cls, schema: CubeSchema, records: np.ndarray
     ) -> "WorkingSet":
-        """Wrap a memory-mapped coarse-node record array.
-
-        Coarse relations are positionally uniform regardless of flavor
-        (``coarseN`` / ``coarseN1`` / ``coarseN2``): ``n_dimensions``
-        INT32 codes, ``n_aggregates`` INT64 partials, weight, min rowid
-        — the same positions :func:`~repro.core.partition.\
-load_coarse_working_set` reads row by row.
-        """
-        names = records.dtype.names
-        n = len(records)
-        d = schema.n_dimensions
-        y = schema.n_aggregates
-        dims = [
-            np.ascontiguousarray(records[names[dim]], dtype=np.int32)
-            for dim in range(d)
-        ]
-        aggs = np.empty((n, y), dtype=np.int64)
-        for i in range(y):
-            aggs[:, i] = records[names[d + i]]
-        weights = np.ascontiguousarray(records[names[d + y]], dtype=np.int64)
-        rowids = np.ascontiguousarray(
-            records[names[d + y + 1]], dtype=np.int64
+        """Wrap a memory-mapped coarse-node record array."""
+        return cls.from_coarse_columns(
+            schema, [records[name] for name in records.dtype.names]
         )
-        return cls(schema, dims, aggs, weights, rowids)
 
     @classmethod
     def empty(cls, schema: CubeSchema) -> "WorkingSet":
@@ -187,36 +181,6 @@ load_coarse_working_set` reads row by row.
             np.empty((0, schema.n_aggregates), dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
-        )
-
-    @classmethod
-    def from_aggregated(
-        cls,
-        schema: CubeSchema,
-        dim_rows: list[tuple[int, ...]],
-        agg_rows: list[tuple[int, ...]],
-        weights: list[int],
-        rowids: list[int],
-    ) -> "WorkingSet":
-        """Build from pre-aggregated rows (the coarse node ``N``)."""
-        n = len(weights)
-        dims = [
-            np.fromiter((row[d] for row in dim_rows), dtype=np.int32, count=n)
-            for d in range(schema.n_dimensions)
-        ]
-        aggs = (
-            np.asarray(agg_rows, dtype=np.int64).reshape(
-                n, schema.n_aggregates
-            )
-            if n
-            else np.empty((0, schema.n_aggregates), dtype=np.int64)
-        )
-        return cls(
-            schema,
-            dims,
-            aggs,
-            np.asarray(weights, dtype=np.int64),
-            np.asarray(rowids, dtype=np.int64),
         )
 
     # -- recursion support -------------------------------------------------

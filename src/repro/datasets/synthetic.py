@@ -13,6 +13,7 @@ import numpy as np
 from repro.core.model import CubeSchema
 from repro.hierarchy.builders import flat_dimension
 from repro.relational.aggregates import make_aggregates
+from repro.relational.batch import ColumnBatch
 from repro.relational.table import Table
 
 
@@ -106,6 +107,6 @@ def generate_flat_dataset(
     schema = CubeSchema(
         dimensions, make_aggregates(*aggregates), n_measures=n_measures
     )
-    stacked = np.column_stack(columns + measures)
-    rows = [tuple(int(v) for v in row) for row in stacked]
-    return schema, Table(schema.fact_schema, rows)
+    return schema, Table.from_batch(
+        ColumnBatch.from_arrays(schema.fact_schema, columns + measures)
+    )

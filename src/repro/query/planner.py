@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.incremental import UpdateReport
 from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
@@ -49,6 +47,7 @@ from repro.query.slice import (
     answer_cure_sliced,
     slice_mask,
 )
+from repro.relational.batch import ColumnBatch
 from repro.relational.index import InvertedIndex
 
 
@@ -238,23 +237,16 @@ class CubePlanner:
 
 
 def build_indices(
-    schema, fact_rows: list[tuple]
+    schema, fact: ColumnBatch
 ) -> dict[int, InvertedIndex]:
     """Inverted indices over every dimension column of a fact table.
 
-    The columns transpose once; each dimension's index then builds with
-    the CSR ``bincount``/``argsort`` kernels — no per-row Python loop.
+    Each dimension's index builds from its column with the CSR
+    ``bincount``/``argsort`` kernels — no per-row Python loop.
     """
-    if not fact_rows:
-        return {
-            d: InvertedIndex.build((), schema.dimensions[d].base_cardinality)
-            for d in range(schema.n_dimensions)
-        }
-    columns = list(zip(*fact_rows))
     return {
         d: InvertedIndex.build(
-            np.fromiter(columns[d], dtype=np.int64, count=len(fact_rows)),
-            schema.dimensions[d].base_cardinality,
+            fact.arrays[d], schema.dimensions[d].base_cardinality
         )
         for d in range(schema.n_dimensions)
     }

@@ -100,7 +100,7 @@ class Engine:
     def store_table(self, name: str, table: Table) -> HeapFile:
         """Materialize an in-memory table as a new named relation."""
         heap = self.catalog.create(name, table.schema)
-        heap.append_many(table.rows)
+        heap.append_batch(table.as_batch())
         heap.flush()
         return heap
 

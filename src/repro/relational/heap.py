@@ -334,7 +334,7 @@ class HeapFile:
 
     def load(self) -> Table:
         """Read the whole file into an in-memory :class:`Table`."""
-        return Table(self.schema, list(self.scan()))
+        return Table.from_batch(self.load_batch())
 
     def load_mapped(self) -> np.ndarray:
         """Map the whole file read-only as a structured record array.

@@ -70,7 +70,7 @@ class Operator:
 
     def to_table(self) -> Table:
         """Materialize the operator's output as an in-memory table."""
-        return Table(self.output_schema(), self.materialize().to_rows())
+        return Table.from_batch(self.materialize())
 
 
 class TableScan(Operator):
@@ -86,7 +86,7 @@ class TableScan(Operator):
         yield self._table.as_batch()
 
     def rows(self) -> Iterator[tuple]:
-        return iter(self._table.rows)
+        return iter(self._table)
 
 
 class HeapScan(Operator):

@@ -2,53 +2,96 @@
 
 A :class:`Table` is the working representation of a relation that "fits in
 memory" in the paper's sense: the fact table after loading, a partition
-after loading, or a cube node relation under construction.  Row-ids are the
-tuple's position, matching the heap-file row addressing in
+after loading.  It holds columns, not tuples — one typed numpy array per
+schema column (a :class:`~repro.relational.batch.ColumnBatch`) — because
+that is what the data is at both ends: text columns in the CSV, int32 /
+int64 columns in the heap file and in ``cube.v2``.  Row-ids are a tuple's
+position, matching the heap-file row addressing in
 :mod:`repro.relational.heap` so that a table loaded from a heap file keeps
 the same row-ids the file uses.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 
-from repro.relational.batch import ColumnBatch
+import numpy as np
+
+from repro.relational.batch import ColumnBatch, column_dtype
 from repro.relational.schema import TableSchema
 
 
-@dataclass
-class Table:
-    """A relation held in memory as a list of tuples.
+def _checked_rowids(
+    base_rowids: Sequence[int] | np.ndarray | None, length: int
+) -> np.ndarray | None:
+    if base_rowids is None:
+        return None
+    rowids = np.asarray(base_rowids, dtype=np.int64)
+    if len(rowids) != length:
+        raise ValueError(
+            "base_rowids length must match rows length "
+            f"({len(rowids)} != {length})"
+        )
+    return rowids
 
-    The row-id of a tuple is its index in ``rows``.  When a table is a
-    slice of another relation (a loaded partition, for example), the
-    original row-ids are carried in ``base_rowids`` so that references
-    written into the cube (R-rowids) still point into the full fact table.
+
+class Table:
+    """A relation held in memory as one column array per schema column.
+
+    Appends arrive as column chunks and the first read consolidates them
+    with one concatenation per column (as
+    :class:`repro.core.storage.ArrayRelation` does for cube relations):
+    computed aside and installed by a single assignment, so readers may
+    race each other, though not an append.  :meth:`as_batch` *is* the
+    relation; tuples are derived from it on request — ``table[rowid]``,
+    iteration, :meth:`to_rows` — and never stored.  ``Table(schema,
+    rows)`` transposes the given tuples once.
+
+    The row-id of a tuple is its position.  When a table is a slice of
+    another relation, the original row-ids are carried in ``base_rowids``
+    (an int64 array) so that references written into the cube (R-rowids)
+    still point into the full fact table.
     """
 
-    schema: TableSchema
-    rows: list[tuple] = field(default_factory=list)
-    base_rowids: list[int] | None = None
-    _batch: ColumnBatch | None = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        schema: TableSchema,
+        rows: Iterable[tuple] = (),
+        base_rowids: Sequence[int] | np.ndarray | None = None,
+    ) -> None:
+        self.schema = schema
+        self._chunks: list[ColumnBatch] = []
+        self._length = 0
+        self.extend(rows)
+        self.base_rowids = _checked_rowids(base_rowids, self._length)
 
-    def __post_init__(self) -> None:
-        if self.base_rowids is not None and len(self.base_rowids) != len(self.rows):
-            raise ValueError(
-                "base_rowids length must match rows length "
-                f"({len(self.base_rowids)} != {len(self.rows)})"
-            )
+    @classmethod
+    def from_batch(
+        cls,
+        batch: ColumnBatch,
+        base_rowids: Sequence[int] | np.ndarray | None = None,
+    ) -> "Table":
+        """A table over ``batch``'s columns (shared, not copied)."""
+        table = cls(batch.schema)
+        table.append_batch(batch)
+        table.base_rowids = _checked_rowids(base_rowids, batch.length)
+        return table
+
+    def __repr__(self) -> str:
+        return f"Table({list(self.schema.names)}, {self._length} rows)"
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._length
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self.rows)
+        return iter(self.to_rows())
 
     def __getitem__(self, rowid: int) -> tuple:
-        return self.rows[rowid]
+        return tuple(array[rowid].item() for array in self.as_batch().arrays)
+
+    def to_rows(self) -> list[tuple]:
+        """Every tuple, as Python scalars, in row-id order (a new list)."""
+        return self.as_batch().to_rows()
 
     def rowid_of(self, local_index: int) -> int:
         """The global row-id of the tuple at ``local_index``.
@@ -57,62 +100,56 @@ class Table:
         """
         if self.base_rowids is None:
             return local_index
-        return self.base_rowids[local_index]
+        return int(self.base_rowids[local_index])
 
     def append(self, row: tuple) -> int:
         """Append ``row`` and return its row-id."""
-        self.schema.validate_row(row)
-        self.rows.append(row)
-        return len(self.rows) - 1
+        self.extend([row])
+        return self._length - 1
 
     def extend(self, rows: Iterable[tuple]) -> None:
-        for row in rows:
-            self.append(row)
+        """Append tuples, transposed once into one column chunk."""
+        if not isinstance(rows, Sequence):
+            rows = list(rows)
+        if rows:
+            self.append_batch(ColumnBatch.from_rows(self.schema, rows))
 
     def append_batch(self, batch: ColumnBatch) -> None:
-        """Append a columnar batch (bridged through tuples).
-
-        A current columnar view (:meth:`as_batch`) is extended alongside
-        the rows instead of going stale, so a fact table that grows by
-        small deltas never re-transposes what it already holds.
-        """
+        """Append a columnar batch as one chunk, columns cast to the
+        schema's dtypes (no copy when they already match)."""
         if batch.schema.names != self.schema.names:
             raise ValueError(
                 f"batch schema {batch.schema.names} does not match "
                 f"table schema {self.schema.names}"
             )
-        cached = self._batch if self.rows else ColumnBatch.empty(self.schema)
-        current = cached is not None and cached.length == len(self.rows)
-        self.rows.extend(batch.to_rows())
-        if current:
-            self._batch = ColumnBatch.concat(self.schema, [cached, batch])
+        if not batch.length:
+            return
+        arrays = tuple(
+            np.asarray(array, dtype=column_dtype(column.type))
+            for column, array in zip(self.schema.columns, batch.arrays)
+        )
+        self._chunks.append(ColumnBatch(self.schema, arrays, batch.length))
+        self._length += batch.length
 
     def as_batch(self) -> ColumnBatch:
-        """The whole table as one columnar batch (cached).
-
-        The cache is keyed on the row count: appends invalidate it, and
-        callers that mutate ``rows`` in place without changing its length
-        must not rely on a fresh view.
-        """
-        cached = self._batch
-        if cached is None or cached.length != len(self.rows):
-            cached = ColumnBatch.from_rows(self.schema, self.rows)
-            self._batch = cached
-        return cached
+        """The whole table as one columnar batch."""
+        chunks = self._chunks
+        if len(chunks) == 1:
+            return chunks[0]
+        merged = ColumnBatch.concat(self.schema, chunks)
+        if chunks:
+            self._chunks = [merged]
+        return merged
 
     def column_values(self, name: str) -> list:
         """All values of one column, in row order."""
-        position = self.schema.position(name)
-        return [row[position] for row in self.rows]
+        values: list = self.as_batch().column(name).tolist()
+        return values
 
     def project(self, names: list[str] | tuple[str, ...]) -> "Table":
         """A new table with only the named columns (row order preserved)."""
-        positions = [self.schema.position(name) for name in names]
-        projected = [tuple(row[p] for p in positions) for row in self.rows]
-        return Table(
-            self.schema.project(names),
-            projected,
-            base_rowids=list(self.base_rowids) if self.base_rowids else None,
+        return Table.from_batch(
+            self.as_batch().project(names), self.base_rowids
         )
 
     def slice_rows(self, local_indices: list[int]) -> "Table":
@@ -120,11 +157,11 @@ class Table:
 
         Global row-ids are preserved through ``base_rowids``.
         """
-        rows = [self.rows[i] for i in local_indices]
-        rowids = [self.rowid_of(i) for i in local_indices]
-        return Table(self.schema, rows, base_rowids=rowids)
+        indices = np.asarray(local_indices, dtype=np.int64)
+        rowids = indices if self.base_rowids is None else self.base_rowids[indices]
+        return Table.from_batch(self.as_batch().take(indices), rowids)
 
     @property
     def size_bytes(self) -> int:
         """Logical size: rows times the packed record width."""
-        return len(self.rows) * self.schema.row_size_bytes
+        return self._length * self.schema.row_size_bytes

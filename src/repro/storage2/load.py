@@ -49,8 +49,7 @@ def load_v2(path: str | Path, schema: CubeSchema) -> tuple[CubeStorage, Table]:
     fact_schema = schema.fact_schema
     names = [f"fact/dim/{d}" for d in range(schema.n_dimensions)]
     names += [f"fact/measure/{m}" for m in range(schema.n_measures)]
-    fact = Table(fact_schema)
-    fact.append_batch(
+    fact = Table.from_batch(
         ColumnBatch.from_arrays(
             fact_schema, [np.array(file.array(name)) for name in names]
         )

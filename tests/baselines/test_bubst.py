@@ -12,7 +12,7 @@ from repro.query.answer import normalize_answer
 def test_every_node_correct(flat_schema, figure9_table):
     cube, _stats = build_bubst_cube(flat_schema, figure9_table)
     for node in flat_schema.lattice.nodes():
-        expected = reference_group_by(flat_schema, figure9_table.rows, node)
+        expected = reference_group_by(flat_schema, figure9_table.to_rows(), node)
         got = normalize_answer(answer_bubst_query(cube, node))
         assert got == expected
 
@@ -66,7 +66,7 @@ def test_no_duplicates_when_data_dense(flat_schema):
     cube, stats = build_bubst_cube(flat_schema, table)
     assert stats.bst_written == 0
     for node in flat_schema.lattice.nodes():
-        expected = reference_group_by(flat_schema, table.rows, node)
+        expected = reference_group_by(flat_schema, table.to_rows(), node)
         got = normalize_answer(answer_bubst_query(cube, node))
         assert got == expected
 

@@ -12,7 +12,7 @@ from repro.query.answer import normalize_answer
 def test_full_cube_every_node_correct(flat_schema, figure9_table):
     cube, _stats = build_buc_cube(flat_schema, figure9_table)
     for node in flat_schema.lattice.nodes():
-        expected = reference_group_by(flat_schema, figure9_table.rows, node)
+        expected = reference_group_by(flat_schema, figure9_table.to_rows(), node)
         got = normalize_answer(answer_buc_query(cube, node))
         assert got == expected
 
@@ -20,7 +20,7 @@ def test_full_cube_every_node_correct(flat_schema, figure9_table):
 def test_total_tuples_is_full_cube_size(flat_schema, figure9_table):
     cube, _stats = build_buc_cube(flat_schema, figure9_table)
     expected = sum(
-        len(reference_group_by(flat_schema, figure9_table.rows, node))
+        len(reference_group_by(flat_schema, figure9_table.to_rows(), node))
         for node in flat_schema.lattice.nodes()
     )
     assert cube.total_tuples == expected

@@ -61,7 +61,7 @@ def test_every_node_matches_reference(schema, table):
     result = build_cube(schema, table=table)
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 
@@ -83,7 +83,7 @@ def test_plus_pass_over_complex_hierarchy(schema, table):
     postprocess_plus(result.storage)
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected
 
@@ -91,12 +91,12 @@ def test_plus_pass_over_complex_hierarchy(schema, table):
 def test_incremental_updates_over_complex_hierarchy(schema, table):
     from repro.core.incremental import apply_delta
 
-    base = Table(schema.fact_schema, list(table.rows[:350]))
-    delta = list(table.rows[350:])
+    base = Table(schema.fact_schema, table.to_rows()[:350])
+    delta = table.to_rows()[350:]
     result = build_cube(schema, table=base)
     apply_delta(result.storage, schema, base, delta)
     cache = FactCache(schema, table=base)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, base.rows, node)
+        expected = reference_group_by(schema, base.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)

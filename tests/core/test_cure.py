@@ -19,7 +19,7 @@ from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
 def cube_answers_match_reference(schema, table, storage):
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 
@@ -97,7 +97,7 @@ def test_holistic_aggregate_rejected(figure9_table, flat_schema):
     schema = CubeSchema(
         flat_schema.dimensions, (AggregateSpec(MedianAgg(), 0),), 1
     )
-    table = Table(schema.fact_schema, figure9_table.rows)
+    table = Table(schema.fact_schema, figure9_table.to_rows())
     with pytest.raises(ValueError, match="distributive"):
         build_cube(schema, table=table)
 
@@ -190,7 +190,7 @@ def test_fcure_flat_variant_covers_only_base_nodes(paper_schema):
     # Base-level queries still correct.
     cache = FactCache(paper_schema, table=table)
     for node in paper_schema.lattice.flat_nodes():
-        expected = reference_group_by(paper_schema, table.rows, node)
+        expected = reference_group_by(paper_schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected
 
@@ -234,6 +234,6 @@ def test_larger_flat_dataset_matches_reference():
     result = build_cube(schema, table=table)
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected

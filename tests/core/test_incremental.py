@@ -29,7 +29,7 @@ def make_instance(paper_schema, n_base, n_delta, seed):
 def assert_equals_reference(schema, table, storage):
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 
@@ -117,7 +117,7 @@ def test_new_region_gets_shared_tts(flat_schema):
 
 def test_cat_demotion(flat_schema, figure9_table):
     """Updating a group stored as a CAT demotes it to an NT."""
-    base = Table(flat_schema.fact_schema, list(figure9_table.rows))
+    base = Table(flat_schema.fact_schema, figure9_table.to_rows())
     result = build_cube(flat_schema, table=base)
     # Group (A=0) is part of the common-source CAT <1,30>; touch it.
     report = apply_delta(result.storage, flat_schema, base, [(0, 2, 1, 4)])
@@ -131,7 +131,7 @@ def test_updates_on_flat_fcure_cube(paper_schema):
     apply_delta(result.storage, paper_schema, base, delta)
     cache = FactCache(paper_schema, table=base)
     for node in paper_schema.lattice.flat_nodes():
-        expected = reference_group_by(paper_schema, base.rows, node)
+        expected = reference_group_by(paper_schema, base.to_rows(), node)
         got = normalize_answer(
             answer_cure_query(result.storage, cache, node)
         )
@@ -156,7 +156,7 @@ def test_rejects_holistic(flat_schema, figure9_table):
         flat_schema.dimensions, (AggregateSpec(MedianAgg(), 0),), 1
     )
     storage = build_cube(flat_schema, table=figure9_table).storage
-    base = Table(schema.fact_schema, list(figure9_table.rows))
+    base = Table(schema.fact_schema, figure9_table.to_rows())
     with pytest.raises(ValueError, match="distributive"):
         apply_delta(storage, schema, base, [(0, 0, 0, 1)])
 
@@ -357,7 +357,7 @@ def test_matrix_delta_and_warm_views(paper_schema):
         result.storage, paper_schema, base, np.asarray(delta, dtype=np.int64)
     )
     assert report.delta_rows == 20 and report.delta_codes[0] == delta[0][:3]
-    assert base.rows[-1] == delta[-1]
+    assert base.to_rows()[-1] == delta[-1]
     assert base.as_batch().length == 140
     for store in result.storage.nodes.values():
         assert store.nt_count == len(store.nt_matrix())
@@ -389,7 +389,7 @@ def test_relation_arrays_are_read_only_and_old_answers_keep_their_values(
     nodes = list(paper_schema.lattice.nodes())
     before = [answer_cure_query(storage, cache, node) for node in nodes]
     expected = [
-        reference_group_by(paper_schema, base.rows, node) for node in nodes
+        reference_group_by(paper_schema, base.to_rows(), node) for node in nodes
     ]
     report = apply_delta(storage, paper_schema, base, delta)
     postprocess_plus(storage)

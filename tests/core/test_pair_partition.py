@@ -86,7 +86,7 @@ def test_pair_partitioned_build_matches_reference(setup):
 
     cache = FactCache(schema, heap=engine.relation("fact"), fraction=1.0)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 

@@ -192,7 +192,7 @@ def test_partitioned_build_matches_in_memory(tmp_path):
 
     cache = FactCache(schema, heap=engine.relation("fact"), fraction=1.0)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
     engine.close()
@@ -224,8 +224,7 @@ def test_partitioned_rejects_holistic(tmp_path):
     base = dense_schema()
     schema = CubeSchema(base.dimensions, (AggregateSpec(MedianAgg(), 0),), 1)
     table = dense_table(base)
-    rows = [row for row in table.rows]
-    table = Table(schema.fact_schema, rows)
+    table = Table(schema.fact_schema, table.to_rows())
     budget = len(table) * schema.fact_schema.row_size_bytes // 2
     engine = engine_with(tmp_path, schema, table, budget=budget)
     with pytest.raises(ValueError, match="distributive"):

@@ -88,7 +88,7 @@ def test_uniform_strategy_partition_roundtrip(tmp_path):
 
     cache = FactCache(schema, heap=heap, fraction=1.0)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
     engine.close()
@@ -135,7 +135,7 @@ def test_as_nt_format_end_to_end():
         assert aggregates_rows(result.storage) == []
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected
 

@@ -69,7 +69,7 @@ def test_queries_unchanged_after_plus(flat_schema, figure9_table):
     postprocess_plus(result.storage)
     cache = FactCache(flat_schema, table=figure9_table)
     for node in flat_schema.lattice.nodes():
-        expected = reference_group_by(flat_schema, figure9_table.rows, node)
+        expected = reference_group_by(flat_schema, figure9_table.to_rows(), node)
         got = normalize_answer(
             answer_cure_query(result.storage, cache, node)
         )

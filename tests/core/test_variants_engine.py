@@ -39,7 +39,7 @@ def test_variant_builds_partitioned_through_engine(disk_setup, variant):
     assert (plus is not None) == config.plus
     cache = FactCache(schema, heap=engine.relation("fact"), fraction=1.0)
     for node in list(schema.lattice.nodes())[::3]:
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected
 
@@ -54,7 +54,7 @@ def test_dr_variant_partitioned_resolves_through_heap(disk_setup):
     assert result.storage.dr_mode
     cache = FactCache(schema, heap=engine.relation("fact"), fraction=0.0)
     node = schema.decode_node(5)
-    expected = reference_group_by(schema, table.rows, node)
+    expected = reference_group_by(schema, table.to_rows(), node)
     got = normalize_answer(answer_cure_query(result.storage, cache, node))
     assert got == expected
 

@@ -60,15 +60,21 @@ def test_from_partition_table_keeps_original_rowids(paper_schema):
     assert working.rowids.tolist() == [42, 7]
 
 
-def test_from_aggregated_weights_and_partials(paper_schema):
-    working = WorkingSet.from_aggregated(
+def test_from_coarse_columns_weights_and_partials(paper_schema):
+    working = WorkingSet.from_coarse_columns(
         paper_schema,
-        dim_rows=[(0, 0, 0), (1, 1, 1)],
-        agg_rows=[(100, 5), (50, 2)],
-        weights=[5, 2],
-        rowids=[10, 20],
+        [
+            np.array([0, 1], dtype=np.int32),
+            np.array([0, 1], dtype=np.int32),
+            np.array([0, 1], dtype=np.int32),
+            np.array([100, 50], dtype=np.int64),
+            np.array([5, 2], dtype=np.int64),
+            np.array([5, 2], dtype=np.int64),
+            np.array([10, 20], dtype=np.int64),
+        ],
     )
     assert working.total_weight == 7
+    assert working.rowids.tolist() == [10, 20]
     positions = np.arange(2)
     assert working.aggregate(positions) == (150, 7)
 

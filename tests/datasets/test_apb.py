@@ -8,6 +8,7 @@ from repro.datasets.apb import (
     apb_tuple_count,
     generate_apb_dataset,
 )
+from tests.support.rows import rows_digest
 
 
 def test_exact_cardinalities_from_the_paper():
@@ -42,7 +43,7 @@ def test_measures_and_aggregates():
 
 def test_dimension_codes_in_range():
     schema, table = generate_apb_dataset(density=0.01, seed=3)
-    for row in table.rows[:500]:
+    for row in table.to_rows()[:500]:
         for d, dimension in enumerate(schema.dimensions):
             assert 0 <= row[d] < dimension.base_cardinality
 
@@ -79,4 +80,17 @@ def test_invalid_density_rejected():
 def test_deterministic_by_seed():
     _s, t1 = generate_apb_dataset(density=0.01, seed=1)
     _s, t2 = generate_apb_dataset(density=0.01, seed=1)
-    assert t1.rows == t2.rows
+    assert t1.to_rows() == t2.to_rows()
+
+
+def test_seeded_output_pinned():
+    """Same seed, same table as when the generator boxed its columns into
+    row tuples (values pinned at the commit before it stopped)."""
+    _s, table = generate_apb_dataset(density=0.01, seed=3)
+    assert len(table) == 124
+    assert table.to_rows()[:2] == [
+        (5274, 116, 16, 4, 974, 10714), (556, 481, 13, 0, 353, 6707),
+    ]
+    assert rows_digest(table) == (
+        "c91990224449c21bf41bf55877fef091d504f07d1f6a50a4743e93f3223b4968"
+    )

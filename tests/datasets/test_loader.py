@@ -81,7 +81,7 @@ def test_cardinality_ordering():
 def test_fact_rows_follow_dimension_order():
     result = load()
     schema = result.schema
-    for record, row in zip(RECORDS, result.table.rows):
+    for record, row in zip(RECORDS, result.table.to_rows()):
         for d, dimension in enumerate(schema.dimensions):
             decoder = result.decoder(dimension.name)
             field = decoder.spec.levels[0]
@@ -98,7 +98,7 @@ def test_measure_scaling_fixed_point():
         [REGION, PRODUCT],
         ["qty", MeasureSpec.of("price", scale=100)],
     )
-    assert result.table.rows[0][-1] == 1234
+    assert result.table.to_rows()[0][-1] == 1234
 
 
 def test_measure_non_integral_rejected():
@@ -147,6 +147,89 @@ def test_load_csv(tmp_path):
     assert len(result.table) == 2
 
 
+def test_load_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "facts.csv"
+    path.write_text(
+        "city,country,sku,qty\n"
+        "Athens,Greece,a,3\n"
+        "\n"
+        "Paris,France,b,5\n"
+        "\n"
+    )
+    result = load_csv(path, [REGION, PRODUCT], ["qty"])
+    assert [row[-1] for row in result.table.to_rows()] == [3, 5]
+
+
+@pytest.mark.parametrize(
+    "body, line, fields",
+    [
+        # A short row used to load a city *named* "None" …
+        ("1,s0,c0\n2,s1\n", 3, 2),
+        # … or die converting the measure 'None' to float …
+        ("1,s0,c0\n\ns1,c1\n3,s2,c2\n", 4, 2),
+        # … and a long row's extra field was dropped without a word.
+        ("1,s0,c0\n2,s1,c1,extra\n", 3, 4),
+        # A quoted field spanning lines: the row ends on line 4.
+        ('1,"s\n0",c0\n2,s1\n', 4, 2),
+    ],
+    ids=["short-dimension", "short-measure", "long", "after-multiline"],
+)
+def test_load_csv_rejects_ragged_rows(tmp_path, body, line, fields):
+    path = tmp_path / "facts.csv"
+    path.write_text("units,store,city\n" + body)
+    with pytest.raises(
+        ValueError, match=rf"line {line} has {fields} fields, the header has 3"
+    ):
+        load_csv(path, [DimensionSpec.of("Store", "store", "city")], ["units"])
+
+
+def test_load_csv_missing_column_reported(tmp_path):
+    path = tmp_path / "facts.csv"
+    path.write_text("city,sku,qty\nAthens,a,3\n")
+    with pytest.raises(KeyError, match="country"):
+        load_csv(path, [REGION, PRODUCT], ["qty"])
+    with pytest.raises(KeyError, match="price"):
+        load_csv(path, [PRODUCT], ["price"])
+
+
+def test_load_csv_without_data_rows_is_empty(tmp_path):
+    for text in ("", "city,country,sku,qty\n"):
+        path = tmp_path / "facts.csv"
+        path.write_text(text)
+        result = load_csv(path, [REGION, PRODUCT], ["qty"])
+        assert len(result.table) == 0
+        assert result.table.to_rows() == []
+
+
+def test_load_csv_chunks_agree_with_one_pass(tmp_path, monkeypatch):
+    """Members first seen, parents confirmed and rows rejected in a later
+    chunk than the first: chunking must not show in the result."""
+    rows = [
+        (f"c{i % 7}", f"k{(i % 7) % 3}", f"s{i % 4}", str(i)) for i in range(23)
+    ]
+    text = "city,country,sku,qty\n" + "".join(
+        ",".join(row) + "\n" + ("\n\n\n" if i == 9 else "")
+        for i, row in enumerate(rows)
+    )
+    path = tmp_path / "facts.csv"
+    path.write_text(text)
+    records = [dict(zip(("city", "country", "sku", "qty"), row)) for row in rows]
+    whole = load_records(records, [REGION, PRODUCT], ["qty"])
+    monkeypatch.setattr("repro.datasets.loader.CHUNK_ROWS", 3)
+    chunked = load_csv(path, [REGION, PRODUCT], ["qty"])
+    assert chunked.table.to_rows() == whole.table.to_rows()
+    assert chunked.decoders == whole.decoders
+    assert [d.base_maps for d in chunked.schema.dimensions] == [
+        d.base_maps for d in whole.schema.dimensions
+    ]
+    path.write_text(text + "c0,k1,s0,5\n")  # c0 was under k0 chunks ago
+    with pytest.raises(HierarchyViolation, match="c0"):
+        load_csv(path, [REGION, PRODUCT], ["qty"])
+    path.write_text(text + "c0,k0,s0\n")
+    with pytest.raises(ValueError, match="line 28 has 3 fields"):
+        load_csv(path, [REGION, PRODUCT], ["qty"])
+
+
 def test_cube_over_loaded_data_matches_reference():
     from repro import build_cube
     from repro.query import FactCache, answer_cure_query, reference_group_by
@@ -157,7 +240,7 @@ def test_cube_over_loaded_data_matches_reference():
     cache = FactCache(result.schema, table=result.table)
     for node in result.schema.lattice.nodes():
         expected = reference_group_by(
-            result.schema, result.table.rows, node
+            result.schema, result.table.to_rows(), node
         )
         got = normalize_answer(
             answer_cure_query(built.storage, cache, node)

@@ -8,6 +8,7 @@ from repro.datasets.synthetic import (
     generate_flat_dataset,
     zipf_probabilities,
 )
+from tests.support.rows import rows_digest
 
 
 def test_zipf_uniform_at_zero():
@@ -38,7 +39,7 @@ def test_generate_flat_dataset_shape():
     assert schema.n_dimensions == 3
     assert len(table) == 200
     assert len(table[0]) == 4  # 3 dims + 1 measure
-    for row in table.rows:
+    for row in table.to_rows():
         for d, dimension in enumerate(schema.dimensions):
             assert 0 <= row[d] < dimension.base_cardinality
 
@@ -47,15 +48,15 @@ def test_generate_deterministic_by_seed():
     _s1, t1 = generate_flat_dataset(3, 100, seed=5)
     _s2, t2 = generate_flat_dataset(3, 100, seed=5)
     _s3, t3 = generate_flat_dataset(3, 100, seed=6)
-    assert t1.rows == t2.rows
-    assert t1.rows != t3.rows
+    assert t1.to_rows() == t2.to_rows()
+    assert t1.to_rows() != t3.to_rows()
 
 
 def test_skew_concentrates_mass():
     _s, uniform = generate_flat_dataset(1, 3000, zipf=0.0, seed=2)
     _s, skewed = generate_flat_dataset(1, 3000, zipf=1.8, seed=2)
     def top_share(table):
-        values = [row[0] for row in table.rows]
+        values = [row[0] for row in table.to_rows()]
         counts = {}
         for value in values:
             counts[value] = counts.get(value, 0) + 1
@@ -80,7 +81,7 @@ def test_multiple_measures_and_aggregates():
 
 
 def _member_share(table, dimension, member):
-    values = [row[dimension] for row in table.rows]
+    values = [row[dimension] for row in table.to_rows()]
     return values.count(member) / len(values)
 
 
@@ -106,7 +107,7 @@ def test_hot_member_fraction_zero_is_inert():
     _s, with_knob = generate_flat_dataset(
         2, 300, seed=9, hot_member_fraction=0.0
     )
-    assert plain.rows == with_knob.rows
+    assert plain.to_rows() == with_knob.to_rows()
 
 
 def test_hot_member_fraction_validation():
@@ -116,3 +117,24 @@ def test_hot_member_fraction_validation():
         generate_flat_dataset(2, 10, hot_member_fraction=-0.1)
     with pytest.raises(ValueError, match="hot_dimension"):
         generate_flat_dataset(2, 10, hot_member_fraction=0.5, hot_dimension=2)
+
+
+def test_seeded_output_pinned():
+    """Same seed, same table as when the generator boxed its columns into
+    row tuples (values pinned at the commit before it stopped)."""
+    _s, table = generate_flat_dataset(3, 100, seed=5)
+    assert table.to_rows()[:2] == [(50, 31, 0, 64), (51, 29, 27, 66)]
+    assert rows_digest(table) == (
+        "d19b6a516d732bdd88551486a076ec7921388d1cb10fdfebf3be3c52de613538"
+    )
+    _s, hot = generate_flat_dataset(
+        4, 300, zipf=1.1, seed=8, n_measures=2,
+        aggregates=(("sum", 0), ("sum", 1)),
+        hot_member_fraction=0.5, hot_dimension=1,
+    )
+    assert hot.to_rows()[:2] == [
+        (2, 0, 94, 48, 87, 58), (268, 0, 34, 6, 3, 32),
+    ]
+    assert rows_digest(hot) == (
+        "3cdcc765541a93b2c60e4537d9d9c502e1ac9d08e8a88afaabc8ea3bb962e830"
+    )

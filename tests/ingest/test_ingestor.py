@@ -59,7 +59,7 @@ def fresh_engine(tmp_path):
 def assert_queries_match(ingestor):
     cache = FactCache(SCHEMA, table=ingestor.fact_table)
     for node in SCHEMA.lattice.nodes():
-        expected = reference_group_by(SCHEMA, ingestor.fact_table.rows, node)
+        expected = reference_group_by(SCHEMA, ingestor.fact_table.to_rows(), node)
         planner = CubePlanner(ingestor.storage, cache)
         got = normalize_answer(planner.answer(QueryRequest(node)))
         assert got == expected, node.label(SCHEMA.dimensions)
@@ -81,7 +81,7 @@ def test_bootstrap_apply_recover_round_trip(engine, tmp_path):
     )
     assert recovered.applied_lsn == ingestor.applied_lsn
     assert recovered.generation == ingestor.generation
-    assert list(recovered.fact_table.rows) == list(ingestor.fact_table.rows)
+    assert recovered.fact_table.to_rows() == ingestor.fact_table.to_rows()
     assert recovered.plus and recovered.storage.plus_processed
     assert_queries_match(recovered)
 
@@ -310,7 +310,7 @@ def test_planner_fine_grained_invalidation(engine, tmp_path):
     for request in (hit, miss, unsliced):
         got = normalize_answer(planner.answer(request))
         reference = reference_group_by(
-            SCHEMA, ingestor.fact_table.rows, base_node
+            SCHEMA, ingestor.fact_table.to_rows(), base_node
         )
         if request.slices:
             (slice_,) = request.slices

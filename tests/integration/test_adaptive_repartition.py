@@ -117,7 +117,7 @@ def test_same_budget_without_adaptivity_would_abort(tmp_path, skewed):
     engine = Engine(Catalog(tmp_path / "eng"), MemoryManager(budget))
     heavy_rows = [
         row + (rowid,)
-        for rowid, row in enumerate(table.rows)
+        for rowid, row in enumerate(table.to_rows())
         if row[0] < 4
     ]
     heavy = engine.store_table(

@@ -75,7 +75,7 @@ def test_bundle_save_open_query(tmp_path, loaded):
         cache = bundle.fact_cache()
         for node in list(bundle.schema.lattice.nodes())[:6]:
             expected = reference_group_by(
-                loaded.schema, loaded.table.rows, node
+                loaded.schema, loaded.table.to_rows(), node
             )
             got = normalize_answer(
                 answer_cure_query(bundle.storage, cache, node)
@@ -272,7 +272,7 @@ def test_bundle_roundtrips_complex_hierarchy(tmp_path):
         assert set(reloaded_time.entry_levels()) == set(time.entry_levels())
         cache = bundle.fact_cache()
         for node in bundle.schema.lattice.nodes():
-            expected = reference_group_by(schema, table.rows, node)
+            expected = reference_group_by(schema, table.to_rows(), node)
             got = normalize_answer(
                 answer_cure_query(bundle.storage, cache, node)
             )

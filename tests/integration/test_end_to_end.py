@@ -42,7 +42,7 @@ def test_persist_reload_query_roundtrip(tmp_path, apb_small):
         for _ in range(25)
     ]
     for node in sample:
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(reloaded, cache, node))
         assert got == expected
     catalog.close()
@@ -70,7 +70,7 @@ def test_dr_cube_persist_roundtrip(tmp_path, apb_small):
     assert reloaded.dr_mode
     cache = FactCache(schema, table=table)
     node = schema.decode_node(17)
-    expected = reference_group_by(schema, table.rows, node)
+    expected = reference_group_by(schema, table.to_rows(), node)
     assert normalize_answer(answer_cure_query(reloaded, cache, node)) == expected
     catalog.close()
 
@@ -86,7 +86,7 @@ def test_full_pipeline_disk_fact_and_plus(tmp_path, apb_small):
     rng = random.Random(2)
     for _ in range(20):
         node = schema.decode_node(rng.randrange(schema.enumerator.n_nodes))
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cold, node))
         assert got == expected
     engine.close()

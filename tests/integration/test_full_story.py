@@ -64,11 +64,11 @@ def test_full_story(tmp_path):
 
     # 3. Reopen and answer through the planner.
     with open_bundle(tmp_path / "cube") as bundle:
-        fact_rows = list(bundle.catalog.open("fact").scan())
+        fact_batch = bundle.catalog.open("fact").load_batch()
         planner = CubePlanner(
             bundle.storage,
             bundle.fact_cache(fraction=0.5),
-            indices=build_indices(bundle.schema, fact_rows),
+            indices=build_indices(bundle.schema, fact_batch),
         )
         region_index = next(
             d for d, dim in enumerate(bundle.schema.dimensions)
@@ -83,7 +83,7 @@ def test_full_story(tmp_path):
         direct = QueryRequest.of(node)
         assert planner.plan(direct).strategy == "direct"
         got = normalize_answer(planner.answer(direct))
-        assert got == reference_group_by(bundle.schema, fact_rows, node)
+        assert got == reference_group_by(bundle.schema, fact_batch.to_rows(), node)
 
         europe = region.member_names[2].index("Europe")
         sliced = QueryRequest.of(
@@ -112,6 +112,6 @@ def test_full_story(tmp_path):
     from repro.query import answer_cure_query
 
     for node in list(schema.lattice.nodes())[::4]:
-        expected = reference_group_by(schema, fact.rows, node)
+        expected = reference_group_by(schema, fact.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)

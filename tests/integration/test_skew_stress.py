@@ -175,7 +175,7 @@ def test_hot_member_cannot_be_split_on_dimension_zero(hot_member):
     the hot base member alone overflows the budget's partition room."""
     schema, table = hot_member
     assert schema.dimensions[0].n_levels == 1
-    hot_rows = sum(1 for row in table.rows if row[0] == 0)
+    hot_rows = sum(1 for row in table.to_rows() if row[0] == 0)
     assert hot_rows > PARTITION_ALLOWANCE_ROWS
 
 

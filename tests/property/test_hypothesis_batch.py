@@ -202,6 +202,6 @@ _heap_counter = itertools.count()
 def test_heap_scan_equivalence(tmp_path_factory, table):
     root = tmp_path_factory.mktemp("heapscan")
     with HeapFile(root / f"h{next(_heap_counter)}.dat", table.schema) as heap:
-        heap.append_many(table.rows)
+        heap.append_many(table.to_rows())
         plan = HeapScan(heap)
-        assert batch_rows(plan) == list(plan.rows()) == table.rows
+        assert batch_rows(plan) == list(plan.rows()) == table.to_rows()

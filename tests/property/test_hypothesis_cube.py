@@ -62,7 +62,7 @@ def cube_instances(draw):
 def assert_cube_matches_reference(schema, table, storage):
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 
@@ -107,7 +107,7 @@ def test_baselines_equal_reference_on_flat_nodes(instance):
     buc, _s = build_buc_cube(schema, table)
     bubst, _s = build_bubst_cube(schema, table)
     for node in schema.lattice.flat_nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         assert normalize_answer(answer_buc_query(buc, node)) == expected
         assert normalize_answer(answer_bubst_query(bubst, node)) == expected
 
@@ -122,7 +122,7 @@ def test_iceberg_cube_is_filtered_full_cube(instance, min_count):
     for node in schema.lattice.nodes():
         expected = [
             (dims, aggs)
-            for dims, aggs in reference_group_by(schema, table.rows, node)
+            for dims, aggs in reference_group_by(schema, table.to_rows(), node)
             if aggs[count_index] >= min_count
         ]
         got = normalize_answer(

@@ -45,7 +45,7 @@ def test_update_rounds_equal_rebuild(base_rows, delta_batches):
         apply_delta(result.storage, SCHEMA, table, list(batch))
     cache = FactCache(SCHEMA, table=table)
     for node in SCHEMA.lattice.nodes():
-        expected = reference_group_by(SCHEMA, table.rows, node)
+        expected = reference_group_by(SCHEMA, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(SCHEMA.dimensions)
 
@@ -69,7 +69,7 @@ def test_plus_update_rounds_equal_rebuild(base_rows, delta_batches):
         assert result.storage.plus_processed
     cache = FactCache(SCHEMA, table=table)
     for node in SCHEMA.lattice.nodes():
-        expected = reference_group_by(SCHEMA, table.rows, node)
+        expected = reference_group_by(SCHEMA, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(SCHEMA.dimensions)
 

@@ -92,7 +92,7 @@ def test_sliced_answers_match_reference_both_paths(case):
         answer_cure_sliced(result.storage, cache, node, slices, None)
     )
     assert post == expected
-    indices = build_indices(SCHEMA, table.rows)
+    indices = build_indices(SCHEMA, table.as_batch())
     pre = normalize_answer(
         answer_cure_sliced(result.storage, cache, node, slices, indices)
     )
@@ -108,7 +108,7 @@ def test_planner_always_matches_reference(fact_rows, node_id):
     planner = CubePlanner(
         result.storage,
         FactCache(SCHEMA, table=table),
-        indices=build_indices(SCHEMA, table.rows),
+        indices=build_indices(SCHEMA, table.as_batch()),
     )
     got = normalize_answer(planner.answer(QueryRequest.of(node)))
     assert got == reference_group_by(SCHEMA, fact_rows, node)

@@ -130,7 +130,7 @@ def baseline(instance, tmp_path_factory):
         "ingest.append", "ingest.seal", "ingest.apply", "ingest.compact",
         "storage2.publish", "checkpoint.write", "manifest.save",
     }
-    reference = (cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
+    reference = (cube_bytes(ingestor.storage), ingestor.fact_table.to_rows())
     return reference, list(recorder.trace)
 
 
@@ -145,7 +145,7 @@ def test_crash_anywhere_recover_identical(tmp_path_factory, instance, baseline):
             instance,
             (FaultSpec(site="*", kind=FaultKind.CRASH, hit=point + 1),),
         )
-        state = (cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
+        state = (cube_bytes(ingestor.storage), ingestor.fact_table.to_rows())
         assert state == reference, (
             f"state differs after crash at point {point} ({trace[point]})"
         )
@@ -165,7 +165,7 @@ def test_crash_at_every_ingest_site(tmp_path_factory, instance, baseline):
             instance,
             (FaultSpec(site="*", kind=FaultKind.CRASH, hit=point + 1),),
         )
-        state = (cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
+        state = (cube_bytes(ingestor.storage), ingestor.fact_table.to_rows())
         assert state == reference, (
             f"state differs after crash at ingest point {point} "
             f"({trace[point]})"
@@ -194,7 +194,7 @@ def test_torn_append_recover_identical(tmp_path_factory, instance, baseline):
                 ),
             ),
         )
-        state = (cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
+        state = (cube_bytes(ingestor.storage), ingestor.fact_table.to_rows())
         assert state == reference, f"state differs after torn append #{hit}"
 
 
@@ -217,5 +217,5 @@ def test_transient_ingest_faults_absorbed(tmp_path_factory, instance, baseline):
         ),
     )
     assert injector.fired, "expected at least one transient fault to fire"
-    state = (cube_bytes(ingestor.storage), list(ingestor.fact_table.rows))
+    state = (cube_bytes(ingestor.storage), ingestor.fact_table.to_rows())
     assert state == reference

@@ -82,7 +82,7 @@ SLICE_CASES = [
 def test_sliced_queries_equivalent(built, levels, slices):
     schema, table, storage, cache = built
     node = CubeNode(levels)
-    indices = build_indices(schema, table.rows)
+    indices = build_indices(schema, table.as_batch())
     for index_arg in (None, indices):
         check(
             cache,
@@ -206,7 +206,7 @@ def backends(request, tmp_path_factory):
         stores = storage.nodes.values()
         assert any(store.tt_bitmap is not None for store in stores)
         assert any(store.cat_bitmap is not None for store in stores)
-    indices = None if storage.dr_mode else build_indices(schema, fact.rows)
+    indices = None if storage.dr_mode else build_indices(schema, fact.as_batch())
     path = save_bundle(
         tmp_path_factory.mktemp("row-engine") / "bundle", schema, fact, storage
     )

@@ -219,7 +219,7 @@ SLICES = [DimensionSlice.of(0, 1, frozenset({0, 2})),
 def test_sliced_queries_differential(world, fmt):
     schema, table, cache, cubes = world
     node = CubeNode((0, 1, 0))
-    indices = build_indices(schema, table.rows)
+    indices = build_indices(schema, table.as_batch())
     for index_arg in (None, indices):
         run_differential(
             cache,
@@ -299,7 +299,7 @@ def test_planner_differential(world):
     schema, table, cache, cubes = world
     planner = CubePlanner(
         cubes["cure"], cache,
-        indices=build_indices(schema, table.rows), results=None,
+        indices=build_indices(schema, table.as_batch()), results=None,
     )
     for request in [
         QueryRequest.of(CubeNode((0, 1, 0))),

@@ -55,7 +55,7 @@ def test_cure_iceberg_matches_reference(counted, min_count):
     schema, table, storage, cache = counted
     for node in schema.lattice.nodes():
         expected = sorted(
-            iceberg_reference(schema, table.rows, node, min_count)
+            iceberg_reference(schema, table.to_rows(), node, min_count)
         )
         got = normalize_answer(
             iceberg_over_cure(storage, cache, node, min_count)
@@ -70,7 +70,7 @@ def test_buc_and_bubst_iceberg_match_reference(counted, min_count):
     bubst, _s = build_bubst_cube(schema, table)
     for node in schema.lattice.nodes():
         expected = sorted(
-            iceberg_reference(schema, table.rows, node, min_count)
+            iceberg_reference(schema, table.to_rows(), node, min_count)
         )
         assert normalize_answer(iceberg_over_buc(buc, node, min_count)) == expected
         assert (
@@ -106,6 +106,6 @@ def test_iceberg_over_dr_cube(counted):
     schema, table, _storage, cache = counted
     dr = build_cube(schema, table=table, dr_mode=True)
     for node in schema.lattice.nodes():
-        expected = sorted(iceberg_reference(schema, table.rows, node, 3))
+        expected = sorted(iceberg_reference(schema, table.to_rows(), node, 3))
         got = normalize_answer(iceberg_over_cure(dr.storage, cache, node, 3))
         assert got == expected

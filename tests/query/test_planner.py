@@ -30,7 +30,7 @@ def hierarchical_planner(data):
     return CubePlanner(
         result.storage,
         FactCache(schema, table=table),
-        indices=build_indices(schema, table.rows),
+        indices=build_indices(schema, table.as_batch()),
     )
 
 
@@ -47,7 +47,7 @@ def test_direct_strategy_on_complete_cube(hierarchical_planner, data):
     plan = hierarchical_planner.plan(request)
     assert plan.strategy == "direct"
     got = normalize_answer(hierarchical_planner.answer(request))
-    assert got == reference_group_by(schema, table.rows, request.node)
+    assert got == reference_group_by(schema, table.to_rows(), request.node)
 
 
 def test_rollup_strategy_on_flat_cube(flat_planner, data):
@@ -57,7 +57,7 @@ def test_rollup_strategy_on_flat_cube(flat_planner, data):
     assert plan.strategy == "rollup"
     assert plan.source_node.levels == (0, 2, 1)
     got = normalize_answer(flat_planner.answer(request))
-    assert got == reference_group_by(schema, table.rows, request.node)
+    assert got == reference_group_by(schema, table.to_rows(), request.node)
 
 
 def test_indexed_strategy_with_slices(hierarchical_planner, data):
@@ -71,7 +71,7 @@ def test_indexed_strategy_with_slices(hierarchical_planner, data):
     a = schema.dimensions[0]
     expected = [
         (dims, aggs)
-        for dims, aggs in reference_group_by(schema, table.rows, request.node)
+        for dims, aggs in reference_group_by(schema, table.to_rows(), request.node)
         if a.code_at(
             next(c for c in range(12) if a.code_at(c, 0) == dims[0]), 1
         ) in {0, 2}
@@ -101,7 +101,7 @@ def test_rollup_with_slices(flat_planner, data):
     got = normalize_answer(flat_planner.answer(request))
     a = schema.dimensions[0]
     expected = []
-    for dims, aggs in reference_group_by(schema, table.rows, request.node):
+    for dims, aggs in reference_group_by(schema, table.to_rows(), request.node):
         base = next(c for c in range(12) if a.code_at(c, 1) == dims[0])
         if a.code_at(base, 2) == 0:
             expected.append((dims, aggs))

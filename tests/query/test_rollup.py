@@ -43,7 +43,7 @@ def test_rollup_from_flat_matches_reference(hierarchical_data):
     result, _x = VARIANTS["FCURE"].build(schema, table=table)
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(
             answer_rollup_from_flat(result.storage, cache, node)
         )
@@ -61,7 +61,7 @@ def test_rollup_from_buc_and_bubst_match_reference(hierarchical_data):
         schema.lattice.all_node,
     ]
     for node in sample:
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         assert normalize_answer(answer_rollup_from_buc(buc, node)) == expected
         assert normalize_answer(answer_rollup_from_bubst(bubst, node)) == expected
 
@@ -74,7 +74,7 @@ def test_base_level_query_passthrough(hierarchical_data):
     direct = normalize_answer(
         answer_rollup_from_flat(result.storage, cache, node)
     )
-    assert direct == reference_group_by(schema, table.rows, node)
+    assert direct == reference_group_by(schema, table.to_rows(), node)
 
 
 def test_rollup_rejects_holistic(paper_schema):

@@ -77,7 +77,7 @@ CASES = [
 def test_postfiltered_matches_reference(built, levels, slices):
     schema, table, storage, cache, _indices = built
     node = CubeNode(levels)
-    expected = sorted(sliced_reference(schema, table.rows, node, slices))
+    expected = sorted(sliced_reference(schema, table.to_rows(), node, slices))
     got = normalize_answer(
         answer_cure_sliced(storage, cache, node, slices, indices=None)
     )
@@ -88,7 +88,7 @@ def test_postfiltered_matches_reference(built, levels, slices):
 def test_prefiltered_matches_reference(built, levels, slices):
     schema, table, storage, cache, indices = built
     node = CubeNode(levels)
-    expected = sorted(sliced_reference(schema, table.rows, node, slices))
+    expected = sorted(sliced_reference(schema, table.to_rows(), node, slices))
     got = normalize_answer(
         answer_cure_sliced(storage, cache, node, slices, indices=indices)
     )
@@ -104,7 +104,7 @@ def test_prefiltered_saves_fact_fetches(built):
     answer_cure_sliced(storage, cache, node, slices, indices, indexed)
     assert indexed.fact_fetches < naive.fact_fetches
     assert indexed.tuples_returned == len(
-        sliced_reference(schema, table.rows, node, slices)
+        sliced_reference(schema, table.to_rows(), node, slices)
     )
 
 
@@ -152,7 +152,7 @@ def test_sliced_over_plus_cube(built):
     postprocess_plus(storage)
     node = CubeNode((0, 0, 1))
     slices = [DimensionSlice.of(1, 1, {0, 3})]
-    expected = sorted(sliced_reference(schema, table.rows, node, slices))
+    expected = sorted(sliced_reference(schema, table.to_rows(), node, slices))
     got = normalize_answer(
         answer_cure_sliced(storage, cache, node, slices, indices=indices)
     )
@@ -166,7 +166,7 @@ def test_dr_cube_requires_postfiltering(built, paper_schema):
     slices = [DimensionSlice.of(0, 1, {0})]
     with pytest.raises(ValueError, match="post-filtering"):
         answer_cure_sliced(dr.storage, cache, node, slices, indices=indices)
-    expected = sorted(sliced_reference(schema, table.rows, node, slices))
+    expected = sorted(sliced_reference(schema, table.to_rows(), node, slices))
     got = normalize_answer(
         answer_cure_sliced(dr.storage, cache, node, slices, indices=None)
     )

@@ -20,7 +20,7 @@ def test_store_and_load_roundtrip(tmp_path):
     table = Table(SCHEMA, [(1, 2), (3, 4)])
     engine.store_table("r", table)
     with engine.load("r") as loaded:
-        assert loaded.rows == table.rows
+        assert loaded.to_rows() == table.to_rows()
     engine.close()
 
 

@@ -35,16 +35,16 @@ def sales() -> Table:
 def test_table_scan(sales):
     scan = TableScan(sales)
     assert scan.columns() == ["region", "product", "amount"]
-    assert list(scan) == sales.rows
+    assert list(scan) == sales.to_rows()
 
 
 def test_heap_scan(tmp_path, sales):
     from repro.relational.heap import HeapFile
 
     heap = HeapFile(tmp_path / "s.dat", sales.schema)
-    heap.append_many(sales.rows)
+    heap.append_many(sales.to_rows())
     scan = HeapScan(heap)
-    assert list(scan) == sales.rows
+    assert list(scan) == sales.to_rows()
     heap.close()
 
 

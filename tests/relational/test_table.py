@@ -1,8 +1,10 @@
 """Unit tests for the in-memory Table."""
 
+import numpy as np
 import pytest
 
-from repro.relational.schema import TableSchema
+from repro.relational.batch import ColumnBatch
+from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.relational.table import Table
 
 
@@ -30,13 +32,13 @@ def test_column_values(table):
 
 def test_project(table):
     projected = table.project(["b"])
-    assert projected.rows == [(10,), (20,), (30,)]
+    assert projected.to_rows() == [(10,), (20,), (30,)]
     assert projected.schema.names == ("b",)
 
 
 def test_slice_rows_preserves_global_rowids(table):
     sliced = table.slice_rows([2, 0])
-    assert sliced.rows == [(3, 30), (1, 10)]
+    assert sliced.to_rows() == [(3, 30), (1, 10)]
     assert sliced.rowid_of(0) == 2
     assert sliced.rowid_of(1) == 0
     # A slice of a slice composes rowids through the original.
@@ -56,3 +58,53 @@ def test_base_rowids_length_mismatch_rejected():
 
 def test_size_bytes(table):
     assert table.size_bytes == 3 * table.schema.row_size_bytes
+
+
+def test_columns_are_the_only_representation(table):
+    assert not hasattr(table, "rows")
+    batch = table.as_batch()
+    assert [array.tolist() for array in batch.arrays] == [[1, 2, 3], [10, 20, 30]]
+    assert table.to_rows() is not table.to_rows()  # derived, never stored
+    assert table[-1] == (3, 30)
+    assert all(type(value) is int for value in table[0])
+
+
+def test_from_batch_shares_columns_and_checks_rowids():
+    schema = TableSchema((Column("k"), Column("v", ColumnType.INT64)))
+    keys = np.array([5, 6], dtype=np.int32)
+    values = np.array([50, 60], dtype=np.int64)
+    batch = ColumnBatch.from_arrays(schema, [keys, values])
+    table = Table.from_batch(batch, base_rowids=[7, 9])
+    assert table.as_batch().arrays[0] is keys
+    assert table.as_batch().arrays[1] is values
+    assert table.rowid_of(1) == 9
+    assert table.base_rowids.dtype == np.int64
+    with pytest.raises(ValueError, match="base_rowids"):
+        Table.from_batch(batch, base_rowids=[7])
+
+
+def test_appends_are_chunks_concatenated_on_first_read():
+    schema = TableSchema((Column("k"), Column("v", ColumnType.INT64)))
+    table = Table(schema, [(1, 10)])
+    # Wider columns than the schema's are cast on the way in.
+    table.append_batch(
+        ColumnBatch.from_arrays(
+            schema,
+            [np.array([2, 3], dtype=np.int64), np.array([20, 30], dtype=np.int64)],
+        )
+    )
+    table.extend(iter([(4, 40)]))
+    assert len(table) == 4
+    merged = table.as_batch()
+    assert [a.dtype for a in merged.arrays] == [np.dtype("<i4"), np.dtype("<i8")]
+    assert merged.to_rows() == [(1, 10), (2, 20), (3, 30), (4, 40)]
+    assert table.as_batch() is merged
+    with pytest.raises(ValueError, match="schema"):
+        table.append_batch(ColumnBatch.empty(TableSchema.of("x", "y")))
+
+
+def test_empty_table():
+    table = Table(TableSchema.of("a", "b"))
+    assert len(table) == 0
+    assert table.to_rows() == [] and list(table) == []
+    assert table.as_batch().length == 0

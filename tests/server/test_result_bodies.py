@@ -231,7 +231,7 @@ def test_bodies_follow_a_real_delta_apply(engine, tmp_path):
     schema = serving_schema()
     fact = serving_fact(schema, n=120)
     ingestor = StreamingIngestor.bootstrap(
-        schema, engine, Table(schema.fact_schema, list(fact.rows)),
+        schema, engine, Table(schema.fact_schema, fact.to_rows()),
         tmp_path / "log",
     )
     app = SlicerApp(LiveBundle(ingestor, schema))

@@ -39,7 +39,7 @@ def written(tmp_path):
 def test_load_round_trips_the_cube_and_fact_table(written):
     schema, fact, original, path = written
     storage, table = load_v2(path, schema)
-    assert table.rows == fact.rows
+    assert table.to_rows() == fact.to_rows()
     assert table.as_batch().length == len(fact)
     assert sorted(storage.nodes) == sorted(original.nodes)
     for node_id, store in original.nodes.items():
@@ -72,11 +72,12 @@ def test_loaded_cube_is_detached_and_maintainable(written):
     storage, table = load_v2(path, schema)
     path.unlink()  # the next generation replaces the file; the cube lives on
     postprocess_plus(storage)
-    delta = [tuple(row) for row in table.rows[:5]] + [table.rows[-1]]
+    rows = table.to_rows()
+    delta = rows[:5] + [rows[-1]]
     apply_delta(storage, schema, table, delta)
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.rows, node)
+        expected = reference_group_by(schema, table.to_rows(), node)
         got = normalize_answer(answer_cure_query(storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 

@@ -10,11 +10,13 @@ holds its relations.
 
 from __future__ import annotations
 
+import hashlib
 from functools import cached_property
 
 import numpy as np
 
 from repro.core.storage import CubeStorage, NodeStore
+from repro.relational.table import Table
 
 
 def _tuples(matrix: np.ndarray) -> list[tuple]:
@@ -23,6 +25,12 @@ def _tuples(matrix: np.ndarray) -> list[tuple]:
 
 def _matrix(rows: list) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
+
+
+def rows_digest(table: Table) -> str:
+    """SHA-256 of a table's tuples as Python ints — how the generator
+    tests pin a seed's output across representations of the table."""
+    return hashlib.sha256(repr(table.to_rows()).encode()).hexdigest()
 
 
 def nt_rows(store: NodeStore) -> list[tuple]:
