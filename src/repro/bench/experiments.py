@@ -699,7 +699,7 @@ def run_pair_partition_ablation(
     import random
 
     from repro import flat_dimension, linear_dimension, make_aggregates
-    from repro.core.partition import (
+    from repro.core.partition_select import (
         PairPartitionDecision,
         select_partition_level,
     )

@@ -1,9 +1,17 @@
 """The multiprocessing executor: work-stealing workers over shared files.
 
-Workers are spawned processes that open their *own* :class:`Catalog` and
-:class:`Engine` over the build's catalog directory and read partition
-files through ``np.memmap`` (read-only, zero-copy of the page cache) —
-the fact data is shared through the filesystem, never pickled.  Each
+Workers are forked from the driver — which already holds numpy,
+``repro``, the schema and the plan, so they run tasks milliseconds after
+``run()`` — where the platform can fork *and* the driver runs no other
+thread at that moment (a fork can copy another thread's lock in its
+locked state); otherwise they are spawned as fresh interpreters.  The
+start method is not a parameter, and either kind runs the same
+:func:`_worker_main` on the same :class:`WorkerInit`: a worker opens its
+*own* :class:`Catalog` and :class:`Engine` over the build's catalog
+directory, never an engine or file handle it inherited, and reads
+partition files through ``np.memmap`` (read-only, zero-copy of the page
+cache) — the fact data is shared through the filesystem, never pickled;
+tasks and outcomes travel over one pipe pair per worker.  Each
 worker gets a :class:`MemoryManager` carved to exactly the budget the
 sequential loop would see for one load (the global cap minus the driver's
 signature-pool reservation), which is what keeps load decisions — and
@@ -26,20 +34,23 @@ Fault injection crosses the process boundary explicitly: the driver's
 armed :class:`FaultSpec` plan is serialized into each worker, which
 re-installs it on its own injector.  A worker that hits an injected
 crash dies for real (``os._exit``) — no exception marshalling, no
-cleanup — and the coordinator's liveness check converts the silence
-into :class:`WorkerCrashed`, which resumable builds treat like any other
-mid-build crash.  Per-task injector trace slices travel back on each
-outcome so the driver can merge one deterministic site sequence.
+cleanup — and the coordinator, which waits on the workers' process
+sentinels together with their result pipes, turns the death into
+:class:`WorkerCrashed` at once, however busy the other workers are;
+resumable builds treat it like any other mid-build crash.  Per-task
+injector trace slices travel back on each outcome so the driver can
+merge one deterministic site sequence.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_module
+import threading
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from multiprocessing import get_context
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 
 from repro.build.executor import ExecutorStats
@@ -80,7 +91,7 @@ class WorkerCrashed(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkerInit:
-    """Everything a spawned worker needs to rebuild the build context.
+    """Everything a worker needs to rebuild the build context.
 
     ``fault_plan`` re-arms the driver's fault configuration inside the
     worker — without it the fault matrix would silently run fault-free in
@@ -95,20 +106,27 @@ class WorkerInit:
     fault_plan: tuple[FaultSpec, ...]
 
 
-def _worker_main(worker_id, init, task_queue, result_queue):
+def _worker_main(worker_id, init, tasks, results, inherited=()):
     """Worker loop: own engine + injector, tasks in, outcomes out.
 
     An :class:`InjectedCrash` kills the process immediately and silently
     (a real crash leaves no goodbye either); any other exception is
     marshalled as an error tuple so the coordinator can re-raise it with
-    the build's usual semantics.
+    the build's usual semantics.  ``inherited`` are the driver's pipe
+    ends a forked worker holds copies of: closed first, so that a pipe
+    reports end-of-file as soon as the process at its other end is gone.
     """
+    for connection in inherited:
+        connection.close()
     catalog = Catalog(Path(init.root))
     engine = Engine(catalog, MemoryManager(init.budget_bytes))
     injector = FaultInjector(plan=tuple(init.fault_plan))
     engine.install_faults(injector)
     while True:
-        task = task_queue.get()
+        try:
+            task = tasks.recv()
+        except EOFError:  # the driver is gone
+            return
         if task is None:
             return
         base = len(injector.trace)
@@ -121,23 +139,19 @@ def _worker_main(worker_id, init, task_queue, result_queue):
         except InjectedCrash:
             os._exit(WORKER_CRASH_EXIT)
         except BaseException as error:  # marshalled, not swallowed
-            result_queue.put(
-                (
-                    "error",
-                    worker_id,
-                    task.task_id,
-                    type(error).__name__,
-                    str(error),
-                )
-            )
-            continue
-        outcome.trace = tuple(injector.trace[base:])
-        outcome.peak_bytes = engine.memory.peak_bytes
-        result_queue.put(("done", worker_id, outcome))
+            message = ("error", task.task_id, type(error).__name__, str(error))
+        else:
+            outcome.trace = tuple(injector.trace[base:])
+            outcome.peak_bytes = engine.memory.peak_bytes
+            message = ("done", outcome)
+        try:
+            results.send(message)
+        except BrokenPipeError:  # the driver gave up on the build
+            return
 
 
 class ProcessPoolExecutor:
-    """Fan tasks out to spawned workers; reassemble deterministic order."""
+    """Fan tasks out to worker processes; reassemble deterministic order."""
 
     def __init__(
         self,
@@ -150,7 +164,7 @@ class ProcessPoolExecutor:
         self.engine = engine
         self.workers = workers
         self.worker_budget_bytes = worker_budget_bytes
-        self.stats = ExecutorStats(workers=workers)
+        self.stats = ExecutorStats()
 
     def run(
         self,
@@ -161,6 +175,13 @@ class ProcessPoolExecutor:
         units = plan.units[start_unit:]
         if not units:
             return
+        unflushed = self.engine.catalog.unflushed()
+        if unflushed:
+            # Workers read the catalog's files, and a forked one would
+            # hold a second copy of the buffered bytes.
+            raise RuntimeError(
+                f"relations with buffered writes at worker start: {unflushed}"
+            )
         budget = self.worker_budget_bytes
         if budget is None:
             # The sequential loop loads each partition with only the
@@ -176,27 +197,17 @@ class ProcessPoolExecutor:
             fault_plan=tuple(faults.plan) if faults is not None else (),
         )
 
-        context = get_context("spawn")
-        result_queue = context.Queue()
-        task_queues = []
-        processes = []
-        n = self.workers
-        for worker_id in range(n):
-            task_queue = context.Queue()
-            process = context.Process(
-                target=_worker_main,
-                args=(worker_id, init, task_queue, result_queue),
-                daemon=True,
-            )
-            process.start()
-            task_queues.append(task_queue)
-            processes.append(process)
+        roots = [task for unit in units for task in unit.tasks]
+        n = self.stats.workers = min(self.workers, len(roots))
+        forks = hasattr(os, "fork") and threading.active_count() == 1
+        context = get_context("fork" if forks else "spawn")
+        processes: list = []
+        task_pipes: list[Connection] = []
+        result_pipes: list[Connection] = []
 
         # Deal every root task round-robin; deques feed idle workers.
         deques: list[deque[TaskSpec]] = [deque() for _ in range(n)]
-        for i, task in enumerate(
-            task for unit in units for task in unit.tasks
-        ):
+        for i, task in enumerate(roots):
             deques[i % n].append(task)
 
         # Per-unit deterministic order: task ids in depth-first plan
@@ -211,7 +222,7 @@ class ProcessPoolExecutor:
         units_by_index = {unit.index: unit for unit in units}
         next_unit = units[0].index
         in_flight: dict[int, TaskSpec | None] = dict.fromkeys(range(n))
-        outstanding = sum(len(order) for order in unit_order.values())
+        outstanding = len(roots)
 
         def dispatch(worker_id: int) -> None:
             own = deques[worker_id]
@@ -225,19 +236,52 @@ class ProcessPoolExecutor:
                 self.stats.tasks_stolen += 1
             task = own.popleft()
             in_flight[worker_id] = task
-            task_queues[worker_id].put(task)
+            task_pipes[worker_id].send(task)
+
+        def crashed(worker_id: int) -> WorkerCrashed:
+            process = processes[worker_id]
+            process.join(timeout=2.0)
+            task = in_flight[worker_id]
+            return WorkerCrashed(
+                f"worker {worker_id} died"
+                + (f" while running task {task.task_id}" if task else "")
+                + f" (exit code {process.exitcode})"
+            )
 
         try:
             for worker_id in range(n):
+                tasks, task_pipe = context.Pipe(duplex=False)
+                result_pipe, results = context.Pipe(duplex=False)
+                task_pipes.append(task_pipe)
+                result_pipes.append(result_pipe)
+                inherited = (*task_pipes, *result_pipes) if forks else ()
+                process = context.Process(
+                    target=_worker_main,
+                    args=(worker_id, init, tasks, results, inherited),
+                    daemon=True,
+                )
+                process.start()
+                processes.append(process)
+                tasks.close()
+                results.close()
+            for worker_id in range(n):
                 dispatch(worker_id)
+            sentinels = [process.sentinel for process in processes]
             while outstanding:
+                # A worker exits only when told to, after the last outcome:
+                # a ready sentinel is a death, seen at once however busy
+                # the surviving workers keep the pipes.
+                ready = wait([*sentinels, *result_pipes])
+                for worker_id in range(n):
+                    if sentinels[worker_id] in ready:
+                        raise crashed(worker_id)
+                worker_id = next(w for w in range(n) if result_pipes[w] in ready)
                 try:
-                    message = result_queue.get(timeout=0.2)
-                except queue_module.Empty:
-                    self._check_liveness(processes, in_flight)
-                    continue
+                    message = result_pipes[worker_id].recv()
+                except EOFError:
+                    raise crashed(worker_id) from None
                 if message[0] == "error":
-                    _, worker_id, task_id, type_name, text = message
+                    _, task_id, type_name, text = message
                     error_type = _ERROR_TYPES.get(type_name)
                     if error_type is None:
                         raise RuntimeError(
@@ -245,7 +289,7 @@ class ProcessPoolExecutor:
                             f"{task_id}: {type_name}: {text}"
                         )
                     raise error_type(text)
-                _, worker_id, outcome = message
+                outcome = message[1]
                 task = outcome.task
                 self.stats.tasks_run += 1
                 self.stats.peak_worker_bytes = max(
@@ -278,41 +322,31 @@ class ProcessPoolExecutor:
                     )
                     next_unit += 1
         finally:
-            self._shutdown(processes, task_queues, result_queue)
+            self._shutdown(processes, task_pipes, result_pipes)
 
-    def _check_liveness(
+    def _shutdown(
         self,
         processes: list,
-        in_flight: dict[int, TaskSpec | None],
+        task_pipes: list[Connection],
+        result_pipes: list[Connection],
     ) -> None:
-        for worker_id, process in enumerate(processes):
-            if not process.is_alive():
-                task = in_flight.get(worker_id)
-                raise WorkerCrashed(
-                    f"worker {worker_id} died"
-                    + (
-                        f" while running task {task.task_id}"
-                        if task is not None
-                        else ""
-                    )
-                    + f" (exit code {process.exitcode})"
-                )
-
-    def _shutdown(self, processes, task_queues, result_queue) -> None:
-        for task_queue in task_queues:
+        for task_pipe in task_pipes:
             try:
-                task_queue.put(None)
-            except (OSError, ValueError):
+                task_pipe.send(None)
+            except OSError:  # the worker is gone
                 pass
+        # A worker still sending an outcome nobody will read gets a broken
+        # pipe instead of waiting out the join below.
+        for result_pipe in result_pipes:
+            result_pipe.close()
         for process in processes:
             process.join(timeout=2.0)
         for process in processes:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=2.0)
-        for channel in [*task_queues, result_queue]:
-            channel.cancel_join_thread()
-            channel.close()
+        for task_pipe in task_pipes:
+            task_pipe.close()
 
 
 __all__ = [

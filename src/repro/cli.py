@@ -458,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="worker processes for the partition build (default 1 = "
              "sequential in-process executor; N > 1 fans partition tasks "
-             "out to a work-stealing process pool)",
+             "out to a work-stealing pool of at most N processes, forked "
+             "from this one where the platform can fork, else spawned)",
     )
     build.set_defaults(handler=cmd_build)
 

@@ -8,7 +8,10 @@ from repro.core.signature import Signature, SignaturePool
 from repro.core.storage import CatFormat, CubeStorage, StorageSizeReport
 from repro.core.cure import BuildStats, CureBuilder, CubeResult, build_cube
 from repro.core.incremental import UpdateReport, apply_delta, drift_report
-from repro.core.partition import PartitionDecision, select_partition_level
+from repro.core.partition_select import (
+    PartitionDecision,
+    select_partition_level,
+)
 from repro.core.postprocess import postprocess_plus
 from repro.core.variants import CureConfig, VARIANTS
 

@@ -7,7 +7,7 @@ and 1 TB.  The computation is purely arithmetic — observation 2's size
 estimate plus the feasibility constraints of Section 4 — so the
 reproduction implements it as an explicit model that both the Table 1
 benchmark and the partitioning unit tests exercise against
-:func:`repro.core.partition.select_partition_level`'s behaviour.
+:func:`repro.core.partition_select.select_partition_level`'s behaviour.
 
 All quantities assume the paper's uniform-distribution reading: partitions
 at level ``L`` weigh ``|R| / |A_L|`` and the coarse node ``N`` weighs

@@ -32,15 +32,14 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from repro.core.model import CubeSchema
-from repro.core.partition import (
+from repro.core.partition import partition_relation, partition_relation_pair
+from repro.core.partition_select import (
     PairPartitionDecision,
     PartitionDecision,
-    partition_relation,
-    partition_relation_pair,
     select_partition_level,
     select_partition_pair,
 )
-from repro.core.segments import aggregate_ufuncs
+from repro.core.segments import aggregate_ufuncs, sort_groups
 from repro.core.signature import PoolStats, SignaturePool
 from repro.core.storage import CubeStorage
 from repro.core.workingset import WorkingSet
@@ -322,11 +321,7 @@ class CureBuilder:
         # before either factor does.
         composite = frontier.segment * cardinality
         composite += self._keys(dim, level)[frontier.positions]
-        order = np.argsort(composite, kind="stable")
-        composite = composite[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], composite[1:] != composite[:-1]))
-        )
+        order, composite, starts = sort_groups(composite)
         old_level = self._node_levels[dim]
         self._node_levels[dim] = level
         self._node_id += self._factors[dim] * (level - old_level)
@@ -736,7 +731,7 @@ def _build_pair_partitioned(
     """Pair-partitioning pipeline: partitions + two coarse nodes.
 
     Three disjoint, exhaustive phases (see
-    :class:`repro.core.partition.PairPartitionDecision`): the pair-sound
+    :class:`repro.core.partition_select.PairPartitionDecision`): the pair-sound
     partitions cover nodes with both leading dimensions present at levels
     ≤ (L, M); coarse node N1 covers everything with dimension 0 above L or
     absent; coarse node N2 covers dimension 0 present ≤ L with dimension 1

@@ -54,15 +54,16 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.model import CubeSchema
-from repro.core.segments import aggregate_ufuncs
+from repro.core.segments import (
+    aggregate_ufuncs,
+    pack_keys,
+    reduce_columns,
+    sort_groups,
+)
 from repro.core.storage import VALUE_BYTES, CatFormat, CubeStorage, NodeStore
 from repro.lattice.node import CubeNode
 from repro.relational.batch import ColumnBatch, column_dtype
 from repro.relational.table import Table
-
-#: Largest span a packed grouping key may cover before the merger
-#: re-ranks it densely (keeps ``key * cardinality + code`` inside int64).
-_KEY_SPAN_LIMIT = 1 << 62
 
 _NO_ROWIDS = np.empty(0, dtype=np.int64)
 
@@ -333,15 +334,11 @@ class _DeltaMerger:
         return merged
 
     def _node_keys(self, node: CubeNode) -> np.ndarray:
-        """Every fact row's group at ``node`` as one int64 key.
-
-        Mixed radix over the grouping dimensions' level cardinalities;
-        equal keys ⇔ equal grouping codes.  A lattice too wide for 62
-        bits re-ranks the partial key densely (ranks are over base and
-        delta rows together, so membership tests stay valid).
-        """
-        key: np.ndarray | None = None
-        span = 1
+        """Every fact row's group at ``node`` as one int64 key
+        (:func:`pack_keys` over base and delta rows together, so a
+        re-ranked key still supports membership tests)."""
+        columns: list[np.ndarray] = []
+        cardinalities: list[int] = []
         for d, level in enumerate(node.levels):
             dimension = self.schema.dimensions[d]
             if level == dimension.all_level:
@@ -352,32 +349,20 @@ class _DeltaMerger:
                 if level:
                     codes = dimension.level_maps[level][codes]
                 self._level_codes[d, level] = codes
-            cardinality = dimension.cardinality(level)
-            if key is None:
-                key, span = codes, cardinality
-                continue
-            if span * cardinality > _KEY_SPAN_LIMIT:
-                key = np.unique(key, return_inverse=True)[1]
-                span = len(key)
-            key = key * cardinality + codes
-            span *= cardinality
-        if key is None:
+            columns.append(codes)
+            cardinalities.append(dimension.cardinality(level))
+        if not columns:
             return np.zeros(self.n_rows, dtype=np.int64)
-        return key
+        return pack_keys(columns, cardinalities)
 
     def _groups_at(self, node: CubeNode) -> _DeltaGroups:
         """Group the delta rows at ``node``: one stable sort + ``reduceat``."""
         row_keys = self._node_keys(node)
         delta_keys = row_keys[self.base_rowid :]
-        order = np.argsort(delta_keys, kind="stable")
-        sorted_keys = delta_keys[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+        order, sorted_keys, starts = sort_groups(delta_keys)
+        aggregates = reduce_columns(
+            self._ufuncs, self._delta_aggregates[order], starts
         )
-        sorted_aggregates = self._delta_aggregates[order]
-        aggregates = np.empty((len(starts), len(self._ufuncs)), dtype=np.int64)
-        for y, ufunc in enumerate(self._ufuncs):
-            aggregates[:, y] = ufunc.reduceat(sorted_aggregates[:, y], starts)
         return _DeltaGroups(
             row_keys,
             sorted_keys[starts],

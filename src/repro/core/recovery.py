@@ -61,11 +61,10 @@ from repro.core.cure import (
     build_cube,
 )
 from repro.core.model import CubeSchema
-from repro.core.partition import (
+from repro.core.partition import partition_relation, partition_relation_pair
+from repro.core.partition_select import (
     PairPartitionDecision,
     PartitionDecision,
-    partition_relation,
-    partition_relation_pair,
     select_partition_level,
     select_partition_pair,
 )

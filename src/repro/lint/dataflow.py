@@ -68,13 +68,16 @@ _ORDER_CALLS = frozenset({"os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
 _ORDER_METHODS = frozenset({"glob", "rglob", "iterdir"})
 
 #: Sinks by (resolved) trailing call-name: the audited write helpers plus
-#: the partition-decision functions whose outputs shape cube bytes.
+#: the partition-decision functions whose outputs shape cube bytes — the
+#: selections, and ``spill_by_key``, the one routine that turns a bin
+#: assignment into partition files and coarse nodes.
 SINK_FUNCTIONS = frozenset(
     {
         "atomic_write_bytes", "atomic_write_text", "publish_file",
         "select_partition_level", "select_partition_pair",
-        "select_partition_pair_local", "repartition_partition",
-        "repartition_relation_pair",
+        "select_partition_pair_local", "search_level_decision",
+        "repartition_partition", "repartition_relation_pair",
+        "spill_by_key",
     }
 )
 #: Sinks by method attribute (checked regardless of receiver type).

@@ -65,8 +65,8 @@ _FIRE_CALLS = {"maybe_fire": 1, "fire": 0, "_fire_retrying": 0}
 
 #: Parallel entry points whose transitive callees R12/R13 audit.
 #: ``execute_task`` is the shared task interpreter both build executors
-#: run (the sequential one inline, ``_worker_main`` in spawned worker
-#: processes); ``process_partition`` survives as a suffix for fixture
+#: run (the sequential one inline, ``_worker_main`` in worker processes,
+#: forked or spawned); ``process_partition`` survives as a suffix for fixture
 #: compatibility and for downstream code keeping the historical name;
 #: ``dispatch_request`` is the slicer server's per-request entry — many
 #: HTTP threads run it concurrently over one shared planner, so every

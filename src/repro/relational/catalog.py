@@ -139,6 +139,10 @@ class Catalog:
             self._open[name].flush()
         return file_checksum(self._data_path(name))
 
+    def unflushed(self) -> list[str]:
+        """Open relations with writes still in their handle's buffer."""
+        return [name for name, heap in self._open.items() if heap.unflushed]
+
     def set_faults(self, faults: FaultHook | None) -> None:
         """Install (or clear) a fault hook, including on open heaps."""
         self.faults = faults

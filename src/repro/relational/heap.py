@@ -66,6 +66,9 @@ class HeapFile:
     faults: FaultHook | None = field(default=None, repr=False)
     _handle: object | None = field(default=None, repr=False)
     _row_count: int | None = field(default=None, repr=False)
+    #: True while a write may sit in the handle's buffer (workers of a
+    #: parallel build start only over fully flushed relations).
+    unflushed: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         self.path = Path(self.path)
@@ -84,6 +87,7 @@ class HeapFile:
         if self._handle is not None:
             handle, self._handle = self._handle, None
             handle.close()
+        self.unflushed = False
 
     def _abort_write(self) -> None:
         """Error-path cleanup: drop the cached row count and the handle.
@@ -144,6 +148,7 @@ class HeapFile:
         count from the on-disk size.  Transient faults are retried — the
         payload has not reached the file yet, so the retry is idempotent.
         """
+        self.unflushed = True
         faults = self.faults
         if faults is not None:
             try:
@@ -236,6 +241,7 @@ class HeapFile:
         if self._handle is not None:
             self._fire_retrying(f"heap.flush:{self.path.name}")
             self._handle.flush()
+            self.unflushed = False
 
     # -- reading -----------------------------------------------------------
 

@@ -9,11 +9,8 @@ import pytest
 from repro import Engine, build_cube
 from repro.build.runtime import execute_task
 from repro.build.tasks import KIND_COARSE_RUN, KIND_PARTITION, TaskSpec
-from repro.core.partition import (
-    load_coarse_working_set,
-    partition_relation,
-    select_partition_level,
-)
+from repro.core.partition import load_coarse_working_set, partition_relation
+from repro.core.partition_select import select_partition_level
 from repro.core.signature import SignaturePool
 from repro.core.workingset import WorkingSet
 from repro.datasets.synthetic import generate_flat_dataset

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import CubeSchema, Engine, Table, build_cube, flat_dimension, linear_dimension, make_aggregates
-from repro.core.partition import (
+from repro.core.partition_select import (
     PairPartitionDecision,
     select_partition_level,
     select_partition_pair,

@@ -4,11 +4,13 @@ import pytest
 
 from repro import CubeSchema, Engine, Table, build_cube, linear_dimension, make_aggregates
 from repro.core.partition import (
-    PartitionDecision,
-    _bin_members,
-    estimate_coarse_rows,
+    _first_fit,
     load_coarse_working_set,
     partition_relation,
+)
+from repro.core.partition_select import (
+    PartitionDecision,
+    estimate_coarse_rows,
     select_partition_level,
 )
 from repro.query import FactCache, answer_cure_query, reference_group_by
@@ -142,7 +144,10 @@ def test_bin_members_soundness_and_capacity():
         estimated_coarse_rows=0, available_bytes=100 * 8, strategy="exact",
         member_rows={0: 50, 1: 40, 2: 30, 3: 20, 4: 10},
     )
-    assignment = _bin_members(decision, partition_row_bytes=8)
+    assignment = _first_fit(
+        decision.member_rows, decision.max_member_rows,
+        decision.available_bytes, row_bytes=8,
+    )
     assert set(assignment) == {0, 1, 2, 3, 4}
     loads: dict[int, int] = {}
     for code, rows in decision.member_rows.items():

@@ -6,9 +6,9 @@ import pytest
 
 from repro import CubeSchema, Engine, Table, build_cube, linear_dimension, make_aggregates
 from repro.core.cure import CureBuilder, HierarchicalShape
-from repro.core.partition import (
+from repro.core.partition import partition_relation
+from repro.core.partition_select import (
     estimate_pair_coarse_rows,
-    partition_relation,
     select_partition_level,
 )
 from repro.core.signature import SignaturePool

@@ -4,8 +4,11 @@ A build pass — ``load_csv`` → ``CureConfig.build`` → ``save_bundle`` →
 ``publish_v2_bundle`` → ``open_bundle`` — moves the fact relation as
 columns the whole way.  The two bridges between tuples and columns,
 ``ColumnBatch.from_rows`` and ``ColumnBatch.to_rows``, are patched to
-raise, and the pass must still succeed: with the table in memory, and
-through ``Engine.store_table`` and a heap-file load.
+raise, and the pass must still succeed: with the table in memory,
+through ``Engine.store_table`` and a heap-file load, and under a memory
+budget that forces the Section 4 partition pass — for which the
+tuple-at-a-time ``HeapFile.scan`` and ``append_many`` raise too, so the
+loops that pass was rewritten from cannot come back unnoticed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,11 @@ from repro import (
     open_bundle,
     save_bundle,
 )
+from repro.core.signature import SignaturePool
 from repro.relational.batch import ColumnBatch
+from repro.relational.catalog import Catalog
+from repro.relational.heap import HeapFile
+from repro.relational.memory import MemoryManager
 from repro.storage2 import publish_v2_bundle
 
 N_ROWS = 240
@@ -48,12 +55,12 @@ def no_row_bridges(monkeypatch):
 
     monkeypatch.setattr(ColumnBatch, "from_rows", classmethod(refuse))
     monkeypatch.setattr(ColumnBatch, "to_rows", refuse)
+    monkeypatch.setattr(HeapFile, "scan", refuse)
+    monkeypatch.setattr(HeapFile, "append_many", refuse)
 
 
-@pytest.mark.parametrize("through_engine", [False, True], ids=["memory", "heap"])
-def test_build_pass_never_transposes(
-    tmp_path, fact_csv, no_row_bridges, through_engine
-):
+@pytest.mark.parametrize("mode", ["memory", "heap", "partitioned"])
+def test_build_pass_never_transposes(tmp_path, fact_csv, no_row_bridges, mode):
     loaded = load_csv(
         fact_csv,
         [
@@ -65,15 +72,22 @@ def test_build_pass_never_transposes(
     )
     schema, table = loaded.schema, loaded.table
     config = VARIANTS["CURE+"].with_pool(1_000)
-    if through_engine:
-        engine = Engine.temporary()
+    if mode == "memory":
+        result, _plus = config.build(schema, table=table)
+    else:
+        budget = None
+        if mode == "partitioned":
+            budget = (
+                SignaturePool.size_bytes(1_000, schema.n_aggregates)
+                + 100 * schema.partition_schema.row_size_bytes
+            )
+        engine = Engine(Catalog(tmp_path / "engine"), MemoryManager(budget))
         try:
             engine.store_table("fact", table)
             result, _plus = config.build(schema, engine=engine, relation="fact")
         finally:
             engine.destroy()
-    else:
-        result, _plus = config.build(schema, table=table)
+        assert result.stats.partitioned == (mode == "partitioned")
     bundle_dir = save_bundle(
         tmp_path / "bundle", schema, table, result.storage
     )

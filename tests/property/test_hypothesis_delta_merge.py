@@ -278,9 +278,9 @@ def test_update_of_empty_cube_matches_oracle():
 
 def test_wide_lattice_rerank_keeps_membership(monkeypatch):
     """A key span past 62 bits re-ranks densely instead of overflowing."""
-    import repro.core.incremental as incremental
+    import repro.core.segments as segments
 
-    monkeypatch.setattr(incremental, "_KEY_SPAN_LIMIT", 8)
+    monkeypatch.setattr(segments, "_KEY_SPAN_LIMIT", 8)
     schema, flat = SCHEMAS["linear"]
     base = [(a % 6, a % 4, a % 3, a) for a in range(20)]
     deltas = [[(0, 0, 0, 1), (5, 3, 2, 2), (0, 0, 0, 3)], [(2, 1, 1, 4)]]

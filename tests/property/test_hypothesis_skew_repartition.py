@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro import CubeSchema, Table, make_aggregates
-from repro.core.partition import (
+from repro.core.partition_select import (
     _working_set_row_bytes,
     estimate_pair_coarse_rows,
     select_partition_pair_local,

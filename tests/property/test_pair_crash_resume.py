@@ -26,7 +26,7 @@ from repro import (
     linear_dimension,
     make_aggregates,
 )
-from repro.core.partition import PairPartitionDecision
+from repro.core.partition_select import PairPartitionDecision
 from repro.core.recovery import BuildManifest, DurableCubeBuild, verify_cube
 from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indices
 from repro.relational.catalog import Catalog

@@ -25,8 +25,8 @@ import os
 
 import pytest
 
-from repro import CubeSchema, Engine, Table
-from repro.build import WorkerCrashed
+from repro import CubeSchema, Engine, Table, build_cube
+from repro.build import ProcessPoolExecutor, WorkerCrashed
 from repro.core.recovery import DurableCubeBuild, verify_cube
 from repro.core.signature import SignaturePool
 from repro.datasets.synthetic import generate_flat_dataset
@@ -162,3 +162,42 @@ def test_worker_death_mid_unit_never_loses_checkpoints(
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
     engine.close()
+
+
+def test_worker_death_is_seen_while_the_survivor_is_busy(
+    tmp_path_factory, instance, baseline
+):
+    """Worker 0 dies entering its first task while worker 1 still has a
+    deque of tasks to run and everything of worker 0's to steal.  The
+    driver must raise at the death — it waits on the workers' sentinels,
+    not for a lull in the results — so almost nothing has been delivered;
+    a liveness check made only when the result channel falls silent would
+    first let the survivor finish every other task of the build."""
+    _reference, worker_sites = baseline
+    schema, table = instance
+    first_site = worker_sites[0]
+    assert first_site.endswith(":u0:fact.part0"), first_site
+    # Sites read ``build.worker:u<unit>:<relation>``; every unit is a root.
+    n_root_tasks = len({site.split(":")[1] for site in worker_sites})
+    assert n_root_tasks >= 6
+    engine = _fresh_engine(tmp_path_factory.mktemp("wdbusy"), schema, table)
+    engine.install_faults(
+        FaultInjector(
+            plan=(FaultSpec(site=first_site, kind=FaultKind.CRASH, hit=1),)
+        )
+    )
+    pool = ProcessPoolExecutor(engine, WORKERS)
+    with pytest.raises(
+        WorkerCrashed, match="worker 0 died while running task u0:fact.part0"
+    ):
+        build_cube(
+            schema,
+            engine=engine,
+            relation="fact",
+            pool_capacity=POOL_CAPACITY,
+            partition_strategy="uniform",
+            executor=pool,
+        )
+    engine.close()
+    assert pool.stats.workers == WORKERS
+    assert pool.stats.tasks_run < n_root_tasks - 1
