@@ -2,7 +2,7 @@
 
 One ``cube.v2`` file holds every relation of a published cube plus the
 fact columns and CSR inverted indices, laid out so that opening is an
-``np.memmap`` and *reading* is a view::
+``np.memmap`` and *reading* a section is one verify-and-decode, cached::
 
     ┌────────────────────────────┐ 0
     │ header: magic + version    │ 16 bytes
@@ -19,10 +19,17 @@ fact columns and CSR inverted indices, laid out so that opening is an
     └────────────────────────────┘
 
 Every section entry records its codec, dtype, logical shape, value count
-and the SHA-256 of its payload bytes.  ``raw`` sections decode as
-zero-copy memmap views (64-byte alignment keeps the views aligned for
-any dtype); compressed sections (``bitpack``/``delta``/``roaring``)
+and the SHA-256 of its payload bytes.  Int64 arrays are stored ``narrow``
+(each column at the byte width its value range needs) whenever that is
+smaller, and widen once into an int64 array the file caches; what
+``narrow`` cannot shrink stays ``raw`` and decodes as a zero-copy memmap
+view (64-byte alignment keeps the views aligned for any dtype).  The
+other compressed sections (``bitpack``/``delta``/``roaring``) likewise
 decode lazily, once, on first access.
+
+Format version 2 added the ``narrow`` codec and nothing else, so this
+reader opens version 1 containers through the same code; a version 1
+reader refuses a version 2 file by its version, not by an unknown codec.
 
 Integrity is *fail closed*: the header, trailer and directory are
 verified on open (so truncation and metadata corruption never produce a
@@ -47,16 +54,21 @@ import numpy as np
 from repro.storage2.codecs import (
     BITPACK,
     DELTA,
+    NARROW,
     RAW,
     ROARING,
     CodecError,
     bitpack_decode,
     delta_decode,
+    narrow_decode,
+    narrow_encode,
     roaring_decode,
 )
 
 MAGIC = b"CUREv2\x00\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+#: Versions this reader opens: 2 is 1 plus the ``narrow`` codec.
+READABLE_VERSIONS = (1, 2)
 ALIGNMENT = 64
 _HEADER = struct.Struct("<8sII")  # magic, version, reserved
 _TRAILER = struct.Struct("<QQ32s8s8s")  # dir offset, dir len, dir sha, pad, magic
@@ -133,15 +145,24 @@ class V2Writer:
         self._cursor = HEADER_BYTES
 
     def add_array(self, name: str, array: np.ndarray) -> None:
-        """Add a ``raw`` section: the array's bytes, zero-copy on read."""
-        data = np.ascontiguousarray(array).tobytes()
+        """Add an array section: ``narrow`` where that is smaller (a pure
+        function of the values), else ``raw`` — the array's bytes,
+        zero-copy on read."""
+        codec, data, extra = RAW, None, None
+        if array.dtype == np.int64 and array.ndim in (1, 2):
+            narrowed, widths = narrow_encode(array)
+            if len(narrowed) < array.nbytes:
+                codec, data, extra = NARROW, narrowed, widths
+        if data is None:
+            data = np.ascontiguousarray(array).tobytes()
         self.add_section(
             name,
             data,
-            codec=RAW,
+            codec=codec,
             dtype=array.dtype.newbyteorder("<").str,
             shape=tuple(array.shape),
             count=int(array.size),
+            extra=extra,
         )
 
     def add_section(
@@ -246,10 +267,10 @@ class V2File:
         )
         if magic != MAGIC:
             raise V2FormatError(f"{target} does not start with the v2 magic")
-        if version != FORMAT_VERSION:
+        if version not in READABLE_VERSIONS:
             raise V2FormatError(
                 f"{target} is format version {version}; "
-                f"this reader supports {FORMAT_VERSION}"
+                f"this reader supports {READABLE_VERSIONS}"
             )
         dir_offset, dir_len, dir_sha, _pad, trailer_magic = _TRAILER.unpack(
             bytes(mapped[size - TRAILER_BYTES :])
@@ -272,7 +293,7 @@ class V2File:
             document = json.loads(directory)
         except ValueError as error:
             raise V2FormatError(f"{target}: directory is not JSON") from error
-        if document.get("version") != FORMAT_VERSION:
+        if document.get("version") != version:
             raise V2FormatError(f"{target}: directory/header version mismatch")
         entries: dict[str, SectionEntry] = {}
         for payload in document.get("sections", []):
@@ -323,7 +344,8 @@ class V2File:
         return view
 
     def array(self, name: str) -> np.ndarray:
-        """The section decoded to its array (zero-copy for ``raw``)."""
+        """The section decoded to its array: verified, decoded once and
+        cached (``raw`` is a zero-copy view; ``narrow`` widens to int64)."""
         cached = self._decoded.get(name)
         if cached is not None:
             return cached
@@ -347,6 +369,16 @@ class V2File:
                     f"{dtype.itemsize * entry.count}"
                 )
             array = payload.view(dtype)
+        elif entry.codec == NARROW:
+            if dtype != np.int64:
+                raise CodecError(f"narrow section has dtype {entry.dtype}")
+            try:
+                lows = entry.extra["lows"]
+                widths = entry.extra["widths"]
+            except KeyError as error:
+                raise CodecError(f"narrow directory lacks {error}") from error
+            array = narrow_decode(payload, lows, widths, entry.shape)
+            array.flags.writeable = False
         elif entry.codec == BITPACK:
             array = bitpack_decode(
                 payload.tobytes(), int(entry.extra["bits"]), entry.count

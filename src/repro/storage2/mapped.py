@@ -8,16 +8,17 @@ already consumes — :class:`~repro.core.storage.CubeStorage` /
 ``dict[int, InvertedIndex]`` mapping the planner probes — but backed by
 :class:`~repro.storage2.format.V2File` sections:
 
-* ``raw`` sections (NT/CAT/AGGREGATES matrices, CSR offsets, fact
-  measures) come back as zero-copy memmap views the moment a matrix
-  accessor asks;
-* compressed sections (TT lists, CSR row-ids, bit-packed fact dimension
-  columns) decode vectorized, once, on first touch;
+* ``narrow`` sections (NT/CAT/AGGREGATES matrices, CSR offsets, fact
+  measures) are verified and widened once — one add per column into an
+  int64 array the file caches — the moment a matrix accessor asks;
+* the other compressed sections (TT lists, CSR row-ids, bit-packed fact
+  dimension columns) likewise decode vectorized, once, on first touch;
 * row counts (the planner's cost estimates, the ``nt_count`` guards)
   come from the directory and touch no payload.
 
 Opening a cube is therefore O(directory): nothing is unpacked until a
-query touches it, and what queries touch is mostly views.
+query touches it, and every consumer here sees the int64 arrays it
+always did, whatever width they are stored at.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ class MappedFactTable:
     """The fact relation as the ``Table`` duck type ``FactCache`` drives.
 
     ``as_batch`` assembles the columnar view straight from the v2
-    sections: measures are zero-copy views, dimension columns bit-unpack
-    once.  Row tuples (``fetch``/``fetch_many`` callers) transpose lazily
-    from that same batch.
+    sections: measures widen once, dimension columns bit-unpack once
+    (both cached by the file).  Row tuples (``fetch``/``fetch_many``
+    callers) transpose lazily from that same batch.
     """
 
     def __init__(self, schema: CubeSchema, file: V2File) -> None:
@@ -108,9 +109,9 @@ class MappedIndexSet(Mapping[int, InvertedIndex]):
     """Per-dimension CSR inverted indices, decoded per index on demand.
 
     Each index reuses :class:`~repro.relational.index.InvertedIndex`
-    directly — offsets as a zero-copy view, row-ids delta-decoded — so
-    every lookup (including the ``rowids_in_range`` clamping semantics)
-    is byte-for-byte the in-memory implementation's.
+    directly — offsets widened from their narrow section, row-ids
+    delta-decoded — so every lookup (including the ``rowids_in_range``
+    clamping semantics) is byte-for-byte the in-memory implementation's.
     """
 
     def __init__(self, file: V2File, schema: CubeSchema) -> None:

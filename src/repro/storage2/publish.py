@@ -6,19 +6,24 @@ acceptable here and nowhere else) plus the fact relation's columnar
 batch, and lays every relation out as v2 sections:
 
 =====================  =======================================================
-``node/<id>/nt``       NT matrix, raw int64 — zero-copy on read
+``node/<id>/nt``       NT matrix, int64 stored ``narrow`` — each column at
+                       the byte width its value range needs, widened
+                       once on read
 ``node/<id>/tt``       TT row-id list, delta varint or Roaring (whichever
                        is smaller, deterministically)
-``node/<id>/cat``      CAT matrix, raw int64
-``aggregates``         the shared AGGREGATES relation, raw int64
+``node/<id>/cat``      CAT matrix, ``narrow``
+``aggregates``         the shared AGGREGATES relation, ``narrow``
 ``fact/dim/<d>``       fact dimension column, bit-packed to
                        ``⌈log2 cardinality⌉`` bits
-``fact/measure/<m>``   fact measure column, raw int64
-``index/<d>/offsets``  CSR offsets, raw int64 (absent for DR cubes)
-``index/<d>/rowids``   CSR postings, delta varint
-``reorder/<d>``        frequency-rank member permutation (diagnostic;
-                       identity-applied — see ``docs/storage_format.md``)
+``fact/measure/<m>``   fact measure column, ``narrow``
+``index/<d>/offsets``  CSR offsets, ``narrow`` (absent for DR cubes)
+``index/<d>/rowids``   CSR postings, delta varint or Roaring
 =====================  =======================================================
+
+``narrow`` is :meth:`V2Writer.add_array`'s choice, not this module's: an
+int64 array whose values leave it no smaller (a full-range column) is
+stored ``raw`` instead, so the codec of a section is a pure function of
+its values and republishing is deterministic.
 
 The directory's ``meta`` carries everything ``CubeStorage.load`` reads
 from ``<prefix>.meta.json`` plus the publishing bundle's cube prefix,
@@ -60,17 +65,6 @@ from repro.storage2.format import V2Writer
 
 #: File name of the v2 container inside a bundle directory.
 V2_FILE = "cube.v2"
-
-
-def _frequency_rank(codes: np.ndarray, cardinality: int) -> np.ndarray:
-    """Member code → frequency rank (0 = most frequent), deterministic."""
-    counts = np.bincount(
-        codes.astype(np.int64, copy=False), minlength=cardinality
-    )
-    order = np.argsort(-counts, kind="stable")
-    rank = np.zeros(cardinality, dtype=np.int64)
-    rank[order] = np.arange(cardinality, dtype=np.int64)
-    return rank
 
 
 def build_writer(
@@ -138,7 +132,6 @@ def build_writer(
             count=fact_batch.length,
             extra={"bits": bits},
         )
-        writer.add_array(f"reorder/{d}", _frequency_rank(codes, cardinality))
     for m in range(schema.n_measures):
         writer.add_array(
             f"fact/measure/{m}",

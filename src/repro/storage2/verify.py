@@ -3,9 +3,11 @@
 ``verify_v2`` re-checks what the lazy read path defers: every section's
 SHA-256 and decodability, on top of the header/trailer/directory
 validation :meth:`~repro.storage2.format.V2File.open` already performs.
-It also reports per-section on-disk bytes and — when the surrounding
-bundle is available — the compression ratio against the v1 heap-file
-representation of the same cube.
+It also reports, per section, the stored bytes beside the bytes the
+section decodes to (``count × itemsize``) and a ``narrow`` section's
+column widths, the file-level stored ÷ decoded ratio, and — when the
+surrounding bundle is available — the compression ratio against the v1
+heap-file representation of the same cube.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from repro.storage2.codecs import NARROW
 from repro.storage2.format import V2File, V2FormatError
 
 
@@ -25,6 +30,10 @@ class SectionReport:
     nbytes: int
     count: int
     problem: str | None = None
+    #: Bytes of the array the section decodes to (``count × itemsize``).
+    decoded_bytes: int = 0
+    #: Bytes per value of each column, for a ``narrow`` section.
+    widths: tuple[int, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -48,6 +57,14 @@ class V2Report:
         return not self.problems and all(s.ok for s in self.sections)
 
     @property
+    def stored_bytes(self) -> int:
+        return sum(section.nbytes for section in self.sections)
+
+    @property
+    def decoded_bytes(self) -> int:
+        return sum(section.decoded_bytes for section in self.sections)
+
+    @property
     def ratio(self) -> float | None:
         """v2 bytes / v1 bytes (< 1.0 means the v2 file is smaller)."""
         if not self.v1_bytes:
@@ -65,11 +82,23 @@ class V2Report:
                 f"  v1 on-disk bytes: {self.v1_bytes} "
                 f"(v2/v1 ratio {self.ratio:.3f})"
             )
+        if self.decoded_bytes:
+            lines.append(
+                f"  sections: {self.stored_bytes} B stored, "
+                f"{self.decoded_bytes} B decoded (stored/decoded "
+                f"{self.stored_bytes / self.decoded_bytes:.3f})"
+            )
         for section in self.sections:
             status = "ok" if section.ok else f"FAIL {section.problem}"
+            widths = (
+                ""
+                if section.widths is None
+                else "  widths " + "/".join(str(w) for w in section.widths)
+            )
             lines.append(
                 f"  {section.name:<24} {section.codec:<8} "
-                f"{section.nbytes:>10} B  {section.count:>8} values  {status}"
+                f"{section.nbytes:>10} B of {section.decoded_bytes:>10} B  "
+                f"{section.count:>8} values  {status}{widths}"
             )
         for problem in self.problems:
             lines.append(f"  problem: {problem}")
@@ -102,6 +131,11 @@ def verify_v2(path: str | Path, bundle_root: str | Path | None = None) -> V2Repo
     report.file_bytes = file.file_bytes
     for name in file.names():
         entry = file.entry(name)
+        widths = (
+            tuple(entry.extra.get("widths", ()))
+            if entry.codec == NARROW
+            else None
+        )
         report.sections.append(
             SectionReport(
                 name,
@@ -109,6 +143,8 @@ def verify_v2(path: str | Path, bundle_root: str | Path | None = None) -> V2Repo
                 entry.nbytes,
                 entry.count,
                 file.verify_section(name),
+                entry.count * np.dtype(entry.dtype).itemsize,
+                widths,
             )
         )
     if bundle_root is not None:

@@ -38,7 +38,9 @@ from repro import (
 from repro.core.signature import SignaturePool
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
-from repro.storage2 import publish_v2_bundle
+from repro.storage2 import V2File, publish_v2_bundle
+from repro.storage2.codecs import NARROW, RAW
+from repro.storage2.format import V2Writer
 
 SEED = 20060912
 N_ROWS = 8000
@@ -63,37 +65,37 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
     "CURE": (
         392,
         "dbd888456ece9aa09049de652303bc32feb1c208fcf52186ccf639e4d29fd311",
-        "c9cabca2ebf8e24f70479ec344ccec257f956ed3388f5967e1562212ba25d32c",
+        "308cf549bf9cacc1c173df9eb24d2ffcade9f8acc1cd3f411efceacfa59d9034",
     ),
     "CURE+": (
         392,
         "f1b462835a809eb584918661aaf26fa6fa804ffa775e22bb8436583ff37f7b42",
-        "f9bc5a8fa33dc6365fb0721bf768e51ff8c174dc7641b07ed544d98bd982424e",
+        "ad7ae700ca9ea14a9daeb6a4f9f0e5f89beb198797c14f5f9cff580d5cca6bef",
     ),
     "CURE_DR": (
         392,
         "df257a863bc067d52bf0d20561b29e197fc89d20fb53dd2e148959f0c1bc8aec",
-        "8bc2662f787c5cd89cbcd300e4c0335ebe076f5dc6576aebaeb3e65eb70c875f",
+        "594fa7446e40f7e08f42d87ab2fd543f46ba809998c18598057ee68a25fc8b00",
     ),
     "FCURE": (
         74,
         "cc9f032689025dd960ead70bc4fd399932c55a893ca881c49e8950e9b5232438",
-        "7d9c871f467f82a0429bb62b0db992474b2a07323f5b377664d2f1bb6f009467",
+        "f9f848ff00004c6d715808ae3ab0072179953f234ddf2f75b6231fa628c4adfb",
     ),
     "iceberg3": (
         332,
         "4ace835c145818fd283bc312a76daa827cd0238544963040e098cf7473b575c3",
-        "11962b7e47793d1e5a7c7e5fc2c73a93efe443dab6a4dd89710f65e2b00b9d1c",
+        "a06f0fd3cf3e6f18b6f08773682454a9240d73341652b214dc1486a0c8db8cd4",
     ),
     "partitioned": (
         396,
         "17a593bdc579eab56570aea5c03352cd522bad987d274f331e3471e18d3b2301",
-        "09e99eebed327a13b2e5542d9113296ad0c5f984a610eced47eda5535d1b67e0",
+        "7cea2b556fd8bd97b90a5d5de471ae1b504dac291b265f2874cbfbe6d156fbf9",
     ),
     "partitioned_pair": (
         394,
         "04bdc3070d083c32bbb7e11a7662d8cd2ea0c73fcb576a824608d724f7c4c049",
-        "37171b565eee5a9145c72e6ddcdb0195c799a6161a983f3fc3f4b25363edfd48",
+        "54df64132c0bb80b7e905d9c59aa28c1ca9e049cadfdedaa0fff5baf7346aa99",
     ),
 }
 
@@ -138,7 +140,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def build_digests(case: str, work: Path) -> tuple[int, str, str]:
+def build_case_bundle(case: str, work: Path) -> Path:
+    """Build one case and ``save_bundle`` it; returns the bundle directory."""
     config_name, min_count, budget_share = CASES[case]
     config = VARIANTS[config_name].with_pool(POOL_CAPACITY).with_min_count(
         min_count
@@ -163,7 +166,11 @@ def build_digests(case: str, work: Path) -> tuple[int, str, str]:
         result, _plus = config.build(schema, table=table)
     if config_name != "FCURE":
         assert result.pool_stats.flushes >= 3
-    bundle = save_bundle(work / "bundle", schema, table, result.storage)
+    return save_bundle(work / "bundle", schema, table, result.storage)
+
+
+def build_digests(case: str, work: Path) -> tuple[int, str, str]:
+    bundle = build_case_bundle(case, work)
     files = sorted(p for p in bundle.iterdir() if p.is_file())
     manifest = "".join(f"{p.name}:{_sha256(p)}\n" for p in files)
     v1_digest = hashlib.sha256(manifest.encode()).hexdigest()
@@ -174,6 +181,34 @@ def build_digests(case: str, work: Path) -> tuple[int, str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_build_bytes_match_parent_commit(case, tmp_path):
     assert build_digests(case, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_section_reads_back_the_array_it_was_given(
+    case, tmp_path, monkeypatch
+):
+    """The digests pin the container's bytes; this pins what they decode
+    to: every array handed to ``V2Writer.add_array`` — narrowed or not —
+    comes back from ``V2File.array`` with its values, dtype and shape."""
+    given: dict[str, np.ndarray] = {}
+    add_array = V2Writer.add_array
+
+    def recording(writer, name, array):
+        given[name] = np.array(array)
+        add_array(writer, name, array)
+
+    monkeypatch.setattr(V2Writer, "add_array", recording)
+    file = V2File.open(publish_v2_bundle(build_case_bundle(case, tmp_path)))
+    assert file.verify_all() == []
+    arrays = [n for n in file.names() if file.entry(n).codec in (NARROW, RAW)]
+    assert sorted(given) == arrays
+    assert {file.entry(n).codec for n in arrays} == {NARROW}
+    for name, array in given.items():
+        decoded = file.array(name)
+        assert decoded.dtype == array.dtype == np.int64, name
+        assert decoded.shape == array.shape, name
+        assert decoded.flags.c_contiguous, name
+        assert np.array_equal(decoded, array), name
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import pytest
 from repro.bundle import open_bundle, save_bundle
 from repro.cli import main
 from repro.core.variants import VARIANTS
-from repro.storage2 import V2_FILE, V2File
+from repro.storage2 import V2_FILE, V2File, verify_v2
 from tests.server.conftest import serving_fact, serving_schema
 from tests.storage2.test_corruption import flip_byte
 
@@ -40,6 +40,18 @@ def test_publish_and_verify_roundtrip(bundle_dir, capsys):
     report = capsys.readouterr().out
     assert "ok" in report
     assert "v1" in report  # the v1-vs-v2 size comparison is reported
+    # Stored beside decoded bytes, per section and for the file, and the
+    # column widths of the narrow sections.
+    assert "stored/decoded" in report and "widths " in report
+    verified = verify_v2(bundle_dir / V2_FILE)
+    assert verified.stored_bytes < verified.decoded_bytes
+    aggregates = next(s for s in verified.sections if s.name == "aggregates")
+    assert aggregates.codec == "narrow"
+    assert aggregates.decoded_bytes == aggregates.count * 8
+    rows = aggregates.count // len(aggregates.widths)
+    assert aggregates.nbytes == sum(aggregates.widths) * rows
+    tt = next(s for s in verified.sections if s.name.endswith("/tt"))
+    assert tt.widths is None and tt.decoded_bytes == tt.count * 8
 
 
 def test_verify_cube_flags_corruption(bundle_dir, capsys):

@@ -1,7 +1,8 @@
 """Property tests: every v2 codec is a bijection on its domain.
 
 ``encode ∘ decode ≡ id`` must hold on adversarial distributions — not
-just uniform data but the shapes each codec is worst at: single-bit
+just uniform data but the shapes each codec is worst at: narrow columns
+straddling every width boundary and the int64 extremes, single-bit
 widths, 63-bit magnitudes, huge positive and negative deltas, dense and
 sparse Roaring chunks straddling the 4096-member array/bitmap threshold,
 and every empty/singleton degenerate.  Malformed payloads must raise
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 
 from repro.storage2.codecs import (
     DELTA,
+    NARROW_WIDTHS,
     ROARING,
     ROARING_ARRAY_LIMIT,
     CodecError,
@@ -26,9 +28,128 @@ from repro.storage2.codecs import (
     delta_encode,
     encode_rowid_list,
     min_bits,
+    narrow_decode,
+    narrow_encode,
     roaring_decode,
     roaring_encode,
 )
+
+# -- narrow ------------------------------------------------------------------
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def narrow_columns(draw):
+    """One column's values: a base anywhere in int64 plus offsets whose
+    span sits on either side of a width boundary (or is the whole range)."""
+    rows = draw(st.shared(st.integers(0, 40), key="rows"))
+    span = draw(
+        st.sampled_from(
+            [0, 1, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+        )
+    )
+    low = draw(st.integers(INT64.min, INT64.max - span))
+    offsets = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0, span]), st.integers(0, span)),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    return [low + offset for offset in offsets]
+
+
+@st.composite
+def narrowable(draw):
+    if draw(st.booleans()):
+        return np.asarray(draw(narrow_columns()), dtype=np.int64)
+    columns = draw(st.lists(narrow_columns(), min_size=0, max_size=5))
+    rows = draw(st.shared(st.integers(0, 40), key="rows"))
+    matrix = np.empty((rows, len(columns)), dtype=np.int64)
+    for j, column in enumerate(columns):
+        matrix[:, j] = column
+    return matrix
+
+
+def narrow_roundtrip(array):
+    payload, extra = narrow_encode(array)
+    decoded = narrow_decode(payload, extra["lows"], extra["widths"], array.shape)
+    assert decoded.dtype == np.int64
+    assert decoded.shape == array.shape
+    assert decoded.flags.c_contiguous
+    assert np.array_equal(decoded, array)
+    return payload, extra
+
+
+@given(narrowable())
+@settings(max_examples=200, deadline=None)
+def test_narrow_roundtrip(array):
+    payload, extra = narrow_roundtrip(array)
+    assert set(extra["widths"]) <= set(NARROW_WIDTHS)
+    assert len(payload) == sum(extra["widths"]) * len(array)
+    assert len(payload) <= array.nbytes
+    # A transposed (Fortran-ordered) view encodes to the same bytes.
+    if array.ndim == 2:
+        assert narrow_encode(np.asfortranarray(array)) == (payload, extra)
+
+
+@pytest.mark.parametrize(
+    "span, width",
+    [(0, 0), (1, 1), (255, 1), (256, 2), (65535, 2), (65536, 4),
+     (2**32 - 1, 4), (2**32, 8), (2**63, 8), (2**64 - 1, 8)],
+)  # fmt: skip
+def test_narrow_picks_the_narrowest_width(span, width):
+    for low in (INT64.min, -7, 0, INT64.max - span):
+        if not INT64.min <= low <= INT64.max - span:
+            continue
+        column = np.asarray([low, low + span, low], dtype=np.int64)
+        payload, extra = narrow_roundtrip(column)
+        assert extra["widths"] == [width]
+        # Width 8 is the column verbatim: no base to subtract.
+        assert extra["lows"] == [0 if width == 8 else low]
+        assert len(payload) == 3 * width
+
+
+def test_narrow_extremes_share_a_matrix_with_small_columns():
+    matrix = np.asarray(
+        [[INT64.min, 7, -3, 1000], [INT64.max, 7, 250, 1001], [0, 7, 0, 70000]],
+        dtype=np.int64,
+    )
+    payload, extra = narrow_roundtrip(matrix)
+    assert extra == {"lows": [0, 7, -3, 1000], "widths": [8, 0, 1, 4]}
+    assert len(payload) == 3 * (8 + 0 + 1 + 4)
+
+
+def test_narrow_degenerate_shapes():
+    for shape in ((0,), (1,), (0, 3), (1, 3), (4, 0), (0, 0)):
+        array = np.full(shape, 42, dtype=np.int64)
+        payload, extra = narrow_roundtrip(array)
+        assert payload == b""  # empty, or all constant columns
+        assert len(extra["widths"]) == (1 if len(shape) == 1 else shape[1])
+    with pytest.raises(CodecError):
+        narrow_encode(np.zeros((2, 2, 2), dtype=np.int64))
+
+
+def test_narrow_malformed_directories():
+    payload, extra = narrow_encode(
+        np.asarray([[1, 300], [2, 400], [3, 900]], dtype=np.int64)
+    )
+    lows, widths = extra["lows"], extra["widths"]
+    assert widths == [1, 2] and len(payload) == 9
+    for bad_lows, bad_widths, data, shape in (
+        (lows, [2, 2], payload, (3, 2)),  # Σ widths · rows ≠ bytes
+        (lows, [1, 3], payload, (3, 2)),  # 3 is not a width
+        (lows, [1, 2], payload[:-1], (3, 2)),  # truncated payload
+        (lows, [1, 2], payload, (4, 2)),  # more rows than bytes
+        (lows, [1], payload, (3, 2)),  # a column without a width
+        (lows[:1], [1, 2], payload, (3, 2)),  # a column without a low
+        ([1, 2**63], [1, 2], payload, (3, 2)),  # a low outside int64
+        (lows, [1, 2], payload, (3, 2, 1)),  # not a matrix
+    ):
+        with pytest.raises(CodecError):
+            narrow_decode(data, bad_lows, bad_widths, shape)
+
 
 # -- bitpack -----------------------------------------------------------------
 

@@ -14,8 +14,10 @@ import pytest
 
 from repro.bundle import open_bundle
 from repro.query.planner import QueryRequest
+from repro.relational.durable import atomic_write_chunks
 from repro.storage2 import V2File, V2FormatError, verify_v2
-from repro.storage2.format import MAGIC, SectionCorruption
+from repro.storage2.codecs import NARROW, narrow_encode
+from repro.storage2.format import MAGIC, SectionCorruption, V2Writer
 
 from tests.storage2.test_format import write_sample
 
@@ -91,6 +93,59 @@ def test_payload_bit_flip_raises_on_first_access(tmp_path):
     assert file.array("codes").tolist() == [3, 1, 2]
 
 
+def test_narrow_payload_bit_flip_names_the_section(tmp_path):
+    # Every byte of a narrow payload is behind the section checksum:
+    # whichever column the flip lands in, the widening never runs.
+    target = tmp_path / "cube.v2"
+    write_sample(target)
+    entry = V2File.open(target).entry("matrix")
+    assert entry.codec == NARROW and entry.nbytes == 12
+    for position in (0, 5, entry.nbytes - 1):
+        flip_byte(target, entry.offset + position)
+        with pytest.raises(SectionCorruption, match="'matrix' checksum"):
+            V2File.open(target).array("matrix")
+        flip_byte(target, entry.offset + position)  # and back
+    assert V2File.open(target).verify_all() == []
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"lows": [1, 300], "widths": [2, 2]},  # Σ widths · rows ≠ bytes
+        {"lows": [1, 300], "widths": [1, 1]},
+        {"lows": [1, 300], "widths": [0, 3]},  # the right sum, not a width
+        {"lows": [1, 300], "widths": [1]},
+        {"lows": [1], "widths": [1, 2]},
+        {"lows": [1, 300]},
+        {"widths": [1, 2]},
+        {},
+    ],
+)
+def test_narrow_directory_that_disagrees_with_its_payload(tmp_path, extra):
+    """A directory that checksums but describes the payload wrongly is a
+    corrupt section — never a reshaped, re-based or short array."""
+    matrix = np.asarray([[1, 300], [2, 400], [3, 900]], dtype=np.int64)
+    payload, good = narrow_encode(matrix)
+    assert good == {"lows": [1, 300], "widths": [1, 2]} and len(payload) == 9
+
+    def written(name, section_extra, dtype="<i8"):
+        writer = V2Writer({})
+        writer.add_section(
+            "m", payload, codec=NARROW, dtype=dtype, shape=(3, 2), count=6,
+            extra=section_extra,
+        )
+        target = tmp_path / name
+        atomic_write_chunks(target, writer.chunks())
+        return V2File.open(target)
+
+    assert written("good.v2", good).array("m").tolist() == matrix.tolist()
+    with pytest.raises(SectionCorruption, match="'m' fails to decode"):
+        written("bad.v2", extra).array("m")
+    with pytest.raises(SectionCorruption, match="'m' fails to decode"):
+        written("dtype.v2", good, dtype="<i4").array("m")
+    assert verify_v2(tmp_path / "bad.v2").sections[0].problem
+
+
 def test_verify_v2_reports_without_raising(tmp_path):
     target = tmp_path / "cube.v2"
     write_sample(target)
@@ -116,7 +171,9 @@ def test_corrupt_published_cube_never_answers_wrong(dual_bundles, tmp_path):
     shutil.copytree(v2.root, root)
     target = root / "cube.v2"
     probe = V2File.open(target)
-    nt_name = next(n for n in probe.names() if n.endswith("/nt"))
+    nt_name = next(
+        n for n in probe.names() if n.endswith("/nt") and probe.entry(n).nbytes
+    )
     entry = probe.entry(nt_name)
     flip_byte(target, entry.offset + entry.nbytes // 2)
 

@@ -1,12 +1,15 @@
-"""Container-level tests: writer/reader roundtrip, alignment, zero-copy."""
+"""Container-level tests: writer/reader roundtrip, alignment, which
+sections are zero-copy views and which widen once."""
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 import pytest
 
 from repro.relational.durable import atomic_write_chunks
-from repro.storage2.codecs import DELTA, delta_encode
+from repro.storage2.codecs import DELTA, NARROW, RAW, delta_encode
 from repro.storage2.format import (
     ALIGNMENT,
     HEADER_BYTES,
@@ -55,22 +58,54 @@ def test_roundtrip_and_alignment(tmp_path):
     assert file.file_bytes == target.stat().st_size
 
 
+def _is_map_view(array: np.ndarray) -> bool:
+    base = array
+    while isinstance(base, np.ndarray) and base.base is not None:
+        base = base.base
+    return isinstance(base, (np.memmap, mmap.mmap))
+
+
 def test_raw_sections_are_zero_copy_views(tmp_path):
+    # What ``narrow`` cannot shrink stays ``raw``: a full-range int64
+    # column (width 8 — no smaller than the array) and any other dtype.
+    limits = np.iinfo(np.int64)
+    wide = np.asarray([limits.min, 0, limits.max], dtype=np.int64)
+    target = tmp_path / "cube.v2"
+    writer = V2Writer({})
+    writer.add_array("wide", wide)
+    writer.add_array("codes", np.asarray([3, 1, 2], dtype=np.int32))
+    writer.add_array("matrix", np.arange(12, dtype=np.int64).reshape(3, 4))
+    atomic_write_chunks(target, writer.chunks())
+    file = V2File.open(target)
+    for name, values in (("wide", wide.tolist()), ("codes", [3, 1, 2])):
+        assert file.entry(name).codec == RAW
+        view = file.array(name)
+        # A raw section is a view over the memmap, not a heap copy.
+        assert _is_map_view(view)
+        assert not view.flags.writeable
+        assert view.tolist() == values
+        assert file.array(name) is view
+    # A narrow section is verified, widened once into an int64 heap
+    # array, and that one array is what every later access returns.
+    assert file.entry("matrix").codec == NARROW
+    matrix = file.array("matrix")
+    assert matrix.dtype == np.int64 and matrix.flags.c_contiguous
+    assert not _is_map_view(matrix)
+    assert not matrix.flags.writeable
+    assert file.array("matrix") is matrix
+
+
+def test_codec_is_a_function_of_the_values(tmp_path):
     target = tmp_path / "cube.v2"
     write_sample(target)
     file = V2File.open(target)
-    matrix = file.array("matrix")
-    # A raw section is a view over the memmap, not a heap copy.
-    assert matrix.base is not None
-    mm = matrix
-    while isinstance(mm, np.ndarray) and mm.base is not None:
-        mm = mm.base
-    import mmap
-
-    assert isinstance(mm, (np.memmap, mmap.mmap))
-    assert not matrix.flags.writeable
-    # Decoded arrays are cached: repeated access is the same object.
-    assert file.array("matrix") is matrix
+    matrix = file.entry("matrix")
+    # arange(12).reshape(3, 4): every column spans 8 → one byte a value.
+    assert matrix.codec == NARROW
+    assert matrix.extra == {"lows": [0, 1, 2, 3], "widths": [1, 1, 1, 1]}
+    assert matrix.nbytes == 12 and matrix.dtype == "<i8"
+    assert file.entry("codes").codec == RAW  # int32: not narrow's domain
+    assert file.entry("empty").codec == RAW  # nothing to save
     assert file.array("rowids") is file.array("rowids")
 
 
