@@ -4,7 +4,8 @@ The :class:`BuildExecutor` protocol is deliberately tiny — ``run(plan,
 on_unit, start_unit)`` — so the drivers (``build_cube`` and
 ``DurableCubeBuild``) stay executor-agnostic: they receive
 :class:`~repro.build.tasks.UnitCompletion` events in unit order, replay
-outcomes, flush the signature pool on their own cadence, and checkpoint.
+outcomes, flush the signature pool on their own cadence, and checkpoint
+(the durable driver: one cube-only v2 container per barrier).
 Nothing an executor does between completions can change the bytes of the
 cube, because the pool and the storage live with the driver.
 

@@ -304,9 +304,9 @@ def open_bundle(directory: str | Path) -> CubeBundle:
             str(mapped.file.meta["cube_prefix"]),
             v2=mapped,
         )
-    v2_path = root / V2_FILE
-    if v2_path.exists():
-        mapped = open_v2(v2_path, schema)
+    container = root / V2_FILE
+    if container.exists():
+        mapped = open_v2(container, schema)
         current = (
             mapped.file.meta.get("cube_prefix") == CUBE_PREFIX
             and mapped.file.meta.get("fact_relation") == FACT_RELATION

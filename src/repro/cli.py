@@ -382,7 +382,7 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_publish_v2(args) -> int:
+def cmd_publish(args) -> int:
     """Compact a bundle's cube into one mmap-served ``cube.v2`` file."""
     from repro.storage2 import publish_v2_bundle, verify_v2
 
@@ -400,10 +400,12 @@ def cmd_publish_v2(args) -> int:
 
 
 def cmd_verify_cube(args) -> int:
-    """Replay a durable build's checksums and row counts; exit 0 iff sound.
+    """Verify a v2 container; exit 0 iff sound.
 
-    With ``--cube`` the target is a bundle's ``cube.v2`` container
-    instead (for a streamed-into bundle, its committed ingest
+    With ``--catalog`` the target is a durable build: its manifest's
+    stage, the final container's whole-file checksum, every section, and
+    the recorded row counts.  With ``--cube`` it is a bundle's
+    ``cube.v2`` (for a streamed-into bundle, its committed ingest
     generation): every section checksum and codec is re-verified and the
     per-section bytes plus the compression ratio against the bundle's v1
     relations are reported.
@@ -417,7 +419,7 @@ def cmd_verify_cube(args) -> int:
         print(report.describe())
         return 0 if report.ok else 1
     if args.catalog is None:
-        raise SystemExit("verify-cube needs --catalog (v1) or --cube (v2)")
+        raise SystemExit("verify-cube needs --catalog (a durable build) or --cube (a bundle)")
     catalog_root = Path(args.catalog)
     manifest_path = (
         Path(args.manifest)
@@ -535,19 +537,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact a bundle's cube into one mmap-served cube.v2 file",
     )
     publish.add_argument("--cube", required=True, help="bundle directory")
-    publish.set_defaults(handler=cmd_publish_v2)
+    publish.set_defaults(handler=cmd_publish)
 
     verify = commands.add_parser(
         "verify-cube",
-        help="replay a crash-safe build's checksums and cardinalities, "
-             "or verify a bundle's cube.v2 container (--cube)",
+        help="verify a crash-safe build's manifest and container "
+             "(--catalog), or a bundle's cube.v2 container (--cube)",
     )
     verify.add_argument(
-        "--catalog", default=None, help="engine catalog directory (v1 mode)"
+        "--catalog", default=None,
+        help="engine catalog directory of a durable build",
     )
     verify.add_argument(
         "--cube", default=None,
-        help="bundle directory whose cube.v2 to verify (v2 mode)",
+        help="bundle directory whose cube.v2 to verify",
     )
     verify.add_argument(
         "--prefix", default="cube", help="cube relation prefix"

@@ -17,10 +17,14 @@ restarting:
   pool is flushed after every partition (an empty pool means the
   in-memory :class:`~repro.core.storage.CubeStorage` *is* the complete
   build state), and every ``checkpoint_every`` partitions that state is
-  persisted under a fresh ``<prefix>.ckpt<k>`` name set.  The manifest
-  points at a checkpoint only after all of its files and checksums are on
-  disk, so a crash mid-checkpoint is invisible: resume restores the last
-  referenced checkpoint and re-runs only the partitions after it.
+  written as one cube-only v2 container, ``<prefix>.ckpt<k>.v2`` (no
+  fact sections: a partitioned build never holds the fact table), in the
+  order write → fsync → rename → directory fsync → manifest → unlink of
+  the checkpoint it replaces.  The manifest names a container, with its
+  whole-file SHA-256, only once it is durable, so a crash mid-checkpoint
+  is invisible: resume holds the last referenced one to that checksum
+  and its per-section checksums, reloads it, and re-runs only the
+  partitions after it.  Four ``fsync``s, whatever the lattice size.
   Construction itself runs through the :mod:`repro.build` scheduler —
   sequential or multi-process — which delivers each partition's outcomes
   as one unit; adaptive re-partitioning (including the *local pair*
@@ -32,10 +36,13 @@ restarting:
   ``.sub<i>`` / ``.coarseN*`` scaffolding and the cube stays
   byte-identical.
 * **Stage C — coarse node + final commit.**  The finished cube is
-  persisted to staging names, each relation is atomically promoted, and
-  the manifest flips to ``complete`` with per-file checksums and row
-  counts.  :func:`verify_cube` replays those checksums and cross-checks
-  node cardinalities; the CLI exposes it as ``repro verify-cube``.
+  written the way a checkpoint is, as the cube-only container
+  ``<prefix>.v2`` — the fact relation stays where it is, in the catalog,
+  and is not read again — and the manifest flips to ``complete`` with the
+  container's checksum and per-section row counts.  :func:`verify_cube`
+  replays that checksum, re-verifies every section
+  (:func:`repro.storage2.verify.verify_v2`) and cross-checks the row
+  counts; the CLI exposes it as ``repro verify-cube``.
 
 Because the pool is flushed at every partition boundary in *both* the
 uninterrupted and the resumed build, the NT/CAT classification windows are
@@ -76,13 +83,16 @@ from repro.relational.durable import (
     file_checksum,
     maybe_fire,
     remove_file,
-    text_checksum,
 )
 from repro.relational.engine import Engine
 from repro.relational.memory import MemoryBudgetExceeded
 from repro.relational.sortops import SortStats
+from repro.storage2.format import V2File, V2FormatError
+from repro.storage2.load import committed_container, load_cube
+from repro.storage2.publish import cube_writer, publish
+from repro.storage2.verify import verify_v2
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 STAGE_INIT = "init"
 STAGE_PARTITIONED = "partitioned"
@@ -94,49 +104,6 @@ _STAGING_SUFFIX = ".wip"
 
 class ManifestError(RuntimeError):
     """The build manifest is missing, incompatible, or contradicts disk."""
-
-
-def publish_storage(
-    catalog: Catalog, storage: CubeStorage, prefix: str
-) -> tuple[dict[str, str], dict[str, int], str]:
-    """Atomically publish an in-memory cube under ``prefix``.
-
-    The shared Stage C discipline: sweep staging leftovers from any
-    crashed attempt, persist every relation to ``<prefix>.wip`` names,
-    promote each with an atomic rename, and copy the metadata side file
-    last.  Returns ``(files, row_counts, meta_text)`` — per-relation
-    checksums and cardinalities plus the metadata text — for the caller's
-    manifest, whose save is the commit point.  Used by the build's final
-    commit and by the streaming ingestor's generation checkpoints, so
-    both paths inherit the same crash windows and the same repair.
-    """
-    staging = f"{prefix}{_STAGING_SUFFIX}"
-    for name in catalog.names():
-        if name.startswith(f"{staging}."):
-            catalog.drop(name)
-    remove_file(catalog.root / f"{staging}.meta.json")
-    # Clear final names from any earlier (possibly crashed) commit so
-    # stale node relations cannot shadow the new cube.
-    for name in catalog.names():
-        if name.startswith(f"{prefix}.n") or name == f"{prefix}.aggregates":
-            catalog.drop(name)
-
-    staged = storage.persist(catalog, staging)
-    files: dict[str, str] = {}
-    row_counts: dict[str, int] = {}
-    for name in staged:
-        final = prefix + name[len(staging):]
-        catalog.publish(name, final)
-        files[final] = catalog.checksum(final)
-        row_counts[final] = len(catalog.open(final))
-    meta_text = (catalog.root / f"{staging}.meta.json").read_text()
-    atomic_write_text(catalog.root / f"{prefix}.meta.json", meta_text)
-    remove_file(catalog.root / f"{staging}.meta.json")
-    return files, row_counts, meta_text
-
-
-def _stats_to_json(stats: BuildStats) -> dict[str, Any]:
-    return asdict(stats)
 
 
 def _stats_from_json(payload: dict[str, Any]) -> BuildStats:
@@ -151,7 +118,8 @@ class BuildManifest:
 
     Serialized as JSON (atomically — the manifest is itself a committed
     artifact) after every stage transition and checkpoint.  Checksums are
-    SHA-256 over the referenced relations' data files.
+    SHA-256 over whole files: a staged partition's data file, a
+    checkpoint's or the final cube's v2 container.
     """
 
     relation: str
@@ -166,7 +134,6 @@ class BuildManifest:
     partitions: list[dict[str, Any]] = field(default_factory=list)
     coarse: dict[str, Any] | None = None
     coarse2: dict[str, Any] | None = None
-    completed_partitions: int = 0
     checkpoint: dict[str, Any] | None = None
     final: dict[str, Any] | None = None
     stats: dict[str, Any] | None = None
@@ -192,12 +159,12 @@ class VerificationReport:
     """Outcome of :func:`verify_cube`: checksum + cardinality replay."""
 
     ok: bool
-    checked_files: int
+    checked_sections: int
     problems: list[str]
 
     def describe(self) -> str:
         if self.ok:
-            return f"cube verified: {self.checked_files} files match"
+            return f"cube verified: {self.checked_sections} sections match"
         lines = [f"cube verification FAILED ({len(self.problems)} problems)"]
         lines.extend(f"  - {problem}" for problem in self.problems)
         return "\n".join(lines)
@@ -233,12 +200,6 @@ class DurableCubeBuild:
     partition_strategy: str = "exact"
     checkpoint_every: int = 1
     workers: int = 1
-    #: When set, a compacted :mod:`repro.storage2` container is published
-    #: here after the final commit.  Deliberately *not* part of the
-    #: recorded build options: the v2 file is a derived artifact — a
-    #: build crashed without one may resume with one, and vice versa,
-    #: without invalidating the manifest.
-    v2_path: Path | None = None
 
     @property
     def manifest_path(self) -> Path:
@@ -315,7 +276,8 @@ class DurableCubeBuild:
                     "manifest says the build completed but the cube fails "
                     "verification:\n" + report.describe()
                 )
-            storage = CubeStorage.load(catalog, self.schema, self.prefix)
+            container = catalog.root / str((manifest.final or {})["container"])
+            storage = load_cube(V2File.open(container), self.schema)
             storage.row_resolver = self._resolver()
             stats = _stats_from_json(manifest.stats or {})
             return CubeResult(storage, stats, PoolStats(), None)
@@ -340,10 +302,8 @@ class DurableCubeBuild:
                 partition_strategy=self.partition_strategy,
             )
             self._commit_final(manifest, result.storage, result.stats)
-            result.stats.elapsed_seconds = time.perf_counter() - started
-            return result
-
-        result = self._run_partitioned(manifest, pool_bytes)
+        else:
+            result = self._run_partitioned(manifest, pool_bytes)
         result.stats.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -366,11 +326,9 @@ class DurableCubeBuild:
                 decision, level = self._stage_partition(manifest)
             partition_names = [str(p["name"]) for p in manifest.partitions]
 
-            if self._checkpoint_intact(manifest):
+            storage = self._load_checkpoint(manifest)
+            if storage is not None:
                 checkpoint = manifest.checkpoint or {}
-                storage = CubeStorage.load(
-                    catalog, self.schema, str(checkpoint["prefix"])
-                )
                 stats = _stats_from_json(dict(checkpoint["stats"]))
                 completed = int(checkpoint["completed_partitions"])
             else:
@@ -380,7 +338,6 @@ class DurableCubeBuild:
                 stats = _stats_from_json(manifest.stats or {})
                 completed = 0
                 manifest.checkpoint = None
-                manifest.completed_partitions = 0
             storage.fact_row_count = len(heap)
             storage.row_resolver = self._resolver()
 
@@ -392,9 +349,7 @@ class DurableCubeBuild:
             if completed == 0:
                 stats.fact_read_passes += 1  # the partitions re-read R once
 
-            pair_mode = manifest.partition_mode == "pair"
-            level2 = int(manifest.partition_level2 or 0)
-            if pair_mode:
+            if manifest.partition_mode == "pair":
                 plan = pair_plan(
                     self.schema,
                     self.min_count,
@@ -402,7 +357,7 @@ class DurableCubeBuild:
                     str((manifest.coarse or {})["name"]),
                     str((manifest.coarse2 or {})["name"]),
                     level,
-                    level2,
+                    int(manifest.partition_level2 or 0),
                 )
             else:
                 plan = single_level_plan(
@@ -454,10 +409,12 @@ class DurableCubeBuild:
     def _stage_partition(
         self, manifest: BuildManifest
     ) -> tuple[PartitionDecision | PairPartitionDecision, int]:
-        """Stage A: write partition files to staging names, publish, record."""
+        """Stage A: write partition files and the coarse node — for a
+        pair-partitioned build the (A_L, B_M) partitions and the two coarse
+        nodes N1/N2 — to staging names, publish them atomically, record."""
         engine = self.engine
-        catalog = engine.catalog
         stats = BuildStats()
+        decision: PartitionDecision | PairPartitionDecision
         try:
             decision = select_partition_level(
                 engine, self.relation, self.schema, self.partition_strategy
@@ -465,58 +422,34 @@ class DurableCubeBuild:
         except MemoryBudgetExceeded:
             # No single level of dimension 0 works; partition on pairs of
             # leading-dimension members, checkpointed the same way.
-            return self._stage_partition_pair(manifest, stats)
-        staged_names, staged_coarse = partition_relation(
-            engine,
-            self.relation,
-            self.schema,
-            decision,
-            stats,
-            name_suffix=_STAGING_SUFFIX,
-        )
+            decision = select_partition_pair(engine, self.relation, self.schema)
+        staged_coarse2 = None
+        if isinstance(decision, PairPartitionDecision):
+            levels = (decision.level0, decision.level1)
+            staged_names, staged_coarse, staged_coarse2 = partition_relation_pair(
+                engine, self.relation, self.schema, decision, stats,
+                name_suffix=_STAGING_SUFFIX,
+            )
+        else:
+            levels = (decision.level, None)
+            staged_names, staged_coarse = partition_relation(
+                engine, self.relation, self.schema, decision, stats,
+                name_suffix=_STAGING_SUFFIX,
+            )
         manifest.partitions = [
             self._publish_staged(staged) for staged in staged_names
         ]
         manifest.coarse = self._publish_staged(staged_coarse)
-        manifest.coarse2 = None
-        manifest.partition_mode = "single"
-        manifest.partition_level = decision.level
-        manifest.partition_level2 = None
-        manifest.stage = STAGE_PARTITIONED
-        manifest.completed_partitions = 0
-        manifest.checkpoint = None
-        manifest.stats = _stats_to_json(stats)
-        self._save_manifest(manifest)
-        return decision, decision.level
-
-    def _stage_partition_pair(
-        self, manifest: BuildManifest, stats: BuildStats
-    ) -> tuple[PairPartitionDecision, int]:
-        """Stage A for pair-partitioned builds: (A_L, B_M) sound partitions
-        plus the two coarse nodes N1/N2, staged and atomically published."""
-        decision = select_partition_pair(self.engine, self.relation, self.schema)
-        staged_names, staged_n1, staged_n2 = partition_relation_pair(
-            self.engine,
-            self.relation,
-            self.schema,
-            decision,
-            stats,
-            name_suffix=_STAGING_SUFFIX,
+        manifest.coarse2 = (
+            self._publish_staged(staged_coarse2) if staged_coarse2 else None
         )
-        manifest.partitions = [
-            self._publish_staged(staged) for staged in staged_names
-        ]
-        manifest.coarse = self._publish_staged(staged_n1)
-        manifest.coarse2 = self._publish_staged(staged_n2)
-        manifest.partition_mode = "pair"
-        manifest.partition_level = decision.level0
-        manifest.partition_level2 = decision.level1
+        manifest.partition_mode = "pair" if staged_coarse2 else "single"
+        manifest.partition_level, manifest.partition_level2 = levels
         manifest.stage = STAGE_PARTITIONED
-        manifest.completed_partitions = 0
         manifest.checkpoint = None
-        manifest.stats = _stats_to_json(stats)
+        manifest.stats = asdict(stats)
         self._save_manifest(manifest)
-        return decision, decision.level0
+        return decision, levels[0]
 
     def _publish_staged(self, staged: str) -> dict[str, Any]:
         """Promote one staged relation to its final name; record checksums."""
@@ -529,6 +462,17 @@ class DurableCubeBuild:
             "rows": len(catalog.open(final)),
         }
 
+    def _publish_cube(self, name: str, storage: CubeStorage) -> dict[str, Any]:
+        """Publish the cube as the container ``name``; its manifest entry."""
+        catalog = self.engine.catalog
+        writer = cube_writer(storage, self.prefix, self.relation)
+        container = publish(catalog.root / name, writer, catalog.faults)
+        return {
+            "container": container.name,
+            "checksum": file_checksum(container),
+            "row_counts": writer.row_counts(),
+        }
+
     def _write_checkpoint(
         self,
         manifest: BuildManifest,
@@ -536,38 +480,30 @@ class DurableCubeBuild:
         stats: BuildStats,
         completed: int,
     ) -> None:
-        """Persist the build state and flip the manifest to reference it.
+        """Publish the build state as one container; flip the manifest to it.
 
-        The manifest is the commit point: a crash before the save leaves
-        it pointing at the previous (intact) checkpoint, and the stale
-        files of the half-written one are dropped when its id is reused.
+        The manifest is the commit point and is saved only once the
+        container is durable: a crash before the save leaves it pointing
+        at the previous (intact) checkpoint, whose file goes only after
+        the flip.  A half-written or unreferenced container is replaced
+        when its id is reused and swept by the final commit.
         """
         catalog = self.engine.catalog
         previous = manifest.checkpoint
         ckpt_id = int(previous["id"]) + 1 if previous else 0
-        ckpt_prefix = f"{self.prefix}.ckpt{ckpt_id}"
-        maybe_fire(catalog.faults, f"checkpoint.write:{ckpt_prefix}")
-        self._drop_prefixed(f"{ckpt_prefix}.")
-        remove_file(catalog.root / f"{ckpt_prefix}.meta.json")
-        names = storage.persist(catalog, ckpt_prefix)
+        entry = self._publish_cube(f"{self.prefix}.ckpt{ckpt_id}.v2", storage)
+        # The written-but-uncommitted window: durable, referenced by nothing.
+        maybe_fire(catalog.faults, f"checkpoint.write:{entry['container']}")
         manifest.checkpoint = {
+            **entry,
             "id": ckpt_id,
-            "prefix": ckpt_prefix,
-            "files": {name: catalog.checksum(name) for name in names},
-            "meta_checksum": file_checksum(
-                catalog.root / f"{ckpt_prefix}.meta.json"
-            ),
             "completed_partitions": completed,
-            "stats": _stats_to_json(stats),
+            "stats": asdict(stats),
         }
-        manifest.completed_partitions = completed
         manifest.stage = STAGE_PHASE1
         self._save_manifest(manifest)
         if previous is not None:
-            self._drop_prefixed(str(previous["prefix"]) + ".")
-            remove_file(
-                catalog.root / (str(previous["prefix"]) + ".meta.json")
-            )
+            remove_file(catalog.root / str(previous["container"]))
 
     def _commit_final(
         self,
@@ -575,29 +511,21 @@ class DurableCubeBuild:
         storage: CubeStorage,
         stats: BuildStats,
     ) -> None:
-        """Stage C: publish every cube relation atomically, flip to complete."""
+        """Stage C: publish the cube as ``<prefix>.v2``, flip to complete."""
         catalog = self.engine.catalog
         maybe_fire(catalog.faults, f"commit.final:{self.prefix}")
-        files, row_counts, meta_text = publish_storage(
-            catalog, storage, self.prefix
-        )
-
-        manifest.final = {
-            "files": files,
-            "row_counts": row_counts,
-            "meta_checksum": text_checksum(meta_text),
-            "aggregate_rows": storage.aggregates_count,
-        }
+        manifest.final = self._publish_cube(f"{self.prefix}.v2", storage)
         manifest.stage = STAGE_COMPLETE
         manifest.checkpoint = None
-        manifest.stats = _stats_to_json(stats)
+        manifest.stats = asdict(stats)
         self._save_manifest(manifest)
         # Best-effort cleanup of build scaffolding; a crash here costs
         # only disk space, never correctness.  The prefixed sweep also
         # catches adaptive re-partitioning leftovers (`<partition>.sub<i>`,
         # `.coarseN`, `.coarseN1/2`) from crashed attempts that a resumed
         # run superseded.
-        self._drop_prefixed(f"{self.prefix}.ckpt")
+        for leftover in sorted(catalog.root.glob(f"{self.prefix}.ckpt*")):
+            remove_file(leftover)
         for entry in manifest.partitions:
             self._drop_prefixed(str(entry["name"]) + ".")
             if catalog.exists(str(entry["name"])):
@@ -605,67 +533,37 @@ class DurableCubeBuild:
         for coarse_entry in (manifest.coarse, manifest.coarse2):
             if coarse_entry and catalog.exists(str(coarse_entry["name"])):
                 catalog.drop(str(coarse_entry["name"]))
-        self._publish_v2(storage)
-
-    def _publish_v2(self, storage: CubeStorage) -> None:
-        """Optionally compact the committed cube into one v2 container.
-
-        Runs *after* the manifest flips to complete: the v1 relations are
-        the durable source of truth, and a crash mid-compaction leaves a
-        resumable complete build whose readers simply fall back to v1
-        (``open_bundle`` ignores a missing or stale ``cube.v2``).
-        """
-        if self.v2_path is None:
-            return
-        from repro.storage2.publish import write_v2
-
-        catalog = self.engine.catalog
-        write_v2(
-            self.v2_path,
-            self.schema,
-            storage,
-            self.engine.relation(self.relation).load_batch(),
-            cube_prefix=self.prefix,
-            fact_relation=self.relation,
-            cube_meta_checksum=file_checksum(
-                catalog.root / f"{self.prefix}.meta.json"
-            ),
-            faults=catalog.faults,
-        )
 
     # -- verification helpers -----------------------------------------------
 
     def _partitions_intact(self, manifest: BuildManifest) -> bool:
         catalog = self.engine.catalog
-        if not manifest.partitions or manifest.coarse is None:
-            return False
-        if manifest.partition_mode == "pair" and manifest.coarse2 is None:
-            return False
-        entries = list(manifest.partitions) + [manifest.coarse]
-        if manifest.coarse2 is not None:
+        entries = [*manifest.partitions, manifest.coarse]
+        if manifest.partition_mode == "pair":
             entries.append(manifest.coarse2)
-        for entry in entries:
-            name = str(entry["name"])
-            if not catalog.exists(name):
-                return False
-            if catalog.checksum(name) != entry["checksum"]:
-                return False
-        return True
+        return bool(manifest.partitions) and all(
+            entry is not None
+            and catalog.exists(str(entry["name"]))
+            and catalog.checksum(str(entry["name"])) == entry["checksum"]
+            for entry in entries
+        )
 
-    def _checkpoint_intact(self, manifest: BuildManifest) -> bool:
-        catalog = self.engine.catalog
+    def _load_checkpoint(self, manifest: BuildManifest) -> CubeStorage | None:
+        """The referenced checkpoint's cube, or None when there is none to
+        trust: a container that is missing, fails the manifest's checksum
+        or any section's own is not loaded in part — the build restarts
+        from partition 0."""
         checkpoint = manifest.checkpoint
         if checkpoint is None:
-            return False
-        meta_path = catalog.root / (str(checkpoint["prefix"]) + ".meta.json")
-        if file_checksum(meta_path) != checkpoint["meta_checksum"]:
-            return False
-        for name, checksum in dict(checkpoint["files"]).items():
-            if not catalog.exists(name):
-                return False
-            if catalog.checksum(name) != checksum:
-                return False
-        return True
+            return None
+        try:
+            container = committed_container(
+                self.engine.catalog.root / str(checkpoint["container"]),
+                str(checkpoint["checksum"]),
+            )
+            return load_cube(V2File.open(container), self.schema)
+        except V2FormatError:
+            return None
 
     def _resolver(self) -> Callable[[int], tuple[int, ...]]:
         heap = self.engine.relation(self.relation)
@@ -683,55 +581,50 @@ def verify_cube(catalog: Catalog, manifest_path: Path) -> VerificationReport:
     """Replay a completed build's checksums and cardinalities.
 
     Checks, against the manifest: that the build reached ``complete``;
-    that every published relation's SHA-256 matches; that the cube's meta
-    side file matches; that every relation's row count (node NT/TT/CAT
-    cardinalities and AGGREGATES) matches; and that the fact relation
-    still has the recorded row count.  Exposed as ``repro verify-cube``.
+    that the final container's SHA-256 matches; that every section
+    passes its own checksum and decodes
+    (:func:`~repro.storage2.verify.verify_v2`); that the sections are the
+    recorded ones with the recorded row counts (node NT/TT/CAT
+    cardinalities, AGGREGATES); and that the fact relation still holds the
+    number of rows the cube was built over.
+    Exposed as ``repro verify-cube``.
     """
-    problems: list[str] = []
-    checked = 0
     try:
         manifest = BuildManifest.load(manifest_path)
     except ManifestError as error:
         return VerificationReport(False, 0, [str(error)])
     if manifest.stage != STAGE_COMPLETE:
-        problems.append(
+        problem = (
             f"build did not complete (stage {manifest.stage!r}); "
             f"resume it before verifying"
         )
-        return VerificationReport(False, 0, problems)
+        return VerificationReport(False, 0, [problem])
     final = manifest.final or {}
-    for name, checksum in dict(final.get("files", {})).items():
-        checked += 1
-        if not catalog.exists(name):
-            problems.append(f"missing relation {name!r}")
-            continue
-        actual = catalog.checksum(name)
-        if actual != checksum:
+    container = catalog.root / str(final.get("container"))
+    problems: list[str] = []
+    if file_checksum(container) != final.get("checksum"):
+        problems.append(f"checksum mismatch for {container.name!r}")
+    report = verify_v2(container)
+    if report.problems:  # not openable: there are no sections to compare
+        return VerificationReport(False, 0, problems + report.problems)
+    problems.extend(
+        f"section {section.name!r}: {section.problem}"
+        for section in report.sections
+        if not section.ok
+    )
+    recorded = dict(final.get("row_counts", {}))
+    found = {section.name: section.rows for section in report.sections}
+    for name in sorted(recorded.keys() | found.keys()):
+        if recorded.get(name) != found.get(name):
             problems.append(
-                f"checksum mismatch for {name!r}: "
-                f"manifest {checksum[:12]}…, disk {actual[:12]}…"
-            )
-    meta_path = catalog.root / f"{manifest.prefix}.meta.json"
-    checked += 1
-    if not meta_path.exists():
-        problems.append(f"missing cube metadata {meta_path.name!r}")
-    elif text_checksum(meta_path.read_text()) != final.get("meta_checksum"):
-        problems.append(f"checksum mismatch for {meta_path.name!r}")
-    for name, rows in dict(final.get("row_counts", {})).items():
-        if not catalog.exists(name):
-            continue  # already reported above
-        actual_rows = len(catalog.open(name))
-        if actual_rows != rows:
-            problems.append(
-                f"cardinality mismatch for {name!r}: "
-                f"manifest {rows}, disk {actual_rows}"
+                f"cardinality mismatch for section {name!r}: manifest "
+                f"{recorded.get(name)}, container {found.get(name)}"
             )
     if catalog.exists(manifest.relation):
-        fact_rows = len(catalog.open(manifest.relation))
-        if fact_rows != manifest.fact_rows:
+        rows = len(catalog.open(manifest.relation))
+        if rows != manifest.fact_rows:
             problems.append(
-                f"fact relation {manifest.relation!r} has {fact_rows} rows; "
+                f"fact relation {manifest.relation!r} has {rows} rows; "
                 f"the cube was built over {manifest.fact_rows}"
             )
-    return VerificationReport(not problems, checked, problems)
+    return VerificationReport(not problems, len(report.sections), problems)

@@ -160,6 +160,21 @@ class NodeStore:
     def cat_matrix(self) -> np.ndarray:
         return self.cat.array()
 
+    def stored_tt(self) -> np.ndarray:
+        """TT row-ids as every on-disk form holds them: a bitmap (a CURE+
+        in-memory representation) materialized back to its ascending
+        list; ``plus_processed`` in the metadata keeps the sorted
+        sequential-access property across a reload."""
+        if self.tt_bitmap is not None:
+            return self.tt_bitmap.to_array()
+        return self.tt_array()
+
+    def stored_cat(self) -> np.ndarray:
+        """CAT rows as every on-disk form holds them (see :meth:`stored_tt`)."""
+        if self.cat_bitmap is not None:
+            return self.cat_bitmap.to_array().reshape(-1, 1)
+        return self.cat_matrix()
+
     @property
     def relation_count(self) -> int:
         """How many physical relations this node materializes."""
@@ -418,15 +433,12 @@ class CubeStorage:
 
     # -- persistence ---------------------------------------------------------------
 
-    def persist(self, catalog: Catalog, prefix: str = "cube") -> list[str]:
+    def persist(self, catalog: Catalog, prefix: str = "cube") -> None:
         """Materialize every non-empty relation as a heap file.
 
         Layout: ``<prefix>.meta`` (JSON side file), ``<prefix>.aggregates``,
-        and per node ``<prefix>.n<node_id>.{nt,tt,cat}``.  Returns the
-        names of the relations created, so callers staging a crash-safe
-        publish know exactly which files to checksum and promote.
+        and per node ``<prefix>.n<node_id>.{nt,tt,cat}``.
         """
-        created: list[str] = []
         y = self.schema.n_aggregates
         agg_columns = tuple(
             Column(f"aggr_{i}", ColumnType.INT64) for i in range(y)
@@ -438,7 +450,6 @@ class CubeStorage:
             heap = catalog.create(name, schema)
             heap.append_batch(_matrix_batch(schema, matrix))
             heap.flush()
-            created.append(name)
 
         for node_id, store in self.nodes.items():
             if store.nt_count:
@@ -452,26 +463,14 @@ class CubeStorage:
                 else:
                     schema = TableSchema((rowid_column,) + agg_columns)
                 write(f"{prefix}.n{node_id}.nt", schema, store.nt_matrix())
-            # Bitmaps (a CURE+ in-memory representation) are materialized
-            # back to their ascending row-id lists on disk; the
-            # ``plus_processed`` flag in the metadata preserves the sorted
-            # sequential-access property across a reload.
-            trivial = (
-                store.tt_bitmap.to_array()
-                if store.tt_bitmap is not None
-                else store.tt_array()
-            )
+            trivial = store.stored_tt()
             if len(trivial):
                 write(
                     f"{prefix}.n{node_id}.tt",
                     TableSchema((rowid_column,)),
                     trivial.reshape(-1, 1),
                 )
-            common = (
-                store.cat_bitmap.to_array().reshape(-1, 1)
-                if store.cat_bitmap is not None
-                else store.cat_matrix()
-            )
+            common = store.stored_cat()
             if len(common):
                 if self.cat_format is CatFormat.COMMON_SOURCE:
                     schema = TableSchema((arowid_column,))
@@ -484,7 +483,16 @@ class CubeStorage:
             else:
                 schema = TableSchema(agg_columns)
             write(f"{prefix}.aggregates", schema, self.aggregates_matrix())
-        meta = {
+        maybe_fire(catalog.faults, f"storage.meta:{prefix}")
+        atomic_write_text(
+            catalog.root / f"{prefix}.meta.json", json.dumps(self.meta())
+        )
+
+    def meta(self) -> dict:
+        """The cube's metadata: what :meth:`persist` writes beside the
+        relations, a v2 container's directory embeds and :meth:`from_meta`
+        reads.  Key order is part of the v1 side file's bytes."""
+        return {
             "cat_format": self.cat_format.value if self.cat_format else None,
             "dr_mode": self.dr_mode,
             "flat": self.flat,
@@ -495,16 +503,10 @@ class CubeStorage:
             "update_drift_bytes": self.update_drift_bytes,
             "node_ids": sorted(self.nodes),
         }
-        maybe_fire(catalog.faults, f"storage.meta:{prefix}")
-        atomic_write_text(
-            catalog.root / f"{prefix}.meta.json", json.dumps(meta)
-        )
-        return created
 
     @classmethod
     def from_meta(cls, schema: CubeSchema, meta: dict) -> "CubeStorage":
-        """An empty storage carrying persisted cube metadata (the dict
-        :meth:`persist` writes and a v2 container's directory embeds)."""
+        """An empty storage carrying the metadata :meth:`meta` returned."""
         storage = cls(
             schema,
             dr_mode=meta["dr_mode"],

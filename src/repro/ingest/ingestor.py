@@ -70,7 +70,7 @@ from repro.relational.durable import (
 from repro.relational.engine import Engine
 from repro.relational.table import Table
 from repro.storage2.format import V2FormatError
-from repro.storage2.load import load_v2
+from repro.storage2.load import committed_container, load_v2
 from repro.storage2.publish import write_v2
 
 if TYPE_CHECKING:
@@ -206,14 +206,11 @@ class StreamingIngestor:
                 f"ingest manifest at {manifest_path} has an unsupported "
                 f"version"
             )
-        container = catalog.root / str(payload["container"])
         try:
-            if not container.exists():
-                raise V2FormatError(f"missing container {container.name!r}")
-            if file_checksum(container) != payload["container_checksum"]:
-                raise V2FormatError(
-                    f"checksum mismatch for {container.name!r}"
-                )
+            container = committed_container(
+                catalog.root / str(payload["container"]),
+                payload["container_checksum"],
+            )
             storage, fact_table = load_v2(container, schema)
         except V2FormatError as error:
             raise IngestError(

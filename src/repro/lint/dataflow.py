@@ -73,7 +73,8 @@ _ORDER_METHODS = frozenset({"glob", "rglob", "iterdir"})
 #: assignment into partition files and coarse nodes.
 SINK_FUNCTIONS = frozenset(
     {
-        "atomic_write_bytes", "atomic_write_text", "publish_file",
+        "atomic_write_bytes", "atomic_write_text", "atomic_write_chunks",
+        "publish_file",
         "select_partition_level", "select_partition_pair",
         "select_partition_pair_local", "search_level_decision",
         "repartition_partition", "repartition_relation_pair",

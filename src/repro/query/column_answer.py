@@ -11,8 +11,7 @@ what every query and serving entry point returns.  The legacy
 :meth:`to_pairs` / :meth:`from_pairs` are the only bridges (to tests and
 to the row-engine oracle in ``tests/support``), and :meth:`as_batch` /
 :meth:`from_batch` bridge to the :class:`~repro.relational.batch.ColumnBatch`
-world the :class:`~repro.query.cache.ResultCache` and the relational
-operators live in.
+world the :class:`~repro.query.cache.ResultCache` lives in.
 
 Equality is *normalized*: two answers are equal iff they hold the same
 multiset of (dims, aggregates) rows, regardless of production order —

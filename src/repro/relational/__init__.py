@@ -18,12 +18,7 @@ from repro.relational.aggregates import (
     SumAgg,
     make_aggregates,
 )
-from repro.relational.batch import (
-    ColumnBatch,
-    ColumnEquals,
-    ColumnIn,
-    RowSource,
-)
+from repro.relational.batch import ColumnBatch, RowSource
 from repro.relational.bitmap import Bitmap
 from repro.relational.catalog import Catalog
 from repro.relational.engine import Engine
@@ -40,8 +35,6 @@ __all__ = [
     "Catalog",
     "Column",
     "ColumnBatch",
-    "ColumnEquals",
-    "ColumnIn",
     "ColumnType",
     "CountAgg",
     "RowSource",

@@ -1,12 +1,12 @@
 """Columnar batches: the vectorized execution substrate.
 
 A :class:`ColumnBatch` is the columnar dual of a list of tuples — one
-numpy array per schema column, all of equal length.  Operators
-(:mod:`repro.relational.operators`), the query layer (:mod:`repro.query`)
-and the cube-relation persistence paths (:meth:`CubeStorage.persist`)
-move data in batches so that filtering, projection, aggregation and joins
-run as whole-column numpy kernels instead of per-tuple Python loops,
-while ``from_rows`` / ``to_rows`` bridge to the existing row-based APIs.
+numpy array per schema column, all of equal length.  Heap scans, the
+partition pass, the query layer (:mod:`repro.query`) and the cube-relation
+persistence paths (:meth:`CubeStorage.persist`) move data in batches so
+that filtering, projection and routing run as whole-column numpy kernels
+instead of per-tuple Python loops, while ``from_rows`` / ``to_rows``
+bridge to the row-based APIs.
 
 Dtypes are explicit and derived from the schema (INT32 → ``int32``,
 INT64 → ``int64``, FLOAT64 → ``float64``), matching the packed on-disk
@@ -16,7 +16,7 @@ can reinterpret raw record bytes as column views without copying.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -185,53 +185,3 @@ class ColumnBatch:
         arrays = tuple(array[start:stop] for array in self.arrays)
         length = len(arrays[0]) if arrays else max(0, stop - start)
         return ColumnBatch(self.schema, arrays, length)
-
-
-class VectorPredicate(Protocol):
-    """A selection predicate with a vectorized evaluation path.
-
-    :class:`~repro.relational.operators.Selection` accepts either a plain
-    ``Callable[[dict], bool]`` (evaluated row-wise) or an object that also
-    implements ``mask`` (evaluated as one whole-batch kernel).
-    """
-
-    def __call__(self, row: dict) -> bool: ...
-
-    def mask(self, batch: ColumnBatch) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class ColumnEquals:
-    """``column == value``, evaluable row-wise or as a batch mask."""
-
-    column: str
-    value: int | float
-
-    def __call__(self, row: dict) -> bool:
-        return bool(row[self.column] == self.value)
-
-    def mask(self, batch: ColumnBatch) -> np.ndarray:
-        result: np.ndarray = batch.column(self.column) == self.value
-        return result
-
-
-@dataclass(frozen=True)
-class ColumnIn:
-    """``column ∈ values``, evaluable row-wise or as a batch mask."""
-
-    column: str
-    values: frozenset[int]
-
-    @classmethod
-    def of(cls, column: str, values: Iterable[int]) -> "ColumnIn":
-        return cls(column, frozenset(values))
-
-    def __call__(self, row: dict) -> bool:
-        return row[self.column] in self.values
-
-    def mask(self, batch: ColumnBatch) -> np.ndarray:
-        accepted = np.fromiter(
-            self.values, dtype=np.int64, count=len(self.values)
-        )
-        result: np.ndarray = np.isin(batch.column(self.column), accepted)
-        return result

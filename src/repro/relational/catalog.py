@@ -135,8 +135,9 @@ class Catalog:
 
     def checksum(self, name: str) -> str:
         """Checksum of a relation's data file (flushes pending writes)."""
-        if name in self._open:
-            self._open[name].flush()
+        heap = self._open.get(name)
+        if heap is not None and heap.unflushed:
+            heap.flush()
         return file_checksum(self._data_path(name))
 
     def unflushed(self) -> list[str]:

@@ -97,11 +97,6 @@ def file_checksum(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def text_checksum(text: str) -> str:
-    """SHA-256 of a string (for manifests checked before they hit disk)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 # -- atomic writes -------------------------------------------------------------
 
 

@@ -199,6 +199,10 @@ class V2Writer:
     def section_bytes(self) -> int:
         return sum(entry.nbytes for entry in self._entries)
 
+    def row_counts(self) -> dict[str, int]:
+        """Rows (leading extent) of every section added so far."""
+        return {entry.name: entry.shape[0] for entry in self._entries}
+
     def directory_json(self) -> bytes:
         document = {
             "version": FORMAT_VERSION,

@@ -1,9 +1,13 @@
-"""Compacting a built cube into one v2 file (``publish-v2``).
+"""Writing a cube as one v2 container: sections, writers, publish.
 
-The writer walks a :class:`~repro.core.storage.CubeStorage` (freshly
-built or v1-loaded — publish is an offline step, so the slow v1 load is
-acceptable here and nowhere else) plus the fact relation's columnar
-batch, and lays every relation out as v2 sections:
+A container is assembled in two halves, each from structures already in
+memory:
+
+* :func:`cube_writer` — the cube half: a :class:`~repro.storage2.format.V2Writer`
+  whose directory ``meta`` is :meth:`CubeStorage.meta` plus the bundle
+  keys, holding one section per non-empty cube relation;
+* :func:`add_fact_sections` — the fact half: the fact table's columns and
+  the per-dimension inverted index.
 
 =====================  =======================================================
 ``node/<id>/nt``       NT matrix, int64 stored ``narrow`` — each column at
@@ -23,30 +27,31 @@ batch, and lays every relation out as v2 sections:
 ``narrow`` is :meth:`V2Writer.add_array`'s choice, not this module's: an
 int64 array whose values leave it no smaller (a full-range column) is
 stored ``raw`` instead, so the codec of a section is a pure function of
-its values and republishing is deterministic.
+its values and rewriting is deterministic.
 
-The directory's ``meta`` carries everything ``CubeStorage.load`` reads
-from ``<prefix>.meta.json`` plus the publishing bundle's cube prefix,
-fact relation and v1 meta checksum, so ``open_bundle`` can detect a
-``cube.v2`` that no longer describes the bundle's v1 relations and fall
-back to them silently.
+:func:`write_v2` is both halves for a caller that holds the fact table as
+a :class:`ColumnBatch` (a streaming-ingest generation); a durable build's
+checkpoints and final commit are the cube half alone — its fact relation
+stays a catalog heap (:mod:`repro.core.recovery`;
+``docs/storage_format.md`` lists who writes which sections).  :func:`publish_v2_bundle` is the one
+offline writer: it compacts a bundle saved as v1 heap relations, so it
+reads them back through the slow v1 load — acceptable there and nowhere
+else — and stamps the v1 meta checksum into the directory, which lets
+``open_bundle`` detect a ``cube.v2`` that no longer describes the
+bundle's v1 relations and fall back to them silently.  Containers
+written from memory have no v1 copy and leave that checksum empty.
 
-The same writer is streaming ingest's checkpoint: a generation is one
-container, ``<prefix>.g<k>.cube.v2``, written by :func:`write_v2` from
-the ingestor's in-memory cube and fact columns (no v1 relations exist
-for it, so its ``cube_meta_checksum`` is empty), read back mutable by
-:func:`repro.storage2.load.load_v2` on recovery and mapped as is by
-``open_bundle``.
-
-The file itself is published through
+Every container reaches disk through :func:`publish`:
 :func:`~repro.relational.durable.atomic_write_chunks` behind the
-``storage2.publish`` fault site: a crash mid-publish leaves either the
+``storage2.publish`` fault site, so a crash mid-publish leaves either the
 old file or no file, never a torn one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -67,94 +72,94 @@ from repro.storage2.format import V2Writer
 V2_FILE = "cube.v2"
 
 
-def build_writer(
-    schema: CubeSchema,
-    storage: CubeStorage,
-    fact_batch: ColumnBatch,
-    cube_prefix: str,
-    fact_relation: str,
-    cube_meta_checksum: str,
-) -> V2Writer:
-    """Assemble the v2 sections for one cube (pure; no I/O)."""
-    meta = {
-        "cat_format": storage.cat_format.value if storage.cat_format else None,
-        "dr_mode": storage.dr_mode,
-        "flat": storage.flat,
-        "partition_level": storage.partition_level,
-        "partition_level2": storage.partition_level2,
-        "plus_processed": storage.plus_processed,
-        "fact_row_count": storage.fact_row_count,
-        "update_drift_bytes": storage.update_drift_bytes,
-        "node_ids": sorted(storage.nodes),
-        "cube_prefix": cube_prefix,
-        "fact_relation": fact_relation,
-        "cube_meta_checksum": cube_meta_checksum,
+def _rowid_list(rowids: np.ndarray) -> dict[str, Any]:
+    """``V2Writer.add_section`` arguments for one encoded row-id list."""
+    codec, payload = encode_rowid_list(rowids)
+    return {
+        "payload": payload,
+        "codec": codec,
+        "dtype": "<i8",
+        "shape": (len(rowids),),
+        "count": len(rowids),
     }
-    writer = V2Writer(meta)
+
+
+def cube_writer(
+    storage: CubeStorage,
+    cube_prefix: str = "cube",
+    fact_relation: str = "fact",
+    cube_meta_checksum: str = "",
+) -> V2Writer:
+    """A writer holding the cube's sections (pure; no I/O)."""
+    writer = V2Writer(
+        {
+            **storage.meta(),
+            "cube_prefix": cube_prefix,
+            "fact_relation": fact_relation,
+            "cube_meta_checksum": cube_meta_checksum,
+        }
+    )
     for node_id in sorted(storage.nodes):
         store = storage.nodes[node_id]
         if store.nt_count:
             writer.add_array(f"node/{node_id}/nt", store.nt_matrix())
-        trivial = (
-            store.tt_bitmap.to_array()
-            if store.tt_bitmap is not None
-            else store.tt_array()
-        )
-        if len(trivial):
-            codec, payload = encode_rowid_list(trivial)
+        if store.tt_count:
             writer.add_section(
-                f"node/{node_id}/tt",
-                payload,
-                codec=codec,
-                dtype="<i8",
-                shape=(len(trivial),),
-                count=len(trivial),
+                f"node/{node_id}/tt", **_rowid_list(store.stored_tt())
             )
-        cat_matrix = (
-            store.cat_bitmap.to_array().reshape(-1, 1)
-            if store.cat_bitmap is not None
-            else store.cat_matrix()
-        )
-        if len(cat_matrix):
-            writer.add_array(f"node/{node_id}/cat", cat_matrix)
+        if store.cat_count:
+            writer.add_array(f"node/{node_id}/cat", store.stored_cat())
     if storage.aggregates_count:
         writer.add_array("aggregates", storage.aggregates_matrix())
-    for d in range(schema.n_dimensions):
-        codes = fact_batch.arrays[d]
-        cardinality = schema.dimensions[d].base_cardinality
-        bits = max(min_bits(codes), max(1, cardinality - 1).bit_length())
+    return writer
+
+
+def add_fact_sections(
+    writer: V2Writer, schema: CubeSchema, columns: Sequence[np.ndarray]
+) -> None:
+    """Add the fact table's sections to a cube's writer.
+
+    ``columns`` holds the fact columns in schema order — dimension codes,
+    then measures.  For every cube but a DR one each dimension gets an
+    inverted index; its sections follow the measures, as the layout has
+    them.
+    """
+    indexed = not writer.meta["dr_mode"]
+    indices: list[tuple[np.ndarray, dict[str, Any]]] = []
+    for position, column in enumerate(columns):
+        if position >= schema.n_dimensions:
+            writer.add_array(
+                f"fact/measure/{position - schema.n_dimensions}",
+                column.astype(np.int64, copy=False),
+            )
+            continue
+        cardinality = schema.dimensions[position].base_cardinality
+        bits = max(min_bits(column), max(1, cardinality - 1).bit_length())
         writer.add_section(
-            f"fact/dim/{d}",
-            bitpack_encode(codes, bits),
+            f"fact/dim/{position}",
+            bitpack_encode(column, bits),
             codec=BITPACK,
             dtype="<i4",
-            shape=(fact_batch.length,),
-            count=fact_batch.length,
+            shape=(len(column),),
+            count=len(column),
             extra={"bits": bits},
         )
-    for m in range(schema.n_measures):
-        writer.add_array(
-            f"fact/measure/{m}",
-            fact_batch.arrays[schema.n_dimensions + m].astype(
-                np.int64, copy=False
-            ),
-        )
-    if not storage.dr_mode:
-        for d in range(schema.n_dimensions):
-            index = InvertedIndex.build(
-                fact_batch.arrays[d], schema.dimensions[d].base_cardinality
-            )
-            writer.add_array(f"index/{d}/offsets", index.offsets)
-            codec, payload = encode_rowid_list(index.rowids)
-            writer.add_section(
-                f"index/{d}/rowids",
-                payload,
-                codec=codec,
-                dtype="<i8",
-                shape=(len(index.rowids),),
-                count=len(index.rowids),
-            )
-    return writer
+        if indexed:
+            index = InvertedIndex.build(column, cardinality)
+            indices.append((index.offsets, _rowid_list(index.rowids)))
+    for d, (offsets, rowids) in enumerate(indices):
+        writer.add_array(f"index/{d}/offsets", offsets)
+        writer.add_section(f"index/{d}/rowids", **rowids)
+
+
+def publish(
+    path: str | Path, writer: V2Writer, faults: FaultHook | None = None
+) -> Path:
+    """Atomically publish the writer's container at ``path``."""
+    target = Path(path)
+    maybe_fire(faults, f"storage2.publish:{target.name}")
+    atomic_write_chunks(target, writer.chunks())
+    return target
 
 
 def write_v2(
@@ -167,19 +172,10 @@ def write_v2(
     cube_meta_checksum: str = "",
     faults: FaultHook | None = None,
 ) -> Path:
-    """Write (atomically publish) one v2 cube file; returns its path."""
-    target = Path(path)
-    writer = build_writer(
-        schema,
-        storage,
-        fact_batch,
-        cube_prefix,
-        fact_relation,
-        cube_meta_checksum,
-    )
-    maybe_fire(faults, f"storage2.publish:{target.name}")
-    atomic_write_chunks(target, writer.chunks())
-    return target
+    """Publish a cube and its in-memory fact table as one v2 file."""
+    writer = cube_writer(storage, cube_prefix, fact_relation, cube_meta_checksum)
+    add_fact_sections(writer, schema, fact_batch.arrays)
+    return publish(path, writer, faults)
 
 
 def publish_v2_bundle(directory: str | Path) -> Path:

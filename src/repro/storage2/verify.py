@@ -34,6 +34,8 @@ class SectionReport:
     decoded_bytes: int = 0
     #: Bytes per value of each column, for a ``narrow`` section.
     widths: tuple[int, ...] | None = None
+    #: Rows (leading extent) the directory records for the section.
+    rows: int = 0
 
     @property
     def ok(self) -> bool:
@@ -145,6 +147,7 @@ def verify_v2(path: str | Path, bundle_root: str | Path | None = None) -> V2Repo
                 file.verify_section(name),
                 entry.count * np.dtype(entry.dtype).itemsize,
                 widths,
+                entry.shape[0],
             )
         )
     if bundle_root is not None:

@@ -163,13 +163,3 @@ def test_complex_first_dimension_rejected(tmp_path):
     with pytest.raises(ValueError, match="linear"):
         select_partition_level(engine, "fact", schema)
     engine.close()
-
-
-def test_operator_doctests():
-    import doctest
-
-    from repro.relational import operators
-
-    results = doctest.testmod(operators)
-    assert results.failed == 0
-    assert results.attempted >= 1

@@ -1,38 +1,25 @@
-"""Property: every operator's batch path equals its row reference path.
+"""Property: ``ColumnBatch`` transformations equal their row-wise meaning.
 
-Each operator in :mod:`repro.relational.operators` executes vectorized
-through ``batches()`` (the path ``__iter__`` bridges to) and keeps the
-original tuple-at-a-time implementation as ``rows()``.  These properties
-pit the two against each other on randomized tables — mixed INT32 /
-INT64 / FLOAT64 schemas, duplicate keys, empty relations — and demand
-identical output.  Order is compared exactly for every operator except
-``HashAggregate``, whose batch path is documented to emit key order
-while the row path emits first-seen order (both sides are sorted).
+A batch is the columnar dual of a list of tuples, so every transformation
+— ``filter``, ``project``, ``take``, ``slice``, and the heap's batch scan
+— must give exactly the rows the obvious tuple-at-a-time loop gives, in
+the same order, on randomized tables: mixed INT32 / INT64 / FLOAT64
+schemas, duplicate keys, empty relations.
 
 Float columns only ever hold multiples of 0.5 with small magnitude, so
-sums are exactly representable and equality is exact, not approximate.
+equality is exact, not approximate.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.relational.batch import ColumnBatch
 from repro.relational.heap import HeapFile
-from repro.relational.operators import (
-    HashAggregate,
-    HashJoin,
-    HeapScan,
-    Limit,
-    OrderBy,
-    Projection,
-    Selection,
-    TableScan,
-)
-from repro.relational.batch import ColumnEquals, ColumnIn
 from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.relational.table import Table
 
@@ -61,31 +48,35 @@ def tables(draw, max_arity: int = 4, max_rows: int = 25) -> Table:
     return Table(schema, rows)
 
 
-def batch_rows(operator) -> list[tuple]:
-    """The batch path's output, via the ``__iter__`` bridge."""
-    return list(operator)
+def stable_order(batch: ColumnBatch, names: list[str]) -> np.ndarray:
+    """The permutation a stable ascending sort on ``names`` applies."""
+    return np.lexsort([batch.column(name) for name in reversed(names)])
 
 
 @settings(max_examples=50, deadline=None)
 @given(tables())
 def test_table_scan_equivalence(table):
-    plan = TableScan(table)
-    assert batch_rows(plan) == list(plan.rows())
+    rows = table.to_rows()
+    batch = table.as_batch()
+    assert batch.to_rows() == list(table) == rows
+    assert ColumnBatch.from_rows(table.schema, rows).to_rows() == rows
+    assert Table.from_batch(batch).to_rows() == rows
 
 
 @settings(max_examples=50, deadline=None)
 @given(tables(), st.data())
 def test_selection_equivalence(table, data):
     column = data.draw(st.sampled_from(table.schema.names))
+    position = table.schema.position(column)
     threshold = data.draw(_VALUES[table.schema.column(column).type])
-    predicates = [
-        lambda row: row[column] > threshold,  # row-wise callable
-        ColumnEquals(column, threshold),  # vectorized mask
-        ColumnIn.of("c0", data.draw(st.sets(st.integers(-5, 5)))),
-    ]
-    for predicate in predicates:
-        plan = Selection(TableScan(table), predicate)
-        assert batch_rows(plan) == list(plan.rows())
+    batch = table.as_batch()
+    for mask, keep in (
+        (batch.column(column) > threshold, lambda v: v > threshold),
+        (batch.column(column) == threshold, lambda v: v == threshold),
+    ):
+        assert batch.filter(mask).to_rows() == [
+            row for row in table.to_rows() if keep(row[position])
+        ]
 
 
 @settings(max_examples=50, deadline=None)
@@ -96,58 +87,17 @@ def test_projection_equivalence(table, data):
             st.sampled_from(table.schema.names), min_size=1, max_size=4
         ).filter(lambda ns: len(set(ns)) == len(ns))
     )
-    plan = Projection(TableScan(table), names)
-    assert batch_rows(plan) == list(plan.rows())
-    assert plan.columns() == names
+    positions = [table.schema.position(name) for name in names]
+    projected = table.as_batch().project(names)
+    assert projected.to_rows() == [
+        tuple(row[p] for p in positions) for row in table.to_rows()
+    ]
+    assert list(projected.schema.names) == names
 
 
 @settings(max_examples=100, deadline=None)
 @given(tables(), st.data())
-def test_hash_aggregate_equivalence(table, data):
-    names = list(table.schema.names)
-    group_by = data.draw(
-        st.lists(st.sampled_from(names), max_size=2, unique=True)
-    )
-    aggregates = data.draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["sum", "count", "min", "max"]),
-                st.sampled_from(names),
-            ),
-            min_size=1,
-            max_size=3,
-            unique=True,  # duplicate pairs would collide on output names
-        )
-    )
-    plan = HashAggregate(TableScan(table), group_by, aggregates)
-    # Batch output arrives in key order, row output in first-seen order.
-    assert sorted(batch_rows(plan)) == sorted(plan.rows())
-
-
-def test_hash_aggregate_median_falls_back_to_rows():
-    """Holistic aggregates take the reference path — including its
-    refusal to merge partials across a group."""
-    schema = TableSchema.of("k", "v")
-    singletons = Table(schema, [(1, 10), (2, 20), (3, 30)])
-    plan = HashAggregate(TableScan(singletons), ["k"], [("median", "v")])
-    assert sorted(batch_rows(plan)) == sorted(plan.rows())
-
-    clashing = Table(schema, [(1, 10), (1, 30)])
-    for run in (
-        lambda: batch_rows(
-            HashAggregate(TableScan(clashing), ["k"], [("median", "v")])
-        ),
-        lambda: list(
-            HashAggregate(TableScan(clashing), ["k"], [("median", "v")]).rows()
-        ),
-    ):
-        with pytest.raises(TypeError, match="holistic"):
-            run()
-
-
-@settings(max_examples=100, deadline=None)
-@given(tables(), st.booleans(), st.data())
-def test_order_by_equivalence(table, descending, data):
+def test_order_by_equivalence(table, data):
     names = data.draw(
         st.lists(
             st.sampled_from(table.schema.names),
@@ -156,42 +106,31 @@ def test_order_by_equivalence(table, descending, data):
             unique=True,
         )
     )
-    plan = OrderBy(TableScan(table), names, descending=descending)
-    # Both paths are stable sorts: exact order equality, ties included.
-    assert batch_rows(plan) == list(plan.rows())
+    positions = [table.schema.position(name) for name in names]
+    batch = table.as_batch()
+    # Both are stable sorts: exact order equality, ties included.
+    assert batch.take(stable_order(batch, names)).to_rows() == sorted(
+        table.to_rows(), key=lambda row: tuple(row[p] for p in positions)
+    )
 
 
 @settings(max_examples=50, deadline=None)
 @given(tables(), st.integers(0, 30))
 def test_limit_equivalence(table, n):
-    plan = Limit(TableScan(table), n)
-    assert batch_rows(plan) == list(plan.rows())
-
-
-@settings(max_examples=100, deadline=None)
-@given(tables(max_arity=3), tables(max_arity=3), st.data())
-def test_hash_join_equivalence(left, right, data):
-    left_on = data.draw(st.sampled_from(left.schema.names))
-    right_on = data.draw(st.sampled_from(right.schema.names))
-    plan = HashJoin(TableScan(left), TableScan(right), left_on, right_on)
-    # Sort-merge output order matches the build/probe loop exactly.
-    assert batch_rows(plan) == list(plan.rows())
+    assert table.as_batch().slice(0, n).to_rows() == table.to_rows()[:n]
 
 
 @settings(max_examples=25, deadline=None)
 @given(tables(), st.data())
 def test_composed_pipeline_equivalence(table, data):
-    """Stacked operators stay equivalent end to end."""
+    """Stacked transformations stay equivalent end to end."""
     threshold = data.draw(_VALUES[table.schema.column("c0").type])
     names = list(table.schema.names)
-    plan_batch = Limit(
-        OrderBy(
-            Selection(TableScan(table), lambda row: row["c0"] <= threshold),
-            names,
-        ),
-        10,
-    )
-    assert batch_rows(plan_batch) == list(plan_batch.rows())
+    selected = table.as_batch().filter(table.as_batch().column("c0") <= threshold)
+    ordered = selected.take(stable_order(selected, names))
+    assert ordered.slice(0, 10).to_rows() == sorted(
+        row for row in table.to_rows() if row[0] <= threshold
+    )[:10]
 
 
 _heap_counter = itertools.count()
@@ -203,5 +142,9 @@ def test_heap_scan_equivalence(tmp_path_factory, table):
     root = tmp_path_factory.mktemp("heapscan")
     with HeapFile(root / f"h{next(_heap_counter)}.dat", table.schema) as heap:
         heap.append_many(table.to_rows())
-        plan = HeapScan(heap)
-        assert batch_rows(plan) == list(plan.rows()) == table.to_rows()
+        scanned = [
+            row
+            for batch in heap.scan_batches(chunk_rows=7)
+            for row in batch.to_rows()
+        ]
+        assert scanned == list(heap.scan()) == table.to_rows()

@@ -1,4 +1,4 @@
-"""Property tests for the query layer: slices, roll-ups, operators."""
+"""Property tests for the query layer: slices and roll-ups."""
 
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from repro.query import (
 )
 from repro.query.answer import normalize_answer
 from repro.query.planner import CubePlanner, QueryRequest, build_indices
-from repro.relational.operators import HashAggregate, TableScan
-from repro.relational.schema import TableSchema
 
 
 def small_schema() -> CubeSchema:
@@ -112,21 +110,3 @@ def test_planner_always_matches_reference(fact_rows, node_id):
     )
     got = normalize_answer(planner.answer(QueryRequest.of(node)))
     assert got == reference_group_by(SCHEMA, fact_rows, node)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-9, 9)), max_size=40))
-def test_hash_aggregate_matches_dict_reference(pairs):
-    table = Table(TableSchema.of("k", "v"), list(pairs))
-    plan = HashAggregate(
-        TableScan(table), ["k"], [("sum", "v"), ("count", "v"), ("min", "v")]
-    )
-    expected: dict[int, list] = {}
-    for key, value in pairs:
-        entry = expected.setdefault(key, [0, 0, None])
-        entry[0] += value
-        entry[1] += 1
-        entry[2] = value if entry[2] is None else min(entry[2], value)
-    assert sorted(plan) == sorted(
-        (k, e[0], e[1], e[2]) for k, e in expected.items()
-    )

@@ -8,8 +8,6 @@ import pytest
 from repro.relational.batch import (
     NUMPY_DTYPES,
     ColumnBatch,
-    ColumnEquals,
-    ColumnIn,
     RowSource,
     column_dtype,
 )
@@ -114,16 +112,6 @@ def test_from_arrays_no_copy():
 def test_iter_rows_bridge():
     batch = ColumnBatch.from_rows(MIXED, ROWS)
     assert list(batch.iter_rows()) == ROWS
-
-
-def test_vector_predicates_match_row_semantics():
-    batch = ColumnBatch.from_rows(MIXED, ROWS)
-    names = list(MIXED.names)
-    for predicate in (ColumnEquals("a", 1), ColumnIn.of("a", [2, 3])):
-        mask = predicate.mask(batch)
-        assert mask.dtype == np.bool_
-        expected = [predicate(dict(zip(names, row))) for row in ROWS]
-        assert mask.tolist() == expected
 
 
 def test_table_as_batch_is_cached_columnar_view():

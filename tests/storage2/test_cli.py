@@ -2,14 +2,12 @@
 
 Covers the operational surface of the v2 format — ``python -m repro
 publish-v2`` / ``verify-cube --cube`` exit codes, the
-:class:`DurableCubeBuild` commit hook that publishes ``cube.v2`` as part
-of a durable build, and the staleness guard that silently falls back to
-v1 when the published container no longer matches the cube metadata.
+:class:`DurableCubeBuild` final commit (one ``<prefix>.v2`` container),
+and the staleness guard that silently falls back to v1 when the
+published container no longer matches the cube metadata.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -105,8 +103,8 @@ def test_stale_v2_falls_back_to_v1_silently(bundle_dir):
 
 
 def test_durable_build_publishes_v2(tmp_path):
-    """A durable build with ``v2_path`` set commits the mapped container
-    with metadata that matches what a fresh publish would produce."""
+    """A durable build commits the mapped container with metadata that
+    matches what a fresh publish would produce."""
     from repro import Engine
     from repro.core.recovery import DurableCubeBuild
     from repro.relational.catalog import Catalog
@@ -116,19 +114,15 @@ def test_durable_build_publishes_v2(tmp_path):
     fact = serving_fact(schema, n=150)
     engine = Engine(Catalog(tmp_path), MemoryManager(1 << 26))
     engine.store_table("fact", fact)
-    v2_path = tmp_path / V2_FILE
-    durable = DurableCubeBuild(schema, engine, "fact", v2_path=v2_path)
+    durable = DurableCubeBuild(schema, engine, "fact")
     result = durable.build()
     try:
-        assert v2_path.exists()
-        file = V2File.open(v2_path)
+        container = tmp_path / "cube.v2"
+        assert container.exists()
+        file = V2File.open(container)
         assert file.meta["fact_relation"] == "fact"
         assert file.meta["cube_prefix"] == "cube"
         assert sorted(file.meta["node_ids"]) == sorted(result.storage.nodes)
-        directory = json.loads(
-            (tmp_path / "cube.meta.json").read_text()
-        )
-        assert directory  # the checksummed v1 metadata exists alongside
         assert file.verify_all() == []
     finally:
         engine.close()
