@@ -55,11 +55,11 @@ def main() -> None:
             schema, engine=engine, relation="fact", pool_capacity=5_000
         )
         elapsed = time.perf_counter() - started
-        decision = result.decision
-        level_name = schema.dimensions[0].level(decision.level).name
+        level = result.decision.levels[0]
+        level_name = schema.dimensions[0].level(level).name
         print(f"fact table ({fact_mb:.2f} MB) exceeds the {budget / MB:g} MB budget")
         print(
-            f"partitioned on Product level L={decision.level} "
+            f"partitioned on Product level L={level} "
             f"({level_name!r}) into {result.stats.partitions_created} "
             f"memory-sized sound partitions"
         )

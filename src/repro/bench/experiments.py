@@ -677,7 +677,7 @@ def run_partition_ablation(
             table.add(
                 budget_MB=budget / MB,
                 partitioned=result.stats.partitioned,
-                level=decision.level if decision else -1,
+                level=decision.levels[0] if decision else -1,
                 partitions=result.stats.partitions_created,
                 peak_MB=engine.memory.peak_bytes / MB,
                 read_passes=result.stats.fact_read_passes,
@@ -699,11 +699,7 @@ def run_pair_partition_ablation(
     import random
 
     from repro import flat_dimension, linear_dimension, make_aggregates
-    from repro.core.partition_select import (
-        PairPartitionDecision,
-        select_partition_level,
-    )
-    from repro.relational.memory import MemoryBudgetExceeded
+    from repro.core.partition_select import search_partition_levels
 
     table_out = ExperimentTable(
         "Pair partitioning", "Single-dimension fallback to pairs",
@@ -729,23 +725,18 @@ def run_pair_partition_ablation(
     engine = Engine.temporary(memory_budget_bytes=budget)
     try:
         engine.store_table("fact", fact)
-        try:
-            select_partition_level(engine, "fact", schema)
-            single_feasible = True
-        except MemoryBudgetExceeded:
-            single_feasible = False
+        single = search_partition_levels(engine, "fact", schema, 1)
         table_out.add(
-            strategy="single dimension", feasible=single_feasible,
+            strategy="single dimension", feasible=single is not None,
             level0=-1, level1=-1, partitions=0, peak_KB=0.0, seconds=0.0,
         )
         result = build_cube(
             schema, engine=engine, relation="fact", pool_capacity=500
         )
-        decision = result.decision
-        assert isinstance(decision, PairPartitionDecision)
+        level0, level1 = result.decision.levels
         table_out.add(
             strategy="dimension pair", feasible=True,
-            level0=decision.level0, level1=decision.level1,
+            level0=level0, level1=level1,
             partitions=result.stats.partitions_created,
             peak_KB=engine.memory.peak_bytes / 1024,
             seconds=result.stats.elapsed_seconds,

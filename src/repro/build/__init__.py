@@ -3,9 +3,8 @@
 
 Three layers, importable independently:
 
-* :mod:`repro.build.plan` — partitioning decisions become a deterministic
-  task DAG (:func:`single_level_plan`, :func:`pair_plan`,
-  :func:`expansion_children`);
+* :mod:`repro.build.plan` — a partitioning becomes a deterministic task
+  DAG (:func:`partition_plan`, :func:`expansion_children`);
 * :mod:`repro.build.executor` / :mod:`repro.build.parallel` — the
   pluggable :class:`BuildExecutor` protocol with the inline
   :class:`SequentialExecutor` and the work-stealing
@@ -13,10 +12,11 @@ Three layers, importable independently:
 * :mod:`repro.build.tasks` — the task/outcome model and the ordered
   replay (:func:`apply_outcome`) that keeps every executor byte-identical.
 
-The drivers (``repro.core.cure.build_cube`` and
-``repro.core.recovery.DurableCubeBuild``) own the signature pool, the
-storage, flush cadence, and checkpoints; executors only produce ordered
-:class:`UnitCompletion` events.
+The driver (``repro.core.cure.build_partitioned``, which ``build_cube``
+runs as is and ``repro.core.recovery.DurableCubeBuild`` with its journal
+steps) owns the signature pool, the storage, flush cadence, and
+checkpoints; executors only produce ordered :class:`UnitCompletion`
+events.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.build.executor import (
     make_executor,
 )
 from repro.build.parallel import ProcessPoolExecutor, WorkerCrashed
-from repro.build.plan import expansion_children, pair_plan, single_level_plan
+from repro.build.plan import expansion_children, partition_plan
 from repro.build.tasks import (
     BuildPlan,
     BuildUnit,
@@ -52,6 +52,5 @@ __all__ = [
     "apply_outcome",
     "expansion_children",
     "make_executor",
-    "pair_plan",
-    "single_level_plan",
+    "partition_plan",
 ]

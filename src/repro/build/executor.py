@@ -1,18 +1,19 @@
 """Executor layer: who runs the plan's tasks, and in what process.
 
 The :class:`BuildExecutor` protocol is deliberately tiny — ``run(plan,
-on_unit, start_unit)`` — so the drivers (``build_cube`` and
-``DurableCubeBuild``) stay executor-agnostic: they receive
-:class:`~repro.build.tasks.UnitCompletion` events in unit order, replay
-outcomes, flush the signature pool on their own cadence, and checkpoint
-(the durable driver: one cube-only v2 container per barrier).
+on_unit, start_unit)`` — so the driver (``build_partitioned``, for
+``build_cube`` and ``DurableCubeBuild`` alike) stays executor-agnostic:
+it receives :class:`~repro.build.tasks.UnitCompletion` events in unit
+order, replays outcomes, flushes the signature pool on its caller's
+cadence, and lets a durable build checkpoint (one cube-only v2 container
+per barrier).
 Nothing an executor does between completions can change the bytes of the
 cube, because the pool and the storage live with the driver.
 
-:class:`SequentialExecutor` runs tasks inline on the driver's engine —
-depth-first through expansions, exactly the order the historical inline
-loop used.  :class:`~repro.build.parallel.ProcessPoolExecutor` (in its
-own module) fans tasks out to worker processes.
+:class:`SequentialExecutor` runs tasks inline on the driver's engine,
+depth-first through expansions.
+:class:`~repro.build.parallel.ProcessPoolExecutor` (in its own module)
+fans tasks out to worker processes.
 
 Both fire the ``build.worker:<task_id>`` site before a task and
 ``build.worker:<task_id>.publish`` after it, so the crash-sweep suites
@@ -56,13 +57,11 @@ class BuildExecutor(Protocol):
 
 
 class SequentialExecutor:
-    """The in-process executor: byte-for-byte the historical build loop.
+    """The in-process executor.
 
     Tasks run depth-first — an expansion's children are processed before
-    anything else in the unit, mirroring the old recursive
-    ``process_partition`` — on the driver's own engine, so memory
-    accounting, fault sites, and retries all hit the same objects they
-    always did.
+    anything else in the unit — on the driver's own engine, so memory
+    accounting, fault sites, and retries all hit the driver's objects.
     """
 
     def __init__(self, engine: Engine) -> None:

@@ -1,18 +1,16 @@
-"""Plan layer: partitioning decisions → an explicit, deterministic task DAG.
+"""Plan layer: a partitioning → an explicit, deterministic task DAG.
 
-These builders replace the inline control flow that used to live in
-``cure.py``'s ``_build_partitioned`` / ``_build_pair_partitioned`` and in
-``DurableCubeBuild._run_partitioned``:
+A :class:`~repro.core.partition.Partitioning` becomes one ``partition``
+task per partition file — sound on its ``levels``, building the nodes
+with the leading dimensions at those levels or below — then one coarse
+task per coarse node ``i``, under a shape whose descent on dimension ``i``
+stops at ``L_i + 1`` (Section 4, observation 3):
 
-* :func:`single_level_plan` — one ``partition`` unit per ``A_L``-sound
-  partition file, then one ``coarse`` unit running the pre-aggregated node
-  ``N`` under a shape floored at ``L+1`` (Section 4, observation 3);
-* :func:`pair_plan` — one ``pair`` unit per ``(A_L, B_M)``-sound partition,
-  then the two coarse units ``N1`` (dimension 0 above L) and ``N2``
-  (dimension 0 ≤ L, dimension 1 above M);
-* :func:`expansion_children` — the adaptive re-partitioning recursion as a
-  pure producer: an over-budget partition task turns into sub-partition
-  tasks plus the local coarse task(s), spliced into its unit.
+* :func:`partition_plan` — the fact relation's partitioning: every task
+  is a unit of its own, partitions first;
+* :func:`expansion_children` — a partitioning of one over-budget
+  partition (adaptive re-partitioning as a pure producer): the same
+  tasks, as scaffolding spliced into the parent task's unit.
 
 Task ids are ``u<unit>:<relation>``; relations are unique per build, so
 ids are stable, readable, and usable as fault-injection site details
@@ -24,214 +22,83 @@ from __future__ import annotations
 from repro.build.tasks import (
     KIND_COARSE_PARTITION,
     KIND_COARSE_RUN,
-    KIND_PAIR,
     KIND_PARTITION,
     BuildPlan,
     BuildUnit,
     TaskSpec,
 )
 from repro.core.model import CubeSchema
-from repro.core.partition import PairRepartition, Repartition
+from repro.core.partition import Partitioning
+from repro.core.partition_select import coarse_nodes
 
 
-def _task_id(unit: int, relation: str) -> str:
-    return f"u{unit}:{relation}"
+def _tasks(
+    split: Partitioning, n_dimensions: int, unit: int | None
+) -> list[TaskSpec]:
+    """The tasks of one partitioning, partitions first.
+
+    Coarse node ``i`` enters the dimensions before ``i`` at the split's
+    levels — node 0 enters nothing (``run()``), or dimension 0 at the
+    ``parent_level`` whose slice it patches.  ``unit`` is the unit all
+    tasks join as scaffolding (``drop_after``); ``None`` gives each task
+    the unit of its position.
+    """
+    levels = split.levels
+    tasks: list[TaskSpec] = []
+
+    def add(kind, name, entry, floor=None) -> None:
+        index = len(tasks) if unit is None else unit
+        tasks.append(
+            TaskSpec(
+                f"u{index}:{name}",
+                kind,
+                name,
+                levels=entry,
+                base_floor=floor,
+                drop_after=unit is not None,
+                unit=index,
+            )
+        )
+
+    for name in split.partition_names:
+        add(KIND_PARTITION, name, levels)
+    nodes = coarse_nodes(levels, split.parent_level)
+    for i, name in zip(nodes, split.coarse_names):
+        entry = levels[:i]
+        if i == 0 and split.parent_level is not None:
+            entry = (split.parent_level,)
+        floor = [0] * n_dimensions
+        floor[i] = levels[i] + 1
+        kind = KIND_COARSE_PARTITION if entry else KIND_COARSE_RUN
+        add(kind, name, entry, tuple(floor))
+    return tasks
 
 
-def _floor(n_dimensions: int, dim: int, level: int) -> tuple[int, ...]:
-    floors = [0] * n_dimensions
-    floors[dim] = level
-    return tuple(floors)
-
-
-def single_level_plan(
-    schema: CubeSchema,
-    min_count: int,
-    partition_names: list[str],
-    coarse_name: str,
-    level: int,
+def partition_plan(
+    schema: CubeSchema, min_count: int, partitioning: Partitioning
 ) -> BuildPlan:
-    """The Section 4 single-level pipeline as a plan: phase 1 (every node
-    containing dimension 0 at level ≤ L, one unit per partition) then
-    phase 2 (everything else, from the coarse node ``N``)."""
-    units = [
+    """The Section 4 pipeline as a plan: phase 1, one unit per partition,
+    then phase 2, one unit per coarse node.  The coarse units share one
+    flush window — the driver flushes after the last unit only."""
+    units = tuple(
         BuildUnit(
-            index,
-            "partition",
-            (
-                TaskSpec(
-                    _task_id(index, name),
-                    KIND_PARTITION,
-                    name,
-                    level=level,
-                    unit=index,
-                ),
-            ),
+            task.unit,
+            "partition" if task.kind == KIND_PARTITION else "coarse",
+            (task,),
         )
-        for index, name in enumerate(partition_names)
-    ]
-    coarse_index = len(units)
-    units.append(
-        BuildUnit(
-            coarse_index,
-            "coarse",
-            (
-                TaskSpec(
-                    _task_id(coarse_index, coarse_name),
-                    KIND_COARSE_RUN,
-                    coarse_name,
-                    base_floor=_floor(schema.n_dimensions, 0, level + 1),
-                    unit=coarse_index,
-                ),
-            ),
-        )
+        for task in _tasks(partitioning, schema.n_dimensions, None)
     )
-    return BuildPlan(schema, min_count, tuple(units))
-
-
-def pair_plan(
-    schema: CubeSchema,
-    min_count: int,
-    partition_names: list[str],
-    n1_name: str,
-    n2_name: str,
-    level0: int,
-    level1: int,
-) -> BuildPlan:
-    """The pair-partitioning pipeline as a plan: the ``(A_L, B_M)``-sound
-    partitions, then coarse phases N1 (``run()`` floored at L+1 on
-    dimension 0) and N2 (``run_partition(·, L)`` floored at M+1 on
-    dimension 1).  The two coarse units share one flush window, as the
-    inline pipeline always did — the driver flushes after the last unit
-    only."""
-    units = [
-        BuildUnit(
-            index,
-            "partition",
-            (
-                TaskSpec(
-                    _task_id(index, name),
-                    KIND_PAIR,
-                    name,
-                    level=level0,
-                    level1=level1,
-                    unit=index,
-                ),
-            ),
-        )
-        for index, name in enumerate(partition_names)
-    ]
-    n1_index = len(units)
-    units.append(
-        BuildUnit(
-            n1_index,
-            "coarse",
-            (
-                TaskSpec(
-                    _task_id(n1_index, n1_name),
-                    KIND_COARSE_RUN,
-                    n1_name,
-                    base_floor=_floor(schema.n_dimensions, 0, level0 + 1),
-                    unit=n1_index,
-                ),
-            ),
-        )
-    )
-    n2_index = len(units)
-    units.append(
-        BuildUnit(
-            n2_index,
-            "coarse",
-            (
-                TaskSpec(
-                    _task_id(n2_index, n2_name),
-                    KIND_COARSE_PARTITION,
-                    n2_name,
-                    level=level0,
-                    base_floor=_floor(schema.n_dimensions, 1, level1 + 1),
-                    unit=n2_index,
-                ),
-            ),
-        )
-    )
-    return BuildPlan(schema, min_count, tuple(units))
+    return BuildPlan(schema, min_count, units)
 
 
 def expansion_children(
-    parent: TaskSpec,
-    split: Repartition | PairRepartition,
-    n_dimensions: int,
+    parent: TaskSpec, split: Partitioning, n_dimensions: int
 ) -> tuple[TaskSpec, ...]:
-    """Child tasks of an adaptively re-partitioned partition task.
-
-    For a single-level split at ``L'' < L``: sub-partition tasks sound on
-    ``A_{L''}`` (recursively expandable) followed by the local coarse task
-    rebuilding the parent's ``(L'', L]`` lattice slice.  For a local pair
-    split: the ``(A_L0, B_M)`` sub-partitions, the optional local N1
-    (absent when ``level0 == parent_level``, where its slice is empty),
-    and the local N2.  All children are scaffolding — ``drop_after`` tears
-    their relations down once processed.
-    """
-    unit = parent.unit
-    if isinstance(split, PairRepartition):
-        children = [
-            TaskSpec(
-                _task_id(unit, name),
-                KIND_PAIR,
-                name,
-                level=split.level0,
-                level1=split.level1,
-                drop_after=True,
-                unit=unit,
-            )
-            for name in split.partition_names
-        ]
-        if split.coarse1_name is not None:
-            children.append(
-                TaskSpec(
-                    _task_id(unit, split.coarse1_name),
-                    KIND_COARSE_PARTITION,
-                    split.coarse1_name,
-                    level=split.parent_level,
-                    base_floor=_floor(n_dimensions, 0, split.level0 + 1),
-                    drop_after=True,
-                    unit=unit,
-                )
-            )
-        children.append(
-            TaskSpec(
-                _task_id(unit, split.coarse2_name),
-                KIND_COARSE_PARTITION,
-                split.coarse2_name,
-                level=split.level0,
-                base_floor=_floor(n_dimensions, 1, split.level1 + 1),
-                drop_after=True,
-                unit=unit,
-            )
-        )
-        return tuple(children)
-
-    subs = [
-        TaskSpec(
-            _task_id(unit, name),
-            KIND_PARTITION,
-            name,
-            level=split.level,
-            drop_after=True,
-            unit=unit,
-        )
-        for name in split.partition_names
-    ]
-    coarse = TaskSpec(
-        _task_id(unit, split.coarse_name),
-        KIND_COARSE_PARTITION,
-        split.coarse_name,
-        level=parent.level,
-        base_floor=_floor(n_dimensions, 0, split.level + 1),
-        drop_after=True,
-        unit=unit,
-    )
-    return tuple(subs) + (coarse,)
+    """Child tasks of an adaptively re-partitioned partition task: the
+    sub-partitions (recursively expandable when split on one dimension)
+    and the local coarse nodes.  All are scaffolding, torn down once
+    processed."""
+    return tuple(_tasks(split, n_dimensions, parent.unit))
 
 
-__all__ = ["expansion_children", "pair_plan", "single_level_plan"]
+__all__ = ["expansion_children", "partition_plan"]

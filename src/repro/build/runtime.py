@@ -23,7 +23,6 @@ from repro.build.plan import expansion_children
 from repro.build.tasks import (
     KIND_COARSE_PARTITION,
     KIND_COARSE_RUN,
-    KIND_PAIR,
     KIND_PARTITION,
     TaskOutcome,
     TaskSpec,
@@ -75,13 +74,12 @@ def execute_task(
 ) -> TaskOutcome:
     """Run one task to completion (or expansion) and capture its events.
 
-    A ``partition`` task whose load overflows the budget does not fail:
-    it re-partitions adaptively and returns an event-free outcome whose
-    ``children`` the scheduler splices in its place — the task-DAG form
-    of the old ``_process_oversized_partition`` recursion.  ``pair`` and
-    coarse tasks propagate :class:`MemoryBudgetExceeded` (those loads
-    were sized by a terminal selection; overflow means the build cannot
-    proceed), exactly as the inline pipeline did.
+    A ``partition`` task sound on one dimension whose load overflows the
+    budget does not fail: it re-partitions adaptively and returns an
+    event-free outcome whose ``children`` the scheduler splices in its
+    place.  Every other load was sized by a terminal selection — overflow
+    means the build cannot proceed — and propagates
+    :class:`MemoryBudgetExceeded`.
     """
     stats = BuildStats()
     if task.kind == KIND_PARTITION:
@@ -90,18 +88,16 @@ def execute_task(
                 engine, task.relation, schema, use_mapped
             )
         except MemoryBudgetExceeded:
+            if len(task.levels) != 1:
+                raise
             split = repartition_partition(
-                engine, task.relation, schema, task.level, stats=stats
+                engine, task.relation, schema, task.levels[0], stats=stats
             )
             outcome = empty_outcome(task, stats, schema.n_aggregates)
             outcome.children = expansion_children(
                 task, split, schema.n_dimensions
             )
             return outcome
-    elif task.kind == KIND_PAIR:
-        working, release = _load_partition(
-            engine, task.relation, schema, use_mapped
-        )
     elif task.kind in (KIND_COARSE_RUN, KIND_COARSE_PARTITION):
         working, release = _load_coarse(
             engine, task.relation, schema, use_mapped
@@ -112,14 +108,10 @@ def execute_task(
     shape = HierarchicalShape(schema, task.base_floor)
     builder = CureBuilder(schema, shape, min_count, stats)
     try:
-        if task.kind == KIND_PAIR:
-            tts, sigs = builder.run_partition_pair(
-                working, task.level, task.level1
-            )
-        elif task.kind == KIND_COARSE_RUN:
+        if task.kind == KIND_COARSE_RUN:
             tts, sigs = builder.run(working)
         else:
-            tts, sigs = builder.run_partition(working, task.level)
+            tts, sigs = builder.run_partition(working, task.levels)
     finally:
         release()
     return TaskOutcome(task, tts, sigs, stats)

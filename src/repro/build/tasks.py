@@ -7,8 +7,8 @@ into an ordered DAG of :class:`TaskSpec`\\ s; the executor layer runs them
 order — into the real :class:`~repro.core.storage.CubeStorage` and
 :class:`~repro.core.signature.SignaturePool`.
 
-The replay discipline is what makes every executor byte-identical to the
-historical inline loop: a task never classifies anything.  It returns the
+The replay discipline is what makes every executor byte-identical to
+every other: a task never classifies anything.  It returns the
 **raw event stream** of Figure 13's recursion — trivial-tuple writes
 ``(node_id, rowid)`` and signature adds ``(node_id, rowid,
 aggregates…)`` — as the two int64 arrays the builder produces, in
@@ -31,18 +31,18 @@ from repro.core.signature import SignaturePool
 from repro.core.storage import CubeStorage
 
 #: Task kinds understood by :func:`repro.build.runtime.execute_task`.
-KIND_PARTITION = "partition"  # load a partition file, run_partition(level)
-KIND_PAIR = "pair"  # load a partition file, run_partition_pair(level, level1)
+KIND_PARTITION = "partition"  # load a partition file, run_partition(levels)
 KIND_COARSE_RUN = "coarse_run"  # load a coarse node, run() under a floor
-KIND_COARSE_PARTITION = "coarse_partition"  # coarse node, run_partition(level)
+KIND_COARSE_PARTITION = "coarse_partition"  # coarse node, run_partition(levels)
 
 
 @dataclass(frozen=True)
 class TaskSpec:
     """One schedulable unit of construction work (picklable, immutable).
 
-    ``level``/``level1`` are the entry levels of the corresponding
-    ``CureBuilder`` call; ``base_floor`` — when set — is the
+    ``levels`` are the entry levels of the leading dimensions the
+    ``CureBuilder.run_partition`` call takes (empty for ``run()``);
+    ``base_floor`` — when set — is the
     ``base_levels`` tuple of the :class:`HierarchicalShape` the task runs
     under (the coarse-phase descent floor).  ``drop_after`` marks
     re-partitioning scaffolding (``.sub<i>``, ``.coarseN*``) the executor
@@ -52,8 +52,7 @@ class TaskSpec:
     task_id: str
     kind: str
     relation: str
-    level: int = 0
-    level1: int = 0
+    levels: tuple[int, ...] = ()
     base_floor: tuple[int, ...] | None = None
     drop_after: bool = False
     unit: int = 0
@@ -137,7 +136,7 @@ def merge_build_stats(into: BuildStats, delta: BuildStats) -> None:
     """Fold one task's counter deltas into the build-wide stats.
 
     Addition commutes, and outcomes are applied in deterministic plan
-    order, so totals match the historical inline loop field for field.
+    order, so totals are the same under every executor, field for field.
     Executor-level fields (``tasks_run``/``tasks_stolen``/``workers``/
     ``peak_worker_bytes``) and wall-clock time are owned by the driver,
     not by per-task deltas.
@@ -167,8 +166,8 @@ def apply_outcome(
     The one way events reach a cube: the in-memory build is a single
     task, a partitioned build one per partition file and coarse node.
     TT events and signature adds feed disjoint sinks (per-node TT lists
-    vs. the pool), so replaying the two streams back to back preserves
-    the bytes of the historically interleaved emission.  Worker-side
+    vs. the pool), so replaying the two streams back to back writes the
+    bytes an interleaved emission would.  Worker-side
     injector traces are appended to the coordinator trace here — at the
     outcome's deterministic position — so a recording run enumerates one
     stable site sequence regardless of executor.
@@ -185,7 +184,6 @@ def apply_outcome(
 __all__ = [
     "KIND_COARSE_PARTITION",
     "KIND_COARSE_RUN",
-    "KIND_PAIR",
     "KIND_PARTITION",
     "BuildPlan",
     "BuildUnit",

@@ -32,19 +32,13 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from repro.core.model import CubeSchema
-from repro.core.partition import partition_relation, partition_relation_pair
-from repro.core.partition_select import (
-    PairPartitionDecision,
-    PartitionDecision,
-    select_partition_level,
-    select_partition_pair,
-)
+from repro.core.partition import Partitioning, partition_relation
+from repro.core.partition_select import PartitionDecision, select_partition_level
 from repro.core.segments import aggregate_ufuncs, sort_groups
 from repro.core.signature import PoolStats, SignaturePool
 from repro.core.storage import CubeStorage
 from repro.core.workingset import WorkingSet
 from repro.relational.engine import Engine
-from repro.relational.memory import MemoryBudgetExceeded
 from repro.relational.sortops import SortStats
 from repro.relational.table import Table
 
@@ -237,34 +231,25 @@ class CureBuilder:
         )
 
     def run_partition(
-        self, working: WorkingSet, level: int
+        self, working: WorkingSet, levels: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
         """``FollowEdge(partition, 0, L)``: one partition's sub-cubes.
 
-        Constructs every node whose grouping attributes include the first
-        dimension at level ≤ ``level`` (observation 1 of Section 4); the
-        ∅-rooted rest is the coarse-node phase's job.
-        """
-        return self._build(
-            working, lambda whole: self._follow_edge(whole, 0, level, 1)
-        )
+        ``levels = (L,)`` constructs every node whose grouping attributes
+        include the first dimension at level ≤ L (observation 1 of
+        Section 4); the ∅-rooted rest is the coarse-node phase's job.
 
-    def run_partition_pair(
-        self, working: WorkingSet, level0: int, level1: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pair-partitioning phase: nodes with dims 0 and 1 both present
-        at levels ≤ (L, M).
-
-        The plan descends dimension 0's chain and, per segment, enters
-        dimension 1 at level M (whence the standard edges cover its
-        descent and the remaining dimensions).  The segment itself —
-        dimension 0 alone — is *not* a sound node for pair partitions, so
-        nothing is emitted at that granularity; its nodes belong to the N2
-        phase.
+        ``levels = (L, M)`` constructs the nodes with dimensions 0 and 1
+        both present at levels ≤ (L, M): the plan descends dimension 0's
+        chain and, per segment, enters dimension 1 at level M (whence the
+        standard edges cover its descent and the remaining dimensions).
+        The segment itself — dimension 0 alone — is *not* a sound node for
+        pair partitions, so nothing is emitted at that granularity.
         """
+        pair_level = levels[1] if len(levels) == 2 else None
         return self._build(
             working,
-            lambda whole: self._follow_edge(whole, 0, level0, 1, level1),
+            lambda whole: self._follow_edge(whole, 0, levels[0], 1, pair_level),
         )
 
     def _build(
@@ -487,7 +472,7 @@ class CubeResult:
     storage: CubeStorage
     stats: BuildStats
     pool_stats: PoolStats
-    decision: PartitionDecision | PairPartitionDecision | None = None
+    decision: PartitionDecision | None = None
 
 
 def build_cube(
@@ -563,7 +548,7 @@ def build_cube(
                     "external partitioning is implemented for the "
                     "hierarchical (P3) shape"
                 )
-            decision = _build_partitioned(
+            decision = build_partitioned(
                 schema,
                 storage,
                 pool,
@@ -609,49 +594,7 @@ def _build_in_memory(
     pool.flush()  # line 22 of Algorithm CURE
 
 
-def _fold_executor_stats(stats: BuildStats, executor_stats) -> None:
-    """Surface what the executor did in the build-wide stats."""
-    stats.tasks_run += executor_stats.tasks_run
-    stats.tasks_stolen += executor_stats.tasks_stolen
-    stats.workers = max(stats.workers, executor_stats.workers)
-    stats.peak_worker_bytes = max(
-        stats.peak_worker_bytes, executor_stats.peak_worker_bytes
-    )
-
-
-def _run_plan(
-    plan,
-    storage: CubeStorage,
-    pool: SignaturePool,
-    stats: BuildStats,
-    engine: Engine,
-    workers: int,
-    executor,
-) -> None:
-    """Execute a build plan and replay its outcomes in deterministic order.
-
-    The driver owns the pool and the storage: executors only hand back
-    per-unit outcome batches, which are applied — and their scaffolding
-    relations dropped — in plan order, so flush windows and NT/CAT
-    classification are identical under every executor.
-    """
-    from repro.build import apply_outcome, make_executor
-
-    faults = engine.catalog.faults
-
-    def on_unit(completion) -> None:
-        for outcome in completion.outcomes:
-            apply_outcome(outcome, storage, pool, stats, faults)
-            if outcome.task.drop_after:
-                engine.catalog.drop(outcome.task.relation)
-
-    build_executor = make_executor(engine, workers, executor)
-    build_executor.run(plan, on_unit)
-    pool.flush()
-    _fold_executor_stats(stats, build_executor.stats)
-
-
-def _build_partitioned(
+def build_partitioned(
     schema: CubeSchema,
     storage: CubeStorage,
     pool: SignaturePool,
@@ -663,97 +606,82 @@ def _build_partitioned(
     partition_strategy: str = "exact",
     workers: int = 1,
     executor: object | None = None,
-) -> PartitionDecision:
+    *,
+    name_suffix: str = "",
+    on_partitioned: Callable[[Partitioning], Partitioning] | None = None,
+    recorded: Partitioning | None = None,
+    start_unit: int = 0,
+    on_partition: Callable[[int], None] | None = None,
+) -> PartitionDecision | None:
     """The Section 4 pipeline: partition once, then two construction phases.
 
-    The phases themselves — one task per partition file, then the coarse
-    node ``N`` — are planned and executed by :mod:`repro.build`; adaptive
-    re-partitioning of an over-budget partition happens inside the
-    executor as a task expansion (see
-    :func:`repro.build.plan.expansion_children`).
+    Select the levels, spill the relation in one pass, then run the plan
+    :mod:`repro.build` makes of it — one task per partition file, then the
+    coarse node(s); adaptive re-partitioning of an over-budget partition
+    happens inside the executor as a task expansion.  The driver owns the
+    pool and the storage: executors only hand back per-unit outcome
+    batches, which are applied — and their scaffolding relations dropped —
+    in plan order, so flush windows and NT/CAT classification are
+    identical under every executor.
+
+    The keyword arguments are a journalled build's steps
+    (:class:`repro.core.recovery.DurableCubeBuild`): the pass writes to
+    ``name_suffix`` staging names which ``on_partitioned`` publishes,
+    returning the partitioning under its final names; a resumed build
+    hands in the ``recorded`` partitioning instead of selecting and
+    spilling again, and the ``start_unit`` after its last checkpoint;
+    ``on_partition(done)`` runs after each partition unit, ``done`` of
+    them complete.
     """
     if not schema.all_distributive:
         raise ValueError(
             "external partitioning requires distributive aggregates "
             "(observation 3 of Section 4 excludes holistic functions)"
         )
-    from repro.build import single_level_plan
+    from repro.build import apply_outcome, make_executor, partition_plan
 
     heap = engine.relation(relation)
     storage.fact_row_count = len(heap)
     storage.row_resolver = lambda rowid: schema.dim_values(heap.read_row(rowid))
+    faults = engine.catalog.faults
+
+    def on_unit(completion) -> None:
+        for outcome in completion.outcomes:
+            apply_outcome(outcome, storage, pool, stats, faults)
+            if outcome.task.drop_after:
+                engine.catalog.drop(outcome.task.relation)
+        if on_partition is not None and completion.unit.kind == "partition":
+            on_partition(completion.unit.index + 1)
 
     pool_token = engine.memory.reserve(pool_bytes, what="signature pool")
     try:
-        try:
+        decision = None
+        partitioning = recorded
+        if partitioning is None:
             decision = select_partition_level(
                 engine, relation, schema, partition_strategy
             )
-        except MemoryBudgetExceeded:
-            # The "rare case" of Section 4: no single level works — fall
-            # back to partitioning on pairs of dimensions.
-            return _build_pair_partitioned(
-                schema,
-                storage,
-                pool,
-                min_count,
-                stats,
-                engine,
-                relation,
-                workers,
-                executor,
+            partitioning = partition_relation(
+                engine, relation, schema, decision, stats, name_suffix
             )
-        storage.partition_level = decision.level
-        partitions, coarse_name = partition_relation(
-            engine, relation, schema, decision, stats
+            if on_partitioned is not None:
+                partitioning = on_partitioned(partitioning)
+        storage.partition_level = partitioning.levels[0]
+        if len(partitioning.levels) == 2:
+            storage.partition_level2 = partitioning.levels[1]
+        if start_unit == 0:
+            stats.fact_read_passes += 1  # loading the partitions re-reads R once
+        build_executor = make_executor(engine, workers, executor)
+        build_executor.run(
+            partition_plan(schema, min_count, partitioning), on_unit, start_unit
         )
-        stats.fact_read_passes += 1  # loading the partitions re-reads R once
-        plan = single_level_plan(
-            schema, min_count, partitions, coarse_name, decision.level
+        pool.flush()
+        stats.tasks_run += build_executor.stats.tasks_run
+        stats.tasks_stolen += build_executor.stats.tasks_stolen
+        stats.workers = max(stats.workers, build_executor.stats.workers)
+        stats.peak_worker_bytes = max(
+            stats.peak_worker_bytes, build_executor.stats.peak_worker_bytes
         )
-        _run_plan(plan, storage, pool, stats, engine, workers, executor)
         return decision
     finally:
         engine.memory.release(pool_token)
-
-
-def _build_pair_partitioned(
-    schema: CubeSchema,
-    storage: CubeStorage,
-    pool: SignaturePool,
-    min_count: int,
-    stats: BuildStats,
-    engine: Engine,
-    relation: str,
-    workers: int = 1,
-    executor: object | None = None,
-):
-    """Pair-partitioning pipeline: partitions + two coarse nodes.
-
-    Three disjoint, exhaustive phases (see
-    :class:`repro.core.partition_select.PairPartitionDecision`): the pair-sound
-    partitions cover nodes with both leading dimensions present at levels
-    ≤ (L, M); coarse node N1 covers everything with dimension 0 above L or
-    absent; coarse node N2 covers dimension 0 present ≤ L with dimension 1
-    above M or absent.
-    """
-    from repro.build import pair_plan
-
-    decision = select_partition_pair(engine, relation, schema)
-    storage.partition_level = decision.level0
-    storage.partition_level2 = decision.level1
-    partitions, n1_name, n2_name = partition_relation_pair(
-        engine, relation, schema, decision, stats
-    )
-    stats.fact_read_passes += 1
-    plan = pair_plan(
-        schema,
-        min_count,
-        partitions,
-        n1_name,
-        n2_name,
-        decision.level0,
-        decision.level1,
-    )
-    _run_plan(plan, storage, pool, stats, engine, workers, executor)
-    return decision

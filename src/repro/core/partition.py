@@ -4,22 +4,26 @@ When the fact table exceeds the memory budget, CURE:
 
 1. selects the **maximum** level ``L`` of the first dimension whose
    sound partitions and whose coarse node ``N = A_{L+1} B_0 C_0 …`` both
-   fit in memory (:mod:`repro.core.partition_select`);
-2. **partitions** the relation on ``A_L`` in one pass, simultaneously
-   building ``N`` (one further pass over R happens later when the
-   partitions are loaded — the "2 reads, 1 write" of Section 4);
-3. hands the partitions to phase 1 (nodes containing ``A_{≤L}``) and ``N``
-   to phase 2 (all remaining nodes).
+   fit in memory — or, where no level does, a level pair of the first two
+   dimensions (:mod:`repro.core.partition_select`, which defines a
+   partitioning by its levels);
+2. **partitions** the relation on the selected members in one pass,
+   simultaneously building the coarse node(s) (one further pass over R
+   happens later when the partitions are loaded — the "2 reads, 1 write"
+   of Section 4);
+3. hands the partitions to phase 1 (nodes with the leading dimensions at
+   the selected levels or below) and the coarse nodes to phase 2 (all
+   remaining nodes).
 
-Members of ``A_L`` are greedily binned into the fewest memory-sized
-partitions; soundness only requires that no member is split across
-partitions.
+Members are greedily binned into the fewest memory-sized partitions;
+soundness only requires that no member is split across partitions.
 
-The pass is one array routine, :func:`spill_by_key`: level, pair,
-repartition and local-pair partitioning differ only in the member key
-and the coarse nodes they hand it.  The tuple-at-a-time pass it replaced
-is the test oracle ``tests/support/row_partition.py``, and the bytes of
-every partition file and coarse node are held to it.
+A partition that still overflows when it is loaded is partitioned again,
+the same way, at or below the level it is sound on
+(:func:`repartition_partition`).  All of it is :func:`partition_relation`
+over one array routine, :func:`spill_by_key`.  The tuple-at-a-time pass it
+replaced is the test oracle ``tests/support/row_partition.py``, and the
+bytes of every partition file and coarse node are held to it.
 """
 
 from __future__ import annotations
@@ -32,11 +36,9 @@ import numpy as np
 
 from repro.core.model import CubeSchema
 from repro.core.partition_select import (
-    PairPartitionDecision,
     PartitionDecision,
-    available_bytes_of,
-    search_level_decision,
-    select_partition_pair_local,
+    coarse_nodes,
+    select_partition_level,
 )
 from repro.core.segments import (
     GroupFold,
@@ -68,7 +70,7 @@ class PartitionStats(Protocol):
 
 def _coarse_key(schema: CubeSchema, dim: int, level: int) -> KeyFunction:
     """The coarse node that rolls ``dim`` up to ``level`` and keeps every
-    other dimension at its base level (N, N1: ``dim`` 0; N2: ``dim`` 1)."""
+    other dimension at its base level."""
     levels = [0] * schema.n_dimensions
     levels[dim] = level
     return rollup_key(schema.dimensions, levels)
@@ -243,15 +245,6 @@ def _first_fit(
     return assignment
 
 
-def _count_pass(stats: PartitionStats | None, n_bins: int) -> None:
-    """The fact relation was read once and written once, into ``n_bins``."""
-    if stats is not None:
-        stats.partitioned = True
-        stats.fact_read_passes += 1
-        stats.fact_write_passes += 1
-        stats.partitions_created = n_bins
-
-
 def load_coarse_working_set(
     engine: Engine, name: str, schema: CubeSchema
 ) -> tuple[WorkingSet, Callable[[], None]]:
@@ -264,38 +257,25 @@ def load_coarse_working_set(
     return working, loaded.release
 
 
-# -- single-level partitioning -------------------------------------------------------
+# -- one partitioning, four uses -----------------------------------------------------
 
 
-def _spill_on_level(
-    engine: Engine,
-    source: str,
-    schema: CubeSchema,
-    decision: PartitionDecision,
-    stem: str,
-    uniform: bool = False,
-    name_suffix: str = "",
-) -> tuple[list[str], str]:
-    """Spill ``source`` into ``A_L``-sound bins — first-fit, or one per
-    member under ``uniform`` — and fold the coarse node ``A_{L+1} B_0 C_0
-    …`` into ``<source>.coarseN``."""
-    if uniform:
-        n_members = schema.dimensions[0].cardinality(decision.level)
-        assignment = {code: code for code in range(n_members)}
-    else:
-        assignment = _first_fit(
-            decision.member_rows,
-            decision.max_member_rows,
-            decision.available_bytes,
-            schema.partition_schema.row_size_bytes,
-        )
-    coarse_name = f"{source}.coarseN{name_suffix}"
-    names = spill_by_key(
-        engine, source, schema, stem, (decision.level,), assignment,
-        {coarse_name: _coarse_key(schema, 0, decision.level + 1)},
-        name_suffix,
-    )
-    return names, coarse_name
+@dataclass
+class Partitioning:
+    """What one pass wrote: partitions sound on the members of ``levels``
+    and the coarse nodes :func:`coarse_nodes` names, in that order.
+
+    Without a ``parent_level`` it partitions the fact relation.  With
+    one it splits a single partition sound on ``A_{parent_level}``, and
+    the pieces cover exactly what that partition would have: coarse node 0
+    re-enters dimension 0 at ``parent_level`` under a shape floored at
+    ``L_0 + 1``, rebuilding only the ``(L_0, parent_level]`` slice.
+    """
+
+    levels: tuple[int, ...]
+    parent_level: int | None
+    partition_names: list[str]
+    coarse_names: list[str]
 
 
 def partition_relation(
@@ -305,44 +285,59 @@ def partition_relation(
     decision: PartitionDecision,
     stats: PartitionStats | None = None,
     name_suffix: str = "",
-) -> tuple[list[str], str]:
-    """One pass: route tuples to partitions and build the coarse node.
+    parent_level: int | None = None,
+) -> Partitioning:
+    """One pass over ``relation``: route its rows to partitions sound on
+    the decision's members and build the coarse nodes.
 
-    Returns the created partition relation names and the name of the
-    persisted coarse node ``N`` (``<relation>.coarseN``).
+    The fact relation spills to ``<relation>.part<i>`` (one dimension) or
+    ``.pairpart<i>`` (two), a partition under ``parent_level`` to
+    ``<relation>.sub<i>``; the coarse nodes are ``<relation>.coarseN``, or
+    ``.coarseN1`` / ``.coarseN2``.  A partition's rows already carry their
+    fact row-id, so sub-partitions reuse them verbatim and answers stay
+    byte-identical to the unsplit build.
 
     ``name_suffix`` lets crash-safe builds write to staging names
-    (``….part0.tmp``) that are atomically published once the pass — and
+    (``….part0.wip``) that are atomically published once the pass — and
     its checksums — completed.
     """
-    names, coarse_name = _spill_on_level(
-        engine, relation, schema, decision, f"{relation}.part",
-        uniform=not decision.member_rows, name_suffix=name_suffix,
+    levels = decision.levels
+    pair = len(levels) == 2
+    local = parent_level is not None
+    coarse = {
+        f"{relation}.coarseN{i + 1 if pair else ''}{name_suffix}": _coarse_key(
+            schema, i, levels[i] + 1
+        )
+        for i in coarse_nodes(levels, parent_level)
+    }
+    if local or pair or decision.rows_by_member:
+        assignment = _first_fit(
+            decision.rows_by_member,
+            decision.max_member_rows,
+            decision.available_bytes,
+            schema.partition_schema.row_size_bytes,
+        )
+    else:
+        # The fact relation without weights to bin by (the ``uniform``
+        # strategy, or no rows): one partition per member of A_L.
+        n_members = schema.dimensions[0].cardinality(levels[0])
+        assignment = {code: code for code in range(n_members)}
+    stem = ".sub" if local else ".pairpart" if pair else ".part"
+    names = spill_by_key(
+        engine, relation, schema, relation + stem, levels, assignment, coarse,
+        name_suffix,
     )
-    _count_pass(stats, len(names))
-    return names, coarse_name
-
-
-# -- adaptive re-partitioning: recover from an under-provisioning estimate ------------
-
-
-@dataclass
-class Repartition:
-    """Outcome of adaptively splitting one over-budget partition.
-
-    ``level`` is the finer level L'' the sub-partitions are sound on.  The
-    local coarse node aggregates dimension 0 at A_{L''+1}; running it
-    through ``run_partition(·, parent_level)`` under a shape floored at
-    L''+1 rebuilds exactly the parent's [L''+1, L] slice of the lattice,
-    so together the pieces cover precisely what the parent partition
-    would have covered.
-    """
-
-    level: int
-    parent_level: int
-    partition_names: list[str]
-    coarse_name: str
-    n_rows: int
+    if stats is not None:
+        if local:
+            stats.repartitioned_partitions += 1
+            stats.pair_repartitioned_partitions += pair
+            stats.subpartitions_created += len(names)
+        else:  # the fact relation was read once and written once
+            stats.partitioned = True
+            stats.fact_read_passes += 1
+            stats.fact_write_passes += 1
+            stats.partitions_created = len(names)
+    return Partitioning(levels, parent_level, names, list(coarse))
 
 
 def repartition_partition(
@@ -351,185 +346,27 @@ def repartition_partition(
     schema: CubeSchema,
     parent_level: int,
     stats: PartitionStats | None = None,
-) -> Repartition | PairRepartition:
-    """Split one over-budget partition at a finer level of dimension 0.
+) -> Partitioning:
+    """Split one over-budget partition, sound on ``A_{parent_level}``.
 
     Partition-level selection works from *estimates*; when one
     under-provisions — a skewed member under the ``uniform`` strategy, or
     a budget shock at load time — loading that partition raises
     :class:`MemoryBudgetExceeded` even though the build as a whole is
-    viable.  Instead of aborting, this re-runs the Section 4 machinery
-    locally: pick the maximum ``L'' < parent_level`` whose members (exact
-    counts, one scan of the partition) and local coarse node both fit the
-    remaining budget, route the partition's rows into sound
-    sub-partitions (``<partition>.sub<i>``), and persist a local coarse
-    node at ``A_{L''+1}`` (``<partition>.coarseN``; ``L''+1 ≤
-    parent_level``, so it never projects dimension 0 out).  Callers
-    recurse on a sub-partition that *still* fails to load.
-
-    When no finer level of dimension 0 exists or helps — the skew lives
-    inside a single base-level member — the paper's pair extension is
-    applied *locally*: a level pair ``(A_L0, B_M)`` sound for just this
-    partition's rows is selected (:func:`select_partition_pair_local`)
-    and the partition is split on member pairs instead
-    (:func:`repartition_relation_pair`), returning a
-    :class:`PairRepartition`.
+    viable.  Instead of aborting, this re-runs the Section 4 machinery on
+    the partition's rows (exact counts, one scan of the partition): a
+    finer level of dimension 0 where one fits, else — the skew lives
+    inside a single base-level member — a level pair at or below
+    ``parent_level``.  Callers recurse on a sub-partition that *still*
+    fails to load.
     """
-    available = available_bytes_of(engine, "repartition_partition")
-    decision = search_level_decision(
-        engine, partition, schema, available, parent_level - 1, "exact"
+    decision = select_partition_level(
+        engine, partition, schema, parent_level=parent_level
     )
-    if decision is None:
-        pair_decision = select_partition_pair_local(
-            engine, partition, schema, parent_level
-        )
+    if len(decision.levels) == 1:
+        maybe_fire(engine.catalog.faults, f"repartition.single:{partition}")
+    else:
         maybe_fire(engine.catalog.faults, f"repartition.pair:{partition}")
-        return repartition_relation_pair(
-            engine, partition, schema, parent_level, pair_decision, stats
-        )
-    maybe_fire(engine.catalog.faults, f"repartition.single:{partition}")
-    names, coarse_name = _spill_on_level(
-        engine, partition, schema, decision, f"{partition}.sub"
-    )
-    if stats is not None:
-        stats.repartitioned_partitions += 1
-        stats.subpartitions_created += len(names)
-    return Repartition(
-        level=decision.level,
-        parent_level=parent_level,
-        partition_names=names,
-        coarse_name=coarse_name,
-        n_rows=len(engine.relation(partition)),
-    )
-
-
-# -- pair partitioning: the extension Section 4 mentions but omits --------------------
-
-
-def _spill_on_pair(
-    engine: Engine,
-    source: str,
-    schema: CubeSchema,
-    decision: PairPartitionDecision,
-    stem: str,
-    build_n1: bool = True,
-    name_suffix: str = "",
-) -> tuple[list[str], list[str]]:
-    """Spill ``source`` into (A_L, B_M)-sound bins and fold ``N1 = A_{L+1}
-    B_0 C_0 …`` (unless waived) and ``N2 = A_0 B_{M+1} C_0 …`` into
-    ``<source>.coarseN1`` / ``.coarseN2``.  Returns the bin names and the
-    coarse names."""
-    levels = (decision.level0, decision.level1)
-    coarse = {
-        f"{source}.coarseN{dim + 1}{name_suffix}": _coarse_key(
-            schema, dim, level + 1
-        )
-        for dim, level in enumerate(levels)
-        if dim or build_n1
-    }
-    assignment = _first_fit(
-        decision.pair_rows,
-        decision.max_pair_rows,
-        decision.available_bytes,
-        schema.partition_schema.row_size_bytes,
-    )
-    names = spill_by_key(
-        engine, source, schema, stem, levels, assignment, coarse, name_suffix
-    )
-    return names, list(coarse)
-
-
-def partition_relation_pair(
-    engine: Engine,
-    relation: str,
-    schema: CubeSchema,
-    decision: PairPartitionDecision,
-    stats: PartitionStats | None = None,
-    name_suffix: str = "",
-) -> tuple[list[str], str, str]:
-    """One pass: route tuples by (A_L, B_M) pair and build N1 and N2.
-
-    Returns partition names plus the names of the two persisted coarse
-    nodes (``<relation>.coarseN1`` / ``.coarseN2``).  ``name_suffix``
-    lets crash-safe builds write to staging names that are atomically
-    published once the pass completes (see :func:`partition_relation`).
-    """
-    names, (name1, name2) = _spill_on_pair(
-        engine, relation, schema, decision, f"{relation}.pairpart",
-        name_suffix=name_suffix,
-    )
-    _count_pass(stats, len(names))
-    return names, name1, name2
-
-
-# -- local pair re-partitioning: the pair extension scoped to one partition -----------
-
-
-@dataclass
-class PairRepartition:
-    """Outcome of pair-splitting one over-budget partition.
-
-    Produced when the partition's skew lives entirely inside a single
-    base-level member of dimension 0, so no finer single level can split
-    it.  The three regions of :class:`PairPartitionDecision` apply
-    locally:
-
-    - the ``.sub<i>`` partitions are sound on ``(A_L0, B_M)`` pairs and
-      build every node with both leading dimensions at levels ≤ (L0, M);
-    - ``coarse1_name`` (local N1, ``A_{L0+1} B_0 C_0 …``) patches nodes
-      with dimension 0 in ``(L0, parent_level]`` — it is ``None`` when
-      ``level0 == parent_level``, where that slice is empty;
-    - ``coarse2_name`` (local N2, ``A_0 B_{M+1} C_0 …``) patches nodes
-      keeping dimension 0 ≤ L0 but dimension 1 above M (or absent).
-
-    Together the pieces cover exactly what the parent partition — sound
-    on ``A_{parent_level}`` — would have covered.
-    """
-
-    level0: int
-    level1: int
-    parent_level: int
-    partition_names: list[str]
-    coarse1_name: str | None
-    coarse2_name: str
-    n_rows: int
-
-
-def repartition_relation_pair(
-    engine: Engine,
-    partition: str,
-    schema: CubeSchema,
-    parent_level: int,
-    decision: PairPartitionDecision,
-    stats: PartitionStats | None = None,
-) -> PairRepartition:
-    """One pass over the partition: route rows by (A_L0, B_M) pair and
-    build the local coarse nodes.
-
-    The partition's rows already carry their fact row-id in the trailing
-    column (``partition_schema``), so sub-partitions reuse the rows
-    verbatim and the coarse folds read the stored row-id instead of
-    re-enumerating — answers stay byte-identical to the unsplit build.
-
-    Local N1 patches the (L0, parent_level] slice of dimension 0; when
-    ``level0 == parent_level`` that slice is empty (the pair partitions
-    already cover ``A_{parent_level}``) and building N1 would
-    double-count.
-    """
-    build_n1 = decision.level0 < parent_level
-    names, coarse_names = _spill_on_pair(
-        engine, partition, schema, decision, f"{partition}.sub", build_n1
-    )
-    if stats is not None:
-        stats.repartitioned_partitions += 1
-        stats.pair_repartitioned_partitions += 1
-        stats.subpartitions_created += len(names)
-    return PairRepartition(
-        level0=decision.level0,
-        level1=decision.level1,
-        parent_level=parent_level,
-        partition_names=names,
-        coarse1_name=coarse_names[0] if build_n1 else None,
-        coarse2_name=coarse_names[-1],
-        n_rows=len(engine.relation(partition)),
+    return partition_relation(
+        engine, partition, schema, decision, stats, parent_level=parent_level
     )

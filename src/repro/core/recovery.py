@@ -60,21 +60,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.build import apply_outcome, make_executor, pair_plan, single_level_plan
-from repro.core.cure import (
-    BuildStats,
-    CubeResult,
-    _fold_executor_stats,
-    build_cube,
-)
+from repro.core.cure import BuildStats, CubeResult, build_cube, build_partitioned
 from repro.core.model import CubeSchema
-from repro.core.partition import partition_relation, partition_relation_pair
-from repro.core.partition_select import (
-    PairPartitionDecision,
-    PartitionDecision,
-    select_partition_level,
-    select_partition_pair,
-)
+from repro.core.partition import Partitioning
 from repro.core.signature import PoolStats, SignaturePool
 from repro.core.storage import CubeStorage
 from repro.relational.catalog import Catalog
@@ -85,14 +73,13 @@ from repro.relational.durable import (
     remove_file,
 )
 from repro.relational.engine import Engine
-from repro.relational.memory import MemoryBudgetExceeded
 from repro.relational.sortops import SortStats
 from repro.storage2.format import V2File, V2FormatError
 from repro.storage2.load import committed_container, load_cube
 from repro.storage2.publish import cube_writer, publish
 from repro.storage2.verify import verify_v2
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 STAGE_INIT = "init"
 STAGE_PARTITIONED = "partitioned"
@@ -117,7 +104,9 @@ class BuildManifest:
     """The durable record of one cube build's progress.
 
     Serialized as JSON (atomically — the manifest is itself a committed
-    artifact) after every stage transition and checkpoint.  Checksums are
+    artifact) after every stage transition and checkpoint.  ``levels`` is
+    the partitioning's level per leading dimension; ``partitions`` and
+    ``coarse`` list its published relations in plan order.  Checksums are
     SHA-256 over whole files: a staged partition's data file, a
     checkpoint's or the final cube's v2 container.
     """
@@ -128,15 +117,21 @@ class BuildManifest:
     options: dict[str, Any] = field(default_factory=dict)
     fact_checksum: str = ""
     fact_rows: int = 0
-    partition_mode: str = "single"
-    partition_level: int | None = None
-    partition_level2: int | None = None
+    levels: list[int] = field(default_factory=list)
     partitions: list[dict[str, Any]] = field(default_factory=list)
-    coarse: dict[str, Any] | None = None
-    coarse2: dict[str, Any] | None = None
+    coarse: list[dict[str, Any]] = field(default_factory=list)
     checkpoint: dict[str, Any] | None = None
     final: dict[str, Any] | None = None
     stats: dict[str, Any] | None = None
+
+    def partitioning(self) -> Partitioning:
+        """The recorded partitioning of the fact relation."""
+        return Partitioning(
+            tuple(self.levels),
+            None,
+            [str(entry["name"]) for entry in self.partitions],
+            [str(entry["name"]) for entry in self.coarse],
+        )
 
     def save(self, path: Path) -> None:
         payload = {"version": MANIFEST_VERSION, **asdict(self)}
@@ -310,146 +305,81 @@ class DurableCubeBuild:
     def _run_partitioned(
         self, manifest: BuildManifest, pool_bytes: int
     ) -> CubeResult:
-        engine = self.engine
-        catalog = engine.catalog
-        heap = engine.relation(self.relation)
-        decision = None
-
-        pool_token = engine.memory.reserve(pool_bytes, what="signature pool")
-        try:
-            if manifest.stage in (
-                STAGE_PARTITIONED,
-                STAGE_PHASE1,
-            ) and self._partitions_intact(manifest):
-                level = int(manifest.partition_level or 0)
-            else:
-                decision, level = self._stage_partition(manifest)
-            partition_names = [str(p["name"]) for p in manifest.partitions]
-
+        """The Section 4 pipeline (:func:`~repro.core.cure.build_partitioned`)
+        with the journal steps of stages A and B."""
+        recorded = storage = None
+        if manifest.stage in (
+            STAGE_PARTITIONED,
+            STAGE_PHASE1,
+        ) and self._partitions_intact(manifest):
+            recorded = manifest.partitioning()
             storage = self._load_checkpoint(manifest)
-            if storage is not None:
-                checkpoint = manifest.checkpoint or {}
-                stats = _stats_from_json(dict(checkpoint["stats"]))
-                completed = int(checkpoint["completed_partitions"])
-            else:
-                storage = CubeStorage(self.schema, dr_mode=self.dr_mode)
-                storage.partition_level = level
-                storage.partition_level2 = manifest.partition_level2
-                stats = _stats_from_json(manifest.stats or {})
-                completed = 0
-                manifest.checkpoint = None
-            storage.fact_row_count = len(heap)
-            storage.row_resolver = self._resolver()
-
-            pool = SignaturePool(
-                self.pool_capacity,
-                on_flush=storage.write_flush,
-                on_statistics=storage.decide_format,
+        if storage is not None:
+            checkpoint = manifest.checkpoint or {}
+            stats = _stats_from_json(dict(checkpoint["stats"]))
+            completed = int(checkpoint["completed_partitions"])
+        else:
+            storage = CubeStorage(self.schema, dr_mode=self.dr_mode)
+            # The recorded pass's counters; a pass that runs again counts
+            # again.
+            stats = (
+                _stats_from_json(manifest.stats or {})
+                if recorded
+                else BuildStats()
             )
-            if completed == 0:
-                stats.fact_read_passes += 1  # the partitions re-read R once
+            completed = 0
+            manifest.checkpoint = None
+        pool = SignaturePool(
+            self.pool_capacity,
+            on_flush=storage.write_flush,
+            on_statistics=storage.decide_format,
+        )
 
-            if manifest.partition_mode == "pair":
-                plan = pair_plan(
-                    self.schema,
-                    self.min_count,
-                    partition_names,
-                    str((manifest.coarse or {})["name"]),
-                    str((manifest.coarse2 or {})["name"]),
-                    level,
-                    int(manifest.partition_level2 or 0),
-                )
-            else:
-                plan = single_level_plan(
-                    self.schema,
-                    self.min_count,
-                    partition_names,
-                    str((manifest.coarse or {})["name"]),
-                    level,
-                )
-            executor = make_executor(engine, self.workers)
-            faults = catalog.faults
-            last_unit = len(plan.units) - 1
-            index = completed
+        def on_partitioned(staged: Partitioning) -> Partitioning:
+            """Stage A: publish the staged relations atomically, record."""
+            manifest.levels = list(staged.levels)
+            manifest.partitions = [
+                self._publish_staged(name) for name in staged.partition_names
+            ]
+            manifest.coarse = [
+                self._publish_staged(name) for name in staged.coarse_names
+            ]
+            manifest.stage = STAGE_PARTITIONED
+            manifest.stats = asdict(stats)
+            self._save_manifest(manifest)
+            return manifest.partitioning()
 
-            def on_unit(completion) -> None:
-                nonlocal index
-                for outcome in completion.outcomes:
-                    apply_outcome(outcome, storage, pool, stats, faults)
-                    if outcome.task.drop_after:
-                        catalog.drop(outcome.task.relation)
-                if completion.unit.kind == "partition":
-                    index += 1
-                    # Barrier: with the pool empty, the in-memory storage
-                    # is the complete build state — and the barrier is
-                    # taken in every run, so resumed and uninterrupted
-                    # builds classify NTs vs CATs over identical windows.
-                    pool.flush()
-                    if (
-                        index % max(1, self.checkpoint_every) == 0
-                        or index == len(partition_names)
-                    ):
-                        self._write_checkpoint(manifest, storage, stats, index)
-                elif completion.unit.index == last_unit:
-                    # The coarse phases share one flush window (a single
-                    # coarse node, or the N1/N2 pair), exactly as the
-                    # inline pipeline always flushed them.
-                    pool.flush()
+        def on_partition(done: int) -> None:
+            # Barrier: with the pool empty, the in-memory storage is the
+            # complete build state — and the barrier is taken in every
+            # run, so resumed and uninterrupted builds classify NTs vs
+            # CATs over identical windows.
+            pool.flush()
+            if (
+                done % max(1, self.checkpoint_every) == 0
+                or done == len(manifest.partitions)
+            ):
+                self._write_checkpoint(manifest, storage, stats, done)
 
-            executor.run(plan, on_unit, start_unit=completed)
-            _fold_executor_stats(stats, executor.stats)
-        finally:
-            engine.memory.release(pool_token)
-
+        decision = build_partitioned(
+            self.schema,
+            storage,
+            pool,
+            self.min_count,
+            stats,
+            self.engine,
+            self.relation,
+            pool_bytes,
+            self.partition_strategy,
+            self.workers,
+            name_suffix=_STAGING_SUFFIX,
+            on_partitioned=on_partitioned,
+            recorded=recorded,
+            start_unit=completed,
+            on_partition=on_partition,
+        )
         self._commit_final(manifest, storage, stats)
         return CubeResult(storage, stats, pool.stats, decision)
-
-    # -- stages -------------------------------------------------------------
-
-    def _stage_partition(
-        self, manifest: BuildManifest
-    ) -> tuple[PartitionDecision | PairPartitionDecision, int]:
-        """Stage A: write partition files and the coarse node — for a
-        pair-partitioned build the (A_L, B_M) partitions and the two coarse
-        nodes N1/N2 — to staging names, publish them atomically, record."""
-        engine = self.engine
-        stats = BuildStats()
-        decision: PartitionDecision | PairPartitionDecision
-        try:
-            decision = select_partition_level(
-                engine, self.relation, self.schema, self.partition_strategy
-            )
-        except MemoryBudgetExceeded:
-            # No single level of dimension 0 works; partition on pairs of
-            # leading-dimension members, checkpointed the same way.
-            decision = select_partition_pair(engine, self.relation, self.schema)
-        staged_coarse2 = None
-        if isinstance(decision, PairPartitionDecision):
-            levels = (decision.level0, decision.level1)
-            staged_names, staged_coarse, staged_coarse2 = partition_relation_pair(
-                engine, self.relation, self.schema, decision, stats,
-                name_suffix=_STAGING_SUFFIX,
-            )
-        else:
-            levels = (decision.level, None)
-            staged_names, staged_coarse = partition_relation(
-                engine, self.relation, self.schema, decision, stats,
-                name_suffix=_STAGING_SUFFIX,
-            )
-        manifest.partitions = [
-            self._publish_staged(staged) for staged in staged_names
-        ]
-        manifest.coarse = self._publish_staged(staged_coarse)
-        manifest.coarse2 = (
-            self._publish_staged(staged_coarse2) if staged_coarse2 else None
-        )
-        manifest.partition_mode = "pair" if staged_coarse2 else "single"
-        manifest.partition_level, manifest.partition_level2 = levels
-        manifest.stage = STAGE_PARTITIONED
-        manifest.checkpoint = None
-        manifest.stats = asdict(stats)
-        self._save_manifest(manifest)
-        return decision, levels[0]
 
     def _publish_staged(self, staged: str) -> dict[str, Any]:
         """Promote one staged relation to its final name; record checksums."""
@@ -530,22 +460,18 @@ class DurableCubeBuild:
             self._drop_prefixed(str(entry["name"]) + ".")
             if catalog.exists(str(entry["name"])):
                 catalog.drop(str(entry["name"]))
-        for coarse_entry in (manifest.coarse, manifest.coarse2):
-            if coarse_entry and catalog.exists(str(coarse_entry["name"])):
-                catalog.drop(str(coarse_entry["name"]))
+        for entry in manifest.coarse:
+            if catalog.exists(str(entry["name"])):
+                catalog.drop(str(entry["name"]))
 
     # -- verification helpers -----------------------------------------------
 
     def _partitions_intact(self, manifest: BuildManifest) -> bool:
         catalog = self.engine.catalog
-        entries = [*manifest.partitions, manifest.coarse]
-        if manifest.partition_mode == "pair":
-            entries.append(manifest.coarse2)
         return bool(manifest.partitions) and all(
-            entry is not None
-            and catalog.exists(str(entry["name"]))
+            catalog.exists(str(entry["name"]))
             and catalog.checksum(str(entry["name"])) == entry["checksum"]
-            for entry in entries
+            for entry in [*manifest.partitions, *manifest.coarse]
         )
 
     def _load_checkpoint(self, manifest: BuildManifest) -> CubeStorage | None:

@@ -69,15 +69,15 @@ _ORDER_METHODS = frozenset({"glob", "rglob", "iterdir"})
 
 #: Sinks by (resolved) trailing call-name: the audited write helpers plus
 #: the partition-decision functions whose outputs shape cube bytes — the
-#: selections, and ``spill_by_key``, the one routine that turns a bin
-#: assignment into partition files and coarse nodes.
+#: selection and its search, the pass that acts on a decision, and
+#: ``spill_by_key``, the one routine that turns a bin assignment into
+#: partition files and coarse nodes.
 SINK_FUNCTIONS = frozenset(
     {
         "atomic_write_bytes", "atomic_write_text", "atomic_write_chunks",
         "publish_file",
-        "select_partition_level", "select_partition_pair",
-        "select_partition_pair_local", "search_level_decision",
-        "repartition_partition", "repartition_relation_pair",
+        "select_partition_level", "search_partition_levels",
+        "partition_relation", "repartition_partition",
         "spill_by_key",
     }
 )

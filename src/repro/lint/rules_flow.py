@@ -20,8 +20,8 @@ directory and soundly degraded (single-module graph) under
 * **R12** — parallel-safety audit: ``global`` rebinds anywhere, and
   unsynchronized mutation of module-level mutable state by any function
   reachable from the parallel entry points: the build-task interpreters
-  (``execute_task`` — shared by both executors — ``run_partition_pair``,
-  the worker-process loop ``_worker_main``) and the serving layer's
+  (``execute_task`` — shared by both executors — and the worker-process
+  loop ``_worker_main``) and the serving layer's
   per-connection and per-request entries ``serve_connection`` and
   ``dispatch_request``, which the HTTP front's pool threads run
   concurrently over shared caches.  Mutation under a
@@ -66,8 +66,8 @@ _FIRE_CALLS = {"maybe_fire": 1, "fire": 0, "_fire_retrying": 0}
 #: Parallel entry points whose transitive callees R12/R13 audit.
 #: ``execute_task`` is the shared task interpreter both build executors
 #: run (the sequential one inline, ``_worker_main`` in worker processes,
-#: forked or spawned); ``process_partition`` survives as a suffix for fixture
-#: compatibility and for downstream code keeping the historical name;
+#: forked or spawned); ``process_partition`` is the entry the lint
+#: fixtures define, nothing under ``src/``;
 #: ``dispatch_request`` is the slicer server's per-request entry — many
 #: HTTP threads run it concurrently over one shared planner, so every
 #: module-state mutation it can reach needs a lock; ``serve_connection``
@@ -75,7 +75,6 @@ _FIRE_CALLS = {"maybe_fire": 1, "fire": 0, "_fire_retrying": 0}
 #: reads, parses and answers around that call on the same threads.
 R12_ENTRY_SUFFIXES = (
     "process_partition",
-    "run_partition_pair",
     "execute_task",
     "_worker_main",
     "dispatch_request",

@@ -1,24 +1,13 @@
-"""Sorting operators used by BUC-style recursion.
+"""Counters of sorting work.
 
-Two sorts matter to the paper's algorithms:
-
-* :func:`counting_sort_segments` — BUC's CountingSort trick (noted in
-  Section 7 as essential under high skew): when key cardinality is known
-  and modest, an O(n + c) counting sort groups equal keys without
-  comparison sorting.
-* :func:`comparison_sort_segments` — the general fallback.
-
-Both return *segments*: runs of positions sharing the same key, in key
-order, which is exactly the unit ``FollowEdge`` iterates over (Figure 13).
-Sort cost counters feed the machine-independent benchmark reports.
+The builders group rows with numpy sorts (:mod:`repro.core.segments`);
+what every construction method reports is how much it sorted —
+:class:`SortStats` feeds the machine-independent benchmark reports.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass
@@ -38,109 +27,3 @@ class SortStats:
         self.keys_sorted += other.keys_sorted
         self.counting_sorts += other.counting_sorts
         self.comparison_sorts += other.comparison_sorts
-
-
-Segment = tuple[int, list[int]]
-"""A (key, positions) pair: the positions whose sort key equals ``key``."""
-
-# Counting sort wins when the key domain is not much larger than the input;
-# beyond this ratio the zero-filled count array dominates the cost.
-_COUNTING_SORT_MAX_DOMAIN_RATIO = 4
-
-
-def counting_sort_segments(
-    positions: Sequence[int],
-    key_of: Callable[[int], int],
-    domain: int,
-    stats: SortStats | None = None,
-) -> list[Segment]:
-    """Group ``positions`` by an integer key in ``[0, domain)``.
-
-    Returns segments in ascending key order, skipping empty keys.
-    """
-    buckets: list[list[int] | None] = [None] * domain
-    for position in positions:
-        key = key_of(position)
-        bucket = buckets[key]
-        if bucket is None:
-            bucket = []
-            buckets[key] = bucket
-        bucket.append(position)
-    if stats is not None:
-        stats.keys_sorted += len(positions)
-        stats.counting_sorts += 1
-    return [
-        (key, bucket) for key, bucket in enumerate(buckets) if bucket is not None
-    ]
-
-
-def comparison_sort_segments(
-    positions: Sequence[int],
-    key_of: Callable[[int], int],
-    stats: SortStats | None = None,
-) -> list[Segment]:
-    """Group ``positions`` by key via comparison sort (general fallback)."""
-    ordered = sorted(positions, key=key_of)
-    if stats is not None:
-        stats.keys_sorted += len(positions)
-        stats.comparison_sorts += 1
-    segments: list[Segment] = []
-    current_key: int | None = None
-    current: list[int] = []
-    for position in ordered:
-        key = key_of(position)
-        if key != current_key:
-            if current:
-                segments.append((current_key, current))  # type: ignore[arg-type]
-            current_key = key
-            current = []
-        current.append(position)
-    if current:
-        segments.append((current_key, current))  # type: ignore[arg-type]
-    return segments
-
-
-def numpy_segments(
-    keys: np.ndarray, stats: SortStats | None = None
-) -> list[tuple[int, np.ndarray]]:
-    """Group positions ``0..len(keys)`` by key, vectorized.
-
-    Returns ``(key, index_chunk)`` pairs in ascending key order, where each
-    chunk indexes into the *input* array.  This is the hot path of the
-    BUC-style recursion: one stable argsort plus boundary detection.
-    """
-    n = len(keys)
-    if n == 0:
-        return []
-    if n == 1:
-        if stats is not None:
-            stats.keys_sorted += 1
-            stats.comparison_sorts += 1
-        return [(int(keys[0]), np.zeros(1, dtype=np.intp))]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    if stats is not None:
-        stats.keys_sorted += n
-        stats.comparison_sorts += 1
-    starts = np.concatenate(([0], boundaries))
-    chunks = np.split(order, boundaries)
-    return [
-        (int(sorted_keys[start]), chunk)
-        for start, chunk in zip(starts, chunks)
-    ]
-
-
-def sort_segments(
-    positions: Sequence[int],
-    key_of: Callable[[int], int],
-    domain: int | None = None,
-    stats: SortStats | None = None,
-) -> list[Segment]:
-    """Choose counting sort when the domain is known and small enough."""
-    if (
-        domain is not None
-        and domain <= max(16, len(positions) * _COUNTING_SORT_MAX_DOMAIN_RATIO)
-    ):
-        return counting_sort_segments(positions, key_of, domain, stats)
-    return comparison_sort_segments(positions, key_of, stats)

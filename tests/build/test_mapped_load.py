@@ -38,10 +38,9 @@ def _partitioned_engine(root):
     from repro.core.cure import BuildStats
 
     decision = select_partition_level(engine, "fact", schema, "uniform")
-    partitions, coarse_name = partition_relation(
-        engine, "fact", schema, decision, BuildStats()
-    )
-    return engine, schema, decision, partitions, coarse_name
+    written = partition_relation(engine, "fact", schema, decision, BuildStats())
+    (coarse_name,) = written.coarse_names
+    return engine, schema, decision, written.partition_names, coarse_name
 
 
 def _assert_same_working_set(a: WorkingSet, b: WorkingSet) -> None:
@@ -110,9 +109,9 @@ def test_execute_task_mapped_equals_inline(tmp_path):
         tmp_path / "eng"
     )
     floors = [0] * schema.n_dimensions
-    floors[0] = decision.level + 1
+    floors[0] = decision.levels[0] + 1
     tasks = [
-        TaskSpec(f"u{i}:{name}", KIND_PARTITION, name, level=decision.level, unit=i)
+        TaskSpec(f"u{i}:{name}", KIND_PARTITION, name, levels=decision.levels, unit=i)
         for i, name in enumerate(partitions)
     ]
     tasks.append(

@@ -40,7 +40,8 @@ COUNTERS = ("nodes_aggregated", "tt_written", "signatures_emitted")
 def assert_same_events(schema, shape, working, min_count, entry, levels=()):
     """Run both builders through ``entry`` and compare streams + counters."""
     new = CureBuilder(schema, shape, min_count, BuildStats())
-    tts, sigs = getattr(new, entry)(working, *levels)
+    # One production entry for both partition shapes; the oracle keeps two.
+    tts, sigs = new.run_partition(working, levels) if levels else new.run(working)
     old = RecursiveCureBuilder(schema, shape, min_count, BuildStats())
     getattr(old, entry)(working, *levels)
     old_tts, old_sigs = old.event_arrays()
@@ -359,7 +360,7 @@ def test_segment_times_cardinality_beyond_int32():
     )
     assert (n_a - 1) * n_b + (n_b - 1) > np.iinfo(np.int32).max
     new = CureBuilder(schema, FlatShape(schema))
-    tts, sigs = new.run_partition(working, 0)
+    tts, sigs = new.run_partition(working, (0,))
     # Too many segments for the recursive oracle's patience at full size
     # is still fine here: it is 40,000 two-row sorts.
     old = RecursiveCureBuilder(schema, FlatShape(schema))

@@ -6,9 +6,8 @@ import pytest
 
 from repro import CubeSchema, Engine, Table, build_cube, flat_dimension, linear_dimension, make_aggregates
 from repro.core.partition_select import (
-    PairPartitionDecision,
+    search_partition_levels,
     select_partition_level,
-    select_partition_pair,
 )
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
@@ -56,16 +55,16 @@ def setup(tmp_path):
 
 def test_single_dimension_selection_fails(setup):
     schema, _table, engine, _budget = setup
-    with pytest.raises(MemoryBudgetExceeded):
-        select_partition_level(engine, "fact", schema)
+    assert search_partition_levels(engine, "fact", schema, 1) is None
 
 
 def test_pair_selection_succeeds(setup):
     schema, table, engine, budget = setup
-    decision = select_partition_pair(engine, "fact", schema)
-    assert isinstance(decision, PairPartitionDecision)
+    decision = select_partition_level(engine, "fact", schema)
+    assert len(decision.levels) == 2
+    assert decision == search_partition_levels(engine, "fact", schema, 2)
     row_bytes = schema.partition_schema.row_size_bytes
-    assert decision.max_pair_rows * row_bytes <= decision.available_bytes
+    assert decision.max_member_rows * row_bytes <= decision.available_bytes
 
 
 def test_pair_partitioned_build_matches_reference(setup):
@@ -74,9 +73,9 @@ def test_pair_partitioned_build_matches_reference(setup):
         schema, engine=engine, relation="fact", pool_capacity=200
     )
     decision = result.decision
-    assert isinstance(decision, PairPartitionDecision)
-    assert result.storage.partition_level == decision.level0
-    assert result.storage.partition_level2 == decision.level1
+    assert len(decision.levels) == 2
+    assert result.storage.partition_level == decision.levels[0]
+    assert result.storage.partition_level2 == decision.levels[1]
     assert result.stats.partitioned
     assert engine.memory.peak_bytes <= budget
     # Still 2 reads + 1 write of R (both coarse nodes built in the same

@@ -48,23 +48,23 @@ def engine_with(tmp_path, schema, table, budget):
 
 def test_estimate_coarse_rows_sparse_saturates_at_total():
     schema = dense_schema()
-    assert estimate_coarse_rows(schema, 0, total_rows=3) == 3
+    assert estimate_coarse_rows(schema, 0, 0, total_rows=3) == 3
 
 
 def test_estimate_coarse_rows_dense_approaches_combinations():
     schema = dense_schema()
     # L = 2 (top): N projects A out entirely → K = |B0| = 6.
-    estimate = estimate_coarse_rows(schema, 2, total_rows=100_000)
+    estimate = estimate_coarse_rows(schema, 0, 2, total_rows=100_000)
     assert estimate == 6
     # L = 1: K = |A2| * |B0| = 12.
-    estimate = estimate_coarse_rows(schema, 1, total_rows=100_000)
+    estimate = estimate_coarse_rows(schema, 0, 1, total_rows=100_000)
     assert estimate == 12
 
 
 def test_estimate_monotone_in_level():
     schema = dense_schema()
     estimates = [
-        estimate_coarse_rows(schema, level, 100_000) for level in (0, 1, 2)
+        estimate_coarse_rows(schema, 0, level, 100_000) for level in (0, 1, 2)
     ]
     assert estimates == sorted(estimates, reverse=True)
 
@@ -78,8 +78,7 @@ def test_selection_picks_maximum_feasible_level(tmp_path):
     # Budget generously above every constraint → top level chosen.
     engine = engine_with(tmp_path, schema, table, budget=10**9)
     decision = select_partition_level(engine, "fact", schema)
-    assert decision.level == 2
-    assert decision.level_is_top
+    assert decision.levels == (schema.dimensions[0].n_levels - 1,) == (2,)
     engine.close()
 
 
@@ -92,7 +91,7 @@ def test_selection_descends_when_members_too_heavy(tmp_path):
     row_bytes = schema.partition_schema.row_size_bytes
     engine = engine_with(tmp_path, schema, table, budget=400 * row_bytes)
     decision = select_partition_level(engine, "fact", schema)
-    assert decision.level < 2
+    assert len(decision.levels) == 1 and decision.levels[0] < 2
     assert decision.max_member_rows * row_bytes <= decision.available_bytes
     engine.close()
 
@@ -140,17 +139,17 @@ def test_unknown_strategy_rejected(tmp_path):
 
 def test_bin_members_soundness_and_capacity():
     decision = PartitionDecision(
-        level=0, n_members=5, max_member_rows=50,
-        estimated_coarse_rows=0, available_bytes=100 * 8, strategy="exact",
-        member_rows={0: 50, 1: 40, 2: 30, 3: 20, 4: 10},
+        levels=(0,), max_member_rows=50,
+        estimated_coarse_rows=(0,), available_bytes=100 * 8, strategy="exact",
+        rows_by_member={0: 50, 1: 40, 2: 30, 3: 20, 4: 10},
     )
     assignment = _first_fit(
-        decision.member_rows, decision.max_member_rows,
+        decision.rows_by_member, decision.max_member_rows,
         decision.available_bytes, row_bytes=8,
     )
     assert set(assignment) == {0, 1, 2, 3, 4}
     loads: dict[int, int] = {}
-    for code, rows in decision.member_rows.items():
+    for code, rows in decision.rows_by_member.items():
         loads[assignment[code]] = loads.get(assignment[code], 0) + rows
     assert all(load <= 100 for load in loads.values())
     assert max(assignment.values()) + 1 <= 3  # FFD packs 150 rows into 2-3 bins
@@ -164,8 +163,10 @@ def test_partition_relation_soundness(tmp_path):
     table = dense_table(schema)
     engine = engine_with(tmp_path, schema, table, budget=10**9)
     decision = select_partition_level(engine, "fact", schema)
-    names, coarse_name = partition_relation(engine, "fact", schema, decision)
-    level_map = schema.dimensions[0].base_maps[decision.level]
+    written = partition_relation(engine, "fact", schema, decision)
+    names, (coarse_name,) = written.partition_names, written.coarse_names
+    assert written.levels == decision.levels and written.parent_level is None
+    level_map = schema.dimensions[0].base_maps[decision.levels[0]]
     seen_in: dict[int, str] = {}
     total = 0
     for name in names:
@@ -209,7 +210,8 @@ def test_partitioned_build_records_partition_level(tmp_path):
     budget = len(table) * schema.fact_schema.row_size_bytes // 2
     engine = engine_with(tmp_path, schema, table, budget=budget)
     result = build_cube(schema, engine=engine, relation="fact", pool_capacity=500)
-    assert result.storage.partition_level == result.decision.level
+    assert (result.storage.partition_level,) == result.decision.levels
+    assert result.storage.partition_level2 is None
     engine.close()
 
 

@@ -8,7 +8,7 @@ from repro import CubeSchema, Engine, Table, build_cube, linear_dimension, make_
 from repro.core.cure import CureBuilder, HierarchicalShape
 from repro.core.partition import partition_relation
 from repro.core.partition_select import (
-    estimate_pair_coarse_rows,
+    estimate_coarse_rows,
     select_partition_level,
 )
 from repro.core.signature import SignaturePool
@@ -48,16 +48,18 @@ def test_uniform_strategy_partition_roundtrip(tmp_path):
     decision = select_partition_level(
         engine, "fact", schema, strategy="uniform"
     )
-    assert decision.member_rows == {}
-    names, coarse_name = partition_relation(engine, "fact", schema, decision)
+    assert decision.rows_by_member == {}
+    (level,) = decision.levels
+    written = partition_relation(engine, "fact", schema, decision)
+    names, (coarse_name,) = written.partition_names, written.coarse_names
     # One file per member of the chosen level.
-    assert len(names) == schema.dimensions[0].cardinality(decision.level)
+    assert len(names) == schema.dimensions[0].cardinality(level)
 
     storage = CubeStorage(schema)
     storage.fact_row_count = len(table)
     heap = engine.relation("fact")
     storage.row_resolver = lambda rowid: schema.dim_values(heap.read_row(rowid))
-    storage.partition_level = decision.level
+    storage.partition_level = level
     pool = SignaturePool(
         None,
         on_flush=storage.write_flush,
@@ -68,14 +70,14 @@ def test_uniform_strategy_partition_roundtrip(tmp_path):
         with engine.load(name) as loaded:
             tts, sigs = builder.run_partition(
                 WorkingSet.from_partition_table(schema, loaded),
-                decision.level,
+                decision.levels,
             )
         storage.write_tts(tts)
         pool.add_batch(sigs)
     from repro.core.partition import load_coarse_working_set
 
     base_levels = [0] * schema.n_dimensions
-    base_levels[0] = decision.level + 1
+    base_levels[0] = level + 1
     coarse, release = load_coarse_working_set(engine, coarse_name, schema)
     coarse_builder = CureBuilder(
         schema, HierarchicalShape(schema, tuple(base_levels))
@@ -98,20 +100,22 @@ def test_projects_out_first_dim_at_top_level(tmp_path):
     schema, table = schema_and_table()
     engine = engine_with(tmp_path, schema, table, int(table.size_bytes * 0.9))
     decision = select_partition_level(engine, "fact", schema)
-    if decision.level == schema.dimensions[0].n_levels - 1:
-        assert decision.projects_out_first_dim
-        assert decision.level_is_top
+    if decision.levels[0] == schema.dimensions[0].n_levels - 1:
+        # N = A_{ALL} B_0: the first dimension is gone, |B_0| = 5 groups.
+        assert decision.estimated_coarse_rows == (5,)
+        written = partition_relation(engine, "fact", schema, decision)
+        assert len(engine.relation(written.coarse_names[0])) == 5
     engine.close()
 
 
 def test_estimate_pair_coarse_rows_shapes():
     schema, _table = schema_and_table()
     # N1 at the top level of dim 0 projects it out: K = |B0| = 5.
-    assert estimate_pair_coarse_rows(schema, 0, 2, 100_000) == 5
+    assert estimate_coarse_rows(schema, 0, 2, 100_000) == 5
     # N2 at the top level of dim 1 projects it out: K = |A0| = 30.
-    assert estimate_pair_coarse_rows(schema, 1, 0, 100_000) == 30
+    assert estimate_coarse_rows(schema, 1, 0, 100_000) == 30
     # Sparse input saturates at the row count.
-    assert estimate_pair_coarse_rows(schema, 0, 0, 3) == 3
+    assert estimate_coarse_rows(schema, 0, 0, 3) == 3
 
 
 def test_as_nt_format_end_to_end():

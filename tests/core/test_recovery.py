@@ -11,6 +11,7 @@ and checkpoints, with no term in the number of lattice nodes.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import stat
@@ -23,6 +24,7 @@ from repro import (
     CubeSchema,
     Engine,
     Table,
+    build_cube,
     flat_dimension,
     linear_dimension,
     make_aggregates,
@@ -274,4 +276,64 @@ def test_build_never_reads_the_fact_relation_whole(tmp_path, monkeypatch):
     file = V2File.open(tmp_path / "cube.v2")
     assert not [name for name in file.names() if name.startswith(("fact/", "index/"))]
     assert file.meta["fact_row_count"] == len(table) == len(engine.relation("fact"))
+    engine.close()
+
+
+def test_holistic_aggregate_is_refused_before_anything_is_staged(tmp_path):
+    """A durable build runs the same Section 4 driver as ``build_cube``:
+    the distributive-aggregates guard comes before the partition pass, so
+    the refusal is the same one and no staged relation is left behind."""
+    base, table = _instance()
+    schema = CubeSchema(
+        base.dimensions, make_aggregates(("median", 0), ("count", 0)), 1
+    )
+    message = "external partitioning requires distributive aggregates"
+    budget = _budget(schema, table)
+    plain = _fresh_engine(tmp_path / "plain", schema, table, budget)
+    with pytest.raises(ValueError, match=message):
+        build_cube(
+            schema, engine=plain, relation="fact", pool_capacity=POOL_CAPACITY
+        )
+    plain.close()
+    engine = _fresh_engine(tmp_path / "durable", schema, table, budget)
+    with pytest.raises(ValueError, match=message):
+        _durable(schema, engine).build()
+    engine.close()
+    assert not list((tmp_path / "durable").glob("*.wip*"))
+
+
+def test_version_2_manifest_is_refused_by_the_version_check(tmp_path):
+    """A manifest written before ``levels`` / the ``coarse`` list fails the
+    version gate — not ``BuildManifest(**payload)`` — and resume touches
+    nothing."""
+    schema, table = _instance()
+    engine = _fresh_engine(tmp_path, schema, table, _budget(schema, table))
+    durable = _durable(schema, engine)
+    entry = {"name": "fact.part0", "checksum": "00", "rows": 1}
+    durable.manifest_path.write_text(
+        json.dumps(
+            {
+                "version": 2,
+                "relation": "fact",
+                "prefix": "cube",
+                "stage": "partitioned",
+                "options": durable._options(),
+                "fact_checksum": engine.catalog.checksum("fact"),
+                "fact_rows": len(table),
+                "partition_mode": "pair",
+                "partition_level": 1,
+                "partition_level2": 0,
+                "partitions": [entry],
+                "coarse": {**entry, "name": "fact.coarseN1"},
+                "coarse2": {**entry, "name": "fact.coarseN2"},
+                "checkpoint": None,
+                "final": None,
+                "stats": None,
+            }
+        )
+    )
+    listing = sorted(path.name for path in tmp_path.iterdir())
+    with pytest.raises(ManifestError, match="unsupported version"):
+        durable.resume()
+    assert sorted(path.name for path in tmp_path.iterdir()) == listing
     engine.close()

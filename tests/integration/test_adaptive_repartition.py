@@ -24,6 +24,8 @@ from repro.query.workload import all_node_queries
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryBudgetExceeded, MemoryManager
 
+pytestmark = pytest.mark.crash
+
 POOL_CAPACITY = 200
 
 

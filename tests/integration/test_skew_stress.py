@@ -35,6 +35,8 @@ from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
 from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
 
+pytestmark = pytest.mark.crash
+
 POOL_CAPACITY = 200
 PARTITION_ALLOWANCE_ROWS = 300
 

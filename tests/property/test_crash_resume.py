@@ -29,6 +29,8 @@ from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
 from tests.support.rows import cube_bytes
 
+pytestmark = pytest.mark.crash
+
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 MAX_CRASH_POINTS = int(os.environ.get("MAX_CRASH_POINTS", "12"))
 POOL_CAPACITY = 100

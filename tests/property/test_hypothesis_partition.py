@@ -2,10 +2,10 @@
 
 ``repro.core.partition.spill_by_key`` replaced six ``for row in
 heap.scan()`` loops; those loops live on verbatim in
-``tests/support/row_partition.py``.  On random schemas, skew profiles
-and budgets, every entry point that runs the pass — level, pair,
-repartition and local-pair partitioning — and both counting scans must
-agree with the oracle on
+``tests/support/row_partition.py``, one function per shape.  On random
+schemas, skew profiles and budgets, every shape the one production path
+takes — level, pair, repartition and local-pair partitioning — and both
+counting scans must agree with the oracle on
 
 * the selection (level(s), member weights *in order*: first-fit binning
   breaks ties by it, so it shapes partition files),
@@ -138,13 +138,29 @@ def _sides(tmp_path_factory, case):
     )
 
 
+def _search(k: int, parent_level: int | None = None):
+    """The production search over ``k`` dimensions, failing the way the
+    oracle's ``select_*`` functions do."""
+
+    def search(engine, relation, schema, strategy="exact"):
+        decision = array_select.search_partition_levels(
+            engine, relation, schema, k, strategy, parent_level
+        )
+        if decision is None:
+            raise MemoryBudgetExceeded("no workable levels")
+        return decision
+
+    return search
+
+
 def _both(
-    oracle: _Side, arrays: _Side, name: str, *args, with_stats=False, **kwargs
+    oracle: _Side, arrays: _Side, row_function, array_function, *args,
+    with_stats=False, **kwargs,
 ):
-    """Run ``name`` on both sides: equal results, or the same error type
-    (``(None, None)``).  ``with_stats`` hands each side its own
-    ``BuildStats`` and holds the counters equal too."""
-    module = array_select if hasattr(array_select, name) else array_pass
+    """Run the oracle's function and its production counterpart: equal
+    results, or the same error type (``(None, None)``).  ``with_stats``
+    hands each side its own ``BuildStats`` and holds the counters equal
+    too."""
     stats = []
 
     def call(side: _Side, function):
@@ -154,12 +170,12 @@ def _both(
         return side.run(function, *args, **kwargs)
 
     try:
-        expected = call(oracle, getattr(row_pass, name))
+        expected = call(oracle, row_function)
     except (MemoryBudgetExceeded, ValueError) as error:
         with pytest.raises(type(error)):
-            call(arrays, getattr(module, name))
+            call(arrays, array_function)
         return None, None
-    actual = call(arrays, getattr(module, name))
+    actual = call(arrays, array_function)
     if with_stats:
         assert stats[1] == stats[0]
     return expected, actual
@@ -167,11 +183,9 @@ def _both(
 
 def _assert_same_decision(expected, actual) -> None:
     assert actual == expected
-    for weights in ("member_rows", "pair_rows"):
-        if hasattr(expected, weights):
-            assert list(getattr(actual, weights).items()) == list(
-                getattr(expected, weights).items()
-            )
+    assert list(actual.rows_by_member.items()) == list(
+        expected.rows_by_member.items()
+    )
 
 
 def _assert_same_relations(oracle: _Side, arrays: _Side) -> None:
@@ -186,16 +200,18 @@ def _assert_same_relations(oracle: _Side, arrays: _Side) -> None:
 def test_level_partitioning_matches_oracle(tmp_path_factory, case, strategy):
     schema, oracle, arrays = _sides(tmp_path_factory, case)
     expected, actual = _both(
-        oracle, arrays, "select_partition_level", "fact", schema, strategy
+        oracle, arrays, row_pass.select_partition_level, _search(1),
+        "fact", schema, strategy,
     )
     if expected is None:
         return
     _assert_same_decision(expected, actual)
-    names = _both(
-        oracle, arrays, "partition_relation", "fact", schema, expected,
+    written = _both(
+        oracle, arrays, row_pass.partition_relation,
+        array_pass.partition_relation, "fact", schema, expected,
         name_suffix=".tmp", with_stats=True,
     )
-    assert names[1] == names[0]
+    assert written[1] == written[0]
     _assert_same_relations(oracle, arrays)
 
 
@@ -204,16 +220,18 @@ def test_level_partitioning_matches_oracle(tmp_path_factory, case, strategy):
 def test_pair_partitioning_matches_oracle(tmp_path_factory, case):
     schema, oracle, arrays = _sides(tmp_path_factory, case)
     expected, actual = _both(
-        oracle, arrays, "select_partition_pair", "fact", schema
+        oracle, arrays, row_pass.select_partition_pair, _search(2),
+        "fact", schema,
     )
     if expected is None:
         return
     _assert_same_decision(expected, actual)
-    names = _both(
-        oracle, arrays, "partition_relation_pair", "fact", schema, expected,
+    written = _both(
+        oracle, arrays, row_pass.partition_relation_pair,
+        array_pass.partition_relation, "fact", schema, expected,
         with_stats=True,
     )
-    assert names[1] == names[0]
+    assert written[1] == written[0]
     _assert_same_relations(oracle, arrays)
 
 
@@ -226,18 +244,25 @@ def test_repartitioning_matches_oracle(tmp_path_factory, case, shrunk_rows):
     rows carry their fact row-id)."""
     schema, oracle, arrays = _sides(tmp_path_factory, case)
     decision, _ = _both(
-        oracle, arrays, "select_partition_level", "fact", schema, "uniform"
+        oracle, arrays, row_pass.select_partition_level, _search(1),
+        "fact", schema, "uniform",
     )
     if decision is None:
         return
-    names, _ = _both(oracle, arrays, "partition_relation", "fact", schema, decision)
-    partition = max(names[0], key=lambda n: len(oracle.engine.relation(n)))
+    written, _ = _both(
+        oracle, arrays, row_pass.partition_relation,
+        array_pass.partition_relation, "fact", schema, decision,
+    )
+    partition = max(
+        written.partition_names, key=lambda n: len(oracle.engine.relation(n))
+    )
     budget = shrunk_rows * schema.partition_schema.row_size_bytes
     for side in (oracle, arrays):
         side.engine.memory = MemoryManager(budget)
     expected, actual = _both(
-        oracle, arrays, "repartition_partition", partition, schema,
-        decision.level, with_stats=True,
+        oracle, arrays, row_pass.repartition_partition,
+        array_pass.repartition_partition, partition, schema,
+        decision.levels[0], with_stats=True,
     )
     if expected is None:
         return
@@ -260,18 +285,30 @@ def test_local_pair_partitioning_matches_oracle(
             "fact.part0", Table(schema.partition_schema, rows)
         )
     expected, actual = _both(
-        oracle, arrays, "select_partition_pair_local", "fact.part0", schema,
-        parent_level,
+        oracle, arrays,
+        lambda engine, *args: row_pass.select_partition_pair_local(
+            engine, *args, parent_level
+        ),
+        _search(2, parent_level), "fact.part0", schema,
     )
     if expected is None:
         return
     _assert_same_decision(expected, actual)
     expected, actual = _both(
-        oracle, arrays, "repartition_relation_pair", "fact.part0", schema,
-        parent_level, expected, with_stats=True,
+        oracle, arrays,
+        lambda engine, *args, stats: row_pass.repartition_relation_pair(
+            engine, "fact.part0", schema, parent_level, *args, stats
+        ),
+        lambda engine, *args, stats: array_pass.partition_relation(
+            engine, "fact.part0", schema, *args, stats,
+            parent_level=parent_level,
+        ),
+        expected, with_stats=True,
     )
     assert actual == expected
-    assert (actual.coarse1_name is None) == (actual.level0 == parent_level)
+    assert (len(actual.coarse_names) == 1) == (
+        actual.levels[0] == parent_level
+    )
     _assert_same_relations(oracle, arrays)
 
 
@@ -327,12 +364,19 @@ def test_member_absent_from_the_counting_scan_goes_to_bin_zero(
     decision = oracle.run(
         row_pass.select_partition_level, "fact", schema, "exact"
     )
-    absent = max(decision.member_rows)
-    del decision.member_rows[absent]
-    names = _both(oracle, arrays, "partition_relation", "fact", schema, decision)
-    assert names[1] == names[0]
-    first_column = arrays.engine.relation(names[1][0][0]).load_batch().arrays[0]
-    level_map = schema.dimensions[0].level_maps[decision.level]
+    absent = max(decision.rows_by_member)
+    del decision.rows_by_member[absent]
+    written = _both(
+        oracle, arrays, row_pass.partition_relation,
+        array_pass.partition_relation, "fact", schema, decision,
+    )
+    assert written[1] == written[0]
+    first_column = (
+        arrays.engine.relation(written[1].partition_names[0])
+        .load_batch()
+        .arrays[0]
+    )
+    level_map = schema.dimensions[0].level_maps[decision.levels[0]]
     assert absent in level_map[first_column]
     _assert_same_relations(oracle, arrays)
 
@@ -344,13 +388,18 @@ def test_wide_key_rerank_keeps_groups(tmp_path_factory, monkeypatch):
 
     monkeypatch.setattr(segments, "_KEY_SPAN_LIMIT", 8)
     schema, oracle, arrays = _sides(tmp_path_factory, SKEWED)
-    for select, partition in (
-        ("select_partition_level", "partition_relation"),
-        ("select_partition_pair", "partition_relation_pair"),
+    for k, select, partition in (
+        (1, row_pass.select_partition_level, row_pass.partition_relation),
+        (2, row_pass.select_partition_pair, row_pass.partition_relation_pair),
     ):
-        expected, actual = _both(oracle, arrays, select, "fact", schema)
+        expected, actual = _both(
+            oracle, arrays, select, _search(k), "fact", schema
+        )
         _assert_same_decision(expected, actual)
-        _both(oracle, arrays, partition, "fact", schema, expected)
+        _both(
+            oracle, arrays, partition, array_pass.partition_relation,
+            "fact", schema, expected,
+        )
     _assert_same_relations(oracle, arrays)
 
 
@@ -366,17 +415,16 @@ def test_every_written_file_fires_write_and_flush_sites(tmp_path_factory):
     decision = arrays.run(
         array_select.select_partition_level, "fact", schema, "uniform"
     )
-    names, coarse_name = arrays.run(
+    partitioning = arrays.run(
         array_pass.partition_relation, "fact", schema, decision,
         name_suffix=".tmp",
     )
-    assert all(name.endswith(".tmp") for name in [*names, coarse_name])
+    names = [*partitioning.partition_names, *partitioning.coarse_names]
+    assert all(name.endswith(".tmp") for name in names)
     written = {
-        f"{name}.dat"
-        for name in [*names, coarse_name]
-        if len(arrays.engine.relation(name))
+        f"{name}.dat" for name in names if len(arrays.engine.relation(name))
     }
-    assert len(written) < len(names) + 1  # uniform: some members are empty
+    assert len(written) < len(names)  # uniform: some members are empty
     for site in ("heap.write", "heap.flush"):
         fired = {s.split(":", 1)[1] for s in recorder.sites(f"{site}:*")}
         assert fired == written

@@ -8,9 +8,6 @@ from hypothesis import given, settings
 from repro.relational.bitmap import Bitmap
 from repro.relational.heap import HeapFile
 from repro.relational.schema import Column, ColumnType, TableSchema
-from repro.relational.sortops import comparison_sort_segments, numpy_segments
-
-import numpy as np
 
 
 @settings(max_examples=50, deadline=None)
@@ -21,38 +18,6 @@ def test_bitmap_roundtrip(rowids, universe):
     assert bitmap.count() == len(rowids)
     for rowid in range(universe):
         assert bitmap.test(rowid) == (rowid in rowids)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 20), max_size=200))
-def test_numpy_segments_partition_input(keys):
-    segments = numpy_segments(np.array(keys, dtype=np.int64))
-    seen: list[int] = []
-    previous_key = None
-    for key, chunk in segments:
-        if previous_key is not None:
-            assert key > previous_key  # ascending key order
-        previous_key = key
-        for position in chunk.tolist():
-            assert keys[position] == key
-            seen.append(position)
-    assert sorted(seen) == list(range(len(keys)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 10), max_size=100))
-def test_numpy_segments_agree_with_pure_python(keys):
-    numpy_result = [
-        (key, sorted(chunk.tolist()))
-        for key, chunk in numpy_segments(np.array(keys, dtype=np.int64))
-    ]
-    pure_result = [
-        (key, positions)
-        for key, positions in comparison_sort_segments(
-            range(len(keys)), lambda p: keys[p]
-        )
-    ]
-    assert numpy_result == pure_result
 
 
 @settings(max_examples=25, deadline=None)

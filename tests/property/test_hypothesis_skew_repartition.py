@@ -1,8 +1,10 @@
 """Property tests: local pair selection is sound or fails honestly.
 
-``select_partition_pair_local`` is the last resort of adaptive
-re-partitioning — it runs on a partition that already overflowed the
-budget and that no finer level of dimension 0 can split.  On randomized
+The search over level pairs at or below a partition's ``parent_level``
+(``search_partition_levels(…, 2, parent_level=…)``) is the last resort of
+adaptive re-partitioning — ``select_partition_level`` runs it on a
+partition that already overflowed the budget and that no finer level of
+dimension 0 can split.  On randomized
 skew profiles (hot base pairs, arbitrary hierarchies on the two leading
 dimensions, arbitrary budgets) the selection must either
 
@@ -11,10 +13,12 @@ dimensions, arbitrary budgets) the selection must either
   available bytes, the levels respect ``parent_level`` and the
   dimension chains, and the N1 coarse node is waived exactly when
   ``level0 == parent_level``; or
-* raise :class:`MemoryBudgetExceeded`, and only when even the finest
-  candidate pair ``(A_0, B_0)`` is genuinely blocked — its hottest pair
-  overflows, or a required coarse working set cannot fit — with the
-  remaining knob (the memory budget) named in the message.
+* find nothing, and only when even the finest candidate pair ``(A_0,
+  B_0)`` is genuinely blocked — its hottest pair overflows, or a required
+  coarse working set cannot fit; the selection then raises
+  :class:`MemoryBudgetExceeded` with the remaining knob (the memory
+  budget) named in the message, unless a finer level of dimension 0
+  alone does split the partition.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from hypothesis import example, given, settings
 from repro import CubeSchema, Table, make_aggregates
 from repro.core.partition_select import (
     _working_set_row_bytes,
-    estimate_pair_coarse_rows,
-    select_partition_pair_local,
+    estimate_coarse_rows,
+    search_partition_levels,
+    select_partition_level,
 )
 from repro.hierarchy.builders import flat_dimension, linear_dimension
 from repro.relational.engine import Engine
@@ -97,11 +102,11 @@ def _finest_candidate_is_blocked(
     ws_bytes = _working_set_row_bytes(schema)
     if _max_group(pairs, schema, 0, 0) * row_bytes > available:
         return True
-    n2 = estimate_pair_coarse_rows(schema, 1, 0, len(pairs))
+    n2 = estimate_coarse_rows(schema, 1, 0, len(pairs))
     if n2 * ws_bytes > available:
         return True
     if parent_level > 0:
-        n1 = estimate_pair_coarse_rows(schema, 0, 0, len(pairs))
+        n1 = estimate_coarse_rows(schema, 0, 0, len(pairs))
         if n1 * ws_bytes > available:
             return True
     return False
@@ -124,29 +129,36 @@ def test_local_pair_selection_sound_or_budget_error(case):
         engine.store_table(
             "fact.part0", Table(schema.partition_schema, rows)
         )
-        try:
-            decision = select_partition_pair_local(
-                engine, "fact.part0", schema, parent_level
-            )
-        except MemoryBudgetExceeded as error:
+        decision = search_partition_levels(
+            engine, "fact.part0", schema, 2, parent_level=parent_level
+        )
+        if decision is None:
             assert _finest_candidate_is_blocked(
                 pairs, schema, available, parent_level
-            ), "raised although the finest pair candidate was feasible"
-            assert "raise the memory budget" in str(error)
+            ), "nothing found although the finest pair candidate was feasible"
+            try:
+                finer = select_partition_level(
+                    engine, "fact.part0", schema, parent_level=parent_level
+                )
+            except MemoryBudgetExceeded as error:
+                assert "raise the memory budget" in str(error)
+            else:
+                assert len(finer.levels) == 1 and finer.levels[0] < parent_level
             return
         # Sound: the selection's own count matches an independent recount
         # of the chosen grouping, and the hottest group fits the budget.
-        assert 0 <= decision.level0 <= parent_level
-        assert 0 <= decision.level1 < schema.dimensions[1].n_levels
-        recounted = _max_group(pairs, schema, decision.level0, decision.level1)
-        assert decision.max_pair_rows == recounted
-        assert decision.max_pair_rows * row_bytes <= available
-        assert sum(decision.pair_rows.values()) == len(pairs)
+        level0, level1 = decision.levels
+        assert 0 <= level0 <= parent_level
+        assert 0 <= level1 < schema.dimensions[1].n_levels
+        recounted = _max_group(pairs, schema, level0, level1)
+        assert decision.max_member_rows == recounted
+        assert decision.max_member_rows * row_bytes <= available
+        assert sum(decision.rows_by_member.values()) == len(pairs)
         assert decision.available_bytes == available
         # A decision at parent_level needs no N1 coarse node: the
         # partition is already sound on A_{parent_level}.
-        if decision.level0 == parent_level:
-            assert decision.estimated_n1_rows == 0
+        if level0 == parent_level:
+            assert decision.estimated_coarse_rows[0] == 0
     finally:
         engine.destroy()
 
@@ -164,7 +176,7 @@ def test_single_dimension_cube_has_no_pair_extension():
             Table(schema.partition_schema, [(0, 1, i) for i in range(40)]),
         )
         with pytest.raises(MemoryBudgetExceeded, match="single"):
-            select_partition_pair_local(engine, "fact.part0", schema, 0)
+            select_partition_level(engine, "fact.part0", schema, parent_level=0)
     finally:
         engine.destroy()
 
@@ -177,6 +189,6 @@ def test_unbounded_budget_is_a_usage_error():
             "fact.part0", Table(schema.partition_schema, [])
         )
         with pytest.raises(ValueError, match="bounded"):
-            select_partition_pair_local(engine, "fact.part0", schema, 0)
+            select_partition_level(engine, "fact.part0", schema, parent_level=0)
     finally:
         engine.destroy()

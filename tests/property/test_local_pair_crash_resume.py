@@ -4,8 +4,8 @@
 relation partitioned on pairs up front).  This module covers the *local*
 one: a durable build whose uniform estimate under-provisions a hot
 base-level member, so one partition overflows at load time, cannot be
-split on a finer level of the (flat) first dimension, and goes through
-``select_partition_pair_local`` mid-phase-1 — between checkpoints.  The
+split on a finer level of the (flat) first dimension, and is split on a
+level pair at its ``parent_level`` mid-phase-1 — between checkpoints.  The
 recorded trace must contain the ``repartition.pair:<partition>`` site,
 and a build crashed at any recorded point — including a window right
 around that site, while the ``.sub<i>``/``.coarseN*`` scaffolding is
@@ -28,6 +28,8 @@ from repro.relational.catalog import Catalog
 from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
 from tests.support.rows import cube_bytes
+
+pytestmark = pytest.mark.crash
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 MAX_CRASH_POINTS = int(os.environ.get("MAX_CRASH_POINTS", "8"))

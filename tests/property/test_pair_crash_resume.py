@@ -26,13 +26,14 @@ from repro import (
     linear_dimension,
     make_aggregates,
 )
-from repro.core.partition_select import PairPartitionDecision
 from repro.core.recovery import BuildManifest, DurableCubeBuild, verify_cube
 from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indices
 from repro.relational.catalog import Catalog
 from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
 from tests.support.rows import cube_bytes
+
+pytestmark = pytest.mark.crash
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 MAX_CRASH_POINTS = int(os.environ.get("MAX_CRASH_POINTS", "8"))
@@ -80,11 +81,12 @@ def baseline(instance, tmp_path_factory):
         schema, engine, "fact", pool_capacity=POOL_CAPACITY
     )
     result = durable.build()
-    assert isinstance(result.decision, PairPartitionDecision), (
+    assert len(result.decision.levels) == 2, (
         "dataset must exercise the pair-partitioned path"
     )
     manifest = BuildManifest.load(durable.manifest_path)
-    assert manifest.partition_mode == "pair"
+    assert manifest.levels == list(result.decision.levels)
+    assert len(manifest.coarse) == 2
     report = verify_cube(engine.catalog, durable.manifest_path)
     assert report.ok, report.describe()
     reference = cube_bytes(result.storage)

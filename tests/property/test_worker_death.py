@@ -35,6 +35,8 @@ from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
 from tests.support.rows import cube_bytes
 
+pytestmark = pytest.mark.crash
+
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 MAX_CRASH_POINTS = int(os.environ.get("MAX_CRASH_POINTS", "6"))
 POOL_CAPACITY = 200

@@ -32,6 +32,8 @@ from repro.relational.memory import MemoryBudgetExceeded, MemoryManager
 from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.relational.table import Table
 
+pytestmark = pytest.mark.crash
+
 SCHEMA = TableSchema(
     (Column("a", ColumnType.INT32), Column("m", ColumnType.INT64))
 )

@@ -1,81 +1,14 @@
-"""Unit tests for the sorting/segmentation operators."""
+"""Unit tests for the sort counters."""
 
-import numpy as np
-import pytest
-
-from repro.relational.sortops import (
-    SortStats,
-    comparison_sort_segments,
-    counting_sort_segments,
-    numpy_segments,
-    sort_segments,
-)
-
-KEYS = [3, 1, 3, 0, 1, 3]
-
-
-def key_of(position: int) -> int:
-    return KEYS[position]
-
-
-def test_counting_sort_groups_in_key_order():
-    segments = counting_sort_segments(range(len(KEYS)), key_of, domain=4)
-    assert segments == [(0, [3]), (1, [1, 4]), (3, [0, 2, 5])]
-
-
-def test_comparison_sort_matches_counting_sort():
-    counting = counting_sort_segments(range(len(KEYS)), key_of, domain=4)
-    comparison = comparison_sort_segments(range(len(KEYS)), key_of)
-    assert counting == comparison
-
-
-def test_sort_segments_picks_counting_for_small_domain():
-    stats = SortStats()
-    sort_segments(range(len(KEYS)), key_of, domain=4, stats=stats)
-    assert stats.counting_sorts == 1
-    assert stats.comparison_sorts == 0
-
-
-def test_sort_segments_falls_back_for_huge_domain():
-    stats = SortStats()
-    sort_segments(range(len(KEYS)), key_of, domain=10**9, stats=stats)
-    assert stats.comparison_sorts == 1
-
-
-def test_empty_input():
-    assert comparison_sort_segments([], key_of) == []
-    assert counting_sort_segments([], key_of, domain=4) == []
-    assert numpy_segments(np.array([], dtype=np.int64)) == []
-
-
-def test_numpy_segments_matches_pure_python():
-    keys = np.array(KEYS)
-    segments = numpy_segments(keys)
-    as_lists = [(key, sorted(chunk.tolist())) for key, chunk in segments]
-    expected = counting_sort_segments(range(len(KEYS)), key_of, domain=4)
-    assert as_lists == [(key, positions) for key, positions in expected]
-
-
-def test_numpy_segments_is_stable():
-    keys = np.array([1, 1, 0, 1])
-    segments = dict(
-        (key, chunk.tolist()) for key, chunk in numpy_segments(keys)
-    )
-    assert segments[1] == [0, 1, 3]  # original order preserved within key
-
-
-def test_numpy_segments_singleton():
-    [(key, chunk)] = numpy_segments(np.array([42]))
-    assert key == 42
-    assert chunk.tolist() == [0]
+from repro.relational.sortops import SortStats
 
 
 def test_stats_accumulate_and_merge():
-    stats = SortStats()
-    numpy_segments(np.array(KEYS), stats)
+    stats = SortStats(keys_sorted=6, comparison_sorts=1)
     other = SortStats(keys_sorted=10, comparison_sorts=2)
     stats.merge(other)
-    assert stats.keys_sorted == len(KEYS) + 10
+    assert stats.keys_sorted == 16
     assert stats.comparison_sorts == 3
+    assert stats.counting_sorts == 0
     stats.reset()
-    assert stats.keys_sorted == 0
+    assert stats == SortStats()

@@ -5,9 +5,10 @@ array routine (``spill_by_key``): ``for row in heap.scan()`` with a
 per-bin row buffer, the coarse node(s) folded into a dict one tuple at
 a time, the counting scans as Python loops over rows, six times over —
 level, repartition, pair and local-pair partitioning plus the two
-counting scans.  The functions below are the old bodies verbatim; the
-decision dataclasses, the size estimators and the coarse loader are the
-production ones.  The differential suite
+counting scans.  The functions below are the old bodies verbatim, down
+to one function per shape; the decision and result dataclasses (one of
+each, whatever the shape), the size estimator and the coarse loader are
+the production ones.  The differential suite
 (``tests/property/test_hypothesis_partition.py``) holds the array pass
 to these: partition file bytes, coarse rows (first-appearance order,
 the first contributor's base code as representative, minimum row-id,
@@ -19,13 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.model import AggregateSpec, CubeSchema
-from repro.core.partition import PairRepartition, PartitionStats, Repartition
+from repro.core.partition import Partitioning, PartitionStats
 from repro.core.partition_select import (
-    PairPartitionDecision,
     PartitionDecision,
     _working_set_row_bytes,
     estimate_coarse_rows,
-    estimate_pair_coarse_rows,
 )
 from repro.relational.durable import maybe_fire
 from repro.relational.engine import Engine
@@ -75,19 +74,17 @@ def select_partition_level(
         else:
             max_member = -(-total_rows // dimension.cardinality(level))
             member_rows = {}
-        estimated_coarse = estimate_coarse_rows(schema, level, total_rows)
+        estimated_coarse = estimate_coarse_rows(schema, 0, level, total_rows)
         partitions_fit = max_member * partition_row_bytes <= available
         coarse_fits = estimated_coarse * ws_row_bytes <= available
         if partitions_fit and coarse_fits:
             return PartitionDecision(
-                level=level,
-                n_members=dimension.cardinality(level),
+                levels=(level,),
                 max_member_rows=max_member,
-                estimated_coarse_rows=estimated_coarse,
+                estimated_coarse_rows=(estimated_coarse,),
                 available_bytes=available,
                 strategy=strategy,
-                member_rows=member_rows,
-                level_is_top=(level == dimension.n_levels - 1),
+                rows_by_member=member_rows,
             )
     raise MemoryBudgetExceeded(
         f"no level of dimension {dimension.name!r} yields memory-sized "
@@ -131,7 +128,7 @@ def _bin_members(
         decision.max_member_rows,
     )
     members = sorted(
-        decision.member_rows.items(), key=lambda item: -item[1]
+        decision.rows_by_member.items(), key=lambda item: -item[1]
     )
     bins: list[int] = []  # remaining capacity per bin
     assignment: dict[int, int] = {}
@@ -156,7 +153,7 @@ def partition_relation(
     decision: PartitionDecision,
     stats: PartitionStats | None = None,
     name_suffix: str = "",
-) -> tuple[list[str], str]:
+) -> Partitioning:
     """One pass: route tuples to partitions and hash-build the coarse node.
 
     Returns the created partition relation names and the name of the
@@ -170,11 +167,11 @@ def partition_relation(
     """
     heap = engine.relation(relation)
     dimension = schema.dimensions[0]
-    level = decision.level
+    (level,) = decision.levels
     level_map = dimension.base_maps[level]
     partition_schema = schema.partition_schema
 
-    if decision.member_rows:
+    if decision.rows_by_member:
         assignment = _bin_members(decision, partition_schema.row_size_bytes)
         n_bins = (max(assignment.values()) + 1) if assignment else 0
     else:  # uniform strategy: one partition per member
@@ -226,7 +223,7 @@ def partition_relation(
         stats.partitions_created = n_bins
 
     coarse_name = _persist_coarse(engine, relation, schema, coarse, name_suffix)
-    return names, coarse_name
+    return Partitioning((level,), None, names, [coarse_name])
 
 
 def _fold_coarse(
@@ -308,7 +305,7 @@ def repartition_partition(
     schema: CubeSchema,
     parent_level: int,
     stats: PartitionStats | None = None,
-) -> Repartition | PairRepartition:
+) -> Partitioning:
     """Split one over-budget partition at a finer level of dimension 0.
 
     Partition-level selection works from *estimates*; when one
@@ -328,8 +325,7 @@ def repartition_partition(
     applied *locally*: a level pair ``(A_L0, B_M)`` sound for just this
     partition's rows is selected (:func:`select_partition_pair_local`)
     and the partition is split on member pairs instead
-    (:func:`repartition_relation_pair`), returning a
-    :class:`PairRepartition`.
+    (:func:`repartition_relation_pair`).
     """
     heap = engine.relation(partition)
     total_rows = len(heap)
@@ -346,19 +342,18 @@ def repartition_partition(
     for level in range(parent_level - 1, -1, -1):
         counts = member_rows_per_level[level]
         max_member = int(counts.max()) if counts.size else 0
-        estimated_coarse = estimate_coarse_rows(schema, level, total_rows)
+        estimated_coarse = estimate_coarse_rows(schema, 0, level, total_rows)
         if (
             max_member * partition_row_bytes <= available
             and estimated_coarse * ws_row_bytes <= available
         ):
             decision = PartitionDecision(
-                level=level,
-                n_members=dimension.cardinality(level),
+                levels=(level,),
                 max_member_rows=max_member,
-                estimated_coarse_rows=estimated_coarse,
+                estimated_coarse_rows=(estimated_coarse,),
                 available_bytes=available,
                 strategy="exact",
-                member_rows={
+                rows_by_member={
                     int(code): int(count)
                     for code, count in enumerate(counts)
                     if count
@@ -378,7 +373,8 @@ def repartition_partition(
         )
     maybe_fire(engine.catalog.faults, f"repartition.single:{partition}")
 
-    level_map = dimension.base_maps[decision.level]
+    (level,) = decision.levels
+    level_map = dimension.base_maps[level]
     assignment = _bin_members(decision, partition_row_bytes)
     n_bins = (max(assignment.values()) + 1) if assignment else 0
     names = [f"{partition}.sub{i}" for i in range(n_bins)]
@@ -390,7 +386,7 @@ def repartition_partition(
 
     # level+1 < all_level always holds here (level < parent_level <= top),
     # so the local coarse never projects dimension 0 out.
-    upper_map = dimension.base_maps[decision.level + 1]
+    upper_map = dimension.base_maps[level + 1]
     specs = schema.aggregates
     n_dims = schema.n_dimensions
     coarse: dict[tuple, list] = {}
@@ -418,18 +414,12 @@ def repartition_partition(
     if stats is not None:
         stats.repartitioned_partitions += 1
         stats.subpartitions_created += n_bins
-    return Repartition(
-        level=decision.level,
-        parent_level=parent_level,
-        partition_names=names,
-        coarse_name=coarse_name,
-        n_rows=total_rows,
-    )
+    return Partitioning((level,), parent_level, names, [coarse_name])
 
 
 def select_partition_pair(
     engine: Engine, relation: str, schema: CubeSchema
-) -> PairPartitionDecision:
+) -> PartitionDecision:
     """Choose the maximum workable level pair (L of dim 0, M of dim 1)."""
     if schema.n_dimensions < 2:
         raise MemoryBudgetExceeded(
@@ -464,7 +454,7 @@ def _search_pair_decision(
     available: int,
     top_level0: int,
     n1_free_level0: int | None = None,
-) -> PairPartitionDecision | None:
+) -> PartitionDecision | None:
     """Maximize (level0, level1) such that pairs and coarse nodes all fit.
 
     ``top_level0`` caps the search on dimension 0 (the full chain for the
@@ -483,12 +473,12 @@ def _search_pair_decision(
         if level0 == n1_free_level0:
             n1_rows = 0
         else:
-            n1_rows = estimate_pair_coarse_rows(schema, 0, level0, total_rows)
+            n1_rows = estimate_coarse_rows(schema, 0, level0, total_rows)
             if n1_rows * ws_row_bytes > available:
                 continue
         map0 = dim0.base_maps[level0]
         for level1 in range(dim1.n_levels - 1, -1, -1):
-            n2_rows = estimate_pair_coarse_rows(schema, 1, level1, total_rows)
+            n2_rows = estimate_coarse_rows(schema, 1, level1, total_rows)
             if n2_rows * ws_row_bytes > available:
                 continue
             map1 = dim1.base_maps[level1]
@@ -498,14 +488,12 @@ def _search_pair_decision(
                 pair_rows[key] = pair_rows.get(key, 0) + count
             max_pair = max(pair_rows.values(), default=0)
             if max_pair * partition_row_bytes <= available:
-                return PairPartitionDecision(
-                    level0=level0,
-                    level1=level1,
-                    max_pair_rows=max_pair,
-                    estimated_n1_rows=n1_rows,
-                    estimated_n2_rows=n2_rows,
+                return PartitionDecision(
+                    levels=(level0, level1),
+                    max_member_rows=max_pair,
+                    estimated_coarse_rows=(n1_rows, n2_rows),
                     available_bytes=available,
-                    pair_rows=pair_rows,
+                    rows_by_member=pair_rows,
                 )
     return None
 
@@ -520,7 +508,7 @@ def _exact_pair_counts(heap, schema: CubeSchema) -> dict[tuple[int, int], int]:
 
 
 def _bin_pairs(
-    decision: PairPartitionDecision, partition_row_bytes: int
+    decision: PartitionDecision, partition_row_bytes: int
 ) -> dict[tuple[int, int], int]:
     """First-fit-decreasing binning of (A_L, B_M) pairs into partitions.
 
@@ -529,9 +517,9 @@ def _bin_pairs(
     """
     capacity_rows = max(
         decision.available_bytes // partition_row_bytes,
-        decision.max_pair_rows,
+        decision.max_member_rows,
     )
-    members = sorted(decision.pair_rows.items(), key=lambda item: -item[1])
+    members = sorted(decision.rows_by_member.items(), key=lambda item: -item[1])
     bins: list[int] = []
     assignment: dict[tuple[int, int], int] = {}
     for key, rows in members:
@@ -587,10 +575,10 @@ def partition_relation_pair(
     engine: Engine,
     relation: str,
     schema: CubeSchema,
-    decision: PairPartitionDecision,
+    decision: PartitionDecision,
     stats: PartitionStats | None = None,
     name_suffix: str = "",
-) -> tuple[list[str], str, str]:
+) -> Partitioning:
     """One pass: route tuples by (A_L, B_M) pair and build N1 and N2.
 
     Returns partition names plus the names of the two persisted coarse
@@ -600,8 +588,9 @@ def partition_relation_pair(
     """
     heap = engine.relation(relation)
     dim0, dim1 = schema.dimensions[0], schema.dimensions[1]
-    map0 = dim0.base_maps[decision.level0]
-    map1 = dim1.base_maps[decision.level1]
+    level0, level1 = decision.levels
+    map0 = dim0.base_maps[level0]
+    map1 = dim1.base_maps[level1]
     partition_schema = schema.partition_schema
 
     assignment = _bin_pairs(decision, partition_schema.row_size_bytes)
@@ -614,10 +603,10 @@ def partition_relation_pair(
     heaps = [engine.create_relation(name, partition_schema) for name in names]
     buffers: list[list[tuple]] = [[] for _ in range(n_bins)]
 
-    project0 = decision.level0 + 1 == dim0.all_level
-    project1 = decision.level1 + 1 == dim1.all_level
-    upper0 = None if project0 else dim0.base_maps[decision.level0 + 1]
-    upper1 = None if project1 else dim1.base_maps[decision.level1 + 1]
+    project0 = level0 + 1 == dim0.all_level
+    project1 = level1 + 1 == dim1.all_level
+    upper0 = None if project0 else dim0.base_maps[level0 + 1]
+    upper1 = None if project1 else dim1.base_maps[level1 + 1]
     specs = schema.aggregates
     n_dims = schema.n_dimensions
 
@@ -662,7 +651,7 @@ def partition_relation_pair(
     name2 = _persist_pair_coarse(
         engine, relation, schema, coarse2, "coarseN2" + name_suffix, rep_dim=1
     )
-    return names, name1, name2
+    return Partitioning((level0, level1), None, names, [name1, name2])
 
 
 def _persist_pair_coarse(
@@ -710,7 +699,7 @@ def select_partition_pair_local(
     partition: str,
     schema: CubeSchema,
     parent_level: int,
-) -> PairPartitionDecision:
+) -> PartitionDecision:
     """Choose the maximum workable (L0 ≤ parent_level, M) pair for one
     partition's rows.
 
@@ -763,9 +752,9 @@ def repartition_relation_pair(
     partition: str,
     schema: CubeSchema,
     parent_level: int,
-    decision: PairPartitionDecision,
+    decision: PartitionDecision,
     stats: PartitionStats | None = None,
-) -> PairRepartition:
+) -> Partitioning:
     """One pass over the partition: route rows by (A_L0, B_M) pair and
     build the local coarse nodes.
 
@@ -775,10 +764,10 @@ def repartition_relation_pair(
     re-enumerating — answers stay byte-identical to the unsplit build.
     """
     heap = engine.relation(partition)
-    total_rows = len(heap)
     dim0, dim1 = schema.dimensions[0], schema.dimensions[1]
-    map0 = dim0.base_maps[decision.level0]
-    map1 = dim1.base_maps[decision.level1]
+    level0, level1 = decision.levels
+    map0 = dim0.base_maps[level0]
+    map1 = dim1.base_maps[level1]
     partition_schema = schema.partition_schema
 
     assignment = _bin_pairs(decision, partition_schema.row_size_bytes)
@@ -793,10 +782,10 @@ def repartition_relation_pair(
     # Local N1 patches the (L0, parent_level] slice of dimension 0; when
     # level0 == parent_level that slice is empty (the pair partitions
     # already cover A_{parent_level}) and building N1 would double-count.
-    build_n1 = decision.level0 < parent_level
-    upper0 = dim0.base_maps[decision.level0 + 1] if build_n1 else None
-    project1 = decision.level1 + 1 == dim1.all_level
-    upper1 = None if project1 else dim1.base_maps[decision.level1 + 1]
+    build_n1 = level0 < parent_level
+    upper0 = dim0.base_maps[level0 + 1] if build_n1 else None
+    project1 = level1 + 1 == dim1.all_level
+    upper1 = None if project1 else dim1.base_maps[level1 + 1]
     specs = schema.aggregates
     n_dims = schema.n_dimensions
 
@@ -842,12 +831,5 @@ def repartition_relation_pair(
         stats.repartitioned_partitions += 1
         stats.pair_repartitioned_partitions += 1
         stats.subpartitions_created += n_bins
-    return PairRepartition(
-        level0=decision.level0,
-        level1=decision.level1,
-        parent_level=parent_level,
-        partition_names=names,
-        coarse1_name=coarse1_name,
-        coarse2_name=coarse2_name,
-        n_rows=total_rows,
-    )
+    coarse_names = [coarse1_name, coarse2_name] if build_n1 else [coarse2_name]
+    return Partitioning((level0, level1), parent_level, names, coarse_names)
