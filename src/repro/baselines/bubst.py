@@ -1,19 +1,23 @@
 """BU-BST (Wang et al., ICDE 2002): the condensed-cube baseline.
 
-BU-BST runs the same bottom-up recursion as BUC but recognizes **base
-single tuples** (BSTs — what CURE calls trivial tuples): when a partition
-shrinks to one fact tuple, that tuple is stored once, at the least detailed
-node, and shared with the whole plan sub-tree.  That removes the same
-tuple-count redundancy CURE's TTs remove.
+BU-BST runs the same bottom-up recursion as BUC — here, like BUC, one
+:class:`~repro.core.cure.CureBuilder` over the flat plan
+(:class:`~repro.core.cure.FlatShape`) — and recognizes **base single
+tuples** (BSTs) exactly as CURE recognizes trivial tuples: when a
+partition shrinks to one fact tuple, that tuple is stored once, at the
+least detailed node, and shared with the whole plan sub-tree.  That
+removes the same tuple-count redundancy CURE's TTs remove; the kernel's
+TTs are the BSTs and its signatures are the other rows.
 
-What BU-BST does *not* do — and what the paper's Figures 15/16 punish —
-is store the remainder efficiently:
+What still differs from CURE is the sink, which the paper's Figures 15/16
+punish:
 
 * everything lands in **one monolithic relation** of fixed-width rows
   (dimension values with an ALL marker, then aggregates), so
 * answering any node query requires a sequential scan of the entire cube
   (2–3 orders of magnitude slower than BUC/CURE in Figure 16), and
-* no dimensional or aggregational redundancy is removed from non-BST rows.
+* no dimensional or aggregational redundancy is removed from non-BST rows
+  (no NT/CAT classification of the signatures).
 
 The logical size model is ``(D + Y) · 4`` bytes per row, matching the
 "single relation of fix-sized tuples" the paper describes; at Z = 2 in
@@ -27,13 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.baselines.buc import VALUE_BYTES, positional_working_set
+from repro.core.cure import CureBuilder, FlatShape
 from repro.core.model import CubeSchema
-from repro.core.segments import aggregate_ufuncs, reduce_segments
-from repro.core.workingset import WorkingSet
 from repro.relational.sortops import SortStats
 from repro.relational.table import Table
 
-VALUE_BYTES = 4
 ALL_MARKER = -1
 
 
@@ -49,27 +52,18 @@ class BuBstStats:
 
 
 @dataclass
-class BuBstRow:
-    """One monolithic-relation row.
+class BuBstCube:
+    """The condensed cube: one monolithic int64 relation.
 
-    ``dims`` has one entry per dimension (``ALL_MARKER`` outside the
-    grouping set; for BSTs, the base tuple's full dimension vector).
-    ``node_id`` records where the row was produced, which the query layer
-    needs to resolve BST sub-tree sharing.
+    Columns are ``(node_id, is_bst, dims…, aggs…)``.  ``dims`` has one
+    entry per dimension (``ALL_MARKER`` outside the grouping set; for
+    BSTs, the base tuple's full dimension vector).  ``node_id`` records
+    where the row was produced, which the query layer needs to resolve
+    BST sub-tree sharing.  Row order is not significant.
     """
 
-    node_id: int
-    dims: tuple[int, ...]
-    aggregates: tuple[int, ...]
-    is_bst: bool
-
-
-@dataclass
-class BuBstCube:
-    """The condensed cube: one monolithic list of rows."""
-
     schema: CubeSchema
-    rows: list[BuBstRow] = field(default_factory=list)
+    rows: np.ndarray
 
     @property
     def total_tuples(self) -> int:
@@ -82,87 +76,36 @@ class BuBstCube:
         return len(self.rows) * width
 
 
-class _BuBstBuilder:
-    def __init__(
-        self, schema: CubeSchema, cube: BuBstCube, stats: BuBstStats
-    ) -> None:
-        self.schema = schema
-        self.cube = cube
-        self.stats = stats
-        self._factors = schema.enumerator.factors
-        self._all_levels = [d.all_level for d in schema.dimensions]
-        self._node_levels = list(self._all_levels)
-        self._node_id = schema.enumerator.node_id(schema.lattice.all_node)
-        self._values = [ALL_MARKER] * schema.n_dimensions
-        self._working: WorkingSet | None = None
-
-    def run(self, working: WorkingSet) -> None:
-        if not len(working):
-            return
-        self._working = working
-        self._ufuncs = aggregate_ufuncs(self.schema)
-        positions = np.arange(len(working), dtype=np.intp)
-        self._execute(positions, working.aggregate(positions), 0)
-
-    def _execute(
-        self,
-        positions: np.ndarray,
-        aggregates: tuple[int, ...],
-        next_dim: int,
-    ) -> None:
-        working = self._working
-        if len(positions) == 1:
-            # A BST: store the base tuple once here and prune the sub-tree.
-            position = int(positions[0])
-            base_dims = tuple(
-                int(working.dims[d][position])
-                for d in range(self.schema.n_dimensions)
-            )
-            self.cube.rows.append(
-                BuBstRow(self._node_id, base_dims, aggregates, is_bst=True)
-            )
-            self.stats.bst_written += 1
-            self.stats.rows_written += 1
-            return
-        self.stats.nodes_aggregated += 1
-        self.cube.rows.append(
-            BuBstRow(self._node_id, tuple(self._values), aggregates, is_bst=False)
-        )
-        self.stats.rows_written += 1
-        for d in range(next_dim, self.schema.n_dimensions):
-            self._follow_edge(positions, d)
-
-    def _follow_edge(self, positions: np.ndarray, dim: int) -> None:
-        working = self._working
-        keys = working.level_keys(dim, 0, positions)
-        self.stats.sort.keys_sorted += len(keys)
-        self.stats.sort.comparison_sorts += 1
-        batch = reduce_segments(working, positions, keys, self._ufuncs)
-        self._node_id += self._factors[dim] * (0 - self._node_levels[dim])
-        self._node_levels[dim] = 0
-        bounds = batch.bounds
-        sorted_positions = batch.sorted_positions
-        for i, key in enumerate(batch.keys):
-            self._values[dim] = key
-            self._execute(
-                sorted_positions[bounds[i] : bounds[i + 1]],
-                batch.aggregates[i],
-                dim + 1,
-            )
-        self._values[dim] = ALL_MARKER
-        all_level = self._all_levels[dim]
-        self._node_id += self._factors[dim] * all_level
-        self._node_levels[dim] = all_level
-
-
 def build_bubst_cube(
     schema: CubeSchema, table: Table
 ) -> tuple[BuBstCube, BuBstStats]:
     """Run BU-BST over an in-memory fact table (flat, base levels only)."""
-    cube = BuBstCube(schema)
-    stats = BuBstStats()
-    builder = _BuBstBuilder(schema, cube, stats)
     started = time.perf_counter()
-    builder.run(WorkingSet.from_fact_table(schema, table))
+    working = positional_working_set(schema, table)
+    builder = CureBuilder(schema, FlatShape(schema))
+    tts, sigs = builder.run(working)
+    d = schema.n_dimensions
+    events = np.concatenate((sigs[:, :2], tts))
+    rows = np.zeros((len(events), 2 + d + schema.n_aggregates), np.int64)
+    rows[:, 0] = events[:, 0]
+    rows[len(sigs) :, 1] = 1
+    for i, column in enumerate(working.dims):
+        rows[:, 2 + i] = column[events[:, 1]]
+    rows[: len(sigs), 2 + d :] = sigs[:, 2:]
+    rows[len(sigs) :, 2 + d :] = working.aggs[tts[:, 1]]
+    # A non-BST row keeps only its grouping set's values.
+    node_ids, inverse = np.unique(sigs[:, 0], return_inverse=True)
+    grouped = np.zeros((len(node_ids), d), dtype=np.bool_)
+    for j, node_id in enumerate(node_ids.tolist()):
+        node = schema.decode_node(node_id)
+        grouped[j, list(node.grouping_dims(schema.dimensions))] = True
+    outside = ~grouped[inverse.reshape(-1)]
+    rows[: len(sigs), 2 : 2 + d][outside] = ALL_MARKER
+    stats = BuBstStats(
+        nodes_aggregated=len(sigs),
+        bst_written=len(tts),
+        rows_written=len(rows),
+        sort=builder.stats.sort,
+    )
     stats.elapsed_seconds = time.perf_counter() - started
-    return cube, stats
+    return BuBstCube(schema, rows), stats

@@ -1,21 +1,29 @@
 """BUC (Beyer & Ramakrishnan, SIGMOD 1999): the flat full-cube baseline.
 
-BUC shares CURE's bottom-up depth-first traversal — that is where CURE's
-execution plan comes from — but identifies **no redundancy**: every cube
-tuple is written out with its dimension values and aggregates, one relation
-per node.  Two consequences the paper's figures rely on:
+BUC's bottom-up depth-first traversal is where CURE's execution plan comes
+from, so BUC runs on CURE's kernel: one
+:class:`~repro.core.cure.CureBuilder` over the flat plan
+(:class:`~repro.core.cure.FlatShape`), whose event streams a small sink
+turns into BUC's cube.  What still differs from CURE is what the paper
+says differs — BUC identifies **no redundancy**:
+
+* **no TT sharing**: a segment of one fact tuple (CURE's trivial tuple)
+  is written out in full to its node and to every node of its plan
+  sub-tree — BUC's singleton-partition optimization — instead of once, as
+  a row-id, at the least detailed node; and
+* **a relation per node**: every cube tuple is stored with its dimension
+  values and aggregates (no NT/CAT signatures, no AGGREGATES relation).
+
+Two consequences the paper's figures rely on:
 
 * storage is much larger than CURE's (Figures 15, 20, 22 — "the BUC cubes
   exceed the ranges of the graph"), and
 * node queries are fast (per-node relations can be read directly), though
   CURE catches up via caching and smaller size (Figure 16).
 
-BUC's classic optimization for singleton partitions is implemented: once a
-segment holds one tuple, its projections are written to every remaining
-node of the plan sub-tree without further sorting.  For high
-dimensionalities, where those sub-trees are exponentially large,
-``materialize=False`` switches to counting the would-be output analytically
-(closed form over the flat sub-tree) so Figure 19/20-style sweeps can
+For high dimensionalities, where the singleton sub-trees are
+exponentially large, ``materialize=False`` sizes the same expansion in
+closed form from the per-node TT counts, so Figure 19/20-style sweeps can
 report BUC sizes beyond what is feasible to materialize.
 
 ``min_count > 1`` builds BUC's iceberg cube: segments below the support
@@ -25,13 +33,15 @@ threshold are pruned and nothing is stored for them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.cure import CureBuilder, FlatShape
 from repro.core.model import CubeSchema
-from repro.core.segments import aggregate_ufuncs, reduce_segments
+from repro.core.storage import node_chunks
 from repro.core.workingset import WorkingSet
+from repro.lattice.plan import plan_ancestors
 from repro.relational.sortops import SortStats
 from repro.relational.table import Table
 
@@ -50,16 +60,22 @@ class BucStats:
 
 @dataclass
 class BucCube:
-    """A full BUC cube: one plain relation of (dims…, aggs…) per node."""
+    """A full BUC cube: one int64 relation ``(dims…, aggs…)`` per node
+    (the node's grouping dimensions only; nodes without tuples absent)."""
 
     schema: CubeSchema
-    nodes: dict[int, list[tuple]] = field(default_factory=dict)
+    nodes: dict[int, np.ndarray] = field(default_factory=dict)
     analytic_tuples: int = 0
     analytic_bytes: int = 0
     materialized: bool = True
 
-    def node_rows(self, node_id: int) -> list[tuple]:
-        return self.nodes.get(node_id, [])
+    def node_rows(self, node_id: int) -> np.ndarray:
+        rows = self.nodes.get(node_id)
+        if rows is None:
+            node = self.schema.decode_node(node_id)
+            width = len(node.grouping_dims(self.schema.dimensions))
+            rows = np.empty((0, width + self.schema.n_aggregates), np.int64)
+        return rows
 
     @property
     def total_tuples(self) -> int:
@@ -71,145 +87,14 @@ class BucCube:
         """Logical size: each tuple stores its grouping values + aggregates."""
         if not self.materialized:
             return self.analytic_bytes
-        y = self.schema.n_aggregates
-        total = 0
-        for node_id, rows in self.nodes.items():
-            node = self.schema.decode_node(node_id)
-            arity = len(node.grouping_dims(self.schema.dimensions))
-            total += len(rows) * (arity + y) * VALUE_BYTES
-        return total
+        return sum(rows.size for rows in self.nodes.values()) * VALUE_BYTES
 
 
-class _BucBuilder:
-    """Flat bottom-up recursion writing full tuples per node."""
-
-    def __init__(
-        self,
-        schema: CubeSchema,
-        cube: BucCube,
-        stats: BucStats,
-        min_count: int,
-        materialize: bool,
-    ) -> None:
-        self.schema = schema
-        self.cube = cube
-        self.stats = stats
-        self.min_count = min_count
-        self.materialize = materialize
-        self._factors = schema.enumerator.factors
-        self._all_levels = [d.all_level for d in schema.dimensions]
-        self._node_levels = list(self._all_levels)
-        self._node_id = schema.enumerator.node_id(schema.lattice.all_node)
-        self._values: list[int] = [0] * schema.n_dimensions
-        self._grouping: list[int] = []
-        self._working: WorkingSet | None = None
-
-    def run(self, working: WorkingSet) -> None:
-        if not len(working):
-            return
-        self._working = working
-        self._ufuncs = aggregate_ufuncs(self.schema)
-        positions = np.arange(len(working), dtype=np.intp)
-        self._execute(
-            positions,
-            working.total_weight,
-            working.aggregate(positions),
-            0,
-        )
-
-    # -- recursion -------------------------------------------------------------
-
-    def _write(self, aggregates: tuple[int, ...]) -> None:
-        self.stats.tuples_written += 1
-        if not self.materialize:
-            arity = len(self._grouping)
-            self.cube.analytic_tuples += 1
-            self.cube.analytic_bytes += (
-                arity + self.schema.n_aggregates
-            ) * VALUE_BYTES
-            return
-        row = tuple(self._values[d] for d in self._grouping) + aggregates
-        self.cube.nodes.setdefault(self._node_id, []).append(row)
-
-    def _execute(
-        self,
-        positions: np.ndarray,
-        weight: int,
-        aggregates: tuple[int, ...],
-        next_dim: int,
-    ) -> None:
-        if weight < self.min_count:
-            return
-        self.stats.nodes_aggregated += 1
-        self._write(aggregates)
-        if len(positions) == 1:
-            if self.min_count <= 1:
-                self._emit_singleton_subtree(
-                    int(positions[0]), aggregates, next_dim
-                )
-            # Iceberg mode (min_count > 1): a singleton cannot meet the
-            # threshold in any more detailed node either, so prune.
-            return
-        for d in range(next_dim, self.schema.n_dimensions):
-            self._follow_edge(positions, d)
-
-    def _follow_edge(self, positions: np.ndarray, dim: int) -> None:
-        working = self._working
-        keys = working.level_keys(dim, 0, positions)
-        self.stats.sort.keys_sorted += len(keys)
-        self.stats.sort.comparison_sorts += 1
-        batch = reduce_segments(working, positions, keys, self._ufuncs)
-        self._enter(dim)
-        bounds = batch.bounds
-        sorted_positions = batch.sorted_positions
-        for i, key in enumerate(batch.keys):
-            self._values[dim] = key
-            self._execute(
-                sorted_positions[bounds[i] : bounds[i + 1]],
-                batch.weights[i],
-                batch.aggregates[i],
-                dim + 1,
-            )
-        self._leave(dim)
-
-    def _emit_singleton_subtree(
-        self, position: int, aggregates: tuple[int, ...], next_dim: int
-    ) -> None:
-        """BUC's singleton optimization: project to the whole sub-tree.
-
-        When not materializing, the sub-tree total is counted in closed
-        form: over the ``2^k`` remaining subsets the tuple appears in every
-        node once, adding ``k · 2^(k-1)`` extra grouping values overall.
-        """
-        working = self._working
-        if not self.materialize:
-            k = self.schema.n_dimensions - next_dim
-            count = (1 << k) - 1  # current node already written
-            arity = len(self._grouping)
-            y = self.schema.n_aggregates
-            self.cube.analytic_tuples += count
-            self.stats.tuples_written += count
-            extra_values = arity * count + (k * (1 << (k - 1)) if k else 0)
-            self.cube.analytic_bytes += (extra_values + y * count) * VALUE_BYTES
-            return
-        for d in range(next_dim, self.schema.n_dimensions):
-            self._enter(d)
-            self._values[d] = int(working.dims[d][position])
-            self._write(aggregates)
-            self.stats.nodes_aggregated += 1
-            self._emit_singleton_subtree(position, aggregates, d + 1)
-            self._leave(d)
-
-    def _enter(self, dim: int) -> None:
-        self._node_id += self._factors[dim] * (0 - self._node_levels[dim])
-        self._node_levels[dim] = 0
-        self._grouping.append(dim)
-
-    def _leave(self, dim: int) -> None:
-        all_level = self._all_levels[dim]
-        self._node_id += self._factors[dim] * (all_level - 0)
-        self._node_levels[dim] = all_level
-        self._grouping.pop()
+def positional_working_set(schema: CubeSchema, table: Table) -> WorkingSet:
+    """The fact table as a working set whose row-ids are row positions, so
+    an emitted row-id indexes the working set's own columns."""
+    working = WorkingSet.from_fact_table(schema, table)
+    return replace(working, rowids=np.arange(len(working), dtype=np.int64))
 
 
 def build_buc_cube(
@@ -219,10 +104,79 @@ def build_buc_cube(
     materialize: bool = True,
 ) -> tuple[BucCube, BucStats]:
     """Run BUC over an in-memory fact table (flat, base levels only)."""
-    cube = BucCube(schema, materialized=materialize)
-    stats = BucStats()
-    builder = _BucBuilder(schema, cube, stats, min_count, materialize)
     started = time.perf_counter()
-    builder.run(WorkingSet.from_fact_table(schema, table))
+    working = positional_working_set(schema, table)
+    builder = CureBuilder(schema, FlatShape(schema), min_count)
+    tts, sigs = builder.run(working)
+    tuples, values = _expansion_size(schema, tts, sigs)
+    cube = BucCube(schema, materialized=materialize)
+    if materialize:
+        cube.nodes = _expand(working, tts, sigs)
+    else:
+        cube.analytic_tuples = tuples
+        cube.analytic_bytes = values * VALUE_BYTES
+    # Every tuple written is one aggregated node tuple, in both modes.
+    stats = BucStats(
+        nodes_aggregated=tuples, tuples_written=tuples, sort=builder.stats.sort
+    )
     stats.elapsed_seconds = time.perf_counter() - started
     return cube, stats
+
+
+def _expansion_size(
+    schema: CubeSchema, tts: np.ndarray, sigs: np.ndarray
+) -> tuple[int, int]:
+    """BUC's tuple and stored-value counts, in closed form.
+
+    A signature of a node with ``a`` grouping dimensions is one tuple of
+    ``a + Y`` values.  A TT there is one tuple in each of the ``2^k``
+    nodes of its flat-plan sub-tree (``k`` dimensions follow the node's
+    last one), which together hold ``2^k · (a + Y) + k · 2^(k-1)`` values.
+    """
+    y = schema.n_aggregates
+    tuples = values = 0
+    for rows, shared in ((sigs, False), (tts, True)):
+        node_ids, counts = np.unique(rows[:, 0], return_counts=True)
+        for node_id, count in zip(node_ids.tolist(), counts.tolist()):
+            node = schema.decode_node(node_id)
+            grouping = node.grouping_dims(schema.dimensions)
+            a = len(grouping)
+            k = 0
+            if shared:
+                k = schema.n_dimensions - 1 - max(grouping, default=-1)
+            tuples += count << k
+            values += count * (((a + y) << k) + ((k << k) >> 1))
+    return tuples, values
+
+
+def _expand(
+    working: WorkingSet, tts: np.ndarray, sigs: np.ndarray
+) -> dict[int, np.ndarray]:
+    """Each node's relation: its own signatures plus the TTs of the node
+    and of its flat-plan ancestors, dimension values and singleton
+    aggregates gathered from the working set at each row-id."""
+    schema = working.schema
+    tt_rowids = dict(node_chunks(tts[:, 0], tts[:, 1]))
+    sigs_of = dict(node_chunks(sigs[:, 0], sigs))
+    nodes: dict[int, np.ndarray] = {}
+    for node in schema.lattice.flat_nodes():
+        node_id = schema.node_id(node)
+        sources = [node] + plan_ancestors(schema.lattice, node, flat=True)
+        shared = [
+            tt_rowids[source_id]
+            for source_id in map(schema.node_id, sources)
+            if source_id in tt_rowids
+        ]
+        own = sigs_of.get(node_id, sigs[:0])
+        rowids = np.concatenate([own[:, 1], *shared])
+        if not len(rowids):
+            continue
+        grouping = node.grouping_dims(schema.dimensions)
+        a = len(grouping)
+        rows = np.empty((len(rowids), a + schema.n_aggregates), np.int64)
+        for i, d in enumerate(grouping):
+            rows[:, i] = working.dims[d][rowids]
+        rows[: len(own), a:] = own[:, 2:]
+        rows[len(own) :, a:] = working.aggs[rowids[len(own) :]]
+        nodes[node_id] = rows
+    return nodes

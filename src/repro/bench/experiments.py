@@ -32,6 +32,7 @@ from repro.datasets import (
 )
 from repro.query import (
     FactCache,
+    QueryStats,
     all_node_queries,
     answer_bubst_query,
     answer_buc_query,
@@ -488,12 +489,22 @@ def run_fig26_27_28(
     )
     qrt_table = ExperimentTable(
         "Figure 28", "Flat vs hierarchical — average QRT",
-        ["method", "avg_ms"],
+        ["method", "avg_ms", "rows_scanned"],
         notes=f"{n_queries} random roll-up/drill-down queries (coarse "
-        "granularities); flat formats re-aggregate on the fly",
+        "granularities); flat formats re-aggregate on the fly; "
+        "rows_scanned = stored rows read per query",
     )
     schema, fact = generate_apb_dataset(density=density, scale=scale)
     queries = random_rollup_queries(schema, n_queries, seed=29)
+
+    def add_qrt(method: str, answer: Callable[..., object]) -> None:
+        stats = QueryStats()
+        seconds = _mean_query_seconds(lambda q: answer(q, stats), queries)
+        qrt_table.add(
+            method=method, avg_ms=1000 * seconds,
+            rows_scanned=stats.rows_scanned / max(1, len(queries)),
+        )
+
     engine = Engine.temporary()
     try:
         cache = _heap_backed_cache(engine, schema, fact, 1.0)
@@ -501,20 +512,12 @@ def run_fig26_27_28(
         buc, buc_stats = build_buc_cube(schema, fact)
         time_table.add(method="BUC", seconds=buc_stats.elapsed_seconds)
         size_table.add(method="BUC", MB=buc.size_report_bytes() / MB)
-        qrt_table.add(
-            method="BUC",
-            avg_ms=1000 * _mean_query_seconds(
-                lambda q: answer_rollup_from_buc(buc, q), queries
-            ),
-        )
+        add_qrt("BUC", lambda q, st: answer_rollup_from_buc(buc, q, st))
         bubst, bubst_stats = build_bubst_cube(schema, fact)
         time_table.add(method="BU-BST", seconds=bubst_stats.elapsed_seconds)
         size_table.add(method="BU-BST", MB=bubst.size_report_bytes() / MB)
-        qrt_table.add(
-            method="BU-BST",
-            avg_ms=1000 * _mean_query_seconds(
-                lambda q: answer_rollup_from_bubst(bubst, q), queries
-            ),
+        add_qrt(
+            "BU-BST", lambda q, st: answer_rollup_from_bubst(bubst, q, st)
         )
         for variant in ("FCURE", "FCURE+", "CURE", "CURE+"):
             config = VARIANTS[variant].with_pool(pool_capacity)
@@ -526,13 +529,14 @@ def run_fig26_27_28(
             )
             size_table.add(method=variant, MB=report.total_bytes / MB)
             if config.flat:
-                answer = lambda q, s=storage: answer_rollup_from_flat(s, cache, q)
+                answer = lambda q, st, s=storage: answer_rollup_from_flat(
+                    s, cache, q, st
+                )
             else:
-                answer = lambda q, s=storage: answer_cure_query(s, cache, q)
-            qrt_table.add(
-                method=variant,
-                avg_ms=1000 * _mean_query_seconds(answer, queries),
-            )
+                answer = lambda q, st, s=storage: answer_cure_query(
+                    s, cache, q, st
+                )
+            add_qrt(variant, answer)
     finally:
         engine.destroy()
     return [time_table, size_table, qrt_table]

@@ -4,71 +4,18 @@
 shared pieces: the plan-edge sort of :class:`repro.core.cure.CureBuilder`,
 the delta merger (:mod:`repro.core.incremental`) and the coarse-node fold
 of the partition pass (:class:`GroupFold`, :mod:`repro.core.partition`)
-all group with them.
-
-:func:`reduce_segments` is the per-segment form BUC and BU-BST still
-call — once per segment, where CURE sorts once per *plan edge* over all
-parent segments.  Until the baselines are ported the same way,
-CURE-vs-baseline construction *times* do not share a kernel and are not
-apples-to-apples; sizes and the logical counters (``BuildStats``,
-``SortStats``) still are.  The per-segment CURE recursion lives on as
-the test oracle ``tests/support/recursive_cure.py``.
+all group with them — and through ``CureBuilder`` so do the BUC and
+BU-BST baselines (:mod:`repro.baselines`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.model import CubeSchema
-from repro.core.workingset import WorkingSet
 from repro.hierarchy.dimension import Dimension
-
-
-class SegmentBatch(NamedTuple):
-    """All segments of one FollowEdge sort, reduced and ready to recurse."""
-
-    sorted_positions: np.ndarray
-    bounds: list[int]  # len(segments) + 1 offsets into sorted_positions
-    keys: list[int]  # segment key values, ascending
-    weights: list[int]
-    rowids: list[int]
-    aggregates: list[tuple[int, ...]]
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def positions_of(self, index: int) -> np.ndarray:
-        return self.sorted_positions[self.bounds[index] : self.bounds[index + 1]]
-
-
-def reduce_segments(
-    working: WorkingSet,
-    positions: np.ndarray,
-    keys: np.ndarray,
-    ufuncs: Sequence[np.ufunc],
-) -> SegmentBatch:
-    """Sort ``positions`` by ``keys`` and reduce every segment at once."""
-    n = len(keys)
-    if n == 0:
-        return SegmentBatch(positions, [0], [], [], [], [])
-    order, sorted_keys, starts = sort_groups(keys)
-    sorted_positions = positions[order]
-    key_list = sorted_keys[starts].tolist()
-    weights = np.add.reduceat(working.weights[sorted_positions], starts).tolist()
-    rowids = np.minimum.reduceat(
-        working.rowids[sorted_positions], starts
-    ).tolist()
-    reduced = reduce_columns(ufuncs, working.aggs[sorted_positions], starts)
-    aggregates = list(map(tuple, reduced.tolist()))
-    bounds = starts.tolist()
-    bounds.append(n)
-    return SegmentBatch(
-        sorted_positions, bounds, key_list, weights, rowids, aggregates
-    )
-
 
 #: A packed grouping key stays below this; wider code spaces re-rank.
 _KEY_SPAN_LIMIT = 1 << 62

@@ -203,7 +203,7 @@ class NodeStore:
         return self.cat.count
 
 
-def _node_chunks(
+def node_chunks(
     node_ids: np.ndarray, values: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Split ``values`` by ``node_ids``: one ``(node_id, chunk)`` per node,
@@ -309,7 +309,7 @@ class CubeStorage:
 
     def write_tts(self, events: np.ndarray) -> None:
         """Append ``(node_id, rowid)`` trivial-tuple events, in order."""
-        for node_id, rowids in _node_chunks(events[:, 0], events[:, 1]):
+        for node_id, rowids in node_chunks(events[:, 0], events[:, 1]):
             self.node_store(node_id).tt.append(rowids)
 
     def decide_format(self, statistics: FormatStatistics) -> None:
@@ -357,11 +357,11 @@ class CubeStorage:
             node_rows = arowids[:, np.newaxis]
         else:
             node_rows = np.column_stack((cats[:, 1], arowids))
-        for node_id, chunk in _node_chunks(cats[:, 0], node_rows):
+        for node_id, chunk in node_chunks(cats[:, 0], node_rows):
             self.node_store(node_id).cat.append(chunk)
 
     def _write_nts(self, rows: np.ndarray) -> None:
-        for node_id, chunk in _node_chunks(rows[:, 0], rows[:, 1:]):
+        for node_id, chunk in node_chunks(rows[:, 0], rows[:, 1:]):
             if self.dr_mode:
                 chunk = self._with_node_dims(node_id, chunk)
             self.node_store(node_id).nt.append(chunk)

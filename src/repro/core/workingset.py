@@ -183,28 +183,6 @@ class WorkingSet:
             np.empty(0, dtype=np.int64),
         )
 
-    # -- recursion support -------------------------------------------------
-
-    def level_keys(self, dim: int, level: int, positions: np.ndarray) -> np.ndarray:
-        """Member codes of ``positions`` in dimension ``dim`` at ``level``."""
-        base_codes = self.dims[dim][positions]
-        if level == 0:
-            return base_codes
-        return self.schema.dimensions[dim].level_maps[level][base_codes]
-
-    def aggregate(self, positions: np.ndarray) -> tuple[int, ...]:
-        """The merged aggregate vector over ``positions``."""
-        return tuple(
-            spec.function.reduce(self.aggs[positions, y])
-            for y, spec in enumerate(self.schema.aggregates)
-        )
-
-    def min_rowid(self, positions: np.ndarray) -> int:
-        return int(self.rowids[positions].min())
-
-    def weight_of(self, positions: np.ndarray) -> int:
-        return int(self.weights[positions].sum())
-
     @property
     def size_bytes(self) -> int:
         """Logical memory footprint (what the memory manager accounts)."""

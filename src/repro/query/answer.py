@@ -255,16 +255,11 @@ def answer_buc_query(
     if not cube.materialized:
         raise ValueError("cannot query an analytically-sized BUC cube")
     schema = cube.schema
-    y = schema.n_aggregates
     rows = cube.node_rows(schema.node_id(node))
     arity = len(node.grouping_dims(schema.dimensions))
-    if rows:
-        matrix = np.asarray(rows, dtype=np.int64)
-        answer = ColumnAnswer(
-            arity, y, matrix[:, :arity], matrix[:, arity : arity + y]
-        )
-    else:
-        answer = ColumnAnswer.empty(arity, y)
+    answer = ColumnAnswer(
+        arity, schema.n_aggregates, rows[:, :arity], rows[:, arity:]
+    )
     if stats is not None:
         stats.rows_scanned += len(rows)
         stats.tuples_returned += len(answer)
@@ -279,30 +274,31 @@ def answer_bubst_query(
 ) -> ColumnAnswer:
     """Answer one node query over a BU-BST cube (full monolithic scan).
 
-    The scan itself is inherently row-at-a-time (heterogeneous BST/exact
-    rows); only the kept rows become a :class:`ColumnAnswer` at the end.
+    Every row is looked at: exact-node non-BST rows are kept, and BSTs
+    whose storing node lies on this node's plan path.
     """
     schema = cube.schema
+    rows = cube.rows
     node_id = schema.node_id(node)
     grouping = node.grouping_dims(schema.dimensions)
-    sharing_ids = {
+    sharing_ids = [node_id] + [
         schema.node_id(source)
-        for source in [node]
-        + plan_ancestors(schema.lattice, node, flat=True)
-    }
-    kept: Pairs = []
-    for row in cube.rows:
-        if stats is not None:
-            stats.rows_scanned += 1
-        if row.is_bst:
-            if row.node_id in sharing_ids:
-                dims = tuple(row.dims[d] for d in grouping)
-                kept.append((dims, row.aggregates))
-        elif row.node_id == node_id:
-            dims = tuple(row.dims[d] for d in grouping)
-            kept.append((dims, row.aggregates))
-    answer = ColumnAnswer.from_pairs(kept, len(grouping), schema.n_aggregates)
+        for source in plan_ancestors(schema.lattice, node, flat=True)
+    ]
+    keep = np.where(
+        rows[:, 1] == 1,
+        np.isin(rows[:, 0], sharing_ids),
+        rows[:, 0] == node_id,
+    )
+    kept = rows[keep]
+    answer = ColumnAnswer(
+        len(grouping),
+        schema.n_aggregates,
+        kept[:, [2 + d for d in grouping]],
+        kept[:, 2 + schema.n_dimensions :],
+    )
     if stats is not None:
+        stats.rows_scanned += len(rows)
         stats.tuples_returned += len(answer)
     return answer
 

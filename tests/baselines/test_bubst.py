@@ -24,9 +24,10 @@ def test_bsts_stored_once_per_plan_subtree(flat_schema, figure9_table):
     it is also singleton at BC), which is how the sharing works."""
     cube, _stats = build_bubst_cube(flat_schema, figure9_table)
     dims = flat_schema.dimensions
-    bst_rows = [row for row in cube.rows if row.is_bst and row.dims[0] == 1]
+    bst_rows = cube.rows[(cube.rows[:, 1] == 1) & (cube.rows[:, 2] == 1)]
     labels = sorted(
-        flat_schema.decode_node(row.node_id).label(dims) for row in bst_rows
+        flat_schema.decode_node(node_id).label(dims)
+        for node_id in bst_rows[:, 0].tolist()
     )
     assert labels == ["A.A", "B.B×C.C"]
     # No copy anywhere in A's sub-tree below A itself.
@@ -42,12 +43,13 @@ def test_condensed_smaller_than_buc(flat_schema, figure9_table):
 
 def test_monolithic_rows_carry_all_markers(flat_schema, figure9_table):
     cube, _stats = build_bubst_cube(flat_schema, figure9_table)
-    for row in cube.rows:
-        assert len(row.dims) == flat_schema.n_dimensions
-        if not row.is_bst:
-            node = flat_schema.decode_node(row.node_id)
+    d_count = flat_schema.n_dimensions
+    assert cube.rows.shape[1] == 2 + d_count + flat_schema.n_aggregates
+    for node_id, is_bst, *row_dims in cube.rows[:, : 2 + d_count].tolist():
+        if not is_bst:
+            node = flat_schema.decode_node(node_id)
             grouping = set(node.grouping_dims(flat_schema.dimensions))
-            for d, value in enumerate(row.dims):
+            for d, value in enumerate(row_dims):
                 if d in grouping:
                     assert value != ALL_MARKER
                 else:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Table
 from repro.baselines.buc import build_buc_cube
+from repro.datasets import generate_flat_dataset
 from repro.lattice.node import CubeNode
 from repro.query import answer_buc_query, reference_group_by
 from repro.query.answer import normalize_answer
@@ -38,12 +39,20 @@ def test_no_redundancy_elimination(flat_schema, figure9_table):
 
 
 def test_analytic_mode_counts_match_materialized(flat_schema, figure9_table):
-    materialized, _s = build_buc_cube(flat_schema, figure9_table)
-    analytic, _s = build_buc_cube(
-        flat_schema, figure9_table, materialize=False
-    )
-    assert analytic.total_tuples == materialized.total_tuples
-    assert analytic.size_report_bytes() == materialized.size_report_bytes()
+    for schema, table in [
+        (flat_schema, figure9_table),
+        generate_flat_dataset(4, 2000, zipf=0.0, seed=3),
+    ]:
+        materialized, stats = build_buc_cube(schema, table)
+        analytic, analytic_stats = build_buc_cube(
+            schema, table, materialize=False
+        )
+        assert analytic.total_tuples == materialized.total_tuples
+        assert analytic.size_report_bytes() == materialized.size_report_bytes()
+        # Both modes do, and count, the same work.
+        analytic_stats.elapsed_seconds = stats.elapsed_seconds
+        assert analytic_stats == stats
+        assert stats.nodes_aggregated == stats.tuples_written
 
 
 def test_analytic_mode_cannot_be_queried(flat_schema, figure9_table):

@@ -1,12 +1,14 @@
-"""Unit tests for the shared segmented-reduction kernel."""
+"""Unit tests for the segmented-reduction kernels: ``aggregate_ufuncs``
+and the per-segment oracle ``reduce_segments``."""
 
 import numpy as np
 import pytest
 
 from repro import Table
-from repro.core.segments import aggregate_ufuncs, reduce_segments
+from repro.core.segments import aggregate_ufuncs
 from repro.core.workingset import WorkingSet
 from repro.relational.aggregates import AggregateSpec, MedianAgg
+from tests.support.recursive_baselines import level_keys, reduce_segments
 
 
 @pytest.fixture
@@ -26,7 +28,7 @@ def working(paper_schema):
 
 def test_reduce_segments_matches_manual(paper_schema, working):
     positions = np.arange(5, dtype=np.intp)
-    keys = working.level_keys(0, 0, positions)  # A base codes: 0,1,0,1,0
+    keys = level_keys(working, 0, 0, positions)  # A base codes: 0,1,0,1,0
     ufuncs = aggregate_ufuncs(paper_schema)
     batch = reduce_segments(working, positions, keys, ufuncs)
     assert batch.keys == [0, 1]
@@ -39,7 +41,7 @@ def test_reduce_segments_matches_manual(paper_schema, working):
 
 def test_reduce_segments_respects_position_subset(paper_schema, working):
     positions = np.array([2, 3], dtype=np.intp)
-    keys = working.level_keys(1, 0, positions)  # B codes: 1, 1
+    keys = level_keys(working, 1, 0, positions)  # B codes: 1, 1
     ufuncs = aggregate_ufuncs(paper_schema)
     batch = reduce_segments(working, positions, keys, ufuncs)
     assert len(batch) == 1

@@ -5,6 +5,12 @@ import pytest
 
 from repro import Table
 from repro.core.workingset import WorkingSet
+from tests.support.recursive_baselines import (
+    aggregate,
+    level_keys,
+    min_rowid,
+    weight_of,
+)
 
 
 @pytest.fixture
@@ -39,18 +45,18 @@ def test_total_weight_and_empty(paper_schema, working):
 
 def test_level_keys_roll_up(paper_schema, working):
     positions = np.arange(3)
-    base = working.level_keys(0, 0, positions)
+    base = level_keys(working, 0, 0, positions)
     assert base.tolist() == [0, 3, 7]
     a = paper_schema.dimensions[0]
-    level1 = working.level_keys(0, 1, positions)
+    level1 = level_keys(working, 0, 1, positions)
     assert level1.tolist() == [a.code_at(0, 1), a.code_at(3, 1), a.code_at(7, 1)]
 
 
 def test_aggregate_and_min_rowid(working):
     positions = np.array([0, 2])
-    assert working.aggregate(positions) == (40, 2)
-    assert working.min_rowid(positions) == 0
-    assert working.weight_of(positions) == 2
+    assert aggregate(working, positions) == (40, 2)
+    assert min_rowid(working, positions) == 0
+    assert weight_of(working, positions) == 2
 
 
 def test_from_partition_table_keeps_original_rowids(paper_schema):
@@ -76,7 +82,7 @@ def test_from_coarse_columns_weights_and_partials(paper_schema):
     assert working.total_weight == 7
     assert working.rowids.tolist() == [10, 20]
     positions = np.arange(2)
-    assert working.aggregate(positions) == (150, 7)
+    assert aggregate(working, positions) == (150, 7)
 
 
 def test_validation_errors(paper_schema):

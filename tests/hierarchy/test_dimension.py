@@ -219,6 +219,7 @@ def test_level_maps_die_with_the_dimension():
     from repro import CubeSchema, make_aggregates
     from repro.core.workingset import WorkingSet
     from repro.query.vector import level_map
+    from tests.support.recursive_baselines import level_keys
 
     dimension = linear_dimension("D", [("d0", 8), ("d1", 2)])
     schema = CubeSchema((dimension,), make_aggregates(("sum", 0)), 1)
@@ -229,7 +230,7 @@ def test_level_maps_die_with_the_dimension():
         np.ones(8, dtype=np.int64),
         np.arange(8, dtype=np.int64),
     )
-    keys = working.level_keys(0, 1, np.arange(8))
+    keys = level_keys(working, 0, 1, np.arange(8))
     assert keys.tolist() == level_map(dimension, 1).tolist()
     assert level_map(dimension, 1) is dimension.level_maps[1]
     gone = weakref.ref(dimension)

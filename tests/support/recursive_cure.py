@@ -18,8 +18,14 @@ import numpy as np
 
 from repro.core.cure import BuildStats, ExecutionShape
 from repro.core.model import CubeSchema
-from repro.core.segments import aggregate_ufuncs, reduce_segments
+from repro.core.segments import aggregate_ufuncs
 from repro.core.workingset import WorkingSet
+from tests.support.recursive_baselines import (
+    aggregate,
+    level_keys,
+    min_rowid,
+    reduce_segments,
+)
 
 
 class RecursiveCureBuilder:
@@ -57,8 +63,8 @@ class RecursiveCureBuilder:
         self._execute(
             positions,
             working.total_weight,
-            working.aggregate(positions),
-            working.min_rowid(positions),
+            aggregate(working, positions),
+            min_rowid(working, positions),
             0,
             None,
         )
@@ -86,7 +92,7 @@ class RecursiveCureBuilder:
         self, positions: np.ndarray, level0: int, level1: int
     ) -> None:
         working = self._working
-        keys = working.level_keys(0, level0, positions)
+        keys = level_keys(working, 0, level0, positions)
         self.stats.sort.keys_sorted += len(keys)
         self.stats.sort.comparison_sorts += 1
         batch = reduce_segments(working, positions, keys, self._ufuncs)
@@ -145,7 +151,7 @@ class RecursiveCureBuilder:
         next_dim_after: int,
     ) -> None:
         working = self._working
-        keys = working.level_keys(dim, level, positions)
+        keys = level_keys(working, dim, level, positions)
         self.stats.sort.keys_sorted += len(keys)
         self.stats.sort.comparison_sorts += 1
         batch = reduce_segments(working, positions, keys, self._ufuncs)

@@ -141,9 +141,9 @@ def answer_buc_query(cube, node, stats=None) -> Pairs:
     """Answer one node query over a BUC cube (direct per-node read)."""
     schema = cube.schema
     y = schema.n_aggregates
-    rows = cube.node_rows(schema.node_id(node))
+    rows = cube.node_rows(schema.node_id(node)).tolist()
     arity = len(node.grouping_dims(schema.dimensions))
-    answer = [(row[:arity], row[arity : arity + y]) for row in rows]
+    answer = [(tuple(row[:arity]), tuple(row[arity : arity + y])) for row in rows]
     if stats is not None:
         stats.rows_scanned += len(rows)
         stats.tuples_returned += len(answer)
@@ -160,17 +160,18 @@ def answer_bubst_query(cube, node, stats=None) -> Pairs:
         for source in [node]
         + plan_ancestors(schema.lattice, node, flat=True)
     }
+    n_dims = schema.n_dimensions
     answer: Pairs = []
-    for row in cube.rows:
+    for row_node_id, is_bst, *values in cube.rows.tolist():
         if stats is not None:
             stats.rows_scanned += 1
-        if row.is_bst:
-            if row.node_id in sharing_ids:
-                dims = tuple(row.dims[d] for d in grouping)
-                answer.append((dims, row.aggregates))
-        elif row.node_id == node_id:
-            dims = tuple(row.dims[d] for d in grouping)
-            answer.append((dims, row.aggregates))
+        dims = tuple(values[d] for d in grouping)
+        aggregates = tuple(values[n_dims:])
+        if is_bst:
+            if row_node_id in sharing_ids:
+                answer.append((dims, aggregates))
+        elif row_node_id == node_id:
+            answer.append((dims, aggregates))
     if stats is not None:
         stats.tuples_returned += len(answer)
     return answer
