@@ -4,6 +4,8 @@ These go beyond the paper's figures, covering the extensions DESIGN.md §6
 documents (each anchored to a sentence in the paper).
 """
 
+import pytest
+
 from repro.bench.experiments import (
     run_incremental,
     run_pair_partition_ablation,
@@ -35,6 +37,7 @@ def test_incremental_updates(run_once):
 
 def test_sliced_queries(run_once):
     (table,) = run_once(run_sliced_queries, scale=1 / 400, n_queries=20)
+    slower = []
     for selectivity in (0.1, 0.02):
         post = table.value(
             "avg_ms", selectivity=selectivity, strategy="post-filter"
@@ -42,7 +45,8 @@ def test_sliced_queries(run_once):
         indexed = table.value(
             "avg_ms", selectivity=selectivity, strategy="indexed"
         )
-        assert indexed < post / 2
+        if not indexed < post / 2:
+            slower.append(selectivity)
         post_fetches = table.value(
             "fact_fetches", selectivity=selectivity, strategy="post-filter"
         )
@@ -50,3 +54,9 @@ def test_sliced_queries(run_once):
             "fact_fetches", selectivity=selectivity, strategy="indexed"
         )
         assert indexed_fetches < post_fetches / 2
+    if slower:
+        # Not reproduced since the batch engine made a post-filter fetch
+        # one in-memory gather (EXPERIMENTS.md, "Fact-table indexing"):
+        # the fetch gap above is the claim; the time gap is recorded as an
+        # expected failure, not a pass.
+        pytest.xfail(f"indexed slices not 2x faster at selectivity {slower}")

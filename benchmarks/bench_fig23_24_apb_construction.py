@@ -34,6 +34,12 @@ def test_fig23_24(run_once):
         )
         assert time_table.value("partitioned", density=4.0, method=variant)
 
+    # Section 4's "2 reads + 1 write" holds for every variant: CURE_DR's
+    # NTs take their dimension values from the signatures, not from R.
+    reads = time_table.value("fact_reads", density=4.0, method="CURE")
+    for variant in variants:
+        assert time_table.value("fact_reads", density=4.0, method=variant) == reads
+
     # Figure 24: CURE+ is the most compact; CURE_DR trades space for speed.
     for density in DENSITIES:
         plus = size_table.value("MB", density=density, method="CURE+")

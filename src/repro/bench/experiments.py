@@ -374,7 +374,7 @@ def run_fig23_24(
     time_table = ExperimentTable(
         "Figure 23", "APB-1 — construction time",
         ["density", "tuples", "method", "seconds", "partitioned",
-         "partitions"],
+         "partitions", "fact_reads"],
         notes=f"scale={scale:g}, member_scale={member_scale:g}, "
         f"memory budget {memory_budget // MB} MB (see DESIGN.md §3)",
     )
@@ -403,6 +403,7 @@ def run_fig23_24(
                     seconds=result.stats.elapsed_seconds,
                     partitioned=result.stats.partitioned,
                     partitions=result.stats.partitions_created,
+                    fact_reads=result.stats.fact_read_passes,
                 )
                 size_table.add(
                     density=density, tuples=len(table), method=variant,

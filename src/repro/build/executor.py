@@ -82,7 +82,7 @@ class SequentialExecutor:
                 task = queue.popleft()
                 maybe_fire(faults, f"build.worker:{task.task_id}")
                 outcome = execute_task(
-                    self.engine, plan.schema, task, plan.min_count
+                    self.engine, plan.schema, task, plan.min_count, plan.dr_mode
                 )
                 maybe_fire(faults, f"build.worker:{task.task_id}.publish")
                 self.stats.tasks_run += 1

@@ -102,6 +102,7 @@ class WorkerInit:
     root: str
     schema: object
     min_count: int
+    dr_mode: bool
     budget_bytes: int | None
     fault_plan: tuple[FaultSpec, ...]
 
@@ -133,7 +134,7 @@ def _worker_main(worker_id, init, tasks, results, inherited=()):
         try:
             maybe_fire(injector, f"build.worker:{task.task_id}")
             outcome = execute_task(
-                engine, init.schema, task, init.min_count, use_mapped=True
+                engine, init.schema, task, init.min_count, init.dr_mode, use_mapped=True
             )
             maybe_fire(injector, f"build.worker:{task.task_id}.publish")
         except InjectedCrash:
@@ -193,6 +194,7 @@ class ProcessPoolExecutor:
             root=str(self.engine.catalog.root),
             schema=plan.schema,
             min_count=plan.min_count,
+            dr_mode=plan.dr_mode,
             budget_bytes=budget,
             fault_plan=tuple(faults.plan) if faults is not None else (),
         )

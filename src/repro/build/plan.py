@@ -75,7 +75,7 @@ def _tasks(
 
 
 def partition_plan(
-    schema: CubeSchema, min_count: int, partitioning: Partitioning
+    schema: CubeSchema, min_count: int, partitioning: Partitioning, dr_mode: bool = False
 ) -> BuildPlan:
     """The Section 4 pipeline as a plan: phase 1, one unit per partition,
     then phase 2, one unit per coarse node.  The coarse units share one
@@ -88,7 +88,7 @@ def partition_plan(
         )
         for task in _tasks(partitioning, schema.n_dimensions, None)
     )
-    return BuildPlan(schema, min_count, units)
+    return BuildPlan(schema, min_count, units, dr_mode)
 
 
 def expansion_children(

@@ -26,7 +26,6 @@ from repro.build.tasks import (
     KIND_PARTITION,
     TaskOutcome,
     TaskSpec,
-    empty_outcome,
 )
 from repro.core.cure import BuildStats, CureBuilder, HierarchicalShape
 from repro.core.model import CubeSchema
@@ -70,6 +69,7 @@ def execute_task(
     schema: CubeSchema,
     task: TaskSpec,
     min_count: int,
+    dr_mode: bool = False,
     use_mapped: bool = False,
 ) -> TaskOutcome:
     """Run one task to completion (or expansion) and capture its events.
@@ -82,6 +82,8 @@ def execute_task(
     :class:`MemoryBudgetExceeded`.
     """
     stats = BuildStats()
+    shape = HierarchicalShape(schema, task.base_floor)
+    builder = CureBuilder(schema, shape, min_count, stats, dr_mode)
     if task.kind == KIND_PARTITION:
         try:
             working, release = _load_partition(
@@ -93,11 +95,10 @@ def execute_task(
             split = repartition_partition(
                 engine, task.relation, schema, task.levels[0], stats=stats
             )
-            outcome = empty_outcome(task, stats, schema.n_aggregates)
-            outcome.children = expansion_children(
-                task, split, schema.n_dimensions
-            )
-            return outcome
+            # The expansion itself emits no events.
+            tts, sigs = builder.run(WorkingSet.empty(schema))
+            children = expansion_children(task, split, schema.n_dimensions)
+            return TaskOutcome(task, tts, sigs, stats, children)
     elif task.kind in (KIND_COARSE_RUN, KIND_COARSE_PARTITION):
         working, release = _load_coarse(
             engine, task.relation, schema, use_mapped
@@ -105,8 +106,6 @@ def execute_task(
     else:
         raise ValueError(f"unknown task kind {task.kind!r}")
 
-    shape = HierarchicalShape(schema, task.base_floor)
-    builder = CureBuilder(schema, shape, min_count, stats)
     try:
         if task.kind == KIND_COARSE_RUN:
             tts, sigs = builder.run(working)

@@ -11,8 +11,8 @@ The replay discipline is what makes every executor byte-identical to
 every other: a task never classifies anything.  It returns the
 **raw event stream** of Figure 13's recursion — trivial-tuple writes
 ``(node_id, rowid)`` and signature adds ``(node_id, rowid,
-aggregates…)`` — as the two int64 arrays the builder produces, in
-emission order.  The coordinator owns the one true
+aggregates…[, codes…])`` (codes in ``CURE_DR``) — as the two int64
+arrays the builder produces, in emission order.  The coordinator owns the one true
 signature pool and feeds it the streams in deterministic task order, so
 flush windows, NT/CAT classification, and the first-flush format decision
 are exactly those of a sequential build, no matter how many workers
@@ -64,7 +64,8 @@ class TaskOutcome:
 
     ``tts`` has shape ``(n, 2)`` — ``(node_id, rowid)`` per trivial tuple,
     in emission order.  ``sigs`` has shape ``(m, 2 + Y)`` — ``(node_id,
-    rowid, aggregates…)`` per signature, in emission order.  ``children``
+    rowid, aggregates…)`` per signature, in emission order; a ``dr_mode``
+    plan's carry D code columns more (``CureBuilder``).  ``children``
     is non-empty when the task *expanded* instead of running (its load
     overflowed the budget and adaptive re-partitioning produced child
     tasks); the scheduler splices the children into the unit's order right
@@ -105,6 +106,7 @@ class BuildPlan:
     schema: CubeSchema
     min_count: int
     units: tuple[BuildUnit, ...]
+    dr_mode: bool = False
 
     @property
     def n_partition_units(self) -> int:
@@ -117,16 +119,6 @@ class UnitCompletion:
 
     unit: BuildUnit
     outcomes: tuple[TaskOutcome, ...]
-
-
-def empty_outcome(task: TaskSpec, stats: BuildStats, n_aggregates: int) -> TaskOutcome:
-    """An outcome with no events (expansions, empty working sets)."""
-    return TaskOutcome(
-        task,
-        np.empty((0, 2), dtype=np.int64),
-        np.empty((0, 2 + n_aggregates), dtype=np.int64),
-        stats,
-    )
 
 
 # -- replay --------------------------------------------------------------------
@@ -191,6 +183,5 @@ __all__ = [
     "TaskSpec",
     "UnitCompletion",
     "apply_outcome",
-    "empty_outcome",
     "merge_build_stats",
 ]

@@ -255,9 +255,6 @@ def load_v1_bundle(directory: str | Path) -> CubeBundle:
     schema, extra = _bundle_header(root)
     catalog = Catalog(root)
     storage = CubeStorage.load(catalog, schema, prefix=CUBE_PREFIX)
-    storage.row_resolver = lambda rowid: schema.dim_values(
-        catalog.open(FACT_RELATION).read_row(rowid)
-    )
     return CubeBundle(root, schema, storage, catalog, extra)
 
 

@@ -177,7 +177,7 @@ class _EdgeEvents:
     alive: np.ndarray
     trivial: np.ndarray
     tt_rows: np.ndarray  # (len(trivial), 2)
-    sig_rows: np.ndarray  # (len(alive) or 0, 2 + Y)
+    sig_rows: np.ndarray  # (len(alive) or 0, _sig_width)
     children: list["_EdgeEvents"]
 
 
@@ -200,6 +200,10 @@ class CureBuilder:
     per-segment recursion's emission order: ``tts (n, 2)`` rows
     ``(node_id, rowid)`` and ``sigs (m, 2 + Y)`` rows ``(node_id, rowid,
     aggregates…)``.
+    With ``dr_mode`` (``CURE_DR``) a signature row carries D more columns:
+    the node-level codes of its grouping dimensions, in dimension order,
+    then zeros — one gather at the segment's first row, whose codes every
+    row of the segment shares.
     """
 
     def __init__(
@@ -208,11 +212,14 @@ class CureBuilder:
         shape: ExecutionShape,
         min_count: int = 1,
         stats: BuildStats | None = None,
+        dr_mode: bool = False,
     ) -> None:
         self.schema = schema
         self.shape = shape
         self.min_count = min_count
         self.stats = stats or BuildStats()
+        self.dr_mode = dr_mode
+        self._sig_width = 2 + schema.n_aggregates + schema.n_dimensions * dr_mode
         self._factors = schema.enumerator.factors
         self._node_levels = [
             dimension.all_level for dimension in schema.dimensions
@@ -273,7 +280,7 @@ class CureBuilder:
                 np.arange(n, dtype=np.intp), np.zeros(n, dtype=np.int64), 1
             )
             self._place(first(whole), np.zeros(1, dtype=np.int64), tts, sigs)
-        return _in_order(tts, 2), _in_order(sigs, 2 + self.schema.n_aggregates)
+        return _in_order(tts, 2), _in_order(sigs, self._sig_width)
 
     def _keys(self, dim: int, level: int) -> np.ndarray:
         """Every row's member code at ``(dim, level)``, rolled up once per
@@ -356,13 +363,18 @@ class CureBuilder:
         rowids = np.minimum.reduceat(working.rowids[positions], starts)
         tt_rows = np.empty((len(trivial), 2), dtype=np.int64)
         tt_rows[:, 1] = rowids[trivial]
-        sig_rows = np.empty(
-            (len(signed), 2 + len(self._ufuncs)), dtype=np.int64
-        )
+        sig_rows = np.zeros((len(signed), self._sig_width), dtype=np.int64)
         sig_rows[:, 1] = rowids[signed]
         for y, ufunc in enumerate(self._ufuncs):
             column = self._agg_columns[y][positions]
             sig_rows[:, 2 + y] = ufunc.reduceat(column, starts)[signed]
+        if self.dr_mode:
+            first = positions[starts[signed]]
+            column = 2 + len(self._ufuncs)
+            for d, dimension in enumerate(self.schema.dimensions):
+                if self._node_levels[d] != dimension.all_level:
+                    sig_rows[:, column] = self._keys(d, self._node_levels[d])[first]
+                    column += 1
         tt_rows[:, 0] = sig_rows[:, 0] = self._node_id
         self.stats.tt_written += len(trivial)
         self.stats.nodes_aggregated += len(signed)
@@ -520,6 +532,7 @@ def build_cube(
         pool_capacity,
         on_flush=storage.write_flush,
         on_statistics=storage.decide_format,
+        n_aggregates=schema.n_aggregates,
     )
     if shape is None:
         shape = FlatShape(schema) if flat else HierarchicalShape(schema)
@@ -584,8 +597,7 @@ def _build_in_memory(
 
     working = WorkingSet.from_fact_table(schema, table)
     storage.fact_row_count = len(table)
-    storage.row_resolver = lambda rowid: schema.dim_values(table[rowid])
-    builder = CureBuilder(schema, shape, min_count)
+    builder = CureBuilder(schema, shape, min_count, dr_mode=storage.dr_mode)
     tts, sigs = builder.run(working)
     # The whole input is one task: its events reach the storage and the
     # pool the way every executor's do.
@@ -640,9 +652,7 @@ def build_partitioned(
         )
     from repro.build import apply_outcome, make_executor, partition_plan
 
-    heap = engine.relation(relation)
-    storage.fact_row_count = len(heap)
-    storage.row_resolver = lambda rowid: schema.dim_values(heap.read_row(rowid))
+    storage.fact_row_count = len(engine.relation(relation))
     faults = engine.catalog.faults
 
     def on_unit(completion) -> None:
@@ -673,7 +683,7 @@ def build_partitioned(
             stats.fact_read_passes += 1  # loading the partitions re-reads R once
         build_executor = make_executor(engine, workers, executor)
         build_executor.run(
-            partition_plan(schema, min_count, partitioning), on_unit, start_unit
+            partition_plan(schema, min_count, partitioning, storage.dr_mode), on_unit, start_unit
         )
         pool.flush()
         stats.tasks_run += build_executor.stats.tasks_run

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -273,7 +272,6 @@ class DurableCubeBuild:
                 )
             container = catalog.root / str((manifest.final or {})["container"])
             storage = load_cube(V2File.open(container), self.schema)
-            storage.row_resolver = self._resolver()
             stats = _stats_from_json(manifest.stats or {})
             return CubeResult(storage, stats, PoolStats(), None)
 
@@ -333,6 +331,7 @@ class DurableCubeBuild:
             self.pool_capacity,
             on_flush=storage.write_flush,
             on_statistics=storage.decide_format,
+            n_aggregates=self.schema.n_aggregates,
         )
 
         def on_partitioned(staged: Partitioning) -> Partitioning:
@@ -490,11 +489,6 @@ class DurableCubeBuild:
             return load_cube(V2File.open(container), self.schema)
         except V2FormatError:
             return None
-
-    def _resolver(self) -> Callable[[int], tuple[int, ...]]:
-        heap = self.engine.relation(self.relation)
-        schema = self.schema
-        return lambda rowid: schema.dim_values(heap.read_row(rowid))
 
     def _drop_prefixed(self, prefix: str) -> None:
         catalog = self.engine.catalog

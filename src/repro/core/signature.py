@@ -111,11 +111,16 @@ class SignaturePool:
     on_statistics:
         Called before the first flush is handed over, with its
         :class:`FormatStatistics`.
+    n_aggregates:
+        ``Y``.  Columns after the aggregates (a ``CURE_DR`` row's codes)
+        ride along: no sort key, and capacity counts rows, so flush windows
+        and NT/CAT runs do not depend on them.  ``None``: all of them.
     """
 
     capacity: int | None
     on_flush: Callable[[np.ndarray, np.ndarray], None]
     on_statistics: Callable[[FormatStatistics], None] | None = None
+    n_aggregates: int | None = None
     stats: PoolStats = field(default_factory=PoolStats)
     first_flush_statistics: FormatStatistics | None = None
     _window: list[np.ndarray] = field(default_factory=list, repr=False)
@@ -175,9 +180,11 @@ class SignaturePool:
         self._resident = 0
         # One stable sort on (aggregates…, rowid); lexsort takes the least
         # significant key first.
-        rows = rows[np.lexsort((rows[:, 1], *rows[:, :1:-1].T))]
+        stop = None if self.n_aggregates is None else 2 + self.n_aggregates
+        rows = rows[np.lexsort((rows[:, 1], *rows[:, 2:stop].T[::-1]))]
+        aggregates = rows[:, 2:stop]
         new_run = np.ones(len(rows), dtype=np.bool_)
-        new_run[1:] = (rows[1:, 2:] != rows[:-1, 2:]).any(axis=1)
+        new_run[1:] = (aggregates[1:] != aggregates[:-1]).any(axis=1)
         starts = np.flatnonzero(new_run)
         run_lengths = np.diff(starts, append=len(rows))
         is_cat_run = run_lengths > 1

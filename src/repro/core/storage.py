@@ -5,8 +5,8 @@ Per cube node, up to three relations exist:
 * **NT** — normal tuples: ``⟨R-rowid, Aggr1..AggrY⟩`` (Figure 8a).  The
   dimension values are *not* stored; they are recoverable by fetching the
   fact tuple at ``R-rowid`` and rolling it up to the node's levels.  In
-  ``CURE_DR`` mode the actual dimension values are stored instead, trading
-  space for query speed (Section 5.3).
+  ``CURE_DR`` mode the node-level dimension codes the signatures carry are
+  stored instead, trading space for query speed (Section 5.3).
 * **TT** — trivial tuples: a bare ``⟨R-rowid⟩`` (Figure 8b).  Stored only
   at the least detailed node of the plan sub-tree that shares them.
 * **CAT** — common aggregate tuples, whose aggregate vectors live once in
@@ -265,9 +265,9 @@ class StorageSizeReport:
 class CubeStorage:
     """All materialized relations of one CURE cube.
 
-    ``row_resolver`` maps a fact R-rowid to its base dimension codes; it is
-    required in ``dr_mode`` (dimension values are written into NTs) and by
-    the query layer otherwise.
+    Storage never reads the fact relation: an NT is written from its
+    signature alone — in ``dr_mode`` from the node-level codes the
+    signature carries after its aggregates.
     """
 
     schema: CubeSchema
@@ -280,7 +280,6 @@ class CubeStorage:
     # dimension *pair* (the extension Section 4 mentions but omits).
     partition_level2: int | None = None
     fact_row_count: int = 0
-    row_resolver: Callable[[int], tuple[int, ...]] | None = None
     plus_processed: bool = False
     # Logical bytes of space overhead accrued by incremental maintenance
     # (CAT demotions) since the last from-scratch build; lets
@@ -327,6 +326,7 @@ class CubeStorage:
         their maximal equal-aggregate runs (see
         :class:`~repro.core.signature.SignaturePool`): singleton runs
         become NTs, longer runs CATs under the globally decided format.
+        ``dr_mode`` rows carry codes after the aggregates, for NTs only.
         """
         in_cat = cat_members(run_lengths)
         if not in_cat.any() or self.cat_format is CatFormat.AS_NT:
@@ -338,7 +338,7 @@ class CubeStorage:
                 "statistics before emitting CAT runs"
             )
         self._write_nts(rows[~in_cat])
-        cats = rows[in_cat]
+        cats = rows[in_cat, : 2 + self.schema.n_aggregates]
         lengths = run_lengths[run_lengths > 1]
         new_row = np.zeros(len(cats), dtype=np.bool_)
         new_row[np.cumsum(lengths) - lengths] = True
@@ -361,22 +361,12 @@ class CubeStorage:
             self.node_store(node_id).cat.append(chunk)
 
     def _write_nts(self, rows: np.ndarray) -> None:
+        y = self.schema.n_aggregates
         for node_id, chunk in node_chunks(rows[:, 0], rows[:, 1:]):
-            if self.dr_mode:
-                chunk = self._with_node_dims(node_id, chunk)
+            if self.dr_mode:  # ⟨grouping codes…, aggregates…⟩
+                codes = chunk[:, 1 + y : 1 + y + self._grouping_arity(node_id)]
+                chunk = np.column_stack((codes, chunk[:, 1 : 1 + y]))
             self.node_store(node_id).nt.append(chunk)
-
-    def _with_node_dims(self, node_id: int, rows: np.ndarray) -> np.ndarray:
-        """``(rowid, aggregates…)`` rows with the row-id swapped for the
-        fact tuple's dimension values at the node (``CURE_DR``)."""
-        if self.row_resolver is None:
-            raise RuntimeError("dr_mode requires a row_resolver")
-        node = self.schema.decode_node(node_id)
-        dims = [
-            self.schema.project_to_node(self.row_resolver(rowid), node)
-            for rowid in rows[:, 0].tolist()
-        ]
-        return np.column_stack((np.array(dims, dtype=np.int64), rows[:, 1:]))
 
     def aggregates_matrix(self) -> np.ndarray:
         """The AGGREGATES relation as one read-only int64 matrix.

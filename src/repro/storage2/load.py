@@ -78,7 +78,7 @@ def load_fact(file: V2File, schema: CubeSchema) -> Table:
 
 
 def load_v2(path: str | Path, schema: CubeSchema) -> tuple[CubeStorage, Table]:
-    """Both halves of one v2 file, the cube resolving rows in the table."""
+    """Both halves of one v2 file: the cube and its fact table."""
     file = V2File.open(path)
     storage, fact = load_cube(file, schema), load_fact(file, schema)
     if len(fact) != storage.fact_row_count:
@@ -86,5 +86,4 @@ def load_v2(path: str | Path, schema: CubeSchema) -> tuple[CubeStorage, Table]:
             f"{file.path}: fact columns hold {len(fact)} rows, the "
             f"directory recorded {storage.fact_row_count}"
         )
-    storage.row_resolver = lambda rowid: schema.dim_values(fact[rowid])
     return storage, fact

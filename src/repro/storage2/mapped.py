@@ -160,7 +160,6 @@ def open_v2(path: str | Path, schema: CubeSchema) -> MappedCube:
     file = V2File.open(path)
     storage = map_storage(schema, file)
     fact = MappedFactTable(schema, file)
-    storage.row_resolver = lambda rowid: schema.dim_values(fact[rowid])
     indices: MappedIndexSet | None = None
     if file.has("index/0/offsets"):
         indices = MappedIndexSet(file, schema)

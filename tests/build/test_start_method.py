@@ -6,7 +6,9 @@ otherwise it spawns fresh interpreters.  The choice is not a parameter,
 so the tests steer it the way real callers do — by running a thread, or
 by running where ``os.fork`` does not exist — and read it off the one
 ``get_context`` call.  Either way a ``workers=2`` build must leave the
-catalog directory and the cube of ``workers=1``.
+catalog directory and the cube of ``workers=1`` — for ``CURE`` and for
+``CURE_DR``, whose signatures carry their node's codes back from the
+workers.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ def _engine(root, instance, allowance_rows: int = 250) -> Engine:
     return engine
 
 
-def _build(root, instance, workers: int, allowance_rows: int = 250):
+def _build(
+    root, instance, workers: int, allowance_rows: int = 250, dr_mode=False
+):
     """``(cube bytes, catalog directory contents, stats)`` of one build."""
     engine = _engine(root, instance, allowance_rows)
     result = build_cube(
@@ -60,15 +64,23 @@ def _build(root, instance, workers: int, allowance_rows: int = 250):
         pool_capacity=POOL_CAPACITY,
         partition_strategy="uniform",
         workers=workers,
+        dr_mode=dr_mode,
     )
     engine.close()
     files = {path.name: path.read_bytes() for path in sorted(root.iterdir())}
     return cube_bytes(result.storage), files, result.stats
 
 
+@pytest.fixture(scope="module", params=[False, True], ids=["CURE", "CURE_DR"])
+def dr_mode(request):
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def sequential(instance, tmp_path_factory):
-    cube, files, stats = _build(tmp_path_factory.mktemp("seq"), instance, 1)
+def sequential(instance, tmp_path_factory, dr_mode):
+    cube, files, stats = _build(
+        tmp_path_factory.mktemp("seq"), instance, 1, dr_mode=dr_mode
+    )
     assert stats.partitioned and stats.workers == 1
     return cube, files
 
@@ -95,21 +107,22 @@ def _assert_same_build(built, sequential) -> None:
 
 
 def test_single_threaded_driver_forks(
-    tmp_path, instance, sequential, start_methods
+    tmp_path, instance, sequential, start_methods, dr_mode
 ):
     assert threading.active_count() == 1, threading.enumerate()
-    _assert_same_build(_build(tmp_path, instance, 2), sequential)
+    built = _build(tmp_path, instance, 2, dr_mode=dr_mode)
+    _assert_same_build(built, sequential)
     assert start_methods == ["fork"]
 
 
 def test_driver_with_a_live_thread_spawns(
-    tmp_path, instance, sequential, start_methods
+    tmp_path, instance, sequential, start_methods, dr_mode
 ):
     release = threading.Event()
     bystander = threading.Thread(target=release.wait, daemon=True)
     bystander.start()
     try:
-        _assert_same_build(_build(tmp_path, instance, 2), sequential)
+        _assert_same_build(_build(tmp_path, instance, 2, dr_mode=dr_mode), sequential)
     finally:
         release.set()
         bystander.join(timeout=10)
@@ -118,10 +131,11 @@ def test_driver_with_a_live_thread_spawns(
 
 
 def test_platform_without_fork_spawns(
-    tmp_path, instance, sequential, start_methods, monkeypatch
+    tmp_path, instance, sequential, start_methods, monkeypatch, dr_mode
 ):
     monkeypatch.delattr(os, "fork")
-    _assert_same_build(_build(tmp_path, instance, 2), sequential)
+    built = _build(tmp_path, instance, 2, dr_mode=dr_mode)
+    _assert_same_build(built, sequential)
     assert start_methods == ["spawn"]
 
 

@@ -7,7 +7,10 @@ verbatim, one segment per Python frame.  The cube's bytes depend on the
 order in which signatures reach the bounded pool, so the two must agree on
 the event streams *exactly* — ``np.array_equal`` on ``tts`` and ``sigs`` —
 and on every logical ``BuildStats`` counter, for every entry point, plan
-shape, iceberg threshold and kind of working set.
+shape, iceberg threshold and kind of working set.  In ``dr_mode`` the
+builder's signatures carry D more columns — the node's grouping codes —
+which must be what the hierarchy's ``level_maps`` make of the working row
+at the emitted row-id.
 """
 
 from __future__ import annotations
@@ -37,15 +40,22 @@ from tests.support.recursive_cure import RecursiveCureBuilder
 COUNTERS = ("nodes_aggregated", "tt_written", "signatures_emitted")
 
 
-def assert_same_events(schema, shape, working, min_count, entry, levels=()):
+def assert_same_events(
+    schema, shape, working, min_count, entry, levels=(), dr_mode=False
+):
     """Run both builders through ``entry`` and compare streams + counters."""
-    new = CureBuilder(schema, shape, min_count, BuildStats())
+    new = CureBuilder(schema, shape, min_count, BuildStats(), dr_mode)
     # One production entry for both partition shapes; the oracle keeps two.
     tts, sigs = new.run_partition(working, levels) if levels else new.run(working)
     old = RecursiveCureBuilder(schema, shape, min_count, BuildStats())
     getattr(old, entry)(working, *levels)
     old_tts, old_sigs = old.event_arrays()
     assert tts.dtype == np.int64 and sigs.dtype == np.int64
+    if dr_mode:
+        y = schema.n_aggregates
+        assert sigs.shape[1] == 2 + y + schema.n_dimensions
+        assert_codes_of_emitted_rows(schema, working, sigs)
+        sigs = sigs[:, : 2 + y]
     assert tts.shape == old_tts.shape and sigs.shape == old_sigs.shape
     assert np.array_equal(tts, old_tts)
     assert np.array_equal(sigs, old_sigs)
@@ -57,6 +67,28 @@ def assert_same_events(schema, shape, working, min_count, entry, levels=()):
     assert new.stats.sort.comparison_sorts == old.stats.sort.comparison_sorts
     assert new.stats.sort.counting_sorts == 0
     return tts, sigs
+
+
+def assert_codes_of_emitted_rows(schema, working, sigs):
+    """Each DR signature's codes = ``level_maps`` applied to the working
+    row whose row-id it carries, one per grouping dimension in dimension
+    order, then zeros."""
+    row_of = {int(rowid): i for i, rowid in enumerate(working.rowids)}
+    codes = sigs[:, 2 + schema.n_aggregates :]
+    for node_id, rowid, row_codes in zip(
+        sigs[:, 0].tolist(), sigs[:, 1].tolist(), codes.tolist()
+    ):
+        node = schema.decode_node(node_id)
+        row = row_of[rowid]
+        expected = [
+            int(dimension.level_maps[level][working.dims[d][row]])
+            for d, (dimension, level) in enumerate(
+                zip(schema.dimensions, node.levels)
+            )
+            if level != dimension.all_level
+        ]
+        padding = [0] * (schema.n_dimensions - len(expected))
+        assert row_codes == expected + padding, (node_id, rowid)
 
 
 # -- hypothesis-drawn schemas --------------------------------------------------------
@@ -193,6 +225,27 @@ def test_event_streams_equal_the_recursive_builder(case, min_count):
         )
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=cases(), min_count=st.sampled_from([1, 3]))
+def test_dr_signatures_carry_the_codes_of_the_emitted_row(case, min_count):
+    """``dr_mode`` adds the codes and changes nothing else of the stream."""
+    schema, shape, working, level0, level1 = case
+    assert_same_events(schema, shape, working, min_count, "run", (), True)
+    assert_same_events(
+        schema, shape, working, min_count, "run_partition", (level0,), True
+    )
+    if schema.n_dimensions >= 2:
+        assert_same_events(
+            schema,
+            shape,
+            working,
+            min_count,
+            "run_partition_pair",
+            (level0, level1),
+            True,
+        )
+
+
 # -- a mid-sized fixed case: deep recursion, many segments per edge -------------------
 
 
@@ -253,6 +306,14 @@ def test_all_entry_points_on_a_four_dimensional_cube(weighted, min_count):
         assert_same_events(
             schema, shape, working, min_count, "run_partition_pair", (1, 1)
         )
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dr_codes_on_a_four_dimensional_cube(weighted):
+    schema, working = retail_like(600, seed=5, weighted=weighted)
+    for shape in (HierarchicalShape(schema), HierarchicalShape(schema, (2, 0, 1, 0))):
+        for entry, levels in ENTRIES:
+            assert_same_events(schema, shape, working, 1, entry, levels, True)
 
 
 def test_pair_descent_emits_nothing_at_dimension_zero_only_nodes():

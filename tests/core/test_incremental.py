@@ -61,9 +61,6 @@ def test_multiple_update_rounds(paper_schema):
 def test_update_of_empty_cube(paper_schema):
     base = Table(paper_schema.fact_schema, [])
     result = build_cube(paper_schema, table=base)
-    result.storage.row_resolver = lambda rowid: paper_schema.dim_values(
-        base[rowid]
-    )
     _b, delta = make_instance(paper_schema, 0, 20, seed=4)
     apply_delta(result.storage, paper_schema, base, delta)
     assert_equals_reference(paper_schema, base, result.storage)

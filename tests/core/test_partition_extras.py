@@ -58,12 +58,12 @@ def test_uniform_strategy_partition_roundtrip(tmp_path):
     storage = CubeStorage(schema)
     storage.fact_row_count = len(table)
     heap = engine.relation("fact")
-    storage.row_resolver = lambda rowid: schema.dim_values(heap.read_row(rowid))
     storage.partition_level = level
     pool = SignaturePool(
         None,
         on_flush=storage.write_flush,
         on_statistics=storage.decide_format,
+        n_aggregates=schema.n_aggregates,
     )
     builder = CureBuilder(schema, HierarchicalShape(schema))
     for name in names:

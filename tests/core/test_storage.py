@@ -267,12 +267,6 @@ def test_dr_mode_stores_dimension_values(flat_schema, figure9_table):
     assert (2, 90) in nt_rows(a_store)
 
 
-def test_dr_mode_without_resolver_raises(flat_schema):
-    storage = CubeStorage(flat_schema, dr_mode=True)
-    with pytest.raises(RuntimeError, match="row_resolver"):
-        write_runs(storage, [(0, 0, 1)])
-
-
 # -- size accounting -----------------------------------------------------------------------
 
 

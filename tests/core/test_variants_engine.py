@@ -10,6 +10,7 @@ from repro.core.variants import VARIANTS
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
+from repro.relational.heap import HeapFile
 from repro.relational.memory import MemoryManager
 from tests.support.rows import cat_rows
 
@@ -44,19 +45,30 @@ def test_variant_builds_partitioned_through_engine(disk_setup, variant):
         assert got == expected
 
 
-def test_dr_variant_partitioned_resolves_through_heap(disk_setup):
-    """CURE_DR over a partitioned build resolves dim values from disk."""
+def test_dr_variant_partitioned_reads_the_fact_relation_twice(
+    disk_setup, monkeypatch
+):
+    """Section 4's "2 reads + 1 write" holds for CURE_DR: its NTs' dimension
+    values come from the signatures, never from a random fact read."""
     schema, table, engine = disk_setup
-    result, _plus = VARIANTS["CURE_DR"].with_pool(100).build(
-        schema, engine=engine, relation="fact"
-    )
+
+    def no_random_reads(heap, rowid):
+        raise AssertionError(f"read_row({rowid}) during construction")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HeapFile, "read_row", no_random_reads)
+        result, _plus = VARIANTS["CURE_DR"].with_pool(100).build(
+            schema, engine=engine, relation="fact"
+        )
     assert result.stats.partitioned
     assert result.storage.dr_mode
+    assert result.stats.fact_read_passes == 2
+    assert result.stats.fact_write_passes == 1
     cache = FactCache(schema, heap=engine.relation("fact"), fraction=0.0)
-    node = schema.decode_node(5)
-    expected = reference_group_by(schema, table.to_rows(), node)
-    got = normalize_answer(answer_cure_query(result.storage, cache, node))
-    assert got == expected
+    for node in schema.lattice.nodes():
+        expected = reference_group_by(schema, table.to_rows(), node)
+        got = normalize_answer(answer_cure_query(result.storage, cache, node))
+        assert got == expected, node.label(schema.dimensions)
 
 
 def test_query_through_cat_bitmap(flat_schema):

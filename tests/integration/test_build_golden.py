@@ -58,6 +58,8 @@ CASES = {
     "iceberg3": ("CURE", 3, None),
     "partitioned": ("CURE", 1, 0.6),
     "partitioned_pair": ("CURE", 1, 0.4),
+    "partitioned_DR": ("CURE_DR", 1, 0.6),
+    "partitioned_pair_DR": ("CURE_DR", 1, 0.4),
 }
 
 #: case → (files written, digest over every file's SHA-256, cube.v2 SHA-256)
@@ -96,6 +98,16 @@ GOLDEN: dict[str, tuple[int, str, str]] = {
         394,
         "04bdc3070d083c32bbb7e11a7662d8cd2ea0c73fcb576a824608d724f7c4c049",
         "54df64132c0bb80b7e905d9c59aa28c1ca9e049cadfdedaa0fff5baf7346aa99",
+    ),
+    "partitioned_DR": (
+        396,
+        "84c28365581e6fe0942fc2e17d62871d8bb8c8d8ccd54a3be87c4978d7b65db0",
+        "9c053e6006fc0b4b81191ea767a79db8ad300e7fa4474e7ae1f9f5e49c5965e8",
+    ),
+    "partitioned_pair_DR": (
+        394,
+        "08ad81f48909b5a672c7a36f3b431ead16058f8533ed71178253eda41a122eaf",
+        "1dcf79cbc81150095725d0ff2526fb2da00d1bdcf95be949190dadcc1da6cdb0",
     ),
 }
 
@@ -159,7 +171,7 @@ def build_case_bundle(case: str, work: Path) -> Path:
         finally:
             engine.destroy()
         assert result.stats.partitioned
-        assert (case == "partitioned_pair") == (
+        assert case.startswith("partitioned_pair") == (
             result.storage.partition_level2 is not None
         )
     else:

@@ -106,7 +106,6 @@ def build(schema, rows, flat, cat_format, plus):
         "repro.core.storage.choose_cat_format", lambda _stats, _y: cat_format
     ):
         storage = build_cube(schema, table=table, flat=flat).storage
-    storage.row_resolver = lambda rowid: schema.dim_values(table[rowid])
     if plus:
         postprocess_plus(storage)
     return table, storage

@@ -37,10 +37,6 @@ rows = st.tuples(
 def test_update_rounds_equal_rebuild(base_rows, delta_batches):
     table = Table(SCHEMA.fact_schema, list(base_rows))
     result = build_cube(SCHEMA, table=table)
-    if not base_rows:
-        result.storage.row_resolver = lambda rowid: SCHEMA.dim_values(
-            table[rowid]
-        )
     for batch in delta_batches:
         apply_delta(result.storage, SCHEMA, table, list(batch))
     cache = FactCache(SCHEMA, table=table)
