@@ -2,8 +2,10 @@
 
 A bundle holds everything needed to answer queries later, in one place:
 
-* the fact relation (heap file) — CURE answers dereference into it,
-* every cube relation (via :meth:`CubeStorage.persist`),
+* ``cube.v2`` — the cube and the fact table as one mapped container
+  (:mod:`repro.storage2`); every reader serves from it,
+* the fact relation (heap file) — what ``python -m repro ingest``
+  bootstraps its engine from,
 * ``bundle.json`` — the schema (dimensions with level names, roll-up maps
   and member names), the aggregate specs, and bookkeeping.
 
@@ -16,26 +18,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.core.model import CubeSchema
 from repro.core.storage import CubeStorage
 from repro.hierarchy.dimension import Dimension, Level
-from repro.query.cache import FactCache
+from repro.query.cache import FactCache, ResultCache
 from repro.relational.aggregates import make_aggregates
 from repro.relational.catalog import Catalog
-from repro.relational.durable import atomic_write_text, file_checksum
+from repro.relational.durable import atomic_write_text
 from repro.relational.table import Table
-
-if TYPE_CHECKING:
-    from repro.storage2.mapped import MappedCube
+from repro.storage2.mapped import MappedCube, open_v2
+from repro.storage2.publish import V2_FILE, publish_v2_bundle, write_v2
 
 BUNDLE_META = "bundle.json"
 FACT_RELATION = "fact"
-CUBE_PREFIX = "cube"
 #: Prefix the ``python -m repro ingest`` command maintains generations
 #: under; when its manifest exists, queries map the committed generation's
-#: container instead of the originally built ``cube``/``fact`` pair.
+#: container instead of the originally built ``cube.v2``.
 STREAM_PREFIX = "stream"
 STREAM_LOG_DIR = "ingest.log"
 
@@ -108,18 +107,25 @@ def save_bundle(
     storage: CubeStorage,
     extra: dict | None = None,
 ) -> Path:
-    """Write a complete cube bundle; the directory must not already hold one."""
+    """Write a complete cube bundle; the directory must not already hold one.
+
+    The fact heap goes first, then the ``cube.v2`` container every reader
+    maps, encoded from the in-memory cube and fact table (write → fsync →
+    rename), then ``bundle.json``: that last write is the commit, so a
+    directory without it is not a bundle whatever else it holds.
+    """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     meta_path = root / BUNDLE_META
     if meta_path.exists():
         raise FileExistsError(f"{root} already contains a cube bundle")
+    batch = fact.as_batch()
     catalog = Catalog(root)
     try:
         heap = catalog.create(FACT_RELATION, schema.fact_schema)
-        heap.append_batch(fact.as_batch())
+        heap.append_batch(batch)
         heap.flush()
-        storage.persist(catalog, prefix=CUBE_PREFIX)
+        write_v2(root / V2_FILE, schema, storage, batch, faults=catalog.faults)
     finally:
         catalog.close()
     meta = {"schema": schema_to_json(schema), "extra": extra or {}}
@@ -129,37 +135,26 @@ def save_bundle(
 
 @dataclass
 class CubeBundle:
-    """An opened bundle: schema, storage, and a fact cache factory.
+    """An opened bundle: schema, the mapped container, a fact cache factory.
 
-    ``v2`` is set when the bundle was opened through a mapped
-    :mod:`repro.storage2` container: ``storage`` is then the mapped view
-    (no heap rows were unpacked), and the fact cache / planner wire over
-    the mapped fact columns and pre-built CSR indices instead of
-    re-reading and re-indexing the fact heap file.
+    ``storage`` is the mapped view of ``v2`` (no heap rows were unpacked),
+    and the fact cache / planner wire over the container's fact columns
+    and pre-built CSR indices.
     """
 
     root: Path
     schema: CubeSchema
-    storage: CubeStorage
     catalog: Catalog
     extra: dict
-    fact_relation: str = FACT_RELATION
-    cube_prefix: str = CUBE_PREFIX
-    v2: "MappedCube | None" = None
+    v2: MappedCube
+
+    @property
+    def storage(self) -> CubeStorage:
+        return self.v2.storage
 
     def fact_cache(self, fraction: float = 1.0, seed: int = 7) -> FactCache:
-        if self.v2 is not None:
-            return FactCache(
-                self.schema,
-                table=self.v2.fact,
-                fraction=fraction,
-                seed=seed,
-            )
         return FactCache(
-            self.schema,
-            heap=self.catalog.open(self.fact_relation),
-            fraction=fraction,
-            seed=seed,
+            self.schema, table=self.v2.fact, fraction=fraction, seed=seed
         )
 
     def planner(
@@ -180,16 +175,11 @@ class CubeBundle:
         builds exactly one of these and shares it across all request
         threads.
         """
-        from repro.query.cache import ResultCache
-        from repro.query.planner import CubePlanner, build_indices
+        from repro.query.planner import CubePlanner
 
         indices = None
         if with_indices and not self.storage.dr_mode:
-            if self.v2 is not None:
-                indices = self.v2.indices
-            else:
-                fact = self.catalog.open(self.fact_relation).load_batch()
-                indices = build_indices(self.schema, fact)
+            indices = self.v2.indices
         return CubePlanner(
             self.storage,
             self.fact_cache(fraction=fraction, seed=seed),
@@ -202,9 +192,7 @@ class CubeBundle:
 
     @property
     def fact_row_count(self) -> int:
-        if self.v2 is not None:
-            return len(self.v2.fact)
-        return len(self.catalog.open(self.fact_relation))
+        return len(self.v2.fact)
 
     def close(self) -> None:
         self.catalog.close()
@@ -243,75 +231,30 @@ def _bundle_header(root: Path) -> tuple[CubeSchema, dict]:
     return schema_from_json(meta["schema"]), meta.get("extra", {})
 
 
-def load_v1_bundle(directory: str | Path) -> CubeBundle:
-    """Open a bundle through the v1 heap relations :func:`save_bundle`
-    wrote, whatever containers sit beside them.
-
-    This is what :func:`open_bundle` falls back to, what ``publish-v2``
-    compacts (a ``cube.v2`` must not feed its own replacement), and the
-    reference the differential tests hold the mapped path to.
-    """
-    root = Path(directory)
-    schema, extra = _bundle_header(root)
-    catalog = Catalog(root)
-    storage = CubeStorage.load(catalog, schema, prefix=CUBE_PREFIX)
-    return CubeBundle(root, schema, storage, catalog, extra)
-
-
 def open_bundle(directory: str | Path) -> CubeBundle:
     """Open a bundle previously written by :func:`save_bundle`.
 
-    If the bundle has been streamed into (``python -m repro ingest``),
-    the committed ingest generation supersedes the originally built cube.
-    A generation *is* a v2 container, named by the ingest manifest, so it
-    is mapped directly: nothing can be stale (the manifest flip is the
-    commit and names exactly this file) and nothing is unpacked.
+    The container it maps is :func:`~repro.storage2.publish.publish_v2_bundle`'s
+    answer: the committed ingest generation once the bundle has been
+    streamed into (``python -m repro ingest``; the manifest flip is the
+    commit and names exactly that file), else the ``cube.v2`` that
+    ``save_bundle`` published.  Opening unpacks **nothing** — no heap
+    rows, no index builds.  A directory with a ``bundle.json`` but no
+    container predates one-container bundles and must be rebuilt.
 
-    Otherwise, when a ``cube.v2`` container is present (``publish-v2``),
-    it is preferred: opening maps the file and unpacks **nothing** — no
-    heap rows, no index builds.  Two guards apply, with different
-    outcomes:
-
-    * **staleness** — a v2 file whose recorded cube prefix, fact relation
-      or v1 meta checksum no longer matches the bundle's v1 relations is
-      silently ignored in favour of those relations
-      (:func:`load_v1_bundle`), which are always current;
-    * **corruption** — a v2 file that *does* describe the current cube
-      but fails structural validation raises
-      :class:`~repro.storage2.format.V2FormatError` (fail closed; a
-      damaged container must be noticed, not silently routed around).
-      Section-level bit flips surface the same way, lazily, on first
-      access.
+    A container that fails structural validation raises
+    :class:`~repro.storage2.format.V2FormatError` (fail closed; a damaged
+    container must be noticed, not silently routed around).  Section-level
+    bit flips surface the same way, lazily, on first access.
     """
-    from repro.storage2.mapped import open_v2
-    from repro.storage2.publish import V2_FILE
-
     root = Path(directory)
     schema, extra = _bundle_header(root)
-    generation = streamed_container(root)
-    if generation is not None:
-        mapped = open_v2(generation, schema)
-        return CubeBundle(
-            root,
-            schema,
-            mapped.storage,
-            Catalog(root),
-            extra,
-            str(mapped.file.meta["fact_relation"]),
-            str(mapped.file.meta["cube_prefix"]),
-            v2=mapped,
+    container = publish_v2_bundle(root)
+    if not container.exists():
+        raise RuntimeError(
+            f"{root} has no {container.name} to serve (a bundle saved as "
+            "v1 heap relations has none); rebuild the bundle"
         )
-    container = root / V2_FILE
-    if container.exists():
-        mapped = open_v2(container, schema)
-        current = (
-            mapped.file.meta.get("cube_prefix") == CUBE_PREFIX
-            and mapped.file.meta.get("fact_relation") == FACT_RELATION
-            and mapped.file.meta.get("cube_meta_checksum")
-            == file_checksum(root / f"{CUBE_PREFIX}.meta.json")
-        )
-        if current:
-            return CubeBundle(
-                root, schema, mapped.storage, Catalog(root), extra, v2=mapped
-            )
-    return load_v1_bundle(root)
+    return CubeBundle(
+        root, schema, Catalog(root), extra, open_v2(container, schema)
+    )

@@ -382,23 +382,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_publish(args) -> int:
-    """Compact a bundle's cube into one mmap-served ``cube.v2`` file."""
-    from repro.storage2 import publish_v2_bundle, verify_v2
-
-    path = publish_v2_bundle(args.cube)
-    report = verify_v2(path, bundle_root=args.cube)
-    if not report.ok:
-        print(report.describe())
-        return 1
-    ratio = f"{report.ratio:.3f}" if report.ratio is not None else "?"
-    print(
-        f"published {path}: {len(report.sections)} sections, "
-        f"{report.file_bytes:,} bytes (v2/v1 ratio {ratio})"
-    )
-    return 0
-
-
 def cmd_verify_cube(args) -> int:
     """Verify a v2 container; exit 0 iff sound.
 
@@ -407,15 +390,12 @@ def cmd_verify_cube(args) -> int:
     the recorded row counts.  With ``--cube`` it is a bundle's
     ``cube.v2`` (for a streamed-into bundle, its committed ingest
     generation): every section checksum and codec is re-verified and the
-    per-section bytes plus the compression ratio against the bundle's v1
-    relations are reported.
+    per-section bytes are reported.
     """
     if args.cube is not None:
-        from repro.bundle import streamed_container
-        from repro.storage2 import V2_FILE, verify_v2
+        from repro.storage2 import publish_v2_bundle, verify_v2
 
-        target = streamed_container(args.cube) or Path(args.cube) / V2_FILE
-        report = verify_v2(target, bundle_root=args.cube)
+        report = verify_v2(publish_v2_bundle(args.cube))
         print(report.describe())
         return 0 if report.ok else 1
     if args.catalog is None:
@@ -531,13 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip building inverted indices (slices post-filter)",
     )
     serve.set_defaults(handler=cmd_serve)
-
-    publish = commands.add_parser(
-        "publish-v2",
-        help="compact a bundle's cube into one mmap-served cube.v2 file",
-    )
-    publish.add_argument("--cube", required=True, help="bundle directory")
-    publish.set_defaults(handler=cmd_publish)
 
     verify = commands.add_parser(
         "verify-cube",

@@ -35,7 +35,6 @@ Python object overhead.
 from __future__ import annotations
 
 import enum
-import json
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -43,11 +42,7 @@ import numpy as np
 
 from repro.core.model import CubeSchema
 from repro.core.signature import FormatStatistics, cat_members
-from repro.relational.batch import ColumnBatch, column_dtype
 from repro.relational.bitmap import Bitmap
-from repro.relational.catalog import Catalog
-from repro.relational.durable import atomic_write_text, maybe_fire
-from repro.relational.schema import Column, ColumnType, TableSchema
 
 VALUE_BYTES = 4
 """Logical size of one stored value (row-id / dimension code / aggregate)."""
@@ -216,24 +211,6 @@ def node_chunks(
     starts = [0, *(np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1).tolist()]
     for start, stop in zip(starts, [*starts[1:], len(order)]):
         yield int(sorted_ids[start]), values[start:stop]
-
-
-def _matrix_batch(schema: TableSchema, matrix: np.ndarray) -> ColumnBatch:
-    """A relation matrix as a batch of ``schema``-typed columns."""
-    return ColumnBatch.from_arrays(
-        schema,
-        [
-            matrix[:, position].astype(column_dtype(column.type), copy=False)
-            for position, column in enumerate(schema.columns)
-        ],
-    )
-
-
-def _load_matrix(catalog: Catalog, name: str) -> np.ndarray:
-    """A persisted relation as one int64 matrix, a row per record."""
-    return np.column_stack(catalog.open(name).load_batch().arrays).astype(
-        np.int64, copy=False
-    )
 
 
 @dataclass
@@ -421,67 +398,11 @@ class CubeStorage:
         report.aggregates_bytes = self.aggregates_count * aggregate_width
         return report
 
-    # -- persistence ---------------------------------------------------------------
-
-    def persist(self, catalog: Catalog, prefix: str = "cube") -> None:
-        """Materialize every non-empty relation as a heap file.
-
-        Layout: ``<prefix>.meta`` (JSON side file), ``<prefix>.aggregates``,
-        and per node ``<prefix>.n<node_id>.{nt,tt,cat}``.
-        """
-        y = self.schema.n_aggregates
-        agg_columns = tuple(
-            Column(f"aggr_{i}", ColumnType.INT64) for i in range(y)
-        )
-        rowid_column = Column("r_rowid", ColumnType.INT64)
-        arowid_column = Column("a_rowid", ColumnType.INT64)
-
-        def write(name: str, schema: TableSchema, matrix: np.ndarray) -> None:
-            heap = catalog.create(name, schema)
-            heap.append_batch(_matrix_batch(schema, matrix))
-            heap.flush()
-
-        for node_id, store in self.nodes.items():
-            if store.nt_count:
-                if self.dr_mode:
-                    arity = self._grouping_arity(node_id)
-                    dim_columns = tuple(
-                        Column(f"dim_{i}", ColumnType.INT32)
-                        for i in range(arity)
-                    )
-                    schema = TableSchema(dim_columns + agg_columns)
-                else:
-                    schema = TableSchema((rowid_column,) + agg_columns)
-                write(f"{prefix}.n{node_id}.nt", schema, store.nt_matrix())
-            trivial = store.stored_tt()
-            if len(trivial):
-                write(
-                    f"{prefix}.n{node_id}.tt",
-                    TableSchema((rowid_column,)),
-                    trivial.reshape(-1, 1),
-                )
-            common = store.stored_cat()
-            if len(common):
-                if self.cat_format is CatFormat.COMMON_SOURCE:
-                    schema = TableSchema((arowid_column,))
-                else:
-                    schema = TableSchema((rowid_column, arowid_column))
-                write(f"{prefix}.n{node_id}.cat", schema, common)
-        if self.aggregates_count:
-            if self.cat_format is CatFormat.COMMON_SOURCE:
-                schema = TableSchema((rowid_column,) + agg_columns)
-            else:
-                schema = TableSchema(agg_columns)
-            write(f"{prefix}.aggregates", schema, self.aggregates_matrix())
-        maybe_fire(catalog.faults, f"storage.meta:{prefix}")
-        atomic_write_text(
-            catalog.root / f"{prefix}.meta.json", json.dumps(self.meta())
-        )
+    # -- metadata ---------------------------------------------------------------
 
     def meta(self) -> dict:
-        """The cube's metadata: what :meth:`persist` writes beside the
-        relations, a v2 container's directory embeds and :meth:`from_meta`
-        reads.  Key order is part of the v1 side file's bytes."""
+        """The cube's metadata: what a v2 container's directory embeds and
+        :meth:`from_meta` reads."""
         return {
             "cat_format": self.cat_format.value if self.cat_format else None,
             "dr_mode": self.dr_mode,
@@ -509,29 +430,6 @@ class CubeStorage:
         storage.update_drift_bytes = meta.get("update_drift_bytes", 0)
         if meta["cat_format"] is not None:
             storage.cat_format = CatFormat(meta["cat_format"])
-        return storage
-
-    @classmethod
-    def load(
-        cls, catalog: Catalog, schema: CubeSchema, prefix: str = "cube"
-    ) -> "CubeStorage":
-        """Reload a persisted cube into memory."""
-        meta = json.loads((catalog.root / f"{prefix}.meta.json").read_text())
-        storage = cls.from_meta(schema, meta)
-        for node_id in meta["node_ids"]:
-            store = storage.node_store(node_id)
-            nt_name = f"{prefix}.n{node_id}.nt"
-            if catalog.exists(nt_name):
-                store.nt.replace(_load_matrix(catalog, nt_name))
-            tt_name = f"{prefix}.n{node_id}.tt"
-            if catalog.exists(tt_name):
-                store.tt.replace(_load_matrix(catalog, tt_name)[:, 0])
-            cat_name = f"{prefix}.n{node_id}.cat"
-            if catalog.exists(cat_name):
-                store.cat.replace(_load_matrix(catalog, cat_name))
-        agg_name = f"{prefix}.aggregates"
-        if catalog.exists(agg_name):
-            storage.aggregates.replace(_load_matrix(catalog, agg_name))
         return storage
 
     # -- inspection ---------------------------------------------------------------

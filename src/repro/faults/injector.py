@@ -58,7 +58,6 @@ SITE_FAMILIES: frozenset[str] = frozenset(
         "manifest.save",
         "checkpoint.write",
         "commit.final",
-        "storage.meta",
         "storage2.publish",
         "ingest.append",
         "ingest.seal",

@@ -2,11 +2,11 @@
 
 A :class:`ColumnBatch` is the columnar dual of a list of tuples — one
 numpy array per schema column, all of equal length.  Heap scans, the
-partition pass, the query layer (:mod:`repro.query`) and the cube-relation
-persistence paths (:meth:`CubeStorage.persist`) move data in batches so
-that filtering, projection and routing run as whole-column numpy kernels
-instead of per-tuple Python loops, while ``from_rows`` / ``to_rows``
-bridge to the row-based APIs.
+partition pass, the query layer (:mod:`repro.query`) and the ``cube.v2``
+writers (:mod:`repro.storage2`) move data in batches so that filtering,
+projection and routing run as whole-column numpy kernels instead of
+per-tuple Python loops, while ``from_rows`` / ``to_rows`` bridge to the
+row-based APIs.
 
 Dtypes are explicit and derived from the schema (INT32 → ``int32``,
 INT64 → ``int64``, FLOAT64 → ``float64``), matching the packed on-disk

@@ -3,16 +3,17 @@
 See ``docs/storage_format.md`` for the on-disk layout.  The public
 surface is intentionally small:
 
-* :func:`~repro.storage2.publish.write_v2` /
-  :func:`~repro.storage2.publish.publish_v2_bundle` — compact a built
-  cube into one atomic ``cube.v2`` file;
+* :func:`~repro.storage2.publish.write_v2` — write a built cube and its
+  fact table as one atomic ``cube.v2`` file;
+  :func:`~repro.storage2.publish.publish_v2_bundle` — the container a
+  bundle serves from;
 * :func:`~repro.storage2.mapped.open_v2` — map a v2 file back into the
   query layer's storage/fact/index surfaces with no deserialization;
 * :func:`~repro.storage2.load.load_v2` — the other way to read one: back
   into a mutable ``CubeStorage`` and fact ``Table`` (how streaming ingest
   recovers its committed generation);
 * :func:`~repro.storage2.verify.verify_v2` — offline checksum + decode
-  verification and v1-vs-v2 size reporting.
+  verification and per-section size reporting.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Query-layer views over a mapped v2 cube file.
 
-The v1 load path reads every relation's heap file before the first query
-can run.  The classes here present the same surfaces the query layer
-already consumes — :class:`~repro.core.storage.CubeStorage` /
-``NodeStore``, the ``Table`` duck type
-:class:`~repro.query.cache.FactCache` drives, and the
-``dict[int, InvertedIndex]`` mapping the planner probes — but backed by
+Serving maps the container instead of loading it.  The classes here
+present the surfaces the query layer consumes —
+:class:`~repro.core.storage.CubeStorage` / ``NodeStore``, the ``Table``
+duck type :class:`~repro.query.cache.FactCache` drives, and the
+``dict[int, InvertedIndex]`` mapping the planner probes — backed by
 :class:`~repro.storage2.format.V2File` sections:
 
 * ``narrow`` sections (NT/CAT/AGGREGATES matrices, CSR offsets, fact

@@ -29,17 +29,12 @@ int64 array whose values leave it no smaller (a full-range column) is
 stored ``raw`` instead, so the codec of a section is a pure function of
 its values and rewriting is deterministic.
 
-:func:`write_v2` is both halves for a caller that holds the fact table as
-a :class:`ColumnBatch` (a streaming-ingest generation); a durable build's
-checkpoints and final commit are the cube half alone — its fact relation
-stays a catalog heap (:mod:`repro.core.recovery`;
-``docs/storage_format.md`` lists who writes which sections).  :func:`publish_v2_bundle` is the one
-offline writer: it compacts a bundle saved as v1 heap relations, so it
-reads them back through the slow v1 load — acceptable there and nowhere
-else — and stamps the v1 meta checksum into the directory, which lets
-``open_bundle`` detect a ``cube.v2`` that no longer describes the
-bundle's v1 relations and fall back to them silently.  Containers
-written from memory have no v1 copy and leave that checksum empty.
+:func:`write_v2` is both halves, for a caller that holds the fact table
+as a :class:`ColumnBatch`: :func:`~repro.bundle.save_bundle` and a
+streaming-ingest generation.  A durable build's checkpoints and final
+commit are the cube half alone — its fact relation stays a catalog heap
+(:mod:`repro.core.recovery`; ``docs/storage_format.md`` lists who writes
+which sections).
 
 Every container reaches disk through :func:`publish`:
 :func:`~repro.relational.durable.atomic_write_chunks` behind the
@@ -58,12 +53,7 @@ import numpy as np
 from repro.core.model import CubeSchema
 from repro.core.storage import CubeStorage
 from repro.relational.batch import ColumnBatch
-from repro.relational.durable import (
-    FaultHook,
-    atomic_write_chunks,
-    file_checksum,
-    maybe_fire,
-)
+from repro.relational.durable import FaultHook, atomic_write_chunks, maybe_fire
 from repro.relational.index import InvertedIndex
 from repro.storage2.codecs import BITPACK, bitpack_encode, encode_rowid_list, min_bits
 from repro.storage2.format import V2Writer
@@ -88,7 +78,6 @@ def cube_writer(
     storage: CubeStorage,
     cube_prefix: str = "cube",
     fact_relation: str = "fact",
-    cube_meta_checksum: str = "",
 ) -> V2Writer:
     """A writer holding the cube's sections (pure; no I/O)."""
     writer = V2Writer(
@@ -96,7 +85,6 @@ def cube_writer(
             **storage.meta(),
             "cube_prefix": cube_prefix,
             "fact_relation": fact_relation,
-            "cube_meta_checksum": cube_meta_checksum,
         }
     )
     for node_id in sorted(storage.nodes):
@@ -169,45 +157,24 @@ def write_v2(
     fact_batch: ColumnBatch,
     cube_prefix: str = "cube",
     fact_relation: str = "fact",
-    cube_meta_checksum: str = "",
     faults: FaultHook | None = None,
 ) -> Path:
     """Publish a cube and its in-memory fact table as one v2 file."""
-    writer = cube_writer(storage, cube_prefix, fact_relation, cube_meta_checksum)
+    writer = cube_writer(storage, cube_prefix, fact_relation)
     add_fact_sections(writer, schema, fact_batch.arrays)
     return publish(path, writer, faults)
 
 
 def publish_v2_bundle(directory: str | Path) -> Path:
-    """Compact an existing bundle's cube into ``<bundle>/cube.v2``.
+    """The container a bundle serves from; writes nothing.
 
-    Reads through the v1 path (``load_v1_bundle`` — a stale v2 file must
-    not feed its own replacement), stamps the v1 meta checksum for the
-    staleness guard, and atomically publishes the container.
-
-    A bundle that has been streamed into has nothing to compact: its
-    committed ingest generation already is a v2 container, and
-    ``open_bundle`` maps it.  That file's path is returned and nothing
-    is written.
+    That is the committed ingest generation of a bundle that has been
+    streamed into, else the ``cube.v2`` :func:`~repro.bundle.save_bundle`
+    published.  ``open_bundle`` and ``verify-cube --cube`` locate the
+    container through this function.  It keeps its name because
+    ``benchmarks/e2e`` calls it, after ``save_bundle``, as the publish step.
     """
-    from repro.bundle import load_v1_bundle, streamed_container
+    from repro.bundle import streamed_container
 
     root = Path(directory)
-    generation = streamed_container(root)
-    if generation is not None:
-        return generation
-    with load_v1_bundle(root) as bundle:
-        fact_batch = bundle.catalog.open(bundle.fact_relation).load_batch()
-        checksum = file_checksum(
-            root / f"{bundle.cube_prefix}.meta.json"
-        )
-        return write_v2(
-            root / V2_FILE,
-            bundle.schema,
-            bundle.storage,
-            fact_batch,
-            cube_prefix=bundle.cube_prefix,
-            fact_relation=bundle.fact_relation,
-            cube_meta_checksum=checksum,
-            faults=bundle.catalog.faults,
-        )
+    return streamed_container(root) or root / V2_FILE

@@ -5,9 +5,7 @@ SHA-256 and decodability, on top of the header/trailer/directory
 validation :meth:`~repro.storage2.format.V2File.open` already performs.
 It also reports, per section, the stored bytes beside the bytes the
 section decodes to (``count × itemsize``) and a ``narrow`` section's
-column widths, the file-level stored ÷ decoded ratio, and — when the
-surrounding bundle is available — the compression ratio against the v1
-heap-file representation of the same cube.
+column widths, and the file-level stored ÷ decoded ratio.
 """
 
 from __future__ import annotations
@@ -50,9 +48,6 @@ class V2Report:
     file_bytes: int = 0
     sections: list[SectionReport] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
-    #: Total on-disk bytes of the v1 representation (cube relations,
-    #: fact relation and metadata), when a bundle root was supplied.
-    v1_bytes: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -66,24 +61,12 @@ class V2Report:
     def decoded_bytes(self) -> int:
         return sum(section.decoded_bytes for section in self.sections)
 
-    @property
-    def ratio(self) -> float | None:
-        """v2 bytes / v1 bytes (< 1.0 means the v2 file is smaller)."""
-        if not self.v1_bytes:
-            return None
-        return self.file_bytes / self.v1_bytes
-
     def describe(self) -> str:
         lines = [
             f"v2 cube {self.path}: "
             f"{'OK' if self.ok else 'CORRUPT'}, "
             f"{len(self.sections)} sections, {self.file_bytes} bytes"
         ]
-        if self.v1_bytes:
-            lines.append(
-                f"  v1 on-disk bytes: {self.v1_bytes} "
-                f"(v2/v1 ratio {self.ratio:.3f})"
-            )
         if self.decoded_bytes:
             lines.append(
                 f"  sections: {self.stored_bytes} B stored, "
@@ -108,7 +91,9 @@ class V2Report:
 
 
 def v1_disk_bytes(root: Path, cube_prefix: str, fact_relation: str) -> int:
-    """On-disk bytes of the bundle's v1 files for the same content."""
+    """On-disk bytes of the heap files under ``cube_prefix`` and
+    ``fact_relation``, containers excluded — in a bundle, only the fact
+    heap.  ``benchmarks/e2e`` reports it as ``core.v1_bytes``."""
     total = 0
     for pattern in (
         f"{cube_prefix}.*",
@@ -121,7 +106,7 @@ def v1_disk_bytes(root: Path, cube_prefix: str, fact_relation: str) -> int:
     return total
 
 
-def verify_v2(path: str | Path, bundle_root: str | Path | None = None) -> V2Report:
+def verify_v2(path: str | Path) -> V2Report:
     """Fully verify one v2 file; never raises on corruption, reports it."""
     target = Path(path)
     report = V2Report(target)
@@ -149,11 +134,5 @@ def verify_v2(path: str | Path, bundle_root: str | Path | None = None) -> V2Repo
                 widths,
                 entry.shape[0],
             )
-        )
-    if bundle_root is not None:
-        report.v1_bytes = v1_disk_bytes(
-            Path(bundle_root),
-            str(file.meta.get("cube_prefix", "cube")),
-            str(file.meta.get("fact_relation", "fact")),
         )
     return report

@@ -1,13 +1,15 @@
 """Byte identity of built cubes *across commits*, not only across paths.
 
-The pairwise suites (sequential↔parallel, v1↔v2, crash↔resume) build both
-sides with the same builder, so they stay green if both sides drift
-together.  This suite pins, per variant, the SHA-256 of every file
-``save_bundle`` writes (each v1 relation, the meta files, the fact heap)
-and of the published ``cube.v2``, over one fixed seeded dataset.  The
-digests below were computed on the commit *before* the plan-edge-at-a-time
-builder landed; a builder, pool or storage change that moves one byte of
-any variant fails here.
+The pairwise suites (sequential↔parallel, built↔mapped, crash↔resume)
+build both sides with the same builder, so they stay green if both sides
+drift together.  This suite pins, per variant, over one fixed seeded
+dataset: the SHA-256 of every file ``save_bundle`` writes (``bundle.json``,
+the fact heap, ``cube.v2``), of ``cube.v2`` alone, and of what the
+container *holds* (:func:`content_digest`) — which no codec or layout
+change moves.  A builder, pool or storage change that moves one byte of
+any variant fails here.  The content digests were computed on the commit
+before ``save_bundle`` encoded ``cube.v2`` from memory, when it was still
+re-read from v1 heap relations, and have not moved since.
 
 Regenerate (only when a format change is intended, on the commit whose
 bytes become the new reference) with::
@@ -18,6 +20,7 @@ bytes become the new reference) with::
 from __future__ import annotations
 
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -38,7 +41,7 @@ from repro import (
 from repro.core.signature import SignaturePool
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
-from repro.storage2 import V2File, publish_v2_bundle
+from repro.storage2 import V2_FILE, V2File
 from repro.storage2.codecs import NARROW, RAW
 from repro.storage2.format import V2Writer
 
@@ -62,52 +65,62 @@ CASES = {
     "partitioned_pair_DR": ("CURE_DR", 1, 0.4),
 }
 
-#: case → (files written, digest over every file's SHA-256, cube.v2 SHA-256)
-GOLDEN: dict[str, tuple[int, str, str]] = {
+#: case → (files written, digest over every file's SHA-256, cube.v2
+#: SHA-256, content digest of cube.v2)
+GOLDEN: dict[str, tuple[int, str, str, str]] = {
     "CURE": (
-        392,
-        "dbd888456ece9aa09049de652303bc32feb1c208fcf52186ccf639e4d29fd311",
-        "308cf549bf9cacc1c173df9eb24d2ffcade9f8acc1cd3f411efceacfa59d9034",
+        4,
+        "2a056118800aad8c130e569af5100b6f6d392890109438b80b4a435bf95c587a",
+        "632db4392115165a7c9bc8063fead017923df695c91f0388eade92640e3d0a50",
+        "6d1e1d15a0d46f7e3d5944d5612d1938190ed679e4abf3343bb29d8e1ea005f5",
     ),
     "CURE+": (
-        392,
-        "f1b462835a809eb584918661aaf26fa6fa804ffa775e22bb8436583ff37f7b42",
-        "ad7ae700ca9ea14a9daeb6a4f9f0e5f89beb198797c14f5f9cff580d5cca6bef",
+        4,
+        "c8730c06c191178c8ad110ab87c514bff4e0473d4aa47c66cda22774a0df0504",
+        "3a262788e2f9972173f2f3eb29ea864baf8373fb58ab22f8b7a03008c32eb280",
+        "2adb3d0cce59596b7ed1e7f101fbcf7f440ad61911b79be425f61e729c44707b",
     ),
     "CURE_DR": (
-        392,
-        "df257a863bc067d52bf0d20561b29e197fc89d20fb53dd2e148959f0c1bc8aec",
-        "594fa7446e40f7e08f42d87ab2fd543f46ba809998c18598057ee68a25fc8b00",
+        4,
+        "3d2917a94b49dfffd7f4ee36ff4aa244eee1d15fd2e586b5f36f1e8e79591551",
+        "83fdf30463097a2603e5f792d4b95eb7a7fb8dcc7fb2f699e45551a04652f147",
+        "e92d9316c50c8d1e3531590fc073fe92290cddb2ca0690bb15136943c10fb54c",
     ),
     "FCURE": (
-        74,
-        "cc9f032689025dd960ead70bc4fd399932c55a893ca881c49e8950e9b5232438",
-        "f9f848ff00004c6d715808ae3ab0072179953f234ddf2f75b6231fa628c4adfb",
+        4,
+        "237eefb3b12144b7fccc0f23c3d3981ada6a19e21c31df320cc0aba5156582a6",
+        "0ae5d6511a51f367cc7de1886a4ebec56b675ed7938fb586c5e2a270a5c48109",
+        "480f87256d2f956aff25bc67e131de6de5494411306bc8e03ac56e392783ad8e",
     ),
     "iceberg3": (
-        332,
-        "4ace835c145818fd283bc312a76daa827cd0238544963040e098cf7473b575c3",
-        "a06f0fd3cf3e6f18b6f08773682454a9240d73341652b214dc1486a0c8db8cd4",
+        4,
+        "64dd89217e460e7f921b6e8720f78beae946d4d2d4d441a8a2aae00b5eb337d5",
+        "3289f5252fa333d4697e72bc9a0515846ad1ee746ed79d74d314dc0722854839",
+        "5f9e85cf992b4fb014ac39332b10347e6046d0ea47182af20ea72d6ec2eab4ec",
     ),
     "partitioned": (
-        396,
-        "17a593bdc579eab56570aea5c03352cd522bad987d274f331e3471e18d3b2301",
-        "7cea2b556fd8bd97b90a5d5de471ae1b504dac291b265f2874cbfbe6d156fbf9",
+        4,
+        "ef0059954102b2d33fadca462a9941e910dd24cb5940af110d176a07f76d8f89",
+        "5c7308f1f9f1627a0befc740767f1da8520041b0781ccd019b9aaf0692fe7b23",
+        "437f4188318aad851400e23296fcaa90b1df84d48807263dfe2d8432ebd1284a",
     ),
     "partitioned_pair": (
-        394,
-        "04bdc3070d083c32bbb7e11a7662d8cd2ea0c73fcb576a824608d724f7c4c049",
-        "54df64132c0bb80b7e905d9c59aa28c1ca9e049cadfdedaa0fff5baf7346aa99",
+        4,
+        "0e85e9ff506324898131e592d575ed440fc2259368fde7468e82036d0f32330a",
+        "0fa18581e078b806e1c2ebcdd85c0282b35f6d5ec9cf731bf7dcc2ac6080e43f",
+        "2cf109493810a6b3277b4c84e38fae0507b2b24df25cebeff4a99b506bed574e",
     ),
     "partitioned_DR": (
-        396,
-        "84c28365581e6fe0942fc2e17d62871d8bb8c8d8ccd54a3be87c4978d7b65db0",
-        "9c053e6006fc0b4b81191ea767a79db8ad300e7fa4474e7ae1f9f5e49c5965e8",
+        4,
+        "805e6e11e7dbe730235fb7e20a1eb3bc176feb9eda7d94a23050dfbf53e9965b",
+        "3afff6969a55b47194d2ec63e62adf0ba1e6482980242eb2b7fb01408b62aedb",
+        "4e1a06d8575ad3457090447c08aeb5222a7681e91172c5317a1a7669464c6817",
     ),
     "partitioned_pair_DR": (
-        394,
-        "08ad81f48909b5a672c7a36f3b431ead16058f8533ed71178253eda41a122eaf",
-        "1dcf79cbc81150095725d0ff2526fb2da00d1bdcf95be949190dadcc1da6cdb0",
+        4,
+        "0c83aed10bb574d262e8a874d6254634cde78ae81bb2805609838682e726700a",
+        "584b2183cc2500a2acc8c83d9b68b91bd35396e615e7ae0fed9935bee6852ea3",
+        "90c69fc88bd5926c53d24aed459e5199e0cb64ea3dca27d94ce11d8daa3fe289",
     ),
 }
 
@@ -181,13 +194,29 @@ def build_case_bundle(case: str, work: Path) -> Path:
     return save_bundle(work / "bundle", schema, table, result.storage)
 
 
-def build_digests(case: str, work: Path) -> tuple[int, str, str]:
+def content_digest(path: Path) -> str:
+    """SHA-256 of what a container holds, independent of how: every
+    section's name, dtype, shape and decoded array bytes, in directory
+    order, then the directory ``meta``."""
+    file = V2File.open(path)
+    digest = hashlib.sha256()
+    for name in file.names():
+        array = np.ascontiguousarray(file.array(name))
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}\n".encode())
+        digest.update(array.tobytes())
+    digest.update(json.dumps(file.meta, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def build_digests(case: str, work: Path) -> tuple[int, str, str, str]:
     bundle = build_case_bundle(case, work)
     files = sorted(p for p in bundle.iterdir() if p.is_file())
     manifest = "".join(f"{p.name}:{_sha256(p)}\n" for p in files)
-    v1_digest = hashlib.sha256(manifest.encode()).hexdigest()
-    v2_digest = _sha256(publish_v2_bundle(bundle))
-    return len(files), v1_digest, v2_digest
+    files_digest = hashlib.sha256(manifest.encode()).hexdigest()
+    container = bundle / V2_FILE
+    return (
+        len(files), files_digest, _sha256(container), content_digest(container)
+    )
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -210,7 +239,7 @@ def test_every_section_reads_back_the_array_it_was_given(
         add_array(writer, name, array)
 
     monkeypatch.setattr(V2Writer, "add_array", recording)
-    file = V2File.open(publish_v2_bundle(build_case_bundle(case, tmp_path)))
+    file = V2File.open(build_case_bundle(case, tmp_path) / V2_FILE)
     assert file.verify_all() == []
     arrays = [n for n in file.names() if file.entry(n).codec in (NARROW, RAW)]
     assert sorted(given) == arrays

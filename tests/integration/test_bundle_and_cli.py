@@ -18,6 +18,7 @@ from repro.cli import main as cli_main
 from repro.datasets.loader import DimensionSpec, load_records
 from repro.query import answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
+from repro.storage2 import publish_v2_bundle
 
 CITIES = [
     ("Athens", "Greece"), ("Patras", "Greece"),
@@ -333,7 +334,6 @@ def test_cli_ingest_updates_bundle_queries(cli_workspace, capsys):
     # The bundle now answers from the committed ingest generation: one
     # mapped v2 container, no v1 relations behind it.
     with open_bundle(cube_dir) as bundle:
-        assert bundle.v2 is not None
         assert bundle.v2.file.path == streamed_container(cube_dir)
         assert bundle.fact_row_count == 203
         cache = bundle.fact_cache()
@@ -366,19 +366,21 @@ def test_cli_ingest_updates_bundle_queries(cli_workspace, capsys):
 
 def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
     """After an ingest the committed generation *is* the served v2 file:
-    an earlier ``cube.v2`` is ignored (not consulted for staleness),
-    ``publish-v2`` has nothing to compact, ``verify-cube`` checks the
-    generation, and a damaged generation stops the next ingest instead of
-    silently restarting from the bundle's original facts."""
+    the ``cube.v2`` the build published is left as it was and no longer
+    served, ``verify-cube`` checks the generation, and a damaged
+    generation stops the next ingest instead of silently restarting from
+    the bundle's original facts."""
     tmp_path, csv_path, spec_path = cli_workspace
     cube_dir = tmp_path / "cube"
     cli_main([
         "build", "--csv", str(csv_path), "--spec", str(spec_path),
         "--out", str(cube_dir),
     ])
-    assert cli_main(["publish-v2", "--cube", str(cube_dir)]) == 0
+    assert cli_main(["verify-cube", "--cube", str(cube_dir)]) == 0
+    assert "cube.v2" in capsys.readouterr().out
     published = (cube_dir / "cube.v2").read_bytes()
     assert streamed_container(cube_dir) is None
+    assert publish_v2_bundle(cube_dir) == cube_dir / "cube.v2"
     delta_csv = tmp_path / "delta.csv"
     _write_delta_csv(delta_csv, [["s0", "Athens", 7]])
     assert cli_main(["ingest", "--cube", str(cube_dir), "--csv", str(delta_csv)]) == 0
@@ -390,8 +392,7 @@ def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
         assert bundle.v2.file.path == generation
         assert bundle.fact_row_count == 201
 
-    assert cli_main(["publish-v2", "--cube", str(cube_dir)]) == 0
-    assert str(generation) in capsys.readouterr().out
+    assert publish_v2_bundle(cube_dir) == generation
     assert (cube_dir / "cube.v2").read_bytes() == published  # untouched
     assert cli_main(["verify-cube", "--cube", str(cube_dir)]) == 0
     assert generation.name in capsys.readouterr().out

@@ -1,8 +1,8 @@
 """Structural check: no tuple per fact row between the CSV and ``cube.v2``.
 
-A build pass — ``load_csv`` → ``CureConfig.build`` → ``save_bundle`` →
-``publish_v2_bundle`` → ``open_bundle`` — moves the fact relation as
-columns the whole way.  The two bridges between tuples and columns,
+A build pass — ``load_csv`` → ``CureConfig.build`` → ``save_bundle``
+(which publishes ``cube.v2``) → ``open_bundle`` — moves the fact relation
+as columns the whole way.  The two bridges between tuples and columns,
 ``ColumnBatch.from_rows`` and ``ColumnBatch.to_rows``, are patched to
 raise, and the pass must still succeed: with the table in memory,
 through ``Engine.store_table`` and a heap-file load, and under a memory
@@ -29,7 +29,6 @@ from repro.relational.batch import ColumnBatch
 from repro.relational.catalog import Catalog
 from repro.relational.heap import HeapFile
 from repro.relational.memory import MemoryManager
-from repro.storage2 import publish_v2_bundle
 
 N_ROWS = 240
 
@@ -91,9 +90,7 @@ def test_build_pass_never_transposes(tmp_path, fact_csv, no_row_bridges, mode):
     bundle_dir = save_bundle(
         tmp_path / "bundle", schema, table, result.storage
     )
-    publish_v2_bundle(bundle_dir)
     with open_bundle(bundle_dir) as bundle:
-        assert bundle.v2 is not None
         assert bundle.fact_row_count == N_ROWS
         for served, built in zip(
             bundle.v2.fact.as_batch().arrays, table.as_batch().arrays

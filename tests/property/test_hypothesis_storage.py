@@ -7,10 +7,9 @@ from hypothesis import given, settings
 
 from repro import CubeSchema, Table, build_cube, linear_dimension, make_aggregates
 from repro.core.postprocess import postprocess_plus
-from repro.core.storage import CubeStorage
 from repro.query import FactCache, answer_cure_query
 from repro.query.answer import normalize_answer
-from repro.relational.catalog import Catalog
+from repro.storage2 import load_v2, write_v2
 from tests.support.rows import nt_rows, tt_rowids
 
 
@@ -38,10 +37,14 @@ def test_persist_reload_answers_identically(
     result = build_cube(SCHEMA, table=table)
     if plus:
         postprocess_plus(result.storage)
-    catalog = Catalog(tmp_path_factory.mktemp("cube") / "c")
-    result.storage.persist(catalog)
-    reloaded = CubeStorage.load(catalog, SCHEMA)
-    cache = FactCache(SCHEMA, table=table)
+    path = write_v2(
+        tmp_path_factory.mktemp("cube") / "cube.v2",
+        SCHEMA,
+        result.storage,
+        table.as_batch(),
+    )
+    reloaded, fact = load_v2(path, SCHEMA)
+    cache = FactCache(SCHEMA, table=fact)
     for node in SCHEMA.lattice.nodes():
         original = normalize_answer(
             answer_cure_query(result.storage, cache, node)
@@ -50,7 +53,6 @@ def test_persist_reload_answers_identically(
             answer_cure_query(reloaded, cache, node)
         )
         assert original == roundtripped
-    catalog.destroy()
 
 
 @settings(max_examples=40, deadline=None)

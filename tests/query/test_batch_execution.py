@@ -8,8 +8,8 @@ every entry point through both and require identical answers (node
 answers in identical *row order*) and identical cost accounting —
 ``QueryStats`` and the fact cache's hits/misses — over CURE, CURE+
 (sorted lists and bitmaps), CURE_DR and FCURE, both CAT formats, on
-in-memory storage, on a heap-loaded bundle behind a half-warm fact
-cache, and on a mapped ``cube.v2``.
+in-memory storage over the fact ``Table``, on the same storage behind a
+half-warm cache over the bundle's fact heap, and on a mapped ``cube.v2``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import Table, build_cube
-from repro.bundle import load_v1_bundle, open_bundle, save_bundle
+from repro.bundle import open_bundle, save_bundle
 from repro.core.postprocess import postprocess_plus
 from repro.core.storage import CatFormat
 from repro.core.variants import VARIANTS
@@ -38,7 +38,6 @@ from repro.query import (
     iceberg_over_cure,
 )
 from repro.query.planner import CubePlanner, QueryRequest, build_indices
-from repro.storage2 import publish_v2_bundle
 from tests.server.conftest import serving_fact, serving_schema
 from tests.support import row_engine
 
@@ -197,8 +196,8 @@ def _build_config(variant, cat_format, plus):
 @pytest.fixture(scope="module", params=list(CONFIGS))
 def backends(request, tmp_path_factory):
     """One built cube as ``{backend: planner}``: the in-memory storage
-    over the fact ``Table``; the bundle loaded from v1 heap files behind
-    a half-warm heap-backed fact cache (so hits *and* misses are real);
+    over the fact ``Table``; the same storage behind a half-warm cache
+    over the saved bundle's fact heap (so hits *and* misses are real);
     and the mapped ``cube.v2``."""
     variant, cat_format, plus = CONFIGS[request.param]
     schema, fact, storage = _build_config(variant, cat_format, plus)
@@ -210,19 +209,18 @@ def backends(request, tmp_path_factory):
     path = save_bundle(
         tmp_path_factory.mktemp("row-engine") / "bundle", schema, fact, storage
     )
-    publish_v2_bundle(path)
-    heap_bundle = load_v1_bundle(path)
-    mapped_bundle = open_bundle(path)
-    assert mapped_bundle.v2 is not None
+    bundle = open_bundle(path)
+    heap = bundle.catalog.open("fact")
     yield {
         "memory": CubePlanner(
             storage, FactCache(schema, table=fact), indices, results=None
         ),
-        "heap": heap_bundle.planner(fraction=0.5),
-        "mapped": mapped_bundle.planner(),
+        "heap": CubePlanner(
+            storage, FactCache(schema, heap=heap, fraction=0.5), indices
+        ),
+        "mapped": bundle.planner(),
     }
-    heap_bundle.close()
-    mapped_bundle.close()
+    bundle.close()
 
 
 def _slices_for(schema, node):

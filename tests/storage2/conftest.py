@@ -1,40 +1,66 @@
-"""Fixtures for the v2 storage harness: dual (v1, v2) bundles per variant.
+"""Fixtures for the v2 storage harness: (built, mapped) pairs per variant.
 
 Everything the differential suite compares — library answers, HTTP
-bodies, cold-start behaviour — runs over the *same* built cube opened
-two ways: through the v1 heap-file load path (``load_v1_bundle``) and
-through the mapped ``cube.v2`` container.  Building and publishing once
-per session keeps the whole suite fast.
+bodies, cold-start behaviour — runs over the *same* built cube two ways:
+in memory, as the build returned it (:class:`BuiltCube`), and through the
+mapped ``cube.v2`` container ``save_bundle`` published from it.  Building
+once per session keeps the whole suite fast.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
 
-from repro.bundle import load_v1_bundle, open_bundle, save_bundle
+from repro.bundle import open_bundle, save_bundle
+from repro.core.model import CubeSchema
+from repro.core.storage import CubeStorage
 from repro.core.variants import VARIANTS
-from repro.storage2 import publish_v2_bundle
+from repro.query.cache import FactCache
+from repro.query.planner import CubePlanner, build_indices
+from repro.relational.table import Table
 from tests.server.conftest import SERVED_VARIANTS, serving_fact, serving_schema
 
 
+@dataclass
+class BuiltCube:
+    """The reference side: the cube and fact table the build returned,
+    never written or reloaded; ``root`` is the bundle saved from them."""
+
+    root: Path
+    schema: CubeSchema
+    storage: CubeStorage
+    fact: Table
+
+    @property
+    def fact_row_count(self) -> int:
+        return len(self.fact)
+
+    def planner(self, with_indices: bool = True) -> CubePlanner:
+        indices = None
+        if with_indices and not self.storage.dr_mode:
+            indices = build_indices(self.schema, self.fact.as_batch())
+        return CubePlanner(
+            self.storage, FactCache(self.schema, table=self.fact), indices
+        )
+
+
 def make_dual_bundle(directory, variant: str, n_rows: int = 400):
-    """Build one cube, publish v2, open both ways: ``(v1, v2)`` bundles."""
+    """Build one cube and save it: ``(built, mapped bundle)``."""
     schema = serving_schema()
     fact = serving_fact(schema, n=n_rows)
     result, _ = VARIANTS[variant].build(schema, table=fact)
     path = save_bundle(
         directory, schema, fact, result.storage, extra={"variant": variant}
     )
-    publish_v2_bundle(path)
-    v1 = load_v1_bundle(path)
-    v2 = open_bundle(path)
-    assert v2.v2 is not None, "published cube.v2 was not detected"
-    return v1, v2
+    return BuiltCube(path, schema, result.storage, fact), open_bundle(path)
 
 
 @pytest.fixture(scope="session")
 def dual_bundles(tmp_path_factory):
-    """Per served variant: the same cube opened as (v1, v2)."""
+    """Per served variant: the same cube as (built, mapped bundle)."""
     root = tmp_path_factory.mktemp("dual-bundles")
     bundles = {}
     for name in SERVED_VARIANTS:
@@ -42,6 +68,5 @@ def dual_bundles(tmp_path_factory):
             root / name.replace("+", "_plus"), name
         )
     yield bundles
-    for v1, v2 in bundles.values():
-        v1.close()
-        v2.close()
+    for _built, mapped in bundles.values():
+        mapped.close()

@@ -1,43 +1,85 @@
-"""End-to-end wiring: CLI publish/verify, build-time publish, staleness.
+"""End-to-end wiring: build → verify, the build-time publish, rebuilds.
 
 Covers the operational surface of the v2 format — ``python -m repro
-publish-v2`` / ``verify-cube --cube`` exit codes, the
-:class:`DurableCubeBuild` final commit (one ``<prefix>.v2`` container),
-and the staleness guard that silently falls back to v1 when the
-published container no longer matches the cube metadata.
+build`` publishing ``cube.v2`` and ``verify-cube --cube`` exit codes,
+:func:`save_bundle`'s commit order (the container before ``bundle.json``),
+the :class:`DurableCubeBuild` final commit (one ``<prefix>.v2``
+container), and the rebuild error for a bundle with no container.
 """
 
 from __future__ import annotations
 
+import csv
+import functools
+import json
+import random
+
 import pytest
 
-from repro.bundle import open_bundle, save_bundle
+import repro.bundle as bundle_module
+from repro.bundle import BUNDLE_META, open_bundle, save_bundle, schema_to_json
 from repro.cli import main
 from repro.core.variants import VARIANTS
+from repro.faults.injector import FaultInjector, FaultKind, FaultSpec
+from repro.relational.batch import ColumnBatch
+from repro.relational.catalog import Catalog
+from repro.relational.durable import InjectedCrash
+from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.storage2 import V2_FILE, V2File, verify_v2
 from tests.server.conftest import serving_fact, serving_schema
 from tests.storage2.test_corruption import flip_byte
 
 
+CITIES = [
+    ("Athens", "Greece"), ("Patras", "Greece"),
+    ("Paris", "France"), ("Lyon", "France"),
+]
+
+
+def cli_build(tmp_path, name: str = "bundle"):
+    """``python -m repro build`` over a small CSV; the bundle directory."""
+    csv_path, spec_path = tmp_path / "sales.csv", tmp_path / "spec.json"
+    if not csv_path.exists():
+        rng = random.Random(9)
+        with open(csv_path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["city", "country", "sku", "qty"])
+            for _ in range(200):
+                city, country = rng.choice(CITIES)
+                writer.writerow(
+                    [city, country, f"s{rng.randrange(60)}", rng.randrange(1, 6)]
+                )
+        spec_path.write_text(json.dumps({
+            "dimensions": [
+                {"name": "Region", "levels": ["city", "country"]},
+                {"name": "Product", "levels": ["sku"]},
+            ],
+            "measures": ["qty"],
+        }))
+    bundle_dir = tmp_path / name
+    assert main([
+        "build", "--csv", str(csv_path), "--spec", str(spec_path),
+        "--out", str(bundle_dir),
+    ]) == 0
+    return bundle_dir
+
+
 @pytest.fixture
-def bundle_dir(tmp_path):
-    """A freshly built v1-only bundle (no cube.v2 yet)."""
-    schema = serving_schema()
-    fact = serving_fact(schema, n=200)
-    result, _ = VARIANTS["CURE+"].build(schema, table=fact)
-    return save_bundle(tmp_path / "bundle", schema, fact, result.storage)
+def bundle_dir(tmp_path, capsys):
+    """A freshly built bundle, published by ``build`` itself."""
+    built = cli_build(tmp_path)
+    capsys.readouterr()
+    return built
 
 
 def test_publish_and_verify_roundtrip(bundle_dir, capsys):
-    assert main(["publish-v2", "--cube", str(bundle_dir)]) == 0
-    assert (bundle_dir / V2_FILE).exists()
-    out = capsys.readouterr().out
-    assert "published" in out and "sections" in out
-
+    assert sorted(p.name for p in bundle_dir.iterdir()) == [
+        BUNDLE_META, V2_FILE, "fact.dat", "fact.schema.json"
+    ]
     assert main(["verify-cube", "--cube", str(bundle_dir)]) == 0
     report = capsys.readouterr().out
-    assert "ok" in report
-    assert "v1" in report  # the v1-vs-v2 size comparison is reported
+    assert "ok" in report and "sections" in report
+    assert "v1" not in report  # the report names only what the file holds
     # Stored beside decoded bytes, per section and for the file, and the
     # column widths of the narrow sections.
     assert "stored/decoded" in report and "widths " in report
@@ -53,7 +95,6 @@ def test_publish_and_verify_roundtrip(bundle_dir, capsys):
 
 
 def test_verify_cube_flags_corruption(bundle_dir, capsys):
-    assert main(["publish-v2", "--cube", str(bundle_dir)]) == 0
     target = bundle_dir / V2_FILE
     entry = V2File.open(target).entry("aggregates")
     flip_byte(target, entry.offset + 1)
@@ -63,7 +104,6 @@ def test_verify_cube_flags_corruption(bundle_dir, capsys):
 
 
 def test_verify_cube_flags_truncation(bundle_dir, capsys):
-    assert main(["publish-v2", "--cube", str(bundle_dir)]) == 0
     target = bundle_dir / V2_FILE
     target.write_bytes(target.read_bytes()[:100])
     assert main(["verify-cube", "--cube", str(bundle_dir)]) != 0
@@ -74,32 +114,89 @@ def test_verify_cube_requires_a_target():
         main(["verify-cube"])
 
 
-def test_publish_is_idempotent_and_picked_up(bundle_dir):
-    assert main(["publish-v2", "--cube", str(bundle_dir)]) == 0
-    first = (bundle_dir / V2_FILE).read_bytes()
-    assert main(["publish-v2", "--cube", str(bundle_dir)]) == 0
-    assert (bundle_dir / V2_FILE).read_bytes() == first  # deterministic
+def test_publish_is_idempotent_and_picked_up(bundle_dir, tmp_path, capsys):
+    again = cli_build(tmp_path, "again")
+    capsys.readouterr()
+    # Deterministic: the same input publishes the same bytes.
+    assert (again / V2_FILE).read_bytes() == (bundle_dir / V2_FILE).read_bytes()
 
     bundle = open_bundle(bundle_dir)
     try:
-        assert bundle.v2 is not None
         assert bundle.v2.file.path == bundle_dir / V2_FILE
     finally:
         bundle.close()
 
 
-def test_stale_v2_falls_back_to_v1_silently(bundle_dir):
-    assert main(["publish-v2", "--cube", str(bundle_dir)]) == 0
-    # Perturb the cube metadata the checksum covers: the published
-    # container no longer describes the current cube.
-    meta_path = bundle_dir / "cube.meta.json"
-    meta_path.write_text(meta_path.read_text() + "\n")
-    bundle = open_bundle(bundle_dir)
+def _small_build():
+    schema = serving_schema()
+    fact = serving_fact(schema, n=200)
+    result, _ = VARIANTS["CURE+"].build(schema, table=fact)
+    return schema, fact, result.storage
+
+
+def test_crash_before_the_container_leaves_no_bundle(tmp_path, monkeypatch):
+    """``bundle.json`` commits after the container: a crash at the
+    container's publish leaves a directory ``open_bundle`` refuses."""
+    injector = FaultInjector(
+        (FaultSpec("storage2.publish:cube.v2", FaultKind.CRASH),)
+    )
+    monkeypatch.setattr(
+        bundle_module, "Catalog", functools.partial(Catalog, faults=injector)
+    )
+    root = tmp_path / "bundle"
+    with pytest.raises(InjectedCrash):
+        save_bundle(root, *_small_build())
+    assert injector.fired == ["crash@storage2.publish:cube.v2"]
+    assert not (root / BUNDLE_META).exists()
+    assert not (root / V2_FILE).exists()
+    with pytest.raises(FileNotFoundError):
+        open_bundle(root)
+
+
+def write_v1_bundle(root, schema, fact, storage) -> None:
+    """A bundle in the layout before one-container bundles: ``bundle.json``,
+    the fact heap and one heap relation per cube relation beside
+    ``cube.meta.json`` — and no ``cube.v2``."""
+    catalog = Catalog(root)
+
+    def relation(name, array):
+        matrix = array.reshape(len(array), -1)
+        columns = tuple(
+            Column(f"c{i}", ColumnType.INT64) for i in range(matrix.shape[1])
+        )
+        heap = catalog.create(name, TableSchema(columns))
+        heap.append_batch(ColumnBatch.from_arrays(heap.schema, list(matrix.T)))
+        heap.flush()
+
     try:
-        assert bundle.v2 is None  # silent v1 fallback, not an error
-        assert bundle.fact_row_count == 200
+        heap = catalog.create("fact", schema.fact_schema)
+        heap.append_batch(fact.as_batch())
+        heap.flush()
+        for node_id, store in storage.nodes.items():
+            for kind, array in (
+                ("nt", store.nt_matrix()),
+                ("tt", store.stored_tt()),
+                ("cat", store.stored_cat()),
+            ):
+                if len(array):
+                    relation(f"cube.n{node_id}.{kind}", array)
+        if storage.aggregates_count:
+            relation("cube.aggregates", storage.aggregates_matrix())
     finally:
-        bundle.close()
+        catalog.close()
+    (root / "cube.meta.json").write_text(json.dumps(storage.meta()))
+    (root / BUNDLE_META).write_text(
+        json.dumps({"schema": schema_to_json(schema), "extra": {}})
+    )
+
+
+def test_bundle_without_a_container_must_be_rebuilt(tmp_path):
+    """A v1-only bundle is refused with the rebuild error, not loaded."""
+    root = tmp_path / "bundle"
+    write_v1_bundle(root, *_small_build())
+    assert not (root / V2_FILE).exists()
+    with pytest.raises(RuntimeError, match="rebuild the bundle"):
+        open_bundle(root)
 
 
 def test_durable_build_publishes_v2(tmp_path):

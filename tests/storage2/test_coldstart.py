@@ -4,7 +4,7 @@ The whole point of the mapped container is that time-to-first-answer no
 longer pays for decoding the fact heap file and rebuilding indices.  A
 spy over every :class:`HeapFile` read primitive proves the v2 open +
 planner + first-query path never touches them, and that the answers it
-produces match a fully warmed v1 bundle's.
+produces match the built cube's, read from memory.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import pytest
 
 import repro.relational.heap as heap_module
-from repro.bundle import load_v1_bundle, open_bundle
-from repro.query.planner import QueryRequest
+from repro.bundle import open_bundle
+from repro.query.cache import FactCache
+from repro.query.planner import CubePlanner, QueryRequest
 from repro.query.workload import mixed_workload
 from repro.server.encoding import encode_answer
 from repro.server.replay import replay_op
@@ -38,11 +39,11 @@ def heap_reads(monkeypatch):
 
 
 def test_v2_cold_start_reads_no_heap_rows(dual_bundles, heap_reads):
-    v1, _ = dual_bundles["CURE+"]
-    schema = v1.schema
+    built, _ = dual_bundles["CURE+"]
+    schema = built.schema
 
-    # Warm reference answers first (these *do* hit the heap).
-    reference = v1.planner()
+    # Reference answers first, from the cube the build returned.
+    reference = built.planner()
     nodes = list(schema.lattice.nodes())[:6]
     expected = {
         schema.node_id(node): encode_answer(
@@ -56,9 +57,8 @@ def test_v2_cold_start_reads_no_heap_rows(dual_bundles, heap_reads):
         heap_reads[name] = 0
 
     # Cold start: open, plan, answer — all over the mapped container.
-    bundle = open_bundle(v1.root)
+    bundle = open_bundle(built.root)
     try:
-        assert bundle.v2 is not None
         planner = bundle.planner()
         for node in nodes:
             body = encode_answer(
@@ -74,14 +74,14 @@ def test_v2_cold_start_reads_no_heap_rows(dual_bundles, heap_reads):
 
 
 def test_v1_open_does_hit_the_heap(dual_bundles, heap_reads):
-    # The spy itself must be load-bearing: the v1 path trips it.
-    v1, _ = dual_bundles["CURE"]
-    bundle = load_v1_bundle(v1.root)
+    # The spy itself must be load-bearing: answering through the bundle's
+    # v1 fact heap (what ``ingest`` bootstraps from) trips it.
+    built, _ = dual_bundles["CURE"]
+    bundle = open_bundle(built.root)
     try:
-        assert bundle.v2 is None
-        planner = bundle.planner()
-        node = next(iter(v1.schema.lattice.nodes()))
-        planner.answer(QueryRequest.of(node))
+        cache = FactCache(built.schema, heap=bundle.catalog.open("fact"))
+        node = next(iter(built.schema.lattice.nodes()))
+        CubePlanner(bundle.storage, cache).answer(QueryRequest.of(node))
     finally:
         bundle.close()
     assert sum(heap_reads.values()) > 0
@@ -91,7 +91,7 @@ def test_counts_over_a_mapped_cube_decode_no_section(dual_bundles, monkeypatch):
     """The planner's cost estimate and ``relation_count`` read row counts
     from the v2 directory: over every node, ``V2File.array`` is never
     called — and what it returns once a query does ask is read-only."""
-    v1, _ = dual_bundles["CURE+"]
+    built, _ = dual_bundles["CURE+"]
     decoded: list[str] = []
     original = V2File.array
 
@@ -100,21 +100,20 @@ def test_counts_over_a_mapped_cube_decode_no_section(dual_bundles, monkeypatch):
         return original(self, name)
 
     monkeypatch.setattr(V2File, "array", spy)
-    bundle = open_bundle(v1.root)
+    bundle = open_bundle(built.root)
     try:
-        assert bundle.v2 is not None
         planner = bundle.planner(with_indices=False)
         storage = bundle.storage
         estimated = {
             node: planner._estimated_tuples(node)
-            for node in v1.schema.lattice.nodes()
+            for node in built.schema.lattice.nodes()
         }
         relations = sum(s.relation_count for s in storage.nodes.values())
-        assert storage.aggregates_count == v1.storage.aggregates_count
+        assert storage.aggregates_count == built.storage.aggregates_count
         assert decoded == []
 
-        assert relations == v1.storage.size_report().n_relations
-        reference = v1.planner(with_indices=False)
+        assert relations == built.storage.size_report().n_relations
+        reference = built.planner(with_indices=False)
         for node, estimate in estimated.items():
             assert estimate == reference._estimated_tuples(node)
         for store in storage.nodes.values():

@@ -20,17 +20,16 @@ from repro.relational.index import InvertedIndex
 @pytest.fixture(params=["in-memory", "v2-mapped"])
 def indexes(request, dual_bundles):
     """Dimension → index, built both ways over the *same* fact column."""
-    v1, v2 = dual_bundles["CURE"]
-    schema = v1.schema
+    built, v2 = dual_bundles["CURE"]
+    schema = built.schema
     if request.param == "in-memory":
-        batch = v1.catalog.open(v1.fact_relation).load_batch()
+        batch = built.fact.as_batch()
         return {
             d: InvertedIndex.build(
                 batch.arrays[d], schema.dimensions[d].base_cardinality
             )
             for d in range(len(schema.dimensions))
         }
-    assert v2.v2 is not None
     return {d: v2.v2.indices[d] for d in range(len(schema.dimensions))}
 
 
@@ -40,8 +39,8 @@ def test_mapped_index_is_a_real_inverted_index(indexes):
 
 
 def test_postings_cover_every_row_exactly_once(indexes, dual_bundles):
-    v1, _ = dual_bundles["CURE"]
-    n = v1.fact_row_count
+    built, _ = dual_bundles["CURE"]
+    n = built.fact_row_count
     for index in indexes.values():
         assert index.row_count == n
         full = index.rowids_in_range(0, index.cardinality - 1)
@@ -81,10 +80,9 @@ def test_out_of_range_members_are_empty_postings(indexes):
 
 
 def test_both_implementations_post_identical_rowids(dual_bundles):
-    v1, v2 = dual_bundles["CURE"]
-    schema = v1.schema
-    batch = v1.catalog.open(v1.fact_relation).load_batch()
-    assert v2.v2 is not None
+    built, v2 = dual_bundles["CURE"]
+    schema = built.schema
+    batch = built.fact.as_batch()
     for d in range(len(schema.dimensions)):
         built = InvertedIndex.build(
             batch.arrays[d], schema.dimensions[d].base_cardinality

@@ -5,8 +5,7 @@ Reads the output of ``python3 benchmarks/e2e/run.py --workload W
 floor as its one argument, ``"a + b < c"``: sums of metric names either
 side of ``<``.  Exits 1 unless the run was correct and ``0 < left <
 right``.  Both sides are CPU seconds of the same run at the same
-yardstick pace, or byte counts of the same cube, so a floor holds on any
-machine.  The nightly floors:
+yardstick pace, so a floor holds on any machine.  The nightly floors:
 
 ``ingest.apply_s + ingest.checkpoint_s < ingest.bootstrap_s``
     (``ingest-query``) folding one 50-row record into the cube and
@@ -14,10 +13,6 @@ machine.  The nightly floors:
     and committing that.
 ``datasets.load_csv_s < core.build_s``
     (``build-mem``) parsing the fact table must cost less than cubing it.
-``storage2.v2_bytes + storage2.v2_bytes + storage2.v2_bytes < core.v1_bytes``
-    (``build-mem``, the same run) ``cube.v2`` must stay under a third of
-    the v1 heap files it compacts: 0.27 with the ``narrow`` codec, 0.857
-    with every integer at 8 bytes.
 """
 
 from __future__ import annotations
