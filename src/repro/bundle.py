@@ -139,7 +139,7 @@ class CubeBundle:
 
     ``storage`` is the mapped view of ``v2`` (no heap rows were unpacked),
     and the fact cache / planner wire over the container's fact columns
-    and pre-built CSR indices.
+    and the CSR indices derived from them on first use.
     """
 
     root: Path

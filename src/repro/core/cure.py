@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.model import CubeSchema
 from repro.core.partition import Partitioning, partition_relation
 from repro.core.partition_select import PartitionDecision, select_partition_level
-from repro.core.segments import aggregate_ufuncs, sort_groups
+from repro.core.segments import aggregate_ufuncs, sort_groups, stable_order
 from repro.core.signature import PoolStats, SignaturePool
 from repro.core.storage import CubeStorage
 from repro.core.workingset import WorkingSet
@@ -471,7 +471,7 @@ def _in_order(
         return np.empty((0, width), dtype=np.int64)
     positions = np.concatenate([chunk[0] for chunk in chunks])
     rows = np.concatenate([chunk[1] for chunk in chunks])
-    return rows[np.argsort(positions)]
+    return rows[stable_order(positions)]
 
 
 # -- Algorithm CURE (top level) ----------------------------------------------------

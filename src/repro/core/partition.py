@@ -45,6 +45,7 @@ from repro.core.segments import (
     KeyFunction,
     aggregate_ufuncs,
     rollup_key,
+    stable_order,
 )
 from repro.core.workingset import WorkingSet
 from repro.relational.batch import ColumnBatch
@@ -145,7 +146,7 @@ def spill_by_key(
     partitions are, so they occupy no memory while those are processed.
 
     The source is read a ``HeapFile.scan_batches`` chunk at a time; a
-    chunk is grouped by bin with one stable ``argsort``, so rows keep
+    chunk is grouped by bin with one :func:`stable_order`, so rows keep
     their source order inside every partition file, and each bin's slice
     is one ``append_batch``.  Transient memory is the chunk and its
     permutation.
@@ -192,7 +193,7 @@ def spill_by_key(
         key = member_key([m[columns[d]] for d, m in enumerate(maps)])
         at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
         bins = np.where(keys[at] == key, key_bins[at], 0)
-        order = np.argsort(bins, kind="stable")
+        order = stable_order(bins)
         bounds = np.searchsorted(bins[order], bin_ids).tolist()
         routed = ColumnBatch(
             partition_schema,

@@ -6,19 +6,97 @@ the delta merger (:mod:`repro.core.incremental`) and the coarse-node fold
 of the partition pass (:class:`GroupFold`, :mod:`repro.core.partition`)
 all group with them — and through ``CureBuilder`` so do the BUC and
 BU-BST baselines (:mod:`repro.baselines`).
+
+:func:`stable_order` is the one stable sort under all of them, and under
+every other sort on the build and publish path: the signature pool's
+flush, the storage's per-node routing, the partition spill and the
+inverted index.  It packs each key with the row position into one int64
+and sorts that in place: on 24,000 keys numpy's SIMD ``ndarray.sort``
+costs a tenth of the stable index sort (timsort) it replaces.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.model import CubeSchema
-from repro.hierarchy.dimension import Dimension
+if TYPE_CHECKING:  # the inverted index imports this module from below core
+    from repro.core.model import CubeSchema
+    from repro.hierarchy.dimension import Dimension
 
 #: A packed grouping key stays below this; wider code spaces re-rank.
 _KEY_SPAN_LIMIT = 1 << 62
+#: Bits of a packed sort key, which stays a non-negative int64.
+_SORT_KEY_BITS = 63
+
+
+def stable_order(*columns: np.ndarray) -> np.ndarray:
+    """The stable order of rows by ``columns[0]``, then ``columns[1]``, …
+
+    Ties keep input order.  Each step packs the rank of the rows' group
+    so far, the offsets (from their minimum) of as many next columns as
+    fit, and the row position into one int64 key and sorts it in place:
+    the position bits make every key distinct, so the unstable SIMD sort
+    gives the stable order, and the order is the key's low bits.  Steps
+    stop once every group is a single row.  A column too wide to sit
+    beside the position bits leaves the columns still unsorted to one
+    stable multi-key sort under the rank.
+
+    The key is built and unpacked in place: at 24,000 rows each fresh
+    temporary costs about as much in page faults as the arithmetic.
+    """
+    n = len(columns[0])
+    positions = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return positions
+    position_bits = (n - 1).bit_length()
+    position_mask = (1 << position_bits) - 1
+    pending = [np.asarray(column, dtype=np.int64) for column in columns]
+    order = positions
+    rank: np.ndarray | None = None
+    rank_bits = 0
+    while pending:
+        key, used = rank, rank_bits  # a rank is rebuilt after each step
+        packed = 0
+        for column in pending:
+            low = int(column.min())
+            bits = (int(column.max()) - low).bit_length()
+            if used + bits + position_bits > _SORT_KEY_BITS:
+                break
+            packed += 1
+            if not bits:
+                continue
+            if key is None:
+                key = column - low
+            else:  # in place: int64 may wrap midway, but the sum fits
+                key <<= bits
+                key += column
+                key -= low
+            used += bits
+        if not packed:
+            keys = pending[::-1] if rank is None else [*pending[::-1], rank]
+            return np.lexsort(keys)
+        del pending[:packed]
+        if key is None:  # every column packed so far is constant
+            continue
+        key <<= position_bits
+        key |= positions
+        key.sort()
+        if not pending:
+            key &= position_mask
+            return key
+        order = key & position_mask
+        key >>= position_bits
+        new_group = key[1:] != key[:-1]
+        n_groups = int(new_group.sum()) + 1
+        if n_groups == n:
+            break
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.concatenate(([0], np.cumsum(new_group)))
+        rank_bits = (n_groups - 1).bit_length()
+    return order
 
 
 def pack_keys(
@@ -48,7 +126,7 @@ def sort_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sorted layout — the offsets ``ufunc.reduceat`` takes.  The sort is
     stable, so ``order[starts]`` is each group's lowest input position.
     """
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     sorted_keys = keys[order]
     starts = np.flatnonzero(
         np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
@@ -121,7 +199,7 @@ class GroupFold:
         groups[:, reduced:] = reduce_columns(
             self.ufuncs, rows[order, reduced:], starts
         )
-        return groups[np.argsort(first)]
+        return groups[stable_order(first)]
 
     def add(self, rows: np.ndarray) -> None:
         """Fold one chunk in.  Chunk partials merge into the running

@@ -27,6 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.segments import stable_order
+
 
 class Signature(NamedTuple):
     """Metadata of one aggregated, non-trivial cube tuple (Figure 12).
@@ -178,10 +180,9 @@ class SignaturePool:
         rows = np.concatenate(self._window)
         self._window.clear()
         self._resident = 0
-        # One stable sort on (aggregates…, rowid); lexsort takes the least
-        # significant key first.
+        # One stable sort on (aggregates…, rowid).
         stop = None if self.n_aggregates is None else 2 + self.n_aggregates
-        rows = rows[np.lexsort((rows[:, 1], *rows[:, 2:stop].T[::-1]))]
+        rows = rows[stable_order(*rows[:, 2:stop].T, rows[:, 1])]
         aggregates = rows[:, 2:stop]
         new_run = np.ones(len(rows), dtype=np.bool_)
         new_run[1:] = (aggregates[1:] != aggregates[:-1]).any(axis=1)

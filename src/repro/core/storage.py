@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.model import CubeSchema
+from repro.core.segments import stable_order
 from repro.core.signature import FormatStatistics, cat_members
 from repro.relational.bitmap import Bitmap
 
@@ -205,7 +206,7 @@ def node_chunks(
     each chunk in its node's arrival order (slices of one sorted copy)."""
     if not len(node_ids):
         return
-    order = np.argsort(node_ids, kind="stable")
+    order = stable_order(node_ids)
     sorted_ids = node_ids[order]
     values = values[order]
     starts = [0, *(np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1).tolist()]

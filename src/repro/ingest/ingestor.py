@@ -53,7 +53,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.core.cure import build_cube
 from repro.core.incremental import apply_delta, drift_report, validate_delta
@@ -61,6 +60,7 @@ from repro.core.model import CubeSchema
 from repro.core.postprocess import postprocess_plus
 from repro.core.storage import CubeStorage
 from repro.ingest.log import AppendLog
+from repro.query.planner import CubePlanner, build_indices
 from repro.relational.durable import (
     atomic_write_text,
     file_checksum,
@@ -72,9 +72,6 @@ from repro.relational.table import Table
 from repro.storage2.format import V2FormatError
 from repro.storage2.load import committed_container, load_v2
 from repro.storage2.publish import write_v2
-
-if TYPE_CHECKING:
-    from repro.query.planner import CubePlanner
 
 INGEST_MANIFEST_VERSION = 2
 
@@ -123,7 +120,7 @@ class StreamingIngestor:
     storage: CubeStorage
     fact_table: Table
     prefix: str = "stream"
-    planner: "CubePlanner | None" = field(default=None, repr=False)
+    planner: CubePlanner | None = field(default=None, repr=False)
     plus: bool = False
     compact_overhead: float | None = None
     generation: int = -1
@@ -282,9 +279,11 @@ class StreamingIngestor:
 
         Records apply in LSN order; after each one the CURE+ property is
         restored (if enabled), the planner's result cache is invalidated
-        fine-grainedly from the delta's dimension codes, and the drift
-        trigger is evaluated — per record, so replay after a crash makes
-        the identical compaction decisions at the identical points.
+        fine-grainedly from the delta's dimension codes (and its inverted
+        indices, if it has any, are rebuilt over the grown fact table), and
+        the drift trigger is evaluated — per record, so replay after a
+        crash makes the identical compaction decisions at the identical
+        points.
         Returns the number of records applied.
         """
         catalog = self.engine.catalog
@@ -306,6 +305,12 @@ class StreamingIngestor:
                 self.stats.results_dropped += self.planner.invalidate_results(
                     report
                 )
+                if self.planner.indices:
+                    # An indexed slice keeps only row-ids its postings
+                    # hold; the delta's rows must be among them.
+                    self.planner.indices = build_indices(
+                        self.schema, self.fact_table.as_batch()
+                    )
             self._maybe_compact()
         return len(records)
 

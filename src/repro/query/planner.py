@@ -241,8 +241,8 @@ def build_indices(
 ) -> dict[int, InvertedIndex]:
     """Inverted indices over every dimension column of a fact table.
 
-    Each dimension's index builds from its column with the CSR
-    ``bincount``/``argsort`` kernels — no per-row Python loop.
+    Each dimension's index builds from its column with one ``bincount``
+    and one packed-key sort — no per-row Python loop.
     """
     return {
         d: InvertedIndex.build(

@@ -14,8 +14,8 @@ encodings): one ``offsets`` array of ``cardinality + 1`` int64 cursors
 and one ``rowids`` array holding every posted row-id, grouped by member
 code and ascending within each group.  Every query — member lookup,
 member-set union, range scan, intersection, membership filtering — is a
-slice, a ``bincount``/``argsort``, or a ``searchsorted`` kernel; no
-Python-level loop touches individual row-ids.
+slice, a ``bincount``/sort, or a ``searchsorted`` kernel; no Python-level
+loop touches individual row-ids.
 
 Clamping semantics (uniform across every lookup): member codes outside
 ``[0, cardinality)`` simply hold no rows — :meth:`rowids_for`,
@@ -33,6 +33,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.core.segments import stable_order
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -77,8 +79,9 @@ class InvertedIndex:
     def build(cls, codes: Iterable[int], cardinality: int) -> "InvertedIndex":
         """Index a column in fact order (row-id = position).
 
-        One ``bincount`` sizes the postings and one stable ``argsort``
-        lays them out grouped-by-code, ascending within each group.
+        One ``bincount`` sizes the postings and one
+        :func:`~repro.core.segments.stable_order` lays them out
+        grouped-by-code, ascending within each group.
         """
         code_array = _as_id_array(codes)
         if len(code_array) and (
@@ -91,10 +94,7 @@ class InvertedIndex:
         counts = np.bincount(code_array, minlength=cardinality)
         offsets = np.zeros(cardinality + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        rowids = np.argsort(code_array, kind="stable").astype(
-            np.int64, copy=False
-        )
-        return cls(cardinality, offsets, rowids)
+        return cls(cardinality, offsets, stable_order(code_array))
 
     @property
     def row_count(self) -> int:

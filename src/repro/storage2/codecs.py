@@ -23,7 +23,7 @@ format exists to make instant.
   Multidimensional Data over Hierarchical Domains": dimension codes
   need ``⌈log2 cardinality⌉`` bits, not 32).
 * **delta** — zigzag-encoded deltas as LEB128 varints.  Sorted row-id
-  lists (CURE+ TTs, CSR postings) become streams of tiny positive gaps;
+  lists (CURE+ TTs) become streams of tiny positive gaps;
   the decode is one ``np.bitwise_or.reduceat`` over shifted 7-bit
   groups, with the varint terminator bytes (high bit clear) marking the
   group boundaries.

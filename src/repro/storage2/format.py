@@ -1,7 +1,7 @@
 """The v2 cube container: sectioned, checksummed, alignment-padded.
 
 One ``cube.v2`` file holds every relation of a published cube plus the
-fact columns and CSR inverted indices, laid out so that opening is an
+fact columns, laid out so that opening is an
 ``np.memmap`` and *reading* a section is one verify-and-decode, cached::
 
     ┌────────────────────────────┐ 0

@@ -6,8 +6,7 @@ memory:
 * :func:`cube_writer` — the cube half: a :class:`~repro.storage2.format.V2Writer`
   whose directory ``meta`` is :meth:`CubeStorage.meta` plus the bundle
   keys, holding one section per non-empty cube relation;
-* :func:`add_fact_sections` — the fact half: the fact table's columns and
-  the per-dimension inverted index.
+* :func:`add_fact_sections` — the fact half: the fact table's columns.
 
 =====================  =======================================================
 ``node/<id>/nt``       NT matrix, int64 stored ``narrow`` — each column at
@@ -20,9 +19,12 @@ memory:
 ``fact/dim/<d>``       fact dimension column, bit-packed to
                        ``⌈log2 cardinality⌉`` bits
 ``fact/measure/<m>``   fact measure column, ``narrow``
-``index/<d>/offsets``  CSR offsets, ``narrow`` (absent for DR cubes)
-``index/<d>/rowids``   CSR postings, delta varint or Roaring
 =====================  =======================================================
+
+No inverted index is stored: the reader derives a dimension's from its
+fact column the first time a slice needs it
+(:class:`~repro.storage2.mapped.MappedIndexSet`), which costs less than
+checksumming and decoding stored postings did.
 
 ``narrow`` is :meth:`V2Writer.add_array`'s choice, not this module's: an
 int64 array whose values leave it no smaller (a full-range column) is
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -54,24 +55,11 @@ from repro.core.model import CubeSchema
 from repro.core.storage import CubeStorage
 from repro.relational.batch import ColumnBatch
 from repro.relational.durable import FaultHook, atomic_write_chunks, maybe_fire
-from repro.relational.index import InvertedIndex
 from repro.storage2.codecs import BITPACK, bitpack_encode, encode_rowid_list, min_bits
 from repro.storage2.format import V2Writer
 
 #: File name of the v2 container inside a bundle directory.
 V2_FILE = "cube.v2"
-
-
-def _rowid_list(rowids: np.ndarray) -> dict[str, Any]:
-    """``V2Writer.add_section`` arguments for one encoded row-id list."""
-    codec, payload = encode_rowid_list(rowids)
-    return {
-        "payload": payload,
-        "codec": codec,
-        "dtype": "<i8",
-        "shape": (len(rowids),),
-        "count": len(rowids),
-    }
 
 
 def cube_writer(
@@ -92,8 +80,15 @@ def cube_writer(
         if store.nt_count:
             writer.add_array(f"node/{node_id}/nt", store.nt_matrix())
         if store.tt_count:
+            tt = store.stored_tt()
+            codec, payload = encode_rowid_list(tt)
             writer.add_section(
-                f"node/{node_id}/tt", **_rowid_list(store.stored_tt())
+                f"node/{node_id}/tt",
+                payload,
+                codec=codec,
+                dtype="<i8",
+                shape=(len(tt),),
+                count=len(tt),
             )
         if store.cat_count:
             writer.add_array(f"node/{node_id}/cat", store.stored_cat())
@@ -108,12 +103,8 @@ def add_fact_sections(
     """Add the fact table's sections to a cube's writer.
 
     ``columns`` holds the fact columns in schema order — dimension codes,
-    then measures.  For every cube but a DR one each dimension gets an
-    inverted index; its sections follow the measures, as the layout has
-    them.
+    then measures.
     """
-    indexed = not writer.meta["dr_mode"]
-    indices: list[tuple[np.ndarray, dict[str, Any]]] = []
     for position, column in enumerate(columns):
         if position >= schema.n_dimensions:
             writer.add_array(
@@ -132,12 +123,6 @@ def add_fact_sections(
             count=len(column),
             extra={"bits": bits},
         )
-        if indexed:
-            index = InvertedIndex.build(column, cardinality)
-            indices.append((index.offsets, _rowid_list(index.rowids)))
-    for d, (offsets, rowids) in enumerate(indices):
-        writer.add_array(f"index/{d}/offsets", offsets)
-        writer.add_section(f"index/{d}/rowids", **rowids)
 
 
 def publish(

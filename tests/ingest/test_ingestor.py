@@ -16,6 +16,7 @@ from repro.query import (
     DimensionSlice,
     FactCache,
     QueryRequest,
+    build_indices,
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
@@ -325,6 +326,37 @@ def test_planner_fine_grained_invalidation(engine, tmp_path):
                 if dims[0] in slice_.members
             ]
         assert got == reference
+
+
+def test_indexed_planner_finds_groups_a_delta_opens(engine, tmp_path):
+    """An indexed slice pre-filters stored row-ids through the planner's
+    inverted indices, so those must post the delta's rows too."""
+    table = Table(SCHEMA.fact_schema, [(c % 8, c % 2, c) for c in range(40)])
+    ingestor = StreamingIngestor.bootstrap(
+        SCHEMA, engine, table, tmp_path / "log", seal_records=2
+    )
+    ingestor.planner = CubePlanner(
+        ingestor.storage,
+        FactCache(SCHEMA, table=ingestor.fact_table),
+        indices=build_indices(SCHEMA, ingestor.fact_table.as_batch()),
+    )
+    base_node = CubeNode((0, 0))  # A0 × B0
+    request = QueryRequest(base_node, (DimensionSlice.of(0, 0, {0}),))
+    assert ingestor.planner.plan(request).strategy == "indexed"
+    ingestor.planner.answer(request)
+
+    ingestor.append([(0, 4, 999)])  # opens group (0, 4): a new row-id
+    ingestor.log.seal()
+    ingestor.apply_ready()
+    reference = [
+        (dims, aggregates)
+        for dims, aggregates in reference_group_by(
+            SCHEMA, ingestor.fact_table.to_rows(), base_node
+        )
+        if dims[0] == 0
+    ]
+    assert len(reference) == 2
+    assert normalize_answer(ingestor.planner.answer(request)) == reference
 
 
 def test_planner_storage_swapped_after_compaction(engine, tmp_path):

@@ -3,10 +3,12 @@
 ``format1.cube.v2`` was written by the commit *before* format version 2
 (``write_v2`` over ``serving_fact(n=12)`` built as CURE+): version 1 in
 the header and directory, every int64 matrix ``raw``, and the
-``reorder/<d>`` diagnostic sections that commit still shipped.  Version 2
-added one codec and removed nothing a reader needs, so the same reader
-must open it, verify it, serve it and load it — and what it holds must be
-the cube today's builder and writer produce from the same rows.
+``reorder/<d>`` diagnostic sections that commit still shipped, as well as
+the ``index/<d>/*`` inverted indices a reader now derives from the fact
+columns instead.  Version 2 added one codec and removed nothing a reader
+needs, so the same reader must open it, verify it, serve it and load it —
+and every section today's builder and writer produce from the same rows
+must hold what the fixture's does.
 
 Regenerate only by checking out that commit; a file rewritten by the
 current writer would be version 2 and test nothing.
@@ -19,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.variants import VARIANTS
+from repro.query.answer import normalize_answer
 from repro.query.cache import FactCache
-from repro.query.planner import CubePlanner
+from repro.query.planner import CubePlanner, QueryRequest
+from repro.query.slice import DimensionSlice
 from repro.query.workload import mixed_workload
 from repro.server.replay import replay_op
 from repro.storage2 import V2File, load_v2, open_v2, verify_v2, write_v2
@@ -51,7 +55,11 @@ def test_version_1_sections_equal_todays(tmp_path):
     # directory still carries the empty v1 meta checksum nothing reads.
     assert old.meta.pop("cube_meta_checksum") == ""
     assert old.meta == today.meta
-    kept = [name for name in old.names() if not name.startswith("reorder/")]
+    kept = [
+        name
+        for name in old.names()
+        if not name.startswith(("reorder/", "index/"))
+    ]
     assert kept == today.names()
     assert any(today.entry(name).codec == NARROW for name in kept)
     for name in kept:
@@ -75,3 +83,40 @@ def test_version_1_container_answers_and_loads(tmp_path):
     storage, table = load_v2(FIXTURE, schema)
     assert table.to_rows() == fact.to_rows()
     assert sorted(storage.nodes) == sorted(result.storage.nodes)
+
+
+def test_version_1_container_slices_from_derived_indices(monkeypatch):
+    """An indexed slice over the fixture answers as the in-memory cube
+    does, from indices built over its fact columns: the stored
+    ``index/*`` sections are never requested."""
+    requested: list[str] = []
+    array = V2File.array
+
+    def spying(file, name):
+        requested.append(name)
+        return array(file, name)
+
+    monkeypatch.setattr(V2File, "array", spying)
+    schema = serving_schema()
+    fact = serving_fact(schema, n=12)
+    result, _ = VARIANTS["CURE+"].build(schema, table=fact)
+    reference = CubePlanner(result.storage, FactCache(schema, table=fact))
+    mapped = open_v2(FIXTURE, schema)
+    assert mapped.file.has("index/0/rowids")
+    planner = CubePlanner(
+        mapped.storage,
+        FactCache(schema, table=mapped.fact),
+        indices=mapped.indices,
+    )
+    for node in schema.lattice.nodes():
+        for dim in node.grouping_dims(schema.dimensions):
+            for members in ({0}, {1, 2}):
+                request = QueryRequest.of(
+                    node, DimensionSlice.of(dim, node.levels[dim], members)
+                )
+                assert planner.plan(request).strategy == "indexed"
+                assert normalize_answer(planner.answer(request)) == (
+                    normalize_answer(reference.answer(request))
+                ), request
+    assert "fact/dim/0" in requested
+    assert not [name for name in requested if name.startswith("index/")]
