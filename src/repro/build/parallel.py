@@ -8,9 +8,10 @@ locked state); otherwise they are spawned as fresh interpreters.  The
 start method is not a parameter, and either kind runs the same
 :func:`_worker_main` on the same :class:`WorkerInit`: a worker opens its
 *own* :class:`Catalog` and :class:`Engine` over the build's catalog
-directory, never an engine or file handle it inherited, and reads
-partition files through ``np.memmap`` (read-only, zero-copy of the page
-cache) — the fact data is shared through the filesystem, never pickled;
+directory, never an engine or file handle it inherited, and maps
+partition files read-only through :meth:`Engine.load` — the same
+zero-copy ``np.memmap`` view of the page cache the driver's own loads
+take — so the fact data is shared through the filesystem, never pickled;
 tasks and outcomes travel over one pipe pair per worker.  Each
 worker gets a :class:`MemoryManager` carved to exactly the budget the
 sequential loop would see for one load (the global cap minus the driver's
@@ -134,7 +135,7 @@ def _worker_main(worker_id, init, tasks, results, inherited=()):
         try:
             maybe_fire(injector, f"build.worker:{task.task_id}")
             outcome = execute_task(
-                engine, init.schema, task, init.min_count, init.dr_mode, use_mapped=True
+                engine, init.schema, task, init.min_count, init.dr_mode
             )
             maybe_fire(injector, f"build.worker:{task.task_id}.publish")
         except InjectedCrash:

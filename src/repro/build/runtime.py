@@ -3,8 +3,8 @@
 :func:`execute_task` is the single implementation both executors share —
 the sequential executor calls it in the driver process against the build
 engine, worker processes call it against their own engine over the same
-catalog directory (``use_mapped=True`` swaps full in-memory loads for
-read-only ``np.memmap`` views of the shared partition files).
+catalog directory.  Either way a partition or coarse node is loaded as a
+read-only ``np.memmap`` view of the shared file (:meth:`Engine.load`).
 
 Every code path here is a *pure producer*: it loads a relation, runs the
 builder over it, and returns the raw event streams.  The
@@ -17,8 +17,6 @@ executors, so any executor expands a given task into the same children.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.build.plan import expansion_children
 from repro.build.tasks import (
     KIND_COARSE_PARTITION,
@@ -29,39 +27,10 @@ from repro.build.tasks import (
 )
 from repro.core.cure import BuildStats, CureBuilder, HierarchicalShape
 from repro.core.model import CubeSchema
-from repro.core.partition import load_coarse_working_set, repartition_partition
+from repro.core.partition import repartition_partition
 from repro.core.workingset import WorkingSet
 from repro.relational.engine import Engine
 from repro.relational.memory import MemoryBudgetExceeded
-
-
-def _load_partition(
-    engine: Engine, name: str, schema: CubeSchema, use_mapped: bool
-) -> tuple[WorkingSet, Callable[[], None]]:
-    """Load a partition file under its memory reservation.
-
-    Both paths fire the same ``memory.reserve:load(<name>)`` and
-    ``heap.read:<file>`` sites and reserve the same byte count, so fault
-    traces and budget decisions cannot tell them apart.
-    """
-    if use_mapped:
-        mapped = engine.load_mapped(name)
-        working = WorkingSet.from_partition_array(schema, mapped.records)
-        return working, mapped.release
-    loaded = engine.load(name)
-    working = WorkingSet.from_partition_table(schema, loaded.table)
-    return working, loaded.release
-
-
-def _load_coarse(
-    engine: Engine, name: str, schema: CubeSchema, use_mapped: bool
-) -> tuple[WorkingSet, Callable[[], None]]:
-    """Load a persisted coarse node (same site/budget parity as above)."""
-    if use_mapped:
-        mapped = engine.load_mapped(name)
-        working = WorkingSet.from_coarse_array(schema, mapped.records)
-        return working, mapped.release
-    return load_coarse_working_set(engine, name, schema)
 
 
 def execute_task(
@@ -70,7 +39,6 @@ def execute_task(
     task: TaskSpec,
     min_count: int,
     dr_mode: bool = False,
-    use_mapped: bool = False,
 ) -> TaskOutcome:
     """Run one task to completion (or expansion) and capture its events.
 
@@ -86,9 +54,7 @@ def execute_task(
     builder = CureBuilder(schema, shape, min_count, stats, dr_mode)
     if task.kind == KIND_PARTITION:
         try:
-            working, release = _load_partition(
-                engine, task.relation, schema, use_mapped
-            )
+            loaded = engine.load(task.relation)
         except MemoryBudgetExceeded:
             if len(task.levels) != 1:
                 raise
@@ -99,10 +65,10 @@ def execute_task(
             tts, sigs = builder.run(WorkingSet.empty(schema))
             children = expansion_children(task, split, schema.n_dimensions)
             return TaskOutcome(task, tts, sigs, stats, children)
+        working = WorkingSet.from_records(schema, loaded.records)
     elif task.kind in (KIND_COARSE_RUN, KIND_COARSE_PARTITION):
-        working, release = _load_coarse(
-            engine, task.relation, schema, use_mapped
-        )
+        loaded = engine.load(task.relation)
+        working = WorkingSet.from_coarse(schema, loaded.records)
     else:
         raise ValueError(f"unknown task kind {task.kind!r}")
 
@@ -112,7 +78,7 @@ def execute_task(
         else:
             tts, sigs = builder.run_partition(working, task.levels)
     finally:
-        release()
+        loaded.release()
     return TaskOutcome(task, tts, sigs, stats)
 
 

@@ -4,8 +4,8 @@ A bundle holds everything needed to answer queries later, in one place:
 
 * ``cube.v2`` — the cube and the fact table as one mapped container
   (:mod:`repro.storage2`); every reader serves from it,
-* the fact relation (heap file) — what ``python -m repro ingest``
-  bootstraps its engine from,
+* the fact relation (heap file) — nothing in the package reads it; the
+  ``benchmarks/e2e`` harness still sizes it (``v1_disk_bytes``),
 * ``bundle.json`` — the schema (dimensions with level names, roll-up maps
   and member names), the aggregate specs, and bookkeeping.
 
@@ -152,15 +152,11 @@ class CubeBundle:
     def storage(self) -> CubeStorage:
         return self.v2.storage
 
-    def fact_cache(self, fraction: float = 1.0, seed: int = 7) -> FactCache:
-        return FactCache(
-            self.schema, table=self.v2.fact, fraction=fraction, seed=seed
-        )
+    def fact_cache(self) -> FactCache:
+        return FactCache(self.schema, table=self.v2.fact)
 
     def planner(
         self,
-        fraction: float = 1.0,
-        seed: int = 7,
         result_cache_entries: int = 128,
         result_cache_bytes: int | None = None,
         with_indices: bool = True,
@@ -182,7 +178,7 @@ class CubeBundle:
             indices = self.v2.indices
         return CubePlanner(
             self.storage,
-            self.fact_cache(fraction=fraction, seed=seed),
+            self.fact_cache(),
             indices=indices,
             results=ResultCache(
                 max_entries=result_cache_entries,

@@ -223,7 +223,7 @@ def cmd_query(args) -> int:
         schema = bundle.schema
         node = _parse_group_by(schema, args.group_by)
         slices = _parse_where(schema, bundle, args.where, node)
-        cache = bundle.fact_cache(fraction=args.cache)
+        cache = bundle.fact_cache()
         answer = answer_cure_sliced(
             bundle.storage, cache, node, slices, indices=None
         ).normalized()
@@ -283,7 +283,6 @@ def _parse_delta_csv(schema, path: str) -> list[tuple]:
 def cmd_ingest(args) -> int:
     from repro.bundle import (
         BUNDLE_META,
-        FACT_RELATION,
         STREAM_LOG_DIR,
         STREAM_PREFIX,
         schema_from_json,
@@ -291,6 +290,8 @@ def cmd_ingest(args) -> int:
     from repro.ingest import IngestError, StreamingIngestor
     from repro.relational.engine import Engine
     from repro.relational.memory import MemoryManager
+    from repro.storage2 import V2_FILE, V2File
+    from repro.storage2.load import load_fact
 
     root = Path(args.cube)
     meta_path = root / BUNDLE_META
@@ -315,8 +316,8 @@ def cmd_ingest(args) -> int:
             ingestor.compact_overhead = overhead
         else:
             # First ingest into this bundle: the committed baseline is the
-            # bundle's own fact table.
-            fact = engine.catalog.open(FACT_RELATION).load()
+            # fact table of the container it serves.
+            fact = load_fact(V2File.open(root / V2_FILE), schema)
             ingestor = StreamingIngestor.bootstrap(
                 schema,
                 engine,
@@ -360,7 +361,6 @@ def cmd_serve(args) -> int:
             bundle,
             result_cache_bytes=args.cache_bytes if args.cache_bytes > 0 else None,
             result_cache_entries=args.cache_entries,
-            fact_cache_fraction=args.cache,
             with_indices=not args.no_indices,
         )
         server = SlicerServer(app, host=args.host, port=args.port, quiet=False)
@@ -465,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Dimension.Level=member[,member…] (repeatable)",
     )
     query.add_argument("--limit", type=int, default=50)
-    query.add_argument("--cache", type=float, default=1.0,
-                       help="fact cache fraction in [0, 1]")
     query.set_defaults(handler=cmd_query)
 
     ingest = commands.add_parser(
@@ -504,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-entries", type=int, default=4096,
         help="result-cache entry cap",
     )
-    serve.add_argument("--cache", type=float, default=1.0,
-                       help="fact cache fraction in [0, 1]")
     serve.add_argument(
         "--no-indices", action="store_true",
         help="skip building inverted indices (slices post-filter)",

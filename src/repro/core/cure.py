@@ -541,7 +541,8 @@ def build_cube(
     decision: PartitionDecision | None = None
 
     if table is not None:
-        _build_in_memory(schema, storage, pool, shape, min_count, stats, table)
+        working = WorkingSet.from_fact_table(schema, table)
+        _build_in_memory(storage, pool, shape, min_count, stats, working)
     else:
         heap = engine.relation(relation)
         pool_bytes = (
@@ -551,9 +552,10 @@ def build_cube(
         )
         if engine.memory.fits(heap.size_bytes + pool_bytes):
             stats.fact_read_passes += 1
-            with engine.load(relation) as loaded:
+            with engine.load(relation) as records:
+                working = WorkingSet.from_records(schema, records)
                 _build_in_memory(
-                    schema, storage, pool, shape, min_count, stats, loaded
+                    storage, pool, shape, min_count, stats, working
                 )
         else:
             if flat or not isinstance(shape, HierarchicalShape):
@@ -580,13 +582,12 @@ def build_cube(
 
 
 def _build_in_memory(
-    schema: CubeSchema,
     storage: CubeStorage,
     pool: SignaturePool,
     shape,
     min_count: int,
     stats: BuildStats,
-    table: Table,
+    working: WorkingSet,
 ) -> None:
     from repro.build.tasks import (
         KIND_COARSE_RUN,
@@ -595,9 +596,10 @@ def _build_in_memory(
         apply_outcome,
     )
 
-    working = WorkingSet.from_fact_table(schema, table)
-    storage.fact_row_count = len(table)
-    builder = CureBuilder(schema, shape, min_count, dr_mode=storage.dr_mode)
+    storage.fact_row_count = len(working)
+    builder = CureBuilder(
+        storage.schema, shape, min_count, dr_mode=storage.dr_mode
+    )
     tts, sigs = builder.run(working)
     # The whole input is one task: its events reach the storage and the
     # pool the way every executor's do.

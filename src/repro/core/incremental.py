@@ -174,25 +174,17 @@ def apply_delta(
 
     # Validate the whole delta before mutating anything.  A bad row must
     # leave the fact table and the cube exactly as they were: a rejected
-    # delta is a no-op, never a partial append with bitmaps already torn
-    # down and ``plus_processed`` cleared.
+    # delta is a no-op, never a partial append with ``plus_processed``
+    # already cleared.
     delta = validate_delta(schema, delta_rows)
     report.delta_codes = list(
         map(tuple, delta[:, : schema.n_dimensions].tolist())
     )
 
-    # A CURE+ cube keeps some relations as bitmaps and relies on sorted
-    # row-id lists; updates append out of order, so materialize bitmaps
-    # back to row-id arrays and drop the plus property (re-run
+    # A CURE+ cube relies on sorted row-id lists; updates append out of
+    # order, so the plus property goes (re-run
     # :func:`repro.core.postprocess.postprocess_plus` afterwards to
     # restore it).
-    for store in storage.nodes.values():
-        if store.tt_bitmap is not None:
-            store.tt.replace(store.tt_bitmap.to_array())
-            store.tt_bitmap = None
-        if store.cat_bitmap is not None:
-            store.cat.replace(store.cat_bitmap.to_array().reshape(-1, 1))
-            store.cat_bitmap = None
     storage.plus_processed = False
 
     base_rowid = len(fact_table)

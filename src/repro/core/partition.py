@@ -28,7 +28,7 @@ bytes of every partition file and coarse node are held to it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -47,7 +47,6 @@ from repro.core.segments import (
     rollup_key,
     stable_order,
 )
-from repro.core.workingset import WorkingSet
 from repro.relational.batch import ColumnBatch
 from repro.relational.durable import maybe_fire
 from repro.relational.engine import Engine
@@ -244,18 +243,6 @@ def _first_fit(
             bins.append(capacity_rows - rows)
             assignment[member] = len(bins) - 1
     return assignment
-
-
-def load_coarse_working_set(
-    engine: Engine, name: str, schema: CubeSchema
-) -> tuple[WorkingSet, Callable[[], None]]:
-    """Load a persisted coarse node into a working set, under a memory
-    reservation.  Returns ``(working_set, release_callable)``."""
-    loaded = engine.load(name)
-    working = WorkingSet.from_coarse_columns(
-        schema, loaded.table.as_batch().arrays
-    )
-    return working, loaded.release
 
 
 # -- one partitioning, four uses -----------------------------------------------------

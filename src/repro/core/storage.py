@@ -43,10 +43,17 @@ import numpy as np
 from repro.core.model import CubeSchema
 from repro.core.segments import stable_order
 from repro.core.signature import FormatStatistics, cat_members
-from repro.relational.bitmap import Bitmap
 
 VALUE_BYTES = 4
 """Logical size of one stored value (row-id / dimension code / aggregate)."""
+
+
+def _plus_list_bytes(count: int, universe: int) -> int:
+    """What CURE+ charges for a sorted list of ``count`` row-ids into a
+    relation of ``universe`` rows: the list, or a bitmap over the relation
+    when that is smaller — the Section 5.3 conversion "only if the number
+    of row-ids stored originally is large enough"."""
+    return min(count * VALUE_BYTES, (universe + 7) // 8)
 
 
 class CatFormat(enum.Enum):
@@ -144,8 +151,6 @@ class NodeStore:
         self.nt = nt or ArrayRelation()
         self.tt = tt or ArrayRelation()
         self.cat = cat or ArrayRelation()
-        self.tt_bitmap: Bitmap | None = None
-        self.cat_bitmap: Bitmap | None = None
 
     def nt_matrix(self) -> np.ndarray:
         return self.nt.array()
@@ -156,29 +161,10 @@ class NodeStore:
     def cat_matrix(self) -> np.ndarray:
         return self.cat.array()
 
-    def stored_tt(self) -> np.ndarray:
-        """TT row-ids as every on-disk form holds them: a bitmap (a CURE+
-        in-memory representation) materialized back to its ascending
-        list; ``plus_processed`` in the metadata keeps the sorted
-        sequential-access property across a reload."""
-        if self.tt_bitmap is not None:
-            return self.tt_bitmap.to_array()
-        return self.tt_array()
-
-    def stored_cat(self) -> np.ndarray:
-        """CAT rows as every on-disk form holds them (see :meth:`stored_tt`)."""
-        if self.cat_bitmap is not None:
-            return self.cat_bitmap.to_array().reshape(-1, 1)
-        return self.cat_matrix()
-
     @property
     def relation_count(self) -> int:
         """How many physical relations this node materializes."""
-        return (
-            bool(self.nt.count)
-            + (bool(self.tt.count) or self.tt_bitmap is not None)
-            + (bool(self.cat.count) or self.cat_bitmap is not None)
-        )
+        return bool(self.nt.count) + bool(self.tt.count) + bool(self.cat.count)
 
     @property
     def nt_count(self) -> int:
@@ -186,16 +172,10 @@ class NodeStore:
 
     @property
     def tt_count(self) -> int:
-        """How many trivial tuples the node stores, list or bitmap."""
-        if self.tt_bitmap is not None:
-            return self.tt_bitmap.count()
         return self.tt.count
 
     @property
     def cat_count(self) -> int:
-        """How many CATs the node stores, rows or bitmap."""
-        if self.cat_bitmap is not None:
-            return self.cat_bitmap.count()
         return self.cat.count
 
 
@@ -368,9 +348,15 @@ class CubeStorage:
         return len(node.grouping_dims(self.schema.dimensions))
 
     def size_report(self) -> StorageSizeReport:
+        """The logical sizes; a CURE+ cube's TT lists, and its format (a)
+        CAT lists that hold no A-rowid twice (a bitmap holds a set; the
+        lists are sorted, so a repeat is adjacent), are charged at
+        :func:`_plus_list_bytes` — the same before and after a reload,
+        since only the sorted lists are ever stored."""
         report = StorageSizeReport()
         y = self.schema.n_aggregates
-        cat_row_values = 1 if self.cat_format is CatFormat.COMMON_SOURCE else 2
+        common_source = self.cat_format is CatFormat.COMMON_SOURCE
+        cat_row_values = 1 if common_source else 2
         for node_id, store in self.nodes.items():
             report.n_relations += store.relation_count
             report.n_nt += store.nt_count
@@ -381,16 +367,20 @@ class CubeStorage:
             else:
                 nt_width = (1 + y) * VALUE_BYTES
             report.nt_bytes += store.nt_count * nt_width
-            if store.tt_bitmap is not None:
-                report.tt_bytes += store.tt_bitmap.size_bytes
-            else:
-                report.tt_bytes += store.tt_count * VALUE_BYTES
-            if store.cat_bitmap is not None:
-                report.cat_bytes += store.cat_bitmap.size_bytes
-            else:
-                report.cat_bytes += (
-                    store.cat_count * cat_row_values * VALUE_BYTES
-                )
+            tt_bytes = store.tt_count * VALUE_BYTES
+            cat_bytes = store.cat_count * cat_row_values * VALUE_BYTES
+            if self.plus_processed:
+                tt_bytes = _plus_list_bytes(store.tt_count, self.fact_row_count)
+                if common_source:
+                    as_bitmap = _plus_list_bytes(
+                        store.cat_count, self.aggregates_count
+                    )
+                    if as_bitmap < cat_bytes:
+                        arowids = store.cat_matrix()[:, 0]
+                        if (arowids[1:] != arowids[:-1]).all():
+                            cat_bytes = as_bitmap
+            report.tt_bytes += tt_bytes
+            report.cat_bytes += cat_bytes
         if self.cat_format is CatFormat.COMMON_SOURCE:
             aggregate_width = (1 + y) * VALUE_BYTES
         else:

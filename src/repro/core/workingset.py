@@ -8,7 +8,7 @@ row summarizes), and the minimum original R-rowid per row.
 Three sources produce working sets:
 
 * the fact table itself (weights all 1, aggregates are singleton values),
-* a loaded partition (same, but carrying original row-ids), and
+* a mapped partition (same, but carrying original row-ids), and
 * the coarse node ``N`` built during partitioning (weights > 1 possible) —
   which is why recursion state carries *partial aggregates* rather than
   raw measures: observation 3 of Section 4 only needs mergeability.
@@ -113,65 +113,51 @@ class WorkingSet:
         return cls._from_fact_columns(schema, table.as_batch().arrays, rowids)
 
     @classmethod
-    def from_partition_table(
-        cls, schema: CubeSchema, table: Table
-    ) -> "WorkingSet":
-        """Wrap a loaded partition whose last column is the original rowid."""
-        batch = table.as_batch()
-        rowids = np.ascontiguousarray(batch.column("r_rowid"), dtype=np.int64)
-        return cls._from_fact_columns(schema, batch.arrays, rowids)
-
-    @classmethod
-    def from_partition_array(
+    def from_records(
         cls, schema: CubeSchema, records: np.ndarray
     ) -> "WorkingSet":
-        """Wrap a memory-mapped partition record array (the parallel
-        executor's zero-copy load path).
+        """Wrap a mapped fact or partition relation (:meth:`Engine.load`).
 
-        Produces arrays elementwise identical to
-        :meth:`from_partition_table` over the same file: dimension
-        columns are the leading INT32 fields, measures the INT64 fields
-        after them, and the trailing ``r_rowid`` field supplies the
-        original fact row-ids.  Columns are copied out of the map, so
-        releasing the mapping afterwards is safe.
+        Dimension columns are the leading INT32 fields, measures the
+        INT64 fields after them; a trailing ``r_rowid`` field — a
+        partition's — supplies the original fact row-ids, else rows are
+        numbered by position.  Columns are copied out of the map, so
+        releasing it afterwards is safe.
         """
-        rowids = np.ascontiguousarray(records["r_rowid"], dtype=np.int64)
+        names = records.dtype.names
+        if names[-1] == "r_rowid":
+            rowids = np.ascontiguousarray(records["r_rowid"], dtype=np.int64)
+        else:
+            rowids = np.arange(len(records), dtype=np.int64)
         return cls._from_fact_columns(
-            schema, [records[name] for name in records.dtype.names], rowids
+            schema, [records[name] for name in names], rowids
         )
 
     @classmethod
-    def from_coarse_columns(
-        cls, schema: CubeSchema, columns: Sequence[np.ndarray]
+    def from_coarse(
+        cls, schema: CubeSchema, records: np.ndarray
     ) -> "WorkingSet":
-        """Wrap the columns of a persisted coarse node.
+        """Wrap a mapped coarse node.
 
         Coarse relations are positionally uniform regardless of flavor
         (``coarseN`` / ``coarseN1`` / ``coarseN2``): ``n_dimensions``
         INT32 codes, ``n_aggregates`` INT64 partials, weight, min rowid.
-        Columns are copied, so a memory map they view may be released.
+        Columns are copied out of the map, so releasing it afterwards is
+        safe.
         """
+        columns = [records[name] for name in records.dtype.names]
         d = schema.n_dimensions
         y = schema.n_aggregates
         dims = [
             np.ascontiguousarray(columns[dim], dtype=np.int32)
             for dim in range(d)
         ]
-        aggs = np.empty((len(columns[0]), y), dtype=np.int64)
+        aggs = np.empty((len(records), y), dtype=np.int64)
         for i in range(y):
             aggs[:, i] = columns[d + i]
         weights = np.ascontiguousarray(columns[d + y], dtype=np.int64)
         rowids = np.ascontiguousarray(columns[d + y + 1], dtype=np.int64)
         return cls(schema, dims, aggs, weights, rowids)
-
-    @classmethod
-    def from_coarse_array(
-        cls, schema: CubeSchema, records: np.ndarray
-    ) -> "WorkingSet":
-        """Wrap a memory-mapped coarse-node record array."""
-        return cls.from_coarse_columns(
-            schema, [records[name] for name in records.dtype.names]
-        )
 
     @classmethod
     def empty(cls, schema: CubeSchema) -> "WorkingSet":

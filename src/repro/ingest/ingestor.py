@@ -236,13 +236,6 @@ class StreamingIngestor:
             generation=int(payload["generation"]),
             applied_lsn=int(payload["applied_lsn"]),
         )
-        if ingestor.plus:
-            # Restore the in-memory CURE+ representation (a container
-            # holds bitmaps as sorted lists): the conversion rule is
-            # deterministic, so this recreates exactly the state an
-            # uninterrupted run holds — including the size accounting
-            # the compaction trigger reads.
-            postprocess_plus(storage)
         ingestor._sweep_stale_generations()
         ingestor.apply_ready()
         return ingestor

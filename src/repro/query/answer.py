@@ -11,7 +11,7 @@ Per format:
 * **CURE** — read the node's NT/CAT relations (dereferencing R-rowids into
   the fact cache and A-rowids into AGGREGATES), then collect shared TTs
   from the node itself and its plan ancestors.  CURE+ cubes benefit from
-  sorted row-id lists and bitmaps via the cache's sequential path.
+  sorted row-id lists via the cache's sequential path.
 * **BUC** — read the per-node relation directly; the fast baseline.
 * **BU-BST** — scan the whole monolithic relation, keeping exact-node rows
   and the BSTs whose storing node lies on this node's plan path; this full
@@ -163,40 +163,29 @@ def _stored_relations(
                 yield None, nt[:, :arity], nt[:, arity : arity + y], False
             else:
                 yield nt[:, 0], None, nt[:, 1 : 1 + y], storage.plus_processed
-        if storage.cat_format is CatFormat.COMMON_SOURCE:
-            # Format (a): node rows are A-rowids (a list, or a CURE+
-            # bitmap); AGGREGATES rows are ⟨R-rowid, aggregates⟩.
-            if store.cat_bitmap is not None:
-                arowids = store.cat_bitmap.to_array()
-            elif store.cat_count:
-                arowids = store.cat_matrix()[:, 0]
-            else:
-                arowids = np.empty(0, dtype=np.int64)
-            if len(arowids):
-                entries = storage.aggregates_matrix()[arowids]
+        if store.cat_count:
+            cat = store.cat_matrix()
+            shared = storage.aggregates_matrix()
+            if storage.cat_format is CatFormat.COMMON_SOURCE:
+                # Format (a): node rows are A-rowids; AGGREGATES rows are
+                # ⟨R-rowid, aggregates⟩.
+                entries = shared[cat[:, 0]]
                 yield (
                     entries[:, 0],
                     None,
                     entries[:, 1 : 1 + y],
                     storage.plus_processed,
                 )
-        elif store.cat_count:
-            # Format (b): node rows are ⟨R-rowid, A-rowid⟩, AGGREGATES
-            # is bare; one fancy-index joins the A-rowids against it.
-            cat = store.cat_matrix()
-            yield cat[:, 0], None, storage.aggregates_matrix()[cat[:, 1]], False
+            else:
+                # Format (b): node rows are ⟨R-rowid, A-rowid⟩, AGGREGATES
+                # is bare; one fancy-index joins the A-rowids against it.
+                yield cat[:, 0], None, shared[cat[:, 1]], False
     if not with_tts:
         return
     for source in tt_source_nodes(storage, node):
         tt_store = storage.get_node_store(schema.node_id(source))
-        if tt_store is None:
-            continue
-        if tt_store.tt_bitmap is not None:
-            rowids, sorted_hint = tt_store.tt_bitmap.to_array(), True
-        else:
-            rowids, sorted_hint = tt_store.tt_array(), storage.plus_processed
-        if len(rowids):
-            yield rowids, None, None, sorted_hint
+        if tt_store is not None and tt_store.tt_count:
+            yield tt_store.tt_array(), None, None, storage.plus_processed
 
 
 def _construction_phase(storage: CubeStorage, node: CubeNode) -> str:

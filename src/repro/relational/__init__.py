@@ -3,8 +3,8 @@
 This package implements the relational machinery that the CURE paper takes
 for granted from its host engine: fixed-schema relations with row-ids, a
 disk-backed heap-file format, a catalog of named relations, an accounting
-memory manager that decides when data "fits in memory", bitmap indices, and
-the aggregate functions cube construction relies on.
+memory manager that decides when data "fits in memory", inverted indices,
+and the aggregate functions cube construction relies on.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.relational.aggregates import (
     make_aggregates,
 )
 from repro.relational.batch import ColumnBatch, RowSource
-from repro.relational.bitmap import Bitmap
 from repro.relational.catalog import Catalog
 from repro.relational.engine import Engine
 from repro.relational.heap import HeapFile
@@ -31,7 +30,6 @@ from repro.relational.table import Table
 __all__ = [
     "AggregateFunction",
     "AggregateSpec",
-    "Bitmap",
     "Catalog",
     "Column",
     "ColumnBatch",

@@ -23,42 +23,15 @@ from repro.relational.table import Table
 
 
 @dataclass
-class LoadedTable:
-    """A table loaded under a memory reservation.
-
-    Use as a context manager so the reservation is released when the table
-    goes out of scope — mirroring a buffer-pool unpin.
-    """
-
-    table: Table
-    _memory: MemoryManager
-    _token: int
-    _released: bool = False
-
-    def release(self) -> None:
-        if not self._released:
-            self._memory.release(self._token)
-            self._released = True
-
-    def __enter__(self) -> Table:
-        return self.table
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-
-@dataclass
-class MappedRelation:
+class LoadedRelation:
     """A relation mapped read-only under a memory reservation.
 
-    The parallel-build counterpart of :class:`LoadedTable`: ``records``
-    is the structured array from :meth:`HeapFile.load_mapped`.  The
-    reservation covers the same byte count a full load would, so budget
-    decisions (and the fault sites that guard them) are identical on
-    both paths.
+    ``records`` is the structured array from :meth:`HeapFile.load_mapped`.
+    Use as a context manager so the reservation is released when the
+    records go out of scope — mirroring a buffer-pool unpin.
     """
 
-    records: "np.ndarray"
+    records: np.ndarray
     _memory: MemoryManager
     _token: int
     _released: bool = False
@@ -68,7 +41,7 @@ class MappedRelation:
             self._memory.release(self._token)
             self._released = True
 
-    def __enter__(self) -> "np.ndarray":
+    def __enter__(self) -> np.ndarray:
         return self.records
 
     def __exit__(self, *exc_info) -> None:
@@ -108,41 +81,30 @@ class Engine:
         """The paper's ``inputRelation.size() < memorySize`` test."""
         return self.memory.fits(self.relation(name).size_bytes)
 
-    def load(self, name: str) -> LoadedTable:
-        """Load a relation fully into memory under a budget reservation.
+    def load(self, name: str) -> LoadedRelation:
+        """Map a relation read-only under a budget reservation.
 
+        The records stay in the OS page cache — shared with a parallel
+        build's workers — instead of being unpacked per process, but the
+        memory manager accounts the relation's bytes: a mapped working set
+        displaces real memory just like a copied one.  A map sees only the
+        file, so a relation with buffered appends is flushed first.
         Transient I/O errors are retried with bounded backoff
-        (``retry_policy``) — a whole-file read is idempotent.  If the read
-        still fails (I/O error, injected fault) the reservation is
-        released before the exception propagates, so a failed load never
-        leaks simulated memory.
+        (``retry_policy``) — a map is idempotent.  If it still fails (I/O
+        error, injected fault) the reservation is released before the
+        exception propagates, so a failed load never leaks simulated
+        memory.
         """
         heap = self.relation(name)
-        token = self.memory.reserve(heap.size_bytes, what=f"load({name})")
-        try:
-            table = with_retries(heap.load, policy=self.retry_policy)
-        except BaseException:
-            self.memory.release(token)
-            raise
-        return LoadedTable(table, self.memory, token)
-
-    def load_mapped(self, name: str) -> MappedRelation:
-        """Map a relation read-only under the same reservation as a load.
-
-        Used by parallel build workers: the data stays in the shared OS
-        page cache instead of being unpacked per process, but the memory
-        manager accounts the same bytes — a mapped working set displaces
-        real memory just like a loaded one — so budget decisions match
-        :meth:`load` exactly.
-        """
-        heap = self.relation(name)
+        if heap.unflushed:
+            heap.flush()
         token = self.memory.reserve(heap.size_bytes, what=f"load({name})")
         try:
             records = with_retries(heap.load_mapped, policy=self.retry_policy)
         except BaseException:
             self.memory.release(token)
             raise
-        return MappedRelation(records, self.memory, token)
+        return LoadedRelation(records, self.memory, token)
 
     def install_faults(self, faults: FaultHook | None) -> None:
         """Install (or clear) a fault-injection hook across the engine."""

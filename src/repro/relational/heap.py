@@ -8,8 +8,8 @@ patterns this module makes explicit:
 * random fetch by row-id (``read_row`` / ``read_rows``) — what NT/TT/CAT
   row-id dereferencing costs without a cache, and
 * a single sequential pass selecting sorted row-ids
-  (``read_rows_sequential``) — what CURE+'s sorted row-id lists and bitmap
-  indices buy (Section 5.3 of the paper).
+  (``read_rows_sequential``) — what CURE+'s sorted row-id lists buy
+  (Section 5.3 of the paper).
 
 I/O statistics are counted so benchmarks can report machine-independent
 cost numbers alongside wall-clock time.
@@ -33,7 +33,6 @@ from repro.relational.durable import (
     with_retries,
 )
 from repro.relational.schema import TableSchema
-from repro.relational.table import Table
 
 
 @dataclass
@@ -263,8 +262,8 @@ class HeapFile:
     def read_rows_sequential(self, sorted_rowids: list[int]) -> list[tuple]:
         """One sequential pass selecting ``sorted_rowids`` (must ascend).
 
-        This models the access pattern CURE+ achieves by sorting row-ids
-        (or using bitmap indices): a single scan instead of random seeks.
+        This models the access pattern CURE+ achieves by sorting row-ids:
+        a single scan instead of random seeks.
         """
         if not sorted_rowids:
             return []
@@ -338,19 +337,16 @@ class HeapFile:
             arrays = tuple(records[name] for name in self.schema.names)
             yield ColumnBatch(self.schema, arrays, len(records))
 
-    def load(self) -> Table:
-        """Read the whole file into an in-memory :class:`Table`."""
-        return Table.from_batch(self.load_batch())
-
     def load_mapped(self) -> np.ndarray:
         """Map the whole file read-only as a structured record array.
 
         The schema's packed numpy dtype reinterprets the record bytes in
         place (the same equivalence :meth:`scan_batches` relies on), so
-        parallel build workers get zero-copy views of a partition file
-        the OS page cache shares across processes.  Fires the same
-        ``heap.read`` site and counts the same I/O statistics as a
-        :meth:`scan`-backed load.
+        every reader — the driver and parallel build workers alike — gets
+        zero-copy views of a file the OS page cache shares across
+        processes.  Fires the same ``heap.read`` site and counts the same
+        I/O statistics as a :meth:`scan`.  A map sees only what reached the
+        file, so buffered appends must be flushed first.
         """
         self._fire_retrying(f"heap.read:{self.path.name}")
         n = len(self)
@@ -361,7 +357,3 @@ class HeapFile:
         return np.memmap(
             self.path, dtype=self.schema.numpy_dtype, mode="r", shape=(n,)
         )
-
-    def load_batch(self) -> ColumnBatch:
-        """Read the whole file as a single columnar batch."""
-        return ColumnBatch.concat(self.schema, list(self.scan_batches()))

@@ -100,13 +100,11 @@ class SlicerApp:
         bundle: CubeBundle,
         result_cache_bytes: int | None = DEFAULT_RESULT_CACHE_BYTES,
         result_cache_entries: int = 4096,
-        fact_cache_fraction: float = 1.0,
         with_indices: bool = True,
     ) -> None:
         self.bundle = bundle
         self.schema = bundle.schema
         self.planner: CubePlanner = bundle.planner(
-            fraction=fact_cache_fraction,
             result_cache_bytes=result_cache_bytes,
             result_cache_entries=result_cache_entries,
             with_indices=with_indices,

@@ -80,7 +80,7 @@ def cube_writer(
         if store.nt_count:
             writer.add_array(f"node/{node_id}/nt", store.nt_matrix())
         if store.tt_count:
-            tt = store.stored_tt()
+            tt = store.tt_array()
             codec, payload = encode_rowid_list(tt)
             writer.add_section(
                 f"node/{node_id}/tt",
@@ -91,7 +91,7 @@ def cube_writer(
                 count=len(tt),
             )
         if store.cat_count:
-            writer.add_array(f"node/{node_id}/cat", store.stored_cat())
+            writer.add_array(f"node/{node_id}/cat", store.cat_matrix())
     if storage.aggregates_count:
         writer.add_array("aggregates", storage.aggregates_matrix())
     return writer

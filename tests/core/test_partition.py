@@ -5,7 +5,6 @@ import pytest
 from repro import CubeSchema, Engine, Table, build_cube, linear_dimension, make_aggregates
 from repro.core.partition import (
     _first_fit,
-    load_coarse_working_set,
     partition_relation,
 )
 from repro.core.partition_select import (
@@ -13,6 +12,7 @@ from repro.core.partition_select import (
     estimate_coarse_rows,
     select_partition_level,
 )
+from repro.core.workingset import WorkingSet
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
@@ -176,9 +176,9 @@ def test_partition_relation_soundness(tmp_path):
             assert seen_in.setdefault(member, name) == name  # sound
     assert total == len(table)
     # The coarse node aggregates the whole table.
-    coarse, release = load_coarse_working_set(engine, coarse_name, schema)
+    with engine.load(coarse_name) as records:
+        coarse = WorkingSet.from_coarse(schema, records)
     assert coarse.total_weight == len(table)
-    release()
     engine.close()
 
 

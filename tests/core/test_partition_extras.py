@@ -67,23 +67,19 @@ def test_uniform_strategy_partition_roundtrip(tmp_path):
     )
     builder = CureBuilder(schema, HierarchicalShape(schema))
     for name in names:
-        with engine.load(name) as loaded:
+        with engine.load(name) as records:
             tts, sigs = builder.run_partition(
-                WorkingSet.from_partition_table(schema, loaded),
-                decision.levels,
+                WorkingSet.from_records(schema, records), decision.levels
             )
         storage.write_tts(tts)
         pool.add_batch(sigs)
-    from repro.core.partition import load_coarse_working_set
-
     base_levels = [0] * schema.n_dimensions
     base_levels[0] = level + 1
-    coarse, release = load_coarse_working_set(engine, coarse_name, schema)
     coarse_builder = CureBuilder(
         schema, HierarchicalShape(schema, tuple(base_levels))
     )
-    tts, sigs = coarse_builder.run(coarse)
-    release()
+    with engine.load(coarse_name) as records:
+        tts, sigs = coarse_builder.run(WorkingSet.from_coarse(schema, records))
     storage.write_tts(tts)
     pool.add_batch(sigs)
     pool.flush()

@@ -261,13 +261,13 @@ def test_build_never_reads_the_fact_relation_whole(tmp_path, monkeypatch):
     """The commit is cube-only: under the crash-suite budget, which the
     fact relation does not fit, nothing reserves or loads it."""
     schema, table = _instance()
-    load_batch = HeapFile.load_batch
+    load_mapped = HeapFile.load_mapped
 
     def no_whole_fact_load(heap):
         assert heap.path.name != "fact.dat", "fact relation loaded whole"
-        return load_batch(heap)
+        return load_mapped(heap)
 
-    monkeypatch.setattr(HeapFile, "load_batch", no_whole_fact_load)
+    monkeypatch.setattr(HeapFile, "load_mapped", no_whole_fact_load)
     engine, _result, _trace, _ = _recorded_build(tmp_path, (schema, table))
     assert engine.memory.peak_bytes <= _budget(schema, table)
     assert engine.memory.used_bytes == 0

@@ -60,25 +60,40 @@ def test_aggregate_and_min_rowid(working):
 
 
 def test_from_partition_table_keeps_original_rowids(paper_schema):
+    """A mapped partition's trailing ``r_rowid`` field is the row-ids."""
     rows = [(0, 0, 0, 10, 42), (1, 1, 1, 20, 7)]
-    table = Table(paper_schema.partition_schema, rows)
-    working = WorkingSet.from_partition_table(paper_schema, table)
+    records = np.array(rows, dtype=paper_schema.partition_schema.numpy_dtype)
+    working = WorkingSet.from_records(paper_schema, records)
     assert working.rowids.tolist() == [42, 7]
+    assert working.aggs[:, 0].tolist() == [10, 20]
+
+
+def test_from_records_numbers_fact_rows_by_position(paper_schema):
+    rows = [(0, 0, 0, 10), (3, 1, 2, 20), (7, 5, 4, 30)]
+    records = np.array(rows, dtype=paper_schema.fact_schema.numpy_dtype)
+    working = WorkingSet.from_records(paper_schema, records)
+    expected = WorkingSet.from_fact_table(
+        paper_schema, Table(paper_schema.fact_schema, rows)
+    )
+    assert working.rowids.tolist() == [0, 1, 2]
+    assert [c.tolist() for c in working.dims] == [
+        c.tolist() for c in expected.dims
+    ]
+    assert working.aggs.tolist() == expected.aggs.tolist()
 
 
 def test_from_coarse_columns_weights_and_partials(paper_schema):
-    working = WorkingSet.from_coarse_columns(
-        paper_schema,
-        [
-            np.array([0, 1], dtype=np.int32),
-            np.array([0, 1], dtype=np.int32),
-            np.array([0, 1], dtype=np.int32),
-            np.array([100, 50], dtype=np.int64),
-            np.array([5, 2], dtype=np.int64),
-            np.array([5, 2], dtype=np.int64),
-            np.array([10, 20], dtype=np.int64),
-        ],
-    )
+    columns = [
+        np.array([0, 1], dtype=np.int32),
+        np.array([0, 1], dtype=np.int32),
+        np.array([0, 1], dtype=np.int32),
+        np.array([100, 50], dtype=np.int64),
+        np.array([5, 2], dtype=np.int64),
+        np.array([5, 2], dtype=np.int64),
+        np.array([10, 20], dtype=np.int64),
+    ]
+    records = np.rec.fromarrays(columns)
+    working = WorkingSet.from_coarse(paper_schema, records)
     assert working.total_weight == 7
     assert working.rowids.tolist() == [10, 20]
     positions = np.arange(2)

@@ -364,6 +364,31 @@ def test_cli_ingest_updates_bundle_queries(cli_workspace, capsys):
         assert bundle.fact_row_count == 204
 
 
+def test_first_ingest_bootstraps_from_the_container(cli_workspace, capsys):
+    """The first ingest takes its baseline facts from the bundle's
+    ``cube.v2``: with the fact heap deleted it commits the very generation
+    bytes it commits with the heap present."""
+    tmp_path, csv_path, spec_path = cli_workspace
+    delta_csv = tmp_path / "delta.csv"
+    _write_delta_csv(delta_csv, [["s0", "Athens", 7], ["s1", "Paris", 11]])
+    generations = []
+    for name, drop_heap in (("with-heap", False), ("without-heap", True)):
+        cube_dir = tmp_path / name
+        cli_main([
+            "build", "--csv", str(csv_path), "--spec", str(spec_path),
+            "--out", str(cube_dir),
+        ])
+        if drop_heap:
+            (cube_dir / "fact.dat").unlink()
+            (cube_dir / "fact.schema.json").unlink()
+        assert cli_main([
+            "ingest", "--cube", str(cube_dir), "--csv", str(delta_csv),
+        ]) == 0
+        generations.append(streamed_container(cube_dir).read_bytes())
+    capsys.readouterr()
+    assert generations[0] == generations[1]
+
+
 def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
     """After an ingest the committed generation *is* the served v2 file:
     the ``cube.v2`` the build published is left as it was and no longer

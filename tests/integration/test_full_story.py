@@ -64,10 +64,10 @@ def test_full_story(tmp_path):
 
     # 3. Reopen and answer through the planner.
     with open_bundle(tmp_path / "cube") as bundle:
-        fact_batch = bundle.catalog.open("fact").load_batch()
+        fact_batch = bundle.v2.fact.as_batch()
         planner = CubePlanner(
             bundle.storage,
-            bundle.fact_cache(fraction=0.5),
+            bundle.fact_cache(),
             indices=build_indices(bundle.schema, fact_batch),
         )
         region_index = next(

@@ -11,7 +11,7 @@ must answer node, slice, roll-up and iceberg queries exactly like a
 from-scratch ``build_cube`` over base + delta rows.
 
 Shapes covered: linear, complex (branching) and flat hierarchies; CURE and
-CURE+ (bitmaps re-materialized around every delta); both CAT formats;
+CURE+ (re-plussed after every delta); both CAT formats;
 deltas with in-delta duplicates, deltas that hit a root TT, deltas that
 demote CATs, several deltas in sequence.
 """
@@ -113,20 +113,14 @@ def build(schema, rows, flat, cat_format, plus):
 
 def stored(storage):
     """Per node, the multisets of what each relation holds."""
-    nodes = {}
-    for node_id, store in storage.nodes.items():
-        trivial = (
-            list(store.tt_bitmap.iter_set())
-            if store.tt_bitmap is not None
-            else sorted(tt_rowids(store))
+    return {
+        node_id: (
+            sorted(nt_rows(store)),
+            sorted(tt_rowids(store)),
+            sorted(cat_rows(store)),
         )
-        common = (
-            [(arowid,) for arowid in store.cat_bitmap.iter_set()]
-            if store.cat_bitmap is not None
-            else sorted(cat_rows(store))
-        )
-        nodes[node_id] = (sorted(nt_rows(store)), trivial, common)
-    return nodes
+        for node_id, store in storage.nodes.items()
+    }
 
 
 def assert_counts_match_arrays(storage):

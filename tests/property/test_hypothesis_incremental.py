@@ -52,9 +52,9 @@ def test_update_rounds_equal_rebuild(base_rows, delta_batches):
     st.lists(st.lists(rows, min_size=1, max_size=8), min_size=1, max_size=3),
 )
 def test_plus_update_rounds_equal_rebuild(base_rows, delta_batches):
-    """Maintenance of a CURE+ cube (the bitmap-materialization path at the
-    top of ``apply_delta``) round-trips through ``postprocess_plus`` and
-    stays query-equivalent to a from-scratch rebuild after every batch."""
+    """Maintenance of a CURE+ cube (``apply_delta`` drops the plus
+    property) round-trips through ``postprocess_plus`` and stays
+    query-equivalent to a from-scratch rebuild after every batch."""
     table = Table(SCHEMA.fact_schema, list(base_rows))
     result = build_cube(SCHEMA, table=table)
     postprocess_plus(result.storage)

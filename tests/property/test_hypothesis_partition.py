@@ -26,6 +26,7 @@ from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -279,7 +280,7 @@ def test_local_pair_partitioning_matches_oracle(
     parent_level = min(parent_level, schema.dimensions[0].n_levels - 1)
     # Any relation in the partition layout will do as "the partition".
     for side in (oracle, arrays):
-        fact = side.engine.relation("fact").load().to_rows()
+        fact = list(side.engine.relation("fact").scan())
         rows = [row + (7 * i + 3,) for i, row in enumerate(fact)]
         side.engine.store_table(
             "fact.part0", Table(schema.partition_schema, rows)
@@ -371,10 +372,13 @@ def test_member_absent_from_the_counting_scan_goes_to_bin_zero(
         array_pass.partition_relation, "fact", schema, decision,
     )
     assert written[1] == written[0]
-    first_column = (
-        arrays.engine.relation(written[1].partition_names[0])
-        .load_batch()
-        .arrays[0]
+    first_column = np.concatenate(
+        [
+            batch.arrays[0]
+            for batch in arrays.engine.relation(
+                written[1].partition_names[0]
+            ).scan_batches()
+        ]
     )
     level_map = schema.dimensions[0].level_maps[decision.levels[0]]
     assert absent in level_map[first_column]

@@ -5,19 +5,8 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.relational.bitmap import Bitmap
 from repro.relational.heap import HeapFile
 from repro.relational.schema import Column, ColumnType, TableSchema
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.sets(st.integers(0, 199)), st.integers(200, 300))
-def test_bitmap_roundtrip(rowids, universe):
-    bitmap = Bitmap.from_rowids(rowids, universe)
-    assert list(bitmap.iter_set()) == sorted(rowids)
-    assert bitmap.count() == len(rowids)
-    for rowid in range(universe):
-        assert bitmap.test(rowid) == (rowid in rowids)
 
 
 @settings(max_examples=25, deadline=None)

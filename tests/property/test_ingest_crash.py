@@ -13,7 +13,7 @@ the last committed generation from disk (or bootstrap afresh when the
 crash predates the first commit), then re-drive the script from the
 log's own ``next_lsn`` — the producer re-appends whatever the crash
 lost, the exactly-once watermark absorbs whatever it did not.  The final
-cube, canonically compared (bitmaps expanded, TT/CAT order normalized),
+cube, canonically compared (TT/CAT order normalized),
 and the fact table must be byte-identical to the uninterrupted run.
 
 Torn writes on ``ingest.append`` (a partial record framed into the

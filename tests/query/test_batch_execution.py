@@ -7,9 +7,10 @@ replaced lives on as ``tests/support/row_engine.py``; these tests run
 every entry point through both and require identical answers (node
 answers in identical *row order*) and identical cost accounting —
 ``QueryStats`` and the fact cache's hits/misses — over CURE, CURE+
-(sorted lists and bitmaps), CURE_DR and FCURE, both CAT formats, on
-in-memory storage over the fact ``Table``, on the same storage behind a
-half-warm cache over the bundle's fact heap, and on a mapped ``cube.v2``.
+(sorted lists, some charged as bitmaps), CURE_DR and FCURE, both CAT
+formats, on in-memory storage over the fact ``Table``, on the same storage
+behind a half-warm cache over the bundle's fact heap, and on a mapped
+``cube.v2``.
 """
 
 from __future__ import annotations
@@ -164,7 +165,9 @@ def test_plus_processed_queries_equivalent(built):
 # -- every lattice node, every variant, every backend ------------------------
 
 #: id → (variant, forced CAT format or None for the paper's rule,
-#: CURE+ pass: None, "lists" or "bitmaps").
+#: CURE+ pass: None, "lists", or "bitmaps").  The pass only sorts, so
+#: "lists" and "bitmaps" build the same cube; "bitmaps" also checks that
+#: long TT and CAT lists are charged as bitmaps, reloaded or not.
 CONFIGS = {
     "CURE-a": ("CURE", CatFormat.COMMON_SOURCE, None),
     "CURE-b": ("CURE", CatFormat.COINCIDENTAL, None),
@@ -189,7 +192,7 @@ def _build_config(variant, cat_format, plus):
             result, _ = VARIANTS[variant].build(schema, table=fact)
         assert result.storage.cat_format is cat_format
     if plus is not None:
-        postprocess_plus(result.storage, convert_bitmaps=plus == "bitmaps")
+        postprocess_plus(result.storage)
     return schema, fact, result.storage
 
 
@@ -202,14 +205,16 @@ def backends(request, tmp_path_factory):
     variant, cat_format, plus = CONFIGS[request.param]
     schema, fact, storage = _build_config(variant, cat_format, plus)
     if plus == "bitmaps":
-        stores = storage.nodes.values()
-        assert any(store.tt_bitmap is not None for store in stores)
-        assert any(store.cat_bitmap is not None for store in stores)
+        report = storage.size_report()
+        assert report.tt_bytes < 4 * report.n_tt
+        assert report.cat_bytes < 4 * report.n_cat
     indices = None if storage.dr_mode else build_indices(schema, fact.as_batch())
     path = save_bundle(
         tmp_path_factory.mktemp("row-engine") / "bundle", schema, fact, storage
     )
     bundle = open_bundle(path)
+    if plus == "bitmaps":  # one cube, one logical size, mapped or not
+        assert bundle.storage.size_report() == storage.size_report()
     heap = bundle.catalog.open("fact")
     yield {
         "memory": CubePlanner(

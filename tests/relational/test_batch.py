@@ -141,8 +141,6 @@ def test_heapfile_batch_roundtrip(tmp_path):
         written = heap.append_batch(ColumnBatch.from_rows(MIXED, ROWS))
         assert written == len(ROWS)
         assert list(heap.scan()) == ROWS
-        loaded = heap.load_batch()
-        assert loaded.to_rows() == ROWS
         chunks = list(heap.scan_batches(chunk_rows=3))
         assert [chunk.length for chunk in chunks] == [3, 1]
         assert [row for c in chunks for row in c.to_rows()] == ROWS

@@ -276,6 +276,8 @@ def test_reservation_released_on_exception():
 
 
 def test_failed_load_releases_its_reservation(tmp_path):
+    """A map that fails at its ``heap.read`` site gives back the
+    reservation :meth:`Engine.load` took for it."""
     engine = Engine(Catalog(tmp_path / "eng"), MemoryManager(budget_bytes=4096))
     engine.store_table("t", Table(SCHEMA, [(i, i) for i in range(16)]))
     injector = FaultInjector(

@@ -19,8 +19,21 @@ def test_store_and_load_roundtrip(tmp_path):
     engine = make_engine(tmp_path)
     table = Table(SCHEMA, [(1, 2), (3, 4)])
     engine.store_table("r", table)
-    with engine.load("r") as loaded:
-        assert loaded.to_rows() == table.to_rows()
+    with engine.load("r") as records:
+        assert records.tolist() == table.to_rows()
+    engine.close()
+
+
+def test_load_sees_buffered_appends(tmp_path):
+    """A map sees only the file, so a relation with appends still in its
+    write buffer is flushed first: every row comes back."""
+    engine = make_engine(tmp_path)
+    heap = engine.create_relation("r", SCHEMA)
+    heap.append_many([(i, -i) for i in range(100)])
+    assert heap.unflushed
+    with engine.load("r") as records:
+        assert records.tolist() == [(i, -i) for i in range(100)]
+    assert not heap.unflushed
     engine.close()
 
 

@@ -175,8 +175,8 @@ def write_v1_bundle(root, schema, fact, storage) -> None:
         for node_id, store in storage.nodes.items():
             for kind, array in (
                 ("nt", store.nt_matrix()),
-                ("tt", store.stored_tt()),
-                ("cat", store.stored_cat()),
+                ("tt", store.tt_array()),
+                ("cat", store.cat_matrix()),
             ):
                 if len(array):
                     relation(f"cube.n{node_id}.{kind}", array)

@@ -20,7 +20,7 @@ from repro.server.encoding import encode_answer
 from repro.server.replay import replay_op
 from repro.storage2 import V2File
 
-SPIED = ("load_batch", "load", "load_mapped", "read_row", "read_rows", "scan")
+SPIED = ("load_mapped", "scan_batches", "read_row", "read_rows", "scan")
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def test_v2_cold_start_reads_no_heap_rows(dual_bundles, heap_reads):
 
 def test_v1_open_does_hit_the_heap(dual_bundles, heap_reads):
     # The spy itself must be load-bearing: answering through the bundle's
-    # v1 fact heap (what ``ingest`` bootstraps from) trips it.
+    # v1 fact heap trips it.
     built, _ = dual_bundles["CURE"]
     bundle = open_bundle(built.root)
     try:

@@ -45,19 +45,8 @@ def test_load_round_trips_the_cube_and_fact_table(written):
     for node_id, store in original.nodes.items():
         loaded = storage.nodes[node_id]
         assert nt_rows(loaded) == nt_rows(store)
-        # A container holds CURE+ bitmaps as their sorted row-id lists.
-        expected_tts = (
-            list(store.tt_bitmap.iter_set())
-            if store.tt_bitmap is not None
-            else tt_rowids(store)
-        )
-        assert tt_rowids(loaded) == expected_tts and loaded.tt_bitmap is None
-        expected_cats = (
-            [(arowid,) for arowid in store.cat_bitmap.iter_set()]
-            if store.cat_bitmap is not None
-            else cat_rows(store)
-        )
-        assert cat_rows(loaded) == expected_cats
+        assert tt_rowids(loaded) == tt_rowids(store)
+        assert cat_rows(loaded) == cat_rows(store)
         if loaded.nt_count:
             assert loaded.nt_matrix().flags.owndata  # copied off the map
     assert aggregates_rows(storage) == aggregates_rows(original)
@@ -103,13 +92,21 @@ def test_load_rejects_a_row_count_the_directory_disowns(tmp_path, written):
         load_v2(path, schema)
 
 
-def test_bitmap_array_round_trip():
-    from repro.relational.bitmap import Bitmap
-
-    rowids = np.asarray([0, 3, 8, 9, 63, 64], dtype=np.int64)
-    bitmap = Bitmap.from_rowids(rowids, 65)
-    assert bitmap.to_array().tolist() == rowids.tolist()
-    assert bitmap.count() == 6 and bitmap.size_bytes == 9
-    with pytest.raises(IndexError, match="row-id 65 outside universe 65"):
-        Bitmap.from_rowids(np.asarray([1, 65]), 65)
-    assert Bitmap.from_rowids([], 10).to_array().tolist() == []
+def test_bitmap_array_round_trip(written):
+    """A CURE+ TT list long enough to be charged as a bitmap is stored as
+    the sorted array itself and loads back as that array, charged the
+    same: one cube, one logical size."""
+    schema, _fact, original, path = written
+    storage, _table = load_v2(path, schema)
+    bitmap_bytes = (original.fact_row_count + 7) // 8
+    charged_as_bitmaps = [
+        node_id
+        for node_id, store in original.nodes.items()
+        if store.tt_count * 4 > bitmap_bytes
+    ]
+    assert charged_as_bitmaps
+    for node_id in charged_as_bitmaps:
+        rowids = storage.nodes[node_id].tt_array()
+        assert rowids.tolist() == tt_rowids(original.nodes[node_id])
+        assert (np.diff(rowids) > 0).all()
+    assert storage.size_report() == original.size_report()

@@ -59,27 +59,17 @@ def apply_delta_by_record(
 
     # Validate the whole delta before mutating anything.  A bad row must
     # leave the fact table and the cube exactly as they were: a rejected
-    # delta is a no-op, never a partial append with bitmaps already torn
-    # down and ``plus_processed`` cleared.
+    # delta is a no-op, never a partial append with ``plus_processed``
+    # already cleared.
     for row in delta_rows:
         schema.fact_schema.validate_row(row)
     report.delta_codes = [schema.dim_values(row) for row in delta_rows]
 
-    # A CURE+ cube keeps some relations as bitmaps and relies on sorted
-    # row-id lists; updates append out of order, so materialize bitmaps
-    # back to lists and drop the plus property (re-run
+    # A CURE+ cube relies on sorted row-id lists; updates append out of
+    # order, so the plus property goes (re-run
     # :func:`repro.core.postprocess.postprocess_plus` afterwards to
     # restore it).
     rows = CubeRows(storage)
-    for node_id, store in storage.nodes.items():
-        if store.tt_bitmap is not None:
-            rows.node_store(node_id).tt_rowids = list(store.tt_bitmap.iter_set())
-            store.tt_bitmap = None
-        if store.cat_bitmap is not None:
-            rows.node_store(node_id).cat_rows = [
-                (arowid,) for arowid in store.cat_bitmap.iter_set()
-            ]
-            store.cat_bitmap = None
     storage.plus_processed = False
 
     base_rowid = len(fact_table)

@@ -78,10 +78,7 @@ def _append_nts(schema, storage, cache, node, store, answer, stats) -> None:
 def _append_cats(schema, storage, cache, node, store, answer, stats) -> None:
     y = schema.n_aggregates
     if storage.cat_format is CatFormat.COMMON_SOURCE:
-        if store.cat_bitmap is not None:
-            arowids = list(store.cat_bitmap.iter_set())
-        else:
-            arowids = [row[0] for row in store.cat_rows]
+        arowids = [row[0] for row in store.cat_rows]
         if not arowids:
             return
         if stats is not None:
@@ -114,12 +111,8 @@ def _append_tts(schema, storage, cache, node, answer, stats) -> None:
         store = storage.get_node_store(schema.node_id(source))
         if store is None:
             continue
-        if store.tt_bitmap is not None:
-            rowids = list(store.tt_bitmap.iter_set())
-            sorted_hint = True
-        else:
-            rowids = store.tt_rowids
-            sorted_hint = storage.plus_processed
+        rowids = store.tt_rowids
+        sorted_hint = storage.plus_processed
         if not rowids:
             continue
         if stats is not None:
@@ -241,10 +234,7 @@ def _answer_prefiltered(storage, cache, node, allowed: set[int], stats) -> Pairs
             answer.append((dims, row[1 : 1 + y]))
 
         if storage.cat_format is CatFormat.COMMON_SOURCE:
-            if store.cat_bitmap is not None:
-                arowids = list(store.cat_bitmap.iter_set())
-            else:
-                arowids = [row[0] for row in store.cat_rows]
+            arowids = [row[0] for row in store.cat_rows]
             entries = [
                 storage.aggregates_rows[arowid]
                 for arowid in arowids
@@ -280,12 +270,8 @@ def _answer_prefiltered(storage, cache, node, allowed: set[int], stats) -> Pairs
         tt_store = storage.get_node_store(schema.node_id(source))
         if tt_store is None:
             continue
-        if tt_store.tt_bitmap is not None:
-            rowids = [r for r in tt_store.tt_bitmap.iter_set() if r in allowed]
-            total = tt_store.tt_bitmap.count()
-        else:
-            rowids = [r for r in tt_store.tt_rowids if r in allowed]
-            total = len(tt_store.tt_rowids)
+        rowids = [r for r in tt_store.tt_rowids if r in allowed]
+        total = len(tt_store.tt_rowids)
         if stats is not None:
             stats.rows_scanned += total
             stats.fact_fetches += len(rowids)
@@ -342,10 +328,7 @@ def iceberg_over_cure(storage, cache, node, min_count, stats=None) -> Pairs:
             answer.append((dims, row[1 : 1 + y]))
     # CATs: the aggregate vector lives in AGGREGATES; filter there.
     if storage.cat_format is CatFormat.COMMON_SOURCE:
-        if store.cat_bitmap is not None:
-            arowids = list(store.cat_bitmap.iter_set())
-        else:
-            arowids = [row[0] for row in store.cat_rows]
+        arowids = [row[0] for row in store.cat_rows]
         for arowid in arowids:
             if stats is not None:
                 stats.rows_scanned += 1

@@ -70,21 +70,11 @@ def set_aggregates_rows(storage: CubeStorage, rows: list[tuple]) -> None:
 
 def cube_bytes(storage: CubeStorage):
     """Everything on-disk state determines: per-node relations in stored
-    order (a CURE+ bitmap as the ascending list it persists as),
-    AGGREGATES, the CAT format and the drift accounting."""
-    nodes = {}
-    for node_id, store in sorted(storage.nodes.items()):
-        trivial = (
-            store.tt_array()
-            if store.tt_bitmap is None
-            else store.tt_bitmap.to_array()
-        )
-        common = (
-            store.cat_matrix()
-            if store.cat_bitmap is None
-            else store.cat_bitmap.to_array().reshape(-1, 1)
-        )
-        nodes[node_id] = (nt_rows(store), trivial.tolist(), _tuples(common))
+    order, AGGREGATES, the CAT format and the drift accounting."""
+    nodes = {
+        node_id: (nt_rows(store), tt_rowids(store), cat_rows(store))
+        for node_id, store in sorted(storage.nodes.items())
+    }
     return (
         nodes,
         aggregates_rows(storage),
@@ -110,14 +100,6 @@ class NodeRows:
     @cached_property
     def cat_rows(self) -> list[tuple]:
         return cat_rows(self._store)
-
-    @property
-    def tt_bitmap(self):
-        return self._store.tt_bitmap
-
-    @property
-    def cat_bitmap(self):
-        return self._store.cat_bitmap
 
     def write_back(self) -> None:
         """Store the (possibly edited) lists that were read or assigned."""
