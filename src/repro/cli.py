@@ -290,8 +290,9 @@ def cmd_ingest(args) -> int:
     from repro.ingest import IngestError, StreamingIngestor
     from repro.relational.engine import Engine
     from repro.relational.memory import MemoryManager
+    from repro.relational.table import Table
     from repro.storage2 import V2_FILE, V2File
-    from repro.storage2.load import load_fact
+    from repro.storage2.mapped import MappedFactTable
 
     root = Path(args.cube)
     meta_path = root / BUNDLE_META
@@ -317,7 +318,8 @@ def cmd_ingest(args) -> int:
         else:
             # First ingest into this bundle: the committed baseline is the
             # fact table of the container it serves.
-            fact = load_fact(V2File.open(root / V2_FILE), schema)
+            file = V2File.open(root / V2_FILE)
+            fact = Table.from_batch(MappedFactTable(schema, file).as_batch())
             ingestor = StreamingIngestor.bootstrap(
                 schema,
                 engine,

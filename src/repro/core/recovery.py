@@ -23,7 +23,7 @@ restarting:
   the checkpoint it replaces.  The manifest names a container, with its
   whole-file SHA-256, only once it is durable, so a crash mid-checkpoint
   is invisible: resume holds the last referenced one to that checksum
-  and its per-section checksums, reloads it, and re-runs only the
+  and its per-section checksums, maps it, and re-runs only the
   partitions after it.  Four ``fsync``s, whatever the lattice size.
   Construction itself runs through the :mod:`repro.build` scheduler —
   sequential or multi-process — which delivers each partition's outcomes
@@ -73,8 +73,8 @@ from repro.relational.durable import (
 )
 from repro.relational.engine import Engine
 from repro.relational.sortops import SortStats
-from repro.storage2.format import V2File, V2FormatError
-from repro.storage2.load import committed_container, load_cube
+from repro.storage2.format import V2File, V2FormatError, committed_container
+from repro.storage2.mapped import map_storage
 from repro.storage2.publish import cube_writer, publish
 from repro.storage2.verify import verify_v2
 
@@ -271,7 +271,7 @@ class DurableCubeBuild:
                     "verification:\n" + report.describe()
                 )
             container = catalog.root / str((manifest.final or {})["container"])
-            storage = load_cube(V2File.open(container), self.schema)
+            storage = map_storage(self.schema, V2File.open(container))
             stats = _stats_from_json(manifest.stats or {})
             return CubeResult(storage, stats, PoolStats(), None)
 
@@ -474,21 +474,22 @@ class DurableCubeBuild:
         )
 
     def _load_checkpoint(self, manifest: BuildManifest) -> CubeStorage | None:
-        """The referenced checkpoint's cube, or None when there is none to
-        trust: a container that is missing, fails the manifest's checksum
-        or any section's own is not loaded in part — the build restarts
-        from partition 0."""
+        """The referenced checkpoint's cube, mapped, or None when there is
+        none to trust: a container that is missing, fails the manifest's
+        checksum or any section's own is not used in part — the build
+        restarts from partition 0.  Resume appends to the mapped relations;
+        the next checkpoint's unlink of this file leaves the map readable."""
         checkpoint = manifest.checkpoint
         if checkpoint is None:
             return None
         try:
-            container = committed_container(
+            file = committed_container(
                 self.engine.catalog.root / str(checkpoint["container"]),
                 str(checkpoint["checksum"]),
             )
-            return load_cube(V2File.open(container), self.schema)
         except V2FormatError:
             return None
+        return map_storage(self.schema, file)
 
     def _drop_prefixed(self, prefix: str) -> None:
         catalog = self.engine.catalog

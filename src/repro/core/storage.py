@@ -99,7 +99,7 @@ class ArrayRelation:
 
     A relation that already exists elsewhere (a section of a mapped
     ``cube.v2``) is given as its row ``count`` and a ``fetch`` that the
-    first read calls; such a relation is served, never appended to.
+    first read, or the first append, calls.
     """
 
     def __init__(
@@ -110,6 +110,9 @@ class ArrayRelation:
         self._fetch = fetch
 
     def append(self, chunk: np.ndarray) -> None:
+        if self._fetch is not None:  # the fetched rows come first
+            self.array()
+            self._fetch = None
         self._parts.append(_read_only(chunk))
         self.count += len(chunk)
 

@@ -15,7 +15,7 @@ current generation, the name and SHA-256 of its container, and
 generation.  All maintenance between checkpoints happens in memory;
 nothing the applier does before the manifest flips is observable after a
 crash.  Recovery therefore has one shape regardless of where the crash
-landed: verify and load the generation the manifest names (the file
+landed: verify and map the generation the manifest names (the file
 checksum from the manifest, then the container's own directory and
 per-section checksums — fail closed), re-open the log (which repairs its
 own torn tail), and re-apply every sealed record past ``applied_lsn``.  A
@@ -69,8 +69,8 @@ from repro.relational.durable import (
 )
 from repro.relational.engine import Engine
 from repro.relational.table import Table
-from repro.storage2.format import V2FormatError
-from repro.storage2.load import committed_container, load_v2
+from repro.storage2.format import V2FormatError, committed_container
+from repro.storage2.mapped import MappedFactTable, map_storage
 from repro.storage2.publish import write_v2
 
 INGEST_MANIFEST_VERSION = 2
@@ -179,16 +179,19 @@ class StreamingIngestor:
         prefix: str = "stream",
         seal_records: int = 64,
     ) -> "StreamingIngestor":
-        """Reload the last committed generation and replay past it.
+        """Map the last committed generation and replay past it.
 
         The container the manifest names is *verified* before it is
         trusted — its whole-file checksum against the manifest, then its
-        own directory and per-section checksums as it loads, then the row
-        count; the log repairs its own torn tail on open; stale
-        generations from crashed checkpoints are swept.  Raises
-        :class:`IngestError` when no generation ever committed — the
-        caller bootstraps from its source data instead — and when the
-        committed one is damaged (fail closed: never a partial load).
+        own directory and every section
+        (:func:`~repro.storage2.format.committed_container`), then the
+        row counts — and then mapped; the fact table shares the decoded
+        columns until its first append copies them.  The log repairs its
+        own torn tail on open; stale generations from crashed
+        checkpoints are swept.  Raises :class:`IngestError` when no
+        generation ever committed — the caller bootstraps from its
+        source data instead — and when the committed one is damaged
+        (fail closed: never a partial load).
         """
         catalog = engine.catalog
         manifest_path = catalog.root / f"{prefix}.ingest.json"
@@ -204,18 +207,19 @@ class StreamingIngestor:
                 f"version"
             )
         try:
-            container = committed_container(
+            file = committed_container(
                 catalog.root / str(payload["container"]),
                 payload["container_checksum"],
             )
-            storage, fact_table = load_v2(container, schema)
+            storage = map_storage(schema, file)
+            fact_table = Table.from_batch(MappedFactTable(schema, file).as_batch())
         except V2FormatError as error:
             raise IngestError(
                 f"committed ingest generation fails verification: {error}"
             ) from error
         if len(fact_table) != int(payload["fact_rows"]):
             raise IngestError(
-                f"container {container.name!r} holds {len(fact_table)} fact "
+                f"container {file.path.name!r} holds {len(fact_table)} fact "
                 f"rows; the manifest recorded {payload['fact_rows']}"
             )
         log = AppendLog.open(

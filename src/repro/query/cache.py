@@ -108,8 +108,7 @@ class FactCache:
     def fetch(self, rowid: int) -> tuple:
         """Fetch one fact row, through the cache."""
         if self.table is not None:
-            self.stats.hits += 1
-            return self.table[rowid]
+            return self.fetch_many([rowid])[0]
         row = self._cached.get(rowid)
         if row is not None:
             self.stats.hits += 1
@@ -124,8 +123,7 @@ class FactCache:
         (or using bitmaps): the uncached remainder is read in one scan.
         """
         if self.table is not None:
-            self.stats.hits += len(rowids)
-            return [self.table[rowid] for rowid in rowids]
+            return self.fetch_batch(rowids).to_rows()
         if not sorted_hint:
             return [self.fetch(rowid) for rowid in rowids]
         result: dict[int, tuple] = {}

@@ -51,6 +51,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from repro.relational.durable import file_checksum
 from repro.storage2.codecs import (
     BITPACK,
     DELTA,
@@ -431,3 +432,26 @@ class V2File:
     @property
     def file_bytes(self) -> int:
         return int(self._mapped.size)
+
+
+def committed_container(path: str | Path, checksum: str) -> V2File:
+    """The container a manifest committed, opened once it is shown whole.
+
+    The one opener of a restarting writer: the file must be byte for
+    byte the one recorded with ``checksum``, then pass its directory
+    checksum (:meth:`V2File.open`) and every section's checksum and
+    decode (:meth:`V2File.verify_all`), whose decoded arrays the file
+    keeps serving.  Raises :class:`V2FormatError` — a bad section as
+    :class:`SectionCorruption` naming it — and never returns a file
+    that is only partly sound.
+    """
+    target = Path(path)
+    if not target.exists():
+        raise V2FormatError(f"missing container {target.name!r}")
+    if file_checksum(target) != checksum:
+        raise V2FormatError(f"checksum mismatch for {target.name!r}")
+    file = V2File.open(target)
+    problems = file.verify_all()
+    if problems:
+        raise SectionCorruption(problems[0])
+    return file

@@ -32,7 +32,7 @@ from repro.core.model import CubeSchema
 from repro.core.storage import ArrayRelation, CubeStorage, NodeStore
 from repro.relational.batch import ColumnBatch
 from repro.relational.index import InvertedIndex
-from repro.storage2.format import V2File
+from repro.storage2.format import V2File, V2FormatError
 
 
 def _section(file: V2File, name: str) -> ArrayRelation:
@@ -62,8 +62,9 @@ class MappedFactTable:
 
     ``as_batch`` assembles the columnar view straight from the v2
     sections: measures widen once, dimension columns bit-unpack once
-    (both cached by the file).  Row tuples (``fetch``/``fetch_many``
-    callers) transpose lazily from that same batch.
+    (both cached by the file).  ``len`` is the directory's row count,
+    and ``as_batch`` raises :class:`V2FormatError` when a column
+    disagrees with it.
     """
 
     def __init__(self, schema: CubeSchema, file: V2File) -> None:
@@ -71,7 +72,6 @@ class MappedFactTable:
         self._file = file
         self._length = int(file.meta["fact_row_count"])
         self._batch: ColumnBatch | None = None
-        self._rows: list[tuple] | None = None
 
     def __len__(self) -> int:
         return self._length
@@ -87,23 +87,18 @@ class MappedFactTable:
                 self._file.array(f"fact/measure/{m}")
                 for m in range(self.schema.n_measures)
             ]
+            lengths = {len(array) for array in arrays}
+            if lengths != {self._length}:
+                raise V2FormatError(
+                    f"{self._file.path}: fact columns hold "
+                    f"{sorted(lengths)} rows, the directory recorded "
+                    f"{self._length}"
+                )
             batch = ColumnBatch.from_arrays(
                 self.schema.fact_schema, tuple(arrays)
             )
             self._batch = batch
         return batch
-
-    def __getitem__(self, rowid: int) -> tuple:
-        rows = self._rows
-        if rows is None:
-            rows = self.as_batch().to_rows()
-            self._rows = rows
-        return rows[rowid]
-
-    def __iter__(self) -> Iterator[tuple]:
-        if self._rows is None:
-            self._rows = self.as_batch().to_rows()
-        return iter(self._rows)
 
 
 class MappedIndexSet(Mapping[int, InvertedIndex]):

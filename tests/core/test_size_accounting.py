@@ -11,7 +11,8 @@ into in-memory bitmap objects, for cubes that held both kinds of bitmap:
 flat and hierarchical, both CAT formats, CURE_DR, iceberg, built through
 an engine in memory and partitioned, and after deltas re-plussed the way
 streaming ingest does.  The rule must reproduce every field exactly, and
-a reload — ``load_v2`` or the mapped ``open_v2`` — must not change it
+a reload — served (``open_v2``) or verified whole for a restarting
+writer (``committed_container`` + ``map_storage``) — must not change it
 (with bitmap objects, the reloaded cube reported the lists' full size).
 """
 
@@ -31,8 +32,11 @@ from repro.datasets.synthetic import generate_flat_dataset
 from repro.hierarchy.builders import linear_dimension
 from repro.relational.aggregates import make_aggregates
 from repro.relational.catalog import Catalog
+from repro.relational.durable import file_checksum
 from repro.relational.memory import MemoryManager
-from repro.storage2 import load_v2, open_v2, write_v2
+from repro.storage2 import open_v2, write_v2
+from repro.storage2.format import committed_container
+from repro.storage2.mapped import map_storage
 
 A, B = CatFormat.COMMON_SOURCE, CatFormat.COINCIDENTAL
 
@@ -202,5 +206,6 @@ def test_one_cube_one_logical_size(tmp_path):
             tmp_path / f"{name}.cube.v2", schema, storage, table.as_batch()
         )
         built = _values(storage)
-        assert _values(load_v2(path, schema)[0]) == built, name
+        committed = committed_container(path, file_checksum(path))
+        assert _values(map_storage(schema, committed)) == built, name
         assert _values(open_v2(path, schema).storage) == built, name

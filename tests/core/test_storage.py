@@ -13,6 +13,7 @@ from repro import CatFormat, Table, build_cube
 from repro.core.signature import FormatStatistics, Signature, SignaturePool
 from repro.core.storage import (
     VALUE_BYTES,
+    ArrayRelation,
     CubeStorage,
     choose_cat_format,
 )
@@ -257,6 +258,25 @@ def test_interleaved_chunks_read_mid_build_keep_arrival_order(flat_schema):
     for node, arrays in mid_build.items():
         for array, before in zip(arrays, snapshot[node]):
             assert np.array_equal(array, before)
+
+
+def test_append_to_a_fetched_relation_keeps_the_fetched_rows():
+    """A resumed writer appends to relations a mapped container serves:
+    the fetched rows stay first, whether or not a read came before."""
+    fetches = []
+
+    def fetch():
+        fetches.append(1)
+        return np.arange(3, dtype=np.int64)
+
+    unread = ArrayRelation(3, fetch)
+    unread.append(np.array([9], dtype=np.int64))
+    assert unread.array().tolist() == [0, 1, 2, 9] and unread.count == 4
+    read = ArrayRelation(3, fetch)
+    before = read.array()
+    read.append(np.array([9], dtype=np.int64))
+    assert read.array().tolist() == [0, 1, 2, 9] and read.count == 4
+    assert before.tolist() == [0, 1, 2] and len(fetches) == 2
 
 
 def test_dr_mode_stores_dimension_values(flat_schema, figure9_table):

@@ -21,7 +21,7 @@ from repro.query import (
 )
 from repro.query.answer import normalize_answer
 from repro.relational.durable import InjectedCrash, file_checksum
-from repro.storage2 import V2File
+from repro.storage2 import V2File, V2FormatError, open_v2, write_v2
 from tests.storage2.test_corruption import flip_byte
 
 
@@ -146,6 +146,42 @@ def test_recover_verifies_sections_behind_the_file_checksum(engine, tmp_path):
         StreamingIngestor.recover(
             SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
         )
+
+
+def test_a_row_count_the_directory_disowns_fails_closed(engine, tmp_path):
+    """Fact columns one row short of the directory's count: serving
+    raises on the first fact read, and recovery refuses the generation."""
+    ingestor, container = committed_generation(engine, tmp_path)
+    ingestor.storage.fact_row_count += 1
+    write_v2(container, SCHEMA, ingestor.storage, ingestor.fact_table.as_batch())
+    served = open_v2(container, SCHEMA).fact
+    assert len(served) == len(ingestor.fact_table) + 1  # the directory's
+    with pytest.raises(V2FormatError, match="rows"):
+        served.as_batch()
+    payload = json.loads(ingestor.manifest_path.read_text())
+    payload["container_checksum"] = file_checksum(container)
+    ingestor.manifest_path.write_text(json.dumps(payload))
+    with pytest.raises(IngestError, match="rows"):
+        StreamingIngestor.recover(
+            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+        )
+
+
+def test_recovered_cube_outlives_the_generation_it_mapped(engine, tmp_path):
+    """Recovery maps the committed generation; the checkpoint after it
+    unlinks that file, and the recovered cube answers on — then takes a
+    delta and answers again."""
+    _ingestor, container = committed_generation(engine, tmp_path)
+    recovered = StreamingIngestor.recover(
+        SCHEMA, fresh_engine(tmp_path), tmp_path / "log", seal_records=2
+    )
+    recovered.checkpoint()
+    assert not container.exists()
+    assert_queries_match(recovered)
+    recovered.append([(2, 3, 11)])
+    recovered.log.seal()
+    recovered.apply_ready()
+    assert_queries_match(recovered)
 
 
 def test_checkpoint_is_one_file_per_generation(engine, tmp_path):

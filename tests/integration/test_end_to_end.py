@@ -1,8 +1,8 @@
 """End-to-end integration: build → persist → reload → query.
 
 Exercises the full story: the cube's relations and the fact table are
-written as one ``cube.v2`` container, reloaded into a fresh storage object
-and table, and queried — results must match a naive group-by of the
+written as one ``cube.v2`` container, mapped back (``open_v2``), and
+queried — results must match a naive group-by of the
 original data.
 """
 
@@ -17,7 +17,7 @@ from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
-from repro.storage2 import V2File, load_v2, write_v2
+from repro.storage2 import V2File, open_v2, write_v2
 from tests.support.rows import aggregates_rows
 
 
@@ -34,10 +34,11 @@ def test_persist_reload_query_roundtrip(tmp_path, apb_small):
         cube_prefix="apb",
     )
 
-    reloaded, fact = load_v2(path, schema)
+    mapped = open_v2(path, schema)
+    reloaded, fact = mapped.storage, mapped.fact
     assert reloaded.cat_format == result.storage.cat_format
     assert reloaded.fact_row_count == result.storage.fact_row_count
-    assert fact.to_rows() == table.to_rows()
+    assert fact.as_batch().to_rows() == table.to_rows()
 
     cache = FactCache(schema, table=fact)
     rng = random.Random(1)
@@ -72,9 +73,10 @@ def test_dr_cube_persist_roundtrip(tmp_path, apb_small):
         tmp_path / "dr.v2", schema, result.storage, table.as_batch(),
         cube_prefix="dr",
     )
-    reloaded, fact = load_v2(path, schema)
+    mapped = open_v2(path, schema)
+    reloaded = mapped.storage
     assert reloaded.dr_mode
-    cache = FactCache(schema, table=fact)
+    cache = FactCache(schema, table=mapped.fact)
     node = schema.decode_node(17)
     expected = reference_group_by(schema, table.to_rows(), node)
     assert normalize_answer(answer_cure_query(reloaded, cache, node)) == expected

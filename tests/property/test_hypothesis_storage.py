@@ -9,7 +9,7 @@ from repro import CubeSchema, Table, build_cube, linear_dimension, make_aggregat
 from repro.core.postprocess import postprocess_plus
 from repro.query import FactCache, answer_cure_query
 from repro.query.answer import normalize_answer
-from repro.storage2 import load_v2, write_v2
+from repro.storage2 import open_v2, write_v2
 from tests.support.rows import nt_rows, tt_rowids
 
 
@@ -43,8 +43,9 @@ def test_persist_reload_answers_identically(
         result.storage,
         table.as_batch(),
     )
-    reloaded, fact = load_v2(path, SCHEMA)
-    cache = FactCache(SCHEMA, table=fact)
+    mapped = open_v2(path, SCHEMA)
+    reloaded = mapped.storage
+    cache = FactCache(SCHEMA, table=mapped.fact)
     for node in SCHEMA.lattice.nodes():
         original = normalize_answer(
             answer_cure_query(result.storage, cache, node)

@@ -6,7 +6,8 @@ the header and directory, every int64 matrix ``raw``, and the
 ``reorder/<d>`` diagnostic sections that commit still shipped, as well as
 the ``index/<d>/*`` inverted indices a reader now derives from the fact
 columns instead.  Version 2 added one codec and removed nothing a reader
-needs, so the same reader must open it, verify it, serve it and load it —
+needs, so the same reader must open it, verify it and serve it — to a
+query and to a restarting writer —
 and every section today's builder and writer produce from the same rows
 must hold what the fixture's does.
 
@@ -27,8 +28,11 @@ from repro.query.planner import CubePlanner, QueryRequest
 from repro.query.slice import DimensionSlice
 from repro.query.workload import mixed_workload
 from repro.server.replay import replay_op
-from repro.storage2 import V2File, load_v2, open_v2, verify_v2, write_v2
+from repro.relational.durable import file_checksum
+from repro.storage2 import V2File, open_v2, verify_v2, write_v2
 from repro.storage2.codecs import NARROW, RAW
+from repro.storage2.format import committed_container
+from repro.storage2.mapped import MappedFactTable, map_storage
 from tests.server.conftest import serving_fact, serving_schema
 
 FIXTURE = Path(__file__).with_name("format1.cube.v2")
@@ -80,9 +84,10 @@ def test_version_1_container_answers_and_loads(tmp_path):
     )
     for op in mixed_workload(schema, 40, seed=41):
         assert replay_op(planner, op) == replay_op(reference, op), op
-    storage, table = load_v2(FIXTURE, schema)
-    assert table.to_rows() == fact.to_rows()
-    assert sorted(storage.nodes) == sorted(result.storage.nodes)
+    # What a restarting writer opens: verified whole, then mapped.
+    file = committed_container(FIXTURE, file_checksum(FIXTURE))
+    assert MappedFactTable(schema, file).as_batch().to_rows() == fact.to_rows()
+    assert sorted(map_storage(schema, file).nodes) == sorted(result.storage.nodes)
 
 
 def test_version_1_container_slices_from_derived_indices(monkeypatch):

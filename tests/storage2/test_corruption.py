@@ -3,8 +3,9 @@
 Structural damage (truncation, magic, directory) is caught at open.
 Payload damage is caught lazily — on the first access to the damaged
 section, before any bytes reach a query — as :class:`SectionCorruption`.
-``verify_v2`` reports every problem without raising, so the CLI can
-print a diagnosis instead of a traceback.
+A restarting writer's ``committed_container`` checks every section up
+front instead.  ``verify_v2`` reports every problem without raising, so
+the CLI can print a diagnosis instead of a traceback.
 """
 
 from __future__ import annotations
@@ -14,10 +15,15 @@ import pytest
 
 from repro.bundle import open_bundle
 from repro.query.planner import QueryRequest
-from repro.relational.durable import atomic_write_chunks
+from repro.relational.durable import atomic_write_chunks, file_checksum
 from repro.storage2 import V2File, V2FormatError, verify_v2
 from repro.storage2.codecs import NARROW, narrow_encode
-from repro.storage2.format import MAGIC, SectionCorruption, V2Writer
+from repro.storage2.format import (
+    MAGIC,
+    SectionCorruption,
+    V2Writer,
+    committed_container,
+)
 
 from tests.storage2.test_format import write_sample
 
@@ -160,6 +166,32 @@ def test_verify_v2_reports_without_raising(tmp_path):
     structural = verify_v2(target)
     assert not structural.ok
     assert structural.problems
+
+
+def test_committed_container_fails_closed_on_any_section(tmp_path):
+    """A restarting writer's opener: the manifest's checksum first, then
+    every section behind it, before a file is returned at all."""
+    target = tmp_path / "cube.v2"
+    write_sample(target)
+    pristine = target.read_bytes()
+    assert committed_container(target, file_checksum(target)).names()
+    with pytest.raises(V2FormatError, match="checksum mismatch"):
+        committed_container(target, "0" * 64)
+    probe = V2File.open(target)
+    damaged = [name for name in probe.names() if probe.entry(name).nbytes]
+    assert damaged == ["codes", "matrix", "rowids"]
+    for name in damaged:
+        target.write_bytes(pristine)
+        flip_byte(target, probe.entry(name).offset)
+        # The manifest vouches for the damaged bytes; the sections do not.
+        with pytest.raises(SectionCorruption, match=f"'{name}'"):
+            committed_container(target, file_checksum(target))
+    target.write_bytes(pristine[: len(pristine) // 2])
+    with pytest.raises(V2FormatError):
+        committed_container(target, file_checksum(target))
+    target.unlink()
+    with pytest.raises(V2FormatError, match="missing container"):
+        committed_container(target, file_checksum(target))
 
 
 def test_corrupt_published_cube_never_answers_wrong(dual_bundles, tmp_path):

@@ -5,21 +5,34 @@ returned it, and through the mapped ``cube.v2`` container ``save_bundle``
 published — and renders both answers through the canonical encoder.  Node scans,
 slices, rollups and iceberg queries, across CURE, CURE+ and FCURE, over
 the library *and* over HTTP — and through the tuple-at-a-time oracle
-(``tests/support/row_engine.py``), which reads the mapped container's
-lazy row surfaces — all have to produce identical bytes for the v2
-format to be considered a pure storage change.
+(``tests/support/row_engine.py``), whose row fetches gather from the
+mapped container's fact columns — all have to produce identical bytes
+for the v2 format to be considered a pure storage change.  A mapped cube
+is also what a restarting writer maintains, after its file is gone.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.incremental import apply_delta
+from repro.core.postprocess import postprocess_plus
+from repro.core.variants import VARIANTS
+from repro.query import FactCache, answer_cure_query, reference_group_by
+from repro.query.answer import normalize_answer
 from repro.query.planner import QueryRequest
 from repro.query.workload import mixed_workload
+from repro.relational.table import Table
 from repro.server.app import SlicerApp
 from repro.server.encoding import encode_answer
 from repro.server.replay import op_path, replay_op
-from tests.server.conftest import SERVED_VARIANTS, wsgi_get
+from repro.storage2 import open_v2, write_v2
+from tests.server.conftest import (
+    SERVED_VARIANTS,
+    serving_fact,
+    serving_schema,
+    wsgi_get,
+)
 from tests.support import row_engine
 from tests.support.reference_encoding import reference_encode_op
 
@@ -105,3 +118,27 @@ def test_fact_row_count_and_metadata_agree(dual_bundles):
         assert v2.storage.dr_mode == built.storage.dr_mode
         assert v2.storage.cat_format == built.storage.cat_format
         assert sorted(v2.storage.nodes) == sorted(built.storage.nodes)
+
+
+def test_mapped_cube_outlives_its_file_and_stays_maintainable(tmp_path):
+    """What a restarting writer does to the container it mapped: the
+    next generation unlinks the file, CURE+ and a delta rewrite the
+    relations, and every node still answers as the definition says."""
+    schema = serving_schema()
+    fact = serving_fact(schema, n=300)
+    result, _ = VARIANTS["CURE"].build(schema, table=fact)
+    path = write_v2(
+        tmp_path / "stream.g0.cube.v2", schema, result.storage, fact.as_batch()
+    )
+    mapped = open_v2(path, schema)
+    storage = mapped.storage
+    table = Table.from_batch(mapped.fact.as_batch())
+    path.unlink()
+    postprocess_plus(storage)
+    rows = table.to_rows()
+    apply_delta(storage, schema, table, rows[:5] + [rows[-1]])
+    cache = FactCache(schema, table=table)
+    for node in schema.lattice.nodes():
+        expected = reference_group_by(schema, table.to_rows(), node)
+        got = normalize_answer(answer_cure_query(storage, cache, node))
+        assert got == expected, node.label(schema.dimensions)
