@@ -252,6 +252,10 @@ class CubeStorage:
     aggregates: ArrayRelation = field(
         default_factory=ArrayRelation, repr=False, compare=False
     )
+    #: Node id → ids of the nodes whose TTs it shares (query-side memo).
+    tt_sources: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- node access ------------------------------------------------------------
 

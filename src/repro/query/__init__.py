@@ -23,7 +23,7 @@ from repro.query.workload import (
 from repro.query.planner import CubePlanner, QueryPlan, QueryRequest, build_indices
 from repro.query.slice import (
     DimensionSlice,
-    allowed_rowid_array,
+    allowed_row_mask,
     answer_cure_sliced,
     slice_mask,
 )
@@ -54,7 +54,7 @@ __all__ = [
     "mixed_workload",
     "answer_schema",
     "normalize_answer",
-    "allowed_rowid_array",
+    "allowed_row_mask",
     "answer_cure_sliced",
     "slice_mask",
     "answer_bubst_query",

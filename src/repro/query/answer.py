@@ -104,10 +104,14 @@ def read_node_relations(
     always 1).  ``rows_scanned`` counts every stored row looked at,
     ``fact_fetches`` those that survived ``keep`` and were dereferenced,
     ``tuples_returned`` the answer's rows.  Rows come out relation by
-    relation (NT, CAT, then TTs down the plan path), each in stored order.
+    relation (NT, CAT, then TTs down the plan path), each in stored order:
+    the surviving row-ids of every relation dereference in one
+    :meth:`FactCache.fetch_batch` and project in one kernel, and the TT
+    tail takes its aggregates from the fact rows.
     """
     schema = storage.schema
-    parts = []
+    parts, rowid_parts, stored = [], [], []  # parts: a DR NT's inline dims
+    all_sorted = True
     for rowids, dims, aggregates, sorted_hint in _stored_relations(
         storage, node, with_tts
     ):
@@ -121,16 +125,24 @@ def read_node_relations(
                 rowids = rowids[mask]
             if aggregates is not None:
                 aggregates = aggregates[mask]
-        if rowids is not None:
-            if not len(rowids):
-                continue
-            if stats is not None:
-                stats.fact_fetches += len(rowids)
-            fact = cache.fetch_batch(rowids, sorted_hint=sorted_hint)
-            dims = project_fact_dims(schema, fact, node)
-            if aggregates is None:
-                aggregates = singleton_aggregates(schema, fact)
-        parts.append((dims, aggregates))
+        if rowids is None:
+            parts.append((dims, aggregates))
+        elif len(rowids):
+            rowid_parts.append(rowids)
+            if aggregates is not None:  # TTs come last and store none
+                stored.append(aggregates)
+            all_sorted = all_sorted and sorted_hint
+    if rowid_parts:
+        rowids = np.concatenate(rowid_parts)
+        if stats is not None:
+            stats.fact_fetches += len(rowids)
+        fact = cache.fetch_batch(rowids, sorted_hint=all_sorted)
+        n_stored = sum(map(len, stored))
+        if n_stored < len(rowids):  # the TT tail
+            tts = fact.slice(n_stored, len(rowids))
+            stored.append(singleton_aggregates(schema, tts))
+        dims = project_fact_dims(schema, fact, node)
+        parts.append((dims, np.concatenate(stored)))
     answer = ColumnAnswer.from_parts(
         len(node.grouping_dims(schema.dimensions)), schema.n_aggregates, parts
     )
@@ -154,7 +166,8 @@ def _stored_relations(
     """
     schema = storage.schema
     y = schema.n_aggregates
-    store = storage.get_node_store(schema.node_id(node))
+    node_id = schema.node_id(node)
+    store = storage.get_node_store(node_id)
     if store is not None:
         if store.nt_count:
             nt = store.nt_matrix()
@@ -182,8 +195,8 @@ def _stored_relations(
                 yield cat[:, 0], None, shared[cat[:, 1]], False
     if not with_tts:
         return
-    for source in tt_source_nodes(storage, node):
-        tt_store = storage.get_node_store(schema.node_id(source))
+    for source_id in tt_source_ids(storage, node, node_id):
+        tt_store = storage.get_node_store(source_id)
         if tt_store is not None and tt_store.tt_count:
             yield tt_store.tt_array(), None, None, storage.plus_processed
 
@@ -232,6 +245,20 @@ def tt_source_nodes(storage: CubeStorage, node: CubeNode) -> list[CubeNode]:
         for candidate in chain
         if _construction_phase(storage, candidate) == phase
     ]
+
+
+def tt_source_ids(
+    storage: CubeStorage, node: CubeNode, node_id: int
+) -> tuple[int, ...]:
+    """:func:`tt_source_nodes` as node ids, memoized on ``storage``: only
+    the lattice, ``flat`` and the partition levels decide them, so two
+    request threads that miss together store equal tuples."""
+    sources = storage.tt_sources.get(node_id)
+    if sources is None:
+        nodes = tt_source_nodes(storage, node)
+        sources = tuple(map(storage.schema.node_id, nodes))
+        storage.tt_sources[node_id] = sources
+    return sources
 
 
 # -- BUC ---------------------------------------------------------------------------

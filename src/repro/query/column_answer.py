@@ -196,20 +196,37 @@ class ColumnAnswer:
 
     # -- normalization and equality -----------------------------------------
 
-    def _sort_order(self) -> np.ndarray:
-        """Row order matching ``sorted(self.to_pairs())``."""
-        keys: list[np.ndarray] = []
-        for j in reversed(range(self.n_aggregates)):
-            keys.append(self.aggregates[:, j])
-        for i in reversed(range(self.arity)):
-            keys.append(self.dims[:, i])
-        if not keys:
-            return np.arange(len(self), dtype=np.int64)
-        return np.lexsort(tuple(keys))
+    def sort_order(self) -> np.ndarray:
+        """Row order matching ``sorted(self.to_pairs())``.
+
+        A cube answer has one row per group (Gray et al.'s CUBE), so its
+        order is the dims' alone: each column, offset by the matrix's
+        minimum, takes ``bits`` of one int64 key above the row position,
+        and one in-place sort leaves the order in the key's low bits.
+        Dims rows that tie, or dims too wide to pack, fall back to
+        ``np.lexsort`` over every column.
+        """
+        n, dims = len(self), self.dims
+        positions = np.arange(n, dtype=np.int64)
+        if n > 1 and self.arity:
+            low = int(dims.min())
+            bits = (int(dims.max()) - low).bit_length()
+            shift = (n - 1).bit_length()
+            if bits and bits * self.arity + shift <= 63:
+                weights = [1 << (shift + bits * i) for i in range(self.arity)]
+                key = (dims - low) @ np.array(weights[::-1])
+                key |= positions
+                key.sort()
+                order = key & ((1 << shift) - 1)
+                key >>= shift
+                if not (key[1:] == key[:-1]).any():
+                    return order
+        columns = [*self.dims.T, *self.aggregates.T]
+        return np.lexsort(columns[::-1]) if n > 1 and columns else positions
 
     def normalized(self) -> "ColumnAnswer":
         """Rows sorted lexicographically (dims first, then aggregates)."""
-        order = self._sort_order()
+        order = self.sort_order()
         return ColumnAnswer(
             self.arity,
             self.n_aggregates,

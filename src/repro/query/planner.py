@@ -37,7 +37,7 @@ from repro.lattice.node import CubeNode
 from repro.query.answer import (
     QueryStats,
     answer_cure_query,
-    tt_source_nodes,
+    tt_source_ids,
 )
 from repro.query.cache import FactCache, ResultCache
 from repro.query.column_answer import ColumnAnswer
@@ -90,13 +90,14 @@ class CubePlanner:
     # -- planning -----------------------------------------------------------
 
     def _estimated_tuples(self, node: CubeNode) -> int:
-        schema = self.storage.schema
+        storage = self.storage
         total = 0
-        store = self.storage.get_node_store(schema.node_id(node))
+        node_id = storage.schema.node_id(node)
+        store = storage.get_node_store(node_id)
         if store is not None:
             total += store.nt_count + store.cat_count
-        for source in tt_source_nodes(self.storage, node):
-            tt_store = self.storage.get_node_store(schema.node_id(source))
+        for source_id in tt_source_ids(storage, node, node_id):
+            tt_store = storage.get_node_store(source_id)
             if tt_store is not None:
                 total += tt_store.tt_count
         return total

@@ -20,6 +20,12 @@ import numpy as np
 from repro.baselines.bubst import BuBstCube
 from repro.baselines.buc import BucCube
 from repro.core.model import CubeSchema
+from repro.core.segments import (
+    aggregate_ufuncs,
+    reduce_columns,
+    rollup_key,
+    sort_groups,
+)
 from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
 from repro.query.answer import (
@@ -49,11 +55,12 @@ def rollup_base_answer(
 ) -> ColumnAnswer:
     """Re-aggregate a base-level node answer up to ``node``'s levels.
 
-    The base answer is rolled entirely in array space: grouping codes
-    map up through the cached :func:`~repro.query.vector.level_map`
-    arrays, groups sort via ``np.lexsort``, and each aggregate column
+    The build's group-by kernel does it (:mod:`repro.core.segments`):
+    grouping codes map up through the dimensions' level maps into one
+    packed key, one stable sort groups it, and each aggregate column
     merges with its function's segmented ``ufunc.reduceat`` — the batch
-    dual of pairwise ``merge``.
+    dual of pairwise ``merge``.  Groups come out in key order, which is
+    the canonical order of the answer.
     """
     if not schema.all_distributive:
         raise ValueError(
@@ -64,37 +71,18 @@ def rollup_base_answer(
     y = schema.n_aggregates
     if not len(base_answer):
         return ColumnAnswer.empty(len(grouping), y)
-    rolled = np.empty_like(base_answer.dims)
-    for i, dim in enumerate(grouping):
-        level = node.levels[dim]
-        column = base_answer.dims[:, i]
-        if level == 0:
-            rolled[:, i] = column
-        else:
-            rolled[:, i] = level_map(schema.dimensions[dim], level)[column]
-    if grouping:
-        order = np.lexsort(
-            tuple(rolled[:, i] for i in reversed(range(len(grouping))))
-        )
-        keys = rolled[order]
-        changed = np.any(keys[1:] != keys[:-1], axis=1)
-        starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.flatnonzero(changed) + 1)
-        )
-    else:  # grand total: every base tuple folds into the single group
-        order = np.arange(len(base_answer), dtype=np.int64)
-        keys = rolled
-        starts = np.zeros(1, dtype=np.int64)
-    sorted_aggregates = base_answer.aggregates[order]
-    merged = np.empty((len(starts), y), dtype=np.int64)
-    for j, spec in enumerate(schema.aggregates):
-        ufunc = spec.function.ufunc
-        if ufunc is None:  # pragma: no cover - all_distributive guards this
-            raise ValueError(
-                f"aggregate {spec.name!r} lacks a segmented merge kernel"
-            )
-        merged[:, j] = ufunc.reduceat(sorted_aggregates[:, j], starts)
-    return ColumnAnswer(len(grouping), y, keys[starts], merged)
+    dimensions = [schema.dimensions[d] for d in grouping]
+    levels = [node.levels[d] for d in grouping]
+    key_of = rollup_key(dimensions, levels)
+    order, _, starts = sort_groups(key_of(base_answer.dims))
+    first = base_answer.dims[order[starts]]  # one base row per group
+    rolled = np.empty_like(first)
+    for i, (dimension, level) in enumerate(zip(dimensions, levels)):
+        rolled[:, i] = level_map(dimension, level)[first[:, i]]
+    merged = reduce_columns(
+        aggregate_ufuncs(schema), base_answer.aggregates[order], starts
+    )
+    return ColumnAnswer(len(grouping), y, rolled, merged)
 
 
 def answer_rollup_from_flat(

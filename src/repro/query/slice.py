@@ -17,14 +17,12 @@ both halves:
   decides the whole tuple.
 
 Pre-filtering is one argument to the shared relation reader
-(:func:`~repro.query.answer.read_node_relations`): the allowed row-id set
-comes out of the CSR-backed index as one sorted array
-(:func:`allowed_rowid_array`), and each relation's row-ids test membership
-through one ``searchsorted`` kernel
-(:func:`~repro.relational.index.membership_mask`) before the reader
-dereferences the survivors.  Post-filtering compiles each slice to its
-set of accepted node-level codes once and masks the full node answer
-(:func:`slice_mask`).
+(:func:`~repro.query.answer.read_node_relations`): the CSR-backed index
+marks the allowed fact rows in one boolean mask
+(:func:`allowed_row_mask`), and each relation's row-ids test membership
+with one gather into it before the reader dereferences the survivors.
+Post-filtering compiles each slice to a boolean array over the node's
+codes once and masks the full node answer (:func:`slice_mask`).
 """
 
 from __future__ import annotations
@@ -42,12 +40,8 @@ from repro.query.answer import (
 )
 from repro.query.cache import FactCache
 from repro.query.column_answer import ColumnAnswer
-from repro.query.vector import level_map, sorted_id_array
-from repro.relational.index import (
-    InvertedIndex,
-    intersect_sorted,
-    membership_mask,
-)
+from repro.query.vector import level_map
+from repro.relational.index import InvertedIndex
 
 
 @dataclass(frozen=True)
@@ -81,38 +75,33 @@ def _validate(schema, node: CubeNode, slices) -> None:
             )
 
 
-def _accepted_base_code_array(schema, item: DimensionSlice) -> np.ndarray:
-    """Ascending base-level codes whose ``item.level`` image is accepted:
-    one lookup into the cached :func:`~repro.query.vector.level_map`."""
+def _accepted_base_mask(schema, item: DimensionSlice) -> np.ndarray:
+    """Boolean mask over base-level codes: those whose ``item.level``
+    image is accepted (member codes out of range accept nothing)."""
     dimension = schema.dimensions[item.dim]
     members = np.fromiter(item.members, dtype=np.int64)
-    members = members[(members >= 0) & (members < dimension.cardinality(item.level))]
-    if item.level == 0:
-        return np.sort(members)
-    images = level_map(dimension, item.level)
-    mask = np.zeros(dimension.cardinality(item.level), dtype=np.bool_)
-    mask[members] = True
-    return np.flatnonzero(mask[images]).astype(np.int64, copy=False)
+    accepted = np.zeros(dimension.cardinality(item.level), dtype=np.bool_)
+    accepted[members[(members >= 0) & (members < len(accepted))]] = True
+    return accepted[level_map(dimension, item.level)]
 
 
-def allowed_rowid_array(
+def allowed_row_mask(
     schema, slices, indices: dict[int, InvertedIndex]
 ) -> np.ndarray:
-    """Fact row-ids satisfying every slice, as one ascending int64 array.
+    """Boolean mask over fact row-ids: the rows satisfying every slice.
 
-    Per slice: compile the accepted base codes, pull their union posting
-    out of the CSR index, then intersect across slices — all as sorted
-    array kernels.
+    Per slice the accepted base members' CSR postings are set ``True``
+    in one array over the fact rows; the slices AND together.  No sort,
+    no intersection: a relation's pre-filter is then one gather.
     """
-    allowed: np.ndarray | None = None
+    masks = []
     for item in slices:
         index = indices[item.dim]
-        codes = _accepted_base_code_array(schema, item)
-        rowids = index.rowids_for_members(codes)
-        allowed = (
-            rowids if allowed is None else intersect_sorted(allowed, rowids)
-        )
-    return allowed if allowed is not None else np.empty(0, dtype=np.int64)
+        accepted = _accepted_base_mask(schema, item)
+        rows = np.zeros(index.row_count, dtype=np.bool_)
+        rows[index.rowids[np.repeat(accepted, np.diff(index.offsets))]] = True
+        masks.append(rows)
+    return np.logical_and.reduce(masks)
 
 
 def answer_cure_sliced(
@@ -151,22 +140,22 @@ def answer_cure_sliced(
     # Every stored row-id belongs to the tuple's source group; since all
     # group members share the grouping dimensions' values, the stored
     # representative's membership in ``allowed`` decides the whole tuple.
-    allowed = allowed_rowid_array(schema, slices, indices)
+    allowed = allowed_row_mask(schema, slices, indices)
     return read_node_relations(
         storage,
         cache,
         node,
         stats,
-        keep=lambda rowids, _aggregates: membership_mask(rowids, allowed),
+        keep=lambda rowids, _aggregates: allowed[rowids],
     )
 
 
 def slice_mask(schema, node: CubeNode, slices, dims: np.ndarray) -> np.ndarray:
     """Boolean mask over an answer's ``dims`` matrix: rows passing every slice.
 
-    Each slice's accepted node-level codes are enumerated once through
-    the base maps; a row passes when its code at the slice's grouping
-    position is among them.
+    Each slice's accepted base codes map up to the node's level, into a
+    boolean array over its codes; a row passes when every slice's array
+    is ``True`` at its code — one gather per slice.
     """
     position_of = {
         dim: i for i, dim in enumerate(node.grouping_dims(schema.dimensions))
@@ -175,12 +164,8 @@ def slice_mask(schema, node: CubeNode, slices, dims: np.ndarray) -> np.ndarray:
     for item in slices:
         dimension = schema.dimensions[item.dim]
         node_level = node.levels[item.dim]
-        accepted = {
-            dimension.code_at(base, node_level)
-            for base in range(dimension.base_cardinality)
-            if dimension.code_at(base, item.level) in item.members
-        }
-        mask &= membership_mask(
-            dims[:, position_of[item.dim]], sorted_id_array(accepted)
-        )
+        accepted = np.zeros(dimension.cardinality(node_level), dtype=np.bool_)
+        base = _accepted_base_mask(schema, item)
+        accepted[level_map(dimension, node_level)[base]] = True
+        mask &= accepted[dims[:, position_of[item.dim]]]
     return mask

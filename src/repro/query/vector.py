@@ -16,7 +16,6 @@ dimension objects; their array form is memoized on the dimension itself
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,11 +68,3 @@ def singleton_aggregates(
     if not columns:
         return np.empty((fact.length, 0), dtype=np.int64)
     return np.stack(columns, axis=1)
-
-
-def sorted_id_array(values: Iterable[int]) -> np.ndarray:
-    """A set/iterable of ids as an ascending int64 array — the universe
-    shape :func:`~repro.relational.index.membership_mask` expects."""
-    array = np.fromiter(values, dtype=np.int64)
-    array.sort()
-    return array

@@ -5,17 +5,17 @@ expensive in both time and space — CURE can "index just the original fact
 table consuming much cheaper resources", accelerating *selective* queries
 (node queries with range/member predicates).  An :class:`InvertedIndex`
 maps each member code of one dimension column to the ascending row-ids
-carrying it; intersecting postings with a node's TT/NT row-id sets skips
-non-matching fact fetches entirely.
+carrying it; the query layer marks selected postings in a mask over the
+fact rows, which skips non-matching fact fetches entirely.
 
 The layout is CSR-style and array-native (Kaser & Lemire's normalization
 argument: OLAP performance lives and dies on array-backed dimension
 encodings): one ``offsets`` array of ``cardinality + 1`` int64 cursors
 and one ``rowids`` array holding every posted row-id, grouped by member
 code and ascending within each group.  Every query — member lookup,
-member-set union, range scan, intersection, membership filtering — is a
-slice, a ``bincount``/sort, or a ``searchsorted`` kernel; no Python-level
-loop touches individual row-ids.
+member-set union, range scan, membership test — is a slice, a
+``bincount``/sort, or a ``searchsorted`` kernel; no Python-level loop
+touches individual row-ids.
 
 Clamping semantics (uniform across every lookup): member codes outside
 ``[0, cardinality)`` simply hold no rows — :meth:`rowids_for`,
@@ -144,30 +144,3 @@ class InvertedIndex:
     def size_bytes(self) -> int:
         """Logical size: 4 bytes per posted row-id (the paper's rowids)."""
         return 4 * len(self.rowids)
-
-
-def membership_mask(values: object, allowed: np.ndarray) -> np.ndarray:
-    """Boolean mask of which ``values`` appear in ascending ``allowed``.
-
-    The searchsorted dual of ``np.isin`` for a pre-sorted universe — the
-    kernel behind every index-assisted pre-filter.
-    """
-    value_array = _as_id_array(values)
-    if not len(allowed):
-        return np.zeros(len(value_array), dtype=np.bool_)
-    positions = np.searchsorted(allowed, value_array)
-    positions = np.minimum(positions, len(allowed) - 1)
-    result: np.ndarray = allowed[positions] == value_array
-    return result
-
-
-def intersect_sorted(left: object, right: object) -> np.ndarray:
-    """Ascending values present in both ascending inputs (deduplicated)."""
-    left_array, right_array = _as_id_array(left), _as_id_array(right)
-    return np.intersect1d(left_array, right_array)
-
-
-def filter_sorted(rowids: object, allowed: object) -> np.ndarray:
-    """Entries of ``rowids`` present in ascending ``allowed``, order kept."""
-    rowid_array = _as_id_array(rowids)
-    return rowid_array[membership_mask(rowid_array, _as_id_array(allowed))]

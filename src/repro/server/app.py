@@ -396,6 +396,13 @@ class SlicerApp:
                 self._parse_int(member, "where member")
                 for member in members_text.split("|")
             )
+            cardinality = dimension.cardinality(level)
+            unknown = [m for m in members if not 0 <= m < cardinality]
+            if unknown:
+                raise BadRequest(
+                    f"unknown member {min(unknown)} of {dimension.name!r} "
+                    f"level {level} (members: 0..{cardinality - 1})"
+                )
             slices.append(DimensionSlice.of(dim, level, members))
         return slices
 

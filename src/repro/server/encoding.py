@@ -51,7 +51,6 @@ def encode_answer(
     the caller must pass JSON-serializable values with deterministic
     ordering (lists, not sets).
     """
-    columnar = answer.normalized()
     grouping = node.grouping_dims(schema.dimensions)
     payload: dict[str, Any] = {
         "kind": kind,
@@ -63,7 +62,7 @@ def encode_answer(
             for d in grouping
         ],
         "aggregates": [spec.name for spec in schema.aggregates],
-        "count": len(columnar),
+        "count": len(answer),
     }
     if params:
         payload["params"] = params
@@ -71,7 +70,9 @@ def encode_answer(
     # closing brace of the key-sorted metadata.
     return b'%s,"rows":%s}' % (
         canonical_json(payload)[:-1],
-        _rows_json(np.hstack((columnar.dims, columnar.aggregates))),
+        _rows_json(
+            np.hstack((answer.dims, answer.aggregates))[answer.sort_order()]
+        ),
     )
 
 

@@ -2,8 +2,8 @@
 
 The array-backed :class:`~repro.relational.index.InvertedIndex` must be
 observationally equivalent to a dict-of-lists reference on randomized
-columns — postings, member-set unions, range scans, membership tests and
-the sorted-array kernels — including the degenerate columns the CSR
+columns — postings, member-set unions, range scans and membership
+tests — including the degenerate columns the CSR
 layout could plausibly get wrong: cardinality 1, the empty table, and
 every row carrying the same member.
 """
@@ -13,12 +13,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from repro.relational.index import (
-    InvertedIndex,
-    filter_sorted,
-    intersect_sorted,
-    membership_mask,
-)
+from repro.relational.index import InvertedIndex
 
 
 class NaiveIndex:
@@ -106,24 +101,3 @@ def test_contains_matches_reference(case, code, rowid):
     naive = NaiveIndex(codes, cardinality)
     assert index.contains(code, rowid) == naive.contains(code, rowid)
 
-
-sorted_ids = st.lists(st.integers(0, 40), max_size=30).map(
-    lambda values: sorted(set(values))
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(sorted_ids, sorted_ids)
-def test_intersect_sorted_matches_sets(left, right):
-    assert intersect_sorted(left, right).tolist() == sorted(
-        set(left) & set(right)
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 40), max_size=30), sorted_ids)
-def test_filter_sorted_keeps_order(values, allowed):
-    expected = [v for v in values if v in set(allowed)]
-    assert filter_sorted(values, allowed).tolist() == expected
-    mask = membership_mask(values, intersect_sorted(allowed, allowed))
-    assert mask.tolist() == [v in set(allowed) for v in values]

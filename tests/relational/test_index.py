@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.relational.index import (
-    InvertedIndex,
-    filter_sorted,
-    intersect_sorted,
-    membership_mask,
-)
+from repro.relational.index import InvertedIndex
 
 CODES = [2, 0, 1, 2, 0, 2]
 
@@ -105,27 +100,3 @@ def test_offsets_validation():
             rowids=np.array([1], dtype=np.int64),
         )
 
-
-def test_intersect_sorted():
-    assert intersect_sorted([1, 3, 5, 7], [2, 3, 4, 7, 9]).tolist() == [3, 7]
-    assert intersect_sorted([], [1]).tolist() == []
-    assert intersect_sorted([5], [5]).tolist() == [5]
-
-
-def test_filter_sorted():
-    assert filter_sorted([9, 1, 5], [1, 2, 5]).tolist() == [1, 5]
-    assert filter_sorted([], [1]).tolist() == []
-
-
-def test_membership_mask():
-    allowed = np.array([1, 2, 5], dtype=np.int64)
-    assert membership_mask([9, 1, 5, 0], allowed).tolist() == [
-        False,
-        True,
-        True,
-        False,
-    ]
-    assert membership_mask([1, 2], np.empty(0, dtype=np.int64)).tolist() == [
-        False,
-        False,
-    ]

@@ -157,12 +157,17 @@ def test_error_statuses(apps):
         ("/slice/0?where=banana", "400 Bad Request"),
         ("/slice/0?where=9.0:1", "400 Bad Request"),
         ("/slice/0?where=2.1:0", "400 Bad Request"),
+        ("/slice/0?where=0.0:999", "400 Bad Request"),
+        ("/slice/0?where=0.0:1|-1", "400 Bad Request"),
+        ("/slice/0?where=0.1:1&where=1.0:99", "400 Bad Request"),
         ("/iceberg/0?min=x", "400 Bad Request"),
     ]
+    entries = len(app.results)
     for path, expected in cases:
         status, body = wsgi_get(app, path)
         assert status == expected, path
         assert "error" in json.loads(body)
+    assert len(app.results) == entries  # no client error takes an entry
     status, _ = wsgi_get(app, "/node/0", method="POST")
     assert status == "405 Method Not Allowed"
     _, body = wsgi_get(app, "/stats")

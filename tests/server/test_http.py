@@ -74,13 +74,14 @@ def test_error_statuses_and_bodies_match_the_wsgi_adapter(app):
         for path, status in [
             ("/nope", 404),
             ("/slice/0?where=banana", 400),
+            ("/slice/0?where=0.0:999", 400),
             ("/node/99999", 400),
             ("/iceberg/0?min=x", 400),
         ]:
             expected = wsgi_get(reference, path)
             assert expected[0].startswith(str(status))
             assert get(connection, path) == (status, expected[1])
-        # the connection survived four client errors
+        # the connection survived five client errors
         assert get(connection, "/node/0")[0] == 200
         assert get(connection, "/node/0", method="POST") == (
             405,

@@ -24,13 +24,15 @@ and the fact-table index that turns slices into allowed row-ids.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.storage import CatFormat
 from repro.lattice.plan import plan_ancestors
 from repro.query.answer import QueryStats, tt_source_nodes
 from repro.query.column_answer import ColumnAnswer
 from repro.query.planner import QueryRequest
 from repro.query.rollup import base_node_of
-from repro.query.slice import allowed_rowid_array
+from repro.query.slice import allowed_row_mask
 from repro.relational.aggregates import aggregate_singleton
 from tests.support.rows import CubeRows
 
@@ -211,7 +213,9 @@ def answer_cure_sliced(
         return [
             (dims, aggregates) for dims, aggregates in full if accepts(dims)
         ]
-    allowed = set(allowed_rowid_array(schema, slices, indices).tolist())
+    allowed = set(
+        np.flatnonzero(allowed_row_mask(schema, slices, indices)).tolist()
+    )
     return _answer_prefiltered(storage, cache, node, allowed, stats)
 
 
