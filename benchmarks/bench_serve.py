@@ -34,6 +34,8 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro import CubeSchema, Table, linear_dimension, make_aggregates
 from repro.bundle import open_bundle, save_bundle
 from repro.core.variants import VARIANTS
@@ -63,13 +65,11 @@ def _fact(schema: CubeSchema) -> Table:
     import random
 
     rng = random.Random(SEED)
-    return Table(
-        schema.fact_schema,
-        [
-            (rng.randrange(100), rng.randrange(50), rng.randrange(1000))
-            for _ in range(BASE_ROWS)
-        ],
-    )
+    rows = np.array([
+        (rng.randrange(100), rng.randrange(50), rng.randrange(1000))
+        for _ in range(BASE_ROWS)
+    ])
+    return Table.from_columns(schema.fact_schema, rows.T)
 
 
 def _publish(root: Path):

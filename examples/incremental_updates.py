@@ -12,8 +12,9 @@ tuples (the CAT part is what the paper left open — demotion is correct
 but gradually un-condenses the cube, which ``drift_report`` measures).
 """
 
-import random
 import time
+
+import numpy as np
 
 from repro import Table, build_cube
 from repro.core.incremental import apply_delta, drift_report
@@ -25,13 +26,12 @@ MB = 1024 * 1024
 
 def main() -> None:
     schema, full = generate_apb_dataset(density=0.2, scale=1 / 1000, seed=41)
-    rows = full.to_rows()
+    rows = np.column_stack(full.as_batch().arrays)
     nights = 5
     batch = len(rows) // 10
-    base_rows, remaining = rows[: len(rows) - nights * batch], rows[
-        len(rows) - nights * batch:
-    ]
-    fact = Table(schema.fact_schema, base_rows)
+    n_base = len(rows) - nights * batch
+    remaining = rows[n_base:]
+    fact = Table.from_batch(full.as_batch().slice(0, n_base))
     print(f"initial load: {len(fact):,} tuples")
 
     started = time.perf_counter()

@@ -39,18 +39,13 @@ def main() -> None:
         n_measures=1,
     )
 
-    # Fact rows: (city_code, product_code, amount).
-    fact = Table(
+    # Fact columns: city codes, product codes, amounts (one row each).
+    fact = Table.from_columns(
         schema.fact_schema,
         [
-            (0, 0, 120),
-            (0, 1, 80),
-            (1, 0, 50),
-            (2, 2, 200),
-            (3, 2, 75),
-            (4, 3, 60),
-            (5, 3, 90),
-            (5, 0, 30),
+            [0, 0, 1, 2, 3, 4, 5, 5],
+            [0, 1, 0, 2, 2, 3, 3, 0],
+            [120, 80, 50, 200, 75, 60, 90, 30],
         ],
     )
 

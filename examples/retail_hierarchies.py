@@ -92,7 +92,7 @@ def main() -> None:
 
     rng = np.random.default_rng(3)
     n = 4000
-    rows = [
+    rows = np.array([
         (
             int(rng.integers(N_BARCODES)),
             int(rng.integers(N_CITIES)),
@@ -100,8 +100,8 @@ def main() -> None:
             int(rng.integers(5, 500)),
         )
         for _ in range(n)
-    ]
-    fact = Table(schema.fact_schema, rows)
+    ])
+    fact = Table.from_columns(schema.fact_schema, rows.T)
 
     result = build_cube(schema, table=fact)
     print("--- cube storage ---")

@@ -18,6 +18,8 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.bench.results import ExperimentTable
 from repro.core.analysis import GB, table1_rows
@@ -720,12 +722,12 @@ def run_pair_partition_ablation(
         (a, b, c), make_aggregates(("sum", 0), ("count", 0)), 1
     )
     rng = random.Random(55)
-    rows = [
+    rows = np.array([
         (rng.randrange(4), rng.randrange(40), rng.randrange(6),
          rng.randrange(30))
         for _ in range(n_tuples)
-    ]
-    fact = Table(schema.fact_schema, rows)
+    ])
+    fact = Table.from_columns(schema.fact_schema, rows.T)
 
     engine = Engine.temporary(memory_budget_bytes=budget)
     try:
@@ -841,13 +843,13 @@ def run_incremental(
         "cube size / from-scratch rebuild size",
     )
     schema, full = generate_apb_dataset(density=density, scale=scale, seed=47)
-    rows = full.to_rows()
+    rows = np.column_stack(full.as_batch().arrays)
     batch = max(1, int(len(rows) * batch_fraction))
-    base_rows = rows[: len(rows) - n_rounds * batch]
-    fact = Table(schema.fact_schema, list(base_rows))
+    n_base = len(rows) - n_rounds * batch
+    fact = Table.from_batch(full.as_batch().slice(0, n_base))
     result = build_cube(schema, table=fact, pool_capacity=pool_capacity)
     for round_index in range(n_rounds):
-        start = len(base_rows) + round_index * batch
+        start = n_base + round_index * batch
         delta = rows[start : start + batch]
         began = _time.perf_counter()
         apply_delta(result.storage, schema, fact, delta)

@@ -52,6 +52,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from repro.bundle import open_bundle, save_bundle
 from repro.core.recovery import verify_cube
 from repro.core.variants import VARIANTS
@@ -249,13 +251,14 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _parse_delta_csv(schema, path: str) -> list[tuple]:
-    """CSV rows → fact tuples: base members (name or code), then measures."""
+def _parse_delta_csv(schema, path: str) -> np.ndarray:
+    """CSV rows → one int64 fact matrix: base members (name or code),
+    then measures."""
     import csv
 
     n_dims = schema.n_dimensions
     expected = n_dims + schema.n_measures
-    rows: list[tuple] = []
+    rows: list[list[int]] = []
     with open(path, newline="") as handle:
         for line_no, record in enumerate(csv.reader(handle), start=1):
             if not record:
@@ -276,8 +279,8 @@ def _parse_delta_csv(schema, path: str) -> list[tuple]:
                 raise SystemExit(
                     f"{path}:{line_no}: measures must be integers"
                 ) from None
-            rows.append(tuple(codes + measures))
-    return rows
+            rows.append(codes + measures)
+    return np.array(rows, dtype=np.int64).reshape(-1, expected)
 
 
 def cmd_ingest(args) -> int:

@@ -30,7 +30,6 @@ from repro.core.model import CubeSchema
 from repro.hierarchy.builders import flat_dimension, linear_dimension
 from repro.hierarchy.dimension import Dimension
 from repro.relational.aggregates import make_aggregates
-from repro.relational.batch import ColumnBatch
 from repro.relational.table import Table
 
 TUPLES_PER_DENSITY = 12_393_000  # density 0.1 → 1,239,300 tuples (paper)
@@ -133,8 +132,6 @@ def generate_apb_dataset(
     schema = CubeSchema(
         dimensions, make_aggregates(*aggregates), n_measures=2
     )
-    return schema, Table.from_batch(
-        ColumnBatch.from_arrays(
-            schema.fact_schema, columns + [unit_sales, dollar_sales]
-        )
+    return schema, Table.from_columns(
+        schema.fact_schema, columns + [unit_sales, dollar_sales]
     )

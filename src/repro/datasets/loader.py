@@ -38,7 +38,6 @@ import numpy as np
 from repro.core.model import CubeSchema
 from repro.hierarchy.dimension import Dimension, Level
 from repro.relational.aggregates import make_aggregates
-from repro.relational.batch import ColumnBatch
 from repro.relational.table import Table
 
 
@@ -289,7 +288,7 @@ def _encode_columns(
     ]
     return LoadResult(
         schema,
-        Table.from_batch(ColumnBatch.from_arrays(schema.fact_schema, arrays)),
+        Table.from_columns(schema.fact_schema, arrays),
         [decoders[d] for d in order],
         measure_specs,
     )

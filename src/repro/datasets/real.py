@@ -27,7 +27,6 @@ from repro.core.model import CubeSchema
 from repro.datasets.synthetic import zipf_column
 from repro.hierarchy.builders import flat_dimension
 from repro.relational.aggregates import make_aggregates
-from repro.relational.batch import ColumnBatch
 from repro.relational.table import Table
 
 COVTYPE_TUPLES = 581_012
@@ -84,9 +83,7 @@ def _generate(
     schema = CubeSchema(
         dimensions, make_aggregates(("sum", 0), ("count", 0)), n_measures=1
     )
-    return schema, Table.from_batch(
-        ColumnBatch.from_arrays(schema.fact_schema, columns + [measure])
-    )
+    return schema, Table.from_columns(schema.fact_schema, columns + [measure])
 
 
 def generate_covtype_like(

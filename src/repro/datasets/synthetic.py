@@ -13,7 +13,6 @@ import numpy as np
 from repro.core.model import CubeSchema
 from repro.hierarchy.builders import flat_dimension
 from repro.relational.aggregates import make_aggregates
-from repro.relational.batch import ColumnBatch
 from repro.relational.table import Table
 
 
@@ -107,6 +106,4 @@ def generate_flat_dataset(
     schema = CubeSchema(
         dimensions, make_aggregates(*aggregates), n_measures=n_measures
     )
-    return schema, Table.from_batch(
-        ColumnBatch.from_arrays(schema.fact_schema, columns + measures)
-    )
+    return schema, Table.from_columns(schema.fact_schema, columns + measures)

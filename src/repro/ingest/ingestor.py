@@ -51,8 +51,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.cure import build_cube
 from repro.core.incremental import apply_delta, drift_report, validate_delta
@@ -246,7 +249,7 @@ class StreamingIngestor:
 
     # -- producing ----------------------------------------------------------
 
-    def append(self, rows: list[tuple]) -> int:
+    def append(self, rows: Sequence[Sequence[int]] | np.ndarray) -> int:
         """Validate a batch against the fact schema and log it durably.
 
         Validation happens *before* the append so the log never carries a

@@ -84,7 +84,7 @@ SINK_FUNCTIONS = frozenset(
 #: Sinks by method attribute (checked regardless of receiver type).
 SINK_METHODS = frozenset(
     {
-        "append_many", "append_batch", "store_table",
+        "append_batch", "store_table",
         "write_tts", "write_flush", "add_batch",
     }
 )

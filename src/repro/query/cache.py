@@ -6,10 +6,12 @@ that *these two relations* are the only things worth caching — a rule no
 other ROLAP format offers.  :class:`FactCache` models a partial cache: a
 seeded random ``fraction`` of fact row-ids is resident; misses hit the
 disk-backed relation with real I/O.  ``fraction=1.0`` (or an in-memory
-fact table) makes every fetch a hit.  :meth:`FactCache.fetch_batch`
-serves bulk dereferences as one columnar
+fact table) makes every fetch a hit.  :meth:`FactCache.fetch_batch` is
+the one way in: a dereference is one columnar
 :class:`~repro.relational.batch.ColumnBatch` — over an in-memory fact
-table that is a single fancy-index gather.
+table a single fancy-index gather, over a heap a gather from the warm
+columns plus one :meth:`~repro.relational.heap.HeapFile.read_batch` of
+the misses.
 
 :class:`ResultCache` sits one level up: whole materialized node answers,
 stored as :class:`~repro.query.column_answer.ColumnAnswer` values keyed
@@ -23,10 +25,6 @@ is tracked LRU (a hit refreshes the entry), answers larger than the
 whole budget are rejected at admission instead of flushing everything
 else, and every operation holds an internal lock so the cache can be
 shared across the serving layer's request threads.
-
-The disk-backed source is typed as the structural
-:class:`~repro.relational.batch.RowSource` protocol — the query layer
-never touches heap-file internals (cubelint R1).
 """
 
 from __future__ import annotations
@@ -40,11 +38,12 @@ import numpy as np
 
 from repro.core.model import CubeSchema
 from repro.query.column_answer import ColumnAnswer
-from repro.relational.batch import ColumnBatch, RowSource
+from repro.relational.batch import ColumnBatch
 from repro.relational.table import Table
 
 if TYPE_CHECKING:
     from repro.query.slice import DimensionSlice
+    from repro.relational import HeapFile
 
 
 @dataclass
@@ -53,11 +52,15 @@ class CacheStats:
     misses: int = 0
     #: Admissions refused because the entry alone exceeds the byte budget.
     rejected: int = 0
+    #: Positioned heap reads a fact cache's misses cost: one per run of
+    #: consecutive row-ids when sorted, one per row-id otherwise.
+    runs: int = 0
 
     def reset(self) -> None:
         self.hits = 0
         self.misses = 0
         self.rejected = 0
+        self.runs = 0
 
 
 @dataclass
@@ -67,95 +70,92 @@ class FactCache:
     Exactly one of ``heap`` / ``table`` must be given.  With ``table`` the
     whole relation is trivially resident (the paper's in-memory case, where
     query results are "orders of magnitude better, due to caching").
-    ``heap`` is any :class:`~repro.relational.batch.RowSource` — in
-    practice a heap file handed over by the relational layer.
+    Over a ``heap`` a seeded random ``fraction`` of the row-ids is
+    resident: a boolean mask over warm fact columns, read in one pass as
+    a buffer pool would pin them.  Every other row-id is a miss.
     """
 
     schema: CubeSchema
-    heap: RowSource | None = None
+    heap: HeapFile | None = None
     table: Table | None = None
     fraction: float = 1.0
     seed: int = 7
     stats: CacheStats = field(default_factory=CacheStats)
-    _cached: dict[int, tuple] = field(default_factory=dict, repr=False)
+    _resident: np.ndarray | None = field(default=None, repr=False)
+    _warm: ColumnBatch | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if (self.heap is None) == (self.table is None):
             raise ValueError("provide exactly one of heap= or table=")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("cache fraction must be within [0, 1]")
-        if self.heap is not None and self.fraction > 0.0:
-            self._warm()
+        if self.heap is not None:
+            self._pin()
 
-    def _warm(self) -> None:
+    def _pin(self) -> None:
         """Pin a seeded random sample of rows, as a buffer pool would."""
         n = len(self.heap)
+        self._resident = np.zeros(n, dtype=np.bool_)
         target = int(n * self.fraction)
         if target <= 0:
             return
-        rng = random.Random(self.seed)
         if target >= n:
-            chosen: object = range(n)
+            rowids = np.arange(n, dtype=np.int64)
         else:
-            chosen = rng.sample(range(n), target)
-        for rowid in sorted(chosen):
-            self._cached[rowid] = self.heap.read_row(rowid)
+            chosen = random.Random(self.seed).sample(range(n), target)
+            rowids = np.sort(np.asarray(chosen, dtype=np.int64))
+        self._resident[rowids] = True
+        pinned = self.heap.read_batch(rowids, sorted_hint=True)
+        warm = tuple(np.zeros(n, dtype=a.dtype) for a in pinned.arrays)
+        for column, values in zip(warm, pinned.arrays):
+            column[rowids] = values
+        self._warm = ColumnBatch(pinned.schema, warm, n)
 
     @property
     def row_count(self) -> int:
         return len(self.table) if self.table is not None else len(self.heap)
 
-    def fetch(self, rowid: int) -> tuple:
-        """Fetch one fact row, through the cache."""
-        if self.table is not None:
-            return self.fetch_many([rowid])[0]
-        row = self._cached.get(rowid)
-        if row is not None:
-            self.stats.hits += 1
-            return row
-        self.stats.misses += 1
-        return self.heap.read_row(rowid)
-
-    def fetch_many(self, rowids, sorted_hint: bool = False) -> list[tuple]:
-        """Fetch several rows; sorted misses coalesce into a sequential pass.
-
-        ``sorted_hint=True`` is what CURE+ buys by sorting TT row-id lists
-        (or using bitmaps): the uncached remainder is read in one scan.
-        """
-        if self.table is not None:
-            return self.fetch_batch(rowids).to_rows()
-        if not sorted_hint:
-            return [self.fetch(rowid) for rowid in rowids]
-        result: dict[int, tuple] = {}
-        missing: list[int] = []
-        for rowid in rowids:
-            row = self._cached.get(rowid)
-            if row is not None:
-                self.stats.hits += 1
-                result[rowid] = row
-            else:
-                missing.append(rowid)
-        if missing:
-            self.stats.misses += len(missing)
-            unique_missing = sorted(set(missing))
-            fetched = self.heap.read_rows_sequential(unique_missing)
-            result.update(zip(unique_missing, fetched))
-        return [result[rowid] for rowid in rowids]
-
     def fetch_batch(self, rowids, sorted_hint: bool = False) -> ColumnBatch:
-        """Fetch several rows as one columnar batch.
+        """The fact rows at ``rowids``, in that order, as one batch.
 
         Over an in-memory table this is a single fancy-index gather of
-        the table's cached columnar view; over a disk-backed source it
-        bridges through :meth:`fetch_many` (same hit/miss accounting,
-        same sequential-pass coalescing).
+        the table's columnar view, every row-id a hit.  Over a heap the
+        resident rows gather from the warm columns and the misses cost
+        one :meth:`~repro.relational.heap.HeapFile.read_batch`.
+        ``sorted_hint=True`` is what CURE+ buys by sorting its row-id
+        lists: the distinct misses are read in ascending order, one
+        forward pass with a positioned read per run of consecutive
+        row-ids; otherwise each miss is its own random read.
         """
+        indices = np.asarray(rowids, dtype=np.int64)
         if self.table is not None:
-            self.stats.hits += len(rowids)
-            indices = np.asarray(rowids, dtype=np.int64)
+            self.stats.hits += len(indices)
             return self.table.as_batch().take(indices)
-        rows = self.fetch_many(list(rowids), sorted_hint=sorted_hint)
-        return ColumnBatch.from_rows(self.schema.fact_schema, rows)
+        missed = ~self._resident[indices]
+        n_missed = int(np.count_nonzero(missed))
+        self.stats.hits += len(indices) - n_missed
+        self.stats.misses += n_missed
+        if self._warm is None:
+            return self._read(indices, sorted_hint)
+        batch = self._warm.take(indices)
+        if n_missed:
+            fetched = self._read(indices[missed], sorted_hint)
+            for column, values in zip(batch.arrays, fetched.arrays):
+                column[missed] = values
+        return batch
+
+    def _read(self, rowids: np.ndarray, sorted_hint: bool) -> ColumnBatch:
+        """Read missed row-ids from the heap, counting its runs."""
+        runs = self.heap.stats.runs
+        if sorted_hint:
+            distinct, inverse = np.unique(rowids, return_inverse=True)
+            batch = self.heap.read_batch(distinct, sorted_hint=True)
+            if not np.array_equal(distinct, rowids):
+                batch = batch.take(inverse)
+        else:
+            batch = self.heap.read_batch(rowids)
+        self.stats.runs += self.heap.stats.runs - runs
+        return batch
 
 
 #: What distinguishes entries over the same ``(node, slices)``: ``()`` for

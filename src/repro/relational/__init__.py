@@ -18,7 +18,7 @@ from repro.relational.aggregates import (
     SumAgg,
     make_aggregates,
 )
-from repro.relational.batch import ColumnBatch, RowSource
+from repro.relational.batch import ColumnBatch
 from repro.relational.catalog import Catalog
 from repro.relational.engine import Engine
 from repro.relational.heap import HeapFile
@@ -35,7 +35,6 @@ __all__ = [
     "ColumnBatch",
     "ColumnType",
     "CountAgg",
-    "RowSource",
     "Engine",
     "HeapFile",
     "InvertedIndex",

@@ -1,12 +1,11 @@
 """Columnar batches: the vectorized execution substrate.
 
-A :class:`ColumnBatch` is the columnar dual of a list of tuples — one
-numpy array per schema column, all of equal length.  Heap scans, the
-partition pass, the query layer (:mod:`repro.query`) and the ``cube.v2``
-writers (:mod:`repro.storage2`) move data in batches so that filtering,
-projection and routing run as whole-column numpy kernels instead of
-per-tuple Python loops, while ``from_rows`` / ``to_rows`` bridge to the
-row-based APIs.
+A :class:`ColumnBatch` holds a relation's rows column-wise — one numpy
+array per schema column, all of equal length.  Heap reads, the partition
+pass, the query layer (:mod:`repro.query`) and the ``cube.v2`` writers
+(:mod:`repro.storage2`) move data only in batches, so filtering,
+projection and routing run as whole-column numpy kernels; nothing in the
+engine transposes a batch into tuples.
 
 Dtypes are explicit and derived from the schema (INT32 → ``int32``,
 INT64 → ``int64``, FLOAT64 → ``float64``), matching the packed on-disk
@@ -16,19 +15,12 @@ can reinterpret raw record bytes as column views without copying.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.relational.schema import ColumnType, TableSchema
-
-NUMPY_DTYPES: dict[ColumnType, np.dtype] = {
-    ColumnType.INT32: np.dtype("<i4"),
-    ColumnType.INT64: np.dtype("<i8"),
-    ColumnType.FLOAT64: np.dtype("<f8"),
-}
+from repro.relational.schema import NUMPY_DTYPES, ColumnType, TableSchema
 
 
 def column_dtype(column_type: ColumnType) -> np.dtype:
@@ -36,27 +28,9 @@ def column_dtype(column_type: ColumnType) -> np.dtype:
     return NUMPY_DTYPES[column_type]
 
 
-@runtime_checkable
-class RowSource(Protocol):
-    """Anything that serves fact rows by row-id.
-
-    This is the surface :class:`repro.query.cache.FactCache` needs from a
-    disk-backed relation — satisfied by
-    :class:`~repro.relational.heap.HeapFile` without the query layer
-    importing the heap module (cubelint R1 keeps heap internals private
-    to ``relational/``).
-    """
-
-    def __len__(self) -> int: ...
-
-    def read_row(self, rowid: int) -> tuple: ...
-
-    def read_rows_sequential(self, sorted_rowids: list[int]) -> list[tuple]: ...
-
-
 @dataclass(frozen=True)
 class ColumnBatch:
-    """A fixed-length run of tuples stored column-wise.
+    """A fixed-length run of rows stored column-wise.
 
     ``arrays[i]`` holds column ``schema.columns[i]`` for all ``length``
     rows.  Batches are immutable values: every transformation returns a
@@ -92,24 +66,6 @@ class ColumnBatch:
         return cls(schema, arrays, 0)
 
     @classmethod
-    def from_rows(
-        cls, schema: TableSchema, rows: Sequence[tuple]
-    ) -> "ColumnBatch":
-        """Transpose a list of tuples into schema-typed column arrays."""
-        if not rows:
-            return cls.empty(schema)
-        columns = tuple(zip(*rows))
-        if len(columns) != schema.arity:
-            raise ValueError(
-                f"rows have arity {len(columns)}, schema has {schema.arity}"
-            )
-        arrays = tuple(
-            np.asarray(values, dtype=column_dtype(column.type))
-            for column, values in zip(schema.columns, columns)
-        )
-        return cls(schema, arrays, len(rows))
-
-    @classmethod
     def from_arrays(
         cls, schema: TableSchema, arrays: Sequence[np.ndarray]
     ) -> "ColumnBatch":
@@ -142,16 +98,6 @@ class ColumnBatch:
     def column(self, name: str) -> np.ndarray:
         """One column's array, by name."""
         return self.arrays[self.schema.position(name)]
-
-    def to_rows(self) -> list[tuple]:
-        """Transpose back to a list of tuples of Python scalars."""
-        if not self.length:
-            return []
-        return list(zip(*(array.tolist() for array in self.arrays)))
-
-    def iter_rows(self) -> Iterator[tuple]:
-        """Iterate tuples (the row-compatibility bridge)."""
-        return iter(self.to_rows())
 
     # -- transformations ----------------------------------------------------
 

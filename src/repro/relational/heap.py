@@ -1,15 +1,15 @@
 """Disk-backed heap files: fixed-width records addressed by row-id.
 
 This is the substrate's answer to "the fact table lives on disk".  A heap
-file stores packed records of a fixed schema; row-id ``i`` lives at byte
-offset ``i * row_size``.  The CURE query layer depends on two access
-patterns this module makes explicit:
-
-* random fetch by row-id (``read_row`` / ``read_rows``) — what NT/TT/CAT
-  row-id dereferencing costs without a cache, and
-* a single sequential pass selecting sorted row-ids
-  (``read_rows_sequential``) — what CURE+'s sorted row-id lists buy
-  (Section 5.3 of the paper).
+file stores packed records of a fixed schema — the schema's structured
+numpy dtype, byte for byte; row-id ``i`` lives at byte offset
+``i * row_size``.  Records move in and out as columnar batches only:
+``append_batch`` writes, ``scan_batches`` / ``load_mapped`` read every
+record, and ``read_batch`` gathers row-ids — what dereferencing NT/TT/CAT
+row-ids costs without a cache.  Over ascending row-ids ``read_batch``
+makes each run of consecutive row-ids one positioned read, a single
+forward pass: what CURE+'s sorted row-id lists buy (Section 5.3 of the
+paper).
 
 I/O statistics are counted so benchmarks can report machine-independent
 cost numbers alongside wall-clock time.
@@ -18,8 +18,7 @@ cost numbers alongside wall-clock time.
 from __future__ import annotations
 
 import os
-import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,12 +42,15 @@ class HeapStats:
     rows_read: int = 0
     random_reads: int = 0
     sequential_passes: int = 0
+    #: Positioned reads :meth:`HeapFile.read_batch` issued, one per run.
+    runs: int = 0
 
     def reset(self) -> None:
         self.rows_written = 0
         self.rows_read = 0
         self.random_reads = 0
         self.sequential_passes = 0
+        self.runs = 0
 
 
 @dataclass
@@ -71,7 +73,6 @@ class HeapFile:
 
     def __post_init__(self) -> None:
         self.path = Path(self.path)
-        self._struct = struct.Struct(self.schema.struct_format)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -112,7 +113,7 @@ class HeapFile:
 
     @property
     def row_size(self) -> int:
-        return self._struct.size
+        return self.schema.row_size_bytes
 
     def __len__(self) -> int:
         if self._row_count is None:
@@ -161,57 +162,12 @@ class HeapFile:
                 ) from torn
         handle.write(payload)
 
-    def append(self, row: tuple) -> int:
-        """Append one record; returns its row-id."""
-        rowid = len(self)
-        handle = self._file()
-        try:
-            handle.seek(0, os.SEEK_END)
-            self._write_burst(handle, self._struct.pack(*row))
-        except Exception:
-            self._abort_write()
-            raise
-        self.stats.rows_written += 1
-        self._row_count = rowid + 1
-        return rowid
-
-    def append_many(self, rows: Iterable[tuple]) -> int:
-        """Append many records; returns the count written."""
-        # Resolve the current count before buffering writes: the file size
-        # on disk lags the handle's buffer, so it must not be consulted
-        # afterwards.
-        current = len(self)
-        handle = self._file()
-        pack = self._struct.pack
-        written = 0
-        buffer: list[bytes] = []
-        try:
-            handle.seek(0, os.SEEK_END)
-            for row in rows:
-                buffer.append(pack(*row))
-                written += 1
-                if len(buffer) >= 4096:
-                    self._write_burst(handle, b"".join(buffer))
-                    buffer.clear()
-            if buffer:
-                self._write_burst(handle, b"".join(buffer))
-        except Exception:
-            # Close-on-exception: a partial burst may have reached the
-            # file, so the cached count is stale and the handle's buffer
-            # must be flushed out before anyone re-reads the size.
-            self._abort_write()
-            raise
-        self.stats.rows_written += written
-        self._row_count = current + written
-        return written
-
     def append_batch(self, batch: ColumnBatch) -> int:
         """Append a columnar batch; returns the count written.
 
         The batch is packed through the schema's structured dtype (one
-        ``astype``-free field copy per column) and written in the same
-        4096-row bursts as :meth:`append_many`, so the fault-injection
-        surface (torn writes, transient errors per burst) is identical.
+        field copy per column) and written in 4096-row bursts, each one
+        fault-injection event (a torn write or a transient error).
         """
         if batch.schema.names != self.schema.names:
             raise ValueError(
@@ -244,83 +200,56 @@ class HeapFile:
 
     # -- reading -----------------------------------------------------------
 
-    def read_row(self, rowid: int) -> tuple:
-        """Random fetch of one record by row-id."""
-        if rowid < 0 or rowid >= len(self):
-            raise IndexError(f"row-id {rowid} out of range [0, {len(self)})")
-        handle = self._file()
-        handle.seek(rowid * self.row_size)
-        data = handle.read(self.row_size)
-        self.stats.rows_read += 1
-        self.stats.random_reads += 1
-        return self._struct.unpack(data)
+    def read_batch(
+        self, rowids: Sequence[int] | np.ndarray, sorted_hint: bool = False
+    ) -> ColumnBatch:
+        """The records at ``rowids``, in that order, as one batch.
 
-    def read_rows(self, rowids: Iterable[int]) -> list[tuple]:
-        """Random fetches of several records, in the given order."""
-        return [self.read_row(rowid) for rowid in rowids]
-
-    def read_rows_sequential(self, sorted_rowids: list[int]) -> list[tuple]:
-        """One sequential pass selecting ``sorted_rowids`` (must ascend).
-
-        This models the access pattern CURE+ achieves by sorting row-ids:
-        a single scan instead of random seeks.
+        With ``sorted_hint`` the row-ids must strictly ascend: each run of
+        consecutive row-ids is one positioned read, in a single forward
+        pass over the file.  Without it every row-id is its own run — a
+        random seek per row.  ``stats.runs`` counts the positioned reads.
         """
-        if not sorted_rowids:
-            return []
-        if any(b < a for a, b in zip(sorted_rowids, sorted_rowids[1:])):
-            raise ValueError("read_rows_sequential requires ascending row-ids")
-        handle = self._file()
-        self.stats.sequential_passes += 1
-        result: list[tuple] = []
-        unpack = self._struct.unpack
+        rowids = np.asarray(rowids, dtype=np.int64)
+        if not len(rowids):
+            return ColumnBatch.empty(self.schema)
+        count = len(self)
+        outside = (rowids < 0) | (rowids >= count)
+        if outside.any():
+            bad = int(rowids[np.argmax(outside)])
+            raise IndexError(f"row-id {bad} out of range [0, {count})")
+        if sorted_hint:
+            step = np.diff(rowids)
+            if (step <= 0).any():
+                raise ValueError("sorted_hint requires ascending row-ids")
+            starts = np.concatenate(([0], np.flatnonzero(step != 1) + 1))
+            self.stats.sequential_passes += 1
+        else:
+            starts = np.arange(len(rowids), dtype=np.int64)
+            self.stats.random_reads += len(rowids)
+        stops = np.append(starts[1:], len(rowids))
         row_size = self.row_size
-        # Read the covered range in chunks, picking out the wanted rows.
-        first, last = sorted_rowids[0], sorted_rowids[-1]
-        handle.seek(first * row_size)
-        wanted = iter(sorted_rowids)
-        next_wanted = next(wanted)
-        chunk_rows = 8192
-        rowid = first
-        while rowid <= last:
-            data = handle.read(min(chunk_rows, last - rowid + 1) * row_size)
-            if not data:
-                break
-            for offset in range(0, len(data), row_size):
-                if rowid == next_wanted:
-                    result.append(unpack(data[offset : offset + row_size]))
-                    self.stats.rows_read += 1
-                    try:
-                        next_wanted = next(wanted)
-                        while next_wanted == rowid:  # tolerate duplicates
-                            result.append(result[-1])
-                            next_wanted = next(wanted)
-                    except StopIteration:
-                        return result
-                rowid += 1
-        return result
-
-    def scan(self) -> Iterator[tuple]:
-        """Sequential scan of every record."""
-        self._fire_retrying(f"heap.read:{self.path.name}")
+        buffer = np.empty(len(rowids) * row_size, dtype=np.uint8)
         handle = self._file()
-        handle.seek(0)
-        self.stats.sequential_passes += 1
-        unpack = self._struct.unpack
-        row_size = self.row_size
-        while True:
-            data = handle.read(row_size * 8192)
-            if not data:
-                return
-            for offset in range(0, len(data), row_size):
-                self.stats.rows_read += 1
-                yield unpack(data[offset : offset + row_size])
+        runs = zip(rowids[starts].tolist(), starts.tolist(), stops.tolist())
+        for first, start, stop in runs:
+            handle.seek(first * row_size)
+            chunk = buffer[start * row_size : stop * row_size]
+            if handle.readinto(chunk) != len(chunk):
+                raise OSError(f"short read in {self.path.name}")
+        self.stats.runs += len(starts)
+        self.stats.rows_read += len(rowids)
+        records = buffer.view(self.schema.numpy_dtype)
+        arrays = tuple(records[name] for name in self.schema.names)
+        return ColumnBatch(self.schema, arrays, len(rowids))
 
     def scan_batches(self, chunk_rows: int = 8192) -> Iterator[ColumnBatch]:
         """Sequential scan yielding columnar batches.
 
         Record bytes are reinterpreted through the schema's structured
         dtype, so each batch's columns are zero-copy views of one read
-        buffer.  I/O accounting matches :meth:`scan` row for row.
+        buffer.  One pass counts one ``sequential_passes`` and every
+        record in ``rows_read``.
         """
         self._fire_retrying(f"heap.read:{self.path.name}")
         handle = self._file()
@@ -345,8 +274,8 @@ class HeapFile:
         every reader — the driver and parallel build workers alike — gets
         zero-copy views of a file the OS page cache shares across
         processes.  Fires the same ``heap.read`` site and counts the same
-        I/O statistics as a :meth:`scan`.  A map sees only what reached the
-        file, so buffered appends must be flushed first.
+        I/O statistics as a :meth:`scan_batches` pass.  A map sees only
+        what reached the file, so buffered appends must be flushed first.
         """
         self._fire_retrying(f"heap.read:{self.path.name}")
         n = len(self)

@@ -10,7 +10,6 @@ codes, as is standard in ROLAP engines.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,19 +30,17 @@ class ColumnType(enum.Enum):
     FLOAT64 = "float64"
 
     @property
-    def struct_code(self) -> str:
-        """The :mod:`struct` format character for this type."""
-        return {_I32: "i", _I64: "q", _F64: "d"}[self]
-
-    @property
     def size_bytes(self) -> int:
         """Physical width of one value of this type."""
-        return {_I32: 4, _I64: 8, _F64: 8}[self]
+        return NUMPY_DTYPES[self].itemsize
 
 
-_I32 = ColumnType.INT32
-_I64 = ColumnType.INT64
-_F64 = ColumnType.FLOAT64
+#: Each type's little-endian numpy dtype — its packed on-disk layout.
+NUMPY_DTYPES: dict[ColumnType, np.dtype] = {
+    ColumnType.INT32: np.dtype("<i4"),
+    ColumnType.INT64: np.dtype("<i8"),
+    ColumnType.FLOAT64: np.dtype("<f8"),
+}
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,7 @@ class Column:
 class TableSchema:
     """An ordered list of columns describing a relation's tuples.
 
-    The schema determines the on-disk record layout (via ``struct_format``)
+    The schema determines the on-disk record layout (via ``numpy_dtype``)
     and the logical tuple width used by the memory manager and the storage
     accounting in :mod:`repro.core.storage`.
     """
@@ -100,25 +97,19 @@ class TableSchema:
     @property
     def row_size_bytes(self) -> int:
         """Width of one packed record, in bytes."""
-        return struct.calcsize(self.struct_format)
-
-    @property
-    def struct_format(self) -> str:
-        """The :mod:`struct` format string for one record (standard sizes)."""
-        return "<" + "".join(column.type.struct_code for column in self.columns)
+        return sum(column.size_bytes for column in self.columns)
 
     @property
     def numpy_dtype(self) -> np.dtype:
-        """A packed numpy structured dtype matching ``struct_format``.
+        """The packed structured dtype of one on-disk record.
 
-        Field order, widths and endianness agree byte-for-byte with the
-        struct layout, so heap-file record bytes can be reinterpreted as
-        a structured array (and its fields as zero-copy column views).
+        Fields follow the columns in order, little-endian and without
+        padding, so heap-file record bytes reinterpret as a structured
+        array (and its fields as zero-copy column views).
         """
-        codes = {"i": "<i4", "q": "<i8", "d": "<f8"}
         return np.dtype(
             [
-                (column.name, codes[column.type.struct_code])
+                (column.name, NUMPY_DTYPES[column.type])
                 for column in self.columns
             ]
         )

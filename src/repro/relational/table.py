@@ -13,7 +13,7 @@ the same row-ids the file uses.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,9 +43,7 @@ class Table:
     :class:`repro.core.storage.ArrayRelation` does for cube relations):
     computed aside and installed by a single assignment, so readers may
     race each other, though not an append.  :meth:`as_batch` *is* the
-    relation; tuples are derived from it on request — ``table[rowid]``,
-    iteration, :meth:`to_rows` — and never stored.  ``Table(schema,
-    rows)`` transposes the given tuples once.
+    relation: there is no tuple view of it.
 
     The row-id of a tuple is its position.  When a table is a slice of
     another relation, the original row-ids are carried in ``base_rowids``
@@ -53,17 +51,11 @@ class Table:
     still point into the full fact table.
     """
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        rows: Iterable[tuple] = (),
-        base_rowids: Sequence[int] | np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self._chunks: list[ColumnBatch] = []
         self._length = 0
-        self.extend(rows)
-        self.base_rowids = _checked_rowids(base_rowids, self._length)
+        self.base_rowids: np.ndarray | None = None
 
     @classmethod
     def from_batch(
@@ -77,21 +69,23 @@ class Table:
         table.base_rowids = _checked_rowids(base_rowids, batch.length)
         return table
 
+    @classmethod
+    def from_columns(
+        cls, schema: TableSchema, columns: Sequence[Sequence[int] | np.ndarray]
+    ) -> "Table":
+        """A table over one value sequence per schema column, each cast
+        to its column's dtype."""
+        arrays = [
+            np.asarray(values, dtype=column_dtype(column.type))
+            for column, values in zip(schema.columns, columns, strict=True)
+        ]
+        return cls.from_batch(ColumnBatch.from_arrays(schema, arrays))
+
     def __repr__(self) -> str:
         return f"Table({list(self.schema.names)}, {self._length} rows)"
 
     def __len__(self) -> int:
         return self._length
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.to_rows())
-
-    def __getitem__(self, rowid: int) -> tuple:
-        return tuple(array[rowid].item() for array in self.as_batch().arrays)
-
-    def to_rows(self) -> list[tuple]:
-        """Every tuple, as Python scalars, in row-id order (a new list)."""
-        return self.as_batch().to_rows()
 
     def rowid_of(self, local_index: int) -> int:
         """The global row-id of the tuple at ``local_index``.
@@ -101,18 +95,6 @@ class Table:
         if self.base_rowids is None:
             return local_index
         return int(self.base_rowids[local_index])
-
-    def append(self, row: tuple) -> int:
-        """Append ``row`` and return its row-id."""
-        self.extend([row])
-        return self._length - 1
-
-    def extend(self, rows: Iterable[tuple]) -> None:
-        """Append tuples, transposed once into one column chunk."""
-        if not isinstance(rows, Sequence):
-            rows = list(rows)
-        if rows:
-            self.append_batch(ColumnBatch.from_rows(self.schema, rows))
 
     def append_batch(self, batch: ColumnBatch) -> None:
         """Append a columnar batch as one chunk, columns cast to the

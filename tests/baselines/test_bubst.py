@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro import Table
 from repro.baselines.bubst import ALL_MARKER, build_bubst_cube
 from repro.baselines.buc import build_buc_cube
 from repro.query import answer_bubst_query, reference_group_by
 from repro.query.answer import normalize_answer
+from tests.support.rows import rows_of, table_of
 
 
 def test_every_node_correct(flat_schema, figure9_table):
     cube, _stats = build_bubst_cube(flat_schema, figure9_table)
     for node in flat_schema.lattice.nodes():
-        expected = reference_group_by(flat_schema, figure9_table.to_rows(), node)
+        expected = reference_group_by(flat_schema, rows_of(figure9_table), node)
         got = normalize_answer(answer_bubst_query(cube, node))
         assert got == expected
 
@@ -64,17 +64,17 @@ def test_size_model_fixed_width(flat_schema, figure9_table):
 
 def test_no_duplicates_when_data_dense(flat_schema):
     rows = [(0, 0, 0, 5)] * 4 + [(1, 1, 1, 2)] * 3
-    table = Table(flat_schema.fact_schema, rows)
+    table = table_of(flat_schema.fact_schema, rows)
     cube, stats = build_bubst_cube(flat_schema, table)
     assert stats.bst_written == 0
     for node in flat_schema.lattice.nodes():
-        expected = reference_group_by(flat_schema, table.to_rows(), node)
+        expected = reference_group_by(flat_schema, rows_of(table), node)
         got = normalize_answer(answer_bubst_query(cube, node))
         assert got == expected
 
 
 def test_empty_table(flat_schema):
     cube, _stats = build_bubst_cube(
-        flat_schema, Table(flat_schema.fact_schema, [])
+        flat_schema, table_of(flat_schema.fact_schema, [])
     )
     assert cube.total_tuples == 0

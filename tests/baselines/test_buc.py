@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro import Table
 from repro.baselines.buc import build_buc_cube
 from repro.datasets import generate_flat_dataset
 from repro.lattice.node import CubeNode
 from repro.query import answer_buc_query, reference_group_by
 from repro.query.answer import normalize_answer
+from tests.support.rows import rows_of, table_of
 
 
 def test_full_cube_every_node_correct(flat_schema, figure9_table):
     cube, _stats = build_buc_cube(flat_schema, figure9_table)
     for node in flat_schema.lattice.nodes():
-        expected = reference_group_by(flat_schema, figure9_table.to_rows(), node)
+        expected = reference_group_by(flat_schema, rows_of(figure9_table), node)
         got = normalize_answer(answer_buc_query(cube, node))
         assert got == expected
 
@@ -21,7 +21,7 @@ def test_full_cube_every_node_correct(flat_schema, figure9_table):
 def test_total_tuples_is_full_cube_size(flat_schema, figure9_table):
     cube, _stats = build_buc_cube(flat_schema, figure9_table)
     expected = sum(
-        len(reference_group_by(flat_schema, figure9_table.to_rows(), node))
+        len(reference_group_by(flat_schema, rows_of(figure9_table), node))
         for node in flat_schema.lattice.nodes()
     )
     assert cube.total_tuples == expected
@@ -63,7 +63,7 @@ def test_analytic_mode_cannot_be_queried(flat_schema, figure9_table):
 
 def test_iceberg_min_count_prunes(flat_schema):
     rows = [(0, 0, 0, 5)] * 3 + [(1, 1, 1, 7)]
-    table = Table(flat_schema.fact_schema, rows)
+    table = table_of(flat_schema.fact_schema, rows)
     cube, _stats = build_buc_cube(flat_schema, table, min_count=2)
     # Every node survives with exactly one group: the (0,0,0) triple —
     # except ∅, whose single group covers all four tuples (sum 22).
@@ -75,7 +75,7 @@ def test_iceberg_min_count_prunes(flat_schema):
 
 
 def test_empty_table(flat_schema):
-    cube, _stats = build_buc_cube(flat_schema, Table(flat_schema.fact_schema, []))
+    cube, _stats = build_buc_cube(flat_schema, table_of(flat_schema.fact_schema, []))
     assert cube.total_tuples == 0
 
 

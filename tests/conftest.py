@@ -12,6 +12,7 @@ from repro import (
     linear_dimension,
     make_aggregates,
 )
+from tests.support.rows import table_of
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ def flat_schema() -> CubeSchema:
 @pytest.fixture
 def figure9_table(flat_schema) -> Table:
     """The fact table of Figure 9a (codes are the paper's values - 1)."""
-    return Table(
+    return table_of(
         flat_schema.fact_schema,
         [
             (0, 0, 0, 10),
@@ -62,4 +63,4 @@ def engine(tmp_path) -> Engine:
 
 
 def small_fact_table(schema: CubeSchema, rows: list[tuple]) -> Table:
-    return Table(schema.fact_schema, rows)
+    return table_of(schema.fact_schema, rows)

@@ -10,10 +10,17 @@ import random
 
 import pytest
 
-from repro import CubeSchema, Table, build_cube, complex_dimension, linear_dimension, make_aggregates
+from repro import (
+    CubeSchema,
+    build_cube,
+    complex_dimension,
+    linear_dimension,
+    make_aggregates,
+)
 from repro.core.postprocess import postprocess_plus
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
+from tests.support.rows import rows_of, table_of
 
 N_DAYS = 28
 
@@ -49,7 +56,7 @@ def table(schema):
         (rng.randrange(10), rng.randrange(N_DAYS), rng.randrange(50))
         for _ in range(400)
     ]
-    return Table(schema.fact_schema, rows)
+    return table_of(schema.fact_schema, rows)
 
 
 def test_lattice_includes_both_branches(schema):
@@ -61,7 +68,7 @@ def test_every_node_matches_reference(schema, table):
     result = build_cube(schema, table=table)
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 
@@ -83,7 +90,7 @@ def test_plus_pass_over_complex_hierarchy(schema, table):
     postprocess_plus(result.storage)
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected
 
@@ -91,12 +98,12 @@ def test_plus_pass_over_complex_hierarchy(schema, table):
 def test_incremental_updates_over_complex_hierarchy(schema, table):
     from repro.core.incremental import apply_delta
 
-    base = Table(schema.fact_schema, table.to_rows()[:350])
-    delta = table.to_rows()[350:]
+    base = table_of(schema.fact_schema, rows_of(table)[:350])
+    delta = rows_of(table)[350:]
     result = build_cube(schema, table=base)
     apply_delta(result.storage, schema, base, delta)
     cache = FactCache(schema, table=base)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, base.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(base), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CubeSchema, Table, build_cube, flat_dimension, make_aggregates
+from repro import CubeSchema, build_cube, flat_dimension, make_aggregates
 from repro.core.cure import (
     FlatShape,
     HierarchicalShape,
@@ -13,13 +13,20 @@ from repro.datasets import generate_flat_dataset
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.aggregates import AggregateSpec, MedianAgg
-from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
+from tests.support.rows import (
+    aggregates_rows,
+    cat_rows,
+    nt_rows,
+    rows_of,
+    table_of,
+    tt_rowids,
+)
 
 
 def cube_answers_match_reference(schema, table, storage):
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 
@@ -32,7 +39,7 @@ def test_every_node_correct_hierarchical(paper_schema):
         (rng.randrange(12), rng.randrange(8), rng.randrange(5), rng.randrange(100))
         for _ in range(200)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result = build_cube(paper_schema, table=table)
     cube_answers_match_reference(paper_schema, table, result.storage)
 
@@ -43,12 +50,12 @@ def test_every_node_correct_flat(flat_schema, figure9_table):
 
 
 def test_empty_fact_table(paper_schema):
-    result = build_cube(paper_schema, table=Table(paper_schema.fact_schema, []))
+    result = build_cube(paper_schema, table=table_of(paper_schema.fact_schema, []))
     assert result.storage.nodes == {}
 
 
 def test_single_tuple_fact_table(paper_schema):
-    table = Table(paper_schema.fact_schema, [(0, 0, 0, 5)])
+    table = table_of(paper_schema.fact_schema, [(0, 0, 0, 5)])
     result = build_cube(paper_schema, table=table)
     # One TT at the root (∅): shared by the entire lattice.
     root_store = result.storage.get_node_store(
@@ -61,7 +68,7 @@ def test_single_tuple_fact_table(paper_schema):
 
 def test_duplicate_tuples_make_no_tts(flat_schema):
     rows = [(0, 0, 0, 5)] * 4
-    table = Table(flat_schema.fact_schema, rows)
+    table = table_of(flat_schema.fact_schema, rows)
     result = build_cube(flat_schema, table=table)
     assert result.stats.tt_written == 0
     cube_answers_match_reference(flat_schema, table, result.storage)
@@ -69,7 +76,7 @@ def test_duplicate_tuples_make_no_tts(flat_schema):
 
 def test_iceberg_min_count(flat_schema):
     rows = [(0, 0, 0, 5)] * 3 + [(1, 1, 1, 7)]
-    table = Table(flat_schema.fact_schema, rows)
+    table = table_of(flat_schema.fact_schema, rows)
     result = build_cube(flat_schema, table=table, min_count=2)
     storage = result.storage
     # No TTs at all in an iceberg cube with min_count >= 2.
@@ -97,7 +104,7 @@ def test_holistic_aggregate_rejected(figure9_table, flat_schema):
     schema = CubeSchema(
         flat_schema.dimensions, (AggregateSpec(MedianAgg(), 0),), 1
     )
-    table = Table(schema.fact_schema, figure9_table.to_rows())
+    table = table_of(schema.fact_schema, rows_of(figure9_table))
     with pytest.raises(ValueError, match="distributive"):
         build_cube(schema, table=table)
 
@@ -139,7 +146,7 @@ def test_p2_shape_builds_identical_aggregated_content(paper_schema):
         (rng.randrange(12), rng.randrange(8), rng.randrange(5), rng.randrange(50))
         for _ in range(80)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     p3 = build_cube(paper_schema, table=table, pool_capacity=None)
     p2 = build_cube(
         paper_schema,
@@ -180,7 +187,7 @@ def test_fcure_flat_variant_covers_only_base_nodes(paper_schema):
         (rng.randrange(12), rng.randrange(8), rng.randrange(5), rng.randrange(50))
         for _ in range(60)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result, _plus = VARIANTS["FCURE"].build(paper_schema, table=table)
     flat_ids = {
         paper_schema.node_id(node)
@@ -190,7 +197,7 @@ def test_fcure_flat_variant_covers_only_base_nodes(paper_schema):
     # Base-level queries still correct.
     cache = FactCache(paper_schema, table=table)
     for node in paper_schema.lattice.flat_nodes():
-        expected = reference_group_by(paper_schema, table.to_rows(), node)
+        expected = reference_group_by(paper_schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected
 
@@ -203,7 +210,7 @@ def test_bounded_pool_cube_still_correct(paper_schema):
         (rng.randrange(6), rng.randrange(4), rng.randrange(3), rng.randrange(10))
         for _ in range(150)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result = build_cube(paper_schema, table=table, pool_capacity=16)
     assert result.pool_stats.flushes > 1
     cube_answers_match_reference(paper_schema, table, result.storage)
@@ -218,7 +225,7 @@ def test_bounded_pool_never_smaller_cube(paper_schema):
         (rng.randrange(6), rng.randrange(4), rng.randrange(3), rng.randrange(4))
         for _ in range(200)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     small = build_cube(paper_schema, table=table, pool_capacity=8)
     unbounded = build_cube(paper_schema, table=table, pool_capacity=None)
     assert (
@@ -234,6 +241,6 @@ def test_larger_flat_dataset_matches_reference():
     result = build_cube(schema, table=table)
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected

@@ -4,12 +4,19 @@ import random
 
 import pytest
 
-from repro import CubeSchema, Table, build_cube, flat_dimension, make_aggregates
+from repro import CubeSchema, build_cube, flat_dimension, make_aggregates
 from repro.core.incremental import apply_delta, drift_report
 from repro.core.variants import VARIANTS
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
-from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
+from tests.support.rows import (
+    aggregates_rows,
+    cat_rows,
+    nt_rows,
+    rows_of,
+    table_of,
+    tt_rowids,
+)
 
 
 def make_instance(paper_schema, n_base, n_delta, seed):
@@ -21,7 +28,7 @@ def make_instance(paper_schema, n_base, n_delta, seed):
             rng.randrange(30),
         )
 
-    base = Table(paper_schema.fact_schema, [row() for _ in range(n_base)])
+    base = table_of(paper_schema.fact_schema, [row() for _ in range(n_base)])
     delta = [row() for _ in range(n_delta)]
     return base, delta
 
@@ -29,7 +36,7 @@ def make_instance(paper_schema, n_base, n_delta, seed):
 def assert_equals_reference(schema, table, storage):
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 
@@ -59,7 +66,7 @@ def test_multiple_update_rounds(paper_schema):
 
 
 def test_update_of_empty_cube(paper_schema):
-    base = Table(paper_schema.fact_schema, [])
+    base = table_of(paper_schema.fact_schema, [])
     result = build_cube(paper_schema, table=base)
     _b, delta = make_instance(paper_schema, 0, 20, seed=4)
     apply_delta(result.storage, paper_schema, base, delta)
@@ -77,7 +84,7 @@ def test_empty_delta_is_noop(paper_schema):
 
 def test_duplicate_of_existing_tt_devalues_it(flat_schema):
     rows = [(0, 0, 0, 5), (1, 1, 1, 7)]
-    base = Table(flat_schema.fact_schema, rows)
+    base = table_of(flat_schema.fact_schema, rows)
     result = build_cube(flat_schema, table=base)
     report = apply_delta(
         result.storage, flat_schema, base, [(0, 0, 0, 3)]
@@ -94,7 +101,7 @@ def test_new_region_gets_shared_tts(flat_schema):
     path must produce exactly the same sharing.
     """
     rows = [(0, 0, 0, 5)] * 3
-    base = Table(flat_schema.fact_schema, rows)
+    base = table_of(flat_schema.fact_schema, rows)
     result = build_cube(flat_schema, table=base)
     report = apply_delta(
         result.storage, flat_schema, base, [(2, 2, 2, 9)]
@@ -114,7 +121,7 @@ def test_new_region_gets_shared_tts(flat_schema):
 
 def test_cat_demotion(flat_schema, figure9_table):
     """Updating a group stored as a CAT demotes it to an NT."""
-    base = Table(flat_schema.fact_schema, figure9_table.to_rows())
+    base = table_of(flat_schema.fact_schema, rows_of(figure9_table))
     result = build_cube(flat_schema, table=base)
     # Group (A=0) is part of the common-source CAT <1,30>; touch it.
     report = apply_delta(result.storage, flat_schema, base, [(0, 2, 1, 4)])
@@ -128,7 +135,7 @@ def test_updates_on_flat_fcure_cube(paper_schema):
     apply_delta(result.storage, paper_schema, base, delta)
     cache = FactCache(paper_schema, table=base)
     for node in paper_schema.lattice.flat_nodes():
-        expected = reference_group_by(paper_schema, base.to_rows(), node)
+        expected = reference_group_by(paper_schema, rows_of(base), node)
         got = normalize_answer(
             answer_cure_query(result.storage, cache, node)
         )
@@ -153,7 +160,7 @@ def test_rejects_holistic(flat_schema, figure9_table):
         flat_schema.dimensions, (AggregateSpec(MedianAgg(), 0),), 1
     )
     storage = build_cube(flat_schema, table=figure9_table).storage
-    base = Table(schema.fact_schema, figure9_table.to_rows())
+    base = table_of(schema.fact_schema, rows_of(figure9_table))
     with pytest.raises(ValueError, match="distributive"):
         apply_delta(storage, schema, base, [(0, 0, 0, 1)])
 
@@ -176,7 +183,7 @@ def test_drift_is_bounded(paper_schema):
 
 def test_min_rowid_maintained(flat_schema):
     """Merged NTs keep the minimum source row-id (CURE's invariant)."""
-    base = Table(flat_schema.fact_schema, [(0, 0, 0, 5), (0, 0, 1, 6)])
+    base = table_of(flat_schema.fact_schema, [(0, 0, 0, 5), (0, 0, 1, 6)])
     result = build_cube(flat_schema, table=base)
     apply_delta(result.storage, flat_schema, base, [(0, 0, 2, 7)])
     # Node AB group (0,0) existed from rows {0,1}; min rowid must stay 0.
@@ -350,7 +357,7 @@ def test_matrix_delta_and_warm_views(paper_schema):
         result.storage, paper_schema, base, np.asarray(delta, dtype=np.int64)
     )
     assert report.delta_rows == 20 and report.delta_codes[0] == delta[0][:3]
-    assert base.to_rows()[-1] == delta[-1]
+    assert rows_of(base)[-1] == delta[-1]
     assert base.as_batch().length == 140
     for store in result.storage.nodes.values():
         assert store.nt_count == len(store.nt_matrix())
@@ -382,7 +389,7 @@ def test_relation_arrays_are_read_only_and_old_answers_keep_their_values(
     nodes = list(paper_schema.lattice.nodes())
     before = [answer_cure_query(storage, cache, node) for node in nodes]
     expected = [
-        reference_group_by(paper_schema, base.to_rows(), node) for node in nodes
+        reference_group_by(paper_schema, rows_of(base), node) for node in nodes
     ]
     report = apply_delta(storage, paper_schema, base, delta)
     postprocess_plus(storage)

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from repro import CubeSchema, Engine, Table, build_cube, flat_dimension, linear_dimension, make_aggregates
+from repro import (
+    CubeSchema,
+    Engine,
+    build_cube,
+    flat_dimension,
+    linear_dimension,
+    make_aggregates,
+)
 from repro.core.partition_select import (
     search_partition_levels,
     select_partition_level,
@@ -13,6 +20,7 @@ from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryBudgetExceeded, MemoryManager
+from tests.support.rows import rows_of, table_of
 
 
 def pair_schema() -> CubeSchema:
@@ -31,7 +39,7 @@ def pair_table(schema, n=2400, seed=13):
          rng.randrange(20))
         for _ in range(n)
     ]
-    return Table(schema.fact_schema, rows)
+    return table_of(schema.fact_schema, rows)
 
 
 def engine_with(tmp_path, schema, table, budget):
@@ -85,7 +93,7 @@ def test_pair_partitioned_build_matches_reference(setup):
 
     cache = FactCache(schema, heap=engine.relation("fact"), fraction=1.0)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 
@@ -113,7 +121,7 @@ def test_pair_needs_two_dimensions(tmp_path):
         (flat_dimension("A", 3),), make_aggregates(("sum", 0)), 1
     )
     rows = [(i % 3, 1) for i in range(3000)]
-    table = Table(schema.fact_schema, rows)
+    table = table_of(schema.fact_schema, rows)
     engine = engine_with(tmp_path, schema, table, budget=1_000)
     with pytest.raises(MemoryBudgetExceeded):
         build_cube(schema, engine=engine, relation="fact", pool_capacity=50)

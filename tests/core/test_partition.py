@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro import CubeSchema, Engine, Table, build_cube, linear_dimension, make_aggregates
+from repro import (
+    CubeSchema,
+    Engine,
+    build_cube,
+    linear_dimension,
+    make_aggregates,
+)
 from repro.core.partition import (
     _first_fit,
     partition_relation,
@@ -17,6 +23,7 @@ from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryBudgetExceeded, MemoryManager
+from tests.support.rows import rows_of, table_of
 
 
 def dense_schema() -> CubeSchema:
@@ -34,7 +41,7 @@ def dense_table(schema, n=3000, seed=5):
         (rng.randrange(40), rng.randrange(6), rng.randrange(10))
         for _ in range(n)
     ]
-    return Table(schema.fact_schema, rows)
+    return table_of(schema.fact_schema, rows)
 
 
 def engine_with(tmp_path, schema, table, budget):
@@ -170,7 +177,7 @@ def test_partition_relation_soundness(tmp_path):
     seen_in: dict[int, str] = {}
     total = 0
     for name in names:
-        for row in engine.relation(name).scan():
+        for row in rows_of(engine.relation(name)):
             total += 1
             member = level_map[row[0]]
             assert seen_in.setdefault(member, name) == name  # sound
@@ -198,7 +205,7 @@ def test_partitioned_build_matches_in_memory(tmp_path):
 
     cache = FactCache(schema, heap=engine.relation("fact"), fraction=1.0)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
     engine.close()
@@ -231,7 +238,7 @@ def test_partitioned_rejects_holistic(tmp_path):
     base = dense_schema()
     schema = CubeSchema(base.dimensions, (AggregateSpec(MedianAgg(), 0),), 1)
     table = dense_table(base)
-    table = Table(schema.fact_schema, table.to_rows())
+    table = table_of(schema.fact_schema, rows_of(table))
     budget = len(table) * schema.fact_schema.row_size_bytes // 2
     engine = engine_with(tmp_path, schema, table, budget=budget)
     with pytest.raises(ValueError, match="distributive"):

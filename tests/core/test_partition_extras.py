@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from repro import CubeSchema, Engine, Table, build_cube, linear_dimension, make_aggregates
+from repro import (
+    CubeSchema,
+    Engine,
+    build_cube,
+    linear_dimension,
+    make_aggregates,
+)
 from repro.core.cure import CureBuilder, HierarchicalShape
 from repro.core.partition import partition_relation
 from repro.core.partition_select import (
@@ -18,7 +24,7 @@ from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
-from tests.support.rows import aggregates_rows, cat_rows
+from tests.support.rows import aggregates_rows, cat_rows, rows_of, table_of
 
 
 def schema_and_table(n=1500, seed=3):
@@ -30,7 +36,7 @@ def schema_and_table(n=1500, seed=3):
         (rng.randrange(30), rng.randrange(5), rng.randrange(9))
         for _ in range(n)
     ]
-    return schema, Table(schema.fact_schema, rows)
+    return schema, table_of(schema.fact_schema, rows)
 
 
 def engine_with(tmp_path, schema, table, budget):
@@ -86,7 +92,7 @@ def test_uniform_strategy_partition_roundtrip(tmp_path):
 
     cache = FactCache(schema, heap=heap, fraction=1.0)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
     engine.close()
@@ -126,7 +132,7 @@ def test_as_nt_format_end_to_end():
         (rng.randrange(6), rng.randrange(6), rng.randrange(3))
         for _ in range(200)
     ]
-    table = Table(schema.fact_schema, rows)
+    table = table_of(schema.fact_schema, rows)
     result = build_cube(schema, table=table)
     if result.storage.cat_format is CatFormat.AS_NT:
         assert all(
@@ -135,7 +141,7 @@ def test_as_nt_format_end_to_end():
         assert aggregates_rows(result.storage) == []
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected
 
@@ -158,7 +164,7 @@ def test_complex_first_dimension_rejected(tmp_path):
     )
     rows = [(i % 8, i % 3, 1) for i in range(500)]
     engine = engine_with(
-        tmp_path, schema, Table(schema.fact_schema, rows), budget=2_000
+        tmp_path, schema, table_of(schema.fact_schema, rows), budget=2_000
     )
     with pytest.raises(ValueError, match="linear"):
         select_partition_level(engine, "fact", schema)

@@ -9,6 +9,7 @@ from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from tests.support.rows import (
     cat_rows,
+    rows_of,
     set_aggregates_rows,
     set_rows,
     tt_rowids,
@@ -82,7 +83,7 @@ def test_queries_unchanged_after_plus(flat_schema, figure9_table):
     postprocess_plus(result.storage)
     cache = FactCache(flat_schema, table=figure9_table)
     for node in flat_schema.lattice.nodes():
-        expected = reference_group_by(flat_schema, figure9_table.to_rows(), node)
+        expected = reference_group_by(flat_schema, rows_of(figure9_table), node)
         got = normalize_answer(
             answer_cure_query(result.storage, cache, node)
         )

@@ -48,7 +48,7 @@ from tests.property.test_crash_resume import (
     _instance,
 )
 from tests.storage2.test_corruption import flip_byte
-from tests.support.rows import cube_bytes
+from tests.support.rows import cube_bytes, table_of
 
 
 def _four_dimension_instance() -> tuple[CubeSchema, Table]:
@@ -64,7 +64,7 @@ def _four_dimension_instance() -> tuple[CubeSchema, Table]:
          rng.randrange(3), rng.randrange(100))
         for _ in range(600)
     ]
-    return schema, Table(schema.fact_schema, rows)
+    return schema, table_of(schema.fact_schema, rows)
 
 
 def _durable(schema, engine) -> DurableCubeBuild:

@@ -4,16 +4,16 @@ and the per-segment oracle ``reduce_segments``."""
 import numpy as np
 import pytest
 
-from repro import Table
 from repro.core.segments import aggregate_ufuncs
 from repro.core.workingset import WorkingSet
 from repro.relational.aggregates import AggregateSpec, MedianAgg
 from tests.support.recursive_baselines import level_keys, reduce_segments
+from tests.support.rows import table_of
 
 
 @pytest.fixture
 def working(paper_schema):
-    table = Table(
+    table = table_of(
         paper_schema.fact_schema,
         [
             (0, 0, 0, 10),

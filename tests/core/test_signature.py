@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Table, build_cube
+from repro import build_cube
 from repro.core.cure import CureBuilder, HierarchicalShape
 from repro.core.signature import (
     FormatStatistics,
@@ -20,6 +20,7 @@ from repro.core.signature import (
 from repro.core.storage import choose_cat_format
 from repro.core.workingset import WorkingSet
 from tests.support.list_pool import ListSignaturePool
+from tests.support.rows import table_of
 
 
 class Collector:
@@ -270,7 +271,7 @@ def test_first_flush_statistics_and_format_on_fixture_builds(
     import random
 
     rng = random.Random(5)
-    paper_table = Table(
+    paper_table = table_of(
         paper_schema.fact_schema,
         [
             (rng.randrange(12), rng.randrange(8), rng.randrange(5), rng.randrange(4))

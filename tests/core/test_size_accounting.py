@@ -22,7 +22,7 @@ import contextlib
 import random
 from unittest import mock
 
-from repro import Engine, Table, build_cube
+from repro import Engine, build_cube
 from repro.core.incremental import apply_delta
 from repro.core.model import CubeSchema
 from repro.core.postprocess import postprocess_plus
@@ -37,6 +37,7 @@ from repro.relational.memory import MemoryManager
 from repro.storage2 import open_v2, write_v2
 from repro.storage2.format import committed_container
 from repro.storage2.mapped import map_storage
+from tests.support.rows import table_of
 
 A, B = CatFormat.COMMON_SOURCE, CatFormat.COINCIDENTAL
 
@@ -147,12 +148,12 @@ def cases(tmp_path):
 
     schema = _hier_schema()
     for n, seed in ((400, 17), (2000, 5)):
-        table = Table(schema.fact_schema, _hier_rows(schema, n, seed))
+        table = table_of(schema.fact_schema, _hier_rows(schema, n, seed))
         for fmt, tag in ((None, "rule"), (A, "a"), (B, "b")):
             yield f"hier-{n}-s{seed}-{tag}", schema, table, _plus(
                 schema, table, fmt
             )
-    table = Table(schema.fact_schema, _hier_rows(schema, 1000, 9))
+    table = table_of(schema.fact_schema, _hier_rows(schema, 1000, 9))
     yield "hier-1000-dr", schema, table, _plus(schema, table, dr_mode=True)
     yield "hier-1000-iceberg2-a", schema, table, _plus(
         schema, table, A, min_count=2
@@ -168,7 +169,7 @@ def cases(tmp_path):
     )
     engine.close()
 
-    table = Table(schema.fact_schema, _hier_rows(schema, 2000, 13))
+    table = table_of(schema.fact_schema, _hier_rows(schema, 2000, 13))
     budget = int(len(table) * schema.fact_schema.row_size_bytes * 0.8)
     engine = _engine(tmp_path / "partitioned", table, budget)
     for fmt, tag in ((A, "a"), (B, "b")):
@@ -180,7 +181,7 @@ def cases(tmp_path):
     engine.close()
 
     for fmt, tag in ((A, "a"), (B, "b")):
-        table = Table(schema.fact_schema, _hier_rows(schema, 2000, 11))
+        table = table_of(schema.fact_schema, _hier_rows(schema, 2000, 11))
         storage = _plus(schema, table, fmt)
         rng = random.Random(23)
         for step in range(4):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.variants import VARIANTS, CureConfig
+from tests.support.rows import table_of
 
 
 def test_registry_contains_paper_variants():
@@ -52,14 +53,12 @@ def test_dr_cube_is_larger_but_same_tuples(paper_schema):
     # cube whose NTs all sit in 0/1-dimensional nodes it can tie or win).
     import random
 
-    from repro import Table
-
     rng = random.Random(11)
     rows = [
         (rng.randrange(12), rng.randrange(8), rng.randrange(5), rng.randrange(20))
         for _ in range(300)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     plain, _x = VARIANTS["CURE"].build(paper_schema, table=table)
     dr, _x = VARIANTS["CURE_DR"].build(paper_schema, table=table)
     plain_report = plain.storage.size_report()
@@ -71,14 +70,12 @@ def test_dr_cube_is_larger_but_same_tuples(paper_schema):
 def test_fcure_smaller_and_faster_shape(paper_schema):
     import random
 
-    from repro import Table
-
     rng = random.Random(9)
     rows = [
         (rng.randrange(12), rng.randrange(8), rng.randrange(5), rng.randrange(20))
         for _ in range(150)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     full, _x = VARIANTS["CURE"].build(paper_schema, table=table)
     flat, _x = VARIANTS["FCURE"].build(paper_schema, table=table)
     assert (

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import CatFormat, Engine, Table, build_cube
+from repro import CatFormat, Engine, build_cube
 from repro.core.postprocess import postprocess_plus
 from repro.core.variants import VARIANTS
 from repro.query import FactCache, answer_cure_query, reference_group_by
@@ -12,6 +12,7 @@ from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
 from repro.relational.heap import HeapFile
 from repro.relational.memory import MemoryManager
+from tests.support.rows import rows_of, table_of
 
 
 @pytest.fixture
@@ -22,7 +23,7 @@ def disk_setup(tmp_path, paper_schema):
          rng.randrange(25))
         for _ in range(500)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     budget = int(len(table) * paper_schema.fact_schema.row_size_bytes * 0.8)
     engine = Engine(Catalog(tmp_path / "e"), MemoryManager(budget))
     engine.store_table("fact", table)
@@ -39,7 +40,7 @@ def test_variant_builds_partitioned_through_engine(disk_setup, variant):
     assert (plus is not None) == config.plus
     cache = FactCache(schema, heap=engine.relation("fact"), fraction=1.0)
     for node in list(schema.lattice.nodes())[::3]:
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected
 
@@ -51,11 +52,11 @@ def test_dr_variant_partitioned_reads_the_fact_relation_twice(
     values come from the signatures, never from a random fact read."""
     schema, table, engine = disk_setup
 
-    def no_random_reads(heap, rowid):
-        raise AssertionError(f"read_row({rowid}) during construction")
+    def no_random_reads(heap, rowids, sorted_hint=False):
+        raise AssertionError(f"read_batch({rowids}) during construction")
 
     with monkeypatch.context() as patch:
-        patch.setattr(HeapFile, "read_row", no_random_reads)
+        patch.setattr(HeapFile, "read_batch", no_random_reads)
         result, _plus = VARIANTS["CURE_DR"].with_pool(100).build(
             schema, engine=engine, relation="fact"
         )
@@ -65,7 +66,7 @@ def test_dr_variant_partitioned_reads_the_fact_relation_twice(
     assert result.stats.fact_write_passes == 1
     cache = FactCache(schema, heap=engine.relation("fact"), fraction=0.0)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 
@@ -74,7 +75,7 @@ def test_query_through_cat_bitmap(flat_schema):
     """Format (a) CAT lists charged as bitmaps still answer right."""
     # Engineer many common-source CATs: duplicate groups across nodes.
     rows = [(a, a % 3, a % 3, 7) for a in range(3)] * 5
-    table = Table(flat_schema.fact_schema, rows)
+    table = table_of(flat_schema.fact_schema, rows)
     result = build_cube(flat_schema, table=table)
     storage = result.storage
     before = {

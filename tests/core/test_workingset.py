@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import Table
 from repro.core.workingset import WorkingSet
 from tests.support.recursive_baselines import (
     aggregate,
@@ -11,11 +10,12 @@ from tests.support.recursive_baselines import (
     min_rowid,
     weight_of,
 )
+from tests.support.rows import table_of
 
 
 @pytest.fixture
 def working(paper_schema) -> WorkingSet:
-    table = Table(
+    table = table_of(
         paper_schema.fact_schema,
         [(0, 0, 0, 10), (3, 1, 2, 20), (7, 5, 4, 30)],
     )
@@ -73,7 +73,7 @@ def test_from_records_numbers_fact_rows_by_position(paper_schema):
     records = np.array(rows, dtype=paper_schema.fact_schema.numpy_dtype)
     working = WorkingSet.from_records(paper_schema, records)
     expected = WorkingSet.from_fact_table(
-        paper_schema, Table(paper_schema.fact_schema, rows)
+        paper_schema, table_of(paper_schema.fact_schema, rows)
     )
     assert working.rowids.tolist() == [0, 1, 2]
     assert [c.tolist() for c in working.dims] == [

@@ -8,7 +8,7 @@ from repro.datasets.apb import (
     apb_tuple_count,
     generate_apb_dataset,
 )
-from tests.support.rows import rows_digest
+from tests.support.rows import rows_digest, rows_of
 
 
 def test_exact_cardinalities_from_the_paper():
@@ -43,7 +43,7 @@ def test_measures_and_aggregates():
 
 def test_dimension_codes_in_range():
     schema, table = generate_apb_dataset(density=0.01, seed=3)
-    for row in table.to_rows()[:500]:
+    for row in rows_of(table)[:500]:
         for d, dimension in enumerate(schema.dimensions):
             assert 0 <= row[d] < dimension.base_cardinality
 
@@ -80,7 +80,7 @@ def test_invalid_density_rejected():
 def test_deterministic_by_seed():
     _s, t1 = generate_apb_dataset(density=0.01, seed=1)
     _s, t2 = generate_apb_dataset(density=0.01, seed=1)
-    assert t1.to_rows() == t2.to_rows()
+    assert rows_of(t1) == rows_of(t2)
 
 
 def test_seeded_output_pinned():
@@ -88,7 +88,7 @@ def test_seeded_output_pinned():
     row tuples (values pinned at the commit before it stopped)."""
     _s, table = generate_apb_dataset(density=0.01, seed=3)
     assert len(table) == 124
-    assert table.to_rows()[:2] == [
+    assert rows_of(table)[:2] == [
         (5274, 116, 16, 4, 974, 10714), (556, 481, 13, 0, 353, 6707),
     ]
     assert rows_digest(table) == (

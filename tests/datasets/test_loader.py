@@ -9,6 +9,7 @@ from repro.datasets.loader import (
     load_csv,
     load_records,
 )
+from tests.support.rows import rows_of
 
 RECORDS = [
     {"city": "Athens", "country": "Greece", "sku": "a", "qty": 3},
@@ -81,7 +82,7 @@ def test_cardinality_ordering():
 def test_fact_rows_follow_dimension_order():
     result = load()
     schema = result.schema
-    for record, row in zip(RECORDS, result.table.to_rows()):
+    for record, row in zip(RECORDS, rows_of(result.table)):
         for d, dimension in enumerate(schema.dimensions):
             decoder = result.decoder(dimension.name)
             field = decoder.spec.levels[0]
@@ -98,7 +99,7 @@ def test_measure_scaling_fixed_point():
         [REGION, PRODUCT],
         ["qty", MeasureSpec.of("price", scale=100)],
     )
-    assert result.table.to_rows()[0][-1] == 1234
+    assert rows_of(result.table)[0][-1] == 1234
 
 
 def test_measure_non_integral_rejected():
@@ -157,7 +158,7 @@ def test_load_csv_skips_blank_lines(tmp_path):
         "\n"
     )
     result = load_csv(path, [REGION, PRODUCT], ["qty"])
-    assert [row[-1] for row in result.table.to_rows()] == [3, 5]
+    assert [row[-1] for row in rows_of(result.table)] == [3, 5]
 
 
 @pytest.mark.parametrize(
@@ -198,7 +199,7 @@ def test_load_csv_without_data_rows_is_empty(tmp_path):
         path.write_text(text)
         result = load_csv(path, [REGION, PRODUCT], ["qty"])
         assert len(result.table) == 0
-        assert result.table.to_rows() == []
+        assert rows_of(result.table) == []
 
 
 def test_load_csv_chunks_agree_with_one_pass(tmp_path, monkeypatch):
@@ -217,7 +218,7 @@ def test_load_csv_chunks_agree_with_one_pass(tmp_path, monkeypatch):
     whole = load_records(records, [REGION, PRODUCT], ["qty"])
     monkeypatch.setattr("repro.datasets.loader.CHUNK_ROWS", 3)
     chunked = load_csv(path, [REGION, PRODUCT], ["qty"])
-    assert chunked.table.to_rows() == whole.table.to_rows()
+    assert rows_of(chunked.table) == rows_of(whole.table)
     assert chunked.decoders == whole.decoders
     assert [d.base_maps for d in chunked.schema.dimensions] == [
         d.base_maps for d in whole.schema.dimensions
@@ -240,7 +241,7 @@ def test_cube_over_loaded_data_matches_reference():
     cache = FactCache(result.schema, table=result.table)
     for node in result.schema.lattice.nodes():
         expected = reference_group_by(
-            result.schema, result.table.to_rows(), node
+            result.schema, rows_of(result.table), node
         )
         got = normalize_answer(
             answer_cure_query(built.storage, cache, node)

@@ -8,7 +8,7 @@ from repro.datasets.real import (
     generate_covtype_like,
     generate_sep85l_like,
 )
-from tests.support.rows import rows_digest
+from tests.support.rows import rows_digest, rows_of
 
 
 def test_dimensionality_matches_originals():
@@ -44,7 +44,7 @@ def test_sparsity_character():
     _s, sep = generate_sep85l_like(scale=1 / 200)
 
     def distinct_share(table, n_dims):
-        combos = {row[:n_dims] for row in table.to_rows()}
+        combos = {row[:n_dims] for row in rows_of(table)}
         return len(combos) / len(table)
 
     assert distinct_share(cov, 10) > distinct_share(sep, 9)
@@ -59,19 +59,19 @@ def test_schemas_carry_sum_and_count():
 def test_deterministic():
     _s, a = generate_covtype_like(scale=1 / 500, seed=9)
     _s, b = generate_covtype_like(scale=1 / 500, seed=9)
-    assert a.to_rows() == b.to_rows()
+    assert rows_of(a) == rows_of(b)
 
 
 def test_seeded_output_pinned():
     """Same seed, same table as when the generator boxed its columns into
     row tuples (values pinned at the commit before it stopped)."""
     _s, cov = generate_covtype_like(scale=1 / 500, seed=9)
-    assert cov.to_rows()[0] == (8, 1, 1, 0, 1, 0, 1, 1, 1, 1, 42)
+    assert rows_of(cov)[0] == (8, 1, 1, 0, 1, 0, 1, 1, 1, 1, 42)
     assert rows_digest(cov) == (
         "25c2e55136dbbc1741d4e04aa1aee72d315a3fc054ef0fcb4f65df8a277d5bd4"
     )
     _s, sep = generate_sep85l_like(scale=1 / 500, seed=9)
-    assert sep.to_rows()[0] == (6, 1, 1, 0, 1, 4, 1, 0, 0, 86)
+    assert rows_of(sep)[0] == (6, 1, 1, 0, 1, 4, 1, 0, 0, 86)
     assert rows_digest(sep) == (
         "9c38293be8efe63af95499f449316b7f9b0fce40b45c43278950d7c3c1178f90"
     )

@@ -8,7 +8,7 @@ from repro.datasets.synthetic import (
     generate_flat_dataset,
     zipf_probabilities,
 )
-from tests.support.rows import rows_digest
+from tests.support.rows import rows_digest, rows_of
 
 
 def test_zipf_uniform_at_zero():
@@ -38,8 +38,8 @@ def test_generate_flat_dataset_shape():
     schema, table = generate_flat_dataset(3, 200, zipf=0.8, seed=1)
     assert schema.n_dimensions == 3
     assert len(table) == 200
-    assert len(table[0]) == 4  # 3 dims + 1 measure
-    for row in table.to_rows():
+    assert table.schema.arity == 4  # 3 dims + 1 measure
+    for row in rows_of(table):
         for d, dimension in enumerate(schema.dimensions):
             assert 0 <= row[d] < dimension.base_cardinality
 
@@ -48,15 +48,15 @@ def test_generate_deterministic_by_seed():
     _s1, t1 = generate_flat_dataset(3, 100, seed=5)
     _s2, t2 = generate_flat_dataset(3, 100, seed=5)
     _s3, t3 = generate_flat_dataset(3, 100, seed=6)
-    assert t1.to_rows() == t2.to_rows()
-    assert t1.to_rows() != t3.to_rows()
+    assert rows_of(t1) == rows_of(t2)
+    assert rows_of(t1) != rows_of(t3)
 
 
 def test_skew_concentrates_mass():
     _s, uniform = generate_flat_dataset(1, 3000, zipf=0.0, seed=2)
     _s, skewed = generate_flat_dataset(1, 3000, zipf=1.8, seed=2)
     def top_share(table):
-        values = [row[0] for row in table.to_rows()]
+        values = [row[0] for row in rows_of(table)]
         counts = {}
         for value in values:
             counts[value] = counts.get(value, 0) + 1
@@ -77,11 +77,11 @@ def test_multiple_measures_and_aggregates():
         aggregates=(("sum", 0), ("sum", 1), ("count", 0)),
     )
     assert schema.n_aggregates == 3
-    assert len(table[0]) == 4
+    assert table.schema.arity == 4
 
 
 def _member_share(table, dimension, member):
-    values = [row[dimension] for row in table.to_rows()]
+    values = [row[dimension] for row in rows_of(table)]
     return values.count(member) / len(values)
 
 
@@ -107,7 +107,7 @@ def test_hot_member_fraction_zero_is_inert():
     _s, with_knob = generate_flat_dataset(
         2, 300, seed=9, hot_member_fraction=0.0
     )
-    assert plain.to_rows() == with_knob.to_rows()
+    assert rows_of(plain) == rows_of(with_knob)
 
 
 def test_hot_member_fraction_validation():
@@ -123,7 +123,7 @@ def test_seeded_output_pinned():
     """Same seed, same table as when the generator boxed its columns into
     row tuples (values pinned at the commit before it stopped)."""
     _s, table = generate_flat_dataset(3, 100, seed=5)
-    assert table.to_rows()[:2] == [(50, 31, 0, 64), (51, 29, 27, 66)]
+    assert rows_of(table)[:2] == [(50, 31, 0, 64), (51, 29, 27, 66)]
     assert rows_digest(table) == (
         "d19b6a516d732bdd88551486a076ec7921388d1cb10fdfebf3be3c52de613538"
     )
@@ -132,7 +132,7 @@ def test_seeded_output_pinned():
         aggregates=(("sum", 0), ("sum", 1)),
         hot_member_fraction=0.5, hot_dimension=1,
     )
-    assert hot.to_rows()[:2] == [
+    assert rows_of(hot)[:2] == [
         (2, 0, 94, 48, 87, 58), (268, 0, 34, 6, 3, 32),
     ]
     assert rows_digest(hot) == (

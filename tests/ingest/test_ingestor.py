@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import CubeSchema, Table, linear_dimension, make_aggregates
+from repro import CubeSchema, linear_dimension, make_aggregates
 from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.ingest import IngestError, StreamingIngestor
 from repro.ingest.ingestor import generation_container
@@ -23,6 +23,7 @@ from repro.query.answer import normalize_answer
 from repro.relational.durable import InjectedCrash, file_checksum
 from repro.storage2 import V2File, V2FormatError, open_v2, write_v2
 from tests.storage2.test_corruption import flip_byte
+from tests.support.rows import rows_of, table_of
 
 
 def small_schema() -> CubeSchema:
@@ -42,7 +43,7 @@ def bootstrap(engine, tmp_path, **kwargs):
     return StreamingIngestor.bootstrap(
         SCHEMA,
         engine,
-        Table(SCHEMA.fact_schema, list(BASE)),
+        table_of(SCHEMA.fact_schema, list(BASE)),
         tmp_path / "log",
         seal_records=2,
         **kwargs,
@@ -60,7 +61,7 @@ def fresh_engine(tmp_path):
 def assert_queries_match(ingestor):
     cache = FactCache(SCHEMA, table=ingestor.fact_table)
     for node in SCHEMA.lattice.nodes():
-        expected = reference_group_by(SCHEMA, ingestor.fact_table.to_rows(), node)
+        expected = reference_group_by(SCHEMA, rows_of(ingestor.fact_table), node)
         planner = CubePlanner(ingestor.storage, cache)
         got = normalize_answer(planner.answer(QueryRequest(node)))
         assert got == expected, node.label(SCHEMA.dimensions)
@@ -82,7 +83,7 @@ def test_bootstrap_apply_recover_round_trip(engine, tmp_path):
     )
     assert recovered.applied_lsn == ingestor.applied_lsn
     assert recovered.generation == ingestor.generation
-    assert recovered.fact_table.to_rows() == ingestor.fact_table.to_rows()
+    assert rows_of(recovered.fact_table) == rows_of(ingestor.fact_table)
     assert recovered.plus and recovered.storage.plus_processed
     assert_queries_match(recovered)
 
@@ -244,7 +245,7 @@ def test_stale_generation_swept_on_recover(engine, tmp_path):
     torn.write_bytes(b"half a container")
     stale_prefix = ingestor._cube_prefix(committed + 1)
     engine.store_table(
-        f"{stale_prefix}.fact", Table(SCHEMA.fact_schema, [(0, 0, 1)])
+        f"{stale_prefix}.fact", table_of(SCHEMA.fact_schema, [(0, 0, 1)])
     )
 
     fresh = fresh_engine(tmp_path)
@@ -352,7 +353,7 @@ def test_planner_fine_grained_invalidation(engine, tmp_path):
     for request in (hit, miss, unsliced):
         got = normalize_answer(planner.answer(request))
         reference = reference_group_by(
-            SCHEMA, ingestor.fact_table.to_rows(), base_node
+            SCHEMA, rows_of(ingestor.fact_table), base_node
         )
         if request.slices:
             (slice_,) = request.slices
@@ -367,7 +368,7 @@ def test_planner_fine_grained_invalidation(engine, tmp_path):
 def test_indexed_planner_finds_groups_a_delta_opens(engine, tmp_path):
     """An indexed slice pre-filters stored row-ids through the planner's
     inverted indices, so those must post the delta's rows too."""
-    table = Table(SCHEMA.fact_schema, [(c % 8, c % 2, c) for c in range(40)])
+    table = table_of(SCHEMA.fact_schema, [(c % 8, c % 2, c) for c in range(40)])
     ingestor = StreamingIngestor.bootstrap(
         SCHEMA, engine, table, tmp_path / "log", seal_records=2
     )
@@ -387,7 +388,7 @@ def test_indexed_planner_finds_groups_a_delta_opens(engine, tmp_path):
     reference = [
         (dims, aggregates)
         for dims, aggregates in reference_group_by(
-            SCHEMA, ingestor.fact_table.to_rows(), base_node
+            SCHEMA, rows_of(ingestor.fact_table), base_node
         )
         if dims[0] == 0
     ]

@@ -23,6 +23,7 @@ from repro.query.answer import normalize_answer
 from repro.query.workload import all_node_queries
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryBudgetExceeded, MemoryManager
+from tests.support.rows import rows_of, table_of
 
 pytestmark = pytest.mark.crash
 
@@ -52,7 +53,7 @@ def skewed_instance() -> tuple[CubeSchema, Table]:
             (rng.randrange(block, block + 4), rng.randrange(4), rng.randrange(50))
             for _ in range(100)
         )
-    return schema, Table(schema.fact_schema, rows)
+    return schema, table_of(schema.fact_schema, rows)
 
 
 @pytest.fixture(scope="module")
@@ -119,11 +120,11 @@ def test_same_budget_without_adaptivity_would_abort(tmp_path, skewed):
     engine = Engine(Catalog(tmp_path / "eng"), MemoryManager(budget))
     heavy_rows = [
         row + (rowid,)
-        for rowid, row in enumerate(table.to_rows())
+        for rowid, row in enumerate(rows_of(table))
         if row[0] < 4
     ]
     heavy = engine.store_table(
-        "heavy", Table(schema.partition_schema, heavy_rows)
+        "heavy", table_of(schema.partition_schema, heavy_rows)
     )
     pool_bytes = SignaturePool.size_bytes(POOL_CAPACITY, schema.n_aggregates)
     engine.memory.reserve(pool_bytes, what="signature pool")

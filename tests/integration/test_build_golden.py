@@ -47,6 +47,7 @@ from repro.relational.memory import MemoryManager
 from repro.storage2 import V2_FILE, V2File
 from repro.storage2.codecs import NARROW, RAW
 from repro.storage2.format import V2Writer
+from tests.support.rows import table_of
 
 SEED = 20060912
 N_ROWS = 8000
@@ -161,7 +162,7 @@ def golden_table(schema: CubeSchema) -> Table:
         )
     columns.append(rng.integers(1, 6, size=N_ROWS))
     rows = [tuple(int(v) for v in row) for row in zip(*columns)]
-    return Table(schema.fact_schema, rows)
+    return table_of(schema.fact_schema, rows)
 
 
 def _sha256(path: Path) -> str:

@@ -19,6 +19,7 @@ from repro.datasets.loader import DimensionSpec, load_records
 from repro.query import answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.storage2 import publish_v2_bundle
+from tests.support.rows import rows_of, table_of
 
 CITIES = [
     ("Athens", "Greece"), ("Patras", "Greece"),
@@ -76,7 +77,7 @@ def test_bundle_save_open_query(tmp_path, loaded):
         cache = bundle.fact_cache()
         for node in list(bundle.schema.lattice.nodes())[:6]:
             expected = reference_group_by(
-                loaded.schema, loaded.table.to_rows(), node
+                loaded.schema, rows_of(loaded.table), node
             )
             got = normalize_answer(
                 answer_cure_query(bundle.storage, cache, node)
@@ -244,7 +245,12 @@ def test_bundle_roundtrips_complex_hierarchy(tmp_path):
     """DAG hierarchies (multiple parents) survive JSON serialization."""
     import random
 
-    from repro import CubeSchema, Table, complex_dimension, flat_dimension, make_aggregates
+    from repro import (
+        CubeSchema,
+        complex_dimension,
+        flat_dimension,
+        make_aggregates,
+    )
 
     time = complex_dimension(
         "Time",
@@ -259,7 +265,7 @@ def test_bundle_roundtrips_complex_hierarchy(tmp_path):
         1,
     )
     rng = random.Random(4)
-    table = Table(
+    table = table_of(
         schema.fact_schema,
         [(rng.randrange(14), rng.randrange(3), rng.randrange(5))
          for _ in range(120)],
@@ -273,7 +279,7 @@ def test_bundle_roundtrips_complex_hierarchy(tmp_path):
         assert set(reloaded_time.entry_levels()) == set(time.entry_levels())
         cache = bundle.fact_cache()
         for node in bundle.schema.lattice.nodes():
-            expected = reference_group_by(schema, table.to_rows(), node)
+            expected = reference_group_by(schema, rows_of(table), node)
             got = normalize_answer(
                 answer_cure_query(bundle.storage, cache, node)
             )
@@ -337,7 +343,7 @@ def test_cli_ingest_updates_bundle_queries(cli_workspace, capsys):
         assert bundle.v2.file.path == streamed_container(cube_dir)
         assert bundle.fact_row_count == 203
         cache = bundle.fact_cache()
-        fact_rows = cache.fetch_many(range(bundle.fact_row_count))
+        fact_rows = rows_of(cache.fetch_batch(range(bundle.fact_row_count)))
         for node in bundle.schema.lattice.nodes():
             expected = reference_group_by(bundle.schema, fact_rows, node)
             got = normalize_answer(

@@ -2,20 +2,24 @@
 
 A build pass — ``load_csv`` → ``CureConfig.build`` → ``save_bundle``
 (which publishes ``cube.v2``) → ``open_bundle`` — moves the fact relation
-as columns the whole way.  The two bridges between tuples and columns,
-``ColumnBatch.from_rows`` and ``ColumnBatch.to_rows``, are patched to
-raise, and the pass must still succeed: with the table in memory,
-through ``Engine.store_table`` and a heap-file load, and under a memory
-budget that forces the Section 4 partition pass — for which the
-tuple-at-a-time ``HeapFile.scan`` and ``append_many`` raise too, so the
-loops that pass was rewritten from cannot come back unnoticed.
+as columns the whole way: ``src/`` has no bridge between tuples and
+columns left to call.  What remains to guard is the heap's row-id
+gather: ``HeapFile.read_batch`` is patched to raise, and the pass must
+still succeed with the table in memory, through ``Engine.store_table``
+and a heap-file load, and under a memory budget that forces the
+Section 4 partition pass, which reads the fact relation only in
+whole sequential passes.
 """
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     VARIANTS,
     DimensionSpec,
@@ -50,12 +54,11 @@ def fact_csv(tmp_path):
 @pytest.fixture
 def no_row_bridges(monkeypatch):
     def refuse(*_args, **_kwargs):
-        raise AssertionError("a build pass transposed fact rows")
+        raise AssertionError("a build pass gathered fact rows by row-id")
 
-    monkeypatch.setattr(ColumnBatch, "from_rows", classmethod(refuse))
-    monkeypatch.setattr(ColumnBatch, "to_rows", refuse)
-    monkeypatch.setattr(HeapFile, "scan", refuse)
-    monkeypatch.setattr(HeapFile, "append_many", refuse)
+    monkeypatch.setattr(HeapFile, "read_batch", refuse)
+    for tuple_api in ("from_rows", "to_rows", "iter_rows"):
+        assert not hasattr(ColumnBatch, tuple_api)
 
 
 @pytest.mark.parametrize("mode", ["memory", "heap", "partitioned"])
@@ -96,3 +99,23 @@ def test_build_pass_never_transposes(tmp_path, fact_csv, no_row_bridges, mode):
             bundle.v2.fact.as_batch().arrays, table.as_batch().arrays
         ):
             assert np.array_equal(served, built)
+
+
+#: The tuple API that left ``src/``: heap record readers, the row bridges
+#: of ``ColumnBatch`` / ``Table``, the fact cache's tuple fetches, the
+#: ``RowSource`` protocol and the ``struct`` record layout.
+TUPLE_API = re.compile(
+    r"\bread_rows?\b|read_rows_sequential|append_many|\.scan\(\)|fetch_many"
+    r"|RowSource|iter_rows|from_rows|to_rows|struct_format|struct_code"
+)
+
+
+def test_src_keeps_no_tuple_api():
+    src = Path(repro.__file__).parent
+    found = [
+        f"{path.relative_to(src)}:{number}: {line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if TUPLE_API.search(line)
+    ]
+    assert found == []

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro import Engine, Table, build_cube
+from repro import Engine, build_cube
 from repro.core.postprocess import postprocess_plus
 from repro.datasets import generate_apb_dataset
 from repro.query import FactCache, answer_cure_query, reference_group_by
@@ -18,7 +18,7 @@ from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
 from repro.storage2 import V2File, open_v2, write_v2
-from tests.support.rows import aggregates_rows
+from tests.support.rows import aggregates_rows, rows_of
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ def test_persist_reload_query_roundtrip(tmp_path, apb_small):
     reloaded, fact = mapped.storage, mapped.fact
     assert reloaded.cat_format == result.storage.cat_format
     assert reloaded.fact_row_count == result.storage.fact_row_count
-    assert fact.as_batch().to_rows() == table.to_rows()
+    assert rows_of(fact.as_batch()) == rows_of(table)
 
     cache = FactCache(schema, table=fact)
     rng = random.Random(1)
@@ -47,7 +47,7 @@ def test_persist_reload_query_roundtrip(tmp_path, apb_small):
         for _ in range(25)
     ]
     for node in sample:
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(reloaded, cache, node))
         assert got == expected
 
@@ -78,7 +78,7 @@ def test_dr_cube_persist_roundtrip(tmp_path, apb_small):
     assert reloaded.dr_mode
     cache = FactCache(schema, table=mapped.fact)
     node = schema.decode_node(17)
-    expected = reference_group_by(schema, table.to_rows(), node)
+    expected = reference_group_by(schema, rows_of(table), node)
     assert normalize_answer(answer_cure_query(reloaded, cache, node)) == expected
 
 
@@ -93,7 +93,7 @@ def test_full_pipeline_disk_fact_and_plus(tmp_path, apb_small):
     rng = random.Random(2)
     for _ in range(20):
         node = schema.decode_node(rng.randrange(schema.enumerator.n_nodes))
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cold, node))
         assert got == expected
     engine.close()

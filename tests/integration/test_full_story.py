@@ -24,6 +24,7 @@ from repro.query import (
 )
 from repro.query.answer import normalize_answer
 from repro.query.planner import CubePlanner, QueryRequest, build_indices
+from tests.support.rows import rows_of
 
 CITIES = [
     ("Athens", "Greece", "Europe"), ("Patras", "Greece", "Europe"),
@@ -83,7 +84,7 @@ def test_full_story(tmp_path):
         direct = QueryRequest.of(node)
         assert planner.plan(direct).strategy == "direct"
         got = normalize_answer(planner.answer(direct))
-        assert got == reference_group_by(bundle.schema, fact_batch.to_rows(), node)
+        assert got == reference_group_by(bundle.schema, rows_of(fact_batch), node)
 
         europe = region.member_names[2].index("Europe")
         sliced = QueryRequest.of(
@@ -112,6 +113,6 @@ def test_full_story(tmp_path):
     from repro.query import answer_cure_query
 
     for node in list(schema.lattice.nodes())[::4]:
-        expected = reference_group_by(schema, fact.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(fact), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(schema.dimensions)

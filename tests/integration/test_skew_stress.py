@@ -33,7 +33,13 @@ from repro.query.answer import normalize_answer
 from repro.query.workload import all_node_queries
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
-from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
+from tests.support.rows import (
+    aggregates_rows,
+    cat_rows,
+    nt_rows,
+    rows_of,
+    tt_rowids,
+)
 
 pytestmark = pytest.mark.crash
 
@@ -177,7 +183,7 @@ def test_hot_member_cannot_be_split_on_dimension_zero(hot_member):
     the hot base member alone overflows the budget's partition room."""
     schema, table = hot_member
     assert schema.dimensions[0].n_levels == 1
-    hot_rows = sum(1 for row in table.to_rows() if row[0] == 0)
+    hot_rows = sum(1 for row in rows_of(table) if row[0] == 0)
     assert hot_rows > PARTITION_ALLOWANCE_ROWS
 
 

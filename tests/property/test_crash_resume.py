@@ -27,7 +27,7 @@ from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indic
 from repro.relational.catalog import Catalog
 from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
-from tests.support.rows import cube_bytes
+from tests.support.rows import cube_bytes, table_of
 
 pytestmark = pytest.mark.crash
 
@@ -47,7 +47,7 @@ def _instance() -> tuple[CubeSchema, Table]:
         (rng.randrange(12), rng.randrange(5), rng.randrange(100))
         for _ in range(400)
     ]
-    return schema, Table(schema.fact_schema, rows)
+    return schema, table_of(schema.fact_schema, rows)
 
 
 def _budget(schema: CubeSchema, table: Table) -> int:

@@ -20,12 +20,13 @@ from collections import Counter
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from repro import CubeSchema, Table, linear_dimension, make_aggregates
+from repro import CubeSchema, linear_dimension, make_aggregates
 from repro.baselines import build_bubst_cube, build_buc_cube
 from tests.support.recursive_baselines import (
     recursive_bubst_cube,
     recursive_buc_cube,
 )
+from tests.support.rows import table_of
 
 
 def _schema(cardinalities, coarse=()):
@@ -66,7 +67,7 @@ def fact_tables(draw):
         )
     )
     rows = draw(st.lists(st.sampled_from(pool), max_size=30))
-    return schema, Table(schema.fact_schema, rows)
+    return schema, table_of(schema.fact_schema, rows)
 
 
 def _counters(stats):
@@ -81,9 +82,9 @@ SINGLE = _schema((4, 3, 2))
 
 @settings(max_examples=80, deadline=None)
 @given(fact_tables(), st.integers(1, 3), st.booleans())
-@example((EMPTY, Table(EMPTY.fact_schema, [])), 1, True)
-@example((SINGLE, Table(SINGLE.fact_schema, [(3, 1, 0, 7)])), 1, True)
-@example((SINGLE, Table(SINGLE.fact_schema, [(3, 1, 0, 7)])), 1, False)
+@example((EMPTY, table_of(EMPTY.fact_schema, [])), 1, True)
+@example((SINGLE, table_of(SINGLE.fact_schema, [(3, 1, 0, 7)])), 1, True)
+@example((SINGLE, table_of(SINGLE.fact_schema, [(3, 1, 0, 7)])), 1, False)
 def test_buc_matches_recursive_oracle(instance, min_count, materialize):
     schema, table = instance
     cube, stats = build_buc_cube(schema, table, min_count, materialize)
@@ -108,8 +109,8 @@ def test_buc_matches_recursive_oracle(instance, min_count, materialize):
 
 @settings(max_examples=80, deadline=None)
 @given(fact_tables())
-@example((EMPTY, Table(EMPTY.fact_schema, [])))
-@example((SINGLE, Table(SINGLE.fact_schema, [(3, 1, 0, 7)])))
+@example((EMPTY, table_of(EMPTY.fact_schema, [])))
+@example((SINGLE, table_of(SINGLE.fact_schema, [(3, 1, 0, 7)])))
 def test_bubst_matches_recursive_oracle(instance):
     schema, table = instance
     cube, stats = build_bubst_cube(schema, table)

@@ -22,6 +22,7 @@ from repro.relational.batch import ColumnBatch
 from repro.relational.heap import HeapFile
 from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.relational.table import Table
+from tests.support.rows import append_rows, batch_of, rows_of, table_of
 
 _VALUES = {
     ColumnType.INT32: st.integers(-5, 5),
@@ -45,7 +46,7 @@ def tables(draw, max_arity: int = 4, max_rows: int = 25) -> Table:
     )
     row = st.tuples(*(_VALUES[t] for t in types))
     rows = draw(st.lists(row, min_size=0, max_size=max_rows))
-    return Table(schema, rows)
+    return table_of(schema, rows)
 
 
 def stable_order(batch: ColumnBatch, names: list[str]) -> np.ndarray:
@@ -56,11 +57,11 @@ def stable_order(batch: ColumnBatch, names: list[str]) -> np.ndarray:
 @settings(max_examples=50, deadline=None)
 @given(tables())
 def test_table_scan_equivalence(table):
-    rows = table.to_rows()
+    rows = rows_of(table)
     batch = table.as_batch()
-    assert batch.to_rows() == list(table) == rows
-    assert ColumnBatch.from_rows(table.schema, rows).to_rows() == rows
-    assert Table.from_batch(batch).to_rows() == rows
+    assert rows_of(batch) == rows
+    assert rows_of(batch_of(table.schema, rows)) == rows
+    assert rows_of(Table.from_batch(batch)) == rows
 
 
 @settings(max_examples=50, deadline=None)
@@ -74,8 +75,8 @@ def test_selection_equivalence(table, data):
         (batch.column(column) > threshold, lambda v: v > threshold),
         (batch.column(column) == threshold, lambda v: v == threshold),
     ):
-        assert batch.filter(mask).to_rows() == [
-            row for row in table.to_rows() if keep(row[position])
+        assert rows_of(batch.filter(mask)) == [
+            row for row in rows_of(table) if keep(row[position])
         ]
 
 
@@ -89,8 +90,8 @@ def test_projection_equivalence(table, data):
     )
     positions = [table.schema.position(name) for name in names]
     projected = table.as_batch().project(names)
-    assert projected.to_rows() == [
-        tuple(row[p] for p in positions) for row in table.to_rows()
+    assert rows_of(projected) == [
+        tuple(row[p] for p in positions) for row in rows_of(table)
     ]
     assert list(projected.schema.names) == names
 
@@ -109,15 +110,15 @@ def test_order_by_equivalence(table, data):
     positions = [table.schema.position(name) for name in names]
     batch = table.as_batch()
     # Both are stable sorts: exact order equality, ties included.
-    assert batch.take(stable_order(batch, names)).to_rows() == sorted(
-        table.to_rows(), key=lambda row: tuple(row[p] for p in positions)
+    assert rows_of(batch.take(stable_order(batch, names))) == sorted(
+        rows_of(table), key=lambda row: tuple(row[p] for p in positions)
     )
 
 
 @settings(max_examples=50, deadline=None)
 @given(tables(), st.integers(0, 30))
 def test_limit_equivalence(table, n):
-    assert table.as_batch().slice(0, n).to_rows() == table.to_rows()[:n]
+    assert rows_of(table.as_batch().slice(0, n)) == rows_of(table)[:n]
 
 
 @settings(max_examples=25, deadline=None)
@@ -128,8 +129,8 @@ def test_composed_pipeline_equivalence(table, data):
     names = list(table.schema.names)
     selected = table.as_batch().filter(table.as_batch().column("c0") <= threshold)
     ordered = selected.take(stable_order(selected, names))
-    assert ordered.slice(0, 10).to_rows() == sorted(
-        row for row in table.to_rows() if row[0] <= threshold
+    assert rows_of(ordered.slice(0, 10)) == sorted(
+        row for row in rows_of(table) if row[0] <= threshold
     )[:10]
 
 
@@ -141,10 +142,10 @@ _heap_counter = itertools.count()
 def test_heap_scan_equivalence(tmp_path_factory, table):
     root = tmp_path_factory.mktemp("heapscan")
     with HeapFile(root / f"h{next(_heap_counter)}.dat", table.schema) as heap:
-        heap.append_many(table.to_rows())
+        append_rows(heap, rows_of(table))
         scanned = [
             row
             for batch in heap.scan_batches(chunk_rows=7)
-            for row in batch.to_rows()
+            for row in rows_of(batch)
         ]
-        assert scanned == list(heap.scan()) == table.to_rows()
+        assert scanned == rows_of(heap) == rows_of(table)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro import CubeSchema, Table, build_cube, linear_dimension, make_aggregates
+from repro import CubeSchema, build_cube, linear_dimension, make_aggregates
 from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.core.postprocess import postprocess_plus
 from repro.query import (
@@ -22,7 +22,7 @@ from repro.query import (
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
-from tests.support.rows import tt_rowids
+from tests.support.rows import rows_of, table_of, tt_rowids
 
 
 @st.composite
@@ -56,13 +56,13 @@ def cube_instances(draw):
         + (draw(st.integers(-50, 50)),)
         for _ in range(n_rows)
     ]
-    return schema, Table(schema.fact_schema, rows)
+    return schema, table_of(schema.fact_schema, rows)
 
 
 def assert_cube_matches_reference(schema, table, storage):
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(storage, cache, node))
         assert got == expected, node.label(schema.dimensions)
 
@@ -107,7 +107,7 @@ def test_baselines_equal_reference_on_flat_nodes(instance):
     buc, _s = build_buc_cube(schema, table)
     bubst, _s = build_bubst_cube(schema, table)
     for node in schema.lattice.flat_nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         assert normalize_answer(answer_buc_query(buc, node)) == expected
         assert normalize_answer(answer_bubst_query(bubst, node)) == expected
 
@@ -122,7 +122,7 @@ def test_iceberg_cube_is_filtered_full_cube(instance, min_count):
     for node in schema.lattice.nodes():
         expected = [
             (dims, aggs)
-            for dims, aggs in reference_group_by(schema, table.to_rows(), node)
+            for dims, aggs in reference_group_by(schema, rows_of(table), node)
             if aggs[count_index] >= min_count
         ]
         got = normalize_answer(

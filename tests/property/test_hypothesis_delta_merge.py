@@ -27,7 +27,6 @@ from hypothesis import given, settings
 
 from repro import (
     CubeSchema,
-    Table,
     build_cube,
     complex_dimension,
     flat_dimension,
@@ -49,7 +48,14 @@ from repro.query import (
 from repro.query.answer import normalize_answer
 from repro.query.rollup import base_node_of
 from tests.support.record_merger import apply_delta_by_record
-from tests.support.rows import aggregates_rows, cat_rows, nt_rows, tt_rowids
+from tests.support.rows import (
+    aggregates_rows,
+    cat_rows,
+    nt_rows,
+    rows_of,
+    table_of,
+    tt_rowids,
+)
 
 AGGREGATES = make_aggregates(("sum", 0), ("count", 0), ("min", 0), ("max", 0))
 
@@ -101,7 +107,7 @@ def fact_rows(schema: CubeSchema, **sizes):
 
 
 def build(schema, rows, flat, cat_format, plus):
-    table = Table(schema.fact_schema, list(rows))
+    table = table_of(schema.fact_schema, list(rows))
     with mock.patch(
         "repro.core.storage.choose_cat_format", lambda _stats, _y: cat_format
     ):
@@ -188,7 +194,7 @@ def run_differential(schema, flat, base_rows, deltas, cat_format, plus):
         )
         report = apply_delta(storage, schema, table, list(delta))
         assert dataclasses.asdict(report) == dataclasses.asdict(expected)
-        assert table.to_rows() == oracle_table.to_rows()
+        assert rows_of(table) == rows_of(oracle_table)
         assert stored(storage) == stored(oracle)
         assert list(aggregates_rows(storage)) == list(aggregates_rows(oracle))
         assert storage.update_drift_bytes == oracle.update_drift_bytes
@@ -202,7 +208,7 @@ def run_differential(schema, flat, base_rows, deltas, cat_format, plus):
             assert stored(storage) == stored(oracle)
             assert storage.size_report() == oracle.size_report()
     if deltas:
-        rebuilt = build(schema, table.to_rows(), flat, cat_format, plus)
+        rebuilt = build(schema, rows_of(table), flat, cat_format, plus)
         assert_same_answers(
             schema, flat, (table, storage), rebuilt, deltas[-1][0]
         )

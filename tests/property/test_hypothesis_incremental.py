@@ -5,13 +5,13 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro import CubeSchema, Table, linear_dimension, make_aggregates
+from repro import CubeSchema, linear_dimension, make_aggregates
 from repro.core.cure import build_cube
 from repro.core.incremental import apply_delta
 from repro.core.postprocess import postprocess_plus
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
-from tests.support.rows import tt_rowids
+from tests.support.rows import rows_of, table_of, tt_rowids
 
 
 def small_schema() -> CubeSchema:
@@ -35,13 +35,13 @@ rows = st.tuples(
     st.lists(st.lists(rows, min_size=1, max_size=8), max_size=3),
 )
 def test_update_rounds_equal_rebuild(base_rows, delta_batches):
-    table = Table(SCHEMA.fact_schema, list(base_rows))
+    table = table_of(SCHEMA.fact_schema, list(base_rows))
     result = build_cube(SCHEMA, table=table)
     for batch in delta_batches:
         apply_delta(result.storage, SCHEMA, table, list(batch))
     cache = FactCache(SCHEMA, table=table)
     for node in SCHEMA.lattice.nodes():
-        expected = reference_group_by(SCHEMA, table.to_rows(), node)
+        expected = reference_group_by(SCHEMA, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(SCHEMA.dimensions)
 
@@ -55,7 +55,7 @@ def test_plus_update_rounds_equal_rebuild(base_rows, delta_batches):
     """Maintenance of a CURE+ cube (``apply_delta`` drops the plus
     property) round-trips through ``postprocess_plus`` and stays
     query-equivalent to a from-scratch rebuild after every batch."""
-    table = Table(SCHEMA.fact_schema, list(base_rows))
+    table = table_of(SCHEMA.fact_schema, list(base_rows))
     result = build_cube(SCHEMA, table=table)
     postprocess_plus(result.storage)
     for batch in delta_batches:
@@ -65,7 +65,7 @@ def test_plus_update_rounds_equal_rebuild(base_rows, delta_batches):
         assert result.storage.plus_processed
     cache = FactCache(SCHEMA, table=table)
     for node in SCHEMA.lattice.nodes():
-        expected = reference_group_by(SCHEMA, table.to_rows(), node)
+        expected = reference_group_by(SCHEMA, rows_of(table), node)
         got = normalize_answer(answer_cure_query(result.storage, cache, node))
         assert got == expected, node.label(SCHEMA.dimensions)
 
@@ -77,7 +77,7 @@ def test_plus_update_rounds_equal_rebuild(base_rows, delta_batches):
 )
 def test_no_tt_rowid_duplicated_after_update(base_rows, delta_rows):
     """TT relations stay duplicate-free and within fact bounds."""
-    table = Table(SCHEMA.fact_schema, list(base_rows))
+    table = table_of(SCHEMA.fact_schema, list(base_rows))
     result = build_cube(SCHEMA, table=table)
     apply_delta(result.storage, SCHEMA, table, list(delta_rows))
     for store in result.storage.nodes.values():

@@ -38,6 +38,7 @@ from repro.datasets.loader import (
 )
 from repro.relational.batch import column_dtype
 from tests.support import row_loader
+from tests.support.rows import rows_of
 
 AGGREGATE_CHOICES = (
     None,
@@ -165,7 +166,7 @@ def assert_same_load(got, expected) -> None:
     assert got.decoders == expected.decoders
     assert got.measures == expected.measures
     assert got.table.schema == expected.table.schema
-    assert got.table.to_rows() == expected.table.to_rows()
+    assert rows_of(got.table) == rows_of(expected.table)
     batch = got.table.as_batch()
     for column, array in zip(batch.schema.columns, batch.arrays):
         assert array.dtype == column_dtype(column.type)

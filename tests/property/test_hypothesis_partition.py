@@ -1,7 +1,7 @@
 """Differential: the array partition pass against the tuple-at-a-time oracle.
 
-``repro.core.partition.spill_by_key`` replaced six ``for row in
-heap.scan()`` loops; those loops live on verbatim in
+``repro.core.partition.spill_by_key`` replaced six loops over a heap's
+rows; those loops live on in
 ``tests/support/row_partition.py``, one function per shape.  On random
 schemas, skew profiles and budgets, every shape the one production path
 takes — level, pair, repartition and local-pair partitioning — and both
@@ -41,6 +41,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.engine import Engine
 from repro.relational.heap import HeapFile
 from repro.relational.memory import MemoryBudgetExceeded, MemoryManager
+from tests.support.rows import rows_of, table_of
 
 AGGREGATES = (("sum", 0), ("count", 0), ("min", 0), ("max", 1))
 
@@ -91,7 +92,7 @@ def _schema(chain0, chain1, c2, n_aggregates) -> CubeSchema:
 
 def _fact(schema: CubeSchema, rows) -> Table:
     keep = list(range(schema.n_dimensions)) + [3, 4]
-    return Table(schema.fact_schema, [tuple(r[i] for i in keep) for r in rows])
+    return table_of(schema.fact_schema, [tuple(r[i] for i in keep) for r in rows])
 
 
 class _Side:
@@ -280,10 +281,10 @@ def test_local_pair_partitioning_matches_oracle(
     parent_level = min(parent_level, schema.dimensions[0].n_levels - 1)
     # Any relation in the partition layout will do as "the partition".
     for side in (oracle, arrays):
-        fact = list(side.engine.relation("fact").scan())
+        fact = list(rows_of(side.engine.relation("fact")))
         rows = [row + (7 * i + 3,) for i, row in enumerate(fact)]
         side.engine.store_table(
-            "fact.part0", Table(schema.partition_schema, rows)
+            "fact.part0", table_of(schema.partition_schema, rows)
         )
     expected, actual = _both(
         oracle, arrays,

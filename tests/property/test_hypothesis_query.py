@@ -5,7 +5,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro import CubeSchema, Table, build_cube, linear_dimension, make_aggregates
+from repro import CubeSchema, build_cube, linear_dimension, make_aggregates
 from repro.lattice.node import CubeNode
 from repro.query import (
     DimensionSlice,
@@ -15,6 +15,7 @@ from repro.query import (
 )
 from repro.query.answer import normalize_answer
 from repro.query.planner import CubePlanner, QueryRequest, build_indices
+from tests.support.rows import table_of
 
 
 def small_schema() -> CubeSchema:
@@ -82,7 +83,7 @@ def reference_sliced(fact_rows, node, slices):
 @given(sliced_cases())
 def test_sliced_answers_match_reference_both_paths(case):
     fact_rows, node, slices = case
-    table = Table(SCHEMA.fact_schema, list(fact_rows))
+    table = table_of(SCHEMA.fact_schema, list(fact_rows))
     result = build_cube(SCHEMA, table=table)
     cache = FactCache(SCHEMA, table=table)
     expected = reference_sliced(fact_rows, node, slices)
@@ -101,7 +102,7 @@ def test_sliced_answers_match_reference_both_paths(case):
 @given(st.lists(rows, min_size=1, max_size=30), st.integers(0, 23))
 def test_planner_always_matches_reference(fact_rows, node_id):
     node = SCHEMA.decode_node(node_id % SCHEMA.enumerator.n_nodes)
-    table = Table(SCHEMA.fact_schema, list(fact_rows))
+    table = table_of(SCHEMA.fact_schema, list(fact_rows))
     result = build_cube(SCHEMA, table=table)
     planner = CubePlanner(
         result.storage,

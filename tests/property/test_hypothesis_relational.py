@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from repro.relational.heap import HeapFile
 from repro.relational.schema import Column, ColumnType, TableSchema
+from tests.support.rows import append_rows, rows_of
 
 
 @settings(max_examples=25, deadline=None)
@@ -20,7 +21,10 @@ def test_heap_file_roundtrip(tmp_path_factory, rows):
     schema = TableSchema.of("a", Column("b", ColumnType.INT64))
     path = tmp_path_factory.mktemp("heap") / "t.dat"
     with HeapFile(path, schema) as heap:
-        heap.append_many(rows)
-        assert list(heap.scan()) == rows
+        append_rows(heap, rows)
+        assert rows_of(heap) == rows
         for rowid, row in enumerate(rows):
-            assert heap.read_row(rowid) == row
+            assert rows_of(heap.read_batch([rowid])) == [row]
+        everything = list(range(len(rows)))
+        assert rows_of(heap.read_batch(everything, sorted_hint=True)) == rows
+        assert rows_of(heap.read_batch(everything[::-1])) == rows[::-1]

@@ -29,7 +29,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from repro import CubeSchema, Table, make_aggregates
+from repro import CubeSchema, make_aggregates
 from repro.core.partition_select import (
     _working_set_row_bytes,
     estimate_coarse_rows,
@@ -39,6 +39,7 @@ from repro.core.partition_select import (
 from repro.hierarchy.builders import flat_dimension, linear_dimension
 from repro.relational.engine import Engine
 from repro.relational.memory import MemoryBudgetExceeded
+from tests.support.rows import table_of
 
 
 def _dimension(name: str, cardinalities: tuple[int, ...]):
@@ -127,7 +128,7 @@ def test_local_pair_selection_sound_or_budget_error(case):
     engine = Engine.temporary(available)
     try:
         engine.store_table(
-            "fact.part0", Table(schema.partition_schema, rows)
+            "fact.part0", table_of(schema.partition_schema, rows)
         )
         decision = search_partition_levels(
             engine, "fact.part0", schema, 2, parent_level=parent_level
@@ -173,7 +174,7 @@ def test_single_dimension_cube_has_no_pair_extension():
     try:
         engine.store_table(
             "fact.part0",
-            Table(schema.partition_schema, [(0, 1, i) for i in range(40)]),
+            table_of(schema.partition_schema, [(0, 1, i) for i in range(40)]),
         )
         with pytest.raises(MemoryBudgetExceeded, match="single"):
             select_partition_level(engine, "fact.part0", schema, parent_level=0)
@@ -186,7 +187,7 @@ def test_unbounded_budget_is_a_usage_error():
     engine = Engine.temporary(None)
     try:
         engine.store_table(
-            "fact.part0", Table(schema.partition_schema, [])
+            "fact.part0", table_of(schema.partition_schema, [])
         )
         with pytest.raises(ValueError, match="bounded"):
             select_partition_level(engine, "fact.part0", schema, parent_level=0)

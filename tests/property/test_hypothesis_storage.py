@@ -5,12 +5,12 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro import CubeSchema, Table, build_cube, linear_dimension, make_aggregates
+from repro import CubeSchema, build_cube, linear_dimension, make_aggregates
 from repro.core.postprocess import postprocess_plus
 from repro.query import FactCache, answer_cure_query
 from repro.query.answer import normalize_answer
 from repro.storage2 import open_v2, write_v2
-from tests.support.rows import nt_rows, tt_rowids
+from tests.support.rows import nt_rows, table_of, tt_rowids
 
 
 def small_schema() -> CubeSchema:
@@ -33,7 +33,7 @@ rows = st.tuples(
 def test_persist_reload_answers_identically(
     tmp_path_factory, fact_rows, plus
 ):
-    table = Table(SCHEMA.fact_schema, list(fact_rows))
+    table = table_of(SCHEMA.fact_schema, list(fact_rows))
     result = build_cube(SCHEMA, table=table)
     if plus:
         postprocess_plus(result.storage)
@@ -59,7 +59,7 @@ def test_persist_reload_answers_identically(
 @settings(max_examples=40, deadline=None)
 @given(st.lists(rows, max_size=40))
 def test_size_report_consistency(fact_rows):
-    table = Table(SCHEMA.fact_schema, list(fact_rows))
+    table = table_of(SCHEMA.fact_schema, list(fact_rows))
     result = build_cube(SCHEMA, table=table)
     report = result.storage.size_report()
     assert report.total_bytes == (
@@ -83,7 +83,7 @@ def test_size_report_consistency(fact_rows):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(rows, min_size=1, max_size=40))
 def test_plus_pass_is_idempotent(fact_rows):
-    table = Table(SCHEMA.fact_schema, list(fact_rows))
+    table = table_of(SCHEMA.fact_schema, list(fact_rows))
     result = build_cube(SCHEMA, table=table)
     postprocess_plus(result.storage)
     once = result.storage.size_report().total_bytes

@@ -29,13 +29,13 @@ import random
 
 import pytest
 
-from repro import CubeSchema, Engine, Table, linear_dimension, make_aggregates
+from repro import CubeSchema, Engine, linear_dimension, make_aggregates
 from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indices
 from repro.ingest import IngestError, StreamingIngestor
 from repro.relational.catalog import Catalog
 from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
-from tests.support.rows import cube_bytes
+from tests.support.rows import cube_bytes, rows_of, table_of
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 MAX_CRASH_POINTS = int(os.environ.get("MAX_CRASH_POINTS", "12"))
@@ -69,7 +69,7 @@ def _bootstrap(schema, base, engine, root) -> StreamingIngestor:
     return StreamingIngestor.bootstrap(
         schema,
         engine,
-        Table(schema.fact_schema, list(base)),
+        table_of(schema.fact_schema, list(base)),
         root / "log",
         plus=True,
         compact_overhead=COMPACT_OVERHEAD,
@@ -130,7 +130,7 @@ def baseline(instance, tmp_path_factory):
         "ingest.append", "ingest.seal", "ingest.apply", "ingest.compact",
         "storage2.publish", "checkpoint.write", "manifest.save",
     }
-    reference = (cube_bytes(ingestor.storage), ingestor.fact_table.to_rows())
+    reference = (cube_bytes(ingestor.storage), rows_of(ingestor.fact_table))
     return reference, list(recorder.trace)
 
 
@@ -145,7 +145,7 @@ def test_crash_anywhere_recover_identical(tmp_path_factory, instance, baseline):
             instance,
             (FaultSpec(site="*", kind=FaultKind.CRASH, hit=point + 1),),
         )
-        state = (cube_bytes(ingestor.storage), ingestor.fact_table.to_rows())
+        state = (cube_bytes(ingestor.storage), rows_of(ingestor.fact_table))
         assert state == reference, (
             f"state differs after crash at point {point} ({trace[point]})"
         )
@@ -165,7 +165,7 @@ def test_crash_at_every_ingest_site(tmp_path_factory, instance, baseline):
             instance,
             (FaultSpec(site="*", kind=FaultKind.CRASH, hit=point + 1),),
         )
-        state = (cube_bytes(ingestor.storage), ingestor.fact_table.to_rows())
+        state = (cube_bytes(ingestor.storage), rows_of(ingestor.fact_table))
         assert state == reference, (
             f"state differs after crash at ingest point {point} "
             f"({trace[point]})"
@@ -194,7 +194,7 @@ def test_torn_append_recover_identical(tmp_path_factory, instance, baseline):
                 ),
             ),
         )
-        state = (cube_bytes(ingestor.storage), ingestor.fact_table.to_rows())
+        state = (cube_bytes(ingestor.storage), rows_of(ingestor.fact_table))
         assert state == reference, f"state differs after torn append #{hit}"
 
 
@@ -217,5 +217,5 @@ def test_transient_ingest_faults_absorbed(tmp_path_factory, instance, baseline):
         ),
     )
     assert injector.fired, "expected at least one transient fault to fire"
-    state = (cube_bytes(ingestor.storage), ingestor.fact_table.to_rows())
+    state = (cube_bytes(ingestor.storage), rows_of(ingestor.fact_table))
     assert state == reference

@@ -31,7 +31,7 @@ from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indic
 from repro.relational.catalog import Catalog
 from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
-from tests.support.rows import cube_bytes
+from tests.support.rows import cube_bytes, table_of
 
 pytestmark = pytest.mark.crash
 
@@ -56,7 +56,7 @@ def _instance() -> tuple[CubeSchema, Table]:
          rng.randrange(20))
         for _ in range(2400)
     ]
-    return schema, Table(schema.fact_schema, rows)
+    return schema, table_of(schema.fact_schema, rows)
 
 
 def _fresh_engine(root, schema, table) -> Engine:

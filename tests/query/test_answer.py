@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Table, build_cube
+from repro import build_cube
 from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.core.postprocess import postprocess_plus
 from repro.lattice.node import CubeNode
@@ -15,6 +15,7 @@ from repro.query import (
     reference_group_by,
 )
 from repro.query.answer import normalize_answer, tt_source_nodes
+from tests.support.rows import rows_of
 
 
 @pytest.fixture
@@ -29,7 +30,7 @@ def test_all_formats_agree_with_reference(built):
     buc, _s = build_buc_cube(schema, table)
     bubst, _s = build_bubst_cube(schema, table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         assert normalize_answer(answer_cure_query(storage, cache, node)) == expected
         assert normalize_answer(answer_buc_query(buc, node)) == expected
         assert normalize_answer(answer_bubst_query(bubst, node)) == expected
@@ -114,7 +115,7 @@ def test_heap_backed_cache_equivalent(tmp_path, flat_schema, figure9_table):
     result = build_cube(flat_schema, table=figure9_table)
     cold = FactCache(flat_schema, heap=heap, fraction=0.0)
     for node in flat_schema.lattice.nodes():
-        expected = reference_group_by(flat_schema, figure9_table.to_rows(), node)
+        expected = reference_group_by(flat_schema, rows_of(figure9_table), node)
         got = normalize_answer(answer_cure_query(result.storage, cold, node))
         assert got == expected
     engine.close()

@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import Table, build_cube
+from repro import build_cube
 from repro.bundle import open_bundle, save_bundle
 from repro.core.postprocess import postprocess_plus
 from repro.core.storage import CatFormat
@@ -41,6 +41,7 @@ from repro.query import (
 from repro.query.planner import CubePlanner, QueryRequest, build_indices
 from tests.server.conftest import serving_fact, serving_schema
 from tests.support import row_engine
+from tests.support.rows import rows_of, table_of
 
 check = row_engine.assert_engine_matches
 
@@ -53,7 +54,7 @@ def built(paper_schema):
          rng.randrange(20))
         for _ in range(400)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result = build_cube(paper_schema, table=table)
     cache = FactCache(paper_schema, table=table)
     return paper_schema, table, result.storage, cache
@@ -115,7 +116,7 @@ def test_rollup_equivalent(paper_schema):
          rng.randrange(20))
         for _ in range(300)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result, _plus = VARIANTS["FCURE"].build(schema=paper_schema, table=table)
     cache = FactCache(paper_schema, table=table)
     for levels in [(1, 0, 0), (2, 1, 0), (2, 2, 1), (1, 2, 1)]:
@@ -297,7 +298,8 @@ def test_every_node_matches_the_row_engine(backends, backend):
     if not storage.dr_mode:
         assert fetched > 0
     if backend == "heap":
-        assert cache.heap is not None and 0 < len(cache._cached) < cache.row_count
+        resident = int(cache._resident.sum())
+        assert cache.heap is not None and 0 < resident < cache.row_count
 
 
 # -- the result cache ---------------------------------------------------------
@@ -382,18 +384,19 @@ def test_planner_bypasses_result_cache_when_profiling(built):
 
 
 def test_fetch_batch_matches_fetch_many_table(built):
+    """A table-backed fetch is a gather of the table's rows, all hits."""
     schema, table, _storage, cache = built
     rowids = [5, 1, 1, 7, 0]
     cache.stats.reset()
-    rows = cache.fetch_many(rowids)
-    many_stats = (cache.stats.hits, cache.stats.misses)
-    cache.stats.reset()
     batch = cache.fetch_batch(rowids)
-    assert batch.to_rows() == rows
-    assert (cache.stats.hits, cache.stats.misses) == many_stats
+    assert rows_of(batch) == [rows_of(table)[rowid] for rowid in rowids]
+    assert (cache.stats.hits, cache.stats.misses) == (len(rowids), 0)
 
 
 def test_fetch_batch_matches_fetch_many_heap(tmp_path, paper_schema):
+    """A half-warm heap-backed fetch returns what the table-backed one
+    does, counting each row-id once as a hit or a miss and each run of
+    missed row-ids once when sorted."""
     from repro import Engine
     from repro.relational.catalog import Catalog
     from repro.relational.memory import MemoryManager
@@ -404,17 +407,28 @@ def test_fetch_batch_matches_fetch_many_heap(tmp_path, paper_schema):
          rng.randrange(20))
         for _ in range(50)
     ]
+    table = table_of(paper_schema.fact_schema, rows)
     engine = Engine(Catalog(tmp_path / "c"), MemoryManager())
-    heap = engine.store_table("fact", Table(paper_schema.fact_schema, rows))
+    heap = engine.store_table("fact", table)
     cold = FactCache(paper_schema, heap=heap, fraction=0.5)
-    for sorted_hint, rowids in ((False, [9, 3, 3, 40]), (True, [2, 8, 30])):
-        cold.stats.reset()
-        expected = cold.fetch_many(list(rowids), sorted_hint=sorted_hint)
-        many_stats = (cold.stats.hits, cold.stats.misses)
+    warm = FactCache(paper_schema, table=table)
+    for sorted_hint, rowids in (
+        (False, [9, 3, 3, 40]),
+        (True, [2, 8, 30]),
+        (True, list(range(10, 30))),
+    ):
         cold.stats.reset()
         batch = cold.fetch_batch(
             np.asarray(rowids, dtype=np.int64), sorted_hint=sorted_hint
         )
-        assert batch.to_rows() == expected
-        assert (cold.stats.hits, cold.stats.misses) == many_stats
+        assert rows_of(batch) == rows_of(warm.fetch_batch(rowids))
+        missed = [r for r in rowids if not cold._resident[r]]
+        assert (cold.stats.hits, cold.stats.misses) == (
+            len(rowids) - len(missed),
+            len(missed),
+        )
+        distinct = sorted(set(missed))
+        adjacent = sum(b == a + 1 for a, b in zip(distinct, distinct[1:]))
+        runs = len(distinct) - adjacent if sorted_hint else len(missed)
+        assert cold.stats.runs == runs
     engine.close()

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import Engine, Table
+from repro import Engine
 from repro.query.cache import FactCache
+from tests.support.rows import rows_of
 
 
 @pytest.fixture
@@ -32,60 +33,75 @@ def test_fraction_validated(setup):
 
 def test_table_backed_always_hits(flat_schema, figure9_table):
     cache = FactCache(flat_schema, table=figure9_table)
-    assert cache.fetch(3) == figure9_table[3]
+    assert rows_of(cache.fetch_batch([3])) == [rows_of(figure9_table)[3]]
     assert cache.stats.hits == 1
     assert cache.stats.misses == 0
+    assert cache.stats.runs == 0
 
 
 def test_zero_fraction_always_misses(setup):
     schema, table, heap = setup
     cache = FactCache(schema, heap=heap, fraction=0.0)
-    assert cache.fetch(0) == table[0]
+    assert rows_of(cache.fetch_batch([0])) == rows_of(table)[:1]
     assert cache.stats.misses == 1
     assert cache.stats.hits == 0
+    assert cache.stats.runs == 1
 
 
 def test_full_fraction_never_misses(setup):
     schema, table, heap = setup
     cache = FactCache(schema, heap=heap, fraction=1.0)
     heap.stats.reset()
-    for rowid in range(len(table)):
-        assert cache.fetch(rowid) == table[rowid]
+    everything = list(range(len(table)))
+    assert rows_of(cache.fetch_batch(everything[::-1])) == rows_of(table)[::-1]
     assert cache.stats.misses == 0
+    assert cache.stats.runs == 0
     assert heap.stats.rows_read == 0  # all answered from the cache
 
 
 def test_partial_fraction_mixes(setup):
     schema, table, heap = setup
     cache = FactCache(schema, heap=heap, fraction=0.4, seed=1)
-    for rowid in range(len(table)):
-        cache.fetch(rowid)
+    resident = cache._resident.copy()
+    assert rows_of(cache.fetch_batch(range(len(table)))) == rows_of(table)
     assert cache.stats.hits == 2  # 40% of 5 rows pinned
     assert cache.stats.misses == 3
+    assert int(resident.sum()) == 2
 
 
 def test_fetch_many_unsorted(setup):
     schema, table, heap = setup
     cache = FactCache(schema, heap=heap, fraction=0.0)
-    rows = cache.fetch_many([2, 0, 2])
-    assert rows == [table[2], table[0], table[2]]
+    heap.stats.reset()
+    rows = rows_of(cache.fetch_batch([2, 0, 2]))
+    expected = rows_of(table)
+    assert rows == [expected[2], expected[0], expected[2]]
+    assert heap.stats.random_reads == 3  # one seek per row-id
+    assert cache.stats.runs == 3
 
 
 def test_fetch_many_sorted_uses_sequential_pass(setup):
     schema, table, heap = setup
     cache = FactCache(schema, heap=heap, fraction=0.0)
     heap.stats.reset()
-    rows = cache.fetch_many([0, 2, 4], sorted_hint=True)
-    assert rows == [table[0], table[2], table[4]]
+    rows = rows_of(cache.fetch_batch([0, 2, 3, 4], sorted_hint=True))
+    expected = rows_of(table)
+    assert rows == [expected[0], expected[2], expected[3], expected[4]]
     assert heap.stats.sequential_passes == 1
     assert heap.stats.random_reads == 0
+    assert cache.stats.runs == 2  # {0} and {2, 3, 4}
 
 
 def test_fetch_many_sorted_with_duplicates(setup):
     schema, table, heap = setup
     cache = FactCache(schema, heap=heap, fraction=0.0)
-    rows = cache.fetch_many([1, 1, 3], sorted_hint=True)
-    assert rows == [table[1], table[1], table[3]]
+    heap.stats.reset()
+    rows = rows_of(cache.fetch_batch([3, 1, 1], sorted_hint=True))
+    expected = rows_of(table)
+    assert rows == [expected[3], expected[1], expected[1]]
+    assert cache.stats.misses == 3  # counted per row-id ...
+    assert heap.stats.rows_read == 2  # ... read once each, in order
+    assert cache.stats.runs == 2
 
 
 def test_row_count(setup, flat_schema, figure9_table):

@@ -25,7 +25,7 @@ import random
 import numpy as np
 import pytest
 
-from repro import Table, build_cube
+from repro import build_cube
 from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.core.incremental import apply_delta
 from repro.core.postprocess import postprocess_plus
@@ -51,6 +51,7 @@ from repro.query import (
 from repro.core.variants import VARIANTS
 from repro.query.planner import CubePlanner, QueryRequest, build_indices
 from tests.support import row_engine
+from tests.support.rows import rows_of, table_of
 
 
 # -- value-type laws ----------------------------------------------------------
@@ -124,7 +125,7 @@ def test_batch_bridge_roundtrip():
     answer = ColumnAnswer.from_pairs(PAIRS)
     batch = answer.as_batch()
     assert batch.schema == answer_schema(2, 2)
-    assert batch.to_rows() == [d + a for d, a in PAIRS]
+    assert rows_of(batch) == [d + a for d, a in PAIRS]
     assert ColumnAnswer.from_batch(batch, 2) == answer
 
 
@@ -157,7 +158,7 @@ def world():
          rng.randrange(20))
         for _ in range(300)
     ]
-    table = Table(schema.fact_schema, rows)
+    table = table_of(schema.fact_schema, rows)
     cure = build_cube(schema, table=table).storage
     plus = build_cube(schema, table=table).storage
     postprocess_plus(plus)
@@ -380,7 +381,7 @@ def test_planner_invalidate_results_after_incremental_maintenance(
          rng.randrange(20))
         for _ in range(120)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result = build_cube(paper_schema, table=table)
     cache = FactCache(paper_schema, table=table)
     planner = CubePlanner(result.storage, cache)
@@ -412,7 +413,7 @@ def test_fine_grained_invalidation_spares_untouched_slices(paper_schema):
          rng.randrange(20))
         for _ in range(120)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result = build_cube(paper_schema, table=table)
     cache = FactCache(paper_schema, table=table)
     planner = CubePlanner(result.storage, cache)
@@ -456,7 +457,7 @@ def test_fine_grained_invalidation_projects_to_coarse_levels(paper_schema):
          rng.randrange(20))
         for _ in range(80)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result = build_cube(paper_schema, table=table)
     planner = CubePlanner(
         result.storage, FactCache(paper_schema, table=table)
@@ -487,7 +488,7 @@ def test_invalidate_results_without_report_drops_everything(paper_schema):
         (rng.randrange(12), rng.randrange(8), rng.randrange(5), 1)
         for _ in range(30)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result = build_cube(paper_schema, table=table)
     planner = CubePlanner(
         result.storage, FactCache(paper_schema, table=table)
@@ -508,7 +509,7 @@ def test_invalidate_results_empty_delta_is_free(paper_schema):
         (rng.randrange(12), rng.randrange(8), rng.randrange(5), 1)
         for _ in range(30)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result = build_cube(paper_schema, table=table)
     planner = CubePlanner(
         result.storage, FactCache(paper_schema, table=table)

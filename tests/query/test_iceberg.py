@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import CubeSchema, Table, build_cube, flat_dimension, make_aggregates
+from repro import CubeSchema, build_cube, flat_dimension, make_aggregates
 from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.lattice.node import CubeNode
 from repro.query import (
@@ -16,7 +16,7 @@ from repro.query import (
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
-from tests.support.rows import tt_rowids
+from tests.support.rows import rows_of, table_of, tt_rowids
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def counted():
         (rng.randrange(30), rng.randrange(20), rng.randrange(10))
         for _ in range(60)
     ]
-    table = Table(schema.fact_schema, rows)
+    table = table_of(schema.fact_schema, rows)
     result = build_cube(schema, table=table)
     cache = FactCache(schema, table=table)
     return schema, table, result.storage, cache
@@ -55,7 +55,7 @@ def test_cure_iceberg_matches_reference(counted, min_count):
     schema, table, storage, cache = counted
     for node in schema.lattice.nodes():
         expected = sorted(
-            iceberg_reference(schema, table.to_rows(), node, min_count)
+            iceberg_reference(schema, rows_of(table), node, min_count)
         )
         got = normalize_answer(
             iceberg_over_cure(storage, cache, node, min_count)
@@ -70,7 +70,7 @@ def test_buc_and_bubst_iceberg_match_reference(counted, min_count):
     bubst, _s = build_bubst_cube(schema, table)
     for node in schema.lattice.nodes():
         expected = sorted(
-            iceberg_reference(schema, table.to_rows(), node, min_count)
+            iceberg_reference(schema, rows_of(table), node, min_count)
         )
         assert normalize_answer(iceberg_over_buc(buc, node, min_count)) == expected
         assert (
@@ -106,6 +106,6 @@ def test_iceberg_over_dr_cube(counted):
     schema, table, _storage, cache = counted
     dr = build_cube(schema, table=table, dr_mode=True)
     for node in schema.lattice.nodes():
-        expected = sorted(iceberg_reference(schema, table.to_rows(), node, 3))
+        expected = sorted(iceberg_reference(schema, rows_of(table), node, 3))
         got = normalize_answer(iceberg_over_cure(dr.storage, cache, node, 3))
         assert got == expected

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from repro import Table, build_cube
+from repro import build_cube
 from repro.core.variants import VARIANTS
 from repro.lattice.node import CubeNode
 from repro.query import DimensionSlice, FactCache, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.query.planner import CubePlanner, QueryRequest, build_indices
+from tests.support.rows import rows_of, table_of
 
 
 @pytest.fixture
@@ -20,7 +21,7 @@ def data(paper_schema):
          rng.randrange(20))
         for _ in range(300)
     ]
-    return paper_schema, Table(paper_schema.fact_schema, rows)
+    return paper_schema, table_of(paper_schema.fact_schema, rows)
 
 
 @pytest.fixture
@@ -47,7 +48,7 @@ def test_direct_strategy_on_complete_cube(hierarchical_planner, data):
     plan = hierarchical_planner.plan(request)
     assert plan.strategy == "direct"
     got = normalize_answer(hierarchical_planner.answer(request))
-    assert got == reference_group_by(schema, table.to_rows(), request.node)
+    assert got == reference_group_by(schema, rows_of(table), request.node)
 
 
 def test_rollup_strategy_on_flat_cube(flat_planner, data):
@@ -57,7 +58,7 @@ def test_rollup_strategy_on_flat_cube(flat_planner, data):
     assert plan.strategy == "rollup"
     assert plan.source_node.levels == (0, 2, 1)
     got = normalize_answer(flat_planner.answer(request))
-    assert got == reference_group_by(schema, table.to_rows(), request.node)
+    assert got == reference_group_by(schema, rows_of(table), request.node)
 
 
 def test_indexed_strategy_with_slices(hierarchical_planner, data):
@@ -71,7 +72,7 @@ def test_indexed_strategy_with_slices(hierarchical_planner, data):
     a = schema.dimensions[0]
     expected = [
         (dims, aggs)
-        for dims, aggs in reference_group_by(schema, table.to_rows(), request.node)
+        for dims, aggs in reference_group_by(schema, rows_of(table), request.node)
         if a.code_at(
             next(c for c in range(12) if a.code_at(c, 0) == dims[0]), 1
         ) in {0, 2}
@@ -101,7 +102,7 @@ def test_rollup_with_slices(flat_planner, data):
     got = normalize_answer(flat_planner.answer(request))
     a = schema.dimensions[0]
     expected = []
-    for dims, aggs in reference_group_by(schema, table.to_rows(), request.node):
+    for dims, aggs in reference_group_by(schema, rows_of(table), request.node):
         base = next(c for c in range(12) if a.code_at(c, 1) == dims[0])
         if a.code_at(base, 2) == 0:
             expected.append((dims, aggs))

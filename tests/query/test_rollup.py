@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import CubeSchema, Table
+from repro import CubeSchema
 from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.core.variants import VARIANTS
 from repro.lattice.node import CubeNode
@@ -20,6 +20,7 @@ from repro.query import (
 )
 from repro.query.answer import normalize_answer
 from repro.relational.aggregates import AggregateSpec, MedianAgg
+from tests.support.rows import rows_of, table_of
 
 
 @pytest.fixture
@@ -29,7 +30,7 @@ def hierarchical_data(paper_schema):
         (rng.randrange(12), rng.randrange(8), rng.randrange(5), rng.randrange(30))
         for _ in range(250)
     ]
-    return paper_schema, Table(paper_schema.fact_schema, rows)
+    return paper_schema, table_of(paper_schema.fact_schema, rows)
 
 
 def test_base_node_of(paper_schema):
@@ -43,7 +44,7 @@ def test_rollup_from_flat_matches_reference(hierarchical_data):
     result, _x = VARIANTS["FCURE"].build(schema, table=table)
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(
             answer_rollup_from_flat(result.storage, cache, node)
         )
@@ -61,7 +62,7 @@ def test_rollup_from_buc_and_bubst_match_reference(hierarchical_data):
         schema.lattice.all_node,
     ]
     for node in sample:
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         assert normalize_answer(answer_rollup_from_buc(buc, node)) == expected
         assert normalize_answer(answer_rollup_from_bubst(bubst, node)) == expected
 
@@ -74,7 +75,7 @@ def test_base_level_query_passthrough(hierarchical_data):
     direct = normalize_answer(
         answer_rollup_from_flat(result.storage, cache, node)
     )
-    assert direct == reference_group_by(schema, table.to_rows(), node)
+    assert direct == reference_group_by(schema, rows_of(table), node)
 
 
 def test_rollup_rejects_holistic(paper_schema):

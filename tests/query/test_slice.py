@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import Table, build_cube
+from repro import build_cube
 from repro.core.postprocess import postprocess_plus
 from repro.lattice.node import CubeNode
 from repro.query import (
@@ -17,6 +17,7 @@ from repro.query import (
 )
 from repro.query.answer import normalize_answer
 from repro.relational.index import InvertedIndex
+from tests.support.rows import rows_of, table_of
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ def built(paper_schema):
         (rng.randrange(12), rng.randrange(8), rng.randrange(5), rng.randrange(40))
         for _ in range(300)
     ]
-    table = Table(paper_schema.fact_schema, rows)
+    table = table_of(paper_schema.fact_schema, rows)
     result = build_cube(paper_schema, table=table)
     cache = FactCache(paper_schema, table=table)
     indices = {
@@ -77,7 +78,7 @@ CASES = [
 def test_postfiltered_matches_reference(built, levels, slices):
     schema, table, storage, cache, _indices = built
     node = CubeNode(levels)
-    expected = sorted(sliced_reference(schema, table.to_rows(), node, slices))
+    expected = sorted(sliced_reference(schema, rows_of(table), node, slices))
     got = normalize_answer(
         answer_cure_sliced(storage, cache, node, slices, indices=None)
     )
@@ -88,7 +89,7 @@ def test_postfiltered_matches_reference(built, levels, slices):
 def test_prefiltered_matches_reference(built, levels, slices):
     schema, table, storage, cache, indices = built
     node = CubeNode(levels)
-    expected = sorted(sliced_reference(schema, table.to_rows(), node, slices))
+    expected = sorted(sliced_reference(schema, rows_of(table), node, slices))
     got = normalize_answer(
         answer_cure_sliced(storage, cache, node, slices, indices=indices)
     )
@@ -104,7 +105,7 @@ def test_prefiltered_saves_fact_fetches(built):
     answer_cure_sliced(storage, cache, node, slices, indices, indexed)
     assert indexed.fact_fetches < naive.fact_fetches
     assert indexed.tuples_returned == len(
-        sliced_reference(schema, table.to_rows(), node, slices)
+        sliced_reference(schema, rows_of(table), node, slices)
     )
 
 
@@ -152,7 +153,7 @@ def test_sliced_over_plus_cube(built):
     postprocess_plus(storage)
     node = CubeNode((0, 0, 1))
     slices = [DimensionSlice.of(1, 1, {0, 3})]
-    expected = sorted(sliced_reference(schema, table.to_rows(), node, slices))
+    expected = sorted(sliced_reference(schema, rows_of(table), node, slices))
     got = normalize_answer(
         answer_cure_sliced(storage, cache, node, slices, indices=indices)
     )
@@ -166,7 +167,7 @@ def test_dr_cube_requires_postfiltering(built, paper_schema):
     slices = [DimensionSlice.of(0, 1, {0})]
     with pytest.raises(ValueError, match="post-filtering"):
         answer_cure_sliced(dr.storage, cache, node, slices, indices=indices)
-    expected = sorted(sliced_reference(schema, table.to_rows(), node, slices))
+    expected = sorted(sliced_reference(schema, rows_of(table), node, slices))
     got = normalize_answer(
         answer_cure_sliced(dr.storage, cache, node, slices, indices=None)
     )

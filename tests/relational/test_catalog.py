@@ -4,6 +4,7 @@ import pytest
 
 from repro.relational.catalog import Catalog
 from repro.relational.schema import Column, ColumnType, TableSchema
+from tests.support.rows import append_rows, rows_of
 
 
 @pytest.fixture
@@ -18,19 +19,19 @@ SCHEMA = TableSchema.of("x", Column("y", ColumnType.INT64))
 
 def test_create_open_roundtrip(catalog):
     heap = catalog.create("r", SCHEMA)
-    heap.append((1, 2))
+    append_rows(heap, [(1, 2)])
     reopened = catalog.open("r")
     assert reopened is heap  # cached handle
-    assert reopened.read_row(0) == (1, 2)
+    assert rows_of(reopened) == [(1, 2)]
 
 
 def test_schema_persists_across_catalog_instances(catalog, tmp_path):
-    catalog.create("r", SCHEMA).append((1, 2))
+    append_rows(catalog.create("r", SCHEMA), [(1, 2)])
     catalog.close()
     fresh = Catalog(tmp_path / "cat")
     heap = fresh.open("r")
     assert heap.schema == SCHEMA
-    assert heap.read_row(0) == (1, 2)
+    assert rows_of(heap) == [(1, 2)]
     fresh.close()
 
 
@@ -52,7 +53,7 @@ def test_invalid_names_rejected(catalog):
 
 
 def test_drop_removes_data_and_metadata(catalog):
-    catalog.create("r", SCHEMA).append((1, 2))
+    append_rows(catalog.create("r", SCHEMA), [(1, 2)])
     catalog.drop("r")
     assert not catalog.exists("r")
     assert catalog.names() == []
@@ -66,8 +67,8 @@ def test_names_sorted(catalog):
 
 
 def test_total_size_bytes(catalog):
-    catalog.create("r", SCHEMA).append_many([(i, i) for i in range(5)])
-    catalog.create("s", SCHEMA).append((0, 0))
+    append_rows(catalog.create("r", SCHEMA), [(i, i) for i in range(5)])
+    append_rows(catalog.create("s", SCHEMA), [(0, 0)])
     assert catalog.total_size_bytes() == 6 * SCHEMA.row_size_bytes
 
 

@@ -30,7 +30,7 @@ from repro.relational.durable import (
 from repro.relational.engine import Engine
 from repro.relational.memory import MemoryBudgetExceeded, MemoryManager
 from repro.relational.schema import Column, ColumnType, TableSchema
-from repro.relational.table import Table
+from tests.support.rows import append_rows, rows_of, table_of
 
 pytestmark = pytest.mark.crash
 
@@ -212,7 +212,7 @@ def _catalog_heap(tmp_path, faults=None):
 
 def test_heap_torn_write_leaves_prefix_and_closes(tmp_path):
     catalog, heap = _catalog_heap(tmp_path)
-    heap.append_many([(i, i * 10) for i in range(8)])
+    append_rows(heap, [(i, i * 10) for i in range(8)])
     heap.flush()
     intact_rows = len(heap)
 
@@ -224,22 +224,26 @@ def test_heap_torn_write_leaves_prefix_and_closes(tmp_path):
         )
     )
     with pytest.raises(InjectedCrash):
-        heap.append_many([(i, i) for i in range(8)])
+        append_rows(heap, [(i, i) for i in range(8)])
     # close-on-exception: the handle is gone and the row count re-derives
     # from the on-disk size — whole rows only, never a half-record.
     assert heap._handle is None
     heap.faults = None
     assert intact_rows <= len(heap) < intact_rows + 8
-    for row in heap.scan():
+    for row in rows_of(heap):
         assert len(row) == 2
     catalog.close()
 
 
 def test_heap_append_failure_invalidates_cached_count(tmp_path):
     catalog, heap = _catalog_heap(tmp_path)
-    heap.append_many([(1, 1), (2, 2)])
-    with pytest.raises(Exception):
-        heap.append_many([(1, 1), ("bad", "row")])  # struct pack error
+    append_rows(heap, [(1, 1), (2, 2)])
+    heap.faults = FaultInjector(
+        plan=(FaultSpec(site="heap.write:*", kind=FaultKind.CRASH),)
+    )
+    with pytest.raises(InjectedCrash):
+        append_rows(heap, [(3, 3), (4, 4)])
+    heap.faults = None
     assert heap._handle is None
     assert len(heap) >= 2
     catalog.close()
@@ -255,9 +259,9 @@ def test_transient_heap_faults_are_absorbed_by_retries(tmp_path):
     )
     catalog, heap = _catalog_heap(tmp_path, faults=injector)
     heap.faults = injector
-    heap.append_many([(i, i) for i in range(4)])
+    append_rows(heap, [(i, i) for i in range(4)])
     heap.flush()
-    assert [row[0] for row in heap.scan()] == [0, 1, 2, 3]
+    assert [row[0] for row in rows_of(heap)] == [0, 1, 2, 3]
     assert len(injector.fired) == 3
     catalog.close()
 
@@ -279,7 +283,7 @@ def test_failed_load_releases_its_reservation(tmp_path):
     """A map that fails at its ``heap.read`` site gives back the
     reservation :meth:`Engine.load` took for it."""
     engine = Engine(Catalog(tmp_path / "eng"), MemoryManager(budget_bytes=4096))
-    engine.store_table("t", Table(SCHEMA, [(i, i) for i in range(16)]))
+    engine.store_table("t", table_of(SCHEMA, [(i, i) for i in range(16)]))
     injector = FaultInjector(
         plan=(FaultSpec(site="heap.read:t.*", kind=FaultKind.CRASH),)
     )

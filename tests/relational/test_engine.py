@@ -6,7 +6,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.engine import Engine
 from repro.relational.memory import MemoryBudgetExceeded, MemoryManager
 from repro.relational.schema import TableSchema
-from repro.relational.table import Table
+from tests.support.rows import append_rows, rows_of, table_of
 
 SCHEMA = TableSchema.of("a", "b")
 
@@ -17,10 +17,10 @@ def make_engine(tmp_path, budget=None) -> Engine:
 
 def test_store_and_load_roundtrip(tmp_path):
     engine = make_engine(tmp_path)
-    table = Table(SCHEMA, [(1, 2), (3, 4)])
+    table = table_of(SCHEMA, [(1, 2), (3, 4)])
     engine.store_table("r", table)
     with engine.load("r") as records:
-        assert records.tolist() == table.to_rows()
+        assert records.tolist() == rows_of(table)
     engine.close()
 
 
@@ -29,7 +29,7 @@ def test_load_sees_buffered_appends(tmp_path):
     write buffer is flushed first: every row comes back."""
     engine = make_engine(tmp_path)
     heap = engine.create_relation("r", SCHEMA)
-    heap.append_many([(i, -i) for i in range(100)])
+    append_rows(heap, [(i, -i) for i in range(100)])
     assert heap.unflushed
     with engine.load("r") as records:
         assert records.tolist() == [(i, -i) for i in range(100)]
@@ -38,7 +38,7 @@ def test_load_sees_buffered_appends(tmp_path):
 
 
 def test_load_reserves_and_releases_budget(tmp_path):
-    table = Table(SCHEMA, [(i, i) for i in range(10)])
+    table = table_of(SCHEMA, [(i, i) for i in range(10)])
     engine = make_engine(tmp_path, budget=10 * SCHEMA.row_size_bytes)
     engine.store_table("r", table)
     loaded = engine.load("r")
@@ -54,7 +54,7 @@ def test_load_reserves_and_releases_budget(tmp_path):
 
 
 def test_relation_fits_in_memory(tmp_path):
-    table = Table(SCHEMA, [(i, i) for i in range(10)])
+    table = table_of(SCHEMA, [(i, i) for i in range(10)])
     engine = make_engine(tmp_path, budget=5 * SCHEMA.row_size_bytes)
     engine.store_table("r", table)
     assert not engine.relation_fits_in_memory("r")

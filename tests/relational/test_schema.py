@@ -1,5 +1,6 @@
 """Unit tests for TableSchema and Column."""
 
+import numpy as np
 import pytest
 
 from repro.relational.schema import Column, ColumnType, TableSchema
@@ -29,14 +30,14 @@ def test_position_and_unknown_column():
         schema.position("z")
 
 
-def test_struct_format_and_row_size():
+def test_numpy_dtype_and_row_size():
     schema = TableSchema.of(
         Column("a", ColumnType.INT32),
         Column("b", ColumnType.INT64),
         Column("c", ColumnType.FLOAT64),
     )
-    assert schema.struct_format == "<iqd"
-    assert schema.row_size_bytes == 4 + 8 + 8
+    assert schema.numpy_dtype == np.dtype([("a", "<i4"), ("b", "<i8"), ("c", "<f8")])
+    assert schema.row_size_bytes == schema.numpy_dtype.itemsize == 4 + 8 + 8
 
 
 def test_project_preserves_requested_order():

@@ -6,24 +6,22 @@ import pytest
 from repro.relational.batch import ColumnBatch
 from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.relational.table import Table
+from tests.support.rows import rows_of, table_of
 
 
 @pytest.fixture
 def table() -> Table:
     schema = TableSchema.of("a", "b")
-    return Table(schema, [(1, 10), (2, 20), (3, 30)])
+    return table_of(schema, [(1, 10), (2, 20), (3, 30)])
 
 
 def test_len_iter_getitem(table):
     assert len(table) == 3
-    assert list(table) == [(1, 10), (2, 20), (3, 30)]
-    assert table[1] == (2, 20)
-
-
-def test_append_returns_rowid_and_validates(table):
-    assert table.append((4, 40)) == 3
-    with pytest.raises(ValueError):
-        table.append((4,))
+    # Columns only: a table neither iterates nor indexes as tuples.
+    with pytest.raises(TypeError):
+        iter(table)
+    with pytest.raises(TypeError):
+        table[1]
 
 
 def test_column_values(table):
@@ -32,13 +30,13 @@ def test_column_values(table):
 
 def test_project(table):
     projected = table.project(["b"])
-    assert projected.to_rows() == [(10,), (20,), (30,)]
+    assert rows_of(projected) == [(10,), (20,), (30,)]
     assert projected.schema.names == ("b",)
 
 
 def test_slice_rows_preserves_global_rowids(table):
     sliced = table.slice_rows([2, 0])
-    assert sliced.to_rows() == [(3, 30), (1, 10)]
+    assert rows_of(sliced) == [(3, 30), (1, 10)]
     assert sliced.rowid_of(0) == 2
     assert sliced.rowid_of(1) == 0
     # A slice of a slice composes rowids through the original.
@@ -53,7 +51,7 @@ def test_rowid_of_identity_without_base(table):
 def test_base_rowids_length_mismatch_rejected():
     schema = TableSchema.of("a")
     with pytest.raises(ValueError, match="base_rowids"):
-        Table(schema, [(1,)], base_rowids=[0, 1])
+        table_of(schema, [(1,)], base_rowids=[0, 1])
 
 
 def test_size_bytes(table):
@@ -61,12 +59,10 @@ def test_size_bytes(table):
 
 
 def test_columns_are_the_only_representation(table):
-    assert not hasattr(table, "rows")
+    for tuple_api in ("rows", "to_rows", "append", "extend"):
+        assert not hasattr(table, tuple_api)
     batch = table.as_batch()
     assert [array.tolist() for array in batch.arrays] == [[1, 2, 3], [10, 20, 30]]
-    assert table.to_rows() is not table.to_rows()  # derived, never stored
-    assert table[-1] == (3, 30)
-    assert all(type(value) is int for value in table[0])
 
 
 def test_from_batch_shares_columns_and_checks_rowids():
@@ -85,7 +81,7 @@ def test_from_batch_shares_columns_and_checks_rowids():
 
 def test_appends_are_chunks_concatenated_on_first_read():
     schema = TableSchema((Column("k"), Column("v", ColumnType.INT64)))
-    table = Table(schema, [(1, 10)])
+    table = table_of(schema, [(1, 10)])
     # Wider columns than the schema's are cast on the way in.
     table.append_batch(
         ColumnBatch.from_arrays(
@@ -93,11 +89,11 @@ def test_appends_are_chunks_concatenated_on_first_read():
             [np.array([2, 3], dtype=np.int64), np.array([20, 30], dtype=np.int64)],
         )
     )
-    table.extend(iter([(4, 40)]))
+    table.append_batch(table_of(schema, [(4, 40)]).as_batch())
     assert len(table) == 4
     merged = table.as_batch()
     assert [a.dtype for a in merged.arrays] == [np.dtype("<i4"), np.dtype("<i8")]
-    assert merged.to_rows() == [(1, 10), (2, 20), (3, 30), (4, 40)]
+    assert rows_of(merged) == [(1, 10), (2, 20), (3, 30), (4, 40)]
     assert table.as_batch() is merged
     with pytest.raises(ValueError, match="schema"):
         table.append_batch(ColumnBatch.empty(TableSchema.of("x", "y")))
@@ -106,5 +102,5 @@ def test_appends_are_chunks_concatenated_on_first_read():
 def test_empty_table():
     table = Table(TableSchema.of("a", "b"))
     assert len(table) == 0
-    assert table.to_rows() == [] and list(table) == []
+    assert rows_of(table) == []
     assert table.as_batch().length == 0

@@ -14,6 +14,7 @@ import pytest
 from repro import CubeSchema, Table, linear_dimension, make_aggregates
 from repro.bundle import open_bundle, save_bundle
 from repro.core.variants import VARIANTS
+from tests.support.rows import table_of
 
 #: The variants the serving layer is locked against.  DR cubes are
 #: exercised elsewhere; the slicer serves any bundle, but the paper's
@@ -41,7 +42,7 @@ def serving_fact(schema: CubeSchema, n: int = 400, seed: int = 17) -> Table:
         + (rng.randrange(1, 100),)
         for _ in range(n)
     ]
-    return Table(schema.fact_schema, rows)
+    return table_of(schema.fact_schema, rows)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 
-from repro import Table
 from repro.core.incremental import UpdateReport
 from repro.ingest import StreamingIngestor
 from repro.lattice.node import CubeNode
@@ -24,6 +23,7 @@ from repro.query.workload import WorkloadOp, mixed_workload
 from repro.server.app import SlicerApp
 from repro.server.replay import op_path, replay_op
 from tests.server.conftest import serving_fact, serving_schema, wsgi_get
+from tests.support.rows import rows_of, table_of
 
 
 def answer_of(rows: int) -> ColumnAnswer:
@@ -231,7 +231,7 @@ def test_bodies_follow_a_real_delta_apply(engine, tmp_path):
     schema = serving_schema()
     fact = serving_fact(schema, n=120)
     ingestor = StreamingIngestor.bootstrap(
-        schema, engine, Table(schema.fact_schema, fact.to_rows()),
+        schema, engine, table_of(schema.fact_schema, rows_of(fact)),
         tmp_path / "log",
     )
     app = SlicerApp(LiveBundle(ingestor, schema))

@@ -34,6 +34,7 @@ from repro.storage2.codecs import NARROW, RAW
 from repro.storage2.format import committed_container
 from repro.storage2.mapped import MappedFactTable, map_storage
 from tests.server.conftest import serving_fact, serving_schema
+from tests.support.rows import rows_of
 
 FIXTURE = Path(__file__).with_name("format1.cube.v2")
 
@@ -86,7 +87,7 @@ def test_version_1_container_answers_and_loads(tmp_path):
         assert replay_op(planner, op) == replay_op(reference, op), op
     # What a restarting writer opens: verified whole, then mapped.
     file = committed_container(FIXTURE, file_checksum(FIXTURE))
-    assert MappedFactTable(schema, file).as_batch().to_rows() == fact.to_rows()
+    assert rows_of(MappedFactTable(schema, file).as_batch()) == rows_of(fact)
     assert sorted(map_storage(schema, file).nodes) == sorted(result.storage.nodes)
 
 

@@ -20,7 +20,7 @@ from repro.server.encoding import encode_answer
 from repro.server.replay import replay_op
 from repro.storage2 import V2File
 
-SPIED = ("load_mapped", "scan_batches", "read_row", "read_rows", "scan")
+SPIED = ("load_mapped", "scan_batches", "read_batch")
 
 
 @pytest.fixture

@@ -35,6 +35,7 @@ from tests.server.conftest import (
 )
 from tests.support import row_engine
 from tests.support.reference_encoding import reference_encode_op
+from tests.support.rows import rows_of
 
 
 @pytest.mark.parametrize("variant", SERVED_VARIANTS)
@@ -135,10 +136,10 @@ def test_mapped_cube_outlives_its_file_and_stays_maintainable(tmp_path):
     table = Table.from_batch(mapped.fact.as_batch())
     path.unlink()
     postprocess_plus(storage)
-    rows = table.to_rows()
+    rows = rows_of(table)
     apply_delta(storage, schema, table, rows[:5] + [rows[-1]])
     cache = FactCache(schema, table=table)
     for node in schema.lattice.nodes():
-        expected = reference_group_by(schema, table.to_rows(), node)
+        expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(answer_cure_query(storage, cache, node))
         assert got == expected, node.label(schema.dimensions)

@@ -24,7 +24,7 @@ from repro.lattice.node import CubeNode
 from repro.lattice.plan import plan_parent
 from repro.relational.aggregates import aggregate_singleton, merge_vectors
 from repro.relational.table import Table
-from tests.support.rows import CubeRows
+from tests.support.rows import CubeRows, batch_of, row_at
 
 
 def apply_delta_by_record(
@@ -73,8 +73,7 @@ def apply_delta_by_record(
     storage.plus_processed = False
 
     base_rowid = len(fact_table)
-    for row in delta_rows:
-        fact_table.append(row)
+    fact_table.append_batch(batch_of(fact_table.schema, delta_rows))
     storage.fact_row_count = len(fact_table)
 
     merger = _Merger(storage, rows, schema, fact_table, report)
@@ -122,7 +121,7 @@ class _Merger:
     def _project(self, rowid: int, node: CubeNode) -> tuple[int, ...]:
         base_codes = self._base_codes.get(rowid)
         if base_codes is None:
-            base_codes = self.schema.dim_values(self.fact_table[rowid])
+            base_codes = self.schema.dim_values(row_at(self.fact_table, rowid))
             self._base_codes[rowid] = base_codes
         return self.schema.project_to_node(base_codes, node)
 
@@ -216,7 +215,7 @@ class _Merger:
         dims = self._project(rowid, node)
         delta_here = self.delta.get(node_id, {})
         if dims in delta_here:
-            fact_row = self.fact_table[rowid]
+            fact_row = row_at(self.fact_table, rowid)
             aggregates = aggregate_singleton(
                 self.schema.aggregates, self.schema.measures(fact_row)
             )

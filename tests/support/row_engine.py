@@ -3,8 +3,8 @@
 This is the row execution path of ``repro.query`` as it stood before the
 columnar relation reader (:func:`repro.query.answer.read_node_relations`)
 became the only engine: every stored row is visited as a Python tuple,
-R-rowids dereference through :meth:`FactCache.fetch_many` /
-:meth:`FactCache.fetch`, hierarchy roll-up goes through
+R-rowids dereference through :meth:`FactCache.fetch_batch` and come
+back as tuples (:func:`_fetch`), hierarchy roll-up goes through
 ``schema.project_to_node`` one tuple at a time, and every answer is a
 plain ``list[(dims, aggregates)]``.  Nothing here shares a kernel with
 the production reader, which is what makes it the reference for
@@ -34,9 +34,14 @@ from repro.query.planner import QueryRequest
 from repro.query.rollup import base_node_of
 from repro.query.slice import allowed_row_mask
 from repro.relational.aggregates import aggregate_singleton
-from tests.support.rows import CubeRows
+from tests.support.rows import CubeRows, rows_of
 
 Pairs = list[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _fetch(cache, rowids, sorted_hint: bool = False) -> list[tuple]:
+    """Fact rows at ``rowids`` as tuples, counted like any fetch."""
+    return rows_of(cache.fetch_batch(list(rowids), sorted_hint=sorted_hint))
 
 
 # -- CURE node queries ----------------------------------------------------------
@@ -69,7 +74,7 @@ def _append_nts(schema, storage, cache, node, store, answer, stats) -> None:
             answer.append((row[:arity], row[arity : arity + y]))
         return
     rowids = [row[0] for row in store.nt_rows]
-    fact_rows = cache.fetch_many(rowids, sorted_hint=storage.plus_processed)
+    fact_rows = _fetch(cache, rowids, sorted_hint=storage.plus_processed)
     if stats is not None:
         stats.fact_fetches += len(rowids)
     for row, fact_row in zip(store.nt_rows, fact_rows):
@@ -87,7 +92,7 @@ def _append_cats(schema, storage, cache, node, store, answer, stats) -> None:
             stats.rows_scanned += len(arowids)
         entries = [storage.aggregates_rows[arowid] for arowid in arowids]
         rowids = [entry[0] for entry in entries]
-        fact_rows = cache.fetch_many(rowids, sorted_hint=storage.plus_processed)
+        fact_rows = _fetch(cache, rowids, sorted_hint=storage.plus_processed)
         if stats is not None:
             stats.fact_fetches += len(rowids)
         for entry, fact_row in zip(entries, fact_rows):
@@ -100,7 +105,7 @@ def _append_cats(schema, storage, cache, node, store, answer, stats) -> None:
     if stats is not None:
         stats.rows_scanned += len(store.cat_rows)
     rowids = [row[0] for row in store.cat_rows]
-    fact_rows = cache.fetch_many(rowids, sorted_hint=False)
+    fact_rows = _fetch(cache, rowids, sorted_hint=False)
     if stats is not None:
         stats.fact_fetches += len(rowids)
     for row, fact_row in zip(store.cat_rows, fact_rows):
@@ -120,7 +125,7 @@ def _append_tts(schema, storage, cache, node, answer, stats) -> None:
         if stats is not None:
             stats.rows_scanned += len(rowids)
             stats.fact_fetches += len(rowids)
-        fact_rows = cache.fetch_many(rowids, sorted_hint=sorted_hint)
+        fact_rows = _fetch(cache, rowids, sorted_hint=sorted_hint)
         for fact_row in fact_rows:
             dims = schema.project_to_node(schema.dim_values(fact_row), node)
             aggregates = aggregate_singleton(
@@ -230,8 +235,8 @@ def _answer_prefiltered(storage, cache, node, allowed: set[int], stats) -> Pairs
         if stats is not None:
             stats.rows_scanned += len(store.nt_rows)
             stats.fact_fetches += len(passing)
-        fact_rows = cache.fetch_many(
-            [row[0] for row in passing], sorted_hint=storage.plus_processed
+        fact_rows = _fetch(
+            cache, [row[0] for row in passing], storage.plus_processed
         )
         for row, fact_row in zip(passing, fact_rows):
             dims = schema.project_to_node(schema.dim_values(fact_row), node)
@@ -247,7 +252,8 @@ def _answer_prefiltered(storage, cache, node, allowed: set[int], stats) -> Pairs
             if stats is not None:
                 stats.rows_scanned += len(arowids)
                 stats.fact_fetches += len(entries)
-            fact_rows = cache.fetch_many(
+            fact_rows = _fetch(
+                cache,
                 [entry[0] for entry in entries],
                 sorted_hint=storage.plus_processed,
             )
@@ -263,7 +269,7 @@ def _answer_prefiltered(storage, cache, node, allowed: set[int], stats) -> Pairs
             if stats is not None:
                 stats.rows_scanned += len(store.cat_rows)
                 stats.fact_fetches += len(passing_cats)
-            fact_rows = cache.fetch_many([row[0] for row in passing_cats])
+            fact_rows = _fetch(cache, [row[0] for row in passing_cats])
             for row, fact_row in zip(passing_cats, fact_rows):
                 dims = schema.project_to_node(
                     schema.dim_values(fact_row), node
@@ -281,7 +287,7 @@ def _answer_prefiltered(storage, cache, node, allowed: set[int], stats) -> Pairs
             stats.fact_fetches += len(rowids)
         if not rowids:
             continue
-        fact_rows = cache.fetch_many(sorted(rowids), sorted_hint=True)
+        fact_rows = _fetch(cache, sorted(rowids), sorted_hint=True)
         for fact_row in fact_rows:
             dims = schema.project_to_node(schema.dim_values(fact_row), node)
             aggregates = aggregate_singleton(
@@ -324,8 +330,8 @@ def iceberg_over_cure(storage, cache, node, min_count, stats=None) -> Pairs:
         if stats is not None:
             stats.rows_scanned += len(store.nt_rows)
             stats.fact_fetches += len(passing)
-        fact_rows = cache.fetch_many(
-            [row[0] for row in passing], sorted_hint=storage.plus_processed
+        fact_rows = _fetch(
+            cache, [row[0] for row in passing], storage.plus_processed
         )
         for row, fact_row in zip(passing, fact_rows):
             dims = schema.project_to_node(schema.dim_values(fact_row), node)
@@ -340,7 +346,7 @@ def iceberg_over_cure(storage, cache, node, min_count, stats=None) -> Pairs:
             aggregates = entry[1 : 1 + y]
             if aggregates[count_index] < min_count:
                 continue
-            fact_row = cache.fetch(entry[0])
+            fact_row = _fetch(cache, [entry[0]])[0]
             if stats is not None:
                 stats.fact_fetches += 1
             dims = schema.project_to_node(schema.dim_values(fact_row), node)
@@ -352,7 +358,7 @@ def iceberg_over_cure(storage, cache, node, min_count, stats=None) -> Pairs:
             aggregates = tuple(storage.aggregates_rows[row[1]])
             if aggregates[count_index] < min_count:
                 continue
-            fact_row = cache.fetch(row[0])
+            fact_row = _fetch(cache, [row[0]])[0]
             if stats is not None:
                 stats.fact_fetches += 1
             dims = schema.project_to_node(schema.dim_values(fact_row), node)

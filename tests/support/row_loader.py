@@ -24,7 +24,7 @@ from repro.datasets.loader import (
 )
 from repro.hierarchy.dimension import Dimension, Level
 from repro.relational.aggregates import make_aggregates
-from repro.relational.table import Table
+from tests.support.rows import table_of
 
 
 def load_records(
@@ -123,7 +123,7 @@ def load_records(
         ordered_dimensions, make_aggregates(*aggregates), n_measures
     )
     return LoadResult(
-        schema, Table(schema.fact_schema, rows), ordered_decoders,
+        schema, table_of(schema.fact_schema, rows), ordered_decoders,
         measure_specs,
     )
 

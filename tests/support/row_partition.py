@@ -1,7 +1,7 @@
 """The tuple-at-a-time partition pass, kept as a test oracle.
 
 This is ``repro.core.partition`` as it stood before the pass became one
-array routine (``spill_by_key``): ``for row in heap.scan()`` with a
+array routine (``spill_by_key``): a loop over the heap's rows with a
 per-bin row buffer, the coarse node(s) folded into a dict one tuple at
 a time, the counting scans as Python loops over rows, six times over —
 level, repartition, pair and local-pair partitioning plus the two
@@ -29,6 +29,7 @@ from repro.core.partition_select import (
 from repro.relational.durable import maybe_fire
 from repro.relational.engine import Engine
 from repro.relational.memory import MemoryBudgetExceeded
+from tests.support.rows import append_rows, rows_of
 
 _FLUSH_EVERY = 8192  # buffered rows per partition before an append burst
 
@@ -100,7 +101,7 @@ def _exact_member_rows(heap, schema: CubeSchema) -> list[np.ndarray]:
     """One counting scan: per-member row counts at every level of dim 0."""
     dimension = schema.dimensions[0]
     base_counts = np.zeros(dimension.base_cardinality, dtype=np.int64)
-    for row in heap.scan():
+    for row in rows_of(heap):
         base_counts[row[0]] += 1
     per_level = []
     for level in range(dimension.n_levels):
@@ -195,7 +196,7 @@ def partition_relation(
     # key -> [aggregate vector, weight, min rowid, representative base code]
     coarse: dict[tuple, list] = {}
 
-    for rowid, row in enumerate(heap.scan()):
+    for rowid, row in enumerate(rows_of(heap)):
         base_code = row[0]
         bin_index = assignment.get(level_map[base_code])
         if bin_index is None:  # member absent from the counting scan
@@ -203,7 +204,7 @@ def partition_relation(
         buffer = buffers[bin_index]
         buffer.append(row + (rowid,))
         if len(buffer) >= _FLUSH_EVERY:
-            heaps[bin_index].append_many(buffer)
+            append_rows(heaps[bin_index], buffer)
             buffer.clear()
 
         upper_code = 0 if project_out else upper_map[base_code]
@@ -212,7 +213,7 @@ def partition_relation(
 
     for bin_index, buffer in enumerate(buffers):
         if buffer:
-            heaps[bin_index].append_many(buffer)
+            append_rows(heaps[bin_index], buffer)
     for partition_heap in heaps:
         partition_heap.flush()
 
@@ -291,10 +292,10 @@ def _persist_coarse(
     if engine.catalog.exists(name):
         engine.catalog.drop(name)
     heap = engine.create_relation(name, TableSchema(tuple(columns)))
-    heap.append_many(
+    append_rows(heap, [
         (base_code,) + key[1:] + tuple(partials) + (weight, min_rowid)
         for key, (partials, weight, min_rowid, base_code) in coarse.items()
-    )
+    ])
     heap.flush()
     return name
 
@@ -391,13 +392,13 @@ def repartition_partition(
     n_dims = schema.n_dimensions
     coarse: dict[tuple, list] = {}
 
-    for row in heap.scan():
+    for row in rows_of(heap):
         base_code = row[0]
         bin_index = assignment.get(level_map[base_code], 0)
         buffer = buffers[bin_index]
         buffer.append(row)  # partition rows already carry their fact rowid
         if len(buffer) >= _FLUSH_EVERY:
-            heaps[bin_index].append_many(buffer)
+            append_rows(heaps[bin_index], buffer)
             buffer.clear()
         key = (upper_map[base_code],) + row[1:n_dims]
         _fold_coarse(
@@ -406,7 +407,7 @@ def repartition_partition(
 
     for bin_index, buffer in enumerate(buffers):
         if buffer:
-            heaps[bin_index].append_many(buffer)
+            append_rows(heaps[bin_index], buffer)
     for sub_heap in heaps:
         sub_heap.flush()
 
@@ -501,7 +502,7 @@ def _search_pair_decision(
 def _exact_pair_counts(heap, schema: CubeSchema) -> dict[tuple[int, int], int]:
     """One scan: joint base-code histogram of the two leading dimensions."""
     counts: dict[tuple[int, int], int] = {}
-    for row in heap.scan():
+    for row in rows_of(heap):
         key = (row[0], row[1])
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -613,13 +614,13 @@ def partition_relation_pair(
     coarse1: dict[tuple, list] = {}  # N1 = A_{L+1} B_0 C_0 …
     coarse2: dict[tuple, list] = {}  # N2 = A_0 B_{M+1} C_0 …
 
-    for rowid, row in enumerate(heap.scan()):
+    for rowid, row in enumerate(rows_of(heap)):
         code0, code1 = row[0], row[1]
         bin_index = assignment.get((map0[code0], map1[code1]), 0)
         buffer = buffers[bin_index]
         buffer.append(row + (rowid,))
         if len(buffer) >= _FLUSH_EVERY:
-            heaps[bin_index].append_many(buffer)
+            append_rows(heaps[bin_index], buffer)
             buffer.clear()
         measures = row[n_dims:]
         upper_code0 = 0 if project0 else upper0[code0]
@@ -635,7 +636,7 @@ def partition_relation_pair(
 
     for bin_index, buffer in enumerate(buffers):
         if buffer:
-            heaps[bin_index].append_many(buffer)
+            append_rows(heaps[bin_index], buffer)
     for partition_heap in heaps:
         partition_heap.flush()
 
@@ -689,7 +690,7 @@ def _persist_pair_coarse(
             dims[rep_dim] = rep0 if rep_dim == 0 else rep1
             yield tuple(dims) + tuple(partials) + (weight, min_rowid)
 
-    heap.append_many(rows())
+    append_rows(heap, rows())
     heap.flush()
     return name
 
@@ -792,13 +793,13 @@ def repartition_relation_pair(
     coarse1: dict[tuple, list] = {}  # local N1 = A_{L0+1} B_0 C_0 …
     coarse2: dict[tuple, list] = {}  # local N2 = A_0 B_{M+1} C_0 …
 
-    for row in heap.scan():
+    for row in rows_of(heap):
         code0, code1 = row[0], row[1]
         bin_index = assignment.get((map0[code0], map1[code1]), 0)
         buffer = buffers[bin_index]
         buffer.append(row)  # rows already carry their fact rowid
         if len(buffer) >= _FLUSH_EVERY:
-            heaps[bin_index].append_many(buffer)
+            append_rows(heaps[bin_index], buffer)
             buffer.clear()
         measures = row[n_dims:-1]
         rowid = row[-1]
@@ -815,7 +816,7 @@ def repartition_relation_pair(
 
     for bin_index, buffer in enumerate(buffers):
         if buffer:
-            heaps[bin_index].append_many(buffer)
+            append_rows(heaps[bin_index], buffer)
     for sub_heap in heaps:
         sub_heap.flush()
 

@@ -1,21 +1,27 @@
-"""Cube relations as Python row lists — the adapter the test side uses.
+"""Relations as Python row lists — the adapter the test side uses.
 
-Production holds every cube relation as one int64 array
+Production holds every relation as columns: a fact table or heap file as
+one array per schema column (:class:`repro.relational.batch.ColumnBatch`),
+a cube relation as one int64 array
 (:class:`repro.core.storage.ArrayRelation`).  The tuple-at-a-time oracles
-(``row_engine``, ``record_merger``) and the assertions that spell out
-expected rows want lists of tuples; this module is the one place that
-converts, in both directions, so no test reaches into how ``NodeStore``
-holds its relations.
+(``row_engine``, ``record_merger``, ``row_partition``) and the assertions
+that spell out expected rows want lists of tuples; this module is the one
+place that converts, in both directions, so no test reaches into how a
+relation holds its columns.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from functools import cached_property
 
 import numpy as np
 
 from repro.core.storage import CubeStorage, NodeStore
+from repro.relational.batch import ColumnBatch, column_dtype
+from repro.relational.heap import HeapFile
+from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 
 
@@ -27,10 +33,59 @@ def _matrix(rows: list) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def batch_of(schema: TableSchema, rows: Iterable[tuple]) -> ColumnBatch:
+    """Tuples transposed into one schema-typed column batch."""
+    rows = list(rows)
+    for row in rows:
+        schema.validate_row(row)
+    columns = list(zip(*rows)) or [()] * schema.arity
+    return ColumnBatch(
+        schema,
+        tuple(
+            np.asarray(values, dtype=column_dtype(column.type))
+            for column, values in zip(schema.columns, columns)
+        ),
+        len(rows),
+    )
+
+
+def table_of(
+    schema: TableSchema,
+    rows: Iterable[tuple] = (),
+    base_rowids: Iterable[int] | None = None,
+) -> Table:
+    """A table holding ``rows`` (and, for a slice, their global row-ids)."""
+    batch = batch_of(schema, rows)
+    if base_rowids is not None:
+        base_rowids = list(base_rowids)
+    return Table.from_batch(batch, base_rowids)
+
+
+def append_rows(heap: HeapFile, rows: Iterable[tuple]) -> int:
+    """Append tuples to a heap file as one batch; returns the count."""
+    return heap.append_batch(batch_of(heap.schema, rows))
+
+
+def rows_of(relation: Table | ColumnBatch | HeapFile) -> list[tuple]:
+    """Every row of a table, batch or heap file, as tuples of Python
+    scalars in row-id order (a heap is read in one sequential pass)."""
+    if isinstance(relation, HeapFile):
+        batches = list(relation.scan_batches())
+        relation = ColumnBatch.concat(relation.schema, batches)
+    elif isinstance(relation, Table):
+        relation = relation.as_batch()
+    return list(zip(*(array.tolist() for array in relation.arrays)))
+
+
+def row_at(table: Table, rowid: int) -> tuple:
+    """One row of a table, as a tuple of Python scalars."""
+    return tuple(array[rowid].item() for array in table.as_batch().arrays)
+
+
 def rows_digest(table: Table) -> str:
     """SHA-256 of a table's tuples as Python ints — how the generator
     tests pin a seed's output across representations of the table."""
-    return hashlib.sha256(repr(table.to_rows()).encode()).hexdigest()
+    return hashlib.sha256(repr(rows_of(table)).encode()).hexdigest()
 
 
 def nt_rows(store: NodeStore) -> list[tuple]:
