@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import ast
 import io
-import os
 import re
 import tokenize
 from collections.abc import Iterable, Sequence
@@ -55,6 +54,8 @@ class Suppressions:
 
 def parse_suppressions(source: str) -> Suppressions:
     suppressions = Suppressions()
+    if "cubelint" not in source:
+        return suppressions
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         comments = [
@@ -138,7 +139,7 @@ def _run_rules(
 def analyze_file(path: Path, rules: Sequence[Rule] = ALL_RULES) -> FileReport:
     """Run every applicable rule over one source file in isolation.
 
-    Flow rules (R10–R13) see a single-module call graph here; use
+    Flow rules (R12, R13) see a single-module call graph here; use
     :func:`analyze_paths` to resolve calls across the whole file set.
     """
     return analyze_paths([path], rules)[0]
@@ -174,9 +175,9 @@ def analyze_paths(
     """Analyze every ``.py`` file under ``paths`` (files or directories).
 
     All files are parsed first and share one
-    :class:`~repro.lint.graph.ProjectGraph`, so the flow rules (R10–R13)
-    resolve calls *across* the analyzed set — a taint source in one
-    module is followed into a sink in another.
+    :class:`~repro.lint.graph.ProjectGraph`, so the flow rules (R12, R13)
+    resolve calls *across* the analyzed set — an entry point in one
+    module reaches a mutation in another.
     """
     parsed = [_parse_module(path) for path in iter_python_files(paths)]
     contexts = [ctx for _, ctx, _ in parsed if ctx is not None]
@@ -187,13 +188,3 @@ def analyze_paths(
         _run_rules(report, ctx, suppressions, rules) if ctx is not None else report
         for report, ctx, suppressions in parsed
     ]
-
-
-def relative_to_root(path: str, root: Path | None = None) -> str:
-    """Normalize a display path against an explicit root (for baselines)."""
-    if root is None:
-        return path
-    try:
-        return os.path.relpath(Path(path).resolve(), root.resolve()).replace(os.sep, "/")
-    except ValueError:
-        return path

@@ -1,7 +1,7 @@
 """The ``cubelint`` command line (also ``python -m repro.lint``).
 
-Exit status: 0 when clean or fully covered by the baseline, 1 when any
-violation exceeds its baselined ceiling, 2 on usage errors.
+Exit status: 0 when clean, 1 when any violation is not silenced by a
+``# cubelint: disable=`` pragma, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -9,14 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from pathlib import Path
 
 from repro.lint.analyzer import FileReport, analyze_paths
-from repro.lint.baseline import Baseline, check_ratchet, observed_counts
 from repro.lint.registry import ALL_RULES, RULES_BY_ID
 from repro.lint.rules import Rule
-
-DEFAULT_BASELINE = "tools/lint_baseline.json"
 
 
 def _select_rules(spec: str | None) -> list[Rule]:
@@ -73,21 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", default=["src/repro"], help="files or directories to lint"
     )
     parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help=f"ratchet file (default: {DEFAULT_BASELINE}; missing file = empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: every violation fails the run",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file with the currently observed counts",
-    )
-    parser.add_argument(
         "--select", metavar="IDS", help="comma-separated rule ids to run (e.g. R3,R8)"
     )
     parser.add_argument(
@@ -104,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain",
         action="store_true",
-        help="print the interprocedural call path under each R10–R13 finding",
+        help="print the interprocedural call path under each R12/R13 finding",
     )
     return parser
 
@@ -123,65 +104,36 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    fired_rules = {v.rule_id for r in reports for v in r.violations}
+    violations = [v for r in reports for v in r.violations]
 
     if args.show_suppressed:
         for report in reports:
             for violation in report.suppressed:
                 print(f"{violation.render()} [suppressed]")
 
-    if args.update_baseline:
-        baseline = Baseline(observed_counts(reports))
-        baseline.save(Path(args.baseline))
-        total = sum(baseline.counts.values())
-        print(
-            f"cubelint: baseline written to {args.baseline} "
-            f"({total} violation(s) across {len(baseline.counts)} key(s))"
-        )
-        return 0
-
-    baseline = Baseline()
-    baseline_path = Path(args.baseline)
-    if not args.no_baseline and baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
-
-    result = check_ratchet(reports, baseline)
-    for violation in result.new_violations:
+    for violation in violations:
         print(violation.render())
         if args.explain and violation.trace:
             print(violation.render_trace())
-    for rule_id in sorted(fired_rules & set(RULES_BY_ID)):
-        if any(v.rule_id == rule_id for v in result.new_violations):
-            print(f"{rule_id} hint: {RULES_BY_ID[rule_id].hint}")
+    for rule_id in sorted({v.rule_id for v in violations} & set(RULES_BY_ID)):
+        print(f"{rule_id} hint: {RULES_BY_ID[rule_id].hint}")
 
     if args.statistics:
         _print_statistics(reports)
 
     n_files = len(reports)
-    n_suppressed = sum(len(r.suppressed) for r in reports)
-    if not result.ok:
+    if violations:
         print(
-            f"cubelint: {len(result.new_violations)} violation(s) above baseline "
-            f"in {n_files} file(s)",
+            f"cubelint: {len(violations)} violation(s) in {n_files} file(s)",
             file=sys.stderr,
         )
-        for key, (allowed, observed) in result.regressed_keys.items():
-            print(f"  {key}: baseline {allowed}, observed {observed}", file=sys.stderr)
         return 1
 
+    n_suppressed = sum(len(r.suppressed) for r in reports)
     summary = f"cubelint: OK ({n_files} file(s)"
-    if result.baselined_count:
-        summary += f", {result.baselined_count} baselined violation(s)"
     if n_suppressed:
         summary += f", {n_suppressed} suppressed"
     print(summary + ")")
-    if result.shrunk_keys:
-        print(
-            "cubelint: baseline can shrink "
-            f"({len(result.shrunk_keys)} key(s) improved) — run --update-baseline:"
-        )
-        for key, (allowed, observed) in result.shrunk_keys.items():
-            print(f"  {key}: baseline {allowed}, observed {observed}")
     return 0
 
 

@@ -1,9 +1,9 @@
-"""Project-wide symbol table and call graph for the flow rules (R10–R13).
+"""Project-wide symbol table and call graph for the flow rules (R12, R13).
 
-The per-file rules (R1–R9) see one module at a time; the temporal and
-whole-program invariants — durable-write ordering, determinism taint,
-shared-state reachability, fault-site coverage — need to know *who calls
-whom* across the analyzed file set.  :class:`ProjectGraph` provides that:
+The per-file rules see one module at a time; the whole-program
+invariants — shared-state reachability and fault-site coverage — need
+to know *who calls whom* across the analyzed file set.
+:class:`ProjectGraph` provides that:
 
 * a symbol table of every module, class, function and method, keyed by a
   qualified name ``<module.dotted.path>:<Class.>name``;
@@ -276,16 +276,15 @@ class ProjectGraph:
                 fn.var_classes["self"] = own.qname
                 fn.var_classes["cls"] = own.qname
 
-        for stmt in ast.walk(node):
-            if isinstance(stmt, ast.Global):
-                fn.global_names.update(stmt.names)
-
-        # Lexical walk: typing assignments before the calls that use them.
-        for sub in sorted(
+        # Lexical order: typing assignments before the calls that use them.
+        nodes = sorted(
             ast.walk(node),
             key=lambda n: (getattr(n, "lineno", 0), getattr(n, "col_offset", 0)),
-        ):
-            if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        )
+        for sub in nodes:
+            if isinstance(sub, ast.Global):
+                fn.global_names.update(sub.names)
+            elif isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 self._record_assignment(module, fn, sub)
             elif isinstance(sub, ast.For) and isinstance(sub.target, ast.Name):
                 fn.local_names.add(sub.target.id)
@@ -300,7 +299,7 @@ class ProjectGraph:
         for arg in args.posonlyargs + args.args + args.kwonlyargs:
             fn.local_names.add(arg.arg)
 
-        self._collect_mutations(module, fn)
+        self._collect_mutations(module, fn, nodes)
 
     def _record_assignment(
         self,
@@ -432,14 +431,16 @@ class ProjectGraph:
                     matches.append(qn)
         return tuple(matches)
 
-    def _collect_mutations(self, module: ModuleInfo, fn: FunctionInfo) -> None:
+    def _collect_mutations(
+        self, module: ModuleInfo, fn: FunctionInfo, nodes: list[ast.AST]
+    ) -> None:
         assigned_globals = fn.global_names & {
             name
-            for stmt in ast.walk(fn.node)
+            for stmt in nodes
             for target in self._assign_targets(stmt)
             for name in _bound_names(target)
         }
-        for stmt in ast.walk(fn.node):
+        for stmt in nodes:
             if isinstance(stmt, ast.Global):
                 for name in stmt.names:
                     if name in assigned_globals:
@@ -550,8 +551,3 @@ class ProjectGraph:
                         return list(reversed(path))
                     queue.append(nxt)
         return []
-
-    def single_module(self) -> ModuleInfo | None:
-        if len(self.modules) == 1:
-            return next(iter(self.modules.values()))
-        return None

@@ -1,7 +1,7 @@
-"""The cubelint rule catalogue (R1–R9).
+"""The per-file cubelint rules (R2–R9, R11).
 
 Each rule protects either a structural invariant of the CURE engine
-(R1–R3, R6, R7, R9 — see the paper-section references in
+(R2, R3, R6, R7, R9, R11 — see the paper-section references in
 ``docs/static_analysis.md``) or a hygiene property that keeps the
 codebase honest as it grows (R4, R5, R8).
 
@@ -133,47 +133,6 @@ class Rule:
         return Violation(self.rule_id, ctx.path, line, col, message)
 
 
-class HeapAccessOutsideRelational(Rule):
-    """R1: row-id / heap-page primitives stay inside ``relational/``.
-
-    Node relations are redundancy-free because they store *opaque* row-ids
-    into the fact heap (paper Section 5); any module that imports
-    ``repro.relational.heap`` directly can construct or interpret raw
-    row-ids and silently break that opacity.  Everything else goes through
-    ``Engine`` / ``Catalog`` / ``Table``.
-    """
-
-    rule_id = "R1"
-    title = "no direct heap/row-id access outside relational/"
-    hint = "go through repro.relational.engine.Engine or Catalog; only relational/ may import repro.relational.heap"
-    not_in = frozenset({"relational"})
-
-    _BANNED_MODULE = "relational.heap"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if _matches(alias.name, self._BANNED_MODULE):
-                        yield self.violation(
-                            ctx, node, f"direct import of `{alias.name}` outside relational/"
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if _matches(module, self._BANNED_MODULE):
-                    yield self.violation(
-                        ctx, node, f"direct import from `{module}` outside relational/"
-                    )
-                elif _matches(module, "relational") or (node.level > 0 and module == ""):
-                    for alias in node.names:
-                        if alias.name == "heap":
-                            yield self.violation(
-                                ctx,
-                                node,
-                                "direct import of the heap module outside relational/",
-                            )
-
-
 class MaterializedPlanInHotPath(Rule):
     """R2: hot paths must use the analytic plan form.
 
@@ -249,12 +208,12 @@ class WallClockInCore(Rule):
                     break
 
 
-class MutableDefaultOrBareExcept(Rule):
-    """R4: no mutable default arguments, no bare ``except:``."""
+class MutableDefault(Rule):
+    """R4: no mutable default arguments (ruff's E722 bans bare ``except:``)."""
 
     rule_id = "R4"
-    title = "no mutable defaults / bare except"
-    hint = "default to None and create inside the function; catch a concrete exception type"
+    title = "no mutable default arguments"
+    hint = "default to None and create inside the function"
 
     _MUTABLE_CALLS = frozenset(
         {"list", "dict", "set", "bytearray", "defaultdict", "Counter", "deque"}
@@ -277,8 +236,6 @@ class MutableDefaultOrBareExcept(Rule):
                 for default in defaults:
                     if self._is_mutable(default):
                         yield self.violation(ctx, default, "mutable default argument")
-            elif isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.violation(ctx, node, "bare `except:` swallows everything")
 
 
 class MissingFutureAnnotations(Rule):
@@ -480,16 +437,63 @@ class RawDurabilityPrimitive(Rule):
                 )
 
 
+class UnorderedListingOrUnseededRandom(Rule):
+    """R11: directory listings are sorted and every generator is seeded.
+
+    Partition files, checkpoints and cube bytes must not depend on the
+    order a file system lists entries in or on a random state nobody
+    chose.  Every listing call sits inside a ``sorted(...)`` argument,
+    ``random.Random`` / ``numpy.random.default_rng`` get a seed, and the
+    module-level generators of ``random`` and ``numpy.random`` are never
+    drawn from.
+    """
+
+    rule_id = "R11"
+    title = "unsorted directory listing or unseeded randomness"
+    hint = (
+        "wrap the listing in sorted(...); pass a seed to random.Random / "
+        "np.random.default_rng and draw from that generator"
+    )
+
+    _LISTINGS = frozenset({"os.listdir", "os.scandir", "glob.glob", "glob.iglob"})
+    _LISTING_METHODS = frozenset({"glob", "rglob", "iterdir"})
+    _RNG_MODULES = ("random", "numpy.random")
+    _CONSTRUCTORS = frozenset({"Random", "default_rng"})
+
+    def check(self, ctx: ModuleContext) -> Iterator[Violation]:
+        calls = [n for n in ast.walk(ctx.tree) if isinstance(n, ast.Call)]
+        in_sorted = {
+            inner
+            for call in calls
+            if isinstance(call.func, ast.Name) and call.func.id == "sorted"
+            for arg in call.args[:1]
+            for inner in ast.walk(arg)
+        }
+        for node in calls:
+            dotted = resolved_call_name(node.func, ctx.imports)
+            module, _, name = (dotted or "").rpartition(".")
+            method = node.func.attr if isinstance(node.func, ast.Attribute) else ""
+            listing = dotted in self._LISTINGS or method in self._LISTING_METHODS
+            if listing and node not in in_sorted:
+                yield self.violation(
+                    ctx, node, f"`{dotted or method}()` listing outside sorted(...)"
+                )
+            elif module in self._RNG_MODULES and name not in self._CONSTRUCTORS:
+                yield self.violation(ctx, node, f"draw from the global `{dotted}`")
+            elif module in self._RNG_MODULES and not (node.args or node.keywords):
+                yield self.violation(ctx, node, f"unseeded `{dotted}()`")
+
+
 ALL_RULES: tuple[Rule, ...] = (
-    HeapAccessOutsideRelational(),
     MaterializedPlanInHotPath(),
     WallClockInCore(),
-    MutableDefaultOrBareExcept(),
+    MutableDefault(),
     MissingFutureAnnotations(),
     ImplicitNumpyDtype(),
     AssertForValidation(),
     UntypedPublicFunction(),
     RawDurabilityPrimitive(),
+    UnorderedListingOrUnseededRandom(),
 )
 
 RULES_BY_ID: dict[str, Rule] = {rule.rule_id: rule for rule in ALL_RULES}

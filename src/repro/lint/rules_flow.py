@@ -1,22 +1,12 @@
-"""Interprocedural rules R10–R13 (the *cubeflow* layer).
+"""Interprocedural rules R12 and R13 (the *cubeflow* layer).
 
-Unlike R1–R9, these rules reason over the whole analyzed file set at
-once: each computes its project-wide findings a single time (memoized on
-``ProjectGraph.cache``) and then yields the ones belonging to the module
-under report.  They are therefore exact under ``analyze_paths`` over a
-directory and soundly degraded (single-module graph) under
+Unlike the per-file rules, these reason over the whole analyzed file set
+at once: each computes its project-wide findings a single time (memoized
+on ``ProjectGraph.cache``) and then yields the ones belonging to the
+module under report.  They are therefore exact under ``analyze_paths``
+over a directory and soundly degraded (single-module graph) under
 ``analyze_file`` on one file.
 
-* **R10** — durable-write typestate: inside ``relational/`` and
-  ``faults/``, a write-mode ``open`` must be followed, in order, by
-  flush, ``os.fsync`` and only then ``os.replace``; checksums of the
-  artifact must wait until it is durable.  Helpers that write a handle
-  parameter are summarized, so delegating the write does not hide a
-  skipped fsync.
-* **R11** — determinism taint: unseeded randomness, ``id()``/``hash()``
-  and unordered iteration must not reach cube-byte, checkpoint or
-  partition-decision sinks.  Violations carry the full source→sink call
-  chain (``cubelint --explain``).
 * **R12** — parallel-safety audit: ``global`` rebinds anywhere, and
   unsynchronized mutation of module-level mutable state by any function
   reachable from the parallel entry points: the build-task interpreters
@@ -31,18 +21,16 @@ directory and soundly degraded (single-module graph) under
   ``FaultInjector`` site (a ``maybe_fire``/``fire`` call in the function
   or on every caller path), with site families cross-checked against the
   ``SITE_FAMILIES`` registry in ``faults/injector.py``.
+
+Each finding carries the call path ``cubelint --explain`` prints.
 """
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
+from dataclasses import dataclass
 
-from repro.lint.dataflow import (
-    DurableProtocolAnalysis,
-    FlowViolation,
-    TaintAnalysis,
-)
 from repro.lint.graph import FunctionInfo, ProjectGraph
 from repro.lint.rules import ModuleContext, Rule, Violation, dotted_name
 
@@ -99,6 +87,17 @@ R13_ENTRY_SUFFIXES = R12_ENTRY_SUFFIXES + (
 _LOCK_CONSTRUCTORS = frozenset({"Lock", "RLock"})
 
 
+@dataclass(frozen=True)
+class FlowViolation:
+    """One interprocedural finding, attributed to a concrete call site."""
+
+    path: str
+    line: int
+    col: int
+    message: str
+    trace: tuple[str, ...] = ()
+
+
 def project_graph(ctx: ModuleContext) -> ProjectGraph:
     """The shared graph, or a single-module one for isolated analysis."""
     if ctx.graph is not None:
@@ -146,39 +145,6 @@ class _FlowRule(Rule):
                     finding.message,
                     trace=finding.trace,
                 )
-
-
-class DurableWriteTypestate(_FlowRule):
-    """R10: the atomic-publish protocol, in order, on the same artifact."""
-
-    rule_id = "R10"
-    title = "durable-write protocol out of order (write → flush → fsync → rename)"
-    hint = (
-        "stage to a temporary, flush, os.fsync the handle, then os.replace; "
-        "checksum only after the fsync — or call "
-        "repro.relational.durable.atomic_write_bytes which does all of it"
-    )
-    only_in = frozenset({"relational", "faults"})
-    cache_key = "cubeflow.r10"
-
-    def compute(self, graph: ProjectGraph) -> list[FlowViolation]:
-        return DurableProtocolAnalysis(graph).run()
-
-
-class DeterminismTaint(_FlowRule):
-    """R11: nondeterminism must not reach cube bytes or partition choices."""
-
-    rule_id = "R11"
-    title = "nondeterministic value flows into a cube-byte/partition sink"
-    hint = (
-        "seed every Random, sort directory listings and set iterations, "
-        "and never let id()/hash() shape persisted bytes; run with "
-        "--explain to see the full source→sink call path"
-    )
-    cache_key = "cubeflow.r11"
-
-    def compute(self, graph: ProjectGraph) -> list[FlowViolation]:
-        return TaintAnalysis(graph).run()
 
 
 class ParallelSafetyAudit(_FlowRule):
@@ -312,8 +278,8 @@ class FaultSiteCoverage(_FlowRule):
             if fn.name in DURABLE_PRIMITIVES or covered[qname]:
                 continue
             for call in fn.calls:
-                name = self._primitive_name(graph, fn, call.node)
-                if name is None:
+                name = (call.dotted or "").rpartition(".")[2]
+                if name not in DURABLE_PRIMITIVES:
                     continue
                 findings.append(
                     FlowViolation(
@@ -370,19 +336,8 @@ class FaultSiteCoverage(_FlowRule):
             return None
         return text.partition(":")[0] or None
 
-    def _primitive_name(
-        self, graph: ProjectGraph, fn: FunctionInfo, node: ast.Call
-    ) -> str | None:
-        dotted = dotted_name(node.func)
-        if dotted is None:
-            return None
-        name = dotted.rpartition(".")[2]
-        return name if name in DURABLE_PRIMITIVES else None
-
 
 FLOW_RULES: tuple[Rule, ...] = (
-    DurableWriteTypestate(),
-    DeterminismTaint(),
     ParallelSafetyAudit(),
     FaultSiteCoverage(),
 )

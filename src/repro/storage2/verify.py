@@ -100,7 +100,7 @@ def v1_disk_bytes(root: Path, cube_prefix: str, fact_relation: str) -> int:
         f"{fact_relation}.dat",
         f"{fact_relation}.schema.json",
     ):
-        for path in Path(root).glob(pattern):
+        for path in sorted(Path(root).glob(pattern)):
             if path.is_file() and not path.name.endswith(".v2"):
                 total += path.stat().st_size
     return total

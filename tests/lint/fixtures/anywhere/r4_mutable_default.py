@@ -1,4 +1,4 @@
-"""R4 fixture: mutable default argument plus a bare except."""
+"""R4 fixture: a mutable default argument."""
 
 from __future__ import annotations
 
@@ -6,10 +6,3 @@ from __future__ import annotations
 def collect(item: int, into: list = []) -> list:
     into.append(item)
     return into
-
-
-def swallow() -> None:
-    try:
-        collect(1)
-    except:
-        pass

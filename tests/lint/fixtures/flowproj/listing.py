@@ -1,9 +1,10 @@
-"""Unsorted listing producer — the cross-module R11 taint source."""
+"""The partitions listed so far: module state the entry in ``writer.py`` mutates."""
 
 from __future__ import annotations
 
-import os
+_LISTED: dict[str, int] = {}
 
 
-def partition_names(root: str) -> list[str]:
-    return list(os.listdir(root))
+def list_partition(name: str) -> int:
+    _LISTED[name] = len(name)
+    return _LISTED[name]

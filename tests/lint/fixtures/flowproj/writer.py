@@ -1,15 +1,16 @@
-"""Feeds a listing from another module into a partition-decision sink.
+"""The partition entry point; the state it mutates lives in ``listing.py``.
 
-Analyzed alone, this file is clean — the taint lives in ``listing.py``.
-Only a whole-set analysis (``analyze_paths``) follows the call edge and
-reports the flow, which is exactly what the fixture exercises.
+Analyzed alone, each file is clean: ``listing.py`` has no entry point
+and this file mutates nothing.  Only a whole-set analysis
+(``analyze_paths``) follows the call edge from ``process_partition``
+into ``list_partition`` and reports the unlocked write, which is exactly
+what the fixture exercises.
 """
 
 from __future__ import annotations
 
-from flowproj.listing import partition_names
+from flowproj.listing import list_partition
 
 
-def choose(root: str) -> int:
-    names = partition_names(root)
-    return select_partition_level(names)
+def process_partition(name: str) -> int:
+    return list_partition(name)

@@ -1,9 +1,9 @@
 """The gate the acceptance criteria describe, enforced from pytest.
 
-``src/repro`` must be green against the committed baseline, and the
+``src/repro`` must carry no active violation, and the
 invariant-critical packages (``core/``, ``lattice/``, ``relational/``,
-``faults/``) must carry zero violations — neither baselined nor
-suppressed.
+``faults/``) must carry none suppressed either.  The tree is analyzed
+once per module: the whole-set call graph is the expensive part.
 """
 
 from __future__ import annotations
@@ -11,28 +11,32 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.lint.analyzer import analyze_paths
-from repro.lint.baseline import Baseline, check_ratchet
-from repro.lint.dataflow import SINK_FUNCTIONS
-from repro.lint.rules_flow import R12_ENTRY_SUFFIXES, R13_ENTRY_SUFFIXES
+import pytest
+
+from repro.lint.analyzer import FileReport, analyze_paths
+from repro.lint.rules_flow import (
+    DURABLE_PRIMITIVES,
+    R12_ENTRY_SUFFIXES,
+    R13_ENTRY_SUFFIXES,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CLEAN_PACKAGES = ("core", "lattice", "relational", "faults")
 
 
-def _reports() -> list:
+@pytest.fixture(scope="module")
+def reports() -> list[FileReport]:
     return analyze_paths([REPO_ROOT / "src" / "repro"])
 
 
-def test_src_is_green_against_committed_baseline() -> None:
-    baseline = Baseline.load(REPO_ROOT / "tools" / "lint_baseline.json")
-    result = check_ratchet(_reports(), baseline)
-    assert result.ok, "\n".join(v.render() for v in result.new_violations)
+def test_src_is_green(reports: list[FileReport]) -> None:
+    active = [v for report in reports for v in report.violations]
+    assert active == [], "\n".join(v.render() for v in active)
 
 
-def test_invariant_packages_are_fully_clean() -> None:
+def test_invariant_packages_are_fully_clean(reports: list[FileReport]) -> None:
     dirty = []
-    for report in _reports():
+    for report in reports:
         parts = set(Path(report.path).parts)
         if not parts & set(CLEAN_PACKAGES):
             continue
@@ -41,20 +45,10 @@ def test_invariant_packages_are_fully_clean() -> None:
     assert dirty == [], "\n".join(v.render() for v in dirty)
 
 
-def test_baseline_has_no_invariant_package_entries() -> None:
-    baseline = Baseline.load(REPO_ROOT / "tools" / "lint_baseline.json")
-    offending = [
-        key
-        for key in baseline.counts
-        if set(Path(key.split("::", 1)[0]).parts) & set(CLEAN_PACKAGES)
-    ]
-    assert offending == []
-
-
 def test_sink_and_entry_names_are_defined_under_src() -> None:
-    """A sink or entry point that no longer exists audits nothing, and
-    says so nowhere: every listed name must be a function, or a
-    ``Class.method``, that ``src/repro`` defines."""
+    """A durable primitive (R13's sink) or entry point that no longer
+    exists audits nothing, and says so nowhere: every listed name must be
+    a function, or a ``Class.method``, that ``src/repro`` defines."""
     defined = set()
     for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -66,7 +60,7 @@ def test_sink_and_entry_names_are_defined_under_src() -> None:
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
                 )
-    listed = SINK_FUNCTIONS | {*R12_ENTRY_SUFFIXES, *R13_ENTRY_SUFFIXES}
+    listed = DURABLE_PRIMITIVES | {*R12_ENTRY_SUFFIXES, *R13_ENTRY_SUFFIXES}
     fixture_only = {"process_partition"}
     assert sorted(listed - defined - fixture_only) == []
     assert not fixture_only & defined

@@ -13,21 +13,22 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 # fixture -> list of (rule_id, line) expected as *active* violations
 EXPECTED = {
-    "query/r1_heap_import.py": [("R1", 5)],
     "core/r2_materialized_plan.py": [("R2", 5), ("R2", 9)],
     "core/r3_wall_clock.py": [("R3", 9)],
-    "anywhere/r4_mutable_default.py": [("R4", 6), ("R4", 14)],
+    "anywhere/r4_mutable_default.py": [("R4", 6)],
     "anywhere/r5_no_future_import.py": [("R5", 1)],
     "core/r6_implicit_dtype.py": [("R6", 9)],
     "relational/r7_assert_validation.py": [("R7", 7)],
     "lattice/r8_untyped_public.py": [("R8", 6)],
     "query/r9_raw_durability.py": [("R9", 10), ("R9", 12), ("R9", 14), ("R9", 15)],
-    "relational/r10_unsynced_rename.py": [("R10", 13)],
-    "relational/r10_fsync_no_flush.py": [("R10", 11)],
-    "relational/r10_helper_write.py": [("R10", 17)],
-    "relational/r10_clean.py": [],
-    "relational/r10_suppressed.py": [],
-    "anywhere/r11_nondeterminism.py": [("R11", 10), ("R11", 15)],
+    "anywhere/r11_nondeterminism.py": [
+        ("R11", 13),  # os.listdir
+        ("R11", 17),  # Path.glob inside a list comprehension
+        ("R11", 21),  # unseeded random.Random()
+        ("R11", 25),  # unseeded np.random.default_rng()
+        ("R11", 29),  # random.choice on the global generator
+        ("R11", 33),  # np.random.rand on the global generator
+    ],
     "anywhere/r11_clean.py": [],
     "anywhere/r11_suppressed.py": [],
     "core/r12_shared_state.py": [("R12", 10), ("R12", 15)],
@@ -35,9 +36,9 @@ EXPECTED = {
     "relational/r13_fault_sites.py": [("R13", 22), ("R13", 26)],
     "ingest/r9_ingest_raw_write.py": [("R9", 15), ("R9", 17)],
     "ingest/r13_ingest_entry.py": [("R13", 31)],
-    "flowproj/listing.py": [],
-    # clean in isolation: the taint source lives in flowproj/listing.py and
+    # clean in isolation: the entry point lives in flowproj/writer.py and
     # only a whole-set analysis follows the edge (tests/lint/test_rules_flow.py)
+    "flowproj/listing.py": [],
     "flowproj/writer.py": [],
     "anywhere/clean.py": [],
 }
@@ -56,7 +57,7 @@ def test_every_rule_is_covered_by_a_fixture() -> None:
 
 
 def test_rule_catalogue_shape() -> None:
-    assert len(ALL_RULES) == 13
+    assert len(ALL_RULES) == 11
     for rule in ALL_RULES:
         assert rule.rule_id.startswith("R")
         assert rule.hint and rule.title

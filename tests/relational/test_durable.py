@@ -7,6 +7,9 @@ error-path hygiene of :class:`HeapFile` and :class:`MemoryManager`.
 
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 from repro.faults import (
@@ -15,16 +18,20 @@ from repro.faults import (
     FaultSpec,
     seeded_crash_indices,
 )
+from repro.relational import durable
 from repro.relational.catalog import Catalog
 from repro.relational.durable import (
     InjectedCrash,
     RetryPolicy,
     TornWrite,
     TransientIOError,
+    append_bytes,
     atomic_write_bytes,
+    atomic_write_chunks,
     atomic_write_text,
     file_checksum,
     publish_file,
+    truncate_file,
     with_retries,
 )
 from repro.relational.engine import Engine
@@ -77,6 +84,88 @@ def test_checksums_detect_change(tmp_path):
     assert file_checksum(tmp_path / "missing") == file_checksum(
         tmp_path / "also-missing"
     )
+
+
+class _RecordingHandle:
+    """A file handle that logs the data-moving calls made through it."""
+
+    def __init__(self, handle, calls: list[str]) -> None:
+        self._handle = handle
+        self._calls = calls
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._handle.close()
+
+    def __getattr__(self, name: str):
+        attr = getattr(self._handle, name)
+        if name not in ("write", "truncate", "flush"):
+            return attr
+
+        def logged(*args):
+            self._calls.append(name)
+            return attr(*args)
+
+        return logged
+
+
+def _call_order(monkeypatch, operation) -> list[str]:
+    """The write / truncate / flush / fsync / replace calls ``operation``
+    makes, in order; an fsync of a directory descriptor is ``fsync-dir``."""
+    calls: list[str] = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd: int) -> None:
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        calls.append("fsync-dir" if is_dir else "fsync")
+        real_fsync(fd)
+
+    def replace(src, dst) -> None:
+        calls.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(
+        durable, "open", lambda *a: _RecordingHandle(open(*a), calls), raising=False
+    )
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    operation()
+    return calls
+
+
+_PUBLISH = ["flush", "fsync", "replace", "fsync-dir"]
+
+
+@pytest.mark.parametrize(
+    ("primitive", "expected"),
+    [
+        (lambda d: atomic_write_bytes(d / "f", b"x"), ["write", *_PUBLISH]),
+        (lambda d: atomic_write_text(d / "f", "x"), ["write", *_PUBLISH]),
+        (
+            lambda d: atomic_write_chunks(d / "f", [b"x", b"y"]),
+            ["write", "write", *_PUBLISH],
+        ),
+        (lambda d: append_bytes(d / "seg", b"x"), ["write", "flush", "fsync"]),
+        (lambda d: truncate_file(d / "seg", 1), ["truncate", "flush", "fsync"]),
+        (lambda d: publish_file(d / "seg", d / "f"), ["fsync", "replace", "fsync-dir"]),
+    ],
+    ids=[
+        "atomic_write_bytes",
+        "atomic_write_text",
+        "atomic_write_chunks",
+        "append_bytes",
+        "truncate_file",
+        "publish_file",
+    ],
+)
+def test_durable_primitive_call_order(tmp_path, monkeypatch, primitive, expected):
+    """Data reaches the handle, is flushed, fsync'd, and only then renamed
+    into place, after which the directory entry is fsync'd; the append and
+    truncate primitives rename nothing."""
+    (tmp_path / "seg").write_bytes(b"staged")
+    assert _call_order(monkeypatch, lambda: primitive(tmp_path)) == expected
 
 
 # -- bounded retries -----------------------------------------------------------
