@@ -253,34 +253,46 @@ def cmd_query(args) -> int:
 
 def _parse_delta_csv(schema, path: str) -> np.ndarray:
     """CSV rows → one int64 fact matrix: base members (name or code),
-    then measures."""
-    import csv
+    then measures.  Read by ``load_csv``'s reader (UTF-8, RFC 4180)."""
+    from repro.datasets.loader import csv_blocks
 
     n_dims = schema.n_dimensions
     expected = n_dims + schema.n_measures
-    rows: list[list[int]] = []
-    with open(path, newline="") as handle:
-        for line_no, record in enumerate(csv.reader(handle), start=1):
-            if not record:
-                continue
-            if len(record) != expected:
-                raise SystemExit(
-                    f"{path}:{line_no}: expected {expected} fields "
-                    f"({n_dims} dimensions + {schema.n_measures} measures), "
-                    f"got {len(record)}"
-                )
-            codes = [
-                _member_code(schema.dimensions[d], 0, record[d].strip())
-                for d in range(n_dims)
-            ]
-            try:
-                measures = [int(value) for value in record[n_dims:]]
-            except ValueError:
-                raise SystemExit(
-                    f"{path}:{line_no}: measures must be integers"
-                ) from None
-            rows.append(codes + measures)
-    return np.array(rows, dtype=np.int64).reshape(-1, expected)
+    parts = [np.empty((0, expected), dtype=np.int64)]
+    with open(path, "rb") as handle:
+        try:
+            for block in csv_blocks(handle, path):
+                wrong = block.counts != expected
+                if wrong.any():
+                    row = int(np.argmax(wrong))
+                    raise SystemExit(
+                        f"{path}:{block.row_line(row)}: expected {expected} "
+                        f"fields ({n_dims} dimensions + {schema.n_measures} "
+                        f"measures), got {int(block.counts[row])}"
+                    )
+                rows = block.rows(0, len(block.counts), expected)
+                columns = [
+                    [
+                        _member_code(schema.dimensions[d], 0, value.strip())
+                        for value in rows.texts(d)
+                    ]
+                    for d in range(n_dims)
+                ]
+                for column in range(n_dims, expected):
+                    measures = []
+                    for row, value in enumerate(rows.texts(column)):
+                        try:
+                            measures.append(int(value))
+                        except ValueError:
+                            raise SystemExit(
+                                f"{path}:{block.row_line(row)}: measures "
+                                "must be integers"
+                            ) from None
+                    columns.append(measures)
+                parts.append(np.array(columns, dtype=np.int64).T)
+        except ValueError as error:
+            raise SystemExit(str(error)) from None
+    return np.concatenate(parts)
 
 
 def cmd_ingest(args) -> int:

@@ -49,6 +49,11 @@ _ROARING_CONTAINER = struct.Struct("<IBI")
 _ROARING_ARRAY, _ROARING_BITMAP = 0, 1
 #: Longest legal varint for a 64-bit value: ⌈64 / 7⌉ bytes.
 _VARINT_MAX_BYTES = 10
+#: A value of at least ``_VARINT_LIMITS[k]`` needs more than ``k + 1``
+#: varint bytes.
+_VARINT_LIMITS = np.array(
+    [1 << (7 * k) for k in range(1, _VARINT_MAX_BYTES)], dtype=np.uint64
+)
 
 RAW = "raw"
 NARROW = "narrow"
@@ -229,18 +234,18 @@ def _unzigzag(values: np.ndarray) -> np.ndarray:
     ).astype(np.int64)
 
 
-def delta_encode(values: np.ndarray) -> bytes:
-    """First value plus successive deltas, zigzagged, as LEB128 varints."""
-    v = np.asarray(values, dtype=np.int64)
-    if len(v) == 0:
-        return b""
+def _delta_varints(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The zigzagged deltas of a non-empty int64 array and each one's
+    varint byte count."""
     deltas = np.empty(len(v), dtype=np.int64)
     deltas[0] = v[0]
     np.subtract(v[1:], v[:-1], out=deltas[1:])
     z = _zigzag(deltas)
-    nbytes = np.ones(len(z), dtype=np.int64)
-    for k in range(1, _VARINT_MAX_BYTES):
-        nbytes += (z >= np.uint64(1 << (7 * k))).astype(np.int64)
+    return z, 1 + np.searchsorted(_VARINT_LIMITS, z, side="right")
+
+
+def _varint_bytes(z: np.ndarray, nbytes: np.ndarray) -> bytes:
+    """LEB128 varints of ``z``, ``nbytes`` bytes each."""
     ends = np.cumsum(nbytes)
     starts = ends - nbytes
     out = np.zeros(int(ends[-1]), dtype=np.uint8)
@@ -254,6 +259,14 @@ def delta_encode(values: np.ndarray) -> bytes:
         chunk |= (nbytes[mask] > k + 1).astype(np.uint8) << 7
         out[starts[mask] + k] = chunk
     return out.tobytes()
+
+
+def delta_encode(values: np.ndarray) -> bytes:
+    """First value plus successive deltas, zigzagged, as LEB128 varints."""
+    v = np.asarray(values, dtype=np.int64)
+    if len(v) == 0:
+        return b""
+    return _varint_bytes(*_delta_varints(v))
 
 
 def delta_decode(data: bytes, count: int) -> np.ndarray:
@@ -384,15 +397,30 @@ def encode_rowid_list(values: np.ndarray) -> tuple[str, bytes]:
     pure function of the list, so republishing is deterministic.
     """
     v = np.asarray(values, dtype=np.int64)
-    delta_payload = delta_encode(v)
+    if len(v) == 0:
+        return DELTA, b""
+    z, nbytes = _delta_varints(v)
     eligible = (
-        len(v) > 0
-        and int(v.min()) >= 0
-        and int(v.max()) < (1 << 32)
-        and (len(v) == 1 or int(np.diff(v).min()) > 0)
+        (len(v) == 1 or int(np.diff(v).min()) > 0)
+        and int(v[0]) >= 0
+        and int(v[-1]) < (1 << 32)
     )
-    if eligible:
-        roaring_payload = roaring_encode(v)
-        if len(roaring_payload) < len(delta_payload):
-            return ROARING, roaring_payload
-    return DELTA, delta_payload
+    if eligible and _roaring_size(v) < int(nbytes.sum()):
+        return ROARING, roaring_encode(v)
+    return DELTA, _varint_bytes(z, nbytes)
+
+
+def _roaring_size(v: np.ndarray) -> int:
+    """``len(roaring_encode(v))`` for an eligible list, without encoding:
+    the container count, then per container its header and either a
+    bitmap or two bytes a member."""
+    if int(v[0]) >> 16 == int(v[-1]) >> 16:
+        members = [len(v)]
+    else:
+        changes = np.flatnonzero(np.diff(v >> 16)) + 1
+        members = np.diff(changes, prepend=0, append=len(v)).tolist()
+    return 4 + sum(
+        _ROARING_CONTAINER.size
+        + (1 << 13 if count > ROARING_ARRAY_LIMIT else 2 * count)
+        for count in members
+    )

@@ -1,5 +1,11 @@
 """Unit tests for the raw-record loader (dictionary encoding, hierarchies)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.datasets.loader import (
@@ -184,6 +190,85 @@ def test_load_csv_rejects_ragged_rows(tmp_path, body, line, fields):
         load_csv(path, [DimensionSpec.of("Store", "store", "city")], ["units"])
 
 
+def test_load_csv_reads_utf8_with_a_bom_on_any_locale(tmp_path):
+    """An Excel "CSV UTF-8" file: the BOM is not part of the first header
+    name, and members decode as UTF-8 whatever the locale's encoding."""
+    path = tmp_path / "facts.csv"
+    path.write_bytes(
+        "\ufeffcity,country,sku,qty\r\n"
+        "Zürich,Schweiz,a,3\r\n"
+        "Αθήνα,Ελλάδα,b,5\r\n".encode("utf-8")
+    )
+    result = load_csv(path, [REGION, PRODUCT], ["qty"])
+    assert result.decoder("Region").members == [
+        ["Zürich", "Αθήνα"],
+        ["Schweiz", "Ελλάδα"],
+    ]
+    assert [row[-1] for row in rows_of(result.table)] == [3, 5]
+    # The same file under the C locale, UTF-8 mode and locale coercion
+    # off: text-mode ``open`` would decode it as ASCII there.
+    script = (
+        "import json, sys; from repro.datasets.loader import *; "
+        "r = load_csv(sys.argv[1], [DimensionSpec.of('Region', 'city', "
+        "'country'), DimensionSpec.of('Product', 'sku')], ['qty']); "
+        "print(json.dumps(r.decoder('Region').members))"
+    )
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+    }
+    shown = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(shown.stdout) == result.decoder("Region").members
+
+
+def test_load_csv_tells_members_apart_by_trailing_nul_bytes(tmp_path):
+    """A field is keyed as zero-padded words: "a" and "a\\0" (or their
+    nine-byte kin) differ only in length."""
+    cities = ["a", "a\0", "a\0\0", "abcdefgh", "abcdefgh\0", "abcdefgh\0\0"]
+    path = tmp_path / "facts.csv"
+    path.write_text(
+        "city,country,sku,qty\n"
+        + "".join(f"{city},c,s,{n}\n" for n, city in enumerate(cities))
+    )
+    result = load_csv(path, [REGION, PRODUCT], ["qty"])
+    assert result.decoder("Region").members[0] == cities
+    assert [row[0] for row in rows_of(result.table)] == list(range(6))
+
+
+@pytest.mark.parametrize(
+    "body, line, what",
+    [
+        ("Athens,Greece,a,3\rParis,France,b,5\n", 2, "carriage return"),
+        ("Athens,Greece,a,3\nPa\"ris,France,b,5\n", 3, "quote inside an unquoted"),
+        ('Athens,Greece,a,3\nPa"ri"s,France,b,5\n', 3, "quote inside an unquoted"),
+        ('Athens,Greece,a,3\n"Paris" 2,France,b,5\n', 3, "text after a closing"),
+        ('"Athens",Greece,a,3\n"Paris,France,b,5\n', 3, "not closed"),
+    ],
+    ids=[
+        "bare-cr",
+        "quote-in-unquoted-field",
+        "quotes-in-unquoted-field",
+        "text-after-quote",
+        "unclosed",
+    ],
+)
+def test_load_csv_rejects_non_rfc_4180_input(tmp_path, monkeypatch, body, line, what):
+    """``csv.reader`` read each of these somehow; ``load_csv`` names the
+    line instead, whatever the block size."""
+    path = tmp_path / "facts.csv"
+    path.write_text("city,country,sku,qty\n" + body)
+    for chunk_bytes in (1, 1 << 20):
+        monkeypatch.setattr("repro.datasets.loader.CHUNK_BYTES", chunk_bytes)
+        with pytest.raises(ValueError, match=rf"line {line}: .*{what}"):
+            load_csv(path, [REGION, PRODUCT], ["qty"])
+
+
 def test_load_csv_missing_column_reported(tmp_path):
     path = tmp_path / "facts.csv"
     path.write_text("city,sku,qty\nAthens,a,3\n")
@@ -204,7 +289,8 @@ def test_load_csv_without_data_rows_is_empty(tmp_path):
 
 def test_load_csv_chunks_agree_with_one_pass(tmp_path, monkeypatch):
     """Members first seen, parents confirmed and rows rejected in a later
-    chunk than the first: chunking must not show in the result."""
+    block than the first, blocks cut inside rows: block size must not show
+    in the result."""
     rows = [
         (f"c{i % 7}", f"k{(i % 7) % 3}", f"s{i % 4}", str(i)) for i in range(23)
     ]
@@ -216,13 +302,14 @@ def test_load_csv_chunks_agree_with_one_pass(tmp_path, monkeypatch):
     path.write_text(text)
     records = [dict(zip(("city", "country", "sku", "qty"), row)) for row in rows]
     whole = load_records(records, [REGION, PRODUCT], ["qty"])
-    monkeypatch.setattr("repro.datasets.loader.CHUNK_ROWS", 3)
-    chunked = load_csv(path, [REGION, PRODUCT], ["qty"])
-    assert rows_of(chunked.table) == rows_of(whole.table)
-    assert chunked.decoders == whole.decoders
-    assert [d.base_maps for d in chunked.schema.dimensions] == [
-        d.base_maps for d in whole.schema.dimensions
-    ]
+    for chunk_bytes in (1, 7, 40):
+        monkeypatch.setattr("repro.datasets.loader.CHUNK_BYTES", chunk_bytes)
+        chunked = load_csv(path, [REGION, PRODUCT], ["qty"])
+        assert rows_of(chunked.table) == rows_of(whole.table)
+        assert chunked.decoders == whole.decoders
+        assert [d.base_maps for d in chunked.schema.dimensions] == [
+            d.base_maps for d in whole.schema.dimensions
+        ]
     path.write_text(text + "c0,k1,s0,5\n")  # c0 was under k0 chunks ago
     with pytest.raises(HierarchyViolation, match="c0"):
         load_csv(path, [REGION, PRODUCT], ["qty"])

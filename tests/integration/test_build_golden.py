@@ -12,7 +12,11 @@ before ``save_bundle`` encoded ``cube.v2`` from memory, when it was still
 re-read from v1 heap relations.  The six non-DR ones moved once, when the
 container stopped storing the inverted index: each is that commit's
 digest over every section but ``index/*``.  The three DR ones (no index)
-have not moved.
+have not moved.  The ``csv_retail`` case loads its input with
+``load_csv`` from a seeded CSV file (quoted fields, CRLF, non-ASCII
+members, decimal measures); its digests were taken on the commit before
+the byte-level CSV reader, when ``csv.reader`` parsed the file, so they
+pin the reader to that parse.
 
 Regenerate (only when a format change is intended, on the commit whose
 bytes become the new reference) with::
@@ -22,6 +26,7 @@ bytes become the new reference) with::
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import tempfile
@@ -41,6 +46,7 @@ from repro import (
     make_aggregates,
     save_bundle,
 )
+from repro.datasets.loader import DimensionSpec, MeasureSpec, load_csv
 from repro.core.signature import SignaturePool
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
@@ -52,6 +58,10 @@ from tests.support.rows import table_of
 SEED = 20060912
 N_ROWS = 8000
 POOL_CAPACITY = 1500  # ~28k signatures on the hierarchical builds: 20 flushes
+
+#: The one case whose schema and fact table come from a CSV file through
+#: ``load_csv`` (:func:`write_golden_csv`) instead of from codes.
+CSV_CASE = "csv_retail"
 
 #: case → (config name, min_count, share of the fact bytes the memory
 #: budget leaves beyond the pool; None builds in memory).  0.6 partitions
@@ -67,6 +77,7 @@ CASES = {
     "partitioned_pair": ("CURE", 1, 0.4),
     "partitioned_DR": ("CURE_DR", 1, 0.6),
     "partitioned_pair_DR": ("CURE_DR", 1, 0.4),
+    CSV_CASE: ("CURE", 1, None),
 }
 
 #: case → (files written, digest over every file's SHA-256, cube.v2
@@ -126,6 +137,12 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
         "584b2183cc2500a2acc8c83d9b68b91bd35396e615e7ae0fed9935bee6852ea3",
         "90c69fc88bd5926c53d24aed459e5199e0cb64ea3dca27d94ce11d8daa3fe289",
     ),
+    CSV_CASE: (
+        4,
+        "ecf376187a44c0e621f5acfc78e9f4601f980b6734935a336f7976f7420a969d",
+        "c8b811a57af0f27d134ca601dafbefb4766dfe2d146048db2e0b8fcbcb7cbcc1",
+        "565a484f858839cd67f83418f031cb600281990c7bc92d7675a687820093d466",
+    ),
 }
 
 
@@ -165,6 +182,65 @@ def golden_table(schema: CubeSchema) -> Table:
     return table_of(schema.fact_schema, rows)
 
 
+#: Members of the CSV case: quoted commas, doubled quotes, a line break
+#: inside a field, non-ASCII text and names longer than eight bytes.
+GOLDEN_CITIES = (
+    "Athens", "Athens, GA", "Zürich", "São Paulo", "Kraków", '"Big" Apple',
+    "Reykjavík", "Oslo", "Köln", "Lyon", "Ağrı", "Bergen",
+)
+GOLDEN_REGIONS = ("Europe", 'Americas, "New World"', "Nordics")
+GOLDEN_CHANNELS = ("web", "store", "phone")
+STORES_PER_CITY = 10
+PRODUCTS_PER_CATEGORY = 6
+N_CATEGORIES = 5
+
+
+def write_golden_csv(path: Path) -> tuple[list, list]:
+    """A seeded retail-style fact file, written by ``csv.writer`` (CRLF
+    line ends, minimal quoting); returns the load's dimension and measure
+    specs.  Units may be negative; prices are decimals at scale 100."""
+    rng = np.random.default_rng(SEED)
+    n_stores = len(GOLDEN_CITIES) * STORES_PER_CITY
+    n_products = N_CATEGORIES * PRODUCTS_PER_CATEGORY
+
+    def skewed(cardinality: int) -> np.ndarray:
+        weights = 1.0 / np.arange(1, cardinality + 1) ** 0.7
+        return rng.choice(cardinality, size=N_ROWS, p=weights / weights.sum())
+
+    stores, products, channels = skewed(n_stores), skewed(n_products), skewed(3)
+    units = rng.integers(-3, 20, size=N_ROWS)
+    cents = rng.integers(1, 100_000, size=N_ROWS)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(
+            ["store", "city", "region", "product", "category", "channel",
+             "units", "price"]
+        )
+        for store, product, channel, unit, cent in zip(
+            stores.tolist(), products.tolist(), channels.tolist(),
+            units.tolist(), cents.tolist(),
+        ):
+            city = store // STORES_PER_CITY
+            kiosk = "\nkiosk" if store % 17 == 0 else ""
+            writer.writerow([
+                f"{GOLDEN_CITIES[city]} #{store % STORES_PER_CITY}{kiosk}",
+                GOLDEN_CITIES[city],
+                GOLDEN_REGIONS[city % len(GOLDEN_REGIONS)],
+                f"product number {product}",
+                f"cat{product // PRODUCTS_PER_CATEGORY}",
+                GOLDEN_CHANNELS[channel],
+                unit,
+                f"{cent // 100}.{cent % 100:02d}",
+            ])
+    dimensions = [
+        DimensionSpec.of("Store", "store", "city", "region"),
+        DimensionSpec.of("Product", "product", "category"),
+        DimensionSpec.of("Channel", "channel"),
+    ]
+    measures = [MeasureSpec.of("units"), MeasureSpec.of("price", scale=100)]
+    return dimensions, measures
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -175,8 +251,13 @@ def build_case_bundle(case: str, work: Path) -> Path:
     config = VARIANTS[config_name].with_pool(POOL_CAPACITY).with_min_count(
         min_count
     )
-    schema = golden_schema()
-    table = golden_table(schema)
+    if case == CSV_CASE:
+        csv_path = work / "facts.csv"
+        loaded = load_csv(csv_path, *write_golden_csv(csv_path))
+        schema, table = loaded.schema, loaded.table
+    else:
+        schema = golden_schema()
+        table = golden_table(schema)
     if budget_share is not None:
         budget = SignaturePool.size_bytes(
             POOL_CAPACITY, schema.n_aggregates

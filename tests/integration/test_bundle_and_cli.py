@@ -454,3 +454,9 @@ def test_cli_ingest_rejects_malformed_rows(cli_workspace, capsys):
     _write_delta_csv(delta_csv, [["s0", "Atlantis", 1]])  # unknown member
     with pytest.raises(SystemExit, match="Atlantis"):
         cli_main(["ingest", "--cube", str(cube_dir), "--csv", str(delta_csv)])
+    _write_delta_csv(delta_csv, [["s0", "Athens", 1], ["s0", "Athens", "1.5"]])
+    with pytest.raises(SystemExit, match=r"bad\.csv:2: measures must be integers"):
+        cli_main(["ingest", "--cube", str(cube_dir), "--csv", str(delta_csv)])
+    delta_csv.write_text('s0,"Athens" x,1\n')  # not RFC 4180
+    with pytest.raises(SystemExit, match="line 1: text after a closing quote"):
+        cli_main(["ingest", "--cube", str(cube_dir), "--csv", str(delta_csv)])

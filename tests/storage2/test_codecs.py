@@ -342,3 +342,46 @@ def test_rowid_list_choice_handles_unsorted_and_negative():
         codec, payload = encode_rowid_list(array)
         assert codec == DELTA
         assert delta_decode(payload, len(array)).tolist() == values
+
+
+@st.composite
+def rowid_lists(draw):
+    """Sorted, unsorted, empty, single-value and dense lists, some of them
+    outside roaring's domain (negative, repeated, ≥ 2^32)."""
+    kind = draw(st.sampled_from(["sorted", "unsorted", "empty", "single", "dense"]))
+    if kind == "sorted":
+        return draw(ascending_rowids())
+    if kind == "unsorted":
+        values = draw(st.lists(st.integers(-(1 << 33), 1 << 33), max_size=60))
+        return np.asarray(values, dtype=np.int64)
+    if kind == "empty":
+        return np.empty(0, dtype=np.int64)
+    if kind == "single":
+        return np.asarray([draw(st.integers(-(1 << 40), 1 << 40))], dtype=np.int64)
+    # Dense: one or two 2^16 chunks, each side of the array/bitmap limit.
+    start = draw(st.integers(0, 1 << 20))
+    count = draw(st.integers(ROARING_ARRAY_LIMIT - 2, ROARING_ARRAY_LIMIT + 300))
+    step = draw(st.sampled_from([1, 2, 3, 16]))
+    return start + step * np.arange(count, dtype=np.int64)
+
+
+def _roaring_or_none(values: np.ndarray) -> bytes | None:
+    try:
+        return roaring_encode(values)
+    except CodecError:
+        return None
+
+
+@given(rowid_lists())
+@settings(max_examples=80, deadline=None)
+def test_rowid_list_choice_is_the_smaller_encoder_output(values):
+    """The sizes are computed, not encoded, before the choice: the output
+    must still be exactly the smaller encoder's payload, ties to delta."""
+    delta = (DELTA, delta_encode(values))
+    roaring = _roaring_or_none(values) if len(values) else None
+    expected = (
+        (ROARING, roaring)
+        if roaring is not None and len(roaring) < len(delta[1])
+        else delta
+    )
+    assert encode_rowid_list(values) == expected

@@ -3,16 +3,19 @@
 Reads the output of ``python3 benchmarks/e2e/run.py --workload W
 --trace 1`` on stdin (the last line is the result JSON) and takes the
 floor as its one argument, ``"a + b < c"``: sums of metric names either
-side of ``<``.  Exits 1 unless the run was correct and ``0 < left <
-right``.  Both sides are CPU seconds of the same run at the same
-yardstick pace, so a floor holds on any machine.  The nightly floors:
+side of ``<``, each name optionally multiplied by an integer
+coefficient (``"3 * a < b"``).  Exits 1 unless the run was correct and
+``0 < left < right``.  Both sides are CPU seconds of the same run at the
+same yardstick pace, so a floor holds on any machine.  The nightly
+floors:
 
 ``ingest.apply_s + ingest.checkpoint_s < ingest.bootstrap_s``
     (``ingest-query``) folding one 50-row record into the cube and
     committing it must cost less than building the whole 8,000-row cube
     and committing that.
-``datasets.load_csv_s < core.build_s``
-    (``build-mem``) parsing the fact table must cost less than cubing it.
+``3 * datasets.load_csv_s < core.build_s``
+    (``build-mem``) parsing the fact table must cost less than a third of
+    cubing it.
 """
 
 from __future__ import annotations
@@ -22,12 +25,17 @@ import sys
 
 
 def side_value(side: str, metrics: dict[str, float]) -> float:
-    return sum(metrics[name.strip()] for name in side.split("+"))
+    """The sum of a side's terms, each ``name`` or ``integer * name``."""
+    total = 0.0
+    for term in side.split("+"):
+        coefficient, _times, name = term.rpartition("*")
+        total += int(coefficient.strip() or 1) * metrics[name.strip()]
+    return total
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or argv[1].count("<") != 1:
-        print(f'usage: {argv[0]} "metric [+ metric…] < metric [+ metric…]"')
+        print(f'usage: {argv[0]} "[k *] metric [+ …] < [k *] metric [+ …]"')
         return 2
     left, right = argv[1].split("<")
     result = json.loads(sys.stdin.read().strip().splitlines()[-1])
