@@ -187,9 +187,16 @@ class CureBuilder:
     The recursion walks the execution plan (``shape.entry_levels`` /
     ``dashed_children``, never materialized); each ``FollowEdge`` handles
     *all* surviving parent segments at once: one stable sort on
-    ``(parent segment, level key)``, one ``reduceat`` per weight / row-id /
-    aggregate column, trivial-tuple / iceberg / signature classification
-    as masks, survivors compacted for the child edges.
+    ``(parent segment, level key)``, per-segment weight, minimum row-id
+    and aggregates, trivial-tuple / iceberg / signature classification as
+    masks, survivors compacted for the child edges.  Over the fact table
+    and its partitions only the aggregates other than COUNT take a
+    ``reduceat``: with unit weights a segment's weight is its length; the
+    sort is stable, so positions ascend within a segment and, over
+    non-decreasing row-ids, its first row-id is its minimum; and a sum
+    column equal to the weights (COUNT) is the segment weight.  A working
+    set without one of these properties (weighted, permuted row-ids)
+    reduces that column instead.
 
     Figure 13 emits depth-first per segment, and the order in which
     signatures reach the bounded pool decides the bytes.  So every event
@@ -271,9 +278,17 @@ class CureBuilder:
         n = len(working)
         if n:
             self._working = working
-            self._agg_columns = [
-                np.ascontiguousarray(working.aggs[:, y])
-                for y in range(self.schema.n_aggregates)
+            # The facts that spare a reduceat (class docstring); ``None``
+            # marks a sum column equal to the weights.
+            self._unit_weights = bool((working.weights == 1).all())
+            rowids = working.rowids
+            self._ascending_rowids = bool((rowids[1:] >= rowids[:-1]).all())
+            self._agg_columns: list[np.ndarray | None] = [
+                None
+                if ufunc is np.add
+                and np.array_equal(working.aggs[:, y], working.weights)
+                else np.ascontiguousarray(working.aggs[:, y])
+                for y, ufunc in enumerate(self._ufuncs)
             ]
             self._key_columns: dict[tuple[int, int], np.ndarray] = {}
             whole = _Frontier(
@@ -350,24 +365,35 @@ class CureBuilder:
             # an iceberg threshold drops it); the whole plan sub-tree
             # shares it.  Below ``min_count`` nothing deeper can reach the
             # support threshold either, so only the rest recurse.
-            weights = np.add.reduceat(working.weights[positions], starts)
+            if self._unit_weights:
+                weights = lengths
+            else:
+                weights = np.add.reduceat(working.weights[positions], starts)
             is_trivial = (weights == 1) & (self.min_count <= 1)
             is_alive = weights >= max(self.min_count, 2)
         else:
-            # A pair edge emits nothing and prunes nothing.
+            # A pair edge emits nothing and prunes nothing (it signs no
+            # segment, so no weight is read).
+            weights = np.zeros(len(starts), dtype=np.int64)
             is_trivial = np.zeros(len(starts), dtype=np.bool_)
             is_alive = ~is_trivial
         trivial = np.flatnonzero(is_trivial)
         alive = np.flatnonzero(is_alive)
         signed = alive if pair_level is None else alive[:0]
-        rowids = np.minimum.reduceat(working.rowids[positions], starts)
+        if self._ascending_rowids:
+            rowids = working.rowids[positions[starts]]
+        else:
+            rowids = np.minimum.reduceat(working.rowids[positions], starts)
         tt_rows = np.empty((len(trivial), 2), dtype=np.int64)
         tt_rows[:, 1] = rowids[trivial]
         sig_rows = np.zeros((len(signed), self._sig_width), dtype=np.int64)
         sig_rows[:, 1] = rowids[signed]
-        for y, ufunc in enumerate(self._ufuncs):
-            column = self._agg_columns[y][positions]
-            sig_rows[:, 2 + y] = ufunc.reduceat(column, starts)[signed]
+        for y, (ufunc, values) in enumerate(zip(self._ufuncs, self._agg_columns)):
+            if values is None:  # COUNT: the segment weight
+                sig_rows[:, 2 + y] = weights[signed]
+            else:
+                reduced = ufunc.reduceat(values[positions], starts)
+                sig_rows[:, 2 + y] = reduced[signed]
         if self.dr_mode:
             first = positions[starts[signed]]
             column = 2 + len(self._ufuncs)
@@ -471,7 +497,7 @@ def _in_order(
         return np.empty((0, width), dtype=np.int64)
     positions = np.concatenate([chunk[0] for chunk in chunks])
     rows = np.concatenate([chunk[1] for chunk in chunks])
-    return rows[stable_order(positions)]
+    return np.take(rows, stable_order(positions), axis=0)
 
 
 # -- Algorithm CURE (top level) ----------------------------------------------------

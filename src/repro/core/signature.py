@@ -182,10 +182,12 @@ class SignaturePool:
         self._resident = 0
         # One stable sort on (aggregates…, rowid).
         stop = None if self.n_aggregates is None else 2 + self.n_aggregates
-        rows = rows[stable_order(*rows[:, 2:stop].T, rows[:, 1])]
-        aggregates = rows[:, 2:stop]
-        new_run = np.ones(len(rows), dtype=np.bool_)
-        new_run[1:] = (aggregates[1:] != aggregates[:-1]).any(axis=1)
+        order = stable_order(*rows[:, 2:stop].T, rows[:, 1])
+        rows = np.take(rows, order, axis=0)
+        new_run = np.zeros(len(rows), dtype=np.bool_)
+        new_run[0] = True
+        for column in rows[:, 2:stop].T:
+            new_run[1:] |= column[1:] != column[:-1]
         starts = np.flatnonzero(new_run)
         run_lengths = np.diff(starts, append=len(rows))
         is_cat_run = run_lengths > 1

@@ -191,7 +191,7 @@ def node_chunks(
         return
     order = stable_order(node_ids)
     sorted_ids = node_ids[order]
-    values = values[order]
+    values = np.take(values, order, axis=0)
     starts = [0, *(np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1).tolist()]
     for start, stop in zip(starts, [*starts[1:], len(order)]):
         yield int(sorted_ids[start]), values[start:stop]

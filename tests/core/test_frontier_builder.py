@@ -11,6 +11,12 @@ shape, iceberg threshold and kind of working set.  In ``dr_mode`` the
 builder's signatures carry D more columns — the node's grouping codes —
 which must be what the hierarchy's ``level_maps`` make of the working row
 at the emitted row-id.
+
+The builder reads a segment's weight, minimum row-id and COUNT off the
+segment layout when the working set allows it (unit weights, non-decreasing
+row-ids, a sum column equal to the weights) and reduces them otherwise;
+the draws and fixed cases below take both arms of each, and
+:func:`shortcuts` names the arms a run took.
 """
 
 from __future__ import annotations
@@ -67,6 +73,18 @@ def assert_same_events(
     assert new.stats.sort.comparison_sorts == old.stats.sort.comparison_sorts
     assert new.stats.sort.counting_sorts == 0
     return tts, sigs
+
+
+def shortcuts(schema, working):
+    """Which per-segment numbers a build over ``working`` reads off the
+    layout: ``(weight, minimum row-id, (COUNT per aggregate…))``."""
+    builder = CureBuilder(schema, HierarchicalShape(schema))
+    builder.run(working)
+    return (
+        builder._unit_weights,
+        builder._ascending_rowids,
+        tuple(column is None for column in builder._agg_columns),
+    )
 
 
 def assert_codes_of_emitted_rows(schema, working, sigs):
@@ -186,9 +204,16 @@ def cases(draw):
             draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)),
             dtype=np.int64,
         )
-    rowids = np.asarray(
-        draw(st.permutations(list(range(0, 3 * n, 3)))), dtype=np.int64
-    )
+    if draw(st.booleans()):
+        # One column equal to the weights: COUNT's shortcut for sum and
+        # count, an ordinary column for min and max.
+        aggs[:, draw(st.integers(0, len(functions) - 1))] = weights
+    if draw(st.booleans()):  # permuted: the row-id reduceat
+        rowids = np.asarray(
+            draw(st.permutations(list(range(0, 3 * n, 3)))), dtype=np.int64
+        )
+    else:  # in scan order, as every production source: the first row-id
+        rowids = np.arange(0, 3 * n, 3, dtype=np.int64)
     working = WorkingSet(schema, columns, aggs, weights, rowids)
 
     shape_kind = draw(st.sampled_from(["p3", "p3-floor", "p1", "p2"]))
@@ -249,7 +274,9 @@ def test_dr_signatures_carry_the_codes_of_the_emitted_row(case, min_count):
 # -- a mid-sized fixed case: deep recursion, many segments per edge -------------------
 
 
-def retail_like(n_rows: int, seed: int, weighted: bool = False):
+def retail_like(
+    n_rows: int, seed: int, weighted: bool = False, ascending: bool = False
+):
     store = linear_dimension("Store", [("s", 30), ("c", 6), ("r", 2)])
     time = complex_dimension(
         "Time",
@@ -280,40 +307,60 @@ def retail_like(n_rows: int, seed: int, weighted: bool = False):
     aggs = np.column_stack((measure * weights, weights, measure)).astype(
         np.int64
     )
-    rowids = rng.permutation(n_rows).astype(np.int64)
+    if ascending:
+        rowids = np.arange(n_rows, dtype=np.int64)
+    else:
+        rowids = rng.permutation(n_rows).astype(np.int64)
     return schema, WorkingSet(schema, columns, aggs, weights, rowids)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("min_count", [1, 3])
 def test_all_entry_points_on_a_four_dimensional_cube(weighted, min_count):
-    schema, working = retail_like(1500, seed=4, weighted=weighted)
-    time = schema.dimensions[2]
-    assert time.dashed_children(time.level_index("year")) == (1, 2)
-    for shape in (
-        HierarchicalShape(schema),
-        HierarchicalShape(schema, (2, 0, 1, 0)),
-        FlatShape(schema),
-        LevelsAsDimensionsShape(schema),
-    ):
-        tts, sigs = assert_same_events(schema, shape, working, min_count, "run")
-        assert len(sigs) > 1000
-        if min_count > 1:
-            assert len(tts) == 0
-        assert_same_events(
-            schema, shape, working, min_count, "run_partition", (1,)
+    for ascending in (False, True):
+        schema, working = retail_like(
+            1500, seed=4, weighted=weighted, ascending=ascending
         )
-        assert_same_events(
-            schema, shape, working, min_count, "run_partition_pair", (1, 1)
+        # The count column is the weights; sum and max are reduced.
+        assert shortcuts(schema, working) == (
+            not weighted, ascending, (False, True, False)
         )
+        time = schema.dimensions[2]
+        assert time.dashed_children(time.level_index("year")) == (1, 2)
+        for shape in (
+            HierarchicalShape(schema),
+            HierarchicalShape(schema, (2, 0, 1, 0)),
+            FlatShape(schema),
+            LevelsAsDimensionsShape(schema),
+        ):
+            tts, sigs = assert_same_events(
+                schema, shape, working, min_count, "run"
+            )
+            assert len(sigs) > 1000
+            if min_count > 1:
+                assert len(tts) == 0
+            assert_same_events(
+                schema, shape, working, min_count, "run_partition", (1,)
+            )
+            assert_same_events(
+                schema, shape, working, min_count, "run_partition_pair", (1, 1)
+            )
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_dr_codes_on_a_four_dimensional_cube(weighted):
-    schema, working = retail_like(600, seed=5, weighted=weighted)
-    for shape in (HierarchicalShape(schema), HierarchicalShape(schema, (2, 0, 1, 0))):
-        for entry, levels in ENTRIES:
-            assert_same_events(schema, shape, working, 1, entry, levels, True)
+    for ascending in (False, True):
+        schema, working = retail_like(
+            600, seed=5, weighted=weighted, ascending=ascending
+        )
+        for shape in (
+            HierarchicalShape(schema),
+            HierarchicalShape(schema, (2, 0, 1, 0)),
+        ):
+            for entry, levels in ENTRIES:
+                assert_same_events(
+                    schema, shape, working, 1, entry, levels, True
+                )
 
 
 def test_pair_descent_emits_nothing_at_dimension_zero_only_nodes():
@@ -436,3 +483,73 @@ def test_segment_times_cardinality_beyond_int32():
         int(working.rowids[-2:].min()),
         int(working.aggs[-2:, 0].sum()),
     ]
+
+
+# -- both arms of the layout shortcuts -------------------------------------------------
+
+
+def working_with_measure(schema, measure, weights, rowids, seed):
+    """Random codes; every aggregate column is ``measure``."""
+    rng = np.random.default_rng(seed)
+    n = len(measure)
+    columns = [
+        rng.integers(0, d.base_cardinality, size=n).astype(np.int32)
+        for d in schema.dimensions
+    ]
+    aggs = np.repeat(measure[:, None], schema.n_aggregates, axis=1)
+    return WorkingSet(schema, columns, aggs.astype(np.int64), weights, rowids)
+
+
+@pytest.mark.parametrize("entry,levels", ENTRIES)
+def test_a_sum_over_all_ones_is_read_as_the_weight(entry, levels):
+    """Not COUNT, but equal to the weights column: the shortcut goes by
+    the values, and min over the same ones is still reduced."""
+    schema, _ = retail_like(10, seed=0)
+    schema = CubeSchema(
+        schema.dimensions,
+        make_aggregates(("sum", 0), ("min", 0)),
+        n_measures=1,
+    )
+    n = 800
+    working = working_with_measure(
+        schema,
+        np.ones(n, dtype=np.int64),
+        np.ones(n, dtype=np.int64),
+        np.arange(n, dtype=np.int64),
+        seed=6,
+    )
+    assert shortcuts(schema, working) == (True, True, (True, False))
+    for min_count in (1, 3):
+        assert_same_events(
+            schema, HierarchicalShape(schema), working, min_count, entry, levels
+        )
+
+
+@pytest.mark.parametrize("entry,levels", ENTRIES)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_count_column_unequal_to_the_weights_is_reduced(
+    entry, levels, weighted
+):
+    """A column named COUNT whose values are not the weights (a hand-made
+    working set) is reduced like any other sum."""
+    schema, _ = retail_like(10, seed=0)
+    schema = CubeSchema(
+        schema.dimensions, make_aggregates(("count", 0)), n_measures=1
+    )
+    n = 800
+    rng = np.random.default_rng(7)
+    weights = (
+        rng.integers(1, 4, size=n) if weighted else np.ones(n)
+    ).astype(np.int64)
+    working = working_with_measure(
+        schema,
+        weights + rng.integers(0, 2, size=n),
+        weights,
+        rng.permutation(n).astype(np.int64),
+        seed=8,
+    )
+    assert shortcuts(schema, working) == (not weighted, False, (False,))
+    for min_count in (1, 3):
+        assert_same_events(
+            schema, HierarchicalShape(schema), working, min_count, entry, levels
+        )

@@ -233,6 +233,64 @@ def test_flush_empty_pool_is_noop():
     assert collector.flushes == []
 
 
+def any_boundary_flush(rows: np.ndarray, n_aggregates):
+    """A flush by definition: rows stably sorted by (aggregates…, rowid),
+    a run wherever any aggregate column changes."""
+    stop = None if n_aggregates is None else 2 + n_aggregates
+    aggregates = rows[:, 2:stop]
+    rows = rows[np.lexsort((rows[:, 1], *aggregates.T[::-1]))]
+    aggregates = rows[:, 2:stop]
+    new_run = np.ones(len(rows), dtype=np.bool_)
+    new_run[1:] = (aggregates[1:] != aggregates[:-1]).any(axis=1)
+    return rows, np.diff(np.flatnonzero(new_run), append=len(rows))
+
+
+BOUNDARY_CASES = {
+    # (node, rowid, aggregates…[, codes…]) rows, n_aggregates
+    "one aggregate": (
+        [(0, 3, 5), (1, 1, 5), (2, 0, 4), (3, 2, 5), (4, 9, -1)],
+        1,
+    ),
+    "ties in a prefix only": (
+        [(0, 0, 1, 1, 7), (1, 1, 1, 1, 8), (2, 2, 1, 2, 7), (3, 3, 1, 1, 7),
+         (4, 4, 2, 1, 7), (5, 5, 1, 1, 8)],
+        3,
+    ),
+    "DR codes differ inside a run": (
+        [(0, 4, 6, 2, 11, 0), (1, 4, 6, 2, 12, 3), (2, 1, 6, 2, 13, 1),
+         (3, 0, 5, 2, 11, 0), (4, 7, 6, 3, 11, 0)],
+        2,
+    ),
+    "every column a key": (
+        [(0, 4, 6, 2, 11), (1, 4, 6, 2, 12), (2, 1, 6, 2, 11), (3, 0, 6, 2, 11)],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_run_boundaries_are_a_change_in_any_aggregate_column(case):
+    data, n_aggregates = BOUNDARY_CASES[case]
+    rows = np.asarray(data, dtype=np.int64)
+    flushes = []
+    pool = SignaturePool(
+        None,
+        on_flush=lambda rows, lengths: flushes.append((rows, lengths)),
+        n_aggregates=n_aggregates,
+    )
+    pool.add_batch(rows)
+    pool.flush()
+    ((got_rows, got_lengths),) = flushes
+    want_rows, want_lengths = any_boundary_flush(rows, n_aggregates)
+    assert np.array_equal(got_rows, want_rows)
+    assert np.array_equal(got_lengths, want_lengths)
+    assert got_lengths.dtype == want_lengths.dtype
+    # An empty flush hands nothing over.
+    pool.add_batch(rows[:0])
+    pool.flush()
+    assert len(flushes) == 1
+
+
 def test_capacity_validation():
     with pytest.raises(ValueError):
         SignaturePool(0, on_flush=lambda rows, lengths: None)

@@ -16,7 +16,9 @@ have not moved.  The ``csv_retail`` case loads its input with
 ``load_csv`` from a seeded CSV file (quoted fields, CRLF, non-ASCII
 members, decimal measures); its digests were taken on the commit before
 the byte-level CSV reader, when ``csv.reader`` parsed the file, so they
-pin the reader to that parse.
+pin the reader to that parse.  Each case also pins the build's logical
+counters (:data:`GOLDEN_COUNTERS`): the nodes, trivial tuples,
+signatures and sort work of Figure 13, and the pool's flushes and runs.
 
 Regenerate (only when a format change is intended, on the commit whose
 bytes become the new reference) with::
@@ -46,6 +48,7 @@ from repro import (
     make_aggregates,
     save_bundle,
 )
+from repro.core.cure import CubeResult
 from repro.datasets.loader import DimensionSpec, MeasureSpec, load_csv
 from repro.core.signature import SignaturePool
 from repro.relational.catalog import Catalog
@@ -143,6 +146,31 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
         "c8b811a57af0f27d134ca601dafbefb4766dfe2d146048db2e0b8fcbcb7cbcc1",
         "565a484f858839cd67f83418f031cb600281990c7bc92d7675a687820093d466",
     ),
+}
+
+
+#: case → the logical counters of Figure 13 and the signature pool:
+#: ``BuildStats`` (nodes_aggregated, tt_written, signatures_emitted,
+#: sort.keys_sorted, sort.comparison_sorts), then ``PoolStats`` (flushes,
+#: nt_runs, cat_runs, cat_signatures).  Taken on the commit before the edge
+#: kernel read weights, row-ids and COUNT off the segment layout.
+GOLDEN_COUNTERS: dict[str, tuple[int, ...]] = {
+    "CURE": (28652, 7636, 28652, 757653, 13740, 20, 6731, 3235, 21921),
+    "CURE+": (28652, 7636, 28652, 757653, 13740, 20, 6731, 3235, 21921),
+    "CURE_DR": (28652, 7636, 28652, 757653, 13740, 20, 6731, 3235, 21921),
+    "FCURE": (6937, 3359, 6937, 118739, 3179, 5, 1233, 680, 5704),
+    "iceberg3": (22792, 0, 22792, 754025, 11926, 16, 6292, 2895, 16500),
+    "partitioned": (28652, 7636, 28652, 414224, 13741, 20, 6718, 3236, 21934),
+    "partitioned_pair": (
+        28652, 7636, 28652, 323072, 13821, 20, 6649, 3259, 22003
+    ),
+    "partitioned_DR": (
+        28652, 7636, 28652, 414224, 13741, 20, 6718, 3236, 21934
+    ),
+    "partitioned_pair_DR": (
+        28652, 7636, 28652, 323072, 13821, 20, 6649, 3259, 22003
+    ),
+    CSV_CASE: (7301, 2983, 7301, 182959, 3518, 5, 6542, 360, 759),
 }
 
 
@@ -245,8 +273,9 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def build_case_bundle(case: str, work: Path) -> Path:
-    """Build one case and ``save_bundle`` it; returns the bundle directory."""
+def build_case_bundle(case: str, work: Path) -> tuple[Path, CubeResult]:
+    """Build one case and ``save_bundle`` it; returns the bundle directory
+    and the build's result."""
     config_name, min_count, budget_share = CASES[case]
     config = VARIANTS[config_name].with_pool(POOL_CAPACITY).with_min_count(
         min_count
@@ -276,7 +305,23 @@ def build_case_bundle(case: str, work: Path) -> Path:
         result, _plus = config.build(schema, table=table)
     if config_name != "FCURE":
         assert result.pool_stats.flushes >= 3
-    return save_bundle(work / "bundle", schema, table, result.storage)
+    return save_bundle(work / "bundle", schema, table, result.storage), result
+
+
+def build_counters(result: CubeResult) -> tuple[int, ...]:
+    """The :data:`GOLDEN_COUNTERS` fields of one build."""
+    stats, pool = result.stats, result.pool_stats
+    return (
+        stats.nodes_aggregated,
+        stats.tt_written,
+        stats.signatures_emitted,
+        stats.sort.keys_sorted,
+        stats.sort.comparison_sorts,
+        pool.flushes,
+        pool.nt_runs,
+        pool.cat_runs,
+        pool.cat_signatures,
+    )
 
 
 def content_digest(path: Path) -> str:
@@ -293,8 +338,7 @@ def content_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def build_digests(case: str, work: Path) -> tuple[int, str, str, str]:
-    bundle = build_case_bundle(case, work)
+def bundle_digests(bundle: Path) -> tuple[int, str, str, str]:
     files = sorted(p for p in bundle.iterdir() if p.is_file())
     manifest = "".join(f"{p.name}:{_sha256(p)}\n" for p in files)
     files_digest = hashlib.sha256(manifest.encode()).hexdigest()
@@ -306,7 +350,9 @@ def build_digests(case: str, work: Path) -> tuple[int, str, str, str]:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_build_bytes_match_parent_commit(case, tmp_path):
-    assert build_digests(case, tmp_path) == GOLDEN[case]
+    bundle, result = build_case_bundle(case, tmp_path)
+    assert bundle_digests(bundle) == GOLDEN[case]
+    assert build_counters(result) == GOLDEN_COUNTERS[case]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -324,7 +370,7 @@ def test_every_section_reads_back_the_array_it_was_given(
         add_array(writer, name, array)
 
     monkeypatch.setattr(V2Writer, "add_array", recording)
-    file = V2File.open(build_case_bundle(case, tmp_path) / V2_FILE)
+    file = V2File.open(build_case_bundle(case, tmp_path)[0] / V2_FILE)
     assert file.verify_all() == []
     assert not [n for n in file.names() if n.startswith("index/")]
     arrays = [n for n in file.names() if file.entry(n).codec in (NARROW, RAW)]
@@ -341,4 +387,6 @@ def test_every_section_reads_back_the_array_it_was_given(
 if __name__ == "__main__":
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as scratch:
-            print(f"    {name!r}: {build_digests(name, Path(scratch))!r},")
+            bundle, result = build_case_bundle(name, Path(scratch))
+            print(f"    {name!r}: {bundle_digests(bundle)!r},")
+            print(f"    # counters: {build_counters(result)!r}")
