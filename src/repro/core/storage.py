@@ -35,7 +35,7 @@ Python object overhead.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, MutableMapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,7 +234,7 @@ class CubeStorage:
     schema: CubeSchema
     dr_mode: bool = False
     flat: bool = False
-    nodes: dict[int, NodeStore] = field(default_factory=dict)
+    nodes: MutableMapping[int, NodeStore] = field(default_factory=dict)
     cat_format: CatFormat | None = None
     partition_level: int | None = None
     # Level of the second dimension when partitioning fell back to a

@@ -88,20 +88,24 @@ class Dimension:
         if len(self.parents) != len(self.levels):
             raise ValueError("one parent list per level is required")
         base_cardinality = self.levels[0].cardinality
-        identity = tuple(range(base_cardinality))
-        if self.base_maps[0] != identity:
+        arrays = tuple(
+            np.asarray(base_map, dtype=np.int64) for base_map in self.base_maps
+        )
+        identity = np.arange(base_cardinality, dtype=np.int64)
+        if not np.array_equal(arrays[0], identity):
             raise ValueError("base level map must be the identity")
-        for index, (level, base_map) in enumerate(zip(self.levels, self.base_maps)):
-            if len(base_map) != base_cardinality:
+        for index, (level, array) in enumerate(zip(self.levels, arrays)):
+            if len(array) != base_cardinality:
                 raise ValueError(
-                    f"level {level.name!r} base map length {len(base_map)} "
+                    f"level {level.name!r} base map length {len(array)} "
                     f"!= base cardinality {base_cardinality}"
                 )
-            bad = [code for code in base_map if not 0 <= code < level.cardinality]
-            if bad:
+            # Viewed unsigned, a negative code is at least 2**63.
+            if array.view(np.uint64).max() >= level.cardinality:
+                bad = (array < 0) | (array >= level.cardinality)
                 raise ValueError(
                     f"level {level.name!r} base map contains out-of-range "
-                    f"codes, e.g. {bad[0]}"
+                    f"codes, e.g. {array[bad.argmax()]}"
                 )
             if not self.parents[index]:
                 raise ValueError(
@@ -115,31 +119,11 @@ class Dimension:
                         f"level {level.name!r} has invalid parent index "
                         f"{parent} (must be in ({index}, {self.all_level}])"
                     )
-        self._check_reaches_all()
-        arrays = tuple(
-            np.asarray(base_map, dtype=np.int64) for base_map in self.base_maps
-        )
+        # Every level has a strictly less detailed parent, so every level
+        # reaches ALL: by induction from the top level, whose parent is ALL.
         for array in arrays:
             array.setflags(write=False)
         object.__setattr__(self, "level_maps", arrays)
-
-    def _check_reaches_all(self) -> None:
-        """Every level must transitively roll up to ALL (no orphans)."""
-        reaching: set[int] = {self.all_level}
-        pending = list(range(len(self.levels)))
-        progress = True
-        while pending and progress:
-            progress = False
-            for index in list(pending):
-                if any(parent in reaching for parent in self.parents[index]):
-                    reaching.add(index)
-                    pending.remove(index)
-                    progress = True
-        if pending:
-            orphans = [self.levels[i].name for i in pending]
-            raise ValueError(
-                f"dimension {self.name!r}: levels {orphans} never reach ALL"
-            )
 
     # -- basic geometry ------------------------------------------------------
 

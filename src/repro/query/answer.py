@@ -107,7 +107,8 @@ def read_node_relations(
     relation (NT, CAT, then TTs down the plan path), each in stored order:
     the surviving row-ids of every relation dereference in one
     :meth:`FactCache.fetch_batch` and project in one kernel, and the TT
-    tail takes its aggregates from the fact rows.
+    tail takes its aggregates from the fact rows: the fetch reads the
+    grouping dimensions' columns, and the measures only for a TT tail.
     """
     schema = storage.schema
     parts, rowid_parts, stored = [], [], []  # parts: a DR NT's inline dims
@@ -132,20 +133,21 @@ def read_node_relations(
             if aggregates is not None:  # TTs come last and store none
                 stored.append(aggregates)
             all_sorted = all_sorted and sorted_hint
+    grouping = node.grouping_dims(schema.dimensions)
     if rowid_parts:
         rowids = np.concatenate(rowid_parts)
         if stats is not None:
             stats.fact_fetches += len(rowids)
-        fact = cache.fetch_batch(rowids, sorted_hint=all_sorted)
         n_stored = sum(map(len, stored))
-        if n_stored < len(rowids):  # the TT tail
+        tail = n_stored < len(rowids)  # TT rows: aggregates from the measures
+        measures = range(schema.n_dimensions, schema.fact_schema.arity) if tail else ()
+        fact = cache.fetch_batch(rowids, all_sorted, [*grouping, *measures])
+        if tail:
             tts = fact.slice(n_stored, len(rowids))
             stored.append(singleton_aggregates(schema, tts))
         dims = project_fact_dims(schema, fact, node)
         parts.append((dims, np.concatenate(stored)))
-    answer = ColumnAnswer.from_parts(
-        len(node.grouping_dims(schema.dimensions)), schema.n_aggregates, parts
-    )
+    answer = ColumnAnswer.from_parts(len(grouping), schema.n_aggregates, parts)
     if stats is not None:
         stats.tuples_returned += len(answer)
     return answer

@@ -8,10 +8,10 @@ seeded random ``fraction`` of fact row-ids is resident; misses hit the
 disk-backed relation with real I/O.  ``fraction=1.0`` (or an in-memory
 fact table) makes every fetch a hit.  :meth:`FactCache.fetch_batch` is
 the one way in: a dereference is one columnar
-:class:`~repro.relational.batch.ColumnBatch` — over an in-memory fact
-table a single fancy-index gather, over a heap a gather from the warm
-columns plus one :meth:`~repro.relational.heap.HeapFile.read_batch` of
-the misses.
+:class:`~repro.relational.batch.ColumnBatch` of the columns the caller
+names — over an in-memory fact table one fancy-index gather per column,
+over a heap a gather from the warm columns plus one
+:meth:`~repro.relational.heap.HeapFile.read_batch` of the misses.
 
 :class:`ResultCache` sits one level up: whole materialized node answers,
 stored as :class:`~repro.query.column_answer.ColumnAnswer` values keyed
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -39,6 +40,7 @@ import numpy as np
 from repro.core.model import CubeSchema
 from repro.query.column_answer import ColumnAnswer
 from repro.relational.batch import ColumnBatch
+from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 
 if TYPE_CHECKING:
@@ -83,6 +85,10 @@ class FactCache:
     stats: CacheStats = field(default_factory=CacheStats)
     _resident: np.ndarray | None = field(default=None, repr=False)
     _warm: ColumnBatch | None = field(default=None, repr=False)
+    #: Column positions → the schema of a batch of those fact columns.
+    _schemas: dict[tuple[int, ...], TableSchema] = field(
+        default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         if (self.heap is None) == (self.table is None):
@@ -97,8 +103,6 @@ class FactCache:
         n = len(self.heap)
         self._resident = np.zeros(n, dtype=np.bool_)
         target = int(n * self.fraction)
-        if target <= 0:
-            return
         if target >= n:
             rowids = np.arange(n, dtype=np.int64)
         else:
@@ -115,34 +119,42 @@ class FactCache:
     def row_count(self) -> int:
         return len(self.table) if self.table is not None else len(self.heap)
 
-    def fetch_batch(self, rowids, sorted_hint: bool = False) -> ColumnBatch:
+    def fetch_batch(
+        self, rowids, sorted_hint: bool = False, columns: Sequence[int] | None = None
+    ) -> ColumnBatch:
         """The fact rows at ``rowids``, in that order, as one batch.
 
-        Over an in-memory table this is a single fancy-index gather of
-        the table's columnar view, every row-id a hit.  Over a heap the
-        resident rows gather from the warm columns and the misses cost
-        one :meth:`~repro.relational.heap.HeapFile.read_batch`.
+        It holds the fact columns at positions ``columns`` (default all),
+        in that order, and reads no other.  Over an in-memory table this
+        is one fancy-index gather per column, every row-id a hit.  Over a
+        heap the resident rows gather from the warm columns and the
+        misses cost one :meth:`~repro.relational.heap.HeapFile.read_batch`.
         ``sorted_hint=True`` is what CURE+ buys by sorting its row-id
         lists: the distinct misses are read in ascending order, one
         forward pass with a positioned read per run of consecutive
         row-ids; otherwise each miss is its own random read.
         """
         indices = np.asarray(rowids, dtype=np.int64)
+        fact_schema = self.schema.fact_schema
+        columns = tuple(range(fact_schema.arity) if columns is None else columns)
+        schema = self._schemas.get(columns)
+        if schema is None:
+            schema = TableSchema(tuple(fact_schema.columns[p] for p in columns))
+            self._schemas[columns] = schema
         if self.table is not None:
             self.stats.hits += len(indices)
-            return self.table.as_batch().take(indices)
+            arrays = [self.table.column_at(p)[indices] for p in columns]
+            return ColumnBatch(schema, tuple(arrays), len(indices))
         missed = ~self._resident[indices]
         n_missed = int(np.count_nonzero(missed))
         self.stats.hits += len(indices) - n_missed
         self.stats.misses += n_missed
-        if self._warm is None:
-            return self._read(indices, sorted_hint)
-        batch = self._warm.take(indices)
+        arrays = [self._warm.arrays[p][indices] for p in columns]
         if n_missed:
             fetched = self._read(indices[missed], sorted_hint)
-            for column, values in zip(batch.arrays, fetched.arrays):
-                column[missed] = values
-        return batch
+            for array, p in zip(arrays, columns):
+                array[missed] = fetched.arrays[p]
+        return ColumnBatch(schema, tuple(arrays), len(indices))
 
     def _read(self, rowids: np.ndarray, sorted_hint: bool) -> ColumnBatch:
         """Read missed row-ids from the heap, counting its runs."""

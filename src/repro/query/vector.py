@@ -41,12 +41,13 @@ def project_fact_dims(
     The vectorized dual of ``schema.project_to_node(schema.dim_values(r),
     node)`` per row: one ``(n, grouping_arity)`` matrix for the batch.
     """
+    names = schema.fact_schema.names
     columns = []
     for d, dimension in enumerate(schema.dimensions):
         level = node.levels[d]
         if level == dimension.all_level:
             continue
-        values = fact.arrays[d].astype(np.int64, copy=False)
+        values = fact.column(names[d]).astype(np.int64, copy=False)
         if level != 0:
             values = level_map(dimension, level)[values]
         columns.append(values)
@@ -58,11 +59,12 @@ def project_fact_dims(
 def singleton_aggregates(
     schema: "CubeSchema", fact: ColumnBatch
 ) -> np.ndarray:
-    """Vectorized ``aggregate_singleton`` over a fact batch → ``(n, Y)``."""
-    n_dims = schema.n_dimensions
+    """Vectorized ``aggregate_singleton`` over a fact batch's measure
+    columns → ``(n, Y)``."""
+    measure_names = schema.fact_schema.names[schema.n_dimensions :]
     columns = []
     for spec in schema.aggregates:
-        measures = fact.arrays[n_dims + spec.measure_index]
+        measures = fact.column(measure_names[spec.measure_index])
         values = spec.function.from_column(measures)
         columns.append(values.astype(np.int64, copy=False))
     if not columns:

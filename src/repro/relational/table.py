@@ -123,6 +123,10 @@ class Table:
             self._chunks = [merged]
         return merged
 
+    def column_at(self, position: int) -> np.ndarray:
+        """One column's array, by position."""
+        return self.as_batch().arrays[position]
+
     def column_values(self, name: str) -> list:
         """All values of one column, in row order."""
         values: list = self.as_batch().column(name).tolist()

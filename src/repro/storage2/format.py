@@ -46,6 +46,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -115,16 +116,23 @@ class SectionEntry:
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "SectionEntry":
         return cls(
-            name=str(payload["name"]),
-            offset=int(payload["offset"]),
-            nbytes=int(payload["bytes"]),
-            codec=str(payload["codec"]),
-            dtype=str(payload["dtype"]),
-            shape=tuple(int(v) for v in payload["shape"]),
-            count=int(payload["count"]),
-            sha256=str(payload["sha256"]),
-            extra=dict(payload.get("extra", {})),
+            name=payload["name"],
+            offset=payload["offset"],
+            nbytes=payload["bytes"],
+            codec=payload["codec"],
+            dtype=payload["dtype"],
+            shape=tuple(payload["shape"]),
+            count=payload["count"],
+            sha256=payload["sha256"],
+            extra=dict(payload["extra"]),
         )
+
+
+#: Every directory entry field and the JSON type it must have.
+_ENTRY_FIELDS = {
+    "name": str, "offset": int, "bytes": int, "codec": str, "dtype": str,
+    "shape": list, "count": int, "sha256": str, "extra": dict,
+}
 
 
 def _aligned(offset: int) -> int:
@@ -245,12 +253,13 @@ class V2File:
         path: Path,
         mapped: np.ndarray,
         meta: dict[str, Any],
-        entries: dict[str, SectionEntry],
+        payloads: dict[str, dict[str, Any]],
     ) -> None:
         self.path = path
         self._mapped = mapped
         self.meta = meta
-        self._entries = entries
+        self._payloads = payloads
+        self._entries: dict[str, SectionEntry] = {}
         self._verified: set[str] = set()
         self._decoded: dict[str, np.ndarray] = {}
 
@@ -298,41 +307,74 @@ class V2File:
             document = json.loads(directory)
         except ValueError as error:
             raise V2FormatError(f"{target}: directory is not JSON") from error
-        if document.get("version") != version:
-            raise V2FormatError(f"{target}: directory/header version mismatch")
-        entries: dict[str, SectionEntry] = {}
-        for payload in document.get("sections", []):
-            entry = SectionEntry.from_json(payload)
-            if entry.name in entries:
+        if type(document) is not dict or document.get("version") != version:
+            raise V2FormatError(
+                f"{target}: directory is not an object of the header's version"
+            )
+        sections, meta = document.get("sections", []), document.get("meta", {})
+        if type(sections) is not list or type(meta) is not dict:
+            raise V2FormatError(f"{target}: directory sections or meta malformed")
+        # Entries stay parsed JSON until ``entry`` first asks for one.
+        # Every field's presence and type is checked here all the same, one
+        # field across all entries at a time.
+        if set(map(type, sections)) - {dict}:
+            index = [type(payload) is dict for payload in sections].index(False)
+            raise V2FormatError(
+                f"{target}: directory entry {index} is not an object"
+            )
+        fields = {
+            key: list(map(dict.get, sections, repeat(key))) for key in _ENTRY_FIELDS
+        }
+        names = fields["name"]
+        for key, kind in _ENTRY_FIELDS.items():
+            if set(map(type, fields[key])) - {kind}:
+                index = [type(value) is kind for value in fields[key]].index(False)
                 raise V2FormatError(
-                    f"{target}: duplicate section {entry.name!r}"
+                    f"{target}: directory entry {index} ({names[index]!r}) "
+                    f"lacks {key!r} or holds it as the wrong type"
                 )
-            if entry.offset % ALIGNMENT or not (
-                HEADER_BYTES <= entry.offset
-                and entry.offset + entry.nbytes <= dir_offset
+        shapes = fields["shape"]
+        if not all(shapes) or set(map(type, chain.from_iterable(shapes))) - {int}:
+            good = [bool(shape) and set(map(type, shape)) <= {int} for shape in shapes]
+            raise V2FormatError(
+                f"{target}: section {names[good.index(False)]!r} has a "
+                "malformed shape"
+            )
+        payloads = dict(zip(names, sections))
+        if len(payloads) != len(sections):
+            duplicate = next(n for i, n in enumerate(names) if n in names[:i])
+            raise V2FormatError(f"{target}: duplicate section {duplicate!r}")
+        for name, offset, nbytes in zip(names, fields["offset"], fields["bytes"]):
+            if offset % ALIGNMENT or not (
+                HEADER_BYTES <= offset <= offset + nbytes <= dir_offset
             ):
                 raise V2FormatError(
-                    f"{target}: section {entry.name!r} is misaligned or "
+                    f"{target}: section {name!r} is misaligned or "
                     "falls outside the data region"
                 )
-            entries[entry.name] = entry
-        return cls(target, mapped, dict(document.get("meta", {})), entries)
+        return cls(target, mapped, meta, payloads)
 
     # -- access -------------------------------------------------------------
 
     def names(self) -> list[str]:
-        return sorted(self._entries)
+        return sorted(self._payloads)
 
     def has(self, name: str) -> bool:
-        return name in self._entries
+        return name in self._payloads
 
     def entry(self, name: str) -> SectionEntry:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise V2FormatError(
-                f"{self.path} has no section {name!r}"
-            ) from None
+        entry = self._entries.get(name)
+        if entry is None:
+            if name not in self._payloads:
+                raise V2FormatError(f"{self.path} has no section {name!r}")
+            entry = SectionEntry.from_json(self._payloads[name])
+            self._entries[name] = entry
+        return entry
+
+    def rows(self, name: str) -> int:
+        """A listed section's leading extent, without building its entry."""
+        extent: int = self._payloads[name]["shape"][0]
+        return extent
 
     def section_bytes(self, name: str) -> np.ndarray:
         """The section's payload bytes, checksum-verified (once, lazily)."""

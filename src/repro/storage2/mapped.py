@@ -17,16 +17,19 @@ duck type :class:`~repro.query.cache.FactCache` drives, and the
 * row counts (the planner's cost estimates, the ``nt_count`` guards)
   come from the directory and touch no payload.
 
-Opening a cube is therefore O(directory): nothing is unpacked until a
-query touches it, and every consumer here sees the int64 arrays it
-always did, whatever width they are stored at.
+Opening a cube therefore parses and checks the directory and builds
+nothing else: a section entry, a node's store and a fact column are made
+on first touch, so a first answer pays for the sections it reads, and
+every consumer sees the int64 arrays it always did.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.model import CubeSchema
 from repro.core.storage import ArrayRelation, CubeStorage, NodeStore
@@ -39,19 +42,47 @@ def _section(file: V2File, name: str) -> ArrayRelation:
     """A cube relation held in a v2 section: the row count is the
     directory's; the array is fetched — verified, decoded and cached by
     the file — on first touch."""
-    return ArrayRelation(file.entry(name).shape[0], lambda: file.array(name))
+    return ArrayRelation(file.rows(name), lambda: file.array(name))
+
+
+class _MappedNodes(MutableMapping[int, NodeStore]):
+    """``CubeStorage.nodes`` over a mapped file: every node the directory
+    lists, each one's store built the first time it is looked up."""
+
+    def __init__(self, file: V2File) -> None:
+        self._file = file
+        self._stores: dict[int, NodeStore | None] = dict.fromkeys(
+            map(int, file.meta["node_ids"])
+        )
+
+    def __getitem__(self, node_id: int) -> NodeStore:
+        store = self._stores[node_id]
+        if store is None:
+            sections = {}
+            for relation in ("nt", "tt", "cat"):
+                name = f"node/{node_id}/{relation}"
+                if self._file.has(name):
+                    sections[relation] = _section(self._file, name)
+            store = self._stores[node_id] = NodeStore(**sections)
+        return store
+
+    def __setitem__(self, node_id: int, store: NodeStore) -> None:
+        self._stores[node_id] = store
+
+    def __delitem__(self, node_id: int) -> None:
+        del self._stores[node_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._stores)
+
+    def __len__(self) -> int:
+        return len(self._stores)
 
 
 def map_storage(schema: CubeSchema, file: V2File) -> CubeStorage:
     """A ``CubeStorage`` whose relations are ``file``'s sections."""
     storage = CubeStorage.from_meta(schema, file.meta)
-    for node_id in file.meta["node_ids"]:
-        sections = {}
-        for relation in ("nt", "tt", "cat"):
-            name = f"node/{node_id}/{relation}"
-            if file.has(name):
-                sections[relation] = _section(file, name)
-        storage.nodes[int(node_id)] = NodeStore(**sections)
+    storage.nodes = _MappedNodes(file)
     if file.has("aggregates"):
         storage.aggregates = _section(file, "aggregates")
     return storage
@@ -60,52 +91,42 @@ def map_storage(schema: CubeSchema, file: V2File) -> CubeStorage:
 class MappedFactTable:
     """The fact relation as the ``Table`` duck type ``FactCache`` drives.
 
-    ``as_batch`` assembles the columnar view straight from the v2
-    sections: measures widen once, dimension columns bit-unpack once
-    (both cached by the file).  ``len`` is the directory's row count,
-    and ``as_batch`` raises :class:`V2FormatError` when a column
-    disagrees with it.
+    :meth:`column_at` reads one column straight from its v2 section:
+    measures widen once, dimension columns bit-unpack once (both cached
+    by the file).  ``len`` is the directory's row count, and a column
+    that disagrees with it raises :class:`V2FormatError`; ``as_batch``
+    is every column.
     """
 
     def __init__(self, schema: CubeSchema, file: V2File) -> None:
         self.schema = schema
         self._file = file
         self._length = int(file.meta["fact_row_count"])
-        self._batch: ColumnBatch | None = None
+        self._sections = [f"fact/dim/{d}" for d in range(schema.n_dimensions)]
+        self._sections += [f"fact/measure/{m}" for m in range(schema.n_measures)]
 
     def __len__(self) -> int:
         return self._length
 
-    def as_batch(self) -> ColumnBatch:
-        batch = self._batch
-        if batch is None:
-            arrays = [
-                self._file.array(f"fact/dim/{d}")
-                for d in range(self.schema.n_dimensions)
-            ]
-            arrays += [
-                self._file.array(f"fact/measure/{m}")
-                for m in range(self.schema.n_measures)
-            ]
-            lengths = {len(array) for array in arrays}
-            if lengths != {self._length}:
-                raise V2FormatError(
-                    f"{self._file.path}: fact columns hold "
-                    f"{sorted(lengths)} rows, the directory recorded "
-                    f"{self._length}"
-                )
-            batch = ColumnBatch.from_arrays(
-                self.schema.fact_schema, tuple(arrays)
+    def column_at(self, position: int) -> np.ndarray:
+        array = self._file.array(self._sections[position])
+        if len(array) != self._length:
+            raise V2FormatError(
+                f"{self._file.path}: fact columns hold [{len(array)}] rows, "
+                f"the directory recorded {self._length}"
             )
-            self._batch = batch
-        return batch
+        return array
+
+    def as_batch(self) -> ColumnBatch:
+        columns = [self.column_at(p) for p in range(len(self._sections))]
+        return ColumnBatch.from_arrays(self.schema.fact_schema, columns)
 
 
 class MappedIndexSet(Mapping[int, InvertedIndex]):
     """Per-dimension CSR inverted indices, each built on first use.
 
-    :meth:`InvertedIndex.build` over the fact column
-    :meth:`MappedFactTable.as_batch` decodes (once, for the fact cache
+    :meth:`InvertedIndex.build` over the one fact column
+    :meth:`MappedFactTable.column_at` decodes (once, for the fact cache
     too), cached per dimension.  On a 2-vCPU Xeon one sort builds a
     24,000-row dimension's postings in ≈ 0.25 ms, where checksumming and
     delta-decoding stored ones took ≈ 0.7 ms.
@@ -122,7 +143,7 @@ class MappedIndexSet(Mapping[int, InvertedIndex]):
             if dim not in range(self._schema.n_dimensions):
                 raise KeyError(dim)
             index = InvertedIndex.build(
-                self._fact.as_batch().arrays[dim],
+                self._fact.column_at(dim),
                 self._schema.dimensions[dim].base_cardinality,
             )
             self._cache[dim] = index

@@ -1,5 +1,7 @@
 """Unit tests for Dimension: validation, roll-up, plan structure."""
 
+import re
+
 import pytest
 
 from repro.hierarchy.builders import (
@@ -44,8 +46,20 @@ def test_level_cardinality_positive():
         Level("x", 0)
 
 
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern matching ``message`` and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
+def two_levels(base_maps, parents=((1,), (2,))) -> Dimension:
+    """a (3 members) → b (2 members) → ALL, with the given maps/parents."""
+    return Dimension("x", (Level("a", 3), Level("b", 2)), base_maps, parents)
+
+
 def test_base_map_must_be_identity(region):
-    with pytest.raises(ValueError, match="identity"):
+    with pytest.raises(
+        ValueError, match=exactly("base level map must be the identity")
+    ):
         Dimension(
             "bad",
             region.levels,
@@ -57,21 +71,65 @@ def test_base_map_must_be_identity(region):
 def test_base_map_length_checked():
     with pytest.raises(ValueError, match="length"):
         linear_dimension("x", [("a", 3), ("b", 2)], parent_maps=[[0, 1]])
+    with pytest.raises(
+        ValueError,
+        match=exactly("level 'b' base map length 2 != base cardinality 3"),
+    ):
+        two_levels(((0, 1, 2), (0, 1)))
 
 
 def test_base_map_codes_in_range():
-    with pytest.raises(ValueError, match="out-of-range"):
+    with pytest.raises(
+        ValueError,
+        match=exactly("level 'b' base map contains out-of-range codes, e.g. 5"),
+    ):
         linear_dimension("x", [("a", 3), ("b", 2)], parent_maps=[[0, 1, 5]])
 
 
+@pytest.mark.parametrize(
+    "base_map, first_bad",
+    [((0, 7, -1), 7), ((0, -1, 7), -1), ((2, 0, 1), 2)],
+)
+def test_out_of_range_message_names_the_first_bad_code(base_map, first_bad):
+    """The message names the first offending code in map order."""
+    with pytest.raises(
+        ValueError,
+        match=exactly(
+            "level 'b' base map contains out-of-range codes, "
+            f"e.g. {first_bad}"
+        ),
+    ):
+        two_levels(((0, 1, 2), base_map))
+
+
 def test_parent_must_be_less_detailed():
-    with pytest.raises(ValueError, match="invalid parent"):
+    with pytest.raises(
+        ValueError,
+        match=exactly(
+            "level 'b' has invalid parent index 0 (must be in (1, 2])"
+        ),
+    ):
         complex_dimension(
             "x",
             [("a", 2), ("b", 2)],
             [[0, 1], [0, 1]],
             [(2,), (0,)],  # b points down to a
         )
+
+
+def test_level_without_parents_never_reaches_all():
+    with pytest.raises(
+        ValueError, match=exactly("level 'b' has no parents (must reach ALL)")
+    ):
+        two_levels(((0, 1, 2), (0, 1, 1)), parents=((1,), ()))
+
+
+def test_levels_are_checked_in_order():
+    """Level a's missing parent is reported before level b's bad code."""
+    with pytest.raises(
+        ValueError, match=exactly("level 'a' has no parents (must reach ALL)")
+    ):
+        two_levels(((0, 1, 2), (0, 9, 1)), parents=((), (2,)))
 
 
 def test_every_level_reaches_all():

@@ -158,6 +158,8 @@ def test_a_row_count_the_directory_disowns_fails_closed(engine, tmp_path):
     served = open_v2(container, SCHEMA).fact
     assert len(served) == len(ingestor.fact_table) + 1  # the directory's
     with pytest.raises(V2FormatError, match="rows"):
+        served.column_at(0)  # each column is checked as it is decoded
+    with pytest.raises(V2FormatError, match="rows"):
         served.as_batch()
     payload = json.loads(ingestor.manifest_path.read_text())
     payload["container_checksum"] = file_checksum(container)

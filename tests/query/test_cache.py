@@ -104,6 +104,31 @@ def test_fetch_many_sorted_with_duplicates(setup):
     assert cache.stats.runs == 2
 
 
+@pytest.mark.parametrize("fraction", [None, 0.0, 0.4, 1.0])
+def test_fetch_gathers_only_the_named_columns(setup, fraction):
+    """Column positions fetch those columns of the whole fetch, in the
+    order asked, and the counters stay per row-id; ``None`` is a table."""
+    schema, table, heap = setup
+
+    def cache():
+        if fraction is None:
+            return FactCache(schema, table=table)
+        return FactCache(schema, heap=heap, fraction=fraction, seed=1)
+
+    rowids = [4, 0, 2, 2]
+    whole, some, none = cache(), cache(), cache()
+    everything = whole.fetch_batch(rowids)
+    columns = [schema.fact_schema.arity - 1, 0]
+    batch = some.fetch_batch(rowids, columns=columns)
+    assert batch.schema.names == tuple(
+        everything.schema.names[p] for p in columns
+    )
+    for array, p in zip(batch.arrays, columns):
+        assert array.tolist() == everything.arrays[p].tolist()
+    assert none.fetch_batch(rowids, columns=[]).length == len(rowids)
+    assert some.stats == whole.stats == none.stats
+
+
 def test_row_count(setup, flat_schema, figure9_table):
     _schema, table, heap = setup
     assert FactCache(flat_schema, heap=heap).row_count == len(table)

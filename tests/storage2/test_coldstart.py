@@ -14,7 +14,9 @@ import pytest
 import repro.relational.heap as heap_module
 from repro.bundle import open_bundle
 from repro.query.cache import FactCache
+from repro.query.answer import tt_source_ids
 from repro.query.planner import CubePlanner, QueryRequest
+from repro.query.slice import DimensionSlice
 from repro.query.workload import mixed_workload
 from repro.server.encoding import encode_answer
 from repro.server.replay import replay_op
@@ -123,3 +125,112 @@ def test_counts_over_a_mapped_cube_decode_no_section(dual_bundles, monkeypatch):
         assert decoded
     finally:
         bundle.close()
+
+
+def expected_decodes(built, node) -> set[str]:
+    """The sections a cold direct answer of ``node`` must decode, from
+    the built cube's relation counts: the node's NT and CAT (plus
+    AGGREGATES under a CAT), every TT source's TT, the fact columns of
+    its grouping dimensions when any stored row carries a row-id, and
+    the measures only when a TT row is answered."""
+    schema, storage = built.schema, built.storage
+    node_id = schema.node_id(node)
+    store = storage.get_node_store(node_id)
+    sections: set[str] = set()
+    dereferenced = False
+    if store is not None and store.nt_count:
+        sections.add(f"node/{node_id}/nt")
+        dereferenced = not storage.dr_mode
+    if store is not None and store.cat_count:
+        sections |= {f"node/{node_id}/cat", "aggregates"}
+        dereferenced = True
+    tts = [
+        source
+        for source in tt_source_ids(storage, node, node_id)
+        if storage.get_node_store(source) is not None
+        and storage.get_node_store(source).tt_count
+    ]
+    sections |= {f"node/{source}/tt" for source in tts}
+    if dereferenced or tts:
+        grouping = node.grouping_dims(schema.dimensions)
+        sections |= {f"fact/dim/{d}" for d in grouping}
+    if tts:
+        sections |= {f"fact/measure/{m}" for m in range(schema.n_measures)}
+    return sections
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """Every section name ``V2File.array`` is asked for, in order."""
+    names: list[str] = []
+    original = V2File.array
+
+    def spy(self, name):
+        names.append(name)
+        return original(self, name)
+
+    monkeypatch.setattr(V2File, "array", spy)
+    return names
+
+
+@pytest.mark.parametrize("variant", ["CURE", "CURE+", "FCURE"])
+def test_cold_answer_decodes_only_what_it_reads(dual_bundles, decoded, variant):
+    """Per node, a fresh open and one direct answer decode exactly the
+    node's relations and the fact columns that answer reads — not the
+    whole fact table."""
+    built, _ = dual_bundles[variant]
+    schema = built.schema
+    seen = {"measures": 0, "no measures": 0, "cat": 0, "partial dims": 0}
+    for node in schema.lattice.nodes():
+        bundle = open_bundle(built.root)
+        try:
+            planner = bundle.planner()
+            request = QueryRequest.of(node)
+            if planner.plan(request).strategy != "direct":
+                continue
+            decoded.clear()
+            planner.answer(request)
+        finally:
+            bundle.close()
+        want = expected_decodes(built, node)
+        assert set(decoded) == want, schema.node_id(node)
+        fact_read = any(name.startswith("fact/dim/") for name in want)
+        measures = any(name.startswith("fact/measure/") for name in want)
+        seen["measures"] += measures
+        seen["no measures"] += fact_read and not measures
+        seen["cat"] += "aggregates" in want
+        seen["partial dims"] += 0 < len(
+            node.grouping_dims(schema.dimensions)
+        ) < schema.n_dimensions and fact_read
+    assert all(seen.values()), seen
+
+
+def test_cold_slice_decodes_its_one_dimension_column(dual_bundles, decoded):
+    """The postings of a sliced dimension come from that dimension's
+    column alone, and the sliced answer reads no other fact column than
+    its node's grouping dimensions (plus measures for TT rows)."""
+    built, _ = dual_bundles["CURE+"]
+    schema = built.schema
+    node = next(
+        node
+        for node in schema.lattice.nodes()
+        if len(node.grouping_dims(schema.dimensions)) == 1
+        and node.levels[node.grouping_dims(schema.dimensions)[0]] == 0
+    )
+    (dim,) = node.grouping_dims(schema.dimensions)
+    with open_bundle(built.root) as bundle:
+        bundle.v2.indices[dim]
+        assert decoded == [f"fact/dim/{dim}"]
+    with open_bundle(built.root) as bundle:
+        planner = bundle.planner()
+        decoded.clear()
+        request = QueryRequest.of(node, DimensionSlice.of(dim, 0, {0, 1}))
+        assert planner.plan(request).strategy == "indexed"
+        got = planner.answer(request)
+        fact_columns = {n for n in decoded if n.startswith("fact/")}
+        assert fact_columns <= {f"fact/dim/{dim}"} | {
+            f"fact/measure/{m}" for m in range(schema.n_measures)
+        }
+        assert f"fact/dim/{dim}" in fact_columns
+    reference = built.planner().answer(request)
+    assert got.normalized().to_pairs() == reference.normalized().to_pairs()

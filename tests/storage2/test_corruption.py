@@ -10,6 +10,11 @@ the CLI can print a diagnosis instead of a traceback.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import shutil
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,7 +24,9 @@ from repro.relational.durable import atomic_write_chunks, file_checksum
 from repro.storage2 import V2File, V2FormatError, verify_v2
 from repro.storage2.codecs import NARROW, narrow_encode
 from repro.storage2.format import (
+    ALIGNMENT,
     MAGIC,
+    TRAILER_BYTES,
     SectionCorruption,
     V2Writer,
     committed_container,
@@ -228,3 +235,126 @@ def test_structurally_damaged_cube_fails_at_open_bundle(dual_bundles, tmp_path):
     (root / "cube.v2").write_bytes(b"garbage that is long enough" * 4)
     with pytest.raises(V2FormatError):
         open_bundle(root)
+
+
+def resigned_bundle(dual_bundles, tmp_path, edit):
+    """A copy of a published bundle whose ``cube.v2`` directory went
+    through ``edit`` and was signed again: the directory checksum
+    passes, so only the reader's structural checks stand between the
+    edited directory and a query."""
+    _, v2 = dual_bundles["CURE"]
+    root = tmp_path / "copy"
+    shutil.copytree(v2.root, root)
+    target = root / "cube.v2"
+    data = target.read_bytes()
+    dir_offset, dir_len = struct.unpack_from("<QQ", data, len(data) - TRAILER_BYTES)
+    document = json.loads(data[dir_offset : dir_offset + dir_len])
+    directory = json.dumps(edit(document, dir_offset)).encode("utf-8")
+    trailer = struct.pack(
+        "<QQ32s8s8s",
+        dir_offset,
+        len(directory),
+        hashlib.sha256(directory).digest(),
+        b"\x00" * 8,
+        MAGIC,
+    )
+    target.write_bytes(data[:dir_offset] + directory + trailer)
+    return root
+
+
+def _duplicate_name(document, _dir_offset):
+    document["sections"].append(dict(document["sections"][0]))
+    return document
+
+
+def _misaligned(document, _dir_offset):
+    document["sections"][0]["offset"] += ALIGNMENT // 2
+    return document
+
+
+def _into_directory(document, dir_offset):
+    last = max(document["sections"], key=lambda entry: entry["offset"])
+    last["bytes"] = dir_offset - last["offset"] + 1
+    return document
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_duplicate_name, "duplicate section"),
+        (_misaligned, "misaligned"),
+        (_into_directory, "outside the data region"),
+    ],
+)
+def test_resigned_directory_with_bad_structure_fails_at_open_bundle(
+    dual_bundles, tmp_path, edit, message
+):
+    root = resigned_bundle(dual_bundles, tmp_path, edit)
+    with pytest.raises(V2FormatError, match=message):
+        open_bundle(root)
+
+
+def _without(field):
+    def edit(document, _dir_offset):
+        del document["sections"][0][field]
+        return document
+
+    return edit
+
+
+def _replaced(field, value):
+    def edit(document, _dir_offset):
+        document["sections"][0][field] = value
+        return document
+
+    return edit
+
+
+def _sections_as(value):
+    def edit(document, _dir_offset):
+        document["sections"] = value(document["sections"])
+        return document
+
+    return edit
+
+
+#: Case → (edit, whether the error must name the first section).
+MALFORMED_DIRECTORIES = {
+    "missing codec": (_without("codec"), True),
+    "missing sha256": (_without("sha256"), True),
+    "shape not a list": (_replaced("shape", 3), True),
+    "shape of strings": (_replaced("shape", ["3"]), True),
+    "empty shape": (_replaced("shape", []), True),
+    "offset as text": (_replaced("offset", "64"), True),
+    "extra not an object": (_replaced("extra", []), True),
+    "sections an object": (
+        _sections_as(lambda sections: {entry["name"]: entry for entry in sections}),
+        False,
+    ),
+    "sections a string": (_sections_as(lambda sections: "node/0/nt"), False),
+    "entry not an object": (_sections_as(lambda sections: ["node/0/nt"]), False),
+    "document a list": (lambda document, _dir_offset: [document], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DIRECTORIES))
+def test_malformed_directory_entry_is_a_format_error(dual_bundles, tmp_path, case):
+    """A checksummed directory whose entries lack a field or carry one of
+    the wrong type is a damaged container: ``open_bundle`` raises
+    :class:`V2FormatError` naming the section and ``verify_v2`` reports
+    it, never a ``KeyError`` / ``TypeError`` / ``AttributeError``."""
+    edit, names_section = MALFORMED_DIRECTORIES[case]
+    first = []
+
+    def recording(document, dir_offset):
+        first.append(document["sections"][0]["name"])
+        return edit(document, dir_offset)
+
+    root = resigned_bundle(dual_bundles, tmp_path, recording)
+    with pytest.raises(V2FormatError) as raised:
+        open_bundle(root)
+    if names_section:
+        assert repr(first[0]) in str(raised.value)
+    report = verify_v2(root / "cube.v2")
+    assert not report.ok
+    assert report.problems and not report.sections

@@ -5,9 +5,9 @@ Reads the output of ``python3 benchmarks/e2e/run.py --workload W
 floor as its one argument, ``"a + b < c"``: sums of metric names either
 side of ``<``, each name optionally multiplied by an integer
 coefficient (``"3 * a < b"``).  Exits 1 unless the run was correct and
-``0 < left < right``.  Both sides are CPU seconds of the same run at the
-same yardstick pace, so a floor holds on any machine.  The nightly
-floors:
+``0 < left < right``.  Both sides come from the same run: CPU seconds at
+the same yardstick pace, or wall-clock medians of the same spans, so a
+floor holds on any machine.  The nightly floors:
 
 ``ingest.apply_s + ingest.checkpoint_s < ingest.bootstrap_s``
     (``ingest-query``) folding one 50-row record into the cube and
@@ -16,6 +16,10 @@ floors:
 ``3 * datasets.load_csv_s < core.build_s``
     (``build-mem``) parsing the fact table must cost less than a third of
     cubing it.
+``3 * bundle.open_ms < 2 * query.first_answer_ms``
+    (``build-mem``, wall-clock medians of the 50 cold starts) opening the
+    container must cost less than two thirds of answering one query from
+    it.
 """
 
 from __future__ import annotations
