@@ -1,21 +1,7 @@
-"""Setup shim: enables legacy editable installs where `wheel` is absent."""
-from setuptools import find_packages, setup
+"""Setup shim: enables legacy editable installs where `wheel` is absent.
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description=(
-        "Reproduction of 'CURE for Cubes: Cubing Using a ROLAP Engine' "
-        "(VLDB 2006)"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy"],
-    entry_points={
-        "console_scripts": [
-            "repro-cube = repro.cli:main",
-            "repro-bench = repro.bench.run:main",
-        ]
-    },
-)
+All metadata lives in ``pyproject.toml``'s ``[project]`` table.
+"""
+from setuptools import setup
+
+setup()

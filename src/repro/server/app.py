@@ -363,10 +363,15 @@ class SlicerApp:
 
     @staticmethod
     def _parse_int(text: str, what: str) -> int:
+        # Canonical decimal only: ``int`` also takes "+1", "1_0", " 10"
+        # and non-ASCII digits, which would alias one answer under many
+        # paths.
         try:
-            return int(text)
+            if str(value := int(text)) == text:
+                return value
         except ValueError:
-            raise BadRequest(f"{what} must be an integer, got {text!r}") from None
+            pass
+        raise BadRequest(f"{what} must be an integer, got {text!r}")
 
     def _parse_where(
         self, params: dict[str, list[str]]

@@ -340,6 +340,15 @@ class V2File:
                 f"{target}: section {names[good.index(False)]!r} has a "
                 "malformed shape"
             )
+        dtypes = fields["dtype"]
+        for dtype in set(dtypes):
+            try:
+                np.dtype(dtype)
+            except (TypeError, ValueError, SyntaxError):  # numpy raises all three
+                raise V2FormatError(
+                    f"{target}: section {names[dtypes.index(dtype)]!r} has "
+                    f"dtype {dtype!r}, which numpy cannot parse"
+                ) from None
         payloads = dict(zip(names, sections))
         if len(payloads) != len(sections):
             duplicate = next(n for i, n in enumerate(names) if n in names[:i])

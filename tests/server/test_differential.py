@@ -172,3 +172,24 @@ def test_error_statuses(apps):
     assert status == "405 Method Not Allowed"
     _, body = wsgi_get(app, "/stats")
     assert json.loads(body)["errors"] >= len(cases)
+
+
+@pytest.mark.parametrize(
+    "path, field, text",
+    [
+        ("/node/1_0", "node id", "1_0"),
+        ("/slice/0?where=%2B0.0:1", "where dimension", "+0"),
+        ("/slice/0?where=0.%200:1", "where level", " 0"),
+        ("/slice/0?where=0.0:%D9%A1", "where member", "\u0661"),
+        ("/iceberg/0?min=02", "min", "02"),
+    ],
+)
+def test_non_canonical_integers_are_rejected(apps, path, field, text):
+    # ``int`` reads "1_0", "+0", " 0", "02" and an Arabic-Indic one as
+    # integers; a request path takes only the digits ``str(int)`` gives
+    # back, so one answer has one path.
+    status, body = wsgi_get(apps["CURE"], path)
+    assert status == "400 Bad Request", path
+    assert json.loads(body)["error"] == (
+        f"{field} must be an integer, got {text!r}"
+    )

@@ -1,7 +1,7 @@
 """The canonical encoder's bytes are pinned to the reference encoder.
 
-``repro.server.encoding.encode_answer`` formats the ``rows`` array
-column-wise and splices it behind ``json.dumps``-rendered metadata;
+``repro.server.encoding.encode_answer`` serializes the ``rows`` matrix
+with ``orjson`` and splices it behind ``json.dumps``-rendered metadata;
 ``tests/support/reference_encoding.py`` renders the whole payload
 row-at-a-time through one ``json.dumps``.  Every byte must agree — on
 the degenerate shapes hand-assembly could plausibly get wrong as much
@@ -19,7 +19,6 @@ from hypothesis import example, given, settings
 from repro import CubeSchema, linear_dimension, make_aggregates
 from repro.lattice.node import CubeNode
 from repro.query.column_answer import ColumnAnswer
-from repro.server import encoding
 from repro.server.encoding import decode_answer, encode_answer
 from tests.support.reference_encoding import reference_encode_answer
 
@@ -119,14 +118,57 @@ def test_non_ascii_names_stay_escaped():
     assert json.loads(body)["groups"] == ["Région.Департамент", "B.B0"]
 
 
-def test_rows_spanning_several_format_blocks(monkeypatch):
-    # The rows are formatted a block at a time; block seams must not
-    # show, whether the last block is full, partial or empty.
-    monkeypatch.setattr(encoding, "_ROWS_PER_FORMAT", 4)
-    for n_rows in (3, 4, 5, 8, 9):
-        answer = ColumnAnswer.from_pairs(
-            [((i % 12, i % 8), (-i, 1)) for i in range(n_rows)]
-        )
-        assert encode_answer(SCHEMA, NODES[0], answer) == (
-            reference_encode_answer(SCHEMA, NODES[0], answer)
-        )
+#: Four one-level dimensions: a node groups on those at level 0 and
+#: puts the rest at ALL (level 1), so arity runs 0..4.
+WIDE_DIMENSIONS = tuple(
+    linear_dimension(name, [(f"{name}0", 8)]) for name in "CDEF"
+)
+AGGREGATE_SPECS = (("sum", 0), ("count", 0), ("min", 0), ("max", 0))
+
+
+@st.composite
+def matrix_answers(draw):
+    """Large answers over the whole int64 range, in any memory layout."""
+    n_aggregates = draw(st.integers(1, 4))
+    schema = CubeSchema(
+        WIDE_DIMENSIONS,
+        make_aggregates(*AGGREGATE_SPECS[:n_aggregates]),
+        n_measures=1,
+    )
+    node = CubeNode(tuple(draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))))
+    arity = len(node.grouping_dims(schema.dimensions))
+    # Hypothesis favours small integers, so the large sizes are named too.
+    n_rows = draw(
+        st.one_of(st.integers(0, 5000), st.sampled_from([1527, 4097, 5000]))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = draw(
+        st.sampled_from([(INT64.min, INT64.max), (-3, 3), (0, 2**53 + 2)])
+    )
+    width = arity + n_aggregates
+    values = rng.integers(low, high, size=(n_rows, width), endpoint=True)
+    # The ±2**63 edges, wherever the draw puts them.
+    edges = rng.random(values.shape) < draw(st.sampled_from([0.0, 0.1]))
+    values[edges] = rng.choice([INT64.min, INT64.max], size=int(edges.sum()))
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+    if layout == "strided":
+        # Every other column and every other row of a larger matrix.
+        padded = np.zeros((2 * n_rows, 2 * width), dtype=np.int64)
+        padded[::2, ::2] = values
+        values = padded[::2, ::2]
+    elif layout == "transposed":
+        values = np.ascontiguousarray(values.T).T
+    answer = ColumnAnswer(arity, n_aggregates, values[:, :arity], values[:, arity:])
+    return schema, node, answer
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_answers())
+def test_encoder_matches_the_reference_on_any_int64_matrix(case):
+    # The rows array is serialized in one call whatever the answer's
+    # size, value range or memory layout: no seam, width or stride of
+    # the input may show in the bytes.
+    schema, node, answer = case
+    assert encode_answer(schema, node, answer) == (
+        reference_encode_answer(schema, node, answer)
+    )

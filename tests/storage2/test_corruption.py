@@ -327,6 +327,10 @@ MALFORMED_DIRECTORIES = {
     "empty shape": (_replaced("shape", []), True),
     "offset as text": (_replaced("offset", "64"), True),
     "extra not an object": (_replaced("extra", []), True),
+    # np.dtype raises TypeError, ValueError and SyntaxError respectively.
+    "dtype numpy cannot parse": (_replaced("dtype", "xxx"), True),
+    "dtype with a bad subarray shape": (_replaced("dtype", "(2,-1)i8"), True),
+    "dtype with an empty subarray shape": (_replaced("dtype", "(,)i8"), True),
     "sections an object": (
         _sections_as(lambda sections: {entry["name"]: entry for entry in sections}),
         False,

@@ -5,8 +5,8 @@ column-wise encoder replaced it: every row becomes a Python list
 (``dims + aggregates``) and the whole payload — metadata and rows — goes
 through one ``json.dumps(sort_keys=True)``.  Nothing about the format
 is hand-assembled here, which is what makes it the reference: the
-production encoder splices a ``%``-formatted ``rows`` array behind the
-metadata and must produce these exact bytes
+production encoder splices an ``orjson``-serialized ``rows`` array
+behind the metadata and must produce these exact bytes
 (``tests/server/test_encoding.py``).
 
 It takes a :class:`ColumnAnswer` or the pair lists the row-engine oracle

@@ -20,6 +20,10 @@ floor holds on any machine.  The nightly floors:
     (``build-mem``, wall-clock medians of the 50 cold starts) opening the
     container must cost less than two thirds of answering one query from
     it.
+``server.encode_ms < query.answer_ms``
+    (``serve-drill``, each op's fastest traced time, averaged over the
+    ops) rendering an answer's JSON body must cost less than computing
+    the answer.
 """
 
 from __future__ import annotations
