@@ -14,9 +14,9 @@ Three layers, importable independently:
 
 The driver (``repro.core.cure.build_partitioned``, which ``build_cube``
 runs as is and ``repro.core.recovery.DurableCubeBuild`` with its journal
-steps) owns the signature pool, the storage, flush cadence, and
-checkpoints; executors only produce ordered :class:`UnitCompletion`
-events.
+steps) owns the signature pool, the storage, the flush at every
+partition barrier, and checkpoints; executors only produce ordered
+:class:`UnitCompletion` events.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ The :class:`BuildExecutor` protocol is deliberately tiny — ``run(plan,
 on_unit, start_unit)`` — so the driver (``build_partitioned``, for
 ``build_cube`` and ``DurableCubeBuild`` alike) stays executor-agnostic:
 it receives :class:`~repro.build.tasks.UnitCompletion` events in unit
-order, replays outcomes, flushes the signature pool on its caller's
-cadence, and lets a durable build checkpoint (one cube-only v2 container
-per barrier).
+order, replays outcomes, flushes the signature pool at every partition
+barrier, and lets a durable build checkpoint there (one cube-only v2
+container per barrier).
 Nothing an executor does between completions can change the bytes of the
 cube, because the pool and the storage live with the driver.
 
@@ -40,7 +40,6 @@ class ExecutorStats:
     tasks_run: int = 0
     tasks_stolen: int = 0
     workers: int = 1
-    peak_worker_bytes: int = 0
 
 
 class BuildExecutor(Protocol):

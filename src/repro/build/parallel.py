@@ -295,9 +295,6 @@ class ProcessPoolExecutor:
                 outcome = message[1]
                 task = outcome.task
                 self.stats.tasks_run += 1
-                self.stats.peak_worker_bytes = max(
-                    self.stats.peak_worker_bytes, outcome.peak_bytes
-                )
                 in_flight[worker_id] = None
                 outstanding -= 1
                 if outcome.children:

@@ -108,10 +108,6 @@ class BuildPlan:
     units: tuple[BuildUnit, ...]
     dr_mode: bool = False
 
-    @property
-    def n_partition_units(self) -> int:
-        return sum(1 for unit in self.units if unit.kind == "partition")
-
 
 @dataclass
 class UnitCompletion:
@@ -129,9 +125,9 @@ def merge_build_stats(into: BuildStats, delta: BuildStats) -> None:
 
     Addition commutes, and outcomes are applied in deterministic plan
     order, so totals are the same under every executor, field for field.
-    Executor-level fields (``tasks_run``/``tasks_stolen``/``workers``/
-    ``peak_worker_bytes``) and wall-clock time are owned by the driver,
-    not by per-task deltas.
+    Executor-level fields (``tasks_run``/``tasks_stolen``/``workers``)
+    and wall-clock time are owned by the driver, ``peak_worker_bytes`` by
+    :func:`apply_outcome`, not by per-task deltas.
     """
     into.nodes_aggregated += delta.nodes_aggregated
     into.tt_written += delta.tt_written

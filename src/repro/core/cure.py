@@ -554,12 +554,7 @@ def build_cube(
 
     storage = CubeStorage(schema, dr_mode=dr_mode, flat=flat)
     stats = BuildStats()
-    pool = SignaturePool(
-        pool_capacity,
-        on_flush=storage.write_flush,
-        on_statistics=storage.decide_format,
-        n_aggregates=schema.n_aggregates,
-    )
+    pool = signature_pool(storage, pool_capacity)
     if shape is None:
         shape = FlatShape(schema) if flat else HierarchicalShape(schema)
 
@@ -569,42 +564,56 @@ def build_cube(
     if table is not None:
         working = WorkingSet.from_fact_table(schema, table)
         _build_in_memory(storage, pool, shape, min_count, stats, working)
+    elif fits_beside_pool(engine, relation, schema, pool_capacity):
+        stats.fact_read_passes += 1
+        with engine.load(relation) as records:
+            working = WorkingSet.from_records(schema, records)
+            _build_in_memory(storage, pool, shape, min_count, stats, working)
     else:
-        heap = engine.relation(relation)
-        pool_bytes = (
-            SignaturePool.size_bytes(pool_capacity, schema.n_aggregates)
-            if pool_capacity
-            else 0
-        )
-        if engine.memory.fits(heap.size_bytes + pool_bytes):
-            stats.fact_read_passes += 1
-            with engine.load(relation) as records:
-                working = WorkingSet.from_records(schema, records)
-                _build_in_memory(
-                    storage, pool, shape, min_count, stats, working
-                )
-        else:
-            if flat or not isinstance(shape, HierarchicalShape):
-                raise ValueError(
-                    "external partitioning is implemented for the "
-                    "hierarchical (P3) shape"
-                )
-            decision = build_partitioned(
-                schema,
-                storage,
-                pool,
-                min_count,
-                stats,
-                engine,
-                relation,
-                pool_bytes,
-                partition_strategy,
-                workers,
-                executor,
+        if flat or not isinstance(shape, HierarchicalShape):
+            raise ValueError(
+                "external partitioning is implemented for the "
+                "hierarchical (P3) shape"
             )
+        decision = build_partitioned(
+            schema,
+            storage,
+            pool,
+            min_count,
+            stats,
+            engine,
+            relation,
+            partition_strategy,
+            workers,
+            executor,
+        )
 
     stats.elapsed_seconds = time.perf_counter() - started
     return CubeResult(storage, stats, pool.stats, decision)
+
+
+def signature_pool(storage: CubeStorage, capacity: int | None) -> SignaturePool:
+    """The Section 5.2 pool whose flushes ``storage`` classifies and writes."""
+    return SignaturePool(
+        capacity,
+        on_flush=storage.write_flush,
+        on_statistics=storage.decide_format,
+        n_aggregates=storage.schema.n_aggregates,
+    )
+
+
+def _pool_bytes(schema: CubeSchema, capacity: int | None) -> int:
+    """The budget a pool of ``capacity`` reserves; an unbounded one, none."""
+    return SignaturePool.size_bytes(capacity, schema.n_aggregates) if capacity else 0
+
+
+def fits_beside_pool(
+    engine: Engine, relation: str, schema: CubeSchema, pool_capacity: int | None
+) -> bool:
+    """Whether ``relation`` is built in memory: it fits the engine's budget
+    beside the signature pool.  Otherwise Section 4's pipeline partitions it."""
+    heap = engine.relation(relation)
+    return engine.memory.fits(heap.size_bytes + _pool_bytes(schema, pool_capacity))
 
 
 def _build_in_memory(
@@ -642,7 +651,6 @@ def build_partitioned(
     stats: BuildStats,
     engine: Engine,
     relation: str,
-    pool_bytes: int,
     partition_strategy: str = "exact",
     workers: int = 1,
     executor: object | None = None,
@@ -664,14 +672,20 @@ def build_partitioned(
     in plan order, so flush windows and NT/CAT classification are
     identical under every executor.
 
+    The pool is flushed after every partition unit and once after the
+    coarse units, for every caller.  So a partition's rows in each node
+    form one self-contained run — NTs, CATs and their AGGREGATES rows —
+    and a plain build, a journalled one and one resumed from any of its
+    checkpoints classify over the same windows and write the same bytes.
+
     The keyword arguments are a journalled build's steps
     (:class:`repro.core.recovery.DurableCubeBuild`): the pass writes to
     ``name_suffix`` staging names which ``on_partitioned`` publishes,
     returning the partitioning under its final names; a resumed build
     hands in the ``recorded`` partitioning instead of selecting and
     spilling again, and the ``start_unit`` after its last checkpoint;
-    ``on_partition(done)`` runs after each partition unit, ``done`` of
-    them complete.
+    ``on_partition(done)`` runs after each partition unit's flush,
+    ``done`` of them complete.
     """
     if not schema.all_distributive:
         raise ValueError(
@@ -688,10 +702,14 @@ def build_partitioned(
             apply_outcome(outcome, storage, pool, stats, faults)
             if outcome.task.drop_after:
                 engine.catalog.drop(outcome.task.relation)
-        if on_partition is not None and completion.unit.kind == "partition":
-            on_partition(completion.unit.index + 1)
+        if completion.unit.kind == "partition":
+            pool.flush()
+            if on_partition is not None:
+                on_partition(completion.unit.index + 1)
 
-    pool_token = engine.memory.reserve(pool_bytes, what="signature pool")
+    pool_token = engine.memory.reserve(
+        _pool_bytes(schema, pool.capacity), what="signature pool"
+    )
     try:
         decision = None
         partitioning = recorded
@@ -717,9 +735,6 @@ def build_partitioned(
         stats.tasks_run += build_executor.stats.tasks_run
         stats.tasks_stolen += build_executor.stats.tasks_stolen
         stats.workers = max(stats.workers, build_executor.stats.workers)
-        stats.peak_worker_bytes = max(
-            stats.peak_worker_bytes, build_executor.stats.peak_worker_bytes
-        )
         return decision
     finally:
         engine.memory.release(pool_token)

@@ -13,11 +13,12 @@ restarting:
   build *verifies* those checksums — a torn partition file from a crash
   mid-pass fails verification and the pass is redone; intact files are
   reused, saving one read and one write of the fact table.
-* **Stage B — per-partition construction, checkpointed.**  The signature
-  pool is flushed after every partition (an empty pool means the
-  in-memory :class:`~repro.core.storage.CubeStorage` *is* the complete
-  build state), and every ``checkpoint_every`` partitions that state is
-  written as one cube-only v2 container, ``<prefix>.ckpt<k>.v2`` (no
+* **Stage B — per-partition construction, checkpointed.**  The
+  pipeline flushes the signature pool after every partition, in every
+  build (an empty pool means the in-memory
+  :class:`~repro.core.storage.CubeStorage` *is* the complete build
+  state), and after every partition that state is written as one
+  cube-only v2 container, ``<prefix>.ckpt<k>.v2`` (no
   fact sections: a partitioned build never holds the fact table), in the
   order write → fsync → rename → directory fsync → manifest → unlink of
   the checkpoint it replaces.  The manifest names a container, with its
@@ -44,11 +45,12 @@ restarting:
   (:func:`repro.storage2.verify.verify_v2`) and cross-checks the row
   counts; the CLI exposes it as ``repro verify-cube``.
 
-Because the pool is flushed at every partition boundary in *both* the
-uninterrupted and the resumed build, the NT/CAT classification windows are
-identical, and a build crashed at any injection point resumes to a cube
-that is byte-identical to an uninterrupted checkpointed build — the
-property the crash/resume suite enumerates exhaustively.
+Because :func:`~repro.core.cure.build_partitioned` flushes the pool at
+every partition boundary — in a plain ``build_cube``, an uninterrupted
+durable build and a resumed one alike — the NT/CAT classification windows
+are identical, and a build crashed at any injection point resumes to a
+cube that is byte-identical to an uninterrupted build, journalled or not —
+the property the crash/resume suites enumerate exhaustively.
 """
 
 from __future__ import annotations
@@ -59,10 +61,17 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.cure import BuildStats, CubeResult, build_cube, build_partitioned
+from repro.core.cure import (
+    BuildStats,
+    CubeResult,
+    build_cube,
+    build_partitioned,
+    fits_beside_pool,
+    signature_pool,
+)
 from repro.core.model import CubeSchema
 from repro.core.partition import Partitioning
-from repro.core.signature import PoolStats, SignaturePool
+from repro.core.signature import PoolStats
 from repro.core.storage import CubeStorage
 from repro.relational.catalog import Catalog
 from repro.relational.durable import (
@@ -170,13 +179,10 @@ class DurableCubeBuild:
 
     ``build()`` starts from scratch (overwriting any previous manifest);
     ``resume()`` picks up after a crash, verifying every artifact the
-    crashed build claimed to have committed before trusting it.  The two
-    paths produce byte-identical cubes because the signature pool is
-    flushed at every partition boundary either way.
-
-    ``checkpoint_every`` trades checkpoint I/O against re-done work on
-    resume; the flush *barriers* happen every partition regardless, so
-    the cadence never changes the cube's content.
+    crashed build claimed to have committed before trusting it.  Both
+    write the bytes a plain ``build_cube`` of the relation writes: the
+    pipeline flushes the signature pool at every partition boundary, and
+    this class checkpoints there.
 
     ``workers`` selects the build executor (see :mod:`repro.build`); it
     is deliberately *not* part of the recorded build options — a build
@@ -192,7 +198,6 @@ class DurableCubeBuild:
     min_count: int = 1
     dr_mode: bool = False
     partition_strategy: str = "exact"
-    checkpoint_every: int = 1
     workers: int = 1
 
     @property
@@ -275,13 +280,9 @@ class DurableCubeBuild:
             stats = _stats_from_json(manifest.stats or {})
             return CubeResult(storage, stats, PoolStats(), None)
 
-        heap = engine.relation(self.relation)
-        pool_bytes = (
-            SignaturePool.size_bytes(self.pool_capacity, self.schema.n_aggregates)
-            if self.pool_capacity
-            else 0
-        )
-        if engine.memory.fits(heap.size_bytes + pool_bytes):
+        if fits_beside_pool(
+            engine, self.relation, self.schema, self.pool_capacity
+        ):
             # In-memory fast path: nothing partial ever reaches disk, so
             # there is no intermediate state to checkpoint — build whole,
             # then commit atomically.
@@ -296,13 +297,11 @@ class DurableCubeBuild:
             )
             self._commit_final(manifest, result.storage, result.stats)
         else:
-            result = self._run_partitioned(manifest, pool_bytes)
+            result = self._run_partitioned(manifest)
         result.stats.elapsed_seconds = time.perf_counter() - started
         return result
 
-    def _run_partitioned(
-        self, manifest: BuildManifest, pool_bytes: int
-    ) -> CubeResult:
+    def _run_partitioned(self, manifest: BuildManifest) -> CubeResult:
         """The Section 4 pipeline (:func:`~repro.core.cure.build_partitioned`)
         with the journal steps of stages A and B."""
         recorded = storage = None
@@ -327,12 +326,7 @@ class DurableCubeBuild:
             )
             completed = 0
             manifest.checkpoint = None
-        pool = SignaturePool(
-            self.pool_capacity,
-            on_flush=storage.write_flush,
-            on_statistics=storage.decide_format,
-            n_aggregates=self.schema.n_aggregates,
-        )
+        pool = signature_pool(storage, self.pool_capacity)
 
         def on_partitioned(staged: Partitioning) -> Partitioning:
             """Stage A: publish the staged relations atomically, record."""
@@ -349,16 +343,9 @@ class DurableCubeBuild:
             return manifest.partitioning()
 
         def on_partition(done: int) -> None:
-            # Barrier: with the pool empty, the in-memory storage is the
-            # complete build state — and the barrier is taken in every
-            # run, so resumed and uninterrupted builds classify NTs vs
-            # CATs over identical windows.
-            pool.flush()
-            if (
-                done % max(1, self.checkpoint_every) == 0
-                or done == len(manifest.partitions)
-            ):
-                self._write_checkpoint(manifest, storage, stats, done)
+            # The pipeline has just flushed the pool: the in-memory
+            # storage is the complete build state.
+            self._write_checkpoint(manifest, storage, stats, done)
 
         decision = build_partitioned(
             self.schema,
@@ -368,7 +355,6 @@ class DurableCubeBuild:
             stats,
             self.engine,
             self.relation,
-            pool_bytes,
             self.partition_strategy,
             self.workers,
             name_suffix=_STAGING_SUFFIX,

@@ -29,7 +29,7 @@ def test_single_level_plan_shape():
     schema = _schema()
     plan = _level_plan(schema, ["fact.part0", "fact.part1"], 2)
     assert len(plan.units) == 3
-    assert plan.n_partition_units == 2
+    assert sum(unit.kind == "partition" for unit in plan.units) == 2
     for index, unit in enumerate(plan.units[:2]):
         assert unit.index == index
         assert unit.kind == "partition"

@@ -7,7 +7,10 @@ crashed exactly there, resumed with a *fresh* engine — simulating a new
 process that sees only what reached disk — and the resumed cube must be
 byte-identical to the uninterrupted build: same NT rows, TT row-ids, CAT
 rows per node, same AGGREGATES relation, same CAT format.  ``verify_cube``
-must also pass, replaying the manifest's checksums and cardinalities.
+must also pass, replaying the manifest's checksums and cardinalities.  A
+plain ``build_cube`` of the same relation, at one and two workers, must
+write those bytes too: every partitioned build flushes the signature pool
+at each partition barrier, journalled or not.
 
 Torn writes (power loss mid-``write``) and transient I/O errors (absorbed
 by the bounded-retry wrapper, no resume needed) are exercised on top of
@@ -21,7 +24,14 @@ import random
 
 import pytest
 
-from repro import CubeSchema, Engine, Table, linear_dimension, make_aggregates
+from repro import (
+    CubeSchema,
+    Engine,
+    Table,
+    build_cube,
+    linear_dimension,
+    make_aggregates,
+)
 from repro.core.recovery import DurableCubeBuild, verify_cube
 from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indices
 from repro.relational.catalog import Catalog
@@ -83,7 +93,28 @@ def baseline(instance, tmp_path_factory):
     assert report.ok, report.describe()
     reference = cube_bytes(result.storage)
     engine.close()
+    assert [
+        _plain_cube(tmp_path_factory, instance, workers) for workers in (1, 2)
+    ] == [reference, reference], "a plain build must write the durable bytes"
     return reference, list(recorder.trace)
+
+
+def _plain_cube(tmp_path_factory, instance, workers: int) -> tuple:
+    """``build_cube`` over the same relation and budget, without a journal."""
+    schema, table = instance
+    engine = _fresh_engine(
+        tmp_path_factory.mktemp("plain"), schema, table, _budget(schema, table)
+    )
+    result = build_cube(
+        schema,
+        engine=engine,
+        relation="fact",
+        pool_capacity=POOL_CAPACITY,
+        workers=workers,
+    )
+    cube = cube_bytes(result.storage)
+    engine.close()
+    return cube
 
 
 def _crash_then_resume(tmp_path, instance, plan) -> tuple:

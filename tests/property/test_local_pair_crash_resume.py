@@ -10,7 +10,9 @@ recorded trace must contain the ``repartition.pair:<partition>`` site,
 and a build crashed at any recorded point — including a window right
 around that site, while the ``.sub<i>``/``.coarseN*`` scaffolding is
 half-written — must resume to a cube byte-identical to the
-uninterrupted durable build.
+uninterrupted durable build, which a plain ``build_cube`` at one and two
+workers must match too (this pins the NT/CAT split that
+``tests/integration/test_skew_stress.py`` leaves uncompared).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 
 import pytest
 
-from repro import CubeSchema, Engine, Table
+from repro import CubeSchema, Engine, Table, build_cube
 from repro.core.recovery import DurableCubeBuild, verify_cube
 from repro.core.signature import SignaturePool
 from repro.datasets.synthetic import generate_flat_dataset
@@ -100,7 +102,27 @@ def baseline(instance, tmp_path_factory):
     assert report.ok, report.describe()
     reference = cube_bytes(result.storage)
     engine.close()
+    assert [
+        _plain_cube(tmp_path_factory, instance, workers) for workers in (1, 2)
+    ] == [reference, reference], "a plain build must write the durable bytes"
     return reference, list(recorder.trace)
+
+
+def _plain_cube(tmp_path_factory, instance, workers: int) -> tuple:
+    """``build_cube`` over the same relation and budget, without a journal."""
+    schema, table = instance
+    engine = _fresh_engine(tmp_path_factory.mktemp("plain"), schema, table)
+    result = build_cube(
+        schema,
+        engine=engine,
+        relation="fact",
+        pool_capacity=POOL_CAPACITY,
+        partition_strategy="uniform",
+        workers=workers,
+    )
+    cube = cube_bytes(result.storage)
+    engine.close()
+    return cube
 
 
 def _crash_then_resume(tmp_path, instance, plan) -> tuple:

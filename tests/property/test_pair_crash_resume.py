@@ -8,7 +8,8 @@ too coarse for sound single-dimension partitions forces
 nodes, all staged, published, and checkpointed.  A build crashed at any
 recorded injection point must resume — from a fresh engine that sees
 only what reached disk — to a cube byte-identical to the uninterrupted
-durable build.
+durable build, which a plain ``build_cube`` at one and two workers must
+match too.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro import (
     CubeSchema,
     Engine,
     Table,
+    build_cube,
     flat_dimension,
     linear_dimension,
     make_aggregates,
@@ -91,7 +93,26 @@ def baseline(instance, tmp_path_factory):
     assert report.ok, report.describe()
     reference = cube_bytes(result.storage)
     engine.close()
+    assert [
+        _plain_cube(tmp_path_factory, instance, workers) for workers in (1, 2)
+    ] == [reference, reference], "a plain build must write the durable bytes"
     return reference, list(recorder.trace)
+
+
+def _plain_cube(tmp_path_factory, instance, workers: int) -> tuple:
+    """``build_cube`` over the same relation and budget, without a journal."""
+    schema, table = instance
+    engine = _fresh_engine(tmp_path_factory.mktemp("plain"), schema, table)
+    result = build_cube(
+        schema,
+        engine=engine,
+        relation="fact",
+        pool_capacity=POOL_CAPACITY,
+        workers=workers,
+    )
+    cube = cube_bytes(result.storage)
+    engine.close()
+    return cube
 
 
 def _crash_then_resume(tmp_path, instance, plan) -> tuple:
