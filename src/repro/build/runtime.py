@@ -1,18 +1,18 @@
 """Task interpreter: run one :class:`TaskSpec` against an engine.
 
-:func:`execute_task` is the single implementation both executors share —
-the sequential executor calls it in the driver process against the build
-engine, worker processes call it against their own engine over the same
-catalog directory.  Either way a partition or coarse node is loaded as a
-read-only ``np.memmap`` view of the shared file (:meth:`Engine.load`).
+:func:`execute_task` is the single implementation every process runs —
+the driver against the build engine, helper processes against their own
+engine over the same catalog directory.  Either way a partition or
+coarse node is loaded as a read-only ``np.memmap`` view of the shared
+file (:meth:`Engine.load`).
 
 Every code path here is a *pure producer*: it loads a relation, runs the
 builder over it, and returns the raw event streams.  The
 one stateful branch — an over-budget partition — does mutate the catalog
 (adaptive re-partitioning writes ``.sub<i>``/``.coarseN*`` scaffolding),
 but deterministically: the split decision depends only on the partition's
-rows and the engine's free budget, both of which are identical across
-executors, so any executor expands a given task into the same children.
+rows and the engine's free budget, both of which are identical in every
+process, so any process expands a given task into the same children.
 """
 
 from __future__ import annotations

@@ -2,20 +2,20 @@
 
 The plan layer (:mod:`repro.build.plan`) turns a partitioning decision
 into an ordered DAG of :class:`TaskSpec`\\ s; the executor layer runs them
-(in this process or in worker processes) and hands back
+(in the driver and in helper processes) and hands back
 :class:`TaskOutcome`\\ s; the driver *replays* each outcome — in plan
 order — into the real :class:`~repro.core.storage.CubeStorage` and
 :class:`~repro.core.signature.SignaturePool`.
 
-The replay discipline is what makes every executor byte-identical to
-every other: a task never classifies anything.  It returns the
+The replay discipline is what makes a build byte-identical for every
+``workers`` count: a task never classifies anything.  It returns the
 **raw event stream** of Figure 13's recursion — trivial-tuple writes
 ``(node_id, rowid)`` and signature adds ``(node_id, rowid,
 aggregates…[, codes…])`` (codes in ``CURE_DR``) — as the two int64
 arrays the builder produces, in emission order.  The coordinator owns the one true
 signature pool and feeds it the streams in deterministic task order, so
 flush windows, NT/CAT classification, and the first-flush format decision
-are exactly those of a sequential build, no matter how many workers
+are exactly those of a one-process build, no matter how many processes
 produced the streams or in which order they finished.
 """
 
@@ -70,9 +70,9 @@ class TaskOutcome:
     overflowed the budget and adaptive re-partitioning produced child
     tasks); the scheduler splices the children into the unit's order right
     after this outcome.  ``trace`` carries the fault-injector site events
-    a worker process fired while running the task, for deterministic
-    merging into the coordinator's trace; it stays empty under the
-    sequential executor, whose fires land on the driver injector directly.
+    the process that ran the task fired meanwhile (moved off its
+    injector), for deterministic merging into the driver's trace;
+    ``peak_bytes`` is the high-water mark of the task's own reservations.
     """
 
     task: TaskSpec
@@ -124,7 +124,7 @@ def merge_build_stats(into: BuildStats, delta: BuildStats) -> None:
     """Fold one task's counter deltas into the build-wide stats.
 
     Addition commutes, and outcomes are applied in deterministic plan
-    order, so totals are the same under every executor, field for field.
+    order, so totals are the same for every ``workers``, field for field.
     Executor-level fields (``tasks_run``/``tasks_stolen``/``workers``)
     and wall-clock time are owned by the driver, ``peak_worker_bytes`` by
     :func:`apply_outcome`, not by per-task deltas.
@@ -155,10 +155,10 @@ def apply_outcome(
     task, a partitioned build one per partition file and coarse node.
     TT events and signature adds feed disjoint sinks (per-node TT lists
     vs. the pool), so replaying the two streams back to back writes the
-    bytes an interleaved emission would.  Worker-side
-    injector traces are appended to the coordinator trace here — at the
-    outcome's deterministic position — so a recording run enumerates one
-    stable site sequence regardless of executor.
+    bytes an interleaved emission would.  A task's injector trace,
+    whichever process ran it, is appended to the driver's trace here — at
+    the outcome's deterministic position — so a recording run enumerates
+    one stable site sequence for any ``workers``.
     """
     trace = getattr(faults, "trace", None)
     if trace is not None and outcome.trace:

@@ -54,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.build import check_workers
 from repro.bundle import open_bundle, save_bundle
 from repro.core.recovery import verify_cube
 from repro.core.variants import VARIANTS
@@ -83,6 +84,14 @@ def _parse_spec(path: str) -> tuple[list[DimensionSpec], list[MeasureSpec], tupl
             (name, index) for name, index in payload["aggregates"]
         )
     return dimensions, measures, aggregates
+
+
+def _workers(text: str) -> int:
+    """``--workers``: the executor's own check, as a usage error."""
+    try:
+        return check_workers(int(text))
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def cmd_build(args) -> int:
@@ -454,11 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
              "re-partitioning on skewed inputs",
     )
     build.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the partition build (default 1 = "
-             "sequential in-process executor; N > 1 fans partition tasks "
-             "out to a work-stealing pool of at most N processes, forked "
-             "from this one where the platform can fork, else spawned)",
+        "--workers", type=_workers, default=1,
+        help="processes that run the partition build's tasks (default 1 = "
+             "this process alone; N > 1 adds up to N - 1 work-stealing "
+             "helper processes, forked from this one where the platform "
+             "can fork, else spawned)",
     )
     build.set_defaults(handler=cmd_build)
 

@@ -542,13 +542,17 @@ def build_cube(
     an optimistic estimate under-provisioned is re-partitioned adaptively
     at load time instead of aborting the build.
 
-    ``workers > 1`` runs the partitioned pipeline's tasks on that many
-    worker processes (:class:`repro.build.parallel.ProcessPoolExecutor`);
-    the output is byte-identical to ``workers=1``.  ``executor`` injects a
-    pre-built :class:`repro.build.BuildExecutor` instead (tests, custom
-    budgets).  Both are ignored on the in-memory fast path, which has no
+    ``workers`` is how many processes run the partitioned pipeline's
+    tasks: the driver and ``workers − 1`` helpers
+    (:class:`repro.build.parallel.ProcessPoolExecutor`); the output is
+    byte-identical for every count, and a count below 1 is a
+    ``ValueError``.  ``executor`` injects a pre-built executor instead
+    (tests).  Both are ignored on the in-memory fast path, which has no
     tasks to schedule.
     """
+    from repro.build.parallel import check_workers
+
+    check_workers(workers)
     if (table is None) == (engine is None or relation is None):
         raise ValueError("provide either `table` or both `engine` and `relation`")
 
@@ -637,7 +641,7 @@ def _build_in_memory(
     )
     tts, sigs = builder.run(working)
     # The whole input is one task: its events reach the storage and the
-    # pool the way every executor's do.
+    # pool the way a partitioned build's tasks do.
     task = TaskSpec("memory", KIND_COARSE_RUN, "")
     apply_outcome(TaskOutcome(task, tts, sigs, builder.stats), storage, pool, stats)
     pool.flush()  # line 22 of Algorithm CURE
@@ -667,10 +671,10 @@ def build_partitioned(
     :mod:`repro.build` makes of it — one task per partition file, then the
     coarse node(s); adaptive re-partitioning of an over-budget partition
     happens inside the executor as a task expansion.  The driver owns the
-    pool and the storage: executors only hand back per-unit outcome
+    pool and the storage: the executor only hands back per-unit outcome
     batches, which are applied — and their scaffolding relations dropped —
     in plan order, so flush windows and NT/CAT classification are
-    identical under every executor.
+    identical for every ``workers``.
 
     The pool is flushed after every partition unit and once after the
     coarse units, for every caller.  So a partition's rows in each node
@@ -692,7 +696,7 @@ def build_partitioned(
             "external partitioning requires distributive aggregates "
             "(observation 3 of Section 4 excludes holistic functions)"
         )
-    from repro.build import apply_outcome, make_executor, partition_plan
+    from repro.build import ProcessPoolExecutor, apply_outcome, partition_plan
 
     storage.fact_row_count = len(engine.relation(relation))
     faults = engine.catalog.faults
@@ -727,7 +731,7 @@ def build_partitioned(
             storage.partition_level2 = partitioning.levels[1]
         if start_unit == 0:
             stats.fact_read_passes += 1  # loading the partitions re-reads R once
-        build_executor = make_executor(engine, workers, executor)
+        build_executor = executor or ProcessPoolExecutor(engine, workers)
         build_executor.run(
             partition_plan(schema, min_count, partitioning, storage.dr_mode), on_unit, start_unit
         )

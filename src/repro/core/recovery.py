@@ -27,14 +27,14 @@ restarting:
   and its per-section checksums, maps it, and re-runs only the
   partitions after it.  Four ``fsync``s, whatever the lattice size.
   Construction itself runs through the :mod:`repro.build` scheduler —
-  sequential or multi-process — which delivers each partition's outcomes
-  as one unit; adaptive re-partitioning (including the *local pair*
-  split for intra-member skew) happens inside the executor as a task
-  expansion, i.e. strictly between checkpoints: a crash mid-split
-  re-runs that partition from the previous barrier, and because the
-  split decisions are recomputed deterministically (exact counts over
-  the same rows, same budget) the resumed build recreates identical
-  ``.sub<i>`` / ``.coarseN*`` scaffolding and the cube stays
+  the driver alone or beside helper processes — which delivers each
+  partition's outcomes as one unit; adaptive re-partitioning (including
+  the *local pair* split for intra-member skew) happens inside the
+  executor as a task expansion, i.e. strictly between checkpoints: a
+  crash mid-split re-runs that partition from the previous barrier, and
+  because the split decisions are recomputed deterministically (exact
+  counts over the same rows, same budget) the resumed build recreates
+  identical ``.sub<i>`` / ``.coarseN*`` scaffolding and the cube stays
   byte-identical.
 * **Stage C — coarse node + final commit.**  The finished cube is
   written the way a checkpoint is, as the cube-only container
@@ -61,6 +61,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.build.parallel import check_workers
 from repro.core.cure import (
     BuildStats,
     CubeResult,
@@ -184,10 +185,11 @@ class DurableCubeBuild:
     pipeline flushes the signature pool at every partition boundary, and
     this class checkpoints there.
 
-    ``workers`` selects the build executor (see :mod:`repro.build`); it
-    is deliberately *not* part of the recorded build options — a build
-    crashed under one executor may resume under another, because every
-    executor produces the same bytes and the same checkpoints.
+    ``workers`` is how many processes run the build's tasks (see
+    :mod:`repro.build`; below 1 is a ``ValueError``); it is deliberately
+    *not* part of the recorded build options — a build crashed under one
+    count may resume under another, because every count produces the
+    same bytes and the same checkpoints.
     """
 
     schema: CubeSchema
@@ -199,6 +201,9 @@ class DurableCubeBuild:
     dr_mode: bool = False
     partition_strategy: str = "exact"
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        check_workers(self.workers)
 
     @property
     def manifest_path(self) -> Path:

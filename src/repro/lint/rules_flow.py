@@ -10,8 +10,8 @@ over a directory and soundly degraded (single-module graph) under
 * **R12** — parallel-safety audit: ``global`` rebinds anywhere, and
   unsynchronized mutation of module-level mutable state by any function
   reachable from the parallel entry points: the build-task interpreters
-  (``execute_task`` — shared by both executors — and the worker-process
-  loop ``_worker_main``) and the serving layer's
+  (``execute_task`` — which the driver and every helper process run —
+  and the helper loop ``_worker_main``) and the serving layer's
   per-connection and per-request entries ``serve_connection`` and
   ``dispatch_request``, which the HTTP front's pool threads run
   concurrently over shared caches.  Mutation under a
@@ -52,10 +52,10 @@ DURABLE_PRIMITIVES = frozenset(
 _FIRE_CALLS = {"maybe_fire": 1, "fire": 0, "_fire_retrying": 0}
 
 #: Parallel entry points whose transitive callees R12/R13 audit.
-#: ``execute_task`` is the shared task interpreter both build executors
-#: run (the sequential one inline, ``_worker_main`` in worker processes,
-#: forked or spawned); ``process_partition`` is the entry the lint
-#: fixtures define, nothing under ``src/``;
+#: ``execute_task`` is the task interpreter every process of a build
+#: runs through ``run_task`` (the driver inline, ``_worker_main`` in
+#: helper processes, forked or spawned); ``process_partition`` is the
+#: entry the lint fixtures define, nothing under ``src/``;
 #: ``dispatch_request`` is the slicer server's per-request entry — many
 #: HTTP threads run it concurrently over one shared planner, so every
 #: module-state mutation it can reach needs a lock; ``serve_connection``

@@ -1,6 +1,6 @@
 """How pool workers start — and that it cannot be told from the output.
 
-``ProcessPoolExecutor`` forks its workers from the driver when the
+``ProcessPoolExecutor`` forks its helpers from the driver when the
 platform can fork and the driver runs no other thread at ``run()``;
 otherwise it spawns fresh interpreters.  The choice is not a parameter,
 so the tests steer it the way real callers do — by running a thread, or
@@ -13,6 +13,7 @@ workers.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 
@@ -99,6 +100,35 @@ def start_methods(monkeypatch):
     return asked
 
 
+class _CountingContext:
+    """A multiprocessing context that counts the processes it creates."""
+
+    def __init__(self, context) -> None:
+        self.context = context
+        self.processes = 0
+
+    def __getattr__(self, name):
+        return getattr(self.context, name)
+
+    def Process(self, *args, **kwargs):  # noqa: N802 - the context's name
+        self.processes += 1
+        return self.context.Process(*args, **kwargs)
+
+
+@pytest.fixture
+def contexts(monkeypatch):
+    """Every context ``parallel.get_context`` hands out, counting."""
+    handed = []
+    get_context = parallel.get_context
+
+    def counting(method):
+        handed.append(_CountingContext(get_context(method)))
+        return handed[-1]
+
+    monkeypatch.setattr(parallel, "get_context", counting)
+    return handed
+
+
 def _assert_same_build(built, sequential) -> None:
     cube, files, stats = built
     assert stats.workers == 2
@@ -148,6 +178,22 @@ def test_no_more_workers_than_root_tasks(tmp_path):
     _cube, _files, stats = _build(tmp_path, small, 16, allowance_rows=120)
     assert stats.partitions_created == 3
     assert stats.workers == 4  # three partition tasks and the coarse task
+
+
+@pytest.mark.parametrize("workers, helpers", [(1, 0), (2, 1), (3, 2), (16, 3)])
+def test_the_driver_is_one_of_the_workers(tmp_path, contexts, workers, helpers):
+    """``workers=N`` starts ``min(N, root tasks) - 1`` helper processes —
+    none, and no context, for ``workers=1`` — and joins them all."""
+    small = generate_flat_dataset(
+        2, 300, seed=3, cardinalities=(3, 6), aggregates=(("sum", 0),)
+    )
+    _cube, _files, stats = _build(tmp_path, small, workers, allowance_rows=120)
+    assert stats.partitions_created == 3  # four root tasks with the coarse one
+    assert stats.workers == helpers + 1
+    assert [context.processes for context in contexts] == (
+        [helpers] if helpers else []
+    )
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_does_not_start_over_buffered_writes(tmp_path, instance):

@@ -1,22 +1,24 @@
 """Property: a parallel build survives a worker dying at any task site.
 
-The work-stealing executor's failure mode is different from the driver
-crashes the other property suites sweep: an :class:`InjectedCrash` inside
-a worker process kills that *process* outright (``os._exit``, no cleanup,
-no exception marshalling), and the coordinator turns the silence into
-:class:`WorkerCrashed`.  For a durable build that must be an ordinary
-crash point — the manifest still references the last checkpoint, so a
-fault-free ``resume()`` (under either executor) recovers a cube
-byte-identical to the uninterrupted build.
+A ``workers=2`` build runs its tasks in two processes: the driver and
+one helper.  An :class:`InjectedCrash` inside the helper kills that
+*process* outright (``os._exit``, no cleanup, no exception
+marshalling), and the driver turns the silence into
+:class:`WorkerCrashed`; one inside a task the driver runs itself is the
+plain :class:`InjectedCrash`, as in the other property suites.  Which
+process runs a task depends on work stealing, so a swept site may raise
+either — and both must be ordinary crash points of a durable build: the
+manifest still references the last checkpoint, so a fault-free
+``resume()`` (under any ``workers``) recovers a cube byte-identical to
+the uninterrupted build.
 
-Sites are enumerated from a sequential recording run: the sequential
-executor fires the same ``build.worker:<task_id>`` /
-``build.worker:<task_id>.publish`` pairs on the driver injector that
-workers fire on their own, and task ids are deterministic, so the
-recorded list is exactly the set of worker-side kill points.  Each swept
-spec pins one concrete site (``hit=1``) — hit-counting on a wildcard
-would not replay across process boundaries, since every worker counts
-its own fires.
+Sites are enumerated from a ``workers=1`` recording run: every process
+fires the same ``build.worker:<task_id>`` /
+``build.worker:<task_id>.publish`` pairs on its own injector, and task
+ids are deterministic, so the recorded list is exactly the set of
+task-side kill points.  Each swept spec pins one concrete site
+(``hit=1``) — hit-counting on a wildcard would not replay across process
+boundaries, since every process counts its own fires.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.core.signature import SignaturePool
 from repro.datasets.synthetic import generate_flat_dataset
 from repro.faults import FaultInjector, FaultKind, FaultSpec, seeded_crash_indices
 from repro.relational.catalog import Catalog
+from repro.relational.durable import InjectedCrash
 from repro.relational.memory import MemoryManager
 from tests.support.rows import cube_bytes
 
@@ -124,7 +127,8 @@ def test_worker_death_at_every_task_site_resumes_identical(
                 plan=(FaultSpec(site=site, kind=FaultKind.CRASH, hit=1),)
             )
         )
-        with pytest.raises(WorkerCrashed):
+        # The helper ran the task, or the driver did.
+        with pytest.raises((WorkerCrashed, InjectedCrash)):
             _durable(schema, engine, workers=WORKERS).build()
         engine.close()
 
@@ -142,7 +146,7 @@ def test_worker_death_at_every_task_site_resumes_identical(
 def test_worker_death_mid_unit_never_loses_checkpoints(
     tmp_path_factory, instance, baseline
 ):
-    """Kill a worker on the *last* partition task: every earlier unit's
+    """Kill the process running the *last* task: every earlier unit's
     checkpoint must survive, so the resume re-runs only the tail."""
     reference, worker_sites = baseline
     schema, table = instance
@@ -153,7 +157,7 @@ def test_worker_death_mid_unit_never_loses_checkpoints(
     engine.install_faults(
         FaultInjector(plan=(FaultSpec(site=site, kind=FaultKind.CRASH, hit=1),))
     )
-    with pytest.raises(WorkerCrashed):
+    with pytest.raises((WorkerCrashed, InjectedCrash)):
         _durable(schema, engine, workers=WORKERS).build()
     engine.close()
 
