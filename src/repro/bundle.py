@@ -16,8 +16,11 @@ A bundle holds everything needed to answer queries later, in one place:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
+
+from orjson import JSONDecodeError, loads
 
 from repro.core.model import CubeSchema
 from repro.core.storage import CubeStorage
@@ -58,6 +61,15 @@ def _dimension_to_json(dimension: Dimension) -> dict:
     }
 
 
+def _integer(value, field: str) -> int:
+    """A ``bundle.json`` integer (orjson reads one ≥ 2**64 as a float)."""
+    if type(value) is not int:
+        raise ValueError(
+            f"bundle.json: field {field!r} holds {value!r}, not an integer"
+        )
+    return value
+
+
 def _dimension_from_json(payload: dict) -> Dimension:
     member_names = None
     if payload.get("member_names") is not None:
@@ -65,16 +77,23 @@ def _dimension_from_json(payload: dict) -> Dimension:
             tuple(names) if names is not None else None
             for names in payload["member_names"]
         )
-    return Dimension(
-        payload["name"],
-        tuple(
-            Level(entry["name"], entry["cardinality"])
-            for entry in payload["levels"]
-        ),
-        tuple(tuple(m) for m in payload["base_maps"]),
-        tuple(tuple(p) for p in payload["parents"]),
-        member_names,
+    levels = tuple(
+        Level(entry["name"], _integer(entry["cardinality"], "cardinality"))
+        for entry in payload["levels"]
     )
+    try:
+        return Dimension(
+            payload["name"],
+            levels,
+            tuple(tuple(m) for m in payload["base_maps"]),
+            tuple(tuple(p) for p in payload["parents"]),
+            member_names,
+        )
+    except OverflowError:
+        raise ValueError(
+            f"bundle.json: field 'base_maps' of {payload['name']!r} holds "
+            "a code beyond int64"
+        ) from None
 
 
 def schema_to_json(schema: CubeSchema) -> dict:
@@ -96,7 +115,7 @@ def schema_from_json(payload: dict) -> CubeSchema:
         make_aggregates(
             *[(name, index) for name, index in payload["aggregates"]]
         ),
-        payload["n_measures"],
+        _integer(payload["n_measures"], "n_measures"),
     )
 
 
@@ -210,7 +229,7 @@ def streamed_container(directory: str | Path) -> Path | None:
     manifest = Path(directory) / f"{STREAM_PREFIX}.ingest.json"
     if not manifest.exists():
         return None
-    payload = json.loads(manifest.read_text())
+    payload = loads(manifest.read_bytes())
     if "container" not in payload:
         raise RuntimeError(
             f"{manifest} predates one-file ingest generations; rebuild the "
@@ -219,11 +238,20 @@ def streamed_container(directory: str | Path) -> Path | None:
     return manifest.parent / str(payload["container"])
 
 
-def _bundle_header(root: Path) -> tuple[CubeSchema, dict]:
+def bundle_header(root: Path) -> tuple[CubeSchema, dict]:
+    """The schema and the ``extra`` bookkeeping ``bundle.json`` holds."""
     meta_path = root / BUNDLE_META
     if not meta_path.exists():
         raise FileNotFoundError(f"{root} does not contain a cube bundle")
-    meta = json.loads(meta_path.read_text())
+    text = meta_path.read_bytes()
+    try:
+        meta = loads(text)
+    except JSONDecodeError as error:
+        # Name the field: the nearest key before the offending value.
+        field = ([b"?"] + re.findall(rb'"([^"]*)":', text[: error.pos]))[-1]
+        raise ValueError(
+            f"{meta_path}: field {field.decode(errors='replace')!r}: {error.msg}"
+        ) from None
     return schema_from_json(meta["schema"]), meta.get("extra", {})
 
 
@@ -244,7 +272,7 @@ def open_bundle(directory: str | Path) -> CubeBundle:
     bit flips surface the same way, lazily, on first access.
     """
     root = Path(directory)
-    schema, extra = _bundle_header(root)
+    schema, extra = bundle_header(root)
     container = publish_v2_bundle(root)
     if not container.exists():
         raise RuntimeError(

@@ -305,12 +305,7 @@ def _parse_delta_csv(schema, path: str) -> np.ndarray:
 
 
 def cmd_ingest(args) -> int:
-    from repro.bundle import (
-        BUNDLE_META,
-        STREAM_LOG_DIR,
-        STREAM_PREFIX,
-        schema_from_json,
-    )
+    from repro.bundle import STREAM_LOG_DIR, STREAM_PREFIX, bundle_header
     from repro.ingest import IngestError, StreamingIngestor
     from repro.relational.engine import Engine
     from repro.relational.memory import MemoryManager
@@ -319,13 +314,12 @@ def cmd_ingest(args) -> int:
     from repro.storage2.mapped import MappedFactTable
 
     root = Path(args.cube)
-    meta_path = root / BUNDLE_META
-    if not meta_path.exists():
-        raise SystemExit(f"{root} does not contain a cube bundle")
-    meta = json.loads(meta_path.read_text())
-    schema = schema_from_json(meta["schema"])
+    try:
+        schema, extra = bundle_header(root)
+    except FileNotFoundError as error:
+        raise SystemExit(str(error)) from None
     delta_rows = _parse_delta_csv(schema, args.csv)
-    plus = "+" in str(meta.get("extra", {}).get("variant", ""))
+    plus = "+" in str(extra.get("variant", ""))
     overhead = args.compact_overhead if args.compact_overhead > 0 else None
     engine = Engine(Catalog(root), MemoryManager())
     try:
@@ -419,9 +413,14 @@ def cmd_verify_cube(args) -> int:
     per-section bytes are reported.
     """
     if args.cube is not None:
+        from repro.bundle import bundle_header
         from repro.storage2 import publish_v2_bundle, verify_v2
 
-        report = verify_v2(publish_v2_bundle(args.cube))
+        schema, _extra = bundle_header(Path(args.cube))
+        report = verify_v2(
+            publish_v2_bundle(args.cube),
+            [dimension.base_cardinality for dimension in schema.dimensions],
+        )
         print(report.describe())
         return 0 if report.ok else 1
     if args.catalog is None:

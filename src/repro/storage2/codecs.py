@@ -19,14 +19,15 @@ format exists to make instant.
   them costs less than hashing the raw bytes did — where a bit-exact
   pack would put ``bitpack_decode``'s per-plane loop on the request path.
 * **bitpack** — non-negative integers stored as ``bits`` bit-planes,
-  each plane packed with ``np.packbits`` ("Efficient Representation of
-  Multidimensional Data over Hierarchical Domains": dimension codes
-  need ``⌈log2 cardinality⌉`` bits, not 32).
+  each plane packed with ``np.packbits`` and read back eight planes to
+  a byte of the narrowest word that holds ``bits`` ("Efficient
+  Representation of Multidimensional Data over Hierarchical Domains":
+  dimension codes need ``⌈log2 cardinality⌉`` bits, not 32).
 * **delta** — zigzag-encoded deltas as LEB128 varints.  Sorted row-id
-  lists (CURE+ TTs) become streams of tiny positive gaps;
-  the decode is one ``np.bitwise_or.reduceat`` over shifted 7-bit
-  groups, with the varint terminator bytes (high bit clear) marking the
-  group boundaries.
+  lists (CURE+ TTs) become streams of tiny positive gaps; the decode
+  gathers one 7-bit limb position per pass, over only the varints that
+  reach it, with the varint terminator bytes (high bit clear) marking
+  where each ends.
 * **roaring** — the Roaring partitioning: values split by their high 16
   bits into per-chunk containers, each stored as a sorted ``uint16``
   array (sparse) or a 8 KiB bitmap (dense, > 4096 members).
@@ -179,8 +180,15 @@ def min_bits(values: np.ndarray) -> int:
     return max(1, high.bit_length())
 
 
+def _word_bytes(bits: int) -> int:
+    """Bytes of the narrowest unsigned word (1, 2, 4 or 8) holding ``bits``."""
+    return next(width for width in (1, 2, 4, 8) if bits <= 8 * width)
+
+
 def bitpack_encode(values: np.ndarray, bits: int) -> bytes:
-    """Pack non-negative integers into ``bits`` little-endian bit-planes."""
+    """Pack non-negative integers into ``bits`` little-endian bit-planes:
+    plane ``b`` is bit ``b % 8`` of byte ``b // 8`` of each value's
+    narrowest word, written one plane at a time into a uint8 buffer."""
     if not 1 <= bits <= 63:
         raise CodecError(f"bitpack width must be in [1, 63], got {bits}")
     v = np.asarray(values, dtype=np.int64)
@@ -188,14 +196,24 @@ def bitpack_encode(values: np.ndarray, bits: int) -> bytes:
         return b""
     if int(v.min()) < 0 or int(v.max()) >= (1 << bits):
         raise CodecError(f"values do not fit in {bits} bits")
-    u = v.astype(np.uint64)
-    shifts = np.arange(bits, dtype=np.uint64)
-    planes = ((u[None, :] >> shifts[:, None]) & np.uint64(1)).astype(np.uint8)
+    width = _word_bytes(bits)
+    octets = v.astype(f"<u{width}").view(np.uint8).reshape(len(v), width)
+    planes = np.empty((bits, len(v)), dtype=np.uint8)
+    for low in range(0, bits, 8):
+        byte = np.ascontiguousarray(octets[:, low // 8])
+        for b in range(low, min(low + 8, bits)):
+            np.right_shift(byte, b - low, out=planes[b])
+            planes[b] &= 1
     return np.packbits(planes, axis=1, bitorder="little").tobytes()
 
 
 def bitpack_decode(data: bytes, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`bitpack_encode`; returns an int64 array."""
+    """Inverse of :func:`bitpack_encode`; returns an int64 array.
+
+    Eight planes fold into each byte of the narrowest word that holds
+    ``bits`` (by multiplying by ``2**k``: numpy vectorizes a uint8
+    multiply, not a uint8 shift), which widens to int64 once.
+    """
     if not 1 <= bits <= 63:
         raise CodecError(f"bitpack width must be in [1, 63], got {bits}")
     if count == 0:
@@ -212,10 +230,15 @@ def bitpack_decode(data: bytes, bits: int, count: int) -> np.ndarray:
     planes = np.unpackbits(
         raw.reshape(bits, stride), axis=1, count=count, bitorder="little"
     )
-    out = np.zeros(count, dtype=np.int64)
-    for b in range(bits):
-        out |= planes[b].astype(np.int64) << b
-    return out
+    width = _word_bytes(bits)
+    octets = np.zeros((count, width), dtype=np.uint8)
+    for low in range(0, bits, 8):
+        byte = planes[low]
+        for b in range(low + 1, min(low + 8, bits)):
+            np.multiply(planes[b], np.uint8(1 << (b - low)), out=planes[b])
+            byte |= planes[b]
+        octets[:, low // 8] = byte
+    return octets.view(f"<u{width}").reshape(count).astype(np.int64)
 
 
 # -- zigzag delta varints ------------------------------------------------------
@@ -272,10 +295,10 @@ def delta_encode(values: np.ndarray) -> bytes:
 def delta_decode(data: bytes, count: int) -> np.ndarray:
     """Inverse of :func:`delta_encode`; returns an int64 array.
 
-    Fully vectorized: terminator bytes (high bit clear) delimit varint
-    groups; each group's 7-bit limbs are shifted into place and OR-folded
-    with one ``np.bitwise_or.reduceat``, then the zigzagged deltas cumsum
-    back to the original values.
+    Terminator bytes (high bit clear) end the varints.  Every varint's
+    first 7-bit limb is gathered at once, then each pass ORs in the next
+    limb of only the varints that continue: as many passes as the
+    longest varint has bytes.  The zigzagged deltas cumsum back.
     """
     if count == 0:
         if data:
@@ -284,7 +307,7 @@ def delta_decode(data: bytes, count: int) -> np.ndarray:
     raw = np.frombuffer(data, dtype=np.uint8)
     if len(raw) == 0:
         raise CodecError(f"empty delta payload for {count} values")
-    ends = np.flatnonzero((raw & 0x80) == 0)
+    ends = np.flatnonzero(raw < 0x80)
     if len(ends) != count:
         raise CodecError(
             f"delta payload holds {len(ends)} varints, expected {count}"
@@ -294,16 +317,18 @@ def delta_decode(data: bytes, count: int) -> np.ndarray:
     starts = np.empty(count, dtype=np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    if int(lengths.max()) > _VARINT_MAX_BYTES:
-        raise CodecError("varint longer than 10 bytes in delta payload")
-    position = np.arange(len(raw), dtype=np.int64) - np.repeat(
-        starts, lengths
-    )
-    limbs = (raw.astype(np.uint64) & np.uint64(0x7F)) << (
-        np.uint64(7) * position.astype(np.uint64)
-    )
-    z = np.bitwise_or.reduceat(limbs, starts)
+    z = (raw[starts] & 0x7F).astype(np.uint64)
+    live = np.flatnonzero(ends > starts)
+    at, shift = starts[live], 0
+    while len(live):
+        at += 1
+        shift += 7
+        limb = raw[at]
+        if shift == 63 and int(limb.max()) > 1:  # the tenth byte; no eleventh
+            raise CodecError("varint longer than 64 bits in delta payload")
+        z[live] |= (limb & 0x7F).astype(np.uint64) << np.uint64(shift)
+        more = limb >= 0x80
+        live, at = live[more], at[more]
     return np.cumsum(_unzigzag(z), dtype=np.int64)
 
 

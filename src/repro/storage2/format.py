@@ -33,11 +33,13 @@ reader refuses a version 2 file by its version, not by an unknown codec.
 
 Integrity is *fail closed*: the header, trailer and directory are
 verified on open (so truncation and metadata corruption never produce a
-reader), and each section's checksum is verified on its first access —
-before any view or decoded array is handed out — so a bit flip raises
-:class:`SectionCorruption` instead of ever feeding a query wrong bytes.
-The checksum work is per-section and lazy precisely so cold starts only
-pay for the sections a query actually touches.
+reader; ``orjson`` parses the directory), and each section's checksum is
+verified on its first access — before any view or decoded array is
+handed out — so a bit flip raises :class:`SectionCorruption` instead of
+ever feeding a query wrong bytes; a signed value outside its column's
+domain raises :class:`ValueOutOfDomain` on the same first decode.  The
+checksum work is per-section and lazy precisely so cold starts only pay
+for the sections a query actually touches.
 """
 
 from __future__ import annotations
@@ -48,10 +50,12 @@ import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
+from orjson import loads
 
+from repro.core.storage import CatFormat
 from repro.relational.durable import file_checksum
 from repro.storage2.codecs import (
     BITPACK,
@@ -84,6 +88,11 @@ class V2FormatError(RuntimeError):
 
 class SectionCorruption(V2FormatError):
     """A section's bytes do not match their recorded checksum."""
+
+
+class ValueOutOfDomain(V2FormatError):
+    """A section decodes to a value its column cannot hold: signed bytes
+    that are still not the cube's (a row-id past the fact table, say)."""
 
 
 @dataclass(frozen=True)
@@ -254,11 +263,13 @@ class V2File:
         mapped: np.ndarray,
         meta: dict[str, Any],
         payloads: dict[str, dict[str, Any]],
+        cardinalities: Sequence[int] = (),
     ) -> None:
         self.path = path
         self._mapped = mapped
         self.meta = meta
         self._payloads = payloads
+        self._cardinalities = tuple(cardinalities)
         self._entries: dict[str, SectionEntry] = {}
         self._verified: set[str] = set()
         self._decoded: dict[str, np.ndarray] = {}
@@ -266,7 +277,9 @@ class V2File:
     # -- opening ------------------------------------------------------------
 
     @classmethod
-    def open(cls, path: str | Path) -> "V2File":
+    def open(cls, path: str | Path, cardinalities: Sequence[int] = ()) -> "V2File":
+        """Map and check the container at ``path``; ``cardinalities``, the
+        fact dimensions' base cardinalities, bound ``fact/dim/<d>``."""
         target = Path(path)
         if not target.exists():
             raise V2FormatError(f"no v2 cube file at {target}")
@@ -304,7 +317,7 @@ class V2File:
                 f"{target}: directory checksum mismatch (corrupt file)"
             )
         try:
-            document = json.loads(directory)
+            document = loads(directory)
         except ValueError as error:
             raise V2FormatError(f"{target}: directory is not JSON") from error
         if type(document) is not dict or document.get("version") != version:
@@ -361,7 +374,7 @@ class V2File:
                     f"{target}: section {name!r} is misaligned or "
                     "falls outside the data region"
                 )
-        return cls(target, mapped, meta, payloads)
+        return cls(target, mapped, meta, payloads, cardinalities)
 
     # -- access -------------------------------------------------------------
 
@@ -413,8 +426,38 @@ class V2File:
             raise SectionCorruption(
                 f"{self.path}: section {name!r} fails to decode: {error}"
             ) from error
+        for column, bound in self._domain(name).items():
+            if array.ndim > 1 and column >= array.shape[1]:
+                raise ValueOutOfDomain(
+                    f"{self.path}: section {name!r} has no column {column}"
+                )
+            values = array if array.ndim == 1 else array[:, column]
+            if len(values) and not 0 <= values.min() <= values.max() < bound:
+                raise ValueOutOfDomain(
+                    f"{self.path}: section {name!r} column {column} holds "
+                    f"[{values.min()}, {values.max()}], outside [0, {bound})"
+                )
         self._decoded[name] = array
         return array
+
+    def _domain(self, name: str) -> dict[int, int]:
+        """The domain table: column → bound for each column of section
+        ``name`` that must lie in ``[0, bound)`` — row-ids within the
+        fact table, A-rowids within AGGREGATES, fact dimension codes
+        within their base cardinality."""
+        codes = {f"fact/dim/{d}": {0: c} for d, c in enumerate(self._cardinalities)}
+        facts = self.meta.get("fact_row_count")
+        if name in codes or type(facts) is not int:
+            return codes.get(name, {})
+        aggregates = self.rows("aggregates") if self.has("aggregates") else 0
+        common = self.meta.get("cat_format") == CatFormat.COMMON_SOURCE.value
+        domains = {
+            "nt": {} if self.meta.get("dr_mode") else {0: facts},
+            "tt": {0: facts},
+            "cat": {0: aggregates} if common else {0: facts, 1: aggregates},
+            "aggregates": {0: facts} if common else {},
+        }
+        return domains.get(name.rpartition("/")[2], {})
 
     def _decode(self, entry: SectionEntry, payload: np.ndarray) -> np.ndarray:
         dtype = np.dtype(entry.dtype)

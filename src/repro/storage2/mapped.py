@@ -168,7 +168,7 @@ class MappedCube:
 
 def open_v2(path: str | Path, schema: CubeSchema) -> MappedCube:
     """Map a v2 cube file and wire the query-layer views over it."""
-    file = V2File.open(path)
+    file = V2File.open(path, [d.base_cardinality for d in schema.dimensions])
     storage = map_storage(schema, file)
     fact = MappedFactTable(schema, file)
     # A DR cube's NTs carry no row-ids for an index to pre-filter.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -106,12 +107,13 @@ def v1_disk_bytes(root: Path, cube_prefix: str, fact_relation: str) -> int:
     return total
 
 
-def verify_v2(path: str | Path) -> V2Report:
-    """Fully verify one v2 file; never raises on corruption, reports it."""
+def verify_v2(path: str | Path, cardinalities: Sequence[int] = ()) -> V2Report:
+    """Fully verify one v2 file (``cardinalities`` as for
+    :meth:`V2File.open`); never raises on corruption, reports it."""
     target = Path(path)
     report = V2Report(target)
     try:
-        file = V2File.open(target)
+        file = V2File.open(target, cardinalities)
     except V2FormatError as error:
         report.problems.append(str(error))
         return report

@@ -11,6 +11,8 @@ and every empty/singleton degenerate.  Malformed payloads must raise
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import hypothesis.strategies as st
@@ -179,6 +181,38 @@ def test_bitpack_boundary_values(bits):
     assert decoded.tolist() == values.tolist()
 
 
+#: The decoder's word and byte boundaries, and counts on either side of
+#: a whole packed byte (the unpack tail).
+BITPACK_WIDTHS = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63]
+BITPACK_COUNTS = [1, 7, 8, 9, 24_001]
+
+
+@pytest.mark.parametrize("count", BITPACK_COUNTS)
+@pytest.mark.parametrize("bits", BITPACK_WIDTHS)
+def test_bitpack_roundtrip_at_word_boundaries(bits, count):
+    rng = np.random.default_rng(bits * 100_003 + count)
+    values = rng.integers(0, 1 << bits, count, dtype=np.int64)
+    values[:: max(1, count // 3)] = (1 << bits) - 1  # every bit set
+    payload = bitpack_encode(values, bits)
+    assert len(payload) == bits * ((count + 7) // 8)
+    decoded = bitpack_decode(payload, bits, count)
+    assert decoded.dtype == np.int64
+    assert np.array_equal(decoded, values)
+
+
+def test_bitpack_encode_peaks_below_34_bytes_a_value():
+    """The planes are built one at a time in a uint8 buffer, not as a
+    (bits × count) uint64 temporary (98 bytes a value at 10 bits)."""
+    values = np.random.default_rng(5).integers(0, 1 << 10, 100_000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        bitpack_encode(values, 10)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 34 * len(values)
+
+
 def test_bitpack_rejects_misfit_and_bad_width():
     with pytest.raises(CodecError):
         bitpack_encode(np.asarray([4], dtype=np.int64), 2)
@@ -206,7 +240,7 @@ def test_min_bits():
 # -- delta varints -----------------------------------------------------------
 
 
-int64s = st.integers(-(1 << 62), (1 << 62) - 1)
+int64s = st.integers(INT64.min, INT64.max)
 
 
 @given(st.lists(int64s, min_size=0, max_size=200))
@@ -227,11 +261,23 @@ def test_delta_roundtrip_sorted_rowids(values):
 
 def test_delta_extremes():
     values = np.asarray(
-        [0, 2**62, -(2**62), 1, -1, 2**62 - 1], dtype=np.int64
+        [0, 2**62, -(2**62), 1, -1, 2**62 - 1, INT64.max, INT64.min, INT64.max],
+        dtype=np.int64,
     )
     assert delta_decode(delta_encode(values), len(values)).tolist() == (
         values.tolist()
     )
+
+
+def test_delta_decodes_one_varint_of_every_length():
+    """Zigzagged deltas of 7k bits for k = 1..10, so every limb pass of
+    the decoder runs, the tenth on a varint that holds bit 63."""
+    zigzagged = [(1 << (7 * k)) - 1 for k in range(1, 10)] + [(1 << 64) - 1]
+    deltas = [z >> 1 if z % 2 == 0 else -(z >> 1) - 1 for z in zigzagged]
+    values = np.cumsum(np.asarray(deltas, dtype=np.int64), dtype=np.int64)
+    payload = delta_encode(values)
+    assert len(payload) == sum(range(1, 11))
+    assert delta_decode(payload, len(values)).tolist() == values.tolist()
 
 
 def test_delta_malformed_payloads():
@@ -242,6 +288,9 @@ def test_delta_malformed_payloads():
         delta_decode(payload + b"\x80", 3)  # trailing continuation byte
     with pytest.raises(CodecError):
         delta_decode(b"\x80" * 11 + b"\x01", 1)  # varint over 10 bytes
+    with pytest.raises(CodecError):
+        delta_decode(b"\x80" * 9 + b"\x02", 1)  # tenth byte past bit 63
+    assert delta_decode(b"\x80" * 9 + b"\x01", 1).tolist() == [2**62]
     with pytest.raises(CodecError):
         delta_decode(b"", 3)
     with pytest.raises(CodecError):

@@ -237,11 +237,16 @@ def test_structurally_damaged_cube_fails_at_open_bundle(dual_bundles, tmp_path):
         open_bundle(root)
 
 
-def resigned_bundle(dual_bundles, tmp_path, edit):
+#: A string an edit puts where a raw JSON literal goes in the text.
+RAW = "@raw@"
+
+
+def resigned_bundle(dual_bundles, tmp_path, edit, literal=""):
     """A copy of a published bundle whose ``cube.v2`` directory went
     through ``edit`` and was signed again: the directory checksum
     passes, so only the reader's structural checks stand between the
-    edited directory and a query."""
+    edited directory and a query.  ``literal`` replaces the ``RAW``
+    string the edit placed, as JSON text."""
     _, v2 = dual_bundles["CURE"]
     root = tmp_path / "copy"
     shutil.copytree(v2.root, root)
@@ -249,7 +254,8 @@ def resigned_bundle(dual_bundles, tmp_path, edit):
     data = target.read_bytes()
     dir_offset, dir_len = struct.unpack_from("<QQ", data, len(data) - TRAILER_BYTES)
     document = json.loads(data[dir_offset : dir_offset + dir_len])
-    directory = json.dumps(edit(document, dir_offset)).encode("utf-8")
+    directory = json.dumps(edit(document, dir_offset)).replace(f'"{RAW}"', literal)
+    directory = directory.encode("utf-8")
     trailer = struct.pack(
         "<QQ32s8s8s",
         dir_offset,
@@ -362,3 +368,51 @@ def test_malformed_directory_entry_is_a_format_error(dual_bundles, tmp_path, cas
     report = verify_v2(root / "cube.v2")
     assert not report.ok
     assert report.problems and not report.sections
+
+
+#: Numbers ``json`` parses and ``orjson`` does not: NaN, a float beyond
+#: double range, and an integer beyond 64 bits (which orjson reads as a
+#: float, so only a type check catches it).
+UNREPRESENTABLE = ["NaN", "1e400", str(2**64)]
+
+
+@pytest.mark.parametrize("literal", UNREPRESENTABLE)
+@pytest.mark.parametrize("field", ["offset", "count", "bytes"])
+def test_directory_integer_json_cannot_hold_fails_closed(
+    dual_bundles, tmp_path, field, literal
+):
+    root = resigned_bundle(dual_bundles, tmp_path, _replaced(field, RAW), literal)
+    with pytest.raises(V2FormatError):
+        open_bundle(root)
+    report = verify_v2(root / "cube.v2")
+    assert not report.ok and report.problems
+
+
+#: Integer fields of ``bundle.json`` → what the error must name.
+BUNDLE_FIELDS = {
+    "cardinality": ("schema", "dimensions", 0, "levels", 1, "cardinality"),
+    "base_maps": ("schema", "dimensions", 0, "base_maps", 1, 0),
+    "parent": ("schema", "dimensions", 0, "parents", 0, 0),
+    "aggregate": ("schema", "aggregates", 0, 1),
+    "n_measures": ("schema", "n_measures"),
+}
+
+
+@pytest.mark.parametrize("literal", UNREPRESENTABLE)
+@pytest.mark.parametrize("field", sorted(BUNDLE_FIELDS))
+def test_bundle_json_integer_json_cannot_hold_fails_closed(
+    dual_bundles, tmp_path, field, literal
+):
+    _, v2 = dual_bundles["CURE"]
+    root = tmp_path / "copy"
+    shutil.copytree(v2.root, root)
+    meta = json.loads((root / "bundle.json").read_text())
+    *path, last = BUNDLE_FIELDS[field]
+    holder = meta
+    for key in path:
+        holder = holder[key]
+    holder[last] = RAW
+    text = json.dumps(meta).replace(f'"{RAW}"', literal)
+    (root / "bundle.json").write_text(text)
+    with pytest.raises(ValueError, match=field):
+        open_bundle(root)
