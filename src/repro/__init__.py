@@ -35,7 +35,7 @@ from repro.hierarchy.dimension import Dimension, Level
 from repro.ingest import AppendLog, IngestError, StreamingIngestor
 from repro.lattice.node import CubeNode
 from repro.datasets.loader import DimensionSpec, MeasureSpec, load_csv, load_records
-from repro.query.planner import CubePlanner, QueryRequest, build_indices
+from repro.query.planner import CubePlanner, QueryRequest
 from repro.relational.aggregates import make_aggregates
 from repro.relational.engine import Engine
 from repro.relational.table import Table
@@ -67,7 +67,6 @@ __all__ = [
     "VARIANTS",
     "apply_delta",
     "build_cube",
-    "build_indices",
     "complex_dimension",
     "drift_report",
     "flat_dimension",

@@ -871,7 +871,7 @@ def run_incremental(
     return [table_out]
 
 
-# -- extension: index-assisted sliced queries ---------------------------------------------------------
+# -- extension: pre-filtered sliced queries ------------------------------------------------------------
 
 
 def run_sliced_queries(
@@ -879,14 +879,19 @@ def run_sliced_queries(
     n_queries: int = 25,
     pool_capacity: int = 200_000,
 ) -> list[ExperimentTable]:
-    """Section 5.3 extension: fact-table inverted indices for selections."""
+    """Section 5.3 extension: selections pre-filtered against the fact table."""
     import random as _random
 
-    from repro.query import DimensionSlice, QueryStats, answer_cure_sliced
-    from repro.relational.index import InvertedIndex
+    from repro.query import (
+        DimensionSlice,
+        QueryStats,
+        answer_cure_query,
+        answer_cure_sliced,
+        slice_mask,
+    )
 
     table_out = ExperimentTable(
-        "Sliced queries", "Selective node queries: post-filter vs index",
+        "Sliced queries", "Selective node queries: post-filter vs prefilter",
         ["selectivity", "strategy", "avg_ms", "fact_fetches"],
         notes="random node queries with a member predicate on the widest "
         "grouped dimension (CovType-like data)",
@@ -895,14 +900,16 @@ def run_sliced_queries(
     result, _plus = VARIANTS["CURE"].with_pool(pool_capacity).build(
         schema, table=fact
     )
+    storage = result.storage
     cache = FactCache(schema, table=fact)
-    indices = {
-        d: InvertedIndex.build(
-            fact.as_batch().arrays[d],
-            schema.dimensions[d].base_cardinality,
-        )
-        for d in range(schema.n_dimensions)
-    }
+
+    def post_filter(node, slices, stats):
+        full = answer_cure_query(storage, cache, node, stats)
+        return full.filter(slice_mask(schema, node, slices, full.dims))
+
+    def prefilter(node, slices, stats):
+        return answer_cure_sliced(storage, cache, node, slices, stats)
+
     rng = _random.Random(61)
     flat_queries = random_node_queries(schema, n_queries, seed=59, flat=True)
     for selectivity in (0.5, 0.1, 0.02):
@@ -918,13 +925,13 @@ def run_sliced_queries(
             k = max(1, int(cardinality * selectivity))
             members = frozenset(rng.sample(range(cardinality), k))
             jobs.append((node, [DimensionSlice(dim, 0, members)]))
-        for strategy, idx in (("post-filter", None), ("indexed", indices)):
+        for strategy, answer in (
+            ("post-filter", post_filter), ("prefilter", prefilter)
+        ):
             stats = QueryStats()
             began = time.perf_counter()
             for node, slices in jobs:
-                answer_cure_sliced(
-                    result.storage, cache, node, slices, idx, stats
-                )
+                answer(node, slices, stats)
             elapsed = time.perf_counter() - began
             table_out.add(
                 selectivity=selectivity,

@@ -157,8 +157,7 @@ class CubeBundle:
     """An opened bundle: schema, the mapped container, a fact cache factory.
 
     ``storage`` is the mapped view of ``v2`` (no heap rows were unpacked),
-    and the fact cache / planner wire over the container's fact columns
-    and the CSR indices derived from them on first use.
+    and the fact cache / planner wire over the container's fact columns.
     """
 
     root: Path
@@ -178,27 +177,21 @@ class CubeBundle:
         self,
         result_cache_entries: int = 128,
         result_cache_bytes: int | None = None,
-        with_indices: bool = True,
     ):
         """A ready-to-serve :class:`~repro.query.planner.CubePlanner`.
 
         One call wires everything querying needs over the opened bundle:
-        the fact cache, inverted indices over the fact table's dimension
-        columns (skipped for DR cubes, whose NTs carry no row-ids to
-        pre-filter), and a byte-budgeted
+        the fact cache over the mapped fact columns (which a slice's
+        pre-filter reads too) and a byte-budgeted
         :class:`~repro.query.cache.ResultCache`.  The serving layer
         builds exactly one of these and shares it across all request
         threads.
         """
         from repro.query.planner import CubePlanner
 
-        indices = None
-        if with_indices and not self.storage.dr_mode:
-            indices = self.v2.indices
         return CubePlanner(
             self.storage,
             self.fact_cache(),
-            indices=indices,
             results=ResultCache(
                 max_entries=result_cache_entries,
                 max_bytes=result_cache_bytes,

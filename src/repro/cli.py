@@ -235,9 +235,8 @@ def cmd_query(args) -> int:
         node = _parse_group_by(schema, args.group_by)
         slices = _parse_where(schema, bundle, args.where, node)
         cache = bundle.fact_cache()
-        answer = answer_cure_sliced(
-            bundle.storage, cache, node, slices, indices=None
-        ).normalized()
+        answer = answer_cure_sliced(bundle.storage, cache, node, slices)
+        answer = answer.normalized()
         grouping = node.grouping_dims(schema.dimensions)
         header = [
             f"{schema.dimensions[d].name}."
@@ -381,7 +380,6 @@ def cmd_serve(args) -> int:
             bundle,
             result_cache_bytes=args.cache_bytes if args.cache_bytes > 0 else None,
             result_cache_entries=args.cache_entries,
-            with_indices=not args.no_indices,
         )
         server = SlicerServer(app, host=args.host, port=args.port, quiet=False)
         print(
@@ -526,10 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-entries", type=int, default=4096,
         help="result-cache entry cap",
-    )
-    serve.add_argument(
-        "--no-indices", action="store_true",
-        help="skip building inverted indices (slices post-filter)",
     )
     serve.set_defaults(handler=cmd_serve)
 

@@ -104,12 +104,8 @@ class WorkingSet:
 
     @classmethod
     def from_fact_table(cls, schema: CubeSchema, table: Table) -> "WorkingSet":
-        """Wrap a fact table's columns (row-ids from ``base_rowids`` when
-        the table is a slice, else positions)."""
-        if table.base_rowids is not None:
-            rowids = table.base_rowids
-        else:
-            rowids = np.arange(len(table), dtype=np.int64)
+        """Wrap a fact table's columns (row-ids are positions)."""
+        rowids = np.arange(len(table), dtype=np.int64)
         return cls._from_fact_columns(schema, table.as_batch().arrays, rowids)
 
     @classmethod

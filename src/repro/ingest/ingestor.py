@@ -63,7 +63,7 @@ from repro.core.model import CubeSchema
 from repro.core.postprocess import postprocess_plus
 from repro.core.storage import CubeStorage
 from repro.ingest.log import AppendLog
-from repro.query.planner import CubePlanner, build_indices
+from repro.query.planner import CubePlanner
 from repro.relational.durable import (
     atomic_write_text,
     file_checksum,
@@ -279,9 +279,8 @@ class StreamingIngestor:
 
         Records apply in LSN order; after each one the CURE+ property is
         restored (if enabled), the planner's result cache is invalidated
-        fine-grainedly from the delta's dimension codes (and its inverted
-        indices, if it has any, are rebuilt over the grown fact table), and
-        the drift trigger is evaluated — per record, so replay after a
+        fine-grainedly from the delta's dimension codes, and the drift
+        trigger is evaluated — per record, so replay after a
         crash makes the identical compaction decisions at the identical
         points.
         Returns the number of records applied.
@@ -305,12 +304,6 @@ class StreamingIngestor:
                 self.stats.results_dropped += self.planner.invalidate_results(
                     report
                 )
-                if self.planner.indices:
-                    # An indexed slice keeps only row-ids its postings
-                    # hold; the delta's rows must be among them.
-                    self.planner.indices = build_indices(
-                        self.schema, self.fact_table.as_batch()
-                    )
             self._maybe_compact()
         return len(records)
 

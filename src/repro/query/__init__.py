@@ -20,11 +20,11 @@ from repro.query.workload import (
     random_node_queries,
     random_rollup_queries,
 )
-from repro.query.planner import CubePlanner, QueryPlan, QueryRequest, build_indices
+from repro.query.planner import CubePlanner, QueryPlan, QueryRequest
 from repro.query.slice import (
     DimensionSlice,
-    allowed_row_mask,
     answer_cure_sliced,
+    prefilters,
     slice_mask,
 )
 from repro.query.rollup import (
@@ -54,8 +54,8 @@ __all__ = [
     "mixed_workload",
     "answer_schema",
     "normalize_answer",
-    "allowed_row_mask",
     "answer_cure_sliced",
+    "prefilters",
     "slice_mask",
     "answer_bubst_query",
     "answer_buc_query",
@@ -65,7 +65,6 @@ __all__ = [
     "answer_rollup_from_flat",
     "base_node_of",
     "bucket_queries_by_result_size",
-    "build_indices",
     "rollup_base_answer",
     "iceberg_over_bubst",
     "iceberg_over_buc",

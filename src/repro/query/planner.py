@@ -2,16 +2,18 @@
 
 The answering primitives each cover one situation: direct node reads
 (:func:`answer_cure_query`), on-the-fly roll-up when the cube is flat
-(:func:`answer_rollup_from_flat`), post-filtered or index-assisted slices
+(:func:`answer_rollup_from_flat`), pre- or post-filtered slices
 (:func:`answer_cure_sliced`).  :class:`CubePlanner` picks among them per
 request, the way a host engine's optimizer would:
 
 * a node materialized in the cube → **direct** read;
 * a hierarchical node over a flat (FCURE) cube → **rollup** from the
   base-level node with the same grouping dimensions;
-* member predicates → **indexed** pre-filtering when inverted indices are
-  available and the cube stores row-ids (not DR), **postfilter**
-  otherwise.
+* member predicates → **prefilter** of the stored row-ids against the
+  fact columns when the cube stores row-ids (not DR) and the fact cache
+  holds its table in memory or mapped
+  (:func:`~repro.query.slice.prefilters`),
+  **postfilter** otherwise.
 
 ``explain`` reports the chosen strategy and its estimated work (stored
 tuples that will be touched), which the planner also uses as its cost
@@ -45,10 +47,9 @@ from repro.query.rollup import base_node_of, rollup_base_answer
 from repro.query.slice import (
     DimensionSlice,
     answer_cure_sliced,
+    prefilters,
     slice_mask,
 )
-from repro.relational.batch import ColumnBatch
-from repro.relational.index import InvertedIndex
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class QueryRequest:
 class QueryPlan:
     """The planner's choice for one request."""
 
-    strategy: str  # "direct" | "rollup" | "indexed" | "postfilter"
+    strategy: str  # "direct" | "rollup" | "prefilter" | "postfilter"
     source_node: CubeNode
     estimated_tuples: int
 
@@ -84,7 +85,6 @@ class CubePlanner:
 
     storage: CubeStorage
     cache: FactCache
-    indices: dict[int, InvertedIndex] | None = None
     results: ResultCache | None = field(default_factory=ResultCache)
 
     # -- planning -----------------------------------------------------------
@@ -117,12 +117,8 @@ class CubePlanner:
             base = base_node_of(self.storage.schema, node)
             return QueryPlan("rollup", base, self._estimated_tuples(base))
         if request.slices:
-            indexed = (
-                self.indices is not None
-                and not self.storage.dr_mode
-                and all(s.dim in self.indices for s in request.slices)
-            )
-            strategy = "indexed" if indexed else "postfilter"
+            prefilter = prefilters(self.storage, self.cache)
+            strategy = "prefilter" if prefilter else "postfilter"
             return QueryPlan(strategy, node, self._estimated_tuples(node))
         return QueryPlan("direct", node, self._estimated_tuples(node))
 
@@ -229,25 +225,9 @@ class CubePlanner:
             self.cache,
             request.node,
             list(request.slices),
-            indices=self.indices if plan.strategy == "indexed" else None,
             stats=stats,
         )
 
     def explain(self, request: QueryRequest) -> str:
         return self.plan(request).explain(self.storage.schema.dimensions)
 
-
-def build_indices(
-    schema, fact: ColumnBatch
-) -> dict[int, InvertedIndex]:
-    """Inverted indices over every dimension column of a fact table.
-
-    Each dimension's index builds from its column with one ``bincount``
-    and one packed-key sort — no per-row Python loop.
-    """
-    return {
-        d: InvertedIndex.build(
-            fact.arrays[d], schema.dimensions[d].base_cardinality
-        )
-        for d in range(schema.n_dimensions)
-    }

@@ -2,27 +2,28 @@
 
 Section 7 of the paper observes that huge-result node queries "would be
 more interesting if they were combined with some selection of specific
-ranges (accelerated by indexing techniques)", and Section 5.3 proposes
-indexing *the fact table* rather than the cube.  This module implements
-both halves:
+ranges", and Section 5.3 answers a selection from *the fact table*
+rather than from an index over the cube.  This module implements both
+halves:
 
 * a :class:`DimensionSlice` restricts one grouping dimension to a member
   set at some (possibly coarser) hierarchy level;
-* :func:`answer_cure_sliced` evaluates a node query under slices.  Without
-  an index it post-filters; given per-dimension
-  :class:`~repro.relational.index.InvertedIndex` objects over the fact
-  table it pre-filters NT/TT/CAT row-ids *before* any fact fetch — the
-  row-id a CURE tuple stores belongs to its source group, whose members
-  all share the grouping dimensions' values, so one membership test
-  decides the whole tuple.
+* :func:`answer_cure_sliced` evaluates a node query under slices.  When
+  the fact table is resident (in memory or mapped) it pre-filters
+  NT/TT/CAT row-ids *before* any fact fetch — the row-id a CURE tuple
+  stores belongs to its source group, whose members all share the
+  grouping dimensions' values, so the representative fact row's member
+  decides the whole tuple.  Otherwise (DR cubes, whose NTs carry no
+  row-ids, and partial heap caches) it post-filters.
 
 Pre-filtering is one argument to the shared relation reader
-(:func:`~repro.query.answer.read_node_relations`): the CSR-backed index
-marks the allowed fact rows in one boolean mask
-(:func:`allowed_row_mask`), and each relation's row-ids test membership
-with one gather into it before the reader dereferences the survivors.
-Post-filtering compiles each slice to a boolean array over the node's
-codes once and masks the full node answer (:func:`slice_mask`).
+(:func:`~repro.query.answer.read_node_relations`): per slice, the
+accepted base members form a boolean array over the dimension's codes,
+and a relation's stored row-ids gather their fact column's codes and
+then that array — the slices AND together, touching only the queried
+node's stored rows.  Post-filtering compiles each slice to a boolean
+array over the node's codes once and masks the full node answer
+(:func:`slice_mask`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repro.query.answer import (
 from repro.query.cache import FactCache
 from repro.query.column_answer import ColumnAnswer
 from repro.query.vector import level_map
-from repro.relational.index import InvertedIndex
 
 
 @dataclass(frozen=True)
@@ -85,23 +85,14 @@ def _accepted_base_mask(schema, item: DimensionSlice) -> np.ndarray:
     return accepted[level_map(dimension, item.level)]
 
 
-def allowed_row_mask(
-    schema, slices, indices: dict[int, InvertedIndex]
-) -> np.ndarray:
-    """Boolean mask over fact row-ids: the rows satisfying every slice.
+def prefilters(storage: CubeStorage, cache: FactCache) -> bool:
+    """Whether a slice over ``storage`` pre-filters through ``cache``.
 
-    Per slice the accepted base members' CSR postings are set ``True``
-    in one array over the fact rows; the slices AND together.  No sort,
-    no intersection: a relation's pre-filter is then one gather.
+    It takes stored fact row-ids (not a DR cube, whose NTs hold their
+    dimension values inline) and a fact table the cache holds whole —
+    in memory or mapped — whose columns the row-ids gather from.
     """
-    masks = []
-    for item in slices:
-        index = indices[item.dim]
-        accepted = _accepted_base_mask(schema, item)
-        rows = np.zeros(index.row_count, dtype=np.bool_)
-        rows[index.rowids[np.repeat(accepted, np.diff(index.offsets))]] = True
-        masks.append(rows)
-    return np.logical_and.reduce(masks)
+    return not storage.dr_mode and cache.table is not None
 
 
 def answer_cure_sliced(
@@ -109,45 +100,38 @@ def answer_cure_sliced(
     cache: FactCache,
     node: CubeNode,
     slices: list[DimensionSlice],
-    indices: dict[int, InvertedIndex] | None = None,
     stats: QueryStats | None = None,
 ) -> ColumnAnswer:
     """Answer a node query under dimension slices.
 
-    ``indices`` maps dimension index → fact-table inverted index (base
-    level).  When provided, row-ids are filtered before fact fetches;
-    otherwise the full node answer is computed (and counted in
-    ``stats.tuples_returned``) and then masked.
+    When :func:`prefilters` holds, stored row-ids are filtered before
+    fact fetches; otherwise the full node answer is computed (and
+    counted in ``stats.tuples_returned``) and then masked.
     """
     schema = storage.schema
     _validate(schema, node, slices)
     if not slices:
         return answer_cure_query(storage, cache, node, stats)
-    if indices is None:
+    if not prefilters(storage, cache):
         full = answer_cure_query(storage, cache, node, stats)
         return full.filter(slice_mask(schema, node, slices, full.dims))
+    fact = cache.table
+    tests = [
+        (fact.column_at(item.dim), _accepted_base_mask(schema, item))
+        for item in slices
+    ]
 
-    missing = [s.dim for s in slices if s.dim not in indices]
-    if missing:
-        raise KeyError(f"no inverted index for dimensions {missing}")
-    if storage.dr_mode and storage.get_node_store(
-        schema.node_id(node)
-    ) is not None:
-        raise ValueError(
-            "index-assisted slicing needs row-id based NTs; query the "
-            "DR cube with post-filtering instead (indices=None)"
-        )
-    # Every stored row-id belongs to the tuple's source group; since all
-    # group members share the grouping dimensions' values, the stored
-    # representative's membership in ``allowed`` decides the whole tuple.
-    allowed = allowed_row_mask(schema, slices, indices)
-    return read_node_relations(
-        storage,
-        cache,
-        node,
-        stats,
-        keep=lambda rowids, _aggregates: allowed[rowids],
-    )
+    def keep(rowids: np.ndarray, _aggregates) -> np.ndarray:
+        # Every stored row-id belongs to the tuple's source group; all
+        # group members share the grouping dimensions' values, so the
+        # representative fact row's member decides the whole tuple.
+        column, accepted = tests[0]
+        mask = accepted[column[rowids]]
+        for column, accepted in tests[1:]:
+            mask &= accepted[column[rowids]]
+        return mask
+
+    return read_node_relations(storage, cache, node, stats, keep=keep)
 
 
 def slice_mask(schema, node: CubeNode, slices, dims: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 This package implements the relational machinery that the CURE paper takes
 for granted from its host engine: fixed-schema relations with row-ids, a
 disk-backed heap-file format, a catalog of named relations, an accounting
-memory manager that decides when data "fits in memory", inverted indices,
-and the aggregate functions cube construction relies on.
+memory manager that decides when data "fits in memory", and the aggregate
+functions cube construction relies on.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.relational.batch import ColumnBatch
 from repro.relational.catalog import Catalog
 from repro.relational.engine import Engine
 from repro.relational.heap import HeapFile
-from repro.relational.index import InvertedIndex
 from repro.relational.memory import MemoryBudgetExceeded, MemoryManager
 from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.relational.table import Table
@@ -37,7 +36,6 @@ __all__ = [
     "CountAgg",
     "Engine",
     "HeapFile",
-    "InvertedIndex",
     "MaxAgg",
     "MemoryBudgetExceeded",
     "MemoryManager",

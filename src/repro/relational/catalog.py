@@ -157,10 +157,6 @@ class Catalog:
             for path in self.root.glob("*.schema.json")
         )
 
-    def total_size_bytes(self) -> int:
-        """Total on-disk data size across all relations."""
-        return sum(self.open(name).size_bytes for name in self.names())
-
     def close(self) -> None:
         for heap in self._open.values():
             heap.close()

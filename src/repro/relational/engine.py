@@ -77,10 +77,6 @@ class Engine:
         heap.flush()
         return heap
 
-    def relation_fits_in_memory(self, name: str) -> bool:
-        """The paper's ``inputRelation.size() < memorySize`` test."""
-        return self.memory.fits(self.relation(name).size_bytes)
-
     def load(self, name: str) -> LoadedRelation:
         """Map a relation read-only under a budget reservation.
 

@@ -71,10 +71,6 @@ class MemoryManager:
         size = self._reservations.pop(token)
         self.used_bytes -= size
 
-    def release_all(self) -> None:
-        self._reservations.clear()
-        self.used_bytes = 0
-
     @contextmanager
     def reservation(self, size_bytes: int, what: str = "") -> Iterator[int]:
         """Reserve for the dynamic extent of a block, releasing on any exit.

@@ -21,20 +21,6 @@ from repro.relational.batch import ColumnBatch, column_dtype
 from repro.relational.schema import TableSchema
 
 
-def _checked_rowids(
-    base_rowids: Sequence[int] | np.ndarray | None, length: int
-) -> np.ndarray | None:
-    if base_rowids is None:
-        return None
-    rowids = np.asarray(base_rowids, dtype=np.int64)
-    if len(rowids) != length:
-        raise ValueError(
-            "base_rowids length must match rows length "
-            f"({len(rowids)} != {length})"
-        )
-    return rowids
-
-
 class Table:
     """A relation held in memory as one column array per schema column.
 
@@ -45,28 +31,19 @@ class Table:
     race each other, though not an append.  :meth:`as_batch` *is* the
     relation: there is no tuple view of it.
 
-    The row-id of a tuple is its position.  When a table is a slice of
-    another relation, the original row-ids are carried in ``base_rowids``
-    (an int64 array) so that references written into the cube (R-rowids)
-    still point into the full fact table.
+    The row-id of a tuple is its position.
     """
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         self._chunks: list[ColumnBatch] = []
         self._length = 0
-        self.base_rowids: np.ndarray | None = None
 
     @classmethod
-    def from_batch(
-        cls,
-        batch: ColumnBatch,
-        base_rowids: Sequence[int] | np.ndarray | None = None,
-    ) -> "Table":
+    def from_batch(cls, batch: ColumnBatch) -> "Table":
         """A table over ``batch``'s columns (shared, not copied)."""
         table = cls(batch.schema)
         table.append_batch(batch)
-        table.base_rowids = _checked_rowids(base_rowids, batch.length)
         return table
 
     @classmethod
@@ -86,15 +63,6 @@ class Table:
 
     def __len__(self) -> int:
         return self._length
-
-    def rowid_of(self, local_index: int) -> int:
-        """The global row-id of the tuple at ``local_index``.
-
-        For a table that is not a slice, this is the index itself.
-        """
-        if self.base_rowids is None:
-            return local_index
-        return int(self.base_rowids[local_index])
 
     def append_batch(self, batch: ColumnBatch) -> None:
         """Append a columnar batch as one chunk, columns cast to the
@@ -126,26 +94,6 @@ class Table:
     def column_at(self, position: int) -> np.ndarray:
         """One column's array, by position."""
         return self.as_batch().arrays[position]
-
-    def column_values(self, name: str) -> list:
-        """All values of one column, in row order."""
-        values: list = self.as_batch().column(name).tolist()
-        return values
-
-    def project(self, names: list[str] | tuple[str, ...]) -> "Table":
-        """A new table with only the named columns (row order preserved)."""
-        return Table.from_batch(
-            self.as_batch().project(names), self.base_rowids
-        )
-
-    def slice_rows(self, local_indices: list[int]) -> "Table":
-        """A new table holding the tuples at ``local_indices``.
-
-        Global row-ids are preserved through ``base_rowids``.
-        """
-        indices = np.asarray(local_indices, dtype=np.int64)
-        rowids = indices if self.base_rowids is None else self.base_rowids[indices]
-        return Table.from_batch(self.as_batch().take(indices), rowids)
 
     @property
     def size_bytes(self) -> int:

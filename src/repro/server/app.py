@@ -7,8 +7,8 @@ WSGI adapter over the same method for third-party containers.  The
 bundle loads **once**: every request thread shares the same
 :class:`~repro.core.storage.CubeStorage` (whose per-node ``NodeStore``
 matrix caches warm lazily and are then reused by all threads), the same
-fully-resident :class:`~repro.query.cache.FactCache`, the same inverted
-indices, and one bytes-budgeted
+fully-resident :class:`~repro.query.cache.FactCache` (whose mapped fact
+columns the slice pre-filter reads), and one bytes-budgeted
 :class:`~repro.query.cache.ResultCache` — the cube is read-mostly, so
 the serving path scales with cores instead of re-loading per caller.
 
@@ -100,14 +100,12 @@ class SlicerApp:
         bundle: CubeBundle,
         result_cache_bytes: int | None = DEFAULT_RESULT_CACHE_BYTES,
         result_cache_entries: int = 4096,
-        with_indices: bool = True,
     ) -> None:
         self.bundle = bundle
         self.schema = bundle.schema
         self.planner: CubePlanner = bundle.planner(
             result_cache_bytes=result_cache_bytes,
             result_cache_entries=result_cache_entries,
-            with_indices=with_indices,
         )
         if self.planner.results is None:
             raise ValueError("the serving planner needs a result cache")
@@ -391,7 +389,7 @@ class SlicerApp:
                 raise BadRequest(f"dimension {dim} out of range")
             dimension = self.schema.dimensions[dim]
             # Real levels only: the implicit ALL level has one member,
-            # so slicing on it is meaningless (and unindexed).
+            # so slicing on it is meaningless.
             if not 0 <= level < dimension.n_levels:
                 raise BadRequest(
                     f"level {level} out of range for {dimension.name!r} "

@@ -3,17 +3,15 @@
 Serving maps the container instead of loading it.  The classes here
 present the surfaces the query layer consumes —
 :class:`~repro.core.storage.CubeStorage` / ``NodeStore``, the ``Table``
-duck type :class:`~repro.query.cache.FactCache` drives, and the
-``dict[int, InvertedIndex]`` mapping the planner probes — backed by
-:class:`~repro.storage2.format.V2File` sections:
+duck type :class:`~repro.query.cache.FactCache` drives and a slice's
+pre-filter reads — backed by :class:`~repro.storage2.format.V2File`
+sections:
 
 * ``narrow`` sections (NT/CAT/AGGREGATES matrices, fact measures) are
   verified and widened once — one add per column into an int64 array the
   file caches — the moment a matrix accessor asks;
 * the other compressed sections (TT lists, bit-packed fact dimension
   columns) likewise decode vectorized, once, on first touch;
-* a dimension's inverted index is not stored: it is built from the
-  decoded fact column the first time the planner probes it;
 * row counts (the planner's cost estimates, the ``nt_count`` guards)
   come from the directory and touch no payload.
 
@@ -25,7 +23,7 @@ every consumer sees the int64 arrays it always did.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, MutableMapping
+from collections.abc import Iterator, MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +32,6 @@ import numpy as np
 from repro.core.model import CubeSchema
 from repro.core.storage import ArrayRelation, CubeStorage, NodeStore
 from repro.relational.batch import ColumnBatch
-from repro.relational.index import InvertedIndex
 from repro.storage2.format import V2File, V2FormatError
 
 
@@ -122,40 +119,6 @@ class MappedFactTable:
         return ColumnBatch.from_arrays(self.schema.fact_schema, columns)
 
 
-class MappedIndexSet(Mapping[int, InvertedIndex]):
-    """Per-dimension CSR inverted indices, each built on first use.
-
-    :meth:`InvertedIndex.build` over the one fact column
-    :meth:`MappedFactTable.column_at` decodes (once, for the fact cache
-    too), cached per dimension.  On a 2-vCPU Xeon one sort builds a
-    24,000-row dimension's postings in ≈ 0.25 ms, where checksumming and
-    delta-decoding stored ones took ≈ 0.7 ms.
-    """
-
-    def __init__(self, fact: MappedFactTable, schema: CubeSchema) -> None:
-        self._fact = fact
-        self._schema = schema
-        self._cache: dict[int, InvertedIndex] = {}
-
-    def __getitem__(self, dim: int) -> InvertedIndex:
-        index = self._cache.get(dim)
-        if index is None:
-            if dim not in range(self._schema.n_dimensions):
-                raise KeyError(dim)
-            index = InvertedIndex.build(
-                self._fact.column_at(dim),
-                self._schema.dimensions[dim].base_cardinality,
-            )
-            self._cache[dim] = index
-        return index
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._schema.n_dimensions))
-
-    def __len__(self) -> int:
-        return self._schema.n_dimensions
-
-
 @dataclass
 class MappedCube:
     """Everything :func:`repro.bundle.open_bundle` needs from a v2 file."""
@@ -163,14 +126,10 @@ class MappedCube:
     file: V2File
     storage: CubeStorage
     fact: MappedFactTable
-    indices: MappedIndexSet | None
 
 
 def open_v2(path: str | Path, schema: CubeSchema) -> MappedCube:
     """Map a v2 cube file and wire the query-layer views over it."""
     file = V2File.open(path, [d.base_cardinality for d in schema.dimensions])
     storage = map_storage(schema, file)
-    fact = MappedFactTable(schema, file)
-    # A DR cube's NTs carry no row-ids for an index to pre-filter.
-    indices = None if storage.dr_mode else MappedIndexSet(fact, schema)
-    return MappedCube(file, storage, fact, indices)
+    return MappedCube(file, storage, MappedFactTable(schema, file))

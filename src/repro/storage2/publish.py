@@ -21,10 +21,9 @@ memory:
 ``fact/measure/<m>``   fact measure column, ``narrow``
 =====================  =======================================================
 
-No inverted index is stored: the reader derives a dimension's from its
-fact column the first time a slice needs it
-(:class:`~repro.storage2.mapped.MappedIndexSet`), which costs less than
-checksumming and decoding stored postings did.
+No inverted index is stored: a slice pre-filters a node's stored
+row-ids against the fact dimension columns themselves
+(:func:`~repro.query.slice.answer_cure_sliced`).
 
 ``narrow`` is :meth:`V2Writer.add_array`'s choice, not this module's: an
 int64 array whose values leave it no smaller (a full-range column) is

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import CubeSchema, linear_dimension, make_aggregates
+from repro import CubeSchema, build_cube, linear_dimension, make_aggregates
 from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.ingest import IngestError, StreamingIngestor
 from repro.ingest.ingestor import generation_container
@@ -16,7 +16,6 @@ from repro.query import (
     DimensionSlice,
     FactCache,
     QueryRequest,
-    build_indices,
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
@@ -367,35 +366,43 @@ def test_planner_fine_grained_invalidation(engine, tmp_path):
         assert got == reference
 
 
-def test_indexed_planner_finds_groups_a_delta_opens(engine, tmp_path):
-    """An indexed slice pre-filters stored row-ids through the planner's
-    inverted indices, so those must post the delta's rows too."""
-    table = table_of(SCHEMA.fact_schema, [(c % 8, c % 2, c) for c in range(40)])
+def test_prefiltered_slice_finds_rows_apply_ready_appended(engine, tmp_path):
+    """A slice pre-filters stored row-ids against the grown fact table, so
+    a slice that only rows appended by ``apply_ready`` satisfy answers
+    what a fresh build over the same facts does."""
+    # A0 member 7 (and so A1 member 3) appears only in the delta.
+    table = table_of(SCHEMA.fact_schema, [(c % 6, c % 2, c) for c in range(40)])
     ingestor = StreamingIngestor.bootstrap(
-        SCHEMA, engine, table, tmp_path / "log", seal_records=2
+        SCHEMA, engine, table, tmp_path / "log", seal_records=2, plus=True
     )
     ingestor.planner = CubePlanner(
-        ingestor.storage,
-        FactCache(SCHEMA, table=ingestor.fact_table),
-        indices=build_indices(SCHEMA, ingestor.fact_table.as_batch()),
+        ingestor.storage, FactCache(SCHEMA, table=ingestor.fact_table)
     )
-    base_node = CubeNode((0, 0))  # A0 × B0
-    request = QueryRequest(base_node, (DimensionSlice.of(0, 0, {0}),))
-    assert ingestor.planner.plan(request).strategy == "indexed"
-    ingestor.planner.answer(request)
-
-    ingestor.append([(0, 4, 999)])  # opens group (0, 4): a new row-id
-    ingestor.log.seal()
-    ingestor.apply_ready()
-    reference = [
-        (dims, aggregates)
-        for dims, aggregates in reference_group_by(
-            SCHEMA, rows_of(ingestor.fact_table), base_node
-        )
-        if dims[0] == 0
+    requests = [
+        QueryRequest(CubeNode((0, 0)), (DimensionSlice.of(0, 0, {7}),)),
+        QueryRequest(CubeNode((0, 1)), (DimensionSlice.of(0, 1, {3}),)),
+        QueryRequest(
+            CubeNode((1, 0)),
+            (DimensionSlice.of(0, 2, {1}), DimensionSlice.of(1, 0, {4})),
+        ),
     ]
-    assert len(reference) == 2
-    assert normalize_answer(ingestor.planner.answer(request)) == reference
+    for request in requests:
+        assert ingestor.planner.plan(request).strategy == "prefilter"
+        assert not ingestor.planner.answer(request)
+
+    ingestor.append([(7, 4, 999), (7, 1, 5)])
+    ingestor.append([(7, 4, 1)])
+    ingestor.log.seal()
+    assert ingestor.apply_ready() == 2
+
+    facts = table_of(SCHEMA.fact_schema, rows_of(ingestor.fact_table))
+    fresh = CubePlanner(
+        build_cube(SCHEMA, table=facts).storage, FactCache(SCHEMA, table=facts)
+    )
+    for request in requests:
+        got = normalize_answer(ingestor.planner.answer(request))
+        assert got, request
+        assert got == normalize_answer(fresh.answer(request))
 
 
 def test_planner_storage_swapped_after_compaction(engine, tmp_path):

@@ -23,7 +23,7 @@ from repro.query import (
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
-from repro.query.planner import CubePlanner, QueryRequest, build_indices
+from repro.query.planner import CubePlanner, QueryRequest
 from tests.support.rows import rows_of
 
 CITIES = [
@@ -66,11 +66,7 @@ def test_full_story(tmp_path):
     # 3. Reopen and answer through the planner.
     with open_bundle(tmp_path / "cube") as bundle:
         fact_batch = bundle.v2.fact.as_batch()
-        planner = CubePlanner(
-            bundle.storage,
-            bundle.fact_cache(),
-            indices=build_indices(bundle.schema, fact_batch),
-        )
+        planner = CubePlanner(bundle.storage, bundle.fact_cache())
         region_index = next(
             d for d, dim in enumerate(bundle.schema.dimensions)
             if dim.name == "Region"
@@ -90,7 +86,7 @@ def test_full_story(tmp_path):
         sliced = QueryRequest.of(
             node, DimensionSlice.of(region_index, 2, {europe})
         )
-        assert planner.plan(sliced).strategy == "indexed"
+        assert planner.plan(sliced).strategy == "prefilter"
         answer = planner.answer(sliced)
         names = {
             region.member_name(country_level, dims[0])

@@ -6,15 +6,16 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import CubeSchema, build_cube, linear_dimension, make_aggregates
-from repro.lattice.node import CubeNode
 from repro.query import (
     DimensionSlice,
     FactCache,
     answer_cure_sliced,
+    prefilters,
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
-from repro.query.planner import CubePlanner, QueryRequest, build_indices
+from repro.query.planner import CubePlanner, QueryRequest
+from tests.query.test_batch_execution import check_slice
 from tests.support.rows import table_of
 
 
@@ -82,20 +83,21 @@ def reference_sliced(fact_rows, node, slices):
 @settings(max_examples=50, deadline=None)
 @given(sliced_cases())
 def test_sliced_answers_match_reference_both_paths(case):
+    """The pre-filter and the post-filter each match the row-engine
+    oracle's same path (answers and work counters) and the reference;
+    a DR cube post-filters to the same answer."""
     fact_rows, node, slices = case
     table = table_of(SCHEMA.fact_schema, list(fact_rows))
-    result = build_cube(SCHEMA, table=table)
     cache = FactCache(SCHEMA, table=table)
     expected = reference_sliced(fact_rows, node, slices)
-    post = normalize_answer(
-        answer_cure_sliced(result.storage, cache, node, slices, None)
-    )
-    assert post == expected
-    indices = build_indices(SCHEMA, table.as_batch())
-    pre = normalize_answer(
-        answer_cure_sliced(result.storage, cache, node, slices, indices)
-    )
+    storage = build_cube(SCHEMA, table=table).storage
+    assert prefilters(storage, cache)
+    check_slice(storage, cache, node, slices)
+    pre = normalize_answer(answer_cure_sliced(storage, cache, node, slices))
     assert pre == expected
+    dr = build_cube(SCHEMA, table=table, dr_mode=True).storage
+    post = normalize_answer(answer_cure_sliced(dr, cache, node, slices))
+    assert post == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,10 +106,6 @@ def test_planner_always_matches_reference(fact_rows, node_id):
     node = SCHEMA.decode_node(node_id % SCHEMA.enumerator.n_nodes)
     table = table_of(SCHEMA.fact_schema, list(fact_rows))
     result = build_cube(SCHEMA, table=table)
-    planner = CubePlanner(
-        result.storage,
-        FactCache(SCHEMA, table=table),
-        indices=build_indices(SCHEMA, table.as_batch()),
-    )
+    planner = CubePlanner(result.storage, FactCache(SCHEMA, table=table))
     got = normalize_answer(planner.answer(QueryRequest.of(node)))
     assert got == reference_group_by(SCHEMA, fact_rows, node)

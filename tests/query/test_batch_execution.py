@@ -10,7 +10,10 @@ answers in identical *row order*) and identical cost accounting —
 (sorted lists, some charged as bitmaps), CURE_DR and FCURE, both CAT
 formats, on in-memory storage over the fact ``Table``, on the same storage
 behind a half-warm cache over the bundle's fact heap, and on a mapped
-``cube.v2``.
+``cube.v2``.  Every slice runs both ways a slice can be answered: the
+pre-filter of stored row-ids against the fact columns (what a resident
+fact table gets) and the post-filter of the full node answer
+(:func:`post_filtered`, what DR cubes and heap-backed caches get).
 """
 
 from __future__ import annotations
@@ -37,13 +40,39 @@ from repro.query import (
     answer_cure_sliced,
     answer_rollup_from_flat,
     iceberg_over_cure,
+    slice_mask,
 )
-from repro.query.planner import CubePlanner, QueryRequest, build_indices
+from repro.query.planner import CubePlanner, QueryRequest
 from tests.server.conftest import serving_fact, serving_schema
 from tests.support import row_engine
 from tests.support.rows import rows_of, table_of
 
 check = row_engine.assert_engine_matches
+
+
+def post_filtered(storage, cache, node, slices, stats=None) -> ColumnAnswer:
+    """The post-filter path: the full node answer, then one mask."""
+    full = answer_cure_query(storage, cache, node, stats)
+    return full.filter(slice_mask(storage.schema, node, slices, full.dims))
+
+
+def check_slice(storage, cache, node, slices) -> None:
+    """Hold both slice paths to the oracle's matching path: the answer
+    ``answer_cure_sliced`` picks for ``cache``, and the post-filter."""
+    check(
+        cache,
+        lambda s: answer_cure_sliced(storage, cache, node, slices, s),
+        lambda s: row_engine.answer_cure_sliced(
+            storage, cache, node, slices, s
+        ),
+    )
+    check(
+        cache,
+        lambda s: post_filtered(storage, cache, node, slices, s),
+        lambda s: row_engine.answer_cure_sliced(
+            storage, cache, node, slices, s, prefilter=False
+        ),
+    )
 
 
 @pytest.fixture
@@ -76,24 +105,15 @@ SLICE_CASES = [
     ((1, 0, 1), [DimensionSlice.of(0, 2, {0})]),
     ((0, 1, 0), [DimensionSlice.of(0, 1, {1}), DimensionSlice.of(2, 0, {0, 1})]),
     ((2, 2, 0), [DimensionSlice.of(2, 0, {2, 4})]),
+    # Two predicates, both coarser than the node's levels.
+    ((0, 0, 0), [DimensionSlice.of(0, 2, {0, 2}), DimensionSlice.of(1, 1, {1})]),
 ]
 
 
 @pytest.mark.parametrize("levels,slices", SLICE_CASES)
 def test_sliced_queries_equivalent(built, levels, slices):
-    schema, table, storage, cache = built
-    node = CubeNode(levels)
-    indices = build_indices(schema, table.as_batch())
-    for index_arg in (None, indices):
-        check(
-            cache,
-            lambda s: answer_cure_sliced(
-                storage, cache, node, slices, index_arg, s
-            ),
-            lambda s: row_engine.answer_cure_sliced(
-                storage, cache, node, slices, index_arg, s
-            ),
-        )
+    _schema, _table, storage, cache = built
+    check_slice(storage, cache, CubeNode(levels), slices)
 
 
 @pytest.mark.parametrize("min_count", [2, 3, 6])
@@ -137,13 +157,7 @@ def test_dr_mode_queries_equivalent(built):
     dr = build_cube(schema, table=table, dr_mode=True)
     node = CubeNode((0, 0, 0))
     slices = [DimensionSlice.of(0, 1, {0})]
-    check(
-        cache,
-        lambda s: answer_cure_sliced(dr.storage, cache, node, slices, None, s),
-        lambda s: row_engine.answer_cure_sliced(
-            dr.storage, cache, node, slices, None, s
-        ),
-    )
+    check_slice(dr.storage, cache, node, slices)
     check(
         cache,
         lambda s: iceberg_over_cure(dr.storage, cache, node, 3, s),
@@ -209,7 +223,6 @@ def backends(request, tmp_path_factory):
         report = storage.size_report()
         assert report.tt_bytes < 4 * report.n_tt
         assert report.cat_bytes < 4 * report.n_cat
-    indices = None if storage.dr_mode else build_indices(schema, fact.as_batch())
     path = save_bundle(
         tmp_path_factory.mktemp("row-engine") / "bundle", schema, fact, storage
     )
@@ -219,11 +232,9 @@ def backends(request, tmp_path_factory):
     heap = bundle.catalog.open("fact")
     yield {
         "memory": CubePlanner(
-            storage, FactCache(schema, table=fact), indices, results=None
+            storage, FactCache(schema, table=fact), results=None
         ),
-        "heap": CubePlanner(
-            storage, FactCache(schema, heap=heap, fraction=0.5), indices
-        ),
+        "heap": CubePlanner(storage, FactCache(schema, heap=heap, fraction=0.5)),
         "mapped": bundle.planner(),
     }
     bundle.close()
@@ -278,16 +289,7 @@ def test_every_node_matches_the_row_engine(backends, backend):
         )
         slices = _slices_for(schema, node)
         if materialized and slices:
-            for index_arg in (None, planner.indices):
-                check(
-                    cache,
-                    lambda s: answer_cure_sliced(
-                        storage, cache, node, slices, index_arg, s
-                    ),
-                    lambda s: row_engine.answer_cure_sliced(
-                        storage, cache, node, slices, index_arg, s
-                    ),
-                )
+            check_slice(storage, cache, node, slices)
         request = QueryRequest(node, tuple(slices))
         check(
             cache,

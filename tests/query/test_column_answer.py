@@ -49,7 +49,7 @@ from repro.query import (
     normalize_answer,
 )
 from repro.core.variants import VARIANTS
-from repro.query.planner import CubePlanner, QueryRequest, build_indices
+from repro.query.planner import CubePlanner, QueryRequest
 from tests.support import row_engine
 from tests.support.rows import rows_of, table_of
 
@@ -218,19 +218,17 @@ SLICES = [DimensionSlice.of(0, 1, frozenset({0, 2})),
 
 @pytest.mark.parametrize("fmt", ["cure", "cure+"])
 def test_sliced_queries_differential(world, fmt):
-    schema, table, cache, cubes = world
+    _schema, _table, cache, cubes = world
     node = CubeNode((0, 1, 0))
-    indices = build_indices(schema, table.as_batch())
-    for index_arg in (None, indices):
-        run_differential(
-            cache,
-            lambda stats: answer_cure_sliced(
-                cubes[fmt], cache, node, SLICES, index_arg, stats
-            ),
-            lambda stats: row_engine.answer_cure_sliced(
-                cubes[fmt], cache, node, SLICES, index_arg, stats
-            ),
-        )
+    run_differential(
+        cache,
+        lambda stats: answer_cure_sliced(
+            cubes[fmt], cache, node, SLICES, stats
+        ),
+        lambda stats: row_engine.answer_cure_sliced(
+            cubes[fmt], cache, node, SLICES, stats
+        ),
+    )
 
 
 @pytest.mark.parametrize("min_count", [2, 4])
@@ -297,11 +295,8 @@ def test_rollup_differential(world):
 
 
 def test_planner_differential(world):
-    schema, table, cache, cubes = world
-    planner = CubePlanner(
-        cubes["cure"], cache,
-        indices=build_indices(schema, table.as_batch()), results=None,
-    )
+    _schema, _table, cache, cubes = world
+    planner = CubePlanner(cubes["cure"], cache, results=None)
     for request in [
         QueryRequest.of(CubeNode((0, 1, 0))),
         QueryRequest.of(CubeNode((0, 1, 0)), *SLICES),

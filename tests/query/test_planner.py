@@ -5,11 +5,12 @@ import random
 import pytest
 
 from repro import build_cube
+from repro.bundle import open_bundle, save_bundle
 from repro.core.variants import VARIANTS
 from repro.lattice.node import CubeNode
 from repro.query import DimensionSlice, FactCache, reference_group_by
 from repro.query.answer import normalize_answer
-from repro.query.planner import CubePlanner, QueryRequest, build_indices
+from repro.query.planner import CubePlanner, QueryRequest
 from tests.support.rows import rows_of, table_of
 
 
@@ -28,11 +29,7 @@ def data(paper_schema):
 def hierarchical_planner(data):
     schema, table = data
     result = build_cube(schema, table=table)
-    return CubePlanner(
-        result.storage,
-        FactCache(schema, table=table),
-        indices=build_indices(schema, table.as_batch()),
-    )
+    return CubePlanner(result.storage, FactCache(schema, table=table))
 
 
 @pytest.fixture
@@ -61,13 +58,13 @@ def test_rollup_strategy_on_flat_cube(flat_planner, data):
     assert got == reference_group_by(schema, rows_of(table), request.node)
 
 
-def test_indexed_strategy_with_slices(hierarchical_planner, data):
+def test_prefilter_strategy_with_slices(hierarchical_planner, data):
     schema, table = data
     request = QueryRequest.of(
         CubeNode((0, 2, 1)), DimensionSlice.of(0, 1, {0, 2})
     )
     plan = hierarchical_planner.plan(request)
-    assert plan.strategy == "indexed"
+    assert plan.strategy == "prefilter"
     got = normalize_answer(hierarchical_planner.answer(request))
     a = schema.dimensions[0]
     expected = [
@@ -80,15 +77,39 @@ def test_indexed_strategy_with_slices(hierarchical_planner, data):
     assert got == sorted(expected)
 
 
-def test_postfilter_when_indices_missing(data):
+def test_slice_strategy_follows_the_fact_cache(data, tmp_path):
+    """A slice pre-filters exactly when the cube stores row-ids and the
+    fact cache holds the whole table, in memory or mapped; a DR cube and
+    a heap-backed cache post-filter.  Every choice answers the same."""
     schema, table = data
-    result = build_cube(schema, table=table)
-    planner = CubePlanner(result.storage, FactCache(schema, table=table))
+    storage = build_cube(schema, table=table).storage
+    dr_storage = build_cube(schema, table=table, dr_mode=True).storage
     request = QueryRequest.of(
         CubeNode((0, 2, 1)), DimensionSlice.of(0, 1, {1})
     )
-    assert planner.plan(request).strategy == "postfilter"
-    assert planner.answer(request)  # runs fine without indices
+    with open_bundle(
+        save_bundle(tmp_path / "bundle", schema, table, storage)
+    ) as bundle:
+        heap = bundle.catalog.open("fact")
+        planners = {
+            "prefilter": [
+                CubePlanner(storage, FactCache(schema, table=table)),
+                bundle.planner(),
+            ],
+            "postfilter": [
+                CubePlanner(dr_storage, FactCache(schema, table=table)),
+                CubePlanner(storage, FactCache(schema, heap=heap)),
+                CubePlanner(
+                    storage, FactCache(schema, heap=heap, fraction=0.5)
+                ),
+            ],
+        }
+        answers = set()
+        for strategy, group in planners.items():
+            for planner in group:
+                assert planner.plan(request).strategy == strategy
+                answers.add(tuple(normalize_answer(planner.answer(request))))
+    assert len(answers) == 1 and answers != {()}
 
 
 def test_rollup_with_slices(flat_planner, data):

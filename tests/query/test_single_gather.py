@@ -7,8 +7,10 @@ CAT, then the TTs down the plan path — in one
 all three relation kinds at once and hold node, slice and iceberg
 answers to ``tests/support/row_engine.py`` — rows (node answers in row
 order), ``QueryStats`` and the fact cache's hits/misses — over a
-heap-backed cache that starts cold and half warm, on an in-memory build
-and on a partitioned one, whose TT chains are cut at phase boundaries.
+heap-backed cache that starts cold and half warm (whose slices
+post-filter), and over the fact table itself (whose slices pre-filter),
+on an in-memory build and on a partitioned one, whose TT chains are cut
+at phase boundaries.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.query import (
     iceberg_over_cure,
 )
 from repro.query.answer import tt_source_ids
-from repro.query.planner import build_indices
 from repro.relational.catalog import Catalog
 from repro.relational.memory import MemoryManager
 from tests.server.conftest import serving_schema
@@ -91,7 +92,7 @@ def _full_nodes(storage):
 def test_one_gather_matches_the_row_engine(cube, fraction):
     schema, table, storage, heap = cube
     cache = FactCache(schema, heap=heap, fraction=fraction)
-    indices = build_indices(schema, table.as_batch())
+    resident = FactCache(schema, table=table)
     nodes = _full_nodes(storage)
     assert len(nodes) >= 3
     hits = misses = 0
@@ -116,15 +117,16 @@ def test_one_gather_matches_the_row_engine(cube, fraction):
         assert fetch_batch.call_count == 1
         hits += cache.stats.hits
         misses += cache.stats.misses
-        check(
-            cache,
-            lambda s: answer_cure_sliced(
-                storage, cache, node, slices, indices, s
-            ),
-            lambda s: row_engine.answer_cure_sliced(
-                storage, cache, node, slices, indices, s
-            ),
-        )
+        for slice_cache in (cache, resident):
+            check(
+                slice_cache,
+                lambda s: answer_cure_sliced(
+                    storage, slice_cache, node, slices, s
+                ),
+                lambda s: row_engine.answer_cure_sliced(
+                    storage, slice_cache, node, slices, s
+                ),
+            )
         check(
             cache,
             lambda s: iceberg_over_cure(storage, cache, node, 2, s),

@@ -13,10 +13,11 @@ from repro.query import (
     QueryStats,
     answer_cure_query,
     answer_cure_sliced,
+    prefilters,
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
-from repro.relational.index import InvertedIndex
+from tests.query.test_batch_execution import post_filtered
 from tests.support.rows import rows_of, table_of
 
 
@@ -30,14 +31,7 @@ def built(paper_schema):
     table = table_of(paper_schema.fact_schema, rows)
     result = build_cube(paper_schema, table=table)
     cache = FactCache(paper_schema, table=table)
-    indices = {
-        d: InvertedIndex.build(
-            [row[d] for row in rows],
-            paper_schema.dimensions[d].base_cardinality,
-        )
-        for d in range(paper_schema.n_dimensions)
-    }
-    return paper_schema, table, result.storage, cache, indices
+    return paper_schema, table, result.storage, cache
 
 
 def sliced_reference(schema, rows, node, slices):
@@ -76,99 +70,82 @@ CASES = [
 
 @pytest.mark.parametrize("levels,slices", CASES)
 def test_postfiltered_matches_reference(built, levels, slices):
-    schema, table, storage, cache, _indices = built
+    schema, table, storage, cache = built
     node = CubeNode(levels)
     expected = sorted(sliced_reference(schema, rows_of(table), node, slices))
-    got = normalize_answer(
-        answer_cure_sliced(storage, cache, node, slices, indices=None)
-    )
+    got = normalize_answer(post_filtered(storage, cache, node, slices))
     assert got == expected
 
 
 @pytest.mark.parametrize("levels,slices", CASES)
 def test_prefiltered_matches_reference(built, levels, slices):
-    schema, table, storage, cache, indices = built
+    schema, table, storage, cache = built
+    assert prefilters(storage, cache)
     node = CubeNode(levels)
     expected = sorted(sliced_reference(schema, rows_of(table), node, slices))
-    got = normalize_answer(
-        answer_cure_sliced(storage, cache, node, slices, indices=indices)
-    )
+    got = normalize_answer(answer_cure_sliced(storage, cache, node, slices))
     assert got == expected
 
 
 def test_prefiltered_saves_fact_fetches(built):
-    schema, table, storage, cache, indices = built
+    schema, table, storage, cache = built
     node = CubeNode((0, 0, 0))
     slices = [DimensionSlice.of(0, 2, {0})]  # one of 3 top members
-    naive, indexed = QueryStats(), QueryStats()
-    answer_cure_sliced(storage, cache, node, slices, None, naive)
-    answer_cure_sliced(storage, cache, node, slices, indices, indexed)
-    assert indexed.fact_fetches < naive.fact_fetches
-    assert indexed.tuples_returned == len(
+    naive, prefiltered = QueryStats(), QueryStats()
+    post_filtered(storage, cache, node, slices, naive)
+    answer_cure_sliced(storage, cache, node, slices, prefiltered)
+    assert prefiltered.rows_scanned == naive.rows_scanned
+    assert prefiltered.fact_fetches < naive.fact_fetches
+    assert prefiltered.tuples_returned == len(
         sliced_reference(schema, rows_of(table), node, slices)
     )
 
 
 def test_empty_slices_degrades_to_plain_query(built):
-    schema, table, storage, cache, _indices = built
+    schema, table, storage, cache = built
     node = CubeNode((1, 1, 0))
     full = normalize_answer(answer_cure_query(storage, cache, node))
-    sliced = normalize_answer(
-        answer_cure_sliced(storage, cache, node, [], None)
-    )
+    sliced = normalize_answer(answer_cure_sliced(storage, cache, node, []))
     assert full == sliced
 
 
 def test_slice_on_all_dimension_rejected(built):
-    schema, _table, storage, cache, _indices = built
+    schema, _table, storage, cache = built
     node = CubeNode((0, 2, 1))  # B and C... C at ALL
     with pytest.raises(ValueError, match="at ALL"):
-        answer_cure_sliced(
-            storage, cache, node, [DimensionSlice.of(2, 0, {0})], None
-        )
+        answer_cure_sliced(storage, cache, node, [DimensionSlice.of(2, 0, {0})])
 
 
 def test_slice_level_must_roll_up(built):
-    schema, _table, storage, cache, _indices = built
+    schema, _table, storage, cache = built
     node = CubeNode((1, 2, 1))  # A at level 1
     with pytest.raises(ValueError, match="not a roll-up"):
-        answer_cure_sliced(
-            storage, cache, node, [DimensionSlice.of(0, 0, {0})], None
-        )
-
-
-def test_missing_index_rejected(built):
-    schema, _table, storage, cache, indices = built
-    node = CubeNode((0, 2, 1))
-    partial = {1: indices[1]}
-    with pytest.raises(KeyError, match="no inverted index"):
-        answer_cure_sliced(
-            storage, cache, node,
-            [DimensionSlice.of(0, 1, {0})], indices=partial,
-        )
+        answer_cure_sliced(storage, cache, node, [DimensionSlice.of(0, 0, {0})])
 
 
 def test_sliced_over_plus_cube(built):
-    schema, table, storage, cache, indices = built
+    schema, table, storage, cache = built
     postprocess_plus(storage)
     node = CubeNode((0, 0, 1))
     slices = [DimensionSlice.of(1, 1, {0, 3})]
     expected = sorted(sliced_reference(schema, rows_of(table), node, slices))
-    got = normalize_answer(
-        answer_cure_sliced(storage, cache, node, slices, indices=indices)
-    )
+    got = normalize_answer(answer_cure_sliced(storage, cache, node, slices))
     assert got == expected
 
 
 def test_dr_cube_requires_postfiltering(built, paper_schema):
-    schema, table, _storage, cache, indices = built
+    schema, table, _storage, cache = built
     dr = build_cube(schema, table=table, dr_mode=True)
+    assert not prefilters(dr.storage, cache)
     node = CubeNode((0, 0, 0))
     slices = [DimensionSlice.of(0, 1, {0})]
-    with pytest.raises(ValueError, match="post-filtering"):
-        answer_cure_sliced(dr.storage, cache, node, slices, indices=indices)
     expected = sorted(sliced_reference(schema, rows_of(table), node, slices))
+    stats = QueryStats()
     got = normalize_answer(
-        answer_cure_sliced(dr.storage, cache, node, slices, indices=None)
+        answer_cure_sliced(dr.storage, cache, node, slices, stats)
     )
     assert got == expected
+    # Post-filtered: the whole node was answered, then masked.
+    assert stats.tuples_returned == len(
+        answer_cure_query(dr.storage, cache, node)
+    )

@@ -66,12 +66,6 @@ def test_names_sorted(catalog):
     assert catalog.names() == ["a", "b", "c"]
 
 
-def test_total_size_bytes(catalog):
-    append_rows(catalog.create("r", SCHEMA), [(i, i) for i in range(5)])
-    append_rows(catalog.create("s", SCHEMA), [(0, 0)])
-    assert catalog.total_size_bytes() == 6 * SCHEMA.row_size_bytes
-
-
 def test_destroy_removes_directory(tmp_path):
     catalog = Catalog(tmp_path / "gone")
     catalog.create("r", SCHEMA)

@@ -53,16 +53,6 @@ def test_load_reserves_and_releases_budget(tmp_path):
     engine.close()
 
 
-def test_relation_fits_in_memory(tmp_path):
-    table = table_of(SCHEMA, [(i, i) for i in range(10)])
-    engine = make_engine(tmp_path, budget=5 * SCHEMA.row_size_bytes)
-    engine.store_table("r", table)
-    assert not engine.relation_fits_in_memory("r")
-    engine.memory.budget_bytes = None
-    assert engine.relation_fits_in_memory("r")
-    engine.close()
-
-
 def test_temporary_engine_destroy():
     engine = Engine.temporary(memory_budget_bytes=1000)
     root = engine.catalog.root

@@ -52,12 +52,3 @@ def test_free_bytes():
     memory = MemoryManager(budget_bytes=100)
     memory.reserve(30)
     assert memory.free_bytes == 70
-
-
-def test_release_all():
-    memory = MemoryManager(budget_bytes=100)
-    memory.reserve(10)
-    memory.reserve(20)
-    memory.release_all()
-    assert memory.used_bytes == 0
-    assert memory.fits(100)

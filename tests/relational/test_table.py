@@ -24,36 +24,6 @@ def test_len_iter_getitem(table):
         table[1]
 
 
-def test_column_values(table):
-    assert table.column_values("b") == [10, 20, 30]
-
-
-def test_project(table):
-    projected = table.project(["b"])
-    assert rows_of(projected) == [(10,), (20,), (30,)]
-    assert projected.schema.names == ("b",)
-
-
-def test_slice_rows_preserves_global_rowids(table):
-    sliced = table.slice_rows([2, 0])
-    assert rows_of(sliced) == [(3, 30), (1, 10)]
-    assert sliced.rowid_of(0) == 2
-    assert sliced.rowid_of(1) == 0
-    # A slice of a slice composes rowids through the original.
-    nested = sliced.slice_rows([1])
-    assert nested.rowid_of(0) == 0
-
-
-def test_rowid_of_identity_without_base(table):
-    assert table.rowid_of(2) == 2
-
-
-def test_base_rowids_length_mismatch_rejected():
-    schema = TableSchema.of("a")
-    with pytest.raises(ValueError, match="base_rowids"):
-        table_of(schema, [(1,)], base_rowids=[0, 1])
-
-
 def test_size_bytes(table):
     assert table.size_bytes == 3 * table.schema.row_size_bytes
 
@@ -65,18 +35,13 @@ def test_columns_are_the_only_representation(table):
     assert [array.tolist() for array in batch.arrays] == [[1, 2, 3], [10, 20, 30]]
 
 
-def test_from_batch_shares_columns_and_checks_rowids():
+def test_from_batch_shares_columns():
     schema = TableSchema((Column("k"), Column("v", ColumnType.INT64)))
     keys = np.array([5, 6], dtype=np.int32)
     values = np.array([50, 60], dtype=np.int64)
-    batch = ColumnBatch.from_arrays(schema, [keys, values])
-    table = Table.from_batch(batch, base_rowids=[7, 9])
+    table = Table.from_batch(ColumnBatch.from_arrays(schema, [keys, values]))
     assert table.as_batch().arrays[0] is keys
     assert table.as_batch().arrays[1] is values
-    assert table.rowid_of(1) == 9
-    assert table.base_rowids.dtype == np.int64
-    with pytest.raises(ValueError, match="base_rowids"):
-        Table.from_batch(batch, base_rowids=[7])
 
 
 def test_appends_are_chunks_concatenated_on_first_read():

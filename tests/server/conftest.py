@@ -12,8 +12,9 @@ import random
 import pytest
 
 from repro import CubeSchema, Table, linear_dimension, make_aggregates
-from repro.bundle import open_bundle, save_bundle
+from repro.bundle import CubeBundle, open_bundle, save_bundle
 from repro.core.variants import VARIANTS
+from repro.query import CubePlanner, FactCache
 from tests.support.rows import table_of
 
 #: The variants the serving layer is locked against.  DR cubes are
@@ -65,6 +66,13 @@ def served_bundles(tmp_path_factory):
     yield bundles
     for bundle in bundles.values():
         bundle.close()
+
+
+def heap_planner(bundle: CubeBundle) -> CubePlanner:
+    """The mapped cube behind a fully warm cache over the bundle's fact
+    heap: no fact table is held whole, so its slices post-filter."""
+    heap = bundle.catalog.open("fact")
+    return CubePlanner(bundle.storage, FactCache(bundle.schema, heap=heap))
 
 
 def wsgi_get(app, path_qs: str, method: str = "GET"):

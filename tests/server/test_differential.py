@@ -21,7 +21,7 @@ from repro.query.workload import mixed_workload
 from repro.server.app import SlicerApp
 from repro.server.encoding import decode_answer, encode_answer
 from repro.server.replay import execute_op, op_path, replay_op
-from tests.server.conftest import SERVED_VARIANTS, wsgi_get
+from tests.server.conftest import SERVED_VARIANTS, heap_planner, wsgi_get
 from tests.support import row_engine
 from tests.support.reference_encoding import reference_encode_op
 
@@ -67,15 +67,16 @@ def test_mixed_workload_differential(variant, apps):
 def test_row_mode_library_agrees_with_server(apps):
     # The server answers through the columnar reader and encoder; the
     # row-engine oracle, rendered by the reference encoder, shares
-    # neither and must still produce the same bytes.
+    # neither and must still produce the same bytes — pre-filtering
+    # over the mapped fact columns and post-filtering over the heap.
     app = apps["CURE"]
     schema = app.schema
-    for with_indices in (False, True):
-        reference = app.bundle.planner(with_indices=with_indices)
+    for reference in (app.bundle.planner(), heap_planner(app.bundle)):
         for op in mixed_workload(schema, 30, seed=29):
             _, body = wsgi_get(app, op_path(schema, op))
             pairs = row_engine.execute_op(reference, op)
             assert body == reference_encode_op(schema, op, pairs), op
+            assert body == replay_op(reference, op), op
 
 
 def test_served_bodies_decode_to_the_answers(apps):

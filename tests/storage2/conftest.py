@@ -19,7 +19,7 @@ from repro.core.model import CubeSchema
 from repro.core.storage import CubeStorage
 from repro.core.variants import VARIANTS
 from repro.query.cache import FactCache
-from repro.query.planner import CubePlanner, build_indices
+from repro.query.planner import CubePlanner
 from repro.relational.table import Table
 from tests.server.conftest import SERVED_VARIANTS, serving_fact, serving_schema
 
@@ -38,13 +38,8 @@ class BuiltCube:
     def fact_row_count(self) -> int:
         return len(self.fact)
 
-    def planner(self, with_indices: bool = True) -> CubePlanner:
-        indices = None
-        if with_indices and not self.storage.dr_mode:
-            indices = build_indices(self.schema, self.fact.as_batch())
-        return CubePlanner(
-            self.storage, FactCache(self.schema, table=self.fact), indices
-        )
+    def planner(self) -> CubePlanner:
+        return CubePlanner(self.storage, FactCache(self.schema, table=self.fact))
 
 
 def make_dual_bundle(directory, variant: str, n_rows: int = 400):

@@ -78,11 +78,7 @@ def test_version_1_container_answers_and_loads(tmp_path):
     result, _ = VARIANTS["CURE+"].build(schema, table=fact)
     reference = CubePlanner(result.storage, FactCache(schema, table=fact))
     mapped = open_v2(FIXTURE, schema)
-    planner = CubePlanner(
-        mapped.storage,
-        FactCache(schema, table=mapped.fact),
-        indices=mapped.indices,
-    )
+    planner = CubePlanner(mapped.storage, FactCache(schema, table=mapped.fact))
     for op in mixed_workload(schema, 40, seed=41):
         assert replay_op(planner, op) == replay_op(reference, op), op
     # What a restarting writer opens: verified whole, then mapped.
@@ -91,10 +87,10 @@ def test_version_1_container_answers_and_loads(tmp_path):
     assert sorted(map_storage(schema, file).nodes) == sorted(result.storage.nodes)
 
 
-def test_version_1_container_slices_from_derived_indices(monkeypatch):
-    """An indexed slice over the fixture answers as the in-memory cube
-    does, from indices built over its fact columns: the stored
-    ``index/*`` sections are never requested."""
+def test_version_1_container_slices_from_fact_columns(monkeypatch):
+    """A pre-filtered slice over the fixture answers as the in-memory
+    cube does, from its fact columns: the stored ``index/*`` sections
+    are never requested."""
     requested: list[str] = []
     array = V2File.array
 
@@ -109,18 +105,14 @@ def test_version_1_container_slices_from_derived_indices(monkeypatch):
     reference = CubePlanner(result.storage, FactCache(schema, table=fact))
     mapped = open_v2(FIXTURE, schema)
     assert mapped.file.has("index/0/rowids")
-    planner = CubePlanner(
-        mapped.storage,
-        FactCache(schema, table=mapped.fact),
-        indices=mapped.indices,
-    )
+    planner = CubePlanner(mapped.storage, FactCache(schema, table=mapped.fact))
     for node in schema.lattice.nodes():
         for dim in node.grouping_dims(schema.dimensions):
             for members in ({0}, {1, 2}):
                 request = QueryRequest.of(
                     node, DimensionSlice.of(dim, node.levels[dim], members)
                 )
-                assert planner.plan(request).strategy == "indexed"
+                assert planner.plan(request).strategy == "prefilter"
                 assert normalize_answer(planner.answer(request)) == (
                     normalize_answer(reference.answer(request))
                 ), request

@@ -1,7 +1,7 @@
 """Cold-start contract: opening a v2 bundle unpacks **zero** heap rows.
 
 The whole point of the mapped container is that time-to-first-answer no
-longer pays for decoding the fact heap file and rebuilding indices.  A
+longer pays for decoding the fact heap file.  A
 spy over every :class:`HeapFile` read primitive proves the v2 open +
 planner + first-query path never touches them, and that the answers it
 produces match the built cube's, read from memory.
@@ -9,10 +9,12 @@ produces match the built cube's, read from memory.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.relational.heap as heap_module
 from repro.bundle import open_bundle
+from repro.core.storage import CatFormat
 from repro.query.cache import FactCache
 from repro.query.answer import tt_source_ids
 from repro.query.planner import CubePlanner, QueryRequest
@@ -104,7 +106,7 @@ def test_counts_over_a_mapped_cube_decode_no_section(dual_bundles, monkeypatch):
     monkeypatch.setattr(V2File, "array", spy)
     bundle = open_bundle(built.root)
     try:
-        planner = bundle.planner(with_indices=False)
+        planner = bundle.planner()
         storage = bundle.storage
         estimated = {
             node: planner._estimated_tuples(node)
@@ -115,7 +117,7 @@ def test_counts_over_a_mapped_cube_decode_no_section(dual_bundles, monkeypatch):
         assert decoded == []
 
         assert relations == built.storage.size_report().n_relations
-        reference = built.planner(with_indices=False)
+        reference = built.planner()
         for node, estimate in estimated.items():
             assert estimate == reference._estimated_tuples(node)
         for store in storage.nodes.values():
@@ -205,32 +207,73 @@ def test_cold_answer_decodes_only_what_it_reads(dual_bundles, decoded, variant):
     assert all(seen.values()), seen
 
 
-def test_cold_slice_decodes_its_one_dimension_column(dual_bundles, decoded):
-    """The postings of a sliced dimension come from that dimension's
-    column alone, and the sliced answer reads no other fact column than
-    its node's grouping dimensions (plus measures for TT rows)."""
+def test_cold_slice_decodes_only_the_columns_it_slices_or_fetches(
+    dual_bundles, decoded
+):
+    """Per node, a fresh open and one pre-filtered slice decode the
+    node's relations, the sliced dimension's fact column and — only when
+    a stored row survives the slice — the grouping dimensions' columns
+    (plus the measures when a TT row does): no other section."""
     built, _ = dual_bundles["CURE+"]
-    schema = built.schema
-    node = next(
-        node
-        for node in schema.lattice.nodes()
-        if len(node.grouping_dims(schema.dimensions)) == 1
-        and node.levels[node.grouping_dims(schema.dimensions)[0]] == 0
-    )
-    (dim,) = node.grouping_dims(schema.dimensions)
-    with open_bundle(built.root) as bundle:
-        bundle.v2.indices[dim]
-        assert decoded == [f"fact/dim/{dim}"]
-    with open_bundle(built.root) as bundle:
-        planner = bundle.planner()
-        decoded.clear()
-        request = QueryRequest.of(node, DimensionSlice.of(dim, 0, {0, 1}))
-        assert planner.plan(request).strategy == "indexed"
-        got = planner.answer(request)
-        fact_columns = {n for n in decoded if n.startswith("fact/")}
-        assert fact_columns <= {f"fact/dim/{dim}"} | {
-            f"fact/measure/{m}" for m in range(schema.n_measures)
+    schema, storage = built.schema, built.storage
+    seen = {"fetched": 0, "none survive": 0, "other dims unread": 0}
+    for node in schema.lattice.nodes():
+        grouping = node.grouping_dims(schema.dimensions)
+        if not grouping:
+            continue
+        node_id = schema.node_id(node)
+        store = storage.get_node_store(node_id)
+        stored = []  # the fact row-ids each relation dereferences
+        if store is not None and store.nt_count:
+            stored.append(store.nt_matrix()[:, 0])
+        if store is not None and store.cat_count:
+            cat = store.cat_matrix()
+            if storage.cat_format is CatFormat.COMMON_SOURCE:
+                stored.append(storage.aggregates_matrix()[cat[:, 0], 0])
+            else:
+                stored.append(cat[:, 0])
+        tts = [
+            storage.get_node_store(source).tt_array()
+            for source in tt_source_ids(storage, node, node_id)
+            if storage.get_node_store(source) is not None
+            and storage.get_node_store(source).tt_count
+        ]
+        relations = {
+            name
+            for name in expected_decodes(built, node)
+            if not name.startswith("fact/")
         }
-        assert f"fact/dim/{dim}" in fact_columns
-    reference = built.planner().answer(request)
-    assert got.normalized().to_pairs() == reference.normalized().to_pairs()
+        dim = grouping[0]
+        dimension = schema.dimensions[dim]
+        level = dimension.n_levels - 1
+        # Member 0 keeps some rows; a member past the level keeps none.
+        for member in (0, dimension.cardinality(level)):
+            request = QueryRequest.of(node, DimensionSlice.of(dim, level, {member}))
+            with open_bundle(built.root) as bundle:
+                planner = bundle.planner()
+                assert planner.plan(request).strategy == "prefilter"
+                decoded.clear()
+                got = planner.answer(request)
+            reference = built.planner().answer(request)
+            assert got.normalized().to_pairs() == (
+                reference.normalized().to_pairs()
+            )
+
+            passes = np.array(
+                [
+                    dimension.code_at(c, level) == member
+                    for c in range(dimension.base_cardinality)
+                ]
+            )[built.fact.column_at(dim)]
+            want = relations | {f"fact/dim/{dim}"}
+            tt_survives = any(passes[rowids].any() for rowids in tts)
+            if tt_survives or any(passes[rowids].any() for rowids in stored):
+                want |= {f"fact/dim/{d}" for d in grouping}
+                seen["fetched"] += 1
+            else:
+                seen["none survive"] += 1
+            if tt_survives:
+                want |= {f"fact/measure/{m}" for m in range(schema.n_measures)}
+            assert set(decoded) == want, (node_id, member)
+            seen["other dims unread"] += len(grouping) < schema.n_dimensions
+    assert all(seen.values()), seen

@@ -29,6 +29,7 @@ from repro.server.replay import op_path, replay_op
 from repro.storage2 import open_v2, write_v2
 from tests.server.conftest import (
     SERVED_VARIANTS,
+    heap_planner,
     serving_fact,
     serving_schema,
     wsgi_get,
@@ -65,16 +66,18 @@ def test_mixed_workload_is_byte_identical(variant, dual_bundles):
 
 def test_row_mode_is_byte_identical(dual_bundles):
     # The row-engine oracle over each backend, through the reference
-    # encoder: built and mapped must agree with each other and with the
-    # columnar engine over the mapped container.
+    # encoder: built, mapped and heap-backed (whose slices post-filter)
+    # must agree with each other and with the columnar engine over each.
     built, v2 = dual_bundles["CURE+"]
     schema = built.schema
-    p1 = built.planner(with_indices=False)
-    p2 = v2.planner(with_indices=False)
+    planners = (built.planner(), v2.planner(), heap_planner(v2))
     for op in mixed_workload(schema, 30, seed=29):
-        body1 = reference_encode_op(schema, op, row_engine.execute_op(p1, op))
-        body2 = reference_encode_op(schema, op, row_engine.execute_op(p2, op))
-        assert body1 == body2 == replay_op(p2, op), op
+        bodies = {
+            reference_encode_op(schema, op, row_engine.execute_op(p, op))
+            for p in planners
+        }
+        bodies.update(replay_op(p, op) for p in planners)
+        assert len(bodies) == 1, op
 
 
 @pytest.mark.parametrize("variant", SERVED_VARIANTS)
@@ -91,24 +94,33 @@ def test_http_over_v2_matches_v1_library(variant, dual_bundles):
         assert body == replay_op(reference, op), op
 
 
-def test_indexed_and_postfilter_strategies_agree(dual_bundles):
-    # The v2 planner consumes pre-built mapped CSR indices; with them
-    # disabled the same requests take the postfilter path.  Both must
-    # match the built cube's indexed answers byte for byte.
-    built, v2 = dual_bundles["CURE"]
-    reference = built.planner()
-    indexed = v2.planner()
-    postfilter = v2.planner(with_indices=False)
-    ops = [
-        op
-        for op in mixed_workload(built.schema, 60, seed=37)
-        if op.kind == "slice"
-    ]
-    assert ops, "workload produced no slice ops"
-    for op in ops:
-        expected = replay_op(reference, op)
-        assert replay_op(indexed, op) == expected, op
-        assert replay_op(postfilter, op) == expected, op
+def test_prefilter_and_postfilter_strategies_agree(dual_bundles):
+    # The mapped planner pre-filters stored row-ids against the mapped
+    # fact columns; over the bundle's fact heap the same requests take
+    # the postfilter path.  Both must match the built cube's answers
+    # byte for byte.
+    for built, v2 in dual_bundles.values():
+        reference = built.planner()
+        prefilter, postfilter = v2.planner(), heap_planner(v2)
+        ops = [
+            op
+            for op in mixed_workload(built.schema, 60, seed=37)
+            if op.kind == "slice"
+        ]
+        assert ops, "workload produced no slice ops"
+        for op in ops:
+            request = QueryRequest(op.node, tuple(op.slices))
+            strategies = (
+                prefilter.plan(request).strategy,
+                postfilter.plan(request).strategy,
+            )
+            # An FCURE cube rolls a hierarchical node up from its base.
+            assert strategies in (
+                ("prefilter", "postfilter"), ("rollup", "rollup")
+            ), op
+            expected = replay_op(reference, op)
+            assert replay_op(prefilter, op) == expected, op
+            assert replay_op(postfilter, op) == expected, op
 
 
 def test_fact_row_count_and_metadata_agree(dual_bundles):

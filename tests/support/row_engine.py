@@ -18,13 +18,12 @@ the production reader, which is what makes it the reference for
   ``tuples_returned`` and the fact cache's hits / misses.
 
 What it does share with production is everything that is *not* the
-reader: the lattice (``tt_source_nodes``), the planner's strategy choice
-and the fact-table index that turns slices into allowed row-ids.
+reader: the lattice (``tt_source_nodes``) and the planner's strategy
+choice.  A pre-filtered slice computes its allowed fact rows itself,
+one ``Dimension.code_at`` per fact row and slice.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.storage import CatFormat
 from repro.lattice.plan import plan_ancestors
@@ -32,7 +31,6 @@ from repro.query.answer import QueryStats, tt_source_nodes
 from repro.query.column_answer import ColumnAnswer
 from repro.query.planner import QueryRequest
 from repro.query.rollup import base_node_of
-from repro.query.slice import allowed_row_mask
 from repro.relational.aggregates import aggregate_singleton
 from tests.support.rows import CubeRows, rows_of
 
@@ -202,26 +200,39 @@ def slice_predicate(schema, node, slices):
 
 
 def answer_cure_sliced(
-    storage, cache, node, slices, indices=None, stats=None
+    storage, cache, node, slices, stats=None, prefilter: bool = True
 ) -> Pairs:
     """Answer a node query under dimension slices.
 
-    With ``indices`` row-ids are dropped before their fact fetch;
-    without, the full node answer is computed and then filtered.
+    Row-ids are dropped before their fact fetch when the cube stores
+    row-ids (not DR) and ``cache`` holds the whole fact table — the
+    condition production pre-filters under — unless ``prefilter`` is
+    false; otherwise the full node answer is computed and then filtered.
     """
     schema = storage.schema
     if not slices:
         return answer_cure_query(storage, cache, node, stats)
-    if indices is None:
+    if not prefilter or storage.dr_mode or cache.table is None:
         full = answer_cure_query(storage, cache, node, stats)
         accepts = slice_predicate(schema, node, slices)
         return [
             (dims, aggregates) for dims, aggregates in full if accepts(dims)
         ]
-    allowed = set(
-        np.flatnonzero(allowed_row_mask(schema, slices, indices)).tolist()
-    )
+    allowed = allowed_rowids(schema, rows_of(cache.table.as_batch()), slices)
     return _answer_prefiltered(storage, cache, node, allowed, stats)
+
+
+def allowed_rowids(schema, fact_rows: list[tuple], slices) -> set[int]:
+    """The fact rows whose member at every slice's level is accepted."""
+    return {
+        rowid
+        for rowid, row in enumerate(fact_rows)
+        if all(
+            schema.dimensions[item.dim].code_at(row[item.dim], item.level)
+            in item.members
+            for item in slices
+        )
+    }
 
 
 def _answer_prefiltered(storage, cache, node, allowed: set[int], stats) -> Pairs:
@@ -465,8 +476,8 @@ def answer_request(planner, request: QueryRequest, stats=None) -> Pairs:
         cache,
         request.node,
         list(request.slices),
-        indices=planner.indices if plan.strategy == "indexed" else None,
-        stats=stats,
+        stats,
+        prefilter=plan.strategy == "prefilter",
     )
 
 

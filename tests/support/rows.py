@@ -49,16 +49,9 @@ def batch_of(schema: TableSchema, rows: Iterable[tuple]) -> ColumnBatch:
     )
 
 
-def table_of(
-    schema: TableSchema,
-    rows: Iterable[tuple] = (),
-    base_rowids: Iterable[int] | None = None,
-) -> Table:
-    """A table holding ``rows`` (and, for a slice, their global row-ids)."""
-    batch = batch_of(schema, rows)
-    if base_rowids is not None:
-        base_rowids = list(base_rowids)
-    return Table.from_batch(batch, base_rowids)
+def table_of(schema: TableSchema, rows: Iterable[tuple] = ()) -> Table:
+    """A table holding ``rows``."""
+    return Table.from_batch(batch_of(schema, rows))
 
 
 def append_rows(heap: HeapFile, rows: Iterable[tuple]) -> int:
