@@ -27,8 +27,9 @@ from repro import (
     linear_dimension,
     make_aggregates,
 )
+from repro.lattice.lattice import CubeLattice
 from repro.lattice.node import CubeNode
-from repro.lattice.plan import build_plan_p3
+from repro.lattice.plan import HierarchicalShape, walk_plan
 from repro.query import FactCache, answer_cure_query
 
 N_DAYS = 56  # 8 weeks / ~2 months of daily sales
@@ -56,6 +57,17 @@ def make_time_dimension():
     )
 
 
+def plan_lines(lattice):
+    """CURE's plan (P3) in execution order, one node a line, indented by
+    its depth in the plan tree."""
+    depths = []
+    lines = []
+    for node, parent in walk_plan(HierarchicalShape(lattice)):
+        depths.append(0 if parent < 0 else depths[parent] + 1)
+        lines.append("  " * depths[-1] + node.label(lattice.dimensions))
+    return lines, max(depths)
+
+
 def main() -> None:
     product = linear_dimension(
         "Product",
@@ -75,8 +87,8 @@ def main() -> None:
     lattice = schema.lattice
     print(f"lattice nodes: {lattice.n_nodes} "
           f"(flat would be {1 << schema.n_dimensions})")
-    plan = build_plan_p3(lattice)
-    print(f"CURE plan P3: {plan.node_count()} nodes, height {plan.height()}")
+    lines, height = plan_lines(lattice)
+    print(f"CURE plan P3: {len(lines)} nodes, height {height}")
     # The modified rule 2 at work: day is reached from week (higher
     # cardinality), not from month.
     print(f"Time dashed edges from 'week': "
@@ -85,9 +97,7 @@ def main() -> None:
           f"{[time.level(c).name for c in time.dashed_children(2)]}")
     print()
     print("--- the Time sub-plan (paper Figure 5b, as a tree) ---")
-    from repro import CubeSchema as _CS
-    time_only = _CS((time,), schema.aggregates, schema.n_measures)
-    print(build_plan_p3(time_only.lattice).render())
+    print("\n".join(plan_lines(CubeLattice((time,)))[0]))
     print()
 
     rng = np.random.default_rng(3)

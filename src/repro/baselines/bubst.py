@@ -2,7 +2,7 @@
 
 BU-BST runs the same bottom-up recursion as BUC — here, like BUC, one
 :class:`~repro.core.cure.CureBuilder` over the flat plan
-(:class:`~repro.core.cure.FlatShape`) — and recognizes **base single
+(:class:`~repro.lattice.plan.FlatShape`) — and recognizes **base single
 tuples** (BSTs) exactly as CURE recognizes trivial tuples: when a
 partition shrinks to one fact tuple, that tuple is stored once, at the
 least detailed node, and shared with the whole plan sub-tree.  That
@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.buc import VALUE_BYTES, positional_working_set
-from repro.core.cure import CureBuilder, FlatShape
+from repro.core.cure import CureBuilder
 from repro.core.model import CubeSchema
+from repro.lattice.plan import FlatShape
 from repro.relational.sortops import SortStats
 from repro.relational.table import Table
 
@@ -82,7 +83,7 @@ def build_bubst_cube(
     """Run BU-BST over an in-memory fact table (flat, base levels only)."""
     started = time.perf_counter()
     working = positional_working_set(schema, table)
-    builder = CureBuilder(schema, FlatShape(schema))
+    builder = CureBuilder(schema, FlatShape(schema.lattice))
     tts, sigs = builder.run(working)
     d = schema.n_dimensions
     events = np.concatenate((sigs[:, :2], tts))

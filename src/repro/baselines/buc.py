@@ -3,7 +3,7 @@
 BUC's bottom-up depth-first traversal is where CURE's execution plan comes
 from, so BUC runs on CURE's kernel: one
 :class:`~repro.core.cure.CureBuilder` over the flat plan
-(:class:`~repro.core.cure.FlatShape`), whose event streams a small sink
+(:class:`~repro.lattice.plan.FlatShape`), whose event streams a small sink
 turns into BUC's cube.  What still differs from CURE is what the paper
 says differs — BUC identifies **no redundancy**:
 
@@ -37,11 +37,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.cure import CureBuilder, FlatShape
+from repro.core.cure import CureBuilder
 from repro.core.model import CubeSchema
 from repro.core.storage import node_chunks
 from repro.core.workingset import WorkingSet
-from repro.lattice.plan import plan_ancestors
+from repro.lattice.plan import FlatShape, plan_ancestors
 from repro.relational.sortops import SortStats
 from repro.relational.table import Table
 
@@ -106,7 +106,7 @@ def build_buc_cube(
     """Run BUC over an in-memory fact table (flat, base levels only)."""
     started = time.perf_counter()
     working = positional_working_set(schema, table)
-    builder = CureBuilder(schema, FlatShape(schema), min_count)
+    builder = CureBuilder(schema, FlatShape(schema.lattice), min_count)
     tts, sigs = builder.run(working)
     tuples, values = _expansion_size(schema, tts, sigs)
     cube = BucCube(schema, materialized=materialize)

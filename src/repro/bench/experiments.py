@@ -23,7 +23,7 @@ import numpy as np
 from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.bench.results import ExperimentTable
 from repro.core.analysis import GB, table1_rows
-from repro.core.cure import LevelsAsDimensionsShape, build_cube
+from repro.core.cure import build_cube
 from repro.core.variants import VARIANTS
 from repro.core.model import CubeSchema
 from repro.datasets import (
@@ -32,6 +32,7 @@ from repro.datasets import (
     generate_flat_dataset,
     generate_sep85l_like,
 )
+from repro.lattice.plan import LevelsAsDimensionsShape
 from repro.query import (
     FactCache,
     QueryStats,
@@ -629,7 +630,7 @@ def run_plan_ablation(
     )
     p2 = build_cube(
         schema, table=fact, pool_capacity=pool_capacity,
-        shape=LevelsAsDimensionsShape(schema),
+        shape=LevelsAsDimensionsShape(schema.lattice),
     )
     table.add(
         plan="P2", nodes_covered=schema.enumerator.n_nodes,

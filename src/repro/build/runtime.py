@@ -25,10 +25,11 @@ from repro.build.tasks import (
     TaskOutcome,
     TaskSpec,
 )
-from repro.core.cure import BuildStats, CureBuilder, HierarchicalShape
+from repro.core.cure import BuildStats, CureBuilder
 from repro.core.model import CubeSchema
 from repro.core.partition import repartition_partition
 from repro.core.workingset import WorkingSet
+from repro.lattice.plan import HierarchicalShape
 from repro.relational.engine import Engine
 from repro.relational.memory import MemoryBudgetExceeded
 
@@ -50,7 +51,7 @@ def execute_task(
     :class:`MemoryBudgetExceeded`.
     """
     stats = BuildStats()
-    shape = HierarchicalShape(schema, task.base_floor)
+    shape = HierarchicalShape(schema.lattice, task.base_floor)
     builder = CureBuilder(schema, shape, min_count, stats, dr_mode)
     if task.kind == KIND_PARTITION:
         try:

@@ -60,7 +60,7 @@ from repro.core.recovery import verify_cube
 from repro.core.variants import VARIANTS
 from repro.datasets.loader import DimensionSpec, MeasureSpec, load_csv
 from repro.lattice.node import CubeNode
-from repro.query import DimensionSlice, answer_cure_sliced
+from repro.query import DimensionSlice, QueryRequest
 from repro.relational.catalog import Catalog
 
 
@@ -195,7 +195,7 @@ def _parse_group_by(schema, text: str) -> CubeNode:
     return CubeNode(tuple(levels))
 
 
-def _parse_where(schema, bundle, clauses: list[str], node: CubeNode):
+def _parse_where(schema, clauses: list[str]):
     slices = []
     by_name = {d.name: (i, d) for i, d in enumerate(schema.dimensions)}
     for clause in clauses or []:
@@ -233,10 +233,14 @@ def cmd_query(args) -> int:
     with open_bundle(args.cube) as bundle:
         schema = bundle.schema
         node = _parse_group_by(schema, args.group_by)
-        slices = _parse_where(schema, bundle, args.where, node)
-        cache = bundle.fact_cache()
-        answer = answer_cure_sliced(bundle.storage, cache, node, slices)
-        answer = answer.normalized()
+        slices = _parse_where(schema, args.where)
+        # The planner rolls an FCURE cube's base-level nodes up to a
+        # coarse group-by, as the server does.
+        request = QueryRequest(node, tuple(slices))
+        try:
+            answer = bundle.planner().execute(request).normalized()
+        except ValueError as error:  # a slice the group-by cannot take
+            raise SystemExit(str(error)) from None
         grouping = node.grouping_dims(schema.dimensions)
         header = [
             f"{schema.dimensions[d].name}."

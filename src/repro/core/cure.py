@@ -1,4 +1,4 @@
-"""The CURE algorithm (Figure 13 of the paper) and its execution shapes.
+"""The CURE algorithm (Figure 13 of the paper).
 
 ``CureBuilder`` implements the recursion of ``ExecutePlan``/``FollowEdge``:
 
@@ -12,10 +12,10 @@
 * every other aggregated tuple becomes a **signature** in the bounded pool,
   whose flushes classify NTs vs CATs (Section 5.2).
 
-The same executor drives all plan shapes: P3 (hierarchical CURE), the flat
-P1 (FCURE and the flat baselines), and P2 (the "levels as dimensions"
-ablation) — a shape only decides which levels solid edges introduce and
-where dashed edges descend.
+The same executor drives all plan shapes of :mod:`repro.lattice.plan`: P3
+(hierarchical CURE), the flat P1 (FCURE and the flat baselines), and P2
+(the "levels as dimensions" ablation) — a shape only decides which levels
+solid edges introduce and where dashed edges descend.
 
 ``build_cube`` is the top-level Algorithm CURE: it takes the in-memory fast
 path when the fact relation fits the (simulated) memory budget, and
@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +38,12 @@ from repro.core.segments import aggregate_ufuncs, sort_groups, stable_order
 from repro.core.signature import PoolStats, SignaturePool
 from repro.core.storage import CubeStorage
 from repro.core.workingset import WorkingSet
+from repro.lattice.plan import (
+    ExecutionShape,
+    FlatShape,
+    HierarchicalShape,
+    child_edges,
+)
 from repro.relational.engine import Engine
 from repro.relational.sortops import SortStats
 from repro.relational.table import Table
@@ -63,89 +69,6 @@ class BuildStats:
     workers: int = 1
     peak_worker_bytes: int = 0
     elapsed_seconds: float = 0.0
-
-
-# -- execution shapes -----------------------------------------------------------
-
-
-class ExecutionShape(Protocol):
-    """What the executor needs from a plan shape (P1/P2/P3 or custom)."""
-
-    def entry_levels(self, dim: int) -> tuple[int, ...]: ...
-
-    def dashed_children(self, dim: int, level: int) -> tuple[int, ...]: ...
-
-
-class HierarchicalShape:
-    """CURE's P3 shape: entry at top levels, dashed descent per hierarchy.
-
-    ``base_levels`` stops descent above a dimension's base level — the
-    ``baseLevel`` array of Figure 13, used by the coarse-node phase of
-    partitioned construction.
-    """
-
-    def __init__(
-        self, schema: CubeSchema, base_levels: tuple[int, ...] | None = None
-    ) -> None:
-        self.base_levels = base_levels or tuple(0 for _ in schema.dimensions)
-        self._entries: list[tuple[int, ...]] = []
-        self._dashed: list[list[tuple[int, ...]]] = []
-        for d, dimension in enumerate(schema.dimensions):
-            floor = self.base_levels[d]
-            self._entries.append(
-                tuple(
-                    level
-                    for level in dimension.entry_levels()
-                    if level >= floor
-                )
-            )
-            self._dashed.append(
-                [
-                    tuple(
-                        child
-                        for child in dimension.dashed_children(level)
-                        if child >= floor
-                    )
-                    for level in range(dimension.n_levels_with_all)
-                ]
-            )
-
-    def entry_levels(self, dim: int) -> tuple[int, ...]:
-        return self._entries[dim]
-
-    def dashed_children(self, dim: int, level: int) -> tuple[int, ...]:
-        return self._dashed[dim][level]
-
-
-class FlatShape:
-    """P1: base levels only, no dashed edges (BUC, BU-BST, FCURE)."""
-
-    def __init__(self, schema: CubeSchema) -> None:
-        self._n = schema.n_dimensions
-
-    def entry_levels(self, dim: int) -> tuple[int, ...]:
-        return (0,)
-
-    def dashed_children(self, dim: int, level: int) -> tuple[int, ...]:
-        return ()
-
-
-class LevelsAsDimensionsShape:
-    """P2: every level is an independent entry; no dashed edges.
-
-    Each node is reached by one solid path that picks a single level per
-    participating dimension, so the plan height stays D but every edge
-    pays a from-scratch sort — the inefficiency Section 3.1 quantifies.
-    """
-
-    def __init__(self, schema: CubeSchema) -> None:
-        self._dimensions = schema.dimensions
-
-    def entry_levels(self, dim: int) -> tuple[int, ...]:
-        return tuple(range(self._dimensions[dim].n_levels - 1, -1, -1))
-
-    def dashed_children(self, dim: int, level: int) -> tuple[int, ...]:
-        return ()
 
 
 # -- the executor ----------------------------------------------------------------
@@ -184,8 +107,8 @@ class _EdgeEvents:
 class CureBuilder:
     """``ExecutePlan``/``FollowEdge`` of Figure 13, one plan edge at a time.
 
-    The recursion walks the execution plan (``shape.entry_levels`` /
-    ``dashed_children``, never materialized); each ``FollowEdge`` handles
+    The recursion follows its shape's :func:`~repro.lattice.plan.child_edges`
+    (the plan is never materialized); each ``FollowEdge`` handles
     *all* surviving parent segments at once: one stable sort on
     ``(parent segment, level key)``, per-segment weight, minimum row-id
     and aggregates, trivial-tuple / iceberg / signature classification as
@@ -418,10 +341,10 @@ class CureBuilder:
                 np.repeat(np.arange(len(alive), dtype=np.int64), lengths),
                 len(alive),
             )
-            children = [
-                self._follow_edge(survivors, *edge)
-                for edge in self._child_edges(entered, next_dim, pair_level)
-            ]
+            edges = child_edges(
+                self.shape, self._node_levels, entered, next_dim, pair_level
+            )
+            children = [self._follow_edge(survivors, *edge) for edge in edges]
             for child in children:
                 size[alive] += child.totals
         totals = np.bincount(parent, weights=size, minlength=n_parents)
@@ -435,28 +358,6 @@ class CureBuilder:
             sig_rows,
             children,
         )
-
-    def _child_edges(
-        self, entered: int | None, next_dim: int, pair_level: int | None
-    ) -> list[tuple[int, int, int, int | None]]:
-        """Lines 8–15 of ``ExecutePlan``: the ``(dim, level, next_dim,
-        pair_level)`` of the edges leaving the current node, in plan order."""
-        if pair_level is not None:
-            descents = self.shape.dashed_children(0, self._node_levels[0])
-            return [(1, pair_level, 2, None)] + [
-                (0, child, next_dim, pair_level) for child in descents
-            ]
-        edges: list[tuple[int, int, int, int | None]] = [
-            (d, entry, d + 1, None)
-            for d in range(next_dim, self.schema.n_dimensions)
-            for entry in self.shape.entry_levels(d)
-        ]
-        if entered is not None:  # the dashed edges
-            descents = self.shape.dashed_children(
-                entered, self._node_levels[entered]
-            )
-            edges += [(entered, child, next_dim, None) for child in descents]
-        return edges
 
     # -- top-down: depth-first positions --------------------------------------------
 
@@ -560,7 +461,11 @@ def build_cube(
     stats = BuildStats()
     pool = signature_pool(storage, pool_capacity)
     if shape is None:
-        shape = FlatShape(schema) if flat else HierarchicalShape(schema)
+        shape = (
+            FlatShape(schema.lattice)
+            if flat
+            else HierarchicalShape(schema.lattice)
+        )
 
     started = time.perf_counter()
     decision: PartitionDecision | None = None

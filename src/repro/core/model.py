@@ -14,7 +14,12 @@ from functools import cached_property
 from repro.hierarchy.dimension import Dimension
 from repro.lattice.lattice import CubeLattice
 from repro.lattice.node import CubeNode, NodeEnumerator
-from repro.lattice.plan import plan_parent
+from repro.lattice.plan import (
+    ExecutionShape,
+    FlatShape,
+    HierarchicalShape,
+    walk_plan,
+)
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.schema import Column, ColumnType, TableSchema
 
@@ -121,23 +126,15 @@ class CubeSchema:
         """
         cached = self._plan_orders.get(flat)
         if cached is None:
-            lattice = self.lattice
-            children: dict[CubeNode | None, list[CubeNode]] = {}
-            for node in lattice.flat_nodes() if flat else lattice.nodes():
-                children.setdefault(
-                    plan_parent(lattice, node, flat=flat), []
-                ).append(node)
-            order: list[tuple[CubeNode, int, int]] = []
-            pending = [(root, -1) for root in reversed(children[None])]
-            while pending:
-                node, parent = pending.pop()
-                position = len(order)
-                order.append((node, self.node_id(node), parent))
-                pending.extend(
-                    (child, position)
-                    for child in reversed(children.get(node, ()))
-                )
-            cached = self._plan_orders[flat] = tuple(order)
+            shape: ExecutionShape = (
+                FlatShape(self.lattice)
+                if flat
+                else HierarchicalShape(self.lattice)
+            )
+            cached = self._plan_orders[flat] = tuple(
+                (node, self.node_id(node), parent)
+                for node, parent in walk_plan(shape)
+            )
         return cached
 
     @cached_property
@@ -170,21 +167,3 @@ class CubeSchema:
             if spec.function.name == "count":
                 return index
         return None
-
-    def ordered_by_cardinality(self) -> "CubeSchema":
-        """A schema with dimensions reordered by decreasing base cardinality.
-
-        This is BUC's heuristic (Section 4 of the paper notes it also makes
-        CURE's partitioning more likely to find a proper level ``L``).
-        Fact tables built for the original order must be permuted
-        accordingly by the caller.
-        """
-        order = sorted(
-            range(self.n_dimensions),
-            key=lambda d: -self.dimensions[d].base_cardinality,
-        )
-        return CubeSchema(
-            tuple(self.dimensions[d] for d in order),
-            self.aggregates,
-            self.n_measures,
-        )

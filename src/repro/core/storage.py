@@ -432,14 +432,6 @@ class CubeStorage:
 
     # -- inspection ---------------------------------------------------------------
 
-    def node_by_label(self, label: str) -> NodeStore | None:
-        """Find a node store by its human-readable label (tests/examples)."""
-        for node_id, store in self.nodes.items():
-            node = self.schema.decode_node(node_id)
-            if node.label(self.schema.dimensions) == label:
-                return store
-        return None
-
     def describe(self) -> str:
         """A short multi-line summary for examples and debugging."""
         report = self.size_report()

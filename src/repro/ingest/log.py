@@ -116,8 +116,26 @@ def _scan_segment(path: Path) -> tuple[list[bytes], int]:
     return payloads, offset
 
 
-def _decode_rows(payload: bytes) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in json.loads(payload.decode("utf-8")))
+def _decode_rows(
+    payload: bytes, segment: str, lsn: int
+) -> tuple[tuple[int, ...], ...]:
+    """A record's rows.  :meth:`AppendLog.append` writes a non-empty JSON
+    list of lists, so any other payload behind a valid digest is damage
+    (a re-signed record) and fails closed as :class:`LogCorruption`."""
+    try:
+        rows = json.loads(payload.decode("utf-8"))
+    except ValueError:  # bad UTF-8 or bad JSON
+        rows = None
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(row, list) for row in rows)
+    ):
+        raise LogCorruption(
+            f"record {lsn} of sealed segment {segment} is not a non-empty "
+            "JSON list of rows"
+        )
+    return tuple(tuple(row) for row in rows)
 
 
 @dataclass
@@ -337,7 +355,7 @@ class AppendLog:
             for offset, payload in enumerate(payloads):
                 lsn = first + offset
                 if lsn > after_lsn:
-                    yield LogRecord(lsn, _decode_rows(payload))
+                    yield LogRecord(lsn, _decode_rows(payload, path.name, lsn))
 
     # -- truncation ---------------------------------------------------------
 

@@ -4,27 +4,13 @@ from __future__ import annotations
 
 from repro.lattice.node import CubeNode, NodeEnumerator
 from repro.lattice.lattice import CubeLattice
-from repro.lattice.plan import (
-    ExecutionPlan,
-    PlanEdge,
-    PlanNode,
-    build_plan_p1,
-    build_plan_p2,
-    build_plan_p3,
-    plan_ancestors,
-    plan_parent,
-)
+from repro.lattice.plan import plan_ancestors, plan_parent, walk_plan
 
 __all__ = [
     "CubeLattice",
     "CubeNode",
-    "ExecutionPlan",
     "NodeEnumerator",
-    "PlanEdge",
-    "PlanNode",
-    "build_plan_p1",
-    "build_plan_p2",
-    "build_plan_p3",
     "plan_ancestors",
     "plan_parent",
+    "walk_plan",
 ]

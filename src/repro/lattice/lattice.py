@@ -1,12 +1,9 @@
-"""The hierarchical cube lattice: nodes, detail order, ancestors.
+"""The hierarchical cube lattice: nodes and the roll-up order of levels.
 
 The lattice (Harinarayan et al. [9], extended with hierarchy levels as in
-Section 3 of the CURE paper) orders nodes by detail: node ``M`` is an
-**ancestor** of ``N`` when ``M`` is at least as detailed as ``N`` in every
-dimension — i.e. each of ``N``'s levels is reachable from ``M``'s level by
-rolling up.  (The paper draws detailed nodes at the top, so "ancestor"
-means "more detailed"; a partition sound on ``N`` is sound on all of
-``N``'s ancestors.)
+Section 3 of the CURE paper) orders nodes by detail: node ``M`` is at
+least as detailed as ``N`` when each of ``N``'s levels is reachable from
+``M``'s level by rolling up (:meth:`CubeLattice.level_rolls_up_to`).
 """
 
 from __future__ import annotations
@@ -74,33 +71,6 @@ class CubeLattice:
     def level_rolls_up_to(self, dim: int, detailed: int, coarse: int) -> bool:
         """Can dimension ``dim``'s level ``detailed`` roll up to ``coarse``?"""
         return coarse in self._rollup_reach[dim][detailed]
-
-    def is_ancestor(self, detailed: CubeNode, coarse: CubeNode) -> bool:
-        """Is ``detailed`` an ancestor of (at least as detailed as) ``coarse``?
-
-        True also when the nodes are equal; callers wanting the strict
-        relation should exclude equality themselves.
-        """
-        return all(
-            self.level_rolls_up_to(d, detailed.levels[d], coarse.levels[d])
-            for d in range(self.n_dimensions)
-        )
-
-    def ancestors(self, node: CubeNode) -> list[CubeNode]:
-        """All strictly more detailed nodes (O(n_nodes) scan; small lattices)."""
-        return [
-            candidate
-            for candidate in self.nodes()
-            if candidate != node and self.is_ancestor(candidate, node)
-        ]
-
-    def descendants(self, node: CubeNode) -> list[CubeNode]:
-        """All strictly less detailed nodes."""
-        return [
-            candidate
-            for candidate in self.nodes()
-            if candidate != node and self.is_ancestor(node, candidate)
-        ]
 
     # -- distinguished nodes -----------------------------------------------------
 

@@ -1,216 +1,190 @@
 """Execution plans: BUC-style prunings of the cube lattice (Section 3).
 
-Three plan shapes from the paper are materializable as trees here:
+A plan is never materialized.  An *execution shape* says which levels
+solid edges introduce and where dashed edges descend, and
+:func:`child_edges` turns that into the edges leaving one plan node —
+the one forward definition of the plan, which
+:class:`~repro.core.cure.CureBuilder` executes and :func:`walk_plan`
+enumerates.  Three shapes come from the paper:
 
-* **P1** (:func:`build_plan_p1`) — the flat BUC plan over base levels only
-  (Figure 2); also the plan FCURE uses over hierarchical data.
-* **P2** (:func:`build_plan_p2`) — the "straightforward" hierarchical plan
-  that treats every level as an independent dimension (Figure 3); height
-  stays D, so sort costs are shared poorly.  Implemented for the plan
-  ablation benchmark.
-* **P3** (:func:`build_plan_p3`) — CURE's tall plan (Figure 4), built from
+* **P3** (:class:`HierarchicalShape`) — CURE's tall plan (Figure 4):
   rule 1 (solid edges introduce the next dimension at an entry level) and
-  rule 2 (dashed edges descend the rightmost dimension one level), with
-  the modified rule 2 for complex hierarchies baked into
+  rule 2 (dashed edges descend the most recently added dimension one
+  level), with the modified rule 2 for complex hierarchies baked into
   :meth:`Dimension.dashed_children`.
+* **P1** (:class:`FlatShape`) — the flat BUC plan over base levels only
+  (Figure 2); also the plan FCURE and the flat baselines run.
+* **P2** (:class:`LevelsAsDimensionsShape`) — the "straightforward"
+  hierarchical plan that treats every level as an independent dimension
+  (Figure 3); height stays D, so sort costs are shared poorly.
 
-Materialized trees are only for small lattices (tests, visualization,
-ablation).  Execution and query answering use the *analytic* form —
-:func:`plan_parent` / :func:`plan_ancestors` — which navigates P3 without
-building it, since flat lattices at high dimensionality have ``2^D`` nodes.
+:func:`plan_parent` / :func:`plan_ancestors` navigate P3 (or P1)
+backwards without a walk, since flat lattices at high dimensionality
+have ``2^D`` nodes.
 """
 
 from __future__ import annotations
 
-import enum
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from typing import Protocol
 
 from repro.lattice.lattice import CubeLattice
 from repro.lattice.node import CubeNode
 
-
-class PlanEdge(enum.Enum):
-    """Edge flavors from Section 3.1."""
-
-    SOLID = "solid"  # adds a grouping dimension at an entry level
-    DASHED = "dashed"  # descends the rightmost dimension one level
+#: One plan edge: ``(dim, level, next_dim, pair_level)`` — the dimension
+#: the edge sorts on and its level, the first dimension the child's solid
+#: edges may introduce, and the pending pair entry of a pair partition.
+Edge = tuple[int, int, int, int | None]
 
 
-@dataclass
-class PlanNode:
-    """One node of a materialized execution plan tree."""
+class ExecutionShape(Protocol):
+    """What the executor needs from a plan shape (P1/P2/P3 or custom)."""
 
-    node: CubeNode
-    children: list[tuple[PlanEdge, "PlanNode"]] = field(default_factory=list)
+    @property
+    def lattice(self) -> CubeLattice: ...
 
-    def walk(self) -> Iterator["PlanNode"]:
-        """Yield every plan node in depth-first (execution) order."""
-        yield self
-        for _edge, child in self.children:
-            yield from child.walk()
+    def entry_levels(self, dim: int) -> tuple[int, ...]: ...
 
-    def height(self) -> int:
-        """Edges on the longest root-to-leaf path."""
-        if not self.children:
-            return 0
-        return 1 + max(child.height() for _edge, child in self.children)
-
-    def count(self) -> int:
-        return sum(1 for _node in self.walk())
+    def dashed_children(self, dim: int, level: int) -> tuple[int, ...]: ...
 
 
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """A materialized plan tree plus its lattice context."""
+class HierarchicalShape:
+    """CURE's P3 shape: entry at top levels, dashed descent per hierarchy.
 
-    lattice: CubeLattice
-    root: PlanNode
-    name: str
-
-    def node_count(self) -> int:
-        return self.root.count()
-
-    def height(self) -> int:
-        return self.root.height()
-
-    def render(self, max_nodes: int = 200) -> str:
-        """An ASCII tree of the plan (solid ``──``, dashed ``╌╌`` edges).
-
-        Figures 2–4 of the paper, regenerable for any lattice::
-
-            ∅
-            ├── A.A2
-            │   ├── B.B1 …
-
-        Rendering stops after ``max_nodes`` lines with an ellipsis, since
-        flat plans grow as 2^D.
-        """
-        dimensions = self.lattice.dimensions
-        lines = [f"{self.name} ({self.node_count()} nodes, "
-                 f"height {self.height()})"]
-        count = 0
-
-        def walk(plan_node: PlanNode, prefix: str, connector: str) -> bool:
-            nonlocal count
-            if count >= max_nodes:
-                return False
-            lines.append(prefix + connector + plan_node.node.label(dimensions))
-            count += 1
-            children = plan_node.children
-            child_prefix = prefix
-            if connector:
-                child_prefix += "│   " if connector.startswith("├") else "    "
-            for index, (edge, child) in enumerate(children):
-                last = index == len(children) - 1
-                stroke = "──" if edge is PlanEdge.SOLID else "╌╌"
-                branch = ("└" if last else "├") + stroke + " "
-                if not walk(child, child_prefix, branch):
-                    lines.append(child_prefix + "└── …")
-                    return False
-            return True
-
-        walk(self.root, "", "")
-        return "\n".join(lines)
-
-
-# -- P3: CURE's hierarchical plan ---------------------------------------------
-
-
-def build_plan_p3(
-    lattice: CubeLattice, base_levels: tuple[int, ...] | None = None
-) -> ExecutionPlan:
-    """Materialize CURE's plan (Figure 4) for a small lattice.
-
-    ``base_levels`` optionally stops dashed descent above a dimension's
-    base — the partitioned mode's ``baseLevel`` array (Figure 13).
+    ``base_levels`` stops descent above a dimension's base level — the
+    ``baseLevel`` array of Figure 13, used by the coarse-node phase of
+    partitioned construction.
     """
-    dimensions = lattice.dimensions
-    if base_levels is None:
-        base_levels = tuple(0 for _ in dimensions)
 
-    def expand(node: CubeNode, next_dim: int, entered: int | None) -> PlanNode:
-        plan_node = PlanNode(node)
-        for d in range(next_dim, lattice.n_dimensions):
-            for entry in dimensions[d].entry_levels():
-                child = node.with_level(d, entry)
-                plan_node.children.append(
-                    (PlanEdge.SOLID, expand(child, d + 1, d))
+    def __init__(
+        self, lattice: CubeLattice, base_levels: tuple[int, ...] | None = None
+    ) -> None:
+        self.lattice = lattice
+        self.base_levels = base_levels or tuple(0 for _ in lattice.dimensions)
+        self._entries: list[tuple[int, ...]] = []
+        self._dashed: list[list[tuple[int, ...]]] = []
+        for d, dimension in enumerate(lattice.dimensions):
+            floor = self.base_levels[d]
+            self._entries.append(
+                tuple(
+                    level
+                    for level in dimension.entry_levels()
+                    if level >= floor
                 )
-        if entered is not None:
-            for lower in dimensions[entered].dashed_children(node.levels[entered]):
-                if lower < base_levels[entered]:
-                    continue
-                child = node.with_level(entered, lower)
-                plan_node.children.append(
-                    (PlanEdge.DASHED, expand(child, next_dim, entered))
-                )
-        return plan_node
-
-    return ExecutionPlan(lattice, expand(lattice.all_node, 0, None), "P3")
-
-
-# -- P1: the flat BUC plan ----------------------------------------------------
-
-
-def build_plan_p1(lattice: CubeLattice) -> ExecutionPlan:
-    """The flat plan (Figure 2): base levels only, solid edges only."""
-
-    def expand(node: CubeNode, next_dim: int) -> PlanNode:
-        plan_node = PlanNode(node)
-        for d in range(next_dim, lattice.n_dimensions):
-            child = node.with_level(d, 0)
-            plan_node.children.append((PlanEdge.SOLID, expand(child, d + 1)))
-        return plan_node
-
-    return ExecutionPlan(lattice, expand(lattice.all_node, 0), "P1")
-
-
-# -- P2: levels as independent dimensions --------------------------------------
-
-
-def build_plan_p2(lattice: CubeLattice) -> ExecutionPlan:
-    """The "shortest" hierarchical plan (Figure 3).
-
-    Every (dimension, level) pair acts as a pseudo-dimension; nodes mixing
-    two levels of the same dimension are omitted.  Pseudo-dimensions are
-    ordered by dimension, then from least to most detailed level, so each
-    lattice node appears exactly once and the tree height equals D.
-    """
-    dimensions = lattice.dimensions
-    pseudo: list[tuple[int, int]] = []
-    for d, dimension in enumerate(dimensions):
-        for level in range(dimension.n_levels - 1, -1, -1):
-            pseudo.append((d, level))
-
-    def expand(node: CubeNode, next_pseudo: int, used_dim: int) -> PlanNode:
-        plan_node = PlanNode(node)
-        for p in range(next_pseudo, len(pseudo)):
-            d, level = pseudo[p]
-            if d == used_dim:
-                continue
-            child = node.with_level(d, level)
-            plan_node.children.append(
-                (PlanEdge.SOLID, expand(child, p + 1, d))
             )
-        return plan_node
+            self._dashed.append(
+                [
+                    tuple(
+                        child
+                        for child in dimension.dashed_children(level)
+                        if child >= floor
+                    )
+                    for level in range(dimension.n_levels_with_all)
+                ]
+            )
 
-    return ExecutionPlan(lattice, expand(lattice.all_node, 0, -1), "P2")
+    def entry_levels(self, dim: int) -> tuple[int, ...]:
+        return self._entries[dim]
+
+    def dashed_children(self, dim: int, level: int) -> tuple[int, ...]:
+        return self._dashed[dim][level]
 
 
-# -- analytic P3 navigation ----------------------------------------------------
+class FlatShape:
+    """P1: base levels only, no dashed edges (BUC, BU-BST, FCURE)."""
+
+    def __init__(self, lattice: CubeLattice) -> None:
+        self.lattice = lattice
+
+    def entry_levels(self, dim: int) -> tuple[int, ...]:
+        return (0,)
+
+    def dashed_children(self, dim: int, level: int) -> tuple[int, ...]:
+        return ()
+
+
+class LevelsAsDimensionsShape:
+    """P2: every level is an independent entry; no dashed edges.
+
+    Each node is reached by one solid path that picks a single level per
+    participating dimension, so the plan height stays D but every edge
+    pays a from-scratch sort — the inefficiency Section 3.1 quantifies.
+    """
+
+    def __init__(self, lattice: CubeLattice) -> None:
+        self.lattice = lattice
+
+    def entry_levels(self, dim: int) -> tuple[int, ...]:
+        n_levels = self.lattice.dimensions[dim].n_levels
+        return tuple(range(n_levels - 1, -1, -1))
+
+    def dashed_children(self, dim: int, level: int) -> tuple[int, ...]:
+        return ()
+
+
+def child_edges(
+    shape: ExecutionShape,
+    levels: Sequence[int],
+    entered: int | None,
+    next_dim: int,
+    pair_level: int | None,
+) -> list[Edge]:
+    """Lines 8–15 of ``ExecutePlan``: the edges leaving the node at
+    ``levels``, in plan order — solid edges first, then dashed ones.
+
+    ``entered`` is the dimension the edge into the node sorted on (None at
+    the root).  Under a pair partition (``pair_level`` set) the node is
+    dimension 0 alone: its one solid edge enters dimension 1 at
+    ``pair_level``, and its dashed edges keep descending dimension 0.
+    """
+    if pair_level is not None:
+        descents = shape.dashed_children(0, levels[0])
+        return [(1, pair_level, 2, None)] + [
+            (0, child, next_dim, pair_level) for child in descents
+        ]
+    edges: list[Edge] = [
+        (d, entry, d + 1, None)
+        for d in range(next_dim, shape.lattice.n_dimensions)
+        for entry in shape.entry_levels(d)
+    ]
+    if entered is not None:  # the dashed edges
+        descents = shape.dashed_children(entered, levels[entered])
+        edges += [(entered, child, next_dim, None) for child in descents]
+    return edges
+
+
+def walk_plan(shape: ExecutionShape) -> Iterator[tuple[CubeNode, int]]:
+    """The plan of ``shape`` in pre-order, as ``(node, parent)``.
+
+    ``parent`` is the position in this sequence of the node's plan parent
+    (-1 for the root, ∅), so every parent comes before its children —
+    the order in which :class:`~repro.core.cure.CureBuilder` emits them.
+    """
+    pending: list[tuple[CubeNode, int, int | None, int]] = [
+        (shape.lattice.all_node, -1, None, 0)
+    ]
+    position = 0
+    while pending:
+        node, parent, entered, next_dim = pending.pop()
+        yield node, parent
+        edges = child_edges(shape, node.levels, entered, next_dim, None)
+        pending.extend(
+            (node.with_level(dim, level), position, dim, child_next)
+            for dim, level, child_next, _pair in reversed(edges)
+        )
+        position += 1
 
 
 def plan_parent(
     lattice: CubeLattice, node: CubeNode, flat: bool = False
 ) -> CubeNode | None:
-    """The parent of ``node`` in the (implicit) P3 tree, or None for root.
+    """The parent of ``node`` in the P3 plan, or None for the root.
 
     Reverses the construction rules: if the rightmost grouping dimension
-    sits at one of its entry levels the incoming edge was solid (drop the
-    dimension); otherwise it was dashed (ascend to the level's
-    max-cardinality parent).  With ``flat=True`` navigates the P1 tree
-    instead (drop the rightmost grouping dimension).
+    sits at one of its entry levels (no named parent) the incoming edge
+    was solid (drop the dimension); otherwise it was dashed (ascend to the
+    level's max-cardinality parent).  With ``flat=True`` navigates the P1
+    plan instead (drop the rightmost grouping dimension).
     """
     dimensions = lattice.dimensions
     grouping = node.grouping_dims(dimensions)
@@ -218,11 +192,10 @@ def plan_parent(
         return None
     rightmost = grouping[-1]
     dimension = dimensions[rightmost]
-    level = node.levels[rightmost]
-    if flat or level in dimension.entry_levels():
-        return node.with_level(rightmost, dimension.all_level)
-    parent_level = dimension.dashed_parent_of(level)
-    if parent_level is None:  # entry level not reached via dashed edges
+    parent_level = (
+        None if flat else dimension.dashed_parent_of(node.levels[rightmost])
+    )
+    if parent_level is None:  # an entry level: the edge in was solid
         return node.with_level(rightmost, dimension.all_level)
     return node.with_level(rightmost, parent_level)
 

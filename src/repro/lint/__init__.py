@@ -1,10 +1,9 @@
 """cubelint — domain-aware static analysis for the CURE reproduction.
 
 The CURE engine's correctness rests on structural invariants that no unit
-test observes directly: the lattice must never be materialized at ``2^D``
-nodes (Section 3 of the paper), partitions must be processed
-independently (Section 4), and every durable write must sit where the
-crash harness can reach it.  ``cubelint`` is an AST-level gate that
+test observes directly: construction must be deterministic, partitions
+must be processed independently (Section 4), and every durable write
+must sit where the crash harness can reach it.  ``cubelint`` is an AST-level gate that
 machine-checks the coding rules protecting those invariants, plus a
 handful of general hygiene rules.  Any finding fails the gate; an inline
 ``# cubelint: disable=<id>`` pragma is the one escape hatch.

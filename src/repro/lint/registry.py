@@ -1,4 +1,4 @@
-"""The full cubelint rule catalogue: per-file R2–R9 and R11, flow R12–R13.
+"""The full cubelint rule catalogue: per-file R3–R9 and R11, flow R12–R13.
 
 Import ``ALL_RULES``/``RULES_BY_ID`` from here (not from ``rules``) to
 get the complete set; ``rules`` keeps only the per-file catalogue so the

@@ -1,7 +1,7 @@
-"""The per-file cubelint rules (R2–R9, R11).
+"""The per-file cubelint rules (R3–R9, R11).
 
 Each rule protects either a structural invariant of the CURE engine
-(R2, R3, R6, R7, R9, R11 — see the paper-section references in
+(R3, R6, R7, R9, R11 — see the paper-section references in
 ``docs/static_analysis.md``) or a hygiene property that keeps the
 codebase honest as it grows (R4, R5, R8).
 
@@ -131,41 +131,6 @@ class Rule:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         return Violation(self.rule_id, ctx.path, line, col, message)
-
-
-class MaterializedPlanInHotPath(Rule):
-    """R2: hot paths must use the analytic plan form.
-
-    ``build_plan_p1/p2/p3`` materialize the plan tree, which for flat
-    lattices has ``2^D`` nodes (paper Section 3).  ``core/`` execution and
-    ``query/`` answering must navigate the implicit tree via
-    ``plan_parent`` / ``plan_ancestors``; materialized trees are for
-    tests, rendering, and the bench ablations only.
-    """
-
-    rule_id = "R2"
-    title = "no materialized plan trees in core/ or query/"
-    hint = "use repro.lattice.plan.plan_parent / plan_ancestors; materialized build_plan_p* trees are O(2^D)"
-    only_in = frozenset({"core", "query"})
-
-    _BANNED = frozenset({"build_plan_p1", "build_plan_p2", "build_plan_p3"})
-
-    def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name in self._BANNED:
-                        yield self.violation(
-                            ctx, node, f"import of materialized-plan builder `{alias.name}`"
-                        )
-            elif isinstance(node, ast.Call):
-                dotted = resolved_call_name(node.func, ctx.imports)
-                if dotted is not None and dotted.rpartition(".")[2] in self._BANNED:
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"call to materialized-plan builder `{dotted.rpartition('.')[2]}`",
-                    )
 
 
 class WallClockInCore(Rule):
@@ -485,7 +450,6 @@ class UnorderedListingOrUnseededRandom(Rule):
 
 
 ALL_RULES: tuple[Rule, ...] = (
-    MaterializedPlanInHotPath(),
     WallClockInCore(),
     MutableDefault(),
     MissingFutureAnnotations(),

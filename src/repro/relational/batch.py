@@ -101,15 +101,6 @@ class ColumnBatch:
 
     # -- transformations ----------------------------------------------------
 
-    def project(self, names: Sequence[str]) -> "ColumnBatch":
-        """Keep (and reorder) the named columns; arrays are shared."""
-        positions = [self.schema.position(name) for name in names]
-        return ColumnBatch(
-            self.schema.project(list(names)),
-            tuple(self.arrays[p] for p in positions),
-            self.length,
-        )
-
     def filter(self, mask: np.ndarray) -> "ColumnBatch":
         """Rows where the boolean ``mask`` is true."""
         if mask.dtype != np.bool_ or len(mask) != self.length:

@@ -129,10 +129,6 @@ class TableSchema:
     def column(self, name: str) -> Column:
         return self.columns[self.position(name)]
 
-    def project(self, names: list[str] | tuple[str, ...]) -> "TableSchema":
-        """A new schema containing only ``names``, in the given order."""
-        return TableSchema(tuple(self.column(name) for name in names))
-
     def validate_row(self, row: tuple) -> None:
         """Check that ``row`` has the right arity (types are duck-checked)."""
         if len(row) != self.arity:

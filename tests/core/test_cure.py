@@ -3,13 +3,13 @@
 import pytest
 
 from repro import CubeSchema, build_cube, flat_dimension, make_aggregates
-from repro.core.cure import (
+from repro.core.variants import VARIANTS
+from repro.datasets import generate_flat_dataset
+from repro.lattice.plan import (
     FlatShape,
     HierarchicalShape,
     LevelsAsDimensionsShape,
 )
-from repro.core.variants import VARIANTS
-from repro.datasets import generate_flat_dataset
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.aggregates import AggregateSpec, MedianAgg
@@ -120,13 +120,13 @@ def test_stats_counters_consistency(flat_schema, figure9_table):
 
 
 def test_shapes_cover_expected_node_counts(paper_schema):
-    hierarchical = HierarchicalShape(paper_schema)
+    hierarchical = HierarchicalShape(paper_schema.lattice)
     assert hierarchical.entry_levels(0) == (2,)
     assert hierarchical.dashed_children(0, 2) == (1,)
-    flat = FlatShape(paper_schema)
+    flat = FlatShape(paper_schema.lattice)
     assert flat.entry_levels(0) == (0,)
     assert flat.dashed_children(0, 0) == ()
-    p2 = LevelsAsDimensionsShape(paper_schema)
+    p2 = LevelsAsDimensionsShape(paper_schema.lattice)
     assert p2.entry_levels(0) == (2, 1, 0)
     assert p2.dashed_children(0, 1) == ()
 
@@ -152,7 +152,7 @@ def test_p2_shape_builds_identical_aggregated_content(paper_schema):
         paper_schema,
         table=table,
         pool_capacity=None,
-        shape=LevelsAsDimensionsShape(paper_schema),
+        shape=LevelsAsDimensionsShape(paper_schema.lattice),
     )
     assert p3.stats.nodes_aggregated == p2.stats.nodes_aggregated
 

@@ -33,14 +33,13 @@ from repro import (
     linear_dimension,
     make_aggregates,
 )
-from repro.core.cure import (
-    BuildStats,
-    CureBuilder,
+from repro.core.cure import BuildStats, CureBuilder
+from repro.core.workingset import WorkingSet
+from repro.lattice.plan import (
     FlatShape,
     HierarchicalShape,
     LevelsAsDimensionsShape,
 )
-from repro.core.workingset import WorkingSet
 from tests.support.recursive_cure import RecursiveCureBuilder
 
 COUNTERS = ("nodes_aggregated", "tt_written", "signatures_emitted")
@@ -78,7 +77,7 @@ def assert_same_events(
 def shortcuts(schema, working):
     """Which per-segment numbers a build over ``working`` reads off the
     layout: ``(weight, minimum row-id, (COUNT per aggregate…))``."""
-    builder = CureBuilder(schema, HierarchicalShape(schema))
+    builder = CureBuilder(schema, HierarchicalShape(schema.lattice))
     builder.run(working)
     return (
         builder._unit_weights,
@@ -218,14 +217,14 @@ def cases(draw):
 
     shape_kind = draw(st.sampled_from(["p3", "p3-floor", "p1", "p2"]))
     if shape_kind == "p3":
-        shape = HierarchicalShape(schema)
+        shape = HierarchicalShape(schema.lattice)
     elif shape_kind == "p3-floor":
         floor = tuple(draw(st.integers(0, d.n_levels)) for d in dims)
-        shape = HierarchicalShape(schema, floor)
+        shape = HierarchicalShape(schema.lattice, floor)
     elif shape_kind == "p1":
-        shape = FlatShape(schema)
+        shape = FlatShape(schema.lattice)
     else:
-        shape = LevelsAsDimensionsShape(schema)
+        shape = LevelsAsDimensionsShape(schema.lattice)
     level0 = draw(st.integers(0, dims[0].n_levels - 1))
     level1 = draw(st.integers(0, dims[min(1, n_dims - 1)].n_levels - 1))
     return schema, shape, working, level0, level1
@@ -328,10 +327,10 @@ def test_all_entry_points_on_a_four_dimensional_cube(weighted, min_count):
         time = schema.dimensions[2]
         assert time.dashed_children(time.level_index("year")) == (1, 2)
         for shape in (
-            HierarchicalShape(schema),
-            HierarchicalShape(schema, (2, 0, 1, 0)),
-            FlatShape(schema),
-            LevelsAsDimensionsShape(schema),
+            HierarchicalShape(schema.lattice),
+            HierarchicalShape(schema.lattice, (2, 0, 1, 0)),
+            FlatShape(schema.lattice),
+            LevelsAsDimensionsShape(schema.lattice),
         ):
             tts, sigs = assert_same_events(
                 schema, shape, working, min_count, "run"
@@ -354,8 +353,8 @@ def test_dr_codes_on_a_four_dimensional_cube(weighted):
             600, seed=5, weighted=weighted, ascending=ascending
         )
         for shape in (
-            HierarchicalShape(schema),
-            HierarchicalShape(schema, (2, 0, 1, 0)),
+            HierarchicalShape(schema.lattice),
+            HierarchicalShape(schema.lattice, (2, 0, 1, 0)),
         ):
             for entry, levels in ENTRIES:
                 assert_same_events(
@@ -365,7 +364,7 @@ def test_dr_codes_on_a_four_dimensional_cube(weighted):
 
 def test_pair_descent_emits_nothing_at_dimension_zero_only_nodes():
     schema, working = retail_like(400, seed=9)
-    shape = HierarchicalShape(schema)
+    shape = HierarchicalShape(schema.lattice)
     tts, sigs = assert_same_events(
         schema, shape, working, 1, "run_partition_pair", (2, 1)
     )
@@ -397,7 +396,7 @@ ENTRIES = [("run", ()), ("run_partition", (1,)), ("run_partition_pair", (1, 0))]
 def test_empty_working_set_emits_nothing(entry, levels):
     schema = tiny_schema()
     tts, sigs = assert_same_events(
-        schema, HierarchicalShape(schema), WorkingSet.empty(schema), 1, entry, levels
+        schema, HierarchicalShape(schema.lattice), WorkingSet.empty(schema), 1, entry, levels
     )
     assert tts.shape == (0, 2) and sigs.shape == (0, 4)
 
@@ -416,7 +415,7 @@ def test_one_row(entry, levels, weight):
         np.asarray([42], dtype=np.int64),
     )
     tts, sigs = assert_same_events(
-        schema, HierarchicalShape(schema), working, 1, entry, levels
+        schema, HierarchicalShape(schema.lattice), working, 1, entry, levels
     )
     if weight == 1:
         assert len(sigs) == 0 and tts[:, 1].tolist() == [42] * len(tts)
@@ -440,7 +439,7 @@ def test_all_rows_share_one_key(entry, levels, min_count):
         np.arange(n, dtype=np.int64)[::-1].copy(),
     )
     tts, sigs = assert_same_events(
-        schema, HierarchicalShape(schema), working, min_count, entry, levels
+        schema, HierarchicalShape(schema.lattice), working, min_count, entry, levels
     )
     assert len(tts) == 0
     assert (len(sigs) == 0) == (min_count == 50)
@@ -467,11 +466,11 @@ def test_segment_times_cardinality_beyond_int32():
         rng.permutation(2 * n_a).astype(np.int64),
     )
     assert (n_a - 1) * n_b + (n_b - 1) > np.iinfo(np.int32).max
-    new = CureBuilder(schema, FlatShape(schema))
+    new = CureBuilder(schema, FlatShape(schema.lattice))
     tts, sigs = new.run_partition(working, (0,))
     # Too many segments for the recursive oracle's patience at full size
     # is still fine here: it is 40,000 two-row sorts.
-    old = RecursiveCureBuilder(schema, FlatShape(schema))
+    old = RecursiveCureBuilder(schema, FlatShape(schema.lattice))
     old.run_partition(working, 0)
     old_tts, old_sigs = old.event_arrays()
     assert np.array_equal(tts, old_tts) and np.array_equal(sigs, old_sigs)
@@ -521,7 +520,7 @@ def test_a_sum_over_all_ones_is_read_as_the_weight(entry, levels):
     assert shortcuts(schema, working) == (True, True, (True, False))
     for min_count in (1, 3):
         assert_same_events(
-            schema, HierarchicalShape(schema), working, min_count, entry, levels
+            schema, HierarchicalShape(schema.lattice), working, min_count, entry, levels
         )
 
 
@@ -551,5 +550,5 @@ def test_a_count_column_unequal_to_the_weights_is_reduced(
     assert shortcuts(schema, working) == (not weighted, False, (False,))
     for min_count in (1, 3):
         assert_same_events(
-            schema, HierarchicalShape(schema), working, min_count, entry, levels
+            schema, HierarchicalShape(schema.lattice), working, min_count, entry, levels
         )

@@ -65,17 +65,6 @@ def test_all_distributive(paper_schema):
     assert not schema.all_distributive
 
 
-def test_ordered_by_cardinality():
-    dims = (
-        flat_dimension("small", 3),
-        flat_dimension("big", 100),
-        flat_dimension("mid", 10),
-    )
-    schema = CubeSchema(dims, make_aggregates(("sum", 0)))
-    ordered = schema.ordered_by_cardinality()
-    assert [d.name for d in ordered.dimensions] == ["big", "mid", "small"]
-
-
 def test_node_id_roundtrip(paper_schema):
     node = CubeNode((2, 1, 0))
     assert paper_schema.decode_node(paper_schema.node_id(node)) == node

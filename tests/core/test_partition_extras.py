@@ -11,7 +11,7 @@ from repro import (
     linear_dimension,
     make_aggregates,
 )
-from repro.core.cure import CureBuilder, HierarchicalShape
+from repro.core.cure import CureBuilder
 from repro.core.partition import partition_relation
 from repro.core.partition_select import (
     estimate_coarse_rows,
@@ -20,6 +20,7 @@ from repro.core.partition_select import (
 from repro.core.signature import SignaturePool
 from repro.core.storage import CubeStorage
 from repro.core.workingset import WorkingSet
+from repro.lattice.plan import HierarchicalShape
 from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.relational.catalog import Catalog
@@ -71,7 +72,7 @@ def test_uniform_strategy_partition_roundtrip(tmp_path):
         on_statistics=storage.decide_format,
         n_aggregates=schema.n_aggregates,
     )
-    builder = CureBuilder(schema, HierarchicalShape(schema))
+    builder = CureBuilder(schema, HierarchicalShape(schema.lattice))
     for name in names:
         with engine.load(name) as records:
             tts, sigs = builder.run_partition(
@@ -82,7 +83,7 @@ def test_uniform_strategy_partition_roundtrip(tmp_path):
     base_levels = [0] * schema.n_dimensions
     base_levels[0] = level + 1
     coarse_builder = CureBuilder(
-        schema, HierarchicalShape(schema, tuple(base_levels))
+        schema, HierarchicalShape(schema.lattice, tuple(base_levels))
     )
     with engine.load(coarse_name) as records:
         tts, sigs = coarse_builder.run(WorkingSet.from_coarse(schema, records))

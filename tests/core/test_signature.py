@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import build_cube
-from repro.core.cure import CureBuilder, HierarchicalShape
+from repro.core.cure import CureBuilder
 from repro.core.signature import (
     FormatStatistics,
     Signature,
@@ -19,6 +19,7 @@ from repro.core.signature import (
 )
 from repro.core.storage import choose_cat_format
 from repro.core.workingset import WorkingSet
+from repro.lattice.plan import HierarchicalShape
 from tests.support.list_pool import ListSignaturePool
 from tests.support.rows import table_of
 
@@ -341,7 +342,7 @@ def test_first_flush_statistics_and_format_on_fixture_builds(
         (paper_schema, paper_table),
     ):
         working = WorkingSet.from_fact_table(schema, table)
-        _tts, sigs = CureBuilder(schema, HierarchicalShape(schema)).run(working)
+        _tts, sigs = CureBuilder(schema, HierarchicalShape(schema.lattice)).run(working)
         assert_same_as_list_pool(sigs, capacity, schema.n_aggregates)
         built = build_cube(schema, table=table, pool_capacity=capacity)
         reference = ListSignaturePool(capacity)

@@ -318,10 +318,3 @@ def test_describe_mentions_counts(flat_schema, figure9_table):
     text = result.storage.describe()
     assert "NTs: 3" in text
     assert "TTs: 15" in text
-
-
-def test_node_by_label(flat_schema, figure9_table):
-    result = build_cube(flat_schema, table=figure9_table)
-    store = result.storage.node_by_label("A.A")
-    assert store is not None
-    assert result.storage.node_by_label("nope") is None

@@ -222,6 +222,35 @@ def test_cli_query_where_filters_members(cli_workspace, capsys):
     assert "Paris" not in out and "Lyon" not in out
 
 
+def test_cli_query_on_flat_cubes_rolls_up_like_cure(cli_workspace, capsys):
+    """FCURE stores only the base-level nodes: ``query`` answers a coarser
+    group-by through the planner's roll-up, with the rows CURE prints."""
+    tmp_path, csv_path, spec_path = cli_workspace
+    queries = [
+        ["--group-by", "Region.country"],
+        ["--group-by", "Region.country,Product"],
+        ["--group-by", "Region.country", "--where", "Region.country=Greece"],
+        ["--group-by", "Region.country,Product", "--where", "Region.country=Greece"],
+        ["--group-by", "Region", "--where", "Region.country=France"],
+    ]
+    outputs = {}
+    for variant in ("CURE", "FCURE", "FCURE+"):
+        cube_dir = tmp_path / f"cube_{variant}"
+        assert cli_main([
+            "build", "--csv", str(csv_path), "--spec", str(spec_path),
+            "--out", str(cube_dir), "--variant", variant,
+        ]) == 0
+        capsys.readouterr()
+        outputs[variant] = []
+        for query in queries:
+            assert cli_main(["query", "--cube", str(cube_dir), *query]) == 0
+            outputs[variant].append(capsys.readouterr().out)
+    for out in outputs["CURE"]:
+        assert len(out.splitlines()) > 1  # a header and at least one row
+    assert outputs["FCURE"] == outputs["CURE"]
+    assert outputs["FCURE+"] == outputs["CURE"]
+
+
 def test_cli_errors(cli_workspace, capsys):
     tmp_path, csv_path, spec_path = cli_workspace
     cube_dir = tmp_path / "cube"
@@ -238,6 +267,11 @@ def test_cli_errors(cli_workspace, capsys):
         cli_main([
             "query", "--cube", str(cube_dir), "--group-by", "Region",
             "--where", "Region.country=Atlantis",
+        ])
+    with pytest.raises(SystemExit, match="not a roll-up"):
+        cli_main([
+            "query", "--cube", str(cube_dir), "--group-by", "Region.country",
+            "--where", "Region=Paris",
         ])
 
 

@@ -33,6 +33,16 @@ def test_retail_hierarchies(capsys):
     assert "lattice nodes: 80" in out
     assert "Time dashed edges from 'week': ['day']" in out
     assert "Time dashed edges from 'month': []" in out
+    assert "CURE plan P3: 80 nodes, height 8" in out
+    # Figure 5b: day hangs under week (the larger parent), month under year.
+    plan = out.split("the Time sub-plan (paper Figure 5b, as a tree) ---\n")[1]
+    assert plan.splitlines()[:5] == [
+        "∅",
+        "  Time.week",
+        "    Time.day",
+        "  Time.year",
+        "    Time.month",
+    ]
     assert "revenue per continent × year" in out
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.hierarchy.builders import flat_dimension
 from repro.lattice.lattice import CubeLattice
-from repro.lattice.node import CubeNode
 
 
 @pytest.fixture
@@ -27,38 +26,6 @@ def test_level_rolls_up_to_linear(lattice):
     assert lattice.level_rolls_up_to(0, 1, 1)  # reflexive
     assert lattice.level_rolls_up_to(0, 0, 3)  # A0 → ALL
     assert not lattice.level_rolls_up_to(0, 2, 0)  # cannot drill down
-
-
-def test_is_ancestor_detail_order(lattice):
-    base = lattice.base_node
-    coarse = CubeNode((2, 2, 1))  # A2
-    assert lattice.is_ancestor(base, coarse)
-    assert not lattice.is_ancestor(coarse, base)
-    assert lattice.is_ancestor(coarse, coarse)  # reflexive by contract
-
-
-def test_ancestors_of_single_dim_node(lattice):
-    """Ancestors of A2 are every node whose A-level rolls up to A2."""
-    a2 = CubeNode((2, 2, 1))
-    ancestors = lattice.ancestors(a2)
-    assert a2 not in ancestors
-    for node in ancestors:
-        assert node.levels[0] in (0, 1, 2)
-    # Every node with A at a level <= 2 is an ancestor: 3 * 3 * 2 - 1 of 24.
-    assert len(ancestors) == 3 * 3 * 2 - 1
-
-
-def test_descendants_inverse_of_ancestors(lattice):
-    node = CubeNode((1, 1, 0))
-    for descendant in lattice.descendants(node):
-        assert node in lattice.ancestors(descendant) or lattice.is_ancestor(
-            node, descendant
-        )
-
-
-def test_base_node_is_ancestor_of_everything(lattice):
-    base = lattice.base_node
-    assert len(lattice.descendants(base)) == lattice.n_nodes - 1
 
 
 def test_flat_nodes_power_set(lattice):

@@ -1,4 +1,8 @@
-"""Unit tests for execution plans P1, P2, P3 (Figures 2–4 of the paper)."""
+"""Unit tests for execution plans P1, P2, P3 (Figures 2–4 of the paper).
+
+Every plan is the walk of the shape the executor runs
+(:func:`walk_plan` over :func:`child_edges`), never a separate tree.
+"""
 
 import pytest
 
@@ -6,12 +10,12 @@ from repro.hierarchy.builders import complex_dimension, flat_dimension
 from repro.lattice.lattice import CubeLattice
 from repro.lattice.node import CubeNode
 from repro.lattice.plan import (
-    PlanEdge,
-    build_plan_p1,
-    build_plan_p2,
-    build_plan_p3,
+    FlatShape,
+    HierarchicalShape,
+    LevelsAsDimensionsShape,
     plan_ancestors,
     plan_parent,
+    walk_plan,
 )
 
 
@@ -20,16 +24,29 @@ def lattice(paper_schema) -> CubeLattice:
     return paper_schema.lattice
 
 
-def labels(plan, dimensions):
-    return {node.node.label(dimensions) for node in plan.root.walk()}
+def nodes_of(shape):
+    return [node for node, _parent in walk_plan(shape)]
+
+
+def height(shape) -> int:
+    """Edges on the longest root-to-leaf path of the walk."""
+    depths: list[int] = []
+    for _node, parent in walk_plan(shape):
+        depths.append(0 if parent < 0 else depths[parent] + 1)
+    return max(depths)
+
+
+def edges_of(shape):
+    """Every walked edge as ``(parent node, child node)``."""
+    walked = list(walk_plan(shape))
+    return [(walked[parent][0], node) for node, parent in walked if parent >= 0]
 
 
 # -- P3 (Figure 4) --------------------------------------------------------------------
 
 
 def test_p3_covers_every_node_once(lattice):
-    plan = build_plan_p3(lattice)
-    nodes = [plan_node.node for plan_node in plan.root.walk()]
+    nodes = nodes_of(HierarchicalShape(lattice))
     assert len(nodes) == 24
     assert len(set(nodes)) == 24
     assert set(nodes) == set(lattice.nodes())
@@ -37,100 +54,102 @@ def test_p3_covers_every_node_once(lattice):
 
 def test_p3_height_matches_figure4(lattice):
     """Figure 4's plan is the tallest: height 6 for the example."""
-    assert build_plan_p3(lattice).height() == 6
+    assert height(HierarchicalShape(lattice)) == 6
 
 
 def test_p3_root_is_all_node(lattice):
-    assert build_plan_p3(lattice).root.node == lattice.all_node
+    assert next(walk_plan(HierarchicalShape(lattice))) == (lattice.all_node, -1)
 
 
 def test_p3_edges_follow_rules(lattice):
     """Solid edges add a dimension at an entry level; dashed edges descend
     the rightmost grouping dimension one hierarchy step."""
     dimensions = lattice.dimensions
-    plan = build_plan_p3(lattice)
-    for plan_node in plan.root.walk():
-        parent_grouping = set(plan_node.node.grouping_dims(dimensions))
-        for edge, child in plan_node.children:
-            child_grouping = set(child.node.grouping_dims(dimensions))
-            if edge is PlanEdge.SOLID:
-                added = child_grouping - parent_grouping
-                assert len(added) == 1
-                (d,) = added
-                assert child.node.levels[d] in dimensions[d].entry_levels()
-            else:
-                assert child_grouping == parent_grouping
-                changed = [
-                    d
-                    for d in range(lattice.n_dimensions)
-                    if child.node.levels[d] != plan_node.node.levels[d]
-                ]
-                assert len(changed) == 1
-                (d,) = changed
-                assert d == max(child_grouping)
-                assert child.node.levels[d] < plan_node.node.levels[d]
+    for parent, child in edges_of(HierarchicalShape(lattice)):
+        parent_grouping = set(parent.grouping_dims(dimensions))
+        child_grouping = set(child.grouping_dims(dimensions))
+        if child_grouping != parent_grouping:  # solid
+            added = child_grouping - parent_grouping
+            assert len(added) == 1
+            (d,) = added
+            assert d > max(parent_grouping, default=-1)
+            assert child.levels[d] in dimensions[d].entry_levels()
+        else:  # dashed
+            changed = [
+                d
+                for d in range(lattice.n_dimensions)
+                if child.levels[d] != parent.levels[d]
+            ]
+            assert len(changed) == 1
+            (d,) = changed
+            assert d == max(child_grouping)
+            assert child.levels[d] in dimensions[d].dashed_children(
+                parent.levels[d]
+            )
 
 
 def test_p3_first_level_nodes(lattice):
     """The D nodes built directly from R are the single top-level dims."""
     dimensions = lattice.dimensions
-    plan = build_plan_p3(lattice)
-    first = {child.node.label(dimensions) for _e, child in plan.root.children}
+    first = {
+        node.label(dimensions)
+        for node, parent in walk_plan(HierarchicalShape(lattice))
+        if parent == 0
+    }
     assert first == {"A.A2", "B.B1", "C.C0"}
 
 
 def test_p3_base_levels_cut_dashed_descent(lattice):
     """With baseLevel[0] = 1, no plan node has A below level 1."""
-    plan = build_plan_p3(lattice, base_levels=(1, 0, 0))
-    for plan_node in plan.root.walk():
-        assert plan_node.node.levels[0] >= 1
+    nodes = nodes_of(HierarchicalShape(lattice, base_levels=(1, 0, 0)))
+    assert all(node.levels[0] >= 1 for node in nodes)
     # Nodes lost: those with A at level 0 — a quarter of the lattice.
-    assert plan.node_count() == 24 - 6
+    assert len(nodes) == len(set(nodes)) == 24 - 6
 
 
 # -- P1 (Figure 2) --------------------------------------------------------------------
 
 
 def test_p1_flat_plan(lattice):
-    plan = build_plan_p1(lattice)
-    nodes = [plan_node.node for plan_node in plan.root.walk()]
+    shape = FlatShape(lattice)
+    nodes = nodes_of(shape)
     assert len(nodes) == 8
     assert set(nodes) == set(lattice.flat_nodes())
-    assert plan.height() == 3
+    assert height(shape) == 3
 
 
 # -- P2 (Figure 3) --------------------------------------------------------------------
 
 
 def test_p2_covers_every_node_once_with_height_d(lattice):
-    plan = build_plan_p2(lattice)
-    nodes = [plan_node.node for plan_node in plan.root.walk()]
+    shape = LevelsAsDimensionsShape(lattice)
+    nodes = nodes_of(shape)
     assert len(nodes) == 24
     assert len(set(nodes)) == 24
-    assert plan.height() == 3  # "the shortest possible extension of P1"
+    assert height(shape) == 3  # "the shortest possible extension of P1"
 
 
 def test_p2_no_node_mixes_levels_of_same_dimension(lattice):
     # Guaranteed structurally: a node has one level value per dimension.
-    # What P2 must avoid is *revisiting* a dimension; covered by uniqueness.
-    plan = build_plan_p2(lattice)
-    assert plan.node_count() == lattice.n_nodes
+    # What P2 must avoid is *revisiting* a dimension: no walked edge sets
+    # a dimension the parent already groups by.
+    dimensions = lattice.dimensions
+    for parent, child in edges_of(LevelsAsDimensionsShape(lattice)):
+        (d,) = set(child.grouping_dims(dimensions)) - set(
+            parent.grouping_dims(dimensions)
+        )
+        assert parent.levels[d] == dimensions[d].all_level
 
 
-# -- analytic navigation -----------------------------------------------------------------
+# -- backward navigation ----------------------------------------------------------------
 
 
-def test_plan_parent_matches_materialized_tree(lattice):
-    plan = build_plan_p3(lattice)
-
-    def walk(plan_node, parent):
-        if parent is not None:
-            assert plan_parent(lattice, plan_node.node) == parent.node
-        for _edge, child in plan_node.children:
-            walk(child, plan_node)
-
+def test_plan_parent_matches_walk(lattice):
     assert plan_parent(lattice, lattice.all_node) is None
-    walk(plan.root, None)
+    for parent, child in edges_of(HierarchicalShape(lattice)):
+        assert plan_parent(lattice, child) == parent
+    for parent, child in edges_of(FlatShape(lattice)):
+        assert plan_parent(lattice, child, flat=True) == parent
 
 
 def test_plan_ancestors_path_to_root(lattice):
@@ -163,7 +182,8 @@ def test_flat_plan_parent_drops_rightmost():
 
 
 def test_p3_complex_hierarchy_covers_lattice():
-    """The Figure 5 time cube: ∅, year, month, week, day — one tree."""
+    """The Figure 5 time cube: ∅, year, month, week, day — one tree, with
+    day under week (its parent with more members) by the modified rule 2."""
     time = complex_dimension(
         "Time",
         levels=[("day", 28), ("week", 4), ("month", 2), ("year", 1)],
@@ -176,27 +196,10 @@ def test_p3_complex_hierarchy_covers_lattice():
         parents=[(1, 2), (4,), (3,), (4,)],
     )
     lattice = CubeLattice((time,))
-    plan = build_plan_p3(lattice)
-    nodes = [plan_node.node for plan_node in plan.root.walk()]
+    shape = HierarchicalShape(lattice)
+    nodes = nodes_of(shape)
     assert len(nodes) == 5
     assert len(set(nodes)) == 5
-    # Parent navigation agrees with the tree on every node.
-    for node in lattice.nodes():
-        path = plan_ancestors(lattice, node)
-        assert path == [] or path[-1] == lattice.all_node
-
-
-def test_render_shows_tree(lattice):
-    text = build_plan_p3(lattice).render()
-    assert "P3 (24 nodes, height 6)" in text
-    assert "∅" in text
-    assert "╌╌ A.A1" in text  # dashed descent of A
-    assert "── A.A2×B.B1×C.C0" in text
-    assert len(text.splitlines()) == 25  # header + every node
-
-
-def test_render_truncates(lattice):
-    text = build_plan_p3(lattice).render(max_nodes=5)
-    assert "…" in text
-    # 5 node lines + the header + one ellipsis per abandoned branch.
-    assert len(text.splitlines()) <= 12
+    for parent, child in edges_of(shape):
+        assert plan_parent(lattice, child) == parent
+    assert plan_parent(lattice, CubeNode((0,))) == CubeNode((1,))  # day → week

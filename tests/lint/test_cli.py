@@ -76,7 +76,7 @@ def test_list_rules(capsys: pytest.CaptureFixture) -> None:
         line.split()[0] for line in capsys.readouterr().out.splitlines()
         if line.startswith("R")
     ]
-    assert listed == [f"R{n}" for n in (2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13)]
+    assert listed == [f"R{n}" for n in (3, 4, 5, 6, 7, 8, 9, 11, 12, 13)]
 
 
 def test_show_suppressed(capsys: pytest.CaptureFixture) -> None:

@@ -80,22 +80,6 @@ def test_selection_equivalence(table, data):
         ]
 
 
-@settings(max_examples=50, deadline=None)
-@given(tables(), st.data())
-def test_projection_equivalence(table, data):
-    names = data.draw(
-        st.lists(
-            st.sampled_from(table.schema.names), min_size=1, max_size=4
-        ).filter(lambda ns: len(set(ns)) == len(ns))
-    )
-    positions = [table.schema.position(name) for name in names]
-    projected = table.as_batch().project(names)
-    assert rows_of(projected) == [
-        tuple(row[p] for p in positions) for row in rows_of(table)
-    ]
-    assert list(projected.schema.names) == names
-
-
 @settings(max_examples=100, deadline=None)
 @given(tables(), st.data())
 def test_order_by_equivalence(table, data):

@@ -52,14 +52,6 @@ def test_column_by_name():
     assert batch.column("b").tolist() == [10, 20, 30, 40]
 
 
-def test_project_reorders_and_shares():
-    batch = batch_of(MIXED, ROWS)
-    projected = batch.project(["c", "a"])
-    assert projected.schema.names == ("c", "a")
-    assert rows_of(projected) == [(c, a) for a, _b, c in ROWS]
-    assert projected.arrays[1] is batch.arrays[0]  # zero-copy
-
-
 def test_filter_mask():
     batch = batch_of(MIXED, ROWS)
     mask = batch.column("a") == 1

@@ -40,12 +40,6 @@ def test_numpy_dtype_and_row_size():
     assert schema.row_size_bytes == schema.numpy_dtype.itemsize == 4 + 8 + 8
 
 
-def test_project_preserves_requested_order():
-    schema = TableSchema.of("a", "b", "c")
-    projected = schema.project(["c", "a"])
-    assert projected.names == ("c", "a")
-
-
 def test_validate_row_arity():
     schema = TableSchema.of("a", "b")
     schema.validate_row((1, 2))

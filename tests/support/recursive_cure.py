@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cure import BuildStats, ExecutionShape
+from repro.core.cure import BuildStats
 from repro.core.model import CubeSchema
 from repro.core.segments import aggregate_ufuncs
 from repro.core.workingset import WorkingSet
+from repro.lattice.plan import ExecutionShape
 from tests.support.recursive_baselines import (
     aggregate,
     level_keys,
