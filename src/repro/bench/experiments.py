@@ -34,7 +34,9 @@ from repro.datasets import (
 )
 from repro.lattice.plan import LevelsAsDimensionsShape
 from repro.query import (
+    CubePlanner,
     FactCache,
+    QueryRequest,
     QueryStats,
     all_node_queries,
     answer_bubst_query,
@@ -42,7 +44,6 @@ from repro.query import (
     answer_cure_query,
     answer_rollup_from_bubst,
     answer_rollup_from_buc,
-    answer_rollup_from_flat,
     bucket_queries_by_result_size,
     iceberg_over_bubst,
     iceberg_over_buc,
@@ -532,15 +533,11 @@ def run_fig26_27_28(
                 method=variant, seconds=result.stats.elapsed_seconds
             )
             size_table.add(method=variant, MB=report.total_bytes / MB)
-            if config.flat:
-                answer = lambda q, st, s=storage: answer_rollup_from_flat(
-                    s, cache, q, st
-                )
-            else:
-                answer = lambda q, st, s=storage: answer_cure_query(
-                    s, cache, q, st
-                )
-            add_qrt(variant, answer)
+            planner = CubePlanner(storage, cache, results=None)
+            add_qrt(
+                variant,
+                lambda q, st, p=planner: p.execute(QueryRequest(q), st),
+            )
     finally:
         engine.destroy()
     return [time_table, size_table, qrt_table]

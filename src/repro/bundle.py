@@ -25,6 +25,7 @@ from orjson import JSONDecodeError, loads
 from repro.core.model import CubeSchema
 from repro.core.storage import CubeStorage
 from repro.hierarchy.dimension import Dimension, Level
+from repro.ingest.ingestor import read_ingest_manifest
 from repro.query.cache import FactCache, ResultCache
 from repro.relational.aggregates import make_aggregates
 from repro.relational.catalog import Catalog
@@ -222,13 +223,7 @@ def streamed_container(directory: str | Path) -> Path | None:
     manifest = Path(directory) / f"{STREAM_PREFIX}.ingest.json"
     if not manifest.exists():
         return None
-    payload = loads(manifest.read_bytes())
-    if "container" not in payload:
-        raise RuntimeError(
-            f"{manifest} predates one-file ingest generations; rebuild the "
-            "bundle and ingest again"
-        )
-    return manifest.parent / str(payload["container"])
+    return manifest.parent / read_ingest_manifest(manifest)["container"]
 
 
 def bundle_header(root: Path) -> tuple[CubeSchema, dict]:

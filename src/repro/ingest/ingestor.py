@@ -68,6 +68,7 @@ from repro.relational.durable import (
     atomic_write_text,
     file_checksum,
     maybe_fire,
+    read_document,
     remove_file,
 )
 from repro.relational.engine import Engine
@@ -87,6 +88,23 @@ def generation_container(prefix: str, generation: int) -> str:
 class IngestError(RuntimeError):
     """The ingest state is unusable: no committed generation, a verification
     failure, or a configuration the maintainer cannot stream into."""
+
+
+def read_ingest_manifest(path: Path) -> dict:
+    """The committed generation ``<prefix>.ingest.json`` at ``path``
+    records: the one reader of that file, for recovery and for serving
+    a streamed-into bundle alike (:class:`IngestError` when it is not
+    this version's, with every key a reader uses)."""
+    return read_document(
+        path,
+        INGEST_MANIFEST_VERSION,
+        {
+            "container": (str,), "container_checksum": (str,), "plus": (bool,),
+            "generation": (int,), "applied_lsn": (int,), "fact_rows": (int,),
+            "compact_overhead": (int, float, type(None)),
+        },
+        IngestError,
+    )
 
 
 @dataclass
@@ -203,16 +221,12 @@ class StreamingIngestor:
                 f"no ingest manifest at {manifest_path}; nothing committed "
                 f"— bootstrap from the source fact table instead"
             )
-        payload = json.loads(manifest_path.read_text())
-        if payload.get("version") != INGEST_MANIFEST_VERSION:
-            raise IngestError(
-                f"ingest manifest at {manifest_path} has an unsupported "
-                f"version"
-            )
+        payload = read_ingest_manifest(manifest_path)
         try:
             file = committed_container(
-                catalog.root / str(payload["container"]),
+                catalog.root / payload["container"],
                 payload["container_checksum"],
+                [dimension.base_cardinality for dimension in schema.dimensions],
             )
             storage = map_storage(schema, file)
             fact_table = Table.from_batch(MappedFactTable(schema, file).as_batch())
@@ -220,7 +234,7 @@ class StreamingIngestor:
             raise IngestError(
                 f"committed ingest generation fails verification: {error}"
             ) from error
-        if len(fact_table) != int(payload["fact_rows"]):
+        if len(fact_table) != payload["fact_rows"]:
             raise IngestError(
                 f"container {file.path.name!r} holds {len(fact_table)} fact "
                 f"rows; the manifest recorded {payload['fact_rows']}"
@@ -238,10 +252,10 @@ class StreamingIngestor:
             storage=storage,
             fact_table=fact_table,
             prefix=prefix,
-            plus=bool(payload["plus"]),
+            plus=payload["plus"],
             compact_overhead=payload["compact_overhead"],
-            generation=int(payload["generation"]),
-            applied_lsn=int(payload["applied_lsn"]),
+            generation=payload["generation"],
+            applied_lsn=payload["applied_lsn"],
         )
         ingestor._sweep_stale_generations()
         ingestor.apply_ready()
@@ -422,11 +436,7 @@ class StreamingIngestor:
 
 def _build(schema: CubeSchema, fact_table: Table, plus: bool) -> CubeStorage:
     """The from-scratch in-memory cube bootstrap and compaction share."""
-    storage = build_cube(schema, table=fact_table).storage
-    if storage.partition_level is not None:
-        raise IngestError(
-            "streaming maintenance needs a non-partitioned cube"
-        )
+    storage = build_cube(schema, table=fact_table).storage  # never partitions
     if plus:
         postprocess_plus(storage)
     return storage

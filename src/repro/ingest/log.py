@@ -51,8 +51,10 @@ from repro.relational.durable import (
     TornWrite,
     append_bytes,
     atomic_write_text,
+    check_fields,
     file_checksum,
     publish_file,
+    read_document,
     remove_file,
     truncate_file,
     with_retries,
@@ -138,6 +140,22 @@ def _decode_rows(
     return tuple(tuple(row) for row in rows)
 
 
+def _read_manifest(path: Path) -> tuple[list[dict], int, int]:
+    """The sealed entries, active segment id and its first LSN that the
+    log manifest at ``path`` records, in the shape
+    :meth:`AppendLog._save_manifest` writes."""
+    payload = read_document(
+        path,
+        LOG_VERSION,
+        {"sealed": (list,), "active_id": (int,), "active_first_lsn": (int,)},
+        LogCorruption,
+    )
+    sealed = {"id": (int,), "first_lsn": (int,), "records": (int,), "checksum": (str,)}
+    for index, entry in enumerate(payload["sealed"]):
+        check_fields(entry, sealed, f"{path} sealed[{index}]", LogCorruption)
+    return payload["sealed"], payload["active_id"], payload["active_first_lsn"]
+
+
 @dataclass
 class AppendLog:
     """The durable record log; construct via :meth:`AppendLog.open`.
@@ -178,14 +196,9 @@ class AppendLog:
         log.root.mkdir(parents=True, exist_ok=True)
         manifest_path = log.root / LOG_MANIFEST
         if manifest_path.exists():
-            payload = json.loads(manifest_path.read_text())
-            if payload.get("version") != LOG_VERSION:
-                raise LogCorruption(
-                    f"log manifest at {manifest_path} has an unsupported version"
-                )
-            log._sealed = list(payload["sealed"])
-            log._active_id = int(payload["active_id"])
-            log._active_first_lsn = int(payload["active_first_lsn"])
+            log._sealed, log._active_id, log._active_first_lsn = _read_manifest(
+                manifest_path
+            )
         log._recover()
         return log
 
@@ -211,7 +224,7 @@ class AppendLog:
         self._active_records = len(payloads)
         # Orphans: segment files dropped from the manifest by a truncation
         # whose unlink pass did not finish, or stale ids from old seals.
-        referenced = {int(entry["id"]) for entry in self._sealed}
+        referenced = {entry["id"] for entry in self._sealed}
         referenced.add(self._active_id)
         for path in sorted(self.root.glob("segment.*")):
             try:
@@ -337,11 +350,10 @@ class AppendLog:
         what a crashed predecessor left, it does not trust it.
         """
         for entry in self._sealed:
-            first = int(entry["first_lsn"])
-            records = int(entry["records"])
+            first, records = entry["first_lsn"], entry["records"]
             if first + records - 1 <= after_lsn:
                 continue
-            path = self._segment_path(int(entry["id"]), sealed=True)
+            path = self._segment_path(entry["id"], sealed=True)
             if file_checksum(path) != entry["checksum"]:
                 raise LogCorruption(
                     f"sealed segment {path.name} fails its checksum"
@@ -369,16 +381,16 @@ class AppendLog:
         kept: list[dict] = []
         dropped: list[dict] = []
         for entry in self._sealed:
-            last_lsn = int(entry["first_lsn"]) + int(entry["records"]) - 1
+            last_lsn = entry["first_lsn"] + entry["records"] - 1
             (dropped if last_lsn <= watermark_lsn else kept).append(entry)
         if not dropped:
             return 0
         self._fire(
             "ingest.compact:truncate:"
-            + self._segment_name(int(dropped[-1]["id"]), sealed=True)
+            + self._segment_name(dropped[-1]["id"], sealed=True)
         )
         self._sealed = kept
         self._save_manifest()
         for entry in dropped:
-            remove_file(self._segment_path(int(entry["id"]), sealed=True))
+            remove_file(self._segment_path(entry["id"], sealed=True))
         return len(dropped)

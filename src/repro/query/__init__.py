@@ -30,7 +30,6 @@ from repro.query.slice import (
 from repro.query.rollup import (
     answer_rollup_from_bubst,
     answer_rollup_from_buc,
-    answer_rollup_from_flat,
     base_node_of,
     rollup_base_answer,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "answer_cure_query",
     "answer_rollup_from_bubst",
     "answer_rollup_from_buc",
-    "answer_rollup_from_flat",
     "base_node_of",
     "bucket_queries_by_result_size",
     "rollup_base_answer",

@@ -172,7 +172,7 @@ class FactCache:
 
 #: What distinguishes entries over the same ``(node, slices)``: ``()`` for
 #: a plain node/slice answer, ``("rollup",)`` or ``("iceberg", min_count)``
-#: for the derived answers the serving layer caches beside them.
+#: for the two derived kinds (:attr:`repro.query.planner.QueryRequest.tag`).
 ResultTag = tuple[object, ...]
 
 #: A result-cache key: node id, member predicates, kind/parameter tag.

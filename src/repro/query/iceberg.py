@@ -8,7 +8,7 @@ count for TTs is always 1)".  Over a CURE cube, an iceberg query with
 usually a small fraction of the node's tuples in sparse data — while BUC
 and BU-BST must filter every stored tuple.
 
-All three functions require the schema to carry a COUNT aggregate.
+Every function here requires the schema to carry a COUNT aggregate.
 """
 
 from __future__ import annotations
@@ -35,6 +35,12 @@ def _require_count_index(schema) -> int:
             "iceberg count queries need a COUNT aggregate in the schema"
         )
     return index
+
+
+def count_filter(schema, answer: ColumnAnswer, min_count: int) -> ColumnAnswer:
+    """The rows of ``answer`` whose COUNT reaches ``min_count``."""
+    count_index = _require_count_index(schema)
+    return answer.filter(answer.aggregates[:, count_index] >= min_count)
 
 
 def iceberg_over_cure(
@@ -72,9 +78,7 @@ def iceberg_over_buc(
     stats: QueryStats | None = None,
 ) -> ColumnAnswer:
     """Iceberg query over BUC: read the node, then filter every tuple."""
-    count_index = _require_count_index(cube.schema)
-    full = answer_buc_query(cube, node, stats)
-    return full.filter(full.aggregates[:, count_index] >= min_count)
+    return count_filter(cube.schema, answer_buc_query(cube, node, stats), min_count)
 
 
 def iceberg_over_bubst(
@@ -84,6 +88,5 @@ def iceberg_over_bubst(
     stats: QueryStats | None = None,
 ) -> ColumnAnswer:
     """Iceberg query over BU-BST: full monolithic scan, then filter."""
-    count_index = _require_count_index(cube.schema)
     full = answer_bubst_query(cube, node, stats)
-    return full.filter(full.aggregates[:, count_index] >= min_count)
+    return count_filter(cube.schema, full, min_count)

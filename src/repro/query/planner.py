@@ -1,32 +1,35 @@
-"""A small query planner over CURE cubes.
+"""The one request path: plan, answer and cache a cube request.
 
-The answering primitives each cover one situation: direct node reads
-(:func:`answer_cure_query`), on-the-fly roll-up when the cube is flat
-(:func:`answer_rollup_from_flat`), pre- or post-filtered slices
-(:func:`answer_cure_sliced`).  :class:`CubePlanner` picks among them per
-request, the way a host engine's optimizer would:
+A :class:`QueryRequest` is one of the paper's query forms over the
+NT/CAT/TT relations: a node read, a node read under member slices, an
+explicit roll-up from the base-level node (Figure 28) or a count
+iceberg (Section 7).  :class:`CubePlanner` picks how to answer it, the
+way a host engine's optimizer would:
 
 * a node materialized in the cube → **direct** read;
-* a hierarchical node over a flat (FCURE) cube → **rollup** from the
-  base-level node with the same grouping dimensions;
+* an explicit roll-up, or a hierarchical node over a flat (FCURE) cube
+  → **rollup** from the base-level node with the same grouping
+  dimensions, then the request's slices or count filter;
 * member predicates → **prefilter** of the stored row-ids against the
   fact columns when the cube stores row-ids (not DR) and the fact cache
   holds its table in memory or mapped
-  (:func:`~repro.query.slice.prefilters`),
-  **postfilter** otherwise.
+  (:func:`~repro.query.slice.prefilters`), **postfilter** otherwise;
+* a count iceberg on a stored node → **iceberg**: NT and CAT rows
+  filtered on their stored count, TTs skipped.
 
 ``explain`` reports the chosen strategy and its estimated work (stored
 tuples that will be touched), which the planner also uses as its cost
 signal.
 
-Answers are memoized in a :class:`~repro.query.cache.ResultCache` keyed
-by ``(node, slices, tag)`` (the tag is empty here; the serving layer
-caches roll-ups and icebergs under their own) — repeated requests reuse
-the cached :class:`~repro.query.column_answer.ColumnAnswer` instead of
-re-answering.
-The cache is bypassed whenever the caller passes a ``stats`` object,
-since instrumented runs exist to measure the underlying work; after
-incremental maintenance, call :meth:`CubePlanner.invalidate_results`.
+Every request is answered and cached in one place,
+:meth:`CubePlanner.entry`: one lookup of its ``(node, slices, tag)``
+key in the :class:`~repro.query.cache.ResultCache` registers exactly
+one hit or miss, and a miss computes and admits the answer.
+:meth:`CubePlanner.answer` is the entry's answer; the HTTP server keeps
+the entry's rendered body beside it.  :meth:`CubePlanner.execute` is
+the uncached path for instrumented runs, which exist to measure the
+underlying work.  After incremental maintenance, call
+:meth:`CubePlanner.invalidate_results`.
 """
 
 from __future__ import annotations
@@ -36,39 +39,69 @@ from dataclasses import dataclass, field
 from repro.core.incremental import UpdateReport
 from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
-from repro.query.answer import (
-    QueryStats,
-    answer_cure_query,
-    tt_source_ids,
-)
-from repro.query.cache import FactCache, ResultCache
+from repro.query.answer import QueryStats, answer_cure_query, tt_source_ids
+from repro.query.cache import CachedResult, FactCache, ResultCache, ResultKey
 from repro.query.column_answer import ColumnAnswer
+from repro.query.iceberg import count_filter, iceberg_over_cure
 from repro.query.rollup import base_node_of, rollup_base_answer
 from repro.query.slice import (
     DimensionSlice,
     answer_cure_sliced,
+    canonical_slices,
     prefilters,
     slice_mask,
+    validate_slices,
 )
 
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """One group-by request: a target node plus optional member slices."""
+    """One request: a target node, optional member slices, and its kind.
+
+    ``kind`` is ``"node"`` (the node's group-by, under ``slices`` when
+    there are any), ``"rollup"`` (re-aggregated from the base-level
+    node even where the cube stores ``node``) or ``"iceberg"`` (the
+    groups whose COUNT reaches ``min_count``).  Only a node read takes
+    slices, and only an iceberg a ``min_count``.  The slices are kept
+    in :func:`~repro.query.slice.canonical_slices` order, so one set of
+    predicates is one request (and one result-cache key).
+    """
 
     node: CubeNode
     slices: tuple[DimensionSlice, ...] = ()
+    kind: str = "node"
+    min_count: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.slices:
+            object.__setattr__(self, "slices", canonical_slices(self.slices))
+        if self.kind not in ("node", "rollup", "iceberg"):
+            raise ValueError(f"unknown request kind {self.kind!r}")
+        if (self.slices and self.kind != "node") or (
+            (self.min_count is None) != (self.kind != "iceberg")
+        ):
+            raise ValueError(
+                f"only a node request takes slices, and only an iceberg "
+                f"a min_count: {self!r}"
+            )
 
     @classmethod
     def of(cls, node: CubeNode, *slices: DimensionSlice) -> "QueryRequest":
         return cls(node, tuple(slices))
+
+    @property
+    def tag(self) -> tuple[object, ...]:
+        """What keeps this request's cache entry apart from a node read's."""
+        if self.kind == "iceberg":
+            return ("iceberg", self.min_count)
+        return () if self.kind == "node" else (self.kind,)
 
 
 @dataclass(frozen=True)
 class QueryPlan:
     """The planner's choice for one request."""
 
-    strategy: str  # "direct" | "rollup" | "prefilter" | "postfilter"
+    strategy: str  # "direct" | "rollup" | "prefilter" | "postfilter" | "iceberg"
     source_node: CubeNode
     estimated_tuples: int
 
@@ -81,7 +114,7 @@ class QueryPlan:
 
 @dataclass
 class CubePlanner:
-    """Plans and answers requests over one cube."""
+    """Plans, answers and caches requests over one cube."""
 
     storage: CubeStorage
     cache: FactCache
@@ -111,32 +144,93 @@ class CubePlanner:
             for d, level in enumerate(node.levels)
         )
 
-    def plan(self, request: QueryRequest) -> QueryPlan:
-        node = request.node
-        if not self._is_materialized(node):
-            base = base_node_of(self.storage.schema, node)
-            return QueryPlan("rollup", base, self._estimated_tuples(base))
+    def _route(self, request: QueryRequest) -> tuple[str, CubeNode]:
+        """The strategy answering ``request`` and the node it reads."""
+        node, schema = request.node, self.storage.schema
+        if request.kind == "rollup" or not self._is_materialized(node):
+            if request.slices:  # a stored node's slices check themselves
+                validate_slices(schema, node, request.slices)
+            return "rollup", base_node_of(schema, node)
+        if request.kind == "iceberg":
+            return "iceberg", node
         if request.slices:
             prefilter = prefilters(self.storage, self.cache)
-            strategy = "prefilter" if prefilter else "postfilter"
-            return QueryPlan(strategy, node, self._estimated_tuples(node))
-        return QueryPlan("direct", node, self._estimated_tuples(node))
+            return ("prefilter" if prefilter else "postfilter"), node
+        return "direct", node
 
-    # -- execution ------------------------------------------------------------
+    def plan(self, request: QueryRequest) -> QueryPlan:
+        strategy, source = self._route(request)
+        return QueryPlan(strategy, source, self._estimated_tuples(source))
 
-    def answer(
+    def explain(self, request: QueryRequest) -> str:
+        return self.plan(request).explain(self.storage.schema.dimensions)
+
+    # -- answering ----------------------------------------------------------
+
+    def key(self, request: QueryRequest) -> ResultKey:
+        """The result-cache key of ``request``."""
+        node_id = self.storage.schema.node_id(request.node)
+        return node_id, request.slices, request.tag
+
+    def entry(self, request: QueryRequest, record: bool = True) -> CachedResult:
+        """The result-cache entry answering ``request``.
+
+        The lookup registers one hit or miss (none when ``record`` is
+        false); a miss computes the answer and admits it.  A roll-up
+        reads its base answer as an entry of its own, uncounted: every
+        roll-up over the same grouping dimensions shares it, and the
+        request has registered its one count.
+        """
+        results = self.results
+        node_id, slices, tag = key = self.key(request)
+        entry = None if results is None else results.lookup(*key, record=record)
+        if entry is None:
+            entry = CachedResult(self._compute(request, cached=True))
+            if results is not None:
+                results.put(node_id, slices, entry.answer, tag)
+        return entry
+
+    def answer(self, request: QueryRequest) -> ColumnAnswer:
+        """The answer to ``request``, through the result cache."""
+        return self.entry(request).answer
+
+    def execute(
         self, request: QueryRequest, stats: QueryStats | None = None
     ) -> ColumnAnswer:
-        results = self.results if stats is None else None
-        node_id = self.storage.schema.node_id(request.node)
-        if results is not None:
-            cached = results.get(node_id, request.slices)
-            if cached is not None:
-                return cached
-        answer = self.execute(request, stats)
-        if results is not None:
-            results.put(node_id, request.slices, answer)
-        return answer
+        """Plan and answer ``request`` past the result cache, counting
+        its work in ``stats``."""
+        return self._compute(request, stats)
+
+    def _compute(
+        self,
+        request: QueryRequest,
+        stats: QueryStats | None = None,
+        cached: bool = False,
+    ) -> ColumnAnswer:
+        """Answer ``request`` by its plan; a roll-up takes its base answer
+        from the result cache when ``cached``."""
+        strategy, base = self._route(request)
+        storage, cache, node = self.storage, self.cache, request.node
+        if strategy == "rollup":
+            if cached:
+                base_answer = self.entry(QueryRequest(base), record=False).answer
+            else:
+                base_answer = answer_cure_query(storage, cache, base, stats)
+            rolled = rollup_base_answer(storage.schema, base_answer, node)
+            if request.kind == "iceberg":
+                return count_filter(storage.schema, rolled, request.min_count)
+            if request.slices:
+                return rolled.filter(
+                    slice_mask(storage.schema, node, request.slices, rolled.dims)
+                )
+            return rolled
+        if strategy == "iceberg":
+            return iceberg_over_cure(storage, cache, node, request.min_count, stats)
+        if strategy == "direct":
+            return answer_cure_query(storage, cache, node, stats)
+        return answer_cure_sliced(
+            storage, cache, node, list(request.slices), stats=stats
+        )
 
     def invalidate_results(self, report: UpdateReport | None = None) -> int:
         """Drop memoized answers a delta could have changed.
@@ -188,46 +282,3 @@ class CubePlanner:
             )
 
         return self.results.invalidate(stale)
-
-    def execute(
-        self, request: QueryRequest, stats: QueryStats | None = None
-    ) -> ColumnAnswer:
-        """Plan and answer ``request`` past the result cache.
-
-        :meth:`answer` wraps this in a cache get/put; the serving layer
-        calls it directly, because it keeps the entry it looked up (and
-        the body rendered from it) rather than only the answer.
-        """
-        plan = self.plan(request)
-        if plan.strategy == "direct":
-            return answer_cure_query(
-                self.storage, self.cache, request.node, stats
-            )
-        if plan.strategy == "rollup":
-            base_answer = answer_cure_query(
-                self.storage, self.cache, plan.source_node, stats
-            )
-            rolled = rollup_base_answer(
-                self.storage.schema, base_answer, request.node
-            )
-            if not request.slices:
-                return rolled
-            return rolled.filter(
-                slice_mask(
-                    self.storage.schema,
-                    request.node,
-                    request.slices,
-                    rolled.dims,
-                )
-            )
-        return answer_cure_sliced(
-            self.storage,
-            self.cache,
-            request.node,
-            list(request.slices),
-            stats=stats,
-        )
-
-    def explain(self, request: QueryRequest) -> str:
-        return self.plan(request).explain(self.storage.schema.dimensions)
-

@@ -6,8 +6,9 @@ underlying system must further aggregate materialized aggregates on the
 fly".  The on-the-fly path works over any flat format: fetch the
 base-level node with the same grouping dimensions, roll every tuple's
 codes up to the requested levels, and re-aggregate
-(:func:`rollup_base_answer`); format-specific wrappers exist for CURE
-(:func:`answer_rollup_from_flat`), BUC and BU-BST.
+(:func:`rollup_base_answer`).  Over CURE the planner does this
+(:class:`~repro.query.planner.CubePlanner`, strategy ``rollup``);
+wrappers exist for BUC and BU-BST.
 
 Only distributive aggregates can be rolled up from materialized partials;
 a holistic aggregate raises, mirroring the real limitation.
@@ -26,15 +27,12 @@ from repro.core.segments import (
     rollup_key,
     sort_groups,
 )
-from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
 from repro.query.answer import (
     QueryStats,
     answer_bubst_query,
     answer_buc_query,
-    answer_cure_query,
 )
-from repro.query.cache import FactCache
 from repro.query.column_answer import ColumnAnswer
 from repro.query.vector import level_map
 
@@ -83,21 +81,6 @@ def rollup_base_answer(
         aggregate_ufuncs(schema), base_answer.aggregates[order], starts
     )
     return ColumnAnswer(len(grouping), y, rolled, merged)
-
-
-def answer_rollup_from_flat(
-    storage: CubeStorage,
-    cache: FactCache,
-    node: CubeNode,
-    stats: QueryStats | None = None,
-) -> ColumnAnswer:
-    """Answer a hierarchical node query from a flat CURE (FCURE) cube."""
-    schema = storage.schema
-    base = base_node_of(schema, node)
-    base_answer = answer_cure_query(storage, cache, base, stats)
-    if node == base:
-        return base_answer
-    return rollup_base_answer(schema, base_answer, node)
 
 
 def answer_rollup_from_buc(

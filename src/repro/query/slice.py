@@ -29,6 +29,7 @@ array over the node's codes once and masks the full node answer
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -57,7 +58,24 @@ class DimensionSlice:
         return cls(dim, level, frozenset(members))
 
 
-def _validate(schema, node: CubeNode, slices) -> None:
+def canonical_slices(
+    slices: Iterable[DimensionSlice],
+) -> tuple[DimensionSlice, ...]:
+    """One deterministic order for a request's predicates.
+
+    The result cache keys on the slice tuple, so ``?where=B…&where=A…``
+    must hit the entry ``?where=A…&where=B…`` created.
+    """
+    return tuple(
+        sorted(
+            slices,
+            key=lambda s: (s.dim, s.level, tuple(sorted(s.members))),
+        )
+    )
+
+
+def validate_slices(schema, node: CubeNode, slices) -> None:
+    """Raise ``ValueError`` unless ``node`` can take every slice."""
     grouping = set(node.grouping_dims(schema.dimensions))
     for item in slices:
         dimension = schema.dimensions[item.dim]
@@ -109,7 +127,7 @@ def answer_cure_sliced(
     counted in ``stats.tuples_returned``) and then masked.
     """
     schema = storage.schema
-    _validate(schema, node, slices)
+    validate_slices(schema, node, slices)
     if not slices:
         return answer_cure_query(storage, cache, node, stats)
     if not prefilters(storage, cache):

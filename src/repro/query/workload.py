@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.core.model import CubeSchema
 from repro.lattice.node import CubeNode
+from repro.query.planner import QueryRequest
 from repro.query.slice import DimensionSlice
 
 
@@ -90,6 +91,12 @@ class WorkloadOp:
     node: CubeNode
     slices: tuple[DimensionSlice, ...] = ()
     min_count: int = 2
+
+    def request(self) -> QueryRequest:
+        """The planner request this op asks."""
+        kind = "node" if self.kind == "slice" else self.kind
+        min_count = self.min_count if kind == "iceberg" else None
+        return QueryRequest(self.node, self.slices, kind, min_count)
 
 
 #: The default serving mix: mostly node reads, a quarter sliced, the

@@ -25,6 +25,7 @@ and keeps ``relational/`` free of test-harness code.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import time
 from collections.abc import Callable, Iterable
@@ -74,6 +75,10 @@ class FaultHook(Protocol):
     def fire(self, site: str) -> None: ...
 
 
+#: A document's keys and the types each may hold.
+Fields = dict[str, tuple[type, ...]]
+
+
 def maybe_fire(hook: FaultHook | None, site: str) -> None:
     """Fire one injection point if a hook is installed (else free)."""
     if hook is not None:
@@ -98,6 +103,40 @@ def file_checksum(path: str | Path) -> str:
 
 
 # -- atomic writes -------------------------------------------------------------
+
+
+def read_document(
+    path: Path, version: int, fields: Fields, error: type[Exception]
+) -> dict:
+    """The JSON object at ``path``, checked once: it must carry
+    ``version`` and every key of ``fields`` with one of that key's types,
+    or ``error`` is raised naming the file (and the key)."""
+    try:
+        payload = json.loads(path.read_bytes())
+    except ValueError:  # bad UTF-8 or bad JSON
+        raise error(f"{path} is not JSON") from None
+    if not isinstance(payload, dict):
+        raise error(f"{path} is not a JSON object")
+    if payload.get("version") != version:
+        raise error(f"{path} has an unsupported version")
+    check_fields(payload, fields, str(path), error)
+    return payload
+
+
+def check_fields(
+    mapping: object, fields: Fields, where: str, error: type[Exception]
+) -> None:
+    """Raise ``error`` unless ``mapping`` is a JSON object whose every
+    key of ``fields`` holds one of that key's types (``bool`` is an
+    ``int`` but only counts as a ``bool``)."""
+    if not isinstance(mapping, dict):
+        raise error(f"{where} is not a JSON object")
+    for key, kinds in fields.items():
+        value = mapping.get(key)
+        if not isinstance(value, kinds) or (
+            isinstance(value, bool) and bool not in kinds
+        ):
+            raise error(f"{where} has no valid {key!r}")
 
 
 def fsync_directory(path: str | Path) -> None:

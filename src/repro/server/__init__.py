@@ -8,12 +8,8 @@ identical to the in-process library call — see ``docs/serving.md``.
 
 from __future__ import annotations
 
-from repro.server.app import (
-    DEFAULT_RESULT_CACHE_BYTES,
-    SlicerApp,
-    canonical_slices,
-    slice_params,
-)
+from repro.query.slice import canonical_slices
+from repro.server.app import DEFAULT_RESULT_CACHE_BYTES, SlicerApp
 from repro.server.encoding import (
     canonical_json,
     decode_answer,
@@ -34,5 +30,4 @@ __all__ = [
     "execute_op",
     "op_path",
     "replay_op",
-    "slice_params",
 ]

@@ -12,10 +12,13 @@ columns the slice pre-filter reads), and one bytes-budgeted
 :class:`~repro.query.cache.ResultCache` — the cube is read-mostly, so
 the serving path scales with cores instead of re-loading per caller.
 
-All four answer endpoints go through that one cache, and an entry keeps
-the canonical body rendered from its answer: a repeated request costs
-the parse, one dictionary lookup and the socket write.  Every answer
-request registers exactly one hit or miss on ``planner.results.stats``.
+Each answer endpoint only translates: the URL becomes a
+:class:`~repro.query.planner.QueryRequest`, and
+:meth:`CubePlanner.entry <repro.query.planner.CubePlanner.entry>` — the
+library's own request path, which registers exactly one hit or miss on
+``planner.results.stats`` — answers it through that cache.  An entry
+keeps the canonical body rendered from its answer, so a repeated request
+costs the parse, one dictionary lookup and the socket write.
 
 Endpoints (all ``GET``, all canonical JSON — see
 :mod:`repro.server.encoding`):
@@ -42,50 +45,19 @@ module state under a lock.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 from urllib.parse import parse_qs
 
 from repro.bundle import CubeBundle
 from repro.lattice.node import CubeNode
-from repro.query.iceberg import iceberg_over_cure
-from repro.query.cache import CachedResult, ResultCache, ResultTag
-from repro.query.column_answer import ColumnAnswer
+from repro.query.cache import ResultCache
 from repro.query.planner import CubePlanner, QueryRequest
-from repro.query.rollup import base_node_of, rollup_base_answer
 from repro.query.slice import DimensionSlice
-from repro.server.encoding import canonical_json, encode_answer
+from repro.server.encoding import canonical_json, encode_request
 
 #: Default result-cache budget: enough for thousands of small-node
 #: answers while bounding a worst-case burst of huge ones.
 DEFAULT_RESULT_CACHE_BYTES = 64 * 1024 * 1024
-
-
-def canonical_slices(
-    slices: Iterable[DimensionSlice],
-) -> tuple[DimensionSlice, ...]:
-    """One deterministic order for a request's predicates.
-
-    The result cache keys on the slice tuple, so ``?where=B…&where=A…``
-    must hit the entry ``?where=A…&where=B…`` created.
-    """
-    return tuple(
-        sorted(
-            slices,
-            key=lambda s: (s.dim, s.level, tuple(sorted(s.members))),
-        )
-    )
-
-
-def slice_params(slices: tuple[DimensionSlice, ...]) -> list[dict[str, Any]]:
-    """The predicates as deterministic JSON-friendly values."""
-    return [
-        {
-            "dim": item.dim,
-            "level": item.level,
-            "members": sorted(item.members),
-        }
-        for item in slices
-    ]
 
 
 class BadRequest(Exception):
@@ -161,56 +133,9 @@ class SlicerApp:
                 return "200 OK", self._nodes(params)
             if head == "stats":
                 return "200 OK", self._stats()
-            if head == "node":
-                node = self._parse_node(tail)
-                if "where" in params:
-                    raise BadRequest(
-                        "predicates belong on /slice/<id>?where=…"
-                    )
-                request = QueryRequest.of(node)
+            if head in ("node", "slice", "rollup", "iceberg"):
                 return "200 OK", self._answer_body(
-                    node, "node", lambda: self.planner.execute(request)
-                )
-            if head == "slice":
-                node = self._parse_node(tail)
-                slices = canonical_slices(self._parse_where(params))
-                if not slices:
-                    raise BadRequest(
-                        "at least one where=<dim>.<level>:<m1>|<m2> "
-                        "predicate is required"
-                    )
-                request = QueryRequest(node, slices)
-                return "200 OK", self._answer_body(
-                    node,
-                    "slice",
-                    lambda: self.planner.execute(request),
-                    slices=slices,
-                    params={"where": slice_params(slices)},
-                )
-            if head == "rollup":
-                node = self._parse_node(tail)
-                return "200 OK", self._answer_body(
-                    node,
-                    "rollup",
-                    lambda: self._rollup(node),
-                    tag=("rollup",),
-                )
-            if head == "iceberg":
-                node = self._parse_node(tail)
-                min_count = self._parse_int(
-                    params.get("min", ["2"])[0], "min"
-                )
-                return "200 OK", self._answer_body(
-                    node,
-                    "iceberg",
-                    lambda: iceberg_over_cure(
-                        self.planner.storage,
-                        self.planner.cache,
-                        node,
-                        min_count,
-                    ),
-                    tag=("iceberg", min_count),
-                    params={"min_count": min_count},
+                    self._parse_request(head, tail, params)
                 )
             return self._error(
                 "404 Not Found", f"unknown endpoint {path!r}"
@@ -223,57 +148,16 @@ class SlicerApp:
 
     # -- endpoint bodies ----------------------------------------------------
 
-    def _entry(
-        self,
-        node: CubeNode,
-        compute: Callable[[], ColumnAnswer],
-        slices: tuple[DimensionSlice, ...] = (),
-        tag: ResultTag = (),
-        record: bool = True,
-    ) -> CachedResult:
-        """The cache entry of one answer, computed and admitted on a miss."""
-        node_id = self.schema.node_id(node)
-        entry = self.results.lookup(node_id, slices, tag, record=record)
-        if entry is None:
-            entry = CachedResult(compute())
-            self.results.put(node_id, slices, entry.answer, tag)
-        return entry
-
-    def _answer_body(
-        self,
-        node: CubeNode,
-        kind: str,
-        compute: Callable[[], ColumnAnswer],
-        slices: tuple[DimensionSlice, ...] = (),
-        tag: ResultTag = (),
-        params: dict[str, Any] | None = None,
-    ) -> bytes:
-        """One answer's canonical body, rendered at most once per entry."""
-        entry = self._entry(node, compute, slices, tag)
+    def _answer_body(self, request: QueryRequest) -> bytes:
+        """The request's canonical body, rendered at most once per entry."""
+        entry = self.planner.entry(request)
         if entry.body is not None:
             return entry.body
-        body = encode_answer(
-            self.schema,
-            node,
-            entry.answer,
-            kind=kind,
-            params=params,
-        )
+        body = encode_request(self.schema, request, entry.answer)
         self.results.attach_body(
-            self.schema.node_id(node), slices, tag, entry.answer, body
+            *self.planner.key(request), entry.answer, body
         )
         return body
-
-    def _rollup(self, node: CubeNode) -> ColumnAnswer:
-        # The base answer is shared by every roll-up over the same
-        # grouping dimensions, so it is a cache entry of its own; the
-        # request has already registered its one hit or miss.
-        base = base_node_of(self.schema, node)
-        request = QueryRequest.of(base)
-        base_entry = self._entry(
-            base, lambda: self.planner.execute(request), record=False
-        )
-        return rollup_base_answer(self.schema, base_entry.answer, node)
 
     def connection_opened(self) -> None:
         """Count one accepted socket (called by the HTTP front)."""
@@ -349,6 +233,26 @@ class SlicerApp:
         )
 
     # -- parsing ------------------------------------------------------------
+
+    def _parse_request(
+        self, head: str, tail: str, params: dict[str, list[str]]
+    ) -> QueryRequest:
+        node = self._parse_node(tail)
+        if head == "slice":
+            slices = self._parse_where(params)
+            if not slices:
+                raise BadRequest(
+                    "at least one where=<dim>.<level>:<m1>|<m2> "
+                    "predicate is required"
+                )
+            return QueryRequest(node, tuple(slices))
+        if head == "iceberg":
+            min_text = params.get("min", ["2"])[0]
+            min_count = self._parse_int(min_text, "min")
+            return QueryRequest(node, kind="iceberg", min_count=min_count)
+        if head == "node" and "where" in params:
+            raise BadRequest("predicates belong on /slice/<id>?where=…")
+        return QueryRequest(node, kind=head)
 
     def _parse_node(self, tail: str) -> CubeNode:
         node_id = self._parse_int(tail, "node id")

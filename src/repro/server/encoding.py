@@ -39,6 +39,7 @@ import orjson
 from repro.core.model import CubeSchema
 from repro.lattice.node import CubeNode
 from repro.query.column_answer import ColumnAnswer
+from repro.query.planner import QueryRequest
 
 
 def encode_answer(
@@ -80,6 +81,28 @@ def encode_answer(
             option=orjson.OPT_SERIALIZE_NUMPY,
         ),
     )
+
+
+def encode_request(
+    schema: CubeSchema, request: QueryRequest, answer: ColumnAnswer
+) -> bytes:
+    """``answer`` as the body the endpoint serving ``request`` ships.
+
+    The body's ``kind`` and ``params`` follow from the request: a node
+    read under slices is a ``"slice"`` carrying its predicates, an
+    iceberg carries its ``min_count``.
+    """
+    if request.slices:
+        where = [
+            {"dim": s.dim, "level": s.level, "members": sorted(s.members)}
+            for s in request.slices
+        ]
+        kind, params = "slice", {"where": where}
+    elif request.kind == "iceberg":
+        kind, params = "iceberg", {"min_count": request.min_count}
+    else:
+        kind, params = request.kind, None
+    return encode_answer(schema, request.node, answer, kind, params)
 
 
 def canonical_json(payload: dict[str, Any]) -> bytes:

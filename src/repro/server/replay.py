@@ -4,17 +4,19 @@ A :class:`~repro.query.workload.WorkloadOp` can be answered two ways:
 
 * **over HTTP** — :func:`op_path` renders the op as the URL the
   :class:`~repro.server.app.SlicerApp` routes;
-* **in process** — :func:`execute_op` answers it with the query-layer
-  primitives directly (planner for node/slice, explicit
-  :func:`rollup_base_answer` / :func:`iceberg_over_cure` for the rest)
-  and :func:`encode_op` renders the result through the same canonical
-  encoder the server uses.
+* **in process** — :func:`execute_op` answers the op's
+  :class:`~repro.query.planner.QueryRequest` through
+  :meth:`CubePlanner.answer <repro.query.planner.CubePlanner.answer>`,
+  the request path the server takes too, and :func:`encode_op` renders
+  it through :func:`~repro.server.encoding.encode_request`, the
+  server's encoder.
 
 The differential harness and ``benchmarks/bench_serve.py`` assert the
-two byte streams are identical, op for op — which is what locks the
-serving layer to the library: routing, parameter parsing, planner
-strategy choice, shared-cache reuse and JSON rendering all have to agree
-with a fresh in-process computation to pass.
+two byte streams are identical, op for op — which locks routing and
+parameter parsing to the library.  Since both sides share the planner,
+the checks that stay independent of it are the encoder pin, the
+row-engine comparison and the definition-based iceberg check
+(``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -22,75 +24,32 @@ from __future__ import annotations
 from urllib.parse import urlencode
 
 from repro.query.column_answer import ColumnAnswer
-from repro.query.iceberg import iceberg_over_cure
-from repro.query.planner import CubePlanner, QueryRequest
-from repro.query.rollup import base_node_of, rollup_base_answer
+from repro.query.planner import CubePlanner
 from repro.query.workload import WorkloadOp
-from repro.server.app import canonical_slices, slice_params
-from repro.server.encoding import encode_answer
+from repro.server.encoding import encode_request
 
 
 def op_path(schema, op: WorkloadOp) -> str:
     """The server URL answering ``op`` (canonical parameter order)."""
-    node_id = schema.node_id(op.node)
-    if op.kind == "node":
-        return f"/node/{node_id}"
-    if op.kind == "slice":
-        clauses = [
-            f"{item.dim}.{item.level}:"
-            + "|".join(str(m) for m in sorted(item.members))
-            for item in canonical_slices(op.slices)
-        ]
-        return f"/slice/{node_id}?" + urlencode(
-            [("where", clause) for clause in clauses]
-        )
-    if op.kind == "rollup":
-        return f"/rollup/{node_id}"
-    if op.kind == "iceberg":
-        return f"/iceberg/{node_id}?" + urlencode([("min", op.min_count)])
-    raise ValueError(f"unknown workload op kind {op.kind!r}")
+    request = op.request()
+    query = [
+        ("where", f"{item.dim}.{item.level}:" + "|".join(map(str, sorted(item.members))))
+        for item in request.slices
+    ]
+    if request.min_count is not None:
+        query.append(("min", request.min_count))
+    path = f"/{op.kind}/{schema.node_id(op.node)}"
+    return f"{path}?{urlencode(query)}" if query else path
 
 
 def execute_op(planner: CubePlanner, op: WorkloadOp) -> ColumnAnswer:
-    """Answer ``op`` in process, mirroring the server's semantics."""
-    schema = planner.storage.schema
-    if op.kind == "node":
-        return planner.answer(QueryRequest.of(op.node))
-    if op.kind == "slice":
-        return planner.answer(
-            QueryRequest(op.node, canonical_slices(op.slices))
-        )
-    if op.kind == "rollup":
-        base = base_node_of(schema, op.node)
-        return rollup_base_answer(
-            schema, planner.answer(QueryRequest.of(base)), op.node
-        )
-    if op.kind == "iceberg":
-        return iceberg_over_cure(
-            planner.storage, planner.cache, op.node, op.min_count
-        )
-    raise ValueError(f"unknown workload op kind {op.kind!r}")
+    """Answer ``op`` in process, through the server's request path."""
+    return planner.answer(op.request())
 
 
 def encode_op(schema, op: WorkloadOp, answer: ColumnAnswer) -> bytes:
     """Render an in-process answer exactly as the server would."""
-    if op.kind == "slice":
-        return encode_answer(
-            schema,
-            op.node,
-            answer,
-            kind="slice",
-            params={"where": slice_params(canonical_slices(op.slices))},
-        )
-    if op.kind == "iceberg":
-        return encode_answer(
-            schema,
-            op.node,
-            answer,
-            kind="iceberg",
-            params={"min_count": op.min_count},
-        )
-    return encode_answer(schema, op.node, answer, kind=op.kind)
+    return encode_request(schema, op.request(), answer)
 
 
 def replay_op(planner: CubePlanner, op: WorkloadOp) -> bytes:

@@ -528,14 +528,17 @@ class V2File:
         return int(self._mapped.size)
 
 
-def committed_container(path: str | Path, checksum: str) -> V2File:
+def committed_container(
+    path: str | Path, checksum: str, cardinalities: Sequence[int] = ()
+) -> V2File:
     """The container a manifest committed, opened once it is shown whole.
 
     The one opener of a restarting writer: the file must be byte for
     byte the one recorded with ``checksum``, then pass its directory
-    checksum (:meth:`V2File.open`) and every section's checksum and
-    decode (:meth:`V2File.verify_all`), whose decoded arrays the file
-    keeps serving.  Raises :class:`V2FormatError` — a bad section as
+    checksum (:meth:`V2File.open`) and every section's checksum, decode
+    and domain check (:meth:`V2File.verify_all`; ``cardinalities`` as
+    for :meth:`V2File.open`), whose decoded arrays the file keeps
+    serving.  Raises :class:`V2FormatError` — a bad section as
     :class:`SectionCorruption` naming it — and never returns a file
     that is only partly sound.
     """
@@ -544,7 +547,7 @@ def committed_container(path: str | Path, checksum: str) -> V2File:
         raise V2FormatError(f"missing container {target.name!r}")
     if file_checksum(target) != checksum:
         raise V2FormatError(f"checksum mismatch for {target.name!r}")
-    file = V2File.open(target)
+    file = V2File.open(target, cardinalities)
     problems = file.verify_all()
     if problems:
         raise SectionCorruption(problems[0])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import CubeSchema, build_cube, linear_dimension, make_aggregates
@@ -19,6 +20,7 @@ from repro.query import (
     reference_group_by,
 )
 from repro.query.answer import normalize_answer
+from repro.relational.batch import ColumnBatch
 from repro.relational.durable import InjectedCrash, file_checksum
 from repro.storage2 import V2File, V2FormatError, open_v2, write_v2
 from tests.storage2.test_corruption import flip_byte
@@ -164,6 +166,24 @@ def test_a_row_count_the_directory_disowns_fails_closed(engine, tmp_path):
     payload["container_checksum"] = file_checksum(container)
     ingestor.manifest_path.write_text(json.dumps(payload))
     with pytest.raises(IngestError, match="rows"):
+        StreamingIngestor.recover(
+            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+        )
+
+
+def test_recover_checks_the_domain_of_fact_codes(engine, tmp_path):
+    """A fact code at its dimension's base cardinality, in a generation
+    whose section and manifest checksums are re-signed over it, fails
+    recovery as it fails serving (``open_v2``)."""
+    ingestor, container = committed_generation(engine, tmp_path)
+    columns = [np.array(column) for column in ingestor.fact_table.as_batch().arrays]
+    columns[0][-1] = SCHEMA.dimensions[0].base_cardinality
+    batch = ColumnBatch.from_arrays(SCHEMA.fact_schema, columns)
+    write_v2(container, SCHEMA, ingestor.storage, batch)
+    payload = json.loads(ingestor.manifest_path.read_text())
+    payload["container_checksum"] = file_checksum(container)
+    ingestor.manifest_path.write_text(json.dumps(payload))
+    with pytest.raises(IngestError, match="fact/dim/0"):
         StreamingIngestor.recover(
             SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
         )

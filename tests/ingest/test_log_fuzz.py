@@ -7,6 +7,7 @@ manifest checksum to match; :meth:`StreamingIngestor.apply_ready` must
 then raise :class:`LogCorruption` (the payload is not a list of rows) or
 ``validate_delta``'s ``ValueError`` (the rows do not fit the fact
 layout) — never anything else, and never after half-applying a delta.
+A log manifest of another shape than the log writes fails at open.
 """
 
 from __future__ import annotations
@@ -200,3 +201,43 @@ def test_non_row_payloads_are_log_corruption(tmp_path, payload):
     _re_sign(tmp_path, segment, 0, payload)
     with pytest.raises(LogCorruption, match="record 0 of sealed segment"):
         list(AppendLog.open(tmp_path, seal_records=100).sealed_records())
+
+
+def _without(mapping: dict, key: str) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _entry_without(key: str):
+    return lambda m: {**m, "sealed": [_without(m["sealed"][0], key)]}
+
+
+@pytest.mark.parametrize(
+    "field, damage",
+    [
+        ("'sealed'", lambda m: _without(m, "sealed")),
+        ("sealed[0] has no valid 'id'", _entry_without("id")),
+        ("sealed[0] has no valid 'first_lsn'", _entry_without("first_lsn")),
+        ("sealed[0] has no valid 'records'", _entry_without("records")),
+        ("sealed[0] has no valid 'checksum'", _entry_without("checksum")),
+        ("'active_id'", lambda m: {**m, "active_id": "x"}),
+        ("'active_first_lsn'", lambda m: {**m, "active_first_lsn": None}),
+        ("not a JSON object", lambda m: [m]),
+        ("not JSON", lambda m: b'{"version": 1, "sealed": ['),
+    ],
+)
+def test_malformed_manifest_is_log_corruption(tmp_path, field, damage):
+    """A manifest of another shape than the log writes fails at open,
+    naming the file and the field, instead of escaping later as
+    ``KeyError`` / ``ValueError`` / ``TypeError``."""
+    log = AppendLog.open(tmp_path, seal_records=100)
+    log.append([(1, 2, 3)])
+    log.seal()
+    manifest_path = tmp_path / LOG_MANIFEST
+    damaged = damage(json.loads(manifest_path.read_text()))
+    manifest_path.write_bytes(
+        damaged if isinstance(damaged, bytes) else _json(damaged)
+    )
+    with pytest.raises(LogCorruption) as raised:
+        list(AppendLog.open(tmp_path, seal_records=100).sealed_records())
+    assert str(manifest_path) in str(raised.value)
+    assert field in str(raised.value)

@@ -473,6 +473,28 @@ def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
         cli_main(["ingest", "--cube", str(cube_dir), "--csv", str(delta_csv)])
 
 
+def test_streamed_bundle_with_a_future_manifest_fails_closed(cli_workspace, capsys):
+    """``open_bundle`` reads ``stream.ingest.json`` through the reader
+    recovery uses: a version it does not know serves nothing, rather
+    than the container the manifest happens to name."""
+    tmp_path, csv_path, spec_path = cli_workspace
+    cube_dir = tmp_path / "cube"
+    cli_main([
+        "build", "--csv", str(csv_path), "--spec", str(spec_path),
+        "--out", str(cube_dir),
+    ])
+    delta_csv = tmp_path / "delta.csv"
+    _write_delta_csv(delta_csv, [["s0", "Athens", 7]])
+    assert cli_main(["ingest", "--cube", str(cube_dir), "--csv", str(delta_csv)]) == 0
+    capsys.readouterr()
+    manifest = cube_dir / "stream.ingest.json"
+    payload = json.loads(manifest.read_text())
+    payload["version"] += 1
+    manifest.write_text(json.dumps(payload))
+    with pytest.raises(RuntimeError, match="unsupported version"):
+        open_bundle(cube_dir)
+
+
 def test_cli_ingest_rejects_malformed_rows(cli_workspace, capsys):
     tmp_path, csv_path, spec_path = cli_workspace
     cube_dir = tmp_path / "cube"

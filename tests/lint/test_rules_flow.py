@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 from repro.lint.analyzer import analyze_file, analyze_paths
+from repro.lint.graph import ProjectGraph
+from repro.lint.rules import ModuleContext, resolve_imports
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parents[2] / "src" / "repro"
 
 
 def _by_name(reports):
@@ -55,6 +59,27 @@ def test_r12_audits_the_serving_entry_point() -> None:
     assert mutate.rule_id == "R12"
     assert mutate.trace[0].startswith("entry dispatch_request")
     assert any("_remember" in step for step in mutate.trace)
+
+
+def test_r12_reaches_the_planner_cache_path_from_dispatch() -> None:
+    # Every answer endpoint takes CubePlanner.entry, so the audit of the
+    # serving entry covers the result-cache reads and admissions.
+    contexts = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        contexts.append(
+            ModuleContext(
+                str(path), frozenset(path.parts[:-1]), tree, resolve_imports(tree)
+            )
+        )
+    graph = ProjectGraph.from_contexts(contexts)
+    (entry,) = graph.find("SlicerApp.dispatch_request")
+    (planner_entry,) = graph.find("CubePlanner.entry")
+    reachable = graph.reachable([entry])
+    for method in ("ResultCache.lookup", "ResultCache.put"):
+        (qname,) = graph.find(method)
+        assert qname in reachable, method
+        assert planner_entry in graph.call_path(entry, qname), method
 
 
 def test_r12_audits_the_connection_entry_point() -> None:

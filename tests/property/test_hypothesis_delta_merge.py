@@ -37,11 +37,12 @@ from repro.core.incremental import apply_delta
 from repro.core.postprocess import postprocess_plus
 from repro.core.storage import CatFormat
 from repro.query import (
+    CubePlanner,
     DimensionSlice,
     FactCache,
+    QueryRequest,
     answer_cure_query,
     answer_cure_sliced,
-    answer_rollup_from_flat,
     iceberg_over_cure,
     rollup_base_answer,
 )
@@ -174,8 +175,9 @@ def assert_same_answers(schema, flat, maintained, rebuilt, probe_row):
             ), label
     for node in schema.lattice.nodes():
         if flat:
-            rolled_a = answer_rollup_from_flat(storage_a, cache_a, node)
-            rolled_b = answer_rollup_from_flat(storage_b, cache_b, node)
+            request = QueryRequest(node)
+            rolled_a = CubePlanner(storage_a, cache_a).execute(request)
+            rolled_b = CubePlanner(storage_b, cache_b).execute(request)
         else:
             base = base_node_of(schema, node)
             rolled_a = rollup_base_answer(

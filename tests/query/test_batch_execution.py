@@ -38,7 +38,6 @@ from repro.query import (
     ResultCache,
     answer_cure_query,
     answer_cure_sliced,
-    answer_rollup_from_flat,
     iceberg_over_cure,
     slice_mask,
 )
@@ -145,7 +144,9 @@ def test_rollup_equivalent(paper_schema):
         # first-seen order; contents must agree exactly.
         check(
             cache,
-            lambda s: answer_rollup_from_flat(result.storage, cache, node, s),
+            lambda s: CubePlanner(result.storage, cache).execute(
+                QueryRequest(node), s
+            ),
             lambda s: row_engine.answer_rollup_from_flat(
                 result.storage, cache, node, s
             ),
@@ -282,7 +283,7 @@ def test_every_node_matches_the_row_engine(backends, backend):
                 )
         check(
             cache,
-            lambda s: answer_rollup_from_flat(storage, cache, node, s),
+            lambda s: planner.execute(QueryRequest(node, kind="rollup"), s),
             lambda s: row_engine.answer_rollup_from_flat(
                 storage, cache, node, s
             ),
@@ -375,7 +376,7 @@ def test_planner_bypasses_result_cache_when_profiling(built):
     planner = CubePlanner(storage, cache)
     request = QueryRequest.of(CubeNode((0, 1, 0)))
     stats = QueryStats()
-    planner.answer(request, stats)
+    planner.execute(request, stats)
     # Profiling runs must measure real work: nothing cached, nothing read.
     assert len(planner.results) == 0
     assert planner.results.stats.hits == planner.results.stats.misses == 0

@@ -41,7 +41,6 @@ from repro.query import (
     answer_cure_sliced,
     answer_rollup_from_bubst,
     answer_rollup_from_buc,
-    answer_rollup_from_flat,
     answer_schema,
     iceberg_over_bubst,
     iceberg_over_buc,
@@ -269,8 +268,8 @@ def test_rollup_differential(world):
         node = CubeNode(levels)
         run_differential(
             cache,
-            lambda stats: answer_rollup_from_flat(
-                cubes["fcure"], cache, node, stats
+            lambda stats: CubePlanner(cubes["fcure"], cache).execute(
+                QueryRequest(node), stats
             ),
             lambda stats: row_engine.answer_rollup_from_flat(
                 cubes["fcure"], cache, node, stats
@@ -303,7 +302,7 @@ def test_planner_differential(world):
     ]:
         run_differential(
             cache,
-            lambda stats: planner.answer(request, stats),
+            lambda stats: planner.execute(request, stats),
             lambda stats: row_engine.answer_request(planner, request, stats),
         )
 

@@ -10,10 +10,11 @@ from repro.core.variants import VARIANTS
 from repro.lattice.node import CubeNode
 from repro.query import (
     ColumnAnswer,
+    CubePlanner,
     FactCache,
+    QueryRequest,
     answer_rollup_from_bubst,
     answer_rollup_from_buc,
-    answer_rollup_from_flat,
     base_node_of,
     reference_group_by,
     rollup_base_answer,
@@ -46,7 +47,7 @@ def test_rollup_from_flat_matches_reference(hierarchical_data):
     for node in schema.lattice.nodes():
         expected = reference_group_by(schema, rows_of(table), node)
         got = normalize_answer(
-            answer_rollup_from_flat(result.storage, cache, node)
+            CubePlanner(result.storage, cache).answer(QueryRequest(node))
         )
         assert got == expected, node.label(schema.dimensions)
 
@@ -71,10 +72,11 @@ def test_base_level_query_passthrough(hierarchical_data):
     schema, table = hierarchical_data
     result, _x = VARIANTS["FCURE"].build(schema, table=table)
     cache = FactCache(schema, table=table)
-    node = CubeNode((0, 0, 0))
-    direct = normalize_answer(
-        answer_rollup_from_flat(result.storage, cache, node)
-    )
+    request = QueryRequest(CubeNode((0, 0, 0)))
+    planner = CubePlanner(result.storage, cache)
+    assert planner.plan(request).strategy == "direct"
+    node = request.node
+    direct = normalize_answer(planner.answer(request))
     assert direct == reference_group_by(schema, rows_of(table), node)
 
 

@@ -7,7 +7,10 @@ canonical encoder.  Routing, parameter parsing, planner strategy choice,
 shared-cache reuse and JSON rendering all have to agree, across CURE,
 CURE+ and FCURE, for these to pass — and the served bytes must also be
 what the tuple-at-a-time oracle (``tests/support/row_engine.py``) gives
-when its pairs go through the row-at-a-time reference encoder.
+when its pairs go through the row-at-a-time reference encoder.  The
+server and the library share the planner, so the checks that stand
+apart from it are the row-engine comparison and the iceberg check
+against the CUBE definition (``reference_group_by`` over the fact rows).
 """
 
 from __future__ import annotations
@@ -16,14 +19,21 @@ import json
 
 import pytest
 
+from repro.query.answer import reference_group_by
 from repro.query.planner import QueryRequest
 from repro.query.workload import mixed_workload
 from repro.server.app import SlicerApp
 from repro.server.encoding import decode_answer, encode_answer
 from repro.server.replay import execute_op, op_path, replay_op
-from tests.server.conftest import SERVED_VARIANTS, heap_planner, wsgi_get
+from tests.server.conftest import (
+    SERVED_VARIANTS,
+    heap_planner,
+    serving_fact,
+    wsgi_get,
+)
 from tests.support import row_engine
 from tests.support.reference_encoding import reference_encode_op
+from tests.support.rows import rows_of
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +87,41 @@ def test_row_mode_library_agrees_with_server(apps):
             pairs = row_engine.execute_op(reference, op)
             assert body == reference_encode_op(schema, op, pairs), op
             assert body == replay_op(reference, op), op
+
+
+@pytest.mark.parametrize("variant", SERVED_VARIANTS)
+def test_iceberg_rows_follow_the_definition(variant, apps):
+    # HAVING COUNT(*) >= min over the fact rows, for every node — those
+    # a flat cube does not store included — and not against another
+    # engine, which could share a routing bug with the server.
+    app = apps[variant]
+    schema = app.schema
+    fact_rows = rows_of(serving_fact(schema))
+    count = schema.count_aggregate_index()
+    for node in schema.lattice.nodes():
+        groups = reference_group_by(schema, fact_rows, node)
+        for min_count in (2, 3):
+            path = f"/iceberg/{schema.node_id(node)}?min={min_count}"
+            status, body = wsgi_get(app, path)
+            assert status == "200 OK", path
+            expected = [g for g in groups if g[1][count] >= min_count]
+            assert decode_answer(body)[1].normalized().to_pairs() == (
+                expected
+            ), path
+
+
+def test_every_variant_serves_every_slice_alike(apps):
+    # A flat cube answers a slice on a node it does not store by rolling
+    # up: it must refuse what CURE refuses (a slice below the node's
+    # level, or on a dimension the node has at ALL) and answer the rest
+    # with CURE's bytes.
+    schema = apps["CURE"].schema
+    for node in schema.lattice.nodes():
+        for dim, dimension in enumerate(schema.dimensions):
+            for level in range(dimension.n_levels):
+                path = f"/slice/{schema.node_id(node)}?where={dim}.{level}:0"
+                served = {wsgi_get(apps[v], path) for v in SERVED_VARIANTS}
+                assert len(served) == 1, path
 
 
 def test_served_bodies_decode_to_the_answers(apps):

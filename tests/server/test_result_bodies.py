@@ -11,6 +11,9 @@ when its answer goes, after ``invalidate_results`` and after a real
 from __future__ import annotations
 
 import json
+from urllib.parse import parse_qs, urlsplit
+
+import pytest
 
 from repro.core.incremental import UpdateReport
 from repro.ingest import StreamingIngestor
@@ -20,9 +23,14 @@ from repro.query.cache import ResultCache
 from repro.query.column_answer import ColumnAnswer
 from repro.query.planner import QueryRequest
 from repro.query.workload import WorkloadOp, mixed_workload
-from repro.server.app import SlicerApp
-from repro.server.replay import op_path, replay_op
-from tests.server.conftest import serving_fact, serving_schema, wsgi_get
+from repro.server.app import DEFAULT_RESULT_CACHE_BYTES, SlicerApp
+from repro.server.replay import execute_op, op_path, replay_op
+from tests.server.conftest import (
+    SERVED_VARIANTS,
+    serving_fact,
+    serving_schema,
+    wsgi_get,
+)
 from tests.support.rows import rows_of, table_of
 
 
@@ -148,6 +156,28 @@ def test_every_answer_endpoint_registers_exactly_one_hit_or_miss(
     for path in ("/cube", "/nodes", "/stats", "/nope", "/iceberg/0?min=x"):
         wsgi_get(app, path)
     assert counters(app) == before
+
+
+@pytest.mark.parametrize("variant", SERVED_VARIANTS)
+def test_library_and_server_count_the_cache_alike(variant, served_bundles):
+    # One workload, two front doors onto identically configured caches:
+    # the server's dispatch and the library's execute_op.  Every kind —
+    # icebergs and roll-ups too — must register and admit the same.
+    bundle = served_bundles[variant]
+    app = SlicerApp(bundle)
+    planner = bundle.planner(
+        result_cache_bytes=DEFAULT_RESULT_CACHE_BYTES,
+        result_cache_entries=4096,
+    )
+    for op in mixed_workload(bundle.schema, 120, seed=41):
+        url = urlsplit(op_path(bundle.schema, op))
+        status, _ = app.dispatch_request(url.path, parse_qs(url.query))
+        assert status == "200 OK", op
+        execute_op(planner, op)
+    served, library = app.planner.results, planner.results
+    assert served.stats.hits == library.stats.hits > 0
+    assert served.stats.misses == library.stats.misses
+    assert len(served) == len(library)
 
 
 def test_an_answer_cached_by_the_library_gets_its_body_on_first_serve(

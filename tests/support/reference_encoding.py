@@ -21,7 +21,6 @@ import json
 from typing import Any
 
 from repro.query.column_answer import ColumnAnswer
-from repro.server.app import canonical_slices, slice_params
 
 
 def reference_encode_answer(
@@ -65,7 +64,11 @@ def reference_encode_answer(
 def reference_encode_op(schema, op, answer) -> bytes:
     params = None
     if op.kind == "slice":
-        params = {"where": slice_params(canonical_slices(op.slices))}
+        where = [
+            {"dim": s.dim, "level": s.level, "members": sorted(s.members)}
+            for s in op.slices
+        ]
+        params = {"where": sorted(where, key=lambda c: (c["dim"], c["level"], c["members"]))}
     elif op.kind == "iceberg":
         params = {"min_count": op.min_count}
     return reference_encode_answer(
