@@ -9,7 +9,7 @@ tuples — the common data-warehouse refresh):
 * **TTs** — a trivial tuple whose group gains delta rows stops being
   trivial.  Its row-id is removed from the sub-tree root's TT relation and
   re-placed over the plan sub-tree: at nodes whose group the delta touches
-  it becomes an explicit NT (merged with the delta in the second pass); at
+  it becomes an explicit NT (merged with its delta group); at
   untouched nodes it stays a TT, now rooted lower.  The key property that
   keeps this local is that *touchedness is upward-closed along the plan*:
   two tuples that agree on a node's grouping attributes also agree on
@@ -26,17 +26,44 @@ tuples — the common data-warehouse refresh):
   the parent's TT already covers it — preserving sub-tree sharing for
   fresh data), and an NT otherwise.
 
-**Cost.**  One sweep over the execution plan, parents before children.
-Per node the fact table's dimension columns are rolled up through
-``Dimension.level_maps`` and packed into one int64 grouping key per fact
-row (numpy gathers, no per-row Python); the delta's groups come from one
-stable sort + ``reduceat`` over the ≤ |delta| new keys; and every stored
-relation — TT row-ids, NT and CAT source row-ids — is tested against
-those groups with one ``searchsorted``.  Devaluation is a mask, NT merges
-and CAT demotions are batched per node, and each rewritten relation
-replaces the stored array wholesale (``ArrayRelation.replace``).  Work is
-*delta × lattice plus one vectorised membership test per node*; nothing
-loops over stored rows.
+**Cost.**  A fixed number of array passes over the whole plan, not a
+loop of array calls per node.
+
+1. *Delta groups.*  Every node's groups of the *k* delta rows come from
+   one stable sort of their keys at all *N* plan positions (``N·k``
+   probes tagged by position) and one ``reduceat``.  A key packs the
+   position and, per dimension, the rank of the row's member among the
+   delta's members at the node's level (0 for a member no delta row
+   has): per dimension one small rank table over (level, base code), so
+   a probe costs a gather from the fact column and two from small tables.
+2. *Membership.*  Every stored row-id — each node's TT list, NT row-ids
+   and CAT source row-ids, with their plan positions — is matched
+   against those groups in one pass.  The dimension whose base members
+   the delta covers least sieves out the probes whose member there no
+   delta row has; a hashed bitmap of the group keys drops most of the
+   rest, and a ``searchsorted`` is the exact test.  The delta's probes
+   and the stored ones are keyed by one :func:`pack_keys` call, so a code
+   span it re-ranks re-ranks both alike and the match stays exact.
+3. *TTs, by upward closure.*  Tuples that agree on a node's grouping
+   attributes agree on every coarser node's, so "the delta touches this
+   tuple's group" holds at a node's plan parent whenever it holds at the
+   node.  Each node's decisions then follow from the delta and its own
+   relations, with no hand-off from parent to child: a TT stored at *a*
+   becomes an NT at each node of a's plan sub-tree (and *a* itself)
+   where its group is touched, and stays a TT at each node touched at
+   its plan parent but not itself (one more membership pass, over the
+   devalued TTs paired with their sub-trees).  A delta row whose group is
+   new and single at a node is a new TT there unless it is also new and
+   single at the plan parent — read off the delta's own probes.
+4. *Batches.*  NT merges, CAT demotions and new groups are computed on
+   arrays for all nodes together; only the write-back loops over nodes,
+   replacing each changed relation by a fresh array
+   (``ArrayRelation.replace``).
+
+What is still proportional to stored rows: concatenating every node's
+relations, the sieve over every stored row-id, and the write-back's copy
+of each changed relation.  What is proportional to the delta: the
+``N·k`` probes, the keys past the sieve, and the merges.
 
 After many updates the cube drifts from the fully condensed form (demoted
 CATs, localized TTs); tests assert exact query equivalence with a
@@ -47,10 +74,9 @@ reference merger (``tests/support/record_merger.py``), and
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
 import numpy as np
 
 from repro.core.model import CubeSchema
@@ -59,9 +85,9 @@ from repro.core.segments import (
     pack_keys,
     reduce_columns,
     sort_groups,
+    stable_order,
 )
-from repro.core.storage import VALUE_BYTES, CatFormat, CubeStorage, NodeStore
-from repro.lattice.node import CubeNode
+from repro.core.storage import VALUE_BYTES, CatFormat, CubeStorage
 from repro.relational.batch import ColumnBatch, column_dtype
 from repro.relational.table import Table
 
@@ -240,35 +266,48 @@ def drift_report(
     )
 
 
-class _DeltaGroups(NamedTuple):
-    """The delta's groups at one node, under that node's packed key."""
+#: Fibonacci hashing multiplier (2^64 / golden ratio) for the group bitmap.
+_HASH = np.uint64(0x9E3779B97F4A7C15)
 
-    #: Every fact row's group key at the node (base rows, then delta rows).
-    row_keys: np.ndarray
-    #: Ascending distinct keys among the delta rows; the rest is per group.
-    keys: np.ndarray
-    counts: np.ndarray
-    first_rowid: np.ndarray
-    aggregates: np.ndarray
 
-    def of(self, rowids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per stored row-id: its delta group, and whether it has one."""
-        wanted = self.row_keys[rowids]
-        group = np.minimum(
-            np.searchsorted(self.keys, wanted), len(self.keys) - 1
-        )
-        return group, self.keys[group] == wanted
+def _stacked(
+    arrays: list[np.ndarray], width: int | None
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """One relation of every plan node, concatenated in plan order:
+    ``(rows, plan position of each row, node offsets)`` — node ``i``'s
+    rows are ``offsets[i]:offsets[i + 1]``.  ``width`` is the row width
+    of a matrix relation (None: a vector); an empty relation is the empty
+    vector, whatever its width."""
+    counts = [len(array) for array in arrays]
+    parts = [array for array in arrays if len(array)]
+    if parts:
+        rows = np.concatenate(parts)
+    elif width is None:
+        rows = _NO_ROWIDS
+    else:
+        rows = np.empty((0, width), dtype=np.int64)
+    positions = np.repeat(np.arange(len(arrays), dtype=np.int64), counts)
+    return rows, positions, list(itertools.accumulate(counts, initial=0))
+
+
+def _offsets(positions: np.ndarray, n_nodes: int) -> list[int]:
+    """Node offsets of ascending plan ``positions``."""
+    return np.searchsorted(
+        positions, np.arange(n_nodes + 1, dtype=np.int64)
+    ).tolist()
 
 
 class _DeltaMerger:
-    """One delta folded into a cube, a plan node at a time, on arrays.
+    """One delta folded into every plan node at once, on arrays.
 
     ``batch`` is the fact table *after* the append: rows from
-    ``base_rowid`` on are the delta.  The sweep follows
-    :meth:`CubeSchema.plan_order`, so when a node is merged its plan
-    parent already has been, and has left behind the two things a child
-    needs: the devalued TTs that reach it, and which delta rows are
-    brand-new trivial tuples the parent's TT relation covers.
+    ``base_rowid`` on are the delta.  A *probe* is a fact row-id asked
+    at a plan position.  Its group key there packs the position and, per
+    dimension, the rank of the row's member among the delta's members at
+    the node's level (0 when no delta row has that member, 1 at ALL);
+    probes are keyed by one :func:`pack_keys` call together with the
+    delta's own probes, so a key that call re-ranks still compares
+    exactly with the delta's.
     """
 
     def __init__(
@@ -280,229 +319,361 @@ class _DeltaMerger:
         report: UpdateReport,
     ) -> None:
         self.storage = storage
-        self.schema = schema
         self.report = report
-        self.base_rowid = base_rowid
-        self.n_rows = batch.length
+        plan = schema.plan_order(storage.flat)
+        self.node_ids = [node_id for _node, node_id, _parent in plan]
+        n_nodes = len(plan)
+        parent = [parent for *_, parent in plan]
+        # Pre-order: the plan sub-tree of position i is [i, i + size[i]).
+        size = [1] * n_nodes
+        depth = [0] * n_nodes
+        for position in range(n_nodes - 1, 0, -1):
+            size[parent[position]] += size[position]
+        for position in range(1, n_nodes):
+            depth[position] = depth[parent[position]] + 1
+        self._parent = np.array(parent, dtype=np.int64)
+        self._size = np.array(size, dtype=np.int64)
+        self._depth = np.array(depth, dtype=np.int64)
+
         self._dim_columns = batch.arrays[: schema.n_dimensions]
         self._measures = [
             batch.arrays[schema.n_dimensions + spec.measure_index]
             for spec in schema.aggregates
         ]
+        self._functions = [spec.function for spec in schema.aggregates]
         self._ufuncs = aggregate_ufuncs(schema)
-        self._level_codes: dict[tuple[int, int], np.ndarray] = {}
-        self._delta_aggregates = self._singletons(
-            np.arange(base_rowid, batch.length, dtype=np.int64)
+        self._k = k = batch.length - base_rowid
+
+        # Per dimension one rank table over (level, base code), and each
+        # plan position's offset into it.  The dimension whose base
+        # members the delta covers least is the sieve: a probe whose
+        # member there is no delta row's is in no group.
+        levels = np.array([node.levels for node, *_ in plan], dtype=np.int64)
+        self._ranks: list[np.ndarray] = []
+        self._offsets: list[np.ndarray] = []
+        self._radices = [n_nodes]
+        coverage = []
+        for d, dimension in enumerate(schema.dimensions):
+            base = dimension.base_cardinality
+            delta_codes = self._dim_columns[d][base_rowid:]
+            ranks = np.ones((dimension.n_levels + 1, base), dtype=np.int64)
+            radix = 1
+            for level, level_map in enumerate(dimension.level_maps):
+                present = np.zeros(dimension.cardinality(level), dtype=np.bool_)
+                present[level_map[delta_codes]] = True
+                rank = np.cumsum(present)
+                radix = max(radix, int(rank[-1]))
+                rank *= present
+                np.take(rank, level_map, out=ranks[level])
+            self._ranks.append(ranks.ravel())
+            self._offsets.append(levels[:, d] * base)
+            self._radices.append(radix + 1)
+            coverage.append(int(ranks[0].max()) / base)
+        self._sieve = int(np.argmin(coverage))
+        self._sieve_members = self._ranks[self._sieve] > 0
+
+        # The delta's own probes, position-major: probe p is delta row
+        # p % k at position p // k.
+        self._probe_rowids = np.tile(
+            np.arange(base_rowid, batch.length, dtype=np.int64), n_nodes
+        )
+        self._probe_positions = np.repeat(np.arange(n_nodes, dtype=np.int64), k)
+        order, _, starts = sort_groups(self._keys(_NO_ROWIDS, _NO_ROWIDS)[0])
+        # Per group (by position, then key): its first probe — the sort is
+        # stable, so its lowest row-id — row count and aggregates.
+        self._first = order[starts]
+        self.group_position = self._first // k
+        self.group_rowid = base_rowid + self._first % k
+        self.group_count = np.diff(np.append(starts, len(order)))
+        self.group_aggregates = reduce_columns(
+            self._ufuncs,
+            self._singletons(self._probe_rowids[:k])[order % k],
+            starts,
+        )
+        self._probe_group = np.empty(len(order), dtype=np.int64)
+        self._probe_group[order] = np.repeat(
+            np.arange(len(starts), dtype=np.int64), self.group_count
         )
 
-    def run(self) -> None:
-        devalued: list[np.ndarray] = []
-        fresh: list[np.ndarray] = []
-        for node, node_id, parent in self.schema.plan_order(self.storage.flat):
-            became, singles = self._merge_node(
-                self.storage.node_store(node_id),
-                self._groups_at(node),
-                devalued[parent] if parent >= 0 else _NO_ROWIDS,
-                fresh[parent] if parent >= 0 else None,
-            )
-            devalued.append(became)
-            fresh.append(singles)
-            self.report.nodes_touched.add(node_id)
+    # -- keys and membership -----------------------------------------------------
+
+    def _digits(
+        self, d: int, rowids: np.ndarray, positions: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """Per probe, its member's rank among the delta's members of
+        dimension ``d`` at the probe's level (0: none), into ``out``.
+        Every index is in range; ``mode="clip"`` only spares ``take`` the
+        buffered copy its default mode makes when given ``out``."""
+        np.take(self._offsets[d], positions, out=out, mode="clip")
+        np.add(out, self._dim_columns[d][rowids], out=out)
+        return np.take(self._ranks[d], out, out=out, mode="clip")
+
+    def _sifted(self, rowids: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """The probes whose member of the sieve dimension, at the
+        probe's level, some delta row has — the others are in no group."""
+        index = np.take(self._offsets[self._sieve], positions, mode="clip")
+        index += self._dim_columns[self._sieve][rowids]
+        return np.flatnonzero(np.take(self._sieve_members, index, mode="clip"))
+
+    def _keys(
+        self, rowids: np.ndarray, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The delta probes' keys, and those of ``rowids`` at plan
+        ``positions``, from one :func:`pack_keys` call."""
+        rowids = np.concatenate((self._probe_rowids, rowids))
+        positions = np.concatenate((self._probe_positions, positions))
+        digits = np.empty(len(rowids), dtype=np.int64)
+        columns = itertools.chain(
+            (positions,),
+            (
+                self._digits(d, rowids, positions, digits)
+                for d in range(len(self._ranks))
+            ),
+        )
+        keys = pack_keys(columns, self._radices)
+        split = len(self._probe_rowids)
+        return keys[:split], keys[split:]
+
+    def _match(
+        self, parts: Sequence[tuple[np.ndarray, np.ndarray]]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per part of aligned ``(rowids, positions)`` probes: the probes
+        that fall in a delta group, ascending, and those groups.
+
+        The sieve dimension drops most probes that cannot be in a group,
+        a hashed bitmap of the groups' keys most of the rest; the keys
+        ascend, so the exact test is a ``searchsorted``.
+        """
+        kept = [self._sifted(rowids, positions) for rowids, positions in parts]
+        delta_keys, keys = self._keys(
+            np.concatenate([rowids[k] for (rowids, _), k in zip(parts, kept)]),
+            np.concatenate([at[k] for (_, at), k in zip(parts, kept)]),
+        )
+        table = delta_keys[self._first]
+        bits = max(10, (8 * len(table)).bit_length())
+        shift = np.uint64(64 - bits)
+        bitmap = np.zeros(1 << bits, dtype=np.bool_)
+        bitmap[(table.view(np.uint64) * _HASH) >> shift] = True
+        hashed = keys.view(np.uint64) * _HASH
+        hashed >>= shift
+        candidates = np.flatnonzero(bitmap[hashed])
+        wanted = keys[candidates]
+        group = np.minimum(np.searchsorted(table, wanted), len(table) - 1)
+        hit = table[group] == wanted
+        probes, groups = candidates[hit], group[hit]
+        starts = np.cumsum([0] + [len(k) for k in kept])
+        cuts = np.searchsorted(probes, starts).tolist()
+        return [
+            (k[probes[low:high] - start], groups[low:high])
+            for k, start, low, high in zip(kept, starts.tolist(), cuts, cuts[1:])
+        ]
 
     # -- fact-side arrays --------------------------------------------------------
 
     def _singletons(self, rowids: np.ndarray) -> np.ndarray:
         """Aggregate vectors of single fact tuples, one row per row-id."""
         matrix = np.empty((len(rowids), len(self._ufuncs)), dtype=np.int64)
-        for y, spec in enumerate(self.schema.aggregates):
-            matrix[:, y] = spec.function.from_column(self._measures[y][rowids])
+        for y, function in enumerate(self._functions):
+            matrix[:, y] = function.from_column(self._measures[y][rowids])
         return matrix
 
-    def _merged(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Component-wise merge of two aligned aggregate matrices."""
-        merged = np.empty_like(left)
+    def _merged(
+        self, rowids: np.ndarray, aggregates: np.ndarray, groups: np.ndarray
+    ) -> np.ndarray:
+        """NT rows of stored tuples merged with their delta ``groups``:
+        the lower row-id, and the aggregates combined component-wise."""
+        rows = np.empty((len(groups), 1 + len(self._ufuncs)), dtype=np.int64)
+        np.minimum(rowids, self.group_rowid[groups], out=rows[:, 0])
+        right = self.group_aggregates[groups]
         for y, ufunc in enumerate(self._ufuncs):
-            ufunc(left[:, y], right[:, y], out=merged[:, y])
-        return merged
+            ufunc(aggregates[:, y], right[:, y], out=rows[:, 1 + y])
+        return rows
 
-    def _node_keys(self, node: CubeNode) -> np.ndarray:
-        """Every fact row's group at ``node`` as one int64 key
-        (:func:`pack_keys` over base and delta rows together, so a
-        re-ranked key still supports membership tests)."""
-        columns: list[np.ndarray] = []
-        cardinalities: list[int] = []
-        for d, level in enumerate(node.levels):
-            dimension = self.schema.dimensions[d]
-            if level == dimension.all_level:
-                continue
-            codes = self._level_codes.get((d, level))
-            if codes is None:
-                codes = self._dim_columns[d].astype(np.int64)
-                if level:
-                    codes = dimension.level_maps[level][codes]
-                self._level_codes[d, level] = codes
-            columns.append(codes)
-            cardinalities.append(dimension.cardinality(level))
-        if not columns:
-            return np.zeros(self.n_rows, dtype=np.int64)
-        return pack_keys(columns, cardinalities)
+    # -- the merge -------------------------------------------------------------------
 
-    def _groups_at(self, node: CubeNode) -> _DeltaGroups:
-        """Group the delta rows at ``node``: one stable sort + ``reduceat``."""
-        row_keys = self._node_keys(node)
-        delta_keys = row_keys[self.base_rowid :]
-        order, sorted_keys, starts = sort_groups(delta_keys)
-        aggregates = reduce_columns(
-            self._ufuncs, self._delta_aggregates[order], starts
+    def run(self) -> None:
+        report, storage = self.report, self.storage
+        n_ufuncs = len(self._ufuncs)
+        stores = [storage.node_store(node_id) for node_id in self.node_ids]
+        n_nodes = len(stores)
+        report.nodes_touched.update(self.node_ids)
+        trivial, trivial_at, trivial_offsets = _stacked(
+            [store.tt_array() for store in stores], None
         )
-        return _DeltaGroups(
-            row_keys,
-            sorted_keys[starts],
-            np.append(starts[1:], len(order)) - starts,
-            # Stable sort: a group's first row is its lowest row-id.
-            self.base_rowid + order[starts],
-            aggregates,
+        normal, normal_at, normal_offsets = _stacked(
+            [store.nt_matrix() for store in stores], 1 + n_ufuncs
         )
-
-    # -- one node ------------------------------------------------------------------
-
-    def _merge_node(
-        self,
-        store: NodeStore,
-        groups: _DeltaGroups,
-        inherited: np.ndarray,
-        covered: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fold the delta's ``groups`` into one node's relations.
-
-        ``inherited`` are TTs devalued at plan ancestors whose group the
-        delta touches all the way down to the parent; ``covered`` marks
-        the delta rows (by offset) that are brand-new trivial tuples at
-        the parent.  Returns the same two things for this node's
-        children.
-        """
-        report = self.report
-        matched = np.zeros(len(groups.keys), dtype=np.bool_)
-
-        # Pass 1 — TT devaluation as a mask.  Touchedness is upward-closed
-        # along the plan (tuples that agree on a node's grouping
-        # attributes agree on every coarser node's), so a touched TT
-        # becomes an explicit NT here, merged with its delta group, and is
-        # handed on to the children, while an untouched one safely covers
-        # this node's whole sub-tree.
-        trivial = store.tt_array()
-        trivial_group, trivial_hit = groups.of(trivial)
-        inherited_group, inherited_hit = groups.of(inherited)
-        became = np.concatenate((trivial[trivial_hit], inherited[inherited_hit]))
-        group = np.concatenate(
-            (trivial_group[trivial_hit], inherited_group[inherited_hit])
+        source_format = storage.cat_format is CatFormat.COMMON_SOURCE
+        common, common_at, common_offsets = _stacked(
+            [store.cat_matrix() for store in stores], 1 if source_format else 2
         )
-        matched[group] = True
-        appended = [
-            np.column_stack(
-                (
-                    became,
-                    self._merged(
-                        self._singletons(became), groups.aggregates[group]
-                    ),
-                )
-            )
-        ]
-        report.tts_devalued += np.count_nonzero(trivial_hit)
-        report.nts_merged += len(became)
+        shared = storage.aggregates_matrix()
+        source_rowids = shared[common[:, 0], 0] if source_format else common[:, 0]
 
-        # Pass 2 — existing NT groups merge in place (distributive
-        # aggregates, minimum source row-id kept) ...
-        normal = (
-            store.nt_matrix()
-            if store.nt_count
-            else np.empty((0, 1 + len(self._ufuncs)), dtype=np.int64)
-        )
-        normal_group, normal_hit = groups.of(normal[:, 0])
-        rewritten = np.flatnonzero(normal_hit)
-        group = normal_group[rewritten]
-        matched[group] = True
-        merged = np.column_stack(
+        # One membership pass: every stored row-id at its own node.
+        tts, nts, cats = self._match(
             (
-                np.minimum(normal[rewritten, 0], groups.first_rowid[group]),
-                self._merged(normal[rewritten, 1:], groups.aggregates[group]),
+                (trivial, trivial_at),
+                (normal[:, 0], normal_at),
+                (source_rowids, common_at),
             )
+        )
+        (devalued, trivial_group), (rewritten, normal_group) = tts, nts
+        demoted, common_group = cats
+        report.tts_devalued += len(devalued)
+        (became_rowids, became_at, became_group), (stay_rowids, stay_at) = (
+            self._devalue(trivial, trivial_at, devalued, trivial_group)
+        )
+        report.nts_merged += len(became_rowids)
+
+        # NTs merge in place (distributive aggregates, minimum row-id).
+        normal[rewritten] = self._merged(
+            normal[rewritten, 0], normal[rewritten, 1:], normal_group
         )
         report.nts_merged += len(rewritten)
 
-        # ... touched CATs are demoted to NTs ...
-        if store.cat_count:
-            appended.append(self._demote_cats(store, groups, matched))
-
-        # ... and what is left is brand new: several delta rows make an
-        # NT; a single one is a TT — unless its group at the plan parent
-        # is a brand-new single tuple too, in which case the TT written
-        # there already covers this node (construction-time sub-tree
-        # sharing).
-        several = ~matched & (groups.counts > 1)
-        appended.append(
-            np.column_stack(
-                (groups.first_rowid[several], groups.aggregates[several])
-            )
-        )
-        report.new_nts += np.count_nonzero(several)
-        single_rowids = groups.first_rowid[~matched & (groups.counts == 1)]
-        singles = np.zeros(self.n_rows - self.base_rowid, dtype=np.bool_)
-        singles[single_rowids - self.base_rowid] = True
-        if covered is not None:
-            single_rowids = single_rowids[
-                ~covered[single_rowids - self.base_rowid]
-            ]
-        report.new_tts += len(single_rowids)
-
-        # Write back: fresh arrays (never the ones a query was handed).
-        new_rows = np.concatenate(appended)
-        if len(rewritten) or len(new_rows):
-            rows = np.concatenate((normal, new_rows))
-            rows[rewritten] = merged
-            store.nt.replace(rows)
-        stay = inherited[~inherited_hit]
-        if trivial_hit.any() or len(stay) or len(single_rowids):
-            store.tt.replace(
-                np.concatenate((trivial[~trivial_hit], stay, single_rowids))
-            )
-        return became, singles
-
-    def _demote_cats(
-        self, store: NodeStore, groups: _DeltaGroups, matched: np.ndarray
-    ) -> np.ndarray:
-        """Turn the CATs the delta touches into merged NT rows (returned).
-
-        Demotion detaches a tuple from its shared AGGREGATES row, merges
-        the delta group in and stores it as a plain NT (the open part of
-        the paper's plan).  The NT row is wider than the CAT row it
-        replaces (and the shared AGGREGATES row may end up orphaned);
-        that growth is accounted so the cheap drift estimate can trigger
-        compaction.
-        """
-        common = store.cat_matrix()
-        shared = self.storage.aggregates_matrix()
-        if self.storage.cat_format is CatFormat.COMMON_SOURCE:
-            sources = shared[common[:, 0]]
-            source_rowids, source_aggregates = sources[:, 0], sources[:, 1:]
+        # Touched CATs are demoted to NTs.
+        if source_format:
+            source_aggregates = shared[common[demoted, 0], 1:]
         else:
-            source_rowids = common[:, 0]
-            source_aggregates = shared[common[:, 1]]
-        common_group, common_hit = groups.of(source_rowids)
-        demoted = np.flatnonzero(common_hit)
-        group = common_group[demoted]
-        matched[group] = True
-        if len(demoted):
-            store.cat.replace(np.delete(common, demoted, axis=0))
-            self.report.cats_demoted += len(demoted)
-            self.storage.update_drift_bytes += (
-                len(demoted)
-                * (1 + len(self._ufuncs) - common.shape[1])
-                * VALUE_BYTES
-            )
-        return np.column_stack(
-            (
-                np.minimum(source_rowids[demoted], groups.first_rowid[group]),
-                self._merged(source_aggregates[demoted], groups.aggregates[group]),
-            )
+            source_aggregates = shared[common[demoted, 1]]
+        demoted_rows = self._merged(
+            source_rowids[demoted], source_aggregates, common_group
         )
+        report.cats_demoted += len(demoted)
+        storage.update_drift_bytes += (
+            len(demoted) * (1 + n_ufuncs - common.shape[1]) * VALUE_BYTES
+        )
+
+        matched = np.zeros(len(self.group_count), dtype=np.bool_)
+        for groups in (became_group, normal_group, common_group):
+            matched[groups] = True
+        several, new_tts = self._new_groups(~matched)
+        report.new_nts += len(several)
+        report.new_tts += len(new_tts)
+
+        # Write back, node by node: fresh arrays (never the ones a query
+        # was handed), in the order the relations are read.
+        added_nt, added_nt_offsets = _by_position(
+            n_nodes,
+            (
+                self._merged(
+                    became_rowids, self._singletons(became_rowids), became_group
+                ),
+                became_at,
+            ),
+            (demoted_rows, common_at[demoted]),
+            (
+                np.column_stack(
+                    (self.group_rowid[several], self.group_aggregates[several])
+                ),
+                self.group_position[several],
+            ),
+        )
+        added_tt, added_tt_offsets = _by_position(
+            n_nodes,
+            (stay_rowids, stay_at),
+            (self.group_rowid[new_tts], self.group_position[new_tts]),
+        )
+        keep_trivial = np.ones(len(trivial), dtype=np.bool_)
+        keep_trivial[devalued] = False
+        keep_common = np.ones(len(common), dtype=np.bool_)
+        keep_common[demoted] = False
+        rewrites = _offsets(normal_at[rewritten], n_nodes)
+        demotions = _offsets(common_at[demoted], n_nodes)
+        devaluations = _offsets(trivial_at[devalued], n_nodes)
+        for position, store in enumerate(stores):
+            here = slice(position, position + 2)
+            r0, r1 = rewrites[here]
+            n0, n1 = normal_offsets[here]
+            a0, a1 = added_nt_offsets[here]
+            d0, d1 = demotions[here]
+            c0, c1 = common_offsets[here]
+            v0, v1 = devaluations[here]
+            t0, t1 = trivial_offsets[here]
+            s0, s1 = added_tt_offsets[here]
+            if r0 < r1 or a0 < a1:
+                store.nt.replace(
+                    np.concatenate((normal[n0:n1], added_nt[a0:a1]))
+                )
+            if d0 < d1:
+                store.cat.replace(common[c0:c1][keep_common[c0:c1]])
+            if v0 < v1 or s0 < s1:
+                store.tt.replace(
+                    np.concatenate(
+                        (trivial[t0:t1][keep_trivial[t0:t1]], added_tt[s0:s1])
+                    )
+                )
+
+    def _devalue(
+        self,
+        trivial: np.ndarray,
+        trivial_at: np.ndarray,
+        devalued: np.ndarray,
+        groups: np.ndarray,
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Where the TTs the delta touches at their own node go.
+
+        Touchedness is upward-closed along the plan, so a TT stored at
+        position a whose group the delta touches (``groups``, per
+        ``devalued`` index into ``trivial``) becomes an NT at each node of
+        a's plan sub-tree where the delta touches it, stays a TT at each
+        node touched at its plan parent but not itself, and is covered by
+        those below.  Returns the NTs as ``(row-ids, positions, delta
+        groups)`` and the TTs as ``(row-ids, positions)``; at a node,
+        its own former TTs come first, then its plan parent's,
+        grandparent's, … each in stored order.
+        """
+        spans = self._size[trivial_at[devalued]]
+        pair_tt = np.repeat(devalued, spans)
+        pair_root = trivial_at[pair_tt]
+        pair_at = pair_root + (
+            np.arange(len(pair_tt), dtype=np.int64)
+            - np.repeat(np.cumsum(spans) - spans, spans)
+        )
+        pair_group = np.repeat(groups, spans)
+        below = np.flatnonzero(pair_at != pair_root)
+        pair_group[below] = -1
+        [(hits, found)] = self._match(((trivial[pair_tt[below]], pair_at[below]),))
+        pair_group[below[hits]] = found
+        touched = pair_group >= 0
+        # A pair's parent pair sits (position − parent position) before it.
+        stay = np.zeros(len(pair_tt), dtype=np.bool_)
+        stay[below] = ~touched[below] & touched[
+            below - pair_at[below] + self._parent[pair_at[below]]
+        ]
+        order = stable_order(pair_at, self._depth[pair_at] - self._depth[pair_root])
+        became = order[touched[order]]
+        stays = order[stay[order]]
+        return (
+            (trivial[pair_tt[became]], pair_at[became], pair_group[became]),
+            (trivial[pair_tt[stays]], pair_at[stays]),
+        )
+
+    def _new_groups(self, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``fresh`` delta groups (no stored tuple had them) that are
+        new NTs — several delta rows — and new TTs: a single row, unless
+        its group at the plan parent is fresh and single too, whose TT
+        there covers this node."""
+        several = np.flatnonzero(fresh & (self.group_count > 1))
+        single = fresh & (self.group_count == 1)
+        singles = np.flatnonzero(single)
+        parent = self._parent[self.group_position[singles]]
+        covered = single[
+            self._probe_group[
+                np.maximum(parent, 0) * self._k + self._first[singles] % self._k
+            ]
+        ]
+        return several, singles[(parent < 0) | ~covered]
+
+
+def _by_position(
+    n_nodes: int, *parts: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, list[int]]:
+    """``(rows, plan positions)`` parts as one array grouped by position
+    (parts, then rows, keep their order within a position), and its node
+    offsets."""
+    rows = np.concatenate([part for part, _ in parts])
+    positions = np.concatenate([at for _, at in parts])
+    order = stable_order(positions)
+    return rows[order], _offsets(positions[order], n_nodes)

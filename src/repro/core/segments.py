@@ -17,7 +17,7 @@ costs a tenth of the stable index sort (timsort) it replaces.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -100,21 +100,25 @@ def stable_order(*columns: np.ndarray) -> np.ndarray:
 
 
 def pack_keys(
-    columns: Sequence[np.ndarray], cardinalities: Sequence[int]
+    columns: Iterable[np.ndarray], cardinalities: Sequence[int]
 ) -> np.ndarray:
     """One int64 grouping key per row from one or more code columns.
 
     Mixed radix over ``cardinalities``; equal keys ⇔ equal codes.  A code
     space too wide for 62 bits re-ranks the partial key densely (ranks
     are over the rows given, so keys compare within one call only).
+    The key is packed in place and each column is read once, in turn, so
+    ``columns`` may be a generator that refills one buffer per column.
     """
-    key = np.asarray(columns[0], dtype=np.int64)
+    remaining = iter(columns)
+    key = np.array(next(remaining), dtype=np.int64)
     span = cardinalities[0]
-    for codes, cardinality in zip(columns[1:], cardinalities[1:]):
+    for codes, cardinality in zip(remaining, cardinalities[1:]):
         if span * cardinality > _KEY_SPAN_LIMIT:
             key = np.unique(key, return_inverse=True)[1]
             span = len(key)
-        key = key * cardinality + codes
+        key *= cardinality
+        key += codes
         span *= cardinality
     return key
 

@@ -244,6 +244,10 @@ class ResultCache:
             + (len(body) if body is not None else 0)
         )
 
+    def holds(self, entry: CachedResult) -> bool:
+        """Whether ``entry`` fits the byte budget at all."""
+        return self.max_bytes is None or entry.nbytes <= self.max_bytes
+
     def lookup(
         self,
         node_id: int,
@@ -327,9 +331,9 @@ class ResultCache:
         """Make ``entry`` the newest one unless it alone exceeds the byte
         budget, then enforce both limits by dropping least-recently-used
         entries (lock held).  Returns whether ``entry`` is resident."""
-        size = entry.nbytes
-        if self.max_bytes is not None and size > self.max_bytes:
+        if not self.holds(entry):
             return False
+        size = entry.nbytes
         old = self._entries.pop(key, None)
         if old is not None:
             self._bytes -= old.nbytes

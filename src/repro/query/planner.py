@@ -53,6 +53,10 @@ from repro.query.slice import (
     validate_slices,
 )
 
+#: The delta's members of one dimension at one level: per delta row, and
+#: each member with the delta rows that have it.
+_Rolled = tuple[list[int], dict[int, list[int]]]
+
 
 @dataclass(frozen=True)
 class QueryRequest:
@@ -179,14 +183,16 @@ class CubePlanner:
         false); a miss computes the answer and admits it.  A roll-up
         reads its base answer as an entry of its own, uncounted: every
         roll-up over the same grouping dimensions shares it, and the
-        request has registered its one count.
+        request has registered its one count.  A base larger than the
+        cache's byte budget is used without being offered, so
+        ``stats.rejected`` counts only answers to requests.
         """
         results = self.results
         node_id, slices, tag = key = self.key(request)
         entry = None if results is None else results.lookup(*key, record=record)
         if entry is None:
             entry = CachedResult(self._compute(request, cached=True))
-            if results is not None:
+            if results is not None and (record or results.holds(entry)):
                 results.put(node_id, slices, entry.answer, tag)
         return entry
 
@@ -255,30 +261,44 @@ class CubePlanner:
             return dropped
         dimensions = self.storage.schema.dimensions
         delta_codes = report.delta_codes
-        rolled: dict[tuple[int, int], list[int]] = {}
+        rolled: dict[tuple[int, int], _Rolled] = {}
 
-        def at_level(dim: int, level: int) -> list[int]:
-            """The delta rows' members of ``dim`` at ``level``, rolled once."""
-            codes = rolled.get((dim, level))
-            if codes is None:
-                codes = rolled[dim, level] = [
+        def at_level(dim: int, level: int) -> _Rolled:
+            """The delta's members of ``dim`` at ``level``, rolled once."""
+            found = rolled.get((dim, level))
+            if found is None:
+                codes = [
                     dimensions[dim].code_at(row[dim], level)
                     for row in delta_codes
                 ]
-            return codes
+                rows: dict[int, list[int]] = {}
+                for i, code in enumerate(codes):
+                    rows.setdefault(code, []).append(i)
+                found = rolled[dim, level] = (codes, rows)
+            return found
 
         def stale(_node_id: int, slices: tuple[DimensionSlice, ...]) -> bool:
             # A slice level is a roll-up of its node's level (validated
             # when the entry was answered), so a delta row's projection
             # onto the node passes the slice exactly when the row's own
             # member at the slice level is one of the slice's members.
+            # One slice: stale iff its members meet the delta's.  More:
+            # only the delta rows the first slice passes are tested.
+            if not slices:
+                return True
+            first, *rest = slices
+            rows = at_level(first.dim, first.level)[1]
+            touched = rows.keys() & first.members
+            if not rest or not touched:
+                return bool(touched)
             columns = [
-                (at_level(item.dim, item.level), item.members)
-                for item in slices
+                (at_level(item.dim, item.level)[0], item.members)
+                for item in rest
             ]
             return any(
                 all(codes[i] in members for codes, members in columns)
-                for i in range(len(delta_codes))
+                for member in touched
+                for i in rows[member]
             )
 
         return self.results.invalidate(stale)

@@ -503,13 +503,19 @@ class V2File:
             array = array.reshape(entry.shape)
         return array
 
+    def check_section(self, name: str) -> None:
+        """Re-check one section — checksum, decode and domain — raising
+        its :class:`V2FormatError` (:class:`SectionCorruption` or
+        :class:`ValueOutOfDomain`) if it has one."""
+        self._verified.discard(name)
+        self.section_bytes(name)
+        self._decoded.pop(name, None)
+        self.array(name)
+
     def verify_section(self, name: str) -> str | None:
         """Re-check one section; returns a problem string or None."""
         try:
-            self._verified.discard(name)
-            self.section_bytes(name)
-            self._decoded.pop(name, None)
-            self.array(name)
+            self.check_section(name)
         except V2FormatError as error:
             return str(error)
         return None
@@ -536,11 +542,13 @@ def committed_container(
     The one opener of a restarting writer: the file must be byte for
     byte the one recorded with ``checksum``, then pass its directory
     checksum (:meth:`V2File.open`) and every section's checksum, decode
-    and domain check (:meth:`V2File.verify_all`; ``cardinalities`` as
+    and domain check (:meth:`V2File.check_section`; ``cardinalities`` as
     for :meth:`V2File.open`), whose decoded arrays the file keeps
-    serving.  Raises :class:`V2FormatError` — a bad section as
-    :class:`SectionCorruption` naming it — and never returns a file
-    that is only partly sound.
+    serving.  Raises :class:`V2FormatError` — the first bad section's
+    own error naming it: :class:`SectionCorruption` for bytes that fail
+    their checksum or decode, :class:`ValueOutOfDomain` for a value its
+    column cannot hold — and never returns a file that is only partly
+    sound.
     """
     target = Path(path)
     if not target.exists():
@@ -548,7 +556,6 @@ def committed_container(
     if file_checksum(target) != checksum:
         raise V2FormatError(f"checksum mismatch for {target.name!r}")
     file = V2File.open(target, cardinalities)
-    problems = file.verify_all()
-    if problems:
-        raise SectionCorruption(problems[0])
+    for name in file.names():
+        file.check_section(name)
     return file

@@ -23,6 +23,7 @@ from repro.query.answer import normalize_answer
 from repro.relational.batch import ColumnBatch
 from repro.relational.durable import InjectedCrash, file_checksum
 from repro.storage2 import V2File, V2FormatError, open_v2, write_v2
+from repro.storage2.format import ValueOutOfDomain
 from tests.storage2.test_corruption import flip_byte
 from tests.support.rows import rows_of, table_of
 
@@ -183,10 +184,12 @@ def test_recover_checks_the_domain_of_fact_codes(engine, tmp_path):
     payload = json.loads(ingestor.manifest_path.read_text())
     payload["container_checksum"] = file_checksum(container)
     ingestor.manifest_path.write_text(json.dumps(payload))
-    with pytest.raises(IngestError, match="fact/dim/0"):
+    with pytest.raises(IngestError, match="fact/dim/0") as raised:
         StreamingIngestor.recover(
             SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
         )
+    # The section's own error class, not a checksum failure.
+    assert isinstance(raised.value.__cause__, ValueOutOfDomain)
 
 
 def test_recovered_cube_outlives_the_generation_it_mapped(engine, tmp_path):

@@ -214,6 +214,7 @@ def run_differential(schema, flat, base_rows, deltas, cat_format, plus):
         assert_same_answers(
             schema, flat, (table, storage), rebuilt, deltas[-1][0]
         )
+    return storage
 
 
 FORMATS = st.sampled_from([CatFormat.COMMON_SOURCE, CatFormat.COINCIDENTAL])
@@ -267,6 +268,24 @@ def test_named_delta_shapes(cat_format, plus):
             postprocess_plus(oracle)
     assert all(total.values()), total  # every mechanism was exercised
     run_differential(schema, flat, base, deltas, cat_format, plus)
+
+    # Re-rooting: row 4's TT is stored at A2, a child of the plan root.
+    # A delta row with its A2 (so A1) and C0 members but another B1
+    # member touches that group at A2 and at the plan child A2×C0, not at
+    # the sibling A2×B1 — where the TT must now be stored.
+    plan = schema.plan_order(flat)
+    node_id = {node.levels: node_id for node, node_id, _parent in plan}
+    parent = {node.levels: plan[up][0].levels for node, _id, up in plan[1:]}
+    a2, a2_b1, a2_c0 = (2, 2, 1), (2, 1, 1), (2, 2, 0)
+    assert parent[a2_b1] == parent[a2_c0] == a2
+    _table, before = build(schema, base, flat, cat_format, plus)
+    assert 4 in tt_rowids(before.node_store(node_id[a2]))
+    storage = run_differential(
+        schema, flat, base, [[(4, 0, 2, 6)]], cat_format, plus
+    )
+    assert 4 in tt_rowids(storage.node_store(node_id[a2_b1]))
+    assert 4 not in tt_rowids(storage.node_store(node_id[a2]))
+    assert 4 not in tt_rowids(storage.node_store(node_id[a2_c0]))
 
 
 def test_update_of_empty_cube_matches_oracle():

@@ -104,3 +104,39 @@ def test_rollup_merges_groups(paper_schema):
         paper_schema, base_answer, CubeNode((1, 2, 1))
     )
     assert rolled == [((a.code_at(code_x, 1),), (15, 3))]
+
+
+def test_a_base_the_cache_cannot_hold_is_not_offered(paper_schema):
+    """Over FCURE, roll-ups read their base-level answer through the
+    result cache.  Under a byte budget below that base answer but above
+    the rolled answers, each roll-up is admitted and the base is simply
+    used: ``rejected`` counts no base offer, and every answer stays."""
+    from repro.query.cache import ResultCache
+
+    rng = random.Random(7)
+    rows = [
+        (rng.randrange(12), rng.randrange(8), rng.randrange(5), rng.randrange(30))
+        for _ in range(2000)
+    ]
+    table = table_of(paper_schema.fact_schema, rows)
+    result, _x = VARIANTS["FCURE"].build(paper_schema, table=table)
+    cache = FactCache(paper_schema, table=table)
+    base = CubeNode((0, 0, 0))
+    rolled = [CubeNode(levels) for levels in ((2, 1, 0), (2, 0, 0), (1, 1, 0))]
+    uncached = CubePlanner(result.storage, cache, results=None)
+    base_bytes = ResultCache.entry_bytes(uncached.answer(QueryRequest(base)))
+    rolled_bytes = [
+        ResultCache.entry_bytes(uncached.answer(QueryRequest(node)))
+        for node in rolled
+    ]
+    assert sum(rolled_bytes) < base_bytes  # the budget below fits them all
+    planner = CubePlanner(
+        result.storage, cache, results=ResultCache(max_bytes=base_bytes - 1)
+    )
+    for node in rolled:
+        planner.answer(QueryRequest(node))
+    stats = planner.results.stats
+    assert (stats.rejected, stats.misses) == (0, len(rolled))
+    for node in rolled:
+        key = planner.key(QueryRequest(node))
+        assert planner.results.lookup(*key, record=False) is not None

@@ -13,6 +13,9 @@ floor holds on any machine.  The nightly floors:
     (``ingest-query``) folding one 50-row record into the cube and
     committing it must cost less than building the whole 8,000-row cube
     and committing that.
+``3 * ingest.apply_s < ingest.bootstrap_s``
+    (``ingest-query``) folding one 50-row record into every plan node
+    must cost less than a third of building the 8,000-row cube.
 ``3 * datasets.load_csv_s < core.build_s``
     (``build-mem``) parsing the fact table must cost less than a third of
     cubing it.
