@@ -76,9 +76,11 @@ from repro.core.signature import PoolStats
 from repro.core.storage import CubeStorage
 from repro.relational.catalog import Catalog
 from repro.relational.durable import (
+    Fields,
     atomic_write_text,
     file_checksum,
     maybe_fire,
+    read_document,
     remove_file,
 )
 from repro.relational.engine import Engine
@@ -148,14 +150,35 @@ class BuildManifest:
 
     @classmethod
     def load(cls, path: Path) -> "BuildManifest":
+        """The manifest at ``path``, read through
+        :func:`~repro.relational.durable.read_document`: non-JSON, another
+        version, a missing, mistyped or unknown field is a
+        :class:`ManifestError` naming the file (and the field)."""
         if not path.exists():
             raise ManifestError(f"no build manifest at {path}")
-        payload = json.loads(path.read_text())
-        if payload.pop("version", None) != MANIFEST_VERSION:
-            raise ManifestError(
-                f"manifest at {path} has an unsupported version"
-            )
+        payload = read_document(path, MANIFEST_VERSION, _MANIFEST_FIELDS, ManifestError)
+        del payload["version"]
+        unknown = sorted(payload.keys() - _MANIFEST_FIELDS.keys())
+        if unknown:
+            raise ManifestError(f"{path} has an unknown field {unknown[0]!r}")
         return cls(**payload)
+
+
+#: Every :class:`BuildManifest` field and the JSON types it may hold.
+_MANIFEST_FIELDS: Fields = {
+    "relation": (str,),
+    "prefix": (str,),
+    "stage": (str,),
+    "options": (dict,),
+    "fact_checksum": (str,),
+    "fact_rows": (int,),
+    "levels": (list,),
+    "partitions": (list,),
+    "coarse": (list,),
+    "checkpoint": (dict, type(None)),
+    "final": (dict, type(None)),
+    "stats": (dict, type(None)),
+}
 
 
 @dataclass
@@ -386,10 +409,9 @@ class DurableCubeBuild:
         """Publish the cube as the container ``name``; its manifest entry."""
         catalog = self.engine.catalog
         writer = cube_writer(storage, self.prefix, self.relation)
-        container = publish(catalog.root / name, writer, catalog.faults)
         return {
-            "container": container.name,
-            "checksum": file_checksum(container),
+            "container": name,
+            "checksum": publish(catalog.root / name, writer, catalog.faults),
             "row_counts": writer.row_counts(),
         }
 

@@ -66,7 +66,6 @@ from repro.ingest.log import AppendLog
 from repro.query.planner import CubePlanner
 from repro.relational.durable import (
     atomic_write_text,
-    file_checksum,
     maybe_fire,
     read_document,
     remove_file,
@@ -345,8 +344,9 @@ class StreamingIngestor:
         new_gen = self.generation + 1
         cube_prefix = self._cube_prefix(new_gen)
         self._drop_generation(new_gen)
-        container = write_v2(  # fires ``storage2.publish`` before writing
-            catalog.root / generation_container(self.prefix, new_gen),
+        container = catalog.root / generation_container(self.prefix, new_gen)
+        checksum = write_v2(  # fires ``storage2.publish`` before writing
+            container,
             self.schema,
             self.storage,
             self.fact_table.as_batch(),
@@ -363,7 +363,7 @@ class StreamingIngestor:
             "prefix": self.prefix,
             "generation": new_gen,
             "container": container.name,
-            "container_checksum": file_checksum(container),
+            "container_checksum": checksum,
             "applied_lsn": self.applied_lsn,
             "plus": self.plus,
             "compact_overhead": self.compact_overhead,

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.incremental import UpdateReport
 from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
@@ -260,17 +262,16 @@ class CubePlanner:
             self.results.clear()
             return dropped
         dimensions = self.storage.schema.dimensions
-        delta_codes = report.delta_codes
+        base_codes = np.asarray(report.delta_codes, dtype=np.int64)
         rolled: dict[tuple[int, int], _Rolled] = {}
 
         def at_level(dim: int, level: int) -> _Rolled:
-            """The delta's members of ``dim`` at ``level``, rolled once."""
+            """The delta's members of ``dim`` at ``level``, rolled once:
+            one gather through the level's base map."""
             found = rolled.get((dim, level))
             if found is None:
-                codes = [
-                    dimensions[dim].code_at(row[dim], level)
-                    for row in delta_codes
-                ]
+                level_map = dimensions[dim].level_maps[level]
+                codes = level_map[base_codes[:, dim]].tolist()
                 rows: dict[int, list[int]] = {}
                 for i, code in enumerate(codes):
                     rows.setdefault(code, []).append(i)

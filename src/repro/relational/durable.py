@@ -171,24 +171,30 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
-    """Streaming variant of :func:`atomic_write_bytes`.
+def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes]) -> str:
+    """Streaming variant of :func:`atomic_write_bytes`; returns the
+    file's SHA-256 hex digest (what :func:`file_checksum` would read
+    back), hashed as the chunks go out.
 
-    The chunks are written to the temporary sibling in order, flushed and
-    ``fsync``'d as one unit, then renamed into place — the same
-    old-file-or-new-file guarantee, without assembling a large payload
-    (a compacted cube container) in one contiguous buffer first.
+    The chunks are written to the temporary sibling in order through a
+    ``_CHUNK_BYTES`` buffer, so many small chunks cost few ``write``
+    calls, flushed and ``fsync``'d as one unit, then renamed into place:
+    the same old-file-or-new-file guarantee, without assembling a large
+    payload (a compacted cube container) in one contiguous buffer first.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".wip")
-    with open(tmp, "wb") as handle:
+    digest = hashlib.sha256()
+    with open(tmp, "wb", _CHUNK_BYTES) as handle:
         for chunk in chunks:
+            digest.update(chunk)
             handle.write(chunk)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, target)
     fsync_directory(target.parent)
+    return digest.hexdigest()
 
 
 def append_bytes(path: str | Path, data: bytes) -> None:

@@ -33,12 +33,15 @@ format exists to make instant.
   array (sparse) or a 8 KiB bitmap (dense, > 4096 members).
 
 ``encode_rowid_list`` applies the deterministic publish-time choice rule
-between ``delta`` and ``roaring`` for sorted row-id lists.
+between ``delta`` and ``roaring`` for sorted row-id lists;
+``encode_rowid_lists`` applies it to many lists in one pass, as
+``narrow_encode_batch`` narrows many arrays.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -75,14 +78,10 @@ class CodecError(ValueError):
 NARROW_WIDTHS = (0, 1, 2, 4, 8)
 
 
-def _narrow_width(span: int) -> int:
-    """Narrowest legal width whose unsigned range holds ``span``."""
-    if span == 0:
-        return 0
-    for width in (1, 2, 4):
-        if span < (1 << (8 * width)):
-            return width
-    return 8
+#: ``_NARROW_WIDTHS[k]`` is the width of a span with ``k`` of these
+#: limits at or below it.
+_WIDTH_LIMITS = np.array([1, 1 << 8, 1 << 16, 1 << 32], dtype=np.uint64)
+_NARROW_WIDTHS = np.array(NARROW_WIDTHS, dtype=np.int64)
 
 
 def narrow_encode(array: np.ndarray) -> tuple[bytes, dict[str, list[int]]]:
@@ -92,32 +91,74 @@ def narrow_encode(array: np.ndarray) -> tuple[bytes, dict[str, list[int]]]:
     (a 1-D array is one column): column ``j`` is ``rows`` little-endian
     unsigned ``widths[j]``-byte offsets from ``lows[j]``, the columns
     concatenated in order.  Width-8 columns are stored as they are and
-    record a low of 0.
+    record a low of 0.  The one-array case of :func:`narrow_encode_batch`.
     """
-    a = np.asarray(array, dtype=np.int64)
-    if a.ndim not in (1, 2):
-        raise CodecError(f"narrow takes 1-D or 2-D arrays, got {a.ndim}-D")
-    # One transposing copy up front: every pass below is then contiguous.
-    columns = a.reshape(1, -1) if a.ndim == 1 else np.ascontiguousarray(a.T)
-    n_columns, rows = columns.shape
-    if rows == 0:
-        return b"", {"lows": [0] * n_columns, "widths": [0] * n_columns}
-    mins = columns.min(axis=1).tolist()
-    maxs = columns.max(axis=1).tolist()
-    lows: list[int] = []
-    widths: list[int] = []
-    parts: list[bytes] = []
-    for column, low, high in zip(columns, mins, maxs):
-        width = _narrow_width(high - low)
-        if width == 8:
-            low = 0
-            parts.append(column.astype("<i8", copy=False).tobytes())
-        elif width:
-            offsets = column - np.int64(low)
-            parts.append(offsets.astype(f"<u{width}").tobytes())
-        lows.append(low)
-        widths.append(width)
-    return b"".join(parts), {"lows": lows, "widths": widths}
+    return narrow_encode_batch([array])[0]
+
+
+def narrow_encode_batch(
+    arrays: Sequence[np.ndarray],
+) -> list[tuple[bytes, dict[str, list[int]]]]:
+    """:func:`narrow_encode` of every array, in a few array passes.
+
+    Arrays with rows and columns are grouped by column count, and a
+    group is encoded one column at a time (so the temporaries are one
+    column of the group, not the group): the column concatenated across
+    the group's arrays, each array's low and high by ``reduceat``, the
+    widths looked up at once, the lows subtracted through one ``repeat``,
+    and one cast per width that occurs.  Each array's payload is then
+    its columns' byte slices of those casts.
+    """
+    matrices = []
+    for array in arrays:
+        a = np.asarray(array, dtype=np.int64)
+        if a.ndim not in (1, 2):
+            raise CodecError(f"narrow takes 1-D or 2-D arrays, got {a.ndim}-D")
+        matrices.append(a.reshape(-1, 1) if a.ndim == 1 else a)
+    # An array with no values stores nothing; the rest are filled in by
+    # group below.
+    encoded = [
+        (b"", {"lows": [0] * m.shape[1], "widths": [0] * m.shape[1]})
+        for m in matrices
+    ]
+    groups: dict[int, list[int]] = {}
+    for index, m in enumerate(matrices):
+        if m.size:
+            groups.setdefault(m.shape[1], []).append(index)
+    for n_columns, members in groups.items():
+        group = [matrices[index] for index in members]
+        lengths = np.fromiter(map(len, group), dtype=np.int64, count=len(group))
+        starts = np.cumsum(lengths) - lengths
+        bounds = list(zip(starts.tolist(), (starts + lengths).tolist()))
+        lows = np.empty((n_columns, len(group)), dtype=np.int64)
+        widths = np.empty((n_columns, len(group)), dtype=np.int64)
+        parts: list[list[bytes]] = [[] for _ in group]
+        column = np.empty(int(starts[-1] + lengths[-1]), dtype=np.int64)
+        for j in range(n_columns):
+            np.concatenate([m[:, j] for m in group], out=column)
+            low, width = lows[j], widths[j]
+            np.minimum.reduceat(column, starts, out=low)
+            span = np.maximum.reduceat(column, starts).view(np.uint64)
+            span -= low.view(np.uint64)
+            np.take(_NARROW_WIDTHS, np.searchsorted(_WIDTH_LIMITS, span, "right"), out=width)
+            low[width == 8] = 0  # stored verbatim: nothing to subtract
+            column -= np.repeat(low, lengths)
+            stored: dict[int, bytes] = {}
+            for k, w in enumerate(width.tolist()):
+                if w:
+                    data = stored.get(w)
+                    if data is None:
+                        data = stored[w] = column.astype(
+                            f"<u{w}" if w < 8 else "<i8", copy=False
+                        ).tobytes()
+                    start, stop = bounds[k]
+                    parts[k].append(data[start * w : stop * w])
+        for index, part, low, width in zip(
+            members, parts, lows.T.tolist(), widths.T.tolist()
+        ):
+            encoded[index] = (b"".join(part), {"lows": low, "widths": width})
+            part.clear()
+    return encoded
 
 
 def narrow_decode(
@@ -245,10 +286,12 @@ def bitpack_decode(data: bytes, bits: int, count: int) -> np.ndarray:
 
 
 def _zigzag(values: np.ndarray) -> np.ndarray:
-    """Map signed int64 to uint64 so small magnitudes stay small."""
-    return (values.astype(np.uint64) << np.uint64(1)) ^ (
-        values >> np.int64(63)
-    ).astype(np.uint64)
+    """Map signed int64 to uint64 so small magnitudes stay small
+    (in place: ``values`` becomes the result's int64 view)."""
+    negative = values < 0
+    values <<= 1
+    np.invert(values, out=values, where=negative)
+    return values.view(np.uint64)
 
 
 def _unzigzag(values: np.ndarray) -> np.ndarray:
@@ -257,31 +300,39 @@ def _unzigzag(values: np.ndarray) -> np.ndarray:
     ).astype(np.int64)
 
 
-def _delta_varints(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The zigzagged deltas of a non-empty int64 array and each one's
-    varint byte count."""
+def _deltas(v: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """Successive differences of a non-empty int64 array, the first value
+    kept; at each index of ``starts`` (a list's first value in a
+    concatenation of lists) the value is kept too."""
     deltas = np.empty(len(v), dtype=np.int64)
     deltas[0] = v[0]
     np.subtract(v[1:], v[:-1], out=deltas[1:])
-    z = _zigzag(deltas)
-    return z, 1 + np.searchsorted(_VARINT_LIMITS, z, side="right")
+    if starts is not None:
+        deltas[starts] = v[starts]
+    return deltas
 
 
-def _varint_bytes(z: np.ndarray, nbytes: np.ndarray) -> bytes:
-    """LEB128 varints of ``z``, ``nbytes`` bytes each."""
-    ends = np.cumsum(nbytes)
-    starts = ends - nbytes
-    out = np.zeros(int(ends[-1]), dtype=np.uint8)
-    for k in range(_VARINT_MAX_BYTES):
-        mask = nbytes > k
-        if not mask.any():
-            break
-        chunk = ((z[mask] >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(
-            np.uint8
-        )
-        chunk |= (nbytes[mask] > k + 1).astype(np.uint8) << 7
-        out[starts[mask] + k] = chunk
-    return out.tobytes()
+def _varint_bytes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The LEB128 varints of ``z`` back to back, as a uint8 array, with
+    the index and byte count of each varint longer than one byte.
+
+    Every first byte is written at once; the further bytes of the few
+    longer varints (a sorted list's deltas are mostly below 128) are
+    built as one small matrix and inserted after their first bytes.
+    """
+    out = z.astype(np.uint8)
+    out &= 0x7F
+    longer = np.flatnonzero(z > 0x7F)
+    if not len(longer):
+        return out, longer, longer
+    wide = z[longer]
+    lengths = 1 + np.searchsorted(_VARINT_LIMITS, wide, side="right")
+    out[longer] |= 0x80
+    k = np.arange(1, int(lengths.max()), dtype=np.uint64)
+    limbs = ((wide[:, None] >> (7 * k)) & np.uint64(0x7F)).astype(np.uint8)
+    limbs[lengths[:, None] > k + 1] |= 0x80
+    further = limbs[lengths[:, None] > k]
+    return np.insert(out, np.repeat(longer + 1, lengths - 1), further), longer, lengths
 
 
 def delta_encode(values: np.ndarray) -> bytes:
@@ -289,7 +340,7 @@ def delta_encode(values: np.ndarray) -> bytes:
     v = np.asarray(values, dtype=np.int64)
     if len(v) == 0:
         return b""
-    return _varint_bytes(*_delta_varints(v))
+    return _varint_bytes(_zigzag(_deltas(v)))[0].tobytes()
 
 
 def delta_decode(data: bytes, count: int) -> np.ndarray:
@@ -419,33 +470,67 @@ def encode_rowid_list(values: np.ndarray) -> tuple[str, bytes]:
     Roaring is only eligible for strictly-ascending lists within
     ``[0, 2^32)`` (CURE+ sorted TT lists); ties and everything else go to
     ``delta``, which handles arbitrary int64 sequences.  The rule is a
-    pure function of the list, so republishing is deterministic.
+    pure function of the list, so republishing is deterministic.  The
+    one-list case of :func:`encode_rowid_lists`.
     """
-    v = np.asarray(values, dtype=np.int64)
-    if len(v) == 0:
-        return DELTA, b""
-    z, nbytes = _delta_varints(v)
-    eligible = (
-        (len(v) == 1 or int(np.diff(v).min()) > 0)
-        and int(v[0]) >= 0
-        and int(v[-1]) < (1 << 32)
-    )
-    if eligible and _roaring_size(v) < int(nbytes.sum()):
-        return ROARING, roaring_encode(v)
-    return DELTA, _varint_bytes(z, nbytes)
+    return encode_rowid_lists([values])[0]
 
 
-def _roaring_size(v: np.ndarray) -> int:
-    """``len(roaring_encode(v))`` for an eligible list, without encoding:
-    the container count, then per container its header and either a
-    bitmap or two bytes a member."""
-    if int(v[0]) >> 16 == int(v[-1]) >> 16:
-        members = [len(v)]
-    else:
-        changes = np.flatnonzero(np.diff(v >> 16)) + 1
-        members = np.diff(changes, prepend=0, append=len(v)).tolist()
-    return 4 + sum(
-        _ROARING_CONTAINER.size
-        + (1 << 13 if count > ROARING_ARRAY_LIMIT else 2 * count)
-        for count in members
+def encode_rowid_lists(lists: Sequence[np.ndarray]) -> list[tuple[str, bytes]]:
+    """:func:`encode_rowid_list` of every list, in one pass over them all.
+
+    The lists are concatenated and their deltas (restarting at each
+    list) taken at once.  Each list's Roaring eligibility and Roaring
+    size are reductions over its stretch (``reduceat``) — the size
+    without encoding: the container count, then per container its header
+    and either a bitmap or two bytes a member.  One varint pass writes
+    every list, and a list's ``delta`` size is a byte a value plus the
+    rest of its few longer varints.  A list is its slice of that pass,
+    or its ``roaring_encode`` where that is strictly smaller.
+    """
+    arrays = [np.asarray(values, dtype=np.int64) for values in lists]
+    encoded = [(DELTA, b"")] * len(arrays)
+    live = [index for index, v in enumerate(arrays) if len(v)]
+    if not live:
+        return encoded
+    lengths = np.fromiter(
+        (len(arrays[index]) for index in live), dtype=np.int64, count=len(live)
     )
+    starts = np.cumsum(lengths) - lengths
+    v = np.concatenate([arrays[index] for index in live])
+    deltas = _deltas(v, starts)
+    # Roaring takes a list in [0, 2^32) whose deltas after its first
+    # value are all positive; viewed unsigned, a negative is >= 2^32.
+    refused = v.view(np.uint64) >= 1 << 32
+    falls = deltas <= 0
+    falls[starts] = False
+    refused |= falls
+    eligible = ~np.logical_or.reduceat(refused, starts)
+    # A Roaring container starts wherever the high 16 bits change (for
+    # values in [0, 2^32): wherever neighbours differ above bit 15).
+    heads = np.empty(len(v), dtype=bool)
+    np.greater(v[1:] ^ v[:-1], 0xFFFF, out=heads[1:])
+    heads[starts] = True
+    firsts = np.flatnonzero(heads)
+    members = np.diff(firsts, append=len(v))
+    container_bytes = _ROARING_CONTAINER.size + np.where(
+        members > ROARING_ARRAY_LIMIT, 1 << 13, 2 * members
+    )
+    roaring_sizes = 4 + np.add.reduceat(
+        container_bytes, np.searchsorted(firsts, starts)
+    )
+    payload, longer, nbytes = _varint_bytes(_zigzag(deltas))
+    # A list's delta size: a byte a value, plus its longer varints' rest.
+    owners = np.searchsorted(starts, longer, side="right") - 1
+    delta_sizes = lengths + np.bincount(
+        owners, weights=nbytes - 1, minlength=len(live)
+    ).astype(np.int64)
+    roaring = (eligible & (roaring_sizes < delta_sizes)).tolist()
+    ends = np.cumsum(delta_sizes).tolist()
+    data = payload.tobytes()
+    for k, index in enumerate(live):
+        if roaring[k]:
+            encoded[index] = (ROARING, roaring_encode(arrays[index]))
+        else:
+            encoded[index] = (DELTA, data[ends[k - 1] if k else 0 : ends[k]])
+    return encoded

@@ -45,15 +45,14 @@ for the sections a query actually touches.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Container, Iterator, Sequence
 
 import numpy as np
-from orjson import loads
+from orjson import OPT_SORT_KEYS, dumps, loads
 
 from repro.core.storage import CatFormat
 from repro.relational.durable import file_checksum
@@ -66,8 +65,9 @@ from repro.storage2.codecs import (
     CodecError,
     bitpack_decode,
     delta_decode,
+    encode_rowid_lists,
     narrow_decode,
-    narrow_encode,
+    narrow_encode_batch,
     roaring_decode,
 )
 
@@ -109,19 +109,6 @@ class SectionEntry:
     sha256: str
     extra: dict[str, Any]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "offset": self.offset,
-            "bytes": self.nbytes,
-            "codec": self.codec,
-            "dtype": self.dtype,
-            "shape": list(self.shape),
-            "count": self.count,
-            "sha256": self.sha256,
-            "extra": self.extra,
-        }
-
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "SectionEntry":
         return cls(
@@ -148,40 +135,74 @@ def _aligned(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
+def _narrowable(array: np.ndarray) -> bool:
+    """Whether ``narrow`` can hold the array: int64, one or two dimensions."""
+    return array.dtype == np.int64 and array.ndim in (1, 2)
+
+
 class V2Writer:
     """Accumulates sections, then streams the assembled container.
 
     Offsets are fixed at ``add_*`` time, so the writer can hand the
     durable layer an iterator of chunks instead of one giant buffer.
+    Each section is kept as its directory entry, the JSON object
+    :meth:`directory_json` writes.
     """
 
     def __init__(self, meta: dict[str, Any]) -> None:
         self.meta = dict(meta)
-        self._entries: list[SectionEntry] = []
+        self._sections: list[dict[str, Any]] = []
         self._names: set[str] = set()
         self._payloads: list[bytes] = []
         self._cursor = HEADER_BYTES
 
     def add_array(self, name: str, array: np.ndarray) -> None:
-        """Add an array section: ``narrow`` where that is smaller (a pure
-        function of the values), else ``raw`` — the array's bytes,
-        zero-copy on read."""
-        codec, data, extra = RAW, None, None
-        if array.dtype == np.int64 and array.ndim in (1, 2):
-            narrowed, widths = narrow_encode(array)
-            if len(narrowed) < array.nbytes:
-                codec, data, extra = NARROW, narrowed, widths
-        if data is None:
-            data = np.ascontiguousarray(array).tobytes()
-        self.add_section(
-            name,
-            data,
-            codec=codec,
-            dtype=array.dtype.newbyteorder("<").str,
-            shape=tuple(array.shape),
-            count=int(array.size),
-            extra=extra,
-        )
+        """Add one array section; the one-array case of :meth:`add_arrays`."""
+        self.add_arrays([(name, array)])
+
+    def add_arrays(
+        self,
+        sections: Sequence[tuple[str, np.ndarray]],
+        rowid_lists: Container[str] = (),
+    ) -> None:
+        """Add array sections in order, encoded in one batch.
+
+        A section named in ``rowid_lists`` is a 1-D row-id list, stored
+        ``delta`` or ``roaring`` (:func:`encode_rowid_lists`).  Any other
+        int64 array of one or two dimensions is stored ``narrow`` where
+        that is smaller (:func:`narrow_encode_batch`; a pure function of
+        the values), and everything else ``raw`` — the array's bytes,
+        zero-copy on read.
+        """
+        lists = [array for name, array in sections if name in rowid_lists]
+        arrays = [
+            array
+            for name, array in sections
+            if name not in rowid_lists and _narrowable(array)
+        ]
+        encoded_lists = iter(encode_rowid_lists(lists))
+        narrowed = iter(narrow_encode_batch(arrays))
+        for name, array in sections:
+            if name in rowid_lists:
+                codec, payload = next(encoded_lists)
+                self.add_section(name, payload, codec, "<i8", (len(array),), len(array))
+                continue
+            codec, data, extra = RAW, None, None
+            if _narrowable(array):
+                narrow, widths = next(narrowed)
+                if len(narrow) < array.nbytes:
+                    codec, data, extra = NARROW, narrow, widths
+            if data is None:
+                data = np.ascontiguousarray(array).tobytes()
+            self.add_section(
+                name,
+                data,
+                codec,
+                array.dtype.newbyteorder("<").str,
+                tuple(array.shape),
+                int(array.size),
+                extra,
+            )
 
     def add_section(
         self,
@@ -197,49 +218,51 @@ class V2Writer:
             raise ValueError(f"duplicate section name {name!r}")
         self._names.add(name)
         offset = _aligned(self._cursor)
-        self._entries.append(
-            SectionEntry(
-                name=name,
-                offset=offset,
-                nbytes=len(payload),
-                codec=codec,
-                dtype=dtype,
-                shape=shape,
-                count=count,
-                sha256=hashlib.sha256(payload).hexdigest(),
-                extra=dict(extra or {}),
-            )
+        self._sections.append(
+            {
+                "name": name,
+                "offset": offset,
+                "bytes": len(payload),
+                "codec": codec,
+                "dtype": dtype,
+                "shape": list(shape),
+                "count": count,
+                "sha256": hashlib.sha256(payload).hexdigest(),
+                "extra": dict(extra or {}),
+            }
         )
         self._payloads.append(payload)
         self._cursor = offset + len(payload)
 
     @property
     def section_bytes(self) -> int:
-        return sum(entry.nbytes for entry in self._entries)
+        return sum(section["bytes"] for section in self._sections)
 
     def row_counts(self) -> dict[str, int]:
         """Rows (leading extent) of every section added so far."""
-        return {entry.name: entry.shape[0] for entry in self._entries}
+        return {section["name"]: section["shape"][0] for section in self._sections}
 
     def directory_json(self) -> bytes:
+        """The directory: compact JSON with sorted keys, by ``orjson``.
+        For ASCII text — every name this package writes — these are the
+        bytes ``json.dumps(…, sort_keys=True, separators=(",", ":"))``
+        gives; ``orjson`` writes other text as UTF-8, not ``\\u`` escapes."""
         document = {
             "version": FORMAT_VERSION,
             "meta": self.meta,
-            "sections": [entry.to_json() for entry in self._entries],
+            "sections": self._sections,
         }
-        return json.dumps(
-            document, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        return dumps(document, option=OPT_SORT_KEYS)
 
     def chunks(self) -> Iterator[bytes]:
         """The container, in order, as an iterator of byte chunks."""
         yield _HEADER.pack(MAGIC, FORMAT_VERSION, 0)
         cursor = HEADER_BYTES
-        for entry, payload in zip(self._entries, self._payloads):
-            if entry.offset > cursor:
-                yield b"\x00" * (entry.offset - cursor)
+        for section, payload in zip(self._sections, self._payloads):
+            if section["offset"] > cursor:
+                yield b"\x00" * (section["offset"] - cursor)
             yield payload
-            cursor = entry.offset + entry.nbytes
+            cursor = section["offset"] + section["bytes"]
         directory_offset = _aligned(cursor)
         if directory_offset > cursor:
             yield b"\x00" * (directory_offset - cursor)

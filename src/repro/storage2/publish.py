@@ -25,10 +25,19 @@ No inverted index is stored: a slice pre-filters a node's stored
 row-ids against the fact dimension columns themselves
 (:func:`~repro.query.slice.answer_cure_sliced`).
 
-``narrow`` is :meth:`V2Writer.add_array`'s choice, not this module's: an
-int64 array whose values leave it no smaller (a full-range column) is
+``narrow`` is :meth:`V2Writer.add_arrays`'s choice, not this module's:
+an int64 array whose values leave it no smaller (a full-range column) is
 stored ``raw`` instead, so the codec of a section is a pure function of
 its values and rewriting is deterministic.
+
+:func:`cube_writer` hands every cube section to one
+:meth:`V2Writer.add_arrays` call, in container order: the NT, CAT and
+AGGREGATES matrices are narrowed together
+(:func:`~repro.storage2.codecs.narrow_encode_batch`: grouped by column
+count, a column of a group at a time) and the TT lists are encoded
+together (:func:`~repro.storage2.codecs.encode_rowid_lists`: one pass
+over all of them).  The bytes are those of encoding one relation at a
+time; only the number of array passes changes.
 
 :func:`write_v2` is both halves, for a caller that holds the fact table
 as a :class:`ColumnBatch`: :func:`~repro.bundle.save_bundle` and a
@@ -40,7 +49,9 @@ which sections).
 Every container reaches disk through :func:`publish`:
 :func:`~repro.relational.durable.atomic_write_chunks` behind the
 ``storage2.publish`` fault site, so a crash mid-publish leaves either the
-old file or no file, never a torn one.
+old file or no file, never a torn one.  The file is hashed as it is
+written, and :func:`publish` (so :func:`write_v2`) returns that SHA-256:
+the checksum a build or ingest manifest records, with no read-back.
 """
 
 from __future__ import annotations
@@ -54,7 +65,7 @@ from repro.core.model import CubeSchema
 from repro.core.storage import CubeStorage
 from repro.relational.batch import ColumnBatch
 from repro.relational.durable import FaultHook, atomic_write_chunks, maybe_fire
-from repro.storage2.codecs import BITPACK, bitpack_encode, encode_rowid_list, min_bits
+from repro.storage2.codecs import BITPACK, bitpack_encode, min_bits
 from repro.storage2.format import V2Writer
 
 #: File name of the v2 container inside a bundle directory.
@@ -66,7 +77,8 @@ def cube_writer(
     cube_prefix: str = "cube",
     fact_relation: str = "fact",
 ) -> V2Writer:
-    """A writer holding the cube's sections (pure; no I/O)."""
+    """A writer holding the cube's sections (pure; no I/O), encoded in
+    one :meth:`V2Writer.add_arrays` batch."""
     writer = V2Writer(
         {
             **storage.meta(),
@@ -74,25 +86,20 @@ def cube_writer(
             "fact_relation": fact_relation,
         }
     )
+    sections: list[tuple[str, np.ndarray]] = []
+    rowid_lists: set[str] = set()
     for node_id in sorted(storage.nodes):
         store = storage.nodes[node_id]
         if store.nt_count:
-            writer.add_array(f"node/{node_id}/nt", store.nt_matrix())
+            sections.append((f"node/{node_id}/nt", store.nt_matrix()))
         if store.tt_count:
-            tt = store.tt_array()
-            codec, payload = encode_rowid_list(tt)
-            writer.add_section(
-                f"node/{node_id}/tt",
-                payload,
-                codec=codec,
-                dtype="<i8",
-                shape=(len(tt),),
-                count=len(tt),
-            )
+            rowid_lists.add(f"node/{node_id}/tt")
+            sections.append((f"node/{node_id}/tt", store.tt_array()))
         if store.cat_count:
-            writer.add_array(f"node/{node_id}/cat", store.cat_matrix())
+            sections.append((f"node/{node_id}/cat", store.cat_matrix()))
     if storage.aggregates_count:
-        writer.add_array("aggregates", storage.aggregates_matrix())
+        sections.append(("aggregates", storage.aggregates_matrix()))
+    writer.add_arrays(sections, rowid_lists)
     return writer
 
 
@@ -104,13 +111,8 @@ def add_fact_sections(
     ``columns`` holds the fact columns in schema order — dimension codes,
     then measures.
     """
-    for position, column in enumerate(columns):
-        if position >= schema.n_dimensions:
-            writer.add_array(
-                f"fact/measure/{position - schema.n_dimensions}",
-                column.astype(np.int64, copy=False),
-            )
-            continue
+    n_dimensions = schema.n_dimensions
+    for position, column in enumerate(columns[:n_dimensions]):
         cardinality = schema.dimensions[position].base_cardinality
         bits = max(min_bits(column), max(1, cardinality - 1).bit_length())
         writer.add_section(
@@ -122,16 +124,23 @@ def add_fact_sections(
             count=len(column),
             extra={"bits": bits},
         )
+    writer.add_arrays(
+        [
+            (f"fact/measure/{m}", column.astype(np.int64, copy=False))
+            for m, column in enumerate(columns[n_dimensions:])
+        ]
+    )
 
 
 def publish(
     path: str | Path, writer: V2Writer, faults: FaultHook | None = None
-) -> Path:
-    """Atomically publish the writer's container at ``path``."""
+) -> str:
+    """Atomically publish the writer's container at ``path``; returns the
+    file's SHA-256 hex digest, hashed while writing (the
+    :func:`~repro.relational.durable.file_checksum` a manifest records)."""
     target = Path(path)
     maybe_fire(faults, f"storage2.publish:{target.name}")
-    atomic_write_chunks(target, writer.chunks())
-    return target
+    return atomic_write_chunks(target, writer.chunks())
 
 
 def write_v2(
@@ -142,8 +151,9 @@ def write_v2(
     cube_prefix: str = "cube",
     fact_relation: str = "fact",
     faults: FaultHook | None = None,
-) -> Path:
-    """Publish a cube and its in-memory fact table as one v2 file."""
+) -> str:
+    """Publish a cube and its in-memory fact table as one v2 file;
+    returns the file's digest, as :func:`publish` does."""
     writer = cube_writer(storage, cube_prefix, fact_relation)
     add_fact_sections(writer, schema, fact_batch.arrays)
     return publish(path, writer, faults)

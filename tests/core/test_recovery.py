@@ -16,6 +16,7 @@ import os
 import random
 import stat
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from repro import (
     make_aggregates,
 )
 from repro.core.recovery import (
+    _MANIFEST_FIELDS,
     BuildManifest,
     DurableCubeBuild,
     ManifestError,
@@ -337,3 +339,50 @@ def test_version_2_manifest_is_refused_by_the_version_check(tmp_path):
         durable.resume()
     assert sorted(path.name for path in tmp_path.iterdir()) == listing
     engine.close()
+
+
+def test_manifest_fields_are_the_dataclass_fields():
+    assert _MANIFEST_FIELDS.keys() == {f.name for f in fields(BuildManifest)}
+
+
+@pytest.mark.parametrize(
+    ("mutate", "names"),
+    [
+        (lambda doc: doc.pop("stage"), "'stage'"),
+        (lambda doc: doc.update(fact_rows="600"), "'fact_rows'"),
+        (lambda doc: doc.update(levels=None), "'levels'"),
+        (lambda doc: doc.update(partition_mode="pair"), "'partition_mode'"),
+    ],
+    ids=["missing", "mistyped", "null list", "unknown"],
+)
+def test_a_malformed_manifest_is_a_manifest_error_naming_its_field(
+    tmp_path, mutate, names
+):
+    """A dropped, mistyped or unknown key fails as ``ManifestError``
+    naming the file and the key — not a ``TypeError`` from the
+    dataclass — and a resume over it writes nothing."""
+    schema, table = _instance()
+    engine = _fresh_engine(tmp_path, schema, table, _budget(schema, table))
+    durable = _durable(schema, engine)
+    durable.build()
+    path = durable.manifest_path
+    document = json.loads(path.read_text())
+    mutate(document)
+    path.write_text(json.dumps(document))
+    listing = sorted((p.name, p.stat().st_mtime_ns) for p in tmp_path.iterdir())
+    with pytest.raises(ManifestError, match=names) as raised:
+        BuildManifest.load(path)
+    assert path.name in str(raised.value)
+    with pytest.raises(ManifestError, match=names):
+        durable.resume()
+    assert not verify_cube(engine.catalog, path).ok
+    assert sorted((p.name, p.stat().st_mtime_ns) for p in tmp_path.iterdir()) == listing
+    engine.close()
+
+
+@pytest.mark.parametrize("text", ["", "{", "[]", "\xff"], ids=repr)
+def test_a_manifest_that_is_not_a_json_object_is_a_manifest_error(tmp_path, text):
+    path = tmp_path / "cube.manifest.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ManifestError, match="cube.manifest.json"):
+        BuildManifest.load(path)

@@ -35,7 +35,6 @@ from repro.datasets.synthetic import generate_flat_dataset
 from repro.hierarchy.builders import linear_dimension
 from repro.relational.aggregates import make_aggregates
 from repro.relational.catalog import Catalog
-from repro.relational.durable import file_checksum
 from repro.relational.memory import MemoryManager
 from repro.storage2 import open_v2, write_v2
 from repro.storage2.format import committed_container
@@ -206,10 +205,9 @@ def test_one_cube_one_logical_size(tmp_path):
     """A reloaded CURE+ cube reports the size the built one did, though
     its TT and format (a) CAT lists are charged as bitmaps."""
     for name, schema, table, storage in cases(tmp_path):
-        path = write_v2(
-            tmp_path / f"{name}.cube.v2", schema, storage, table.as_batch()
-        )
+        path = tmp_path / f"{name}.cube.v2"
+        checksum = write_v2(path, schema, storage, table.as_batch())
         built = _values(storage)
-        committed = committed_container(path, file_checksum(path))
+        committed = committed_container(path, checksum)
         assert _values(map_storage(schema, committed)) == built, name
         assert _values(open_v2(path, schema).storage) == built, name

@@ -367,16 +367,19 @@ def test_every_section_reads_back_the_array_it_was_given(
     case, tmp_path, monkeypatch
 ):
     """The digests pin the container's bytes; this pins what they decode
-    to: every array handed to ``V2Writer.add_array`` — narrowed or not —
-    comes back from ``V2File.array`` with its values, dtype and shape."""
+    to: every array handed to ``V2Writer.add_arrays`` to be narrowed —
+    stored narrow or not — comes back from ``V2File.array`` with its
+    values, dtype and shape."""
     given: dict[str, np.ndarray] = {}
-    add_array = V2Writer.add_array
+    add_arrays = V2Writer.add_arrays
 
-    def recording(writer, name, array):
-        given[name] = np.array(array)
-        add_array(writer, name, array)
+    def recording(writer, sections, rowid_lists=()):
+        for name, array in sections:
+            if name not in rowid_lists:
+                given[name] = np.array(array)
+        add_arrays(writer, sections, rowid_lists)
 
-    monkeypatch.setattr(V2Writer, "add_array", recording)
+    monkeypatch.setattr(V2Writer, "add_arrays", recording)
     file = V2File.open(build_case_bundle(case, tmp_path)[0] / V2_FILE)
     assert file.verify_all() == []
     assert not [n for n in file.names() if n.startswith("index/")]

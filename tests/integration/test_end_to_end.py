@@ -29,10 +29,8 @@ def apb_small():
 def test_persist_reload_query_roundtrip(tmp_path, apb_small):
     schema, table = apb_small
     result = build_cube(schema, table=table)
-    path = write_v2(
-        tmp_path / "apb.v2", schema, result.storage, table.as_batch(),
-        cube_prefix="apb",
-    )
+    path = tmp_path / "apb.v2"
+    write_v2(path, schema, result.storage, table.as_batch(), cube_prefix="apb")
 
     mapped = open_v2(path, schema)
     reloaded, fact = mapped.storage, mapped.fact
@@ -55,9 +53,8 @@ def test_persist_reload_query_roundtrip(tmp_path, apb_small):
 def test_persisted_relation_count_matches_report(tmp_path, apb_small):
     schema, table = apb_small
     result = build_cube(schema, table=table)
-    path = write_v2(
-        tmp_path / "apb.v2", schema, result.storage, table.as_batch()
-    )
+    path = tmp_path / "apb.v2"
+    write_v2(path, schema, result.storage, table.as_batch())
     report = result.storage.size_report()
     names = V2File.open(path).names()
     relations = [n for n in names if n.startswith("node/")]
@@ -69,10 +66,8 @@ def test_persisted_relation_count_matches_report(tmp_path, apb_small):
 def test_dr_cube_persist_roundtrip(tmp_path, apb_small):
     schema, table = apb_small
     result = build_cube(schema, table=table, dr_mode=True)
-    path = write_v2(
-        tmp_path / "dr.v2", schema, result.storage, table.as_batch(),
-        cube_prefix="dr",
-    )
+    path = tmp_path / "dr.v2"
+    write_v2(path, schema, result.storage, table.as_batch(), cube_prefix="dr")
     mapped = open_v2(path, schema)
     reloaded = mapped.storage
     assert reloaded.dr_mode

@@ -37,12 +37,8 @@ def test_persist_reload_answers_identically(
     result = build_cube(SCHEMA, table=table)
     if plus:
         postprocess_plus(result.storage)
-    path = write_v2(
-        tmp_path_factory.mktemp("cube") / "cube.v2",
-        SCHEMA,
-        result.storage,
-        table.as_batch(),
-    )
+    path = tmp_path_factory.mktemp("cube") / "cube.v2"
+    write_v2(path, SCHEMA, result.storage, table.as_batch())
     mapped = open_v2(path, SCHEMA)
     reloaded = mapped.storage
     cache = FactCache(SCHEMA, table=mapped.fact)

@@ -51,9 +51,9 @@ def test_version_1_sections_equal_todays(tmp_path):
     schema = serving_schema()
     fact = serving_fact(schema, n=12)
     result, _ = VARIANTS["CURE+"].build(schema, table=fact)
-    today = V2File.open(
-        write_v2(tmp_path / "today.cube.v2", schema, result.storage, fact.as_batch())
-    )
+    path = tmp_path / "today.cube.v2"
+    write_v2(path, schema, result.storage, fact.as_batch())
+    today = V2File.open(path)
     old = V2File.open(FIXTURE)
     assert FIXTURE.stat().st_size > today.file_bytes
     # The fixture predates bundles that publish one container; its

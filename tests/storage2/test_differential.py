@@ -140,9 +140,8 @@ def test_mapped_cube_outlives_its_file_and_stays_maintainable(tmp_path):
     schema = serving_schema()
     fact = serving_fact(schema, n=300)
     result, _ = VARIANTS["CURE"].build(schema, table=fact)
-    path = write_v2(
-        tmp_path / "stream.g0.cube.v2", schema, result.storage, fact.as_batch()
-    )
+    path = tmp_path / "stream.g0.cube.v2"
+    write_v2(path, schema, result.storage, fact.as_batch())
     mapped = open_v2(path, schema)
     storage = mapped.storage
     table = Table.from_batch(mapped.fact.as_batch())

@@ -16,6 +16,10 @@ floor holds on any machine.  The nightly floors:
 ``3 * ingest.apply_s < ingest.bootstrap_s``
     (``ingest-query``) folding one 50-row record into every plan node
     must cost less than a third of building the 8,000-row cube.
+``5 * ingest.checkpoint_s < ingest.bootstrap_s``
+    (``ingest-query``) committing one generation after a 50-row record
+    must cost less than a fifth of building the 8,000-row cube and
+    committing that.
 ``3 * datasets.load_csv_s < core.build_s``
     (``build-mem``) parsing the fact table must cost less than a third of
     cubing it.
