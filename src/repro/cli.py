@@ -313,8 +313,7 @@ def cmd_ingest(args) -> int:
     from repro.relational.engine import Engine
     from repro.relational.memory import MemoryManager
     from repro.relational.table import Table
-    from repro.storage2 import V2_FILE, V2File
-    from repro.storage2.mapped import MappedFactTable
+    from repro.storage2 import V2_FILE, V2FormatError, open_v2
 
     root = Path(args.cube)
     try:
@@ -338,9 +337,13 @@ def cmd_ingest(args) -> int:
             ingestor.compact_overhead = overhead
         else:
             # First ingest into this bundle: the committed baseline is the
-            # fact table of the container it serves.
-            file = V2File.open(root / V2_FILE)
-            fact = Table.from_batch(MappedFactTable(schema, file).as_batch())
+            # fact table of the container it serves, checked as serving
+            # checks it.
+            try:
+                cube = open_v2(root / V2_FILE, schema)
+                fact = Table.from_batch(cube.fact.as_batch())
+            except V2FormatError as error:
+                raise SystemExit(f"{root}: {error}") from None
             ingestor = StreamingIngestor.bootstrap(
                 schema,
                 engine,

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model import CubeSchema
@@ -104,11 +104,6 @@ class UpdateReport:
     cats_demoted: int = 0
     new_tts: int = 0
     new_nts: int = 0
-    nodes_touched: set[int] = field(default_factory=set)
-    #: Base dimension codes of every delta row, for answer-level
-    #: invalidation: a cached *sliced* answer changes only if some delta
-    #: row's projection onto its node satisfies the slice predicate.
-    delta_codes: list[tuple[int, ...]] = field(default_factory=list)
 
 
 @dataclass
@@ -203,9 +198,6 @@ def apply_delta(
     # delta is a no-op, never a partial append with ``plus_processed``
     # already cleared.
     delta = validate_delta(schema, delta_rows)
-    report.delta_codes = list(
-        map(tuple, delta[:, : schema.n_dimensions].tolist())
-    )
 
     # A CURE+ cube relies on sorted row-id lists; updates append out of
     # order, so the plus property goes (re-run
@@ -355,12 +347,12 @@ class _DeltaMerger:
         coverage = []
         for d, dimension in enumerate(schema.dimensions):
             base = dimension.base_cardinality
-            delta_codes = self._dim_columns[d][base_rowid:]
+            appended = self._dim_columns[d][base_rowid:]
             ranks = np.ones((dimension.n_levels + 1, base), dtype=np.int64)
             radix = 1
             for level, level_map in enumerate(dimension.level_maps):
                 present = np.zeros(dimension.cardinality(level), dtype=np.bool_)
-                present[level_map[delta_codes]] = True
+                present[level_map[appended]] = True
                 rank = np.cumsum(present)
                 radix = max(radix, int(rank[-1]))
                 rank *= present
@@ -496,7 +488,6 @@ class _DeltaMerger:
         n_ufuncs = len(self._ufuncs)
         stores = [storage.node_store(node_id) for node_id in self.node_ids]
         n_nodes = len(stores)
-        report.nodes_touched.update(self.node_ids)
         trivial, trivial_at, trivial_offsets = _stacked(
             [store.tt_array() for store in stores], None
         )

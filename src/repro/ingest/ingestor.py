@@ -125,9 +125,13 @@ class StreamingIngestor:
 
     Construct via :meth:`bootstrap` (fresh) or :meth:`recover` (after a
     crash); both leave the watermark drained.  Attach a
-    :class:`~repro.query.planner.CubePlanner` via ``planner`` to get
-    fine-grained result-cache invalidation after every applied record
-    (and a storage re-point after compaction).
+    :class:`~repro.query.planner.CubePlanner` via ``planner`` and its
+    result cache is emptied after every applied record and every
+    compaction (which also re-points the planner at the rebuilt
+    storage): each appended row lands in every group-by, so a delta
+    leaves few cached answers right, and none that a measured workload
+    reads before the cache refills.  ``stats.results_dropped`` counts
+    the entries cleared.
 
     Requirements mirror :func:`apply_delta`: a non-DR, non-partitioned
     cube with all-distributive aggregates, and a fact table that fits in
@@ -291,11 +295,11 @@ class StreamingIngestor:
         """Fold every sealed record past the watermark into the cube.
 
         Records apply in LSN order; after each one the CURE+ property is
-        restored (if enabled), the planner's result cache is invalidated
-        fine-grainedly from the delta's dimension codes, and the drift
-        trigger is evaluated — per record, so replay after a
-        crash makes the identical compaction decisions at the identical
-        points.
+        restored (if enabled), the planner's result cache is emptied (a
+        record is never empty: the log refuses one at append and fails
+        closed on one at read), and the drift trigger is evaluated — per
+        record, so replay after a crash makes the identical compaction
+        decisions at the identical points.
         Returns the number of records applied.
         """
         catalog = self.engine.catalog
@@ -305,20 +309,22 @@ class StreamingIngestor:
         records = list(self.log.sealed_records(self.applied_lsn))
         for record in records:
             maybe_fire(catalog.faults, f"ingest.apply:{record.lsn}")
-            report = apply_delta(
-                self.storage, self.schema, self.fact_table, record.rows
-            )
+            apply_delta(self.storage, self.schema, self.fact_table, record.rows)
             if self.plus:
                 postprocess_plus(self.storage)
             self.applied_lsn = record.lsn
             self.stats.records_applied += 1
             self.stats.rows_applied += len(record.rows)
-            if self.planner is not None:
-                self.stats.results_dropped += self.planner.invalidate_results(
-                    report
-                )
+            self._clear_results()
             self._maybe_compact()
         return len(records)
+
+    def _clear_results(self) -> None:
+        """Empty the attached planner's result cache, counting the
+        entries dropped."""
+        results = None if self.planner is None else self.planner.results
+        if results is not None:
+            self.stats.results_dropped += results.clear()
 
     def _maybe_compact(self) -> None:
         if self.compact_overhead is None:
@@ -336,14 +342,15 @@ class StreamingIngestor:
 
         One v2 container, written from memory and atomically renamed (a
         crash mid-write leaves a sweepable ``.wip`` or an unreferenced
-        container); the ingest-manifest write after it is the commit,
-        behind which the log is truncated to the watermark and the
-        previous generation's file is removed.
+        container, which the write truncates or replaces when the same
+        generation is written again); the ingest-manifest write after
+        it is the commit, behind which the log is truncated to the
+        watermark and the previous generation's container is removed by
+        name.  :meth:`recover` is the one directory walk.
         """
         catalog = self.engine.catalog
         new_gen = self.generation + 1
         cube_prefix = self._cube_prefix(new_gen)
-        self._drop_generation(new_gen)
         container = catalog.root / generation_container(self.prefix, new_gen)
         checksum = write_v2(  # fires ``storage2.publish`` before writing
             container,
@@ -378,7 +385,9 @@ class StreamingIngestor:
         # collection a crash can leave half-done without consequence.
         self.log.truncate_behind(self.applied_lsn)
         if old_gen >= 0:
-            self._drop_generation(old_gen)
+            remove_file(
+                catalog.root / generation_container(self.prefix, old_gen)
+            )
 
     def compact(self) -> None:
         """Rebuild the cube from the current facts and swap generations.
@@ -398,7 +407,7 @@ class StreamingIngestor:
         self.storage = _build(self.schema, self.fact_table, self.plus)
         if self.planner is not None:
             self.planner.storage = self.storage
-            self.stats.results_dropped += self.planner.invalidate_results()
+            self._clear_results()
         self.stats.compactions += 1
         self.checkpoint()
 
@@ -411,16 +420,9 @@ class StreamingIngestor:
     def _cube_prefix(self, generation: int) -> str:
         return f"{self.prefix}.g{generation}"
 
-    def _drop_generation(self, generation: int) -> None:
-        """Remove every file of one generation (idempotent sweep)."""
-        self._sweep(lambda found: found == generation)
-
     def _sweep_stale_generations(self) -> None:
-        """Drop generations other than the committed one (crash leftovers)."""
-        self._sweep(lambda found: found != self.generation)
-
-    def _sweep(self, doomed) -> None:
-        """Unlink ``<prefix>.g<k>.*`` files whose ``k`` satisfies ``doomed``.
+        """Unlink ``<prefix>.g<k>.*`` files of every generation but the
+        committed one (crash leftovers).
 
         Walks the directory, not the catalog's relation names: a
         generation is a plain file, and what a crash strands beside it —
@@ -430,7 +432,7 @@ class StreamingIngestor:
         pattern = re.compile(rf"^{re.escape(self.prefix)}\.g(\d+)\.")
         for path in sorted(self.engine.catalog.root.iterdir()):
             match = pattern.match(path.name)
-            if match and doomed(int(match.group(1))):
+            if match and int(match.group(1)) != self.generation:
                 remove_file(path)
 
 

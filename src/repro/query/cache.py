@@ -185,9 +185,10 @@ class CachedResult:
 
     ``body`` is the canonical JSON a server shipped for ``answer``
     (:func:`repro.server.encoding.encode_answer`).  It lives *in* the
-    entry, so whatever drops or replaces the answer — LRU eviction,
-    :meth:`ResultCache.invalidate`, :meth:`ResultCache.clear` — drops
-    the bytes with it: a stale body cannot outlive its answer.
+    entry, so whatever drops or replaces the answer — LRU eviction, a
+    replacing :meth:`ResultCache.put`, :meth:`ResultCache.clear` after a
+    delta — drops the bytes with it: a stale body cannot outlive its
+    answer.
     """
 
     answer: ColumnAnswer
@@ -222,6 +223,13 @@ class ResultCache:
     its own answer is likewise not attached.  All operations hold an
     internal lock, so one instance can be shared by many serving
     threads.
+
+    A delta empties the cache: the ingestor calls :meth:`clear` after
+    every applied record and every compaction.  Each appended fact
+    row lands in every group-by, so every unsliced answer is stale
+    anyway; keeping the sliced answers a delta missed would cost a
+    staleness test per entry per record, and no measured workload reads
+    such an entry across a delta.
     """
 
     max_entries: int = 128
@@ -274,15 +282,6 @@ class ResultCache:
                 self.stats.hits += 1
             return entry
 
-    def get(
-        self,
-        node_id: int,
-        slices: tuple[DimensionSlice, ...] = (),
-        tag: ResultTag = (),
-    ) -> ColumnAnswer | None:
-        entry = self.lookup(node_id, slices, tag)
-        return None if entry is None else entry.answer
-
     def put(
         self,
         node_id: int,
@@ -313,7 +312,7 @@ class ResultCache:
         """Keep ``body`` beside the resident ``answer`` it was rendered from.
 
         Nothing happens unless the entry still holds that very answer
-        object: one evicted, invalidated or replaced since the caller
+        object: one evicted, cleared or replaced since the caller
         read it must not get bytes rendered from its predecessor.  The
         body is charged to ``max_bytes`` and makes room like any
         admission — least-recently-used entries drop — except that an
@@ -348,28 +347,13 @@ class ResultCache:
             self._bytes -= self._entries.pop(victim).nbytes
         return True
 
-    def clear(self) -> None:
+    def clear(self) -> int:
+        """Drop every entry; returns how many were resident."""
         with self._lock:
+            dropped = len(self._entries)
             self._entries.clear()
             self._bytes = 0
-
-    def invalidate(self, stale) -> int:
-        """Drop every entry for which ``stale(node_id, slices)`` is true.
-
-        The fine-grained path after incremental maintenance: the planner
-        supplies a predicate derived from the delta's dimension codes, and
-        entries the delta provably cannot have changed stay resident.
-        Tagged entries (roll-ups, icebergs) carry no slices, so under
-        the planner's predicate they drop exactly as unsliced node
-        answers do.  Returns the number of entries dropped.
-        """
-        with self._lock:
-            doomed = [
-                key for key in self._entries if stale(key[0], key[1])
-            ]
-            for key in doomed:
-                self._bytes -= self._entries.pop(key).nbytes
-            return len(doomed)
+            return dropped
 
     @property
     def total_bytes(self) -> int:

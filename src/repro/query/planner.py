@@ -28,17 +28,14 @@ one hit or miss, and a miss computes and admits the answer.
 :meth:`CubePlanner.answer` is the entry's answer; the HTTP server keeps
 the entry's rendered body beside it.  :meth:`CubePlanner.execute` is
 the uncached path for instrumented runs, which exist to measure the
-underlying work.  After incremental maintenance, call
-:meth:`CubePlanner.invalidate_results`.
+underlying work.  After incremental maintenance the ingestor empties
+the result cache (:meth:`~repro.query.cache.ResultCache.clear`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.incremental import UpdateReport
 from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
 from repro.query.answer import QueryStats, answer_cure_query, tt_source_ids
@@ -54,10 +51,6 @@ from repro.query.slice import (
     slice_mask,
     validate_slices,
 )
-
-#: The delta's members of one dimension at one level: per delta row, and
-#: each member with the delta rows that have it.
-_Rolled = tuple[list[int], dict[int, list[int]]]
 
 
 @dataclass(frozen=True)
@@ -239,67 +232,3 @@ class CubePlanner:
         return answer_cure_sliced(
             storage, cache, node, list(request.slices), stats=stats
         )
-
-    def invalidate_results(self, report: UpdateReport | None = None) -> int:
-        """Drop memoized answers a delta could have changed.
-
-        Without a report every entry drops — the conservative whole-cache
-        behaviour.  With one, invalidation is slice-driven: an *unsliced*
-        answer changes with every appended row (each new fact contributes
-        to all 2^n groupings, so per-node filtering on ``nodes_touched``
-        alone would drop everything), but a *sliced* answer only changes
-        when some delta row's projection onto the node's grouping
-        dimensions satisfies the slice predicate.  Result entries for
-        untouched lattice regions — slices the delta never lands in —
-        survive the update.  Returns the number of entries dropped.
-        """
-        if self.results is None:
-            return 0
-        if report is not None and report.delta_rows == 0:
-            return 0
-        if report is None or not report.delta_codes:
-            dropped = len(self.results)
-            self.results.clear()
-            return dropped
-        dimensions = self.storage.schema.dimensions
-        base_codes = np.asarray(report.delta_codes, dtype=np.int64)
-        rolled: dict[tuple[int, int], _Rolled] = {}
-
-        def at_level(dim: int, level: int) -> _Rolled:
-            """The delta's members of ``dim`` at ``level``, rolled once:
-            one gather through the level's base map."""
-            found = rolled.get((dim, level))
-            if found is None:
-                level_map = dimensions[dim].level_maps[level]
-                codes = level_map[base_codes[:, dim]].tolist()
-                rows: dict[int, list[int]] = {}
-                for i, code in enumerate(codes):
-                    rows.setdefault(code, []).append(i)
-                found = rolled[dim, level] = (codes, rows)
-            return found
-
-        def stale(_node_id: int, slices: tuple[DimensionSlice, ...]) -> bool:
-            # A slice level is a roll-up of its node's level (validated
-            # when the entry was answered), so a delta row's projection
-            # onto the node passes the slice exactly when the row's own
-            # member at the slice level is one of the slice's members.
-            # One slice: stale iff its members meet the delta's.  More:
-            # only the delta rows the first slice passes are tested.
-            if not slices:
-                return True
-            first, *rest = slices
-            rows = at_level(first.dim, first.level)[1]
-            touched = rows.keys() & first.members
-            if not rest or not touched:
-                return bool(touched)
-            columns = [
-                (at_level(item.dim, item.level)[0], item.members)
-                for item in rest
-            ]
-            return any(
-                all(codes[i] in members for codes, members in columns)
-                for member in touched
-                for i in rows[member]
-            )
-
-        return self.results.invalidate(stale)

@@ -19,7 +19,8 @@ def load_checker():
     return module
 
 
-def run(monkeypatch, floor: str, metrics: dict, correct: bool = True) -> int:
+def run(monkeypatch, floors, metrics: dict, correct: bool = True) -> int:
+    """Exit status of the checker on one floor (a string) or several."""
     result = {
         "correct": correct,
         "failed": 0 if correct else 1,
@@ -27,7 +28,8 @@ def run(monkeypatch, floor: str, metrics: dict, correct: bool = True) -> int:
     }
     stdout = "some progress line\n" + json.dumps(result) + "\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(stdout))
-    return load_checker().main(["check_floor.py", floor])
+    floors = [floors] if isinstance(floors, str) else list(floors)
+    return load_checker().main(["check_floor.py", *floors])
 
 
 METRICS = {"datasets.load_csv_s": 0.03, "core.build_s": 0.1, "x": 0.05}
@@ -55,3 +57,16 @@ def test_an_incorrect_run_or_a_zero_side_fails(monkeypatch):
 
 def test_usage_error_exits_2(monkeypatch):
     assert run(monkeypatch, "a < b < c", METRICS) == 2
+
+
+def test_several_floors_check_one_run_and_fail_if_any_fails(monkeypatch):
+    holds, fails = "3 * datasets.load_csv_s < core.build_s", "x < datasets.load_csv_s"
+    assert run(monkeypatch, [holds, "x < core.build_s"], METRICS) == 0
+    assert run(monkeypatch, [holds, fails], METRICS) == 1
+    assert run(monkeypatch, [fails, holds], METRICS) == 1
+    assert run(monkeypatch, [holds, holds], METRICS, correct=False) == 1
+
+
+def test_no_floor_or_one_malformed_floor_is_a_usage_error(monkeypatch):
+    assert run(monkeypatch, [], METRICS) == 2
+    assert run(monkeypatch, ["x < core.build_s", "x core.build_s"], METRICS) == 2

@@ -356,8 +356,8 @@ def test_matrix_delta_and_warm_views(paper_schema):
     report = apply_delta(
         result.storage, paper_schema, base, np.asarray(delta, dtype=np.int64)
     )
-    assert report.delta_rows == 20 and report.delta_codes[0] == delta[0][:3]
-    assert rows_of(base)[-1] == delta[-1]
+    assert report.delta_rows == 20
+    assert rows_of(base)[120:] == [tuple(row) for row in delta]
     assert base.as_batch().length == 140
     for store in result.storage.nodes.values():
         assert store.nt_count == len(store.nt_matrix())

@@ -224,6 +224,32 @@ def test_checkpoint_is_one_file_per_generation(engine, tmp_path):
     assert V2File.open(container).verify_all() == []
 
 
+def test_checkpoint_walks_no_directory(engine, tmp_path, monkeypatch):
+    """A checkpoint removes the generation it replaces by name; only
+    :meth:`StreamingIngestor.recover` walks the catalog directory."""
+    ingestor, container = committed_generation(engine, tmp_path)
+
+    def no_walk(self):
+        raise AssertionError(f"checkpoint walked {self}")
+
+    monkeypatch.setattr(type(container), "iterdir", no_walk)
+    ingestor.append([(2, 3, 11)])
+    ingestor.log.seal()
+    ingestor.apply_ready()
+    ingestor.checkpoint()
+    ingestor.checkpoint()
+    monkeypatch.undo()
+    generations = sorted(
+        path.name
+        for path in engine.catalog.root.iterdir()
+        if path.name.startswith(f"{ingestor.prefix}.g")
+    )
+    assert generations == [
+        generation_container(ingestor.prefix, ingestor.generation)
+    ]
+    assert not container.exists()
+
+
 def test_append_validates_before_logging(engine, tmp_path):
     ingestor = bootstrap(engine, tmp_path)
     before = ingestor.log.next_lsn
@@ -350,7 +376,7 @@ def test_lag_records_across_append_seal_apply_recover(engine, tmp_path):
     assert_queries_match(recovered)
 
 
-def test_planner_fine_grained_invalidation(engine, tmp_path):
+def test_a_delta_clears_the_result_cache(engine, tmp_path):
     ingestor = bootstrap(engine, tmp_path)
     cache = FactCache(SCHEMA, table=ingestor.fact_table)
     planner = CubePlanner(ingestor.storage, cache)
@@ -360,21 +386,22 @@ def test_planner_fine_grained_invalidation(engine, tmp_path):
     hit = QueryRequest(base_node, (DimensionSlice.of(0, 0, {0}),))
     miss = QueryRequest(base_node, (DimensionSlice.of(0, 0, {5}),))
     unsliced = QueryRequest(base_node)
-    for request in (hit, miss, unsliced):
+    requests = (hit, miss, unsliced)
+    for request in requests:
         planner.answer(request)
     assert len(planner.results) == 3
 
-    # The delta lands in A0=0: the A0=5 slice must survive, the A0=0
-    # slice and the unsliced answer must drop.
+    # The delta lands in A0=0 only, yet every entry goes, the A0=5
+    # slice's with the rest.
     ingestor.append([(0, 2, 999)])
     ingestor.log.seal()
     ingestor.apply_ready()
-    assert ingestor.stats.results_dropped == 2
-    assert planner.results.get(SCHEMA.node_id(base_node), miss.slices) is not None
-    assert planner.results.get(SCHEMA.node_id(base_node), hit.slices) is None
+    assert len(planner.results) == 0
+    assert ingestor.stats.results_dropped == 3
 
-    # Surviving and re-answered entries are both correct.
-    for request in (hit, miss, unsliced):
+    # Every re-asked answer is a miss over the maintained storage.
+    misses = planner.results.stats.misses
+    for request in requests:
         got = normalize_answer(planner.answer(request))
         reference = reference_group_by(
             SCHEMA, rows_of(ingestor.fact_table), base_node
@@ -387,6 +414,15 @@ def test_planner_fine_grained_invalidation(engine, tmp_path):
                 if dims[0] in slice_.members
             ]
         assert got == reference
+    assert planner.results.stats.misses == misses + 3
+
+    # No empty record reaches the cube: the log refuses it, and applying
+    # with nothing sealed leaves every entry where it was.
+    with pytest.raises(ValueError, match="at least one row"):
+        ingestor.append([])
+    assert ingestor.apply_ready() == 0
+    assert len(planner.results) == 3
+    assert ingestor.stats.results_dropped == 3
 
 
 def test_prefiltered_slice_finds_rows_apply_ready_appended(engine, tmp_path):

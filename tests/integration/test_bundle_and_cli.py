@@ -19,6 +19,7 @@ from repro.datasets.loader import DimensionSpec, load_records
 from repro.query import answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.storage2 import publish_v2_bundle
+from tests.storage2.test_domain import MUTATIONS, mutated_bundle
 from tests.support.rows import rows_of, table_of
 
 CITIES = [
@@ -427,6 +428,21 @@ def test_first_ingest_bootstraps_from_the_container(cli_workspace, capsys):
         generations.append(streamed_container(cube_dir).read_bytes())
     capsys.readouterr()
     assert generations[0] == generations[1]
+
+
+def test_first_ingest_checks_the_domain_of_fact_codes(tmp_path):
+    """A ``fact/dim/0`` code at its base cardinality, in a ``cube.v2``
+    re-signed over it, stops the first ingest as it stops serving and
+    recovery (``ValueOutOfDomain``), before anything is committed."""
+    root, section = mutated_bundle(
+        tmp_path / "bundle", MUTATIONS["fact code = base cardinality"]
+    )
+    delta_csv = tmp_path / "delta.csv"
+    _write_delta_csv(delta_csv, [["0", "0", "0", "5"]])
+    with pytest.raises(SystemExit, match=section) as stopped:
+        cli_main(["ingest", "--cube", str(root), "--csv", str(delta_csv)])
+    assert str(stopped.value).startswith(f"{root}: ")
+    assert not (root / "stream.ingest.json").exists()
 
 
 def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):

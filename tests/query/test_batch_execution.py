@@ -315,10 +315,10 @@ def _answer(pairs, arity=1, n_aggregates=1):
 def test_result_cache_roundtrip():
     cache = ResultCache()
     answer = [((1, 2), (30, 4)), ((5, 6), (70, 8))]
-    assert cache.get(9) is None
+    assert cache.lookup(9) is None
     assert cache.stats.misses == 1
     cache.put(9, (), _answer(answer, 2, 2))
-    assert cache.get(9) == answer
+    assert cache.lookup(9).answer == answer
     assert cache.stats.hits == 1
     assert len(cache) == 1
 
@@ -326,7 +326,7 @@ def test_result_cache_roundtrip():
 def test_result_cache_caches_empty_answers():
     cache = ResultCache()
     cache.put(3, (), _answer([], 2, 2))
-    hit = cache.get(3)
+    hit = cache.lookup(3).answer
     assert hit == []  # a cached empty answer is a hit, not None
     assert (hit.arity, hit.n_aggregates) == (2, 2)  # and keeps its shape
     assert cache.stats.hits == 1
@@ -337,8 +337,8 @@ def test_result_cache_slices_key_separation():
     sliced = (DimensionSlice.of(0, 1, frozenset({0})),)
     cache.put(1, (), _answer([((0,), (1,))]))
     cache.put(1, sliced, _answer([((2,), (3,))]))
-    assert cache.get(1, ()) == [((0,), (1,))]
-    assert cache.get(1, sliced) == [((2,), (3,))]
+    assert cache.lookup(1, ()).answer == [((0,), (1,))]
+    assert cache.lookup(1, sliced).answer == [((2,), (3,))]
     assert len(cache) == 2
 
 
@@ -347,9 +347,9 @@ def test_result_cache_fifo_eviction():
     for node_id in (1, 2, 3):
         cache.put(node_id, (), _answer([((node_id,), (node_id,))]))
     assert len(cache) == 2
-    assert cache.get(1) is None  # the oldest entry was evicted
-    assert cache.get(2) is not None
-    assert cache.get(3) is not None
+    assert cache.lookup(1) is None  # the oldest entry was evicted
+    assert cache.lookup(2) is not None
+    assert cache.lookup(3) is not None
 
 
 def test_result_cache_clear():
@@ -357,7 +357,7 @@ def test_result_cache_clear():
     cache.put(1, (), _answer([((0,), (1,))]))
     cache.clear()
     assert len(cache) == 0
-    assert cache.get(1) is None
+    assert cache.lookup(1) is None
 
 
 def test_planner_memoizes_answers(built):

@@ -173,9 +173,9 @@ def test_result_cache_rejects_oversized_answers():
     assert not budget.put(3, (), big)  # rejected, not admitted
     assert budget.stats.rejected == 1
     assert len(budget) == resident  # nobody was evicted for it
-    assert budget.get(1, ()) is not None
-    assert budget.get(2, ()) is not None
-    assert budget.get(3, ()) is None
+    assert budget.lookup(1, ()) is not None
+    assert budget.lookup(2, ()) is not None
+    assert budget.lookup(3, ()) is None
 
 
 def test_result_cache_byte_budget_evicts_lru():
@@ -186,9 +186,9 @@ def test_result_cache_byte_budget_evicts_lru():
     cache.put(2, (), _answer_of(8))
     assert len(cache) == 2
     cache.put(3, (), _answer_of(8))  # over budget: LRU (node 1) drops
-    assert cache.get(1, ()) is None
-    assert cache.get(2, ()) is not None
-    assert cache.get(3, ()) is not None
+    assert cache.lookup(1, ()) is None
+    assert cache.lookup(2, ()) is not None
+    assert cache.lookup(3, ()) is not None
     assert cache.total_bytes <= size * 2 + size // 2
 
 
@@ -198,10 +198,10 @@ def test_result_cache_get_refreshes_recency():
     cache = result_cache(max_bytes=size * 2 + size // 2)
     cache.put(1, (), _answer_of(8))
     cache.put(2, (), _answer_of(8))
-    assert cache.get(1, ()) is not None  # touch: 2 is now the LRU
+    assert cache.lookup(1, ()) is not None  # touch: 2 is now the LRU
     cache.put(3, (), _answer_of(8))
-    assert cache.get(2, ()) is None
-    assert cache.get(1, ()) is not None
+    assert cache.lookup(2, ()) is None
+    assert cache.lookup(1, ()) is not None
 
 
 def test_result_cache_replacement_updates_byte_accounting():
@@ -218,10 +218,10 @@ def test_result_cache_clear_and_invalidate_reset_bytes():
     cache = result_cache(max_bytes=1 << 20)
     cache.put(1, (), _answer_of(10))
     cache.put(2, (), _answer_of(10))
-    assert cache.invalidate(lambda node_id, slices: node_id == 1) == 1
-    assert cache.total_bytes == cache.entry_bytes(_answer_of(10))
-    cache.clear()
+    assert cache.clear() == 2
     assert cache.total_bytes == 0 and len(cache) == 0
+    assert cache.lookup(1, ()) is None
+    assert cache.clear() == 0
 
 
 def test_result_cache_unbounded_bytes_by_default():
@@ -244,5 +244,5 @@ def test_result_cache_put_takes_column_answers_only():
         cache.put(1, (), [])
     assert len(cache) == 0 and cache.stats.rejected == 0
     cache.put(1, (), ColumnAnswer.from_pairs([], 2, 3))
-    hit = cache.get(1)
+    hit = cache.lookup(1).answer
     assert (hit.arity, hit.n_aggregates, len(hit)) == (2, 3, 0)

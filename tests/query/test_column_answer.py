@@ -14,7 +14,7 @@ Two layers of locking-in:
   fast the work runs, never how much work the benchmarks see.
 
 The :class:`ResultCache` storing ``ColumnAnswer`` directly is covered at
-the bottom: hit/miss keying on ``(node, slices)``, invalidation after
+the bottom: hit/miss keying on ``(node, slices)``, a cleared cache after
 incremental maintenance, and empty-answer caching.
 """
 
@@ -328,7 +328,7 @@ def test_result_cache_stores_column_answers_directly():
     cache = ResultCache()
     answer = ColumnAnswer.from_pairs(PAIRS)
     cache.put(4, (), answer)
-    hit = cache.get(4, ())
+    hit = cache.lookup(4, ()).answer
     assert hit is answer  # no re-encoding on either side
     assert cache.stats.hits == 1
 
@@ -337,7 +337,7 @@ def test_result_cache_bridges_legacy_pairs():
     # Pairs come in through ``from_pairs``; ``put`` takes nothing else.
     cache = ResultCache()
     cache.put(4, (), ColumnAnswer.from_pairs(PAIRS))
-    hit = cache.get(4, ())
+    hit = cache.lookup(4, ()).answer
     assert isinstance(hit, ColumnAnswer)
     assert hit == PAIRS
     with pytest.raises(TypeError):
@@ -350,17 +350,17 @@ def test_result_cache_keying_on_node_and_slices():
     cache.put(1, (), ColumnAnswer.from_pairs([((0,), (1,))]))
     cache.put(1, sliced, ColumnAnswer.from_pairs([((2,), (3,))]))
     cache.put(2, (), ColumnAnswer.from_pairs([((4,), (5,))]))
-    assert cache.get(1, ()) == [((0,), (1,))]
-    assert cache.get(1, sliced) == [((2,), (3,))]
-    assert cache.get(2, ()) == [((4,), (5,))]
-    assert cache.get(2, sliced) is None  # miss: same node, other predicate
+    assert cache.lookup(1, ()).answer == [((0,), (1,))]
+    assert cache.lookup(1, sliced).answer == [((2,), (3,))]
+    assert cache.lookup(2, ()).answer == [((4,), (5,))]
+    assert cache.lookup(2, sliced) is None  # miss: same node, other predicate
     assert cache.stats.misses == 1
 
 
 def test_result_cache_caches_empty_column_answers():
     cache = ResultCache()
     cache.put(3, (), ColumnAnswer.empty(2, 2))
-    hit = cache.get(3, ())
+    hit = cache.lookup(3, ()).answer
     assert hit is not None  # a cached empty answer is a hit, not a miss
     assert len(hit) == 0
     assert cache.stats.hits == 1 and cache.stats.misses == 0
@@ -385,8 +385,7 @@ def test_planner_invalidate_results_after_incremental_maintenance(
 
     delta = [(0, 0, 0, 99), (11, 7, 4, 1)]
     apply_delta(result.storage, paper_schema, table, delta)
-    planner.invalidate_results()
-    assert len(planner.results) == 0
+    assert planner.results.clear() == 1
 
     fresh = planner.answer(QueryRequest.of(node))
     reference = build_cube(paper_schema, table=table)
@@ -395,119 +394,3 @@ def test_planner_invalidate_results_after_incremental_maintenance(
     )
     assert normalize_answer(fresh) == normalize_answer(expected)
     assert normalize_answer(stale) != normalize_answer(fresh)
-
-
-def test_fine_grained_invalidation_spares_untouched_slices(paper_schema):
-    """With an :class:`UpdateReport`, invalidation is slice-driven: cached
-    sliced answers whose predicate no delta row satisfies survive, while
-    touched slices and every unsliced answer drop."""
-    rng = random.Random(18)
-    rows = [
-        (rng.randrange(12), rng.randrange(8), rng.randrange(5),
-         rng.randrange(20))
-        for _ in range(120)
-    ]
-    table = table_of(paper_schema.fact_schema, rows)
-    result = build_cube(paper_schema, table=table)
-    cache = FactCache(paper_schema, table=table)
-    planner = CubePlanner(result.storage, cache)
-    node = CubeNode((0, 0, 0))
-    surviving = QueryRequest.of(node, DimensionSlice.of(0, 0, {7}))
-    doomed_slice = QueryRequest.of(node, DimensionSlice.of(0, 0, {0, 1}))
-    doomed_plain = QueryRequest.of(node)
-    for request in (surviving, doomed_slice, doomed_plain):
-        planner.answer(request)
-    assert len(planner.results) == 3
-    kept = planner.results.get(
-        paper_schema.node_id(node), surviving.slices
-    )
-
-    # Both delta rows land in A=0; the A∈{7} slice is untouched.
-    report = apply_delta(
-        result.storage, paper_schema, table, [(0, 0, 0, 99), (0, 7, 4, 1)]
-    )
-    dropped = planner.invalidate_results(report)
-    assert dropped == 2
-    assert len(planner.results) == 1
-    assert (
-        planner.results.get(paper_schema.node_id(node), surviving.slices)
-        is kept
-    )
-    # The surviving entry is still correct (served from cache).
-    assert normalize_answer(planner.answer(surviving)) == normalize_answer(
-        answer_cure_sliced(
-            result.storage, cache, node, list(surviving.slices)
-        )
-    )
-
-
-def test_fine_grained_invalidation_projects_to_coarse_levels(paper_schema):
-    """Slice predicates at coarser hierarchy levels see the delta through
-    ``project_to_node``: a delta at base member 0 invalidates a slice on
-    its level-1 ancestor but not on a foreign ancestor."""
-    rng = random.Random(19)
-    rows = [
-        (rng.randrange(12), rng.randrange(8), rng.randrange(5),
-         rng.randrange(20))
-        for _ in range(80)
-    ]
-    table = table_of(paper_schema.fact_schema, rows)
-    result = build_cube(paper_schema, table=table)
-    planner = CubePlanner(
-        result.storage, FactCache(paper_schema, table=table)
-    )
-    coarse = CubeNode((1, 1, 0))  # A1 × B1 × C0
-    dim0 = paper_schema.dimensions[0]
-    parent_of_0 = dim0.code_at(0, 1)
-    other_parents = set(range(dim0.cardinality(1))) - {parent_of_0}
-    touched = QueryRequest.of(
-        coarse, DimensionSlice.of(0, 1, {parent_of_0})
-    )
-    foreign = QueryRequest.of(coarse, DimensionSlice.of(0, 1, other_parents))
-    planner.answer(touched)
-    planner.answer(foreign)
-
-    report = apply_delta(
-        result.storage, paper_schema, table, [(0, 0, 0, 5)]
-    )
-    assert planner.invalidate_results(report) == 1
-    node_id = paper_schema.node_id(coarse)
-    assert planner.results.get(node_id, touched.slices) is None
-    assert planner.results.get(node_id, foreign.slices) is not None
-
-
-def test_invalidate_results_without_report_drops_everything(paper_schema):
-    rng = random.Random(20)
-    rows = [
-        (rng.randrange(12), rng.randrange(8), rng.randrange(5), 1)
-        for _ in range(30)
-    ]
-    table = table_of(paper_schema.fact_schema, rows)
-    result = build_cube(paper_schema, table=table)
-    planner = CubePlanner(
-        result.storage, FactCache(paper_schema, table=table)
-    )
-    planner.answer(QueryRequest.of(CubeNode((0, 0, 0))))
-    planner.answer(
-        QueryRequest.of(CubeNode((0, 0, 0)), DimensionSlice.of(0, 0, {3}))
-    )
-    assert planner.invalidate_results() == 2
-    assert len(planner.results) == 0
-
-
-def test_invalidate_results_empty_delta_is_free(paper_schema):
-    from repro.core.incremental import UpdateReport
-
-    rng = random.Random(21)
-    rows = [
-        (rng.randrange(12), rng.randrange(8), rng.randrange(5), 1)
-        for _ in range(30)
-    ]
-    table = table_of(paper_schema.fact_schema, rows)
-    result = build_cube(paper_schema, table=table)
-    planner = CubePlanner(
-        result.storage, FactCache(paper_schema, table=table)
-    )
-    planner.answer(QueryRequest.of(CubeNode((0, 0, 0))))
-    assert planner.invalidate_results(UpdateReport()) == 0
-    assert len(planner.results) == 1

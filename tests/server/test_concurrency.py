@@ -3,10 +3,9 @@
 One :class:`~repro.server.app.SlicerApp` serves all request threads,
 sharing the NodeStore matrix caches, the FactCache and a byte-budgeted
 ResultCache.  These tests race barrier-started readers against cache
-warm-up, LRU eviction under a tiny byte budget, and the
-``invalidate_results`` flips streaming ingest performs at checkpoint
-commit — every body must still be byte-identical to a sequential
-single-threaded replay.
+warm-up, LRU eviction under a tiny byte budget, and the ``clear``
+streaming ingest performs after every applied record — every body must
+still be byte-identical to a sequential single-threaded replay.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import threading
 
 import numpy as np
 
-from repro.core.incremental import UpdateReport
 from repro.query.vector import level_map
 from repro.query.workload import mixed_workload
 from repro.server.app import SlicerApp
@@ -82,9 +80,9 @@ def test_concurrent_replay_matches_sequential(served_bundles):
 
 
 def test_readers_race_checkpoint_invalidation(served_bundles):
-    # Streaming ingest flips generations by invalidating cached results;
-    # over an unchanged cube, readers must never observe a wrong answer
-    # no matter how the invalidations interleave with their lookups.
+    # Streaming ingest empties the result cache after every record; over
+    # an unchanged cube, readers must never observe a wrong answer no
+    # matter how the clears interleave with their lookups.
     bundle = served_bundles["CURE"]
     schema = bundle.schema
     ops = mixed_workload(schema, 40, seed=43)
@@ -92,13 +90,10 @@ def test_readers_race_checkpoint_invalidation(served_bundles):
     expected = _reference_bodies(bundle, paths)
 
     app = SlicerApp(bundle, result_cache_bytes=64 * 1024)
-    report = UpdateReport(delta_rows=1, delta_codes=[(0, 0, 0)])
     stop = threading.Event()
 
     def flipper():
         while not stop.is_set():
-            app.planner.invalidate_results()
-            app.planner.invalidate_results(report)
             app.planner.results.clear()
 
     def worker(index):

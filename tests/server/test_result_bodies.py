@@ -4,7 +4,7 @@ A ``ResultCache`` entry carries the answer and, once the server has
 rendered it, the canonical body.  These tests pin what that must not
 break: one hit-or-miss per request on all four answer endpoints, the
 byte budget (bodies are charged to it), and invalidation — a body goes
-when its answer goes, after ``invalidate_results`` and after a real
+when its answer goes, after ``clear`` and after a real
 ``StreamingIngestor.apply_ready``.
 """
 
@@ -15,7 +15,6 @@ from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
-from repro.core.incremental import UpdateReport
 from repro.ingest import StreamingIngestor
 from repro.lattice.node import CubeNode
 from repro.query import CubePlanner, DimensionSlice, FactCache
@@ -59,9 +58,8 @@ def test_bodies_are_charged_and_released_with_their_entry():
     assert cache.total_bytes == matrices
     cache.attach_body(1, (), (), cache.lookup(1).answer, body)
     cache.put(2, (), answer_of(3), tag=("rollup",))
-    assert cache.invalidate(lambda node_id, slices: node_id == 1) == 1
-    assert cache.total_bytes == cache.entry_bytes(answer_of(3))
-    cache.clear()
+    assert cache.total_bytes == matrices + 500 + cache.entry_bytes(answer_of(3))
+    assert cache.clear() == 2
     assert cache.total_bytes == 0 and len(cache) == 0
 
 
@@ -69,7 +67,7 @@ def test_a_body_is_attached_only_to_the_answer_it_was_rendered_from():
     cache = ResultCache()
     stale, fresh = answer_of(4), answer_of(4)
     cache.put(1, (), stale)
-    cache.invalidate(lambda node_id, slices: True)
+    cache.clear()
     assert not cache.attach_body(1, (), (), stale, b"old")  # entry gone
     cache.put(1, (), fresh)
     assert not cache.attach_body(1, (), (), stale, b"old")  # replaced
@@ -107,10 +105,10 @@ def test_tags_separate_entries_over_one_node():
     cache.put(5, (), answer_of(3), tag=("iceberg", 2))
     cache.put(5, (), answer_of(4), tag=("iceberg", 3))
     assert len(cache) == 4
-    assert len(cache.get(5)) == 1
-    assert len(cache.get(5, (), ("rollup",))) == 2
-    assert len(cache.get(5, (), ("iceberg", 3))) == 4
-    assert cache.get(5, (), ("iceberg", 9)) is None
+    assert len(cache.lookup(5).answer) == 1
+    assert len(cache.lookup(5, (), ("rollup",)).answer) == 2
+    assert len(cache.lookup(5, (), ("iceberg", 3)).answer) == 4
+    assert cache.lookup(5, (), ("iceberg", 9)) is None
     # an uncounted read leaves the counters alone
     before = (cache.stats.hits, cache.stats.misses)
     assert cache.lookup(5, record=False) is not None
@@ -215,32 +213,6 @@ def test_stats_agree_with_entry_bytes_and_respect_the_budget(served_bundles):
         assert results.total_bytes == 0
 
 
-def test_invalidate_results_drops_touched_bodies_and_keeps_the_rest(
-    served_bundles,
-):
-    app = SlicerApp(served_bundles["CURE"])
-    touched = "/slice/0?where=0.0:0"
-    untouched = "/slice/0?where=0.0:5"
-    unsliced = ["/node/0", "/rollup/7", "/iceberg/0?min=2"]
-    before = {
-        path: wsgi_get(app, path)[1] for path in [touched, untouched, *unsliced]
-    }
-    # a delta row with A0 = 0: it lands in the A0=0 slice only
-    report = UpdateReport(delta_rows=1, delta_codes=[(0, 2, 1)])
-    resident = len(app.planner.results)
-    assert resident == 6  # the five paths and the roll-up's base answer
-    # every unsliced entry goes — node, roll-up, its base, iceberg — and
-    # of the two slices only the touched one
-    assert app.planner.invalidate_results(report) == resident - 1
-    hits, misses = counters(app)
-    assert wsgi_get(app, untouched)[1] is before[untouched]
-    assert counters(app) == (hits + 1, misses)
-    for path in [touched, *unsliced]:
-        assert wsgi_get(app, path)[1] is not before[path]
-        assert wsgi_get(app, path)[1] == before[path]  # the cube did not change
-    assert counters(app) == (hits + 1 + 4, misses + 4)
-
-
 class LiveBundle:
     """What ``SlicerApp`` needs of a bundle, over an ingestor's live cube."""
 
@@ -276,11 +248,15 @@ def test_bodies_follow_a_real_delta_apply(engine, tmp_path):
     }
     paths = {name: op_path(schema, op) for name, op in ops.items()}
     before = {name: wsgi_get(app, path)[1] for name, path in paths.items()}
+    results = app.planner.results
+    resident = len(results)
+    assert resident == 5  # the roll-up's base answer is the node entry
 
     ingestor.append([(0, 3, 2, 77), (0, 1, 4, 5)])  # both rows have A0 = 0
     ingestor.log.seal()
     ingestor.apply_ready()
-    assert ingestor.stats.results_dropped >= 4
+    assert len(results) == 0 and results.total_bytes == 0
+    assert ingestor.stats.results_dropped == resident
 
     fresh = CubePlanner(
         ingestor.storage, FactCache(schema, table=ingestor.fact_table)
@@ -288,12 +264,13 @@ def test_bodies_follow_a_real_delta_apply(engine, tmp_path):
     after = {name: wsgi_get(app, path)[1] for name, path in paths.items()}
     for name, op in ops.items():
         assert after[name] == replay_op(fresh, op), name
-    assert after["untouched"] is before["untouched"]  # entry and body kept
+        assert after[name] is not before[name], name  # re-rendered
     for name in ("touched", "node", "rollup"):
         assert after[name] != before[name], name
-    # no new group reaches the threshold, yet the entry was re-rendered
-    assert after["iceberg"] is not before["iceberg"]
-    results = app.planner.results
+    # neither the A0 = 5 slice nor the iceberg changes, yet both were
+    # answered again from the maintained cube
+    assert after["untouched"] == before["untouched"]
+    assert after["iceberg"] == before["iceberg"]
     assert results.total_bytes == sum(
         ResultCache.entry_bytes(entry.answer, entry.body)
         for entry in results._entries.values()

@@ -63,7 +63,6 @@ def apply_delta_by_record(
     # already cleared.
     for row in delta_rows:
         schema.fact_schema.validate_row(row)
-    report.delta_codes = [schema.dim_values(row) for row in delta_rows]
 
     # A CURE+ cube relies on sorted row-id lists; updates append out of
     # order, so the plus property goes (re-run
@@ -220,7 +219,6 @@ class _Merger:
                 self.schema.aggregates, self.schema.measures(fact_row)
             )
             self._register_nt(node_id, dims, (rowid,) + aggregates)
-            self.report.nodes_touched.add(node_id)
             for child in self._children.get(node_id, ()):
                 self._replace_tt(child, self.schema.node_id(child), rowid)
         else:
@@ -235,7 +233,6 @@ class _Merger:
             delta_here = self.delta.get(node_id)
             if not delta_here:
                 continue
-            self.report.nodes_touched.add(node_id)
             lookup = self._node_groups(node_id)
             store = self.rows.node_store(node_id)
             for dims, (aggregates, rowid, count) in delta_here.items():

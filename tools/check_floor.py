@@ -1,11 +1,12 @@
-"""Fail unless a named inequality between per-layer metrics holds.
+"""Fail unless every named inequality between per-layer metrics holds.
 
 Reads the output of ``python3 benchmarks/e2e/run.py --workload W
---trace 1`` on stdin (the last line is the result JSON) and takes the
-floor as its one argument, ``"a + b < c"``: sums of metric names either
-side of ``<``, each name optionally multiplied by an integer
-coefficient (``"3 * a < b"``).  Exits 1 unless the run was correct and
-``0 < left < right``.  Both sides come from the same run: CPU seconds at
+--trace 1`` on stdin (the last line is the result JSON) and takes one
+floor per argument, ``"a + b < c"``: sums of metric names either side
+of ``<``, each name optionally multiplied by an integer coefficient
+(``"3 * a < b"``).  Every floor is checked against that one run, and
+the checker exits 1 unless the run was correct and ``0 < left < right``
+holds for each of them.  Both sides come from the same run: CPU seconds at
 the same yardstick pace, or wall-clock medians of the same spans, so a
 floor holds on any machine.  The nightly floors:
 
@@ -49,18 +50,26 @@ def side_value(side: str, metrics: dict[str, float]) -> float:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or argv[1].count("<") != 1:
-        print(f'usage: {argv[0]} "[k *] metric [+ …] < [k *] metric [+ …]"')
+    floors = argv[1:]
+    if not floors or any(floor.count("<") != 1 for floor in floors):
+        print(
+            f'usage: {argv[0]} "[k *] metric [+ …] < [k *] metric [+ …]" …'
+        )
         return 2
-    left, right = argv[1].split("<")
     result = json.loads(sys.stdin.read().strip().splitlines()[-1])
     metrics = {name: cell["value"] for name, cell in result["metrics"].items()}
-    low, high = side_value(left, metrics), side_value(right, metrics)
-    print(
-        f"{left.strip()} = {low:.3f} vs {right.strip()} = {high:.3f}; "
-        f"failed checks: {result['failed']}"
-    )
-    return 0 if result["correct"] and 0 < low < high else 1
+    print(f"failed checks: {result['failed']}")
+    held = result["correct"]
+    for floor in floors:
+        left, right = floor.split("<")
+        low, high = side_value(left, metrics), side_value(right, metrics)
+        ok = 0 < low < high
+        print(
+            f"{'ok  ' if ok else 'FAIL'} {left.strip()} = {low:.3f} "
+            f"vs {right.strip()} = {high:.3f}"
+        )
+        held = held and ok
+    return 0 if held else 1
 
 
 if __name__ == "__main__":
