@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.hierarchy.dimension import Dimension
 from repro.lattice.lattice import CubeLattice
@@ -22,6 +23,9 @@ from repro.lattice.plan import (
 )
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.schema import Column, ColumnType, TableSchema
+
+if TYPE_CHECKING:
+    from repro.query.answer import NodeShape
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,11 @@ class CubeSchema:
 
     @cached_property
     def _plan_orders(self) -> dict[bool, tuple[tuple[CubeNode, int, int], ...]]:
+        return {}
+
+    @cached_property
+    def node_shapes(self) -> dict[CubeNode, NodeShape]:
+        """Node → its ``repro.query.answer.NodeShape`` (query-side memo)."""
         return {}
 
     def project_to_node(

@@ -253,7 +253,7 @@ class CubeStorage:
         default_factory=ArrayRelation, repr=False, compare=False
     )
     #: Node id → ids of the nodes whose TTs it shares (query-side memo).
-    tt_sources: dict[int, tuple[int, ...]] = field(
+    tt_source_ids: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

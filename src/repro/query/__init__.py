@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.query.cache import FactCache, ResultCache
-from repro.query.column_answer import ColumnAnswer, answer_schema
+from repro.query.column_answer import ColumnAnswer
 from repro.query.answer import (
     QueryStats,
     answer_bubst_query,
@@ -51,7 +51,6 @@ __all__ = [
     "WorkloadOp",
     "all_node_queries",
     "mixed_workload",
-    "answer_schema",
     "normalize_answer",
     "answer_cure_sliced",
     "prefilters",

@@ -18,22 +18,26 @@ Per format:
   scan is why Figure 16 shows it orders of magnitude slower.
 
 :func:`read_node_relations` is the one place that knows how a CURE node
-is stored (Section 5.3): stored rows are int64 matrices, R-rowids
-dereference through :meth:`FactCache.fetch_batch` as one columnar gather,
-hierarchy roll-up and singleton aggregates run as whole batch kernels
-(:mod:`repro.query.vector`), and the A-rowid join against AGGREGATES is
-a single fancy-index into the cached matrix view — no answer tuple ever
-becomes a Python object.  Node queries, index-assisted slices
-(:mod:`repro.query.slice`) and count-icebergs (:mod:`repro.query.iceberg`)
-all go through it and differ only in the pre-fetch filter they hand over.
-The tuple-at-a-time engine this replaced lives on as the test oracle
-``tests/support/row_engine.py``: the differential suite holds answers,
-node-query row order and every work counter to it.
+is stored (Section 5.3).  What the schema decides about a node is its
+:class:`NodeShape` (memoized on the schema), and the nodes whose TTs it
+shares, which the partition levels decide, are :func:`tt_source_ids`
+(memoized on the storage); neither memo holds stored data, which
+incremental maintenance replaces between queries.  A read is one pass: every relation's
+surviving row-ids dereference in one :meth:`FactCache.fetch_batch`,
+and the codes (rolled up through the level maps) and aggregates fill
+one preallocated ``(n, arity + Y)`` int64 matrix — no answer tuple
+becomes a Python object.  Node queries, slices
+(:mod:`repro.query.slice`) and count-icebergs
+(:mod:`repro.query.iceberg`) differ only in the pre-fetch filter they
+hand over: a test of the stored row-ids, or of the stored aggregates.  The tuple-at-a-time engine this replaced is the test
+oracle ``tests/support/row_engine.py``, which the differential suite
+holds answers, node-query row order and every work counter to.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,19 +50,12 @@ from repro.lattice.node import CubeNode
 from repro.lattice.plan import plan_ancestors
 from repro.query.cache import FactCache
 from repro.query.column_answer import ColumnAnswer, Pairs
-from repro.query.vector import (
-    project_fact_dims,
-    singleton_aggregates,
-)
 from repro.relational.aggregates import aggregate_singleton
 
-#: A pre-fetch filter over one stored relation: given its fact row-ids
-#: (``None`` for DR NTs, which carry their dimension values inline) and
-#: its stored aggregate vectors (``None`` for TTs, whose aggregates come
-#: out of the fact row), the boolean mask of rows worth dereferencing.
-PrefetchFilter = Callable[
-    [np.ndarray | None, np.ndarray | None], np.ndarray
-]
+#: A pre-fetch filter: given stored fact row-ids (a slice's test), or
+#: stored ``(n, Y)`` aggregate rows (an iceberg's), the boolean mask of
+#: the rows worth dereferencing.
+RowFilter = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -73,6 +70,83 @@ class QueryStats:
         self.rows_scanned = 0
         self.fact_fetches = 0
         self.tuples_returned = 0
+
+
+# -- node shapes ------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class NodeShape:
+    """What the schema and the lattice decide about one node's answers.
+
+    ``maps`` has one level map per grouping dimension (``None`` at the
+    base level) and ``cardinalities`` its level's member count;
+    ``columns_with_measures`` are the fact columns a read with a TT tail
+    fetches; ``body`` is the constant canonical JSON of the node's
+    encoded answers, split where ``count`` and ``kind`` go.
+    """
+
+    node_id: int
+    grouping: tuple[int, ...]
+    base: CubeNode
+    columns_with_measures: tuple[int, ...]
+    maps: tuple[np.ndarray | None, ...]
+    cardinalities: tuple[int, ...]
+    body: tuple[bytes, bytes, bytes]
+
+    @classmethod
+    def of(cls, schema: CubeSchema, node: CubeNode) -> "NodeShape":
+        grouping = node.grouping_dims(schema.dimensions)
+        node_id = schema.node_id(node)
+        levels = [(schema.dimensions[d], node.levels[d]) for d in grouping]
+        groups = [f"{dim.name}.{dim.level(level).name}" for dim, level in levels]
+        return cls(
+            node_id,
+            grouping,
+            CubeNode(
+                tuple(
+                    0 if d in grouping else dimension.all_level
+                    for d, dimension in enumerate(schema.dimensions)
+                )
+            ),
+            (*grouping, *range(schema.n_dimensions, schema.fact_schema.arity)),
+            tuple(dim.level_maps[level] if level else None for dim, level in levels),
+            tuple(dim.cardinality(level) for dim, level in levels),
+            (
+                b'{"aggregates":%s,"count":'
+                % _json([spec.name for spec in schema.aggregates]),
+                b',"groups":%s,"kind":' % _json(groups),
+                b',"levels":%s,"node":%d' % (_json(list(node.levels)), node_id),
+            ),
+        )
+
+
+def _json(value: object) -> bytes:
+    return json.dumps(value, separators=(",", ":")).encode("ascii")
+
+
+def node_shape(schema: CubeSchema, node: CubeNode) -> NodeShape:
+    """``node``'s :class:`NodeShape`, built on first ask and memoized on
+    ``schema``; two threads that build it together store equal values."""
+    shape = schema.node_shapes.get(node)
+    if shape is None:
+        shape = schema.node_shapes[node] = NodeShape.of(schema, node)
+    return shape
+
+
+def tt_source_ids(
+    storage: CubeStorage, node: CubeNode, node_id: int
+) -> tuple[int, ...]:
+    """:func:`tt_source_nodes` as node ids, memoized on ``storage``: only
+    the lattice, ``flat`` and the partition levels decide them, never a
+    stored relation, so two request threads that miss together store
+    equal tuples."""
+    sources = storage.tt_source_ids.get(node_id)
+    if sources is None:
+        nodes = tt_source_nodes(storage, node)
+        sources = tuple(map(storage.schema.node_id, nodes))
+        storage.tt_source_ids[node_id] = sources
+    return sources
 
 
 # -- CURE -------------------------------------------------------------------------
@@ -93,114 +167,116 @@ def read_node_relations(
     cache: FactCache,
     node: CubeNode,
     stats: QueryStats | None = None,
-    keep: PrefetchFilter | None = None,
-    with_tts: bool = True,
+    keep: RowFilter | None = None,
+    having: RowFilter | None = None,
 ) -> ColumnAnswer:
     """Read ``node``'s NT, CAT and shared TT relations into one answer.
 
-    ``keep`` drops stored rows *before* their fact fetch — the index
-    pre-filter of a slice, the stored-count test of an iceberg — and
-    ``with_tts=False`` leaves the TT relations unread (a TT's count is
-    always 1).  ``rows_scanned`` counts every stored row looked at,
-    ``fact_fetches`` those that survived ``keep`` and were dereferenced,
+    Two filters drop stored rows *before* their fact fetch: ``keep``
+    tests the stored fact row-ids (the cube must store row-ids, not DR
+    NTs), and ``having`` the stored aggregates of the NT and CAT rows —
+    a test no TT row may pass, for the TT relations are left unread.
+    ``rows_scanned`` counts every stored row looked at,
+    ``fact_fetches`` those that survived and were dereferenced,
     ``tuples_returned`` the answer's rows.  Rows come out relation by
-    relation (NT, CAT, then TTs down the plan path), each in stored order:
-    the surviving row-ids of every relation dereference in one
-    :meth:`FactCache.fetch_batch` and project in one kernel, and the TT
-    tail takes its aggregates from the fact rows: the fetch reads the
-    grouping dimensions' columns, and the measures only for a TT tail.
+    relation (NT, CAT, then TTs down the plan path), each in stored
+    order, as views of one ``(n, arity + Y)`` matrix: a DR NT's inline
+    rows first, then the rows whose row-ids dereference in one
+    :meth:`FactCache.fetch_batch` — of the grouping dimensions' columns,
+    and the measures only for a TT tail, whose aggregates are the fact
+    row's own.
     """
-    schema = storage.schema
-    parts, rowid_parts, stored = [], [], []  # parts: a DR NT's inline dims
-    all_sorted = True
-    for rowids, dims, aggregates, sorted_hint in _stored_relations(
-        storage, node, with_tts
-    ):
-        if stats is not None:
-            stats.rows_scanned += len(dims if rowids is None else rowids)
-        if keep is not None:
-            mask = keep(rowids, aggregates)
-            if rowids is None:
-                dims = dims[mask]
-            else:
-                rowids = rowids[mask]
-            if aggregates is not None:
-                aggregates = aggregates[mask]
-        if rowids is None:
-            parts.append((dims, aggregates))
-        elif len(rowids):
-            rowid_parts.append(rowids)
-            if aggregates is not None:  # TTs come last and store none
-                stored.append(aggregates)
-            all_sorted = all_sorted and sorted_hint
-    grouping = node.grouping_dims(schema.dimensions)
-    if rowid_parts:
-        rowids = np.concatenate(rowid_parts)
-        if stats is not None:
-            stats.fact_fetches += len(rowids)
-        n_stored = sum(map(len, stored))
-        tail = n_stored < len(rowids)  # TT rows: aggregates from the measures
-        measures = range(schema.n_dimensions, schema.fact_schema.arity) if tail else ()
-        fact = cache.fetch_batch(rowids, all_sorted, [*grouping, *measures])
-        if tail:
-            tts = fact.slice(n_stored, len(rowids))
-            stored.append(singleton_aggregates(schema, tts))
-        dims = project_fact_dims(schema, fact, node)
-        parts.append((dims, np.concatenate(stored)))
-    answer = ColumnAnswer.from_parts(len(grouping), schema.n_aggregates, parts)
-    if stats is not None:
-        stats.tuples_returned += len(answer)
-    return answer
-
-
-def _stored_relations(
-    storage: CubeStorage, node: CubeNode, with_tts: bool
-) -> Iterator[
-    tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, bool]
-]:
-    """How ``node`` is stored (Section 5.1), one relation at a time.
-
-    Yields ``(rowids, dims, aggregates, sorted_hint)`` per non-empty
-    relation: the fact row-ids its tuples dereference (``sorted_hint``
-    says whether they ascend), or — DR NTs only — ``rowids=None`` and
-    the ``dims`` stored inline; and the stored aggregate vectors, or
-    ``None`` for TTs, whose aggregates are the fact row's own.
-    """
-    schema = storage.schema
-    y = schema.n_aggregates
-    node_id = schema.node_id(node)
-    store = storage.get_node_store(node_id)
+    schema, y = storage.schema, storage.schema.n_aggregates
+    shape = node_shape(schema, node)
+    arity = len(shape.grouping)
+    inline: np.ndarray | None = None  # a DR NT: codes, then aggregates
+    # The relations whose rows dereference row-ids: their row-ids, and
+    # for all but the TTs (which come last) the stored matrix and its
+    # first aggregate column.  CURE+ sorts every relation's row-ids but
+    # a format (b) CAT's, whose rows are ``unsorted``.
+    rowid_parts: list[np.ndarray] = []
+    stored: list[tuple[np.ndarray, int]] = []
+    unsorted: slice | None = None
+    store = storage.get_node_store(shape.node_id)
     if store is not None:
         if store.nt_count:
             nt = store.nt_matrix()
             if storage.dr_mode:
-                arity = len(node.grouping_dims(schema.dimensions))
-                yield None, nt[:, :arity], nt[:, arity : arity + y], False
+                inline = nt
             else:
-                yield nt[:, 0], None, nt[:, 1 : 1 + y], storage.plus_processed
+                rowid_parts.append(nt[:, 0])
+                stored.append((nt, 1))
         if store.cat_count:
             cat = store.cat_matrix()
             shared = storage.aggregates_matrix()
             if storage.cat_format is CatFormat.COMMON_SOURCE:
                 # Format (a): node rows are A-rowids; AGGREGATES rows are
                 # ⟨R-rowid, aggregates⟩.
-                entries = shared[cat[:, 0]]
-                yield (
-                    entries[:, 0],
-                    None,
-                    entries[:, 1 : 1 + y],
-                    storage.plus_processed,
-                )
+                entries = np.take(shared, cat[:, 0], axis=0)
+                rowid_parts.append(entries[:, 0])
+                stored.append((entries, 1))
             else:
                 # Format (b): node rows are ⟨R-rowid, A-rowid⟩, AGGREGATES
-                # is bare; one fancy-index joins the A-rowids against it.
-                yield cat[:, 0], None, shared[cat[:, 1]], False
-    if not with_tts:
-        return
-    for source_id in tt_source_ids(storage, node, node_id):
-        tt_store = storage.get_node_store(source_id)
-        if tt_store is not None and tt_store.tt_count:
-            yield tt_store.tt_array(), None, None, storage.plus_processed
+                # is bare; one gather joins the A-rowids against it.
+                after_nt = len(rowid_parts[0]) if rowid_parts else 0
+                unsorted = slice(after_nt, after_nt + len(cat))
+                rowid_parts.append(cat[:, 0])
+                stored.append((np.take(shared, cat[:, 1], axis=0), 0))
+    if having is None:
+        for source_id in tt_source_ids(storage, node, shape.node_id):
+            tt_store = storage.get_node_store(source_id)
+            if tt_store is not None and tt_store.tt_count:
+                rowid_parts.append(tt_store.tt_array())
+    rowids = np.concatenate(rowid_parts) if rowid_parts else np.empty(0, dtype=np.int64)
+    if stats is not None:
+        stats.rows_scanned += len(rowids) + (0 if inline is None else len(inline))
+    mask: np.ndarray | None = None
+    if having is not None:
+        if inline is not None:
+            passed = having(inline[:, arity : arity + y])
+            inline = np.compress(passed, inline, axis=0)
+        if stored:
+            aggregates = [m[:, first : first + y] for m, first in stored]
+            mask = having(np.concatenate(aggregates))
+    elif keep is not None and len(rowids):
+        mask = keep(rowids)
+    if mask is not None:
+        if unsorted is not None and not mask[unsorted].any():
+            unsorted = None
+        rowids = rowids[mask]
+        start = 0
+        for i, (matrix, first) in enumerate(stored):
+            kept = mask[start : start + len(matrix)]
+            start += len(matrix)
+            stored[i] = np.compress(kept, matrix, axis=0), first
+    start = 0 if inline is None else len(inline)
+    rows = np.empty((start + len(rowids), arity + y), dtype=np.int64)
+    if inline is not None:
+        rows[:start] = inline[:, : arity + y]
+    if len(rowids):
+        if stats is not None:
+            stats.fact_fetches += len(rowids)
+        end = start + sum(len(matrix) for matrix, _ in stored)
+        tail = end < len(rows)  # TT rows: aggregates from the measures
+        fact = cache.fetch_batch(
+            rowids,
+            storage.plus_processed and unsorted is None,
+            shape.columns_with_measures if tail else shape.grouping,
+        )
+        for i, (codes, level_map) in enumerate(zip(fact.arrays, shape.maps)):
+            rows[start:, i] = codes if level_map is None else level_map[codes]
+        for matrix, first in stored:
+            rows[start : start + len(matrix), arity:] = matrix[:, first : first + y]
+            start += len(matrix)
+        if tail:
+            measures = fact.arrays[arity:]
+            for j, spec in enumerate(schema.aggregates):
+                rows[end:, arity + j] = spec.function.from_column(
+                    measures[spec.measure_index][end - len(rows) :]
+                )
+    if stats is not None:
+        stats.tuples_returned += len(rows)
+    return ColumnAnswer.of_rows(arity, rows)
 
 
 def _construction_phase(storage: CubeStorage, node: CubeNode) -> str:
@@ -247,20 +323,6 @@ def tt_source_nodes(storage: CubeStorage, node: CubeNode) -> list[CubeNode]:
         for candidate in chain
         if _construction_phase(storage, candidate) == phase
     ]
-
-
-def tt_source_ids(
-    storage: CubeStorage, node: CubeNode, node_id: int
-) -> tuple[int, ...]:
-    """:func:`tt_source_nodes` as node ids, memoized on ``storage``: only
-    the lattice, ``flat`` and the partition levels decide them, so two
-    request threads that miss together store equal tuples."""
-    sources = storage.tt_sources.get(node_id)
-    if sources is None:
-        nodes = tt_source_nodes(storage, node)
-        sources = tuple(map(storage.schema.node_id, nodes))
-        storage.tt_sources[node_id] = sources
-    return sources
 
 
 # -- BUC ---------------------------------------------------------------------------

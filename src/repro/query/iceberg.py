@@ -64,10 +64,7 @@ def iceberg_over_cure(
         cache,
         node,
         stats,
-        keep=lambda _rowids, aggregates: (
-            aggregates[:, count_index] >= min_count
-        ),
-        with_tts=False,
+        having=lambda aggregates: aggregates[:, count_index] >= min_count,
     )
 
 

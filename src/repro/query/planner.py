@@ -38,7 +38,12 @@ from dataclasses import dataclass, field
 
 from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
-from repro.query.answer import QueryStats, answer_cure_query, tt_source_ids
+from repro.query.answer import (
+    QueryStats,
+    answer_cure_query,
+    node_shape,
+    tt_source_ids,
+)
 from repro.query.cache import CachedResult, FactCache, ResultCache, ResultKey
 from repro.query.column_answer import ColumnAnswer
 from repro.query.iceberg import count_filter, iceberg_over_cure
@@ -124,7 +129,7 @@ class CubePlanner:
     def _estimated_tuples(self, node: CubeNode) -> int:
         storage = self.storage
         total = 0
-        node_id = storage.schema.node_id(node)
+        node_id = node_shape(storage.schema, node).node_id
         store = storage.get_node_store(node_id)
         if store is not None:
             total += store.nt_count + store.cat_count
@@ -168,14 +173,18 @@ class CubePlanner:
 
     def key(self, request: QueryRequest) -> ResultKey:
         """The result-cache key of ``request``."""
-        node_id = self.storage.schema.node_id(request.node)
+        node_id = node_shape(self.storage.schema, request.node).node_id
         return node_id, request.slices, request.tag
 
-    def entry(self, request: QueryRequest, record: bool = True) -> CachedResult:
-        """The result-cache entry answering ``request``.
+    def entry(
+        self, request: QueryRequest, record: bool = True
+    ) -> tuple[ResultKey, CachedResult]:
+        """The result-cache key of ``request`` and the entry answering it.
 
         The lookup registers one hit or miss (none when ``record`` is
-        false); a miss computes the answer and admits it.  A roll-up
+        false); a miss computes the answer and admits it.  The key comes
+        back so a caller can attach the entry's body without deriving it
+        again (:meth:`~repro.query.cache.ResultCache.attach_body`).  A roll-up
         reads its base answer as an entry of its own, uncounted: every
         roll-up over the same grouping dimensions shares it, and the
         request has registered its one count.  A base larger than the
@@ -189,11 +198,11 @@ class CubePlanner:
             entry = CachedResult(self._compute(request, cached=True))
             if results is not None and (record or results.holds(entry)):
                 results.put(node_id, slices, entry.answer, tag)
-        return entry
+        return key, entry
 
     def answer(self, request: QueryRequest) -> ColumnAnswer:
         """The answer to ``request``, through the result cache."""
-        return self.entry(request).answer
+        return self.entry(request)[1].answer
 
     def execute(
         self, request: QueryRequest, stats: QueryStats | None = None
@@ -214,7 +223,7 @@ class CubePlanner:
         storage, cache, node = self.storage, self.cache, request.node
         if strategy == "rollup":
             if cached:
-                base_answer = self.entry(QueryRequest(base), record=False).answer
+                base_answer = self.entry(QueryRequest(base), record=False)[1].answer
             else:
                 base_answer = answer_cure_query(storage, cache, base, stats)
             rolled = rollup_base_answer(storage.schema, base_answer, node)

@@ -23,8 +23,8 @@ from repro.baselines.buc import BucCube
 from repro.core.model import CubeSchema
 from repro.core.segments import (
     aggregate_ufuncs,
+    pack_keys,
     reduce_columns,
-    rollup_key,
     sort_groups,
 )
 from repro.lattice.node import CubeNode
@@ -32,20 +32,14 @@ from repro.query.answer import (
     QueryStats,
     answer_bubst_query,
     answer_buc_query,
+    node_shape,
 )
 from repro.query.column_answer import ColumnAnswer
-from repro.query.vector import level_map
 
 
 def base_node_of(schema: CubeSchema, node: CubeNode) -> CubeNode:
     """The base-level node with the same grouping dimensions as ``node``."""
-    grouping = set(node.grouping_dims(schema.dimensions))
-    return CubeNode(
-        tuple(
-            0 if d in grouping else schema.dimensions[d].all_level
-            for d in range(schema.n_dimensions)
-        )
-    )
+    return node_shape(schema, node).base
 
 
 def rollup_base_answer(
@@ -54,33 +48,39 @@ def rollup_base_answer(
     """Re-aggregate a base-level node answer up to ``node``'s levels.
 
     The build's group-by kernel does it (:mod:`repro.core.segments`):
-    grouping codes map up through the dimensions' level maps into one
-    packed key, one stable sort groups it, and each aggregate column
-    merges with its function's segmented ``ufunc.reduceat`` — the batch
-    dual of pairwise ``merge``.  Groups come out in key order, which is
-    the canonical order of the answer.
+    grouping codes map up through the node's level maps into one packed
+    key, one stable sort groups it, and each aggregate column merges
+    with its function's segmented ``ufunc.reduceat`` — the batch dual of
+    pairwise ``merge``.  Groups come out in key order, which is the
+    canonical order of the answer.
     """
     if not schema.all_distributive:
         raise ValueError(
             "on-the-fly roll-up needs distributive aggregates; a holistic "
             "aggregate cannot be recomputed from base-level partials"
         )
-    grouping = node.grouping_dims(schema.dimensions)
-    y = schema.n_aggregates
+    shape = node_shape(schema, node)
+    arity = len(shape.grouping)
     if not len(base_answer):
-        return ColumnAnswer.empty(len(grouping), y)
-    dimensions = [schema.dimensions[d] for d in grouping]
-    levels = [node.levels[d] for d in grouping]
-    key_of = rollup_key(dimensions, levels)
-    order, _, starts = sort_groups(key_of(base_answer.dims))
-    first = base_answer.dims[order[starts]]  # one base row per group
-    rolled = np.empty_like(first)
-    for i, (dimension, level) in enumerate(zip(dimensions, levels)):
-        rolled[:, i] = level_map(dimension, level)[first[:, i]]
-    merged = reduce_columns(
-        aggregate_ufuncs(schema), base_answer.aggregates[order], starts
+        return ColumnAnswer.empty(arity, schema.n_aggregates)
+    columns = [
+        codes if level_map is None else level_map[codes]
+        for codes, level_map in zip(base_answer.dims.T, shape.maps)
+    ]
+    key = (
+        pack_keys(columns, shape.cardinalities) if columns
+        else np.zeros(len(base_answer), dtype=np.int64)
     )
-    return ColumnAnswer(len(grouping), y, rolled, merged)
+    order, _, starts = sort_groups(key)
+    first = order[starts]  # one base row per group
+    rows = np.empty((len(starts), arity + schema.n_aggregates), dtype=np.int64)
+    for i, codes in enumerate(columns):
+        rows[:, i] = codes[first]
+    ordered = np.take(base_answer.matrix(), order, axis=0)  # whole rows: faster
+    rows[:, arity:] = reduce_columns(
+        aggregate_ufuncs(schema), ordered[:, arity:], starts
+    )
+    return ColumnAnswer.of_rows(arity, rows)
 
 
 def answer_rollup_from_buc(

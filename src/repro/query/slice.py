@@ -38,11 +38,11 @@ from repro.lattice.node import CubeNode
 from repro.query.answer import (
     QueryStats,
     answer_cure_query,
+    node_shape,
     read_node_relations,
 )
 from repro.query.cache import FactCache
 from repro.query.column_answer import ColumnAnswer
-from repro.query.vector import level_map
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def canonical_slices(
 
 def validate_slices(schema, node: CubeNode, slices) -> None:
     """Raise ``ValueError`` unless ``node`` can take every slice."""
-    grouping = set(node.grouping_dims(schema.dimensions))
+    grouping = node_shape(schema, node).grouping
     for item in slices:
         dimension = schema.dimensions[item.dim]
         if item.dim not in grouping:
@@ -97,10 +97,10 @@ def _accepted_base_mask(schema, item: DimensionSlice) -> np.ndarray:
     """Boolean mask over base-level codes: those whose ``item.level``
     image is accepted (member codes out of range accept nothing)."""
     dimension = schema.dimensions[item.dim]
-    members = np.fromiter(item.members, dtype=np.int64)
-    accepted = np.zeros(dimension.cardinality(item.level), dtype=np.bool_)
-    accepted[members[(members >= 0) & (members < len(accepted))]] = True
-    return accepted[level_map(dimension, item.level)]
+    cardinality = dimension.cardinality(item.level)
+    accepted = np.zeros(cardinality, dtype=np.bool_)
+    accepted[[m for m in item.members if 0 <= m < cardinality]] = True
+    return accepted[dimension.level_maps[item.level]]
 
 
 def prefilters(storage: CubeStorage, cache: FactCache) -> bool:
@@ -139,7 +139,7 @@ def answer_cure_sliced(
         for item in slices
     ]
 
-    def keep(rowids: np.ndarray, _aggregates) -> np.ndarray:
+    def keep(rowids: np.ndarray) -> np.ndarray:
         # Every stored row-id belongs to the tuple's source group; all
         # group members share the grouping dimensions' values, so the
         # representative fact row's member decides the whole tuple.
@@ -159,15 +159,13 @@ def slice_mask(schema, node: CubeNode, slices, dims: np.ndarray) -> np.ndarray:
     boolean array over its codes; a row passes when every slice's array
     is ``True`` at its code — one gather per slice.
     """
-    position_of = {
-        dim: i for i, dim in enumerate(node.grouping_dims(schema.dimensions))
-    }
+    grouping = node_shape(schema, node).grouping
     mask = np.ones(len(dims), dtype=np.bool_)
     for item in slices:
         dimension = schema.dimensions[item.dim]
         node_level = node.levels[item.dim]
         accepted = np.zeros(dimension.cardinality(node_level), dtype=np.bool_)
         base = _accepted_base_mask(schema, item)
-        accepted[level_map(dimension, node_level)[base]] = True
-        mask &= accepted[dims[:, position_of[item.dim]]]
+        accepted[dimension.level_maps[node_level][base]] = True
+        mask &= accepted[dims[:, grouping.index(item.dim)]]
     return mask

@@ -150,13 +150,11 @@ class SlicerApp:
 
     def _answer_body(self, request: QueryRequest) -> bytes:
         """The request's canonical body, rendered at most once per entry."""
-        entry = self.planner.entry(request)
+        key, entry = self.planner.entry(request)
         if entry.body is not None:
             return entry.body
         body = encode_request(self.schema, request, entry.answer)
-        self.results.attach_body(
-            *self.planner.key(request), entry.answer, body
-        )
+        self.results.attach_body(*key, entry.answer, body)
         return body
 
     def connection_opened(self) -> None:
@@ -190,6 +188,8 @@ class SlicerApp:
 
     def _nodes(self, params: dict[str, list[str]]) -> bytes:
         limit = self._parse_int(params.get("limit", ["0"])[0], "limit")
+        if limit < 0:
+            raise BadRequest(f"limit must not be negative, got {limit}")
         schema = self.schema
         nodes = []
         for node in schema.lattice.nodes():

@@ -14,14 +14,14 @@ Canonical means deterministic everywhere a choice exists:
   answers holding the same rows in different production orders (another
   planner strategy, another storage backend) encode identically;
 * keys are sorted and separators compact, so two ``dict`` layouts cannot
-  differ.  ``rows``, the last key in that order and nearly all of the
-  bytes, is the sorted int64 matrix serialized by ``orjson`` in C and
-  spliced in behind the metadata.  The metadata stays on
-  ``json.dumps(sort_keys=True)``: it ``\\u``-escapes non-ASCII dimension
-  and level names, which ``orjson`` cannot, and it is a few hundred
-  bytes.  For an all-integer array the two agree byte for byte
-  (``tests/support/reference_encoding.py`` keeps the row-at-a-time
-  ``json.dumps`` of the whole payload as the oracle for these bytes).
+  differ.  What does not depend on the request — ``aggregates``,
+  ``groups``, ``levels``, ``node`` — is rendered once per node by
+  ``json.dumps`` (which ``\\u``-escapes non-ASCII names, as ``orjson``
+  cannot) into its :class:`~repro.query.answer.NodeShape`.  A body
+  renders ``count``, ``kind`` and ``params``, and ``rows``, nearly all
+  of the bytes, by ``orjson`` in C, which writes integers as
+  ``json.dumps`` does (``tests/support/reference_encoding.py`` keeps the
+  row-at-a-time ``json.dumps`` of the whole payload as the oracle).
 
 :func:`decode_answer` inverts the encoding back into a
 :class:`ColumnAnswer` plus its metadata — what an HTTP client (and the
@@ -38,6 +38,7 @@ import orjson
 
 from repro.core.model import CubeSchema
 from repro.lattice.node import CubeNode
+from repro.query.answer import node_shape
 from repro.query.column_answer import ColumnAnswer
 from repro.query.planner import QueryRequest
 
@@ -56,30 +57,21 @@ def encode_answer(
     the caller must pass JSON-serializable values with deterministic
     ordering (lists, not sets).
     """
-    grouping = node.grouping_dims(schema.dimensions)
-    payload: dict[str, Any] = {
-        "kind": kind,
-        "node": schema.node_id(node),
-        "levels": list(node.levels),
-        "groups": [
-            f"{schema.dimensions[d].name}."
-            f"{schema.dimensions[d].level(node.levels[d]).name}"
-            for d in grouping
-        ],
-        "aggregates": [spec.name for spec in schema.aggregates],
-        "count": len(answer),
-    }
+    shape = node_shape(schema, node)
+    head, groups, levels = shape.body
+    parts = [head, b"%d" % len(answer), groups, canonical_json(kind), levels]
     if params:
-        payload["params"] = params
-    # "rows" sorts after every other key, so it goes in front of the
-    # closing brace of the key-sorted metadata.
-    rows = np.hstack((answer.dims, answer.aggregates))[answer.sort_order()]
-    return b'%s,"rows":%s}' % (
-        canonical_json(payload)[:-1],
-        orjson.dumps(
-            np.ascontiguousarray(rows, dtype=np.int64),
-            option=orjson.OPT_SERIALIZE_NUMPY,
-        ),
+        parts += [b',"params":', canonical_json(params)]
+    parts += [b',"rows":', _rows_json(answer), b"}"]
+    return b"".join(parts)
+
+
+def _rows_json(answer: ColumnAnswer) -> bytes:
+    """``answer``'s rows in canonical order, as a JSON array of arrays."""
+    rows = answer.normalized().matrix()
+    return orjson.dumps(
+        np.ascontiguousarray(rows, dtype=np.int64),
+        option=orjson.OPT_SERIALIZE_NUMPY,
     )
 
 
@@ -105,7 +97,7 @@ def encode_request(
     return encode_answer(schema, request.node, answer, kind, params)
 
 
-def canonical_json(payload: dict[str, Any]) -> bytes:
+def canonical_json(payload: object) -> bytes:
     """Compact, key-sorted JSON — the only JSON this server emits."""
     return json.dumps(
         payload, sort_keys=True, separators=(",", ":")
@@ -115,13 +107,6 @@ def canonical_json(payload: dict[str, Any]) -> bytes:
 def decode_answer(body: bytes) -> tuple[dict[str, Any], ColumnAnswer]:
     """Invert :func:`encode_answer`: metadata plus the columnar answer."""
     payload = json.loads(body.decode("utf-8"))
-    arity = len(payload["groups"])
-    n_aggregates = len(payload["aggregates"])
-    pairs = [
-        (tuple(row[:arity]), tuple(row[arity:]))
-        for row in payload["rows"]
-    ]
-    answer = ColumnAnswer.from_pairs(
-        pairs, arity=arity, n_aggregates=n_aggregates
-    )
-    return payload, answer
+    width = len(payload["groups"]) + len(payload["aggregates"])
+    rows = np.array(payload["rows"], dtype=np.int64).reshape(-1, width)
+    return payload, ColumnAnswer.of_rows(len(payload["groups"]), rows)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator, MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -61,6 +62,14 @@ class _MappedNodes(MutableMapping[int, NodeStore]):
                 if self._file.has(name):
                     sections[relation] = _section(self._file, name)
             store = self._stores[node_id] = NodeStore(**sections)
+        return store
+
+    def get(self, node_id: int, default: Any = None) -> Any:
+        # Every read looks its stores up: skip ``Mapping.get``'s
+        # ``KeyError`` round trip once a store is built.
+        store = self._stores.get(node_id)
+        if store is None:
+            return self[node_id] if node_id in self._stores else default
         return store
 
     def __setitem__(self, node_id: int, store: NodeStore) -> None:

@@ -276,7 +276,6 @@ def test_level_maps_die_with_the_dimension():
 
     from repro import CubeSchema, make_aggregates
     from repro.core.workingset import WorkingSet
-    from repro.query.vector import level_map
     from tests.support.recursive_baselines import level_keys
 
     dimension = linear_dimension("D", [("d0", 8), ("d1", 2)])
@@ -289,8 +288,7 @@ def test_level_maps_die_with_the_dimension():
         np.arange(8, dtype=np.int64),
     )
     keys = level_keys(working, 0, 1, np.arange(8))
-    assert keys.tolist() == level_map(dimension, 1).tolist()
-    assert level_map(dimension, 1) is dimension.level_maps[1]
+    assert keys.tolist() == dimension.level_maps[1].tolist()
     gone = weakref.ref(dimension)
     del dimension, schema, working, keys
     gc.collect()

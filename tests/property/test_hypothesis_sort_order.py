@@ -1,20 +1,28 @@
-"""Property tests: ``ColumnAnswer``'s packed-key order is ``sorted(pairs)``.
+"""Property tests: ``ColumnAnswer``'s order is ``sorted(pairs)``.
 
-:meth:`~repro.query.column_answer.ColumnAnswer.sort_order` packs the dims
-columns and the row position into one int64 key and sorts it in place;
-the reference is Python's ``sorted`` over the answer's pairs.  The
-answers exercise each path: distinct dims rows (the packed key),
-duplicate dims rows that only the aggregates order (the fallback),
-negative codes, int64 extremes and spans wider than 62 bits (the
-fallback), arity 0, and answers of 0 and 1 rows.
+Above ``LEXSORT_ROWS`` rows
+:meth:`~repro.query.column_answer.ColumnAnswer.sort_order` packs the
+dims columns and the row position into one int64 key and sorts it in
+place (no order at all when the keys already ascend); up to it, and as
+the fallback, one ``np.lexsort`` over every column is the order.  Every
+draw runs with the cut at 0 and above the answer's size, so both
+strategies meet the same answers; the reference is Python's ``sorted``
+over the answer's pairs.  The answers exercise each path: distinct dims
+rows (the packed key), rows already ascending, duplicate dims rows that
+only the aggregates order (the fallback), negative codes, int64
+extremes and spans wider than 62 bits (the fallback), arity 0, and
+answers of 0 and 1 rows.
 """
 
 from __future__ import annotations
+
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import example, given, settings
 
+from repro.query import column_answer
 from repro.query.column_answer import ColumnAnswer
 
 I64 = np.iinfo(np.int64)
@@ -72,6 +80,7 @@ def _answer(dims, aggregates, arity, n_aggregates) -> ColumnAnswer:
 @example(_answer([[], [], []], [[2], [1], [2]], 0, 1))  # arity 0
 @example(_answer([[1, 2], [1, 2], [0, 5]], [[9], [4], [0]], 2, 1))  # ties
 @example(_answer([[4, 4], [4, 4]], [[1], [0]], 2, 1))  # constant dims
+@example(_answer([[0, 1], [0, 2], [3, 0]], [[5], [0], [9]], 2, 1))  # ascending
 @example(_answer([[-5, 3], [-7, 3], [2, -9]], [[0], [0], [0]], 2, 1))
 @example(  # a span of 2⁶⁴ - 1: the fallback
     _answer([[I64.max, 0], [I64.min, 1]], [[0], [1]], 2, 1)
@@ -86,7 +95,9 @@ def _answer(dims, aggregates, arity, n_aggregates) -> ColumnAnswer:
 @given(answers())
 def test_normalized_is_sorted_pairs(answer):
     pairs = answer.to_pairs()
-    assert answer.normalized().to_pairs() == sorted(pairs)
-    order = answer.sort_order()
-    assert order.dtype == np.int64
-    assert sorted(order.tolist()) == list(range(len(answer)))
+    for cut in (0, len(answer)):
+        with patch.object(column_answer, "LEXSORT_ROWS", cut):
+            assert answer.normalized().to_pairs() == sorted(pairs)
+            order = answer.sort_order()
+        assert order.dtype == np.int64
+        assert sorted(order.tolist()) == list(range(len(answer)))

@@ -3,7 +3,7 @@
 Two layers of locking-in:
 
 * **Value-type laws** — construction bridges (`from_pairs`/`to_pairs`
-  round-trips, `from_parts`, `as_batch`/`from_batch`), normalized
+  round-trips, `of_rows`), normalized
   equality, and the container protocol the legacy call sites rely on.
 * **Differential equivalence** — every query entry point (node, slice,
   iceberg, rollup) over every format (CURE, CURE+, BUC, BU-BST) must
@@ -41,7 +41,6 @@ from repro.query import (
     answer_cure_sliced,
     answer_rollup_from_bubst,
     answer_rollup_from_buc,
-    answer_schema,
     iceberg_over_bubst,
     iceberg_over_buc,
     iceberg_over_cure,
@@ -50,7 +49,7 @@ from repro.query import (
 from repro.core.variants import VARIANTS
 from repro.query.planner import CubePlanner, QueryRequest
 from tests.support import row_engine
-from tests.support.rows import rows_of, table_of
+from tests.support.rows import table_of
 
 
 # -- value-type laws ----------------------------------------------------------
@@ -104,13 +103,22 @@ def test_equality_rejects_shape_mismatch():
     assert answer != other
 
 
-def test_from_parts_concatenates_and_drops_empty():
-    part_a = (np.array([[1, 2]]), np.array([[3, 4]]))
-    empty = (np.empty((0, 2)), np.empty((0, 2)))
-    part_b = (np.array([[5, 6]]), np.array([[7, 8]]))
-    answer = ColumnAnswer.from_parts(2, 2, [part_a, empty, part_b])
+def test_of_rows_views_one_matrix():
+    rows = np.array([[1, 2, 3, 4], [5, 6, 7, 8]], dtype=np.int64)
+    answer = ColumnAnswer.of_rows(2, rows)
     assert answer.to_pairs() == [((1, 2), (3, 4)), ((5, 6), (7, 8))]
-    assert ColumnAnswer.from_parts(2, 2, []) == ColumnAnswer.empty(2, 2)
+    assert answer.matrix() is rows
+    assert np.shares_memory(answer.dims, rows)
+    assert np.shares_memory(answer.aggregates, rows)
+    # a transformation keeps one matrix; an answer built from two
+    # matrices stacks them
+    assert answer.take(np.array([1])).matrix().tolist() == [[5, 6, 7, 8]]
+    assert ColumnAnswer.from_pairs(PAIRS).matrix().tolist() == [
+        list(d + a) for d, a in PAIRS
+    ]
+    assert ColumnAnswer.of_rows(0, np.empty((0, 2), dtype=np.int64)) == (
+        ColumnAnswer.empty(0, 2)
+    )
 
 
 def test_misaligned_matrices_rejected():
@@ -118,14 +126,6 @@ def test_misaligned_matrices_rejected():
         ColumnAnswer(2, 1, np.zeros((2, 2)), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         ColumnAnswer(2, 1, np.zeros((2, 3)), np.zeros((2, 1)))
-
-
-def test_batch_bridge_roundtrip():
-    answer = ColumnAnswer.from_pairs(PAIRS)
-    batch = answer.as_batch()
-    assert batch.schema == answer_schema(2, 2)
-    assert rows_of(batch) == [d + a for d, a in PAIRS]
-    assert ColumnAnswer.from_batch(batch, 2) == answer
 
 
 def test_filter_and_take():

@@ -13,14 +13,27 @@ import pytest
 
 from repro import CubeSchema, Table, linear_dimension, make_aggregates
 from repro.bundle import CubeBundle, open_bundle, save_bundle
+from repro.core.signature import SignaturePool
 from repro.core.variants import VARIANTS
 from repro.query import CubePlanner, FactCache
+from repro.relational import Catalog, Engine
+from repro.relational.memory import MemoryManager
 from tests.support.rows import table_of
 
-#: The variants the serving layer is locked against.  DR cubes are
-#: exercised elsewhere; the slicer serves any bundle, but the paper's
-#: headline family is CURE, CURE+ and the flat-cube FCURE.
+#: The CURE+ cube built under a memory budget: a 1,000-signature pool
+#: plus 3,000 B leaves the 400 serving rows to four partitions.
+PARTITIONED = "CURE+ partitioned"
+
+#: The paper's headline family: CURE, CURE+ and the flat-cube FCURE.
 SERVED_VARIANTS = ("CURE", "CURE+", "FCURE")
+#: Every variant the HTTP differential holds to the library and the row
+#: engine: the headline family plus the two the reader reads
+#: differently — CURE_DR, whose NTs carry their dimension values inline
+#: (so its slices post-filter), and a CURE+ cube built in partitions,
+#: whose TT source chains are cut at construction-phase boundaries.  On
+#: these 400 rows no ancestor that the cut drops holds a TT, so the cut
+#: itself changes no answer here.
+ALL_SERVED = (*SERVED_VARIANTS, "CURE_DR", PARTITIONED)
 
 
 def serving_schema() -> CubeSchema:
@@ -53,10 +66,13 @@ def served_bundles(tmp_path_factory):
     schema = serving_schema()
     fact = serving_fact(schema)
     bundles = {}
-    for name in SERVED_VARIANTS:
-        result, _ = VARIANTS[name].build(schema, table=fact)
+    for name in ALL_SERVED:
+        if name == PARTITIONED:
+            result = _partitioned_build(root / "engine", schema, fact)
+        else:
+            result, _ = VARIANTS[name].build(schema, table=fact)
         path = save_bundle(
-            root / name.replace("+", "_plus"),
+            root / name.replace("+", "_plus").replace(" ", "_"),
             schema,
             fact,
             result.storage,
@@ -66,6 +82,19 @@ def served_bundles(tmp_path_factory):
     yield bundles
     for bundle in bundles.values():
         bundle.close()
+
+
+def _partitioned_build(directory, schema: CubeSchema, fact: Table):
+    config = VARIANTS["CURE+"].with_pool(1_000)
+    budget = SignaturePool.size_bytes(1_000, schema.n_aggregates) + 3_000
+    engine = Engine(Catalog(directory), MemoryManager(budget))
+    try:
+        engine.store_table("fact", fact)
+        result, _ = config.build(schema, engine=engine, relation="fact")
+    finally:
+        engine.destroy()
+    assert result.storage.partition_level is not None
+    return result
 
 
 def heap_planner(bundle: CubeBundle) -> CubePlanner:

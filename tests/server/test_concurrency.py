@@ -15,7 +15,6 @@ import threading
 
 import numpy as np
 
-from repro.query.vector import level_map
 from repro.query.workload import mixed_workload
 from repro.server.app import SlicerApp
 from repro.server.replay import op_path
@@ -121,7 +120,7 @@ def test_level_map_memo_is_safe_under_barrier_start(served_bundles):
         maps = []
         for dimension in schema.dimensions:
             for level in range(dimension.n_levels_with_all - 1):
-                maps.append((dimension, level, level_map(dimension, level)))
+                maps.append((dimension, level, dimension.level_maps[level]))
         witnessed[index] = maps
 
     _race(N_THREADS, worker)

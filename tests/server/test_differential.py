@@ -5,7 +5,9 @@ is compared against an in-process computation over a *fresh* planner
 (:func:`repro.server.replay.replay_op`), rendered through the same
 canonical encoder.  Routing, parameter parsing, planner strategy choice,
 shared-cache reuse and JSON rendering all have to agree, across CURE,
-CURE+ and FCURE, for these to pass — and the served bytes must also be
+CURE+, FCURE, CURE_DR and a partitioned CURE+ build
+(``tests/server/conftest.py``), for these to pass — and the served
+bytes must also be
 what the tuple-at-a-time oracle (``tests/support/row_engine.py``) gives
 when its pairs go through the row-at-a-time reference encoder.  The
 server and the library share the planner, so the checks that stand
@@ -26,7 +28,7 @@ from repro.server.app import SlicerApp
 from repro.server.encoding import decode_answer, encode_answer
 from repro.server.replay import execute_op, op_path, replay_op
 from tests.server.conftest import (
-    SERVED_VARIANTS,
+    ALL_SERVED,
     heap_planner,
     serving_fact,
     wsgi_get,
@@ -46,7 +48,7 @@ def apps(served_bundles):
 # -- byte identity -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", SERVED_VARIANTS)
+@pytest.mark.parametrize("variant", ALL_SERVED)
 def test_every_node_answer_is_byte_identical(variant, apps):
     app = apps[variant]
     schema = app.schema
@@ -63,7 +65,7 @@ def test_every_node_answer_is_byte_identical(variant, apps):
         assert body == expected, node.label(schema.dimensions)
 
 
-@pytest.mark.parametrize("variant", SERVED_VARIANTS)
+@pytest.mark.parametrize("variant", ALL_SERVED)
 def test_mixed_workload_differential(variant, apps):
     app = apps[variant]
     schema = app.schema
@@ -78,18 +80,19 @@ def test_row_mode_library_agrees_with_server(apps):
     # The server answers through the columnar reader and encoder; the
     # row-engine oracle, rendered by the reference encoder, shares
     # neither and must still produce the same bytes — pre-filtering
-    # over the mapped fact columns and post-filtering over the heap.
-    app = apps["CURE"]
-    schema = app.schema
-    for reference in (app.bundle.planner(), heap_planner(app.bundle)):
-        for op in mixed_workload(schema, 30, seed=29):
-            _, body = wsgi_get(app, op_path(schema, op))
-            pairs = row_engine.execute_op(reference, op)
-            assert body == reference_encode_op(schema, op, pairs), op
-            assert body == replay_op(reference, op), op
+    # over the mapped fact columns and post-filtering over the heap,
+    # for every served variant.
+    for variant, app in apps.items():
+        schema = app.schema
+        for reference in (app.bundle.planner(), heap_planner(app.bundle)):
+            for op in mixed_workload(schema, 30, seed=29):
+                _, body = wsgi_get(app, op_path(schema, op))
+                pairs = row_engine.execute_op(reference, op)
+                assert body == reference_encode_op(schema, op, pairs), (variant, op)
+                assert body == replay_op(reference, op), (variant, op)
 
 
-@pytest.mark.parametrize("variant", SERVED_VARIANTS)
+@pytest.mark.parametrize("variant", ALL_SERVED)
 def test_iceberg_rows_follow_the_definition(variant, apps):
     # HAVING COUNT(*) >= min over the fact rows, for every node — those
     # a flat cube does not store included — and not against another
@@ -120,7 +123,7 @@ def test_every_variant_serves_every_slice_alike(apps):
         for dim, dimension in enumerate(schema.dimensions):
             for level in range(dimension.n_levels):
                 path = f"/slice/{schema.node_id(node)}?where={dim}.{level}:0"
-                served = {wsgi_get(apps[v], path) for v in SERVED_VARIANTS}
+                served = {wsgi_get(apps[v], path) for v in ALL_SERVED}
                 assert len(served) == 1, path
 
 
@@ -176,6 +179,18 @@ def test_nodes_listing(apps):
     assert ids == sorted(set(ids))
     _, limited = wsgi_get(app, "/nodes?limit=3")
     assert len(json.loads(limited)["nodes"]) == 3
+
+
+def test_a_negative_node_limit_is_a_bad_request(apps):
+    app = apps["CURE"]
+    for limit in ("-1", "-7"):
+        status, body = wsgi_get(app, f"/nodes?limit={limit}")
+        assert status == "400 Bad Request"
+        assert "limit" in json.loads(body)["error"]
+    # zero still means no limit
+    _, body = wsgi_get(app, "/nodes?limit=0")
+    listing = json.loads(body)
+    assert len(listing["nodes"]) == listing["n_nodes"]
 
 
 def test_stats_expose_cache_counters(apps):

@@ -136,7 +136,7 @@ def test_any_target_gets_a_status_and_a_json_body(app, target):
         ("/slice/3", "400 Bad Request"),
         ("/iceberg/3?min=99999999999999999999", "200 OK"),
         ("/iceberg/3?min=-99999999999999999999", "200 OK"),
-        ("/nodes?limit=-1", "200 OK"),
+        ("/nodes?limit=-1", "400 Bad Request"),
         ("/nodes?limit=%31", "200 OK"),
         ("/node/%33", "200 OK"),
         ("/node/3?where=0.0:1", "400 Bad Request"),

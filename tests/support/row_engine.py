@@ -494,6 +494,12 @@ def execute_op(planner, op) -> Pairs:
             schema, answer_request(planner, QueryRequest.of(base)), op.node
         )
     if op.kind == "iceberg":
+        plan = planner.plan(op.request())
+        if plan.strategy == "rollup":  # a node a flat cube does not store
+            count = schema.count_aggregate_index()
+            base_answer = answer_request(planner, QueryRequest.of(plan.source_node))
+            rolled = rollup_base_answer(schema, base_answer, op.node)
+            return [pair for pair in rolled if pair[1][count] >= op.min_count]
         return iceberg_over_cure(
             planner.storage, planner.cache, op.node, op.min_count
         )
