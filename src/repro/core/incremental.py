@@ -58,11 +58,16 @@ loop of array calls per node.
 4. *Batches.*  NT merges, CAT demotions and new groups are computed on
    arrays for all nodes together; only the write-back loops over nodes,
    replacing each changed relation by a fresh array
-   (``ArrayRelation.replace``).
+   (``ArrayRelation.replace``).  The added NT and TT rows go in at
+   their row-ids' places — one ``searchsorted`` over every node's
+   (position, row-id) keys, and one ``take`` per changed relation — so
+   the relations of a CURE+ cube stay in row-id order and the CURE+
+   pass the ingestor re-runs after a delta finds nothing to sort.
 
 What is still proportional to stored rows: concatenating every node's
-relations, the sieve over every stored row-id, and the write-back's copy
-of each changed relation.  What is proportional to the delta: the
+relations, the sieve over every stored row-id, the write-back's keys and
+interleaving order over every stored NT and TT row, and its copy of each
+changed relation.  What is proportional to the delta: the
 ``N·k`` probes, the keys past the sieve, and the merges.
 
 After many updates the cube drifts from the fully condensed form (demoted
@@ -199,10 +204,11 @@ def apply_delta(
     # already cleared.
     delta = validate_delta(schema, delta_rows)
 
-    # A CURE+ cube relies on sorted row-id lists; updates append out of
-    # order, so the plus property goes (re-run
-    # :func:`repro.core.postprocess.postprocess_plus` afterwards to
-    # restore it).
+    # A CURE+ cube relies on sorted row-id lists.  The merger inserts
+    # each added row at its row-id's place, so a sorted relation stays
+    # sorted, but the flag goes until
+    # :func:`repro.core.postprocess.postprocess_plus` has checked every
+    # relation (and sorted any that falls) again.
     storage.plus_processed = False
 
     base_rowid = len(fact_table)
@@ -544,9 +550,10 @@ class _DeltaMerger:
         report.new_tts += len(new_tts)
 
         # Write back, node by node: fresh arrays (never the ones a query
-        # was handed), in the order the relations are read.
-        added_nt, added_nt_offsets = _by_position(
-            n_nodes,
+        # was handed), each added row put before the first stored one
+        # with a larger row-id, so a CURE+ cube's relations stay in
+        # row-id order.
+        added_nt, added_nt_at = _by_position(
             (
                 self._merged(
                     became_rowids, self._singletons(became_rowids), became_group
@@ -561,8 +568,7 @@ class _DeltaMerger:
                 self.group_position[several],
             ),
         )
-        added_tt, added_tt_offsets = _by_position(
-            n_nodes,
+        added_tt, added_tt_at = _by_position(
             (stay_rowids, stay_at),
             (self.group_rowid[new_tts], self.group_position[new_tts]),
         )
@@ -570,31 +576,69 @@ class _DeltaMerger:
         keep_trivial[devalued] = False
         keep_common = np.ones(len(common), dtype=np.bool_)
         keep_common[demoted] = False
+        nts, nt_order, nt_offsets = self._inserted(
+            normal, normal_at, added_nt, added_nt_at
+        )
+        tts, tt_order, tt_offsets = self._inserted(
+            trivial[keep_trivial], trivial_at[keep_trivial], added_tt, added_tt_at
+        )
         rewrites = _offsets(normal_at[rewritten], n_nodes)
+        added_nts = _offsets(added_nt_at, n_nodes)
         demotions = _offsets(common_at[demoted], n_nodes)
         devaluations = _offsets(trivial_at[devalued], n_nodes)
+        added_tts = _offsets(added_tt_at, n_nodes)
         for position, store in enumerate(stores):
             here = slice(position, position + 2)
             r0, r1 = rewrites[here]
-            n0, n1 = normal_offsets[here]
-            a0, a1 = added_nt_offsets[here]
+            a0, a1 = added_nts[here]
             d0, d1 = demotions[here]
             c0, c1 = common_offsets[here]
             v0, v1 = devaluations[here]
-            t0, t1 = trivial_offsets[here]
-            s0, s1 = added_tt_offsets[here]
+            s0, s1 = added_tts[here]
             if r0 < r1 or a0 < a1:
                 store.nt.replace(
-                    np.concatenate((normal[n0:n1], added_nt[a0:a1]))
+                    np.take(nts, nt_order[slice(*nt_offsets[here])], axis=0)
                 )
             if d0 < d1:
                 store.cat.replace(common[c0:c1][keep_common[c0:c1]])
             if v0 < v1 or s0 < s1:
-                store.tt.replace(
-                    np.concatenate(
-                        (trivial[t0:t1][keep_trivial[t0:t1]], added_tt[s0:s1])
-                    )
-                )
+                store.tt.replace(np.take(tts, tt_order[slice(*tt_offsets[here])]))
+
+    def _inserted(
+        self,
+        rows: np.ndarray,
+        at: np.ndarray,
+        added: np.ndarray,
+        added_at: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """``added`` rows (grouped by plan position ``added_at``, by
+        row-id within one) put into the stored ``rows`` (grouped by
+        ``at``), each before the first row of its node with a larger
+        row-id: a node whose rows ascend by row-id still does.  One
+        ``searchsorted`` over (position, row-id) keys finds the places —
+        every row-id is below the fact row count, so the keys of one
+        node's rows sit between those of the nodes around it, in order
+        or not.  Returns ``rows`` and ``added`` stacked, the order that
+        interleaves them (each added row at its place, shifted by the
+        added rows before it; the stored rows, in turn, in the rest) and
+        its node offsets: node ``i``'s new relation is one ``take`` of
+        the stack by its slice of the order."""
+        span = len(self._dim_columns[0])
+
+        def keys(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
+            return positions * span + (values if values.ndim == 1 else values[:, 0])
+
+        n, k = len(rows), len(added)
+        into = np.searchsorted(keys(rows, at), keys(added, added_at))
+        into += np.arange(k, dtype=np.int64)
+        order = np.empty(n + k, dtype=np.int64)
+        order[into] = np.arange(n, n + k, dtype=np.int64)
+        stored = np.ones(n + k, dtype=np.bool_)
+        stored[into] = False
+        order[stored] = np.arange(n, dtype=np.int64)
+        n_nodes = len(self.node_ids)
+        offsets = np.add(_offsets(at, n_nodes), _offsets(added_at, n_nodes))
+        return np.concatenate((rows, added)), order, offsets.tolist()
 
     def _devalue(
         self,
@@ -659,12 +703,11 @@ class _DeltaMerger:
 
 
 def _by_position(
-    n_nodes: int, *parts: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, list[int]]:
-    """``(rows, plan positions)`` parts as one array grouped by position
-    (parts, then rows, keep their order within a position), and its node
-    offsets."""
+    *parts: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, plan positions)`` parts as one array grouped by position,
+    by row-id (a row's first value) within one, and those positions."""
     rows = np.concatenate([part for part, _ in parts])
     positions = np.concatenate([at for _, at in parts])
-    order = stable_order(positions)
-    return rows[order], _offsets(positions[order], n_nodes)
+    order = stable_order(positions, rows if rows.ndim == 1 else rows[:, 0])
+    return np.take(rows, order, axis=0), positions[order]

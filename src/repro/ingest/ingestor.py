@@ -295,7 +295,8 @@ class StreamingIngestor:
         """Fold every sealed record past the watermark into the cube.
 
         Records apply in LSN order; after each one the CURE+ property is
-        restored (if enabled), the planner's result cache is emptied (a
+        restored (if enabled: the pass re-sorts only the relations out of
+        row-id order, and the merge leaves none), the planner's result cache is emptied (a
         record is never empty: the log refuses one at append and fails
         closed on one at read), and the drift trigger is evaluated — per
         record, so replay after a crash makes the identical compaction

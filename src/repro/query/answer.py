@@ -192,11 +192,9 @@ def read_node_relations(
     inline: np.ndarray | None = None  # a DR NT: codes, then aggregates
     # The relations whose rows dereference row-ids: their row-ids, and
     # for all but the TTs (which come last) the stored matrix and its
-    # first aggregate column.  CURE+ sorts every relation's row-ids but
-    # a format (b) CAT's, whose rows are ``unsorted``.
+    # first aggregate column.  CURE+ sorts every one of them by row-id.
     rowid_parts: list[np.ndarray] = []
     stored: list[tuple[np.ndarray, int]] = []
-    unsorted: slice | None = None
     store = storage.get_node_store(shape.node_id)
     if store is not None:
         if store.nt_count:
@@ -218,8 +216,6 @@ def read_node_relations(
             else:
                 # Format (b): node rows are ⟨R-rowid, A-rowid⟩, AGGREGATES
                 # is bare; one gather joins the A-rowids against it.
-                after_nt = len(rowid_parts[0]) if rowid_parts else 0
-                unsorted = slice(after_nt, after_nt + len(cat))
                 rowid_parts.append(cat[:, 0])
                 stored.append((np.take(shared, cat[:, 1], axis=0), 0))
     if having is None:
@@ -241,8 +237,6 @@ def read_node_relations(
     elif keep is not None and len(rowids):
         mask = keep(rowids)
     if mask is not None:
-        if unsorted is not None and not mask[unsorted].any():
-            unsorted = None
         rowids = rowids[mask]
         start = 0
         for i, (matrix, first) in enumerate(stored):
@@ -260,7 +254,7 @@ def read_node_relations(
         tail = end < len(rows)  # TT rows: aggregates from the measures
         fact = cache.fetch_batch(
             rowids,
-            storage.plus_processed and unsorted is None,
+            storage.plus_processed,
             shape.columns_with_measures if tail else shape.grouping,
         )
         for i, (codes, level_map) in enumerate(zip(fact.arrays, shape.maps)):
@@ -370,7 +364,7 @@ def answer_bubst_query(
         np.isin(rows[:, 0], sharing_ids),
         rows[:, 0] == node_id,
     )
-    kept = rows[keep]
+    kept = np.compress(keep, rows, axis=0)
     answer = ColumnAnswer(
         len(grouping),
         schema.n_aggregates,

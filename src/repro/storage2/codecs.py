@@ -18,6 +18,10 @@ format exists to make instant.
   is one widening add per column — hashing the narrow bytes and widening
   them costs less than hashing the raw bytes did — where a bit-exact
   pack would put ``bitpack_decode``'s per-plane loop on the request path.
+  A non-decreasing column (a CURE+ relation's R-rowids) is stored
+  instead as LEB128 gaps from its minimum whenever those bytes are
+  strictly fewer than its fixed width's: a *gap column*, decoded by the
+  varint limb loop and one cumulative sum.
 * **bitpack** — non-negative integers stored as ``bits`` bit-planes,
   each plane packed with ``np.packbits`` and read back eight planes to
   a byte of the narrowest word that holds ``bits`` ("Efficient
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
 
@@ -84,30 +89,41 @@ _WIDTH_LIMITS = np.array([1, 1 << 8, 1 << 16, 1 << 32], dtype=np.uint64)
 _NARROW_WIDTHS = np.array(NARROW_WIDTHS, dtype=np.int64)
 
 
-def narrow_encode(array: np.ndarray) -> tuple[bytes, dict[str, list[int]]]:
+#: A ``narrow`` section's ``extra``: ``lows`` and ``widths`` per column,
+#: and ``gaps`` when some column is a gap column.
+NarrowExtra = dict[str, list[Any]]
+
+
+def narrow_encode(array: np.ndarray) -> tuple[bytes, NarrowExtra]:
     """Encode a 1-D or 2-D int64 array; returns ``(payload, extra)``.
 
     ``extra`` is ``{"lows": […], "widths": […]}``, one entry per column
     (a 1-D array is one column): column ``j`` is ``rows`` little-endian
     unsigned ``widths[j]``-byte offsets from ``lows[j]``, the columns
     concatenated in order.  Width-8 columns are stored as they are and
-    record a low of 0.  The one-array case of :func:`narrow_encode_batch`.
+    record a low of 0.  A non-decreasing column whose LEB128 gaps from
+    its low (the first gap is 0) take strictly fewer bytes than its
+    width is stored as those gaps instead: its width is recorded as 0,
+    its low is its minimum, and ``extra["gaps"]`` lists ``[j, bytes]``
+    for each such column (the key is absent when there is none).  The
+    one-array case of :func:`narrow_encode_batch`.
     """
     return narrow_encode_batch([array])[0]
 
 
 def narrow_encode_batch(
     arrays: Sequence[np.ndarray],
-) -> list[tuple[bytes, dict[str, list[int]]]]:
+) -> list[tuple[bytes, NarrowExtra]]:
     """:func:`narrow_encode` of every array, in a few array passes.
 
     Arrays with rows and columns are grouped by column count, and a
     group is encoded one column at a time (so the temporaries are one
     column of the group, not the group): the column concatenated across
     the group's arrays, each array's low and high by ``reduceat``, the
-    widths looked up at once, the lows subtracted through one ``repeat``,
-    and one cast per width that occurs.  Each array's payload is then
-    its columns' byte slices of those casts.
+    widths looked up at once, the gap columns picked and written at
+    once (:func:`_gap_payloads`), the lows subtracted through one
+    ``repeat``, and one cast per width that occurs.  Each array's
+    payload is then its columns' byte slices of those casts and gaps.
     """
     matrices = []
     for array in arrays:
@@ -117,7 +133,7 @@ def narrow_encode_batch(
         matrices.append(a.reshape(-1, 1) if a.ndim == 1 else a)
     # An array with no values stores nothing; the rest are filled in by
     # group below.
-    encoded = [
+    encoded: list[tuple[bytes, NarrowExtra]] = [
         (b"", {"lows": [0] * m.shape[1], "widths": [0] * m.shape[1]})
         for m in matrices
     ]
@@ -133,6 +149,7 @@ def narrow_encode_batch(
         lows = np.empty((n_columns, len(group)), dtype=np.int64)
         widths = np.empty((n_columns, len(group)), dtype=np.int64)
         parts: list[list[bytes]] = [[] for _ in group]
+        gapped: list[list[list[int]]] = [[] for _ in group]
         column = np.empty(int(starts[-1] + lengths[-1]), dtype=np.int64)
         for j in range(n_columns):
             np.concatenate([m[:, j] for m in group], out=column)
@@ -141,6 +158,8 @@ def narrow_encode_batch(
             span = np.maximum.reduceat(column, starts).view(np.uint64)
             span -= low.view(np.uint64)
             np.take(_NARROW_WIDTHS, np.searchsorted(_WIDTH_LIMITS, span, "right"), out=width)
+            gaps = _gap_payloads(column, starts, lengths, width)
+            width[list(gaps)] = 0  # a gap column keeps its low
             low[width == 8] = 0  # stored verbatim: nothing to subtract
             column -= np.repeat(low, lengths)
             stored: dict[int, bytes] = {}
@@ -153,12 +172,84 @@ def narrow_encode_batch(
                         ).tobytes()
                     start, stop = bounds[k]
                     parts[k].append(data[start * w : stop * w])
-        for index, part, low, width in zip(
-            members, parts, lows.T.tolist(), widths.T.tolist()
+                elif k in gaps:
+                    parts[k].append(gaps[k])
+                    gapped[k].append([j, len(gaps[k])])
+        for index, part, gap, low, width in zip(
+            members, parts, gapped, lows.T.tolist(), widths.T.tolist()
         ):
-            encoded[index] = (b"".join(part), {"lows": low, "widths": width})
+            extra: NarrowExtra = {"lows": low, "widths": width}
+            if gap:
+                extra["gaps"] = gap
+            encoded[index] = (b"".join(part), extra)
             part.clear()
     return encoded
+
+
+def _gap_payloads(
+    column: np.ndarray, starts: np.ndarray, lengths: np.ndarray, widths: np.ndarray
+) -> dict[int, bytes]:
+    """The arrays of a column group stored as gap columns, and their bytes.
+
+    ``column`` is the group's column, array after array (array ``k`` is
+    ``lengths[k]`` values from ``starts[k]``), ``widths`` their fixed
+    widths.  An array qualifies when its stretch never falls and its
+    LEB128 gaps (0 first, then each value less the one before, taken
+    modulo 2⁶⁴ so any int64 span fits) are strictly fewer bytes than
+    ``lengths[k] · widths[k]`` — so only above width 1, a gap being a
+    byte at least.  The gaps' sizes come per array without encoding, as
+    :func:`encode_rowid_lists` sizes its lists, and one varint pass
+    writes the chosen arrays' gaps.
+    """
+    candidates = widths >= 2
+    if not candidates.any():
+        return {}
+    falls = np.empty(len(column), dtype=np.bool_)
+    np.less(column[1:], column[:-1], out=falls[1:])
+    falls[starts] = False
+    candidates &= ~np.logical_or.reduceat(falls, starts)
+    if not candidates.any():
+        return {}
+    picked = np.flatnonzero(candidates)
+    values, starts, lengths = _stretches(column.view(np.uint64), starts, lengths, picked)
+    gaps = np.empty(len(values), dtype=np.uint64)
+    np.subtract(values[1:], values[:-1], out=gaps[1:])
+    gaps[starts] = 0
+    # An array's gap bytes: one a value, plus the rest of its few
+    # longer varints.
+    longer = np.flatnonzero(gaps > 0x7F)
+    owners = np.searchsorted(starts, longer, side="right") - 1
+    rest = np.searchsorted(_VARINT_LIMITS, gaps[longer], side="right")
+    sizes = lengths + np.bincount(
+        owners, weights=rest, minlength=len(starts)
+    ).astype(np.int64)
+    smaller = np.flatnonzero(sizes < lengths * widths[picked])
+    if not len(smaller):
+        return {}
+    if len(smaller) == len(picked):
+        data = _varint_bytes(gaps, longer)[0].tobytes()
+    else:
+        data = _varint_bytes(_stretches(gaps, starts, lengths, smaller)[0])[0].tobytes()
+    ends = np.cumsum(sizes[smaller]).tolist()
+    return {
+        k: data[ends[i - 1] if i else 0 : ends[i]]
+        for i, k in enumerate(picked[smaller].tolist())
+    }
+
+
+def _stretches(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray, picked: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``picked`` arrays' stretches of ``values`` (array ``k`` is
+    ``lengths[k]`` values from ``starts[k]``), back to back, with their
+    starts and lengths there: ``values`` itself when every array is
+    picked, else one concatenation of slices."""
+    if len(picked) == len(starts):
+        return values, starts, lengths
+    lengths = lengths[picked]
+    bounds = zip(starts[picked].tolist(), (starts[picked] + lengths).tolist())
+    values = np.concatenate([values[start:stop] for start, stop in bounds])
+    return values, np.cumsum(lengths) - lengths, lengths
 
 
 def narrow_decode(
@@ -166,9 +257,12 @@ def narrow_decode(
     lows: list[int],
     widths: list[int],
     shape: tuple[int, ...],
+    gaps: Sequence[Sequence[int]] = (),
 ) -> np.ndarray:
     """Inverse of :func:`narrow_encode`: a C-contiguous int64 array of
-    ``shape``, widened in one pass per column."""
+    ``shape``, widened in one pass per column; ``gaps`` is the encoder's
+    ``extra.get("gaps", [])``.  A gap column's varints decode as the
+    delta codec's do (:func:`_varints`) and sum back onto its low."""
     if len(shape) not in (1, 2):
         raise CodecError(f"narrow takes 1-D or 2-D shapes, got {shape}")
     rows = shape[0]
@@ -180,10 +274,29 @@ def narrow_decode(
         )
     if any(width not in NARROW_WIDTHS for width in widths):
         raise CodecError(f"narrow widths {widths} are not all in {NARROW_WIDTHS}")
-    if sum(widths) * rows != len(data):
+    gap_bytes: dict[int, int] = {}
+    if not isinstance(gaps, (list, tuple)):
+        raise CodecError(f"narrow gaps {gaps!r} are not a list of pairs")
+    for gap in gaps:
+        if (
+            not isinstance(gap, (list, tuple))
+            or len(gap) != 2
+            or any(type(value) is not int for value in gap)
+            or not 0 <= gap[0] < n_columns
+            or gap[0] in gap_bytes
+            or widths[gap[0]]
+            or gap[1] < 0
+        ):
+            raise CodecError(
+                f"narrow gaps {list(gaps)} are not [column, bytes] pairs of "
+                f"distinct width-0 columns among {n_columns}"
+            )
+        gap_bytes[gap[0]] = gap[1]
+    expected = sum(widths) * rows + sum(gap_bytes.values())
+    if expected != len(data):
         raise CodecError(
             f"narrow payload holds {len(data)} bytes, expected "
-            f"{sum(widths) * rows} for {rows} rows of widths {widths}"
+            f"{expected} for {rows} rows of widths {widths} and gaps {list(gaps)}"
         )
     try:
         bases = np.asarray(lows, dtype=np.int64).reshape(n_columns)
@@ -194,6 +307,15 @@ def narrow_decode(
         return out.reshape(shape)
     offset = 0
     for j, width in enumerate(widths):
+        if j in gap_bytes:
+            raw = np.frombuffer(data, dtype=np.uint8, count=gap_bytes[j], offset=offset)
+            # Summed modulo 2⁶⁴ straight into the column, then based: the
+            # wrapping int64 add is exact for any int64 span.
+            column = out[:, j]
+            np.cumsum(_varints(raw, rows, "narrow gap"), out=column.view(np.uint64))
+            column += bases[j]
+            offset += gap_bytes[j]
+            continue
         if width == 0:
             out[:, j] = bases[j]
             continue
@@ -312,9 +434,13 @@ def _deltas(v: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     return deltas
 
 
-def _varint_bytes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _varint_bytes(
+    z: np.ndarray, longer: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The LEB128 varints of ``z`` back to back, as a uint8 array, with
-    the index and byte count of each varint longer than one byte.
+    the index and byte count of each varint longer than one byte
+    (``longer``, the indices of ``z`` above 127, when the caller has
+    them).
 
     Every first byte is written at once; the further bytes of the few
     longer varints (a sorted list's deltas are mostly below 128) are
@@ -322,7 +448,8 @@ def _varint_bytes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     out = z.astype(np.uint8)
     out &= 0x7F
-    longer = np.flatnonzero(z > 0x7F)
+    if longer is None:
+        longer = np.flatnonzero(z > 0x7F)
     if not len(longer):
         return out, longer, longer
     wide = z[longer]
@@ -344,27 +471,40 @@ def delta_encode(values: np.ndarray) -> bytes:
 
 
 def delta_decode(data: bytes, count: int) -> np.ndarray:
-    """Inverse of :func:`delta_encode`; returns an int64 array.
+    """Inverse of :func:`delta_encode`; returns an int64 array: the
+    varints (:func:`_varints`) unzigzag and cumsum back."""
+    return np.cumsum(
+        _unzigzag(_varints(np.frombuffer(data, dtype=np.uint8), count, "delta")),
+        dtype=np.int64,
+    )
 
-    Terminator bytes (high bit clear) end the varints.  Every varint's
-    first 7-bit limb is gathered at once, then each pass ORs in the next
-    limb of only the varints that continue: as many passes as the
-    longest varint has bytes.  The zigzagged deltas cumsum back.
+
+def _varints(raw: np.ndarray, count: int, codec: str) -> np.ndarray:
+    """The ``count`` LEB128 varints filling ``raw``, as uint64.
+
+    ``count`` bytes are ``count`` one-byte varints when no high bit is
+    set: one widening cast.  Otherwise terminator bytes (high bit clear)
+    end the varints; every varint's first 7-bit limb is gathered at
+    once, then each pass ORs in the next limb of only the varints that
+    continue: as many passes as the longest varint has bytes.  Anything
+    but exactly ``count`` varints of at most 64 bits is a
+    :class:`CodecError` naming ``codec``.
     """
     if count == 0:
-        if data:
-            raise CodecError("delta payload for zero values must be empty")
-        return np.empty(0, dtype=np.int64)
-    raw = np.frombuffer(data, dtype=np.uint8)
+        if len(raw):
+            raise CodecError(f"{codec} payload for zero values must be empty")
+        return np.empty(0, dtype=np.uint64)
     if len(raw) == 0:
-        raise CodecError(f"empty delta payload for {count} values")
+        raise CodecError(f"empty {codec} payload for {count} values")
+    if len(raw) == count and int(raw.max()) < 0x80:
+        return raw.astype(np.uint64)
     ends = np.flatnonzero(raw < 0x80)
     if len(ends) != count:
         raise CodecError(
-            f"delta payload holds {len(ends)} varints, expected {count}"
+            f"{codec} payload holds {len(ends)} varints, expected {count}"
         )
     if int(ends[-1]) != len(raw) - 1:
-        raise CodecError("trailing continuation bytes in delta payload")
+        raise CodecError(f"trailing continuation bytes in {codec} payload")
     starts = np.empty(count, dtype=np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
@@ -376,11 +516,11 @@ def delta_decode(data: bytes, count: int) -> np.ndarray:
         shift += 7
         limb = raw[at]
         if shift == 63 and int(limb.max()) > 1:  # the tenth byte; no eleventh
-            raise CodecError("varint longer than 64 bits in delta payload")
+            raise CodecError(f"varint longer than 64 bits in {codec} payload")
         z[live] |= (limb & 0x7F).astype(np.uint64) << np.uint64(shift)
         more = limb >= 0x80
         live, at = live[more], at[more]
-    return np.cumsum(_unzigzag(z), dtype=np.int64)
+    return z
 
 
 # -- Roaring-style containers --------------------------------------------------

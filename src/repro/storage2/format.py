@@ -20,16 +20,19 @@ fact columns, laid out so that opening is an
 
 Every section entry records its codec, dtype, logical shape, value count
 and the SHA-256 of its payload bytes.  Int64 arrays are stored ``narrow``
-(each column at the byte width its value range needs) whenever that is
-smaller, and widen once into an int64 array the file caches; what
-``narrow`` cannot shrink stays ``raw`` and decodes as a zero-copy memmap
-view (64-byte alignment keeps the views aligned for any dtype).  The
-other compressed sections (``bitpack``/``delta``/``roaring``) likewise
-decode lazily, once, on first access.
+(each column at the byte width its value range needs, or as LEB128 gaps
+when it never falls and that is smaller) whenever that is smaller, and
+widen once into an int64 array the file caches; what ``narrow`` cannot
+shrink stays ``raw`` and decodes as a zero-copy memmap view (64-byte
+alignment keeps the views aligned for any dtype).  The other compressed
+sections (``bitpack``/``delta``/``roaring``) likewise decode lazily,
+once, on first access.
 
-Format version 2 added the ``narrow`` codec and nothing else, so this
-reader opens version 1 containers through the same code; a version 1
-reader refuses a version 2 file by its version, not by an unknown codec.
+Format version 2 added the ``narrow`` codec and version 3 its gap
+columns (``extra["gaps"]``), and neither removed anything, so this
+reader opens version 1 and 2 containers through the same code; an older
+reader refuses a newer file by its version, not by a payload it would
+misread.
 
 Integrity is *fail closed*: the header, trailer and directory are
 verified on open (so truncation and metadata corruption never produce a
@@ -72,9 +75,10 @@ from repro.storage2.codecs import (
 )
 
 MAGIC = b"CUREv2\x00\n"
-FORMAT_VERSION = 2
-#: Versions this reader opens: 2 is 1 plus the ``narrow`` codec.
-READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+#: Versions this reader opens: 2 is 1 plus the ``narrow`` codec, 3 is 2
+#: plus ``narrow``'s gap columns.
+READABLE_VERSIONS = (1, 2, 3)
 ALIGNMENT = 64
 _HEADER = struct.Struct("<8sII")  # magic, version, reserved
 _TRAILER = struct.Struct("<QQ32s8s8s")  # dir offset, dir len, dir sha, pad, magic
@@ -499,7 +503,9 @@ class V2File:
                 widths = entry.extra["widths"]
             except KeyError as error:
                 raise CodecError(f"narrow directory lacks {error}") from error
-            array = narrow_decode(payload, lows, widths, entry.shape)
+            array = narrow_decode(
+                payload, lows, widths, entry.shape, entry.extra.get("gaps", [])
+            )
             array.flags.writeable = False
         elif entry.codec == BITPACK:
             array = bitpack_decode(

@@ -5,7 +5,8 @@ SHA-256 and decodability, on top of the header/trailer/directory
 validation :meth:`~repro.storage2.format.V2File.open` already performs.
 It also reports, per section, the stored bytes beside the bytes the
 section decodes to (``count × itemsize``) and a ``narrow`` section's
-column widths, and the file-level stored ÷ decoded ratio.
+column widths and gap columns, and the file-level stored ÷ decoded
+ratio.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class SectionReport:
     widths: tuple[int, ...] | None = None
     #: Rows (leading extent) the directory records for the section.
     rows: int = 0
+    #: ``(column, bytes)`` of each gap column of a ``narrow`` section.
+    gaps: tuple[tuple[int, int], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -81,6 +84,8 @@ class V2Report:
                 if section.widths is None
                 else "  widths " + "/".join(str(w) for w in section.widths)
             )
+            if section.gaps:
+                widths += "  gaps " + " ".join(f"{j}:{n} B" for j, n in section.gaps)
             lines.append(
                 f"  {section.name:<24} {section.codec:<8} "
                 f"{section.nbytes:>10} B of {section.decoded_bytes:>10} B  "
@@ -125,16 +130,20 @@ def verify_v2(path: str | Path, cardinalities: Sequence[int] = ()) -> V2Report:
             if entry.codec == NARROW
             else None
         )
+        problem = file.verify_section(name)
+        # Only a section that decoded has gaps known to be pairs.
+        gaps = entry.extra.get("gaps", []) if widths and problem is None else []
         report.sections.append(
             SectionReport(
                 name,
                 entry.codec,
                 entry.nbytes,
                 entry.count,
-                file.verify_section(name),
+                problem,
                 entry.count * np.dtype(entry.dtype).itemsize,
                 widths,
                 entry.shape[0],
+                tuple((j, n) for j, n in gaps),
             )
         )
     return report

@@ -111,13 +111,21 @@ def test_narrow_batch_decodes_back_at_the_narrowest_widths(arrays):
     encoded = narrow_encode_batch(arrays)
     assert len(encoded) == len(arrays)
     for array, (payload, extra) in zip(arrays, encoded):
-        decoded = narrow_decode(payload, extra["lows"], extra["widths"], array.shape)
+        gaps = dict(extra.get("gaps", []))
+        decoded = narrow_decode(
+            payload, extra["lows"], extra["widths"], array.shape, extra.get("gaps", [])
+        )
         assert decoded.shape == array.shape
         assert np.array_equal(decoded, array)
         matrix = array.reshape(-1, 1) if array.ndim == 1 else array
         for j, (low, width) in enumerate(zip(extra["lows"], extra["widths"])):
             values = matrix[:, j].tolist()
             span = max(values) - min(values) if values else 0
+            if j in gaps:  # a non-decreasing column, smaller as gaps
+                assert values == sorted(values) and width == 0
+                assert gaps[j] < len(values) * narrowest(span)
+                assert low == values[0]
+                continue
             assert width == narrowest(span)
             assert low == (0 if width == 8 else min(values, default=0))
         # Batching changes nothing: each array alone encodes the same.

@@ -118,6 +118,18 @@ def build(schema, rows, flat, cat_format, plus):
     return table, storage
 
 
+def assert_rowid_order(storage):
+    """Re-plussed after a delta, every stored row-id list is in order:
+    TT lists, and NTs and CATs by their first column."""
+    for node_id, store in storage.nodes.items():
+        for values in (
+            store.tt_array(),
+            store.nt_matrix()[:, 0] if store.nt_count else store.tt_array()[:0],
+            store.cat_matrix()[:, 0] if store.cat_count else store.tt_array()[:0],
+        ):
+            assert (values[1:] >= values[:-1]).all(), node_id
+
+
 def stored(storage):
     """Per node, the multisets of what each relation holds."""
     return {
@@ -209,6 +221,7 @@ def run_differential(schema, flat, base_rows, deltas, cat_format, plus):
             postprocess_plus(storage)
             assert stored(storage) == stored(oracle)
             assert storage.size_report() == oracle.size_report()
+            assert_rowid_order(storage)
     if deltas:
         rebuilt = build(schema, rows_of(table), flat, cat_format, plus)
         assert_same_answers(

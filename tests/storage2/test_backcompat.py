@@ -1,18 +1,22 @@
-"""A container written before the ``narrow`` codec still opens.
+"""Containers written before format version 3 still open.
 
 ``format1.cube.v2`` was written by the commit *before* format version 2
 (``write_v2`` over ``serving_fact(n=12)`` built as CURE+): version 1 in
 the header and directory, every int64 matrix ``raw``, and the
 ``reorder/<d>`` diagnostic sections that commit still shipped, as well as
 the ``index/<d>/*`` inverted indices a reader now derives from the fact
-columns instead.  Version 2 added one codec and removed nothing a reader
-needs, so the same reader must open it, verify it and serve it — to a
-query and to a restarting writer —
-and every section today's builder and writer produce from the same rows
-must hold what the fixture's does.
+columns instead.  ``format2.cube.v2`` was written the same way by the
+commit before format version 3: version 2, ``narrow`` matrices with no
+gap column, and CURE+ NT and format (b) CAT relations still in build
+order.  Neither version 2 nor version 3 removed anything a reader
+needs, so the same reader must open both, verify them and serve them —
+to a query and to a restarting writer — and every section today's
+builder and writer produce from the same rows must hold what the
+fixture's does, once the fixture's NT and CAT rows are put in the order
+CURE+ now stores them (stably by their first column).
 
-Regenerate only by checking out that commit; a file rewritten by the
-current writer would be version 2 and test nothing.
+Regenerate only by checking out those commits; a file rewritten by the
+current writer would be version 3 and test nothing.
 """
 
 from __future__ import annotations
@@ -31,12 +35,51 @@ from repro.server.replay import replay_op
 from repro.relational.durable import file_checksum
 from repro.storage2 import V2File, open_v2, verify_v2, write_v2
 from repro.storage2.codecs import NARROW, RAW
-from repro.storage2.format import committed_container
+from repro.storage2.format import FORMAT_VERSION, committed_container
 from repro.storage2.mapped import MappedFactTable, map_storage
 from tests.server.conftest import serving_fact, serving_schema
 from tests.support.rows import rows_of
 
 FIXTURE = Path(__file__).with_name("format1.cube.v2")
+FIXTURE_2 = Path(__file__).with_name("format2.cube.v2")
+
+
+def plus_order(name: str, array: np.ndarray) -> np.ndarray:
+    """A section's rows in today's CURE+ order: an NT or CAT stably by
+    its first column, anything else as it is."""
+    if name.endswith(("/nt", "/cat")):
+        return array[np.argsort(array[:, 0], kind="stable")]
+    return array
+
+
+def assert_sections_equal_todays(fixture: Path, tmp_path: Path) -> V2File:
+    """Today's CURE+ container from the fixture's rows holds what the
+    fixture does, section by section; returns today's file."""
+    schema = serving_schema()
+    fact = serving_fact(schema, n=12)
+    result, _ = VARIANTS["CURE+"].build(schema, table=fact)
+    path = tmp_path / "today.cube.v2"
+    write_v2(path, schema, result.storage, fact.as_batch())
+    today = V2File.open(path)
+    old = V2File.open(fixture)
+    # Sections are 64-byte aligned, so a few rows may save no file bytes.
+    assert fixture.stat().st_size >= today.file_bytes
+    # The version 1 fixture predates bundles that publish one container;
+    # its directory still carries the empty v1 meta checksum nothing reads.
+    assert old.meta.pop("cube_meta_checksum", "") == ""
+    assert old.meta == today.meta
+    kept = [
+        name
+        for name in old.names()
+        if not name.startswith(("reorder/", "index/"))
+    ]
+    assert kept == today.names()
+    for name in kept:
+        assert old.array(name).dtype == today.array(name).dtype, name
+        assert np.array_equal(
+            plus_order(name, old.array(name)), today.array(name)
+        ), name
+    return today
 
 
 def test_fixture_is_a_version_1_container():
@@ -47,29 +90,46 @@ def test_fixture_is_a_version_1_container():
     assert verify_v2(FIXTURE).ok
 
 
+def test_fixture_is_a_version_2_container():
+    assert FIXTURE_2.read_bytes()[8] == 2 < FORMAT_VERSION
+    file = V2File.open(FIXTURE_2)
+    assert NARROW in {file.entry(name).codec for name in file.names()}
+    assert not any("gaps" in file.entry(name).extra for name in file.names())
+    assert file.meta["plus_processed"] and file.meta["cat_format"] == "b"
+    assert verify_v2(FIXTURE_2).ok
+
+
 def test_version_1_sections_equal_todays(tmp_path):
+    assert V2File.open(FIXTURE).meta["cube_meta_checksum"] == ""
+    today = assert_sections_equal_todays(FIXTURE, tmp_path)
+    assert FIXTURE.stat().st_size > today.file_bytes
+    assert any(today.entry(name).codec == NARROW for name in today.names())
+
+
+def test_version_2_sections_equal_todays(tmp_path):
+    today = assert_sections_equal_todays(FIXTURE_2, tmp_path)
+    old = V2File.open(FIXTURE_2)
+    sorted_now = [name for name in today.names() if name.endswith(("/nt", "/cat"))]
+    for name in sorted_now:
+        assert (np.diff(today.array(name)[:, 0]) >= 0).all(), name
+    # The fixture's format (b) CATs were stored in build order.
+    assert any(
+        not np.array_equal(old.array(name), today.array(name)) for name in sorted_now
+    )
+
+
+def test_version_2_container_answers_and_loads():
     schema = serving_schema()
     fact = serving_fact(schema, n=12)
     result, _ = VARIANTS["CURE+"].build(schema, table=fact)
-    path = tmp_path / "today.cube.v2"
-    write_v2(path, schema, result.storage, fact.as_batch())
-    today = V2File.open(path)
-    old = V2File.open(FIXTURE)
-    assert FIXTURE.stat().st_size > today.file_bytes
-    # The fixture predates bundles that publish one container; its
-    # directory still carries the empty v1 meta checksum nothing reads.
-    assert old.meta.pop("cube_meta_checksum") == ""
-    assert old.meta == today.meta
-    kept = [
-        name
-        for name in old.names()
-        if not name.startswith(("reorder/", "index/"))
-    ]
-    assert kept == today.names()
-    assert any(today.entry(name).codec == NARROW for name in kept)
-    for name in kept:
-        assert old.array(name).dtype == today.array(name).dtype, name
-        assert np.array_equal(old.array(name), today.array(name)), name
+    reference = CubePlanner(result.storage, FactCache(schema, table=fact))
+    mapped = open_v2(FIXTURE_2, schema)
+    planner = CubePlanner(mapped.storage, FactCache(schema, table=mapped.fact))
+    for op in mixed_workload(schema, 40, seed=41):
+        assert replay_op(planner, op) == replay_op(reference, op), op
+    file = committed_container(FIXTURE_2, file_checksum(FIXTURE_2))
+    assert rows_of(MappedFactTable(schema, file).as_batch()) == rows_of(fact)
+    assert sorted(map_storage(schema, file).nodes) == sorted(result.storage.nodes)
 
 
 def test_version_1_container_answers_and_loads(tmp_path):

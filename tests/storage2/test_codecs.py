@@ -32,6 +32,7 @@ from repro.storage2.codecs import (
     min_bits,
     narrow_decode,
     narrow_encode,
+    narrow_encode_batch,
     roaring_decode,
     roaring_encode,
 )
@@ -76,7 +77,9 @@ def narrowable(draw):
 
 def narrow_roundtrip(array):
     payload, extra = narrow_encode(array)
-    decoded = narrow_decode(payload, extra["lows"], extra["widths"], array.shape)
+    decoded = narrow_decode(
+        payload, extra["lows"], extra["widths"], array.shape, extra.get("gaps", [])
+    )
     assert decoded.dtype == np.int64
     assert decoded.shape == array.shape
     assert decoded.flags.c_contiguous
@@ -89,7 +92,8 @@ def narrow_roundtrip(array):
 def test_narrow_roundtrip(array):
     payload, extra = narrow_roundtrip(array)
     assert set(extra["widths"]) <= set(NARROW_WIDTHS)
-    assert len(payload) == sum(extra["widths"]) * len(array)
+    gap_bytes = sum(n for _j, n in extra.get("gaps", []))
+    assert len(payload) == sum(extra["widths"]) * len(array) + gap_bytes
     assert len(payload) <= array.nbytes
     # A transposed (Fortran-ordered) view encodes to the same bytes.
     if array.ndim == 2:
@@ -119,8 +123,111 @@ def test_narrow_extremes_share_a_matrix_with_small_columns():
         dtype=np.int64,
     )
     payload, extra = narrow_roundtrip(matrix)
-    assert extra == {"lows": [0, 7, -3, 1000], "widths": [8, 0, 1, 4]}
-    assert len(payload) == 3 * (8 + 0 + 1 + 4)
+    # The last column never falls: gaps 0, 1 and 68,999 take 1 + 1 + 3
+    # bytes against 3 · 4 at its width.
+    assert extra == {
+        "lows": [0, 7, -3, 1000], "widths": [8, 0, 1, 0], "gaps": [[3, 5]]
+    }
+    assert len(payload) == 3 * (8 + 0 + 1) + 5
+
+
+@st.composite
+def rising_columns(draw):
+    """A non-decreasing column: a base anywhere in int64 plus cumulative
+    gaps of one to ten varint bytes, ties included; or a constant, empty
+    or single-row column, or one spanning the whole int64 range."""
+    kind = draw(st.sampled_from(["gaps", "constant", "empty", "single", "extremes"]))
+    if kind == "empty":
+        return []
+    if kind == "single":
+        return [draw(st.integers(INT64.min, INT64.max))]
+    if kind == "constant":
+        return [draw(st.integers(INT64.min, INT64.max))] * draw(st.integers(2, 40))
+    if kind == "extremes":
+        inner = draw(st.lists(st.integers(INT64.min, INT64.max), max_size=20))
+        return sorted([INT64.min, INT64.max, *inner])
+    gaps = draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, 127),
+                st.integers(0, 1 << 20),
+                st.sampled_from([(1 << (7 * k)) - 1 for k in range(1, 10)]),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    while sum(gaps) > INT64.max - INT64.min:  # the span must fit in 64 bits
+        gaps.pop()
+    low = draw(st.integers(INT64.min, INT64.max - sum(gaps)))
+    return np.cumsum([low, *gaps], dtype=object).tolist()
+
+
+def fixed_width(values) -> int:
+    span = max(values) - min(values) if values else 0
+    return min(w for w in NARROW_WIDTHS if w == 8 or span < (1 << (8 * w)))
+
+
+def gap_length(values) -> int:
+    gaps = [0, *(b - a for a, b in zip(values, values[1:]))]
+    return sum(max(1, -(-gap.bit_length() // 7)) for gap in gaps)
+
+
+@given(st.lists(rising_columns(), min_size=1, max_size=3), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_narrow_gap_columns_round_trip(columns, matrix):
+    """A non-decreasing column is stored as LEB128 gaps exactly when
+    those are strictly fewer bytes than its fixed width, and any column
+    decodes back — in a matrix beside other columns, or alone."""
+    rows = len(columns[0])
+    # The other columns are cut or padded (with their last value) to the
+    # first one's rows, so they stay non-decreasing.
+    columns = [
+        (column[:rows] + column[-1:] * rows)[:rows] if column else [0] * rows
+        for column in columns
+    ]
+    array = np.asarray(columns, dtype=np.int64).reshape(len(columns), rows).T
+    if not matrix:
+        array = np.ascontiguousarray(array[:, 0])
+    payload, extra = narrow_roundtrip(array)
+    gaps = dict(extra.get("gaps", []))
+    for j, column in enumerate(array.reshape(rows, -1).T.tolist() if rows else []):
+        rising = all(a <= b for a, b in zip(column, column[1:]))
+        width = fixed_width(column)
+        if rising and rows and gap_length(column) < rows * width:
+            assert gaps[j] == gap_length(column)
+            assert extra["widths"][j] == 0 and extra["lows"][j] == column[0]
+        else:
+            assert j not in gaps and extra["widths"][j] == width
+    assert narrow_encode_batch([array, array]) == [(payload, extra)] * 2
+
+
+def test_narrow_malformed_gap_columns():
+    """Truncated, overlong and over-counted gap bytes, and gap entries
+    that do not name one width-0 column, raise ``CodecError``."""
+    column = np.asarray([10, 10, 300, 70000, 70001], dtype=np.int64)
+    payload, extra = narrow_encode(column)
+    assert extra == {"lows": [10], "widths": [0], "gaps": [[0, 8]]}
+    assert narrow_decode(payload, [10], [0], (5,), [[0, 8]]).tolist() == (
+        column.tolist()
+    )
+    for data, shape, gaps in (
+        (payload[:-1], (5,), [[0, 7]]),  # truncated: four varints
+        (payload[:-1] + b"\x80", (5,), [[0, 8]]),  # ends mid-varint
+        (payload + b"\x00", (5,), [[0, 9]]),  # over-counted: six varints
+        (payload, (4,), [[0, 8]]),  # more varints than rows
+        (b"\x80" * 9 + b"\x02" + payload[1:], (5,), [[0, 17]]),  # > 64 bits
+        (b"\x80" * 11 + b"\x01" + payload[1:], (5,), [[0, 19]]),  # > 10 bytes
+        (payload, (5,), [[0, 7]]),  # bytes disagree with the payload
+        (payload, (5,), [[1, 8]]),  # no such column
+        (payload, (5,), [[0, 8], [0, 8]]),  # one column twice
+        (payload, (5,), [[0]]),  # not a pair
+        (payload, (5,), [["0", 8]]),  # not integers
+    ):
+        with pytest.raises(CodecError):
+            narrow_decode(data, [10], [0], shape, gaps)
+    with pytest.raises(CodecError):  # a gap column with a width too
+        narrow_decode(payload + bytes(5), [10], [1], (5,), [[0, 8]])
 
 
 def test_narrow_degenerate_shapes():
@@ -134,8 +241,8 @@ def test_narrow_degenerate_shapes():
 
 
 def test_narrow_malformed_directories():
-    payload, extra = narrow_encode(
-        np.asarray([[1, 300], [2, 400], [3, 900]], dtype=np.int64)
+    payload, extra = narrow_encode(  # the second column falls: no gaps
+        np.asarray([[1, 300], [2, 900], [3, 400]], dtype=np.int64)
     )
     lows, widths = extra["lows"], extra["widths"]
     assert widths == [1, 2] and len(payload) == 9

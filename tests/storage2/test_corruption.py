@@ -137,8 +137,8 @@ def test_narrow_payload_bit_flip_names_the_section(tmp_path):
 def test_narrow_directory_that_disagrees_with_its_payload(tmp_path, extra):
     """A directory that checksums but describes the payload wrongly is a
     corrupt section — never a reshaped, re-based or short array."""
-    matrix = np.asarray([[1, 300], [2, 400], [3, 900]], dtype=np.int64)
-    payload, good = narrow_encode(matrix)
+    matrix = np.asarray([[1, 300], [2, 900], [3, 400]], dtype=np.int64)
+    payload, good = narrow_encode(matrix)  # the second column falls: no gaps
     assert good == {"lows": [1, 300], "widths": [1, 2]} and len(payload) == 9
 
     def written(name, section_extra, dtype="<i8"):
@@ -157,6 +157,41 @@ def test_narrow_directory_that_disagrees_with_its_payload(tmp_path, extra):
     with pytest.raises(SectionCorruption, match="'m' fails to decode"):
         written("dtype.v2", good, dtype="<i4").array("m")
     assert verify_v2(tmp_path / "bad.v2").sections[0].problem
+
+
+@pytest.mark.parametrize(
+    "payload_cut, extra",
+    [
+        (0, {"lows": [1, 300], "widths": [1, 0], "gaps": [[1, 3]]}),  # bytes
+        (0, {"lows": [1, 300], "widths": [1, 0], "gaps": [[0, 4]]}),  # column
+        (0, {"lows": [1, 300], "widths": [1, 2], "gaps": [[1, 4]]}),  # a width
+        (0, {"lows": [1, 300], "widths": [1, 0], "gaps": [1, 4]}),  # no pair
+        (0, {"lows": [1, 300], "widths": [1, 0], "gaps": "1:4"}),
+        (0, {"lows": [1, 300], "widths": [1, 0]}),  # gaps left out
+        (1, {"lows": [1, 300], "widths": [1, 0], "gaps": [[1, 3]]}),  # truncated
+        (-1, {"lows": [1, 300], "widths": [1, 0], "gaps": [[1, 5]]}),  # 4 varints
+    ],
+)
+def test_gap_column_that_disagrees_with_its_directory(tmp_path, payload_cut, extra):
+    """A gap column whose signed bytes or directory entry do not decode
+    to its rows is a corrupt section through the reader."""
+    matrix = np.asarray([[1, 300], [2, 400], [3, 900]], dtype=np.int64)
+    payload, good = narrow_encode(matrix)
+    assert good == {"lows": [1, 300], "widths": [1, 0], "gaps": [[1, 4]]}
+    if payload_cut > 0:
+        payload = payload[:-payload_cut]
+    elif payload_cut < 0:
+        payload += b"\x00"
+
+    writer = V2Writer({})
+    writer.add_section(
+        "m", payload, codec=NARROW, dtype="<i8", shape=(3, 2), count=6, extra=extra
+    )
+    target = tmp_path / "gaps.v2"
+    atomic_write_chunks(target, writer.chunks())
+    with pytest.raises(SectionCorruption, match="'m' fails to decode"):
+        V2File.open(target).array("m")
+    assert verify_v2(target).sections[0].problem
 
 
 def test_verify_v2_reports_without_raising(tmp_path):

@@ -67,9 +67,10 @@ def _is_map_view(array: np.ndarray) -> bool:
 
 def test_raw_sections_are_zero_copy_views(tmp_path):
     # What ``narrow`` cannot shrink stays ``raw``: a full-range int64
-    # column (width 8 — no smaller than the array) and any other dtype.
+    # column that falls (width 8 and no gaps — no smaller than the
+    # array) and any other dtype.
     limits = np.iinfo(np.int64)
-    wide = np.asarray([limits.min, 0, limits.max], dtype=np.int64)
+    wide = np.asarray([limits.min, limits.max, 0], dtype=np.int64)
     target = tmp_path / "cube.v2"
     writer = V2Writer({})
     writer.add_array("wide", wide)
