@@ -586,6 +586,8 @@ def build_partitioned(
     form one self-contained run — NTs, CATs and their AGGREGATES rows —
     and a plain build, a journalled one and one resumed from any of its
     checkpoints classify over the same windows and write the same bytes.
+    Last, a trivial tuple two phases stored keeps only its least detailed
+    copy (:func:`_store_tts_once`), as an in-memory build stores it.
 
     The keyword arguments are a journalled build's steps
     (:class:`repro.core.recovery.DurableCubeBuild`): the pass writes to
@@ -641,9 +643,41 @@ def build_partitioned(
             partition_plan(schema, min_count, partitioning, storage.dr_mode), on_unit, start_unit
         )
         pool.flush()
+        _store_tts_once(storage)
         stats.tasks_run += build_executor.stats.tasks_run
         stats.tasks_stolen += build_executor.stats.tasks_stolen
         stats.workers = max(stats.workers, build_executor.stats.workers)
         return decision
     finally:
         engine.memory.release(pool_token)
+
+
+def _store_tts_once(storage: CubeStorage) -> None:
+    """Drop from every node's TT list the row-ids a plan ancestor's holds.
+
+    Section 5.1 stores a trivial tuple once, at the least detailed node
+    where its group is one fact row.  Each construction phase re-finds
+    the TTs of its own region, so a row alone in a coarse-phase group is
+    stored again below it.  One pre-order sweep keeps the least detailed
+    copy: ``held_until[r]`` is the end of the plan sub-tree whose root
+    kept row-id ``r``.  Stored order is kept and the pass is idempotent,
+    so a plain, a durable and a resumed build write the same bytes.
+    """
+    order = storage.schema.plan_order(storage.flat)
+    ends = list(range(1, len(order) + 1))
+    for position in range(len(order) - 1, 0, -1):
+        parent = order[position][2]
+        ends[parent] = max(ends[parent], ends[position])
+    held_until = np.zeros(storage.fact_row_count, dtype=np.int32)
+    for position, (_node, node_id, _parent) in enumerate(order):
+        store = storage.nodes.get(node_id)
+        if store is None or not store.tt_count:
+            continue
+        rowids = store.tt_array()
+        inherited = held_until[rowids] > position
+        if inherited.any():
+            rowids = rowids[~inherited]
+            store.tt.replace(rowids)
+            if not store.relation_count:
+                del storage.nodes[node_id]
+        held_until[rowids] = ends[position]

@@ -133,8 +133,8 @@ class StreamingIngestor:
     reads before the cache refills.  ``stats.results_dropped`` counts
     the entries cleared.
 
-    Requirements mirror :func:`apply_delta`: a non-DR, non-partitioned
-    cube with all-distributive aggregates, and a fact table that fits in
+    Requirements mirror :func:`apply_delta`: a non-DR cube with
+    all-distributive aggregates, and a fact table that fits in
     memory (the ingestor owns the authoritative in-memory copy).
     """
 

@@ -10,8 +10,9 @@ Per format:
 
 * **CURE** — read the node's NT/CAT relations (dereferencing R-rowids into
   the fact cache and A-rowids into AGGREGATES), then collect shared TTs
-  from the node itself and its plan ancestors.  CURE+ cubes benefit from
-  sorted row-id lists via the cache's sequential path.
+  from the node itself and its plan ancestors — every build, partitioned
+  or not, stores a TT once.  CURE+ cubes benefit from sorted row-id
+  lists via the cache's sequential path.
 * **BUC** — read the per-node relation directly; the fast baseline.
 * **BU-BST** — scan the whole monolithic relation, keeping exact-node rows
   and the BSTs whose storing node lies on this node's plan path; this full
@@ -20,7 +21,7 @@ Per format:
 :func:`read_node_relations` is the one place that knows how a CURE node
 is stored (Section 5.3).  What the schema decides about a node is its
 :class:`NodeShape` (memoized on the schema), and the nodes whose TTs it
-shares, which the partition levels decide, are :func:`tt_source_ids`
+shares, which the plan decides, are :func:`tt_source_ids`
 (memoized on the storage); neither memo holds stored data, which
 incremental maintenance replaces between queries.  A read is one pass: every relation's
 surviving row-ids dereference in one :meth:`FactCache.fetch_batch`,
@@ -137,14 +138,17 @@ def node_shape(schema: CubeSchema, node: CubeNode) -> NodeShape:
 def tt_source_ids(
     storage: CubeStorage, node: CubeNode, node_id: int
 ) -> tuple[int, ...]:
-    """:func:`tt_source_nodes` as node ids, memoized on ``storage``: only
-    the lattice, ``flat`` and the partition levels decide them, never a
-    stored relation, so two request threads that miss together store
-    equal tuples."""
+    """The ids of ``node`` and its plan ancestors, whose TT lists hold
+    ``node``'s trivial tuples: every build stores a TT once, at the least
+    detailed node where its group is one fact row (Section 5.1).
+    Memoized on ``storage``: only the lattice and ``flat`` decide them,
+    never a stored relation, so two request threads that miss together
+    store equal tuples."""
     sources = storage.tt_source_ids.get(node_id)
     if sources is None:
-        nodes = tt_source_nodes(storage, node)
-        sources = tuple(map(storage.schema.node_id, nodes))
+        schema = storage.schema
+        ancestors = plan_ancestors(schema.lattice, node, flat=storage.flat)
+        sources = (node_id, *map(schema.node_id, ancestors))
         storage.tt_source_ids[node_id] = sources
     return sources
 
@@ -271,52 +275,6 @@ def read_node_relations(
     if stats is not None:
         stats.tuples_returned += len(rows)
     return ColumnAnswer.of_rows(arity, rows)
-
-
-def _construction_phase(storage: CubeStorage, node: CubeNode) -> str:
-    """Which construction phase produced ``node``'s tuples?
-
-    ``"P"`` — the partition phase (dimension 0 present at level ≤ L, and
-    for pair partitioning also dimension 1 present at level ≤ M);
-    ``"N2"`` — the second coarse node of pair partitioning (dimension 0
-    present ≤ L, dimension 1 above M or absent);
-    ``"N1"`` — the (first) coarse node (dimension 0 above L or absent).
-    """
-    schema = storage.schema
-    level = storage.partition_level
-    all0 = schema.dimensions[0].all_level
-    if node.levels[0] == all0 or node.levels[0] > level:
-        return "N1"
-    level2 = storage.partition_level2
-    if level2 is None:
-        return "P"
-    all1 = schema.dimensions[1].all_level
-    if node.levels[1] != all1 and node.levels[1] <= level2:
-        return "P"
-    return "N2"
-
-
-def tt_source_nodes(storage: CubeStorage, node: CubeNode) -> list[CubeNode]:
-    """The node itself plus every plan ancestor whose TT relation may hold
-    trivial tuples shared with ``node``.
-
-    For a cube built with external partitioning, each node's tuples were
-    produced by one construction phase (partitions, the coarse node N —
-    or, with pair partitioning, one of two coarse nodes), and TT sharing
-    only spans nodes of the same phase: each phase's recursion re-finds
-    the trivial tuples of its own region, so crossing a phase boundary
-    would double-count them.
-    """
-    schema = storage.schema
-    chain = [node] + plan_ancestors(schema.lattice, node, flat=storage.flat)
-    if storage.partition_level is None:
-        return chain
-    phase = _construction_phase(storage, node)
-    return [
-        candidate
-        for candidate in chain
-        if _construction_phase(storage, candidate) == phase
-    ]
 
 
 # -- BUC ---------------------------------------------------------------------------

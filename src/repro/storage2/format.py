@@ -32,7 +32,10 @@ Format version 2 added the ``narrow`` codec and version 3 its gap
 columns (``extra["gaps"]``), and neither removed anything, so this
 reader opens version 1 and 2 containers through the same code; an older
 reader refuses a newer file by its version, not by a payload it would
-misread.
+misread.  Version 4 changed no byte layout: from it on, a partitioned
+build stores each trivial tuple once, as every reader now assumes, so a
+partitioned cube of an older version fails closed ("rebuild the
+bundle") while an unpartitioned one still opens.
 
 Integrity is *fail closed*: the header, trailer and directory are
 verified on open (so truncation and metadata corruption never produce a
@@ -75,10 +78,11 @@ from repro.storage2.codecs import (
 )
 
 MAGIC = b"CUREv2\x00\n"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 #: Versions this reader opens: 2 is 1 plus the ``narrow`` codec, 3 is 2
-#: plus ``narrow``'s gap columns.
-READABLE_VERSIONS = (1, 2, 3)
+#: plus ``narrow``'s gap columns, 4 is 3 with every trivial tuple of a
+#: partitioned cube stored once.
+READABLE_VERSIONS = (1, 2, 3, 4)
 ALIGNMENT = 64
 _HEADER = struct.Struct("<8sII")  # magic, version, reserved
 _TRAILER = struct.Struct("<QQ32s8s8s")  # dir offset, dir len, dir sha, pad, magic
@@ -354,6 +358,11 @@ class V2File:
         sections, meta = document.get("sections", []), document.get("meta", {})
         if type(sections) is not list or type(meta) is not dict:
             raise V2FormatError(f"{target}: directory sections or meta malformed")
+        if version < 4 and meta.get("partition_level") is not None:
+            raise V2FormatError(
+                f"{target} is a partitioned cube of format version {version}, "
+                "which may store a trivial tuple twice; rebuild the bundle"
+            )
         # Entries stay parsed JSON until ``entry`` first asks for one.
         # Every field's presence and type is checked here all the same, one
         # field across all entries at a time.

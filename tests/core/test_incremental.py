@@ -142,15 +142,11 @@ def test_updates_on_flat_fcure_cube(paper_schema):
         assert got == expected
 
 
-def test_rejects_dr_and_partitioned_cubes(paper_schema):
+def test_rejects_dr_cubes(paper_schema):
     base, delta = make_instance(paper_schema, 40, 5, seed=7)
     dr = build_cube(paper_schema, table=base, dr_mode=True)
     with pytest.raises(ValueError, match="row-id based"):
         apply_delta(dr.storage, paper_schema, base, delta)
-    plain = build_cube(paper_schema, table=base)
-    plain.storage.partition_level = 2
-    with pytest.raises(ValueError, match="partitioned"):
-        apply_delta(plain.storage, paper_schema, base, delta)
 
 
 def test_rejects_holistic(flat_schema, figure9_table):

@@ -14,7 +14,7 @@ from repro.query import (
     answer_cure_query,
     reference_group_by,
 )
-from repro.query.answer import normalize_answer, tt_source_nodes
+from repro.query.answer import normalize_answer, tt_source_ids
 from tests.support.rows import rows_of
 
 
@@ -50,23 +50,11 @@ def test_query_stats_counters(built):
 def test_tt_source_nodes_without_partitioning(built):
     schema, _table, storage, _cache = built
     node = CubeNode((0, 0, 0))
-    chain = tt_source_nodes(storage, node)
-    assert chain[0] == node
-    assert chain[-1] == schema.lattice.all_node
+    chain = tt_source_ids(storage, node, schema.node_id(node))
+    assert chain[0] == schema.node_id(node)
+    assert chain[-1] == schema.node_id(schema.lattice.all_node)
     assert len(chain) == 4  # node + 3 plan ancestors in the flat...
-
-
-def test_tt_source_nodes_partition_cut(built):
-    schema, _table, storage, _cache = built
-    storage.partition_level = 0  # pretend partitioning happened at level 0
-    node = CubeNode((0, 1, 1))  # node A at level 0 <= L
-    chain = tt_source_nodes(storage, node)
-    assert all(candidate.levels[0] <= 0 for candidate in chain)
-    # Nodes without the first dimension keep the whole chain.
-    other = CubeNode((1, 0, 1))  # node B
-    chain = tt_source_nodes(storage, other)
-    assert chain[-1] == schema.lattice.all_node
-    storage.partition_level = None
+    assert tt_source_ids(storage, node, chain[0]) is chain  # memoized
 
 
 def test_empty_node_returns_empty(built):

@@ -9,8 +9,7 @@ answers to ``tests/support/row_engine.py`` — rows (node answers in row
 order), ``QueryStats`` and the fact cache's hits/misses — over a
 heap-backed cache that starts cold and half warm (whose slices
 post-filter), and over the fact table itself (whose slices pre-filter),
-on an in-memory build and on a partitioned one, whose TT chains are cut
-at phase boundaries.
+on an in-memory build and on a partitioned one.
 """
 
 from __future__ import annotations

@@ -30,9 +30,7 @@ SERVED_VARIANTS = ("CURE", "CURE+", "FCURE")
 #: engine: the headline family plus the two the reader reads
 #: differently — CURE_DR, whose NTs carry their dimension values inline
 #: (so its slices post-filter), and a CURE+ cube built in partitions,
-#: whose TT source chains are cut at construction-phase boundaries.  On
-#: these 400 rows no ancestor that the cut drops holds a TT, so the cut
-#: itself changes no answer here.
+#: whose TTs its construction phases found and the build stored once.
 ALL_SERVED = (*SERVED_VARIANTS, "CURE_DR", PARTITIONED)
 
 

@@ -16,7 +16,11 @@ fixture's does, once the fixture's NT and CAT rows are put in the order
 CURE+ now stores them (stably by their first column).
 
 Regenerate only by checking out those commits; a file rewritten by the
-current writer would be version 3 and test nothing.
+current writer would be version 4 and test nothing.
+
+Version 4 changed no layout: from it on, a partitioned build stores each
+trivial tuple once, so a partitioned container of an older version, which
+may store one twice, fails closed, while an unpartitioned one still opens.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core.variants import VARIANTS
 from repro.query.answer import normalize_answer
@@ -35,10 +40,11 @@ from repro.server.replay import replay_op
 from repro.relational.durable import file_checksum
 from repro.storage2 import V2File, open_v2, verify_v2, write_v2
 from repro.storage2.codecs import NARROW, RAW
-from repro.storage2.format import FORMAT_VERSION, committed_container
+from repro.storage2.format import FORMAT_VERSION, V2FormatError, committed_container
 from repro.storage2.mapped import MappedFactTable, map_storage
+from tests.query.test_phase_cut import level_one_case
 from tests.server.conftest import serving_fact, serving_schema
-from tests.support.rows import rows_of
+from tests.support.rows import rows_of, table_of
 
 FIXTURE = Path(__file__).with_name("format1.cube.v2")
 FIXTURE_2 = Path(__file__).with_name("format2.cube.v2")
@@ -178,3 +184,21 @@ def test_version_1_container_slices_from_fact_columns(monkeypatch):
                 ), request
     assert "fact/dim/0" in requested
     assert not [name for name in requested if name.startswith("index/")]
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_older_partitioned_container_fails_closed(tmp_path, monkeypatch, version):
+    case = level_one_case(plus=True)
+    storage = case.build(tmp_path / "engine").storage
+    fact = table_of(case.schema.fact_schema, case.rows).as_batch()
+    current = tmp_path / "current.cube.v2"
+    write_v2(current, case.schema, storage, fact)
+    assert V2File.open(current).meta["partition_level"] == 1
+    monkeypatch.setattr("repro.storage2.format.FORMAT_VERSION", version)
+    older = tmp_path / "older.cube.v2"
+    write_v2(older, case.schema, storage, fact)
+    with pytest.raises(V2FormatError, match="rebuild the bundle"):
+        V2File.open(older)
+    storage.partition_level = None  # the same cube, unpartitioned, opens
+    write_v2(older, case.schema, storage, fact)
+    assert V2File.open(older).meta["partition_level"] is None

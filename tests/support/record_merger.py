@@ -44,11 +44,6 @@ def apply_delta_by_record(
             "incremental maintenance is implemented for row-id based NTs; "
             "rebuild DR cubes instead"
         )
-    if storage.partition_level is not None:
-        raise ValueError(
-            "incremental maintenance over partitioned cubes is not "
-            "supported: the TT chain is cut at the partition level"
-        )
     if not schema.all_distributive:
         raise ValueError(
             "incremental maintenance needs distributive aggregates"

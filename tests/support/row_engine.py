@@ -18,7 +18,7 @@ the production reader, which is what makes it the reference for
   ``tuples_returned`` and the fact cache's hits / misses.
 
 What it does share with production is everything that is *not* the
-reader: the lattice (``tt_source_nodes``) and the planner's strategy
+reader: the lattice (``plan_ancestors``) and the planner's strategy
 choice.  A pre-filtered slice computes its allowed fact rows itself,
 one ``Dimension.code_at`` per fact row and slice.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.core.storage import CatFormat
 from repro.lattice.plan import plan_ancestors
-from repro.query.answer import QueryStats, tt_source_nodes
+from repro.query.answer import QueryStats
 from repro.query.column_answer import ColumnAnswer
 from repro.query.planner import QueryRequest
 from repro.query.rollup import base_node_of
@@ -35,6 +35,12 @@ from repro.relational.aggregates import aggregate_singleton
 from tests.support.rows import CubeRows, rows_of
 
 Pairs = list[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _tt_sources(storage, node):
+    """``node`` and its plan ancestors: the nodes whose TTs it shares."""
+    lattice = storage.schema.lattice
+    return [node, *plan_ancestors(lattice, node, flat=storage.flat)]
 
 
 def _fetch(cache, rowids, sorted_hint: bool = False) -> list[tuple]:
@@ -112,7 +118,7 @@ def _append_cats(schema, storage, cache, node, store, answer, stats) -> None:
 
 
 def _append_tts(schema, storage, cache, node, answer, stats) -> None:
-    for source in tt_source_nodes(storage, node):
+    for source in _tt_sources(storage, node):
         store = storage.get_node_store(schema.node_id(source))
         if store is None:
             continue
@@ -287,7 +293,7 @@ def _answer_prefiltered(storage, cache, node, allowed: set[int], stats) -> Pairs
                 )
                 answer.append((dims, tuple(storage.aggregates_rows[row[1]])))
 
-    for source in tt_source_nodes(storage, node):
+    for source in _tt_sources(storage, node):
         tt_store = storage.get_node_store(schema.node_id(source))
         if tt_store is None:
             continue
