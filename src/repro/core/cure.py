@@ -55,6 +55,10 @@ class BuildStats:
 
     nodes_aggregated: int = 0
     tt_written: int = 0
+    #: TT copies a partitioned build wrote and then dropped because a plan
+    #: ancestor holds the row-id (:func:`_store_tts_once`): the TTs
+    #: stored are ``tt_written - tts_dropped``.
+    tts_dropped: int = 0
     signatures_emitted: int = 0
     sort: SortStats = field(default_factory=SortStats)
     fact_read_passes: int = 0
@@ -643,7 +647,7 @@ def build_partitioned(
             partition_plan(schema, min_count, partitioning, storage.dr_mode), on_unit, start_unit
         )
         pool.flush()
-        _store_tts_once(storage)
+        stats.tts_dropped += _store_tts_once(storage)
         stats.tasks_run += build_executor.stats.tasks_run
         stats.tasks_stolen += build_executor.stats.tasks_stolen
         stats.workers = max(stats.workers, build_executor.stats.workers)
@@ -652,7 +656,7 @@ def build_partitioned(
         engine.memory.release(pool_token)
 
 
-def _store_tts_once(storage: CubeStorage) -> None:
+def _store_tts_once(storage: CubeStorage) -> int:
     """Drop from every node's TT list the row-ids a plan ancestor's holds.
 
     Section 5.1 stores a trivial tuple once, at the least detailed node
@@ -662,6 +666,7 @@ def _store_tts_once(storage: CubeStorage) -> None:
     copy: ``held_until[r]`` is the end of the plan sub-tree whose root
     kept row-id ``r``.  Stored order is kept and the pass is idempotent,
     so a plain, a durable and a resumed build write the same bytes.
+    Returns how many TT copies it dropped.
     """
     order = storage.schema.plan_order(storage.flat)
     ends = list(range(1, len(order) + 1))
@@ -669,6 +674,7 @@ def _store_tts_once(storage: CubeStorage) -> None:
         parent = order[position][2]
         ends[parent] = max(ends[parent], ends[position])
     held_until = np.zeros(storage.fact_row_count, dtype=np.int32)
+    dropped = 0
     for position, (_node, node_id, _parent) in enumerate(order):
         store = storage.nodes.get(node_id)
         if store is None or not store.tt_count:
@@ -676,8 +682,10 @@ def _store_tts_once(storage: CubeStorage) -> None:
         rowids = store.tt_array()
         inherited = held_until[rowids] > position
         if inherited.any():
+            dropped += int(inherited.sum())
             rowids = rowids[~inherited]
             store.tt.replace(rowids)
             if not store.relation_count:
                 del storage.nodes[node_id]
         held_until[rowids] = ends[position]
+    return dropped

@@ -32,19 +32,24 @@ loop of array calls per node.
 1. *Delta groups.*  Every node's groups of the *k* delta rows come from
    one stable sort of their keys at all *N* plan positions (``N·k``
    probes tagged by position) and one ``reduceat``.  A key packs the
-   position and, per dimension, the rank of the row's member among the
-   delta's members at the node's level (0 for a member no delta row
-   has): per dimension one small rank table over (level, base code), so
-   a probe costs a gather from the fact column and two from small tables.
-2. *Membership.*  Every stored row-id — each node's TT list, NT row-ids
-   and CAT source row-ids, with their plan positions — is matched
-   against those groups in one pass.  The dimension whose base members
-   the delta covers least sieves out the probes whose member there no
-   delta row has; a hashed bitmap of the group keys drops most of the
-   rest, and a ``searchsorted`` is the exact test.  The delta's probes
-   and the stored ones are keyed by one :func:`pack_keys` call, so a code
-   span it re-ranks re-ranks both alike and the match stays exact.
-3. *TTs, by upward closure.*  Tuples that agree on a node's grouping
+   position and, per dimension, the row's code at the node's level: per
+   dimension one small table over (level, base code), so a probe costs
+   a gather from the fact column and two from small tables.
+2. *Kept relations.*  The merger keeps, beside the cube's relations
+   (:class:`KeyedRelations`, on the storage), every plan node's TTs,
+   NTs and CATs stacked per kind, each stored row's (position, row-id)
+   as one int64, and each row's *group key* at its own node: the
+   position and the node's codes hashed to 64 bits, which no delta
+   changes.  They are computed once per storage (on its first delta,
+   so after a bootstrap, a compaction or a recovery) and extended by
+   every write-back; each stored relation is a view of its slice of
+   the stack.
+3. *Membership.*  Every stored row is matched against the delta's
+   groups by its kept key in one pass a kind: a hash bucket with no
+   group drops a row, and a hit is checked against the position and the
+   codes, so a hash collision costs a check, never a wrong match, for
+   any width of code space.
+4. *TTs, by upward closure.*  Tuples that agree on a node's grouping
    attributes agree on every coarser node's, so "the delta touches this
    tuple's group" holds at a node's plan parent whenever it holds at the
    node.  Each node's decisions then follow from the delta and its own
@@ -55,20 +60,21 @@ loop of array calls per node.
    devalued TTs paired with their sub-trees).  A delta row whose group is
    new and single at a node is a new TT there unless it is also new and
    single at the plan parent — read off the delta's own probes.
-4. *Batches.*  NT merges, CAT demotions and new groups are computed on
-   arrays for all nodes together; only the write-back loops over nodes,
-   replacing each changed relation by a fresh array
-   (``ArrayRelation.replace``).  The added NT and TT rows go in at
-   their row-ids' places — one ``searchsorted`` over every node's
-   (position, row-id) keys, and one ``take`` per changed relation — so
-   the relations of a CURE+ cube stay in row-id order and the CURE+
-   pass the ingestor re-runs after a delta finds nothing to sort.
+5. *Write-back.*  NT merges, CAT demotions and new groups are computed
+   on arrays for all nodes together.  Each kind's fresh stack is the
+   stored rows copied once around the added ones — each added row goes
+   before the first stored row of its node with a larger row-id (one
+   ``searchsorted`` over the kept ids), so a CURE+ cube's relations stay
+   in row-id order and no CURE+ pass follows a delta — with the merged
+   NTs written in; the ids and keys are spliced alike, and every stored
+   relation is re-pointed at its slice (``ArrayRelation.replace``, never
+   the array a query was handed).
 
-What is still proportional to stored rows: concatenating every node's
-relations, the sieve over every stored row-id, the write-back's keys and
-interleaving order over every stored NT and TT row, and its copy of each
-changed relation.  What is proportional to the delta: the
-``N·k`` probes, the keys past the sieve, and the merges.
+What is still proportional to stored rows: the membership pass over
+every stored row's kept key, and the write-back's one copy of each
+kind's stack, ids and keys.  What is proportional to the delta: the
+``N·k`` probes, the hits and their checks, the merges, and the keys of
+the added rows.
 
 After many updates the cube drifts from the fully condensed form (demoted
 CATs, localized TTs); tests assert exact query equivalence with a
@@ -82,6 +88,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.core.model import CubeSchema
@@ -92,7 +100,13 @@ from repro.core.segments import (
     sort_groups,
     stable_order,
 )
-from repro.core.storage import VALUE_BYTES, CatFormat, CubeStorage
+from repro.core.storage import (
+    VALUE_BYTES,
+    ArrayRelation,
+    CatFormat,
+    CubeStorage,
+    NodeStore,
+)
 from repro.relational.batch import ColumnBatch, column_dtype
 from repro.relational.table import Table
 
@@ -178,7 +192,9 @@ def apply_delta(
 
     ``delta_rows`` is a sequence of fact tuples or an int64 matrix of
     them.  Requirements: a non-DR, non-iceberg cube built over
-    ``fact_table`` with distributive aggregates.
+    ``fact_table`` with distributive aggregates.  A CURE+ cube stays
+    one, ``plus_processed`` as it was: every relation is still in
+    row-id order straight after the merge.
     """
     if storage.dr_mode:
         raise ValueError(
@@ -195,18 +211,18 @@ def apply_delta(
 
     # Validate the whole delta before mutating anything.  A bad row must
     # leave the fact table and the cube exactly as they were: a rejected
-    # delta is a no-op, never a partial append with ``plus_processed``
-    # already cleared.
+    # delta is a no-op, never a partial append.
     delta = validate_delta(schema, delta_rows)
-
-    # A CURE+ cube relies on sorted row-id lists.  The merger inserts
-    # each added row at its row-id's place, so a sorted relation stays
-    # sorted, but the flag goes until
-    # :func:`repro.core.postprocess.postprocess_plus` has checked every
-    # relation (and sorted any that falls) again.
-    storage.plus_processed = False
-
     base_rowid = len(fact_table)
+    if base_rowid + len(delta) > _ROWID_MASK:
+        raise ValueError(
+            f"a fact table of more than {_ROWID_MASK} rows cannot be "
+            f"maintained incrementally; rebuild instead"
+        )
+
+    # A CURE+ cube stays one: the merger inserts each added row at its
+    # row-id's place, so a sorted relation stays sorted and
+    # ``plus_processed`` holds as it was.
     fact_schema = schema.fact_schema
     fact_table.append_batch(
         ColumnBatch.from_arrays(
@@ -259,35 +275,193 @@ def drift_report(
     )
 
 
-#: Fibonacci hashing multiplier (2^64 / golden ratio) for the group bitmap.
+#: Fibonacci hashing multiplier (2^64 / golden ratio): mixes group keys,
+#: whose top bits pick a membership hash bucket.
 _HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _stacked(
-    arrays: list[np.ndarray], width: int | None
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """One relation of every plan node, concatenated in plan order:
-    ``(rows, plan position of each row, node offsets)`` — node ``i``'s
-    rows are ``offsets[i]:offsets[i + 1]``.  ``width`` is the row width
-    of a matrix relation (None: a vector); an empty relation is the empty
-    vector, whatever its width."""
-    counts = [len(array) for array in arrays]
-    parts = [array for array in arrays if len(array)]
-    if parts:
-        rows = np.concatenate(parts)
-    elif width is None:
-        rows = _NO_ROWIDS
-    else:
-        rows = np.empty((0, width), dtype=np.int64)
-    positions = np.repeat(np.arange(len(arrays), dtype=np.int64), counts)
-    return rows, positions, list(itertools.accumulate(counts, initial=0))
+class _KeySpace:
+    """What the merger derives from the plan alone: each position's
+    parent, sub-tree size and depth, and the delta-independent group key
+    of a fact row at a position.
+
+    Per dimension one table of level codes over (level, base code) — 0
+    at ALL — and each plan position's offset into it, so a code costs a
+    gather from the fact column and two from small tables.  A key mixes
+    the position and the node's codes with one multiply a dimension
+    (Fibonacci hashing): rows of one group share a key, and rows of two
+    groups collide about once in 2⁶⁴ pairs.  Every schema is keyed the
+    same way, whatever the width of its code space; a lookup checks its
+    hits against the codes (:meth:`codes`), so a collision costs a
+    check, never a wrong match.
+    """
+
+    def __init__(self, schema: CubeSchema, flat: bool) -> None:
+        plan = schema.plan_order(flat)
+        self.node_ids = [node_id for _node, node_id, _parent in plan]
+        n_nodes = len(plan)
+        parent = [parent for *_, parent in plan]
+        # Pre-order: the plan sub-tree of position i is [i, i + size[i]).
+        size = [1] * n_nodes
+        depth = [0] * n_nodes
+        for position in range(n_nodes - 1, 0, -1):
+            size[parent[position]] += size[position]
+        for position in range(1, n_nodes):
+            depth[position] = depth[parent[position]] + 1
+        self.parent = np.array(parent, dtype=np.int64)
+        self.size = np.array(size, dtype=np.int64)
+        self.depth = np.array(depth, dtype=np.int64)
+        levels = np.array([node.levels for node, *_ in plan], dtype=np.int64)
+        #: Per dimension, each position's offset into a table over
+        #: (level, base code).
+        self.offsets: list[np.ndarray] = []
+        self._tables: list[np.ndarray] = []
+        for d, dimension in enumerate(schema.dimensions):
+            base = dimension.base_cardinality
+            table = np.zeros((dimension.n_levels + 1, base), dtype=np.int64)
+            for level, level_map in enumerate(dimension.level_maps):
+                table[level] = level_map
+            self._tables.append(table.ravel())
+            self.offsets.append(levels[:, d] * base)
+        self._seeds = np.arange(1, n_nodes + 1, dtype=np.uint64) * _HASH
+        #: The position's and each dimension's code span, for packing.
+        self.radices = [n_nodes] + [
+            max(dimension.cardinality(level) for level in range(dimension.n_levels))
+            for dimension in schema.dimensions
+        ]
+
+    def codes(
+        self, d: int, column: np.ndarray, rowids: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """Dimension ``d``'s code of each row at its position's level;
+        ``column`` is the fact table's dimension ``d``."""
+        index = np.take(self.offsets[d], positions)
+        index += column[rowids]
+        return np.take(self._tables[d], index, out=index)
+
+    def keys(
+        self,
+        columns: Sequence[np.ndarray],
+        rowids: np.ndarray,
+        positions: np.ndarray,
+    ) -> np.ndarray:
+        """The uint64 group key of each row at its plan position."""
+        key = np.take(self._seeds, positions)
+        for d, column in enumerate(columns):
+            key ^= self.codes(d, column, rowids, positions).view(np.uint64)
+            key *= _HASH
+        return key
 
 
-def _offsets(positions: np.ndarray, n_nodes: int) -> list[int]:
-    """Node offsets of ascending plan ``positions``."""
-    return np.searchsorted(
-        positions, np.arange(n_nodes + 1, dtype=np.int64)
-    ).tolist()
+#: A stored row's id packs its plan position above this many bits of its
+#: fact row-id (:func:`_ids`).
+_ROWID_BITS = 40
+_ROWID_MASK = (1 << _ROWID_BITS) - 1
+
+
+def _ids(positions: np.ndarray, rowids: np.ndarray) -> np.ndarray:
+    """(plan position, fact row-id) pairs as one int64 each: ids order
+    rows by position, then row-id, as the pairs do."""
+    return (positions << _ROWID_BITS) | rowids
+
+
+class _Stack(NamedTuple):
+    """One relation kind of every plan node, stacked in plan order:
+    ``rows``; ``ids``, each row's plan position and fact row-id
+    (:func:`_ids`) — a TT's own, an NT's R-rowid, a CAT's source row;
+    and node offsets — node ``i``'s rows are ``offsets[i]:offsets[i + 1]``."""
+
+    rows: np.ndarray
+    ids: np.ndarray
+    offsets: list[int]
+
+
+@dataclass
+class KeyedRelations:
+    """The cube's relations as the delta merger keeps them
+    (:attr:`CubeStorage.keyed_relations`): per relation kind — TT, NT,
+    CAT — a :class:`_Stack` of every plan node's relation, each row's
+    group key at its own node beside it, and ``arrays``, the relations
+    as stored: each a view of its slice of the stack.
+
+    The merger stacks and keys a cube once per storage; after that each
+    delta writes fresh stacks — the stored rows copied once around the
+    added ones, the ids and keys spliced alike — and re-points every
+    stored relation at its slice, so no relation keeps an older stack
+    alive.  A relation replaced by anything else (the CURE+ pass, say)
+    is no longer the array kept for it, and the merger stacks and keys
+    the cube again.
+    """
+
+    space: _KeySpace
+    arrays: list[list[np.ndarray]]
+    stacks: list[_Stack]
+    keys: list[np.ndarray]
+
+    def holds(self, arrays: list[list[np.ndarray]]) -> bool:
+        """Whether ``arrays`` are the relations kept here (by identity)."""
+        return all(
+            kept is array
+            for kept_kind, kind in zip(self.arrays, arrays)
+            for kept, array in zip(kept_kind, kind)
+        )
+
+
+def group_keys(
+    storage: CubeStorage, schema: CubeSchema, fact_table: Table
+) -> list[np.ndarray]:
+    """Every stored row's group key at its node, per relation kind (TT,
+    NT, CAT), computed from scratch — what :attr:`KeyedRelations.keys`
+    must equal after any number of deltas."""
+    space = _KeySpace(schema, storage.flat)
+    stores = [storage.node_store(node_id) for node_id in space.node_ids]
+    columns = fact_table.as_batch().arrays[: schema.n_dimensions]
+    return [
+        space.keys(columns, stack.ids & _ROWID_MASK, stack.ids >> _ROWID_BITS)
+        for stack in _stacks(storage, _relations(stores))
+    ]
+
+
+def _relations(stores: Sequence[NodeStore]) -> list[list[np.ndarray]]:
+    """The TT, NT and CAT arrays of ``stores``, per kind."""
+    return [
+        [store.tt_array() for store in stores],
+        [store.nt_matrix() for store in stores],
+        [store.cat_matrix() for store in stores],
+    ]
+
+
+def _stacks(
+    storage: CubeStorage, arrays: list[list[np.ndarray]]
+) -> list[_Stack]:
+    """Per relation kind, the relation of every plan node stacked."""
+    source_format = storage.cat_format is CatFormat.COMMON_SOURCE
+    widths = (None, 1 + storage.schema.n_aggregates, 1 if source_format else 2)
+    stacks = []
+    for kind, (relations, width) in enumerate(zip(arrays, widths)):
+        counts = [len(array) for array in relations]
+        parts = [array for array in relations if len(array)]
+        if parts:
+            rows = np.concatenate(parts)
+        elif width is None:
+            rows = _NO_ROWIDS
+        else:
+            rows = np.empty((0, width), dtype=np.int64)
+        if kind == 0:
+            rowids = rows
+        elif kind == 1 or not source_format:
+            rowids = rows[:, 0]
+        else:
+            rowids = storage.aggregates_matrix()[rows[:, 0], 0]
+        positions = np.repeat(np.arange(len(relations), dtype=np.int64), counts)
+        stacks.append(
+            _Stack(
+                rows,
+                _ids(positions, rowids),
+                list(itertools.accumulate(counts, initial=0)),
+            )
+        )
+    return stacks
 
 
 class _DeltaMerger:
@@ -295,12 +469,11 @@ class _DeltaMerger:
 
     ``batch`` is the fact table *after* the append: rows from
     ``base_rowid`` on are the delta.  A *probe* is a fact row-id asked
-    at a plan position.  Its group key there packs the position and, per
-    dimension, the rank of the row's member among the delta's members at
-    the node's level (0 when no delta row has that member, 1 at ALL);
-    probes are keyed by one :func:`pack_keys` call together with the
-    delta's own probes, so a key that call re-ranks still compares
-    exactly with the delta's.
+    at a plan position.  The delta's own probes are grouped exactly: a
+    key packs the position and the row's codes at the node's levels, all
+    from one :func:`pack_keys` call.  A stored row is matched to those
+    groups by its kept :class:`KeyedRelations` key, checked against the
+    codes.
     """
 
     def __init__(
@@ -313,20 +486,12 @@ class _DeltaMerger:
     ) -> None:
         self.storage = storage
         self.report = report
-        plan = schema.plan_order(storage.flat)
-        self.node_ids = [node_id for _node, node_id, _parent in plan]
-        n_nodes = len(plan)
-        parent = [parent for *_, parent in plan]
-        # Pre-order: the plan sub-tree of position i is [i, i + size[i]).
-        size = [1] * n_nodes
-        depth = [0] * n_nodes
-        for position in range(n_nodes - 1, 0, -1):
-            size[parent[position]] += size[position]
-        for position in range(1, n_nodes):
-            depth[position] = depth[parent[position]] + 1
-        self._parent = np.array(parent, dtype=np.int64)
-        self._size = np.array(size, dtype=np.int64)
-        self._depth = np.array(depth, dtype=np.int64)
+        kept = storage.keyed_relations
+        self._space = space = (
+            kept.space if kept is not None else _KeySpace(schema, storage.flat)
+        )
+        self.node_ids = space.node_ids
+        n_nodes = len(self.node_ids)
 
         self._dim_columns = batch.arrays[: schema.n_dimensions]
         self._measures = [
@@ -337,41 +502,13 @@ class _DeltaMerger:
         self._ufuncs = aggregate_ufuncs(schema)
         self._k = k = batch.length - base_rowid
 
-        # Per dimension one rank table over (level, base code), and each
-        # plan position's offset into it.  The dimension whose base
-        # members the delta covers least is the sieve: a probe whose
-        # member there is no delta row's is in no group.
-        levels = np.array([node.levels for node, *_ in plan], dtype=np.int64)
-        self._ranks: list[np.ndarray] = []
-        self._offsets: list[np.ndarray] = []
-        self._radices = [n_nodes]
-        coverage = []
-        for d, dimension in enumerate(schema.dimensions):
-            base = dimension.base_cardinality
-            appended = self._dim_columns[d][base_rowid:]
-            ranks = np.ones((dimension.n_levels + 1, base), dtype=np.int64)
-            radix = 1
-            for level, level_map in enumerate(dimension.level_maps):
-                present = np.zeros(dimension.cardinality(level), dtype=np.bool_)
-                present[level_map[appended]] = True
-                rank = np.cumsum(present)
-                radix = max(radix, int(rank[-1]))
-                rank *= present
-                np.take(rank, level_map, out=ranks[level])
-            self._ranks.append(ranks.ravel())
-            self._offsets.append(levels[:, d] * base)
-            self._radices.append(radix + 1)
-            coverage.append(int(ranks[0].max()) / base)
-        self._sieve = int(np.argmin(coverage))
-        self._sieve_members = self._ranks[self._sieve] > 0
-
         # The delta's own probes, position-major: probe p is delta row
         # p % k at position p // k.
-        self._probe_rowids = np.tile(
+        probe_rowids = np.tile(
             np.arange(base_rowid, batch.length, dtype=np.int64), n_nodes
         )
-        self._probe_positions = np.repeat(np.arange(n_nodes, dtype=np.int64), k)
-        order, _, starts = sort_groups(self._keys(_NO_ROWIDS, _NO_ROWIDS)[0])
+        probe_positions = np.repeat(np.arange(n_nodes, dtype=np.int64), k)
+        order, _, starts = sort_groups(self._keys(probe_rowids, probe_positions))
         # Per group (by position, then key): its first probe — the sort is
         # stable, so its lowest row-id — row count and aggregates.
         self._first = order[starts]
@@ -380,7 +517,7 @@ class _DeltaMerger:
         self.group_count = np.diff(np.append(starts, len(order)))
         self.group_aggregates = reduce_columns(
             self._ufuncs,
-            self._singletons(self._probe_rowids[:k])[order % k],
+            self._singletons(probe_rowids[:k])[order % k],
             starts,
         )
         self._probe_group = np.empty(len(order), dtype=np.int64)
@@ -388,78 +525,71 @@ class _DeltaMerger:
             np.arange(len(starts), dtype=np.int64), self.group_count
         )
 
+        # The groups' keys in hash buckets — the keys' top bits, about 32
+        # buckets a group: per bucket its size and where its groups start
+        # in ``_bucket_groups`` — and their codes, for checking a hit.
+        self._group_keys = self._space.keys(
+            self._dim_columns, self.group_rowid, self.group_position
+        )
+        bits = max(10, (32 * len(self._group_keys)).bit_length())
+        self._shift = np.uint64(64 - bits)
+        buckets = (self._group_keys >> self._shift).view(np.int64)
+        self._bucket_groups = stable_order(buckets)
+        _, by_bucket, first = sort_groups(buckets[self._bucket_groups])
+        occupied = by_bucket[first]
+        self._occupied = np.zeros(1 << bits, dtype=np.bool_)
+        self._occupied[occupied] = True
+        self._bucket_sizes = np.zeros(1 << bits, dtype=np.int32)
+        self._bucket_sizes[occupied] = np.diff(np.append(first, len(buckets)))
+        self._bucket_starts = np.zeros(1 << bits, dtype=np.int32)
+        self._bucket_starts[occupied] = first
+        self._group_codes = [
+            self._space.codes(d, column, self.group_rowid, self.group_position)
+            for d, column in enumerate(self._dim_columns)
+        ]
+
     # -- keys and membership -----------------------------------------------------
 
-    def _digits(
-        self, d: int, rowids: np.ndarray, positions: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Per probe, its member's rank among the delta's members of
-        dimension ``d`` at the probe's level (0: none), into ``out``.
-        Every index is in range; ``mode="clip"`` only spares ``take`` the
-        buffered copy its default mode makes when given ``out``."""
-        np.take(self._offsets[d], positions, out=out, mode="clip")
-        np.add(out, self._dim_columns[d][rowids], out=out)
-        return np.take(self._ranks[d], out, out=out, mode="clip")
-
-    def _sifted(self, rowids: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """The probes whose member of the sieve dimension, at the
-        probe's level, some delta row has — the others are in no group."""
-        index = np.take(self._offsets[self._sieve], positions, mode="clip")
-        index += self._dim_columns[self._sieve][rowids]
-        return np.flatnonzero(np.take(self._sieve_members, index, mode="clip"))
-
-    def _keys(
-        self, rowids: np.ndarray, positions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The delta probes' keys, and those of ``rowids`` at plan
-        ``positions``, from one :func:`pack_keys` call."""
-        rowids = np.concatenate((self._probe_rowids, rowids))
-        positions = np.concatenate((self._probe_positions, positions))
-        digits = np.empty(len(rowids), dtype=np.int64)
+    def _keys(self, rowids: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """The delta probes' exact group keys: the position and the
+        node's codes, packed by one :func:`pack_keys` call."""
         columns = itertools.chain(
             (positions,),
             (
-                self._digits(d, rowids, positions, digits)
-                for d in range(len(self._ranks))
+                self._space.codes(d, column, rowids, positions)
+                for d, column in enumerate(self._dim_columns)
             ),
         )
-        keys = pack_keys(columns, self._radices)
-        split = len(self._probe_rowids)
-        return keys[:split], keys[split:]
+        return pack_keys(columns, self._space.radices)
 
-    def _match(
-        self, parts: Sequence[tuple[np.ndarray, np.ndarray]]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per part of aligned ``(rowids, positions)`` probes: the probes
-        that fall in a delta group, ascending, and those groups.
+    def _members(
+        self, keys: np.ndarray, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The probes (stored rows by their :func:`_ids`, with their
+        uint64 group ``keys``) that fall in a delta group, ascending,
+        and those groups.
 
-        The sieve dimension drops most probes that cannot be in a group,
-        a hashed bitmap of the groups' keys most of the rest; the keys
-        ascend, so the exact test is a ``searchsorted``.
+        A probe whose hash bucket holds no group is in none; the others
+        are paired with every group of their bucket (about one), and a
+        pair is kept when the keys, the positions and every dimension's
+        code agree, so the match is exact.
         """
-        kept = [self._sifted(rowids, positions) for rowids, positions in parts]
-        delta_keys, keys = self._keys(
-            np.concatenate([rowids[k] for (rowids, _), k in zip(parts, kept)]),
-            np.concatenate([at[k] for (_, at), k in zip(parts, kept)]),
-        )
-        table = delta_keys[self._first]
-        bits = max(10, (8 * len(table)).bit_length())
-        shift = np.uint64(64 - bits)
-        bitmap = np.zeros(1 << bits, dtype=np.bool_)
-        bitmap[(table.view(np.uint64) * _HASH) >> shift] = True
-        hashed = keys.view(np.uint64) * _HASH
-        hashed >>= shift
-        candidates = np.flatnonzero(bitmap[hashed])
-        wanted = keys[candidates]
-        group = np.minimum(np.searchsorted(table, wanted), len(table) - 1)
-        hit = table[group] == wanted
-        probes, groups = candidates[hit], group[hit]
-        starts = np.cumsum([0] + [len(k) for k in kept])
-        cuts = np.searchsorted(probes, starts).tolist()
-        return [
-            (k[probes[low:high] - start], groups[low:high])
-            for k, start, low, high in zip(kept, starts.tolist(), cuts, cuts[1:])
-        ]
+        buckets = (keys >> self._shift).view(np.int64)
+        candidates = np.flatnonzero(self._occupied[buckets])
+        buckets = buckets[candidates]
+        count = self._bucket_sizes[buckets]
+        probes = np.repeat(candidates, count)
+        slots = np.repeat(self._bucket_starts[buckets] - np.cumsum(count) + count, count)
+        slots += np.arange(len(probes), dtype=np.int64)
+        groups = self._bucket_groups[slots]
+        hit = keys[probes] == self._group_keys[groups]
+        probes, groups = probes[hit], groups[hit]
+        found = ids[probes]
+        at, rowids = found >> _ROWID_BITS, found & _ROWID_MASK
+        hit = at == self.group_position[groups]
+        for d, column in enumerate(self._dim_columns):
+            hit &= self._space.codes(d, column, rowids, at) == self._group_codes[d][groups]
+        return probes[hit], groups[hit]
 
     # -- fact-side arrays --------------------------------------------------------
 
@@ -489,52 +619,41 @@ class _DeltaMerger:
         n_ufuncs = len(self._ufuncs)
         stores = [storage.node_store(node_id) for node_id in self.node_ids]
         n_nodes = len(stores)
-        trivial, trivial_at, trivial_offsets = _stacked(
-            [store.tt_array() for store in stores], None
-        )
-        normal, normal_at, normal_offsets = _stacked(
-            [store.nt_matrix() for store in stores], 1 + n_ufuncs
-        )
-        source_format = storage.cat_format is CatFormat.COMMON_SOURCE
-        common, common_at, common_offsets = _stacked(
-            [store.cat_matrix() for store in stores], 1 if source_format else 2
-        )
-        shared = storage.aggregates_matrix()
-        source_rowids = shared[common[:, 0], 0] if source_format else common[:, 0]
+        kept = self._kept(stores)
+        trivial, normal, common = kept.stacks
+        trivial_keys, normal_keys, common_keys = kept.keys
 
-        # One membership pass: every stored row-id at its own node.
-        tts, nts, cats = self._match(
-            (
-                (trivial, trivial_at),
-                (normal[:, 0], normal_at),
-                (source_rowids, common_at),
-            )
-        )
-        (devalued, trivial_group), (rewritten, normal_group) = tts, nts
-        demoted, common_group = cats
+        # One membership pass a relation kind: every stored row at its
+        # own node, by its kept key.
+        devalued, trivial_group = self._members(trivial_keys, trivial.ids)
+        rewritten, normal_group = self._members(normal_keys, normal.ids)
+        demoted, common_group = self._members(common_keys, common.ids)
         report.tts_devalued += len(devalued)
         (became_rowids, became_at, became_group), (stay_rowids, stay_at) = (
-            self._devalue(trivial, trivial_at, devalued, trivial_group)
+            self._devalue(trivial.ids, devalued, trivial_group)
         )
         report.nts_merged += len(became_rowids)
 
-        # NTs merge in place (distributive aggregates, minimum row-id).
-        normal[rewritten] = self._merged(
-            normal[rewritten, 0], normal[rewritten, 1:], normal_group
+        # NTs merge (distributive aggregates, minimum row-id); written
+        # into the fresh stack below.
+        merged = self._merged(
+            normal.rows[rewritten, 0], normal.rows[rewritten, 1:], normal_group
         )
         report.nts_merged += len(rewritten)
 
         # Touched CATs are demoted to NTs.
-        if source_format:
-            source_aggregates = shared[common[demoted, 0], 1:]
+        shared = storage.aggregates_matrix()
+        if storage.cat_format is CatFormat.COMMON_SOURCE:
+            source_aggregates = shared[common.rows[demoted, 0], 1:]
         else:
-            source_aggregates = shared[common[demoted, 1]]
+            source_aggregates = shared[common.rows[demoted, 1]]
+        demoted_ids = common.ids[demoted]
         demoted_rows = self._merged(
-            source_rowids[demoted], source_aggregates, common_group
+            demoted_ids & _ROWID_MASK, source_aggregates, common_group
         )
         report.cats_demoted += len(demoted)
         storage.update_drift_bytes += (
-            len(demoted) * (1 + n_ufuncs - common.shape[1]) * VALUE_BYTES
+            len(demoted) * (1 + n_ufuncs - common.rows.shape[1]) * VALUE_BYTES
         )
 
         matched = np.zeros(len(self.group_count), dtype=np.bool_)
@@ -544,10 +663,10 @@ class _DeltaMerger:
         report.new_nts += len(several)
         report.new_tts += len(new_tts)
 
-        # Write back, node by node: fresh arrays (never the ones a query
-        # was handed), each added row put before the first stored one
+        # Write back: fresh stacks (never the arrays a query was handed),
+        # each added row put before the first stored one of its node
         # with a larger row-id, so a CURE+ cube's relations stay in
-        # row-id order.
+        # row-id order; the ids and kept keys follow their rows.
         added_nt, added_nt_at = _by_position(
             (
                 self._merged(
@@ -555,7 +674,7 @@ class _DeltaMerger:
                 ),
                 became_at,
             ),
-            (demoted_rows, common_at[demoted]),
+            (demoted_rows, demoted_ids >> _ROWID_BITS),
             (
                 np.column_stack(
                     (self.group_rowid[several], self.group_aggregates[several])
@@ -567,78 +686,107 @@ class _DeltaMerger:
             (stay_rowids, stay_at),
             (self.group_rowid[new_tts], self.group_position[new_tts]),
         )
-        keep_trivial = np.ones(len(trivial), dtype=np.bool_)
+        keep_trivial = np.ones(len(trivial.ids), dtype=np.bool_)
         keep_trivial[devalued] = False
-        keep_common = np.ones(len(common), dtype=np.bool_)
+        keep_common = np.ones(len(common.ids), dtype=np.bool_)
         keep_common[demoted] = False
-        nts, nt_order, nt_offsets = self._inserted(
-            normal, normal_at, added_nt, added_nt_at
+        # Per node: rows removed, rows added.
+        tt_changes = (
+            np.bincount(trivial.ids[devalued] >> _ROWID_BITS, minlength=n_nodes),
+            np.bincount(added_tt_at, minlength=n_nodes),
         )
-        tts, tt_order, tt_offsets = self._inserted(
-            trivial[keep_trivial], trivial_at[keep_trivial], added_tt, added_tt_at
+        nt_changes = (
+            np.bincount(normal.ids[rewritten] >> _ROWID_BITS, minlength=n_nodes),
+            np.bincount(added_nt_at, minlength=n_nodes),
         )
-        rewrites = _offsets(normal_at[rewritten], n_nodes)
-        added_nts = _offsets(added_nt_at, n_nodes)
-        demotions = _offsets(common_at[demoted], n_nodes)
-        devaluations = _offsets(trivial_at[devalued], n_nodes)
-        added_tts = _offsets(added_tt_at, n_nodes)
-        for position, store in enumerate(stores):
-            here = slice(position, position + 2)
-            r0, r1 = rewrites[here]
-            a0, a1 = added_nts[here]
-            d0, d1 = demotions[here]
-            c0, c1 = common_offsets[here]
-            v0, v1 = devaluations[here]
-            s0, s1 = added_tts[here]
-            if r0 < r1 or a0 < a1:
-                store.nt.replace(
-                    np.take(nts, nt_order[slice(*nt_offsets[here])], axis=0)
+        cat_changes = np.bincount(demoted_ids >> _ROWID_BITS, minlength=n_nodes)
+
+        tt_ids = trivial.ids[keep_trivial]
+        added_tt_ids = _ids(added_tt_at, added_tt)
+        tt_places = _places(tt_ids, added_tt_ids)
+        added_nt_ids = _ids(added_nt_at, added_nt[:, 0])
+        nt_places = _places(normal.ids, added_nt_ids)
+        nts = _spliced(normal.rows, added_nt, nt_places)
+        # A stored row moves down by the added rows placed before it.
+        nts[
+            rewritten
+            + np.searchsorted(
+                nt_places - np.arange(len(nt_places), dtype=np.int64), rewritten, side="right"
+            )
+        ] = merged
+        stacks = [
+            _Stack(
+                _spliced(_kept(trivial.rows, keep_trivial), added_tt, tt_places),
+                _spliced(tt_ids, added_tt_ids, tt_places),
+                _resized(trivial.offsets, -tt_changes[0] + tt_changes[1]),
+            ),
+            _Stack(
+                nts,
+                _spliced(normal.ids, added_nt_ids, nt_places),
+                _resized(normal.offsets, nt_changes[1]),
+            ),
+            _Stack(
+                _kept(common.rows, keep_common),
+                common.ids[keep_common],
+                _resized(common.offsets, -cat_changes),
+            ),
+        ]
+        keys = [
+            _spliced(
+                trivial_keys[keep_trivial],
+                self._space.keys(self._dim_columns, added_tt, added_tt_at),
+                tt_places,
+            ),
+            _spliced(
+                normal_keys,
+                self._space.keys(self._dim_columns, added_nt[:, 0], added_nt_at),
+                nt_places,
+            ),
+            common_keys[keep_common],
+        ]
+        changed = (
+            tt_changes[0] + tt_changes[1],
+            nt_changes[0] + nt_changes[1],
+            cat_changes,
+        )
+        relations = [
+            [store.tt for store in stores],
+            [store.nt for store in stores],
+            [store.cat for store in stores],
+        ]
+        storage.keyed_relations = KeyedRelations(
+            self._space,
+            [
+                _repointed(kind, old, stack.rows, stack.offsets, change.tolist())
+                for kind, old, stack, change in zip(
+                    relations, kept.arrays, stacks, changed
                 )
-            if d0 < d1:
-                store.cat.replace(common[c0:c1][keep_common[c0:c1]])
-            if v0 < v1 or s0 < s1:
-                store.tt.replace(np.take(tts, tt_order[slice(*tt_offsets[here])]))
+            ],
+            stacks,
+            keys,
+        )
 
-    def _inserted(
-        self,
-        rows: np.ndarray,
-        at: np.ndarray,
-        added: np.ndarray,
-        added_at: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """``added`` rows (grouped by plan position ``added_at``, by
-        row-id within one) put into the stored ``rows`` (grouped by
-        ``at``), each before the first row of its node with a larger
-        row-id: a node whose rows ascend by row-id still does.  One
-        ``searchsorted`` over (position, row-id) keys finds the places —
-        every row-id is below the fact row count, so the keys of one
-        node's rows sit between those of the nodes around it, in order
-        or not.  Returns ``rows`` and ``added`` stacked, the order that
-        interleaves them (each added row at its place, shifted by the
-        added rows before it; the stored rows, in turn, in the rest) and
-        its node offsets: node ``i``'s new relation is one ``take`` of
-        the stack by its slice of the order."""
-        span = len(self._dim_columns[0])
-
-        def keys(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
-            return positions * span + (values if values.ndim == 1 else values[:, 0])
-
-        n, k = len(rows), len(added)
-        into = np.searchsorted(keys(rows, at), keys(added, added_at))
-        into += np.arange(k, dtype=np.int64)
-        order = np.empty(n + k, dtype=np.int64)
-        order[into] = np.arange(n, n + k, dtype=np.int64)
-        stored = np.ones(n + k, dtype=np.bool_)
-        stored[into] = False
-        order[stored] = np.arange(n, dtype=np.int64)
-        n_nodes = len(self.node_ids)
-        offsets = np.add(_offsets(at, n_nodes), _offsets(added_at, n_nodes))
-        return np.concatenate((rows, added)), order, offsets.tolist()
+    def _kept(self, stores: list[NodeStore]) -> KeyedRelations:
+        """The storage's :class:`KeyedRelations` when they are still its
+        relations, else the relations stacked and keyed anew."""
+        arrays = _relations(stores)
+        kept = self.storage.keyed_relations
+        if kept is not None and kept.holds(arrays):
+            return kept
+        stacks = _stacks(self.storage, arrays)
+        keys = [
+            self._space.keys(
+                self._dim_columns,
+                stack.ids & _ROWID_MASK,
+                stack.ids >> _ROWID_BITS,
+            )
+            for stack in stacks
+        ]
+        return KeyedRelations(self._space, arrays, stacks, keys)
 
     def _devalue(
         self,
-        trivial: np.ndarray,
-        trivial_at: np.ndarray,
+        trivial_ids: np.ndarray,
         devalued: np.ndarray,
         groups: np.ndarray,
     ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -646,38 +794,43 @@ class _DeltaMerger:
 
         Touchedness is upward-closed along the plan, so a TT stored at
         position a whose group the delta touches (``groups``, per
-        ``devalued`` index into ``trivial``) becomes an NT at each node of
-        a's plan sub-tree where the delta touches it, stays a TT at each
-        node touched at its plan parent but not itself, and is covered by
-        those below.  Returns the NTs as ``(row-ids, positions, delta
-        groups)`` and the TTs as ``(row-ids, positions)``; at a node,
-        its own former TTs come first, then its plan parent's,
-        grandparent's, … each in stored order.
+        ``devalued`` index into ``trivial_ids``) becomes an NT at each
+        node of a's plan sub-tree where the delta touches it, stays a TT
+        at each node touched at its plan parent but not itself, and is
+        covered by those below.  Returns the NTs as ``(row-ids,
+        positions, delta groups)`` and the TTs as ``(row-ids,
+        positions)``; at a node, its own former TTs come first, then its
+        plan parent's, grandparent's, … each in stored order.
         """
-        spans = self._size[trivial_at[devalued]]
+        roots = trivial_ids[devalued] >> _ROWID_BITS
+        spans = self._space.size[roots]
         pair_tt = np.repeat(devalued, spans)
-        pair_root = trivial_at[pair_tt]
+        pair_root = np.repeat(roots, spans)
         pair_at = pair_root + (
             np.arange(len(pair_tt), dtype=np.int64)
             - np.repeat(np.cumsum(spans) - spans, spans)
         )
+        pair_rowids = trivial_ids[pair_tt] & _ROWID_MASK
         pair_group = np.repeat(groups, spans)
         below = np.flatnonzero(pair_at != pair_root)
         pair_group[below] = -1
-        [(hits, found)] = self._match(((trivial[pair_tt[below]], pair_at[below]),))
+        rowids, at = pair_rowids[below], pair_at[below]
+        hits, found = self._members(
+            self._space.keys(self._dim_columns, rowids, at), _ids(at, rowids)
+        )
         pair_group[below[hits]] = found
         touched = pair_group >= 0
         # A pair's parent pair sits (position − parent position) before it.
         stay = np.zeros(len(pair_tt), dtype=np.bool_)
         stay[below] = ~touched[below] & touched[
-            below - pair_at[below] + self._parent[pair_at[below]]
+            below - pair_at[below] + self._space.parent[pair_at[below]]
         ]
-        order = stable_order(pair_at, self._depth[pair_at] - self._depth[pair_root])
+        order = stable_order(pair_at, self._space.depth[pair_at] - self._space.depth[pair_root])
         became = order[touched[order]]
         stays = order[stay[order]]
         return (
-            (trivial[pair_tt[became]], pair_at[became], pair_group[became]),
-            (trivial[pair_tt[stays]], pair_at[stays]),
+            (pair_rowids[became], pair_at[became], pair_group[became]),
+            (pair_rowids[stays], pair_at[stays]),
         )
 
     def _new_groups(self, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -688,13 +841,81 @@ class _DeltaMerger:
         several = np.flatnonzero(fresh & (self.group_count > 1))
         single = fresh & (self.group_count == 1)
         singles = np.flatnonzero(single)
-        parent = self._parent[self.group_position[singles]]
+        parent = self._space.parent[self.group_position[singles]]
         covered = single[
             self._probe_group[
                 np.maximum(parent, 0) * self._k + self._first[singles] % self._k
             ]
         ]
         return several, singles[(parent < 0) | ~covered]
+
+
+def _places(ids: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """Where rows with ids ``added`` (ascending) go among stored rows
+    with ``ids`` (grouped by plan position): each before the first row
+    of its node with a larger row-id, so a node whose rows ascend by
+    row-id still does.  One ``searchsorted`` over the ids finds the
+    places — a node's ids sit between those of the nodes around it, in
+    order or not.  Returns the added rows' indices in the spliced stack
+    (:func:`_spliced`)."""
+    places = np.searchsorted(ids, added)
+    places += np.arange(len(places), dtype=np.int64)
+    return places
+
+
+def _resized(offsets: list[int], change: np.ndarray) -> list[int]:
+    """Node offsets after each node's row count changed by ``change``."""
+    counts = np.diff(offsets) + change
+    return [0, *np.cumsum(counts).tolist()]
+
+
+def _repointed(
+    relations: list[ArrayRelation],
+    arrays: list[np.ndarray],
+    rows: np.ndarray,
+    offsets: list[int],
+    changed: list[int],
+) -> list[np.ndarray]:
+    """Each relation of one kind given its slice of the fresh stack
+    ``rows`` — where it changed, and wherever it holds rows, so that no
+    relation keeps an older stack alive; an empty, unchanged one keeps
+    its array.  Returns the arrays now stored."""
+    stored = []
+    for relation, array, start, stop, change in zip(
+        relations, arrays, offsets, offsets[1:], changed
+    ):
+        if change or len(array):
+            array = rows[start:stop]
+            relation.replace(array)
+        stored.append(array)
+    return stored
+
+
+def _items(rows: np.ndarray) -> np.ndarray:
+    """``rows`` as a vector, a matrix row as one opaque item: a masked
+    copy of whole rows then costs a tenth of one of their values."""
+    if rows.ndim == 1:
+        return rows
+    row = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    return np.ascontiguousarray(rows).view(row).reshape(-1)
+
+
+def _kept(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The ``rows`` a boolean ``keep`` selects, in order."""
+    return _items(rows)[keep].view(rows.dtype).reshape(-1, *rows.shape[1:])
+
+
+def _spliced(
+    stored: np.ndarray, added: np.ndarray, places: np.ndarray
+) -> np.ndarray:
+    """``stored`` rows with ``added`` ones at indices ``places`` of the
+    result (ascending), the stored rows in order around them."""
+    out = np.empty((len(stored) + len(added), *stored.shape[1:]), stored.dtype)
+    spare = np.ones(len(out), dtype=np.bool_)
+    spare[places] = False
+    out[places] = added
+    _items(out)[spare] = _items(stored)
+    return out
 
 
 def _by_position(

@@ -37,12 +37,16 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterator, MutableMapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.model import CubeSchema
 from repro.core.segments import stable_order
 from repro.core.signature import FormatStatistics, cat_members
+
+if TYPE_CHECKING:  # the delta merger imports this module
+    from repro.core.incremental import KeyedRelations
 
 VALUE_BYTES = 4
 """Logical size of one stored value (row-id / dimension code / aggregate)."""
@@ -251,6 +255,12 @@ class CubeStorage:
     #: :meth:`aggregates_matrix`, which types the empty case.
     aggregates: ArrayRelation = field(
         default_factory=ArrayRelation, repr=False, compare=False
+    )
+    #: The delta merger's :class:`~repro.core.incremental.KeyedRelations`:
+    #: the relations stacked, with each row's group key (None until the
+    #: first delta).
+    keyed_relations: KeyedRelations | None = field(
+        default=None, init=False, repr=False, compare=False
     )
     #: Node id → ids of the nodes whose TTs it shares (query-side memo).
     tt_source_ids: dict[int, tuple[int, ...]] = field(

@@ -22,8 +22,8 @@ own torn tail), and re-apply every sealed record past ``applied_lsn``.  A
 record is applied exactly once per surviving generation — never zero
 times (it is sealed and durable before it is eligible) and never twice
 (the watermark moves with the generation that absorbed it) — and because
-:func:`apply_delta`, CURE+ post-processing, and the drift-driven
-compaction decision are all deterministic, the recovered cube is
+:func:`apply_delta` and the drift-driven compaction decision are
+deterministic, the recovered cube is
 byte-identical to an uninterrupted run.
 
 A checkpoint costs four ``fsync``s (container + directory, manifest +
@@ -294,13 +294,14 @@ class StreamingIngestor:
     def apply_ready(self) -> int:
         """Fold every sealed record past the watermark into the cube.
 
-        Records apply in LSN order; after each one the CURE+ property is
-        restored (if enabled: the pass re-sorts only the relations out of
-        row-id order, and the merge leaves none), the planner's result cache is emptied (a
-        record is never empty: the log refuses one at append and fails
-        closed on one at read), and the drift trigger is evaluated — per
-        record, so replay after a crash makes the identical compaction
-        decisions at the identical points.
+        Records apply in LSN order.  A CURE+ cube stays one with no pass
+        of its own: the merger puts each added row at its row-id's place
+        (:func:`~repro.core.incremental.apply_delta`).  After each record
+        the planner's result cache is emptied (a record is never empty:
+        the log refuses one at append and fails closed on one at read),
+        and the drift trigger is evaluated — per record, so replay after
+        a crash makes the identical compaction decisions at the
+        identical points.
         Returns the number of records applied.
         """
         catalog = self.engine.catalog
@@ -311,8 +312,6 @@ class StreamingIngestor:
         for record in records:
             maybe_fire(catalog.faults, f"ingest.apply:{record.lsn}")
             apply_delta(self.storage, self.schema, self.fact_table, record.rows)
-            if self.plus:
-                postprocess_plus(self.storage)
             self.applied_lsn = record.lsn
             self.stats.records_applied += 1
             self.stats.rows_applied += len(record.rows)

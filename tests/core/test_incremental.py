@@ -192,7 +192,8 @@ def test_min_rowid_maintained(flat_schema):
 
 def test_update_of_plus_cube_devalues_bitmap_tts(paper_schema):
     """A CURE+ cube (sorted lists, the long ones charged as bitmaps) is
-    de-plussed, updated correctly, and can be re-plussed afterwards."""
+    updated correctly and stays one: every list still in row-id order,
+    so a re-run of the CURE+ pass sorts nothing."""
     from repro.core.postprocess import postprocess_plus
 
     base, delta = make_instance(paper_schema, 150, 25, seed=10)
@@ -202,9 +203,17 @@ def test_update_of_plus_cube_devalues_bitmap_tts(paper_schema):
     report = result.storage.size_report()
     assert report.tt_bytes < 4 * report.n_tt  # some TT list is a bitmap
     apply_delta(result.storage, paper_schema, base, delta)
-    assert not result.storage.plus_processed  # sortedness no longer holds
+    assert result.storage.plus_processed
+    for store in result.storage.nodes.values():
+        for values in (
+            store.tt_array(),
+            store.nt_matrix()[:, 0] if store.nt_count else store.tt_array()[:0],
+            store.cat_matrix()[:, 0] if store.cat_count else store.tt_array()[:0],
+        ):
+            assert (values[1:] >= values[:-1]).all()
     assert_equals_reference(paper_schema, base, result.storage)
-    postprocess_plus(result.storage)
+    plus = postprocess_plus(result.storage)
+    assert (plus.tt_lists_sorted, plus.nts_sorted, plus.cats_sorted) == (0, 0, 0)
     assert_equals_reference(paper_schema, base, result.storage)
 
 

@@ -213,8 +213,8 @@ def test_a_delta_keeps_row_id_order_and_a_rerun_sorts_only_what_falls(
     paper_schema, monkeypatch
 ):
     """The delta merger puts each added row before the first stored one
-    with a larger row-id, so a CURE+ cube stays in order and the pass the
-    ingestor re-runs after every record sorts nothing; a relation put out
+    with a larger row-id, so a CURE+ cube stays in order straight after
+    the delta and a re-run of the pass sorts nothing; a relation put out
     of order is the only one a re-run replaces."""
     from repro.core.incremental import apply_delta
 
@@ -227,7 +227,13 @@ def test_a_delta_keeps_row_id_order_and_a_rerun_sorts_only_what_falls(
     )
     assert report.nts_merged and report.tts_devalued and report.new_nts + report.new_tts
     assert _stored(storage) != before
-    assert not storage.plus_processed
+    assert storage.plus_processed
+    for store in storage.nodes.values():
+        assert not _falls(store.tt_array())
+        if store.nt_count:
+            assert not _falls(store.nt_matrix()[:, 0])
+        if store.cat_count:
+            assert not _falls(store.cat_matrix()[:, 0])
     assert postprocess_plus(storage) == PlusReport(elapsed_seconds=mock.ANY)
     assert storage.plus_processed
 

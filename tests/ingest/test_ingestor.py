@@ -24,6 +24,7 @@ from repro.relational.batch import ColumnBatch
 from repro.relational.durable import InjectedCrash, file_checksum
 from repro.storage2 import V2File, V2FormatError, open_v2, write_v2
 from repro.storage2.format import ValueOutOfDomain
+from tests.property.test_hypothesis_delta_merge import assert_keys_kept
 from tests.storage2.test_corruption import flip_byte
 from tests.support.rows import rows_of, table_of
 
@@ -67,6 +68,35 @@ def assert_queries_match(ingestor):
         planner = CubePlanner(ingestor.storage, cache)
         got = normalize_answer(planner.answer(QueryRequest(node)))
         assert got == expected, node.label(SCHEMA.dimensions)
+
+
+@pytest.mark.parametrize("plus", [False, True])
+def test_kept_group_keys_survive_compaction_and_recovery(tmp_path, plus):
+    """After every record — on the bootstrapped cube, on a compacted
+    one and on a recovered one — the group keys the merger keeps equal
+    keys computed from scratch."""
+    engine = fresh_engine(tmp_path)
+    ingestor = bootstrap(engine, tmp_path, plus=plus)
+
+    def fold(start: int) -> None:
+        for code in range(start, start + 3):
+            ingestor.append([(code % 8, code % 5, code), ((code * 3) % 8, 1, -code)])
+            ingestor.log.seal()
+            ingestor.apply_ready()
+            assert_keys_kept(ingestor.storage, SCHEMA, ingestor.fact_table)
+            assert ingestor.storage.plus_processed == plus
+
+    fold(0)
+    ingestor.compact()
+    assert ingestor.storage.keyed_relations is None  # a rebuilt cube
+    fold(10)
+    ingestor.checkpoint()
+    engine.close()
+    engine = fresh_engine(tmp_path)
+    ingestor = StreamingIngestor.recover(SCHEMA, engine, tmp_path / "log", seal_records=2)
+    fold(20)
+    assert_queries_match(ingestor)
+    engine.close()
 
 
 def test_bootstrap_apply_recover_round_trip(engine, tmp_path):

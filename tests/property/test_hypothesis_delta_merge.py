@@ -22,6 +22,7 @@ import dataclasses
 from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -33,7 +34,8 @@ from repro import (
     linear_dimension,
     make_aggregates,
 )
-from repro.core.incremental import apply_delta
+from repro.core import incremental
+from repro.core.incremental import apply_delta, group_keys
 from repro.core.postprocess import postprocess_plus
 from repro.core.storage import CatFormat
 from repro.query import (
@@ -119,8 +121,8 @@ def build(schema, rows, flat, cat_format, plus):
 
 
 def assert_rowid_order(storage):
-    """Re-plussed after a delta, every stored row-id list is in order:
-    TT lists, and NTs and CATs by their first column."""
+    """Straight after a delta into a CURE+ cube, every stored row-id
+    list is in order: TT lists, and NTs and CATs by their first column."""
     for node_id, store in storage.nodes.items():
         for values in (
             store.tt_array(),
@@ -128,6 +130,23 @@ def assert_rowid_order(storage):
             store.cat_matrix()[:, 0] if store.cat_count else store.tt_array()[:0],
         ):
             assert (values[1:] >= values[:-1]).all(), node_id
+
+
+def assert_keys_kept(storage, schema, table):
+    """The stacks, ids and group keys the merger keeps are those of the
+    relations now stored, and equal ones computed from scratch."""
+    kept = storage.keyed_relations
+    assert kept is not None
+    plan = schema.plan_order(storage.flat)
+    stores = [storage.node_store(node_id) for _node, node_id, _parent in plan]
+    arrays = incremental._relations(stores)
+    assert kept.holds(arrays)
+    for kept_keys, fresh in zip(kept.keys, group_keys(storage, schema, table)):
+        assert np.array_equal(kept_keys, fresh)
+    for stack, fresh in zip(kept.stacks, incremental._stacks(storage, arrays)):
+        assert np.array_equal(stack.rows, fresh.rows) or stack.rows.size == fresh.rows.size == 0
+        assert np.array_equal(stack.ids, fresh.ids)
+        assert stack.offsets == fresh.offsets
 
 
 def stored(storage):
@@ -214,13 +233,10 @@ def run_differential(schema, flat, base_rows, deltas, cat_format, plus):
         assert storage.update_drift_bytes == oracle.update_drift_bytes
         assert storage.size_report() == oracle.size_report()
         assert storage.fact_row_count == oracle.fact_row_count
-        assert not storage.plus_processed
+        assert storage.plus_processed == plus
+        assert_keys_kept(storage, schema, table)
         assert_counts_match_arrays(storage)
         if plus:
-            postprocess_plus(oracle)
-            postprocess_plus(storage)
-            assert stored(storage) == stored(oracle)
-            assert storage.size_report() == oracle.size_report()
             assert_rowid_order(storage)
     if deltas:
         rebuilt = build(schema, rows_of(table), flat, cat_format, plus)
@@ -318,3 +334,37 @@ def test_wide_lattice_rerank_keeps_membership(monkeypatch):
     base = [(a % 6, a % 4, a % 3, a) for a in range(20)]
     deltas = [[(0, 0, 0, 1), (5, 3, 2, 2), (0, 0, 0, 3)], [(2, 1, 1, 4)]]
     run_differential(schema, flat, base, deltas, CatFormat.COMMON_SOURCE, True)
+
+
+def test_colliding_group_keys_still_match_exactly(monkeypatch):
+    """With every group key equal — each probe pairs with every delta
+    group — the checks against positions and codes still find exactly
+    the oracle's groups."""
+    real = incremental._KeySpace.keys
+    monkeypatch.setattr(
+        incremental._KeySpace,
+        "keys",
+        lambda self, columns, rowids, positions: real(self, columns, rowids, positions) & np.uint64(0),
+    )
+    schema, flat = SCHEMAS["linear"]
+    base = [(a % 6, a % 4, a % 3, a) for a in range(30)]
+    deltas = [[(0, 0, 0, 1), (5, 3, 2, 2), (0, 0, 0, 3)], [(2, 1, 1, 4), (1, 1, 1, 1)]]
+    for cat_format in (CatFormat.COMMON_SOURCE, CatFormat.COINCIDENTAL):
+        run_differential(schema, flat, base, deltas, cat_format, True)
+
+
+def test_a_relation_replaced_elsewhere_is_keyed_again():
+    """The CURE+ pass replacing a relation the merger keyed makes the
+    kept keys stale; the next delta keys the cube again, exactly."""
+    schema, flat = SCHEMAS["linear"]
+    base = [(a % 6, a % 4, a % 3, a) for a in range(30)]
+    table, storage = build(schema, base, flat, CatFormat.COINCIDENTAL, False)
+    apply_delta(storage, schema, table, [(0, 0, 0, 1), (5, 3, 2, 2)])
+    kept = storage.keyed_relations
+    postprocess_plus(storage)  # a CURE cube's relations are out of order
+    plan = schema.plan_order(flat)
+    stores = [storage.node_store(node_id) for _node, node_id, _parent in plan]
+    assert not kept.holds(incremental._relations(stores))
+    apply_delta(storage, schema, table, [(2, 1, 1, 4)])
+    assert storage.keyed_relations is not kept
+    assert_keys_kept(storage, schema, table)

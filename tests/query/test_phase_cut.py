@@ -191,10 +191,22 @@ def tt_lists(storage: CubeStorage) -> dict[int, list[int]]:
 def test_a_coarse_ancestor_stores_the_lone_row(partitioned):
     case, result, _cache = partitioned
     lists = tt_lists(result.storage)
-    # Two phases wrote the lone row's TT; the build kept one.
-    assert result.stats.tt_written > sum(map(len, lists.values()))
+    # Two phases wrote the lone row's TT; the build kept one, and says
+    # how many copies it dropped.
+    stored = sum(map(len, lists.values()))
+    assert result.stats.tts_dropped > 0
+    assert result.stats.tt_written - result.stats.tts_dropped == stored
     holders = [node_id for node_id, rowids in lists.items() if case.lone in rowids]
     assert holders == [case.holder_node_id()]
+
+
+def test_pair_case_written_less_dropped_is_stored(tmp_path):
+    """On the pair case two phases write the lone row's TT: 12 written,
+    1 dropped, 11 stored."""
+    case = pair_case()
+    result = case.build(tmp_path)
+    stored = sum(map(len, tt_lists(result.storage).values()))
+    assert (result.stats.tt_written, result.stats.tts_dropped, stored) == (12, 1, 11)
 
 
 def test_tt_lists_equal_the_in_memory_builds(partitioned):

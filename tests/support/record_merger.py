@@ -54,17 +54,13 @@ def apply_delta_by_record(
 
     # Validate the whole delta before mutating anything.  A bad row must
     # leave the fact table and the cube exactly as they were: a rejected
-    # delta is a no-op, never a partial append with ``plus_processed``
-    # already cleared.
+    # delta is a no-op, never a partial append.
     for row in delta_rows:
         schema.fact_schema.validate_row(row)
 
-    # A CURE+ cube relies on sorted row-id lists; updates append out of
-    # order, so the plus property goes (re-run
-    # :func:`repro.core.postprocess.postprocess_plus` afterwards to
-    # restore it).
+    # ``plus_processed`` stays as it was, as ``apply_delta`` leaves it;
+    # this oracle's relations are compared as multisets, never in order.
     rows = CubeRows(storage)
-    storage.plus_processed = False
 
     base_rowid = len(fact_table)
     fact_table.append_batch(batch_of(fact_table.schema, delta_rows))

@@ -133,7 +133,9 @@ def pieces(root: Path, ops, repeat: int) -> list[tuple[str, str, float]]:
         f"{len(narrows)} sections",
         fastest(
             lambda: [
-                narrow_decode(p, e.extra["lows"], e.extra["widths"], e.shape)
+                narrow_decode(
+                    p, e.extra["lows"], e.extra["widths"], e.shape, e.extra.get("gaps", ())
+                )
                 for e, p in narrows
             ],
             repeat,
