@@ -308,51 +308,30 @@ def _parse_delta_csv(schema, path: str) -> np.ndarray:
 
 
 def cmd_ingest(args) -> int:
-    from repro.bundle import STREAM_LOG_DIR, STREAM_PREFIX, bundle_header
+    from repro.bundle import STREAM_LOG_DIR
     from repro.ingest import IngestError, StreamingIngestor
     from repro.relational.engine import Engine
     from repro.relational.memory import MemoryManager
-    from repro.relational.table import Table
-    from repro.storage2 import V2_FILE, V2FormatError, open_v2
+    from repro.storage2.publish import BundleError, read_manifest
 
     root = Path(args.cube)
     try:
-        schema, extra = bundle_header(root)
-    except FileNotFoundError as error:
+        schema = read_manifest(root).schema
+    except (FileNotFoundError, BundleError) as error:
         raise SystemExit(str(error)) from None
     delta_rows = _parse_delta_csv(schema, args.csv)
-    plus = "+" in str(extra.get("variant", ""))
-    overhead = args.compact_overhead if args.compact_overhead > 0 else None
     engine = Engine(Catalog(root), MemoryManager())
     try:
-        if (root / f"{STREAM_PREFIX}.ingest.json").exists():
-            # A damaged generation must stop the command, not send it back
-            # to the bundle's original facts with every earlier ingest lost.
-            try:
-                ingestor = StreamingIngestor.recover(
-                    schema, engine, root / STREAM_LOG_DIR, prefix=STREAM_PREFIX
-                )
-            except IngestError as error:
-                raise SystemExit(f"{root}: {error}") from None
-            ingestor.compact_overhead = overhead
-        else:
-            # First ingest into this bundle: the committed baseline is the
-            # fact table of the container it serves, checked as serving
-            # checks it.
-            try:
-                cube = open_v2(root / V2_FILE, schema)
-                fact = Table.from_batch(cube.fact.as_batch())
-            except V2FormatError as error:
-                raise SystemExit(f"{root}: {error}") from None
-            ingestor = StreamingIngestor.bootstrap(
-                schema,
-                engine,
-                fact,
-                root / STREAM_LOG_DIR,
-                prefix=STREAM_PREFIX,
-                plus=plus,
-                compact_overhead=overhead,
-            )
+        # The committed generation, or the saved cube's facts rebuilt as
+        # generation 0 on the first ingest.  A damaged container stops the
+        # command rather than send it back to older facts.
+        try:
+            ingestor = StreamingIngestor.recover(engine, root / STREAM_LOG_DIR)
+        except IngestError as error:
+            raise SystemExit(f"{root}: {error}") from None
+        ingestor.compact_overhead = (
+            args.compact_overhead if args.compact_overhead > 0 else None
+        )
         batch = max(1, args.batch)
         for start in range(0, len(delta_rows), batch):
             ingestor.append(delta_rows[start : start + batch])
@@ -418,13 +397,14 @@ def cmd_verify_cube(args) -> int:
     per-section bytes are reported.
     """
     if args.cube is not None:
-        from repro.bundle import bundle_header
-        from repro.storage2 import publish_v2_bundle, verify_v2
+        from repro.storage2 import verify_v2
+        from repro.storage2.publish import read_manifest
 
-        schema, _extra = bundle_header(Path(args.cube))
+        manifest = read_manifest(args.cube)
+        dimensions = manifest.schema.dimensions
         report = verify_v2(
-            publish_v2_bundle(args.cube),
-            [dimension.base_cardinality for dimension in schema.dimensions],
+            Path(args.cube) / manifest.container,
+            [dimension.base_cardinality for dimension in dimensions],
         )
         print(report.describe())
         return 0 if report.ok else 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from repro.hierarchy.dimension import Dimension
+from repro.hierarchy.dimension import Dimension, Level
 from repro.lattice.lattice import CubeLattice
 from repro.lattice.node import CubeNode, NodeEnumerator
 from repro.lattice.plan import (
@@ -21,7 +21,7 @@ from repro.lattice.plan import (
     HierarchicalShape,
     walk_plan,
 )
-from repro.relational.aggregates import AggregateSpec
+from repro.relational.aggregates import AggregateSpec, make_aggregates
 from repro.relational.schema import Column, ColumnType, TableSchema
 
 if TYPE_CHECKING:
@@ -176,3 +176,80 @@ class CubeSchema:
             if spec.function.name == "count":
                 return index
         return None
+
+
+# -- JSON codec ------------------------------------------------------------------
+
+
+def _dimension_to_json(dimension: Dimension) -> dict:
+    held = dimension.member_names
+    member_names = held if held is None else [
+        None if names is None else list(names) for names in held
+    ]
+    return {
+        "name": dimension.name,
+        "levels": [
+            {"name": level.name, "cardinality": level.cardinality}
+            for level in dimension.levels
+        ],
+        "base_maps": [list(m) for m in dimension.base_maps],
+        "parents": [list(p) for p in dimension.parents],
+        "member_names": member_names,
+    }
+
+
+def _integer(value, field: str) -> int:
+    """A schema integer (orjson reads one ≥ 2**64 as a float)."""
+    if type(value) is not int:
+        raise ValueError(f"field {field!r} holds {value!r}, not an integer")
+    return value
+
+
+def _dimension_from_json(payload: dict) -> Dimension:
+    listed = payload.get("member_names")
+    member_names = listed if listed is None else tuple(
+        None if names is None else tuple(names) for names in listed
+    )
+    levels = tuple(
+        Level(entry["name"], _integer(entry["cardinality"], "cardinality"))
+        for entry in payload["levels"]
+    )
+    try:
+        return Dimension(
+            payload["name"],
+            levels,
+            tuple(tuple(m) for m in payload["base_maps"]),
+            tuple(tuple(p) for p in payload["parents"]),
+            member_names,
+        )
+    except OverflowError:
+        raise ValueError(
+            f"field 'base_maps' of {payload['name']!r} holds a code beyond "
+            "int64"
+        ) from None
+
+
+def schema_to_json(schema: CubeSchema) -> dict:
+    """The schema as a JSON object: what a bundle's manifest stores."""
+    return {
+        "dimensions": [
+            _dimension_to_json(dimension) for dimension in schema.dimensions
+        ],
+        "aggregates": [
+            [spec.function.name, spec.measure_index]
+            for spec in schema.aggregates
+        ],
+        "n_measures": schema.n_measures,
+    }
+
+
+def schema_from_json(payload: dict) -> CubeSchema:
+    """The inverse of :func:`schema_to_json`; raises ``ValueError``,
+    ``KeyError`` or ``TypeError`` on a payload it did not write."""
+    return CubeSchema(
+        tuple(_dimension_from_json(d) for d in payload["dimensions"]),
+        make_aggregates(
+            *[(name, index) for name, index in payload["aggregates"]]
+        ),
+        _integer(payload["n_measures"], "n_measures"),
+    )

@@ -408,7 +408,7 @@ class DurableCubeBuild:
     def _publish_cube(self, name: str, storage: CubeStorage) -> dict[str, Any]:
         """Publish the cube as the container ``name``; its manifest entry."""
         catalog = self.engine.catalog
-        writer = cube_writer(storage, self.prefix, self.relation)
+        writer = cube_writer(storage)
         return {
             "container": name,
             "checksum": publish(catalog.root / name, writer, catalog.faults),

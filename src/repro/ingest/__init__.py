@@ -12,7 +12,6 @@ to an uninterrupted run.
 from __future__ import annotations
 
 from repro.ingest.ingestor import (
-    INGEST_MANIFEST_VERSION,
     IngestError,
     IngestStats,
     StreamingIngestor,
@@ -21,7 +20,6 @@ from repro.ingest.log import AppendLog, LogCorruption, LogRecord
 
 __all__ = [
     "AppendLog",
-    "INGEST_MANIFEST_VERSION",
     "IngestError",
     "IngestStats",
     "LogCorruption",

@@ -4,19 +4,20 @@ The :class:`StreamingIngestor` is the consumer side of the ingest loop:
 it drains *sealed* records from the :class:`~repro.ingest.log.AppendLog`
 through :func:`repro.core.incremental.apply_delta`, and periodically
 checkpoints the maintained cube *and* its fact table as **one file per
-generation** — the v2 container ``<prefix>.g<k>.cube.v2``
+generation** — the v2 container ``stream.g<k>.cube.v2``
 (:func:`repro.storage2.publish.write_v2`), written straight from the
 in-memory structures and atomically renamed into the catalog directory.
 
-**The watermark protocol.**  The ingest manifest
-(``<prefix>.ingest.json``) is the single commit point.  It records the
-current generation, the name and SHA-256 of its container, and
-``applied_lsn`` — the LSN of the last log record folded into that
+**The watermark protocol.**  The directory's ``bundle.json``
+(:class:`~repro.storage2.publish.BundleManifest`) is the single commit
+point, the same document a saved bundle commits with.  It records the
+schema, the current generation, the name and SHA-256 of its container,
+and ``applied_lsn`` — the LSN of the last log record folded into that
 generation.  All maintenance between checkpoints happens in memory;
 nothing the applier does before the manifest flips is observable after a
 crash.  Recovery therefore has one shape regardless of where the crash
-landed: verify and map the generation the manifest names (the file
-checksum from the manifest, then the container's own directory and
+landed: read the manifest, verify and map the container it names (the
+file checksum from the manifest, then the container's own directory and
 per-section checksums — fail closed), re-open the log (which repairs its
 own torn tail), and re-apply every sealed record past ``applied_lsn``.  A
 record is applied exactly once per surviving generation — never zero
@@ -44,16 +45,18 @@ per-record compaction decisions.
 A crash *before the first manifest commit* leaves nothing to recover;
 :meth:`StreamingIngestor.recover` raises :class:`IngestError` and the
 caller bootstraps again from its source fact table — the standard
-commit-point semantics.
+commit-point semantics.  A bundle :func:`~repro.bundle.save_bundle`
+wrote is committed at generation −1: recovering it rebuilds the cube
+from the container's fact table and commits generation 0.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -64,46 +67,32 @@ from repro.core.postprocess import postprocess_plus
 from repro.core.storage import CubeStorage
 from repro.ingest.log import AppendLog
 from repro.query.planner import CubePlanner
-from repro.relational.durable import (
-    atomic_write_text,
-    maybe_fire,
-    read_document,
-    remove_file,
-)
+from repro.relational.durable import maybe_fire, remove_file
 from repro.relational.engine import Engine
 from repro.relational.table import Table
 from repro.storage2.format import V2FormatError, committed_container
 from repro.storage2.mapped import MappedFactTable, map_storage
-from repro.storage2.publish import write_v2
+from repro.storage2.publish import (
+    BUNDLE_META,
+    V2_FILE,
+    BundleManifest,
+    read_manifest,
+    write_manifest,
+    write_v2,
+)
 
-INGEST_MANIFEST_VERSION = 2
+#: Name prefix of every generation file the ingestor writes.
+PREFIX = "stream"
 
 
-def generation_container(prefix: str, generation: int) -> str:
+def generation_container(generation: int) -> str:
     """File name of one generation's v2 container in the catalog root."""
-    return f"{prefix}.g{generation}.cube.v2"
+    return f"{PREFIX}.g{generation}.cube.v2"
 
 
 class IngestError(RuntimeError):
     """The ingest state is unusable: no committed generation, a verification
     failure, or a configuration the maintainer cannot stream into."""
-
-
-def read_ingest_manifest(path: Path) -> dict:
-    """The committed generation ``<prefix>.ingest.json`` at ``path``
-    records: the one reader of that file, for recovery and for serving
-    a streamed-into bundle alike (:class:`IngestError` when it is not
-    this version's, with every key a reader uses)."""
-    return read_document(
-        path,
-        INGEST_MANIFEST_VERSION,
-        {
-            "container": (str,), "container_checksum": (str,), "plus": (bool,),
-            "generation": (int,), "applied_lsn": (int,), "fact_rows": (int,),
-            "compact_overhead": (int, float, type(None)),
-        },
-        IngestError,
-    )
 
 
 @dataclass
@@ -138,17 +127,21 @@ class StreamingIngestor:
     memory (the ingestor owns the authoritative in-memory copy).
     """
 
+    prefix: ClassVar[str] = PREFIX
+
     schema: CubeSchema
     engine: Engine
     log: AppendLog
     storage: CubeStorage
     fact_table: Table
-    prefix: str = "stream"
     planner: CubePlanner | None = field(default=None, repr=False)
-    plus: bool = False
     compact_overhead: float | None = None
     generation: int = -1
     applied_lsn: int = -1
+    #: The committed manifest's ``extra`` and container (which the next
+    #: checkpoint removes; ``None`` before the first commit).
+    extra: dict = field(default_factory=dict)
+    container: str | None = None
     stats: IngestStats = field(default_factory=IngestStats)
 
     # -- lifecycle ----------------------------------------------------------
@@ -161,7 +154,6 @@ class StreamingIngestor:
         fact_table: Table,
         log_root: str | Path,
         *,
-        prefix: str = "stream",
         plus: bool = False,
         compact_overhead: float | None = None,
         seal_records: int = 64,
@@ -173,20 +165,12 @@ class StreamingIngestor:
         (from a producer that outran a crashed bootstrap) are applied
         once the commit lands.
         """
-        log = AppendLog.open(
-            log_root,
-            faults=engine.catalog.faults,
-            seal_records=seal_records,
-            retry_policy=engine.retry_policy,
-        )
         ingestor = cls(
             schema=schema,
             engine=engine,
-            log=log,
+            log=_open_log(engine, log_root, seal_records),
             storage=_build(schema, fact_table, plus),
             fact_table=fact_table,
-            prefix=prefix,
-            plus=plus,
             compact_overhead=compact_overhead,
         )
         ingestor.checkpoint()
@@ -195,72 +179,68 @@ class StreamingIngestor:
 
     @classmethod
     def recover(
-        cls,
-        schema: CubeSchema,
-        engine: Engine,
-        log_root: str | Path,
-        *,
-        prefix: str = "stream",
-        seal_records: int = 64,
+        cls, engine: Engine, log_root: str | Path, *, seal_records: int = 64
     ) -> "StreamingIngestor":
         """Map the last committed generation and replay past it.
 
-        The container the manifest names is *verified* before it is
-        trusted — its whole-file checksum against the manifest, then its
-        own directory and every section
-        (:func:`~repro.storage2.format.committed_container`), then the
-        row counts — and then mapped; the fact table shares the decoded
-        columns until its first append copies them.  The log repairs its
-        own torn tail on open; stale generations from crashed
-        checkpoints are swept.  Raises :class:`IngestError` when no
-        generation ever committed — the caller bootstraps from its
-        source data instead — and when the committed one is damaged
+        Everything comes from the catalog root's ``bundle.json``
+        (:func:`~repro.storage2.publish.read_manifest`, whose
+        ``BundleError`` a damaged one raises), schema included.
+        The container it names is *verified* before it is trusted — its
+        whole-file checksum against the manifest, then its own directory
+        and every section (:func:`~repro.storage2.format.committed_container`),
+        then the row counts — and then mapped; the fact table shares the
+        decoded columns until its first append copies them.  The log
+        repairs its own torn tail on open; stale generations from crashed
+        checkpoints are swept.  A saved bundle (generation −1, any
+        variant's cube) gets the cube :meth:`bootstrap` builds over its
+        facts, committed as generation 0.  Raises :class:`IngestError`
+        when no generation ever committed — the caller bootstraps from
+        its source data instead — and when the committed one is damaged
         (fail closed: never a partial load).
         """
-        catalog = engine.catalog
-        manifest_path = catalog.root / f"{prefix}.ingest.json"
-        if not manifest_path.exists():
+        root = engine.catalog.root
+        try:
+            manifest = read_manifest(root)
+        except FileNotFoundError:
             raise IngestError(
-                f"no ingest manifest at {manifest_path}; nothing committed "
-                f"— bootstrap from the source fact table instead"
-            )
-        payload = read_ingest_manifest(manifest_path)
+                f"no {BUNDLE_META} in {root}; nothing committed — bootstrap "
+                f"from the source fact table instead"
+            ) from None
+        schema = manifest.schema
         try:
             file = committed_container(
-                catalog.root / payload["container"],
-                payload["container_checksum"],
+                root / manifest.container,
+                manifest.container_checksum,
                 [dimension.base_cardinality for dimension in schema.dimensions],
             )
             storage = map_storage(schema, file)
             fact_table = Table.from_batch(MappedFactTable(schema, file).as_batch())
         except V2FormatError as error:
             raise IngestError(
-                f"committed ingest generation fails verification: {error}"
+                f"committed container fails verification: {error}"
             ) from error
-        if len(fact_table) != payload["fact_rows"]:
+        if len(fact_table) != manifest.fact_rows:
             raise IngestError(
                 f"container {file.path.name!r} holds {len(fact_table)} fact "
-                f"rows; the manifest recorded {payload['fact_rows']}"
+                f"rows; the manifest recorded {manifest.fact_rows}"
             )
-        log = AppendLog.open(
-            log_root,
-            faults=catalog.faults,
-            seal_records=seal_records,
-            retry_policy=engine.retry_policy,
-        )
         ingestor = cls(
             schema=schema,
             engine=engine,
-            log=log,
+            log=_open_log(engine, log_root, seal_records),
             storage=storage,
             fact_table=fact_table,
-            prefix=prefix,
-            plus=payload["plus"],
-            compact_overhead=payload["compact_overhead"],
-            generation=payload["generation"],
-            applied_lsn=payload["applied_lsn"],
+            compact_overhead=manifest.compact_overhead,
+            generation=manifest.generation,
+            applied_lsn=manifest.applied_lsn,
+            extra=manifest.extra,
+            container=manifest.container,
         )
         ingestor._sweep_stale_generations()
+        if ingestor.generation < 0:
+            ingestor.storage = _build(schema, fact_table, storage.plus_processed)
+            ingestor.checkpoint()
         ingestor.apply_ready()
         return ingestor
 
@@ -343,51 +323,42 @@ class StreamingIngestor:
         One v2 container, written from memory and atomically renamed (a
         crash mid-write leaves a sweepable ``.wip`` or an unreferenced
         container, which the write truncates or replaces when the same
-        generation is written again); the ingest-manifest write after
+        generation is written again); the ``bundle.json`` write after
         it is the commit, behind which the log is truncated to the
-        watermark and the previous generation's container is removed by
-        name.  :meth:`recover` is the one directory walk.
+        watermark and the container the manifest named before is
+        removed by name.  :meth:`recover` is the one directory walk.
         """
         catalog = self.engine.catalog
-        new_gen = self.generation + 1
-        cube_prefix = self._cube_prefix(new_gen)
-        container = catalog.root / generation_container(self.prefix, new_gen)
+        generation = self.generation + 1
+        container = generation_container(generation)
         checksum = write_v2(  # fires ``storage2.publish`` before writing
-            container,
+            catalog.root / container,
             self.schema,
             self.storage,
             self.fact_table.as_batch(),
-            cube_prefix=cube_prefix,
-            fact_relation=f"{cube_prefix}.fact",
             faults=catalog.faults,
         )
         # The written-but-uncommitted window: the container is durable
         # and nothing references it yet.
-        maybe_fire(catalog.faults, f"checkpoint.write:{container.name}")
+        maybe_fire(catalog.faults, f"checkpoint.write:{container}")
         self.stats.checkpoints += 1
-        payload = {
-            "version": INGEST_MANIFEST_VERSION,
-            "prefix": self.prefix,
-            "generation": new_gen,
-            "container": container.name,
-            "container_checksum": checksum,
-            "applied_lsn": self.applied_lsn,
-            "plus": self.plus,
-            "compact_overhead": self.compact_overhead,
-            "fact_rows": len(self.fact_table),
-        }
         # THE commit point.
-        atomic_write_text(self.manifest_path, json.dumps(payload, sort_keys=True))
-        maybe_fire(catalog.faults, f"manifest.save:{self.prefix}.ingest")
-        old_gen = self.generation
-        self.generation = new_gen
+        write_manifest(
+            catalog.root,
+            BundleManifest(
+                self.schema, self.extra, container, checksum,
+                len(self.fact_table), generation, self.applied_lsn,
+                self.compact_overhead,
+            ),
+        )
+        maybe_fire(catalog.faults, "manifest.save:bundle")
+        previous, self.container = self.container, container
+        self.generation = generation
         # Behind the commit point: everything from here is garbage
         # collection a crash can leave half-done without consequence.
         self.log.truncate_behind(self.applied_lsn)
-        if old_gen >= 0:
-            remove_file(
-                catalog.root / generation_container(self.prefix, old_gen)
-            )
+        if previous is not None:
+            remove_file(catalog.root / previous)
 
     def compact(self) -> None:
         """Rebuild the cube from the current facts and swap generations.
@@ -401,10 +372,11 @@ class StreamingIngestor:
         """
         catalog = self.engine.catalog
         maybe_fire(
-            catalog.faults,
-            f"ingest.compact:{self._cube_prefix(self.generation + 1)}",
+            catalog.faults, f"ingest.compact:{PREFIX}.g{self.generation + 1}"
         )
-        self.storage = _build(self.schema, self.fact_table, self.plus)
+        self.storage = _build(
+            self.schema, self.fact_table, self.storage.plus_processed
+        )
         if self.planner is not None:
             self.planner.storage = self.storage
             self._clear_results()
@@ -415,25 +387,31 @@ class StreamingIngestor:
 
     @property
     def manifest_path(self) -> Path:
-        return self.engine.catalog.root / f"{self.prefix}.ingest.json"
-
-    def _cube_prefix(self, generation: int) -> str:
-        return f"{self.prefix}.g{generation}"
+        return self.engine.catalog.root / BUNDLE_META
 
     def _sweep_stale_generations(self) -> None:
-        """Unlink ``<prefix>.g<k>.*`` files of every generation but the
-        committed one (crash leftovers).
+        """Unlink ``stream.g<k>.*`` files of every generation but the
+        committed one, and a saved bundle's ``cube.v2`` once a generation
+        replaced it (crash leftovers).
 
         Walks the directory, not the catalog's relation names: a
         generation is a plain file, and what a crash strands beside it —
         the ``.wip`` sibling of an interrupted atomic write — is not a
         relation either.
         """
-        pattern = re.compile(rf"^{re.escape(self.prefix)}\.g(\d+)\.")
-        for path in sorted(self.engine.catalog.root.iterdir()):
+        root = self.engine.catalog.root
+        pattern = re.compile(rf"^{PREFIX}\.g(\d+)\.")
+        for path in sorted(root.iterdir()):
             match = pattern.match(path.name)
             if match and int(match.group(1)) != self.generation:
                 remove_file(path)
+        if self.generation >= 0:
+            remove_file(root / V2_FILE)
+
+
+def _open_log(engine: Engine, log_root: str | Path, seal_records: int) -> AppendLog:
+    faults, retry_policy = engine.catalog.faults, engine.retry_policy
+    return AppendLog.open(log_root, faults, seal_records, retry_policy)
 
 
 def _build(schema: CubeSchema, fact_table: Table, plus: bool) -> CubeStorage:

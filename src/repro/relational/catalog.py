@@ -15,9 +15,13 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from orjson import loads
+
 from repro.relational.durable import (
     FaultHook,
+    Fields,
     atomic_write_text,
+    check_fields,
     file_checksum,
     maybe_fire,
     publish_file,
@@ -27,6 +31,8 @@ from repro.relational.heap import HeapFile
 from repro.relational.schema import Column, ColumnType, TableSchema
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_COLUMN_FIELDS: Fields = {"name": (str,), "type": (str,)}
+_COLUMN_TYPES = frozenset(kind.value for kind in ColumnType)
 
 
 def _schema_to_json(schema: TableSchema) -> list[dict]:
@@ -36,13 +42,27 @@ def _schema_to_json(schema: TableSchema) -> list[dict]:
     ]
 
 
-def _schema_from_json(payload: list[dict]) -> TableSchema:
-    return TableSchema(
-        tuple(
-            Column(entry["name"], ColumnType(entry["type"]))
-            for entry in payload
-        )
-    )
+class CatalogError(ValueError):
+    """A relation's schema side file is not one :meth:`Catalog.create` wrote."""
+
+
+def _read_schema(path: Path) -> TableSchema:
+    """The relation schema at ``path``, checked column by column
+    (:class:`CatalogError` naming the file and the key otherwise)."""
+    try:
+        payload = loads(path.read_bytes())
+    except ValueError:  # bad UTF-8 or bad JSON (``orjson.JSONDecodeError``)
+        raise CatalogError(f"{path} is not JSON") from None
+    if not isinstance(payload, list):
+        raise CatalogError(f"{path} is not a JSON list")
+    columns = []
+    for index, entry in enumerate(payload):
+        where = f"{path} column {index}"
+        check_fields(entry, _COLUMN_FIELDS, where, CatalogError)
+        if entry["type"] not in _COLUMN_TYPES:
+            raise CatalogError(f"{where} has no valid 'type'")
+        columns.append(Column(entry["name"], ColumnType(entry["type"])))
+    return TableSchema(tuple(columns))
 
 
 @dataclass
@@ -92,7 +112,7 @@ class Catalog:
         meta_path = self._meta_path(name)
         if not meta_path.exists():
             raise KeyError(f"no relation named {name!r} in {self.root}")
-        schema = _schema_from_json(json.loads(meta_path.read_text()))
+        schema = _read_schema(meta_path)
         heap = HeapFile(self._data_path(name), schema, faults=self.faults)
         self._open[name] = heap
         return heap

@@ -25,13 +25,14 @@ and keeps ``relational/`` free of test-harness code.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, TypeVar
+
+from orjson import loads
 
 _T = TypeVar("_T")
 
@@ -112,8 +113,8 @@ def read_document(
     ``version`` and every key of ``fields`` with one of that key's types,
     or ``error`` is raised naming the file (and the key)."""
     try:
-        payload = json.loads(path.read_bytes())
-    except ValueError:  # bad UTF-8 or bad JSON
+        payload = loads(path.read_bytes())
+    except ValueError:  # bad UTF-8 or bad JSON (``orjson.JSONDecodeError``)
         raise error(f"{path} is not JSON") from None
     if not isinstance(payload, dict):
         raise error(f"{path} is not a JSON object")
@@ -126,15 +127,18 @@ def read_document(
 def check_fields(
     mapping: object, fields: Fields, where: str, error: type[Exception]
 ) -> None:
-    """Raise ``error`` unless ``mapping`` is a JSON object whose every
-    key of ``fields`` holds one of that key's types (``bool`` is an
-    ``int`` but only counts as a ``bool``)."""
+    """Raise ``error`` unless ``mapping`` is a JSON object that holds
+    every key of ``fields``, each with one of that key's types (``bool``
+    is an ``int`` but only counts as a ``bool``; a key that may be
+    ``null`` must still be there)."""
     if not isinstance(mapping, dict):
         raise error(f"{where} is not a JSON object")
     for key, kinds in fields.items():
         value = mapping.get(key)
-        if not isinstance(value, kinds) or (
-            isinstance(value, bool) and bool not in kinds
+        if (
+            key not in mapping
+            or not isinstance(value, kinds)
+            or (isinstance(value, bool) and bool not in kinds)
         ):
             raise error(f"{where} has no valid {key!r}")
 

@@ -4,8 +4,8 @@ A container is assembled in two halves, each from structures already in
 memory:
 
 * :func:`cube_writer` — the cube half: a :class:`~repro.storage2.format.V2Writer`
-  whose directory ``meta`` is :meth:`CubeStorage.meta` plus the bundle
-  keys, holding one section per non-empty cube relation;
+  whose directory ``meta`` is :meth:`CubeStorage.meta`, holding one
+  section per non-empty cube relation;
 * :func:`add_fact_sections` — the fact half: the fact table's columns.
 
 =====================  =======================================================
@@ -51,41 +51,49 @@ Every container reaches disk through :func:`publish`:
 ``storage2.publish`` fault site, so a crash mid-publish leaves either the
 old file or no file, never a torn one.  The file is hashed as it is
 written, and :func:`publish` (so :func:`write_v2`) returns that SHA-256:
-the checksum a build or ingest manifest records, with no read-back.
+the checksum a build manifest or ``bundle.json`` records, with no
+read-back.
+
+A bundle directory commits through one document, ``bundle.json``
+(:class:`BundleManifest`): :func:`write_manifest` is its one writer
+(``save_bundle``, then every ingest checkpoint) and :func:`read_manifest`
+its one reader.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from orjson import dumps
 
-from repro.core.model import CubeSchema
+from repro.core.model import CubeSchema, schema_from_json, schema_to_json
 from repro.core.storage import CubeStorage
 from repro.relational.batch import ColumnBatch
-from repro.relational.durable import FaultHook, atomic_write_chunks, maybe_fire
+from repro.relational.durable import (
+    FaultHook,
+    Fields,
+    atomic_write_bytes,
+    atomic_write_chunks,
+    maybe_fire,
+    read_document,
+)
 from repro.storage2.codecs import BITPACK, bitpack_encode, min_bits
 from repro.storage2.format import V2Writer
 
 #: File name of the v2 container inside a bundle directory.
 V2_FILE = "cube.v2"
+#: File name of a bundle directory's one commit document.
+BUNDLE_META = "bundle.json"
+BUNDLE_VERSION = 1
 
 
-def cube_writer(
-    storage: CubeStorage,
-    cube_prefix: str = "cube",
-    fact_relation: str = "fact",
-) -> V2Writer:
+def cube_writer(storage: CubeStorage) -> V2Writer:
     """A writer holding the cube's sections (pure; no I/O), encoded in
     one :meth:`V2Writer.add_arrays` batch."""
-    writer = V2Writer(
-        {
-            **storage.meta(),
-            "cube_prefix": cube_prefix,
-            "fact_relation": fact_relation,
-        }
-    )
+    writer = V2Writer(storage.meta())
     sections: list[tuple[str, np.ndarray]] = []
     rowid_lists: set[str] = set()
     for node_id in sorted(storage.nodes):
@@ -148,27 +156,68 @@ def write_v2(
     schema: CubeSchema,
     storage: CubeStorage,
     fact_batch: ColumnBatch,
-    cube_prefix: str = "cube",
-    fact_relation: str = "fact",
     faults: FaultHook | None = None,
 ) -> str:
     """Publish a cube and its in-memory fact table as one v2 file;
     returns the file's digest, as :func:`publish` does."""
-    writer = cube_writer(storage, cube_prefix, fact_relation)
+    writer = cube_writer(storage)
     add_fact_sections(writer, schema, fact_batch.arrays)
     return publish(path, writer, faults)
 
 
+class BundleError(ValueError):
+    """A bundle's ``bundle.json`` is not a manifest this version wrote."""
+
+
+@dataclass(frozen=True)
+class BundleManifest:
+    """``bundle.json``: the container a bundle directory serves — ``cube.v2``
+    at generation −1, or an ingest generation — with its SHA-256, its
+    fact rows, the schema and ``extra`` to read it with, and the ingest
+    watermark and drift budget it includes."""
+
+    schema: CubeSchema
+    extra: dict
+    container: str
+    container_checksum: str
+    fact_rows: int
+    generation: int = -1
+    applied_lsn: int = -1
+    compact_overhead: float | None = None
+
+
+_MANIFEST_FIELDS: Fields = {
+    "schema": (dict,), "extra": (dict,), "container": (str,),
+    "container_checksum": (str,), "fact_rows": (int,), "generation": (int,),
+    "applied_lsn": (int,), "compact_overhead": (int, float, type(None)),
+}
+
+
+def write_manifest(directory: str | Path, manifest: BundleManifest) -> None:
+    """Commit ``manifest`` as the directory's ``bundle.json`` (write →
+    fsync → rename): whichever container it names is the committed one."""
+    payload = {"version": BUNDLE_VERSION}
+    payload.update((key, getattr(manifest, key)) for key in _MANIFEST_FIELDS)
+    payload["schema"] = schema_to_json(manifest.schema)
+    atomic_write_bytes(Path(directory) / BUNDLE_META, dumps(payload))
+
+
+def read_manifest(directory: str | Path) -> BundleManifest:
+    """The directory's ``bundle.json``, checked once: every key with its
+    type, the schema decoded (:class:`BundleError` naming the file and
+    the key otherwise; ``FileNotFoundError`` when there is none)."""
+    path = Path(directory) / BUNDLE_META
+    try:
+        payload = read_document(path, BUNDLE_VERSION, _MANIFEST_FIELDS, BundleError)
+        payload["schema"] = schema_from_json(payload["schema"])
+    except BundleError as error:
+        raise BundleError(f"{error}; rebuild the bundle") from None
+    except (KeyError, TypeError, ValueError) as error:
+        raise BundleError(f"{path} has no valid 'schema' ({error}); rebuild the bundle") from None
+    return BundleManifest(**{key: payload[key] for key in _MANIFEST_FIELDS})
+
+
 def publish_v2_bundle(directory: str | Path) -> Path:
-    """The container a bundle serves from; writes nothing.
-
-    That is the committed ingest generation of a bundle that has been
-    streamed into, else the ``cube.v2`` :func:`~repro.bundle.save_bundle`
-    published.  ``open_bundle`` and ``verify-cube --cube`` locate the
-    container through this function.  It keeps its name because
-    ``benchmarks/e2e`` calls it, after ``save_bundle``, as the publish step.
-    """
-    from repro.bundle import streamed_container
-
-    root = Path(directory)
-    return streamed_container(root) or root / V2_FILE
+    """The container ``bundle.json`` names; writes nothing (the name is
+    the publish step ``benchmarks/e2e`` calls after ``save_bundle``)."""
+    return Path(directory) / read_manifest(directory).container

@@ -93,7 +93,7 @@ def test_kept_group_keys_survive_compaction_and_recovery(tmp_path, plus):
     ingestor.checkpoint()
     engine.close()
     engine = fresh_engine(tmp_path)
-    ingestor = StreamingIngestor.recover(SCHEMA, engine, tmp_path / "log", seal_records=2)
+    ingestor = StreamingIngestor.recover(engine, tmp_path / "log", seal_records=2)
     fold(20)
     assert_queries_match(ingestor)
     engine.close()
@@ -111,18 +111,18 @@ def test_bootstrap_apply_recover_round_trip(engine, tmp_path):
     assert_queries_match(ingestor)
 
     recovered = StreamingIngestor.recover(
-        SCHEMA, fresh_engine(tmp_path), tmp_path / "log", seal_records=2
+        fresh_engine(tmp_path), tmp_path / "log", seal_records=2
     )
     assert recovered.applied_lsn == ingestor.applied_lsn
     assert recovered.generation == ingestor.generation
     assert rows_of(recovered.fact_table) == rows_of(ingestor.fact_table)
-    assert recovered.plus and recovered.storage.plus_processed
+    assert recovered.storage.plus_processed
     assert_queries_match(recovered)
 
 
 def test_recover_without_manifest_raises(engine, tmp_path):
     with pytest.raises(IngestError, match="nothing committed"):
-        StreamingIngestor.recover(SCHEMA, engine, tmp_path / "log")
+        StreamingIngestor.recover(engine, tmp_path / "log")
 
 
 def committed_generation(engine, tmp_path):
@@ -133,7 +133,7 @@ def committed_generation(engine, tmp_path):
     ingestor.apply_ready()
     ingestor.checkpoint()
     return ingestor, engine.catalog.root / generation_container(
-        ingestor.prefix, ingestor.generation
+        ingestor.generation
     )
 
 
@@ -143,7 +143,7 @@ def test_recover_rejects_tampered_fact(engine, tmp_path):
     flip_byte(container, entry.offset + entry.nbytes - 1)
     with pytest.raises(IngestError, match="fails verification"):
         StreamingIngestor.recover(
-            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+            fresh_engine(tmp_path), tmp_path / "log"
         )
 
 
@@ -152,12 +152,12 @@ def test_recover_rejects_truncated_generation(engine, tmp_path):
     container.write_bytes(container.read_bytes()[:200])
     with pytest.raises(IngestError, match="fails verification"):
         StreamingIngestor.recover(
-            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+            fresh_engine(tmp_path), tmp_path / "log"
         )
     container.unlink()
     with pytest.raises(IngestError, match="missing container"):
         StreamingIngestor.recover(
-            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+            fresh_engine(tmp_path), tmp_path / "log"
         )
 
 
@@ -177,7 +177,7 @@ def test_recover_verifies_sections_behind_the_file_checksum(engine, tmp_path):
     ingestor.manifest_path.write_text(json.dumps(payload))
     with pytest.raises(IngestError, match=name):
         StreamingIngestor.recover(
-            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+            fresh_engine(tmp_path), tmp_path / "log"
         )
 
 
@@ -198,7 +198,7 @@ def test_a_row_count_the_directory_disowns_fails_closed(engine, tmp_path):
     ingestor.manifest_path.write_text(json.dumps(payload))
     with pytest.raises(IngestError, match="rows"):
         StreamingIngestor.recover(
-            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+            fresh_engine(tmp_path), tmp_path / "log"
         )
 
 
@@ -216,7 +216,7 @@ def test_recover_checks_the_domain_of_fact_codes(engine, tmp_path):
     ingestor.manifest_path.write_text(json.dumps(payload))
     with pytest.raises(IngestError, match="fact/dim/0") as raised:
         StreamingIngestor.recover(
-            SCHEMA, fresh_engine(tmp_path), tmp_path / "log"
+            fresh_engine(tmp_path), tmp_path / "log"
         )
     # The section's own error class, not a checksum failure.
     assert isinstance(raised.value.__cause__, ValueOutOfDomain)
@@ -228,7 +228,7 @@ def test_recovered_cube_outlives_the_generation_it_mapped(engine, tmp_path):
     delta and answers again."""
     _ingestor, container = committed_generation(engine, tmp_path)
     recovered = StreamingIngestor.recover(
-        SCHEMA, fresh_engine(tmp_path), tmp_path / "log", seal_records=2
+        fresh_engine(tmp_path), tmp_path / "log", seal_records=2
     )
     recovered.checkpoint()
     assert not container.exists()
@@ -275,7 +275,7 @@ def test_checkpoint_walks_no_directory(engine, tmp_path, monkeypatch):
         if path.name.startswith(f"{ingestor.prefix}.g")
     )
     assert generations == [
-        generation_container(ingestor.prefix, ingestor.generation)
+        generation_container(ingestor.generation)
     ]
     assert not container.exists()
 
@@ -319,18 +319,18 @@ def test_stale_generation_swept_on_recover(engine, tmp_path):
     # manifest, the ``.wip`` of an interrupted atomic write, and heap
     # relations an older layout would have left under the same prefix.
     root = engine.catalog.root
-    orphan = root / generation_container(ingestor.prefix, committed + 1)
+    orphan = root / generation_container(committed + 1)
     orphan.write_bytes(container.read_bytes())
-    torn = root / (generation_container(ingestor.prefix, committed + 2) + ".wip")
+    torn = root / (generation_container(committed + 2) + ".wip")
     torn.write_bytes(b"half a container")
-    stale_prefix = ingestor._cube_prefix(committed + 1)
+    stale_prefix = f"{ingestor.prefix}.g{committed + 1}"
     engine.store_table(
         f"{stale_prefix}.fact", table_of(SCHEMA.fact_schema, [(0, 0, 1)])
     )
 
     fresh = fresh_engine(tmp_path)
     recovered = StreamingIngestor.recover(
-        SCHEMA, fresh, tmp_path / "log", seal_records=2
+        fresh, tmp_path / "log", seal_records=2
     )
     assert recovered.generation == committed
     assert container.exists()
@@ -346,7 +346,7 @@ def test_stale_generation_swept_on_recover(engine, tmp_path):
     [
         ("storage2.publish:*", 0),  # before the container is written
         ("checkpoint.write:*", 0),  # container durable, manifest not yet
-        ("manifest.save:stream.ingest", 1),  # the commit landed
+        ("manifest.save:bundle", 1),  # the commit landed
     ],
 )
 def test_crashed_checkpoint_leaves_only_sweepable_garbage(
@@ -366,7 +366,7 @@ def test_crashed_checkpoint_leaves_only_sweepable_garbage(
         ingestor.checkpoint()
     engine.close()
     recovered = StreamingIngestor.recover(
-        SCHEMA, fresh_engine(tmp_path), tmp_path / "log", seal_records=2
+        fresh_engine(tmp_path), tmp_path / "log", seal_records=2
     )
     assert recovered.generation == committed
     assert len(recovered.fact_table) == len(BASE) + 1  # replayed or loaded
@@ -375,7 +375,7 @@ def test_crashed_checkpoint_leaves_only_sweepable_garbage(
         for path in (tmp_path / "cat").iterdir()
         if path.name.startswith("stream.g")
     )
-    assert names == [generation_container("stream", committed)]
+    assert names == [generation_container(committed)]
     assert_queries_match(recovered)
 
 
@@ -397,7 +397,7 @@ def test_lag_records_across_append_seal_apply_recover(engine, tmp_path):
     # A crash now loses nothing durable: the recovered ingestor reports
     # the same lag, and sealing + applying drains it.
     recovered = StreamingIngestor.recover(
-        SCHEMA, fresh_engine(tmp_path), tmp_path / "log", seal_records=2
+        fresh_engine(tmp_path), tmp_path / "log", seal_records=2
     )
     assert recovered.lag_records == 1
     recovered.log.seal()

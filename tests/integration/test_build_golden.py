@@ -25,7 +25,13 @@ format (b) CAT relations by R-rowid.  Every file and ``cube.v2`` digest
 moved again when the container became format version 4 (only the version
 field: a partitioned build now stores each trivial tuple once, and no
 case here has a row alone in a coarse-phase group, so no content digest
-and no counter moved).
+and no counter moved).  All three digests of every case moved once more
+when ``bundle.json`` became the directory's versioned commit document
+(it now names ``cube.v2`` with its SHA-256) and the container directory's
+``meta`` dropped the ``cube_prefix`` and ``fact_relation`` keys, which
+no reader had: the content digest hashes that ``meta``, and each
+``cube.v2`` digest is the one the parent commit writes with only those
+two keys removed.
 The ``csv_retail`` case loads its input with ``load_csv`` from a seeded
 CSV file (quoted fields, CRLF, non-ASCII members, decimal measures); its
 digests were taken on the commit before the byte-level CSV reader, when
@@ -102,63 +108,63 @@ CASES = {
 GOLDEN: dict[str, tuple[int, str, str, str]] = {
     "CURE": (
         4,
-        "ede60b813aedfa083266dad77be24a8577d2926283fb6a61e53f90bae4878922",
-        "21a49b951f5f8cc8ff7efd59a67505a104e4609c99d2811a8b9bc6b9795bef31",
-        "cacc7c2dad46d775bc40ec5287e38ebf8fe8131ab5fdd73edc91b4a218ec7b5d",
+        "1007e5d6735b470ecc25f32dc5bd282de71df7d19fdab2b75012632188011612",
+        "8909a4afafe5af84b33c1c8e521820815ba04b4fb8981a99a2964fcc6c8d9496",
+        "c4f4840aaa552c0bf86875049ef60ce17432295e4a43a6750f2060f1a283eeeb",
     ),
     "CURE+": (
         4,
-        "3bcc6ecded8c480d28726dbe1b45ac49b66ab9821d049524a728073930b8a592",
-        "f50254a47994f58bfc7be76aa69e87b124e880b2c6cc63235785f770400c50fa",
-        "6efa0c4264673dcde7633e8a26a47edeb53c854965fd34e7ddb67ffd45e22fb1",
+        "3a5fbb8916ddca8bb3580d7d18474a1f7baf7fa8c0ee7efd455d8dcb609fe2fa",
+        "aca72bfbd951d6e54732ebda4afe930c93e7a0ace0a6d3d8083f05b4ea29a056",
+        "cb13c61adc3f1dba46e1e87d063c2bb56c2f5d80c73f7dc07bf2ddd058f39efa",
     ),
     "CURE_DR": (
         4,
-        "9b2caf21e02256d46401bba9d1197cc04310c380d8b83c6d7fc48f72854ac4b9",
-        "d8e0c473fca90b3a867a59b564bd3bec965a76df1112d18fb06640aeb4d73c84",
-        "e92d9316c50c8d1e3531590fc073fe92290cddb2ca0690bb15136943c10fb54c",
+        "af864d327f5f2233d1ce4bfcd8bf7808d53dbde57cc07d8a06a1312d5382c7f9",
+        "ed5ca0dfdc01fa7207292ab1069a95893aeb7ad72dc3e1d880e9d3a8e93795e6",
+        "8e8a8cf81e5e8a47592c51240458dd4ec090c3c1c77fcd887d94e67fd524f101",
     ),
     "FCURE": (
         4,
-        "08b8de77eb5edd93e70a802d003aa1e268f0f7267764597e31e4b00ee7c95b74",
-        "caafab4aa650538402f80b2208c31af3adede1bb5c6e08890b4b44fc5610e730",
-        "386b6a0c70265323474cbcf36bdacd1feba204429fd4956712b15f011029e901",
+        "b22fd5a6c2b96a25ff9328d156344f1f4eb380b421448c61f4f88bbba635515e",
+        "2ea79ead04a146b4e4bf4bbf587ab70412ca53c374240f03998ee49fcb214dcf",
+        "ae93f2a3ac04485356045d9c7e6a3ce7d7dc3d03d7e69812075299dbea191d8c",
     ),
     "iceberg3": (
         4,
-        "0a0deabb57c2126d533c89e2dc249b9e4f9bd8ea8297b0cfa93caf8bd2530677",
-        "872b8d2d1cf79d8170c117c9c7cf33fce037b8cb7761615879ffc8da862e84a0",
-        "4ebe7b2c5a7877c889b02432b472fe8fe73cfe3a6ba00c1e1275ca7b909e47cb",
+        "e3459ab77409a1f1fadb1c9c7c1c065fef2129b9b3e0aa6d8f06867b95277284",
+        "14898c59e2b6f32d15080374b7dc1006c25c5300ad87f11ac5f14ea993282eeb",
+        "61318694c8cbd205eaba7485b6b68e6076e9e5b22753d759685990ed5477ac1f",
     ),
     "partitioned": (
         4,
-        "a0bdaeaf0b47efee222de9b60eefe13dc8d701e122e45fe5c7d3e6fbf35782d2",
-        "2f0241eeb181874258d19c206735eb240c26dd03287599fd5d43fae377be2c61",
-        "fdeffedbce92a95619fdda0be312285a6f9d9d664ecfddb79743a1d16ff16e1a",
+        "63d7ec065f1861695d4361b3501ae5f8e26b5c7e4a0c80f7941fceb05daae04b",
+        "37717e29457dfde9108ca5d813913b279071c1b323b16110ee68ec9762da97a4",
+        "3c740046b28739f44e4f81549f57f80f2d3c0f3a3519565688d86a8a6637c96a",
     ),
     "partitioned_pair": (
         4,
-        "1cc82a9cf8e624e53a8b59a5870c44cdb1ba6e28b30411684eb7494395b43f2b",
-        "ffef0cf4f7e792cabd341dae096796570c598e0c124e633a19ec05a68e4e94f8",
-        "7378f52fb23018b93914000f5fe169c53a6e259a9bcf1d188cbd8a4c6bf83fb3",
+        "211ce6fee429aa9589fef3c24a9cadce6b87e36ff456d0abf16b76b828e119ce",
+        "d98eec47fae933196165a92a31777ce002736c43701e37eeb0d18bc9a61e4d77",
+        "a7fd4dd7327bd91577ca716436be79ec183885627b19334bf0225f6f3969ffe0",
     ),
     "partitioned_DR": (
         4,
-        "021a0e464055c4aa0a51a2c64f9b9d771cb87b6b7afc36e82ce4e677eed30313",
-        "e6b5f35beea836deb228b415aad484e38304d37df5b939a039f126c2eedc0bdd",
-        "feea543d7c3c8346deb2d004cba83329f2b339d2c728f7fba8454594f0af89ab",
+        "20fa7b6b09807f072899b4ab93ca1ca16d93347a9b73da463c273b8025cec4cd",
+        "cea0808407e29a549aeb0bd67ba009b1d956ff395d8d103ee56bc909f2b968b3",
+        "bf15e83d3abb16b09de2cb17b5c56114a63b2072cb696c6cc61bc3194786ee4e",
     ),
     "partitioned_pair_DR": (
         4,
-        "23fb3e17badfcb248efc7303676d09553783286feef49347e047edcd53e2b38a",
-        "5875908762ed1fd4d7e53e553ce72a0ac0c88245db7b19bd42350646c55b3581",
-        "c352ccf090e755ad11f52d202da24bfebf559fecf9ff359aba0571129375a12f",
+        "6fef3ea727f2104170c1fb63d1c10e4647469edad1a8c7922959887e20e06b97",
+        "12663f90c51e30d3e85c3de7e8e289fcdad6e79db3e445f26bddccf6d1a58c1d",
+        "eabe0e1413f42e06a97c043546474e7da9b068c9a0cf3416f37609650fd2fb7c",
     ),
     CSV_CASE: (
         4,
-        "91f825a385e576d4e6fedab0bf3ea135b9f0decccde5b767b8493f6dc2443df1",
-        "1892fdce955231af18727398f5893e879376df93ed3c7c8caacf67a229863541",
-        "565a484f858839cd67f83418f031cb600281990c7bc92d7675a687820093d466",
+        "236291adf4315083f763fc28f6ca73d096301fe74641e77df08ae3c094509dd3",
+        "284f259b5d730fb288cfcc08ecb0b293ccaf4d196a8117666ad26937cb9b69d5",
+        "a0a9b64d3db100eff35722f6818247db58926c36ca218703db58b7aef3d1960a",
     ),
 }
 

@@ -7,18 +7,14 @@ import random
 import pytest
 
 from repro import build_cube
-from repro.bundle import (
-    open_bundle,
-    save_bundle,
-    schema_from_json,
-    schema_to_json,
-    streamed_container,
-)
+from repro.bundle import open_bundle, save_bundle
 from repro.cli import main as cli_main
+from repro.core.model import schema_from_json, schema_to_json
 from repro.datasets.loader import DimensionSpec, load_records
 from repro.query import answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.storage2 import publish_v2_bundle
+from repro.storage2.publish import BundleError, read_manifest
 from tests.storage2.test_domain import MUTATIONS, mutated_bundle
 from tests.support.rows import rows_of, table_of
 
@@ -375,7 +371,7 @@ def test_cli_ingest_updates_bundle_queries(cli_workspace, capsys):
     # The bundle now answers from the committed ingest generation: one
     # mapped v2 container, no v1 relations behind it.
     with open_bundle(cube_dir) as bundle:
-        assert bundle.v2.file.path == streamed_container(cube_dir)
+        assert bundle.v2.file.path == publish_v2_bundle(cube_dir)
         assert bundle.fact_row_count == 203
         cache = bundle.fact_cache()
         fact_rows = rows_of(cache.fetch_batch(range(bundle.fact_row_count)))
@@ -425,7 +421,7 @@ def test_first_ingest_bootstraps_from_the_container(cli_workspace, capsys):
         assert cli_main([
             "ingest", "--cube", str(cube_dir), "--csv", str(delta_csv),
         ]) == 0
-        generations.append(streamed_container(cube_dir).read_bytes())
+        generations.append(publish_v2_bundle(cube_dir).read_bytes())
     capsys.readouterr()
     assert generations[0] == generations[1]
 
@@ -442,15 +438,17 @@ def test_first_ingest_checks_the_domain_of_fact_codes(tmp_path):
     with pytest.raises(SystemExit, match=section) as stopped:
         cli_main(["ingest", "--cube", str(root), "--csv", str(delta_csv)])
     assert str(stopped.value).startswith(f"{root}: ")
-    assert not (root / "stream.ingest.json").exists()
+    manifest = read_manifest(root)
+    assert (manifest.generation, manifest.container) == (-1, "cube.v2")
 
 
 def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
     """After an ingest the committed generation *is* the served v2 file:
-    the ``cube.v2`` the build published is left as it was and no longer
-    served, ``verify-cube`` checks the generation, and a damaged
-    generation stops the next ingest instead of silently restarting from
-    the bundle's original facts."""
+    ``bundle.json`` names it, the ``cube.v2`` the build published is
+    removed with the generation-0 container behind it, ``verify-cube``
+    checks the generation, and a damaged generation stops the next
+    ingest instead of silently restarting from the bundle's original
+    facts."""
     tmp_path, csv_path, spec_path = cli_workspace
     cube_dir = tmp_path / "cube"
     cli_main([
@@ -459,22 +457,19 @@ def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
     ])
     assert cli_main(["verify-cube", "--cube", str(cube_dir)]) == 0
     assert "cube.v2" in capsys.readouterr().out
-    published = (cube_dir / "cube.v2").read_bytes()
-    assert streamed_container(cube_dir) is None
     assert publish_v2_bundle(cube_dir) == cube_dir / "cube.v2"
     delta_csv = tmp_path / "delta.csv"
     _write_delta_csv(delta_csv, [["s0", "Athens", 7]])
     assert cli_main(["ingest", "--cube", str(cube_dir), "--csv", str(delta_csv)]) == 0
     capsys.readouterr()
 
-    generation = streamed_container(cube_dir)
-    assert generation is not None and generation.name == "stream.g1.cube.v2"
+    generation = publish_v2_bundle(cube_dir)
+    assert generation.name == "stream.g1.cube.v2"
     with open_bundle(cube_dir) as bundle:
         assert bundle.v2.file.path == generation
         assert bundle.fact_row_count == 201
-
-    assert publish_v2_bundle(cube_dir) == generation
-    assert (cube_dir / "cube.v2").read_bytes() == published  # untouched
+    assert not (cube_dir / "cube.v2").exists()
+    assert not (cube_dir / "stream.g0.cube.v2").exists()
     assert cli_main(["verify-cube", "--cube", str(cube_dir)]) == 0
     assert generation.name in capsys.readouterr().out
 
@@ -490,9 +485,9 @@ def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
 
 
 def test_streamed_bundle_with_a_future_manifest_fails_closed(cli_workspace, capsys):
-    """``open_bundle`` reads ``stream.ingest.json`` through the reader
-    recovery uses: a version it does not know serves nothing, rather
-    than the container the manifest happens to name."""
+    """``open_bundle`` reads ``bundle.json`` through the reader recovery
+    uses: a version it does not know serves nothing, rather than the
+    container the manifest happens to name."""
     tmp_path, csv_path, spec_path = cli_workspace
     cube_dir = tmp_path / "cube"
     cli_main([
@@ -503,11 +498,11 @@ def test_streamed_bundle_with_a_future_manifest_fails_closed(cli_workspace, caps
     _write_delta_csv(delta_csv, [["s0", "Athens", 7]])
     assert cli_main(["ingest", "--cube", str(cube_dir), "--csv", str(delta_csv)]) == 0
     capsys.readouterr()
-    manifest = cube_dir / "stream.ingest.json"
+    manifest = cube_dir / "bundle.json"
     payload = json.loads(manifest.read_text())
     payload["version"] += 1
     manifest.write_text(json.dumps(payload))
-    with pytest.raises(RuntimeError, match="unsupported version"):
+    with pytest.raises(BundleError, match="unsupported version"):
         open_bundle(cube_dir)
 
 

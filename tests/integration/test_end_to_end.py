@@ -30,7 +30,7 @@ def test_persist_reload_query_roundtrip(tmp_path, apb_small):
     schema, table = apb_small
     result = build_cube(schema, table=table)
     path = tmp_path / "apb.v2"
-    write_v2(path, schema, result.storage, table.as_batch(), cube_prefix="apb")
+    write_v2(path, schema, result.storage, table.as_batch())
 
     mapped = open_v2(path, schema)
     reloaded, fact = mapped.storage, mapped.fact
@@ -67,7 +67,7 @@ def test_dr_cube_persist_roundtrip(tmp_path, apb_small):
     schema, table = apb_small
     result = build_cube(schema, table=table, dr_mode=True)
     path = tmp_path / "dr.v2"
-    write_v2(path, schema, result.storage, table.as_batch(), cube_prefix="dr")
+    write_v2(path, schema, result.storage, table.as_batch())
     mapped = open_v2(path, schema)
     reloaded = mapped.storage
     assert reloaded.dr_mode

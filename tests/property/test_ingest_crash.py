@@ -104,7 +104,7 @@ def _run(root, instance, plan) -> tuple[StreamingIngestor, FaultInjector]:
     engine = Engine(Catalog(root / "cat"), MemoryManager())
     try:
         ingestor = StreamingIngestor.recover(
-            schema, engine, root / "log", seal_records=SEAL_RECORDS
+            engine, root / "log", seal_records=SEAL_RECORDS
         )
     except IngestError:
         # Crash predates the first committed generation: bootstrap again

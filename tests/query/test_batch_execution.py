@@ -42,6 +42,7 @@ from repro.query import (
     slice_mask,
 )
 from repro.query.planner import CubePlanner, QueryRequest
+from repro.relational.catalog import Catalog
 from tests.server.conftest import serving_fact, serving_schema
 from tests.support import row_engine
 from tests.support.rows import rows_of, table_of
@@ -230,7 +231,8 @@ def backends(request, tmp_path_factory):
     bundle = open_bundle(path)
     if plus == "bitmaps":  # one cube, one logical size, mapped or not
         assert bundle.storage.size_report() == storage.size_report()
-    heap = bundle.catalog.open("fact")
+    catalog = Catalog(path)
+    heap = catalog.open("fact")
     yield {
         "memory": CubePlanner(
             storage, FactCache(schema, table=fact), results=None
@@ -238,7 +240,7 @@ def backends(request, tmp_path_factory):
         "heap": CubePlanner(storage, FactCache(schema, heap=heap, fraction=0.5)),
         "mapped": bundle.planner(),
     }
-    bundle.close()
+    catalog.close()
 
 
 def _slices_for(schema, node):
@@ -401,7 +403,6 @@ def test_fetch_batch_matches_fetch_many_heap(tmp_path, paper_schema):
     does, counting each row-id once as a hit or a miss and each run of
     missed row-ids once when sorted."""
     from repro import Engine
-    from repro.relational.catalog import Catalog
     from repro.relational.memory import MemoryManager
 
     rng = random.Random(5)

@@ -11,6 +11,7 @@ from repro.lattice.node import CubeNode
 from repro.query import DimensionSlice, FactCache, reference_group_by
 from repro.query.answer import normalize_answer
 from repro.query.planner import CubePlanner, QueryRequest
+from repro.relational.catalog import Catalog
 from tests.support.rows import rows_of, table_of
 
 
@@ -90,7 +91,7 @@ def test_slice_strategy_follows_the_fact_cache(data, tmp_path):
     with open_bundle(
         save_bundle(tmp_path / "bundle", schema, table, storage)
     ) as bundle:
-        heap = bundle.catalog.open("fact")
+        heap = Catalog(bundle.root).open("fact")
         planners = {
             "prefilter": [
                 CubePlanner(storage, FactCache(schema, table=table)),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational.catalog import Catalog
+from repro.relational.catalog import Catalog, CatalogError
 from repro.relational.schema import Column, ColumnType, TableSchema
 from tests.support.rows import append_rows, rows_of
 
@@ -71,3 +71,38 @@ def test_destroy_removes_directory(tmp_path):
     catalog.create("r", SCHEMA)
     catalog.destroy()
     assert not (tmp_path / "gone").exists()
+
+
+#: Bytes written over a relation's schema side file → what the error
+#: names beside the file.
+DAMAGED_META = {
+    "not JSON": (b"\xff not json", "is not JSON"),
+    "truncated": (b'[{"name": "x", "ty', "is not JSON"),
+    "an object": (b'{"name": "x", "type": "int64"}', "is not a JSON list"),
+    "a column a list": (b'[["x", "int64"]]', "column 0 is not a JSON object"),
+    "no name": (b'[{"type": "int64"}]', "column 0 has no valid 'name'"),
+    "no type": (b'[{"name": "x"}]', "column 0 has no valid 'type'"),
+    "a name not text": (b'[{"name": 1, "type": "int64"}]', "no valid 'name'"),
+    "a type not text": (b'[{"name": "x", "type": 8}]', "no valid 'type'"),
+    "an unknown type": (
+        b'[{"name": "x", "type": "int64"}, {"name": "y", "type": "int128"}]',
+        "column 1 has no valid 'type'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_META))
+def test_damaged_relation_meta_fails_in_one_family(tmp_path, case):
+    """A relation's schema side file that is not JSON, drops a key or
+    holds a wrong type raises :class:`CatalogError` naming the file and
+    the key — never a ``KeyError`` / ``TypeError``."""
+    catalog = Catalog(tmp_path / "cat")
+    catalog.create("r", SCHEMA)
+    catalog.close()
+    data, named = DAMAGED_META[case]
+    meta = tmp_path / "cat" / "r.schema.json"
+    meta.write_bytes(data)
+    with pytest.raises(CatalogError) as raised:
+        Catalog(tmp_path / "cat").open("r")
+    assert str(raised.value).startswith(str(meta))
+    assert named in str(raised.value)

@@ -98,7 +98,7 @@ def _partitioned_build(directory, schema: CubeSchema, fact: Table):
 def heap_planner(bundle: CubeBundle) -> CubePlanner:
     """The mapped cube behind a fully warm cache over the bundle's fact
     heap: no fact table is held whole, so its slices post-filter."""
-    heap = bundle.catalog.open("fact")
+    heap = Catalog(bundle.root).open("fact")
     return CubePlanner(bundle.storage, FactCache(bundle.schema, heap=heap))
 
 

@@ -73,6 +73,11 @@ def assert_sections_equal_todays(fixture: Path, tmp_path: Path) -> V2File:
     # The version 1 fixture predates bundles that publish one container;
     # its directory still carries the empty v1 meta checksum nothing reads.
     assert old.meta.pop("cube_meta_checksum", "") == ""
+    # Both carry the relation names the writer stopped recording, which
+    # no reader ever used.
+    assert (old.meta.pop("cube_prefix"), old.meta.pop("fact_relation")) == (
+        "cube", "fact"
+    )
     assert old.meta == today.meta
     kept = [
         name

@@ -17,8 +17,9 @@ import random
 import pytest
 
 import repro.bundle as bundle_module
-from repro.bundle import BUNDLE_META, open_bundle, save_bundle, schema_to_json
+from repro.bundle import open_bundle, save_bundle
 from repro.cli import main
+from repro.core.model import schema_to_json
 from repro.core.variants import VARIANTS
 from repro.faults.injector import FaultInjector, FaultKind, FaultSpec
 from repro.relational.batch import ColumnBatch
@@ -26,6 +27,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.durable import InjectedCrash
 from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.storage2 import V2_FILE, V2File, verify_v2
+from repro.storage2.publish import BUNDLE_META, BundleError, read_manifest
 from tests.server.conftest import serving_fact, serving_schema
 from tests.storage2.test_corruption import flip_byte
 
@@ -191,11 +193,20 @@ def write_v1_bundle(root, schema, fact, storage) -> None:
 
 
 def test_bundle_without_a_container_must_be_rebuilt(tmp_path):
-    """A v1-only bundle is refused with the rebuild error, not loaded."""
+    """A v1-only bundle is refused with the rebuild error, not loaded:
+    its ``bundle.json`` carries no ``version``."""
     root = tmp_path / "bundle"
     write_v1_bundle(root, *_small_build())
     assert not (root / V2_FILE).exists()
-    with pytest.raises(RuntimeError, match="rebuild the bundle"):
+    with pytest.raises(BundleError, match="unsupported version.*rebuild the bundle"):
+        open_bundle(root)
+
+
+def test_a_manifest_naming_a_missing_container_must_be_rebuilt(tmp_path):
+    root = save_bundle(tmp_path / "bundle", *_small_build())
+    assert read_manifest(root).container == V2_FILE
+    (root / V2_FILE).unlink()
+    with pytest.raises(RuntimeError, match="no cube.v2 to serve; rebuild"):
         open_bundle(root)
 
 
@@ -217,8 +228,8 @@ def test_durable_build_publishes_v2(tmp_path):
         container = tmp_path / "cube.v2"
         assert container.exists()
         file = V2File.open(container)
-        assert file.meta["fact_relation"] == "fact"
-        assert file.meta["cube_prefix"] == "cube"
+        assert "fact_relation" not in file.meta  # no reader ever had one
+        assert "cube_prefix" not in file.meta
         assert sorted(file.meta["node_ids"]) == sorted(result.storage.nodes)
         assert file.verify_all() == []
     finally:

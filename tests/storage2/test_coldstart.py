@@ -20,6 +20,7 @@ from repro.query.answer import tt_source_ids
 from repro.query.planner import CubePlanner, QueryRequest
 from repro.query.slice import DimensionSlice
 from repro.query.workload import mixed_workload
+from repro.relational.catalog import Catalog
 from repro.server.encoding import encode_answer
 from repro.server.replay import replay_op
 from repro.storage2 import V2File
@@ -83,7 +84,7 @@ def test_v1_open_does_hit_the_heap(dual_bundles, heap_reads):
     built, _ = dual_bundles["CURE"]
     bundle = open_bundle(built.root)
     try:
-        cache = FactCache(built.schema, heap=bundle.catalog.open("fact"))
+        cache = FactCache(built.schema, heap=Catalog(built.root).open("fact"))
         node = next(iter(built.schema.lattice.nodes()))
         CubePlanner(bundle.storage, cache).answer(QueryRequest.of(node))
     finally:

@@ -5,7 +5,8 @@ loaded, built as ``CURE+`` (pool 20,000) and saved as a bundle, as the
 ``build-mem`` workload does.  Then, in this process:
 
 * **per piece**, fastest of ``--repeat`` calls: the directory parse and
-  checks (``V2File.open``), ``bundle.json`` and its schema,
+  checks (``V2File.open``), ``bundle.json`` and its schema (the one
+  manifest reader, ``read_manifest``),
   ``bitpack_decode`` of every fact dimension column, ``delta_decode``
   over every delta-coded TT section, ``narrow_decode`` over every
   narrow section, and one whole cold start (``open_bundle`` →
@@ -105,7 +106,7 @@ def pieces(root: Path, ops, repeat: int) -> list[tuple[str, str, float]]:
         (
             "`bundle.json` + schema",
             f"{meta.stat().st_size:,} B",
-            fastest(lambda: bundle_module.bundle_header(root), repeat),
+            fastest(lambda: bundle_module.read_manifest(root), repeat),
         ),
     ]
     by_codec: dict[str, list] = {}
@@ -157,7 +158,7 @@ def attribution(root: Path, ops, repeat: int) -> list[tuple[str, float]]:
     spent: dict[str, float] = {}
     stages = [
         (format_module.V2File, "open", "`V2File.open`"),
-        (bundle_module, "bundle_header", "`bundle.json` + schema"),
+        (bundle_module, "read_manifest", "`bundle.json` + schema"),
         (format_module, "bitpack_decode", "`bitpack_decode`"),
         (format_module, "delta_decode", "`delta_decode`"),
         (format_module, "narrow_decode", "`narrow_decode`"),
