@@ -86,6 +86,17 @@ def _parse_spec(path: str) -> tuple[list[DimensionSpec], list[MeasureSpec], tupl
     return dimensions, measures, aggregates
 
 
+def _read_bundle(read, root):
+    """``read(root)`` — :func:`open_bundle` or ``read_manifest`` — with a
+    missing or damaged ``bundle.json`` as a one-line nonzero exit."""
+    from repro.storage2.publish import BundleError
+
+    try:
+        return read(root)
+    except (FileNotFoundError, BundleError) as error:
+        raise SystemExit(str(error)) from None
+
+
 def _workers(text: str) -> int:
     """``--workers``: the executor's own check, as a usage error."""
     try:
@@ -147,7 +158,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    with open_bundle(args.cube) as bundle:
+    with _read_bundle(open_bundle, args.cube) as bundle:
         print(f"cube bundle at {bundle.root}")
         print(f"  variant: {bundle.extra.get('variant', '?')}")
         print(f"  fact rows: {bundle.fact_row_count:,}")
@@ -164,7 +175,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_nodes(args) -> int:
-    with open_bundle(args.cube) as bundle:
+    with _read_bundle(open_bundle, args.cube) as bundle:
         schema = bundle.schema
         shown = 0
         for node in schema.lattice.nodes():
@@ -230,7 +241,7 @@ def _member_code(dimension, level: int, value: str) -> int:
 
 
 def cmd_query(args) -> int:
-    with open_bundle(args.cube) as bundle:
+    with _read_bundle(open_bundle, args.cube) as bundle:
         schema = bundle.schema
         node = _parse_group_by(schema, args.group_by)
         slices = _parse_where(schema, args.where)
@@ -312,13 +323,10 @@ def cmd_ingest(args) -> int:
     from repro.ingest import IngestError, StreamingIngestor
     from repro.relational.engine import Engine
     from repro.relational.memory import MemoryManager
-    from repro.storage2.publish import BundleError, read_manifest
+    from repro.storage2.publish import read_manifest
 
     root = Path(args.cube)
-    try:
-        schema = read_manifest(root).schema
-    except (FileNotFoundError, BundleError) as error:
-        raise SystemExit(str(error)) from None
+    schema = _read_bundle(read_manifest, root).schema
     delta_rows = _parse_delta_csv(schema, args.csv)
     engine = Engine(Catalog(root), MemoryManager())
     try:
@@ -361,7 +369,7 @@ def cmd_ingest(args) -> int:
 def cmd_serve(args) -> int:
     from repro.server import SlicerApp, SlicerServer
 
-    with open_bundle(args.cube) as bundle:
+    with _read_bundle(open_bundle, args.cube) as bundle:
         app = SlicerApp(
             bundle,
             result_cache_bytes=args.cache_bytes if args.cache_bytes > 0 else None,
@@ -400,7 +408,7 @@ def cmd_verify_cube(args) -> int:
         from repro.storage2 import verify_v2
         from repro.storage2.publish import read_manifest
 
-        manifest = read_manifest(args.cube)
+        manifest = _read_bundle(read_manifest, args.cube)
         dimensions = manifest.schema.dimensions
         report = verify_v2(
             Path(args.cube) / manifest.container,

@@ -376,13 +376,49 @@ class _Stack(NamedTuple):
     offsets: list[int]
 
 
+class _Buckets:
+    """The delta groups' hash-bucket tables, kept from record to record.
+
+    Over ``2^bits`` buckets: ``occupied`` (whether a bucket holds a
+    group), and, read only where it does, ``sizes`` and ``starts``.  A
+    record uses the tables' first ``2^bits`` slots; the next one clears
+    only the buckets this one occupied, instead of allocating and
+    zeroing the tables again.  They grow to the largest record's size
+    and shrink when a record needs less than a quarter of them.
+    """
+
+    def __init__(self) -> None:
+        self.occupied = np.zeros(0, dtype=np.bool_)
+        self.sizes = np.empty(0, dtype=np.int32)
+        self.starts = np.empty(0, dtype=np.int32)
+        self._dirty = np.empty(0, dtype=np.int64)
+
+    def fill(
+        self, bits: int, occupied: np.ndarray, sizes: np.ndarray, starts: np.ndarray
+    ) -> None:
+        """Hold one record's groups: buckets ``occupied`` with ``sizes``
+        groups from ``starts`` each, every other bucket empty."""
+        n = 1 << bits
+        if not n <= len(self.occupied) <= 4 * n:
+            self.occupied = np.zeros(n, dtype=np.bool_)
+            self.sizes = np.empty(n, dtype=np.int32)
+            self.starts = np.empty(n, dtype=np.int32)
+        else:
+            self.occupied[self._dirty] = False
+        self._dirty = occupied
+        self.occupied[occupied] = True
+        self.sizes[occupied] = sizes
+        self.starts[occupied] = starts
+
+
 @dataclass
 class KeyedRelations:
     """The cube's relations as the delta merger keeps them
     (:attr:`CubeStorage.keyed_relations`): per relation kind — TT, NT,
     CAT — a :class:`_Stack` of every plan node's relation, each row's
     group key at its own node beside it, and ``arrays``, the relations
-    as stored: each a view of its slice of the stack.
+    as stored: each a view of its slice of the stack.  ``buckets`` are
+    the merger's hash tables, reused by the next record.
 
     The merger stacks and keys a cube once per storage; after that each
     delta writes fresh stacks — the stored rows copied once around the
@@ -397,6 +433,7 @@ class KeyedRelations:
     arrays: list[list[np.ndarray]]
     stacks: list[_Stack]
     keys: list[np.ndarray]
+    buckets: _Buckets
 
     def holds(self, arrays: list[list[np.ndarray]]) -> bool:
         """Whether ``arrays`` are the relations kept here (by identity)."""
@@ -487,9 +524,11 @@ class _DeltaMerger:
         self.storage = storage
         self.report = report
         kept = storage.keyed_relations
-        self._space = space = (
-            kept.space if kept is not None else _KeySpace(schema, storage.flat)
-        )
+        if kept is None:
+            self._space, self._buckets = _KeySpace(schema, storage.flat), _Buckets()
+        else:
+            self._space, self._buckets = kept.space, kept.buckets
+        space = self._space
         self.node_ids = space.node_ids
         n_nodes = len(self.node_ids)
 
@@ -536,13 +575,9 @@ class _DeltaMerger:
         buckets = (self._group_keys >> self._shift).view(np.int64)
         self._bucket_groups = stable_order(buckets)
         _, by_bucket, first = sort_groups(buckets[self._bucket_groups])
-        occupied = by_bucket[first]
-        self._occupied = np.zeros(1 << bits, dtype=np.bool_)
-        self._occupied[occupied] = True
-        self._bucket_sizes = np.zeros(1 << bits, dtype=np.int32)
-        self._bucket_sizes[occupied] = np.diff(np.append(first, len(buckets)))
-        self._bucket_starts = np.zeros(1 << bits, dtype=np.int32)
-        self._bucket_starts[occupied] = first
+        self._buckets.fill(
+            bits, by_bucket[first], np.diff(np.append(first, len(buckets))), first
+        )
         self._group_codes = [
             self._space.codes(d, column, self.group_rowid, self.group_position)
             for d, column in enumerate(self._dim_columns)
@@ -574,12 +609,13 @@ class _DeltaMerger:
         pair is kept when the keys, the positions and every dimension's
         code agree, so the match is exact.
         """
+        tables = self._buckets
         buckets = (keys >> self._shift).view(np.int64)
-        candidates = np.flatnonzero(self._occupied[buckets])
+        candidates = np.flatnonzero(tables.occupied[buckets])
         buckets = buckets[candidates]
-        count = self._bucket_sizes[buckets]
+        count = tables.sizes[buckets]
         probes = np.repeat(candidates, count)
-        slots = np.repeat(self._bucket_starts[buckets] - np.cumsum(count) + count, count)
+        slots = np.repeat(tables.starts[buckets] - np.cumsum(count) + count, count)
         slots += np.arange(len(probes), dtype=np.int64)
         groups = self._bucket_groups[slots]
         hit = keys[probes] == self._group_keys[groups]
@@ -764,6 +800,7 @@ class _DeltaMerger:
             ],
             stacks,
             keys,
+            self._buckets,
         )
 
     def _kept(self, stores: list[NodeStore]) -> KeyedRelations:
@@ -782,7 +819,7 @@ class _DeltaMerger:
             )
             for stack in stacks
         ]
-        return KeyedRelations(self._space, arrays, stacks, keys)
+        return KeyedRelations(self._space, arrays, stacks, keys, self._buckets)
 
     def _devalue(
         self,

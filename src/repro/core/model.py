@@ -113,7 +113,18 @@ class CubeSchema:
         return self.enumerator.node_id(node)
 
     def decode_node(self, node_id: int) -> CubeNode:
+        """The node with id ``node_id``; an id out of range raises
+        ``ValueError``, as :meth:`NodeEnumerator.decode` does."""
+        nodes = self._nodes_by_id
+        if 0 <= node_id < len(nodes):
+            return nodes[node_id]
         return self.enumerator.decode(node_id)
+
+    @cached_property
+    def _nodes_by_id(self) -> tuple[CubeNode, ...]:
+        """Every lattice node by id, decoded once per schema."""
+        enumerator = self.enumerator
+        return tuple(map(enumerator.decode, range(enumerator.n_nodes)))
 
     def plan_order(
         self, flat: bool = False

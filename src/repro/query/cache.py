@@ -19,8 +19,12 @@ by ``(node, predicate, tag)``, so repeated group-by requests skip
 answering entirely — no tuple re-encoding on either the put or the get
 side — and, once a server has rendered an entry, its canonical JSON
 body beside the answer, so a repeated *HTTP* request skips encoding as
-well.  It is sized for real serving traffic: entries account their
-matrix and body bytes against an optional ``max_bytes`` budget, recency
+well.  A body also keeps the first raw request target that fetched it,
+indexed by that target, so the HTTP front finds a repeated request's
+bytes by one lookup before it parses anything
+(:meth:`ResultCache.body_for`).  It is sized for real serving traffic:
+entries account their matrix, body and target bytes against an
+optional ``max_bytes`` budget, recency
 is tracked LRU (a hit refreshes the entry), answers larger than the
 whole budget are rejected at admission instead of flushing everything
 else, and every operation holds an internal lock so the cache can be
@@ -184,20 +188,23 @@ class CachedResult:
     """One resident entry: the answer and, once rendered, its body.
 
     ``body`` is the canonical JSON a server shipped for ``answer``
-    (:func:`repro.server.encoding.encode_answer`).  It lives *in* the
-    entry, so whatever drops or replaces the answer — LRU eviction, a
-    replacing :meth:`ResultCache.put`, :meth:`ResultCache.clear` after a
-    delta — drops the bytes with it: a stale body cannot outlive its
-    answer.
+    (:func:`repro.server.encoding.encode_answer`), and ``target`` the
+    first raw HTTP request target that fetched that body, under which
+    the cache indexes it.  Both live *in* the entry, so whatever drops
+    or replaces the answer — LRU eviction, a replacing
+    :meth:`ResultCache.put`, :meth:`ResultCache.clear` after a delta —
+    drops the bytes and the target's index entry with it: a stale body
+    cannot outlive its answer.
     """
 
     answer: ColumnAnswer
     body: bytes | None = None
+    target: str | None = None
 
     @property
     def nbytes(self) -> int:
         """The entry's charge against ``max_bytes``."""
-        return ResultCache.entry_bytes(self.answer, self.body)
+        return ResultCache.entry_bytes(self.answer, self.body, self.target)
 
 
 @dataclass
@@ -212,6 +219,15 @@ class ResultCache:
     :meth:`ColumnAnswer.from_pairs`, with the schema's widths).  A server
     that has rendered an entry's answer attaches the encoded body with
     :meth:`attach_body`, after which a hit costs one dictionary lookup.
+
+    A body is also found by the raw request target that fetched it: the
+    entry keeps the first such target (:meth:`attach_body` or
+    :meth:`add_target`) and the cache a ``target → key`` index, so
+    :meth:`body_for` answers a repeated request before anything is
+    parsed.  Other targets naming the same answer (``where`` clauses in
+    another order, say) take the parse path.  An index entry leaves
+    with its cache entry — evicted, replaced or cleared — so the index
+    never holds more targets than there are entries.
 
     Eviction is LRU over both limits: beyond ``max_entries`` entries, or
     — when ``max_bytes`` is set — beyond that many bytes of matrices and
@@ -238,18 +254,26 @@ class ResultCache:
     _entries: dict[ResultKey, CachedResult] = field(
         default_factory=dict, repr=False
     )
+    #: Request target → the key of the entry whose body it fetched.
+    _targets: dict[str, ResultKey] = field(default_factory=dict, repr=False)
     _bytes: int = field(default=0, repr=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False
     )
 
     @staticmethod
-    def entry_bytes(answer: ColumnAnswer, body: bytes | None = None) -> int:
-        """The bytes an entry occupies: both matrices plus its body."""
+    def entry_bytes(
+        answer: ColumnAnswer,
+        body: bytes | None = None,
+        target: str | None = None,
+    ) -> int:
+        """The bytes an entry occupies: both matrices plus its body and
+        its target (one byte a character: a target is ISO-8859-1)."""
         return (
             int(answer.dims.nbytes)
             + int(answer.aggregates.nbytes)
             + (len(body) if body is not None else 0)
+            + (len(target) if target is not None else 0)
         )
 
     def holds(self, entry: CachedResult) -> bool:
@@ -282,6 +306,23 @@ class ResultCache:
                 self.stats.hits += 1
             return entry
 
+    def body_for(self, target: str) -> bytes | None:
+        """The body fetched by request ``target``, or ``None``.
+
+        A found body counts one hit and refreshes its entry as most
+        recently used; a target not indexed counts nothing — the caller
+        answers the request the long way, which registers its one hit
+        or miss.
+        """
+        with self._lock:
+            key = self._targets.get(target)
+            if key is None:
+                return None
+            entry = self._entries.pop(key)
+            self._entries[key] = entry
+            self.stats.hits += 1
+            return entry.body
+
     def put(
         self,
         node_id: int,
@@ -308,6 +349,7 @@ class ResultCache:
         tag: ResultTag,
         answer: ColumnAnswer,
         body: bytes,
+        target: str | None = None,
     ) -> bool:
         """Keep ``body`` beside the resident ``answer`` it was rendered from.
 
@@ -317,14 +359,35 @@ class ResultCache:
         body is charged to ``max_bytes`` and makes room like any
         admission — least-recently-used entries drop — except that an
         entry which would exceed the budget on its own stays bodiless.
-        Returns whether the body is now resident.
+        ``target``, the raw request target that fetched the body, is
+        indexed beside it (:meth:`body_for`).  Returns whether the body
+        is now resident.
         """
         key = (node_id, slices, tag)
         with self._lock:
             resident = self._entries.get(key)
             if resident is None or resident.answer is not answer:
                 return False
-            return self._admit(key, CachedResult(answer, body))
+            return self._admit(key, CachedResult(answer, body, target))
+
+    def add_target(self, key: ResultKey, entry: CachedResult, target: str) -> bool:
+        """Index ``target`` as fetching ``entry``'s body.
+
+        Only a resident entry (that very object) with a body and no
+        target yet takes one, so an entry is found by the first target
+        that fetched it and never by more than one.  The target's bytes
+        are charged like an admission.  Returns whether it is indexed.
+        """
+        with self._lock:
+            if (
+                entry.body is None
+                or entry.target is not None
+                or self._entries.get(key) is not entry
+            ):
+                return False
+            return self._admit(
+                key, CachedResult(entry.answer, entry.body, target)
+            )
 
     def _admit(self, key: ResultKey, entry: CachedResult) -> bool:
         """Make ``entry`` the newest one unless it alone exceeds the byte
@@ -332,26 +395,34 @@ class ResultCache:
         entries (lock held).  Returns whether ``entry`` is resident."""
         if not self.holds(entry):
             return False
-        size = entry.nbytes
         old = self._entries.pop(key, None)
         if old is not None:
-            self._bytes -= old.nbytes
+            self._drop(key, old)
         self._entries[key] = entry
-        self._bytes += size
+        self._bytes += entry.nbytes
+        if entry.target is not None:
+            self._targets[entry.target] = key
         while len(self._entries) > self.max_entries or (
             self.max_bytes is not None and self._bytes > self.max_bytes
         ):
             victim = next(iter(self._entries))
             if victim == key and len(self._entries) == 1:
                 break  # the admission check bounds the newest entry
-            self._bytes -= self._entries.pop(victim).nbytes
+            self._drop(victim, self._entries.pop(victim))
         return True
+
+    def _drop(self, key: ResultKey, entry: CachedResult) -> None:
+        """Account for ``entry`` leaving the cache (lock held)."""
+        self._bytes -= entry.nbytes
+        if entry.target is not None and self._targets.get(entry.target) == key:
+            del self._targets[entry.target]
 
     def clear(self) -> int:
         """Drop every entry; returns how many were resident."""
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
+            self._targets.clear()
             self._bytes = 0
             return dropped
 

@@ -1,9 +1,9 @@
 """The slicer application: one immutable cube, many readers.
 
 :class:`SlicerApp` serves one published cube bundle.
-:class:`~repro.server.http.SlicerServer` calls
-:meth:`SlicerApp.dispatch_request` directly; ``__call__`` is the thin
-WSGI adapter over the same method for third-party containers.  The
+:class:`~repro.server.http.SlicerServer` hands each raw request target
+to :meth:`SlicerApp.respond`; ``__call__`` is the thin WSGI adapter over
+:meth:`SlicerApp.dispatch_request` for third-party containers.  The
 bundle loads **once**: every request thread shares the same
 :class:`~repro.core.storage.CubeStorage` (whose per-node ``NodeStore``
 matrix caches warm lazily and are then reused by all threads), the same
@@ -17,8 +17,13 @@ Each answer endpoint only translates: the URL becomes a
 :meth:`CubePlanner.entry <repro.query.planner.CubePlanner.entry>` — the
 library's own request path, which registers exactly one hit or miss on
 ``planner.results.stats`` — answers it through that cache.  An entry
-keeps the canonical body rendered from its answer, so a repeated request
-costs the parse, one dictionary lookup and the socket write.
+keeps the canonical body rendered from its answer and the first raw
+request target that fetched it, so a repeated request over HTTP costs
+one lookup by that target (:meth:`ResultCache.body_for
+<repro.query.cache.ResultCache.body_for>`) and the socket write: no
+unquoting, no query parsing, no node decode, no ``QueryRequest``.  A
+target the cache does not know — a miss, or another spelling of a
+cached request — is parsed and answered through ``dispatch_request``.
 
 Endpoints (all ``GET``, all canonical JSON — see
 :mod:`repro.server.encoding`):
@@ -38,7 +43,8 @@ Endpoints (all ``GET``, all canonical JSON — see
 
 Request handling funnels through :meth:`SlicerApp.dispatch_request`,
 which the R12 parallel-safety lint rule audits exactly like the build
-workers' entry points: everything reachable from it may only mutate
+workers' entry points (and ``respond`` through the front's
+``serve_connection``): everything reachable from them may only mutate
 module state under a lock.
 """
 
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import threading
 from typing import Any, Callable
-from urllib.parse import parse_qs
+from urllib.parse import parse_qs, unquote
 
 from repro.bundle import CubeBundle
 from repro.lattice.node import CubeNode
@@ -114,14 +120,35 @@ class SlicerApp:
 
     # -- routing ------------------------------------------------------------
 
+    def respond(self, target: str) -> tuple[str, bytes]:
+        """Answer one raw HTTP request target (path and query, as sent).
+
+        A body cached under ``target`` is returned at once, counting one
+        result-cache hit.  Anything else is split, unquoted and parsed,
+        and routed by :meth:`dispatch_request`, which registers its own
+        hit or miss and indexes ``target`` beside the body it returns.
+        """
+        body = self.results.body_for(target)
+        if body is None:
+            path, _, query = target.partition("?")
+            return self.dispatch_request(unquote(path), parse_qs(query), target)
+        with self._counter_lock:
+            self._requests += 1
+        return "200 OK", body
+
     def dispatch_request(
-        self, path: str, params: dict[str, list[str]]
+        self,
+        path: str,
+        params: dict[str, list[str]],
+        target: str | None = None,
     ) -> tuple[str, bytes]:
         """Route one request; returns ``(status line, body bytes)``.
 
         This is the audited serving entry point: every answer a request
         thread can compute flows through here, over caches shared with
-        every other request thread.
+        every other request thread.  ``target``, the raw request target
+        ``path`` and ``params`` were parsed from, is indexed beside an
+        answer's cached body so :meth:`respond` finds it next time.
         """
         with self._counter_lock:
             self._requests += 1
@@ -135,7 +162,7 @@ class SlicerApp:
                 return "200 OK", self._stats()
             if head in ("node", "slice", "rollup", "iceberg"):
                 return "200 OK", self._answer_body(
-                    self._parse_request(head, tail, params)
+                    self._parse_request(head, tail, params), target
                 )
             return self._error(
                 "404 Not Found", f"unknown endpoint {path!r}"
@@ -148,13 +175,16 @@ class SlicerApp:
 
     # -- endpoint bodies ----------------------------------------------------
 
-    def _answer_body(self, request: QueryRequest) -> bytes:
-        """The request's canonical body, rendered at most once per entry."""
+    def _answer_body(self, request: QueryRequest, target: str | None) -> bytes:
+        """The request's canonical body, rendered at most once per entry,
+        and indexed under ``target`` when the entry has no target yet."""
         key, entry = self.planner.entry(request)
         if entry.body is not None:
+            if target is not None and entry.target is None:
+                self.results.add_target(key, entry, target)
             return entry.body
         body = encode_request(self.schema, request, entry.answer)
-        self.results.attach_body(*key, entry.answer, body)
+        self.results.attach_body(*key, entry.answer, body, target)
         return body
 
     def connection_opened(self) -> None:

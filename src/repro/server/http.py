@@ -5,10 +5,11 @@ every connection to a bounded pool of worker threads (started as
 connections need them, never more than ``WORKERS``); a worker owns a
 connection for as long as the client keeps it open — HTTP/1.1
 keep-alive is the default, so a client that reuses its connection costs
-neither a TCP handshake nor a thread start per request — and calls
-:meth:`SlicerApp.dispatch_request` directly for each request on it.
-That is the concurrency model the app's shared caches are built (and
-property-tested) for: many threads inside ``dispatch_request`` at once.
+neither a TCP handshake nor a thread start per request — and hands
+each request's raw target to :meth:`SlicerApp.respond`, which answers a
+cached request by that target alone and parses the rest.  That is the
+concurrency model the app's shared caches are built (and
+property-tested) for: many threads inside ``respond`` at once.
 
 A reply is one ``sendall`` of status line, headers and body on a
 ``TCP_NODELAY`` socket.  Written as two segments on a default socket,
@@ -35,7 +36,6 @@ import sys
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from urllib.parse import parse_qs, unquote
 
 from repro.server.app import SlicerApp
 from repro.server.encoding import canonical_json
@@ -222,11 +222,8 @@ class SlicerServer:
                     raise _BadRequest(
                         "405 Method Not Allowed", "only GET is supported"
                     )
-                path, _, query = target.partition("?")
                 try:
-                    status, body = self.app.dispatch_request(
-                        unquote(path), parse_qs(query)
-                    )
+                    status, body = self.app.respond(target)
                 except Exception:  # noqa: BLE001 - a bug must not cost the pool a thread
                     traceback.print_exc()
                     keep_alive = False

@@ -272,6 +272,46 @@ def test_cli_errors(cli_workspace, capsys):
         ])
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["describe"],
+        ["nodes"],
+        ["query", "--group-by", "Region"],
+        ["serve", "--port", "0"],
+        ["verify-cube"],
+        ["ingest", "--csv", "delta.csv"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_cli_exits_with_one_line_on_a_damaged_manifest(
+    cli_workspace, command
+):
+    tmp_path, csv_path, spec_path = cli_workspace
+    cube_dir = tmp_path / "cube"
+    cli_main([
+        "build", "--csv", str(csv_path), "--spec", str(spec_path),
+        "--out", str(cube_dir),
+    ])
+    (cube_dir / "bundle.json").write_text("{}")
+    (tmp_path / "delta.csv").write_text("Athens,s1,3\n")
+    argv = [command[0], "--cube", str(cube_dir)] + [
+        str(tmp_path / arg) if arg == "delta.csv" else arg
+        for arg in command[1:]
+    ]
+    with pytest.raises(SystemExit) as exited:
+        cli_main(argv)
+    message = exited.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert "unsupported version; rebuild the bundle" in message
+    # and a directory without a manifest at all
+    (cube_dir / "bundle.json").unlink()
+    with pytest.raises(SystemExit) as exited:
+        cli_main(argv)
+    assert isinstance(exited.value.code, str)
+    assert "bundle.json" in exited.value.code
+
+
 def test_bundle_roundtrips_complex_hierarchy(tmp_path):
     """DAG hierarchies (multiple parents) survive JSON serialization."""
     import random

@@ -155,14 +155,14 @@ def test_malformed_and_oversized_heads_are_refused(app):
 def test_a_failing_request_answers_500_and_the_worker_survives(
     app, monkeypatch, capsys
 ):
-    def broken(path, params):
+    def broken(target):
         raise KeyError("a bug")
 
     with SlicerServer(app) as server:
         connection = http.client.HTTPConnection(
             server.host, server.port, timeout=10
         )
-        monkeypatch.setattr(app, "dispatch_request", broken)
+        monkeypatch.setattr(app, "respond", broken)
         assert get(connection, "/node/0")[0] == 500
         monkeypatch.undo()
         assert get(connection, "/node/0")[0] == 200
@@ -193,7 +193,7 @@ def test_large_bodies_over_keep_alive_do_not_stall(app):
             server.host, server.port, timeout=10
         )
         big = b'{"rows":"' + b"x" * 45_000 + b'"}'
-        app.dispatch_request = lambda path, params: ("200 OK", big)
+        app.respond = lambda target: ("200 OK", big)
         assert get(connection, "/node/0") == (200, big)
         started = time.perf_counter()
         for _ in range(100):
@@ -241,14 +241,14 @@ def test_shutdown_joins_every_thread_even_with_open_clients(app):
 
 def test_shutdown_lets_a_request_in_flight_finish(app):
     entered, release = threading.Event(), threading.Event()
-    real = app.dispatch_request
+    real = app.respond
 
-    def slow(path, params):
+    def slow(target):
         entered.set()
         assert release.wait(10)
-        return real(path, params)
+        return real(target)
 
-    app.dispatch_request = slow
+    app.respond = slow
     server = SlicerServer(app).start()
     replies = []
 

@@ -1,10 +1,10 @@
-"""What a ``serve-drill`` miss costs: a fixed part and a part per row.
+"""What a ``serve-drill`` miss costs, and what a ``serve-browse`` hit costs.
 
-Builds the ``serve-drill`` cube of ``benchmarks/e2e`` for one seed the
-way the harness does (the seeded ``retail`` CSV, ``load_csv``,
-``CURE+`` with a 20,000-signature pool, ``save_bundle``) and draws the
-workload's request block.  Then, in this process, with the cyclic
-collector off:
+Builds the serving cube of ``benchmarks/e2e`` for one seed the way the
+harness does (the seeded ``retail`` CSV, ``load_csv``, ``CURE+`` with a
+20,000-signature pool, ``save_bundle``) and draws the ``serve-drill``
+and ``serve-browse`` request blocks.  Then, in this process, with the
+cyclic collector off:
 
 * **misses**: the block goes ``--repeat`` times through
   ``SlicerApp.dispatch_request`` on a fresh app with a 1-byte result
@@ -17,11 +17,18 @@ collector off:
   (``execute_op`` on a planner with a 1-byte result cache) and its
   encoding (``encode_op``), each op's fastest of ``--repeat``, as
   means over the block — what the nightly ``server.encode_ms <
-  query.answer_ms`` floor compares.
+  query.answer_ms`` floor compares;
+* **hits**: the ``serve-browse`` block on an app whose result cache
+  holds every answer and body (one pass warms it), ``--repeat`` times
+  through ``SlicerApp.respond`` (the raw request target, as the HTTP
+  front hands it over) and through ``SlicerApp.dispatch_request`` (with
+  the ``unquote`` / ``parse_qs`` of that target included), each request
+  its fastest CPU time — the hit path's fixed cost.
 
-Prints two Markdown tables (microseconds).  It uses no API newer than
+Prints three Markdown tables (microseconds).  It uses no API newer than
 the serving layer's public entry points, so a copy of this file in
-another checkout's ``tools/`` measures that checkout:
+another checkout's ``tools/`` measures that checkout (a checkout whose
+app has no ``respond`` prints a dash for it):
 
     python3 tools/miss_cost.py --seed 11 --repeat 5
 """
@@ -36,7 +43,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote, urlsplit
 
 import numpy as np
 
@@ -113,6 +120,50 @@ def measure(bundle_dir: Path, seed: int, n_ops: int, repeat: int) -> None:
     print(f"| {np.mean(answer):.1f} | {np.mean(encode):.1f} |")
 
 
+def measure_hits(bundle_dir: Path, seed: int, n_ops: int, repeat: int) -> None:
+    with open_bundle(bundle_dir) as bundle:
+        schema = bundle.schema
+        ops = workloads.make_ops(
+            schema, n_ops, random.Random(seed), **workloads.BROWSE
+        )
+        targets = [op_path(schema, op) for op in ops]
+        app = SlicerApp(bundle)
+        respond = getattr(app, "respond", None)
+
+        def parsed(target: str):
+            path, _, query = target.partition("?")
+            return app.dispatch_request(unquote(path), parse_qs(query))
+
+        for target in targets:  # warm: every answer and body resident
+            if respond is not None:
+                respond(target)
+            parsed(target)
+        entries = {"`respond`": respond, "`dispatch_request`": parsed}
+        fastest = {name: [float("inf")] * len(ops) for name in entries}
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(repeat):
+                for name, call in entries.items():
+                    if call is None:
+                        continue
+                    times = fastest[name]
+                    for index, target in enumerate(targets):
+                        times[index] = min(times[index], cpu_us(call, target))
+        finally:
+            gc.enable()
+    print(f"\nHits of the `serve-browse` block on a warm cache (seed {seed}, "
+          f"{len(ops)} requests, fastest of {repeat}, CPU µs)\n")
+    print("| entry | mean µs | median µs |")
+    print("|---|---|---|")
+    for name, call in entries.items():
+        if call is None:
+            print(f"| {name} | — | — |")
+            continue
+        times = fastest[name]
+        print(f"| {name} | {np.mean(times):.1f} | {np.median(times):.1f} |")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=11)
@@ -127,6 +178,10 @@ def main() -> None:
         retail.write_input(root, retail.generate_facts(args.seed, args.rows))
         built = workloads.build_bundle(_Untimed(), root, root / "cube")
         measure(built.bundle_dir, args.seed, args.ops, args.repeat)
+        measure_hits(
+            built.bundle_dir, args.seed,
+            workloads.SERVE_BROWSE["block_ops"], args.repeat,
+        )
 
 
 if __name__ == "__main__":
