@@ -28,6 +28,7 @@ from repro.storage2.mapped import MappedCube, open_v2
 from repro.storage2.publish import (
     BUNDLE_META,
     V2_FILE,
+    BundleError,
     BundleManifest,
     read_manifest,
     write_manifest,
@@ -143,8 +144,9 @@ def open_bundle(directory: str | Path) -> CubeBundle:
     ingest generation committed since (``python -m repro ingest``).
     Opening unpacks **nothing** — no heap rows, no index builds, no
     whole-file hash.  A ``bundle.json`` this version did not write
-    (without a ``version``) raises
-    :class:`~repro.storage2.publish.BundleError`: rebuild the bundle.
+    (without a ``version``), or one naming a container the directory
+    does not hold, raises :class:`~repro.storage2.publish.BundleError`:
+    rebuild the bundle.
 
     A container that fails structural validation raises
     :class:`~repro.storage2.format.V2FormatError` (fail closed; a damaged
@@ -155,7 +157,7 @@ def open_bundle(directory: str | Path) -> CubeBundle:
     manifest = read_manifest(root)
     container = root / manifest.container
     if not container.exists():
-        raise RuntimeError(
+        raise BundleError(
             f"{root} has no {container.name} to serve; rebuild the bundle"
         )
     return CubeBundle(

@@ -326,17 +326,23 @@ def cmd_ingest(args) -> int:
     from repro.storage2.publish import read_manifest
 
     root = Path(args.cube)
-    schema = _read_bundle(read_manifest, root).schema
-    delta_rows = _parse_delta_csv(schema, args.csv)
+    manifest = _read_bundle(read_manifest, root)
+    delta_rows = _parse_delta_csv(manifest.schema, args.csv)
     engine = Engine(Catalog(root), MemoryManager())
     try:
-        # The committed generation, or the saved cube's facts rebuilt as
-        # generation 0 on the first ingest.  A damaged container stops the
+        # The committed container: the saved cube.v2 on the first ingest, a
+        # stream generation after it.  A damaged container stops the
         # command rather than send it back to older facts.
         try:
             ingestor = StreamingIngestor.recover(engine, root / STREAM_LOG_DIR)
         except IngestError as error:
             raise SystemExit(f"{root}: {error}") from None
+        reason = ingestor.rebuilt_because
+        if reason is None:
+            print(f"adopted the cube in {manifest.container}: it takes a "
+                  "delta as stored")
+        else:
+            print(f"rebuilt the cube in {manifest.container}: {reason}")
         ingestor.compact_overhead = (
             args.compact_overhead if args.compact_overhead > 0 else None
         )

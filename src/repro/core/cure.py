@@ -461,7 +461,9 @@ def build_cube(
     if (table is None) == (engine is None or relation is None):
         raise ValueError("provide either `table` or both `engine` and `relation`")
 
-    storage = CubeStorage(schema, dr_mode=dr_mode, flat=flat)
+    storage = CubeStorage(
+        schema, dr_mode=dr_mode, flat=flat, min_count=min_count
+    )
     stats = BuildStats()
     pool = signature_pool(storage, pool_capacity)
     if shape is None:

@@ -181,6 +181,33 @@ def validate_delta(
     return matrix
 
 
+def delta_refusal(storage: CubeStorage) -> str | None:
+    """Why ``storage`` cannot take a delta as it stands, or None when it can.
+
+    Read off what the cube records, never off a variant's name: a DR
+    cube's NTs hold codes, not row-ids; a holistic aggregate does not
+    merge; and an iceberg cube (``min_count`` > 1) has no rows for the
+    groups below its threshold, which a delta can lift over it.  A cube
+    whose ``min_count`` was not recorded (a container written before it
+    was) is refused too.
+    """
+    if storage.dr_mode:
+        return (
+            "its NTs hold dimension codes (DR), and incremental maintenance "
+            "is implemented for row-id based NTs"
+        )
+    if not storage.schema.all_distributive:
+        return "incremental maintenance needs distributive aggregates"
+    if storage.min_count is None:
+        return "its container does not record min_count"
+    if storage.min_count != 1:
+        return (
+            f"it is an iceberg cube (min_count {storage.min_count}), and a "
+            f"delta can lift a group it does not store over the threshold"
+        )
+    return None
+
+
 def apply_delta(
     storage: CubeStorage,
     schema: CubeSchema,
@@ -191,20 +218,15 @@ def apply_delta(
     ``fact_table`` (both updated in place).
 
     ``delta_rows`` is a sequence of fact tuples or an int64 matrix of
-    them.  Requirements: a non-DR, non-iceberg cube built over
-    ``fact_table`` with distributive aggregates.  A CURE+ cube stays
-    one, ``plus_processed`` as it was: every relation is still in
-    row-id order straight after the merge.
+    them, and ``storage`` a cube built over ``fact_table`` that
+    :func:`delta_refusal` accepts (its reason is the ``ValueError``
+    raised otherwise).  A CURE+ cube stays one, ``plus_processed`` as it
+    was: every relation is still in row-id order straight after the
+    merge.
     """
-    if storage.dr_mode:
-        raise ValueError(
-            "incremental maintenance is implemented for row-id based NTs; "
-            "rebuild DR cubes instead"
-        )
-    if not schema.all_distributive:
-        raise ValueError(
-            "incremental maintenance needs distributive aggregates"
-        )
+    refusal = delta_refusal(storage)
+    if refusal is not None:
+        raise ValueError(refusal)
     report = UpdateReport(delta_rows=len(delta_rows))
     if not report.delta_rows:
         return report

@@ -344,7 +344,9 @@ class DurableCubeBuild:
             stats = _stats_from_json(dict(checkpoint["stats"]))
             completed = int(checkpoint["completed_partitions"])
         else:
-            storage = CubeStorage(self.schema, dr_mode=self.dr_mode)
+            storage = CubeStorage(
+                self.schema, dr_mode=self.dr_mode, min_count=self.min_count
+            )
             # The recorded pass's counters; a pass that runs again counts
             # again.
             stats = (

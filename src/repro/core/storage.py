@@ -245,6 +245,9 @@ class CubeStorage:
     # dimension *pair* (the extension Section 4 mentions but omits).
     partition_level2: int | None = None
     fact_row_count: int = 0
+    #: The iceberg threshold the cube was built with (1: the full cube);
+    #: None when the container that held it did not record one.
+    min_count: int | None = None
     plus_processed: bool = False
     # Logical bytes of space overhead accrued by incremental maintenance
     # (CAT demotions) since the last from-scratch build; lets
@@ -419,6 +422,7 @@ class CubeStorage:
             "partition_level2": self.partition_level2,
             "plus_processed": self.plus_processed,
             "fact_row_count": self.fact_row_count,
+            "min_count": self.min_count,
             "update_drift_bytes": self.update_drift_bytes,
             "node_ids": sorted(self.nodes),
         }
@@ -433,6 +437,7 @@ class CubeStorage:
             partition_level=meta["partition_level"],
             partition_level2=meta.get("partition_level2"),
             fact_row_count=meta["fact_row_count"],
+            min_count=meta.get("min_count"),
         )
         storage.plus_processed = meta.get("plus_processed", False)
         storage.update_drift_bytes = meta.get("update_drift_bytes", 0)

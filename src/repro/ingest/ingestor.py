@@ -25,7 +25,9 @@ times (it is sealed and durable before it is eligible) and never twice
 (the watermark moves with the generation that absorbed it) — and because
 :func:`apply_delta` and the drift-driven compaction decision are
 deterministic, the recovered cube is
-byte-identical to an uninterrupted run.
+byte-identical to an uninterrupted run.  A bundle
+:func:`~repro.bundle.save_bundle` wrote is simply the generation before
+0: its ``cube.v2`` is recovered like any other.
 
 A checkpoint costs four ``fsync``s (container + directory, manifest +
 directory) whatever the lattice size.  Writing only the nodes a delta
@@ -45,9 +47,7 @@ per-record compaction decisions.
 A crash *before the first manifest commit* leaves nothing to recover;
 :meth:`StreamingIngestor.recover` raises :class:`IngestError` and the
 caller bootstraps again from its source fact table — the standard
-commit-point semantics.  A bundle :func:`~repro.bundle.save_bundle`
-wrote is committed at generation −1: recovering it rebuilds the cube
-from the container's fact table and commits generation 0.
+commit-point semantics.
 """
 
 from __future__ import annotations
@@ -61,7 +61,12 @@ from typing import ClassVar
 import numpy as np
 
 from repro.core.cure import build_cube
-from repro.core.incremental import apply_delta, drift_report, validate_delta
+from repro.core.incremental import (
+    apply_delta,
+    delta_refusal,
+    drift_report,
+    validate_delta,
+)
 from repro.core.model import CubeSchema
 from repro.core.postprocess import postprocess_plus
 from repro.core.storage import CubeStorage
@@ -122,9 +127,10 @@ class StreamingIngestor:
     reads before the cache refills.  ``stats.results_dropped`` counts
     the entries cleared.
 
-    Requirements mirror :func:`apply_delta`: a non-DR cube with
-    all-distributive aggregates, and a fact table that fits in
-    memory (the ingestor owns the authoritative in-memory copy).
+    Requirements mirror :func:`apply_delta`: a cube
+    :func:`~repro.core.incremental.delta_refusal` accepts (:meth:`recover`
+    rebuilds one it refuses), and a fact table that fits in memory (the
+    ingestor owns the authoritative in-memory copy).
     """
 
     prefix: ClassVar[str] = PREFIX
@@ -142,6 +148,9 @@ class StreamingIngestor:
     #: checkpoint removes; ``None`` before the first commit).
     extra: dict = field(default_factory=dict)
     container: str | None = None
+    #: Why :meth:`recover` rebuilt the committed cube instead of taking
+    #: it as it stands (None: it took it, or the ingestor bootstrapped).
+    rebuilt_because: str | None = None
     stats: IngestStats = field(default_factory=IngestStats)
 
     # -- lifecycle ----------------------------------------------------------
@@ -192,9 +201,11 @@ class StreamingIngestor:
         then the row counts — and then mapped; the fact table shares the
         decoded columns until its first append copies them.  The log
         repairs its own torn tail on open; stale generations from crashed
-        checkpoints are swept.  A saved bundle (generation −1, any
-        variant's cube) gets the cube :meth:`bootstrap` builds over its
-        facts, committed as generation 0.  Raises :class:`IngestError`
+        checkpoints are swept.  The mapped cube is kept as it stands when
+        :func:`~repro.core.incremental.delta_refusal` accepts it — a
+        saved bundle's ``cube.v2`` (generation −1) as much as an ingest
+        generation — and otherwise replaced by :meth:`compact`, whose
+        reason ``rebuilt_because`` keeps.  Raises :class:`IngestError`
         when no generation ever committed — the caller bootstraps from
         its source data instead — and when the committed one is damaged
         (fail closed: never a partial load).
@@ -238,9 +249,9 @@ class StreamingIngestor:
             container=manifest.container,
         )
         ingestor._sweep_stale_generations()
-        if ingestor.generation < 0:
-            ingestor.storage = _build(schema, fact_table, storage.plus_processed)
-            ingestor.checkpoint()
+        ingestor.rebuilt_because = delta_refusal(storage)
+        if ingestor.rebuilt_because is not None:
+            ingestor.compact()
         ingestor.apply_ready()
         return ingestor
 
@@ -375,7 +386,10 @@ class StreamingIngestor:
             catalog.faults, f"ingest.compact:{PREFIX}.g{self.generation + 1}"
         )
         self.storage = _build(
-            self.schema, self.fact_table, self.storage.plus_processed
+            self.schema,
+            self.fact_table,
+            self.storage.plus_processed,
+            self.storage.flat,
         )
         if self.planner is not None:
             self.planner.storage = self.storage
@@ -391,8 +405,8 @@ class StreamingIngestor:
 
     def _sweep_stale_generations(self) -> None:
         """Unlink ``stream.g<k>.*`` files of every generation but the
-        committed one, and a saved bundle's ``cube.v2`` once a generation
-        replaced it (crash leftovers).
+        committed one, and a saved bundle's ``cube.v2`` unless the
+        manifest still names it (crash leftovers).
 
         Walks the directory, not the catalog's relation names: a
         generation is a plain file, and what a crash strands beside it —
@@ -405,7 +419,7 @@ class StreamingIngestor:
             match = pattern.match(path.name)
             if match and int(match.group(1)) != self.generation:
                 remove_file(path)
-        if self.generation >= 0:
+        if self.container != V2_FILE:
             remove_file(root / V2_FILE)
 
 
@@ -414,9 +428,12 @@ def _open_log(engine: Engine, log_root: str | Path, seal_records: int) -> Append
     return AppendLog.open(log_root, faults, seal_records, retry_policy)
 
 
-def _build(schema: CubeSchema, fact_table: Table, plus: bool) -> CubeStorage:
+def _build(
+    schema: CubeSchema, fact_table: Table, plus: bool, flat: bool = False
+) -> CubeStorage:
     """The from-scratch in-memory cube bootstrap and compaction share."""
-    storage = build_cube(schema, table=fact_table).storage  # never partitions
+    # In memory, so never partitioned.
+    storage = build_cube(schema, table=fact_table, flat=flat).storage
     if plus:
         postprocess_plus(storage)
     return storage

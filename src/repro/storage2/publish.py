@@ -166,7 +166,8 @@ def write_v2(
 
 
 class BundleError(ValueError):
-    """A bundle's ``bundle.json`` is not a manifest this version wrote."""
+    """A bundle's ``bundle.json`` is not a manifest this version wrote, or
+    names a container the directory does not hold."""
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ RUNS = {
     "pool_sweep": ["--rows", "12000", "--pairs", "1"],
     "slice_sweep": ["--rows", "2000", "--passes", "1", "--ops", "20"],
     "cold_parts": ["--rows", "2000", "--repeat", "2"],
+    "first_ingest": ["--rows", "8000", "--runs", "1", "--budget", "500000"],
 }
 
 

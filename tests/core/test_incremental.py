@@ -161,6 +161,57 @@ def test_rejects_holistic(flat_schema, figure9_table):
         apply_delta(storage, schema, base, [(0, 0, 0, 1)])
 
 
+def test_rejects_iceberg_cubes_and_leaves_them_as_they_were():
+    """A ``min_count`` 3 cube stores no row for a group below 3, so a delta
+    that lifts one over the threshold has nothing to merge into.  Merged
+    anyway, node (city, sku) answered groups of COUNT below 3."""
+    from repro.datasets.loader import DimensionSpec, load_records
+    from tests.integration.test_bundle_and_cli import make_records
+
+    loaded = load_records(
+        make_records(65),
+        [DimensionSpec.of("Region", "city", "country"),
+         DimensionSpec.of("Product", "sku")],
+        ["qty"],
+    )
+    schema, rows = loaded.schema, rows_of(loaded.table)
+    base, delta = table_of(schema.fact_schema, rows[:60]), rows[60:]
+    storage = build_cube(schema, table=base, min_count=3).storage
+    assert storage.min_count == 3
+    finest = next(n for n in schema.lattice.nodes() if n.levels == (0, 0))
+
+    def iceberg(fact_rows):
+        return {
+            group for group, aggregates in reference_group_by(schema, fact_rows, finest)
+            if aggregates[-1] >= 3  # COUNT
+        }
+
+    # The delta does lift a group: the threshold decides over R ∪ Δ.
+    assert iceberg(rows) - iceberg(rows[:60])
+    before = {
+        node_id: (nt_rows(store), cat_rows(store), tt_rowids(store))
+        for node_id, store in storage.nodes.items()
+    }
+    with pytest.raises(ValueError, match=r"iceberg cube \(min_count 3\)"):
+        apply_delta(storage, schema, base, delta)
+    assert rows_of(base) == rows[:60] and storage.fact_row_count == 60
+    assert before == {
+        node_id: (nt_rows(store), cat_rows(store), tt_rowids(store))
+        for node_id, store in storage.nodes.items()
+    }
+
+
+def test_rejects_a_cube_whose_min_count_is_unknown(paper_schema):
+    """A container written before ``min_count`` was recorded reads it as
+    None: the cube might be an iceberg one, so it takes no delta."""
+    base, delta = make_instance(paper_schema, 40, 5, seed=7)
+    storage = build_cube(paper_schema, table=base).storage
+    storage.min_count = None
+    with pytest.raises(ValueError, match="does not record min_count"):
+        apply_delta(storage, paper_schema, base, delta)
+    assert len(base) == 40
+
+
 def test_validates_delta_rows(paper_schema):
     base, _d = make_instance(paper_schema, 20, 0, seed=8)
     result = build_cube(paper_schema, table=base)

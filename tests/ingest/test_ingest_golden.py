@@ -8,7 +8,9 @@ also hold that change to the bytes the merger wrote before it.  They
 were re-pinned once since, when the container directory's ``meta``
 dropped the ``cube_prefix`` and ``fact_relation`` keys (no reader had
 one): that commit's parent, with only those two keys removed, writes the
-same bytes.
+same bytes.  They moved once more when the directory ``meta`` gained
+``min_count``: every section's SHA-256 is the one the commit before
+wrote, and only the directory differs.
 
 Regenerate (only when a format change is intended) with::
 
@@ -34,18 +36,18 @@ RECORDS = 5
 
 GOLDEN: dict[str, list[str]] = {
     "CURE": [
-        "453fa51293bdb0a4268ac2cda5cd206ce3176facf49fe60ccdca0a30f1617227",
-        "2324501611970b01654aaf31bb6caa05c5dda9fc31a580725d02200f5d6fe845",
-        "29fa0ec6c2148b107966097a485f603817b67bb0e225593ea389ebe38cbe1879",
-        "774b19379b4c16a7f239e21c4e38c1e9ba3635df07d92270f62605c5dcb05c35",
-        "78bdf685457cd6654815350cb8133c3d9988926823dc12777e0c415db254e1fa",
+        "cfc78e8e52416a824804a93131ef7b8a929af5805036b534ae36b94945fdad5e",
+        "968eb6693318d15ae5852cf69d76b5df819df2c8244cecd7e36b211f70375878",
+        "afb15e3348e9fb118819bcc0d91dc115756711232fa8d5b10da55da6d4173408",
+        "8ab2e2cc8a400366f62a032ad91b6ad4bb62dc76a124bc447494a6bd8915970f",
+        "698eef53757f48c15b32bc496dfbcd06b6af9f755d209ea289b94bf902477368",
     ],
     "CURE+": [
-        "04c18ac0942167faef118b93c2e1a021582552ff8832df36f5c432064f7693c2",
-        "7eb118d4dc3269b6db0f974d619bbb32ff9afd1ed28595e759e3955509d78ef9",
-        "7e40a432968ef77805ac5a0d3497a58eec61a9b938f6237484eaddb47c8e79e5",
-        "07c21a58db7aa3f2672cccab485b39f4a18efe2ec3d237408a702cbc653bc23c",
-        "82c1db6558b7e16c160ca378ab4bd1374dfd8afa651c351524fa168c112bc5c1",
+        "204a0965cb322939aaf778d6714d052f16ed6255c79687449643e028cef338a4",
+        "cf321b14d7f78ddbe353fa3524293527fdec47bcaaef30b8ea8b1efdbf3fc7f4",
+        "75e62257a095d3a61c9041cd06d9ba2d877d1d290e9446f5d62bfd7c8ff7a371",
+        "55a3b9ad599ade64caf23c10374b965e81daf72a54523ca269e6d7d81fb241c5",
+        "b2797e75fb945270b5781af0718572a9e0f3a1edae7234ba6ee2b7fac0f5e920",
     ],
 }
 

@@ -31,7 +31,10 @@ when ``bundle.json`` became the directory's versioned commit document
 ``meta`` dropped the ``cube_prefix`` and ``fact_relation`` keys, which
 no reader had: the content digest hashes that ``meta``, and each
 ``cube.v2`` digest is the one the parent commit writes with only those
-two keys removed.
+two keys removed.  All three moved again when the directory ``meta``
+gained ``min_count`` (the iceberg threshold, which decides whether a
+stored cube can take a delta): every section's SHA-256 is the one the
+commit before wrote, and only the directory differs.
 The ``csv_retail`` case loads its input with ``load_csv`` from a seeded
 CSV file (quoted fields, CRLF, non-ASCII members, decimal measures); its
 digests were taken on the commit before the byte-level CSV reader, when
@@ -108,63 +111,63 @@ CASES = {
 GOLDEN: dict[str, tuple[int, str, str, str]] = {
     "CURE": (
         4,
-        "1007e5d6735b470ecc25f32dc5bd282de71df7d19fdab2b75012632188011612",
-        "8909a4afafe5af84b33c1c8e521820815ba04b4fb8981a99a2964fcc6c8d9496",
-        "c4f4840aaa552c0bf86875049ef60ce17432295e4a43a6750f2060f1a283eeeb",
+        "b27cc89a266386d1cafaa256cf6b5dd39064586ece790c3d17ed935b925655b3",
+        "f5148beed2b1091f22a27cc746320800eafcb0ad3ff7390054a1b7e506a3459d",
+        "fc10ad1e0e23a9b8bde74c68b70464452ad89959689b72c442953770171d4b52",
     ),
     "CURE+": (
         4,
-        "3a5fbb8916ddca8bb3580d7d18474a1f7baf7fa8c0ee7efd455d8dcb609fe2fa",
-        "aca72bfbd951d6e54732ebda4afe930c93e7a0ace0a6d3d8083f05b4ea29a056",
-        "cb13c61adc3f1dba46e1e87d063c2bb56c2f5d80c73f7dc07bf2ddd058f39efa",
+        "3f48628e464daf84c4e19ebc3c2bf28ac3d6e7765872ac69444500254bd2319f",
+        "7979e221bd5b13956dcac521feae1eb8e2ff6bdc45fedcb13757e139a8913037",
+        "d0a3e47dd8b4984f22de0f11e91ab98de71a1aff5e660d5f469298e374162749",
     ),
     "CURE_DR": (
         4,
-        "af864d327f5f2233d1ce4bfcd8bf7808d53dbde57cc07d8a06a1312d5382c7f9",
-        "ed5ca0dfdc01fa7207292ab1069a95893aeb7ad72dc3e1d880e9d3a8e93795e6",
-        "8e8a8cf81e5e8a47592c51240458dd4ec090c3c1c77fcd887d94e67fd524f101",
+        "61d2ae2a4601e3fccc307080c5550cbea1a20472ebdb4f23cfc705790b90edb3",
+        "e11b72d4c451e8b927c5e0475f8eded9da53749df1177f639a3cee60b460258a",
+        "87302cdee4ff66b03ff475626fb2d9973d7a04a8325d0f0713d316cc2eae2f6b",
     ),
     "FCURE": (
         4,
-        "b22fd5a6c2b96a25ff9328d156344f1f4eb380b421448c61f4f88bbba635515e",
-        "2ea79ead04a146b4e4bf4bbf587ab70412ca53c374240f03998ee49fcb214dcf",
-        "ae93f2a3ac04485356045d9c7e6a3ce7d7dc3d03d7e69812075299dbea191d8c",
+        "0313b0969a076d253db1b788c0d253781a7ea94c53692434a207431d181a4dc0",
+        "1f76b64f4bd2c465b875a93ebe286a1634d44285ce678d2fcd7bfda51fddccd8",
+        "5059904bf80bf87971aab6d6e057bbff20a945b35efe862075e3eb6b91f87b0b",
     ),
     "iceberg3": (
         4,
-        "e3459ab77409a1f1fadb1c9c7c1c065fef2129b9b3e0aa6d8f06867b95277284",
-        "14898c59e2b6f32d15080374b7dc1006c25c5300ad87f11ac5f14ea993282eeb",
-        "61318694c8cbd205eaba7485b6b68e6076e9e5b22753d759685990ed5477ac1f",
+        "075b20278c4cdd15022cf3ee14d5990f60d05038142b73049309208c8f50ffc6",
+        "77b4f81b629bea555ec4cc82d6c7a1e23c35064476443cb9ad6b35a03f9a7407",
+        "3b9c1c734f0aac4cbe559eb203e5f171f6e9cdeabde35eadb476b10849fd02ac",
     ),
     "partitioned": (
         4,
-        "63d7ec065f1861695d4361b3501ae5f8e26b5c7e4a0c80f7941fceb05daae04b",
-        "37717e29457dfde9108ca5d813913b279071c1b323b16110ee68ec9762da97a4",
-        "3c740046b28739f44e4f81549f57f80f2d3c0f3a3519565688d86a8a6637c96a",
+        "4f122de47e8f7944057d437d44e0465727b956aa7a61696360c4aa43887623ed",
+        "7a52148d4d244464d963bf081512d3038adcae847a2b4571656e5629ee7a1545",
+        "8b04457205142f36c8e2a15fd537ce170d2e324e9da4f826c73261fc53a93d71",
     ),
     "partitioned_pair": (
         4,
-        "211ce6fee429aa9589fef3c24a9cadce6b87e36ff456d0abf16b76b828e119ce",
-        "d98eec47fae933196165a92a31777ce002736c43701e37eeb0d18bc9a61e4d77",
-        "a7fd4dd7327bd91577ca716436be79ec183885627b19334bf0225f6f3969ffe0",
+        "a7c02b3b68dde3de9053dc85ef7b682e6b4269d7930258cf36492495e8bf3309",
+        "e3e0f7ba581c2919375d3e94efdf8d51f5e6d2d89370069f4655521fb76ce26e",
+        "145c2b8dbf819e77cf07bc61d8d96ec78aa7f68779158d3cb38a5817bf5faa59",
     ),
     "partitioned_DR": (
         4,
-        "20fa7b6b09807f072899b4ab93ca1ca16d93347a9b73da463c273b8025cec4cd",
-        "cea0808407e29a549aeb0bd67ba009b1d956ff395d8d103ee56bc909f2b968b3",
-        "bf15e83d3abb16b09de2cb17b5c56114a63b2072cb696c6cc61bc3194786ee4e",
+        "871f50edc2963f97c4061ed0083059901e54f6851454a62b89a06c43a43f5464",
+        "ba631304eea2db3e064e46737c72a0621cb95dd1baa459acd2fb9f2b49e11156",
+        "cdc9711f1d65875709734bcc545d97d84009acbe3c13be173df47b91f4bcb390",
     ),
     "partitioned_pair_DR": (
         4,
-        "6fef3ea727f2104170c1fb63d1c10e4647469edad1a8c7922959887e20e06b97",
-        "12663f90c51e30d3e85c3de7e8e289fcdad6e79db3e445f26bddccf6d1a58c1d",
-        "eabe0e1413f42e06a97c043546474e7da9b068c9a0cf3416f37609650fd2fb7c",
+        "59d3df80a4c321f0ae150c08604d685bcf5520cd767ac273aedf7169eaaf6933",
+        "1fa38084be95a1c293e6f9882c1a5269787bee15a05e963b808fda791b36ef64",
+        "7ab0b38b25688b6117694b19908267bae4e21b8bb2078a3562806f2fbc8905f5",
     ),
     CSV_CASE: (
         4,
-        "236291adf4315083f763fc28f6ca73d096301fe74641e77df08ae3c094509dd3",
-        "284f259b5d730fb288cfcc08ecb0b293ccaf4d196a8117666ad26937cb9b69d5",
-        "a0a9b64d3db100eff35722f6818247db58926c36ca218703db58b7aef3d1960a",
+        "8729e6eaae4adcac0dbc2a841972e4e03c6dada376e6bd5df082f4b01e136f5f",
+        "59fa42f3699b259eb71b75a504dcd9d03e6a091acb37135a3b45716c63eee49a",
+        "57a2e5001561c8166c7fe3f111aa4c375dc379d35f1064e9caf919521aee3372",
     ),
 }
 

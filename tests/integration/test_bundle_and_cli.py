@@ -485,7 +485,7 @@ def test_first_ingest_checks_the_domain_of_fact_codes(tmp_path):
 def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
     """After an ingest the committed generation *is* the served v2 file:
     ``bundle.json`` names it, the ``cube.v2`` the build published is
-    removed with the generation-0 container behind it, ``verify-cube``
+    removed behind the generation-0 commit, ``verify-cube``
     checks the generation, and a damaged generation stops the next
     ingest instead of silently restarting from the bundle's original
     facts."""
@@ -504,12 +504,12 @@ def test_streamed_bundle_serves_its_generation_container(cli_workspace, capsys):
     capsys.readouterr()
 
     generation = publish_v2_bundle(cube_dir)
-    assert generation.name == "stream.g1.cube.v2"
+    assert generation.name == "stream.g0.cube.v2"
     with open_bundle(cube_dir) as bundle:
         assert bundle.v2.file.path == generation
         assert bundle.fact_row_count == 201
     assert not (cube_dir / "cube.v2").exists()
-    assert not (cube_dir / "stream.g0.cube.v2").exists()
+    assert [path.name for path in cube_dir.glob("*cube.v2")] == [generation.name]
     assert cli_main(["verify-cube", "--cube", str(cube_dir)]) == 0
     assert generation.name in capsys.readouterr().out
 

@@ -78,6 +78,10 @@ def assert_sections_equal_todays(fixture: Path, tmp_path: Path) -> V2File:
     assert (old.meta.pop("cube_prefix"), old.meta.pop("fact_relation")) == (
         "cube", "fact"
     )
+    # Neither records the iceberg threshold the writer records since; a
+    # reader takes its absence as unknown.
+    assert "min_count" not in old.meta
+    assert today.meta.pop("min_count") == 1
     assert old.meta == today.meta
     kept = [
         name

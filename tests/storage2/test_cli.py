@@ -206,8 +206,11 @@ def test_a_manifest_naming_a_missing_container_must_be_rebuilt(tmp_path):
     root = save_bundle(tmp_path / "bundle", *_small_build())
     assert read_manifest(root).container == V2_FILE
     (root / V2_FILE).unlink()
-    with pytest.raises(RuntimeError, match="no cube.v2 to serve; rebuild"):
+    with pytest.raises(BundleError, match="no cube.v2 to serve; rebuild"):
         open_bundle(root)
+    # The command line reports it in one line, as any unreadable bundle.
+    with pytest.raises(SystemExit, match="no cube.v2 to serve; rebuild"):
+        main(["describe", "--cube", str(root)])
 
 
 def test_durable_build_publishes_v2(tmp_path):
