@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.baselines.buc import BucCube, BucStats, build_buc_cube
-from repro.baselines.bubst import BuBstCube, BuBstStats, build_bubst_cube
+from paper.baselines.buc import BucCube, BucStats, build_buc_cube
+from paper.baselines.bubst import BuBstCube, BuBstStats, build_bubst_cube
 
 __all__ = [
     "BuBstCube",

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.buc import VALUE_BYTES, positional_working_set
+from paper.baselines.buc import VALUE_BYTES, positional_working_set
 from repro.core.cure import CureBuilder
 from repro.core.model import CubeSchema
 from repro.lattice.plan import FlatShape

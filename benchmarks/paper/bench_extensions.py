@@ -6,7 +6,7 @@ documents (each anchored to a sentence in the paper).
 
 import pytest
 
-from repro.bench.experiments import (
+from paper.experiments import (
     run_incremental,
     run_pair_partition_ablation,
     run_sliced_queries,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.experiments import run_fig14_15
+from paper.experiments import run_fig14_15
 
 SCALE = 1 / 200  # ~2.9k / 5.1k tuples: minutes-not-hours for the full pass
 

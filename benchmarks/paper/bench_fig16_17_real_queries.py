@@ -1,6 +1,6 @@
 """Figures 16 & 17: query response time and the effect of caching."""
 
-from repro.bench.experiments import run_fig16_17
+from paper.experiments import run_fig16_17
 
 SCALE = 1 / 400
 N_QUERIES = 30

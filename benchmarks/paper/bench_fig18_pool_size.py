@@ -1,6 +1,6 @@
 """Figure 18: signature pool size vs cube storage space."""
 
-from repro.bench.experiments import run_fig18
+from paper.experiments import run_fig18
 
 SCALE = 1 / 200
 POOLS = (200, 2_000, 20_000, None)

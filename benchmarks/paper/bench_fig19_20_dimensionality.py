@@ -1,6 +1,6 @@
 """Figures 19 & 20: effect of dimensionality on time and storage."""
 
-from repro.bench.experiments import run_fig19_20
+from paper.experiments import run_fig19_20
 
 DIMS = (4, 6, 8, 10)
 N_TUPLES = 4_000

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.experiments import run_fig21_22
+from paper.experiments import run_fig21_22
 
 SKEWS = (0.0, 0.8, 1.6, 2.0)
 N_TUPLES = 5_000

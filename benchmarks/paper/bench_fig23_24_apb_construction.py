@@ -8,7 +8,7 @@ the paper's headline 12 GB APB-1 build on a 512 MB machine.  Set
 
 import os
 
-from repro.bench.experiments import MB, run_fig23_24
+from paper.experiments import MB, run_fig23_24
 
 DENSITIES = (0.4, 4.0)
 SCALE = 1 / 2000

@@ -1,6 +1,6 @@
 """Figure 25: APB-1 average QRT by result-size bucket, four CURE variants."""
 
-from repro.bench.experiments import run_fig25
+from paper.experiments import run_fig25
 
 DENSITY = 0.4
 SCALE = 1 / 1000

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.experiments import run_fig26_27_28
+from paper.experiments import run_fig26_27_28
 
 DENSITY = 0.4
 SCALE = 1 / 1000

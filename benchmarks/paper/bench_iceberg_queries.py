@@ -1,6 +1,6 @@
 """Section 7 (text): count-iceberg queries — CURE skips TT relations."""
 
-from repro.bench.experiments import run_iceberg
+from paper.experiments import run_iceberg
 
 SCALE = 1 / 300
 MIN_COUNTS = (2, 10)

@@ -1,6 +1,6 @@
 """Section 4 ablation: external partitioning under shrinking budgets."""
 
-from repro.bench.experiments import MB, run_partition_ablation
+from paper.experiments import MB, run_partition_ablation
 
 DENSITY = 4.0
 SCALE = 1 / 2000

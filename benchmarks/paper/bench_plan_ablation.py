@@ -6,7 +6,7 @@ already-separated segments.  P2 re-sorts the full input from scratch for
 every level of every dimension, so it sorts strictly more keys.
 """
 
-from repro.bench.experiments import run_plan_ablation
+from paper.experiments import run_plan_ablation
 
 DENSITY = 0.4
 SCALE = 1 / 1000

@@ -1,6 +1,6 @@
 """Intra-member skew: local pair re-partitioning kicks in past the budget."""
 
-from repro.bench.experiments import run_skew_repartition
+from paper.experiments import run_skew_repartition
 
 HOT_FRACTIONS = (0.0, 0.3, 0.7, 0.9)
 

@@ -1,6 +1,6 @@
 """Table 1: partitioning efficiency on the SALES example (analytic model)."""
 
-from repro.bench.experiments import run_table1
+from paper.experiments import run_table1
 
 
 def test_table1(run_once):

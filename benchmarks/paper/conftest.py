@@ -5,8 +5,8 @@ under pytest-benchmark timing (``rounds=1`` — cube construction is not a
 microbenchmark), prints the paper-style result tables, attaches them to
 ``benchmark.extra_info`` and asserts the expected qualitative *shape*.
 
-Scales here are smaller than the CLI defaults (`python -m repro.bench.run`)
-so the whole ``pytest benchmarks/ --benchmark-only`` pass stays in minutes.
+Scales here are smaller than the CLI defaults (`python -m paper.run`)
+so the whole ``pytest benchmarks/paper --benchmark-only`` pass stays in minutes.
 """
 
 from __future__ import annotations

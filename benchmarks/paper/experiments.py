@@ -9,20 +9,29 @@ orderings, ratios, crossovers — are what EXPERIMENTS.md compares.
 
 Registry: ``EXPERIMENTS`` maps experiment ids (``"table1"``, ``"fig14"``,
 …) to runner entries; ``run_experiment(id)`` executes one and returns its
-tables.  The CLI lives in :mod:`repro.bench.run`.
+tables.  The CLI lives in :mod:`paper.run`.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines import build_bubst_cube, build_buc_cube
-from repro.bench.results import ExperimentTable
-from repro.core.analysis import GB, table1_rows
+from paper.analysis import GB, table1_rows
+from paper.baselines import build_bubst_cube, build_buc_cube
+from paper.baselines.query import (
+    answer_bubst_query,
+    answer_buc_query,
+    answer_rollup_from_bubst,
+    answer_rollup_from_buc,
+    iceberg_over_bubst,
+    iceberg_over_buc,
+)
+from paper.results import ExperimentTable
 from repro.core.cure import build_cube
 from repro.core.variants import VARIANTS
 from repro.core.model import CubeSchema
@@ -33,23 +42,17 @@ from repro.datasets import (
     generate_sep85l_like,
 )
 from repro.lattice.plan import LevelsAsDimensionsShape
+from repro.lattice.node import CubeNode
 from repro.query import (
     CubePlanner,
     FactCache,
     QueryRequest,
     QueryStats,
     all_node_queries,
-    answer_bubst_query,
-    answer_buc_query,
     answer_cure_query,
-    answer_rollup_from_bubst,
-    answer_rollup_from_buc,
     bucket_queries_by_result_size,
-    iceberg_over_bubst,
-    iceberg_over_buc,
     iceberg_over_cure,
     random_node_queries,
-    random_rollup_queries,
 )
 from repro.relational.engine import Engine
 from repro.relational.table import Table
@@ -476,6 +479,28 @@ def run_fig25(
 # -- Figures 26–28: flat vs hierarchical cubes ----------------------------------------------
 
 
+def random_rollup_queries(
+    schema: CubeSchema, n: int, seed: int = 11
+) -> list[CubeNode]:
+    """``n`` random queries at coarse granularities (no base levels).
+
+    These are the "roll-up/drill-down queries" of Figure 28: every
+    grouping dimension sits at a level above its base (dimensions whose
+    hierarchy is a single level can only appear as ALL).  A flat cube must
+    re-aggregate its base-level node on the fly to answer them; a
+    hierarchical cube reads the node directly.
+    """
+    rng = random.Random(seed)
+    queries: list[CubeNode] = []
+    for _ in range(n):
+        levels = []
+        for dimension in schema.dimensions:
+            choices = list(range(1, dimension.n_levels_with_all))
+            levels.append(choices[rng.randrange(len(choices))])
+        queries.append(CubeNode(tuple(levels)))
+    return queries
+
+
 def run_fig26_27_28(
     density: float = 0.4,
     scale: float = 1 / 1000,
@@ -701,8 +726,6 @@ def run_pair_partition_ablation(
     n_tuples: int = 6_000, budget: int = 40_000
 ) -> list[ExperimentTable]:
     """Section 4's omitted case: no single level works, pairs do."""
-    import random
-
     from repro import flat_dimension, linear_dimension, make_aggregates
     from repro.core.partition_select import search_partition_levels
 

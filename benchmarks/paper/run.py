@@ -1,4 +1,4 @@
-"""CLI entry point: ``python -m repro.bench.run [--experiment ID] [--full]``.
+"""CLI entry point: ``python -m paper.run [--experiment ID] [--full]``.
 
 Prints the paper-style result tables for one experiment, or for all of
 them.  ``--full`` passes ``full=True`` to experiments that support a
@@ -11,12 +11,12 @@ import argparse
 import sys
 import time
 
-from repro.bench.experiments import EXPERIMENTS, run_experiment
+from paper.experiments import EXPERIMENTS, run_experiment
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.run",
+        prog="python -m paper.run",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument(

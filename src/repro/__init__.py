@@ -6,10 +6,10 @@ Public API highlights:
   cubes over in-memory tables or disk-backed relations.
 * :class:`repro.CubeSchema` with :mod:`repro.hierarchy` builders — describe
   dimensions, hierarchies, measures and aggregates.
-* :mod:`repro.query` — answer node queries over every cube format.
+* :mod:`repro.query` — answer node, slice, roll-up and iceberg queries
+  over CURE cubes.
 * :mod:`repro.datasets` — the paper's workloads (synthetic Zipf, APB-1,
   real-dataset simulacra).
-* :mod:`repro.baselines` — BUC and BU-BST.
 * :class:`repro.DurableCubeBuild` / :func:`repro.verify_cube` — crash-safe
   manifest-driven builds with checkpointed resume (see docs/robustness.md).
 * :class:`repro.StreamingIngestor` / :class:`repro.AppendLog` — crash-safe

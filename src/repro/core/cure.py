@@ -13,7 +13,7 @@
   whose flushes classify NTs vs CATs (Section 5.2).
 
 The same executor drives all plan shapes of :mod:`repro.lattice.plan`: P3
-(hierarchical CURE), the flat P1 (FCURE and the flat baselines), and P2
+(hierarchical CURE), the flat P1 (FCURE), and P2
 (the "levels as dimensions" ablation) — a shape only decides which levels
 solid edges introduce and where dashed edges descend.
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -78,6 +78,7 @@ from repro.relational.catalog import Catalog
 from repro.relational.durable import (
     Fields,
     atomic_write_text,
+    check_fields,
     file_checksum,
     maybe_fire,
     read_document,
@@ -152,8 +153,9 @@ class BuildManifest:
     def load(cls, path: Path) -> "BuildManifest":
         """The manifest at ``path``, read through
         :func:`~repro.relational.durable.read_document`: non-JSON, another
-        version, a missing, mistyped or unknown field is a
-        :class:`ManifestError` naming the file (and the field)."""
+        version, a missing, mistyped or unknown field — at the top level
+        or nested (:func:`_check_nested`) — is a :class:`ManifestError`
+        naming the file (and the field)."""
         if not path.exists():
             raise ManifestError(f"no build manifest at {path}")
         payload = read_document(path, MANIFEST_VERSION, _MANIFEST_FIELDS, ManifestError)
@@ -161,6 +163,7 @@ class BuildManifest:
         unknown = sorted(payload.keys() - _MANIFEST_FIELDS.keys())
         if unknown:
             raise ManifestError(f"{path} has an unknown field {unknown[0]!r}")
+        _check_nested(payload, str(path))
         return cls(**payload)
 
 
@@ -179,6 +182,69 @@ _MANIFEST_FIELDS: Fields = {
     "final": (dict, type(None)),
     "stats": (dict, type(None)),
 }
+
+#: A ``partitions`` / ``coarse`` entry: a relation :meth:`_publish_staged`
+#: recorded.
+_RELATION_FIELDS: Fields = {"name": (str,), "checksum": (str,), "rows": (int,)}
+#: ``final``: a container :meth:`_publish_cube` recorded.
+_CUBE_FIELDS: Fields = {"container": (str,), "checksum": (str,), "row_counts": (dict,)}
+#: ``checkpoint``: a cube entry plus where the build stood.
+_CHECKPOINT_FIELDS: Fields = {
+    **_CUBE_FIELDS,
+    "id": (int,),
+    "completed_partitions": (int,),
+    "stats": (dict,),
+}
+_STAGES = {STAGE_INIT, STAGE_PARTITIONED, STAGE_PHASE1, STAGE_COMPLETE}
+_BUILD_STATS = {stat.name for stat in fields(BuildStats)}
+_SORT_STATS = {stat.name for stat in fields(SortStats)}
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_nested(payload: dict[str, Any], where: str) -> None:
+    """Raise :class:`ManifestError` unless what the top-level check cannot
+    see is as the build writes it: a known stage, int levels, relation
+    entries, the checkpoint and final entries with int row counts, and
+    stats that :func:`_stats_from_json` can rebuild."""
+    if payload["stage"] not in _STAGES:
+        raise ManifestError(f"{where} has no valid 'stage'")
+    if not all(_is_int(level) for level in payload["levels"]):
+        raise ManifestError(f"{where} has no valid 'levels'")
+    for key in ("partitions", "coarse"):
+        for entry in payload[key]:
+            check_fields(entry, _RELATION_FIELDS, f"{where} {key!r} entry", ManifestError)
+    for key, entry_fields in (("checkpoint", _CHECKPOINT_FIELDS), ("final", _CUBE_FIELDS)):
+        entry = payload[key]
+        if entry is None:
+            continue
+        check_fields(entry, entry_fields, f"{where} {key!r}", ManifestError)
+        if not all(_is_int(rows) for rows in entry["row_counts"].values()):
+            raise ManifestError(f"{where} {key!r} has no valid 'row_counts'")
+    if payload["checkpoint"] is not None:
+        _check_stats(payload["checkpoint"]["stats"], f"{where} 'checkpoint' 'stats'")
+    if payload["stats"] is not None:
+        _check_stats(payload["stats"], f"{where} 'stats'")
+
+
+def _check_stats(stats: dict[str, Any], where: str) -> None:
+    """A :class:`BuildStats` as JSON: its own fields only, each a number,
+    and ``sort`` a :class:`SortStats` the same way."""
+    counters = dict(stats)
+    _check_counters(counters.pop("sort", {}), _SORT_STATS, f"{where} 'sort'")
+    _check_counters(counters, _BUILD_STATS, where)
+
+
+def _check_counters(counters: object, names: set[str], where: str) -> None:
+    if not isinstance(counters, dict):
+        raise ManifestError(f"{where} is not a JSON object")
+    for key, value in counters.items():
+        if key not in names:
+            raise ManifestError(f"{where} has an unknown field {key!r}")
+        if not isinstance(value, (int, float)):
+            raise ManifestError(f"{where} has no valid {key!r}")
 
 
 @dataclass

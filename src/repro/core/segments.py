@@ -4,8 +4,7 @@
 shared pieces: the plan-edge sort of :class:`repro.core.cure.CureBuilder`,
 the delta merger (:mod:`repro.core.incremental`) and the coarse-node fold
 of the partition pass (:class:`GroupFold`, :mod:`repro.core.partition`)
-all group with them — and through ``CureBuilder`` so do the BUC and
-BU-BST baselines (:mod:`repro.baselines`).
+all group with them.
 
 :func:`stable_order` is the one stable sort under all of them, and under
 every other sort on the build and publish path: the signature pool's

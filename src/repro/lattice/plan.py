@@ -13,7 +13,7 @@ enumerates.  Three shapes come from the paper:
   level), with the modified rule 2 for complex hierarchies baked into
   :meth:`Dimension.dashed_children`.
 * **P1** (:class:`FlatShape`) — the flat BUC plan over base levels only
-  (Figure 2); also the plan FCURE and the flat baselines run.
+  (Figure 2); also the plan FCURE runs.
 * **P2** (:class:`LevelsAsDimensionsShape`) — the "straightforward"
   hierarchical plan that treats every level as an independent dimension
   (Figure 3); height stays D, so sort costs are shared poorly.
@@ -91,7 +91,7 @@ class HierarchicalShape:
 
 
 class FlatShape:
-    """P1: base levels only, no dashed edges (BUC, BU-BST, FCURE)."""
+    """P1: base levels only, no dashed edges (BUC's plan; FCURE)."""
 
     def __init__(self, lattice: CubeLattice) -> None:
         self.lattice = lattice

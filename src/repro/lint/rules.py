@@ -138,12 +138,13 @@ class WallClockInCore(Rule):
 
     Cube construction must be deterministic and timing-agnostic; elapsed
     durations use the monotonic ``time.perf_counter``, and wall-clock
-    timestamps (benchmark metadata, result stamping) live in ``bench/``.
+    timestamps (benchmark metadata, result stamping) live in
+    ``benchmarks/``, outside the package.
     """
 
     rule_id = "R3"
     title = "no wall-clock calls in core/"
-    hint = "use time.perf_counter for durations; wall-clock timestamps belong in bench/"
+    hint = "use time.perf_counter for durations; wall-clock timestamps belong in benchmarks/"
     only_in = frozenset({"core"})
 
     _BANNED = (

@@ -1,4 +1,5 @@
-"""Query answering over every cube format the reproduction builds."""
+"""Query answering over CURE cubes: node, slice, roll-up and iceberg
+queries, planned and cached by :class:`CubePlanner`."""
 
 from __future__ import annotations
 
@@ -6,8 +7,6 @@ from repro.query.cache import FactCache, ResultCache
 from repro.query.column_answer import ColumnAnswer
 from repro.query.answer import (
     QueryStats,
-    answer_bubst_query,
-    answer_buc_query,
     answer_cure_query,
     normalize_answer,
     reference_group_by,
@@ -18,7 +17,6 @@ from repro.query.workload import (
     bucket_queries_by_result_size,
     mixed_workload,
     random_node_queries,
-    random_rollup_queries,
 )
 from repro.query.planner import CubePlanner, QueryPlan, QueryRequest
 from repro.query.slice import (
@@ -27,17 +25,8 @@ from repro.query.slice import (
     prefilters,
     slice_mask,
 )
-from repro.query.rollup import (
-    answer_rollup_from_bubst,
-    answer_rollup_from_buc,
-    base_node_of,
-    rollup_base_answer,
-)
-from repro.query.iceberg import (
-    iceberg_over_bubst,
-    iceberg_over_buc,
-    iceberg_over_cure,
-)
+from repro.query.rollup import base_node_of, rollup_base_answer
+from repro.query.iceberg import iceberg_over_cure
 
 __all__ = [
     "ColumnAnswer",
@@ -55,18 +44,11 @@ __all__ = [
     "answer_cure_sliced",
     "prefilters",
     "slice_mask",
-    "answer_bubst_query",
-    "answer_buc_query",
     "answer_cure_query",
-    "answer_rollup_from_bubst",
-    "answer_rollup_from_buc",
     "base_node_of",
     "bucket_queries_by_result_size",
     "rollup_base_answer",
-    "iceberg_over_bubst",
-    "iceberg_over_buc",
     "iceberg_over_cure",
     "random_node_queries",
-    "random_rollup_queries",
     "reference_group_by",
 ]

@@ -1,22 +1,16 @@
-"""Node-query answering over CURE, BUC and BU-BST cubes.
+"""Node-query answering over CURE cubes.
 
 A **node query** asks for every tuple of one cube node (a group-by with no
-selection) — the workload of Figures 16, 25 and 28.  Every format answers
-with a :class:`~repro.query.column_answer.ColumnAnswer`, so correctness
-tests can compare them directly against :func:`reference_group_by`, a
-naive re-aggregation of the fact data.
+selection) — the workload of Figures 16, 25 and 28.  It answers with a
+:class:`~repro.query.column_answer.ColumnAnswer`, so correctness tests can
+compare it directly against :func:`reference_group_by`, a naive
+re-aggregation of the fact data.
 
-Per format:
-
-* **CURE** — read the node's NT/CAT relations (dereferencing R-rowids into
-  the fact cache and A-rowids into AGGREGATES), then collect shared TTs
-  from the node itself and its plan ancestors — every build, partitioned
-  or not, stores a TT once.  CURE+ cubes benefit from sorted row-id
-  lists via the cache's sequential path.
-* **BUC** — read the per-node relation directly; the fast baseline.
-* **BU-BST** — scan the whole monolithic relation, keeping exact-node rows
-  and the BSTs whose storing node lies on this node's plan path; this full
-  scan is why Figure 16 shows it orders of magnitude slower.
+A CURE node is read from its NT/CAT relations (dereferencing R-rowids into
+the fact cache and A-rowids into AGGREGATES), then its shared TTs are
+collected from the node itself and its plan ancestors — every build,
+partitioned or not, stores a TT once.  CURE+ cubes benefit from sorted
+row-id lists via the cache's sequential path.
 
 :func:`read_node_relations` is the one place that knows how a CURE node
 is stored (Section 5.3).  What the schema decides about a node is its
@@ -43,8 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.bubst import BuBstCube
-from repro.baselines.buc import BucCube
 from repro.core.model import CubeSchema
 from repro.core.storage import CatFormat, CubeStorage
 from repro.lattice.node import CubeNode
@@ -277,64 +269,6 @@ def read_node_relations(
     return ColumnAnswer.of_rows(arity, rows)
 
 
-# -- BUC ---------------------------------------------------------------------------
-
-
-def answer_buc_query(
-    cube: BucCube, node: CubeNode, stats: QueryStats | None = None
-) -> ColumnAnswer:
-    """Answer one node query over a BUC cube (direct per-node read)."""
-    if not cube.materialized:
-        raise ValueError("cannot query an analytically-sized BUC cube")
-    schema = cube.schema
-    rows = cube.node_rows(schema.node_id(node))
-    arity = len(node.grouping_dims(schema.dimensions))
-    answer = ColumnAnswer(
-        arity, schema.n_aggregates, rows[:, :arity], rows[:, arity:]
-    )
-    if stats is not None:
-        stats.rows_scanned += len(rows)
-        stats.tuples_returned += len(answer)
-    return answer
-
-
-# -- BU-BST -------------------------------------------------------------------------
-
-
-def answer_bubst_query(
-    cube: BuBstCube, node: CubeNode, stats: QueryStats | None = None
-) -> ColumnAnswer:
-    """Answer one node query over a BU-BST cube (full monolithic scan).
-
-    Every row is looked at: exact-node non-BST rows are kept, and BSTs
-    whose storing node lies on this node's plan path.
-    """
-    schema = cube.schema
-    rows = cube.rows
-    node_id = schema.node_id(node)
-    grouping = node.grouping_dims(schema.dimensions)
-    sharing_ids = [node_id] + [
-        schema.node_id(source)
-        for source in plan_ancestors(schema.lattice, node, flat=True)
-    ]
-    keep = np.where(
-        rows[:, 1] == 1,
-        np.isin(rows[:, 0], sharing_ids),
-        rows[:, 0] == node_id,
-    )
-    kept = np.compress(keep, rows, axis=0)
-    answer = ColumnAnswer(
-        len(grouping),
-        schema.n_aggregates,
-        kept[:, [2 + d for d in grouping]],
-        kept[:, 2 + schema.n_dimensions :],
-    )
-    if stats is not None:
-        stats.rows_scanned += len(rows)
-        stats.tuples_returned += len(answer)
-    return answer
-
-
 # -- reference ------------------------------------------------------------------------
 
 
@@ -359,6 +293,6 @@ def reference_group_by(
 
 def normalize_answer(answer: ColumnAnswer) -> Pairs:
     """``answer.normalized().to_pairs()``: sorted tuple pairs, the shape
-    :func:`reference_group_by` returns (formats answer in arbitrary
-    orders)."""
+    :func:`reference_group_by` returns (a reader answers in its stored
+    order)."""
     return answer.normalized().to_pairs()

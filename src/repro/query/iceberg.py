@@ -5,22 +5,17 @@ over a CURE cube is "orders of magnitude more efficient than doing so over
 any other format, since in this case TTs can be ignored (recall that the
 count for TTs is always 1)".  Over a CURE cube, an iceberg query with
 ``min_count >= 2`` therefore touches only the NT and CAT relations —
-usually a small fraction of the node's tuples in sparse data — while BUC
-and BU-BST must filter every stored tuple.
+usually a small fraction of the node's tuples in sparse data.
 
 Every function here requires the schema to carry a COUNT aggregate.
 """
 
 from __future__ import annotations
 
-from repro.baselines.bubst import BuBstCube
-from repro.baselines.buc import BucCube
 from repro.core.storage import CubeStorage
 from repro.lattice.node import CubeNode
 from repro.query.answer import (
     QueryStats,
-    answer_bubst_query,
-    answer_buc_query,
     answer_cure_query,
     read_node_relations,
 )
@@ -66,24 +61,3 @@ def iceberg_over_cure(
         stats,
         having=lambda aggregates: aggregates[:, count_index] >= min_count,
     )
-
-
-def iceberg_over_buc(
-    cube: BucCube,
-    node: CubeNode,
-    min_count: int,
-    stats: QueryStats | None = None,
-) -> ColumnAnswer:
-    """Iceberg query over BUC: read the node, then filter every tuple."""
-    return count_filter(cube.schema, answer_buc_query(cube, node, stats), min_count)
-
-
-def iceberg_over_bubst(
-    cube: BuBstCube,
-    node: CubeNode,
-    min_count: int,
-    stats: QueryStats | None = None,
-) -> ColumnAnswer:
-    """Iceberg query over BU-BST: full monolithic scan, then filter."""
-    full = answer_bubst_query(cube, node, stats)
-    return count_filter(cube.schema, full, min_count)

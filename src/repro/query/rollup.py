@@ -1,14 +1,13 @@
-"""Roll-up / drill-down answering: hierarchical queries over flat cubes.
+"""Roll-up / drill-down answering: hierarchical queries from base levels.
 
 Figure 28 of the paper compares answering hierarchical node queries from a
 hierarchical cube (direct node read) against flat cubes, where "the
 underlying system must further aggregate materialized aggregates on the
-fly".  The on-the-fly path works over any flat format: fetch the
-base-level node with the same grouping dimensions, roll every tuple's
-codes up to the requested levels, and re-aggregate
-(:func:`rollup_base_answer`).  Over CURE the planner does this
-(:class:`~repro.query.planner.CubePlanner`, strategy ``rollup``);
-wrappers exist for BUC and BU-BST.
+fly".  The on-the-fly path: fetch the base-level node with the same
+grouping dimensions, roll every tuple's codes up to the requested levels,
+and re-aggregate (:func:`rollup_base_answer`).  The planner does this over
+a flat CURE cube (:class:`~repro.query.planner.CubePlanner`, strategy
+``rollup``).
 
 Only distributive aggregates can be rolled up from materialized partials;
 a holistic aggregate raises, mirroring the real limitation.
@@ -18,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.bubst import BuBstCube
-from repro.baselines.buc import BucCube
 from repro.core.model import CubeSchema
 from repro.core.segments import (
     aggregate_ufuncs,
@@ -28,12 +25,7 @@ from repro.core.segments import (
     sort_groups,
 )
 from repro.lattice.node import CubeNode
-from repro.query.answer import (
-    QueryStats,
-    answer_bubst_query,
-    answer_buc_query,
-    node_shape,
-)
+from repro.query.answer import node_shape
 from repro.query.column_answer import ColumnAnswer
 
 
@@ -81,25 +73,3 @@ def rollup_base_answer(
         aggregate_ufuncs(schema), ordered[:, arity:], starts
     )
     return ColumnAnswer.of_rows(arity, rows)
-
-
-def answer_rollup_from_buc(
-    cube: BucCube, node: CubeNode, stats: QueryStats | None = None
-) -> ColumnAnswer:
-    """Answer a hierarchical node query from a (flat) BUC cube."""
-    base = base_node_of(cube.schema, node)
-    base_answer = answer_buc_query(cube, base, stats)
-    if node == base:
-        return base_answer
-    return rollup_base_answer(cube.schema, base_answer, node)
-
-
-def answer_rollup_from_bubst(
-    cube: BuBstCube, node: CubeNode, stats: QueryStats | None = None
-) -> ColumnAnswer:
-    """Answer a hierarchical node query from a (flat) BU-BST cube."""
-    base = base_node_of(cube.schema, node)
-    base_answer = answer_bubst_query(cube, base, stats)
-    if node == base:
-        return base_answer
-    return rollup_base_answer(cube.schema, base_answer, node)

@@ -47,28 +47,6 @@ def random_node_queries(
     return [schema.decode_node(rng.randrange(total)) for _ in range(n)]
 
 
-def random_rollup_queries(
-    schema: CubeSchema, n: int, seed: int = 11
-) -> list[CubeNode]:
-    """``n`` random queries at coarse granularities (no base levels).
-
-    These are the "roll-up/drill-down queries" of Figure 28: every
-    grouping dimension sits at a level above its base (dimensions whose
-    hierarchy is a single level can only appear as ALL).  A flat cube must
-    re-aggregate its base-level node on the fly to answer them; a
-    hierarchical cube reads the node directly.
-    """
-    rng = random.Random(seed)
-    queries: list[CubeNode] = []
-    for _ in range(n):
-        levels = []
-        for dimension in schema.dimensions:
-            choices = list(range(1, dimension.n_levels_with_all))
-            levels.append(choices[rng.randrange(len(choices))])
-        queries.append(CubeNode(tuple(levels)))
-    return queries
-
-
 def all_node_queries(schema: CubeSchema, flat: bool = False) -> list[CubeNode]:
     """Every node of the lattice, in node-id order."""
     if flat:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.baselines.bubst import ALL_MARKER, build_bubst_cube
-from repro.baselines.buc import build_buc_cube
-from repro.query import answer_bubst_query, reference_group_by
+from paper.baselines.bubst import ALL_MARKER, build_bubst_cube
+from paper.baselines.buc import build_buc_cube
+from paper.baselines.query import answer_bubst_query
+from repro.query import reference_group_by
 from repro.query.answer import normalize_answer
 from tests.support.rows import rows_of, table_of
 

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.baselines.buc import build_buc_cube
+from paper.baselines.buc import build_buc_cube
+from paper.baselines.query import answer_buc_query
 from repro.datasets import generate_flat_dataset
 from repro.lattice.node import CubeNode
-from repro.query import answer_buc_query, reference_group_by
+from repro.query import reference_group_by
 from repro.query.answer import normalize_answer
 from tests.support.rows import rows_of, table_of
 

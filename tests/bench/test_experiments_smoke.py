@@ -1,12 +1,12 @@
 """Smoke tests for the experiment registry and CLI, at tiny scales.
 
-Heavier shape assertions live in ``benchmarks/``; these tests only check
+Heavier shape assertions live in ``benchmarks/paper/``; these tests only check
 that every registered experiment runs and produces well-formed tables.
 """
 
 import pytest
 
-from repro.bench.experiments import (
+from paper.experiments import (
     EXPERIMENTS,
     run_experiment,
     run_fig18,
@@ -15,7 +15,7 @@ from repro.bench.experiments import (
     run_plan_ablation,
     run_table1,
 )
-from repro.bench.run import main as cli_main
+from paper.run import main as cli_main
 
 
 def test_registry_covers_every_figure_and_table():
@@ -87,11 +87,11 @@ def test_cli_full_flag_forwarded(monkeypatch, capsys):
 
     def fake_runner(**kwargs):
         captured.update(kwargs)
-        from repro.bench.results import ExperimentTable
+        from paper.results import ExperimentTable
 
         return [ExperimentTable("Figure 23", "stub", ["x"], [{"x": 1}])]
 
-    from repro.bench import experiments
+    from paper import experiments
 
     monkeypatch.setitem(
         experiments.EXPERIMENTS,

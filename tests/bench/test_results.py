@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.results import ExperimentTable, format_value
+from paper.results import ExperimentTable, format_value
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.analysis import GB, plan_partitioning, table1_rows
+from paper.analysis import GB, plan_partitioning, table1_rows
 
 
 def test_table1_rows_match_paper():

@@ -352,15 +352,54 @@ def test_manifest_fields_are_the_dataclass_fields():
         (lambda doc: doc.update(fact_rows="600"), "'fact_rows'"),
         (lambda doc: doc.update(levels=None), "'levels'"),
         (lambda doc: doc.update(partition_mode="pair"), "'partition_mode'"),
+        (lambda doc: doc.update(stage="phase2"), "'stage'"),
+        (lambda doc: doc.update(stage="phase1", partitions=[1]), "'partitions'"),
+        (lambda doc: doc.update(stage="phase1", partitions=[{}]), "'partitions'.*'name'"),
+        (lambda doc: doc["coarse"].append({"name": "x", "checksum": "00"}), "'coarse'.*'rows'"),
+        (lambda doc: doc.update(levels=["0"]), "'levels'"),
+        (lambda doc: doc.update(checkpoint={"id": 0}), "'checkpoint'.*'container'"),
+        (lambda doc: doc["final"].update(row_counts=[1]), "'final'.*'row_counts'"),
+        (lambda doc: doc["final"]["row_counts"].update(AGGREGATES="1"), "'final'.*'row_counts'"),
+        (lambda doc: doc.update(stats={"bogus": 1}), "'stats'.*'bogus'"),
+        (
+            lambda doc: doc.update(
+                checkpoint={
+                    **doc["final"],
+                    "id": 0,
+                    "completed_partitions": 1,
+                    "stats": {"bogus": 1},
+                }
+            ),
+            "'checkpoint' 'stats'.*'bogus'",
+        ),
+        (lambda doc: doc["stats"].update(sort=[]), "'stats'.*'sort'"),
     ],
-    ids=["missing", "mistyped", "null list", "unknown"],
+    ids=[
+        "missing",
+        "mistyped",
+        "null list",
+        "unknown",
+        "unknown stage",
+        "partition not an object",
+        "partition without name",
+        "coarse without rows",
+        "level not an int",
+        "checkpoint without container",
+        "row counts not an object",
+        "row count not an int",
+        "unknown stat",
+        "unknown checkpoint stat",
+        "sort stats not an object",
+    ],
 )
 def test_a_malformed_manifest_is_a_manifest_error_naming_its_field(
     tmp_path, mutate, names
 ):
-    """A dropped, mistyped or unknown key fails as ``ManifestError``
-    naming the file and the key — not a ``TypeError`` from the
-    dataclass — and a resume over it writes nothing."""
+    """A dropped, mistyped or unknown key, at the top level or inside a
+    relation entry, the checkpoint, the final commit or the stats, fails
+    as ``ManifestError`` naming the file and the key — not a ``TypeError``
+    or ``KeyError`` from the code that reads it — and a resume over it
+    writes nothing."""
     schema, table = _instance()
     engine = _fresh_engine(tmp_path, schema, table, _budget(schema, table))
     durable = _durable(schema, engine)

@@ -2,12 +2,13 @@
 
 Each test pins one claim from Section 7 (who wins, in which direction)
 using deliberately small datasets so the suite stays fast.  The full-size
-counterparts live in ``benchmarks/``.
+counterparts live in ``benchmarks/paper/``.
 """
 
 import pytest
 
-from repro.baselines import build_bubst_cube, build_buc_cube
+from paper.baselines import build_bubst_cube, build_buc_cube
+from paper.baselines.query import answer_bubst_query, answer_buc_query
 from repro.core.variants import VARIANTS
 from repro.datasets import (
     generate_covtype_like,
@@ -17,8 +18,6 @@ from repro.datasets import (
 from repro.query import (
     FactCache,
     QueryStats,
-    answer_bubst_query,
-    answer_buc_query,
     answer_cure_query,
     random_node_queries,
 )

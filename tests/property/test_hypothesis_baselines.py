@@ -1,7 +1,7 @@
 """Differential test: BUC and BU-BST on the plan-edge kernel ≡ their
 one-segment-per-frame recursions.
 
-``repro.baselines`` runs both baselines as one flat-plan
+``paper.baselines`` runs both baselines as one flat-plan
 :class:`~repro.core.cure.CureBuilder` pass plus a sink;
 ``tests/support/recursive_baselines.py`` keeps the recursions they
 replaced.  Over random schemas (D 1–5, duplicate rows, empty and
@@ -20,8 +20,8 @@ from collections import Counter
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
+from paper.baselines import build_bubst_cube, build_buc_cube
 from repro import CubeSchema, linear_dimension, make_aggregates
-from repro.baselines import build_bubst_cube, build_buc_cube
 from tests.support.recursive_baselines import (
     recursive_bubst_cube,
     recursive_buc_cube,

@@ -11,16 +11,11 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from paper.baselines import build_bubst_cube, build_buc_cube
+from paper.baselines.query import answer_bubst_query, answer_buc_query
 from repro import CubeSchema, build_cube, linear_dimension, make_aggregates
-from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.core.postprocess import postprocess_plus
-from repro.query import (
-    FactCache,
-    answer_bubst_query,
-    answer_buc_query,
-    answer_cure_query,
-    reference_group_by,
-)
+from repro.query import FactCache, answer_cure_query, reference_group_by
 from repro.query.answer import normalize_answer
 from tests.support.rows import rows_of, table_of, tt_rowids
 

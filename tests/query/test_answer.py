@@ -2,15 +2,14 @@
 
 import pytest
 
+from paper.baselines import build_bubst_cube, build_buc_cube
+from paper.baselines.query import answer_bubst_query, answer_buc_query
 from repro import build_cube
-from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.core.postprocess import postprocess_plus
 from repro.lattice.node import CubeNode
 from repro.query import (
     FactCache,
     QueryStats,
-    answer_bubst_query,
-    answer_buc_query,
     answer_cure_query,
     reference_group_by,
 )

@@ -25,8 +25,16 @@ import random
 import numpy as np
 import pytest
 
+from paper.baselines import build_bubst_cube, build_buc_cube
+from paper.baselines.query import (
+    answer_bubst_query,
+    answer_buc_query,
+    answer_rollup_from_bubst,
+    answer_rollup_from_buc,
+    iceberg_over_bubst,
+    iceberg_over_buc,
+)
 from repro import build_cube
-from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.core.incremental import apply_delta
 from repro.core.postprocess import postprocess_plus
 from repro.lattice.node import CubeNode
@@ -35,14 +43,8 @@ from repro.query import (
     DimensionSlice,
     FactCache,
     ResultCache,
-    answer_bubst_query,
-    answer_buc_query,
     answer_cure_query,
     answer_cure_sliced,
-    answer_rollup_from_bubst,
-    answer_rollup_from_buc,
-    iceberg_over_bubst,
-    iceberg_over_buc,
     iceberg_over_cure,
     normalize_answer,
 )

@@ -3,7 +3,7 @@
 Section 5.3's claim is a counter: a node query dereferences its row-ids
 through a fact cache, and a CURE+ cube's sorted row-id lists turn the
 misses into one forward pass.  This replays Figure 16/17's query loop
-(``repro.bench.experiments.run_fig16_17``: random flat node queries,
+(``paper.experiments.run_fig16_17``: random flat node queries,
 seed 13, over a heap-backed cache at every fraction) at a small scale
 and holds the fact cache to numbers pinned when it still kept tuples in
 a dict and fetched misses one ``read_row`` or ``read_rows_sequential``

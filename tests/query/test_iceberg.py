@@ -4,14 +4,13 @@ import random
 
 import pytest
 
+from paper.baselines import build_bubst_cube, build_buc_cube
+from paper.baselines.query import iceberg_over_bubst, iceberg_over_buc
 from repro import CubeSchema, build_cube, flat_dimension, make_aggregates
-from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.lattice.node import CubeNode
 from repro.query import (
     FactCache,
     QueryStats,
-    iceberg_over_bubst,
-    iceberg_over_buc,
     iceberg_over_cure,
     reference_group_by,
 )

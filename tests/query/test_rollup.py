@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from paper.baselines import build_bubst_cube, build_buc_cube
+from paper.baselines.query import answer_rollup_from_bubst, answer_rollup_from_buc
 from repro import CubeSchema
-from repro.baselines import build_bubst_cube, build_buc_cube
 from repro.core.variants import VARIANTS
 from repro.lattice.node import CubeNode
 from repro.query import (
@@ -13,8 +14,6 @@ from repro.query import (
     CubePlanner,
     FactCache,
     QueryRequest,
-    answer_rollup_from_bubst,
-    answer_rollup_from_buc,
     base_node_of,
     reference_group_by,
     rollup_base_answer,

@@ -1,6 +1,6 @@
 """Reference oracle: BUC and BU-BST as one-segment-per-frame recursions.
 
-These are the builders ``repro.baselines`` shipped before both baselines
+These are the builders ``paper.baselines`` shipped before both baselines
 became flat-plan runs of :class:`repro.core.cure.CureBuilder`, moved here
 verbatim together with the per-segment kernel they (and
 ``tests/support/recursive_cure.py``) sort with: :func:`reduce_segments`
@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.baselines.bubst import ALL_MARKER, BuBstStats
-from repro.baselines.buc import VALUE_BYTES, BucStats
+from paper.baselines.bubst import ALL_MARKER, BuBstStats
+from paper.baselines.buc import VALUE_BYTES, BucStats
 from repro.core.model import CubeSchema
 from repro.core.segments import aggregate_ufuncs, reduce_columns, sort_groups
 from repro.core.workingset import WorkingSet
